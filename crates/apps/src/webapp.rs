@@ -638,6 +638,28 @@ mod tests {
     }
 
     #[test]
+    fn search_pattern_from_the_client_cannot_blow_up_the_scan() {
+        // `q` becomes the LIKE pattern, `%`s and all. The recursive
+        // matcher took ~n^5 steps on this one (7.5 s at n = 200): one
+        // request was a denial of service. It must simply not match.
+        let (server, _) = forum_server(1);
+        let sid = login(&server, "alice");
+        server
+            .serve(
+                Request::post("/post")
+                    .with_cookie("sid", &sid)
+                    .with_param("body", &"a".repeat(4096)),
+            )
+            .outcome
+            .unwrap();
+        let page = server.serve(Request::get("/search").with_param("q", "a%a%a%a%a%b"));
+        assert!(page.outcome.is_ok(), "{:?}", page.outcome);
+        assert_eq!(page.body, "0 hits:");
+        let page = server.serve(Request::get("/search").with_param("q", "a%a%a%a%a%A"));
+        assert!(page.body.starts_with("1 hits:"), "{}", &page.body[..16]);
+    }
+
+    #[test]
     fn response_splitting_fails_closed_through_dispatcher() {
         let (server, _) = forum_server(4);
         for evil in [

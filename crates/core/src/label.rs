@@ -266,6 +266,68 @@ impl fmt::Debug for Label {
     }
 }
 
+/// A function of labels, remembered for one pass over a string's spans.
+///
+/// A rendered page carries hundreds of spans and a handful of distinct
+/// labels, and every question about a label's policies (`has`, `union`)
+/// goes through the [`LabelTable`]'s lock. A pass asks through a memo so
+/// the table is consulted once per distinct label, not once per span.
+///
+/// ```
+/// use resin_core::{Label, LabelMemo};
+/// let mut calls = 0;
+/// let mut memo = LabelMemo::new();
+/// for _ in 0..3 {
+///     assert!(memo.get(Label::EMPTY, |l| { calls += 1; l.is_empty() }));
+/// }
+/// assert_eq!(calls, 1);
+/// ```
+#[derive(Debug)]
+pub struct LabelMemo<V> {
+    /// The first two labels met: most strings carry no more (a field has
+    /// one, an escaped page the marker with and without its source), and
+    /// those passes should not pay for an allocation.
+    first: [Option<(Label, V)>; 2],
+    /// The others, sorted by label index: a page of many distinct labels
+    /// costs a binary search per span rather than a walk.
+    rest: Vec<(Label, V)>,
+}
+
+impl<V> Default for LabelMemo<V> {
+    fn default() -> Self {
+        LabelMemo {
+            first: [None, None],
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<V: Copy> LabelMemo<V> {
+    /// A memo that has seen no label.
+    pub fn new() -> Self {
+        LabelMemo::default()
+    }
+
+    /// `f(label)`, computed the first time `label` is asked about.
+    pub fn get(&mut self, label: Label, f: impl FnOnce(Label) -> V) -> V {
+        for slot in &mut self.first {
+            match slot {
+                Some((l, v)) if *l == label => return *v,
+                Some(_) => {}
+                None => return slot.insert((label, f(label))).1,
+            }
+        }
+        match self.rest.binary_search_by_key(&label.0, |(l, _)| l.0) {
+            Ok(i) => self.rest[i].1,
+            Err(i) => {
+                let v = f(label);
+                self.rest.insert(i, (label, v));
+                v
+            }
+        }
+    }
+}
+
 // ---- the interner ----
 
 /// Key under which a policy is interned: class name + serialized fields

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::filter::{DefaultFilter, Filter, FnFilter};
     pub use crate::gate::{Gate, GateBuilder, GateKind};
     pub use crate::label::{
-        EpochPin, Label, LabelTable, LabelTableStats, PolicyId, PolicyInterner,
+        EpochPin, Label, LabelMemo, LabelTable, LabelTableStats, PolicyId, PolicyInterner,
         PolicyInternerStats, SweepReport,
     };
     pub use crate::merge::{merge_many, merge_sets};

@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use crate::label::{Label, PolicyId};
+use crate::label::{Label, LabelMemo, PolicyId};
 use crate::policy::{Policy, PolicyRef};
 
 /// One labeled byte range. `end` is exclusive.
@@ -374,25 +374,7 @@ impl SpanMap {
     /// boundary), so no renormalization pass runs.
     pub fn slice(&self, range: Range<usize>) -> SpanMap {
         let mut out = SpanMap::new();
-        if range.start >= range.end {
-            return out;
-        }
-        let lo = self.spans.partition_point(|s| s.end <= range.start);
-        for s in self.spans[lo..].iter() {
-            if s.start >= range.end {
-                break;
-            }
-            let start = s.start.max(range.start);
-            let end = s.end.min(range.end);
-            if start < end {
-                out.spans.push(Span {
-                    start: start - range.start,
-                    end: end - range.start,
-                    label: s.label,
-                });
-            }
-        }
-        debug_assert!(out.is_normalized());
+        out.append_range_with(self, range, 0, |label| label);
         out
     }
 
@@ -445,8 +427,49 @@ impl SpanMap {
         self.spans.push(Span { start, end, label });
     }
 
+    /// Appends `other`'s labels over `range`, rebased so `range.start`
+    /// lands on `offset` (which must not precede the current end), each
+    /// passed through `relabel` — uncovered stretches too, as
+    /// [`Label::EMPTY`]. A borrowed [`slice`](SpanMap::slice) +
+    /// [`append`](SpanMap::append) + [`edit`](SpanMap::edit) in one pass.
+    pub(crate) fn append_range_with<F>(
+        &mut self,
+        other: &SpanMap,
+        range: Range<usize>,
+        offset: usize,
+        mut relabel: F,
+    ) where
+        F: FnMut(Label) -> Label,
+    {
+        if range.start >= range.end {
+            return;
+        }
+        let rebase = |pos: usize| pos - range.start + offset;
+        let mut cursor = range.start;
+        let lo = other.spans.partition_point(|s| s.end <= range.start);
+        for s in other.spans[lo..].iter() {
+            if s.start >= range.end {
+                break;
+            }
+            let (start, end) = (s.start.max(range.start), s.end.min(range.end));
+            if cursor < start {
+                self.push_coalesced(rebase(cursor), rebase(start), relabel(Label::EMPTY));
+            }
+            self.push_coalesced(rebase(start), rebase(end), relabel(s.label));
+            cursor = end;
+        }
+        if cursor < range.end {
+            self.push_coalesced(rebase(cursor), rebase(range.end), relabel(Label::EMPTY));
+        }
+        debug_assert!(self.is_normalized());
+    }
+
     /// True if every byte in `0..len` has a label satisfying `pred`.
     /// Vacuously true when `len == 0`.
+    ///
+    /// Here and in [`any_byte`](SpanMap::any_byte) and
+    /// [`ranges_where`](SpanMap::ranges_where), `pred` runs at most once
+    /// per distinct label, however many spans repeat it.
     pub fn all_bytes<F>(&self, len: usize, pred: F) -> bool
     where
         F: Fn(Label) -> bool,
@@ -454,6 +477,8 @@ impl SpanMap {
         if len == 0 {
             return true;
         }
+        let mut memo = LabelMemo::new();
+        let mut pred = |l| memo.get(l, &pred);
         let mut cursor = 0usize;
         for s in self.spans.iter() {
             if s.start >= len {
@@ -490,9 +515,10 @@ impl SpanMap {
         F: Fn(Label) -> bool,
     {
         let hi = self.spans.partition_point(|s| s.start < len);
+        let mut memo = LabelMemo::new();
         self.spans[..hi]
             .iter()
-            .filter(|s| pred(s.label))
+            .filter(|s| memo.get(s.label, &pred))
             .map(|s| s.start..s.end.min(len))
             .collect()
     }
@@ -781,5 +807,130 @@ mod tests {
         assert!(m.at(3).has::<SqlSanitized>());
         assert_eq!(m.at(4).len(), 2);
         assert!(m.at(5).has::<SqlSanitized>());
+    }
+
+    /// `all_bytes`, `any_byte` and `ranges_where` as they were before
+    /// `pred` was memoised per label: one call per span and per gap.
+    mod unmemoised {
+        use super::*;
+
+        pub fn all_bytes(m: &SpanMap, len: usize, pred: impl Fn(Label) -> bool) -> bool {
+            if len == 0 {
+                return true;
+            }
+            let mut cursor = 0usize;
+            for s in m.spans.iter() {
+                if s.start >= len {
+                    break;
+                }
+                if s.start > cursor {
+                    // An uncovered gap: the empty label must satisfy the predicate.
+                    if !pred(Label::EMPTY) {
+                        return false;
+                    }
+                }
+                if !pred(s.label) {
+                    return false;
+                }
+                cursor = s.end;
+            }
+            if cursor < len && !pred(Label::EMPTY) {
+                return false;
+            }
+            true
+        }
+
+        pub fn any_byte(m: &SpanMap, len: usize, pred: impl Fn(Label) -> bool) -> bool {
+            !all_bytes(m, len, |l| !pred(l))
+        }
+
+        pub fn ranges_where(
+            m: &SpanMap,
+            len: usize,
+            pred: impl Fn(Label) -> bool,
+        ) -> Vec<Range<usize>> {
+            let hi = m.spans.partition_point(|s| s.start < len);
+            m.spans[..hi]
+                .iter()
+                .filter(|s| pred(s.label))
+                .map(|s| s.start..s.end.min(len))
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn memoised_predicates_agree_with_unmemoised_and_ask_once_per_label(
+            pieces in proptest::prop::collection::vec((0usize..3, (1usize..4, 0usize..3)), 0..16),
+            cut in 0usize..8,
+        ) {
+            let labels = [
+                Label::of(&untrusted()),
+                Label::of(&sanitized()),
+                Label::of(&untrusted()).union(Label::of(&sanitized())),
+            ];
+            let mut m = SpanMap::new();
+            let mut end = 0;
+            for (gap, (len, which)) in pieces {
+                m.add_label(end + gap..end + gap + len, labels[which]);
+                end += gap + len;
+            }
+            // Lengths on both sides of the last span, and zero.
+            for len in [0, end.saturating_sub(cut), end, end + cut] {
+                let preds: [&dyn Fn(Label) -> bool; 5] = [
+                    &|l| l.has::<UntrustedData>(),
+                    &|l| l.has::<UntrustedData>() && !l.has::<SqlSanitized>(),
+                    &|l| l.is_empty(),
+                    &|_| true,
+                    &|_| false,
+                ];
+                for pred in preds {
+                    let calls = std::cell::Cell::new(0usize);
+                    let counted = |l| {
+                        calls.set(calls.get() + 1);
+                        pred(l)
+                    };
+                    proptest::prop_assert_eq!(
+                        m.all_bytes(len, counted),
+                        unmemoised::all_bytes(&m, len, pred)
+                    );
+                    proptest::prop_assert_eq!(
+                        m.any_byte(len, counted),
+                        unmemoised::any_byte(&m, len, pred)
+                    );
+                    proptest::prop_assert_eq!(
+                        m.ranges_where(len, counted),
+                        unmemoised::ranges_where(&m, len, pred)
+                    );
+                    // Three labels and the empty one, three passes.
+                    proptest::prop_assert!(calls.get() <= 3 * (labels.len() + 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn append_range_with_clips_rebases_and_relabels_gaps() {
+        let (u, s) = (Label::of(&untrusted()), Label::of(&sanitized()));
+        let mut src = SpanMap::new();
+        src.add_label(2..5, u);
+        src.add_label(7..9, u);
+        let mut out = SpanMap::new();
+        out.append_range_with(&src, 3..8, 10, |l| l);
+        let got: Vec<_> = out.iter().collect();
+        assert_eq!(got, vec![(10..12, u), (14..15, u)]);
+        // Relabelling sees the gap (5..7) and the uncovered head and tail.
+        let mut out = SpanMap::new();
+        out.append_range_with(&src, 0..10, 0, |l| l.union(s));
+        let got: Vec<_> = out.iter().collect();
+        let us = u.union(s);
+        assert_eq!(
+            got,
+            vec![(0..2, s), (2..5, us), (5..7, s), (7..9, us), (9..10, s)]
+        );
+        // An empty range appends nothing.
+        let mut out = SpanMap::new();
+        out.append_range_with(&src, 4..4, 0, |l| l.union(s));
+        assert!(out.is_empty());
     }
 }

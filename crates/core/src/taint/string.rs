@@ -324,11 +324,11 @@ impl TaintedString {
         let mut b = TaintedStrBuilder::with_capacity(self.len());
         let mut start = 0usize;
         while let Some(pos) = self.text[start..].find(from) {
-            b.push_tainted(&self.slice(start..start + pos));
+            b.push_range(self, start..start + pos);
             b.push_tainted(to);
             start += pos + from.len();
         }
-        b.push_tainted(&self.slice(start..self.text.len()));
+        b.push_range(self, start..self.text.len());
         b.build()
     }
 
@@ -560,6 +560,30 @@ impl TaintedStrBuilder {
         let offset = self.text.len();
         self.text.push_str(&other.text);
         self.spans.append(&other.spans, offset);
+    }
+
+    /// Appends `src[range]` — text and policy spans — straight from the
+    /// borrowed source: what `push_tainted(&src.slice(range))` builds,
+    /// without the intermediate string. Byte indices, clamped to the
+    /// source; they must lie on UTF-8 boundaries.
+    pub fn push_range(&mut self, src: &TaintedString, range: Range<usize>) {
+        self.push_range_with(src, range, |label| label);
+    }
+
+    /// [`push_range`](TaintedStrBuilder::push_range) with every byte's
+    /// label passed through `relabel` on the way in. Bytes no span covers
+    /// are offered too, as [`Label::EMPTY`], so a sanitizer can mark
+    /// everything it emits in the pass that emits it.
+    pub fn push_range_with<F>(&mut self, src: &TaintedString, range: Range<usize>, relabel: F)
+    where
+        F: FnMut(Label) -> Label,
+    {
+        let start = range.start.min(src.len());
+        let end = range.end.min(src.len()).max(start);
+        let offset = self.text.len();
+        self.text.push_str(&src.text[start..end]);
+        self.spans
+            .append_range_with(&src.spans, start..end, offset, relabel);
     }
 
     /// Appends text with `label` applied to every byte of it (no-op label
@@ -860,6 +884,51 @@ mod tests {
         let s = b.build();
         assert_eq!(s.span_count(), 1, "seam coalesced");
         assert!(s.all_bytes_have::<UntrustedData>());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn push_range_is_slice_then_push(
+            pieces in proptest::prop::collection::vec(("[ab<é ]{0,5}", 0usize..4), 0..10),
+            cuts in (0usize..64, 0usize..64),
+        ) {
+            let labels = [
+                Label::EMPTY,
+                Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
+                Label::of(&(Arc::new(PasswordPolicy::new("u@x")) as PolicyRef)),
+            ];
+            let marker = Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef));
+            let mut src = TaintedStrBuilder::new();
+            for (text, which) in &pieces {
+                // 3 is a second untainted stretch, so gaps abut gaps.
+                src.push_label(text, labels[which % 3]);
+            }
+            let src = src.build();
+            // Any two char boundaries, in order; one may run past the end.
+            let bounds: Vec<usize> = (0..=src.len() + 3)
+                .filter(|&i| i > src.len() || src.as_str().is_char_boundary(i))
+                .collect();
+            let (a, b) = (bounds[cuts.0 % bounds.len()], bounds[cuts.1 % bounds.len()]);
+            let range = a.min(b)..a.max(b);
+
+            let mut want = untrusted("head");
+            want.push_tainted(&src.slice(range.clone()));
+            let mut got = TaintedStrBuilder::new();
+            got.push_tainted(&untrusted("head"));
+            got.push_range(&src, range.clone());
+            let got = got.build();
+            proptest::prop_assert!(got.taint_eq(&want), "{got:?} != {want:?}");
+
+            let mut piece = src.slice(range.clone());
+            piece.add_label(marker);
+            let mut want = untrusted("head");
+            want.push_tainted(&piece);
+            let mut got = TaintedStrBuilder::new();
+            got.push_tainted(&untrusted("head"));
+            got.push_range_with(&src, range, |l| l.union(marker));
+            let got = got.build();
+            proptest::prop_assert!(got.taint_eq(&want), "{got:?} != {want:?}");
+        }
     }
 
     #[test]

@@ -283,6 +283,11 @@ impl<'a> EffectsAnalysis<'a> {
                     let ip = self.eval(item, env);
                     p.union(&ip);
                 }
+                if p.this_obj && self.collect {
+                    // `[this][0]` is `this` again: a container holding
+                    // the object launders the alias, so fail closed.
+                    self.effects.opaque = true;
+                }
                 Prov {
                     this_obj: false,
                     ..p
@@ -380,6 +385,11 @@ impl<'a> EffectsAnalysis<'a> {
                     // A foreign class does not exist in the
                     // mini-evaluator; the linter reports it, the cache
                     // refuses it.
+                    self.effects.opaque = true;
+                }
+                if p.this_obj && self.collect {
+                    // `new C(this).f` is `this` again, like an array
+                    // element above.
                     self.effects.opaque = true;
                 }
                 // The object's fields hold the arguments; reading them

@@ -6,6 +6,8 @@
 
 use std::ops::Range;
 
+use crate::value::Value;
+
 /// A column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
@@ -63,6 +65,17 @@ pub enum LitValue {
     Text(String),
     /// `NULL`.
     Null,
+}
+
+impl LitValue {
+    /// The storage value the literal denotes.
+    pub fn to_value(&self) -> Value {
+        match self {
+            LitValue::Int(i) => Value::Int(*i),
+            LitValue::Text(s) => Value::Text(s.clone()),
+            LitValue::Null => Value::Null,
+        }
+    }
 }
 
 /// Binary operators in expressions.

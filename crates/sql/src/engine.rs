@@ -13,11 +13,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast::{BinOp, ColumnDef, Expr, IndexKind, LitValue, Projection, SelectStmt, Statement};
+use crate::ast::{ColumnDef, Expr, IndexKind, Projection, SelectStmt, Statement};
 use crate::error::{Result, SqlError};
 use crate::index::Index;
 use crate::plan::{self, Access};
-use crate::value::{like_match, Value};
+use crate::predicate::Predicate;
+use crate::value::Value;
 
 /// A table: schema, row storage, and secondary indexes.
 #[derive(Debug, Clone)]
@@ -381,13 +382,13 @@ pub(crate) fn table_select(t: &Table, sel: &SelectStmt, params: &[Value]) -> Res
         }
         None => None,
     };
-    let clause = sel.where_clause.as_ref();
+    let pred = Predicate::bind(t, sel.where_clause.as_ref(), params);
     let mut matched: Vec<&Vec<Value>> = Vec::new();
     let mut pre_ordered = false;
     match plan::plan_select(t, sel, params) {
         Access::Scan => {
             for row in &t.rows {
-                if matches_where(t, row, clause, params)? {
+                if pred.test(row)? {
                     matched.push(row);
                 }
             }
@@ -395,7 +396,7 @@ pub(crate) fn table_select(t: &Table, sel: &SelectStmt, params: &[Value]) -> Res
         Access::Ids(ids) => {
             for id in ids {
                 let row = &t.rows[id];
-                if matches_where(t, row, clause, params)? {
+                if pred.test(row)? {
                     matched.push(row);
                 }
             }
@@ -410,7 +411,7 @@ pub(crate) fn table_select(t: &Table, sel: &SelectStmt, params: &[Value]) -> Res
                     break;
                 }
                 let row = &t.rows[id];
-                if matches_where(t, row, clause, params)? {
+                if pred.test(row)? {
                     matched.push(row);
                 }
             }
@@ -542,11 +543,7 @@ pub(crate) fn table_delete(
 
 fn eval_const(expr: &Expr, params: &[Value]) -> Result<Value> {
     match expr {
-        Expr::Lit(l) => Ok(match &l.value {
-            LitValue::Int(i) => Value::Int(*i),
-            LitValue::Text(s) => Value::Text(s.clone()),
-            LitValue::Null => Value::Null,
-        }),
+        Expr::Lit(l) => Ok(l.value.to_value()),
         Expr::Param(i) => params
             .get(*i)
             .cloned()
@@ -554,80 +551,6 @@ fn eval_const(expr: &Expr, params: &[Value]) -> Result<Value> {
         other => Err(SqlError::Type(format!(
             "expected a literal value, found {other:?}"
         ))),
-    }
-}
-
-pub(crate) fn matches_where(
-    t: &Table,
-    row: &[Value],
-    clause: Option<&Expr>,
-    params: &[Value],
-) -> Result<bool> {
-    match clause {
-        None => Ok(true),
-        Some(e) => Ok(eval_expr(t, row, e, params)?.truthy()),
-    }
-}
-
-fn eval_expr(t: &Table, row: &[Value], expr: &Expr, params: &[Value]) -> Result<Value> {
-    match expr {
-        Expr::Column(name) => {
-            let i = t
-                .col_index(name)
-                .ok_or_else(|| SqlError::schema(format!("no column `{name}`")))?;
-            Ok(row[i].clone())
-        }
-        Expr::Lit(_) | Expr::Param(_) => eval_const(expr, params),
-        Expr::Not(inner) => {
-            let v = eval_expr(t, row, inner, params)?;
-            Ok(Value::Int(if v.truthy() { 0 } else { 1 }))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(t, row, expr, params)?;
-            Ok(Value::Int(if v.is_null() != *negated { 1 } else { 0 }))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_expr(t, row, expr, params)?;
-            let mut found = false;
-            for item in list {
-                let w = eval_expr(t, row, item, params)?;
-                if v.compare(&w) == Some(std::cmp::Ordering::Equal) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Int(if found != *negated { 1 } else { 0 }))
-        }
-        Expr::Binary { op, left, right } => {
-            let l = eval_expr(t, row, left, params)?;
-            let r = eval_expr(t, row, right, params)?;
-            let b = match op {
-                BinOp::And => l.truthy() && r.truthy(),
-                BinOp::Or => l.truthy() || r.truthy(),
-                BinOp::Like => match (&l, &r) {
-                    (Value::Text(s), Value::Text(p)) => like_match(s, p),
-                    _ => false,
-                },
-                cmp => {
-                    let ord = l.compare(&r);
-                    match (cmp, ord) {
-                        (_, None) => false,
-                        (BinOp::Eq, Some(o)) => o == std::cmp::Ordering::Equal,
-                        (BinOp::Ne, Some(o)) => o != std::cmp::Ordering::Equal,
-                        (BinOp::Lt, Some(o)) => o == std::cmp::Ordering::Less,
-                        (BinOp::Le, Some(o)) => o != std::cmp::Ordering::Greater,
-                        (BinOp::Gt, Some(o)) => o == std::cmp::Ordering::Greater,
-                        (BinOp::Ge, Some(o)) => o != std::cmp::Ordering::Less,
-                        _ => unreachable!("and/or/like handled above"),
-                    }
-                }
-            };
-            Ok(Value::Int(if b { 1 } else { 0 }))
-        }
     }
 }
 

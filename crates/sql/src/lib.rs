@@ -37,8 +37,10 @@ pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod index;
+mod like;
 pub mod parser;
 pub mod plan;
+mod predicate;
 pub mod replica;
 pub mod rewrite;
 pub mod shard;

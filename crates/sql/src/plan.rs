@@ -17,8 +17,9 @@
 //! 3. **Ordered iteration**: no usable predicate conjunct, but the
 //!    `ORDER BY` column has an exact ordered index — skip the sort.
 //!
-//! Anything else falls back to the full scan. Probes return *candidate*
-//! ids only; the executor re-applies the complete predicate to each
+//! Anything else falls back to the full scan. **The index narrows, the
+//! predicate decides**: probes return *candidate* ids only, and the
+//! executor tests the complete bound `WHERE` clause against each
 //! candidate, so a plan can never change a result, only the amount of
 //! work to produce it. The planner is deliberately conservative about
 //! [`Value::compare`]'s cross-type leniency: a conjunct whose literal is
@@ -28,10 +29,11 @@
 
 use std::ops::Bound;
 
-use crate::ast::{BinOp, Expr, IndexKind, LitValue, SelectStmt};
-use crate::engine::{matches_where, Table};
+use crate::ast::{BinOp, Expr, IndexKind, SelectStmt};
+use crate::engine::Table;
 use crate::error::Result;
 use crate::index::{kind_name, Index};
+use crate::predicate::Predicate;
 use crate::value::Value;
 
 /// The chosen access path for a statement over one table.
@@ -92,18 +94,19 @@ pub(crate) fn matching_row_ids(
     where_clause: Option<&Expr>,
     params: &[Value],
 ) -> Result<Vec<usize>> {
+    let pred = Predicate::bind(t, where_clause, params);
     let mut hits = Vec::new();
     match materialize(choose(t, where_clause, None, params), usize::MAX) {
         Access::Scan => {
             for (ri, row) in t.rows.iter().enumerate() {
-                if matches_where(t, row, where_clause, params)? {
+                if pred.test(row)? {
                     hits.push(ri);
                 }
             }
         }
         Access::Ids(ids) | Access::KeyOrdered(ids) => {
             for id in ids {
-                if matches_where(t, &t.rows[id], where_clause, params)? {
+                if pred.test(&t.rows[id])? {
                     hits.push(id);
                 }
             }
@@ -362,11 +365,7 @@ fn column_and_value<'e>(
 /// where evaluation reports the missing binding.
 fn const_value(e: &Expr, params: &[Value]) -> Option<Value> {
     match e {
-        Expr::Lit(l) => Some(match &l.value {
-            LitValue::Int(i) => Value::Int(*i),
-            LitValue::Text(s) => Value::Text(s.clone()),
-            LitValue::Null => Value::Null,
-        }),
+        Expr::Lit(l) => Some(l.value.to_value()),
         Expr::Param(i) => params.get(*i).cloned(),
         _ => None,
     }

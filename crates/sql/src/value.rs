@@ -3,6 +3,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::like::LikePattern;
+
 /// A stored cell value (the engine itself is policy-oblivious; the RESIN
 /// filter layers policies on top via shadow columns).
 #[derive(Debug, Clone, PartialEq)]
@@ -70,22 +72,24 @@ impl fmt::Display for Value {
     }
 }
 
-/// SQL `LIKE` with `%` (any run) and `_` (any single char) wildcards.
+/// SQL `LIKE`: whether `text` matches `pattern`.
+///
+/// `%` matches any run of bytes (including none) and `_` matches exactly
+/// one **byte** — not one character, so `'é' LIKE '__'`. Every other
+/// pattern byte matches itself ignoring ASCII case; bytes outside ASCII
+/// match only themselves. There is no escape: a literal `%` or `_` cannot
+/// be asked for.
+///
+/// Costs at most O(`text.len()` × `pattern.len()`) byte comparisons
+/// whatever the pattern: it is split at its `%`s, the first and last
+/// piece are pinned to the ends of the text unless a `%` frees them, and
+/// each piece between is searched for once, leftmost first — a piece has
+/// a fixed length, so taking the leftmost match never costs a later one
+/// its room. (The recursive matcher this replaced was exponential in the
+/// number of `%`s.) A statement whose pattern is a literal or a bound
+/// parameter compiles it once per execution rather than once per row.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[u8], p: &[u8]) -> bool {
-        match (p.first(), t.first()) {
-            (None, None) => true,
-            (None, Some(_)) => false,
-            (Some(b'%'), _) => {
-                // `%` matches empty or consumes one char.
-                rec(t, &p[1..]) || (!t.is_empty() && rec(&t[1..], p))
-            }
-            (Some(b'_'), Some(_)) => rec(&t[1..], &p[1..]),
-            (Some(pc), Some(tc)) if pc.eq_ignore_ascii_case(tc) => rec(&t[1..], &p[1..]),
-            _ => false,
-        }
-    }
-    rec(text.as_bytes(), pattern.as_bytes())
+    LikePattern::compile(pattern).matches(text)
 }
 
 #[cfg(test)]

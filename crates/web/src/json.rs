@@ -8,8 +8,11 @@
 //! verifies no untrusted byte lands in JSON structure.
 
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
-use resin_core::{PolicyViolation, Result, TaintedStrBuilder, TaintedString, UntrustedData};
+use resin_core::{Label, PolicyViolation, Result, TaintedStrBuilder, TaintedString, UntrustedData};
+
+use crate::html::{escape_bytes, EscapeTable};
 
 /// Encodes a string map as a JSON object, preserving value taint.
 ///
@@ -42,7 +45,11 @@ pub fn encode_object(fields: &BTreeMap<String, TaintedString>) -> TaintedString 
 /// differently than [`check_json_structure`] saw — the same
 /// parser-differential shape as response splitting.
 pub fn escape_tainted(v: &TaintedString) -> TaintedString {
-    crate::html::escape_bytes(v, |b| match b {
+    escape_bytes(v, &JSON_ESCAPES, Label::EMPTY)
+}
+
+pub(crate) static JSON_ESCAPES: LazyLock<EscapeTable> = LazyLock::new(|| {
+    EscapeTable::new(|b| match b {
         b'\\' => Some("\\\\"),
         b'"' => Some("\\\""),
         b'\n' => Some("\\n"),
@@ -53,7 +60,7 @@ pub fn escape_tainted(v: &TaintedString) -> TaintedString {
         b if b < 0x20 => Some(CONTROL_ESCAPES[b as usize]),
         _ => None,
     })
-}
+});
 
 /// `\u00XX` escapes indexed by control byte (the `\n`/`\r`/`\t` slots are
 /// shadowed by their short forms above and kept only for alignment). The
