@@ -34,7 +34,7 @@ impl GradApp {
             GuardMode::Off
         };
         let tracking = if resin { Tracking::On } else { Tracking::Off };
-        let mut db = ResinDb::with_modes(tracking, guard);
+        let db = ResinDb::with_modes(tracking, guard);
         db.query_str(
             "CREATE TABLE applicants (id INTEGER, name TEXT, gre INTEGER, decision TEXT, ssn TEXT)",
         )
@@ -97,8 +97,8 @@ impl GradApp {
     }
 
     /// Direct engine access for tests.
-    pub fn db(&mut self) -> &mut ResinDb {
-        &mut self.db
+    pub fn db(&self) -> &ResinDb {
+        &self.db
     }
 }
 
@@ -174,7 +174,7 @@ mod tests {
         // The guard only fires on *unsanitized* input reaching the query;
         // the committee's normal flows keep working once input passes the
         // sanitizer.
-        let mut g = GradApp::new(true);
+        let g = GradApp::new(true);
         let clean = GradApp::sanitize(&input("admit"));
         let mut q = TaintedString::from("SELECT name FROM applicants WHERE decision = '");
         q.push_tainted(&clean);

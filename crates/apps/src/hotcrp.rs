@@ -43,7 +43,7 @@ impl HotCrp {
     /// disabling them models the original vulnerable application.
     pub fn new(resin: bool) -> Self {
         let tracking = if resin { Tracking::On } else { Tracking::Off };
-        let mut db = ResinDb::with_modes(tracking, resin_sql::GuardMode::Off);
+        let db = ResinDb::with_modes(tracking, resin_sql::GuardMode::Off);
         db.query_str("CREATE TABLE users (email TEXT, password TEXT, chair INTEGER)")
             .expect("schema");
         db.query_str(

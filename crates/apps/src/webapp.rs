@@ -5,7 +5,7 @@
 //! application over shared state — rebuilt on the concurrent substrate:
 //!
 //! * [`ForumApp`]: a phpBB-style forum whose posts live in a
-//!   [`SharedDb`] (policy columns persist taint across storage, the
+//!   [`ResinDb`] (policy columns persist taint across storage, the
 //!   injection guard rides the sql gate) and whose logins live in a
 //!   shared [`SessionStore`]. Every worker holds the same state; every
 //!   request gets its own `Response`/`Context`.
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use resin_core::{FlowError, TaintedString};
-use resin_sql::{Follower, GuardMode, Prepared, SharedDb, Tracking};
+use resin_sql::{Follower, GuardMode, Prepared, ResinDb, Tracking};
 use resin_web::server::WebApp;
 use resin_web::{check_html_markers, html_escape, Request, Response, SessionStore};
 
@@ -85,7 +85,7 @@ fn authenticate(
 /// auto-created ordered index instead of scanning — with the bound id's
 /// taint still riding the value into the probe.
 pub struct ForumApp {
-    db: SharedDb,
+    db: ResinDb,
     sessions: Arc<SessionStore>,
     next_id: AtomicI64,
     torn_recovery: bool,
@@ -101,7 +101,7 @@ pub struct ForumApp {
 impl ForumApp {
     /// A forum over a fresh shared database, auto-sanitize guarded.
     pub fn new(sessions: Arc<SessionStore>) -> Self {
-        let db = SharedDb::with_modes(Tracking::On, GuardMode::AutoSanitize);
+        let db = ResinDb::with_modes(Tracking::On, GuardMode::AutoSanitize);
         db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")
             .expect("posts schema");
         Self::assemble(db, sessions, 1, false)
@@ -109,7 +109,7 @@ impl ForumApp {
 
     /// Parses templates once and caches them for the app's lifetime;
     /// every request binds values into these.
-    fn assemble(db: SharedDb, sessions: Arc<SessionStore>, next: i64, torn_recovery: bool) -> Self {
+    fn assemble(db: ResinDb, sessions: Arc<SessionStore>, next: i64, torn_recovery: bool) -> Self {
         let ins_post = db
             .prepare("INSERT INTO posts VALUES (?, ?)")
             .expect("insert template");
@@ -141,7 +141,7 @@ impl ForumApp {
         sessions: Arc<SessionStore>,
     ) -> Result<Self, resin_sql::SqlError> {
         let dir = dir.as_ref();
-        let db = SharedDb::open_with_modes(dir, Tracking::On, GuardMode::AutoSanitize)?;
+        let db = ResinDb::open_with_modes(dir, Tracking::On, GuardMode::AutoSanitize)?;
         let torn_recovery = db.recovered_from_torn_wal();
         if torn_recovery {
             // Surface the data loss instead of recovering silently: the
@@ -279,7 +279,7 @@ impl ForumApp {
     }
 
     /// The shared database handle (benches seed and trim through this).
-    pub fn db(&self) -> &SharedDb {
+    pub fn db(&self) -> &ResinDb {
         &self.db
     }
 

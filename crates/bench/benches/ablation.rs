@@ -5,17 +5,13 @@
 //!    slice throughput when a policy covers one range vs when every byte
 //!    of both operands carries it, and measure the false-sharing cost of
 //!    whole-value labeling (slices keep policies they shouldn't).
-//! 2. **Policy-set representation** — the deprecated `PolicySet` view vs
-//!    raw interned `Label` handles: what the interning refactor bought.
-//! 3. **SQL policy columns** — rewrite cost scaling with column count is
+//! 2. **SQL policy columns** — rewrite cost scaling with column count is
 //!    covered by `sql_ops` (6 vs 10 columns).
-
-#![allow(deprecated)] // measuring the compat PolicySet view on purpose
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use resin_core::{EmptyPolicy, Label, PolicyRef, PolicySet, TaintedString, UntrustedData};
+use resin_core::{EmptyPolicy, TaintedString, UntrustedData};
 
 fn ablation_byte_range(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/concat_slice");
@@ -55,46 +51,9 @@ fn ablation_byte_range(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablation_policy_set(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/policy_set_clone");
-    let empty = PolicySet::empty();
-    let one = PolicySet::single(Arc::new(EmptyPolicy::new()));
-    let mut five = PolicySet::empty();
-    for i in 0..5 {
-        five.add(Arc::new(UntrustedData::from_source(format!("s{i}"))));
-    }
-    g.bench_function("empty_null_pointer", |bench| {
-        bench.iter(|| std::hint::black_box(empty.clone()));
-    });
-    g.bench_function("one_policy_arc", |bench| {
-        bench.iter(|| std::hint::black_box(one.clone()));
-    });
-    g.bench_function("five_policies_arc", |bench| {
-        bench.iter(|| std::hint::black_box(five.clone()));
-    });
-    g.bench_function("union_one_one", |bench| {
-        bench.iter(|| std::hint::black_box(one.union(&one)));
-    });
-    // The raw label path the compat view delegates to: a Copy handle.
-    let l1 = Label::of(&(Arc::new(EmptyPolicy::new()) as PolicyRef));
-    let mut l5 = Label::EMPTY;
-    for i in 0..5 {
-        l5 = l5.union(Label::of(
-            &(Arc::new(UntrustedData::from_source(format!("l{i}"))) as PolicyRef),
-        ));
-    }
-    g.bench_function("label_copy", |bench| {
-        bench.iter(|| std::hint::black_box(l5));
-    });
-    g.bench_function("label_union_memoized", |bench| {
-        bench.iter(|| std::hint::black_box(l1.union(l5)));
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = ablation_byte_range, ablation_policy_set
+    targets = ablation_byte_range
 }
 criterion_main!(benches);

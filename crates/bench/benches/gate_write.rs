@@ -97,7 +97,7 @@ fn gate_write(c: &mut Criterion) {
 
     // Distinct-policy scaling: with interned labels, a guarded write over 8
     // distinct policies must stay within ~1.3x of the single-policy cost
-    // (the old PolicySet path grew linearly in structural comparisons).
+    // (structural policy comparisons would grow linearly).
     for n in [1usize, 8] {
         let mut data = plain.clone();
         for i in 0..n {

@@ -7,8 +7,6 @@
 //! policies, where the old `Arc<Vec<PolicyRef>>` representation scaled
 //! linearly (with a `serialize_fields` allocation per comparison).
 
-#![allow(deprecated)] // the PolicySet columns measure the old path on purpose
-
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -16,8 +14,7 @@ use resin_core::prelude::*;
 
 const OPS: usize = 1_000;
 
-/// A label holding `n` distinct policies (and its twin, built separately,
-/// to defeat pointer-equality shortcuts in the old representation).
+/// A label holding `n` distinct policies (and its twin, built separately).
 fn labels_with(n: usize) -> (Label, Label) {
     let build = || {
         let mut l = Label::EMPTY;
@@ -27,17 +24,6 @@ fn labels_with(n: usize) -> (Label, Label) {
             ));
         }
         l
-    };
-    (build(), build())
-}
-
-fn sets_with(n: usize) -> (PolicySet, PolicySet) {
-    let build = || {
-        let mut s = PolicySet::empty();
-        for i in 0..n {
-            s.add(Arc::new(UntrustedData::from_source(format!("src-{i}"))) as PolicyRef);
-        }
-        s
     };
     (build(), build())
 }
@@ -52,14 +38,6 @@ fn label_union_eq(c: &mut Criterion) {
             bench.iter(|| {
                 for _ in 0..OPS {
                     std::hint::black_box(a.union(b));
-                }
-            });
-        });
-        let (sa, sb) = sets_with(n);
-        g.bench_function(BenchmarkId::new("policy_set_view", n), |bench| {
-            bench.iter(|| {
-                for _ in 0..OPS {
-                    std::hint::black_box(sa.union(&sb));
                 }
             });
         });

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use resin_sql::{ship, Follower, SharedDb};
+use resin_sql::{ship, Follower, ResinDb};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -31,7 +31,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn replication(c: &mut Criterion) {
     let primary_dir = tmp_dir("primary");
     let replica_dir = tmp_dir("replica");
-    let db = SharedDb::open(&primary_dir).unwrap();
+    let db = ResinDb::open(&primary_dir).unwrap();
     db.set_wal_sync(false);
     db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
         .unwrap();

@@ -1,5 +1,5 @@
 //! Macrobenchmark: requests/sec through the worker-pool dispatcher at
-//! 1, 4, and 8 workers, over a shared forum (SharedDb + SessionStore).
+//! 1, 4, and 8 workers, over a shared forum (ResinDb + SessionStore).
 //!
 //! Two request mixes:
 //!
@@ -62,7 +62,7 @@ impl WebApp for TimedApp {
 struct Rig {
     server: Server,
     sid: String,
-    forum_db: resin_sql::SharedDb,
+    forum_db: resin_sql::ResinDb,
 }
 
 fn rig(workers: usize) -> Rig {

@@ -27,7 +27,7 @@ fn sizes() -> &'static [(i64, &'static str)] {
 }
 
 fn build(n: i64, indexed: bool) -> ResinDb {
-    let mut db = ResinDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
         .unwrap();
     if indexed {
@@ -48,7 +48,7 @@ fn sql_scaling(c: &mut Criterion) {
     for &(n, tag) in sizes() {
         let mut g = c.benchmark_group(format!("sql_scaling/point_{tag}"));
         for (label, indexed) in [("indexed", true), ("scan", false)] {
-            let mut db = build(n, indexed);
+            let db = build(n, indexed);
             let sel = db.prepare("SELECT body FROM posts WHERE id = ?").unwrap();
             let mut i = 0i64;
             g.bench_function(label, |b| {
@@ -62,7 +62,7 @@ fn sql_scaling(c: &mut Criterion) {
 
         let mut g = c.benchmark_group(format!("sql_scaling/range_{tag}"));
         for (label, indexed) in [("indexed", true), ("scan", false)] {
-            let mut db = build(n, indexed);
+            let db = build(n, indexed);
             let sel = db
                 .prepare("SELECT id FROM posts WHERE id >= ? AND id < ?")
                 .unwrap();
@@ -79,7 +79,7 @@ fn sql_scaling(c: &mut Criterion) {
 
         let mut g = c.benchmark_group(format!("sql_scaling/top10_{tag}"));
         for (label, indexed) in [("indexed", true), ("scan", false)] {
-            let mut db = build(n, indexed);
+            let db = build(n, indexed);
             g.bench_function(label, |b| {
                 b.iter(|| {
                     db.query_str("SELECT id FROM posts ORDER BY id DESC LIMIT 10")

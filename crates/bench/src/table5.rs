@@ -187,7 +187,7 @@ pub fn sql_bench(config: Config) -> SqlBench {
         Config::Unmodified => SqlTracking::Off,
         _ => SqlTracking::On,
     };
-    let mut db = ResinDb::with_modes(tracking, GuardMode::Off);
+    let db = ResinDb::with_modes(tracking, GuardMode::Off);
     let cols: Vec<String> = (0..10).map(|i| format!("c{i} TEXT")).collect();
     db.query_str(&format!(
         "CREATE TABLE bench (id INTEGER, {})",
@@ -319,7 +319,13 @@ mod tests {
         // difference instead: policy columns exist only under tracking.
         let off = sql_bench(Config::Unmodified);
         let on = sql_bench(Config::ResinNoPolicy);
-        assert_eq!(off.db.raw().table("bench").unwrap().columns.len(), 11);
-        assert_eq!(on.db.raw().table("bench").unwrap().columns.len(), 22);
+        assert_eq!(
+            off.db.raw().snapshot_table("bench").unwrap().columns.len(),
+            11
+        );
+        assert_eq!(
+            on.db.raw().snapshot_table("bench").unwrap().columns.len(),
+            22
+        );
     }
 }

@@ -57,18 +57,12 @@ pub mod label;
 pub mod merge;
 pub mod policies;
 pub mod policy;
-pub mod policy_set;
 pub mod runtime;
 pub mod serialize;
 pub mod sync;
 pub mod taint;
 
-/// One-stop imports for applications using the runtime (the v3 surface).
-///
-/// The deprecated `PolicySet` view (and its `serialize_set` /
-/// `deserialize_set` helpers) is re-exported so label-oblivious code keeps
-/// compiling, but new code should use `Label` / `PolicyId` and the
-/// `serialize_label` / `deserialize_label` helpers.
+/// One-stop imports for applications using the runtime.
 pub mod prelude {
     pub use crate::context::{Context, CtxValue};
     pub use crate::error::{FlowError, PolicyViolation, Result, SerializeError};
@@ -92,12 +86,6 @@ pub mod prelude {
     pub use crate::taint::{
         policy_add, policy_get, policy_remove, Labeled, Tainted, TaintedStrBuilder, TaintedString,
     };
-
-    // Deprecated compatibility surface (the PolicySet generation).
-    #[allow(deprecated)]
-    pub use crate::policy_set::PolicySet;
-    #[allow(deprecated)]
-    pub use crate::serialize::{deserialize_set, serialize_set};
 }
 
 pub use prelude::*;

@@ -34,8 +34,6 @@ use crate::policies::{
     SqlSanitized, UntrustedData,
 };
 use crate::policy::PolicyRef;
-#[allow(deprecated)]
-use crate::policy_set::PolicySet;
 use crate::taint::TaintedString;
 
 /// The fields of a serialized policy.
@@ -253,13 +251,6 @@ pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
     Ok(Label::from_policies(policies.iter()))
 }
 
-/// Serializes a policy set (comma-joined policies). Empty set → empty string.
-#[deprecated(since = "0.3.0", note = "use `serialize_label`")]
-#[allow(deprecated)]
-pub fn serialize_set(set: &PolicySet) -> String {
-    serialize_label(set.label())
-}
-
 /// Version of the textual policy wire format.
 ///
 /// Version 1 was the legacy per-span inline-set encoding
@@ -302,13 +293,6 @@ fn split_top_level(s: &str, sep: char) -> Vec<&str> {
     }
     out.push(&s[start..]);
     out
-}
-
-/// Deserializes a policy set.
-#[deprecated(since = "0.3.0", note = "use `deserialize_label`")]
-#[allow(deprecated)]
-pub fn deserialize_set(s: &str) -> Result<PolicySet, SerializeError> {
-    Ok(PolicySet::from_label(deserialize_label(s)?))
 }
 
 /// Serializes the byte-range policy spans of a tainted string.
@@ -473,19 +457,6 @@ mod tests {
         assert_eq!(back, label, "round-trip returns the same handle");
         assert_eq!(serialize_label(Label::EMPTY), "");
         assert_eq!(deserialize_label("").unwrap(), Label::EMPTY);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_wrappers_roundtrip() {
-        let mut set = PolicySet::empty();
-        set.add(Arc::new(UntrustedData::new()));
-        set.add(Arc::new(SqlSanitized::new()));
-        let s = serialize_set(&set);
-        let t = deserialize_set(&s).unwrap();
-        assert!(t.set_eq(&set));
-        assert_eq!(serialize_set(&PolicySet::empty()), "");
-        assert!(deserialize_set("").unwrap().is_empty());
     }
 
     #[test]

@@ -17,8 +17,6 @@ use crate::error::Result;
 use crate::label::Label;
 use crate::merge::merge_many;
 use crate::policy::{Policy, PolicyRef};
-#[allow(deprecated)]
-use crate::policy_set::PolicySet;
 use crate::taint::spans::SpanMap;
 use crate::taint::value::Tainted;
 
@@ -127,13 +125,6 @@ impl TaintedString {
             .add_label(range.start.min(len)..range.end.min(len), label);
     }
 
-    /// Attaches every policy in `set` to every byte.
-    #[deprecated(since = "0.3.0", note = "use `add_label`")]
-    #[allow(deprecated)]
-    pub fn add_policies(&mut self, set: &PolicySet) {
-        self.add_label(set.label());
-    }
-
     /// Removes any policy equal to `policy` from every byte.
     pub fn remove_policy(&mut self, policy: &PolicyRef) {
         let len = self.len();
@@ -161,20 +152,6 @@ impl TaintedString {
     /// range).
     pub fn label_at(&self, idx: usize) -> Label {
         self.spans.at(idx)
-    }
-
-    /// The union of all policies attached anywhere in the string.
-    #[deprecated(since = "0.3.0", note = "use `label`")]
-    #[allow(deprecated)]
-    pub fn policies(&self) -> PolicySet {
-        PolicySet::from_label(self.label())
-    }
-
-    /// The policy set of byte `idx` (empty if uncovered or out of range).
-    #[deprecated(since = "0.3.0", note = "use `label_at`")]
-    #[allow(deprecated)]
-    pub fn policies_at(&self, idx: usize) -> PolicySet {
-        PolicySet::from_label(self.label_at(idx))
     }
 
     /// Iterates `(byte_range, label)` spans in order.
@@ -938,17 +915,5 @@ mod tests {
         assert_eq!(s.as_str(), "xy");
         assert!(s.label_at(0).has::<UntrustedData>());
         assert!(s.label_at(1).is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_policy_set_views_still_work() {
-        let s = untrusted("ab");
-        assert!(s.policies().has::<UntrustedData>());
-        assert!(s.policies_at(0).has::<UntrustedData>());
-        assert!(s.policies_at(9).is_empty());
-        let mut t = TaintedString::from("cd");
-        t.add_policies(&s.policies());
-        assert!(t.all_bytes_have::<UntrustedData>());
     }
 }

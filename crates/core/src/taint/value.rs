@@ -12,8 +12,6 @@ use crate::error::Result;
 use crate::label::Label;
 use crate::merge::merge_sets;
 use crate::policy::{Policy, PolicyRef};
-#[allow(deprecated)]
-use crate::policy_set::PolicySet;
 
 /// A scalar value labeled with an interned policy set.
 #[derive(Clone, Copy)]
@@ -44,16 +42,6 @@ impl<T> Tainted<T> {
         Tainted { value, label }
     }
 
-    /// Wraps a value with an existing policy set.
-    #[deprecated(since = "0.3.0", note = "use `with_label`")]
-    #[allow(deprecated)]
-    pub fn with_policies(value: T, policies: PolicySet) -> Self {
-        Tainted {
-            value,
-            label: policies.label(),
-        }
-    }
-
     /// The wrapped value.
     pub fn value(&self) -> &T {
         &self.value
@@ -67,13 +55,6 @@ impl<T> Tainted<T> {
     /// The attached label.
     pub fn label(&self) -> Label {
         self.label
-    }
-
-    /// The attached policy set.
-    #[deprecated(since = "0.3.0", note = "use `label`")]
-    #[allow(deprecated)]
-    pub fn policies(&self) -> PolicySet {
-        PolicySet::from_label(self.label)
     }
 
     /// Attaches a policy.

@@ -79,17 +79,13 @@ impl Engine {
     }
 }
 
-/// The process-default engine.
+/// The engine every serving path runs: the bytecode VM.
 ///
-/// `RESIN_RSL_ENGINE=tree` selects the tree-walker (for differential
-/// debugging); anything else — or unset — selects the VM. Read once and
-/// cached so a process cannot change engines mid-flight.
+/// The tree-walker stays as the differential oracle, reachable only by
+/// pinning it explicitly ([`Interp::with_engine`],
+/// `ScriptPolicy::with_engine`, or a persisted engine pin).
 pub fn default_engine() -> Engine {
-    static ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-    *ENGINE.get_or_init(|| match std::env::var("RESIN_RSL_ENGINE") {
-        Ok(v) if v.eq_ignore_ascii_case("tree") || v.eq_ignore_ascii_case("interp") => Engine::Tree,
-        _ => Engine::Vm,
-    })
+    Engine::Vm
 }
 
 /// A runtime error (including policy violations surfacing in script).

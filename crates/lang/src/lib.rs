@@ -43,8 +43,9 @@
 //! pipeline (lexer → AST → [`compiler`] → [`chunk::Chunk`] → [`vm`]): a
 //! policy's `export_check` compiles once per process and every crossing
 //! thereafter is a chunk-cache lookup plus a dispatch loop. The VM is the
-//! default engine; `RESIN_RSL_ENGINE=tree` selects the tree-walker, which
-//! is kept as a differential oracle.
+//! engine every serving path runs; the tree-walker is kept as a
+//! differential oracle, reachable by pinning it ([`Interp::with_engine`],
+//! [`ScriptPolicy::with_engine`]).
 
 pub mod analysis;
 pub mod ast;

@@ -386,11 +386,6 @@ impl SqlStore {
         mlock(&self.dirty).len()
     }
 
-    /// Appends one post-guard statement to the WAL.
-    pub fn log(&self, sql: &TaintedString) -> Result<()> {
-        self.log_batch(std::slice::from_ref(sql))
-    }
-
     /// Appends a statement batch as one atomic WAL record (empty batches
     /// write nothing). Concurrent callers share fsyncs via the store's
     /// group-commit queue.
@@ -410,36 +405,18 @@ impl SqlStore {
     /// O(changed data), not O(database).
     ///
     /// The caller must exclude concurrent durable writers for the whole
-    /// call (`SharedDb` holds its checkpoint lock exclusively; `ResinDb`
-    /// is `&mut`): the dirty set is snapshotted at entry and cleared
-    /// wholesale on success.
+    /// call (`ResinDb` holds its checkpoint lock exclusively): the dirty
+    /// set is snapshotted at entry and cleared wholesale on success.
     pub fn checkpoint<'a>(
         &self,
         tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
-    ) -> Result<()> {
-        self.checkpoint_with(tables, false)
-    }
-
-    /// [`checkpoint`](SqlStore::checkpoint) with every table re-encoded
-    /// regardless of dirtiness — the full-snapshot baseline.
-    pub fn checkpoint_full<'a>(
-        &self,
-        tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
-    ) -> Result<()> {
-        self.checkpoint_with(tables, true)
-    }
-
-    fn checkpoint_with<'a>(
-        &self,
-        tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
-        full: bool,
     ) -> Result<()> {
         let existing: HashSet<String> = self.store.part_names().into_iter().collect();
         let dirty: HashSet<String> = mlock(&self.dirty).clone();
         let mut parts = Vec::new();
         for (name, t) in tables {
             let part_name = table_part_name(name);
-            if full || dirty.contains(name) || !existing.contains(&part_name) {
+            if dirty.contains(name) || !existing.contains(&part_name) {
                 parts.push(Part::new(part_name, encode_table_part(name, t)?));
             } else {
                 parts.push(Part::unchanged(part_name));

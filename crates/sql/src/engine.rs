@@ -1,17 +1,23 @@
 //! The storage and execution engine.
 //!
 //! A straightforward in-memory engine: tables are vectors of rows, queries
-//! scan. It is deliberately policy-oblivious — the RESIN integration
-//! (policy columns, injection guards) lives in [`crate::rewrite`], exactly
-//! as the paper layers its SQL filter over an unmodified database.
+//! scan or probe an index. It is deliberately policy-oblivious — the RESIN
+//! integration (policy columns, injection guards) lives in
+//! [`crate::rewrite`], exactly as the paper layers its SQL filter over an
+//! unmodified database.
 //!
-//! The per-table operations (`table_insert`, `table_select`,
-//! `table_update`, `table_delete`) are free functions over a single
-//! [`Table`], so they serve two storage layouts: the single-threaded
-//! [`Database`] here (a plain map of tables) and the lock-sharded
-//! [`crate::shard::ShardedDatabase`] (one `RwLock` per table).
+//! [`Database`] is built for many worker threads sharing one database (§6
+//! runs the applications inside live web servers): a catalog `RwLock` maps
+//! table names to `Arc<RwLock<Table>>`, so locking is **per table** —
+//! readers of `posts` never contend with writers of `sessions`, and two
+//! readers of the same table proceed in parallel. The per-table operations
+//! (`table_insert`, `table_select`, `table_update`, `table_delete`) are
+//! free functions over a single locked [`Table`].
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
+
+use resin_core::sync::{rlock, wlock};
 
 use crate::ast::{ColumnDef, Expr, IndexKind, Projection, SelectStmt, Statement};
 use crate::error::{Result, SqlError};
@@ -98,10 +104,23 @@ pub struct QueryResult {
     pub affected: usize,
 }
 
-/// The in-memory database.
-#[derive(Debug, Default, Clone)]
+type TableShard = Arc<RwLock<Table>>;
+
+/// The storage engine: one `RwLock` per table plus a catalog lock for
+/// schema changes.
+///
+/// All methods take `&self`. Row statements hold the catalog lock in
+/// shared mode (readers never block each other; per-table locks provide
+/// the sharding), schema statements take it exclusively — so DDL
+/// serializes cleanly against in-flight row work.
+// Both lock levels guard data that is consistent at every panic point
+// (rows are staged before being extended in; catalog changes are single
+// map operations), so a panicking worker must not poison the database for
+// every other request — the poison-recovering accessors of
+// `resin_core::sync` apply.
+#[derive(Debug, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    catalog: RwLock<BTreeMap<String, TableShard>>,
 }
 
 impl Database {
@@ -110,37 +129,122 @@ impl Database {
         Database::default()
     }
 
-    /// The schema of `table`, if it exists.
-    pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+    fn resolve<'a>(
+        catalog: &'a BTreeMap<String, TableShard>,
+        name: &str,
+    ) -> Result<&'a TableShard> {
+        catalog
+            .get(name)
+            .ok_or_else(|| SqlError::schema(format!("no such table `{name}`")))
     }
 
     /// Names of all tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
+    pub fn table_names(&self) -> Vec<String> {
+        rlock(&self.catalog).keys().cloned().collect()
     }
 
-    /// Executes a parsed statement.
-    pub fn execute(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        self.execute_with_params(stmt, &[])
+    /// A point-in-time copy of one table, if it exists.
+    pub fn snapshot_table(&self, name: &str) -> Option<Table> {
+        let catalog = rlock(&self.catalog);
+        let shard = catalog.get(name)?;
+        let copy = rlock(shard).clone();
+        Some(copy)
     }
 
-    /// Executes a parsed statement with bind-parameter values. `params[i]`
-    /// is the value of the `i`-th `?` placeholder in text order.
-    pub fn execute_with_params(
-        &mut self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<QueryResult> {
+    /// Restores one table to a snapshot: `Some` replaces (or re-creates)
+    /// the table, `None` drops it.
+    pub fn restore_table(&self, name: &str, snapshot: Option<Table>) {
+        match snapshot {
+            Some(t) => {
+                let mut catalog = wlock(&self.catalog);
+                match catalog.get(name) {
+                    // Swap contents in place so concurrent holders of the
+                    // shard Arc observe the restored state too.
+                    Some(shard) => *wlock(shard) = t,
+                    None => {
+                        catalog.insert(name.to_string(), Arc::new(RwLock::new(t)));
+                    }
+                }
+            }
+            None => {
+                wlock(&self.catalog).remove(name);
+            }
+        }
+    }
+
+    /// Replaces the whole catalog (recovery, and read replicas rebuilding
+    /// from a newer shipped checkpoint). In-flight readers holding a shard
+    /// `Arc` finish against the old table; new queries resolve the new one.
+    pub(crate) fn reset_tables(&self, tables: BTreeMap<String, Table>) {
+        let mut catalog = wlock(&self.catalog);
+        catalog.clear();
+        for (name, t) in tables {
+            catalog.insert(name, Arc::new(RwLock::new(t)));
+        }
+    }
+
+    /// Runs `f` over every table under every shard's read lock at once, so
+    /// what it sees is point-in-time consistent *across* tables.
+    pub(crate) fn with_all_tables<R>(
+        &self,
+        f: impl for<'t> FnOnce(&mut dyn Iterator<Item = (&'t str, &'t Table)>) -> R,
+    ) -> R {
+        let catalog = rlock(&self.catalog);
+        let shards: Vec<(&str, RwLockReadGuard<'_, Table>)> = catalog
+            .iter()
+            .map(|(n, shard)| (n.as_str(), rlock(shard)))
+            .collect();
+        f(&mut shards.iter().map(|(n, t)| (*n, &**t)))
+    }
+
+    /// All column names of `table` (policy columns included).
+    pub(crate) fn columns_of(&self, table: &str) -> Result<Vec<String>> {
+        let catalog = rlock(&self.catalog);
+        let t = rlock(Self::resolve(&catalog, table)?);
+        Ok(t.columns.iter().map(|c| c.name.clone()).collect())
+    }
+
+    /// Executes one parsed statement; `params[i]` is the value of the
+    /// `i`-th `?` placeholder in text order.
+    ///
+    /// Row statements hold the catalog lock in *shared* mode for their
+    /// whole run (sharding comes from the per-table locks), so a schema
+    /// change — which takes the catalog lock exclusively — serializes
+    /// against in-flight row work instead of detaching a shard mid-write:
+    /// a write racing a `DROP TABLE` either lands before the drop or
+    /// reports "no such table", never a silently-lost `Ok`.
+    pub fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
+        let affected = |n: usize| QueryResult {
+            affected: n,
+            ..QueryResult::default()
+        };
         match stmt {
             Statement::CreateTable {
                 name,
                 columns,
                 if_not_exists,
                 primary_key,
-            } => self.create_table(name, columns, *if_not_exists, primary_key.as_deref()),
+            } => {
+                let mut catalog = wlock(&self.catalog);
+                if catalog.contains_key(name) {
+                    // Existence wins over column validation: IF NOT EXISTS
+                    // on an existing table is a no-op even for an invalid
+                    // column list.
+                    if *if_not_exists {
+                        return Ok(QueryResult::default());
+                    }
+                    return Err(SqlError::schema(format!("table `{name}` already exists")));
+                }
+                check_table_name(name)?;
+                let mut table = new_table(columns)?;
+                if let Some(pk) = primary_key {
+                    table.create_index(&format!("pk_{name}"), pk, IndexKind::Ordered, false)?;
+                }
+                catalog.insert(name.clone(), Arc::new(RwLock::new(table)));
+                Ok(QueryResult::default())
+            }
             Statement::DropTable { name } => {
-                if self.tables.remove(name).is_none() {
+                if wlock(&self.catalog).remove(name).is_none() {
                     return Err(SqlError::schema(format!("no such table `{name}`")));
                 }
                 Ok(QueryResult::default())
@@ -152,43 +256,57 @@ impl Database {
                 kind,
                 if_not_exists,
             } => {
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-                t.create_index(name, column, *kind, *if_not_exists)?;
+                // Index DDL mutates one table, not the catalog map, so the
+                // catalog lock stays shared — like a row statement.
+                let catalog = rlock(&self.catalog);
+                let shard = Self::resolve(&catalog, table)?;
+                wlock(shard).create_index(name, column, *kind, *if_not_exists)?;
                 Ok(QueryResult::default())
             }
             Statement::DropIndex { name, table } => {
-                let t = self
-                    .tables
-                    .get_mut(table)
-                    .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-                t.drop_index(name)?;
+                let catalog = rlock(&self.catalog);
+                let shard = Self::resolve(&catalog, table)?;
+                wlock(shard).drop_index(name)?;
                 Ok(QueryResult::default())
             }
             Statement::Insert {
                 table,
                 columns,
                 rows,
-            } => self.insert(table, columns.as_deref(), rows, params),
-            Statement::Select(sel) => self.select(sel, params),
+            } => {
+                let catalog = rlock(&self.catalog);
+                let mut t = wlock(Self::resolve(&catalog, table)?);
+                table_insert(&mut t, table, columns.as_deref(), rows, params).map(affected)
+            }
+            Statement::Select(sel) => {
+                let catalog = rlock(&self.catalog);
+                let t = rlock(Self::resolve(&catalog, &sel.table)?);
+                table_select(&t, sel, params)
+            }
             Statement::Update {
                 table,
                 assignments,
                 where_clause,
-            } => self.update(table, assignments, where_clause.as_ref(), params),
+            } => {
+                let catalog = rlock(&self.catalog);
+                let mut t = wlock(Self::resolve(&catalog, table)?);
+                table_update(&mut t, assignments, where_clause.as_ref(), params).map(affected)
+            }
             Statement::Delete {
                 table,
                 where_clause,
-            } => self.delete(table, where_clause.as_ref(), params),
+            } => {
+                let catalog = rlock(&self.catalog);
+                let mut t = wlock(Self::resolve(&catalog, table)?);
+                table_delete(&mut t, where_clause.as_ref(), params).map(affected)
+            }
         }
     }
 
-    /// Parses and executes a query string.
-    pub fn execute_str(&mut self, sql: &str) -> Result<QueryResult> {
+    /// Parses and executes a query string (tests and diagnostics).
+    pub fn execute_str(&self, sql: &str) -> Result<QueryResult> {
         let stmt = crate::parser::parse_str(sql)?;
-        self.execute(&stmt)
+        self.execute(&stmt, &[])
     }
 
     /// The access path the planner would pick for a SELECT — a one-line
@@ -200,107 +318,13 @@ impl Database {
         let Statement::Select(sel) = stmt else {
             return Ok("(not a select)".to_string());
         };
-        let t = self
-            .table(&sel.table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{}`", sel.table)))?;
-        Ok(plan::explain_select(t, &sel, &[]))
-    }
-
-    /// Installs `table` under `name` (transaction-rollback support).
-    pub(crate) fn set_table(&mut self, name: &str, table: Table) {
-        self.tables.insert(name.to_string(), table);
-    }
-
-    /// Removes `name` entirely (transaction-rollback support).
-    pub(crate) fn remove_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
-    }
-
-    fn create_table(
-        &mut self,
-        name: &str,
-        columns: &[ColumnDef],
-        if_not_exists: bool,
-        primary_key: Option<&str>,
-    ) -> Result<QueryResult> {
-        check_table_name(name)?;
-        if self.tables.contains_key(name) {
-            if if_not_exists {
-                return Ok(QueryResult::default());
-            }
-            return Err(SqlError::schema(format!("table `{name}` already exists")));
-        }
-        let mut table = new_table(columns)?;
-        if let Some(pk) = primary_key {
-            table.create_index(&format!("pk_{name}"), pk, IndexKind::Ordered, false)?;
-        }
-        self.tables.insert(name.to_string(), table);
-        Ok(QueryResult::default())
-    }
-
-    fn insert(
-        &mut self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<Expr>],
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        let affected = table_insert(t, table, columns, rows, params)?;
-        Ok(QueryResult {
-            affected,
-            ..QueryResult::default()
-        })
-    }
-
-    fn select(&mut self, sel: &SelectStmt, params: &[Value]) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get(&sel.table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{}`", sel.table)))?;
-        table_select(t, sel, params)
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        assignments: &[(String, Expr)],
-        where_clause: Option<&Expr>,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        let affected = table_update(t, assignments, where_clause, params)?;
-        Ok(QueryResult {
-            affected,
-            ..QueryResult::default()
-        })
-    }
-
-    fn delete(
-        &mut self,
-        table: &str,
-        where_clause: Option<&Expr>,
-        params: &[Value],
-    ) -> Result<QueryResult> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        let affected = table_delete(t, where_clause, params)?;
-        Ok(QueryResult {
-            affected,
-            ..QueryResult::default()
-        })
+        let catalog = rlock(&self.catalog);
+        let t = rlock(Self::resolve(&catalog, &sel.table)?);
+        Ok(plan::explain_select(&t, &sel, &[]))
     }
 }
 
-// ---- per-table operations, shared by both storage layouts ----
+// ---- per-table operations ----
 
 /// Validates `columns` and builds an empty [`Table`].
 pub(crate) fn new_table(columns: &[ColumnDef]) -> Result<Table> {
@@ -559,7 +583,7 @@ mod tests {
     use super::*;
 
     fn db_with_users() -> Database {
-        let mut db = Database::new();
+        let db = Database::new();
         db.execute_str("CREATE TABLE users (id INTEGER, name TEXT, age INTEGER)")
             .unwrap();
         db.execute_str(
@@ -571,7 +595,7 @@ mod tests {
 
     #[test]
     fn create_insert_select() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT name FROM users WHERE age > 26")
             .unwrap();
@@ -581,7 +605,7 @@ mod tests {
 
     #[test]
     fn select_star_and_order() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT * FROM users ORDER BY age DESC LIMIT 2")
             .unwrap();
@@ -592,7 +616,7 @@ mod tests {
 
     #[test]
     fn count_star() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT COUNT(*) FROM users WHERE age < 31")
             .unwrap();
@@ -601,7 +625,7 @@ mod tests {
 
     #[test]
     fn update_rows() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("UPDATE users SET age = 26 WHERE name = 'bob'")
             .unwrap();
@@ -614,7 +638,7 @@ mod tests {
 
     #[test]
     fn delete_rows() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db.execute_str("DELETE FROM users WHERE age >= 30").unwrap();
         assert_eq!(r.affected, 2);
         let r = db.execute_str("SELECT COUNT(*) FROM users").unwrap();
@@ -623,7 +647,7 @@ mod tests {
 
     #[test]
     fn insert_with_columns_fills_null() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("INSERT INTO users (id, name) VALUES (4, 'dan')")
             .unwrap();
         let r = db
@@ -638,7 +662,7 @@ mod tests {
 
     #[test]
     fn like_and_in_filters() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let r = db
             .execute_str("SELECT name FROM users WHERE name LIKE '%o%'")
             .unwrap();
@@ -655,7 +679,7 @@ mod tests {
 
     #[test]
     fn schema_errors() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         assert!(db.execute_str("SELECT nope FROM users").is_err());
         assert!(db.execute_str("SELECT * FROM nope").is_err());
         assert!(db.execute_str("INSERT INTO users VALUES (1)").is_err());
@@ -670,19 +694,23 @@ mod tests {
 
     #[test]
     fn if_not_exists_is_idempotent() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         assert!(db
             .execute_str("CREATE TABLE IF NOT EXISTS users (id INTEGER)")
             .is_ok());
+        // Existence wins over column validation.
+        assert!(db
+            .execute_str("CREATE TABLE IF NOT EXISTS users (a INTEGER, a INTEGER)")
+            .is_ok());
         // Original schema retained.
-        assert_eq!(db.table("users").unwrap().columns.len(), 3);
+        assert_eq!(db.snapshot_table("users").unwrap().columns.len(), 3);
     }
 
     #[test]
     fn drop_table() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("DROP TABLE users").unwrap();
-        assert!(db.table("users").is_none());
+        assert!(db.snapshot_table("users").is_none());
         assert!(db.table_names().is_empty());
     }
 
@@ -690,7 +718,7 @@ mod tests {
     fn classic_injection_dumps_table_without_guard() {
         // The raw engine happily executes an injected query — protection is
         // the RESIN filter's job, not the database's.
-        let mut db = db_with_users();
+        let db = db_with_users();
         let name_input = "x' OR '1'='1";
         let q = format!("SELECT name FROM users WHERE name = '{name_input}");
         // The trailing quote from the template closes the injected literal.
@@ -701,7 +729,7 @@ mod tests {
 
     #[test]
     fn multi_insert_affected_count() {
-        let mut db = Database::new();
+        let db = Database::new();
         db.execute_str("CREATE TABLE t (a INTEGER)").unwrap();
         let r = db
             .execute_str("INSERT INTO t VALUES (1), (2), (3)")
@@ -714,7 +742,7 @@ mod tests {
         // `compare` returns None for NULL; an earlier revision silently
         // treated incomparable keys as Equal, yielding an arbitrary,
         // stable-sort-dependent order. Fail loudly instead.
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("INSERT INTO users (id, name) VALUES (4, 'dan')")
             .unwrap();
         let err = db
@@ -730,10 +758,10 @@ mod tests {
 
     #[test]
     fn primary_key_auto_creates_ordered_index() {
-        let mut db = Database::new();
+        let db = Database::new();
         db.execute_str("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
             .unwrap();
-        let t = db.table("t").unwrap();
+        let t = db.snapshot_table("t").unwrap();
         let ix = t.indexes().next().unwrap();
         assert_eq!(ix.name(), "pk_t");
         assert_eq!(ix.kind(), crate::ast::IndexKind::Ordered);
@@ -749,7 +777,7 @@ mod tests {
 
     #[test]
     fn indexes_stay_correct_through_insert_update_delete() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("CREATE INDEX ix_age ON users (age)")
             .unwrap();
         db.execute_str("INSERT INTO users VALUES (4, 'dan', 25)")
@@ -784,14 +812,14 @@ mod tests {
 
     #[test]
     fn probe_results_equal_scan_results() {
-        let mut indexed = db_with_users();
+        let indexed = db_with_users();
         indexed
             .execute_str("CREATE INDEX ix_id ON users (id) USING HASH")
             .unwrap();
         indexed
             .execute_str("CREATE INDEX ix_age ON users (age)")
             .unwrap();
-        let mut plain = db_with_users();
+        let plain = db_with_users();
         for q in [
             "SELECT * FROM users WHERE id = 2",
             "SELECT * FROM users WHERE id IN (1, 3)",
@@ -808,7 +836,7 @@ mod tests {
 
     #[test]
     fn index_ddl_errors() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("CREATE INDEX i ON users (id)").unwrap();
         assert!(db.execute_str("CREATE INDEX i ON users (age)").is_err());
         db.execute_str("CREATE INDEX IF NOT EXISTS i ON users (age)")
@@ -817,33 +845,33 @@ mod tests {
         assert!(db.execute_str("CREATE INDEX j ON nope (id)").is_err());
         assert!(db.execute_str("DROP INDEX nope ON users").is_err());
         db.execute_str("DROP INDEX i ON users").unwrap();
-        assert_eq!(db.table("users").unwrap().indexes().count(), 0);
+        assert_eq!(db.snapshot_table("users").unwrap().indexes().count(), 0);
     }
 
     #[test]
     fn reserved_table_namespace_rejected() {
-        let mut db = Database::new();
+        let db = Database::new();
         assert!(db.execute_str("CREATE TABLE __rp_x (a INTEGER)").is_err());
     }
 
     #[test]
     fn bind_params_evaluate_and_report_unbound() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         let stmt = crate::parser::parse_str("SELECT name FROM users WHERE id = ?").unwrap();
-        let r = db.execute_with_params(&stmt, &[Value::Int(2)]).unwrap();
+        let r = db.execute(&stmt, &[Value::Int(2)]).unwrap();
         assert_eq!(r.rows[0][0], Value::Text("bob".into()));
-        let err = db.execute_with_params(&stmt, &[]).unwrap_err();
+        let err = db.execute(&stmt, &[]).unwrap_err();
         assert!(err.to_string().contains("parameter ?1"), "{err}");
     }
 
     #[test]
     fn probe_with_bound_param_uses_index() {
-        let mut db = db_with_users();
+        let db = db_with_users();
         db.execute_str("CREATE INDEX ix_id ON users (id) USING HASH")
             .unwrap();
         let stmt = crate::parser::parse_str("SELECT name FROM users WHERE id = ?").unwrap();
         // The planner sees the bound value, so the probe applies.
-        let t = db.table("users").unwrap();
+        let t = &db.snapshot_table("users").unwrap();
         let Statement::Select(sel) = &stmt else {
             unreachable!()
         };
@@ -852,7 +880,7 @@ mod tests {
         // Unbound: planner falls back to scan (eval then reports).
         let plan = plan::explain_select(t, sel, &[]);
         assert_eq!(plan, "scan(users)");
-        let r = db.execute_with_params(&stmt, &[Value::Int(3)]).unwrap();
+        let r = db.execute(&stmt, &[Value::Int(3)]).unwrap();
         assert_eq!(r.rows[0][0], Value::Text("carol".into()));
     }
 }

@@ -1,8 +1,8 @@
 //! # resin-sql — a SQL engine with RESIN persistent policies
 //!
 //! The database substrate for the RESIN reproduction: a from-scratch
-//! in-memory SQL engine ([`engine::Database`]) wrapped by the RESIN SQL
-//! filter ([`rewrite::ResinDb`]), which
+//! in-memory SQL engine ([`engine::Database`], one lock per table) behind
+//! the one RESIN SQL filter every query crosses ([`ResinDb`]), which
 //!
 //! * rewrites `CREATE TABLE` to add a shadow **policy column** per data
 //!   column, stores each cell's serialized policies on write, and revives
@@ -11,6 +11,12 @@
 //!   any of the paper's three formulations (§5.3): sanitizer-marker
 //!   checking, structure-taint checking, and the tolerant-tokenizer
 //!   auto-sanitizing variation.
+//!
+//! [`ResinDb`] is a `Clone` handle whose methods take `&self` — one per
+//! worker thread over shared storage — and is optionally durable
+//! ([`ResinDb::open`]: WAL + incremental checkpoints, [`Follower`] read
+//! replicas). [`ResinDb::begin`] opens the one [`Transaction`] type, whose
+//! [`IntegrityCheck`]s run at commit.
 //!
 //! # Examples
 //!
@@ -56,9 +62,9 @@ pub use replica::Follower;
 pub use resin_store::segment;
 pub use resin_store::{ship, ShipReport, StoreStats};
 pub use rewrite::{
-    BindValue, BoundStatement, GuardMode, Prepared, ResinDb, SqlGuardFilter, TCell, TaintedResult,
-    Tracking, POLICY_COL_PREFIX,
+    BindValue, BoundStatement, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult, Tracking,
+    POLICY_COL_PREFIX,
 };
-pub use shard::{ShardedDatabase, SharedDb, SharedIntegrityCheck, SharedTransaction};
+pub use shard::ResinDb;
 pub use txn::{IntegrityCheck, Transaction};
 pub use value::Value;

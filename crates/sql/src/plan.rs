@@ -445,12 +445,12 @@ mod tests {
         let Statement::Select(sel) = parse_str(sql).unwrap() else {
             panic!("not a select: {sql}");
         };
-        let t = db.table(&sel.table).unwrap();
-        explain_select(t, &sel, &[])
+        let t = db.snapshot_table(&sel.table).unwrap();
+        explain_select(&t, &sel, &[])
     }
 
     fn db() -> Database {
-        let mut db = Database::new();
+        let db = Database::new();
         db.execute_str("CREATE TABLE users (id INTEGER, name TEXT, age INTEGER)")
             .unwrap();
         db.execute_str(

@@ -288,7 +288,7 @@ mod tests {
     /// Every cell kind in every column the clauses below look at: NULLs,
     /// an int stored in a text column, text that reads as an int.
     fn db() -> Database {
-        let mut db = Database::new();
+        let db = Database::new();
         db.execute_str("CREATE TABLE t (id INTEGER, name TEXT, n INTEGER, s TEXT)")
             .unwrap();
         db.execute_str(
@@ -297,6 +297,15 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// A deep copy: statements run against it leave `db` as it was.
+    fn copy_of(db: &Database) -> Database {
+        let copy = Database::new();
+        for name in db.table_names() {
+            copy.restore_table(&name, db.snapshot_table(&name));
+        }
+        copy
     }
 
     fn where_of(sql: &str) -> Expr {
@@ -311,16 +320,16 @@ mod tests {
     /// order: same rows, or the same error from the same row.
     fn assert_parity(db: &Database, table: &str, clause: &str, params: &[Value]) {
         let expr = where_of(&format!("SELECT * FROM {table} WHERE {clause}"));
-        let t = db.table(table).unwrap();
+        let t = &db.snapshot_table(table).unwrap();
         let want: Result<Vec<bool>> = t
             .rows
             .iter()
             .map(|row| oracle(t, row, &expr, params))
             .collect();
         let run = |sql: String| {
-            let mut copy = db.clone();
+            let copy = copy_of(db);
             let stmt = parse_str(&sql).unwrap();
-            let r = copy.execute_with_params(&stmt, params);
+            let r = copy.execute(&stmt, params);
             (r, copy)
         };
 
@@ -332,8 +341,8 @@ mod tests {
                 assert_eq!(selected.unwrap_err(), e, "SELECT {clause}");
                 assert_eq!(updated.unwrap_err(), e, "UPDATE {clause}");
                 assert_eq!(deleted.unwrap_err(), e, "DELETE {clause}");
-                assert_eq!(after_update.table(table).unwrap().rows, t.rows);
-                assert_eq!(after_delete.table(table).unwrap().rows, t.rows);
+                assert_eq!(after_update.snapshot_table(table).unwrap().rows, t.rows);
+                assert_eq!(after_delete.snapshot_table(table).unwrap().rows, t.rows);
             }
             Ok(hits) => {
                 let kept = |keep: bool| -> Vec<Vec<Value>> {
@@ -349,14 +358,14 @@ mod tests {
                 assert_eq!(updated.unwrap().affected, n, "UPDATE {clause}");
                 assert_eq!(deleted.unwrap().affected, n, "DELETE {clause}");
                 assert_eq!(
-                    after_delete.table(table).unwrap().rows,
+                    after_delete.snapshot_table(table).unwrap().rows,
                     kept(false),
                     "DELETE {clause}"
                 );
                 for ((before, after), &hit) in t
                     .rows
                     .iter()
-                    .zip(&after_update.table(table).unwrap().rows)
+                    .zip(&after_update.snapshot_table(table).unwrap().rows)
                     .zip(&hits)
                 {
                     let id = if hit {
@@ -449,7 +458,7 @@ mod tests {
 
     #[test]
     fn unknown_columns_and_unbound_params_fail_at_the_first_row_that_reaches_them() {
-        let mut db = db();
+        let db = db();
         db.execute_str("CREATE TABLE empty (id INTEGER)").unwrap();
         let one = [Value::Int(1)];
         for (clause, params) in [
@@ -481,7 +490,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SqlError::schema("no column `nope`"));
         let stmt = parse_str("DELETE FROM t WHERE id = ? AND n = ?").unwrap();
-        let err = db.execute_with_params(&stmt, &one).unwrap_err();
+        let err = db.execute(&stmt, &one).unwrap_err();
         assert_eq!(
             err,
             SqlError::Type("parameter ?2 has no bound value".into())
@@ -490,7 +499,7 @@ mod tests {
 
     #[test]
     fn the_index_narrows_and_the_predicate_decides() {
-        let mut db = db();
+        let db = db();
         db.execute_str("CREATE INDEX ix_id ON t (id) USING HASH")
             .unwrap();
         db.execute_str("CREATE INDEX ix_n ON t (n)").unwrap();
@@ -514,12 +523,12 @@ mod tests {
             assert_parity(&plain, "t", clause, &[]);
             for verb in ["SELECT * FROM t", "DELETE FROM t", "UPDATE t SET s = 'hit'"] {
                 let sql = format!("{verb} WHERE {clause}");
-                let (mut a, mut b) = (db.clone(), plain.clone());
+                let (a, b) = (copy_of(&db), copy_of(&plain));
                 let (ra, rb) = (a.execute_str(&sql).unwrap(), b.execute_str(&sql).unwrap());
                 assert_eq!((ra.rows, ra.affected), (rb.rows, rb.affected), "{sql}");
                 assert_eq!(
-                    a.table("t").unwrap().rows,
-                    b.table("t").unwrap().rows,
+                    a.snapshot_table("t").unwrap().rows,
+                    b.snapshot_table("t").unwrap().rows,
                     "{sql}"
                 );
             }
@@ -527,18 +536,15 @@ mod tests {
         // A candidate reaches the bad operand; no candidate, no error —
         // where a scan tests every row and fails on the first.
         for verb in ["SELECT * FROM t", "DELETE FROM t", "UPDATE t SET s = 'hit'"] {
-            let err = db
-                .clone()
+            let err = copy_of(&db)
                 .execute_str(&format!("{verb} WHERE id = 2 AND nope = 1"))
                 .unwrap_err();
             assert_eq!(err, SqlError::schema("no column `nope`"), "{verb}");
-            let r = db
-                .clone()
+            let r = copy_of(&db)
                 .execute_str(&format!("{verb} WHERE id = 99 AND nope = 1"))
                 .unwrap();
             assert_eq!((r.rows.len(), r.affected), (0, 0), "{verb}");
-            assert!(plain
-                .clone()
+            assert!(copy_of(&plain)
                 .execute_str(&format!("{verb} WHERE id = 99 AND nope = 1"))
                 .is_err());
         }

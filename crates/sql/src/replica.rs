@@ -3,7 +3,7 @@
 //! The primary's durable artifacts are shipped (rsync-style, see
 //! [`resin_store::ship`]) into a replica directory; a `Follower` opens
 //! that directory **read-only** — no store lock, no mutation — decodes
-//! the last shipped checkpoint into an in-memory [`SharedDb`], and
+//! the last shipped checkpoint into an in-memory [`ResinDb`], and
 //! replays the shipped WAL tail through the *identical*
 //! rewrite-and-replay pipeline the primary's own crash recovery uses.
 //! Replica reads therefore revive byte- and label-identical cells: a
@@ -20,7 +20,7 @@
 //! partially shipped frame and resumes once the next ship completes it.
 //!
 //! The follower's database handle is **not** write-protected at this
-//! layer — it is an ordinary in-memory `SharedDb` — so serving layers
+//! layer — it is an ordinary in-memory `ResinDb` — so serving layers
 //! must route writes to the primary (resin-net's `--replica` mode
 //! rejects mutating endpoints). A write applied locally would silently
 //! diverge from the primary and be overwritten by no one: replay never
@@ -34,12 +34,12 @@ use resin_core::TaintedString;
 use crate::durable::{decode_parts, decode_wal_batch};
 use crate::error::Result;
 use crate::rewrite::{GuardMode, Tracking};
-use crate::shard::SharedDb;
+use crate::shard::ResinDb;
 
-/// A read replica: an in-memory [`SharedDb`] kept in sync with a
+/// A read replica: an in-memory [`ResinDb`] kept in sync with a
 /// shipped store directory by replaying its WAL tail.
 pub struct Follower {
-    db: SharedDb,
+    db: ResinDb,
     dir: PathBuf,
     applied_seq: u64,
     torn: bool,
@@ -67,7 +67,8 @@ impl Follower {
             Some((base_seq, parts)) => (base_seq, decode_parts(&parts)?),
             None => (0, Default::default()),
         };
-        let db = SharedDb::from_tables(tables, tracking, guard);
+        let db = ResinDb::with_modes(tracking, guard);
+        db.raw().reset_tables(tables);
         let mut follower = Follower {
             db,
             dir,
@@ -94,7 +95,7 @@ impl Follower {
         let contiguous = tailed.records.first().map(|r| r.seq) == Some(self.applied_seq + 1);
         if !contiguous && resin_store::checkpoint_base_seq(&self.dir)? > Some(self.applied_seq) {
             if let Some((base_seq, parts)) = resin_store::read_checkpoint(&self.dir)? {
-                self.db.reset_tables(decode_parts(&parts)?);
+                self.db.raw().reset_tables(decode_parts(&parts)?);
                 self.applied_seq = base_seq;
                 tailed = resin_store::tail_records(&self.dir, self.applied_seq)?;
             }
@@ -113,7 +114,7 @@ impl Follower {
 
     /// The read-serving database. Clone the handle freely; route writes
     /// to the primary (see the module docs).
-    pub fn db(&self) -> &SharedDb {
+    pub fn db(&self) -> &ResinDb {
         &self.db
     }
 
@@ -124,7 +125,7 @@ impl Follower {
     }
 
     /// Records this replica is behind a primary whose current sequence
-    /// number is `primary_seq` (from `SharedDb::store_stats().seq`).
+    /// number is `primary_seq` (from `ResinDb::store_stats().seq`).
     pub fn lag(&self, primary_seq: u64) -> u64 {
         primary_seq.saturating_sub(self.applied_seq)
     }
@@ -176,7 +177,7 @@ mod tests {
     #[test]
     fn follower_serves_byte_and_label_identical_reads() {
         let (primary_dir, replica_dir) = dirs("identical");
-        let db = SharedDb::open(&primary_dir).unwrap();
+        let db = ResinDb::open(&primary_dir).unwrap();
         db.set_wal_sync(false);
         db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
             .unwrap();
@@ -219,7 +220,7 @@ mod tests {
     #[test]
     fn catch_up_tracks_the_watermark_and_lag() {
         let (primary_dir, replica_dir) = dirs("lag");
-        let db = SharedDb::open(&primary_dir).unwrap();
+        let db = ResinDb::open(&primary_dir).unwrap();
         db.set_wal_sync(false);
         db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
         db.query_str("INSERT INTO t VALUES (1)").unwrap();
@@ -250,7 +251,7 @@ mod tests {
         // already-shipped segments, so catch_up never loses records; a
         // *fresh* follower starts from the shipped checkpoint instead.
         let (primary_dir, replica_dir) = dirs("compact");
-        let db = SharedDb::open(&primary_dir).unwrap();
+        let db = ResinDb::open(&primary_dir).unwrap();
         db.set_wal_sync(false);
         db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
         resin_store::ship(&primary_dir, &replica_dir).unwrap();
@@ -277,7 +278,7 @@ mod tests {
         // bug) diverges; replay does not rewind it. This documents why
         // the net layer must reject writes on replicas.
         let (primary_dir, replica_dir) = dirs("diverge");
-        let db = SharedDb::open(&primary_dir).unwrap();
+        let db = ResinDb::open(&primary_dir).unwrap();
         db.set_wal_sync(false);
         db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
         resin_store::ship(&primary_dir, &replica_dir).unwrap();

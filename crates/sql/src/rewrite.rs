@@ -30,7 +30,7 @@ use resin_core::{
 };
 
 use crate::ast::{ColumnDef, ColumnType, Expr, LitValue, Literal, Projection, Statement};
-use crate::engine::{Database, QueryResult, Table};
+use crate::engine::{Database, QueryResult};
 use crate::error::{Result, SqlError};
 use crate::token::{lex, lex_tainted, sanitize_query, Tok, Token};
 use crate::value::Value;
@@ -131,7 +131,7 @@ impl TaintedResult {
 
 /// The SQL-injection data flow assertion as a gate filter (§5.3).
 ///
-/// [`ResinDb`] mounts one of these onto the [`Runtime`] registry's sql
+/// [`ResinDb`](crate::ResinDb) mounts one of these onto the [`Runtime`] registry's sql
 /// gate and exports every query through it, so the injection guard runs at
 /// the same interposition point as every other boundary check. Standalone
 /// use works too: mount it on any gate whose writes are SQL text.
@@ -222,35 +222,6 @@ fn guard_query_cow<'a>(
     }
 }
 
-/// What the RESIN rewriting layer needs from a storage engine.
-///
-/// Implemented by the single-threaded [`Database`] (exclusive `&mut`
-/// access) and by `&`[`crate::shard::ShardedDatabase`] (interior
-/// table-level locking), so the exact same rewriting + guard pipeline
-/// serves [`ResinDb`] and [`crate::shard::SharedDb`].
-pub(crate) trait QueryBackend {
-    /// Executes one parsed statement; `params[i]` is the raw value of the
-    /// `i`-th `?` placeholder.
-    fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<QueryResult>;
-
-    /// All column names of `table` (including policy columns), or a schema
-    /// error when the table does not exist.
-    fn columns_of(&self, table: &str) -> Result<Vec<String>>;
-}
-
-impl QueryBackend for Database {
-    fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
-        Database::execute_with_params(self, stmt, params)
-    }
-
-    fn columns_of(&self, table: &str) -> Result<Vec<String>> {
-        let t = self
-            .table(table)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-        Ok(t.columns.iter().map(|c| c.name.clone()).collect())
-    }
-}
-
 /// The registry's sql gate with `guard` mounted on the filter chain.
 pub(crate) fn query_gate(guard: GuardMode) -> Gate {
     let mut gate = Runtime::global().open(GateKind::Sql);
@@ -279,8 +250,8 @@ pub(crate) fn prepare_query<'a>(
 /// guarded-and-parsed statement. `params` carries the bind-parameter
 /// values (empty for plain text queries): raw values flow to the engine,
 /// labels flow into the policy-column blobs.
-pub(crate) fn run_prepared<B: QueryBackend>(
-    backend: &mut B,
+pub(crate) fn run_prepared(
+    backend: &Database,
     sql: &TaintedString,
     stmt: Statement,
     tracking: Tracking,
@@ -402,8 +373,7 @@ impl From<&TaintedString> for BindValue {
 
 /// A guarded, parsed, ready-to-bind statement.
 ///
-/// Produced by [`ResinDb::prepare`] /
-/// [`SharedDb::prepare`](crate::shard::SharedDb::prepare). The expensive
+/// Produced by [`ResinDb::prepare`](crate::ResinDb::prepare). The expensive
 /// per-query work — the injection-guard gate crossing, lexing, parsing,
 /// and the write-target extraction that drives WAL logging — happens
 /// once here; each execution only binds values and plans against current
@@ -530,276 +500,9 @@ pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[BindValue]) -> Tai
     out.build()
 }
 
-/// A database wrapped by the RESIN SQL filter.
-///
-/// By default the database is in-memory only. [`ResinDb::open`] attaches
-/// a durable [`resin_store`] snapshot+WAL underneath: every mutating
-/// statement is logged (post-guard, with its byte-range policies) before
-/// it executes, [`checkpoint`](ResinDb::checkpoint) folds the WAL into a
-/// fresh snapshot, and reopening the same directory — even after a crash
-/// that tore the WAL tail mid-record — recovers every cell *and every
-/// cell's policies*.
-#[derive(Debug, Default)]
-pub struct ResinDb {
-    db: Database,
-    tracking: Tracking,
-    guard: GuardMode,
-    store: Option<crate::durable::SqlStore>,
-    torn_recovery: bool,
-    torn_cross_segment: bool,
-}
-
-impl ResinDb {
-    /// A RESIN-tracked database with no injection guard.
-    pub fn new() -> Self {
-        ResinDb::default()
-    }
-
-    /// A database with explicit tracking and guard settings.
-    pub fn with_modes(tracking: Tracking, guard: GuardMode) -> Self {
-        ResinDb {
-            db: Database::new(),
-            tracking,
-            guard,
-            store: None,
-            torn_recovery: false,
-            torn_cross_segment: false,
-        }
-    }
-
-    /// Opens (creating if needed) a durable database rooted at `dir`,
-    /// recovering the last checkpoint plus the WAL's surviving prefix.
-    ///
-    /// Tracking is on and the guard off; use
-    /// [`open_with_modes`](ResinDb::open_with_modes) for other settings —
-    /// a store must be reopened with the same tracking mode it was
-    /// written under. Applications persisting **custom** policy classes
-    /// must register them (`register_policy_class`) before opening: WAL
-    /// replay revives each logged query's taint, which deserializes its
-    /// policies (snapshot cells stay serialized until a SELECT revives
-    /// them, exactly as in a live database).
-    pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self> {
-        Self::open_with_modes(dir, Tracking::On, GuardMode::Off)
-    }
-
-    /// [`open`](ResinDb::open) with explicit tracking and guard settings.
-    pub fn open_with_modes(
-        dir: impl AsRef<std::path::Path>,
-        tracking: Tracking,
-        guard: GuardMode,
-    ) -> Result<Self> {
-        let (store, recovered) = crate::durable::SqlStore::open(dir)?;
-        let mut db = ResinDb {
-            db: Database::new(),
-            tracking,
-            guard,
-            store: None, // replay must not re-log
-            torn_recovery: recovered.torn_tail,
-            torn_cross_segment: recovered.torn_cross_segment,
-        };
-        for (name, table) in recovered.tables {
-            db.db.set_table(&name, table);
-        }
-        for sql in &recovered.replay {
-            // The logged text is post-guard, so replay skips the gate and
-            // re-runs the same rewrite. A statement that errors here
-            // failed identically before the crash — skip it.
-            let _ = db.replay_stmt(sql);
-        }
-        db.store = Some(store);
-        Ok(db)
-    }
-
-    /// True when this open discarded a torn WAL tail: the store is
-    /// consistent, but acknowledged-but-unsynced work from the crashed
-    /// process may have been lost — worth logging or alerting on.
-    pub fn recovered_from_torn_wal(&self) -> bool {
-        self.torn_recovery
-    }
-
-    /// True when the torn tail spanned a segment boundary, so recovery
-    /// dropped one or more whole later segments — a wider loss window
-    /// than one in-flight append.
-    pub fn recovered_torn_cross_segment(&self) -> bool {
-        self.torn_cross_segment
-    }
-
-    /// Live storage counters (segments, WAL bytes, checkpoint cost) of
-    /// the underlying store, or `None` when not durable.
-    pub fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        self.store.as_ref().map(crate::durable::SqlStore::stats)
-    }
-
-    /// Marks tables as written since the last checkpoint (transactions
-    /// call this at commit, when their buffered WAL record lands).
-    pub(crate) fn mark_tables_dirty<'a>(&self, names: impl IntoIterator<Item = &'a str>) {
-        if let Some(store) = self.store.as_ref() {
-            for name in names {
-                store.mark_dirty(name);
-            }
-        }
-    }
-
-    fn replay_stmt(&mut self, sql: &TaintedString) -> Result<()> {
-        let tokens = lex(sql.as_str())?;
-        let stmt = crate::parser::parse(&tokens)?;
-        run_prepared(&mut self.db, sql, stmt, self.tracking, &[])?;
-        Ok(())
-    }
-
-    /// True when a durable store backs this database.
-    pub fn is_durable(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Folds the WAL into a fresh snapshot (no-op without a store).
-    pub fn checkpoint(&mut self) -> Result<()> {
-        if let Some(store) = self.store.as_mut() {
-            let db = &self.db;
-            store.checkpoint(
-                db.table_names()
-                    .into_iter()
-                    .map(|n| (n, db.table(n).expect("listed table exists"))),
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoints and releases the store. Skipping `close` loses nothing
-    /// — reopening replays the WAL — it just makes the next open fold the
-    /// log instead of loading one snapshot.
-    pub fn close(mut self) -> Result<()> {
-        self.checkpoint()
-    }
-
-    /// Whether WAL appends fsync before returning (default `true`;
-    /// benches and tests may trade tail durability for throughput).
-    pub fn set_wal_sync(&mut self, sync: bool) {
-        if let Some(store) = self.store.as_mut() {
-            store.set_sync(sync);
-        }
-    }
-
-    /// Appends one post-guard statement to the WAL.
-    pub(crate) fn wal_log(&mut self, sql: &TaintedString) -> Result<()> {
-        if let Some(store) = self.store.as_mut() {
-            store.log(sql)?;
-        }
-        Ok(())
-    }
-
-    /// Appends a transaction's buffered statements as one atomic WAL
-    /// record: a crash mid-commit persists the whole transaction or none
-    /// of it, never a prefix.
-    pub(crate) fn wal_log_batch(&mut self, stmts: &[TaintedString]) -> Result<()> {
-        if let Some(store) = self.store.as_mut() {
-            store.log_batch(stmts)?;
-        }
-        Ok(())
-    }
-
-    /// Sets the injection guard.
-    pub fn set_guard(&mut self, guard: GuardMode) {
-        self.guard = guard;
-    }
-
-    /// The underlying engine (for tests and diagnostics).
-    pub fn raw(&self) -> &Database {
-        &self.db
-    }
-
-    /// Restores one table to a snapshot (transaction rollback support):
-    /// `Some` puts the saved table back, `None` drops a table that did not
-    /// exist when the snapshot was taken.
-    pub(crate) fn restore_table(&mut self, name: &str, snapshot: Option<Table>) {
-        match snapshot {
-            Some(t) => self.db.set_table(name, t),
-            None => {
-                self.db.remove_table(name);
-            }
-        }
-    }
-
-    /// Executes an untainted query string.
-    pub fn query_str(&mut self, sql: &str) -> Result<TaintedResult> {
-        self.query(&TaintedString::from(sql))
-    }
-
-    /// Executes a (possibly tainted) query through the RESIN SQL filter.
-    ///
-    /// On a durable database, mutating statements hit the WAL (write-ahead)
-    /// between the guard and execution — the `prepare_query`/`run_prepared`
-    /// seam — so what is logged is exactly what executes.
-    pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
-        let (sql, stmt) = prepare_query(sql, self.guard)?;
-        if self.store.is_some() && crate::txn::statement_write_target(&stmt).is_some() {
-            self.wal_log(&sql)?;
-            self.mark_tables_dirty(crate::txn::statement_write_target(&stmt));
-        }
-        run_prepared(&mut self.db, &sql, stmt, self.tracking, &[])
-    }
-
-    /// Guards, lexes, and parses a statement template once; `?`
-    /// placeholders become bind parameters. The returned [`Prepared`] is
-    /// reusable across executions (and across databases — it holds no
-    /// reference to this one).
-    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        prepare_statement(sql, self.guard)
-    }
-
-    /// Executes a prepared statement with bound values
-    /// ([`Prepared::bind`]). Bound values reach the engine as data —
-    /// never as query text — so this path is injection-proof by
-    /// construction. On a durable database a mutating statement is
-    /// WAL-logged as rendered SQL (values spliced back as escaped,
-    /// label-carrying literals) so recovery replays it byte- and
-    /// policy-identically.
-    pub fn run(&mut self, bound: &BoundStatement<'_>) -> Result<TaintedResult> {
-        let p = bound.prepared;
-        if self.store.is_some() && p.write_target().is_some() {
-            let rendered = render_bound_sql(p, &bound.values);
-            self.wal_log(&rendered)?;
-            self.mark_tables_dirty(p.write_target());
-        }
-        run_prepared(
-            &mut self.db,
-            &p.text,
-            p.stmt.clone(),
-            self.tracking,
-            &bound.values,
-        )
-    }
-
-    /// [`prepare`](ResinDb::prepare)-bind-[`run`](ResinDb::run) in one
-    /// call, for one-shot parameterized statements.
-    pub fn exec_prepared(
-        &mut self,
-        prepared: &Prepared,
-        values: Vec<BindValue>,
-    ) -> Result<TaintedResult> {
-        let bound = prepared.bind(values)?;
-        self.run(&bound)
-    }
-
-    /// The current guard mode (transactions prepare with it).
-    pub(crate) fn guard_mode(&self) -> GuardMode {
-        self.guard
-    }
-
-    /// Runs the back half of the pipeline on a prepared statement
-    /// (transaction support — the caller already guarded and parsed).
-    pub(crate) fn run_prepared(
-        &mut self,
-        sql: &TaintedString,
-        stmt: Statement,
-    ) -> Result<TaintedResult> {
-        run_prepared(&mut self.db, sql, stmt, self.tracking, &[])
-    }
-}
-
 // ---- rewriting ----
 
-fn user_columns<B: QueryBackend>(backend: &B, table: &str) -> Result<Vec<String>> {
+fn user_columns(backend: &Database, table: &str) -> Result<Vec<String>> {
     Ok(backend
         .columns_of(table)?
         .into_iter()
@@ -807,8 +510,8 @@ fn user_columns<B: QueryBackend>(backend: &B, table: &str) -> Result<Vec<String>
         .collect())
 }
 
-fn create_rewritten<B: QueryBackend>(
-    backend: &mut B,
+fn create_rewritten(
+    backend: &Database,
     name: &str,
     mut columns: Vec<ColumnDef>,
     if_not_exists: bool,
@@ -842,8 +545,8 @@ fn create_rewritten<B: QueryBackend>(
     Ok(plain_result(res))
 }
 
-fn insert_rewritten<B: QueryBackend>(
-    backend: &mut B,
+fn insert_rewritten(
+    backend: &Database,
     sql: &TaintedString,
     table: &str,
     columns: Option<Vec<String>>,
@@ -881,8 +584,8 @@ fn insert_rewritten<B: QueryBackend>(
     Ok(plain_result(res))
 }
 
-fn update_rewritten<B: QueryBackend>(
-    backend: &mut B,
+fn update_rewritten(
+    backend: &Database,
     sql: &TaintedString,
     table: &str,
     assignments: Vec<(String, Expr)>,
@@ -913,8 +616,8 @@ fn update_rewritten<B: QueryBackend>(
     Ok(plain_result(res))
 }
 
-fn select_rewritten<B: QueryBackend>(
-    backend: &mut B,
+fn select_rewritten(
+    backend: &Database,
     sel: crate::ast::SelectStmt,
     raw: &[Value],
 ) -> Result<TaintedResult> {
@@ -1106,6 +809,7 @@ fn plain_result(res: QueryResult) -> TaintedResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ResinDb;
     use resin_core::PasswordPolicy;
     use std::sync::Arc;
 
@@ -1114,7 +818,7 @@ mod tests {
     }
 
     fn setup() -> ResinDb {
-        let mut db = ResinDb::new();
+        let db = ResinDb::new();
         db.query_str("CREATE TABLE users (name TEXT, pw TEXT)")
             .unwrap();
         db
@@ -1123,7 +827,7 @@ mod tests {
     #[test]
     fn policy_columns_created() {
         let db = setup();
-        let t = db.raw().table("users").unwrap();
+        let t = db.raw().snapshot_table("users").unwrap();
         let names: Vec<&str> = t.columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["name", "pw", "__rp_name", "__rp_pw"]);
     }
@@ -1132,7 +836,7 @@ mod tests {
     fn figure4_password_roundtrip() {
         // Figure 4: a password with a policy is INSERTed; the policy is
         // serialized into the policy column; SELECT revives it.
-        let mut db = setup();
+        let db = setup();
         let mut q = TaintedString::from("INSERT INTO users VALUES ('u', '");
         let mut pw = TaintedString::from("s3cret");
         pw.add_policy(Arc::new(PasswordPolicy::new("u@foo.com")));
@@ -1141,7 +845,7 @@ mod tests {
         db.query(&q).unwrap();
 
         // The engine's policy column holds the serialized policy.
-        let t = db.raw().table("users").unwrap();
+        let t = db.raw().snapshot_table("users").unwrap();
         let blob = t.rows[0][3].as_text().unwrap();
         assert!(blob.contains("PasswordPolicy"), "{blob}");
         assert!(t.rows[0][2].as_text().unwrap().is_empty(), "name untainted");
@@ -1157,7 +861,7 @@ mod tests {
 
     #[test]
     fn select_star_hides_policy_columns() {
-        let mut db = setup();
+        let db = setup();
         db.query_str("INSERT INTO users VALUES ('a', 'b')").unwrap();
         let r = db.query_str("SELECT * FROM users").unwrap();
         assert_eq!(r.columns, vec!["name", "pw"]);
@@ -1166,14 +870,14 @@ mod tests {
 
     #[test]
     fn select_policy_column_rejected() {
-        let mut db = setup();
+        let db = setup();
         assert!(db.query_str("SELECT __rp_pw FROM users").is_err());
         assert!(db.query_str("CREATE TABLE bad (__rp_x TEXT)").is_err());
     }
 
     #[test]
     fn update_rewrites_policy() {
-        let mut db = setup();
+        let db = setup();
         db.query_str("INSERT INTO users VALUES ('u', 'old')")
             .unwrap();
         let mut q = TaintedString::from("UPDATE users SET pw = '");
@@ -1192,7 +896,7 @@ mod tests {
 
     #[test]
     fn delete_needs_no_rewrite() {
-        let mut db = setup();
+        let db = setup();
         db.query_str("INSERT INTO users VALUES ('a', 'b')").unwrap();
         let r = db.query_str("DELETE FROM users WHERE name = 'a'").unwrap();
         assert_eq!(r.affected, 1);
@@ -1200,7 +904,7 @@ mod tests {
 
     #[test]
     fn int_cells_carry_policy_sets() {
-        let mut db = ResinDb::new();
+        let db = ResinDb::new();
         db.query_str("CREATE TABLE t (n INTEGER)").unwrap();
         let mut q = TaintedString::from("INSERT INTO t VALUES (");
         q.push_tainted(&untrusted("42"));
@@ -1217,14 +921,14 @@ mod tests {
 
     #[test]
     fn tracking_off_loses_taint() {
-        let mut db = ResinDb::with_modes(Tracking::Off, GuardMode::Off);
+        let db = ResinDb::with_modes(Tracking::Off, GuardMode::Off);
         db.query_str("CREATE TABLE t (a TEXT)").unwrap();
         let mut q = TaintedString::from("INSERT INTO t VALUES ('");
         q.push_tainted(&untrusted("x"));
         q.push_str("')");
         db.query(&q).unwrap();
         // No policy columns exist at all.
-        assert_eq!(db.raw().table("t").unwrap().columns.len(), 1);
+        assert_eq!(db.raw().snapshot_table("t").unwrap().columns.len(), 1);
         let r = db.query_str("SELECT a FROM t").unwrap();
         assert!(r.cell(0, "a").unwrap().as_text().unwrap().is_untainted());
     }
@@ -1325,7 +1029,7 @@ mod tests {
         // pair's policies, letting an attacker-controlled quote re-enter
         // storage untainted. The collapsed byte must carry the union of
         // both escape bytes' labels.
-        let mut db = setup();
+        let db = setup();
         let mut q = TaintedString::from("INSERT INTO users VALUES ('u', 'a");
         q.push_tainted(&untrusted("''"));
         q.push_str("b')");
@@ -1393,7 +1097,7 @@ mod tests {
 
     #[test]
     fn guard_off_is_vulnerable() {
-        let mut db = setup();
+        let db = setup();
         db.query_str("INSERT INTO users VALUES ('u', 'pw1')")
             .unwrap();
         let q = build_login_query(&untrusted("x' OR '1'='1"));
@@ -1403,7 +1107,7 @@ mod tests {
 
     #[test]
     fn count_star_passthrough() {
-        let mut db = setup();
+        let db = setup();
         db.query_str("INSERT INTO users VALUES ('a', 'b')").unwrap();
         let r = db.query_str("SELECT COUNT(*) FROM users").unwrap();
         assert_eq!(r.rows[0][0].as_int().unwrap().value(), &1);
@@ -1434,7 +1138,7 @@ mod tests {
 
     #[test]
     fn bound_values_carry_policies_into_storage() {
-        let mut db = setup();
+        let db = setup();
         let ins = db.prepare("INSERT INTO users VALUES (?, ?)").unwrap();
         let mut pw = TaintedString::from("s3cret");
         pw.add_policy(Arc::new(PasswordPolicy::new("u@foo.com")));
@@ -1451,7 +1155,7 @@ mod tests {
 
     #[test]
     fn tainted_int_bind_value_keeps_label() {
-        let mut db = ResinDb::new();
+        let db = ResinDb::new();
         db.query_str("CREATE TABLE t (n INTEGER)").unwrap();
         let ins = db.prepare("INSERT INTO t VALUES (?)").unwrap();
         let mut n = Tainted::new(42i64);
@@ -1513,7 +1217,7 @@ mod tests {
 
     #[test]
     fn empty_policy_set_roundtrip() {
-        let mut db = setup();
+        let db = setup();
         db.query_str("INSERT INTO users (name) VALUES ('solo')")
             .unwrap();
         let r = db.query_str("SELECT name, pw FROM users").unwrap();

@@ -1,67 +1,47 @@
-//! Concurrent storage: a table-sharded engine behind an `Arc`.
+//! The RESIN SQL front: one [`ResinDb`] that every query crosses.
 //!
-//! The single-threaded [`Database`](crate::Database) serves one request at
-//! a time through `&mut`. Serving the paper's workloads under real traffic
-//! (§6 runs the applications inside live web servers) needs the opposite:
-//! many worker threads sharing one database. [`SharedDb`] provides that:
+//! The paper has one "RESIN SQL filter" between the application and its
+//! database (§3.4.1, Figure 4; §5.3), and serves its workloads from inside
+//! live web servers (§6) — many worker threads sharing one database.
+//! [`ResinDb`] is that front:
 //!
-//! * storage is a [`ShardedDatabase`] — a catalog `RwLock` mapping table
-//!   names to `Arc<RwLock<Table>>`, so locking is **per table**: readers
-//!   of `posts` never contend with writers of `sessions`, and two readers
-//!   of the same table proceed in parallel;
-//! * the RESIN rewriting + injection-guard pipeline is the exact same code
-//!   [`ResinDb`](crate::ResinDb) runs (policy columns, guards, the sql
-//!   gate) — `SharedDb` implements the crate's internal `QueryBackend`
-//!   over the sharded storage;
-//! * `SharedDb` is `Clone` (an `Arc` handle): hand one to every worker.
-//!
-//! Transactions ([`SharedDb::begin`]) use the same lazy copy-on-write
-//! snapshot strategy as [`Transaction`](crate::Transaction): a table is
-//! snapshotted only on its first write inside the transaction, so touching
-//! one small table never clones the whole database.
+//! * it is a `Clone` handle (an `Arc`) over the lock-sharded
+//!   [`Database`] and its methods take `&self`: hand one to every worker;
+//! * every query runs the rewrite + guard pipeline of [`crate::rewrite`]
+//!   (policy columns, injection guards, the sql gate);
+//! * opened on a directory ([`ResinDb::open`]) it logs every mutating
+//!   statement write-ahead into a shared [`resin_store`] snapshot+WAL and
+//!   recovers every cell *and every cell's policies* on reopen;
+//! * [`ResinDb::begin`] opens a [`Transaction`] with commit-time integrity
+//!   checks.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use resin_core::sync::{mlock, rlock, wlock};
+use resin_core::TaintedString;
 
-use resin_core::{PolicyViolation, TaintedString};
-
-use crate::ast::{IndexKind, Statement};
 use crate::durable::SqlStore;
-use crate::engine::{
-    check_table_name, new_table, table_delete, table_insert, table_select, table_update,
-    QueryResult, Table,
-};
-use crate::error::{Result, SqlError};
+use crate::engine::Database;
+use crate::error::Result;
 use crate::rewrite::{
     prepare_query, prepare_statement, render_bound_sql, run_prepared, BindValue, BoundStatement,
-    GuardMode, Prepared, QueryBackend, TaintedResult, Tracking,
+    GuardMode, Prepared, TaintedResult, Tracking,
 };
-use crate::txn::{statement_write_target, TxnSnapshots};
-use crate::value::Value;
+use crate::txn::{statement_write_target, Transaction};
 
-type TableShard = Arc<RwLock<Table>>;
-
-/// The lock-sharded storage engine: one `RwLock` per table plus a catalog
-/// lock for schema changes.
-///
-/// All methods take `&self`. Row statements hold the catalog lock in
-/// shared mode (readers never block each other; per-table locks provide
-/// the sharding), schema statements take it exclusively — so DDL
-/// serializes cleanly against in-flight row work.
-///
-/// When opened durably ([`SharedDb::open`]), the catalog additionally
-/// carries the shared snapshot+WAL store. The store handle is lock-free
-/// here (`OnceLock`, set once at open): concurrent writers call straight
-/// into the store's group-commit queue, which batches their fsyncs —
-/// serializing appends behind an outer mutex would defeat exactly that.
+/// What every clone of a [`ResinDb`] handle shares.
 #[derive(Debug, Default)]
-pub struct ShardedDatabase {
-    catalog: RwLock<BTreeMap<String, TableShard>>,
+struct Shared {
+    db: Database,
+    /// The snapshot+WAL store of a durable database. Lock-free here
+    /// (`OnceLock`, set once at open): concurrent writers call straight
+    /// into the store's group-commit queue, which batches their fsyncs —
+    /// serializing appends behind an outer mutex would defeat exactly that.
     store: OnceLock<SqlStore>,
     /// Checkpoint exclusion: writers hold it shared across their WAL
-    /// append → execute window, `SharedDb::checkpoint` holds it
+    /// append → execute window, [`ResinDb::checkpoint`] holds it
     /// exclusively — so a snapshot can never land between a statement's
     /// log record and its effect on the tables.
     ckpt: RwLock<()>,
@@ -73,209 +53,30 @@ pub struct ShardedDatabase {
     /// Live-WAL-bytes threshold above which a completed durable write
     /// triggers a checkpoint. Zero (the default) disables the trigger.
     /// Shared by every handle clone — retention is a store-wide policy.
-    auto_ckpt_wal_bytes: std::sync::atomic::AtomicU64,
+    auto_ckpt_wal_bytes: AtomicU64,
 }
 
-// Both lock levels guard data that is consistent at every panic point
-// (rows are staged before being extended in; catalog changes are single
-// map operations), so a panicking worker must not poison the database for
-// every other request — the poison-recovering accessors of
-// `resin_core::sync` apply.
-
-impl ShardedDatabase {
-    /// An empty sharded database.
-    pub fn new() -> Self {
-        ShardedDatabase::default()
-    }
-
-    fn resolve<'a>(
-        catalog: &'a BTreeMap<String, TableShard>,
-        name: &str,
-    ) -> Result<&'a TableShard> {
-        catalog
-            .get(name)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{name}`")))
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        rlock(&self.catalog).keys().cloned().collect()
-    }
-
-    /// A point-in-time copy of one table, if it exists.
-    pub fn snapshot_table(&self, name: &str) -> Option<Table> {
-        let catalog = rlock(&self.catalog);
-        let shard = catalog.get(name)?;
-        let copy = rlock(shard).clone();
-        Some(copy)
-    }
-
-    /// Restores one table to a snapshot: `Some` replaces (or re-creates)
-    /// the table, `None` drops it.
-    pub fn restore_table(&self, name: &str, snapshot: Option<Table>) {
-        match snapshot {
-            Some(t) => {
-                let mut catalog = wlock(&self.catalog);
-                match catalog.get(name) {
-                    // Swap contents in place so concurrent holders of the
-                    // shard Arc observe the restored state too.
-                    Some(shard) => *wlock(shard) = t,
-                    None => {
-                        catalog.insert(name.to_string(), Arc::new(RwLock::new(t)));
-                    }
-                }
-            }
-            None => {
-                wlock(&self.catalog).remove(name);
-            }
-        }
-    }
-
-    /// Executes one parsed statement against the sharded storage.
-    ///
-    /// Row statements hold the catalog lock in *shared* mode for their
-    /// whole run (sharding comes from the per-table locks), so a schema
-    /// change — which takes the catalog lock exclusively — serializes
-    /// against in-flight row work instead of detaching a shard mid-write:
-    /// a write racing a `DROP TABLE` either lands before the drop or
-    /// reports "no such table", never a silently-lost `Ok`.
-    pub fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
-        match stmt {
-            Statement::CreateTable {
-                name,
-                columns,
-                if_not_exists,
-                primary_key,
-            } => {
-                let mut catalog = wlock(&self.catalog);
-                if catalog.contains_key(name) {
-                    // Existence wins over column validation, matching the
-                    // single-threaded engine: IF NOT EXISTS on an existing
-                    // table is a no-op even for an invalid column list.
-                    if *if_not_exists {
-                        return Ok(QueryResult::default());
-                    }
-                    return Err(SqlError::schema(format!("table `{name}` already exists")));
-                }
-                check_table_name(name)?;
-                let mut table = new_table(columns)?;
-                if let Some(pk) = primary_key {
-                    table.create_index(&format!("pk_{name}"), pk, IndexKind::Ordered, false)?;
-                }
-                catalog.insert(name.clone(), Arc::new(RwLock::new(table)));
-                Ok(QueryResult::default())
-            }
-            Statement::DropTable { name } => {
-                if wlock(&self.catalog).remove(name).is_none() {
-                    return Err(SqlError::schema(format!("no such table `{name}`")));
-                }
-                Ok(QueryResult::default())
-            }
-            Statement::CreateIndex {
-                name,
-                table,
-                column,
-                kind,
-                if_not_exists,
-            } => {
-                // Index DDL mutates one table, not the catalog map, so the
-                // catalog lock stays shared — like a row statement.
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                wlock(shard).create_index(name, column, *kind, *if_not_exists)?;
-                Ok(QueryResult::default())
-            }
-            Statement::DropIndex { name, table } => {
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                wlock(shard).drop_index(name)?;
-                Ok(QueryResult::default())
-            }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                let mut t = wlock(shard);
-                let affected = table_insert(&mut t, table, columns.as_deref(), rows, params)?;
-                Ok(QueryResult {
-                    affected,
-                    ..QueryResult::default()
-                })
-            }
-            Statement::Select(sel) => {
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, &sel.table)?;
-                let t = rlock(shard);
-                table_select(&t, sel, params)
-            }
-            Statement::Update {
-                table,
-                assignments,
-                where_clause,
-            } => {
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                let mut t = wlock(shard);
-                let affected = table_update(&mut t, assignments, where_clause.as_ref(), params)?;
-                Ok(QueryResult {
-                    affected,
-                    ..QueryResult::default()
-                })
-            }
-            Statement::Delete {
-                table,
-                where_clause,
-            } => {
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                let mut t = wlock(shard);
-                let affected = table_delete(&mut t, where_clause.as_ref(), params)?;
-                Ok(QueryResult {
-                    affected,
-                    ..QueryResult::default()
-                })
-            }
-        }
-    }
-
-    /// Parses and executes a query string (tests and diagnostics).
-    pub fn execute_str(&self, sql: &str) -> Result<QueryResult> {
-        let stmt = crate::parser::parse_str(sql)?;
-        self.execute(&stmt, &[])
-    }
-}
-
-// The rewriting layer drives storage through `&mut B`; a shared reference
-// to the sharded engine is itself the backend (interior locking), so the
-// same pipeline works without exclusive access to the database.
-impl QueryBackend for &ShardedDatabase {
-    fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
-        ShardedDatabase::execute(self, stmt, params)
-    }
-
-    fn columns_of(&self, table: &str) -> Result<Vec<String>> {
-        let catalog = rlock(&self.catalog);
-        let shard = ShardedDatabase::resolve(&catalog, table)?;
-        let t = rlock(shard);
-        Ok(t.columns.iter().map(|c| c.name.clone()).collect())
-    }
-}
-
-/// An `Arc`-shareable RESIN database: clone a handle per worker thread.
+/// A database wrapped by the RESIN SQL filter: clone a handle per worker
+/// thread.
 ///
 /// Each handle carries its own [`Tracking`]/[`GuardMode`] settings (so a
 /// trusted maintenance path can run unguarded while request handlers keep
-/// the injection guard), while all handles share the same sharded storage.
+/// the injection guard), while all handles share the same storage.
+///
+/// By default the database is in-memory only. [`ResinDb::open`] attaches
+/// a durable [`resin_store`] snapshot+WAL underneath: every mutating
+/// statement is logged (post-guard, with its byte-range policies) before
+/// it executes, [`checkpoint`](ResinDb::checkpoint) folds the WAL into a
+/// fresh snapshot, and reopening the same directory — even after a crash
+/// that tore the WAL tail mid-record — recovers every cell *and every
+/// cell's policies*.
 ///
 /// # Examples
 ///
 /// ```
-/// use resin_sql::{GuardMode, SharedDb};
+/// use resin_sql::ResinDb;
 ///
-/// let db = SharedDb::new();
+/// let db = ResinDb::new();
 /// db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)").unwrap();
 ///
 /// let handle = db.clone();
@@ -287,94 +88,66 @@ impl QueryBackend for &ShardedDatabase {
 /// assert_eq!(r.rows.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct SharedDb {
-    inner: Arc<ShardedDatabase>,
+pub struct ResinDb {
+    shared: Arc<Shared>,
     tracking: Tracking,
     guard: GuardMode,
-    durable: bool,
     torn_recovery: bool,
     torn_cross_segment: bool,
 }
 
-impl SharedDb {
-    /// A RESIN-tracked shared database with no injection guard.
+impl ResinDb {
+    /// A RESIN-tracked database with no injection guard.
     pub fn new() -> Self {
-        SharedDb::default()
+        ResinDb::default()
     }
 
-    /// A shared database with explicit tracking and guard settings.
+    /// A database with explicit tracking and guard settings.
     pub fn with_modes(tracking: Tracking, guard: GuardMode) -> Self {
-        SharedDb {
-            inner: Arc::new(ShardedDatabase::new()),
+        ResinDb {
             tracking,
             guard,
-            durable: false,
-            torn_recovery: false,
-            torn_cross_segment: false,
+            ..ResinDb::default()
         }
     }
 
-    /// A non-durable shared database pre-loaded with a table catalog —
-    /// the substrate of a read replica ([`crate::replica::Follower`]).
-    pub(crate) fn from_tables(
-        tables: BTreeMap<String, Table>,
-        tracking: Tracking,
-        guard: GuardMode,
-    ) -> Self {
-        let sharded = ShardedDatabase::new();
-        {
-            let mut catalog = wlock(&sharded.catalog);
-            for (name, t) in tables {
-                catalog.insert(name, Arc::new(RwLock::new(t)));
-            }
-        }
-        SharedDb {
-            inner: Arc::new(sharded),
-            tracking,
-            guard,
-            durable: false,
-            torn_recovery: false,
-            torn_cross_segment: false,
-        }
-    }
-
-    /// Opens (creating if needed) a durable shared database rooted at
-    /// `dir`: loads the last checkpoint, replays the WAL's surviving
-    /// prefix (torn tail tolerated), and logs every subsequent mutating
-    /// statement write-ahead. All clones share the store.
+    /// Opens (creating if needed) a durable database rooted at `dir`:
+    /// loads the last checkpoint, replays the WAL's surviving prefix (torn
+    /// tail tolerated), and logs every subsequent mutating statement
+    /// write-ahead. All clones share the store.
+    ///
+    /// Tracking is on and the guard off; use
+    /// [`open_with_modes`](ResinDb::open_with_modes) for other settings —
+    /// a store must be reopened with the same tracking mode it was
+    /// written under. Applications persisting **custom** policy classes
+    /// must register them (`register_policy_class`) before opening: WAL
+    /// replay revives each logged query's taint, which deserializes its
+    /// policies (snapshot cells stay serialized until a SELECT revives
+    /// them, exactly as in a live database).
     pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self> {
         Self::open_with_modes(dir, Tracking::On, GuardMode::Off)
     }
 
-    /// [`open`](SharedDb::open) with explicit tracking and guard settings
-    /// (reopen with the same tracking mode the store was written under).
+    /// [`open`](ResinDb::open) with explicit tracking and guard settings.
     pub fn open_with_modes(
         dir: impl AsRef<std::path::Path>,
         tracking: Tracking,
         guard: GuardMode,
     ) -> Result<Self> {
         let (store, recovered) = SqlStore::open(dir)?;
-        let sharded = ShardedDatabase::new();
-        {
-            let mut catalog = wlock(&sharded.catalog);
-            for (name, t) in recovered.tables {
-                catalog.insert(name, Arc::new(RwLock::new(t)));
-            }
-        }
-        for sql in &recovered.replay {
-            // Post-guard text: skip the gate, re-run the same rewrite. A
-            // statement that errors here failed identically pre-crash.
-            let _ = Self::replay_on(&sharded, sql, tracking);
-        }
-        let _ = sharded.store.set(store);
-        Ok(SharedDb {
-            inner: Arc::new(sharded),
-            tracking,
-            guard,
-            durable: true,
+        let db = ResinDb {
             torn_recovery: recovered.torn_tail,
             torn_cross_segment: recovered.torn_cross_segment,
-        })
+            ..ResinDb::with_modes(tracking, guard)
+        };
+        db.raw().reset_tables(recovered.tables);
+        for sql in &recovered.replay {
+            // A statement that errors here failed identically pre-crash.
+            let _ = db.replay(sql);
+        }
+        // Attached last: replay must not re-log.
+        let _ = db.shared.store.set(store);
+        Ok(db)
     }
 
     /// True when this open discarded a torn WAL tail: the store is
@@ -391,37 +164,27 @@ impl SharedDb {
         self.torn_cross_segment
     }
 
-    /// Replays one post-guard statement through the standard rewrite
-    /// pipeline (read replicas apply shipped WAL records with this).
+    /// Replays one logged statement (crash recovery, and read replicas
+    /// applying shipped WAL records). The logged text is post-guard, so
+    /// replay skips the gate and re-runs the same rewrite.
     pub(crate) fn replay(&self, sql: &TaintedString) -> Result<()> {
-        Self::replay_on(&self.inner, sql, self.tracking)
-    }
-
-    /// Replaces the whole catalog (read replicas rebuilding from a newer
-    /// shipped checkpoint). In-flight readers holding a shard `Arc`
-    /// finish against the old table; new queries resolve the new one.
-    pub(crate) fn reset_tables(&self, tables: BTreeMap<String, Table>) {
-        let mut catalog = wlock(&self.inner.catalog);
-        catalog.clear();
-        for (name, t) in tables {
-            catalog.insert(name, Arc::new(RwLock::new(t)));
-        }
-    }
-
-    fn replay_on(sharded: &ShardedDatabase, sql: &TaintedString, tracking: Tracking) -> Result<()> {
         let tokens = crate::token::lex(sql.as_str())?;
         let stmt = crate::parser::parse(&tokens)?;
-        let mut backend: &ShardedDatabase = sharded;
-        run_prepared(&mut backend, sql, stmt, tracking, &[])?;
+        run_prepared(&self.shared.db, sql, stmt, self.tracking, &[])?;
         Ok(())
+    }
+
+    fn store(&self) -> Option<&SqlStore> {
+        self.shared.store.get()
     }
 
     /// True when a durable store backs this database.
     pub fn is_durable(&self) -> bool {
-        self.durable
+        self.store().is_some()
     }
 
-    /// Folds the WAL into a fresh snapshot (no-op without a store).
+    /// Folds the WAL into a fresh snapshot (no-op without a store). Only
+    /// tables written since the last checkpoint are re-encoded.
     ///
     /// The snapshot is statement-consistent: the checkpoint-exclusion
     /// lock keeps it out of every writer's WAL-append → execute window
@@ -430,73 +193,49 @@ impl SharedDb {
     /// finish (their table changes are live while their WAL records are
     /// buffered until commit — snapshotting mid-transaction would
     /// resurrect rollbacks or double-apply commits on recovery). The
-    /// image is encoded under every shard's read lock simultaneously, so
+    /// image is encoded under every table's read lock simultaneously, so
     /// it is point-in-time consistent across tables.
     pub fn checkpoint(&self) -> Result<()> {
-        self.checkpoint_with(false)
-    }
-
-    /// [`checkpoint`](SharedDb::checkpoint) with every table re-encoded
-    /// regardless of dirtiness — the full-snapshot baseline incremental
-    /// checkpoints are measured against.
-    pub fn checkpoint_full(&self) -> Result<()> {
-        self.checkpoint_with(true)
-    }
-
-    fn checkpoint_with(&self, full: bool) -> Result<()> {
-        if !self.durable {
+        let Some(store) = self.store() else {
             return Ok(());
-        }
+        };
         // Wait for writing transactions *without* holding the ckpt write
         // lock: their owner thread may need the read lock (a plain
         // durable write) before it can commit, so parking on the condvar
         // with the write lock held would deadlock the database. New
         // registrations take the read lock, so once the count reads zero
         // *under* the write lock, no transaction can slip in.
-        let mut excl = wlock(&self.inner.ckpt);
+        let mut excl = wlock(&self.shared.ckpt);
         loop {
-            if *mlock(&self.inner.txn_writers) == 0 {
+            if *mlock(&self.shared.txn_writers) == 0 {
                 break;
             }
             drop(excl);
             {
-                let mut open = mlock(&self.inner.txn_writers);
+                let mut open = mlock(&self.shared.txn_writers);
                 while *open > 0 {
                     open = self
-                        .inner
+                        .shared
                         .txn_done
                         .wait(open)
                         .unwrap_or_else(|e| e.into_inner());
                 }
             }
-            excl = wlock(&self.inner.ckpt);
+            excl = wlock(&self.shared.ckpt);
         }
         let _excl = excl;
-        // Encode straight from the shard read guards — no whole-catalog
-        // deep copy. Holding every shard lock at once also makes the
-        // snapshot point-in-time consistent *across* tables: durable
-        // writers are already excluded by the ckpt lock, and readers take
-        // the same shared locks.
-        let catalog = rlock(&self.inner.catalog);
-        let shards: Vec<(&str, std::sync::RwLockReadGuard<'_, Table>)> = catalog
-            .iter()
-            .map(|(n, shard)| (n.as_str(), rlock(shard)))
-            .collect();
-        let Some(store) = self.inner.store.get() else {
-            return Ok(());
-        };
-        let tables = shards.iter().map(|(n, t)| (*n, &**t));
-        if full {
-            store.checkpoint_full(tables)
-        } else {
-            store.checkpoint(tables)
-        }
+        // Encoded straight from the table read guards — no whole-catalog
+        // deep copy. Durable writers are already excluded by the ckpt
+        // lock, and readers take the same shared locks.
+        self.shared
+            .db
+            .with_all_tables(|tables| store.checkpoint(tables))
     }
 
     /// Live storage counters (segments, WAL bytes, checkpoint cost) of
     /// the underlying store, or `None` when not durable.
     pub fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        self.inner.store.get().map(SqlStore::stats)
+        self.store().map(SqlStore::stats)
     }
 
     /// Arms the size-based checkpoint trigger: once the live WAL grows
@@ -504,16 +243,14 @@ impl SharedDb {
     /// the database before returning. Zero (the default) disables the
     /// trigger; the setting is shared by every clone of this handle.
     pub fn set_auto_checkpoint_wal_bytes(&self, bytes: u64) {
-        self.inner
+        self.shared
             .auto_ckpt_wal_bytes
-            .store(bytes, std::sync::atomic::Ordering::Relaxed);
+            .store(bytes, Ordering::Relaxed);
     }
 
     /// The armed auto-checkpoint threshold (0 = disabled).
     pub fn auto_checkpoint_wal_bytes(&self) -> u64 {
-        self.inner
-            .auto_ckpt_wal_bytes
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.shared.auto_ckpt_wal_bytes.load(Ordering::Relaxed)
     }
 
     /// Runs the size-based trigger after a durable write, outside the
@@ -538,24 +275,25 @@ impl SharedDb {
     }
 
     /// Number of tables written since the last checkpoint — what the
-    /// next incremental checkpoint will re-encode.
+    /// next checkpoint will re-encode.
     pub fn dirty_table_count(&self) -> usize {
-        self.inner.store.get().map_or(0, SqlStore::dirty_count)
+        self.store().map_or(0, SqlStore::dirty_count)
     }
 
     /// Marks tables as written since the last checkpoint (transactions
     /// call this at commit, when their buffered WAL record lands).
     pub(crate) fn mark_tables_dirty<'a>(&self, names: impl IntoIterator<Item = &'a str>) {
-        if let Some(store) = self.inner.store.get() {
+        if let Some(store) = self.store() {
             for name in names {
                 store.mark_dirty(name);
             }
         }
     }
 
-    /// Whether WAL appends fsync before returning (default `true`).
+    /// Whether WAL appends fsync before returning (default `true`;
+    /// benches and tests may trade tail durability for throughput).
     pub fn set_wal_sync(&self, sync: bool) {
-        if let Some(store) = self.inner.store.get() {
+        if let Some(store) = self.store() {
             store.set_sync(sync);
         }
     }
@@ -563,7 +301,7 @@ impl SharedDb {
     /// Whether concurrent synced WAL appends share fsyncs (default
     /// `true`; off gives the per-append-fsync baseline for benchmarks).
     pub fn set_wal_group_commit(&self, group: bool) {
-        if let Some(store) = self.inner.store.get() {
+        if let Some(store) = self.store() {
             store.set_group_commit(group);
         }
     }
@@ -571,25 +309,53 @@ impl SharedDb {
     /// Total fsyncs the WAL has issued — the observable of group-commit
     /// amortization under concurrent committers.
     pub fn wal_sync_count(&self) -> u64 {
-        self.inner.store.get().map_or(0, SqlStore::sync_count)
+        self.store().map_or(0, SqlStore::sync_count)
     }
 
-    /// Appends one post-guard statement to the shared WAL.
-    pub(crate) fn wal_log(&self, sql: &TaintedString) -> Result<()> {
-        self.wal_log_batch(std::slice::from_ref(sql))
-    }
-
-    /// Appends a transaction's buffered statements as one atomic WAL
-    /// record: a crash mid-commit persists the whole transaction or none
-    /// of it, never a prefix.
+    /// Appends statements to the WAL as one atomic record (a transaction
+    /// commits its buffer this way: a crash mid-commit persists the whole
+    /// transaction or none of it, never a prefix).
     pub(crate) fn wal_log_batch(&self, stmts: &[TaintedString]) -> Result<()> {
-        if !self.durable {
-            return Ok(());
+        match self.store() {
+            Some(store) => store.log_batch(stmts),
+            None => Ok(()),
         }
-        if let Some(store) = self.inner.store.get() {
-            store.log_batch(stmts)?;
-        }
-        Ok(())
+    }
+
+    /// Opens the checkpoint-exclusion window of a durable write to
+    /// `target` and logs `sql` inside it: a checkpoint must never truncate
+    /// this statement's WAL record before its effect is in the tables it
+    /// snapshots, and the checkpoint that would truncate it also sees its
+    /// table as dirty. `None` (nothing logged) for reads and in-memory
+    /// databases.
+    fn log_write<'s>(
+        &self,
+        target: Option<&str>,
+        sql: impl FnOnce() -> Cow<'s, TaintedString>,
+    ) -> Result<Option<RwLockReadGuard<'_, ()>>> {
+        let (Some(store), Some(target)) = (self.store(), target) else {
+            return Ok(None);
+        };
+        let no_ckpt = rlock(&self.shared.ckpt);
+        store.log_batch(std::slice::from_ref(&*sql()))?;
+        store.mark_dirty(target);
+        Ok(Some(no_ckpt))
+    }
+
+    /// Counts a transaction's first durable write into `txn_writers`, so
+    /// checkpoints wait the transaction out: a snapshot taken
+    /// mid-transaction would see live table changes whose WAL records are
+    /// still buffered. Blocks out a running checkpoint first.
+    pub(crate) fn register_txn_writer(&self) {
+        let _gate = rlock(&self.shared.ckpt);
+        *mlock(&self.shared.txn_writers) += 1;
+    }
+
+    /// Undoes [`register_txn_writer`](Self::register_txn_writer) when the
+    /// transaction finishes, waking a waiting checkpoint.
+    pub(crate) fn unregister_txn_writer(&self) {
+        *mlock(&self.shared.txn_writers) -= 1;
+        self.shared.txn_done.notify_all();
     }
 
     /// Sets the injection guard **for this handle** (other clones keep
@@ -603,18 +369,24 @@ impl SharedDb {
         self.guard
     }
 
-    /// The underlying sharded engine (for tests and diagnostics).
-    pub fn raw(&self) -> &ShardedDatabase {
-        &self.inner
+    /// The tracking mode of this handle.
+    pub(crate) fn tracking(&self) -> Tracking {
+        self.tracking
+    }
+
+    /// The underlying engine (for tests and diagnostics).
+    pub fn raw(&self) -> &Database {
+        &self.shared.db
     }
 
     /// Executes a (possibly tainted) query through the RESIN SQL filter.
     ///
-    /// Unlike [`ResinDb::query`](crate::ResinDb::query) this takes `&self`:
-    /// any number of workers may query concurrently. On a durable database
-    /// mutating statements are WAL-logged write-ahead (concurrent appends
-    /// group-commit: the store batches them under shared fsyncs, in the
-    /// order it sequences them), and recovery replays in WAL order. Two *racing*
+    /// Any number of workers may query concurrently. On a durable database
+    /// mutating statements hit the WAL (write-ahead) between the guard and
+    /// execution — the `prepare_query`/`run_prepared` seam — so what is
+    /// logged is exactly what executes. Concurrent appends group-commit
+    /// (the store batches them under shared fsyncs, in the order it
+    /// sequences them), and recovery replays in WAL order. Two *racing*
     /// writers to the same table may therefore recover in the other
     /// interleaving than the one that executed — every statement is
     /// preserved, but non-commuting racing writes (two UPDATEs of one row)
@@ -625,24 +397,24 @@ impl SharedDb {
     /// the next checkpoint truncates it.
     pub fn query(&self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt) = prepare_query(sql, self.guard)?;
-        let durable_write = self.durable && statement_write_target(&stmt).is_some();
-        // Shared checkpoint-exclusion across log + execute: a checkpoint
-        // must never truncate this statement's WAL record before its
-        // effect is in the tables it snapshots.
-        let _no_ckpt = durable_write.then(|| rlock(&self.inner.ckpt));
-        if durable_write {
-            self.wal_log(&sql)?;
-            // Inside the exclusion window, so the checkpoint that would
-            // truncate this record also sees its table as dirty.
-            self.mark_tables_dirty(statement_write_target(&stmt));
-        }
-        let mut backend: &ShardedDatabase = &self.inner;
-        let result = run_prepared(&mut backend, &sql, stmt, self.tracking, &[]);
-        // The exclusion window must close before the trigger runs: the
-        // checkpoint takes the same lock exclusively.
-        drop(_no_ckpt);
-        if durable_write && result.is_ok() {
-            self.maybe_auto_checkpoint();
+        let no_ckpt = self.log_write(statement_write_target(&stmt), || Cow::Borrowed(&*sql))?;
+        let result = run_prepared(&self.shared.db, &sql, stmt, self.tracking, &[]);
+        self.finish_write(no_ckpt, result)
+    }
+
+    /// Closes a write's exclusion window — it must close before the
+    /// size-based trigger runs, since the checkpoint takes the same lock
+    /// exclusively — then runs the trigger.
+    fn finish_write(
+        &self,
+        no_ckpt: Option<RwLockReadGuard<'_, ()>>,
+        result: Result<TaintedResult>,
+    ) -> Result<TaintedResult> {
+        if no_ckpt.is_some() {
+            drop(no_ckpt);
+            if result.is_ok() {
+                self.maybe_auto_checkpoint();
+            }
         }
         result
     }
@@ -653,41 +425,36 @@ impl SharedDb {
     }
 
     /// Guards, lexes, and parses a statement template once; `?`
-    /// placeholders become bind parameters ([`Prepared::bind`]).
+    /// placeholders become bind parameters ([`Prepared::bind`]). The
+    /// returned [`Prepared`] is reusable across executions (and across
+    /// databases — it holds no reference to this one).
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         prepare_statement(sql, self.guard)
     }
 
     /// Executes a prepared statement with bound values. Bound values
-    /// reach the engine as data, never as query text. On a durable
-    /// database a mutating statement is WAL-logged as rendered SQL
-    /// (values spliced back as escaped, label-carrying literals), under
-    /// the same checkpoint-exclusion window as [`query`](SharedDb::query).
+    /// reach the engine as data — never as query text — so this path is
+    /// injection-proof by construction. On a durable database a mutating
+    /// statement is WAL-logged as rendered SQL (values spliced back as
+    /// escaped, label-carrying literals) so recovery replays it byte- and
+    /// policy-identically, under the same checkpoint-exclusion window as
+    /// [`query`](ResinDb::query).
     pub fn run(&self, bound: &BoundStatement<'_>) -> Result<TaintedResult> {
         let p = bound.prepared;
-        let durable_write = self.durable && p.write_target().is_some();
-        let _no_ckpt = durable_write.then(|| rlock(&self.inner.ckpt));
-        if durable_write {
-            let rendered = render_bound_sql(p, &bound.values);
-            self.wal_log(&rendered)?;
-            self.mark_tables_dirty(p.write_target());
-        }
-        let mut backend: &ShardedDatabase = &self.inner;
+        let no_ckpt = self.log_write(p.write_target(), || {
+            Cow::Owned(render_bound_sql(p, &bound.values))
+        })?;
         let result = run_prepared(
-            &mut backend,
+            &self.shared.db,
             p.text_tainted(),
             p.statement().clone(),
             self.tracking,
             &bound.values,
         );
-        drop(_no_ckpt);
-        if durable_write && result.is_ok() {
-            self.maybe_auto_checkpoint();
-        }
-        result
+        self.finish_write(no_ckpt, result)
     }
 
-    /// [`prepare`](SharedDb::prepare)-bind-[`run`](SharedDb::run) in one
+    /// [`prepare`](ResinDb::prepare)-bind-[`run`](ResinDb::run) in one
     /// call, for one-shot parameterized statements.
     pub fn exec_prepared(
         &self,
@@ -698,169 +465,20 @@ impl SharedDb {
         self.run(&bound)
     }
 
-    /// Opens a transaction on the shared database.
-    pub fn begin(&self) -> SharedTransaction<'static> {
-        SharedTransaction {
-            db: self.clone(),
-            snapshots: TxnSnapshots::default(),
-            checks: Vec::new(),
-            wal: Vec::new(),
-            registered: false,
-            finished: false,
-            _epoch_pin: resin_core::LabelTable::global().pin(),
-        }
-    }
-}
-
-/// An integrity assertion for a [`SharedTransaction`], checked at commit
-/// time. Checks must be read-only: writes they perform are not covered by
-/// the transaction's snapshots.
-pub type SharedIntegrityCheck<'c> =
-    Box<dyn Fn(&SharedDb) -> std::result::Result<(), PolicyViolation> + Send + 'c>;
-
-/// A transaction on a [`SharedDb`] with lazy copy-on-write snapshots.
-///
-/// A table is snapshotted only when the transaction first writes it;
-/// queries against other tables — from this transaction or from other
-/// threads — never pay for a clone. Rollback restores exactly the touched
-/// tables.
-///
-/// Isolation is *per table*: concurrent writers to a table this
-/// transaction later rolls back will lose their writes to the restore
-/// (last-writer-wins). Partition writes by table — the same discipline the
-/// lock sharding already rewards.
-///
-/// The same discipline governs **durability**: a transaction's statements
-/// reach the WAL only at commit (as one atomic record), while its table
-/// changes are live immediately — so a non-transactional write that lands
-/// on a transaction-touched table between its write and its commit is
-/// logged *before* the transaction's record, and crash recovery replays
-/// them in that (WAL) order, not execution order. Writes partitioned by
-/// table recover exactly; interleaved same-table mixes may not.
-pub struct SharedTransaction<'c> {
-    db: SharedDb,
-    snapshots: TxnSnapshots,
-    checks: Vec<SharedIntegrityCheck<'c>>,
-    wal: Vec<TaintedString>,
-    /// Counted in `txn_writers` (set on the first durable write, cleared
-    /// on drop) so checkpoints wait this transaction out.
-    registered: bool,
-    finished: bool,
-    /// Keeps labels interned during the transaction (snapshot scratch,
-    /// query results) safe from a concurrent label-table sweep.
-    _epoch_pin: resin_core::EpochPin<'static>,
-}
-
-impl<'c> SharedTransaction<'c> {
-    /// Registers an integrity assertion to run at commit.
-    pub fn add_check(&mut self, check: SharedIntegrityCheck<'c>) {
-        self.checks.push(check);
-    }
-
-    /// Table names snapshotted so far (sorted). Untouched tables never
-    /// appear here — that is the copy-on-write guarantee.
-    pub fn snapshotted_tables(&self) -> Vec<&str> {
-        self.snapshots.names()
-    }
-
-    /// Executes a query inside the transaction (all RESIN rewriting and
-    /// guards apply as usual).
-    ///
-    /// The write target comes from the statement as prepared — parsed
-    /// *after* any guard rewriting, i.e. exactly what executes — so a
-    /// query only ever snapshots the one table it writes.
-    pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
-        let (sql, stmt) = prepare_query(sql, self.db.guard)?;
-        let is_write = statement_write_target(&stmt).is_some();
-        if is_write && self.db.durable && !self.registered {
-            // First durable write: block out a running checkpoint, then
-            // stay counted until the transaction finishes — a snapshot
-            // taken mid-transaction would see live table changes whose
-            // WAL records are still buffered here.
-            let _gate = rlock(&self.db.inner.ckpt);
-            *mlock(&self.db.inner.txn_writers) += 1;
-            self.registered = true;
-        }
-        if let Some(name) = statement_write_target(&stmt) {
-            let name = name.to_string();
-            let inner = &self.db.inner;
-            self.snapshots
-                .record_with(&name, || inner.snapshot_table(&name));
-        }
-        let mut backend: &ShardedDatabase = &self.db.inner;
-        let res = run_prepared(&mut backend, &sql, stmt, self.db.tracking, &[])?;
-        if is_write && self.db.durable {
-            // Buffered, not logged: the WAL only sees statements whose
-            // transaction committed, so a rollback recovers as a rollback.
-            self.wal.push(sql.into_owned());
-        }
-        Ok(res)
-    }
-
-    /// Executes an untainted query inside the transaction.
-    pub fn query_str(&mut self, sql: &str) -> Result<TaintedResult> {
-        self.query(&TaintedString::from(sql))
-    }
-
-    fn restore(&mut self) {
-        for (name, snap) in self.snapshots.drain() {
-            self.db.raw().restore_table(&name, snap);
-        }
-    }
-
-    /// Runs the integrity checks; keeps the changes if all pass, restores
-    /// the touched tables otherwise.
-    pub fn commit(mut self) -> Result<()> {
-        self.finished = true;
-        let checks = std::mem::take(&mut self.checks);
-        for check in &checks {
-            if let Err(v) = check(&self.db) {
-                self.restore();
-                return Err(SqlError::Policy(resin_core::FlowError::Denied(v)));
-            }
-        }
-        let wal = std::mem::take(&mut self.wal);
-        if let Err(e) = self.db.wal_log_batch(&wal) {
-            // The commit could not be made durable: take the writes back
-            // out of the live tables too, so the state the caller observes
-            // matches the state a restart would recover.
-            self.restore();
-            return Err(e);
-        }
-        // Still registered in `txn_writers` until drop, so no checkpoint
-        // can slip between the batch landing and these marks.
-        self.db.mark_tables_dirty(self.snapshots.names());
-        Ok(())
-    }
-
-    /// Discards all changes made inside the transaction.
-    pub fn rollback(mut self) {
-        self.finished = true;
-        self.restore();
-    }
-}
-
-impl Drop for SharedTransaction<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.restore();
-        }
-        if self.registered {
-            self.registered = false;
-            *mlock(&self.db.inner.txn_writers) -= 1;
-            self.db.inner.txn_done.notify_all();
-        }
+    /// Opens a transaction. No data is copied here — tables are
+    /// snapshotted lazily, on their first write.
+    pub fn begin<'c>(&self) -> Transaction<'c> {
+        Transaction::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::UntrustedData;
-    use std::sync::Arc;
+    use resin_core::{PolicyViolation, UntrustedData};
 
-    fn posts_db() -> SharedDb {
-        let db = SharedDb::new();
+    fn posts_db() -> ResinDb {
+        let db = ResinDb::new();
         db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
             .unwrap();
         db.query_str("CREATE TABLE sessions (sid TEXT, user TEXT)")
@@ -975,25 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn if_not_exists_matches_single_threaded_engine() {
-        // Existence must win over column validation, exactly as in
-        // `Database::create_table`: IF NOT EXISTS on an existing table is
-        // a no-op even when the new column list is invalid.
-        let db = posts_db();
-        db.query_str("CREATE TABLE IF NOT EXISTS posts (a INTEGER, a INTEGER)")
-            .unwrap();
-        let mut single = crate::ResinDb::new();
-        single.query_str("CREATE TABLE posts (id INTEGER)").unwrap();
-        single
-            .query_str("CREATE TABLE IF NOT EXISTS posts (a INTEGER, a INTEGER)")
-            .unwrap();
-        // A fresh create with a duplicate column still fails on both.
-        assert!(db
-            .query_str("CREATE TABLE dup (a INTEGER, a INTEGER)")
-            .is_err());
-    }
-
-    #[test]
     fn guard_rewritten_txn_query_snapshots_one_table() {
         // The write target is read off the post-guard parse: a statement
         // the AutoSanitize guard must rewrite before it parses strictly
@@ -1026,7 +625,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let dir = disk_dir("ckpt-txn");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
             let mut txn = db.begin();
             txn.query_str("INSERT INTO t VALUES (1)").unwrap();
@@ -1050,7 +649,7 @@ mod tests {
             assert!(done.load(Ordering::SeqCst));
         }
         // The rolled-back row must not be resurrected by recovery.
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.rows[0][0].as_int().unwrap().value(), &0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1064,7 +663,7 @@ mod tests {
         // it can ever commit.
         let dir = disk_dir("ckpt-deadlock");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.set_wal_sync(false);
             db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
             let mut txn = db.begin();
@@ -1078,9 +677,44 @@ mod tests {
             txn.commit().unwrap();
             h.join().unwrap();
         }
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.rows[0][0].as_int().unwrap().value(), &2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn integrity_check_reads_the_table_its_transaction_wrote() {
+        // A check gets `&ResinDb`, not exclusive access, so this has to
+        // hold by construction: a transaction keeps no table lock and no
+        // checkpoint lock between statements, so its check may SELECT the
+        // very table it wrote — on a durable database too, where the
+        // transaction is counted against checkpoints — and commit returns.
+        let dir = disk_dir("check-reads-write");
+        let db = ResinDb::open(&dir).unwrap();
+        db.set_wal_sync(false);
+        db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = db.clone();
+        let h = std::thread::spawn(move || {
+            let mut txn = worker.begin();
+            txn.add_check(Box::new(|db| {
+                let r = db
+                    .query_str("SELECT COUNT(*) FROM t")
+                    .map_err(|e| PolicyViolation::new("SeesOwnWrite", e.to_string()))?;
+                match r.rows[0][0].as_int().map(|v| *v.value()) {
+                    Some(1) => Ok(()),
+                    n => Err(PolicyViolation::new("SeesOwnWrite", format!("{n:?}"))),
+                }
+            }));
+            txn.query_str("INSERT INTO t VALUES (1)").unwrap();
+            tx.send(txn.commit()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("commit deadlocked against its own write")
+            .unwrap();
+        h.join().unwrap();
+        db.checkpoint().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1093,7 +727,7 @@ mod tests {
         let dir = disk_dir("prepared-replay");
         {
             let db =
-                SharedDb::open_with_modes(&dir, Tracking::On, GuardMode::StructureCheck).unwrap();
+                ResinDb::open_with_modes(&dir, Tracking::On, GuardMode::StructureCheck).unwrap();
             db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")
                 .unwrap();
             let ins = db.prepare("INSERT INTO posts VALUES (?, ?)").unwrap();
@@ -1102,7 +736,7 @@ mod tests {
             db.exec_prepared(&ins, vec![2i64.into(), "plain".into()])
                 .unwrap();
         }
-        let db = SharedDb::open_with_modes(&dir, Tracking::On, GuardMode::StructureCheck).unwrap();
+        let db = ResinDb::open_with_modes(&dir, Tracking::On, GuardMode::StructureCheck).unwrap();
         let sel = db.prepare("SELECT body FROM posts WHERE id = ?").unwrap();
         let r = db.exec_prepared(&sel, vec![1i64.into()]).unwrap();
         let body = r.cell(0, "body").unwrap().as_text().unwrap();
@@ -1127,7 +761,7 @@ mod tests {
         // WAL record (and a single fsync).
         let dir = disk_dir("txn-batch");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
             let mut txn = db.begin();
             txn.query_str("INSERT INTO t VALUES (1)").unwrap();
@@ -1143,7 +777,7 @@ mod tests {
             );
             drop(store);
         }
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.rows[0][0].as_int().unwrap().value(), &2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1153,14 +787,14 @@ mod tests {
     fn committed_txn_then_checkpoint_never_double_applies() {
         let dir = disk_dir("ckpt-commit");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
             let mut txn = db.begin();
             txn.query_str("INSERT INTO t VALUES (7)").unwrap();
             txn.commit().unwrap();
             db.checkpoint().unwrap();
         }
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(
             r.rows[0][0].as_int().unwrap().value(),
@@ -1174,7 +808,7 @@ mod tests {
     fn incremental_checkpoint_rewrites_only_dirty_tables() {
         let dir = disk_dir("incr-ckpt");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.set_wal_sync(false);
             db.query_str("CREATE TABLE a (x INTEGER)").unwrap();
             db.query_str("CREATE TABLE b (x INTEGER)").unwrap();
@@ -1195,12 +829,9 @@ mod tests {
             let s = db.store_stats().unwrap();
             assert_eq!(s.last_checkpoint_parts_written, 1, "only b re-encoded");
             assert_eq!(s.parts, 3, "a and c carried over by reference");
-
-            db.checkpoint_full().unwrap();
-            assert_eq!(db.store_stats().unwrap().last_checkpoint_parts_written, 3);
         }
         // Everything recovers across incremental checkpoints.
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         for (t, n) in [("a", 1), ("b", 1), ("c", 0)] {
             let r = db.query_str(&format!("SELECT COUNT(*) FROM {t}")).unwrap();
             assert_eq!(r.rows[0][0].as_int().unwrap().value(), &n, "table {t}");
@@ -1212,7 +843,7 @@ mod tests {
     fn dropped_table_leaves_the_checkpoint() {
         let dir = disk_dir("drop-ckpt");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.set_wal_sync(false);
             db.query_str("CREATE TABLE keep (x INTEGER)").unwrap();
             db.query_str("CREATE TABLE gone (x INTEGER)").unwrap();
@@ -1222,7 +853,7 @@ mod tests {
             db.checkpoint().unwrap();
             assert_eq!(db.store_stats().unwrap().parts, 1);
         }
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         assert!(db.query_str("SELECT COUNT(*) FROM keep").is_ok());
         assert!(db.query_str("SELECT COUNT(*) FROM gone").is_err());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1231,7 +862,7 @@ mod tests {
     #[test]
     fn txn_commit_marks_written_tables_dirty() {
         let dir = disk_dir("txn-dirty");
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         db.set_wal_sync(false);
         db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
         db.checkpoint().unwrap();
@@ -1262,7 +893,7 @@ mod tests {
     fn size_based_auto_checkpoint_bounds_the_wal() {
         let dir = disk_dir("auto-ckpt");
         {
-            let db = SharedDb::open(&dir).unwrap();
+            let db = ResinDb::open(&dir).unwrap();
             db.set_wal_sync(false);
             db.query_str("CREATE TABLE t (a INTEGER, body TEXT)")
                 .unwrap();
@@ -1299,7 +930,7 @@ mod tests {
             );
         }
         // Recovery sees checkpoint + tail, nothing lost.
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.rows[0][0].as_int().unwrap().value(), &96);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -5,8 +5,8 @@
 //! column (§3.4.1 — class name + fields), and a SELECT revives it. The
 //! check fires at a *checking* surface — here an HTTP gate — where the
 //! revived policy's RSL `export_check` runs on the compiled-chunk VM
-//! path (the process-default engine; `RESIN_RSL_ENGINE=tree` re-runs
-//! this whole test against the tree-walking oracle).
+//! path; `pinned_engines_agree_before_and_after_persistence` re-runs the
+//! crossing against the tree-walking oracle.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn channel_only(channel: &str, engine: Engine) -> Arc<ScriptPolicy> {
     Arc::new(ScriptPolicy::new(class.name.clone(), fields, Some(class)).with_engine(engine))
 }
 
-fn insert_labeled(db: &mut ResinDb, id: i64, name: &str, policy: Arc<ScriptPolicy>) {
+fn insert_labeled(db: &ResinDb, id: i64, name: &str, policy: Arc<ScriptPolicy>) {
     let mut value = TaintedString::from(name);
     value.add_policy(policy);
     let mut q = TaintedStrBuilder::new();
@@ -58,7 +58,7 @@ fn insert_labeled(db: &mut ResinDb, id: i64, name: &str, policy: Arc<ScriptPolic
     db.query(&q.build()).expect("labeled insert persists");
 }
 
-fn select_name(db: &mut ResinDb, id: i64) -> TaintedString {
+fn select_name(db: &ResinDb, id: i64) -> TaintedString {
     let rows = db
         .query_str(&format!("SELECT name FROM users WHERE id = {id}"))
         .unwrap();
@@ -67,23 +67,23 @@ fn select_name(db: &mut ResinDb, id: i64) -> TaintedString {
 
 #[test]
 fn script_policy_survives_sql_and_enforces_at_http_gate() {
-    let mut db = ResinDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE users (id INTEGER, name TEXT)")
         .unwrap();
 
     // Storage is not an export: both inserts succeed, policies and all.
-    insert_labeled(&mut db, 1, "carol", channel_only("http", Engine::Vm));
-    insert_labeled(&mut db, 2, "dave", channel_only("email", Engine::Vm));
+    insert_labeled(&db, 1, "carol", channel_only("http", Engine::Vm));
+    insert_labeled(&db, 2, "dave", channel_only("email", Engine::Vm));
 
     // The revived policy still guards the data at the checking surface:
     // the http-confined row crosses an HTTP gate, the email-confined one
     // is denied by its RSL export_check with the policy's own message.
     let mut http = Gate::new(GateKind::Http);
-    http.write(select_name(&mut db, 1))
+    http.write(select_name(&db, 1))
         .expect("http-confined data crosses the http gate");
     assert_eq!(http.output_text(), "carol");
 
-    let err = http.write(select_name(&mut db, 2)).unwrap_err();
+    let err = http.write(select_name(&db, 2)).unwrap_err();
     assert!(err.is_violation(), "expected violation: {err}");
     assert!(
         err.to_string().contains("confined to email"),
@@ -104,11 +104,11 @@ fn pinned_engines_agree_before_and_after_persistence() {
         let err = http.write(direct).unwrap_err();
         assert!(err.is_violation(), "direct export on {engine:?}: {err}");
 
-        let mut db = ResinDb::new();
+        let db = ResinDb::new();
         db.query_str("CREATE TABLE users (id INTEGER, name TEXT)")
             .unwrap();
-        insert_labeled(&mut db, 2, "dave", channel_only("email", engine));
-        let err = http.write(select_name(&mut db, 2)).unwrap_err();
+        insert_labeled(&db, 2, "dave", channel_only("email", engine));
+        let err = http.write(select_name(&db, 2)).unwrap_err();
         assert!(err.is_violation(), "revived export on {engine:?}: {err}");
     }
 }

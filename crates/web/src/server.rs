@@ -11,7 +11,7 @@
 //!   [`Gate`](resin_core::Gate) and [`Context`](resin_core::Context)),
 //!   exactly as each Apache request gets its own output channel;
 //! * the application state behind the handler is **shared** across
-//!   workers — a `SharedDb`, a `SessionStore`, the global
+//!   workers — a `ResinDb`, a `SessionStore`, the global
 //!   `LabelTable`/`GateRegistry`;
 //! * a handler panic is confined to its request (the worker answers 500
 //!   and keeps serving), so one poisoned request cannot take the pool

@@ -8,11 +8,11 @@
 use std::sync::Arc;
 
 use resin::core::prelude::*;
-use resin::sql::{ResinDb, Transaction};
+use resin::sql::ResinDb;
 
 fn main() {
     // --- Transactions: buffer changes, assert invariants, then commit ---
-    let mut db = ResinDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE accounts (owner TEXT, balance INTEGER)")
         .unwrap();
     db.query_str("INSERT INTO accounts VALUES ('alice', 70), ('bob', 30)")
@@ -32,7 +32,7 @@ fn main() {
     };
 
     // A buggy transfer that overdraws: both legs roll back atomically.
-    let mut txn = Transaction::begin(&mut db);
+    let mut txn = db.begin();
     txn.add_check(no_overdraft());
     txn.query_str("UPDATE accounts SET balance = 130 WHERE owner = 'bob'")
         .unwrap();
@@ -52,7 +52,7 @@ fn main() {
     );
 
     // A correct transfer commits.
-    let mut txn = Transaction::begin(&mut db);
+    let mut txn = db.begin();
     txn.add_check(no_overdraft());
     txn.query_str("UPDATE accounts SET balance = 50 WHERE owner = 'alice'")
         .unwrap();

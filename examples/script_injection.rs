@@ -1,8 +1,8 @@
 //! Server-side script injection and the CodeApproval import filter
 //! (paper §5.2, Figure 6), running on the RSL bytecode VM.
 //!
-//! The interpreter defaults to the compiled engine; the tree-walker is
-//! kept as a differential oracle (`RESIN_RSL_ENGINE=tree` flips back).
+//! The interpreter runs the compiled engine; the tree-walker is kept as
+//! a differential oracle for tests that pin it.
 //! The import filter is a data-flow check on the imported bytes, so the
 //! engine executing the app makes no difference to the defense — this
 //! demo asserts the attack fails closed on the VM path.

@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use resin::core::prelude::*;
-use resin::sql::SharedDb;
+use resin::sql::ResinDb;
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 200;
@@ -118,7 +118,7 @@ fn labels_ship_across_threads() {
 /// restored exactly, the concurrent writes all survive.
 #[test]
 fn shared_db_rollback_survives_concurrent_traffic() {
-    let db = SharedDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE accounts (id INTEGER, balance INTEGER)")
         .unwrap();
     db.query_str("INSERT INTO accounts VALUES (1, 100), (2, 250)")
@@ -148,7 +148,7 @@ fn shared_db_rollback_survives_concurrent_traffic() {
     // A transaction on `accounts` races all that `audit` traffic, then
     // fails its integrity check: only `accounts` must roll back.
     let mut txn = db.begin();
-    txn.add_check(Box::new(|db: &SharedDb| {
+    txn.add_check(Box::new(|db: &ResinDb| {
         let r = db
             .query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")
             .map_err(|e| PolicyViolation::new("NoOverdraft", e.to_string()))?;
@@ -185,7 +185,7 @@ fn shared_db_rollback_survives_concurrent_traffic() {
 /// same-table writers serialize without corruption.
 #[test]
 fn shared_db_cross_table_and_same_table_writers() {
-    let db = SharedDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE counters (id INTEGER, n INTEGER)")
         .unwrap();
     db.query_str("INSERT INTO counters VALUES (0, 0)").unwrap();
@@ -234,7 +234,7 @@ fn shared_db_cross_table_and_same_table_writers() {
 /// one thread survives storage and revives on another.
 #[test]
 fn taint_roundtrip_across_threads() {
-    let db = SharedDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE notes (id INTEGER, body TEXT)")
         .unwrap();
     let writers: Vec<_> = (0..4)

@@ -63,7 +63,7 @@ fn out_of_range_spans_are_harmless() {
 fn sql_policy_column_tampering_fails_select() {
     // An attacker (or bug) that writes junk into a policy column cannot
     // make the filter silently ignore it.
-    let mut db = resin::sql::ResinDb::new();
+    let db = resin::sql::ResinDb::new();
     db.query_str("CREATE TABLE t (v TEXT)").unwrap();
     let mut q = TaintedString::from("INSERT INTO t VALUES ('");
     q.push_tainted(&TaintedString::with_policy(
@@ -76,7 +76,7 @@ fn sql_policy_column_tampering_fails_select() {
     // honest equivalent is updating through the raw engine.
     // (The public API hides policy columns, so we go through the engine.)
     // Corrupt the blob:
-    let mut raw = resin::sql::Database::new();
+    let raw = resin::sql::Database::new();
     raw.execute_str("CREATE TABLE t (v TEXT, __rp_v TEXT)")
         .unwrap();
     raw.execute_str("INSERT INTO t VALUES ('x', 'corrupt{')")

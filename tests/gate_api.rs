@@ -303,13 +303,10 @@ fn strip_rule_rewrites_labels() {
 
 #[test]
 fn policy_set_compat_view_mirrors_labels() {
-    // The deprecated PolicySet view and the Label API agree.
-    #[allow(deprecated)]
-    {
-        let data = password("u@x");
-        let set: PolicySet = PolicySet::from_label(data.label());
-        assert!(set.has::<PasswordPolicy>());
-        assert_eq!(set.label(), data.label());
-        assert!(set.set_eq(&PolicySet::from_label(password("u@x").label())));
-    }
+    // A label is the policy set: equal sets built apart are one handle.
+    let data = password("u@x");
+    let label = data.label();
+    assert!(label.has::<PasswordPolicy>());
+    assert_eq!(label.policies().len(), 1);
+    assert_eq!(label, password("u@x").label());
 }

@@ -12,7 +12,7 @@ use resin::sql::{GuardMode, ResinDb};
 use resin::web::Response;
 
 fn db_with_password() -> ResinDb {
-    let mut db = ResinDb::new();
+    let db = ResinDb::new();
     db.query_str("CREATE TABLE userdb (user TEXT, password TEXT)")
         .unwrap();
     let mut q = TaintedString::from("INSERT INTO userdb VALUES ('victim', '");
@@ -27,7 +27,7 @@ fn db_with_password() -> ResinDb {
 
 #[test]
 fn figure4_roundtrip_preserves_policy() {
-    let mut db = db_with_password();
+    let db = db_with_password();
     let r = db
         .query_str("SELECT password FROM userdb WHERE user = 'victim'")
         .unwrap();
@@ -51,7 +51,7 @@ fn injected_select_star_cannot_disclose() {
     // an adversary manages to execute SELECT user, password FROM userdb,
     // the policy object for each password will still be de-serialized from
     // the database, and will prevent password disclosure."
-    let mut db = db_with_password();
+    let db = db_with_password();
     let r = db.query_str("SELECT user, password FROM userdb").unwrap();
     let stolen = r.cell(0, "password").unwrap().as_text().unwrap().clone();
 
@@ -64,7 +64,7 @@ fn injected_select_star_cannot_disclose() {
 
 #[test]
 fn password_flows_to_owner_through_full_stack() {
-    let mut db = db_with_password();
+    let db = db_with_password();
     let r = db.query_str("SELECT password FROM userdb").unwrap();
     let pw = r.cell(0, "password").unwrap().as_text().unwrap().clone();
     let mut mail = Runtime::global().open(GateKind::Email);
@@ -109,7 +109,7 @@ fn policies_survive_sql_then_file_then_http() {
     // DB -> file (xattr) -> RESIN-aware static server: the longest
     // persistence chain in the system.
     use resin::vfs::Vfs;
-    let mut db = db_with_password();
+    let db = db_with_password();
     let r = db.query_str("SELECT password FROM userdb").unwrap();
     let pw = r.cell(0, "password").unwrap().as_text().unwrap().clone();
 

@@ -190,7 +190,7 @@ proptest! {
     /// arbitrary (quote-free) content.
     #[test]
     fn sql_roundtrip_keeps_policy(value in "[a-zA-Z0-9 ]{0,24}") {
-        let mut db = resin::sql::ResinDb::new();
+        let db = resin::sql::ResinDb::new();
         db.query_str("CREATE TABLE t (v TEXT)").unwrap();
         let mut q = TaintedString::from("INSERT INTO t VALUES ('");
         q.push_tainted(&untrusted(&value));

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use resin::core::prelude::*;
-use resin::sql::{GuardMode, ResinDb, SharedDb, Tracking};
+use resin::sql::{GuardMode, ResinDb, Tracking};
 use resin::store::wal::{encode_record, scan, RECORD_HEADER};
 use resin::store::Store;
 use resin::web::Response;
@@ -180,7 +180,7 @@ proptest! {
 
 // ---- restart-survival attacks: SQL ----
 
-fn insert_password(db: &mut ResinDb, user: &str, pw: &str) {
+fn insert_password(db: &ResinDb, user: &str, pw: &str) {
     let mut q = TaintedString::from(format!("INSERT INTO userdb VALUES ('{user}', '"));
     q.push_tainted(&TaintedString::with_policy(
         pw,
@@ -190,7 +190,7 @@ fn insert_password(db: &mut ResinDb, user: &str, pw: &str) {
     db.query(&q).unwrap();
 }
 
-fn assert_password_fails_closed(db: &mut ResinDb, user: &str, pw: &str) {
+fn assert_password_fails_closed(db: &ResinDb, user: &str, pw: &str) {
     let r = db
         .query_str(&format!(
             "SELECT password FROM userdb WHERE user = '{user}'"
@@ -213,15 +213,15 @@ fn assert_password_fails_closed(db: &mut ResinDb, user: &str, pw: &str) {
 fn stolen_password_fails_closed_after_restart_wal_only() {
     let dir = tmp_dir("sql-wal");
     {
-        let mut db = ResinDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         db.query_str("CREATE TABLE userdb (user TEXT, password TEXT)")
             .unwrap();
-        insert_password(&mut db, "victim", "hunter2");
+        insert_password(&db, "victim", "hunter2");
         // Dropped with no checkpoint: recovery is WAL replay alone.
     }
-    let mut db = ResinDb::open(&dir).unwrap();
+    let db = ResinDb::open(&dir).unwrap();
     assert!(!db.recovered_from_torn_wal(), "clean shutdown, clean open");
-    assert_password_fails_closed(&mut db, "victim", "hunter2");
+    assert_password_fails_closed(&db, "victim", "hunter2");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -229,20 +229,20 @@ fn stolen_password_fails_closed_after_restart_wal_only() {
 fn stolen_password_fails_closed_after_checkpointed_restart() {
     let dir = tmp_dir("sql-ckpt");
     {
-        let mut db = ResinDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         db.query_str("CREATE TABLE userdb (user TEXT, password TEXT)")
             .unwrap();
-        insert_password(&mut db, "victim", "hunter2");
-        db.close().unwrap();
+        insert_password(&db, "victim", "hunter2");
+        db.checkpoint().unwrap();
     }
     // Second generation: snapshot + fresh WAL entries together.
     {
-        let mut db = ResinDb::open(&dir).unwrap();
-        insert_password(&mut db, "other", "s3cret");
+        let db = ResinDb::open(&dir).unwrap();
+        insert_password(&db, "other", "s3cret");
     }
-    let mut db = ResinDb::open(&dir).unwrap();
-    assert_password_fails_closed(&mut db, "victim", "hunter2");
-    assert_password_fails_closed(&mut db, "other", "s3cret");
+    let db = ResinDb::open(&dir).unwrap();
+    assert_password_fails_closed(&db, "victim", "hunter2");
+    assert_password_fails_closed(&db, "other", "s3cret");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -250,18 +250,18 @@ fn stolen_password_fails_closed_after_checkpointed_restart() {
 fn torn_wal_tail_keeps_committed_passwords_guarded() {
     let dir = tmp_dir("sql-torn");
     {
-        let mut db = ResinDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         db.query_str("CREATE TABLE userdb (user TEXT, password TEXT)")
             .unwrap();
-        insert_password(&mut db, "victim", "hunter2");
-        insert_password(&mut db, "casualty", "lost-in-the-crash");
+        insert_password(&db, "victim", "hunter2");
+        insert_password(&db, "casualty", "lost-in-the-crash");
     }
     // The crash: the last append is torn mid-record.
     let wal = resin::store::segment::segment_path(&dir, 1);
     let bytes = std::fs::read(&wal).unwrap();
     std::fs::write(&wal, &bytes[..bytes.len() - 7]).unwrap();
 
-    let mut db = ResinDb::open(&dir).unwrap();
+    let db = ResinDb::open(&dir).unwrap();
     assert!(
         db.recovered_from_torn_wal(),
         "the tear must be observable to the application"
@@ -272,7 +272,7 @@ fn torn_wal_tail_keeps_committed_passwords_guarded() {
         &1,
         "torn insert discarded, committed insert kept"
     );
-    assert_password_fails_closed(&mut db, "victim", "hunter2");
+    assert_password_fails_closed(&db, "victim", "hunter2");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -282,7 +282,7 @@ fn second_order_injection_still_blocked_after_restart() {
     // naive query built from recovered data still trips the guard.
     let dir = tmp_dir("sql-second");
     {
-        let mut db = ResinDb::open_with_modes(&dir, Tracking::On, GuardMode::AutoSanitize).unwrap();
+        let db = ResinDb::open_with_modes(&dir, Tracking::On, GuardMode::AutoSanitize).unwrap();
         db.query_str("CREATE TABLE posts (body TEXT)").unwrap();
         let mut q = TaintedString::from("INSERT INTO posts VALUES ('");
         q.push_tainted(&TaintedString::with_policy(
@@ -292,7 +292,7 @@ fn second_order_injection_still_blocked_after_restart() {
         q.push_str("')");
         db.query(&q).unwrap();
     }
-    let mut db = ResinDb::open_with_modes(&dir, Tracking::On, GuardMode::StructureCheck).unwrap();
+    let db = ResinDb::open_with_modes(&dir, Tracking::On, GuardMode::StructureCheck).unwrap();
     let r = db.query_str("SELECT body FROM posts").unwrap();
     let stored = r.cell(0, "body").unwrap().as_text().unwrap().clone();
     assert_eq!(stored.as_str(), "evil' OR '1'='1");
@@ -314,7 +314,7 @@ fn second_order_injection_still_blocked_after_restart() {
 fn shared_db_recovers_and_txn_rollback_never_replays() {
     let dir = tmp_dir("sql-shared");
     {
-        let db = SharedDb::open(&dir).unwrap();
+        let db = ResinDb::open(&dir).unwrap();
         db.query_str("CREATE TABLE posts (id INTEGER, body TEXT)")
             .unwrap();
         db.query_str("INSERT INTO posts VALUES (1, 'kept')")
@@ -331,7 +331,7 @@ fn shared_db_recovers_and_txn_rollback_never_replays() {
         txn.commit().unwrap();
         db.checkpoint().unwrap();
     }
-    let db = SharedDb::open(&dir).unwrap();
+    let db = ResinDb::open(&dir).unwrap();
     let r = db.query_str("SELECT id FROM posts ORDER BY id").unwrap();
     let ids: Vec<i64> = (0..r.rows.len())
         .map(|i| *r.cell(i, "id").unwrap().as_int().unwrap().value())
