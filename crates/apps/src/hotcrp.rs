@@ -393,6 +393,39 @@ mod tests {
     }
 
     #[test]
+    fn author_name_cannot_add_readers_at_rest() {
+        // Author strings go into the paper's ACL verbatim, and the ACL
+        // crosses the policy column as `principal:codes,…`: an author
+        // named like two entries must still be one principal when the
+        // policy is read back.
+        let mut h = site(true);
+        h.register_user("eve@evil.org", "evepw", false);
+        h.submit_paper(
+            2,
+            "Hidden Title",
+            "Hidden abstract.",
+            &["a@x.org:r,eve@evil.org"],
+            true,
+        );
+        let mut page = Response::for_user("eve@evil.org");
+        let err = h.paper_page(2, &mut page).unwrap_err();
+        assert!(err.is_violation(), "{err:?}");
+        assert!(!page.body().contains("Hidden Title"));
+        assert!(!page.body().contains("Hidden abstract."));
+        let mut page = Response::for_user("eve@evil.org");
+        assert!(h
+            .export_paper_json(2, &mut page)
+            .unwrap_err()
+            .is_violation());
+        // The odd author is still on their own paper's ACL, as are the PC.
+        for reader in ["a@x.org:r,eve@evil.org", "pc@conf.org"] {
+            let mut page = Response::for_user(reader);
+            h.paper_page(2, &mut page).unwrap();
+            assert!(page.body().contains("Hidden Title"), "{reader}");
+        }
+    }
+
+    #[test]
     fn missing_paper_404() {
         let mut h = site(true);
         let mut page = Response::for_user("pc@conf.org");

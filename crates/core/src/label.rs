@@ -17,6 +17,35 @@
 //! `Copy`, hashable, and cheap to ship across threads, which is what the
 //! sharding/caching work on the ROADMAP needs.
 //!
+//! # Wire-text indexes
+//!
+//! A policy crosses storage as text ([`crate::serialize`]), and a site
+//! holds few distinct policies across many cells, so the interner also
+//! knows each policy's wire text, in both directions:
+//!
+//! * the **read index**, wire text → [`PolicyId`], is filled by
+//!   `crate::serialize` after a *successful decode* of that text through
+//!   the class registry, and by nothing else. Serialising never fills it:
+//!   two script policies from different class declarations share a wire
+//!   text but not an id, and a text must resolve to what the registry
+//!   would build from it today;
+//! * the **write index**, [`PolicyId`] → wire text, is filled the first
+//!   time a policy is serialised.
+//!
+//! Both live in the [`PolicyInterner`] and share its lifecycle. A
+//! [`sweep`](LabelTable::sweep) drops the entries of every policy it
+//! sweeps, with `by_key`, so a swept policy's text decodes afresh to a
+//! live id. Registering or replacing a policy class drops that class's
+//! texts from the read index and starts a new *generation*; a decode that
+//! began under an older generation is not indexed, so a text never
+//! outlives the deserializer that decoded it. A decoded policy is interned
+//! and its text recorded under one write lock
+//! (`LabelTable::intern_decoded`): a sweep that frees the slot comes
+//! before both or after both, and in either case takes the text with it,
+//! so a text never names a slot that another policy has moved into. Each
+//! index holds at most one entry per live interned policy — there is
+//! nothing to size or expire.
+//!
 //! # Examples
 //!
 //! ```
@@ -159,6 +188,13 @@ impl Label {
     /// The canonical policy objects of the set (shared, not cloned).
     pub fn policies(self) -> Arc<Vec<PolicyRef>> {
         LabelTable::global().entry(self).refs
+    }
+
+    /// [`ids`](Label::ids) and [`policies`](Label::policies) under one
+    /// lock. A swept label has a tombstone policy and no ids.
+    pub(crate) fn members(self) -> (Arc<[PolicyId]>, Arc<Vec<PolicyRef>>) {
+        let entry = LabelTable::global().entry(self);
+        (entry.ids, entry.refs)
     }
 
     /// Set union — an O(1) memoized table hit after the first computation.
@@ -378,7 +414,22 @@ pub struct PolicyInterner {
     epochs: Vec<u64>,
     /// Swept slots awaiting reuse, with the epoch they were freed at.
     free: Vec<(u32, u64)>,
+    /// The read index: a wire text and the id of the policy the class
+    /// registry decoded it to, under the current `wire_generation`.
+    by_wire: HashMap<Arc<str>, u32>,
+    /// The write index: each slot's wire text once it has been
+    /// serialised; parallel to `policies`.
+    wire: Vec<Option<Arc<str>>>,
+    /// Advances whenever the read index is dropped (a policy class was
+    /// registered or replaced).
+    wire_generation: u64,
 }
+
+/// A read-index miss: the generation the lookup ran under, which
+/// [`LabelTable::intern_decoded`] wants back so that a decode racing a
+/// class registration indexes nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireMiss(u64);
 
 impl PolicyInterner {
     /// Interns `policy`, returning its id (existing id for duplicates).
@@ -398,12 +449,15 @@ impl PolicyInterner {
             Some(slot) => {
                 self.policies[slot as usize] = policy.clone();
                 self.epochs[slot as usize] = epoch;
+                // The tombstone's text, if anyone serialised it.
+                self.wire[slot as usize] = None;
                 slot
             }
             None => {
                 let id = u32::try_from(self.policies.len()).expect("policy interner overflow");
                 self.policies.push(policy.clone());
                 self.epochs.push(epoch);
+                self.wire.push(None);
                 id
             }
         };
@@ -437,6 +491,8 @@ impl PolicyInterner {
             live: self.len(),
             slots: self.policies.len(),
             free: self.free.len(),
+            read_index: self.by_wire.len(),
+            write_index: self.wire.iter().flatten().count(),
         }
     }
 }
@@ -450,6 +506,10 @@ pub struct PolicyInternerStats {
     pub slots: usize,
     /// Swept slots awaiting reuse.
     pub free: usize,
+    /// Wire texts the read index resolves without decoding.
+    pub read_index: usize,
+    /// Policies whose wire text the write index holds.
+    pub write_index: usize,
 }
 
 // ---- the label table ----
@@ -553,7 +613,8 @@ pub struct LabelTableStats {
     /// Epoch pins currently held (transactions/requests in flight).
     pub active_pins: usize,
     /// Rough estimate of heap bytes retained by sets + interner
-    /// bookkeeping (not the policy objects themselves).
+    /// bookkeeping, wire-text indexes included (not the policy objects
+    /// themselves).
     pub bytes_retained: usize,
 }
 
@@ -691,6 +752,104 @@ impl LabelTable {
     /// Panics if `id` did not come from this table.
     pub fn resolve_policy(&self, id: PolicyId) -> PolicyRef {
         self.read().interner.policies[id.0 as usize].clone()
+    }
+
+    /// Looks `text` up in the read index under one read lock: `hit` sees
+    /// the table and the id the text resolves to.
+    fn wire_hit<R>(
+        &self,
+        text: &str,
+        hit: impl FnOnce(&TableInner, PolicyId) -> R,
+    ) -> Result<R, WireMiss> {
+        let inner = self.read();
+        match inner.interner.by_wire.get(text) {
+            Some(&id) => Ok(hit(&inner, PolicyId(id))),
+            None => Err(WireMiss(inner.interner.wire_generation)),
+        }
+    }
+
+    /// The id `text` decoded to, if the read index holds it.
+    pub(crate) fn wire_id(&self, text: &str) -> Result<PolicyId, WireMiss> {
+        self.wire_hit(text, |_, id| id)
+    }
+
+    /// The canonical object of the policy `text` decoded to, if the read
+    /// index holds it.
+    pub(crate) fn wire_policy(&self, text: &str) -> Option<PolicyRef> {
+        self.wire_hit(text, |inner, id| {
+            inner.interner.policies[id.0 as usize].clone()
+        })
+        .ok()
+    }
+
+    /// The single-policy label of the policy `text` decoded to, if the
+    /// read index holds it: one read lock, one hash of the text, no
+    /// allocation (unless that label was swept while the policy lived on
+    /// in a larger set, and is interned again here).
+    pub(crate) fn wire_label(&self, text: &str) -> Result<Label, WireMiss> {
+        let found = self.wire_hit(text, |inner, id| {
+            inner.by_ids.get(&[id][..]).map(|&l| Label(l)).ok_or(id)
+        })?;
+        Ok(found.unwrap_or_else(|id| self.intern_ids(vec![id])))
+    }
+
+    /// Interns `policy`, which `text` was just decoded to, and records
+    /// that `text` resolves to its id — both under one write lock, so no
+    /// sweep can free the slot between the two and leave the text naming
+    /// whatever policy moves into it next. The text is not recorded if a
+    /// class was registered since `miss` was handed out: the decode may
+    /// have run a deserializer that is registered no longer.
+    pub(crate) fn intern_decoded(
+        &self,
+        text: &str,
+        policy: &PolicyRef,
+        miss: WireMiss,
+    ) -> PolicyId {
+        let key = PolicyKey::of(policy);
+        let epoch = self.current_epoch();
+        let floor = self.oldest_pin();
+        let mut inner = self.write();
+        let interner = &mut inner.interner;
+        let id = interner.intern(key, policy, epoch, floor);
+        if interner.wire_generation == miss.0 {
+            // A canonical round trip (the usual case) reads back the text
+            // the write index already holds: share it.
+            let key = match &interner.wire[id.0 as usize] {
+                Some(cached) if **cached == *text => cached.clone(),
+                _ => Arc::from(text),
+            };
+            interner.by_wire.insert(key, id.0);
+        }
+        id
+    }
+
+    /// Starts a new generation of the read index and drops the texts
+    /// `stale` picks out: a policy class was registered or replaced, so
+    /// none of its texts may resolve to what an earlier deserializer
+    /// built. The generation is the whole index's — a decode of *any*
+    /// class in flight across this call records nothing, and decodes
+    /// again next time.
+    pub(crate) fn forget_wire_index(&self, stale: impl Fn(&str) -> bool) {
+        let mut inner = self.write();
+        inner.interner.wire_generation += 1;
+        inner.interner.by_wire.retain(|text, _| !stale(text));
+    }
+
+    /// The wire text of the live policy `id`, whose canonical object is
+    /// `policy`: rendered the first time it is asked for, then served
+    /// from the write index.
+    pub(crate) fn wire_text(&self, id: PolicyId, policy: &PolicyRef) -> Arc<str> {
+        if let Some(text) = &self.read().interner.wire[id.0 as usize] {
+            return text.clone();
+        }
+        let text: Arc<str> = crate::serialize::serialize_policy(policy).into();
+        let mut inner = self.write();
+        // The slot may have been swept (and reused) since the caller
+        // resolved `policy`: only the object's own text may be cached.
+        if Arc::ptr_eq(&inner.interner.policies[id.0 as usize], policy) {
+            inner.interner.wire[id.0 as usize] = Some(text.clone());
+        }
+        text
     }
 
     /// The label for a single policy.
@@ -869,10 +1028,15 @@ impl LabelTable {
             inner.interner.policies[idx as usize] = Arc::new(SweptLabel) as PolicyRef;
             inner.interner.epochs[idx as usize] = sweep_epoch;
             inner.interner.free.push((idx, sweep_epoch));
+            inner.interner.wire[idx as usize] = None;
         }
         inner
             .interner
             .by_key
+            .retain(|_, id| !swept_policies.contains(id));
+        inner
+            .interner
+            .by_wire
             .retain(|_, id| !swept_policies.contains(id));
 
         SweepReport {
@@ -887,7 +1051,16 @@ impl LabelTable {
     pub fn stats(&self) -> LabelTableStats {
         let inner = self.read();
         let sets_bytes: usize = inner.sets.iter().map(|e| e.ids.len() * 12 + 64).sum();
-        let interner_bytes = inner.interner.policies.len() * 48;
+        // A text both wire indexes hold is shared, and counted twice here.
+        let wire_bytes: usize = inner
+            .interner
+            .wire
+            .iter()
+            .flatten()
+            .chain(inner.interner.by_wire.keys())
+            .map(|text| text.len() + 16)
+            .sum();
+        let interner_bytes = inner.interner.policies.len() * 64 + wire_bytes;
         let cache_bytes = inner.union_cache.len() * 24;
         LabelTableStats {
             labels: inner.sets.len() - 1 - inner.free_sets.len(),
@@ -1210,6 +1383,176 @@ mod tests {
         );
         assert!(stats.labels <= INTERVAL, "live labels bounded");
         assert!(stats.epoch >= (CHURN / INTERVAL) as u64);
+    }
+
+    #[test]
+    fn wire_indexes_follow_the_policy_through_sweep_and_reuse() {
+        let t = LabelTable::new();
+        let keep = pw("wire-keep@x");
+        let drop_me = pw("wire-drop@x");
+        let (keep_id, drop_id) = (t.intern_policy(&keep), t.intern_policy(&drop_me));
+        let keep_label = t.intern_ids(vec![keep_id]);
+        t.intern_ids(vec![drop_id]);
+        // The write index renders once, then serves the same text.
+        let text = t.wire_text(keep_id, &keep);
+        assert!(Arc::ptr_eq(&text, &t.wire_text(keep_id, &keep)));
+        let drop_text = t.wire_text(drop_id, &drop_me);
+        // The read index knows only what it is told, and shares a text
+        // the write index already holds.
+        let miss = t.wire_id(&text).unwrap_err();
+        assert_eq!(t.intern_decoded(&text, &pw("wire-keep@x"), miss), keep_id);
+        assert_eq!(t.intern_decoded(&drop_text, &drop_me, miss), drop_id);
+        assert_eq!(t.intern_decoded("another spelling", &keep, miss), keep_id);
+        assert_eq!(t.wire_id(&text).unwrap(), keep_id);
+        assert_eq!(t.wire_label(&text).unwrap(), keep_label);
+        assert_eq!(t.wire_label("another spelling").unwrap(), keep_label);
+        assert!(Arc::ptr_eq(&t.wire_policy(&drop_text).unwrap(), &drop_me));
+        let stats = t.policy_interner_stats();
+        assert_eq!((stats.read_index, stats.write_index), (3, 2));
+        let shared = t
+            .read()
+            .interner
+            .by_wire
+            .get_key_value(&*text)
+            .unwrap()
+            .0
+            .clone();
+        assert!(Arc::ptr_eq(&shared, &text), "one text, two indexes");
+
+        // A sweep drops both entries of what it sweeps, and nothing else.
+        t.sweep([keep_label]);
+        assert!(t.wire_id(&drop_text).is_err());
+        assert_eq!(t.wire_id(&text).unwrap(), keep_id);
+        let stats = t.policy_interner_stats();
+        assert_eq!((stats.read_index, stats.write_index), (2, 1));
+        // The freed slot is reused with no text of its former tenant, or
+        // of the tombstone in between.
+        let fresh = pw("wire-fresh@x");
+        let tombstone = t.resolve_policy(drop_id);
+        assert_eq!(&*t.wire_text(drop_id, &tombstone), "SweptLabel{}");
+        let fresh_id = t.intern_policy(&fresh);
+        assert_eq!(fresh_id, drop_id, "freed slot reused");
+        // A caller that resolved the slot before the sweep gets its own
+        // object's text, and that text is not kept for the new tenant.
+        assert!(t.wire_text(fresh_id, &drop_me).contains("wire-drop@x"));
+        assert_eq!(t.policy_interner_stats().write_index, 1);
+        assert!(t.wire_text(fresh_id, &fresh).contains("wire-fresh@x"));
+
+        // A singleton label swept while its policy lives on in a pair is
+        // interned again by the lookup.
+        let pair = t.intern_ids(vec![keep_id, fresh_id]);
+        t.sweep([pair]);
+        t.sweep([pair]);
+        assert_eq!(t.wire_id(&text).unwrap(), keep_id);
+        let again = t.wire_label(&text).unwrap();
+        assert_eq!(t.entry(again).ids[..], [keep_id]);
+    }
+
+    #[test]
+    fn a_decode_that_raced_a_registration_is_not_indexed() {
+        let t = LabelTable::new();
+        let p = pw("wire-gen@x");
+        let before = t.wire_id("text").unwrap_err();
+        let id = t.intern_decoded("text", &p, before);
+        t.intern_decoded("other{}", &p, before);
+        assert_eq!(t.wire_id("text").unwrap(), id);
+        // A class is registered: its texts go and the generation moves,
+        // so the miss taken before it interns and indexes nothing.
+        t.forget_wire_index(|text| text == "text");
+        assert!(t.wire_id("text").is_err());
+        assert_eq!(t.wire_id("other{}").unwrap(), id, "another class's text");
+        assert_eq!(t.intern_decoded("text", &p, before), id);
+        assert!(t.wire_id("text").is_err(), "stale generation");
+        let after = t.wire_id("text").unwrap_err();
+        t.intern_decoded("text", &p, after);
+        assert_eq!(t.wire_id("text").unwrap(), id);
+        // The write index holds texts of live objects, whatever class
+        // decodes them: it stays.
+        let text = t.wire_text(id, &p);
+        t.forget_wire_index(|_| true);
+        assert!(Arc::ptr_eq(&text, &t.wire_text(id, &p)));
+        assert_eq!(t.policy_interner_stats().read_index, 0);
+    }
+
+    #[test]
+    fn a_sweep_between_decode_and_intern_leaves_no_stale_text() {
+        let t = LabelTable::new();
+        let text = "the stored text";
+        // A reader misses and decodes; an earlier reader's twin of the
+        // policy is interned already, held by nothing.
+        let miss = t.wire_id(text).unwrap_err();
+        let decoded = pw("wire-race@x");
+        let early = t.intern_policy(&pw("wire-race@x"));
+        // A gc pass gets to the table first and frees that slot.
+        t.sweep(std::iter::empty());
+        assert_eq!(t.resolve_policy(early).name(), "SweptLabel");
+        // Interning and indexing are one step: the text names a live slot
+        // that holds the decoded policy, never the freed one as it was.
+        let id = t.intern_decoded(text, &decoded, miss);
+        assert!(Arc::ptr_eq(&t.wire_policy(text).unwrap(), &decoded));
+        // Nothing roots it, so the next pass sweeps policy and text
+        // together, and the policy that moves into the slot is never what
+        // the old text reads as.
+        t.sweep(std::iter::empty());
+        assert!(t.wire_id(text).is_err());
+        let other = t.intern_policy(&pw("wire-other@x"));
+        assert_eq!(other, id, "freed slot reused");
+        assert!(t.wire_id(text).is_err() && t.wire_policy(text).is_none());
+        assert!(t.wire_label(text).is_err());
+        assert_eq!(t.policy_interner_stats().read_index, 0);
+    }
+
+    #[test]
+    fn a_text_never_reads_as_another_policy_while_gc_races_the_decoders() {
+        // Four decoders keep reviving eight texts (miss, decode, intern and
+        // index) while a gc thread sweeps with no roots and moves unrelated
+        // policies into the freed slots. Whenever a text resolves, it is to
+        // its own policy.
+        const TEXTS: usize = 8;
+        let t = LabelTable::new();
+        let email = |i: usize| format!("wire-gc-{i}@x");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for worker in 0..4 {
+                let (t, stop) = (&t, &stop);
+                s.spawn(move || {
+                    let mut hits = 0u32;
+                    for round in 0.. {
+                        if stop.load(Ordering::Relaxed) && hits > 0 {
+                            break;
+                        }
+                        let i = (round + worker) % TEXTS;
+                        let text = format!("text {i}");
+                        match t.wire_policy(&text) {
+                            Some(found) => {
+                                hits += 1;
+                                let fields = found.serialize_fields();
+                                assert_eq!(fields[0].1, email(i), "{text} read as {fields:?}");
+                            }
+                            None => {
+                                if let Err(miss) = t.wire_id(&text) {
+                                    t.intern_decoded(&text, &pw(&email(i)), miss);
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+            for n in 0..2000 {
+                t.sweep(std::iter::empty());
+                t.intern_policy(&pw(&format!("wire-gc-other-{n}@x")));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        // Every entry left names a live slot.
+        let inner = t.read();
+        for (text, &id) in &inner.interner.by_wire {
+            assert_ne!(
+                inner.interner.policies[id as usize].name(),
+                "SweptLabel",
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -97,18 +97,35 @@ impl Acl {
     }
 
     /// Serialized form: `alice:rw,bob:r,*:r`.
+    ///
+    /// `%`, `:` and `,` inside a principal are written `%XX`, so a
+    /// principal can never read back as a delimiter: a user who names
+    /// themselves `mallory:r,eve` is one (odd) principal after the round
+    /// trip, not two entries. Principals without those characters encode
+    /// as themselves.
     pub fn encode(&self) -> String {
-        self.entries
-            .iter()
-            .map(|(p, rights)| {
-                let codes: String = rights.iter().map(|r| r.code()).collect();
-                format!("{p}:{codes}")
-            })
-            .collect::<Vec<_>>()
-            .join(",")
+        let mut out = String::new();
+        for (i, (p, rights)) in self.entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            for c in p.chars() {
+                match c {
+                    '%' => out.push_str("%25"),
+                    ':' => out.push_str("%3A"),
+                    ',' => out.push_str("%2C"),
+                    c => out.push(c),
+                }
+            }
+            out.push(':');
+            out.extend(rights.iter().map(|r| r.code()));
+        }
+        out
     }
 
-    /// Parses the serialized form produced by [`Acl::encode`].
+    /// Parses the serialized form produced by [`Acl::encode`]. A
+    /// malformed entry, right code or `%XX` escape yields `None`, which
+    /// fails the revive of the policy carrying the ACL closed.
     pub fn decode(s: &str) -> Option<Acl> {
         let mut acl = Acl::new();
         if s.is_empty() {
@@ -120,7 +137,8 @@ impl Acl {
             for c in codes.chars() {
                 rights.push(Right::from_code(c)?);
             }
-            acl.entries.push((p.to_string(), rights));
+            acl.entries
+                .push((crate::serialize::unescape(p).ok()?, rights));
         }
         Some(acl)
     }
@@ -226,6 +244,41 @@ mod tests {
         assert_eq!(Acl::decode("").unwrap(), Acl::new());
         assert!(Acl::decode("bad").is_none());
         assert!(Acl::decode("x:q").is_none());
+    }
+
+    #[test]
+    fn hostile_principals_cannot_add_entries() {
+        // A principal is a user-chosen string (HotCRP puts author names
+        // in verbatim): its `:` and `,` must not read back as delimiters.
+        for hostile in [
+            "mallory@x.org:r,eve@evil.org",
+            "a,b",
+            "a:rwa",
+            "100%:r",
+            "%2C",
+            "zoë:w,*",
+            ",",
+            ":",
+        ] {
+            let a = Acl::new()
+                .grant(hostile, &[Right::Read])
+                .grant("bob", &[Right::Write]);
+            let b = Acl::decode(&a.encode()).expect("decodes");
+            assert_eq!(a, b, "{hostile:?} via {:?}", a.encode());
+            assert!(!b.may("eve@evil.org", Right::Read));
+            assert!(!b.may("anyone", Right::Read), "no wildcard smuggled in");
+            assert_eq!(b.len(), 2);
+        }
+        // A principal without the three characters encodes as itself.
+        assert_eq!(
+            Acl::new().grant("pc1@conf.org", &[Right::Read]).encode(),
+            "pc1@conf.org:r"
+        );
+        // A malformed escape fails the decode: no guessing.
+        assert!(Acl::decode("a%:r").is_none());
+        assert!(Acl::decode("a%2:r").is_none());
+        assert!(Acl::decode("a%zz:r").is_none());
+        assert!(Acl::decode("a%ff:r").is_none(), "not UTF-8");
     }
 
     #[test]

@@ -21,13 +21,49 @@
 //! [`Label`] interning: a string with a thousand spans over two distinct
 //! policies stores two policy bodies, not a thousand. The legacy format
 //! (`start..end|set;...`, inline sets per span) is still parsed on read.
+//!
+//! # Each policy is decoded once
+//!
+//! A site stores thousands of cells under a few hundred distinct
+//! policies, so the codecs here work in policy *texts*, not policy
+//! objects, through the two wire-text indexes the policy interner keeps
+//! (see [`crate::label`]):
+//!
+//! * reading, each policy text of a blob is looked up in the interner's
+//!   **read index** first. A hit is one lock and one hash, and yields the
+//!   interned id; only a miss parses the fields, runs the class's
+//!   deserializer and interns the object — and then, *because the decode
+//!   succeeded*, records the text. The index is decode-only on purpose: a
+//!   text must resolve to what the registry builds from it today, and
+//!   that is not always the policy that once serialised to it (script
+//!   policies of two declarations of one class share their text). A
+//!   failed decode (unknown class, a class its linter rejects, a bad
+//!   field) records nothing and fails again the next time;
+//! * writing, a policy's text is rendered the first time it is
+//!   serialised and kept in the **write index**; a blob's table is
+//!   deduplicated by id and joined from those texts.
+//!
+//! A label sweep drops the swept policies' entries from both indexes;
+//! [`register_policy_class`] drops the class's texts from the read index,
+//! so re-registering a class re-decodes every stored text of that class
+//! with the new deserializer, and starts a new index *generation*: a
+//! decode in flight across a registration records nothing.
+//!
+//! Lock order: the decoders here take the label table's lock (a hit
+//! reads, a miss writes), and a miss runs a registered deserializer
+//! (fetched under the class registry's lock, run after it is released),
+//! while their caller may hold a storage lock — `resin_sql` revives cells
+//! under the SQL table's read lock. So it is storage lock → label table,
+//! never the reverse, and a deserializer must not query the store it is
+//! being revived from. Nothing in the label table calls out while locked.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::error::SerializeError;
-use crate::label::Label;
+use crate::label::{Label, LabelTable, PolicyId, WireMiss};
 use crate::policies::Acl;
 use crate::policies::{
     AuthenticData, CodeApproval, EmptyPolicy, HtmlSanitized, PagePolicy, PasswordPolicy,
@@ -54,12 +90,22 @@ fn registry() -> &'static RwLock<HashMap<String, Deserializer>> {
 /// Registers a policy class for deserialization.
 ///
 /// Applications call this once (e.g. at startup) for each custom policy
-/// class they persist; the stock policies are pre-registered.
+/// class they persist; the stock policies are pre-registered. Registering
+/// (or replacing) a class drops that class's texts from the interner's
+/// read index: each is decoded again, by the deserializer registered now.
+/// Texts of other classes stay, so a site that loads a policy script per
+/// request keeps its other policies warm. (A deserializer that decodes
+/// *other* classes' texts for nested policies is not tracked: register it
+/// again when they change.)
 pub fn register_policy_class(
     name: impl Into<String>,
     deserializer: impl Fn(&FieldMap) -> Result<PolicyRef, SerializeError> + Send + Sync + 'static,
 ) {
-    crate::sync::wlock(registry()).insert(name.into(), Arc::new(deserializer));
+    let name = name.into();
+    crate::sync::wlock(registry()).insert(name.clone(), Arc::new(deserializer));
+    // After the registry changed, never before: a decode that fetched the
+    // old deserializer holds a miss of the old generation.
+    LabelTable::global().forget_wire_index(|text| wire_class(text).as_deref() == Some(&name));
 }
 
 /// True if `name` is a registered policy class.
@@ -137,26 +183,31 @@ fn install_defaults(map: &mut HashMap<String, Deserializer>) {
 
 // ---- escaping ----
 
-const META: &[char] = &['%', '{', '}', ';', ',', '=', '|', '#'];
+const META: &[u8] = b"%{};,=|#";
 
+/// `s` with every metacharacter written `%XX`. Every metacharacter is
+/// ASCII, so the stretches between them are copied as they are, whatever
+/// they hold.
 fn escape(s: &str) -> String {
-    if !s.contains(META) {
-        return s.to_string();
-    }
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut out = String::with_capacity(s.len() + 4);
-    for b in s.bytes() {
-        let c = b as char;
-        if META.contains(&c) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if META.contains(&b) {
+            out.push_str(&s[copied..i]);
             out.push('%');
-            out.push_str(&format!("{b:02X}"));
-        } else {
-            out.push(c);
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 15)] as char);
+            copied = i + 1;
         }
     }
+    out.push_str(&s[copied..]);
     out
 }
 
-fn unescape(s: &str) -> Result<String, SerializeError> {
+/// `s` with every `%XX` read back as the byte it names ([`escape`]'s
+/// inverse, and `Acl::decode`'s for principals).
+pub(crate) fn unescape(s: &str) -> Result<String, SerializeError> {
     if !s.contains('%') {
         return Ok(s.to_string());
     }
@@ -184,17 +235,41 @@ fn unescape(s: &str) -> Result<String, SerializeError> {
 
 /// Serializes one policy: class name plus data fields.
 pub fn serialize_policy(policy: &PolicyRef) -> String {
-    let fields = policy
-        .serialize_fields()
-        .into_iter()
-        .map(|(k, v)| format!("{}={}", escape(&k), escape(&v)))
-        .collect::<Vec<_>>()
-        .join(";");
-    format!("{}{{{}}}", escape(policy.name()), fields)
+    let mut out = escape(policy.name());
+    out.push('{');
+    for (i, (k, v)) in policy.serialize_fields().iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        out.push_str(&escape(k));
+        out.push('=');
+        out.push_str(&escape(v));
+    }
+    out.push('}');
+    out
 }
 
 /// Deserializes one policy via the class registry.
+///
+/// A text the interner's read index holds yields the canonical interned
+/// object it decoded to; any other is decoded (and, having no label to
+/// join, neither interned nor indexed).
 pub fn deserialize_policy(s: &str) -> Result<PolicyRef, SerializeError> {
+    match LabelTable::global().wire_policy(s) {
+        Some(policy) => Ok(policy),
+        None => decode_policy(s),
+    }
+}
+
+/// The class a policy text names: what stands before its `{`, unescaped.
+fn wire_class(text: &str) -> Option<String> {
+    unescape(text.split_once('{')?.0).ok()
+}
+
+/// Rebuilds a policy object from its wire text: parses the fields and runs
+/// the class's registered deserializer. The slow path behind the read
+/// index, and the only one that knows the `Name{key=value;…}` grammar.
+fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
     let open = s
         .find('{')
         .ok_or_else(|| SerializeError::Malformed(format!("no `{{` in `{s}`")))?;
@@ -221,34 +296,61 @@ pub fn deserialize_policy(s: &str) -> Result<PolicyRef, SerializeError> {
     deser(&fields)
 }
 
+/// The read-index miss path: decodes `text`, then interns what it built
+/// and — the decode having succeeded — records the text under that id,
+/// in one step (a label sweep must not come between the two).
+fn decode_and_index(text: &str, miss: WireMiss) -> Result<PolicyId, SerializeError> {
+    let policy = decode_policy(text)?;
+    Ok(LabelTable::global().intern_decoded(text, &policy, miss))
+}
+
+/// The wire text of one member of a label: `id`'s, from the interner's
+/// write index. A swept label keeps no ids; its tombstone policy is
+/// written by name, uncached, and fails the read back closed (no such
+/// class).
+fn member_text(id: Option<PolicyId>, policy: &PolicyRef) -> Arc<str> {
+    match id {
+        Some(id) => LabelTable::global().wire_text(id, policy),
+        None => serialize_policy(policy).into(),
+    }
+}
+
 /// Serializes an interned label (comma-joined policies). The empty label
 /// serializes to the empty string.
 pub fn serialize_label(label: Label) -> String {
+    let mut out = String::new();
     if label.is_empty() {
-        return String::new();
+        return out;
     }
-    label
-        .policies()
-        .iter()
-        .map(serialize_policy)
-        .collect::<Vec<_>>()
-        .join(",")
+    let (ids, policies) = label.members();
+    for (i, policy) in policies.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&member_text(ids.get(i).copied(), policy));
+    }
+    out
 }
 
 /// Deserializes a label, interning each revived policy.
 ///
 /// The round-trip is canonical: structurally equal policies intern to the
-/// same [`PolicyId`](crate::label::PolicyId), so
+/// same [`PolicyId`], so
 /// `deserialize_label(&serialize_label(l)) == l` for any `l`.
 pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
     if s.is_empty() {
         return Ok(Label::EMPTY);
     }
-    let mut policies = Vec::new();
-    for part in split_top_level(s, ',') {
-        policies.push(deserialize_policy(part)?);
+    let table = LabelTable::global();
+    let mut ids = Vec::new();
+    let mut parts = TopLevel::new(s, *b",");
+    while let Some((part, _)) = parts.next_part() {
+        ids.push(match table.wire_id(part) {
+            Ok(id) => id,
+            Err(miss) => decode_and_index(part, miss)?,
+        });
     }
-    Ok(Label::from_policies(policies.iter()))
+    Ok(table.intern_ids(ids))
 }
 
 /// Version of the textual policy wire format.
@@ -270,29 +372,88 @@ pub const WIRE_VERSION: u32 = 2;
 /// `{...}` belongs to a field, not the list. Public so storage layers
 /// (e.g. `resin_store`'s snapshot encoder) can re-tokenize persisted
 /// blobs without deserializing policy objects.
+///
+/// # Panics
+/// Panics if `sep` is not ASCII: every separator of the format is.
 pub fn split_serialized(s: &str, sep: char) -> Vec<&str> {
-    split_top_level(s, sep)
+    assert!(sep.is_ascii(), "wire separators are ASCII, not `{sep}`");
+    let mut parts = TopLevel::new(s, [sep as u8]);
+    std::iter::from_fn(|| parts.next_part().map(|(part, _)| part)).collect()
 }
 
-/// Splits on `sep`, but only outside `{...}` (metacharacters inside names
-/// and values are escaped, so brace depth is reliable).
-fn split_top_level(s: &str, sep: char) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => depth = depth.saturating_sub(1),
-            c if c == sep && depth == 0 => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
+/// The one scanner of the wire format's lists: walks `src` and hands out
+/// each stretch between separators at brace depth zero, with the separator
+/// that ended it. Over bytes (every separator and brace is ASCII, and
+/// escaped inside names and values), for several separators at once, and
+/// with no vector of parts.
+struct TopLevel<'a, const N: usize> {
+    src: &'a str,
+    /// Where the next part starts; past the end once the last is out.
+    pos: usize,
+    seps: [u8; N],
+}
+
+impl<'a, const N: usize> TopLevel<'a, N> {
+    fn new(src: &'a str, seps: [u8; N]) -> Self {
+        TopLevel { src, pos: 0, seps }
     }
-    out.push(&s[start..]);
-    out
+
+    /// The next part and the separator after it (`None` for the last).
+    fn next_part(&mut self) -> Option<(&'a str, Option<u8>)> {
+        let tail = self.src.get(self.pos..)?;
+        let mut depth = 0usize;
+        for (i, b) in tail.bytes().enumerate() {
+            match b {
+                b'{' => depth += 1,
+                b'}' => depth = depth.saturating_sub(1),
+                _ if depth == 0 && self.seps.contains(&b) => {
+                    self.pos += i + 1;
+                    return Some((&tail[..i], Some(b)));
+                }
+                _ => {}
+            }
+        }
+        self.pos = self.src.len() + 1;
+        Some((tail, None))
+    }
+
+    /// What no part has covered yet.
+    fn rest(&self) -> &'a str {
+        self.src.get(self.pos..).unwrap_or("")
+    }
+}
+
+/// The policy table of one spans blob as it is written: each distinct
+/// wire text once, in order of first use.
+#[derive(Default)]
+struct WireTable {
+    texts: Vec<Arc<str>>,
+    /// Table index of each policy id met so far. A string carries a
+    /// handful of distinct policies, so both lookups are short walks.
+    by_id: Vec<(PolicyId, usize)>,
+}
+
+impl WireTable {
+    /// The table index of one member of a label, entering its text on
+    /// first sight. Two ids can share a text (script policies of two
+    /// class declarations): they share the entry, as they always did.
+    fn index_of(&mut self, id: Option<PolicyId>, policy: &PolicyRef) -> usize {
+        if let Some(&(_, i)) = self.by_id.iter().find(|(seen, _)| Some(*seen) == id) {
+            return i;
+        }
+        let text = member_text(id, policy);
+        let i = match self.texts.iter().position(|t| **t == *text) {
+            Some(i) => i,
+            None => {
+                self.texts.push(text);
+                self.texts.len() - 1
+            }
+        };
+        if let Some(id) = id {
+            self.by_id.push((id, i));
+        }
+        i
+    }
 }
 
 /// Serializes the byte-range policy spans of a tainted string.
@@ -308,26 +469,34 @@ pub fn serialize_spans(data: &TaintedString) -> String {
     if data.is_untainted() {
         return String::new();
     }
-    // Local dedup table: serialized policy body -> index.
-    let mut table: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut spans: Vec<String> = Vec::new();
+    let mut table = WireTable::default();
+    let mut spans = String::new();
     for (r, label) in data.spans() {
-        let idxs: Vec<String> = label
-            .policies()
-            .iter()
-            .map(|p| {
-                let body = serialize_policy(p);
-                let i = *index.entry(body.clone()).or_insert_with(|| {
-                    table.push(body);
-                    table.len() - 1
-                });
-                i.to_string()
-            })
-            .collect();
-        spans.push(format!("{}..{}|{}", r.start, r.end, idxs.join(",")));
+        if !spans.is_empty() {
+            spans.push(';');
+        }
+        // Writing to a `String` cannot fail.
+        let _ = write!(spans, "{}..{}|", r.start, r.end);
+        let (ids, policies) = label.members();
+        for (i, policy) in policies.iter().enumerate() {
+            if i > 0 {
+                spans.push(',');
+            }
+            let _ = write!(spans, "{}", table.index_of(ids.get(i).copied(), policy));
+        }
     }
-    format!("#{}#{}", table.join(","), spans.join(";"))
+    let bodies: usize = table.texts.iter().map(|t| t.len() + 1).sum();
+    let mut out = String::with_capacity(bodies + spans.len() + 2);
+    out.push('#');
+    for (i, text) in table.texts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(text);
+    }
+    out.push('#');
+    out.push_str(&spans);
+    out
 }
 
 fn parse_range(range: &str) -> Result<(usize, usize), SerializeError> {
@@ -340,62 +509,104 @@ fn parse_range(range: &str) -> Result<(usize, usize), SerializeError> {
     let end: usize = b
         .parse()
         .map_err(|_| SerializeError::Malformed(format!("bad end `{b}`")))?;
+    // Nothing writes a reversed range; read as "no bytes" it would turn a
+    // corrupt blob into untainted text.
+    if start > end {
+        return Err(SerializeError::Malformed(format!(
+            "reversed range `{range}`"
+        )));
+    }
     Ok((start, end))
+}
+
+fn names_no_policy(span: &str) -> SerializeError {
+    SerializeError::Malformed(format!("span `{span}` names no policy"))
 }
 
 /// Re-attaches serialized spans to `text`, producing a tainted string.
 ///
 /// Accepts both the interned `#table#spans` format and the legacy
-/// per-span-inline-set format (`start..end|set;...`).
+/// per-span-inline-set format (`start..end|set;...`). A blob that is not
+/// exactly one of the two is an error, never a less tainted string: that
+/// includes a span whose range is reversed or that names no policy.
+/// (A span reaching past `text` is clipped to it.)
 pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
     let mut out = TaintedString::from(text);
     if spans.is_empty() {
         return Ok(out);
     }
-    if let Some(rest) = spans.strip_prefix('#') {
-        // Interned format: `#table#spans`.
-        let parts = split_top_level(rest, '#');
-        let [table_src, spans_src] = parts.as_slice() else {
-            return Err(SerializeError::Malformed(format!(
-                "expected `#table#spans`, got `{spans}`"
-            )));
-        };
-        let mut labels: Vec<Label> = Vec::new();
-        if !table_src.is_empty() {
-            for part in split_top_level(table_src, ',') {
-                let policy = deserialize_policy(part)?;
-                labels.push(Label::of(&policy));
-            }
-        }
-        if spans_src.is_empty() {
-            return Ok(out);
-        }
-        for part in split_top_level(spans_src, ';') {
-            let (range, idxs) = part
+    let Some(rest) = spans.strip_prefix('#') else {
+        // Legacy format: inline policy sets per span.
+        for part in split_serialized(spans, ';') {
+            let (range, set) = part
                 .split_once('|')
                 .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
             let (start, end) = parse_range(range)?;
-            let mut label = Label::EMPTY;
-            for idx in idxs.split(',').filter(|s| !s.is_empty()) {
-                let i: usize = idx
-                    .parse()
-                    .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
-                let l = labels.get(i).ok_or_else(|| {
-                    SerializeError::Malformed(format!("index `{i}` outside the policy table"))
-                })?;
-                label = label.union(*l);
+            if set.is_empty() {
+                return Err(names_no_policy(part));
             }
+            let label = deserialize_label(set)?;
             out.add_label_range(start..end, label);
         }
         return Ok(out);
+    };
+
+    // Interned format, `#table#spans`, in one walk over the blob: the
+    // table's texts resolve through the read index as they go by, and
+    // nothing is decoded until the blob is known to have its two parts.
+    let not_two_parts =
+        || SerializeError::Malformed(format!("expected `#table#spans`, got `{spans}`"));
+    let table = LabelTable::global();
+    let mut labels: Vec<Label> = Vec::new();
+    let mut misses: Vec<(usize, &str, WireMiss)> = Vec::new();
+    let mut parts = TopLevel::new(rest, *b",#");
+    loop {
+        let (part, Some(sep)) = parts.next_part().ok_or_else(not_two_parts)? else {
+            return Err(not_two_parts());
+        };
+        // `##…` is the empty table, not a table of one empty text.
+        if !(sep == b'#' && part.is_empty() && labels.is_empty()) {
+            match table.wire_label(part) {
+                Ok(label) => labels.push(label),
+                Err(miss) => {
+                    misses.push((labels.len(), part, miss));
+                    labels.push(Label::EMPTY);
+                }
+            }
+        }
+        if sep == b'#' {
+            break;
+        }
     }
-    // Legacy format: inline policy sets per span.
-    for part in split_top_level(spans, ';') {
-        let (range, set) = part
+    let spans_src = parts.rest();
+    if let Some((_, Some(_))) = TopLevel::new(spans_src, *b"#").next_part() {
+        return Err(not_two_parts());
+    }
+    for (i, part, miss) in misses {
+        labels[i] = Label::from_id(decode_and_index(part, miss)?);
+    }
+
+    if spans_src.is_empty() {
+        return Ok(out);
+    }
+    for part in spans_src.split(';') {
+        let (range, idxs) = part
             .split_once('|')
             .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
         let (start, end) = parse_range(range)?;
-        let label = deserialize_label(set)?;
+        let mut label = Label::EMPTY;
+        for idx in idxs.split(',').filter(|s| !s.is_empty()) {
+            let i: usize = idx
+                .parse()
+                .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
+            let l = labels.get(i).ok_or_else(|| {
+                SerializeError::Malformed(format!("index `{i}` outside the policy table"))
+            })?;
+            label = label.union(*l);
+        }
+        if label.is_empty() {
+            return Err(names_no_policy(part));
+        }
         out.add_label_range(start..end, label);
     }
     Ok(out)
@@ -509,6 +720,36 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_blob_is_an_error_never_untainted_text() {
+        // Each of these used to come back `Ok` and untainted: the reversed
+        // range was an edit of no bytes, the empty index list a union of
+        // nothing. The oracle takes the same view.
+        for blob in [
+            "#UntrustedData{}#7..2|0",
+            "#UntrustedData{}#0..5|",
+            "#UntrustedData{}#0..5|,",
+            "#UntrustedData{}#0..5|3",
+            "##0..5|",
+            "7..2|UntrustedData{}",
+            "0..5|",
+        ] {
+            for got in [
+                deserialize_spans("hello world", blob),
+                oracle::deserialize_spans("hello world", blob),
+            ] {
+                assert!(
+                    matches!(got, Err(SerializeError::Malformed(_))),
+                    "{blob}: {got:?}"
+                );
+            }
+        }
+        // Still fine: an empty range, and one clipped to the text.
+        let t = deserialize_spans("hello", "#UntrustedData{}#2..2|0;3..99|0").unwrap();
+        assert_eq!(t.spans().collect::<Vec<_>>().len(), 1);
+        assert!(t.label_at(4).has::<UntrustedData>() && t.label_at(2).is_empty());
+    }
+
+    #[test]
     fn unknown_class_is_error() {
         let err = deserialize_policy("Mystery{}").unwrap_err();
         assert!(matches!(err, SerializeError::UnknownClass(_)));
@@ -583,5 +824,321 @@ mod tests {
         });
         let q = deserialize_policy(&s).unwrap();
         assert!(downcast_policy::<Evolving>(&q).unwrap().0);
+    }
+
+    #[test]
+    fn escape_copies_what_is_not_a_metacharacter() {
+        // The `,` sends both strings through the escaping loop, which used
+        // to re-encode each byte of `ë` as a character of its own.
+        let acl = Acl::new()
+            .grant("zoë@conf.org", &[Right::Read])
+            .grant("bob@conf.org", &[Right::Read]);
+        let p: PolicyRef = Arc::new(PagePolicy::new(acl.clone()));
+        let q = deserialize_policy(&serialize_policy(&p)).unwrap();
+        assert_eq!(downcast_policy::<PagePolicy>(&q).unwrap().acl(), &acl);
+        let p: PolicyRef = Arc::new(PasswordPolicy::new("josé=x@conf.org"));
+        let q = deserialize_policy(&serialize_policy(&p)).unwrap();
+        assert_eq!(
+            downcast_policy::<PasswordPolicy>(&q).unwrap().email(),
+            "josé=x@conf.org"
+        );
+        assert_eq!(escape("é,€"), "é%2C€");
+    }
+
+    /// The codecs as they stood before the interner learnt wire texts:
+    /// every policy rendered per span and decoded per blob, through
+    /// vectors of parts. Kept as the slow half of a differential (with
+    /// the two fail-closed checks, which are about the format, not the
+    /// method).
+    mod oracle {
+        use super::*;
+
+        /// The splitter the codecs used, one `char` at a time into a
+        /// vector; [`split_serialized`] now runs the byte scanner.
+        pub fn split_top_level(s: &str, sep: char) -> Vec<&str> {
+            let mut out = Vec::new();
+            let mut depth = 0usize;
+            let mut start = 0usize;
+            for (i, c) in s.char_indices() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => depth = depth.saturating_sub(1),
+                    c if c == sep && depth == 0 => {
+                        out.push(&s[start..i]);
+                        start = i + 1;
+                    }
+                    _ => {}
+                }
+            }
+            out.push(&s[start..]);
+            out
+        }
+
+        pub fn serialize_label(label: Label) -> String {
+            if label.is_empty() {
+                return String::new();
+            }
+            label
+                .policies()
+                .iter()
+                .map(serialize_policy)
+                .collect::<Vec<_>>()
+                .join(",")
+        }
+
+        pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
+            if s.is_empty() {
+                return Ok(Label::EMPTY);
+            }
+            let mut policies = Vec::new();
+            for part in split_top_level(s, ',') {
+                policies.push(decode_policy(part)?);
+            }
+            Ok(Label::from_policies(policies.iter()))
+        }
+
+        pub fn serialize_spans(data: &TaintedString) -> String {
+            if data.is_untainted() {
+                return String::new();
+            }
+            // Local dedup table: serialized policy body -> index.
+            let mut table: Vec<String> = Vec::new();
+            let mut index: HashMap<String, usize> = HashMap::new();
+            let mut spans: Vec<String> = Vec::new();
+            for (r, label) in data.spans() {
+                let idxs: Vec<String> = label
+                    .policies()
+                    .iter()
+                    .map(|p| {
+                        let body = serialize_policy(p);
+                        let i = *index.entry(body.clone()).or_insert_with(|| {
+                            table.push(body);
+                            table.len() - 1
+                        });
+                        i.to_string()
+                    })
+                    .collect();
+                spans.push(format!("{}..{}|{}", r.start, r.end, idxs.join(",")));
+            }
+            format!("#{}#{}", table.join(","), spans.join(";"))
+        }
+
+        pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
+            let mut out = TaintedString::from(text);
+            if spans.is_empty() {
+                return Ok(out);
+            }
+            if let Some(rest) = spans.strip_prefix('#') {
+                let parts = split_top_level(rest, '#');
+                let [table_src, spans_src] = parts.as_slice() else {
+                    return Err(SerializeError::Malformed(format!(
+                        "expected `#table#spans`, got `{spans}`"
+                    )));
+                };
+                let mut labels: Vec<Label> = Vec::new();
+                if !table_src.is_empty() {
+                    for part in split_top_level(table_src, ',') {
+                        let policy = decode_policy(part)?;
+                        labels.push(Label::of(&policy));
+                    }
+                }
+                if spans_src.is_empty() {
+                    return Ok(out);
+                }
+                for part in split_top_level(spans_src, ';') {
+                    let (range, idxs) = part
+                        .split_once('|')
+                        .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
+                    let (start, end) = parse_range(range)?;
+                    let mut label = Label::EMPTY;
+                    for idx in idxs.split(',').filter(|s| !s.is_empty()) {
+                        let i: usize = idx
+                            .parse()
+                            .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
+                        let l = labels.get(i).ok_or_else(|| {
+                            SerializeError::Malformed(format!(
+                                "index `{i}` outside the policy table"
+                            ))
+                        })?;
+                        label = label.union(*l);
+                    }
+                    if label.is_empty() {
+                        return Err(names_no_policy(part));
+                    }
+                    // One edit per span, not an append.
+                    out.spans_mut()
+                        .edit(start.min(text.len())..end.min(text.len()), |cur| {
+                            cur.union(label)
+                        });
+                }
+                return Ok(out);
+            }
+            for part in split_top_level(spans, ';') {
+                let (range, set) = part
+                    .split_once('|')
+                    .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
+                let (start, end) = parse_range(range)?;
+                if set.is_empty() {
+                    return Err(names_no_policy(part));
+                }
+                let label = deserialize_label(set)?;
+                out.spans_mut()
+                    .edit(start.min(text.len())..end.min(text.len()), |cur| {
+                        cur.union(label)
+                    });
+            }
+            Ok(out)
+        }
+    }
+
+    /// A policy made from generated strings: hostile names, emails and
+    /// principals, metacharacters, `%` and non-ASCII included.
+    fn generated_policy(kind: usize, a: &str, b: &str) -> PolicyRef {
+        match kind % 5 {
+            0 => Arc::new(UntrustedData::new()),
+            1 => Arc::new(UntrustedData::from_source(a)),
+            2 => Arc::new(PasswordPolicy::new(a)),
+            3 => Arc::new(PasswordPolicy::strict(b)),
+            _ => Arc::new(PagePolicy::new(
+                Acl::new()
+                    .grant(a, &[Right::Read])
+                    .grant(b, &[Right::Read, Right::Write])
+                    .grant("pc@conf.org", &[Right::Read]),
+            )),
+        }
+    }
+
+    fn same_spans(a: &TaintedString, b: &TaintedString) -> bool {
+        a.as_str() == b.as_str() && a.spans().eq(b.spans())
+    }
+
+    /// What a decode came to, in a form two decoders can be compared by:
+    /// the spans, or the error's variant.
+    fn outcome(
+        r: Result<TaintedString, SerializeError>,
+    ) -> Result<Vec<(std::ops::Range<usize>, Label)>, std::mem::Discriminant<SerializeError>> {
+        r.map(|t| t.spans().collect())
+            .map_err(|e| std::mem::discriminant(&e))
+    }
+
+    proptest::proptest! {
+        /// Satellite of the wire-text indexes: a policy's text is a
+        /// canonical name for it. Whatever the strings hold, the text
+        /// decodes to an object that interns to the same id.
+        #[test]
+        fn policy_text_round_trips_to_the_same_id(
+            kind in 0usize..5,
+            a in "[a-cé€ß%:,=;{}|#@. ]{0,10}",
+            b in "[x-zøλ%:,=;{}|#*'\"]{0,10}",
+        ) {
+            let p = generated_policy(kind, &a, &b);
+            let text = serialize_policy(&p);
+            let q = deserialize_policy(&text).unwrap();
+            proptest::prop_assert_eq!(PolicyId::intern(&q), PolicyId::intern(&p));
+            proptest::prop_assert_eq!(serialize_policy(&q), text.clone());
+            // Through the label codec the text is indexed, and the second
+            // read is a hit: same label both times.
+            let label = Label::of(&p);
+            proptest::prop_assert_eq!(deserialize_label(&text).unwrap(), label);
+            proptest::prop_assert_eq!(deserialize_label(&text).unwrap(), label);
+        }
+
+        /// The codecs against the ones they replaced, on strings of up to
+        /// eight spans over single and multi-policy labels: same bytes
+        /// out, same spans back, from the interned blob and from the
+        /// legacy one.
+        #[test]
+        fn codecs_agree_with_the_oracles(
+            text in "[a-zé ]{1,48}",
+            pieces in proptest::prop::collection::vec(((0usize..48, 0usize..24), (0usize..5, 0usize..5)), 0..8),
+            a in "[a-cé%:,=;{}|#@]{0,8}",
+            b in "[x-zλ%:,=;{}|#]{0,8}",
+        ) {
+            let mut data = TaintedString::from(text.as_str());
+            for ((start, len), (k1, k2)) in pieces {
+                // Byte ranges, as stored: they need not respect characters.
+                let label = Label::of(&generated_policy(k1, &a, &b))
+                    .union(Label::of(&generated_policy(k2, &b, &a)));
+                data.add_label_range(start..start + len, label);
+            }
+            let blob = serialize_spans(&data);
+            proptest::prop_assert_eq!(&blob, &oracle::serialize_spans(&data));
+            let label = data.label();
+            proptest::prop_assert_eq!(serialize_label(label), oracle::serialize_label(label));
+            proptest::prop_assert_eq!(
+                deserialize_label(&serialize_label(label)),
+                oracle::deserialize_label(&serialize_label(label))
+            );
+
+            let fast = deserialize_spans(&text, &blob).unwrap();
+            let slow = oracle::deserialize_spans(&text, &blob).unwrap();
+            proptest::prop_assert!(same_spans(&fast, &slow) && same_spans(&fast, &data));
+            // Read against a shorter text, spans clip alike.
+            let short = &text[..text.char_indices().nth(text.chars().count() / 2).unwrap().0];
+            proptest::prop_assert!(same_spans(
+                &deserialize_spans(short, &blob).unwrap(),
+                &oracle::deserialize_spans(short, &blob).unwrap()
+            ));
+
+            let legacy = data
+                .spans()
+                .map(|(r, l)| format!("{}..{}|{}", r.start, r.end, serialize_label(l)))
+                .collect::<Vec<_>>()
+                .join(";");
+            let fast = deserialize_spans(&text, &legacy).unwrap();
+            let slow = oracle::deserialize_spans(&text, &legacy).unwrap();
+            proptest::prop_assert!(same_spans(&fast, &slow) && same_spans(&fast, &data));
+        }
+
+        /// The byte scanner cuts where the `char` splitter did, on any
+        /// nesting, balanced or not, around any text.
+        #[test]
+        fn one_scanner_splits_as_the_splitter_did(src in "[a-bé€{},;#%|=]{0,24}") {
+            for sep in [',', ';', '#'] {
+                proptest::prop_assert_eq!(
+                    split_serialized(&src, sep),
+                    oracle::split_top_level(&src, sep)
+                );
+            }
+        }
+
+        /// On damaged blobs the two decoders fail alike — the same error
+        /// variant — or, where the damage still parses, revive the same
+        /// spans: one byte of a good blob overwritten, a stretch cut out,
+        /// or spans in an order and overlap nothing writes.
+        #[test]
+        fn damaged_blobs_fail_alike(
+            k in (0usize..5, 0usize..5),
+            cuts in (0usize..400, 0usize..6),
+            damage in "[0-9#{}|;,.=%+Mx]{1}",
+            at in 0usize..400,
+        ) {
+            let text = "0123456789abcdefghij";
+            let mut data = TaintedString::from(text);
+            data.add_label_range(2..9, Label::of(&generated_policy(k.0, "a,b", "c%")));
+            data.add_label_range(5..14, Label::of(&generated_policy(k.1, "d=e", "f#")));
+            let blob = serialize_spans(&data);
+            let at = at % blob.len();
+            let mut damaged = blob.clone().into_bytes();
+            damaged[at] = damage.as_bytes()[0];
+            let (cut, len) = (cuts.0 % blob.len(), cuts.1);
+            let mut cut_out = blob.clone().into_bytes();
+            cut_out.drain(cut..(cut + len).min(blob.len()));
+            let table = &blob[..blob.rfind('#').unwrap()];
+            for bad in [
+                String::from_utf8(damaged).unwrap(),
+                String::from_utf8(cut_out).unwrap(),
+                format!("{table}#9..14|0;2..9|0,0;5..30|0"),
+                format!("{table}#+2..+9|+0"),
+                format!("{table}#2..9|0#"),
+                format!("#Mystery{{}},{}", &blob[1..]),
+                "#Mystery{}#0..1|0#".to_string(),
+            ] {
+                proptest::prop_assert_eq!(
+                    outcome(deserialize_spans(text, &bad)),
+                    outcome(oracle::deserialize_spans(text, &bad))
+                );
+            }
+        }
     }
 }

@@ -348,6 +348,11 @@ impl SpanMap {
         if label.is_empty() {
             return;
         }
+        // Spans revived from storage arrive in byte order: each lands at
+        // or past the map's end and is an O(1) append, not an edit.
+        if self.spans.last().is_none_or(|last| last.end <= range.start) {
+            return self.push_coalesced(range.start, range.end, label);
+        }
         self.edit(range, |cur| cur.union(label));
     }
 

@@ -125,6 +125,13 @@ impl TaintedString {
             .add_label(range.start.min(len)..range.end.min(len), label);
     }
 
+    /// The span map itself, for the serialize oracle, which adds each
+    /// span by a plain [`SpanMap::edit`] as the codec once did.
+    #[cfg(test)]
+    pub(crate) fn spans_mut(&mut self) -> &mut SpanMap {
+        &mut self.spans
+    }
+
     /// Removes any policy equal to `policy` from every byte.
     pub fn remove_policy(&mut self, policy: &PolicyRef) {
         let len = self.len();

@@ -11,8 +11,8 @@
 //! table names to `Arc<RwLock<Table>>`, so locking is **per table** —
 //! readers of `posts` never contend with writers of `sessions`, and two
 //! readers of the same table proceed in parallel. The per-table operations
-//! (`table_insert`, `table_select`, `table_update`, `table_delete`) are
-//! free functions over a single locked [`Table`].
+//! (`table_insert`, `matching_rows` and `project`, `table_update`,
+//! `table_delete`) are free functions over a single locked [`Table`].
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -279,9 +279,7 @@ impl Database {
                 table_insert(&mut t, table, columns.as_deref(), rows, params).map(affected)
             }
             Statement::Select(sel) => {
-                let catalog = rlock(&self.catalog);
-                let t = rlock(Self::resolve(&catalog, &sel.table)?);
-                table_select(&t, sel, params)
+                self.select_rows(sel, params, |t, rows| project(t, sel, rows))
             }
             Statement::Update {
                 table,
@@ -301,6 +299,24 @@ impl Database {
                 table_delete(&mut t, where_clause.as_ref(), params).map(affected)
             }
         }
+    }
+
+    /// Runs the row-finding half of a SELECT — access path, WHERE, ORDER
+    /// BY, LIMIT — and hands `f` the table and the matching rows,
+    /// *borrowed*, under the table's read lock. The projection is `f`'s
+    /// business: [`execute`](Database::execute) clones the projected
+    /// cells into a [`QueryResult`]; the policy-column rewrite revives
+    /// each cell straight from the stored row and copies no blob.
+    pub(crate) fn select_rows<R>(
+        &self,
+        sel: &SelectStmt,
+        params: &[Value],
+        f: impl FnOnce(&Table, &[&Vec<Value>]) -> Result<R>,
+    ) -> Result<R> {
+        let catalog = rlock(&self.catalog);
+        let t = rlock(Self::resolve(&catalog, &sel.table)?);
+        let rows = matching_rows(&t, sel, params)?;
+        f(&t, &rows)
     }
 
     /// Parses and executes a query string (tests and diagnostics).
@@ -389,14 +405,18 @@ pub(crate) fn table_insert(
     Ok(affected)
 }
 
-/// Runs a SELECT against one table.
+/// The rows of `t` a SELECT matches, in result order.
 ///
 /// The [`crate::plan`] module picks the access path: a full scan, an
 /// index probe (candidate ids that the full predicate is re-applied to,
 /// so probes are exactly as selective as scans), or ordered-index
 /// iteration that yields rows already in ORDER BY order (skipping the
 /// sort and stopping at LIMIT).
-pub(crate) fn table_select(t: &Table, sel: &SelectStmt, params: &[Value]) -> Result<QueryResult> {
+fn matching_rows<'t>(
+    t: &'t Table,
+    sel: &SelectStmt,
+    params: &[Value],
+) -> Result<Vec<&'t Vec<Value>>> {
     let order = match &sel.order_by {
         Some((col, desc)) => {
             let idx = t
@@ -469,6 +489,23 @@ pub(crate) fn table_select(t: &Table, sel: &SelectStmt, params: &[Value]) -> Res
             matched.truncate(limit);
         }
     }
+    Ok(matched)
+}
+
+/// Positions in `t`'s rows of the columns called `names`.
+pub(crate) fn column_positions(t: &Table, names: &[String]) -> Result<Vec<usize>> {
+    names
+        .iter()
+        .map(|c| {
+            t.col_index(c)
+                .ok_or_else(|| SqlError::schema(format!("no column `{c}`")))
+        })
+        .collect()
+}
+
+/// The projecting half of a SELECT: `sel`'s columns of the matched rows,
+/// cloned into a result.
+fn project(t: &Table, sel: &SelectStmt, matched: &[&Vec<Value>]) -> Result<QueryResult> {
     match &sel.projection {
         Projection::CountStar => Ok(QueryResult {
             columns: vec!["count".to_string()],
@@ -477,19 +514,13 @@ pub(crate) fn table_select(t: &Table, sel: &SelectStmt, params: &[Value]) -> Res
         }),
         Projection::Star => Ok(QueryResult {
             columns: t.columns.iter().map(|c| c.name.clone()).collect(),
-            rows: matched.into_iter().cloned().collect(),
+            rows: matched.iter().map(|&r| r.clone()).collect(),
             affected: 0,
         }),
         Projection::Columns(cols) => {
-            let idxs: Vec<usize> = cols
-                .iter()
-                .map(|c| {
-                    t.col_index(c)
-                        .ok_or_else(|| SqlError::schema(format!("no column `{c}`")))
-                })
-                .collect::<Result<_>>()?;
+            let idxs = column_positions(t, cols)?;
             let rows = matched
-                .into_iter()
+                .iter()
                 .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
                 .collect();
             Ok(QueryResult {
