@@ -1,5 +1,6 @@
 //! The paper applications served concurrently: forum and wiki as
-//! [`WebApp`]s behind the worker-pool dispatcher.
+//! [`WebApp`]s, dispatched by `resin_web::serve_request` from any number
+//! of threads (the TCP edge's worker pool in `resin-net`).
 //!
 //! This is the serving topology of §6 — many users hitting one
 //! application over shared state — rebuilt on the concurrent substrate:
@@ -7,8 +8,8 @@
 //! * [`ForumApp`]: a phpBB-style forum whose posts live in a
 //!   [`ResinDb`] (policy columns persist taint across storage, the
 //!   injection guard rides the sql gate) and whose logins live in a
-//!   shared [`SessionStore`]. Every worker holds the same state; every
-//!   request gets its own `Response`/`Context`.
+//!   shared [`SessionStore`]. Every serving thread sees the same state;
+//!   every request gets its own `Response`/`Context`.
 //! * [`WikiApp`]: the MoinMoin core behind an `RwLock` — concurrent
 //!   readers render pages in parallel, editors serialize on the lock,
 //!   and the VFS read/write ACL assertions fire exactly as they do
@@ -16,8 +17,8 @@
 //!
 //! Both apps keep their wired-in vulnerable endpoints (`/view_raw`,
 //! `/raw`, `/redirect`) so the attack suite can verify that XSS, SQL
-//! injection, and response splitting **fail closed** when driven through
-//! the concurrent dispatcher.
+//! injection, and response splitting **fail closed** when served
+//! concurrently.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -540,45 +541,46 @@ impl WebApp for WikiApp {
 mod tests {
     use super::*;
     use resin_core::{Acl, Right};
-    use resin_web::server::Server;
+    use resin_web::serve_request;
 
-    fn forum_server(workers: usize) -> (Server, Arc<SessionStore>) {
+    fn forum_app() -> (ForumApp, Arc<SessionStore>) {
         let sessions = Arc::new(SessionStore::new());
-        let app = Arc::new(ForumApp::new(Arc::clone(&sessions)));
-        (Server::start(app, workers), sessions)
+        (ForumApp::new(Arc::clone(&sessions)), sessions)
     }
 
-    fn login(server: &Server, user: &str) -> String {
-        let page = server.serve(Request::post("/login").with_param("user", user));
+    fn login(app: &dyn WebApp, user: &str) -> String {
+        let page = serve_request(app, &Request::post("/login").with_param("user", user));
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         page.body
     }
 
     #[test]
     fn forum_end_to_end_login_post_render() {
-        let (server, sessions) = forum_server(4);
-        let sid = login(&server, "alice");
+        let (app, sessions) = forum_app();
+        let sid = login(&app, "alice");
         assert!(sid.starts_with("sid-"));
         assert_eq!(sessions.len(), 1);
 
-        let page = server.serve(
-            Request::post("/post")
+        let page = serve_request(
+            &app,
+            &Request::post("/post")
                 .with_cookie("sid", &sid)
                 .with_param("body", "hello concurrent world"),
         );
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         let id = page.body.strip_prefix("posted ").unwrap().to_string();
 
-        let page = server.serve(Request::get("/view").with_param("id", &id));
+        let page = serve_request(&app, &Request::get("/view").with_param("id", &id));
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         assert!(page.body.contains("hello concurrent world"));
     }
 
     #[test]
     fn forum_post_requires_session() {
-        let (server, _) = forum_server(2);
-        let page = server.serve(
-            Request::post("/post")
+        let (app, _) = forum_app();
+        let page = serve_request(
+            &app,
+            &Request::post("/post")
                 .with_cookie("sid", "sid-totally-guessed")
                 .with_param("body", "spam"),
         );
@@ -587,53 +589,57 @@ mod tests {
 
     #[test]
     fn stored_xss_fails_closed_through_dispatcher() {
-        let (server, _) = forum_server(4);
-        let sid = login(&server, "mallory");
-        let page = server.serve(
-            Request::post("/post")
+        let (app, _) = forum_app();
+        let sid = login(&app, "mallory");
+        let page = serve_request(
+            &app,
+            &Request::post("/post")
                 .with_cookie("sid", &sid)
                 .with_param("body", "<script>steal(document.cookie)</script>"),
         );
         let id = page.body.strip_prefix("posted ").unwrap().to_string();
 
         // The buggy raw endpoint: the XSS assertion blocks the render.
-        let page = server.serve(Request::get("/view_raw").with_param("id", &id));
+        let page = serve_request(&app, &Request::get("/view_raw").with_param("id", &id));
         assert!(page.blocked(), "XSS must fail closed: {:?}", page.outcome);
         assert!(!page.body.contains("<script>"));
 
         // The correct endpoint still shows the (escaped) post.
-        let page = server.serve(Request::get("/view").with_param("id", &id));
+        let page = serve_request(&app, &Request::get("/view").with_param("id", &id));
         assert!(page.outcome.is_ok());
         assert!(page.body.contains("&lt;script&gt;"));
     }
 
     #[test]
     fn sql_injection_fails_closed_through_dispatcher() {
-        let (server, _) = forum_server(4);
-        let sid = login(&server, "alice");
-        server
-            .serve(
-                Request::post("/post")
-                    .with_cookie("sid", &sid)
-                    .with_param("body", "precious data"),
-            )
-            .outcome
-            .unwrap();
+        let (app, _) = forum_app();
+        let sid = login(&app, "alice");
+        serve_request(
+            &app,
+            &Request::post("/post")
+                .with_cookie("sid", &sid)
+                .with_param("body", "precious data"),
+        )
+        .outcome
+        .unwrap();
 
         // Numeric-position injection never reaches query text: the id
         // fails to parse as a number and the lookup is a plain 404.
-        let page = server.serve(Request::get("/view").with_param("id", "1 OR 1=1"));
+        let page = serve_request(&app, &Request::get("/view").with_param("id", "1 OR 1=1"));
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         assert_eq!(page.status, 404, "SQLi degrades to a missing post");
         assert!(!page.body.contains("precious"), "{}", page.body);
 
         // Literal-position injection is bound as data: matches nothing.
-        let page = server.serve(Request::get("/search").with_param("q", "x' OR '1'='1"));
+        let page = serve_request(
+            &app,
+            &Request::get("/search").with_param("q", "x' OR '1'='1"),
+        );
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         assert!(page.body.starts_with("0 hits"), "{}", page.body);
 
         // Benign usage still works.
-        let page = server.serve(Request::get("/search").with_param("q", "precious"));
+        let page = serve_request(&app, &Request::get("/search").with_param("q", "precious"));
         assert!(page.body.starts_with("1 hits"), "{}", page.body);
     }
 
@@ -642,32 +648,38 @@ mod tests {
         // `q` becomes the LIKE pattern, `%`s and all. The recursive
         // matcher took ~n^5 steps on this one (7.5 s at n = 200): one
         // request was a denial of service. It must simply not match.
-        let (server, _) = forum_server(1);
-        let sid = login(&server, "alice");
-        server
-            .serve(
-                Request::post("/post")
-                    .with_cookie("sid", &sid)
-                    .with_param("body", &"a".repeat(4096)),
-            )
-            .outcome
-            .unwrap();
-        let page = server.serve(Request::get("/search").with_param("q", "a%a%a%a%a%b"));
+        let (app, _) = forum_app();
+        let sid = login(&app, "alice");
+        serve_request(
+            &app,
+            &Request::post("/post")
+                .with_cookie("sid", &sid)
+                .with_param("body", &"a".repeat(4096)),
+        )
+        .outcome
+        .unwrap();
+        let page = serve_request(
+            &app,
+            &Request::get("/search").with_param("q", "a%a%a%a%a%b"),
+        );
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         assert_eq!(page.body, "0 hits:");
-        let page = server.serve(Request::get("/search").with_param("q", "a%a%a%a%a%A"));
+        let page = serve_request(
+            &app,
+            &Request::get("/search").with_param("q", "a%a%a%a%a%A"),
+        );
         assert!(page.body.starts_with("1 hits:"), "{}", &page.body[..16]);
     }
 
     #[test]
     fn response_splitting_fails_closed_through_dispatcher() {
-        let (server, _) = forum_server(4);
+        let (app, _) = forum_app();
         for evil in [
             "/evil\r\n\r\n<script>x()</script>",
             "/evil\n\nHTTP/1.1 200 OK", // the LF-only bypass
             "/evil\r\n\npayload",
         ] {
-            let page = server.serve(Request::get("/redirect").with_param("to", evil));
+            let page = serve_request(&app, &Request::get("/redirect").with_param("to", evil));
             assert!(
                 page.blocked(),
                 "splitting must fail closed for {evil:?}: {:?}",
@@ -676,7 +688,7 @@ mod tests {
             assert!(page.headers.is_empty(), "no header may be set");
         }
         // A benign target sets the header.
-        let page = server.serve(Request::get("/redirect").with_param("to", "/home"));
+        let page = serve_request(&app, &Request::get("/redirect").with_param("to", "/home"));
         assert!(page.outcome.is_ok());
         assert_eq!(page.headers.len(), 1, "Location present");
         assert_eq!(page.headers[0].0, "Location");
@@ -684,40 +696,44 @@ mod tests {
 
     #[test]
     fn concurrent_posts_and_views_keep_assertions() {
-        // Hammer the pool from many submitting threads: benign and hostile
-        // requests interleaved across workers; every hostile one must be
-        // blocked, every benign one served.
-        let (server, _) = forum_server(4);
-        let sid = login(&server, "alice");
+        // Hammer one shared app from many serving threads: benign and
+        // hostile requests interleaved; every hostile one must be blocked,
+        // every benign one served.
+        let (app, _) = forum_app();
+        let sid = login(&app, "alice");
         let evil_id = {
-            let page = server.serve(
-                Request::post("/post")
+            let page = serve_request(
+                &app,
+                &Request::post("/post")
                     .with_cookie("sid", &sid)
                     .with_param("body", "<script>evil()</script>"),
             );
             page.body.strip_prefix("posted ").unwrap().to_string()
         };
-        let mut tickets = Vec::new();
-        for i in 0..48 {
-            let req = match i % 4 {
-                0 => Request::post("/post")
-                    .with_cookie("sid", &sid)
-                    .with_param("body", &format!("benign post {i}")),
-                1 => Request::get("/view_raw").with_param("id", &evil_id),
-                2 => Request::get("/view").with_param("id", "1 OR 1=1"),
-                _ => Request::get("/search").with_param("q", "benign"),
-            };
-            tickets.push((i % 4, server.submit(req)));
-        }
-        for (kind, t) in tickets {
-            let page = t.wait();
-            match kind {
-                0 => assert!(page.outcome.is_ok(), "post: {:?}", page.outcome),
-                1 => assert!(page.blocked(), "raw view of script must block"),
-                2 => assert_eq!(page.status, 404, "numeric SQLi reads as no such post"),
-                _ => assert!(page.outcome.is_ok(), "search: {:?}", page.outcome),
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (app, sid, evil_id) = (&app, &sid, &evil_id);
+                s.spawn(move || {
+                    for i in t * 12..(t + 1) * 12 {
+                        let req = match i % 4 {
+                            0 => Request::post("/post")
+                                .with_cookie("sid", sid)
+                                .with_param("body", &format!("benign post {i}")),
+                            1 => Request::get("/view_raw").with_param("id", evil_id),
+                            2 => Request::get("/view").with_param("id", "1 OR 1=1"),
+                            _ => Request::get("/search").with_param("q", "benign"),
+                        };
+                        let page = serve_request(app, &req);
+                        match i % 4 {
+                            0 => assert!(page.outcome.is_ok(), "post: {:?}", page.outcome),
+                            1 => assert!(page.blocked(), "raw view of script must block"),
+                            2 => assert_eq!(page.status, 404, "numeric SQLi reads as no such post"),
+                            _ => assert!(page.outcome.is_ok(), "search: {:?}", page.outcome),
+                        }
+                    }
+                });
             }
-        }
+        });
     }
 
     fn replica_dirs(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
@@ -733,51 +749,59 @@ mod tests {
         let sessions = Arc::new(SessionStore::new());
         let primary = Arc::new(ForumApp::open(&primary_dir, Arc::clone(&sessions)).unwrap());
         primary.db().set_wal_sync(false);
-        let primary_srv = Server::start(primary.clone(), 2);
-        let sid = login(&primary_srv, "alice");
-        let benign_id = primary_srv
-            .serve(
-                Request::post("/post")
-                    .with_cookie("sid", &sid)
-                    .with_param("body", "hello from the primary"),
-            )
-            .body
-            .strip_prefix("posted ")
-            .unwrap()
-            .to_string();
-        let evil_id = primary_srv
-            .serve(
-                Request::post("/post")
-                    .with_cookie("sid", &sid)
-                    .with_param("body", "<script>steal()</script>"),
-            )
-            .body
-            .strip_prefix("posted ")
-            .unwrap()
-            .to_string();
+        let sid = login(&*primary, "alice");
+        let benign_id = serve_request(
+            &*primary,
+            &Request::post("/post")
+                .with_cookie("sid", &sid)
+                .with_param("body", "hello from the primary"),
+        )
+        .body
+        .strip_prefix("posted ")
+        .unwrap()
+        .to_string();
+        let evil_id = serve_request(
+            &*primary,
+            &Request::post("/post")
+                .with_cookie("sid", &sid)
+                .with_param("body", "<script>steal()</script>"),
+        )
+        .body
+        .strip_prefix("posted ")
+        .unwrap()
+        .to_string();
 
         resin_sql::ship(&primary_dir, &replica_dir).unwrap();
         let replica =
             Arc::new(ForumApp::open_replica(&replica_dir, Arc::new(SessionStore::new())).unwrap());
         assert!(replica.is_replica() && !primary.is_replica());
-        let replica_srv = Server::start(replica.clone(), 2);
 
         // Reads are byte-identical to the primary.
-        let want = primary_srv.serve(Request::get("/view").with_param("id", &benign_id));
-        let got = replica_srv.serve(Request::get("/view").with_param("id", &benign_id));
+        let want = serve_request(
+            &*primary,
+            &Request::get("/view").with_param("id", &benign_id),
+        );
+        let got = serve_request(
+            &*replica,
+            &Request::get("/view").with_param("id", &benign_id),
+        );
         assert!(got.outcome.is_ok(), "{:?}", got.outcome);
         assert_eq!(got.body, want.body);
 
         // The stored-XSS payload fails closed on the replica too: its
         // UntrustedData label rode the shipped WAL into the replayed row.
-        let page = replica_srv.serve(Request::get("/view_raw").with_param("id", &evil_id));
+        let page = serve_request(
+            &*replica,
+            &Request::get("/view_raw").with_param("id", &evil_id),
+        );
         assert!(page.blocked(), "replica must block XSS: {:?}", page.outcome);
         assert!(!page.body.contains("<script>"));
 
         // Writes are refused before authentication even runs.
-        let rsid = login(&replica_srv, "bob");
-        let page = replica_srv.serve(
-            Request::post("/post")
+        let rsid = login(&*replica, "bob");
+        let page = serve_request(
+            &*replica,
+            &Request::post("/post")
                 .with_cookie("sid", &rsid)
                 .with_param("body", "divergent"),
         );
@@ -785,25 +809,25 @@ mod tests {
         assert!(page.body.contains("read-only replica"));
 
         // New primary writes become visible after ship + refresh.
-        let new_id = primary_srv
-            .serve(
-                Request::post("/post")
-                    .with_cookie("sid", &sid)
-                    .with_param("body", "second wave"),
-            )
-            .body
-            .strip_prefix("posted ")
-            .unwrap()
-            .to_string();
+        let new_id = serve_request(
+            &*primary,
+            &Request::post("/post")
+                .with_cookie("sid", &sid)
+                .with_param("body", "second wave"),
+        )
+        .body
+        .strip_prefix("posted ")
+        .unwrap()
+        .to_string();
         resin_sql::ship(&primary_dir, &replica_dir).unwrap();
         assert!(replica.replica_refresh().unwrap() >= 1);
-        let page = replica_srv.serve(Request::get("/view").with_param("id", &new_id));
+        let page = serve_request(&*replica, &Request::get("/view").with_param("id", &new_id));
         assert!(page.body.contains("second wave"), "{}", page.body);
         assert!(replica.replica_applied_seq().unwrap() > 0);
         assert!(primary.store_stats().is_some());
     }
 
-    fn wiki_server(workers: usize) -> Server {
+    fn wiki_app() -> WikiApp {
         let mut wiki = MoinWiki::new(true);
         wiki.create_page(
             "Public",
@@ -820,32 +844,35 @@ mod tests {
             "alice",
         );
         let sessions = Arc::new(SessionStore::new());
-        Server::start(Arc::new(WikiApp::new(wiki, sessions)), workers)
+        WikiApp::new(wiki, sessions)
     }
 
     #[test]
     fn wiki_end_to_end_view_edit() {
-        let server = wiki_server(4);
-        let alice = login(&server, "alice");
-        let page = server.serve(
-            Request::get("/view")
+        let app = wiki_app();
+        let alice = login(&app, "alice");
+        let page = serve_request(
+            &app,
+            &Request::get("/view")
                 .with_cookie("sid", &alice)
                 .with_param("page", "Secret"),
         );
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         assert!(page.body.contains("secret plans"));
 
-        let page = server.serve(
-            Request::post("/edit")
+        let page = serve_request(
+            &app,
+            &Request::post("/edit")
                 .with_cookie("sid", &alice)
                 .with_param("page", "Public")
                 .with_param("body", "v2 by alice"),
         );
         assert!(page.outcome.is_ok(), "{:?}", page.outcome);
 
-        let mallory = login(&server, "mallory");
-        let page = server.serve(
-            Request::get("/view")
+        let mallory = login(&app, "mallory");
+        let page = serve_request(
+            &app,
+            &Request::get("/view")
                 .with_cookie("sid", &mallory)
                 .with_param("page", "Public"),
         );
@@ -854,26 +881,29 @@ mod tests {
 
     #[test]
     fn wiki_acl_bypass_fails_closed_through_dispatcher() {
-        let server = wiki_server(4);
-        let mallory = login(&server, "mallory");
+        let app = wiki_app();
+        let mallory = login(&app, "mallory");
         // The app's own check 403s the normal path...
-        let page = server.serve(
-            Request::get("/view")
+        let page = serve_request(
+            &app,
+            &Request::get("/view")
                 .with_cookie("sid", &mallory)
                 .with_param("page", "Secret"),
         );
         assert_eq!(page.status, 403);
         // ...and the persistent PagePolicy blocks the raw endpoint.
-        let page = server.serve(
-            Request::get("/raw")
+        let page = serve_request(
+            &app,
+            &Request::get("/raw")
                 .with_cookie("sid", &mallory)
                 .with_param("page", "Secret"),
         );
         assert!(page.blocked(), "ACL bypass must fail closed");
         assert!(!page.body.contains("secret plans"));
         // Vandalism through the dispatcher hits the write-ACL filter.
-        let page = server.serve(
-            Request::post("/edit")
+        let page = serve_request(
+            &app,
+            &Request::post("/edit")
                 .with_cookie("sid", &mallory)
                 .with_param("page", "Secret")
                 .with_param("body", "defaced"),
@@ -883,31 +913,34 @@ mod tests {
 
     #[test]
     fn wiki_concurrent_readers_and_editor() {
-        let server = wiki_server(4);
-        let alice = login(&server, "alice");
-        let mallory = login(&server, "mallory");
-        let mut tickets = Vec::new();
-        for i in 0..32 {
-            let req = match i % 3 {
-                0 => Request::get("/view")
-                    .with_cookie("sid", &alice)
-                    .with_param("page", "Public"),
-                1 => Request::post("/edit")
-                    .with_cookie("sid", &alice)
-                    .with_param("page", "Public")
-                    .with_param("body", &format!("rev {i}")),
-                _ => Request::get("/raw")
-                    .with_cookie("sid", &mallory)
-                    .with_param("page", "Secret"),
-            };
-            tickets.push((i % 3, server.submit(req)));
-        }
-        for (kind, t) in tickets {
-            let page = t.wait();
-            match kind {
-                0 | 1 => assert!(page.outcome.is_ok(), "{:?}", page.outcome),
-                _ => assert!(page.blocked(), "raw secret read must stay blocked"),
+        let app = wiki_app();
+        let alice = login(&app, "alice");
+        let mallory = login(&app, "mallory");
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (app, alice, mallory) = (&app, &alice, &mallory);
+                s.spawn(move || {
+                    for i in t * 8..(t + 1) * 8 {
+                        let req = match i % 3 {
+                            0 => Request::get("/view")
+                                .with_cookie("sid", alice)
+                                .with_param("page", "Public"),
+                            1 => Request::post("/edit")
+                                .with_cookie("sid", alice)
+                                .with_param("page", "Public")
+                                .with_param("body", &format!("rev {i}")),
+                            _ => Request::get("/raw")
+                                .with_cookie("sid", mallory)
+                                .with_param("page", "Secret"),
+                        };
+                        let page = serve_request(app, &req);
+                        match i % 3 {
+                            0 | 1 => assert!(page.outcome.is_ok(), "{:?}", page.outcome),
+                            _ => assert!(page.blocked(), "raw secret read must stay blocked"),
+                        }
+                    }
+                });
             }
-        }
+        });
     }
 }

@@ -1,4 +1,4 @@
-//! Ablations for the design choices DESIGN.md calls out.
+//! Ablations for the design choices this implementation made.
 //!
 //! 1. **Byte-range vs whole-string policies** — the paper argues
 //!    character-level tracking avoids merges (§3.4). We compare concat+

@@ -1,175 +1,12 @@
 //! RSL execution: tree-walking interpreter vs bytecode VM.
 //!
-//! Two families:
-//!
-//! * `rsl_gate_write/*` — the policy-heavy gate-write variant the compiler
-//!   work targets: a `ScriptPolicy` whose `export_check` runs a rolling
-//!   checksum over a 256-entry weights list in an RSL `while` loop on
-//!   every crossing, at 1, 16, and 256 crossings per iteration. `tree_*`
-//!   vs `vm_*` medians are the speedup recorded in BENCH_7.json.
-//! * `rsl_exec/*` — engine microcases (straight-line arithmetic, a counted
-//!   loop, a recursive call tree) isolating dispatch cost from gate cost.
-//!
-//! Tree and VM gate benches parse the policy class **separately** so the
-//! per-class chunk cache and policy interner never conflate the two
-//! engines' policies.
+//! `rsl_exec/*` — engine microcases (straight-line arithmetic, a counted
+//! loop, a recursive call tree) isolating dispatch cost. What a policy
+//! check costs at a gate is `resin-e2e`'s `lang.export_check_*_ns` and
+//! `lang.check_cache_hit_ratio`.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use resin_core::{Gate, GateKind, TaintedString};
-use resin_lang::ast::StmtKind;
-use resin_lang::{parse_program, Engine, Interp, PValue, ScriptPolicy, Tracking};
-
-/// The policy class: `export_check` folds every weight into a rolling
-/// checksum (the shape of a per-channel quota or integrity check), then
-/// gates on the channel type — so every crossing executes the full loop.
-const POLICY_SRC: &str = r#"
-class ChannelQuota {
-    fn init(weights, limit) { this.weights = weights; this.limit = limit; }
-    fn export_check(context) {
-        let w = this.weights;
-        let n = len(w);
-        let acc = 0;
-        let i = 0;
-        while (i < n) {
-            acc = (acc * 33 + w[i]) % 65521;
-            i = i + 1;
-        }
-        if (acc > this.limit) { throw "quota exceeded"; }
-        if (context["type"] == "http") { return; }
-        throw "channel not allowed";
-    }
-}
-"#;
-
-/// The floor policy: no loop, just the channel gate — so the measured
-/// cost is the per-crossing overhead itself (policy-to-`this` conversion,
-/// `$context` materialization, frame setup), which is exactly what the
-/// read-only check cache elides.
-const FLOOR_SRC: &str = r#"
-class ChannelGate {
-    fn init(weights, limit) { this.weights = weights; this.limit = limit; }
-    fn export_check(context) {
-        if (context["type"] == "http") { return; }
-        throw "channel not allowed";
-    }
-}
-"#;
-
-/// Builds a fresh tainted string carrying the policy in `src` pinned to
-/// `engine`. The class is re-parsed per call so tree and VM policies are
-/// distinct classes (distinct PolicyIds, distinct chunk-cache entries).
-fn tainted_for(engine: Engine, src: &str) -> TaintedString {
-    let class = parse_program(src)
-        .expect("policy parses")
-        .into_iter()
-        .find_map(|stmt| match stmt.kind {
-            StmtKind::ClassDef(class) => Some(class),
-            _ => None,
-        })
-        .expect("class decl");
-    let weights: Vec<PValue> = (0..256).map(|i| PValue::Int(i * 7 % 23)).collect();
-    let mut fields = BTreeMap::new();
-    fields.insert("weights".to_string(), PValue::List(weights));
-    fields.insert("limit".to_string(), PValue::Int(1_000_000));
-    let policy = ScriptPolicy::new(class.name.clone(), fields, Some(class)).with_engine(engine);
-    let mut s =
-        TaintedString::from("64 bytes of response body guarded by an RSL quota check ......");
-    s.add_policy(Arc::new(policy));
-    s
-}
-
-fn rsl_gate_write(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rsl_gate_write");
-    for crossings in [1usize, 16, 256] {
-        g.throughput(Throughput::Elements(crossings as u64));
-        for engine in [Engine::Tree, Engine::Vm] {
-            let tag = match engine {
-                Engine::Tree => "tree",
-                Engine::Vm => "vm",
-            };
-            let data = tainted_for(engine, POLICY_SRC);
-            let mut gate = Gate::new(GateKind::Http);
-            g.bench_function(
-                BenchmarkId::from_parameter(format!("{tag}_x{crossings}")),
-                |b| {
-                    b.iter(|| {
-                        for _ in 0..crossings {
-                            gate.write(data.clone()).unwrap();
-                            gate.clear_output();
-                        }
-                    });
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-/// The audit-field policy: identical to the floor gate but it also
-/// records the last channel type into a scratch field on every crossing.
-/// The old all-or-nothing may-mutate scan rejected any policy with a
-/// property store, so this shape used to pay the full uncached conversion
-/// every crossing; the field-sensitive effects analysis proves the write
-/// is unobservable (no reachable method reads `last_channel`) and keeps
-/// it cache-eligible.
-const AUDIT_SRC: &str = r#"
-class AuditedGate {
-    fn init(weights, limit) { this.weights = weights; this.limit = limit; }
-    fn export_check(context) {
-        this.last_channel = context["type"];
-        if (context["type"] == "http") { return; }
-        throw "channel not allowed";
-    }
-}
-"#;
-
-/// The per-crossing floor, caches on vs off: policies whose fields still
-/// carry the 256-entry weights list, so the uncached side pays the full
-/// policy-to-`this` conversion every crossing and the cached side reuses
-/// the materialized object. The gap is the win the analysis-gated check
-/// cache buys. Two shapes: the pure read-only gate (`*_cached`/
-/// `*_uncached`) and the scratch-field auditor (`*_audit_*`) that only
-/// the field-sensitive analysis certifies.
-fn rsl_gate_floor(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rsl_gate_floor");
-    for engine in [Engine::Tree, Engine::Vm] {
-        let tag = match engine {
-            Engine::Tree => "tree",
-            Engine::Vm => "vm",
-        };
-        for (shape, src) in [("", FLOOR_SRC), ("audit_", AUDIT_SRC)] {
-            for (mode, cached) in [("cached", true), ("uncached", false)] {
-                let data = tainted_for(engine, src);
-                let mut gate = Gate::new(GateKind::Http);
-                let before = resin_lang::check_cache_stats();
-                g.bench_function(
-                    BenchmarkId::from_parameter(format!("{tag}_{shape}{mode}")),
-                    |b| {
-                        resin_lang::set_check_cache(cached);
-                        b.iter(|| {
-                            gate.write(data.clone()).unwrap();
-                            gate.clear_output();
-                        });
-                        resin_lang::set_check_cache(true);
-                    },
-                );
-                // The win must be real: the cached side reuses the
-                // materialized check state, the uncached side never does
-                // — including the audit shape the old analysis rejected.
-                let after = resin_lang::check_cache_stats();
-                if cached {
-                    assert!(after.0 > before.0, "cached crossings must hit the cache");
-                } else {
-                    assert_eq!(after.0, before.0, "uncached crossings must not hit");
-                }
-            }
-        }
-    }
-    g.finish();
-}
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use resin_lang::{parse_program, Engine, Interp, Tracking};
 
 /// Straight-line arithmetic: 64 dependent ops, no control flow.
 const STRAIGHT_SRC: &str = r#"
@@ -228,5 +65,5 @@ fn rsl_exec(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, rsl_gate_write, rsl_gate_floor, rsl_exec);
+criterion_group!(benches, rsl_exec);
 criterion_main!(benches);

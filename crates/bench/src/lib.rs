@@ -3,7 +3,8 @@
 //! Each experiment from the paper's evaluation has a workload function
 //! here; the `paper-tables` binary prints paper-style tables, and the
 //! Criterion benches under `benches/` time the same workloads with proper
-//! statistics. See DESIGN.md for the per-experiment index.
+//! statistics. End-to-end and per-layer numbers come from `resin-e2e`
+//! (see `BENCHMARK.json`), not from here.
 
 pub mod survey;
 pub mod table5;

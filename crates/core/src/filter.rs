@@ -96,11 +96,11 @@ impl Filter for DefaultFilter {
     fn filter_write(
         &self,
         data: TaintedString,
-        _offset: u64,
+        offset: u64,
         context: &Context,
     ) -> Result<TaintedString> {
-        Self::check(&data, context)?;
-        Ok(data)
+        self.filter_write_cow(Cow::Owned(data), offset, context)
+            .map(Cow::into_owned)
     }
 
     // Pure check: the data is forwarded exactly as it arrived, so a
@@ -185,10 +185,8 @@ impl Filter for FnFilter {
         offset: u64,
         context: &Context,
     ) -> Result<TaintedString> {
-        match &self.write {
-            Some(f) => f(data, offset, context),
-            None => Ok(data),
-        }
+        self.filter_write_cow(Cow::Owned(data), offset, context)
+            .map(Cow::into_owned)
     }
 
     fn filter_write_cow<'a>(

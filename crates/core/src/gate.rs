@@ -320,23 +320,11 @@ impl Gate {
     /// configured policy classes, so sensitive data cannot escape the
     /// module even through code paths the module author forgot about.
     pub fn export(&self, data: TaintedString) -> Result<TaintedString> {
-        self.check_deny(&data)?;
-        let mut buf = data;
-        for rule in &self.rules {
-            if let Some(strip) = &rule.strip {
-                if (rule.matches)(&buf) {
-                    strip(&mut buf);
-                }
-            }
-        }
-        for f in &self.filters {
-            buf = f.filter_write(buf, self.write_offset, &self.context)?;
-        }
-        Ok(buf)
+        self.export_cow(Cow::Owned(data)).map(Cow::into_owned)
     }
 
-    /// Copy-on-write form of [`Gate::export`]: the outbound path over a
-    /// [`Cow`].
+    /// Copy-on-write form of [`Gate::export`], and the one place the
+    /// outbound chain is written: the outbound path over a [`Cow`].
     ///
     /// Deny rules and check-only filters inspect the data without taking
     /// ownership, so a `Cow::Borrowed` input crosses the whole chain

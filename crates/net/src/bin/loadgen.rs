@@ -1,21 +1,15 @@
-//! A keep-alive HTTP load generator for the RESIN network edge.
+//! A keep-alive HTTP smoke driver for the RESIN network edge.
 //!
 //! Drives a configurable number of persistent connections at a target
 //! for a fixed duration, mixing reads (`GET /view`) with writes
-//! (`POST /post`, group-committed through the WAL), and reports
-//! throughput plus a latency profile.
+//! (`POST /post`, group-committed through the WAL), and **fails** (exit 1)
+//! on any non-200 response, short read or connect failure. It does not
+//! time requests: throughput and latency are `resin-e2e`'s job.
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT | --spawn] [--conns N] [--duration-ms MS]
 //!         [--write-every K] [--sync on|off] [--replica]
-//!         [--lint POLICY.rsl]...
 //! ```
-//!
-//! `--lint` pre-flights RSL policy files through the static analyzer
-//! before any traffic is generated: error-severity diagnostics (the
-//! shapes load-time registration would reject) abort the run, warnings
-//! go to stderr and the run proceeds — the same fail-closed/surface
-//! split the interpreter applies at `class` registration.
 //!
 //! With `--spawn` (the default when no `--addr` is given) the binary
 //! self-hosts a durable [`ForumApp`] on an
@@ -29,7 +23,7 @@
 //! reads are byte-identical, that a stored XSS payload fails closed on
 //! the replica, and that replica writes are refused.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,15 +41,12 @@ struct Options {
     sync: bool,
     /// Ship to and verify a read replica after the run (spawn mode).
     replica: bool,
-    /// RSL policy files to lint before generating any load.
-    lint: Vec<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT | --spawn] [--conns N] \
-         [--duration-ms MS] [--write-every K] [--sync on|off] [--replica] \
-         [--lint POLICY.rsl]..."
+         [--duration-ms MS] [--write-every K] [--sync on|off] [--replica]"
     );
     std::process::exit(2);
 }
@@ -68,7 +59,6 @@ fn parse_args() -> Options {
         write_every: 4,
         sync: true,
         replica: false,
-        lint: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -92,7 +82,6 @@ fn parse_args() -> Options {
             }
             "--sync" => opts.sync = value("--sync") == "on",
             "--replica" => opts.replica = true,
-            "--lint" => opts.lint.push(value("--lint")),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument {other}");
@@ -103,130 +92,138 @@ fn parse_args() -> Options {
     opts
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Appends one `read` to `buf`; end of stream is an error.
+fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<()> {
+    let mut chunk = [0u8; 4096];
+    let n = stream.read(&mut chunk)?;
+    if n == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed mid-response",
+        ));
+    }
+    buf.extend_from_slice(&chunk[..n]);
+    Ok(())
+}
+
 /// Reads one `Content-Length`-delimited response; returns
 /// `(status_line, body)`.
-fn read_response(stream: &mut TcpStream) -> std::io::Result<(String, String)> {
+///
+/// The end of the head is found once, on bytes, and `Content-Length`
+/// parsed once; after that only the buffer length is compared. Status
+/// and body are decoded from their own byte ranges when all of it is in.
+fn read_response(stream: &mut TcpStream) -> io::Result<(String, String)> {
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let text = String::from_utf8_lossy(&buf);
-        if let Some(head_end) = text.find("\r\n\r\n") {
-            let cl = text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(0);
-            if buf.len() >= head_end + 4 + cl {
-                let status = text.lines().next().unwrap_or("").to_string();
-                let body = text[head_end + 4..head_end + 4 + cl].to_string();
-                return Ok((status, body));
-            }
+    let mut from = 0;
+    let body_at = loop {
+        if let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + at + 4;
         }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed mid-response",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
+        // Resume three bytes back: the terminator may straddle two reads.
+        from = buf.len().saturating_sub(3);
+        read_more(stream, &mut buf)?;
+    };
+    let head = std::str::from_utf8(&buf[..body_at])
+        .map_err(|e| invalid(format!("response head is not UTF-8: {e}")))?;
+    let len = match head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+    {
+        Some(v) => v
+            .trim()
+            .parse::<usize>()
+            .map_err(|e| invalid(format!("bad Content-Length {v:?}: {e}")))?,
+        None => 0,
+    };
+    let status = head.lines().next().unwrap_or("").to_string();
+    let end = body_at + len;
+    while buf.len() < end {
+        read_more(stream, &mut buf)?;
     }
+    let body = String::from_utf8_lossy(&buf[body_at..end]).into_owned();
+    Ok((status, body))
 }
 
-struct WorkerReport {
-    requests: u64,
-    errors: u64,
-    /// Per-request latencies, microseconds.
-    latencies: Vec<u64>,
+/// Sends one raw request and reads its response.
+fn exchange(stream: &mut TcpStream, request: &str) -> io::Result<(String, String)> {
+    stream.write_all(request.as_bytes())?;
+    read_response(stream)
 }
 
-fn worker(addr: &str, deadline: Instant, write_every: usize, id: usize) -> WorkerReport {
-    let mut report = WorkerReport {
-        requests: 0,
-        errors: 0,
-        latencies: Vec::new(),
-    };
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        report.errors += 1;
-        return report;
-    };
+/// As [`exchange`], but any status other than 200 is an error; returns
+/// the body.
+fn exchange_ok(stream: &mut TcpStream, request: &str) -> io::Result<String> {
+    let (status, body) = exchange(stream, request)?;
+    if !status.contains(" 200 ") {
+        return Err(invalid(format!("{status}: {body}")));
+    }
+    Ok(body)
+}
+
+fn connect(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
-    // Log in once per connection; the login body is the sid, and the
-    // sid cookie authenticates writes.
-    let user = format!("user=load{id}");
-    let login = format!(
-        "POST /login HTTP/1.1\r\nContent-Length: {}\r\n\r\n{user}",
-        user.len()
-    );
-    let sid = match stream
-        .write_all(login.as_bytes())
-        .and_then(|()| read_response(&mut stream))
-    {
-        Ok((_, body)) => body,
-        Err(_) => {
-            report.errors += 1;
-            return report;
-        }
-    };
+    Ok(stream)
+}
 
-    // Seed one post so `GET /view?id=1` always resolves.
-    let seed = format!("body=seed+post+from+load{id}");
-    let seed_req = format!(
-        "POST /post HTTP/1.1\r\nCookie: sid={sid}\r\nContent-Length: {}\r\n\r\n{seed}",
-        seed.len()
-    );
-    if stream
-        .write_all(seed_req.as_bytes())
-        .and_then(|()| read_response(&mut stream))
-        .is_err()
-    {
-        report.errors += 1;
-        return report;
+/// Logs `user` in; the login body is the sid, and the sid cookie
+/// authenticates writes.
+fn login(stream: &mut TcpStream, user: &str) -> io::Result<String> {
+    let form = format!("user={user}");
+    exchange_ok(
+        stream,
+        &format!(
+            "POST /login HTTP/1.1\r\nContent-Length: {}\r\n\r\n{form}",
+            form.len()
+        ),
+    )
+}
+
+fn post_request(sid: &str, body: &str) -> String {
+    let form = format!("body={body}");
+    format!(
+        "POST /post HTTP/1.1\r\nCookie: sid={sid}\r\nContent-Length: {}\r\n\r\n{form}",
+        form.len()
+    )
+}
+
+/// Stores one post; returns the id out of the `posted N` answer.
+fn post(stream: &mut TcpStream, sid: &str, body: &str) -> io::Result<String> {
+    let answer = exchange_ok(stream, &post_request(sid, body))?;
+    match answer.strip_prefix("posted ") {
+        Some(id) => Ok(id.to_string()),
+        None => Err(invalid(format!("unexpected /post answer {answer:?}"))),
     }
+}
 
-    let mut n: usize = 0;
+/// One keep-alive connection: reads of post `view_id` with every
+/// `write_every`-th request a write, until `deadline`. Returns how many
+/// requests it made, or the first error.
+fn worker(
+    addr: &str,
+    deadline: Instant,
+    write_every: usize,
+    id: usize,
+    view_id: &str,
+) -> io::Result<u64> {
+    let mut stream = connect(addr)?;
+    let sid = login(&mut stream, &format!("load{id}"))?;
+    let view = format!("GET /view?id={view_id} HTTP/1.1\r\n\r\n");
+    let mut n: u64 = 0;
     while Instant::now() < deadline {
         n += 1;
-        let is_write = write_every != 0 && n.is_multiple_of(write_every);
-        let request = if is_write {
-            let body = format!("body=hello+from+load{id}+req{n}");
-            format!(
-                "POST /post HTTP/1.1\r\nCookie: sid={sid}\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
+        if write_every != 0 && n.is_multiple_of(write_every as u64) {
+            let body = format!("hello+from+load{id}+req{n}");
+            exchange_ok(&mut stream, &post_request(&sid, &body))?;
         } else {
-            "GET /view?id=1 HTTP/1.1\r\n\r\n".to_string()
-        };
-        let start = Instant::now();
-        if stream.write_all(request.as_bytes()).is_err() {
-            report.errors += 1;
-            break;
-        }
-        match read_response(&mut stream) {
-            Ok((status, _)) => {
-                report.requests += 1;
-                report
-                    .latencies
-                    .push(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                if !status.contains(" 200 ") {
-                    report.errors += 1;
-                }
-            }
-            Err(_) => {
-                report.errors += 1;
-                break;
-            }
+            exchange_ok(&mut stream, &view)?;
         }
     }
-    report
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    Ok(n)
 }
 
 fn main() {
@@ -235,29 +232,6 @@ fn main() {
     if opts.replica && opts.addr.is_some() {
         eprintln!("--replica requires spawn mode (no --addr)");
         usage();
-    }
-
-    // Pre-flight: lint every --lint policy file before opening a single
-    // socket. Errors are the shapes registration would reject at load
-    // time — abort now rather than mid-run; warnings surface and pass.
-    let mut lint_errors = 0usize;
-    for file in &opts.lint {
-        let src = std::fs::read_to_string(file).unwrap_or_else(|e| {
-            eprintln!("loadgen: --lint {file}: {e}");
-            std::process::exit(1);
-        });
-        for report in resin_lang::lint_source(&src) {
-            for d in &report.diagnostics {
-                eprintln!("loadgen: {file}: {}: {d}", report.class_name);
-                if d.severity == resin_lang::Severity::Error {
-                    lint_errors += 1;
-                }
-            }
-        }
-    }
-    if lint_errors > 0 {
-        eprintln!("loadgen: {lint_errors} lint error(s); refusing to generate load");
-        std::process::exit(1);
     }
 
     // Self-host when no address was given.
@@ -289,44 +263,43 @@ fn main() {
         }
     };
 
+    // Seed the post every worker reads, over its own connection and
+    // before any worker exists: its id is what `posted N` returned, so
+    // no reader can race the write that makes it visible.
+    let view_id = connect(&addr)
+        .and_then(|mut s| {
+            let sid = login(&mut s, "seeder")?;
+            post(&mut s, &sid, "seed+post")
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("loadgen: seeding {addr} failed: {e}");
+            std::process::exit(1);
+        });
+
     eprintln!(
         "loadgen: {} conns for {:?} against {addr} (write-every={}, sync={})",
         opts.conns, opts.duration, opts.write_every, opts.sync
     );
     let deadline = Instant::now() + opts.duration;
-    let started = Instant::now();
-    let handles: Vec<_> = (0..opts.conns.max(1))
-        .map(|id| {
-            let addr = addr.clone();
-            let write_every = opts.write_every;
-            std::thread::spawn(move || worker(&addr, deadline, write_every, id))
-        })
-        .collect();
-
-    let mut requests = 0u64;
-    let mut errors = 0u64;
-    let mut latencies = Vec::new();
-    for h in handles {
-        let r = h.join().expect("worker panicked");
-        requests += r.requests;
-        errors += r.errors;
-        latencies.extend(r.latencies);
-    }
-    let elapsed = started.elapsed();
-    latencies.sort_unstable();
-
-    let rps = requests as f64 / elapsed.as_secs_f64();
-    println!(
-        "loadgen: {requests} requests in {:.2}s = {rps:.0} req/s ({errors} errors)",
-        elapsed.as_secs_f64()
-    );
-    println!(
-        "latency: p50 {}us  p95 {}us  p99 {}us  max {}us",
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 0.99),
-        latencies.last().copied().unwrap_or(0)
-    );
+    let (mut requests, mut errors) = (0u64, 0u64);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..opts.conns.max(1))
+            .map(|id| {
+                let (addr, view_id) = (&addr, &view_id);
+                s.spawn(move || worker(addr, deadline, opts.write_every, id, view_id))
+            })
+            .collect();
+        for (id, w) in workers.into_iter().enumerate() {
+            match w.join().expect("worker panicked") {
+                Ok(n) => requests += n,
+                Err(e) => {
+                    eprintln!("loadgen: conn {id}: {e}");
+                    errors += 1;
+                }
+            }
+        }
+    });
+    println!("loadgen: {requests} requests, {errors} errors");
 
     let mut replica_failed = false;
     if let Some((mut server, dir, app)) = spawned {
@@ -352,7 +325,7 @@ fn main() {
         server.shutdown();
         let _ = std::fs::remove_dir_all(dir);
     }
-    if requests == 0 || errors > requests / 2 || replica_failed {
+    if requests == 0 || errors > 0 || replica_failed {
         std::process::exit(1);
     }
 }
@@ -365,49 +338,18 @@ fn verify_replica(primary_addr: &str, primary_dir: &std::path::Path) -> bool {
 
     // Plant a stored-XSS payload on the primary so the replica has an
     // attack to fail closed on, and remember a benign post to compare.
-    let mut prim = match TcpStream::connect(primary_addr) {
-        Ok(s) => s,
+    let seeded = connect(primary_addr).and_then(|mut prim| {
+        let sid = login(&mut prim, "replicator")?;
+        let benign_id = post(&mut prim, &sid, "replica+comparison+post")?;
+        let evil_id = post(&mut prim, &sid, "%3Cscript%3Esteal()%3C/script%3E")?;
+        Ok((prim, sid, benign_id, evil_id))
+    });
+    let (mut prim, sid, benign_id, evil_id) = match seeded {
+        Ok(seeded) => seeded,
         Err(e) => {
-            eprintln!("replica: primary connect failed: {e}");
+            eprintln!("replica: seeding the primary failed: {e}");
             return false;
         }
-    };
-    let request_ok = |stream: &mut TcpStream, req: String| -> Option<(String, String)> {
-        stream.write_all(req.as_bytes()).ok()?;
-        read_response(stream).ok()
-    };
-    let user = "user=replicator";
-    let sid = match request_ok(
-        &mut prim,
-        format!(
-            "POST /login HTTP/1.1\r\nContent-Length: {}\r\n\r\n{user}",
-            user.len()
-        ),
-    ) {
-        Some((_, body)) => body,
-        None => {
-            eprintln!("replica: primary login failed");
-            return false;
-        }
-    };
-    let post = |prim: &mut TcpStream, body: &str| -> Option<String> {
-        let form = format!("body={body}");
-        let (_, resp) = request_ok(
-            prim,
-            format!(
-                "POST /post HTTP/1.1\r\nCookie: sid={sid}\r\nContent-Length: {}\r\n\r\n{form}",
-                form.len()
-            ),
-        )?;
-        Some(resp.strip_prefix("posted ")?.to_string())
-    };
-    let Some(benign_id) = post(&mut prim, "replica+comparison+post") else {
-        eprintln!("replica: seeding benign post failed");
-        return false;
-    };
-    let Some(evil_id) = post(&mut prim, "%3Cscript%3Esteal()%3C/script%3E") else {
-        eprintln!("replica: seeding xss post failed");
-        return false;
     };
 
     if let Err(e) = resin_sql::ship(primary_dir, &replica_dir) {
@@ -430,22 +372,16 @@ fn verify_replica(primary_addr: &str, primary_dir: &std::path::Path) -> bool {
     );
 
     let mut ok = true;
-    let mut repl = TcpStream::connect(&addr).expect("replica connect");
-    let view = |stream: &mut TcpStream, route: &str, id: &str| {
-        let mut s = TcpStream::connect(match stream.peer_addr() {
-            Ok(a) => a.to_string(),
-            Err(_) => return None,
-        })
-        .ok()?;
-        let _ = stream; // one fresh connection per probe keeps it simple
-        s.write_all(format!("GET {route}?id={id} HTTP/1.1\r\n\r\n").as_bytes())
-            .ok()?;
-        read_response(&mut s).ok()
+    // One fresh connection per probe keeps it simple.
+    let view = |addr: &str, route: &str, id: &str| {
+        connect(addr)
+            .and_then(|mut s| exchange(&mut s, &format!("GET {route}?id={id} HTTP/1.1\r\n\r\n")))
+            .ok()
     };
 
     // Byte-identical reads.
-    let want = view(&mut prim, "/view", &benign_id);
-    let got = view(&mut repl, "/view", &benign_id);
+    let want = view(primary_addr, "/view", &benign_id);
+    let got = view(&addr, "/view", &benign_id);
     match (&want, &got) {
         (Some((ws, wb)), Some((gs, gb))) if ws == gs && wb == gb => {
             println!("replica: /view byte-identical to primary");
@@ -457,7 +393,7 @@ fn verify_replica(primary_addr: &str, primary_dir: &std::path::Path) -> bool {
     }
 
     // Stored XSS fails closed on the replica.
-    match view(&mut repl, "/view_raw", &evil_id) {
+    match view(&addr, "/view_raw", &evil_id) {
         Some((status, body)) if !status.contains(" 200 ") && !body.contains("<script>") => {
             println!("replica: /view_raw fails closed ({status})");
         }
@@ -469,14 +405,16 @@ fn verify_replica(primary_addr: &str, primary_dir: &std::path::Path) -> bool {
 
     // Writes are refused.
     let form = "body=diverge";
-    match request_ok(
-        &mut repl,
-        format!(
-            "POST /post HTTP/1.1\r\nContent-Length: {}\r\n\r\n{form}",
-            form.len()
-        ),
-    ) {
-        Some((status, body)) if status.contains(" 403 ") && body.contains("read-only") => {
+    match connect(&addr).and_then(|mut repl| {
+        exchange(
+            &mut repl,
+            &format!(
+                "POST /post HTTP/1.1\r\nContent-Length: {}\r\n\r\n{form}",
+                form.len()
+            ),
+        )
+    }) {
+        Ok((status, body)) if status.contains(" 403 ") && body.contains("read-only") => {
             println!("replica: writes refused (403 read-only)");
         }
         other => {
@@ -486,9 +424,12 @@ fn verify_replica(primary_addr: &str, primary_dir: &std::path::Path) -> bool {
     }
 
     // A second ship catches the replica up.
-    let Some(late_id) = post(&mut prim, "post+after+first+ship") else {
-        eprintln!("replica: late post failed");
-        return false;
+    let late_id = match post(&mut prim, &sid, "post+after+first+ship") {
+        Ok(id) => id,
+        Err(e) => {
+            eprintln!("replica: late post failed: {e}");
+            return false;
+        }
     };
     if let Err(e) = resin_sql::ship(primary_dir, &replica_dir) {
         eprintln!("replica: re-ship failed: {e}");
@@ -506,7 +447,7 @@ fn verify_replica(primary_addr: &str, primary_dir: &std::path::Path) -> bool {
             ok = false;
         }
     }
-    match view(&mut repl, "/view", &late_id) {
+    match view(&addr, "/view", &late_id) {
         Some((status, body)) if status.contains(" 200 ") && body.contains("after first ship") => {
             println!("replica: late write visible after catch-up");
         }

@@ -46,8 +46,7 @@ pub struct NetConfig {
     /// How long an idle keep-alive connection is held open.
     pub keep_alive: Duration,
     /// Accepted connections parked waiting for a worker; beyond this
-    /// the accept loop blocks (backpressure at the edge, mirroring the
-    /// bounded queue of [`resin_web::Server`]).
+    /// the accept loop blocks (backpressure at the edge).
     pub queue_depth: usize,
     /// Per-connection parse limits.
     pub limits: Limits,

@@ -191,13 +191,11 @@ impl Filter for GateMount {
     fn filter_write(
         &self,
         data: TaintedString,
-        _offset: u64,
+        offset: u64,
         context: &Context,
     ) -> Result<TaintedString, FlowError> {
-        self.filter
-            .check_write(&self.path, context)
-            .map_err(|v| FlowError::Denied(v.on_channel(GateKind::File)))?;
-        Ok(data)
+        self.filter_write_cow(std::borrow::Cow::Owned(data), offset, context)
+            .map(std::borrow::Cow::into_owned)
     }
 
     // The mount only consults the context, never the data: borrowed data

@@ -16,9 +16,10 @@
 //!   sessions, the phpBB whois attack path (§6.3), RESIN-aware static file
 //!   serving (§3.4.1), HTTP response splitting (§5.4), and JSON structure
 //!   protection (§5.4).
-//! * [`server`] — a worker-pool request dispatcher serving a shared
-//!   [`server::WebApp`] concurrently, one `Response`/`Context` per
-//!   request (the §6 many-users serving topology as a library).
+//! * [`server`] — the [`server::WebApp`] handler contract and
+//!   [`serve_request`], the one dispatch step every front end runs: one
+//!   `Response`/`Context` per request over shared application state (the
+//!   §6 many-users serving topology as a library).
 //!
 //! # Quickstart
 //!
@@ -62,7 +63,7 @@ pub use email::{Mailer, SentEmail};
 pub use html::{check_html_markers, check_html_structure, html_escape};
 pub use request::{Method, Request, Upload};
 pub use response::Response;
-pub use server::{serve_request, ServedPage, Server, Ticket, WebApp};
+pub use server::{serve_request, ServedPage, WebApp};
 pub use session::{
     EntropySource, ManualClock, SeededSource, SessionClock, SessionStore, SidSource, SystemClock,
     DEFAULT_SESSION_TTL, SWEEP_INTERVAL,

@@ -1,54 +1,46 @@
-//! A worker-pool application server: concurrent request serving over
-//! shared state.
+//! The application contract and the one dispatch step every front end
+//! runs.
 //!
 //! The paper evaluates RESIN inside live web servers handling many users
-//! at once (§6); this module is that serving loop as a library. A
-//! [`Server`] owns N worker threads and an in-process request queue — no
-//! sockets, the boundary enforcement all lives in the gates — and drives a
-//! shared [`WebApp`] handler:
+//! at once (§6). Here an application is a shared [`WebApp`] handler and a
+//! request is served by [`serve_request`], called from whatever thread
+//! the front end runs it on (the TCP edge's workers in `resin-net`, a
+//! test's own thread) — the boundary enforcement all lives in the gates:
 //!
 //! * every request gets its **own** [`Response`] (and therefore its own
 //!   [`Gate`](resin_core::Gate) and [`Context`](resin_core::Context)),
 //!   exactly as each Apache request gets its own output channel;
 //! * the application state behind the handler is **shared** across
-//!   workers — a `ResinDb`, a `SessionStore`, the global
+//!   threads — a `ResinDb`, a `SessionStore`, the global
 //!   `LabelTable`/`GateRegistry`;
-//! * a handler panic is confined to its request (the worker answers 500
-//!   and keeps serving), so one poisoned request cannot take the pool
-//!   down — the failure mode the poison-recovering locks in `resin_core`
-//!   are built for.
+//! * a handler panic is confined to its request (the caller gets a 500
+//!   page and keeps serving), so one poisoned request cannot take the
+//!   server down — the failure mode the poison-recovering locks in
+//!   `resin_core` are built for.
 //!
 //! # Examples
 //!
 //! ```
 //! use resin_core::FlowError;
-//! use resin_web::server::{Server, WebApp};
-//! use resin_web::{Request, Response};
-//! use std::sync::Arc;
+//! use resin_web::{serve_request, Request, Response};
 //!
-//! let app = Arc::new(|req: &Request, resp: &mut Response| -> Result<(), FlowError> {
+//! let app = |req: &Request, resp: &mut Response| -> Result<(), FlowError> {
 //!     resp.echo_str("hello from ")?;
 //!     resp.echo_str(req.path())
-//! });
-//! let server = Server::start(app, 4);
-//! let page = server.serve(Request::get("/index"));
+//! };
+//! let page = serve_request(&app, &Request::get("/index"));
 //! assert_eq!(page.body, "hello from /index");
 //! assert!(page.outcome.is_ok());
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
-
-use resin_core::sync::mlock;
 
 use resin_core::FlowError;
 
 use crate::request::Request;
 use crate::response::Response;
 
-/// A request handler shared by every worker.
+/// A request handler shared by every serving thread.
 ///
 /// Implementations hold the shared application state (database handles,
 /// session store) and must be safe to call from many threads at once. The
@@ -91,188 +83,13 @@ impl ServedPage {
     }
 }
 
-/// One enqueued request and the slot its page will be delivered to.
-struct Job {
-    req: Request,
-    slot: Arc<Slot>,
-}
-
-/// A rendezvous for one request's result.
-struct Slot {
-    page: Mutex<Option<ServedPage>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            page: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, page: ServedPage) {
-        let mut slot = mlock(&self.page);
-        *slot = Some(page);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> ServedPage {
-        let mut slot = mlock(&self.page);
-        loop {
-            if let Some(page) = slot.take() {
-                return page;
-            }
-            slot = self
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A pending response: redeem with [`Ticket::wait`].
-pub struct Ticket {
-    slot: Arc<Slot>,
-}
-
-impl Ticket {
-    /// Blocks until the request has been served.
-    pub fn wait(self) -> ServedPage {
-        self.slot.wait()
-    }
-}
-
-/// The in-process request queue shared by submitters and workers.
-struct Queue {
-    state: Mutex<QueueState>,
-    work: Condvar,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl Queue {
-    fn new() -> Arc<Queue> {
-        Arc::new(Queue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            work: Condvar::new(),
-        })
-    }
-
-    fn push(&self, job: Job) {
-        let mut state = mlock(&self.state);
-        state.jobs.push_back(job);
-        self.work.notify_one();
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = mlock(&self.state);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .work
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        let mut state = mlock(&self.state);
-        state.closed = true;
-        self.work.notify_all();
-    }
-}
-
-/// The worker-pool dispatcher.
+/// Serves one request through a fresh [`Response`], confining a handler
+/// panic to the request: a panicking handler yields a 500 page instead of
+/// unwinding into the caller.
 ///
-/// Dropping the server closes the queue and joins the workers (pending
-/// requests are served first).
-pub struct Server {
-    queue: Arc<Queue>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Starts a pool of `workers` threads serving `app`.
-    pub fn start(app: Arc<dyn WebApp>, workers: usize) -> Server {
-        let queue = Queue::new();
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let app = Arc::clone(&app);
-                std::thread::Builder::new()
-                    .name(format!("resin-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &*app))
-                    .expect("spawn worker")
-            })
-            .collect();
-        Server { queue, workers }
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a request; redeem the returned ticket for the page.
-    pub fn submit(&self, req: Request) -> Ticket {
-        let slot = Slot::new();
-        self.queue.push(Job {
-            req,
-            slot: Arc::clone(&slot),
-        });
-        Ticket { slot }
-    }
-
-    /// Serves one request synchronously (submit + wait).
-    pub fn serve(&self, req: Request) -> ServedPage {
-        self.submit(req).wait()
-    }
-
-    /// Closes the queue and joins the pool after draining it.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn worker_loop(queue: &Queue, app: &dyn WebApp) {
-    while let Some(job) = queue.pop() {
-        job.slot.deliver(serve_request(app, &job.req));
-    }
-}
-
-/// Serves one request through a fresh [`Response`] with the pool's
-/// panic-confinement semantics: a panicking handler yields a 500 page
-/// instead of unwinding into the caller.
-///
-/// This is the dispatch step [`Server`]'s workers run — exposed so other
-/// front ends (the TCP edge in `resin-net`) serve with *identical* gate
-/// and failure behavior.
+/// Every front end (the TCP edge in `resin-net`, the in-process tests)
+/// dispatches through this one function, so they all serve with
+/// *identical* gate and failure behavior.
 pub fn serve_request(app: &dyn WebApp, req: &Request) -> ServedPage {
     let served = catch_unwind(AssertUnwindSafe(|| {
         let mut resp = Response::new();
@@ -303,36 +120,31 @@ pub fn serve_request(app: &dyn WebApp, req: &Request) -> ServedPage {
 mod tests {
     use super::*;
     use resin_core::{PasswordPolicy, TaintedString};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
 
-    fn echo_app() -> Arc<dyn WebApp> {
-        Arc::new(
-            |req: &Request, resp: &mut Response| -> Result<(), FlowError> {
-                resp.echo_str("path=")?;
-                resp.echo_str(req.path())
-            },
-        )
+    fn echo_app(req: &Request, resp: &mut Response) -> Result<(), FlowError> {
+        resp.echo_str("path=")?;
+        resp.echo_str(req.path())
     }
 
     #[test]
     fn serves_a_request() {
-        let server = Server::start(echo_app(), 2);
-        let page = server.serve(Request::get("/a"));
+        let page = serve_request(&echo_app, &Request::get("/a"));
         assert_eq!(page.body, "path=/a");
         assert_eq!(page.status, 200);
         assert!(page.outcome.is_ok());
         assert!(!page.blocked());
-        assert_eq!(server.worker_count(), 2);
     }
 
     #[test]
     fn requests_overlap_across_workers() {
-        // Two in-flight requests that each wait for the other prove the
-        // pool really runs them concurrently (a single worker would
-        // deadlock — the 5s bound turns that into a failure, not a hang).
+        // Two in-flight requests that each wait for the other prove one
+        // shared app serves them concurrently (a handler serialised
+        // behind a lock would deadlock — the 5s bound turns that into a
+        // failure, not a hang).
         let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
         let g = Arc::clone(&gate);
-        let app = Arc::new(move |_req: &Request, resp: &mut Response| {
+        let app = move |_req: &Request, resp: &mut Response| {
             let (count, cv) = &*g;
             let mut n = count.lock().unwrap();
             *n += 1;
@@ -343,74 +155,61 @@ mod tests {
             assert!(!timeout.timed_out(), "both requests must be in flight");
             *n += 100; // keep the predicate satisfied for the other waiter
             resp.echo_str("overlapped")
+        };
+        std::thread::scope(|s| {
+            let t1 = s.spawn(|| serve_request(&app, &Request::get("/1")));
+            let t2 = s.spawn(|| serve_request(&app, &Request::get("/2")));
+            assert_eq!(t1.join().unwrap().body, "overlapped");
+            assert_eq!(t2.join().unwrap().body, "overlapped");
         });
-        let server = Server::start(app, 2);
-        let t1 = server.submit(Request::get("/1"));
-        let t2 = server.submit(Request::get("/2"));
-        assert_eq!(t1.wait().body, "overlapped");
-        assert_eq!(t2.wait().body, "overlapped");
     }
 
     #[test]
     fn violation_reports_as_blocked() {
-        let app = Arc::new(|_req: &Request, resp: &mut Response| {
+        let app = |_req: &Request, resp: &mut Response| {
             let secret = TaintedString::with_policy("pw", Arc::new(PasswordPolicy::new("u@x")));
             resp.echo(secret)
-        });
-        let server = Server::start(app, 1);
-        let page = server.serve(Request::get("/leak"));
+        };
+        let page = serve_request(&app, &Request::get("/leak"));
         assert!(page.blocked());
         assert_eq!(page.body, "", "nothing crossed the gate");
     }
 
     #[test]
     fn panicking_handler_answers_500_and_pool_survives() {
-        let app = Arc::new(|req: &Request, resp: &mut Response| {
+        let app = |req: &Request, resp: &mut Response| {
             if req.path() == "/boom" {
                 panic!("request goes down");
             }
             resp.echo_str("fine")
-        });
-        let server = Server::start(app, 1);
-        let crash = server.serve(Request::get("/boom"));
+        };
+        let crash = serve_request(&app, &Request::get("/boom"));
         assert_eq!(crash.status, 500);
         assert!(crash.outcome.is_err());
-        // The single worker survived the panic and serves the next request.
-        let ok = server.serve(Request::get("/next"));
+        // The calling thread and the process-wide locks the handler's
+        // `Response` took survived the panic: the next request is served.
+        let ok = serve_request(&app, &Request::get("/next"));
         assert_eq!(ok.body, "fine");
     }
 
     #[test]
-    fn shutdown_drains_pending_requests() {
-        let served = Arc::new(AtomicUsize::new(0));
-        let s = Arc::clone(&served);
-        let app = Arc::new(move |_req: &Request, resp: &mut Response| {
-            s.fetch_add(1, Ordering::SeqCst);
-            resp.echo_str("ok")
-        });
-        let server = Server::start(app, 2);
-        let tickets: Vec<Ticket> = (0..32)
-            .map(|i| server.submit(Request::get(format!("/{i}"))))
-            .collect();
-        server.shutdown();
-        assert_eq!(served.load(Ordering::SeqCst), 32);
-        for t in tickets {
-            assert_eq!(t.wait().body, "ok");
-        }
-    }
-
-    #[test]
     fn each_request_gets_its_own_response() {
-        let app = Arc::new(|req: &Request, resp: &mut Response| resp.echo_str(req.path()));
-        let server = Server::start(app, 4);
-        let tickets: Vec<(String, Ticket)> = (0..64)
-            .map(|i| {
-                let path = format!("/req-{i}");
-                (path.clone(), server.submit(Request::get(path)))
-            })
-            .collect();
-        for (path, t) in tickets {
-            assert_eq!(t.wait().body, path, "no cross-request bleed");
-        }
+        let app = |req: &Request, resp: &mut Response| resp.echo_str(req.path());
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    s.spawn(move || {
+                        for i in 0..16 {
+                            let path = format!("/req-{t}-{i}");
+                            let page = serve_request(&app, &Request::get(path.clone()));
+                            assert_eq!(page.body, path, "no cross-request bleed");
+                        }
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().unwrap();
+            }
+        });
     }
 }

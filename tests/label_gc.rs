@@ -12,11 +12,10 @@ use std::sync::Arc;
 
 use resin_apps::ForumApp;
 use resin_core::LabelTable;
-use resin_web::server::Server;
-use resin_web::{Request, SessionStore};
+use resin_web::{serve_request, Request, SessionStore, WebApp};
 
-fn login(server: &Server, user: &str) -> String {
-    let page = server.serve(Request::post("/login").with_param("user", user));
+fn login(app: &dyn WebApp, user: &str) -> String {
+    let page = serve_request(app, &Request::post("/login").with_param("user", user));
     assert!(page.outcome.is_ok(), "{:?}", page.outcome);
     page.body
 }
@@ -25,34 +24,34 @@ fn login(server: &Server, user: &str) -> String {
 fn label_table_plateaus_under_request_churn_with_gc() {
     let dir = std::env::temp_dir().join(format!("resin-label-gc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let app = Arc::new(ForumApp::open(&dir, Arc::new(SessionStore::new())).unwrap());
+    let app = ForumApp::open(&dir, Arc::new(SessionStore::new())).unwrap();
     app.db().set_wal_sync(false);
-    let server = Server::start(app.clone(), 2);
-    let sid = login(&server, "alice");
+    let sid = login(&app, "alice");
 
-    let evil_id = server
-        .serve(
-            Request::post("/post")
-                .with_cookie("sid", &sid)
-                .with_param("body", "<script>steal()</script>"),
-        )
-        .body
-        .strip_prefix("posted ")
-        .unwrap()
-        .to_string();
+    let evil_id = serve_request(
+        &app,
+        &Request::post("/post")
+            .with_cookie("sid", &sid)
+            .with_param("body", "<script>steal()</script>"),
+    )
+    .body
+    .strip_prefix("posted ")
+    .unwrap()
+    .to_string();
 
     let mut plateau = Vec::new();
     for round in 0..6 {
         // A burst of tainted traffic: every request interns labels for
         // its parse-boundary taint and its query results.
         for i in 0..20 {
-            let page = server.serve(
-                Request::post("/post")
+            let page = serve_request(
+                &app,
+                &Request::post("/post")
                     .with_cookie("sid", &sid)
                     .with_param("body", &format!("round {round} post {i}")),
             );
             assert!(page.outcome.is_ok(), "{:?}", page.outcome);
-            let page = server.serve(Request::get("/search").with_param("q", "post"));
+            let page = serve_request(&app, &Request::get("/search").with_param("q", "post"));
             assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         }
         let report = app.gc_labels().unwrap();
@@ -77,13 +76,13 @@ fn label_table_plateaus_under_request_churn_with_gc() {
     // Policies survive the sweeps: the stored payload still fails closed
     // and a benign read still renders — labels re-intern from the
     // serialized policy columns on demand.
-    let page = server.serve(Request::get("/view_raw").with_param("id", &evil_id));
+    let page = serve_request(&app, &Request::get("/view_raw").with_param("id", &evil_id));
     assert!(
         page.blocked(),
         "XSS must fail closed after GC: {:?}",
         page.outcome
     );
-    let page = server.serve(Request::get("/view").with_param("id", &evil_id));
+    let page = serve_request(&app, &Request::get("/view").with_param("id", &evil_id));
     assert!(page.outcome.is_ok(), "{:?}", page.outcome);
     assert!(page.body.contains("&lt;script&gt;"));
 
