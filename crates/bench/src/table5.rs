@@ -30,7 +30,7 @@ fn seed_string(config: Config) -> Value {
     if config == Config::ResinEmptyPolicy {
         s.add_policy(Arc::new(EmptyPolicy::new()));
     }
-    Value::Str(s)
+    Value::from(s)
 }
 
 fn seed_int(config: Config) -> Value {

@@ -337,7 +337,7 @@ fn lint_method(class: &ClassDecl, name: &str, method: &FnDecl, diags: &mut Vec<D
     // table attributes each dead instruction to its source line; compiler
     // artifacts (the implicit-return epilogue, rejoin jumps after an arm
     // that returned) are skipped so only source statements report.
-    if let Ok(chunk) = compile_function(method) {
+    if let Ok(chunk) = compile_function(method, None) {
         let targets: BTreeSet<usize> = chunk
             .code
             .iter()

@@ -10,6 +10,8 @@
 
 use std::sync::Arc;
 
+use resin_core::TaintedString;
+
 use crate::ast::{ClassDecl, FnDecl};
 
 /// One VM instruction.
@@ -77,9 +79,14 @@ pub(crate) enum Op {
         argc: u8,
     },
     /// Pop `argc` args and a receiver, call the method and push its result.
+    /// `index` is the position of `names[name]` among the methods of the
+    /// class the chunk was compiled for ([`Op::UNRESOLVED`] when it has
+    /// none, or no class): a gate crossing, whose receiver is almost
+    /// always that class, finds the callee's chunk by it.
     Method {
         name: u32,
         argc: u8,
+        index: u16,
     },
     /// Pop `argc` args, instantiate class `names[class]` (running `init`
     /// if declared) and push the object.
@@ -139,13 +146,20 @@ pub(crate) enum Op {
     },
 }
 
+impl Op {
+    /// [`Op::Method`]'s `index` when the compiler could not resolve the
+    /// method name.
+    pub(crate) const UNRESOLVED: u16 = u16::MAX;
+}
+
 /// A constant-pool entry.
 #[derive(Debug, Clone)]
 pub(crate) enum Const {
     /// Integer literal.
     Int(i64),
-    /// String literal (deduplicated; materialized untainted at load).
-    Str(String),
+    /// String literal (deduplicated, untainted): built once here, so a
+    /// load clones the pointer instead of allocating.
+    Str(Arc<TaintedString>),
     /// A function declaration (target of [`Op::DefineFn`]).
     Fn(Arc<FnDecl>),
     /// A class declaration (target of [`Op::DefineClass`]).
@@ -169,6 +183,8 @@ pub struct Chunk {
     pub(crate) lines: Vec<(u32, u32)>,
     /// The compiled function's name (empty for a top-level program).
     pub(crate) name: String,
+    /// The compiled function's parameter count.
+    pub(crate) arity: usize,
 }
 
 impl Chunk {
@@ -193,6 +209,11 @@ impl Chunk {
         &self.name
     }
 
+    /// Number of arguments the compiled function takes.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
     /// Source line of the instruction at `ip`, if recorded.
     pub fn line_of(&self, ip: usize) -> Option<u32> {
         let ip = ip as u32;
@@ -215,6 +236,7 @@ mod tests {
             slot_names: Vec::new(),
             lines,
             name: String::new(),
+            arity: 0,
         }
     }
 

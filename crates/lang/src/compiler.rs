@@ -7,93 +7,51 @@
 //! The differential test suite holds the two engines to bit-identical
 //! values, labels, and error messages.
 //!
-//! This module also owns the process-wide **policy chunk cache** that
-//! lives alongside the global policy interner: a policy's `export_check`
-//! method compiles once per process (keyed by the method's `FnDecl`
-//! allocation, which the interned policy keeps alive), so every gate
-//! crossing after the first is a read-locked map lookup plus a VM run.
+//! A script function compiles once per interpreter (`chunk_for`); a
+//! policy class's methods compile once per class declaration, into its
+//! check plan ([`crate::check`]).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
-use crate::ast::{BinOp, Expr, FnDecl, Stmt, StmtKind, Target};
+use resin_core::TaintedString;
+
+use crate::ast::{BinOp, ClassDecl, Expr, FnDecl, Stmt, StmtKind, Target};
 use crate::chunk::{Chunk, Const, Op};
 use crate::interp::{Interp, LangError};
 
 /// Compiles a top-level program. Every variable is a global; the chunk
 /// returns the value of the last statement (matching `exec_program`).
 pub(crate) fn compile_program(program: &[Stmt]) -> Result<Chunk, LangError> {
-    let mut c = Compiler::new(String::new(), None);
+    let mut c = Compiler::new(String::new(), None, None);
     c.block(program, true)?;
     c.emit(Op::Return);
     Ok(c.finish())
 }
 
 /// Compiles a function or method body. Parameters and assigned names
-/// become local slots; the implicit return value is `null`.
-pub(crate) fn compile_function(decl: &FnDecl) -> Result<Chunk, LangError> {
-    let mut c = Compiler::new(decl.name.clone(), Some(decl));
+/// become local slots; the implicit return value is `null`. With `class`
+/// — a method compiled for that class's check plan — a method call whose
+/// name is one of the class's own carries that method's index.
+pub(crate) fn compile_function(
+    decl: &FnDecl,
+    class: Option<&ClassDecl>,
+) -> Result<Chunk, LangError> {
+    let mut c = Compiler::new(decl.name.clone(), Some(decl), class);
     c.block(&decl.body, false)?;
     c.emit(Op::Null);
     c.emit(Op::Return);
     Ok(c.finish())
 }
 
-// ---- the process-wide policy chunk cache ----
-
-type ChunkCache = RwLock<HashMap<usize, (Arc<FnDecl>, Arc<Chunk>)>>;
-
-fn policy_chunks() -> &'static ChunkCache {
-    static CACHE: OnceLock<ChunkCache> = OnceLock::new();
-    CACHE.get_or_init(Default::default)
-}
-
-static POLICY_COMPILES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of distinct chunks the process-wide policy cache has compiled.
-///
-/// Observable by tests: checking the same policy N times moves this by
-/// one; two distinct classes with byte-identical source move it by two
-/// (they must not conflate — same rule as `intern_discriminator`).
-pub fn compiled_policy_chunks() -> u64 {
-    POLICY_COMPILES.load(Ordering::SeqCst)
-}
-
-/// Get-or-compile through the process-wide cache. Keyed by the `FnDecl`
-/// allocation address; callers hold the `Arc` in the cache so the address
-/// cannot be reused while the entry lives.
-pub(crate) fn global_chunk_for(decl: &Arc<FnDecl>) -> Result<Arc<Chunk>, LangError> {
-    let key = Arc::as_ptr(decl) as usize;
-    if let Some((_, chunk)) = policy_chunks()
-        .read()
-        .expect("chunk cache poisoned")
-        .get(&key)
-    {
-        return Ok(chunk.clone());
-    }
-    let chunk = Arc::new(compile_function(decl)?);
-    let mut cache = policy_chunks().write().expect("chunk cache poisoned");
-    if let Some((_, chunk)) = cache.get(&key) {
-        return Ok(chunk.clone());
-    }
-    POLICY_COMPILES.fetch_add(1, Ordering::SeqCst);
-    cache.insert(key, (decl.clone(), chunk.clone()));
-    Ok(chunk)
-}
-
-/// Get-or-compile for a script function: the per-interpreter cache for
-/// long-lived interpreters, or the process-wide cache for the short-lived
-/// evaluators that run policy checks.
+/// Get-or-compile for a script function, through the interpreter's own
+/// cache.
 pub(crate) fn chunk_for(interp: &mut Interp, decl: &Arc<FnDecl>) -> Result<Arc<Chunk>, LangError> {
-    if interp.use_global_chunk_cache {
-        return global_chunk_for(decl);
-    }
     let key = Arc::as_ptr(decl) as usize;
     if let Some((_, chunk)) = interp.chunks.get(&key) {
         return Ok(chunk.clone());
     }
-    let chunk = Arc::new(compile_function(decl)?);
+    let chunk = Arc::new(compile_function(decl, None)?);
     interp.chunks.insert(key, (decl.clone(), chunk.clone()));
     Ok(chunk)
 }
@@ -107,7 +65,10 @@ enum ConstKey {
     Str(String),
 }
 
-struct Compiler {
+struct Compiler<'a> {
+    /// The class whose method is being compiled for a check plan.
+    class: Option<&'a ClassDecl>,
+    arity: usize,
     code: Vec<Op>,
     consts: Vec<Const>,
     const_idx: HashMap<ConstKey, u32>,
@@ -121,9 +82,11 @@ struct Compiler {
     in_function: bool,
 }
 
-impl Compiler {
-    fn new(name: String, decl: Option<&FnDecl>) -> Compiler {
+impl<'a> Compiler<'a> {
+    fn new(name: String, decl: Option<&FnDecl>, class: Option<&'a ClassDecl>) -> Compiler<'a> {
         let mut c = Compiler {
+            class,
+            arity: decl.map_or(0, |d| d.params.len()),
             code: Vec::new(),
             consts: Vec::new(),
             const_idx: HashMap::new(),
@@ -155,6 +118,7 @@ impl Compiler {
             slot_names: self.slot_names,
             lines: self.lines,
             name: self.name,
+            arity: self.arity,
         }
     }
 
@@ -353,7 +317,9 @@ impl Compiler {
                 self.emit(Op::Const(i));
             }
             Expr::Str(s) => {
-                let i = self.const_of(ConstKey::Str(s.clone()), || Const::Str(s.clone()))?;
+                let i = self.const_of(ConstKey::Str(s.clone()), || {
+                    Const::Str(Arc::new(TaintedString::from(s.clone())))
+                })?;
                 self.emit(Op::Const(i));
             }
             Expr::Bool(true) => {
@@ -401,7 +367,12 @@ impl Compiler {
                 }
                 let name = self.name_of(method)?;
                 let argc = arg_count(args.len())?;
-                self.emit(Op::Method { name, argc });
+                let index = self
+                    .class
+                    .and_then(|c| c.methods.iter().position(|m| m.name == *method))
+                    .and_then(|i| u16::try_from(i).ok())
+                    .unwrap_or(Op::UNRESOLVED);
+                self.emit(Op::Method { name, argc, index });
             }
             Expr::Prop(obj, field) => {
                 self.expr(obj)?;
@@ -584,7 +555,7 @@ fn push_idx<T>(v: &mut Vec<T>, item: T, what: &str) -> Result<u32, LangError> {
 /// or class bodies (those compile to their own chunks with their own
 /// slots). Matches the tree-walker, where only `define`/`set_var` against
 /// the current frame create locals.
-fn collect_assigned(stmts: &[Stmt], c: &mut Compiler) {
+fn collect_assigned(stmts: &[Stmt], c: &mut Compiler<'_>) {
     for s in stmts {
         match &s.kind {
             StmtKind::Let(name, _) => c.add_slot(name),
@@ -627,7 +598,7 @@ mod tests {
         let StmtKind::FnDef(decl) = &program[0].kind else {
             panic!()
         };
-        let c = compile_function(decl).unwrap();
+        let c = compile_function(decl, None).unwrap();
         // a, b (params), then x, y (assigned) — reads of `a` hit slot 0.
         assert_eq!(c.slot_count(), 4);
         assert!(c.code.contains(&Op::LoadSlot(0)));
@@ -645,7 +616,7 @@ mod tests {
         let strs = c
             .consts
             .iter()
-            .filter(|k| matches!(k, Const::Str(s) if s == "s"))
+            .filter(|k| matches!(k, Const::Str(s) if s.as_str() == "s"))
             .count();
         assert_eq!((ints, strs), (1, 1));
     }
@@ -670,14 +641,41 @@ mod tests {
 
     #[test]
     fn global_cache_compiles_once_per_decl() {
-        let program = parse_program("fn probe_cache_once() { return 1; }").unwrap();
-        let StmtKind::FnDef(decl) = &program[0].kind else {
+        // The process-wide table hands every caller one plan per class
+        // declaration, and the plan compiles each method once.
+        let program = parse_program("class ProbeCacheOnce { fn probe() { return 1; } }").unwrap();
+        let StmtKind::ClassDef(class) = &program[0].kind else {
             panic!()
         };
-        let before = compiled_policy_chunks();
-        let a = global_chunk_for(decl).unwrap();
-        let b = global_chunk_for(decl).unwrap();
+        let plan = crate::check::plan_for(class);
+        assert!(Arc::ptr_eq(&plan, &crate::check::plan_for(class)));
+        let a = plan.chunk(0).unwrap().clone();
+        let b = plan.chunk(0).unwrap().clone();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(compiled_policy_chunks(), before + 1);
+    }
+
+    #[test]
+    fn a_plan_method_call_carries_the_callee_index() {
+        let program = parse_program(
+            "class P { fn helper() { return 1; } fn export_check(c) { this.helper(); c.other(); } }",
+        )
+        .unwrap();
+        let StmtKind::ClassDef(class) = &program[0].kind else {
+            panic!()
+        };
+        let indexes = |c: &Chunk| -> Vec<u16> {
+            c.code
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Method { index, .. } => Some(*index),
+                    _ => None,
+                })
+                .collect()
+        };
+        let planned = compile_function(&class.methods[1], Some(class)).unwrap();
+        assert_eq!(indexes(&planned), vec![0, Op::UNRESOLVED]);
+        assert_eq!(planned.arity(), 1);
+        let plain = compile_function(&class.methods[1], None).unwrap();
+        assert_eq!(indexes(&plain), vec![Op::UNRESOLVED; 2]);
     }
 }

@@ -22,13 +22,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use resin_core::{
-    merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, CtxValue, EmptyPolicy,
-    Gate, GateKind, HtmlSanitized, Label, PolicyRef, PolicyViolation, Runtime, SqlSanitized,
-    TaintedString, UntrustedData,
+    merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy, Gate,
+    GateKind, HtmlSanitized, Label, PolicyRef, Runtime, SqlSanitized, TaintedString, UntrustedData,
 };
 use resin_vfs::{TrackingMode as VfsTracking, Vfs};
 
 use crate::ast::{BinOp, ClassDecl, Expr, FnDecl, Stmt, StmtKind, Target};
+use crate::check::ClassPlan;
+pub use crate::check::{check_cache_stats, eval_policy_method, set_check_cache};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
 use crate::value::{Obj, PValue, ScriptPolicy, Value};
@@ -163,7 +164,7 @@ pub(crate) const MAX_CALL_DEPTH: usize = 64;
 /// The interpreter.
 pub struct Interp {
     pub(crate) tracking: Tracking,
-    engine: Engine,
+    pub(crate) engine: Engine,
     pub(crate) globals: HashMap<String, Value>,
     locals: Vec<HashMap<String, Value>>,
     pub(crate) fns: HashMap<String, Arc<FnDecl>>,
@@ -183,9 +184,12 @@ pub struct Interp {
     /// Per-interpreter chunk cache for script functions, keyed by the
     /// `FnDecl` allocation (the `Arc` is held so the address stays valid).
     pub(crate) chunks: HashMap<usize, (Arc<FnDecl>, Arc<Chunk>)>,
-    /// Route chunk lookups through the process-wide policy-method cache
-    /// (set for the short-lived interpreters that run `export_check`).
-    pub(crate) use_global_chunk_cache: bool,
+    /// Set while this interpreter runs a gate crossing ([`crate::check`]):
+    /// the plan's class is visible by name without being registered, and
+    /// its methods' chunks come from the plan.
+    pub(crate) plan: Option<Arc<ClassPlan>>,
+    /// The VM's buffers between runs (their capacity is worth keeping).
+    pub(crate) vm_bufs: crate::vm::Bufs,
     /// Warning-level lint reports accumulated as policy classes were
     /// registered (error-level findings fail registration instead).
     lint_reports: Vec<crate::analysis::LintReport>,
@@ -225,9 +229,63 @@ impl Interp {
             current_user: None,
             call_depth: 0,
             chunks: HashMap::new(),
-            use_global_chunk_cache: false,
+            plan: None,
+            vm_bufs: Default::default(),
             lint_reports: Vec::new(),
         }
+    }
+
+    /// True when nothing script-visible has happened on this interpreter,
+    /// so the next gate crossing cannot tell it from a new one.
+    pub(crate) fn is_pristine(&self) -> bool {
+        // Every field is named: a new one has to be classified here.
+        let Interp {
+            tracking: _,
+            engine: _,
+            globals,
+            locals,
+            fns,
+            classes,
+            vfs,
+            http,
+            emails,
+            email_preview,
+            require_code_approval,
+            print_buf,
+            current_user,
+            call_depth,
+            chunks,
+            plan,
+            vm_bufs: _,
+            lint_reports,
+        } = self;
+        globals.is_empty()
+            && locals.is_empty()
+            && fns.is_empty()
+            && classes.is_empty()
+            && vfs.is_none()
+            && http.is_none()
+            && emails.is_empty()
+            && !email_preview
+            && !require_code_approval
+            && print_buf.is_empty()
+            && current_user.is_none()
+            && *call_depth == 0
+            && chunks.is_empty()
+            && plan.is_none()
+            && lint_reports.is_empty()
+    }
+
+    /// The class `name` refers to: one defined here, else the class of
+    /// the gate crossing in progress.
+    pub(crate) fn class_named(&self, name: &str) -> Option<Arc<ClassDecl>> {
+        let of_plan = || {
+            self.plan
+                .as_ref()
+                .map(|p| p.class())
+                .filter(|c| c.name == name)
+        };
+        self.classes.get(name).or_else(of_plan).cloned()
     }
 
     /// Lint reports (warnings only) collected while registering policy
@@ -331,7 +389,7 @@ impl Interp {
 
     /// Runs a compiled top-level chunk on the VM.
     pub fn exec_chunk(&mut self, chunk: &Arc<Chunk>) -> Result<Value, LangError> {
-        let flow = crate::vm::run_chunk(self, chunk.clone(), Vec::new(), None);
+        let flow = crate::vm::run_chunk(self, chunk.clone());
         finish(flow)
     }
 
@@ -600,7 +658,7 @@ impl Interp {
             }
             (Value::Str(s), Value::Int(n, _)) => {
                 let n = *n as usize;
-                Ok(Value::Str(s.slice(n..n + 1)))
+                Ok(Value::from(s.slice(n..n + 1)))
             }
             _ => Err(rt(format!(
                 "cannot index {} with {}",
@@ -720,9 +778,7 @@ impl Interp {
             }
             Expr::New { class, args } => {
                 let decl = self
-                    .classes
-                    .get(class)
-                    .cloned()
+                    .class_named(class)
                     .ok_or_else(|| rt(format!("undefined class `{class}`")))?;
                 let mut argv = Vec::with_capacity(args.len());
                 for a in args {
@@ -762,7 +818,7 @@ impl Interp {
                 if let Some(decl) = self.fns.get(name).cloned() {
                     return self.call_decl(&decl, argv, None);
                 }
-                self.builtin(name, argv)
+                self.builtin(name, &mut argv)
             }
         }
     }
@@ -851,11 +907,11 @@ impl Interp {
                     let mut s = String::with_capacity(a.len() + b.len());
                     s.push_str(a.as_str());
                     s.push_str(b.as_str());
-                    Ok(Value::Str(TaintedString::from(s)))
+                    Ok(Value::from(TaintedString::from(s)))
                 } else {
                     // The Table 5 concat opcode: a pre-sized builder append
                     // inside `concat`, spans carried with a seam coalesce.
-                    Ok(Value::Str(a.concat(&b)))
+                    Ok(Value::from(a.concat(&b)))
                 }
             }
             _ => Err(rt(format!(
@@ -876,11 +932,11 @@ impl Interp {
 
     // ---- builtins ----
 
-    pub(crate) fn builtin(&mut self, name: &str, mut args: Vec<Value>) -> R<Value> {
+    pub(crate) fn builtin(&mut self, name: &str, args: &mut [Value]) -> R<Value> {
         // Helpers for argument extraction.
-        fn want_str(v: &Value, what: &str) -> R<TaintedString> {
+        fn want_str<'a>(v: &'a Value, what: &str) -> R<&'a TaintedString> {
             match v {
-                Value::Str(s) => Ok(s.clone()),
+                Value::Str(s) => Ok(s),
                 other => Err(rt(format!(
                     "{what}: expected string, got {}",
                     other.type_name()
@@ -896,14 +952,12 @@ impl Interp {
                 ))),
             }
         }
+        let argc = args.len();
         let arity = |n: usize| -> R<()> {
-            if args.len() == n {
+            if argc == n {
                 Ok(())
             } else {
-                Err(rt(format!(
-                    "{name}: expected {n} arguments, got {}",
-                    args.len()
-                )))
+                Err(rt(format!("{name}: expected {n} arguments, got {argc}")))
             }
         };
 
@@ -982,9 +1036,9 @@ impl Interp {
             "policy_add" => {
                 arity(2)?;
                 let policy = self.policy_from_value(&args[1])?;
-                match args.remove(0) {
+                match std::mem::replace(&mut args[0], Value::Null) {
                     Value::Str(mut s) => {
-                        s.add_policy(policy);
+                        Arc::make_mut(&mut s).add_policy(policy);
                         Ok(Value::Str(s))
                     }
                     Value::Int(n, p) => Ok(Value::Int(n, p.union(Label::of(&policy)))),
@@ -996,8 +1050,9 @@ impl Interp {
             }
             "policy_remove" => {
                 arity(2)?;
+                let target = std::mem::replace(&mut args[0], Value::Null);
                 let cname = want_str(&args[1], name)?;
-                match args.remove(0) {
+                match target {
                     Value::Str(mut s) => {
                         let to_remove: Vec<PolicyRef> = s
                             .label()
@@ -1006,8 +1061,9 @@ impl Interp {
                             .filter(|p| p.name() == cname.as_str())
                             .cloned()
                             .collect();
+                        let text = Arc::make_mut(&mut s);
                         for p in &to_remove {
-                            s.remove_policy(p);
+                            text.remove_policy(p);
                         }
                         Ok(Value::Str(s))
                     }
@@ -1051,19 +1107,19 @@ impl Interp {
                 let s = want_str(&args[0], name)?;
                 let off = want_int(&args[1], name)?.max(0) as usize;
                 let n = want_int(&args[2], name)?.max(0) as usize;
-                Ok(Value::Str(s.substr(off, n)))
+                Ok(Value::from(s.substr(off, n)))
             }
             "upper" => {
                 arity(1)?;
-                Ok(Value::Str(want_str(&args[0], name)?.to_ascii_uppercase()))
+                Ok(Value::from(want_str(&args[0], name)?.to_ascii_uppercase()))
             }
             "lower" => {
                 arity(1)?;
-                Ok(Value::Str(want_str(&args[0], name)?.to_ascii_lowercase()))
+                Ok(Value::from(want_str(&args[0], name)?.to_ascii_lowercase()))
             }
             "trim" => {
                 arity(1)?;
-                Ok(Value::Str(want_str(&args[0], name)?.trim()))
+                Ok(Value::from(want_str(&args[0], name)?.trim()))
             }
             "contains" => {
                 arity(2)?;
@@ -1079,7 +1135,7 @@ impl Interp {
                 if from.is_empty() {
                     return Err(rt("replace: empty pattern"));
                 }
-                Ok(Value::Str(s.replace(from.as_str(), &to)))
+                Ok(Value::from(s.replace(from.as_str(), to)))
             }
             "split" => {
                 arity(2)?;
@@ -1089,7 +1145,7 @@ impl Interp {
                     return Err(rt("split: empty separator"));
                 }
                 Ok(Value::new_array(
-                    s.split(sep.as_str()).into_iter().map(Value::Str).collect(),
+                    s.split(sep.as_str()).into_iter().map(Value::from).collect(),
                 ))
             }
             "join" => {
@@ -1099,11 +1155,11 @@ impl Interp {
                     return Err(rt("join: expected array"));
                 };
                 let parts: Vec<TaintedString> = a.borrow().iter().map(|v| v.to_tainted()).collect();
-                Ok(Value::Str(TaintedString::join(sep.as_str(), parts.iter())))
+                Ok(Value::from(TaintedString::join(sep.as_str(), parts.iter())))
             }
             "str" => {
                 arity(1)?;
-                Ok(Value::Str(args[0].to_tainted()))
+                Ok(Value::from(args[0].to_tainted()))
             }
             "int" => {
                 arity(1)?;
@@ -1194,7 +1250,7 @@ impl Interp {
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
                 let data = self.vfs().read_file(p.as_str(), &ctx).map_err(vfs_err)?;
-                Ok(Value::Str(data))
+                Ok(Value::from(data))
             }
             "file_exists" => {
                 arity(1)?;
@@ -1270,7 +1326,7 @@ impl Interp {
                 let chunk = crate::compiler::compile_program(&program)
                     .map(Arc::new)
                     .map_err(Flow::Error)?;
-                crate::vm::run_chunk(self, chunk, Vec::new(), None)
+                crate::vm::run_chunk(self, chunk)
             }
         }
     }
@@ -1335,224 +1391,11 @@ pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
     }
 }
 
-/// Converts a channel context into the script-visible hash table that
-/// `export_check(context)` receives (shared by both engines).
-pub(crate) fn context_to_map(context: &Context) -> Value {
-    let ctx_map = Value::new_map();
-    if let Value::Map(m) = &ctx_map {
-        let mut m = m.borrow_mut();
-        for (k, v) in context.iter() {
-            let val = match v {
-                CtxValue::Str(s) => Value::str(s.clone()),
-                CtxValue::Int(i) => Value::int(*i),
-                CtxValue::Bool(b) => Value::Bool(*b),
-            };
-            m.insert(k.to_string(), val);
-        }
-    }
-    ctx_map
-}
-
-// ---- per-crossing check caches ----
-//
-// The dominant per-crossing costs after chunk caching are re-materializing
-// `this` (every `PValue` field converted to a fresh `Value`, allocating a
-// new `Rc` per list) and rebuilding the `$context` map. Both conversions
-// produce reference-semantics values, so reusing them across crossings is
-// only sound when the policy code provably never mutates them — which a
-// static scan of the method ASTs can establish, because the mini-evaluator
-// is a closed world: no user-defined free functions exist, so every bare
-// call is a builtin, and only `push`/`pop` mutate a value in place.
-
-/// True when the field-sensitive effects analysis certifies the class for
-/// the per-crossing caches (see [`crate::analysis::effects`]): nothing
-/// escapes, no container reachable from a field or the context is mutated
-/// in place, and every directly-written field is write-only — never read
-/// by any reachable method, so a later crossing cannot observe the
-/// previous crossing's value. Unlike the earlier all-or-nothing BFS, a
-/// policy that records into a scratch/audit field still qualifies.
-fn check_is_cacheable(class: &ClassDecl) -> bool {
-    crate::analysis::class_effects(class).cache_eligible()
-}
-
-/// A materialized `this` object plus the field snapshot it was built
-/// from (revalidated by equality, since two policy instances of one
-/// class can carry different fields).
-type CachedThis = (BTreeMap<String, PValue>, Rc<std::cell::RefCell<Obj>>);
-
-/// One cached policy class: the analysis verdict plus — for cacheable
-/// checks — the materialized `this` object.
-struct CheckPlan {
-    /// Liveness + identity token for the cache key (the `Arc`'s address).
-    class: std::sync::Weak<ClassDecl>,
-    cacheable: bool,
-    cached_this: Option<CachedThis>,
-}
-
-thread_local! {
-    static CHECK_PLANS: std::cell::RefCell<HashMap<usize, CheckPlan>> =
-        std::cell::RefCell::new(HashMap::new());
-    /// Single-slot `$context` map cache keyed by the context's content
-    /// stamp (equal stamps guarantee equal content). Only read-only
-    /// checks consult or fill it, so the cached map is never mutated.
-    static CTX_MAP: std::cell::RefCell<Option<(u64, Value)>> = const { std::cell::RefCell::new(None) };
-    static CHECK_CACHE_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static CHECK_CACHE_MISSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    static CHECK_CACHE_ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-}
-
-/// Disables (or re-enables) this thread's policy-check caches. For
-/// benchmarks and tests that need the uncached per-crossing cost as a
-/// baseline; production callers leave the caches on.
-pub fn set_check_cache(enabled: bool) {
-    CHECK_CACHE_ENABLED.with(|c| c.set(enabled));
-}
-
-/// Per-thread policy-check cache counters `(hits, misses)`: a hit means a
-/// crossing reused the materialized `this`; a miss means it rebuilt it
-/// (first crossing, mutating policy class, or changed fields).
-pub fn check_cache_stats() -> (u64, u64) {
-    (
-        CHECK_CACHE_HITS.with(|c| c.get()),
-        CHECK_CACHE_MISSES.with(|c| c.get()),
-    )
-}
-
-/// Returns `(cacheable, this)` for a check, reusing the per-class cached
-/// object when the class's check is cache-eligible and the fields match.
-fn this_for_check(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>) -> (bool, Value) {
-    let build = || {
-        Rc::new(std::cell::RefCell::new(Obj {
-            class: class.clone(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        }))
-    };
-    if !CHECK_CACHE_ENABLED.with(|c| c.get()) {
-        CHECK_CACHE_MISSES.with(|c| c.set(c.get() + 1));
-        return (false, Value::Object(build()));
-    }
-    let (cacheable, obj) = CHECK_PLANS.with(|plans| {
-        let mut plans = plans.borrow_mut();
-        let key = Arc::as_ptr(class) as usize;
-        let entry = match plans.get_mut(&key) {
-            // The upgrade-and-compare guards against a freed class whose
-            // address was reused by a different allocation.
-            Some(p) if p.class.upgrade().is_some_and(|c| Arc::ptr_eq(&c, class)) => p,
-            _ => {
-                let plan = CheckPlan {
-                    class: Arc::downgrade(class),
-                    cacheable: check_is_cacheable(class),
-                    cached_this: None,
-                };
-                plans.entry(key).insert_entry(plan).into_mut()
-            }
-        };
-        if !entry.cacheable {
-            CHECK_CACHE_MISSES.with(|c| c.set(c.get() + 1));
-            return (false, build());
-        }
-        match &entry.cached_this {
-            Some((snap, obj)) if snap == fields => {
-                CHECK_CACHE_HITS.with(|c| c.set(c.get() + 1));
-                (true, obj.clone())
-            }
-            _ => {
-                CHECK_CACHE_MISSES.with(|c| c.set(c.get() + 1));
-                let obj = build();
-                entry.cached_this = Some((fields.clone(), obj.clone()));
-                (true, obj)
-            }
-        }
-    });
-    (cacheable, Value::Object(obj))
-}
-
-/// Returns the `$context` argument map, served from the stamp-keyed cache
-/// when the check is read-only (`cacheable`).
-fn context_map_for_check(context: &Context, cacheable: bool) -> Value {
-    if !cacheable {
-        return context_to_map(context);
-    }
-    CTX_MAP.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        match &*slot {
-            Some((stamp, map)) if *stamp == context.cache_stamp() => map.clone(),
-            _ => {
-                let map = context_to_map(context);
-                *slot = Some((context.cache_stamp(), map.clone()));
-                map
-            }
-        }
-    })
-}
-
-/// Evaluates a script policy's `export_check` method against a channel
-/// context — the bridge that lets Rust-side filters invoke script-defined
-/// assertion code. Uses the process-default engine.
-pub fn eval_policy_method(
-    class: &Arc<ClassDecl>,
-    fields: &BTreeMap<String, PValue>,
-    context: &Context,
-) -> Result<(), PolicyViolation> {
-    eval_policy_method_on(default_engine(), class, fields, context)
-}
-
-/// [`eval_policy_method`] pinned to a specific engine (the differential
-/// bench compares them head to head).
-pub(crate) fn eval_policy_method_on(
-    engine: Engine,
-    class: &Arc<ClassDecl>,
-    fields: &BTreeMap<String, PValue>,
-    context: &Context,
-) -> Result<(), PolicyViolation> {
-    let class_name = class.name.as_str();
-    let method = class
-        .method("export_check")
-        .expect("caller checked export_check exists")
-        .clone();
-    // A lightweight evaluator per check: no VFS or HTTP gate is built
-    // unless the policy body actually touches one. Chunk lookups go
-    // through the process-wide cache so the method compiles once per
-    // process, not once per crossing.
-    let mut interp = Interp::with_config(Tracking::On, engine);
-    interp.use_global_chunk_cache = true;
-    // The policy's class is visible to the mini-evaluator so export_check
-    // can call the class's other methods.
-    interp.classes.insert(class.name.clone(), class.clone());
-    // Bind `this` to an object with the snapshotted fields; read-only
-    // checks reuse the materialized object and context map across
-    // crossings instead of reconverting every field.
-    let (cacheable, this) = this_for_check(class, fields);
-    let args = if method.params.is_empty() {
-        Vec::new()
-    } else {
-        vec![context_map_for_check(context, cacheable)]
-    };
-    let flow = match engine {
-        Engine::Tree => interp.call_decl(&method, args, Some(this)),
-        Engine::Vm => crate::vm::call_function(&mut interp, &method, args, Some(this)),
-    };
-    match flow {
-        Ok(_) => Ok(()),
-        Err(Flow::Return(_)) => Ok(()),
-        Err(Flow::Throw(v)) => Err(PolicyViolation::new(
-            class_name,
-            v.to_tainted().as_str().to_string(),
-        )),
-        Err(Flow::Error(e)) => Err(PolicyViolation::new(
-            class_name,
-            format!("policy error: {}", e.message),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::PasswordPolicy;
+    use crate::check::{check_is_cacheable, eval_policy_method_on};
+    use resin_core::{Context, PasswordPolicy};
 
     fn run(src: &str) -> Interp {
         let mut i = Interp::new();
@@ -1774,7 +1617,7 @@ mod tests {
         i.run("fn show(x) { echo(x); }").unwrap();
         let mut s = TaintedString::from("pw");
         s.add_policy(Arc::new(PasswordPolicy::new("u@x")));
-        let err = i.call_function("show", vec![Value::Str(s)]).unwrap_err();
+        let err = i.call_function("show", vec![Value::from(s)]).unwrap_err();
         assert!(err.violation);
     }
 

@@ -40,15 +40,17 @@
 //! ```
 
 //! Since the checks run on every gate crossing, RSL also has a bytecode
-//! pipeline (lexer → AST → [`compiler`] → [`chunk::Chunk`] → [`vm`]): a
-//! policy's `export_check` compiles once per process and every crossing
-//! thereafter is a chunk-cache lookup plus a dispatch loop. The VM is the
-//! engine every serving path runs; the tree-walker is kept as a
-//! differential oracle, reachable by pinning it ([`Interp::with_engine`],
-//! [`ScriptPolicy::with_engine`]).
+//! pipeline (lexer → AST → [`compiler`] → [`chunk::Chunk`] → [`vm`]), and
+//! [`check`] is what a crossing runs through: a policy class's methods
+//! compile once per class declaration into its check plan, the evaluator
+//! is pooled per thread, and a crossing thereafter is a dispatch loop over
+//! a 16-byte [`Value`]. The VM is the engine every serving path runs; the
+//! tree-walker is kept as a differential oracle, reachable by pinning it
+//! ([`Interp::with_engine`], [`ScriptPolicy::with_engine`]).
 
 pub mod analysis;
 pub mod ast;
+pub mod check;
 pub mod chunk;
 pub mod compiler;
 pub mod interp;
@@ -58,11 +60,8 @@ pub mod value;
 pub mod vm;
 
 pub use analysis::{class_effects, lint_class, lint_source, ClassEffects, LintReport, Severity};
+pub use check::{check_cache_stats, compiled_policy_chunks, set_check_cache};
 pub use chunk::Chunk;
-pub use compiler::compiled_policy_chunks;
-pub use interp::{
-    check_cache_stats, default_engine, set_check_cache, Engine, Interp, LangError, SentMail,
-    Tracking,
-};
+pub use interp::{default_engine, Engine, Interp, LangError, SentMail, Tracking};
 pub use parser::{parse_program, ParseError};
 pub use value::{PValue, ScriptPolicy, Value};

@@ -7,16 +7,30 @@
 //! [`Label`] (integers cannot do byte-level tracking — the paper's
 //! integer-addition microbenchmark measures exactly this path). A label is
 //! a 4-byte `Copy` handle, so integer propagation costs nothing.
+//!
+//! # Layout
+//!
+//! A [`Value`] is 16 bytes (asserted at compile time), so a stack push, a
+//! pop and a slot store each move two words. Inline: the tag, `Bool`, and
+//! `Int`'s `i64` plus its 4-byte [`Label`]. Shared: `Str` is an
+//! `Arc<TaintedString>` — text and spans live once on the heap, cloning a
+//! string value (reading `context["user"]`, loading a string constant out
+//! of a [`Chunk`](crate::chunk::Chunk), which is `Send + Sync` and so needs
+//! the atomic count) bumps a count, and the operations that change a string
+//! in place (`policy_add`, `policy_remove`) copy it first only when it is
+//! shared. `Array`, `Map` and `Object` are `Rc<RefCell<..>>` with reference
+//! semantics, as before.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use resin_core::{Context, Label, PolicyViolation, TaintedStrBuilder, TaintedString};
 
 use crate::ast::{ClassDecl, FnDecl};
+use crate::check::ClassPlan;
 
 /// An RSL runtime value.
 #[derive(Clone)]
@@ -27,14 +41,23 @@ pub enum Value {
     Bool(bool),
     /// Integer with its interned policy label.
     Int(i64, Label),
-    /// String with byte-range policies.
-    Str(TaintedString),
+    /// String with byte-range policies (shared; see the module's layout
+    /// notes). Build one with [`Value::str`] or `Value::from`.
+    Str(Arc<TaintedString>),
     /// Mutable array (reference semantics).
     Array(Rc<RefCell<Vec<Value>>>),
     /// Mutable string-keyed map (reference semantics).
     Map(Rc<RefCell<BTreeMap<String, Value>>>),
     /// Class instance (reference semantics).
     Object(Rc<RefCell<Obj>>),
+}
+
+const _: () = assert!(std::mem::size_of::<Value>() <= 16);
+
+impl From<TaintedString> for Value {
+    fn from(s: TaintedString) -> Value {
+        Value::Str(Arc::new(s))
+    }
 }
 
 /// A class instance: its class plus dynamic fields.
@@ -53,7 +76,7 @@ impl Value {
 
     /// String from plain text.
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(TaintedString::from(s.into()))
+        Value::from(TaintedString::from(s.into()))
     }
 
     /// Fresh empty array.
@@ -118,7 +141,7 @@ impl Value {
                 s.add_label(*pol);
                 s
             }
-            Value::Str(s) => s.clone(),
+            Value::Str(s) => TaintedString::clone(s),
             Value::Array(a) => {
                 let mut out = TaintedStrBuilder::new();
                 out.push_char('[');
@@ -207,6 +230,40 @@ impl PValue {
         }
     }
 
+    /// Overwrites `slot` with this snapshot's value, reusing what `slot`
+    /// already owns alone: a list's buffer, a string's text. The result is
+    /// indistinguishable from [`PValue::to_value`].
+    pub(crate) fn store_into(&self, slot: &mut Value) {
+        match (self, &mut *slot) {
+            (PValue::Str(s), Value::Str(text)) => {
+                if let Some(text) = Arc::get_mut(text) {
+                    text.truncate(0);
+                    text.push_str(s);
+                    return;
+                }
+            }
+            (PValue::List(items), Value::Array(array)) => {
+                if let Some(array) = Rc::get_mut(array) {
+                    let array = array.get_mut();
+                    array.truncate(items.len());
+                    for (item, v) in items.iter().zip(array.iter_mut()) {
+                        match item {
+                            // What lists mostly hold, without the call
+                            // (this function recurses, so it is not inlined).
+                            PValue::Int(n) => *v = Value::int(*n),
+                            _ => item.store_into(v),
+                        }
+                    }
+                    let kept = array.len();
+                    array.extend(items[kept..].iter().map(PValue::to_value));
+                    return;
+                }
+            }
+            _ => {}
+        }
+        *slot = self.to_value();
+    }
+
     /// Compact text encoding for persistence.
     pub fn encode(&self) -> String {
         match self {
@@ -258,17 +315,20 @@ impl PValue {
 /// written in").
 ///
 /// Carries the class name, a scalar snapshot of the instance's fields, and
-/// the class's `export_check` method AST. When a Rust-side filter invokes
-/// `export_check`, a minimal evaluator runs the method with `this` bound
-/// to the fields and `context` bound to the channel context.
+/// the class declaration. When a Rust-side filter invokes `export_check`,
+/// [`crate::check`] runs the method with `this` bound to the fields and
+/// `context` bound to the channel context.
 #[derive(Debug)]
 pub struct ScriptPolicy {
     class_name: String,
-    fields: BTreeMap<String, PValue>,
+    /// Shared so the check caches can recognise this snapshot by identity.
+    fields: Arc<BTreeMap<String, PValue>>,
     class: Option<Arc<ClassDecl>>,
     /// When set, checks run on this engine instead of the process default
     /// (the interpreter-vs-VM benchmarks pin one policy to each engine).
     engine: Option<crate::interp::Engine>,
+    /// The class's check plan, resolved by the first crossing.
+    plan: OnceLock<Arc<ClassPlan>>,
 }
 
 impl ScriptPolicy {
@@ -282,9 +342,10 @@ impl ScriptPolicy {
     ) -> Self {
         ScriptPolicy {
             class_name,
-            fields,
+            fields: Arc::new(fields),
             class,
             engine: None,
+            plan: OnceLock::new(),
         }
     }
 
@@ -335,11 +396,9 @@ impl resin_core::Policy for ScriptPolicy {
         let Some(class) = &self.class else {
             return Ok(());
         };
-        if class.method("export_check").is_none() {
-            return Ok(());
-        }
+        let plan = self.plan.get_or_init(|| crate::check::plan_for(class));
         let engine = self.engine.unwrap_or_else(crate::interp::default_engine);
-        crate::interp::eval_policy_method_on(engine, class, &self.fields, context)
+        crate::check::cross(engine, plan, &self.fields, context)
     }
 
     fn serialize_fields(&self) -> Vec<(String, String)> {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::ast::{BinOp, FnDecl};
+use crate::ast::{BinOp, ClassDecl, FnDecl};
 use crate::chunk::{Chunk, Const, Op};
 use crate::compiler::chunk_for;
 use crate::interp::{rt, Flow, Interp, LangError, MAX_CALL_DEPTH, R};
@@ -25,36 +25,36 @@ const BACK_JUMP_LIMIT: u64 = 100_000_000;
 
 /// Runs a compiled top-level chunk. Used by `exec_program`, `exec_chunk`
 /// and `import` — the frame does not count against the call depth.
-pub(crate) fn run_chunk(
-    interp: &mut Interp,
-    chunk: Arc<Chunk>,
-    args: Vec<Value>,
-    this: Option<Value>,
-) -> R<Value> {
+pub(crate) fn run_chunk(interp: &mut Interp, chunk: Arc<Chunk>) -> R<Value> {
     let mut vm = Vm::new(interp);
-    vm.push_frame(chunk, args, this, FrameMode::Entry);
+    vm.push_frame(chunk, 0, None, FrameMode::Entry);
     vm.exec()
 }
 
-/// Compiles (through the chunk cache) and calls a function — the VM
-/// counterpart of `call_decl`, with the same arity error and depth cap.
+/// Compiles (through the interpreter's chunk cache) and calls a function —
+/// the VM counterpart of `call_decl`, with the same arity error and depth
+/// cap.
 pub(crate) fn call_function(
     interp: &mut Interp,
     decl: &Arc<FnDecl>,
     args: Vec<Value>,
     this: Option<Value>,
 ) -> R<Value> {
-    if args.len() != decl.params.len() {
-        return Err(rt(format!(
-            "`{}` expects {} arguments, got {}",
-            decl.name,
-            decl.params.len(),
-            args.len()
-        )));
-    }
     let chunk = chunk_for(interp, decl).map_err(Flow::Error)?;
+    call_chunk(interp, chunk, args, this)
+}
+
+/// Calls a compiled function or method body.
+pub(crate) fn call_chunk(
+    interp: &mut Interp,
+    chunk: Arc<Chunk>,
+    args: impl IntoIterator<Item = Value>,
+    this: Option<Value>,
+) -> R<Value> {
     let mut vm = Vm::new(interp);
-    vm.push_call(chunk, args, this, FrameMode::Entry)?;
+    vm.stack.extend(args);
+    let argc = vm.stack.len();
+    vm.push_call(chunk, argc, this, FrameMode::Entry)?;
     vm.exec()
 }
 
@@ -82,6 +82,16 @@ enum Ctl {
     Done(Value),
 }
 
+/// The VM's growable buffers. Between runs they rest, empty, on the
+/// [`Interp`], so a pooled evaluator and a long-lived script host keep
+/// their capacity instead of allocating it per run.
+#[derive(Default)]
+pub(crate) struct Bufs {
+    stack: Vec<Value>,
+    slots: Vec<Option<Value>>,
+    frames: Vec<Frame>,
+}
+
 struct Frame {
     chunk: Arc<Chunk>,
     ip: usize,
@@ -101,36 +111,37 @@ struct Vm<'a> {
 }
 
 impl<'a> Vm<'a> {
+    /// A VM over the interpreter's resting buffers (a nested run — an
+    /// `import` from inside the VM — finds them taken and grows its own).
     fn new(interp: &'a mut Interp) -> Vm<'a> {
         let call_depth = interp.call_depth;
+        let Bufs {
+            stack,
+            slots,
+            frames,
+        } = std::mem::take(&mut interp.vm_bufs);
         Vm {
             interp,
-            stack: Vec::with_capacity(16),
-            slots: Vec::with_capacity(16),
-            frames: Vec::with_capacity(4),
+            stack,
+            slots,
+            frames,
             call_depth,
             back_jumps: 0,
         }
     }
 
-    fn push_frame(
-        &mut self,
-        chunk: Arc<Chunk>,
-        args: Vec<Value>,
-        this: Option<Value>,
-        mode: FrameMode,
-    ) {
+    /// Enters `chunk` with the top `argc` stack values as its arguments:
+    /// they move into the frame's first slots, the rest start unbound.
+    fn push_frame(&mut self, chunk: Arc<Chunk>, argc: usize, this: Option<Value>, mode: FrameMode) {
         let slot_base = self.slots.len();
-        let stack_base = self.stack.len();
+        let args_at = self.stack.len() - argc;
+        self.slots.extend(self.stack.drain(args_at..).map(Some));
         self.slots
             .resize_with(slot_base + chunk.slot_count(), || None);
-        for (i, a) in args.into_iter().enumerate() {
-            self.slots[slot_base + i] = Some(a);
-        }
         self.frames.push(Frame {
             chunk,
             ip: 0,
-            stack_base,
+            stack_base: args_at,
             slot_base,
             this,
             mode,
@@ -138,20 +149,61 @@ impl<'a> Vm<'a> {
     }
 
     /// A frame that counts against the call-depth cap (calls, methods,
-    /// constructors, and function entry from Rust).
+    /// constructors, and function entry from Rust), with `call_decl`'s
+    /// arity error.
     fn push_call(
         &mut self,
         chunk: Arc<Chunk>,
-        args: Vec<Value>,
+        argc: usize,
         this: Option<Value>,
         mode: FrameMode,
     ) -> R<()> {
+        if argc != chunk.arity() {
+            return Err(rt(format!(
+                "`{}` expects {} arguments, got {argc}",
+                chunk.name(),
+                chunk.arity()
+            )));
+        }
         if self.call_depth >= MAX_CALL_DEPTH {
             return Err(rt("call depth limit exceeded"));
         }
         self.call_depth += 1;
-        self.push_frame(chunk, args, this, mode);
+        self.push_frame(chunk, argc, this, mode);
         Ok(())
+    }
+
+    /// The chunk of `class`'s method `name`: the plan's when a gate
+    /// crossing is in progress and `class` is its class — then `index`,
+    /// the method's position as the compiler resolved it in a chunk of
+    /// that plan, stands in for the name — and otherwise compiled through
+    /// the interpreter's cache. `None` when the class has no such method.
+    fn method_chunk(
+        interp: &mut Interp,
+        class: &Arc<ClassDecl>,
+        name: &str,
+        index: u16,
+    ) -> R<Option<Arc<Chunk>>> {
+        let position = || class.methods.iter().position(|m| m.name == name);
+        if let Some(plan) = &interp.plan {
+            if Arc::ptr_eq(plan.class(), class) {
+                let method = match index {
+                    Op::UNRESOLVED => position(),
+                    i => Some(i as usize),
+                };
+                return match method {
+                    Some(m) => plan.chunk(m).cloned().map(Some).map_err(Flow::Error),
+                    None => Ok(None),
+                };
+            }
+        }
+        match position() {
+            Some(m) => {
+                let decl = class.methods[m].clone();
+                chunk_for(interp, &decl).map(Some).map_err(Flow::Error)
+            }
+            None => Ok(None),
+        }
     }
 
     fn exec(&mut self) -> R<Value> {
@@ -174,12 +226,17 @@ impl<'a> Vm<'a> {
                 // jumps. Anything labeled, unbound, or non-integer falls
                 // through to `step`, which implements every op in full.
                 match op {
-                    Op::Const(i) => {
-                        if let Const::Int(n) = chunk.consts[i as usize] {
-                            self.stack.push(Value::int(n));
+                    Op::Const(i) => match &chunk.consts[i as usize] {
+                        Const::Int(n) => {
+                            self.stack.push(Value::int(*n));
                             continue;
                         }
-                    }
+                        Const::Str(s) => {
+                            self.stack.push(Value::Str(s.clone()));
+                            continue;
+                        }
+                        _ => {}
+                    },
                     Op::LoadSlot(i) => {
                         if let Some(v) = &self.slots[slot_base + i as usize] {
                             let v = v.clone();
@@ -399,7 +456,7 @@ impl<'a> Vm<'a> {
             Op::Const(i) => {
                 let v = match &chunk.consts[i as usize] {
                     Const::Int(n) => Value::int(*n),
-                    Const::Str(s) => Value::str(s.clone()),
+                    Const::Str(s) => Value::Str(s.clone()),
                     Const::Fn(_) | Const::Class(_) => {
                         return Err(rt("internal: declaration constant loaded as value"))
                     }
@@ -560,83 +617,63 @@ impl<'a> Vm<'a> {
             }
             Op::Call { name, argc } => {
                 let name: &str = &chunk.names[name as usize];
-                let args = self.stack.split_off(self.stack.len() - argc as usize);
+                let argc = argc as usize;
                 // Script functions shadow builtins, as in the tree-walker.
                 if let Some(decl) = self.interp.fns.get(name).cloned() {
-                    if args.len() != decl.params.len() {
-                        return Err(rt(format!(
-                            "`{}` expects {} arguments, got {}",
-                            decl.name,
-                            decl.params.len(),
-                            args.len()
-                        )));
-                    }
                     let callee = chunk_for(self.interp, &decl).map_err(Flow::Error)?;
                     self.frames.last_mut().expect("no frame").ip = next_ip;
-                    self.push_call(callee, args, None, FrameMode::Call)?;
+                    self.push_call(callee, argc, None, FrameMode::Call)?;
                     return Ok(Ctl::Reenter);
                 }
-                let v = self.interp.builtin(name, args)?;
+                // A builtin reads its arguments where they lie.
+                let args_at = self.stack.len() - argc;
+                let v = self.interp.builtin(name, &mut self.stack[args_at..])?;
+                self.stack.truncate(args_at);
                 self.stack.push(v);
             }
-            Op::Method { name, argc } => {
+            Op::Method { name, argc, index } => {
                 let name: &str = &chunk.names[name as usize];
-                let args = self.stack.split_off(self.stack.len() - argc as usize);
-                let recv = self.pop();
-                let Value::Object(o) = &recv else {
+                let argc = argc as usize;
+                // The receiver lies under the arguments.
+                let recv_at = self.stack.len() - argc - 1;
+                let Value::Object(o) = &self.stack[recv_at] else {
+                    let recv = &self.stack[recv_at];
                     return Err(rt(format!("cannot call method on {}", recv.type_name())));
                 };
-                let class = o.borrow().class.clone();
-                let m = class
-                    .method(name)
-                    .cloned()
-                    .ok_or_else(|| rt(format!("no method `{name}` on `{}`", class.name)))?;
-                if args.len() != m.params.len() {
-                    return Err(rt(format!(
-                        "`{}` expects {} arguments, got {}",
-                        m.name,
-                        m.params.len(),
-                        args.len()
-                    )));
-                }
-                let callee = chunk_for(self.interp, &m).map_err(Flow::Error)?;
+                let callee = {
+                    let class = &o.borrow().class;
+                    Vm::method_chunk(self.interp, class, name, index)?
+                        .ok_or_else(|| rt(format!("no method `{name}` on `{}`", class.name)))?
+                };
+                let recv = self.stack.remove(recv_at);
                 self.frames.last_mut().expect("no frame").ip = next_ip;
-                self.push_call(callee, args, Some(recv.clone()), FrameMode::Call)?;
+                self.push_call(callee, argc, Some(recv), FrameMode::Call)?;
                 return Ok(Ctl::Reenter);
             }
             Op::New { class, argc } => {
                 let name: &str = &chunk.names[class as usize];
-                let args = self.stack.split_off(self.stack.len() - argc as usize);
+                let argc = argc as usize;
                 let decl = self
                     .interp
-                    .classes
-                    .get(name)
-                    .cloned()
+                    .class_named(name)
                     .ok_or_else(|| rt(format!("undefined class `{name}`")))?;
                 let obj = Rc::new(RefCell::new(Obj {
                     class: decl.clone(),
                     fields: BTreeMap::new(),
                 }));
-                match decl.method("init") {
+                match Vm::method_chunk(self.interp, &decl, "init", Op::UNRESOLVED)? {
                     Some(init) => {
-                        let init = init.clone();
-                        if args.len() != init.params.len() {
-                            return Err(rt(format!(
-                                "`{}` expects {} arguments, got {}",
-                                init.name,
-                                init.params.len(),
-                                args.len()
-                            )));
-                        }
-                        let callee = chunk_for(self.interp, &init).map_err(Flow::Error)?;
                         let this = Value::Object(obj.clone());
                         self.frames.last_mut().expect("no frame").ip = next_ip;
-                        self.push_call(callee, args, Some(this), FrameMode::Init(obj))?;
+                        self.push_call(init, argc, Some(this), FrameMode::Init(obj))?;
                         return Ok(Ctl::Reenter);
                     }
                     // No constructor: arguments are evaluated then dropped,
                     // matching the tree-walker.
-                    None => self.stack.push(Value::Object(obj)),
+                    None => {
+                        self.stack.truncate(self.stack.len() - argc);
+                        self.stack.push(Value::Object(obj));
+                    }
                 }
             }
             Op::GetProp(i) => {
@@ -764,5 +801,19 @@ impl<'a> Vm<'a> {
 
     fn pop(&mut self) -> Value {
         self.stack.pop().expect("value stack underflow")
+    }
+}
+
+impl Drop for Vm<'_> {
+    /// Hands the buffers back, emptied (an error leaves frames behind).
+    fn drop(&mut self) {
+        self.frames.clear();
+        self.slots.clear();
+        self.stack.clear();
+        self.interp.vm_bufs = Bufs {
+            stack: std::mem::take(&mut self.stack),
+            slots: std::mem::take(&mut self.slots),
+            frames: std::mem::take(&mut self.frames),
+        };
     }
 }
