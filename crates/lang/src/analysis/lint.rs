@@ -341,11 +341,7 @@ fn lint_method(class: &ClassDecl, name: &str, method: &FnDecl, diags: &mut Vec<D
         let targets: BTreeSet<usize> = chunk
             .code
             .iter()
-            .filter_map(|op| match op {
-                Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => Some(*t as usize),
-                Op::JumpSlotsGe { t, .. } => Some(*t as usize),
-                _ => None,
-            })
+            .filter_map(|op| op.jump_target())
             .collect();
         let mut live = true;
         let mut reported = BTreeSet::new();
@@ -353,7 +349,12 @@ fn lint_method(class: &ClassDecl, name: &str, method: &FnDecl, diags: &mut Vec<D
             if targets.contains(&ip) {
                 live = true;
             }
-            if !live && !matches!(op, Op::Jump(_) | Op::Null | Op::Return) {
+            // (A loop's back-edge is a jump whatever its form.)
+            let artifact = match op {
+                Op::Jump(_) | Op::Return { .. } => true,
+                op => op.jump_target().is_some_and(|t| t <= ip),
+            };
+            if !live && !artifact {
                 if let Some(line) = chunk.line_of(ip) {
                     if reported.insert(line) {
                         diags.push(Diagnostic {
@@ -368,7 +369,7 @@ fn lint_method(class: &ClassDecl, name: &str, method: &FnDecl, diags: &mut Vec<D
                     }
                 }
             }
-            if matches!(op, Op::Jump(_) | Op::Return | Op::Throw) {
+            if matches!(op, Op::Jump(_) | Op::Return { .. } | Op::Throw { .. }) {
                 live = false;
             }
         }

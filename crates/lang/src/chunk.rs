@@ -1,169 +1,199 @@
 //! Compiled RSL bytecode chunks.
 //!
 //! A [`Chunk`] is the unit of compilation: one top-level program or one
-//! function/method body, lowered to a flat instruction stream with a
-//! deduplicated constant pool, interned name tables, and a run-length
-//! line table mapping instruction indices back to source lines. Chunks
-//! are immutable after compilation and `Send + Sync`, so the process-wide
-//! policy-chunk cache (alongside the policy interner) can hand the same
-//! `Arc<Chunk>` to every gate crossing.
+//! function/method body, lowered to a flat stream of register-form
+//! instructions with a deduplicated constant pool, interned name tables,
+//! and a run-length line table mapping instruction indices back to source
+//! lines. Chunks are immutable after compilation and `Send + Sync`, so the
+//! process-wide policy-chunk cache (alongside the policy interner) can
+//! hand the same `Arc<Chunk>` to every gate crossing.
+//!
+//! # Frame layout
+//!
+//! A frame is a window of [`Chunk::slot_count`] slots: slot 0 is `this`
+//! (unbound outside a method), slots `1..=arity` the parameters, then the
+//! other named locals, then the temporaries the compiler allocated
+//! stack-wise. Only a named slot may be read while unbound (it falls back
+//! to the global of its name); a temporary is always written before it is
+//! read.
+//!
+//! A call's window starts at a temporary `w` of the caller: `w` becomes
+//! the callee's slot 0 and `w + 1 ..= w + argc` — where the caller
+//! evaluated the arguments — its parameters, so nothing moves.
 
 use std::sync::Arc;
 
 use resin_core::TaintedString;
 
-use crate::ast::{ClassDecl, FnDecl};
+use crate::ast::{BinOp, ClassDecl, FnDecl};
+use crate::interp::{Builtin, LangError};
+use crate::value::Value;
 
-/// One VM instruction.
-///
-/// Operands are inline (no separate operand stream): `u32` indexes into
-/// the constant pool / name table / code, `u16` local-slot indexes, `u8`
-/// argument counts. The enum is `Copy`, so dispatch reads one word.
+/// A source operand: a slot of the current frame, or a constant-pool
+/// entry (top bit set). Each takes 15 bits; the compiler refuses a chunk
+/// that needs more of either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // variant meanings documented as a group above
+pub(crate) struct Src(u16);
+
+impl Src {
+    const CONST: u16 = 0x8000;
+    /// Slots per frame and operand-addressable constants per chunk.
+    pub(crate) const LIMIT: usize = Src::CONST as usize;
+
+    pub(crate) fn slot(i: u16) -> Src {
+        debug_assert!(i < Src::CONST);
+        Src(i)
+    }
+
+    pub(crate) fn konst(k: u16) -> Src {
+        debug_assert!(k < Src::CONST);
+        Src(k | Src::CONST)
+    }
+
+    /// `Ok(slot)` or `Err(constant index)`.
+    #[inline(always)]
+    pub(crate) fn decode(self) -> Result<usize, usize> {
+        if self.0 & Src::CONST == 0 {
+            Ok(self.0 as usize)
+        } else {
+            Err((self.0 & !Src::CONST) as usize)
+        }
+    }
+}
+
+/// One VM instruction: three-address, operands inline. `dst`, `base` and
+/// `n` are slots of the current frame (`base` where a call's window or an
+/// array's items start), `name` indexes the name table, `t` the code. The
+/// enum is `Copy`, so dispatch reads one word.
+///
+/// A destination is written unconditionally (binding the slot) by every
+/// instruction but [`Op::Assign`], and only after every source operand
+/// has been read, so a destination may also be an operand.
+#[rustfmt::skip]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
-    /// Push constant `consts[i]` (int or string).
-    Const(u32),
-    /// Push `null` / `true` / `false`.
-    Null,
-    True,
-    False,
-    /// Push local slot `i`; unbound slots fall back to the global with the
-    /// slot's name (PHP-style scoping, matching the tree-walker).
-    LoadSlot(u16),
-    /// Pop into slot `i` if bound; else into an existing global of that
-    /// name; else bind the slot (first assignment defines).
-    StoreSlot(u16),
-    /// Pop and bind slot `i` unconditionally (`let` in a function body).
-    LetSlot(u16),
-    /// Push the global `names[i]` (error when undefined).
-    LoadGlobal(u32),
-    /// Pop into the global `names[i]` (defining it if absent).
-    StoreGlobal(u32),
-    /// Push the current frame's `this` (error outside a method).
-    LoadThis,
-    /// Pop `n` values, push an array of them.
-    MakeArray(u16),
-    /// Pop, push `!truthy`.
-    Not,
-    /// Pop, push arithmetic negation.
-    Neg,
-    /// Pop, push `truthy` as a bool (tail of `&&` / `||`).
-    Truthy,
-    /// Pop two, push the result; labels union exactly as in the
-    /// tree-walker (`+` also concatenates strings with byte-range spans).
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    /// Unconditional jump to instruction `t` (backward jumps are counted
-    /// against the loop-iteration limit).
+    /// `dst = src`.
+    Move { dst: u16, src: Src },
+    /// Plain assignment to a named local that may be unbound: into the
+    /// slot if bound, else into an existing global of its name, else bind
+    /// the slot (first assignment defines).
+    Assign { dst: u16, src: Src },
+    /// `dst =` the global `names[name]` (error when undefined).
+    LoadGlobal { dst: u16, name: u32 },
+    /// The global `names[name]` `= src` (defining it if absent).
+    StoreGlobal { name: u32, src: Src },
+    /// `dst =` an array of the `n` temporaries from `base` (moved out).
+    MakeArray { dst: u16, base: u16, n: u16 },
+    /// `dst = !truthy(src)`.
+    Not { dst: u16, src: Src },
+    /// `dst = -src`.
+    Neg { dst: u16, src: Src },
+    /// `dst = a ⊕ b`; labels union exactly as in the tree-walker (`+`
+    /// also concatenates strings with byte-range spans).
+    Add { dst: u16, a: Src, b: Src },
+    Sub { dst: u16, a: Src, b: Src },
+    Mul { dst: u16, a: Src, b: Src },
+    Div { dst: u16, a: Src, b: Src },
+    Mod { dst: u16, a: Src, b: Src },
+    /// `dst = a ⋈ b` as a bool, `cmp` one of the six comparisons.
+    Cmp { cmp: BinOp, dst: u16, a: Src, b: Src },
+    /// Jump to `t` unless `a ⋈ b`. A loop whose guard is one of these is
+    /// closed by the same instruction, negated, as its back-edge (counted
+    /// against the loop-iteration limit like any backward jump).
+    CmpJump { cmp: BinOp, a: Src, b: Src, t: u16 },
+    /// Unconditional jump.
     Jump(u32),
-    /// Pop; jump to `t` when falsy.
-    JumpIfFalse(u32),
-    /// Pop; jump to `t` when truthy.
-    JumpIfTrue(u32),
-    /// Pop and discard (expression statement).
-    Pop,
-    /// Pop `argc` args, call function `names[name]` (script functions
-    /// shadow builtins, as in the tree-walker) and push its result.
-    Call {
-        name: u32,
-        argc: u8,
-    },
-    /// Pop `argc` args and a receiver, call the method and push its result.
-    /// `index` is the position of `names[name]` among the methods of the
-    /// class the chunk was compiled for ([`Op::UNRESOLVED`] when it has
-    /// none, or no class): a gate crossing, whose receiver is almost
-    /// always that class, finds the callee's chunk by it.
-    Method {
-        name: u32,
-        argc: u8,
-        index: u16,
-    },
-    /// Pop `argc` args, instantiate class `names[class]` (running `init`
-    /// if declared) and push the object.
-    New {
-        class: u32,
-        argc: u8,
-    },
-    /// Pop an object, push its field `names[i]`.
-    GetProp(u32),
-    /// Pop an object then a value, set field `names[i]`.
-    SetProp(u32),
-    /// Pop index and container, push the element.
-    GetIndex,
-    /// Pop index, container, value; store the element.
-    SetIndex,
-    /// Register function `consts[i]` in the interpreter.
-    DefineFn(u32),
-    /// Register class `consts[i]` (policy classes also register their
-    /// revival closure).
-    DefineClass(u32),
-    /// Pop the return value and leave the current frame.
-    Return,
-    /// Pop and raise a script exception (unwinds every frame).
-    Throw,
-    // ---- fused instructions ----
-    //
-    // Emitted by AST-level instruction selection for the hottest shapes in
-    // policy-check loops. Each is observationally identical to the opcode
-    // sequence it replaces: the VM's slow path literally performs the
-    // decomposed steps, so labels, errors, and evaluation order cannot
-    // drift from the tree-walker.
-    /// `TOS = TOS ⊕ k`: replaces `Const k; Add/Sub/Mul/Div/Mod` for an
-    /// `i32` literal right operand (`x + 1`, `h % 65521`, ...).
-    ConstArith {
-        op: crate::ast::BinOp,
-        k: i32,
-    },
-    /// Push `slots[arr][slots[idx]]`: replaces `LoadSlot arr; LoadSlot
-    /// idx; GetIndex` (the `w[i]` of every scan loop).
-    IndexSlots {
-        arr: u16,
-        idx: u16,
-    },
-    /// Fused `while (a < b)` guard: jump to `t` when `slots[a] < slots[b]`
-    /// is false — replaces `LoadSlot a; LoadSlot b; Lt; JumpIfFalse t`.
-    /// Always a forward jump, so it never counts as a loop iteration.
-    JumpSlotsGe {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    /// `slots[slot] += k` in place: replaces `LoadSlot s; Const k; Add;
-    /// StoreSlot s` (the `i = i + 1` of every counted loop).
-    IncSlot {
-        slot: u16,
-        k: i32,
-    },
+    /// Jump to `t` when `truthy(src) == when`.
+    JumpIf { src: Src, when: bool, t: u32 },
+    /// `dst =` the result of function `names[name]` over the window at
+    /// `base` (error when no script function has that name).
+    Call { argc: u8, name: u16, base: u16, dst: u16 },
+    /// As [`Op::Call`] for a name the compiler resolved to a builtin; a
+    /// script function of that name, whenever defined, still wins.
+    CallBuiltin { id: Builtin, argc: u8, base: u16, dst: u16 },
+    /// Calls method `names[name]` of the receiver in slot `base` over the
+    /// window there; the result replaces the receiver. `index` is the
+    /// position of the name among the methods of the class the chunk was
+    /// compiled for ([`Op::UNRESOLVED`] when it has none, or no class): a
+    /// gate crossing, whose receiver is almost always that class, finds
+    /// the callee's chunk by it.
+    Method { argc: u8, name: u16, index: u16, base: u16 },
+    /// `dst =` a new instance of class `names[class]`, after running its
+    /// `init` (if declared) over the window at `base`.
+    New { argc: u8, class: u16, base: u16, dst: u16 },
+    /// `dst = obj.names[name]`.
+    GetProp { dst: u16, obj: Src, name: u16 },
+    /// `obj.names[name] = val`.
+    SetProp { obj: Src, name: u16, val: Src },
+    /// `dst = a[i]`.
+    Index { dst: u16, a: Src, i: Src },
+    /// `a[i] = val`.
+    SetIndex { a: Src, i: Src, val: Src },
+    /// Register the function or class `consts[i]` in the interpreter
+    /// (policy classes also register their revival closure).
+    Define(u32),
+    /// Leave the current frame with `src` as its value.
+    Return { src: Src },
+    /// Raise `src` as a script exception (unwinds every frame).
+    Throw { src: Src },
 }
 
 impl Op {
     /// [`Op::Method`]'s `index` when the compiler could not resolve the
     /// method name.
     pub(crate) const UNRESOLVED: u16 = u16::MAX;
+
+    /// The target of a jump instruction.
+    pub(crate) fn jump_target(self) -> Option<usize> {
+        match self {
+            Op::Jump(t) | Op::JumpIf { t, .. } => Some(t as usize),
+            Op::CmpJump { t, .. } => Some(t as usize),
+            _ => None,
+        }
+    }
+
+    /// The jump instruction retargeted to `t` (a compare-and-branch keeps
+    /// its target in 16 bits).
+    pub(crate) fn with_target(self, t: usize) -> Result<Op, LangError> {
+        let t32 = t as u32;
+        Ok(match self {
+            Op::Jump(_) => Op::Jump(t32),
+            Op::JumpIf { src, when, .. } => Op::JumpIf { src, when, t: t32 },
+            Op::CmpJump { cmp, a, b, .. } => {
+                let t = u16::try_from(t).map_err(|_| LangError::new("function too large"))?;
+                Op::CmpJump { cmp, a, b, t }
+            }
+            _ => unreachable!("retargeting a non-jump {self:?}"),
+        })
+    }
 }
 
 /// A constant-pool entry.
 #[derive(Debug, Clone)]
 pub(crate) enum Const {
+    Null,
+    Bool(bool),
     /// Integer literal.
     Int(i64),
-    /// String literal (deduplicated, untainted): built once here, so a
-    /// load clones the pointer instead of allocating.
+    /// String literal (deduplicated, untainted): built once here, so an
+    /// operand reads it in place and a load clones the pointer.
     Str(Arc<TaintedString>),
-    /// A function declaration (target of [`Op::DefineFn`]).
+    /// A function or class declaration (target of [`Op::Define`]).
     Fn(Arc<FnDecl>),
-    /// A class declaration (target of [`Op::DefineClass`]).
     Class(Arc<ClassDecl>),
+}
+
+impl Const {
+    /// The constant as a runtime value (declarations are never operands).
+    pub(crate) fn value(&self) -> Value {
+        match self {
+            Const::Null => Value::Null,
+            Const::Bool(b) => Value::Bool(*b),
+            Const::Int(n) => Value::int(*n),
+            Const::Str(s) => Value::Str(s.clone()),
+            Const::Fn(_) | Const::Class(_) => unreachable!("declaration constant as an operand"),
+        }
+    }
 }
 
 /// A compiled program or function body.
@@ -175,9 +205,12 @@ pub struct Chunk {
     pub(crate) consts: Vec<Const>,
     /// Interned global/function/class/field names.
     pub(crate) names: Vec<Arc<str>>,
-    /// Local slot names, parameters first (used for the global fallback
-    /// of unbound slots and for diagnostics).
+    /// Names of the named slots — `this`, the parameters, then the other
+    /// locals (used for the global fallback of unbound slots and for
+    /// diagnostics). Temporaries follow and have no name.
     pub(crate) slot_names: Vec<Arc<str>>,
+    /// Named slots plus the temporaries the deepest expression needs.
+    pub(crate) slots: usize,
     /// Run-length line table: `(first instruction index, source line)`,
     /// ascending; a lookup is a binary search.
     pub(crate) lines: Vec<(u32, u32)>,
@@ -199,9 +232,10 @@ impl Chunk {
         self.code.is_empty()
     }
 
-    /// Number of local slots the chunk's frame needs.
+    /// Number of slots the chunk's frame needs: `this`, parameters, named
+    /// locals and temporaries.
     pub fn slot_count(&self) -> usize {
-        self.slot_names.len()
+        self.slots
     }
 
     /// The compiled function's name (empty for a top-level program).
@@ -230,10 +264,11 @@ mod tests {
 
     fn chunk_with_lines(lines: Vec<(u32, u32)>) -> Chunk {
         Chunk {
-            code: vec![Op::Null; 10],
+            code: vec![Op::Jump(0); 10],
             consts: Vec::new(),
             names: Vec::new(),
             slot_names: Vec::new(),
+            slots: 0,
             lines,
             name: String::new(),
             arity: 0,

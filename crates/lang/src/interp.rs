@@ -55,7 +55,7 @@ pub enum Tracking {
 pub enum Engine {
     /// The original tree-walking interpreter (the differential oracle).
     Tree,
-    /// The bytecode pipeline: AST → chunk compiler → stack-machine VM.
+    /// The bytecode pipeline: AST → chunk compiler → register VM.
     #[default]
     Vm,
 }
@@ -160,6 +160,73 @@ pub struct SentMail {
 /// uses the same cap so a recursive policy fails identically under either
 /// engine instead of overflowing the native stack.
 pub(crate) const MAX_CALL_DEPTH: usize = 64;
+
+/// Declares [`Builtin`] and its one `name ⇄ id` table: the compiler
+/// resolves a call's name through it once, the tree-walker per call.
+macro_rules! builtins {
+    ($($variant:ident = $name:literal,)*) => {
+        /// A builtin function, by id.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)] // each variant is the builtin of that name
+        pub(crate) enum Builtin {
+            $($variant,)*
+        }
+
+        impl Builtin {
+            /// The builtin called `name`, if there is one.
+            pub(crate) fn from_name(name: &str) -> Option<Builtin> {
+                match name {
+                    $($name => Some(Builtin::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The name scripts call it by.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(Builtin::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+builtins! {
+    Print = "print",
+    Echo = "echo",
+    HttpContext = "http_context",
+    SetEmailPreview = "set_email_preview",
+    Email = "email",
+    SetUser = "set_user",
+    PolicyAdd = "policy_add",
+    PolicyRemove = "policy_remove",
+    PolicyGet = "policy_get",
+    Len = "len",
+    Substr = "substr",
+    Upper = "upper",
+    Lower = "lower",
+    Trim = "trim",
+    Contains = "contains",
+    Replace = "replace",
+    Split = "split",
+    Join = "join",
+    Str = "str",
+    Int = "int",
+    Typeof = "typeof",
+    Push = "push",
+    Pop = "pop",
+    Map = "map",
+    Keys = "keys",
+    Mkdir = "mkdir",
+    FileWrite = "file_write",
+    FileAppend = "file_append",
+    FileRead = "file_read",
+    FileExists = "file_exists",
+    MakeExecutable = "make_executable",
+    RequireCodeApproval = "require_code_approval",
+    Import = "import",
+    Assert = "assert",
+}
 
 /// The interpreter.
 pub struct Interp {
@@ -656,16 +723,26 @@ impl Interp {
             (Value::Map(m), Value::Str(k)) => {
                 Ok(m.borrow().get(k.as_str()).cloned().unwrap_or(Value::Null))
             }
-            (Value::Str(s), Value::Int(n, _)) => {
-                let n = *n as usize;
-                Ok(Value::from(s.slice(n..n + 1)))
-            }
+            (Value::Str(s), Value::Int(n, _)) => Interp::str_slice(s, *n as usize, 1),
             _ => Err(rt(format!(
                 "cannot index {} with {}",
                 a.type_name(),
                 i.type_name()
             ))),
         }
+    }
+
+    /// The `len` bytes of `s` from byte `start`, clamped to the string
+    /// like PHP's `substr` (out of range is `""`); an end inside a
+    /// multi-byte character is an error — `TaintedString::slice` would
+    /// panic there.
+    pub(crate) fn str_slice(s: &TaintedString, start: usize, len: usize) -> R<Value> {
+        let start = start.min(s.len());
+        let end = start.saturating_add(len).min(s.len());
+        if !(s.as_str().is_char_boundary(start) && s.as_str().is_char_boundary(end)) {
+            return Err(rt("string index not on a character boundary"));
+        }
+        Ok(Value::from(s.slice(start..end)))
     }
 
     /// `obj.field` read.
@@ -686,12 +763,31 @@ impl Interp {
         Ok(())
     }
 
-    /// Unary minus.
+    /// Unary minus (`-i64::MIN` is an error, like `/` and `%` overflow).
     pub(crate) fn neg_value(v: Value) -> R<Value> {
         match v {
-            Value::Int(n, p) => Ok(Value::Int(-n, p)),
+            Value::Int(n, p) => match n.checked_neg() {
+                Some(n) => Ok(Value::Int(n, p)),
+                None => Err(rt("integer overflow")),
+            },
             other => Err(rt(format!("cannot negate {}", other.type_name()))),
         }
+    }
+
+    /// The integer result of `- * / %`, for both engines: `-` and `*`
+    /// wrap (as `+` does); `/` and `%` fail on a zero divisor and on the
+    /// one quotient that does not fit (`i64::MIN / -1`), which Rust would
+    /// panic on.
+    pub(crate) fn int_arith(op: BinOp, a: i64, b: i64) -> R<i64> {
+        let n = match op {
+            BinOp::Sub => Some(a.wrapping_sub(b)),
+            BinOp::Mul => Some(a.wrapping_mul(b)),
+            BinOp::Div | BinOp::Mod if b == 0 => return Err(rt("division by zero")),
+            BinOp::Div => a.checked_div(b),
+            BinOp::Mod => a.checked_rem(b),
+            _ => unreachable!("int_arith only handles -, *, /, %"),
+        };
+        n.ok_or_else(|| rt("integer overflow"))
     }
 
     /// `-`/`*`/`/`/`%` on ints, merging the operands' labels.
@@ -703,16 +799,7 @@ impl Interp {
                 r.type_name()
             )));
         };
-        if matches!(op, BinOp::Div | BinOp::Mod) && *b == 0 {
-            return Err(rt("division by zero"));
-        }
-        let n = match op {
-            BinOp::Sub => a.wrapping_sub(*b),
-            BinOp::Mul => a.wrapping_mul(*b),
-            BinOp::Div => a / b,
-            BinOp::Mod => a % b,
-            _ => unreachable!("arith_values only handles -, *, /, %"),
-        };
+        let n = Interp::int_arith(op, *a, *b)?;
         let pol = self.merge_int_policies(*pa, *pb)?;
         Ok(Value::Int(n, pol))
     }
@@ -818,7 +905,10 @@ impl Interp {
                 if let Some(decl) = self.fns.get(name).cloned() {
                     return self.call_decl(&decl, argv, None);
                 }
-                self.builtin(name, &mut argv)
+                match Builtin::from_name(name) {
+                    Some(id) => self.builtin(id, &mut argv),
+                    None => Err(rt(format!("undefined function `{name}`"))),
+                }
             }
         }
     }
@@ -932,7 +1022,8 @@ impl Interp {
 
     // ---- builtins ----
 
-    pub(crate) fn builtin(&mut self, name: &str, args: &mut [Value]) -> R<Value> {
+    pub(crate) fn builtin(&mut self, id: Builtin, args: &mut [Value]) -> R<Value> {
+        let name = id.name();
         // Helpers for argument extraction.
         fn want_str<'a>(v: &'a Value, what: &str) -> R<&'a TaintedString> {
             match v {
@@ -961,8 +1052,8 @@ impl Interp {
             }
         };
 
-        match name {
-            "print" => {
+        match id {
+            Builtin::Print => {
                 let parts: Vec<String> = args
                     .iter()
                     .map(|v| v.to_tainted().as_str().to_string())
@@ -971,7 +1062,7 @@ impl Interp {
                 self.print_buf.push('\n');
                 Ok(Value::Null)
             }
-            "echo" => {
+            Builtin::Echo => {
                 arity(1)?;
                 let data = args[0].to_tainted();
                 self.http().write(data).map_err(|e| {
@@ -979,7 +1070,7 @@ impl Interp {
                 })?;
                 Ok(Value::Null)
             }
-            "http_context" => {
+            Builtin::HttpContext => {
                 arity(2)?;
                 let key = want_str(&args[0], name)?;
                 let ctx = self.http().context_mut();
@@ -993,12 +1084,12 @@ impl Interp {
                 };
                 Ok(Value::Null)
             }
-            "set_email_preview" => {
+            Builtin::SetEmailPreview => {
                 arity(1)?;
                 self.email_preview = args[0].truthy();
                 Ok(Value::Null)
             }
-            "email" => {
+            Builtin::Email => {
                 arity(2)?;
                 let to = want_str(&args[0], name)?;
                 let body = args[1].to_tainted();
@@ -1025,7 +1116,7 @@ impl Interp {
                 });
                 Ok(Value::Null)
             }
-            "set_user" => {
+            Builtin::SetUser => {
                 arity(1)?;
                 let u = want_str(&args[0], name)?;
                 self.current_user = Some(u.as_str().to_string());
@@ -1033,7 +1124,7 @@ impl Interp {
                 Ok(Value::Null)
             }
             // ---- policy API (Table 3) ----
-            "policy_add" => {
+            Builtin::PolicyAdd => {
                 arity(2)?;
                 let policy = self.policy_from_value(&args[1])?;
                 match std::mem::replace(&mut args[0], Value::Null) {
@@ -1048,7 +1139,7 @@ impl Interp {
                     ))),
                 }
             }
-            "policy_remove" => {
+            Builtin::PolicyRemove => {
                 arity(2)?;
                 let target = std::mem::replace(&mut args[0], Value::Null);
                 let cname = want_str(&args[1], name)?;
@@ -1077,7 +1168,7 @@ impl Interp {
                     ))),
                 }
             }
-            "policy_get" => {
+            Builtin::PolicyGet => {
                 arity(1)?;
                 let label = match &args[0] {
                     Value::Str(s) => s.label(),
@@ -1093,7 +1184,7 @@ impl Interp {
                 ))
             }
             // ---- strings ----
-            "len" => {
+            Builtin::Len => {
                 arity(1)?;
                 match &args[0] {
                     Value::Str(s) => Ok(Value::int(s.len() as i64)),
@@ -1102,32 +1193,32 @@ impl Interp {
                     other => Err(rt(format!("len: unsupported {}", other.type_name()))),
                 }
             }
-            "substr" => {
+            Builtin::Substr => {
                 arity(3)?;
                 let s = want_str(&args[0], name)?;
                 let off = want_int(&args[1], name)?.max(0) as usize;
                 let n = want_int(&args[2], name)?.max(0) as usize;
-                Ok(Value::from(s.substr(off, n)))
+                Interp::str_slice(s, off, n)
             }
-            "upper" => {
+            Builtin::Upper => {
                 arity(1)?;
                 Ok(Value::from(want_str(&args[0], name)?.to_ascii_uppercase()))
             }
-            "lower" => {
+            Builtin::Lower => {
                 arity(1)?;
                 Ok(Value::from(want_str(&args[0], name)?.to_ascii_lowercase()))
             }
-            "trim" => {
+            Builtin::Trim => {
                 arity(1)?;
                 Ok(Value::from(want_str(&args[0], name)?.trim()))
             }
-            "contains" => {
+            Builtin::Contains => {
                 arity(2)?;
                 let s = want_str(&args[0], name)?;
                 let sub = want_str(&args[1], name)?;
                 Ok(Value::Bool(s.contains(sub.as_str())))
             }
-            "replace" => {
+            Builtin::Replace => {
                 arity(3)?;
                 let s = want_str(&args[0], name)?;
                 let from = want_str(&args[1], name)?;
@@ -1137,7 +1228,7 @@ impl Interp {
                 }
                 Ok(Value::from(s.replace(from.as_str(), to)))
             }
-            "split" => {
+            Builtin::Split => {
                 arity(2)?;
                 let s = want_str(&args[0], name)?;
                 let sep = want_str(&args[1], name)?;
@@ -1148,7 +1239,7 @@ impl Interp {
                     s.split(sep.as_str()).into_iter().map(Value::from).collect(),
                 ))
             }
-            "join" => {
+            Builtin::Join => {
                 arity(2)?;
                 let sep = want_str(&args[0], name)?;
                 let Value::Array(a) = &args[1] else {
@@ -1157,11 +1248,11 @@ impl Interp {
                 let parts: Vec<TaintedString> = a.borrow().iter().map(|v| v.to_tainted()).collect();
                 Ok(Value::from(TaintedString::join(sep.as_str(), parts.iter())))
             }
-            "str" => {
+            Builtin::Str => {
                 arity(1)?;
                 Ok(Value::from(args[0].to_tainted()))
             }
-            "int" => {
+            Builtin::Int => {
                 arity(1)?;
                 match &args[0] {
                     Value::Int(n, p) => Ok(Value::Int(*n, *p)),
@@ -1183,12 +1274,12 @@ impl Interp {
                     other => Err(rt(format!("int: unsupported {}", other.type_name()))),
                 }
             }
-            "typeof" => {
+            Builtin::Typeof => {
                 arity(1)?;
                 Ok(Value::str(args[0].type_name()))
             }
             // ---- arrays & maps ----
-            "push" => {
+            Builtin::Push => {
                 arity(2)?;
                 let Value::Array(a) = &args[0] else {
                     return Err(rt("push: expected array"));
@@ -1196,7 +1287,7 @@ impl Interp {
                 a.borrow_mut().push(args[1].clone());
                 Ok(Value::Null)
             }
-            "pop" => {
+            Builtin::Pop => {
                 arity(1)?;
                 let Value::Array(a) = &args[0] else {
                     return Err(rt("pop: expected array"));
@@ -1204,11 +1295,11 @@ impl Interp {
                 let v = a.borrow_mut().pop();
                 Ok(v.unwrap_or(Value::Null))
             }
-            "map" => {
+            Builtin::Map => {
                 arity(0)?;
                 Ok(Value::new_map())
             }
-            "keys" => {
+            Builtin::Keys => {
                 arity(1)?;
                 let Value::Map(m) = &args[0] else {
                     return Err(rt("keys: expected map"));
@@ -1218,14 +1309,14 @@ impl Interp {
                 ))
             }
             // ---- files (through the policy-persisting VFS) ----
-            "mkdir" => {
+            Builtin::Mkdir => {
                 arity(1)?;
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
                 self.vfs().mkdir_p(p.as_str(), &ctx).map_err(vfs_err)?;
                 Ok(Value::Null)
             }
-            "file_write" => {
+            Builtin::FileWrite => {
                 arity(2)?;
                 let p = want_str(&args[0], name)?;
                 let data = args[1].to_tainted();
@@ -1235,7 +1326,7 @@ impl Interp {
                     .map_err(vfs_err)?;
                 Ok(Value::Null)
             }
-            "file_append" => {
+            Builtin::FileAppend => {
                 arity(2)?;
                 let p = want_str(&args[0], name)?;
                 let data = args[1].to_tainted();
@@ -1245,20 +1336,20 @@ impl Interp {
                     .map_err(vfs_err)?;
                 Ok(Value::Null)
             }
-            "file_read" => {
+            Builtin::FileRead => {
                 arity(1)?;
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
                 let data = self.vfs().read_file(p.as_str(), &ctx).map_err(vfs_err)?;
                 Ok(Value::from(data))
             }
-            "file_exists" => {
+            Builtin::FileExists => {
                 arity(1)?;
                 let p = want_str(&args[0], name)?;
                 Ok(Value::Bool(self.vfs().exists(p.as_str())))
             }
             // ---- code import (§3.2.2, Figure 6) ----
-            "make_executable" => {
+            Builtin::MakeExecutable => {
                 arity(1)?;
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
@@ -1269,17 +1360,17 @@ impl Interp {
                     .map_err(vfs_err)?;
                 Ok(Value::Null)
             }
-            "require_code_approval" => {
+            Builtin::RequireCodeApproval => {
                 arity(0)?;
                 self.require_code_approval = true;
                 Ok(Value::Null)
             }
-            "import" => {
+            Builtin::Import => {
                 arity(1)?;
                 let p = want_str(&args[0], name)?;
                 self.import(p.as_str())
             }
-            "assert" => {
+            Builtin::Assert => {
                 arity(1)?;
                 if args[0].truthy() {
                     Ok(Value::Null)
@@ -1287,7 +1378,6 @@ impl Interp {
                     Err(rt("assertion failed"))
                 }
             }
-            other => Err(rt(format!("undefined function `{other}`"))),
         }
     }
 

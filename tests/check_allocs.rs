@@ -1,6 +1,7 @@
 //! What a warm script-policy crossing does, as counts (a time would move
-//! with the host): heap allocations on the hit and miss paths, chunks
-//! compiled, and acquisitions of the process-wide plan-table lock.
+//! with the host): heap allocations on the hit and miss paths, VM
+//! instructions dispatched, chunks compiled, and acquisitions of the
+//! process-wide plan-table lock.
 //!
 //! One `#[test]` in its own process: the counting allocator is the
 //! process's allocator, and the compile and lock counters are global.
@@ -13,6 +14,7 @@ use std::sync::Arc;
 use resin::core::{Context, GateKind, Policy, TaintedString};
 use resin::lang::ast::{ClassDecl, StmtKind};
 use resin::lang::check::plan_table_locks;
+use resin::lang::vm::dispatched_ops;
 use resin::lang::{
     check_cache_stats, compiled_policy_chunks, parse_program, set_check_cache, PValue, ScriptPolicy,
 };
@@ -129,6 +131,23 @@ fn crossing_allocations(policy: &ScriptPolicy, ctx: &Context) -> u64 {
     served - oracle
 }
 
+/// VM instructions one served crossing dispatches — counted by debug
+/// builds only, where the oracle's from-scratch run (the same bytecode
+/// over the same fields) is measured the same way and taken off.
+fn crossing_ops(policy: &ScriptPolicy, ctx: &Context) -> u64 {
+    let ops = |f: &dyn Fn()| {
+        let before = dispatched_ops();
+        f();
+        dispatched_ops() - before
+    };
+    let check = || policy.export_check(ctx).expect("http is allowed");
+    let served = ops(&check);
+    set_check_cache(false);
+    let oracle = ops(&check);
+    set_check_cache(true);
+    served - oracle
+}
+
 #[test]
 fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
     let mut ctx = Context::new(GateKind::Http);
@@ -156,6 +175,21 @@ fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
         assert_eq!(hit, 0, "{} hit path", class.name);
         assert_eq!(miss, 0, "{} miss path", class.name);
         assert_eq!(miss_again, 0, "{} miss path", class.name);
+
+        // The crossing's bytecode, instruction by instruction. The floor
+        // is 3 (`context["type"]`, compare-and-branch, return).
+        // `ChannelQuota` runs 6 before its loop (the guard included), 6
+        // after, and 6 per weight — `acc * 33`, `w[i]`, `+`, `%`, `i + 1`,
+        // the guard again as the back-edge — where the stack encoding
+        // took 9. `AllowList` runs 7 around the call and 2 before the
+        // helper's loop; a user that is not the viewer costs 7 (`len(u)`
+        // moves its argument, calls, compares; `u[i]`, `==`, `i + 1`, the
+        // jump back) and `reader7`, the last of eight, 6.
+        if cfg!(debug_assertions) {
+            let expected = [3, 6 + 6 * 64 + 6, 7 + 2 + 7 * 7 + 6][kind];
+            assert_eq!(crossing_ops(&a, &ctx), expected, "{} ops", class.name);
+            assert_eq!(crossing_ops(&b, &ctx), expected, "{} ops", class.name);
+        }
     }
 
     // A page: 32 fragments on one response, half reusing one instance per
