@@ -19,8 +19,9 @@
 //! format persists the **deduplicated policy table once** and has each
 //! span reference table indexes — the serialized twin of the in-memory
 //! [`Label`] interning: a string with a thousand spans over two distinct
-//! policies stores two policy bodies, not a thousand. The legacy format
-//! (`start..end|set;...`, inline sets per span) is still parsed on read.
+//! policies stores two policy bodies, not a thousand. It is the only spans
+//! format: a blob without the leading `#` is malformed, and reads fail
+//! closed on it.
 //!
 //! # Each policy is decoded once
 //!
@@ -355,13 +356,13 @@ pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
 
 /// Version of the textual policy wire format.
 ///
-/// Version 1 was the legacy per-span inline-set encoding
-/// (`start..end|set;...`); version 2 is the interned `#table#spans`
-/// encoding that persists the deduplicated policy table once. Both are
-/// still *parsed*; new data is always written as version 2. Durable
-/// storage (`resin_store`) embeds this number in its snapshot header so a
-/// future format change is detected at open time instead of surfacing as
-/// garbled policies.
+/// Version 1 was a per-span inline-set encoding (`start..end|set;...`);
+/// version 2 is the interned `#table#spans` encoding that persists the
+/// deduplicated policy table once. Only version 2 is written or parsed:
+/// no store has held a version-1 blob since version 2 came in, and one
+/// now reads as malformed. Durable storage (`resin_store`) embeds this
+/// number in its snapshot header so a future format change is detected
+/// at open time instead of surfacing as garbled policies.
 pub const WIRE_VERSION: u32 = 2;
 
 /// Splits `s` on `sep` at brace depth zero — the tokenizer for every
@@ -525,37 +526,21 @@ fn names_no_policy(span: &str) -> SerializeError {
 
 /// Re-attaches serialized spans to `text`, producing a tainted string.
 ///
-/// Accepts both the interned `#table#spans` format and the legacy
-/// per-span-inline-set format (`start..end|set;...`). A blob that is not
-/// exactly one of the two is an error, never a less tainted string: that
-/// includes a span whose range is reversed or that names no policy.
-/// (A span reaching past `text` is clipped to it.)
+/// Accepts the interned `#table#spans` format. A blob that is not exactly
+/// that is an error, never a less tainted string: that includes a blob
+/// without the leading `#` and a span whose range is reversed or that
+/// names no policy. (A span reaching past `text` is clipped to it.)
 pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
     let mut out = TaintedString::from(text);
     if spans.is_empty() {
         return Ok(out);
     }
-    let Some(rest) = spans.strip_prefix('#') else {
-        // Legacy format: inline policy sets per span.
-        for part in split_serialized(spans, ';') {
-            let (range, set) = part
-                .split_once('|')
-                .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
-            let (start, end) = parse_range(range)?;
-            if set.is_empty() {
-                return Err(names_no_policy(part));
-            }
-            let label = deserialize_label(set)?;
-            out.add_label_range(start..end, label);
-        }
-        return Ok(out);
-    };
-
-    // Interned format, `#table#spans`, in one walk over the blob: the
-    // table's texts resolve through the read index as they go by, and
-    // nothing is decoded until the blob is known to have its two parts.
+    // One walk over the blob: the table's texts resolve through the read
+    // index as they go by, and nothing is decoded until the blob is known
+    // to have its two parts.
     let not_two_parts =
         || SerializeError::Malformed(format!("expected `#table#spans`, got `{spans}`"));
+    let rest = spans.strip_prefix('#').ok_or_else(not_two_parts)?;
     let table = LabelTable::global();
     let mut labels: Vec<Label> = Vec::new();
     let mut misses: Vec<(usize, &str, WireMiss)> = Vec::new();
@@ -701,12 +686,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_span_format_still_parses() {
-        let legacy = "0..5|UntrustedData{};6..11|HtmlSanitized{}";
-        let back = deserialize_spans("hello world", legacy).unwrap();
-        assert!(back.label_at(0).has::<UntrustedData>());
-        assert!(back.label_at(6).has::<HtmlSanitized>());
-        assert!(back.label_at(5).is_empty());
+    fn inline_set_span_format_is_rejected() {
+        // The per-span inline-set form that version 1 wrote: well-formed
+        // in its day, malformed now, and never untainted text.
+        let inline = "0..5|UntrustedData{};6..11|HtmlSanitized{}";
+        for got in [
+            deserialize_spans("hello world", inline),
+            oracle::deserialize_spans("hello world", inline),
+        ] {
+            assert!(matches!(got, Err(SerializeError::Malformed(_))), "{got:?}");
+        }
     }
 
     #[test]
@@ -928,60 +917,42 @@ mod tests {
             if spans.is_empty() {
                 return Ok(out);
             }
-            if let Some(rest) = spans.strip_prefix('#') {
-                let parts = split_top_level(rest, '#');
-                let [table_src, spans_src] = parts.as_slice() else {
-                    return Err(SerializeError::Malformed(format!(
-                        "expected `#table#spans`, got `{spans}`"
-                    )));
-                };
-                let mut labels: Vec<Label> = Vec::new();
-                if !table_src.is_empty() {
-                    for part in split_top_level(table_src, ',') {
-                        let policy = decode_policy(part)?;
-                        labels.push(Label::of(&policy));
-                    }
+            let malformed =
+                || SerializeError::Malformed(format!("expected `#table#spans`, got `{spans}`"));
+            let rest = spans.strip_prefix('#').ok_or_else(malformed)?;
+            let parts = split_top_level(rest, '#');
+            let [table_src, spans_src] = parts.as_slice() else {
+                return Err(malformed());
+            };
+            let mut labels: Vec<Label> = Vec::new();
+            if !table_src.is_empty() {
+                for part in split_top_level(table_src, ',') {
+                    let policy = decode_policy(part)?;
+                    labels.push(Label::of(&policy));
                 }
-                if spans_src.is_empty() {
-                    return Ok(out);
-                }
-                for part in split_top_level(spans_src, ';') {
-                    let (range, idxs) = part
-                        .split_once('|')
-                        .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
-                    let (start, end) = parse_range(range)?;
-                    let mut label = Label::EMPTY;
-                    for idx in idxs.split(',').filter(|s| !s.is_empty()) {
-                        let i: usize = idx
-                            .parse()
-                            .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
-                        let l = labels.get(i).ok_or_else(|| {
-                            SerializeError::Malformed(format!(
-                                "index `{i}` outside the policy table"
-                            ))
-                        })?;
-                        label = label.union(*l);
-                    }
-                    if label.is_empty() {
-                        return Err(names_no_policy(part));
-                    }
-                    // One edit per span, not an append.
-                    out.spans_mut()
-                        .edit(start.min(text.len())..end.min(text.len()), |cur| {
-                            cur.union(label)
-                        });
-                }
+            }
+            if spans_src.is_empty() {
                 return Ok(out);
             }
-            for part in split_top_level(spans, ';') {
-                let (range, set) = part
+            for part in split_top_level(spans_src, ';') {
+                let (range, idxs) = part
                     .split_once('|')
                     .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
                 let (start, end) = parse_range(range)?;
-                if set.is_empty() {
+                let mut label = Label::EMPTY;
+                for idx in idxs.split(',').filter(|s| !s.is_empty()) {
+                    let i: usize = idx
+                        .parse()
+                        .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
+                    let l = labels.get(i).ok_or_else(|| {
+                        SerializeError::Malformed(format!("index `{i}` outside the policy table"))
+                    })?;
+                    label = label.union(*l);
+                }
+                if label.is_empty() {
                     return Err(names_no_policy(part));
                 }
-                let label = deserialize_label(set)?;
+                // One edit per span, not an append.
                 out.spans_mut()
                     .edit(start.min(text.len())..end.min(text.len()), |cur| {
                         cur.union(label)
@@ -1045,8 +1016,8 @@ mod tests {
 
         /// The codecs against the ones they replaced, on strings of up to
         /// eight spans over single and multi-policy labels: same bytes
-        /// out, same spans back, from the interned blob and from the
-        /// legacy one.
+        /// out, same spans back from the interned blob, and the same
+        /// rejection of the same spans in the inline-set form.
         #[test]
         fn codecs_agree_with_the_oracles(
             text in "[a-zé ]{1,48}",
@@ -1080,14 +1051,19 @@ mod tests {
                 &oracle::deserialize_spans(short, &blob).unwrap()
             ));
 
-            let legacy = data
+            let inline = data
                 .spans()
                 .map(|(r, l)| format!("{}..{}|{}", r.start, r.end, serialize_label(l)))
                 .collect::<Vec<_>>()
                 .join(";");
-            let fast = deserialize_spans(&text, &legacy).unwrap();
-            let slow = oracle::deserialize_spans(&text, &legacy).unwrap();
-            proptest::prop_assert!(same_spans(&fast, &slow) && same_spans(&fast, &data));
+            if !inline.is_empty() {
+                let fast = outcome(deserialize_spans(&text, &inline));
+                proptest::prop_assert_eq!(&fast, &outcome(oracle::deserialize_spans(&text, &inline)));
+                proptest::prop_assert_eq!(
+                    fast,
+                    Err(std::mem::discriminant(&SerializeError::Malformed(String::new())))
+                );
+            }
         }
 
         /// The byte scanner cuts where the `char` splitter did, on any

@@ -1,11 +1,13 @@
-//! Durable storage for the SQL engine: snapshot codec + statement WAL.
+//! The SQL engine's on-disk codecs: checkpoint part images and the
+//! statement WAL. `ResinDb` hands both to a [`resin_store::Store`], which
+//! decides what each checkpoint rewrites.
 //!
-//! The snapshot image is the whole table catalog. Data cells are stored
-//! verbatim; **policy-column** cells (the `__rp_` shadow blobs) are not
-//! stored as strings but re-encoded as refs into the snapshot's shared
-//! policy table — a database with a million identically-labeled cells
-//! persists each distinct policy body once (the durable twin of `Label`
-//! interning).
+//! A checkpoint holds one part per table (`tbl.<name>`), each a snapshot
+//! image of that table alone. Data cells are stored verbatim;
+//! **policy-column** cells (the `__rp_` shadow blobs) are not stored as
+//! strings but re-encoded as refs into the image's shared policy table — a
+//! table with a million identically-labeled cells persists each distinct
+//! policy body once (the durable twin of `Label` interning).
 //!
 //! The WAL logs each mutating statement *post-guard, pre-rewrite*: the
 //! exact query text `prepare_query` produced, together with the serialized
@@ -14,13 +16,10 @@
 //! regain byte-identical policy columns without the WAL knowing anything
 //! about rewriting.
 
-use std::collections::{BTreeMap, HashSet};
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 
-use resin_core::sync::mlock;
 use resin_core::{deserialize_spans, serialize_spans, TaintedString};
-use resin_store::{Part, Recovered, SnapshotReader, SnapshotWriter, Store, StoreError, StoreStats};
+use resin_store::{SnapshotReader, SnapshotWriter, StoreError};
 
 use crate::ast::{ColumnDef, ColumnType};
 use crate::engine::Table;
@@ -51,13 +50,11 @@ const CELL_LABEL: u8 = 4;
 /// are **rebuilt from row storage** on recovery rather than persisted.
 const INDEX_META_TABLE: &str = "__rp_indexes";
 
-/// Checkpoint part-name prefix for per-table images. Namespaced so a
-/// table part can never collide with the whole-catalog
-/// [`resin_store::IMAGE_PART`] name legacy checkpoints use.
-pub(crate) const TABLE_PART_PREFIX: &str = "tbl.";
+/// Checkpoint part-name prefix for per-table images.
+const TABLE_PART_PREFIX: &str = "tbl.";
 
 /// The checkpoint part name persisting `table`'s image.
-fn table_part_name(table: &str) -> String {
+pub(crate) fn table_part_name(table: &str) -> String {
     format!("{TABLE_PART_PREFIX}{table}")
 }
 
@@ -91,7 +88,7 @@ fn index_meta_table(tables: &[(&str, &Table)]) -> Option<Table> {
     })
 }
 
-/// Encodes the whole catalog as a snapshot image.
+/// Encodes `tables` as one snapshot image.
 pub(crate) fn encode_tables<'a>(
     tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
 ) -> Result<Vec<u8>> {
@@ -171,22 +168,18 @@ pub(crate) fn decode_table_part(image: &[u8]) -> Result<(String, Table)> {
     Ok(tables.pop_first().expect("len checked"))
 }
 
-/// Decodes recovered checkpoint parts — either one legacy whole-catalog
-/// [`resin_store::IMAGE_PART`] image or per-table `tbl.*` parts — into
-/// the table catalog.
+/// Decodes recovered per-table `tbl.*` checkpoint parts into the table
+/// catalog.
 pub(crate) fn decode_parts(parts: &[(String, Vec<u8>)]) -> Result<BTreeMap<String, Table>> {
     let mut out = BTreeMap::new();
     for (name, image) in parts {
-        if name == resin_store::IMAGE_PART {
-            out.extend(decode_tables(image)?);
-        } else if name.starts_with(TABLE_PART_PREFIX) {
-            let (tname, table) = decode_table_part(image)?;
-            out.insert(tname, table);
-        } else {
+        if !name.starts_with(TABLE_PART_PREFIX) {
             return Err(SqlError::Storage(format!(
                 "unknown checkpoint part `{name}`"
             )));
         }
+        let (tname, table) = decode_table_part(image)?;
+        out.insert(tname, table);
     }
     Ok(out)
 }
@@ -298,157 +291,6 @@ pub(crate) fn decode_wal_batch(payload: &[u8]) -> Result<Vec<TaintedString>> {
         out.push(deserialize_spans(&text, &spans)?);
     }
     Ok(out)
-}
-
-/// The SQL engine's handle on a durable [`Store`].
-///
-/// Like [`Store`] itself, this is a cheap `Clone` handle with `&self`
-/// methods: concurrent committers call [`log_batch`](SqlStore::log_batch)
-/// without any outer lock, so the store's group-commit queue can batch
-/// their fsyncs.
-#[derive(Debug, Clone)]
-pub(crate) struct SqlStore {
-    store: Store,
-    /// Tables written (WAL-logged) since the last checkpoint — the set
-    /// the next incremental checkpoint must re-encode. Shared across
-    /// clones; callers mark it at their WAL seams.
-    dirty: Arc<Mutex<HashSet<String>>>,
-}
-
-/// What [`SqlStore::open`] recovered.
-pub(crate) struct SqlRecovered {
-    /// Table catalog from the last checkpoint (empty if none).
-    pub tables: BTreeMap<String, Table>,
-    /// Tainted statements to replay, in commit order.
-    pub replay: Vec<TaintedString>,
-    /// True when a torn WAL tail was discarded during recovery.
-    pub torn_tail: bool,
-    /// True when the discarded tail also forced recovery to drop one or
-    /// more *whole later segments* — a wider loss window than a single
-    /// in-flight append, worth surfacing loudly.
-    pub torn_cross_segment: bool,
-}
-
-impl SqlStore {
-    /// Opens the store at `dir`, decoding the checkpoint parts and WAL.
-    pub fn open(dir: impl AsRef<Path>) -> Result<(SqlStore, SqlRecovered)> {
-        let (store, recovered) = Store::open(dir)?;
-        let Recovered {
-            snapshot: _,
-            parts,
-            records,
-            torn_tail,
-            torn_cross_segment,
-        } = recovered;
-        let tables = decode_parts(&parts)?;
-        let mut replay = Vec::with_capacity(records.len());
-        for payload in &records {
-            replay.extend(decode_wal_batch(payload)?);
-        }
-        let sql_store = SqlStore {
-            store,
-            dirty: Arc::new(Mutex::new(HashSet::new())),
-        };
-        // Replayed statements post-date the checkpoint: their tables are
-        // dirty until the next checkpoint re-encodes them. (The replay
-        // pass upstream parses each statement again anyway; this extra
-        // parse is recovery-only cost.)
-        for sql in &replay {
-            if let Ok(tokens) = crate::token::lex(sql.as_str()) {
-                if let Ok(stmt) = crate::parser::parse(&tokens) {
-                    if let Some(target) = crate::txn::statement_write_target(&stmt) {
-                        sql_store.mark_dirty(target);
-                    }
-                }
-            }
-        }
-        Ok((
-            sql_store,
-            SqlRecovered {
-                tables,
-                replay,
-                torn_tail,
-                torn_cross_segment,
-            },
-        ))
-    }
-
-    /// Marks one table as written since the last checkpoint.
-    pub fn mark_dirty(&self, name: &str) {
-        let mut dirty = mlock(&self.dirty);
-        if !dirty.contains(name) {
-            dirty.insert(name.to_string());
-        }
-    }
-
-    /// Number of tables the next incremental checkpoint will re-encode.
-    pub fn dirty_count(&self) -> usize {
-        mlock(&self.dirty).len()
-    }
-
-    /// Appends a statement batch as one atomic WAL record (empty batches
-    /// write nothing). Concurrent callers share fsyncs via the store's
-    /// group-commit queue.
-    pub fn log_batch(&self, stmts: &[TaintedString]) -> Result<()> {
-        if stmts.is_empty() {
-            return Ok(());
-        }
-        self.store.append(&encode_wal_batch(stmts))?;
-        Ok(())
-    }
-
-    /// Checkpoints the catalog incrementally and resets the WAL: only
-    /// tables marked dirty since the last checkpoint (plus tables whose
-    /// part is missing — first checkpoint, or one migrated from a legacy
-    /// whole-image snapshot) are re-encoded; clean tables carry their
-    /// previous part over **by reference**, so checkpoint cost is
-    /// O(changed data), not O(database).
-    ///
-    /// The caller must exclude concurrent durable writers for the whole
-    /// call (`ResinDb` holds its checkpoint lock exclusively): the dirty
-    /// set is snapshotted at entry and cleared wholesale on success.
-    pub fn checkpoint<'a>(
-        &self,
-        tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
-    ) -> Result<()> {
-        let existing: HashSet<String> = self.store.part_names().into_iter().collect();
-        let dirty: HashSet<String> = mlock(&self.dirty).clone();
-        let mut parts = Vec::new();
-        for (name, t) in tables {
-            let part_name = table_part_name(name);
-            if dirty.contains(name) || !existing.contains(&part_name) {
-                parts.push(Part::new(part_name, encode_table_part(name, t)?));
-            } else {
-                parts.push(Part::unchanged(part_name));
-            }
-        }
-        // Dropped tables simply don't appear: their parts leave the
-        // manifest and the store garbage-collects the orphaned images.
-        self.store.checkpoint_parts(parts)?;
-        mlock(&self.dirty).clear();
-        Ok(())
-    }
-
-    /// Live storage counters of the underlying store.
-    pub fn stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// Whether WAL appends fsync (see [`Store::set_sync`]).
-    pub fn set_sync(&self, sync: bool) {
-        self.store.set_sync(sync);
-    }
-
-    /// Whether concurrent synced appends share fsyncs (see
-    /// [`Store::set_group_commit`]).
-    pub fn set_group_commit(&self, group: bool) {
-        self.store.set_group_commit(group);
-    }
-
-    /// Total fsyncs issued by the underlying store.
-    pub fn sync_count(&self) -> u64 {
-        self.store.sync_count()
-    }
 }
 
 #[cfg(test)]

@@ -273,6 +273,44 @@ mod tests {
     }
 
     #[test]
+    fn follower_reads_a_table_recreated_under_a_reused_part_file() {
+        // The primary drops `posts`, so the checkpoint deletes its part
+        // file; after a restart the part number is counted again from the
+        // files on disk and the re-created table's image lands in the same
+        // file name with the same length. The replica must not mistake its
+        // stale copy for the new image.
+        let (primary_dir, replica_dir) = dirs("reused-part");
+        {
+            let db = ResinDb::open(&primary_dir).unwrap();
+            db.set_wal_sync(false);
+            db.query_str("CREATE TABLE accounts (a INTEGER)").unwrap();
+            db.query_str("CREATE TABLE posts (s TEXT)").unwrap();
+            db.query_str("INSERT INTO posts VALUES ('old-row')")
+                .unwrap();
+            db.checkpoint().unwrap();
+            resin_store::ship(&primary_dir, &replica_dir).unwrap();
+            db.query_str("DROP TABLE posts").unwrap();
+            db.checkpoint().unwrap();
+            resin_store::ship(&primary_dir, &replica_dir).unwrap();
+        }
+        let db = ResinDb::open(&primary_dir).unwrap();
+        db.set_wal_sync(false);
+        db.query_str("CREATE TABLE posts (s TEXT)").unwrap();
+        db.query_str("INSERT INTO posts VALUES ('new-row')")
+            .unwrap();
+        db.checkpoint().unwrap();
+        resin_store::ship(&primary_dir, &replica_dir).unwrap();
+        let follower = Follower::open(&replica_dir).unwrap();
+        let r = follower.db().query_str("SELECT s FROM posts").unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(
+            r.cell(0, "s").unwrap().as_text().unwrap().as_str(),
+            "new-row"
+        );
+        std::fs::remove_dir_all(primary_dir.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn local_divergence_is_not_masked_by_replay() {
         // A write applied directly to the follower's db (a serving-layer
         // bug) diverges; replay does not rewind it. This documents why

@@ -1317,8 +1317,8 @@ mod tests {
         /// Reviving rows where they live against reviving a cloned
         /// projection: the same cells, labels and errors, over text with
         /// one- and two-policy spans and `''`-escaped quotes, tainted and
-        /// NULL integers, and policy columns holding a legacy blob or a
-        /// damaged one.
+        /// NULL integers, and policy columns holding a damaged blob (the
+        /// pre-interning inline-set form among them: both sides reject it).
         #[test]
         fn reviving_in_place_agrees_with_the_cloning_select(
             rows in proptest::prop::collection::vec(

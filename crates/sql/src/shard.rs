@@ -10,19 +10,22 @@
 //! * every query runs the rewrite + guard pipeline of [`crate::rewrite`]
 //!   (policy columns, injection guards, the sql gate);
 //! * opened on a directory ([`ResinDb::open`]) it logs every mutating
-//!   statement write-ahead into a shared [`resin_store`] snapshot+WAL and
-//!   recovers every cell *and every cell's policies* on reopen;
+//!   statement write-ahead into a shared [`resin_store::Store`] (one
+//!   checkpoint part per table, plus the WAL) and recovers every cell *and
+//!   every cell's policies* on reopen;
 //! * [`ResinDb::begin`] opens a [`Transaction`] with commit-time integrity
 //!   checks.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use resin_core::sync::{mlock, rlock, wlock};
 use resin_core::TaintedString;
+use resin_store::Store;
 
-use crate::durable::SqlStore;
+use crate::durable::{
+    decode_parts, decode_wal_batch, encode_table_part, encode_wal_batch, table_part_name,
+};
 use crate::engine::Database;
 use crate::error::Result;
 use crate::rewrite::{
@@ -35,11 +38,11 @@ use crate::txn::{statement_write_target, Transaction};
 #[derive(Debug, Default)]
 struct Shared {
     db: Database,
-    /// The snapshot+WAL store of a durable database. Lock-free here
+    /// The checkpoint+WAL store of a durable database. Lock-free here
     /// (`OnceLock`, set once at open): concurrent writers call straight
     /// into the store's group-commit queue, which batches their fsyncs —
     /// serializing appends behind an outer mutex would defeat exactly that.
-    store: OnceLock<SqlStore>,
+    store: OnceLock<Store>,
     /// Checkpoint exclusion: writers hold it shared across their WAL
     /// append → execute window, [`ResinDb::checkpoint`] holds it
     /// exclusively — so a snapshot can never land between a statement's
@@ -50,10 +53,6 @@ struct Shared {
     /// waits for this to reach zero (`txn_done` signals each finish).
     txn_writers: Mutex<usize>,
     txn_done: Condvar,
-    /// Live-WAL-bytes threshold above which a completed durable write
-    /// triggers a checkpoint. Zero (the default) disables the trigger.
-    /// Shared by every handle clone — retention is a store-wide policy.
-    auto_ckpt_wal_bytes: AtomicU64,
 }
 
 /// A database wrapped by the RESIN SQL filter: clone a handle per worker
@@ -64,10 +63,11 @@ struct Shared {
 /// the injection guard), while all handles share the same storage.
 ///
 /// By default the database is in-memory only. [`ResinDb::open`] attaches
-/// a durable [`resin_store`] snapshot+WAL underneath: every mutating
-/// statement is logged (post-guard, with its byte-range policies) before
-/// it executes, [`checkpoint`](ResinDb::checkpoint) folds the WAL into a
-/// fresh snapshot, and reopening the same directory — even after a crash
+/// a durable [`resin_store::Store`] underneath: every mutating statement
+/// is logged (post-guard, with its byte-range policies) before it
+/// executes, [`checkpoint`](ResinDb::checkpoint) folds the WAL into fresh
+/// images of the tables written since, and reopening the same directory —
+/// even after a crash
 /// that tore the WAL tail mid-record — recovers every cell *and every
 /// cell's policies*.
 ///
@@ -134,19 +134,25 @@ impl ResinDb {
         tracking: Tracking,
         guard: GuardMode,
     ) -> Result<Self> {
-        let (store, recovered) = SqlStore::open(dir)?;
+        let (store, recovered) = Store::open(dir)?;
         let db = ResinDb {
             torn_recovery: recovered.torn_tail,
             torn_cross_segment: recovered.torn_cross_segment,
             ..ResinDb::with_modes(tracking, guard)
         };
-        db.raw().reset_tables(recovered.tables);
-        for sql in &recovered.replay {
-            // A statement that errors here failed identically pre-crash.
-            let _ = db.replay(sql);
-        }
-        // Attached last: replay must not re-log.
+        // Each image and record is dropped once decoded: recovery holds
+        // the tables, not their encodings beside them.
+        db.raw().reset_tables(decode_parts(&recovered.parts)?);
+        drop(recovered.parts);
+        // Attached first, so replay marks the tables it writes dirty;
+        // replay never logs.
         let _ = db.shared.store.set(store);
+        for payload in recovered.records {
+            for sql in decode_wal_batch(&payload)? {
+                // A statement that errors here failed identically pre-crash.
+                let _ = db.replay(&sql);
+            }
+        }
         Ok(db)
     }
 
@@ -166,15 +172,20 @@ impl ResinDb {
 
     /// Replays one logged statement (crash recovery, and read replicas
     /// applying shipped WAL records). The logged text is post-guard, so
-    /// replay skips the gate and re-runs the same rewrite.
+    /// replay skips the gate and re-runs the same rewrite. On a durable
+    /// database the statement's table is dirty from here on: the
+    /// checkpoint does not hold its effect yet.
     pub(crate) fn replay(&self, sql: &TaintedString) -> Result<()> {
         let tokens = crate::token::lex(sql.as_str())?;
         let stmt = crate::parser::parse(&tokens)?;
+        if let (Some(store), Some(target)) = (self.store(), statement_write_target(&stmt)) {
+            store.mark_dirty(&table_part_name(target));
+        }
         run_prepared(&self.shared.db, sql, stmt, self.tracking, &[])?;
         Ok(())
     }
 
-    fn store(&self) -> Option<&SqlStore> {
+    fn store(&self) -> Option<&Store> {
         self.shared.store.get()
     }
 
@@ -183,10 +194,12 @@ impl ResinDb {
         self.store().is_some()
     }
 
-    /// Folds the WAL into a fresh snapshot (no-op without a store). Only
-    /// tables written since the last checkpoint are re-encoded.
+    /// Folds the WAL into a fresh checkpoint (no-op without a store). Only
+    /// tables written since the last checkpoint are re-encoded; the store
+    /// carries the others over by reference, and writes nothing at all
+    /// when no table was written and none created or dropped.
     ///
-    /// The snapshot is statement-consistent: the checkpoint-exclusion
+    /// The checkpoint is statement-consistent: the checkpoint-exclusion
     /// lock keeps it out of every writer's WAL-append → execute window
     /// (a logged statement is never dropped unexecuted by the WAL
     /// truncation), and it waits for open *writing* transactions to
@@ -227,57 +240,23 @@ impl ResinDb {
         // Encoded straight from the table read guards — no whole-catalog
         // deep copy. Durable writers are already excluded by the ckpt
         // lock, and readers take the same shared locks.
-        self.shared
-            .db
-            .with_all_tables(|tables| store.checkpoint(tables))
+        self.shared.db.with_all_tables(|tables| {
+            store.checkpoint_parts(
+                tables.map(|(name, t)| (table_part_name(name), move || encode_table_part(name, t))),
+            )
+        })
     }
 
     /// Live storage counters (segments, WAL bytes, checkpoint cost) of
     /// the underlying store, or `None` when not durable.
     pub fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        self.store().map(SqlStore::stats)
-    }
-
-    /// Arms the size-based checkpoint trigger: once the live WAL grows
-    /// past `bytes`, the durable write that crossed the line checkpoints
-    /// the database before returning. Zero (the default) disables the
-    /// trigger; the setting is shared by every clone of this handle.
-    pub fn set_auto_checkpoint_wal_bytes(&self, bytes: u64) {
-        self.shared
-            .auto_ckpt_wal_bytes
-            .store(bytes, Ordering::Relaxed);
-    }
-
-    /// The armed auto-checkpoint threshold (0 = disabled).
-    pub fn auto_checkpoint_wal_bytes(&self) -> u64 {
-        self.shared.auto_ckpt_wal_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Runs the size-based trigger after a durable write, outside the
-    /// checkpoint-exclusion window. Best-effort: the write that got us
-    /// here is already applied *and* logged, so a checkpoint failure must
-    /// not convert it into a caller-visible error (retrying the statement
-    /// would double-apply it); the condition persists and the next
-    /// explicit checkpoint will surface it. Concurrent writers crossing
-    /// the line together serialize on the ckpt lock; the laggards'
-    /// checkpoints are incremental over a now-clean store and cheap.
-    fn maybe_auto_checkpoint(&self) {
-        let threshold = self.auto_checkpoint_wal_bytes();
-        if threshold == 0 {
-            return;
-        }
-        let Some(stats) = self.store_stats() else {
-            return;
-        };
-        if stats.live_wal_bytes >= threshold {
-            let _ = self.checkpoint();
-        }
+        self.store().map(Store::stats)
     }
 
     /// Number of tables written since the last checkpoint — what the
     /// next checkpoint will re-encode.
     pub fn dirty_table_count(&self) -> usize {
-        self.store().map_or(0, SqlStore::dirty_count)
+        self.store().map_or(0, Store::dirty_count)
     }
 
     /// Marks tables as written since the last checkpoint (transactions
@@ -285,7 +264,7 @@ impl ResinDb {
     pub(crate) fn mark_tables_dirty<'a>(&self, names: impl IntoIterator<Item = &'a str>) {
         if let Some(store) = self.store() {
             for name in names {
-                store.mark_dirty(name);
+                store.mark_dirty(&table_part_name(name));
             }
         }
     }
@@ -298,28 +277,21 @@ impl ResinDb {
         }
     }
 
-    /// Whether concurrent synced WAL appends share fsyncs (default
-    /// `true`; off gives the per-append-fsync baseline for benchmarks).
-    pub fn set_wal_group_commit(&self, group: bool) {
-        if let Some(store) = self.store() {
-            store.set_group_commit(group);
-        }
-    }
-
     /// Total fsyncs the WAL has issued — the observable of group-commit
     /// amortization under concurrent committers.
     pub fn wal_sync_count(&self) -> u64 {
-        self.store().map_or(0, SqlStore::sync_count)
+        self.store().map_or(0, Store::sync_count)
     }
 
     /// Appends statements to the WAL as one atomic record (a transaction
     /// commits its buffer this way: a crash mid-commit persists the whole
-    /// transaction or none of it, never a prefix).
+    /// transaction or none of it, never a prefix). An empty batch writes
+    /// nothing.
     pub(crate) fn wal_log_batch(&self, stmts: &[TaintedString]) -> Result<()> {
-        match self.store() {
-            Some(store) => store.log_batch(stmts),
-            None => Ok(()),
+        if let (Some(store), false) = (self.store(), stmts.is_empty()) {
+            store.append(&encode_wal_batch(stmts))?;
         }
+        Ok(())
     }
 
     /// Opens the checkpoint-exclusion window of a durable write to
@@ -337,8 +309,8 @@ impl ResinDb {
             return Ok(None);
         };
         let no_ckpt = rlock(&self.shared.ckpt);
-        store.log_batch(std::slice::from_ref(&*sql()))?;
-        store.mark_dirty(target);
+        store.append(&encode_wal_batch(std::slice::from_ref(&*sql())))?;
+        store.mark_dirty(&table_part_name(target));
         Ok(Some(no_ckpt))
     }
 
@@ -397,26 +369,8 @@ impl ResinDb {
     /// the next checkpoint truncates it.
     pub fn query(&self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt) = prepare_query(sql, self.guard)?;
-        let no_ckpt = self.log_write(statement_write_target(&stmt), || Cow::Borrowed(&*sql))?;
-        let result = run_prepared(&self.shared.db, &sql, stmt, self.tracking, &[]);
-        self.finish_write(no_ckpt, result)
-    }
-
-    /// Closes a write's exclusion window — it must close before the
-    /// size-based trigger runs, since the checkpoint takes the same lock
-    /// exclusively — then runs the trigger.
-    fn finish_write(
-        &self,
-        no_ckpt: Option<RwLockReadGuard<'_, ()>>,
-        result: Result<TaintedResult>,
-    ) -> Result<TaintedResult> {
-        if no_ckpt.is_some() {
-            drop(no_ckpt);
-            if result.is_ok() {
-                self.maybe_auto_checkpoint();
-            }
-        }
-        result
+        let _no_ckpt = self.log_write(statement_write_target(&stmt), || Cow::Borrowed(&*sql))?;
+        run_prepared(&self.shared.db, &sql, stmt, self.tracking, &[])
     }
 
     /// Executes an untainted query string.
@@ -441,17 +395,16 @@ impl ResinDb {
     /// [`query`](ResinDb::query).
     pub fn run(&self, bound: &BoundStatement<'_>) -> Result<TaintedResult> {
         let p = bound.prepared;
-        let no_ckpt = self.log_write(p.write_target(), || {
+        let _no_ckpt = self.log_write(p.write_target(), || {
             Cow::Owned(render_bound_sql(p, &bound.values))
         })?;
-        let result = run_prepared(
+        run_prepared(
             &self.shared.db,
             p.text_tainted(),
             p.statement().clone(),
             self.tracking,
             &bound.values,
-        );
-        self.finish_write(no_ckpt, result)
+        )
     }
 
     /// [`prepare`](ResinDb::prepare)-bind-[`run`](ResinDb::run) in one
@@ -887,52 +840,5 @@ mod tests {
         let r = db.query_str("SELECT * FROM posts").unwrap();
         assert_eq!(r.columns, vec!["id", "body"]);
         assert!(db.query_str("SELECT __rp_body FROM posts").is_err());
-    }
-
-    #[test]
-    fn size_based_auto_checkpoint_bounds_the_wal() {
-        let dir = disk_dir("auto-ckpt");
-        {
-            let db = ResinDb::open(&dir).unwrap();
-            db.set_wal_sync(false);
-            db.query_str("CREATE TABLE t (a INTEGER, body TEXT)")
-                .unwrap();
-            // Off by default: the WAL grows without bound.
-            for i in 0..32 {
-                db.query_str(&format!(
-                    "INSERT INTO t VALUES ({i}, 'some body text to fatten the record')"
-                ))
-                .unwrap();
-            }
-            let before = db.store_stats().unwrap();
-            assert_eq!(before.base_seq, 0, "no checkpoint without the trigger");
-            assert!(before.live_wal_bytes > 512);
-
-            // Armed: the write crossing the threshold checkpoints, so the
-            // live WAL stays bounded even under a long insert stream.
-            db.set_auto_checkpoint_wal_bytes(512);
-            assert_eq!(db.auto_checkpoint_wal_bytes(), 512);
-            let mut max_wal = 0;
-            for i in 32..96 {
-                db.query_str(&format!(
-                    "INSERT INTO t VALUES ({i}, 'some body text to fatten the record')"
-                ))
-                .unwrap();
-                max_wal = max_wal.max(db.store_stats().unwrap().live_wal_bytes);
-            }
-            let after = db.store_stats().unwrap();
-            assert!(after.base_seq > 0, "trigger never checkpointed");
-            // One statement may overshoot the line before the trigger
-            // fires, but the WAL never grows a second threshold past it.
-            assert!(
-                max_wal < 512 + 1024,
-                "WAL unbounded with the trigger armed: {max_wal}"
-            );
-        }
-        // Recovery sees checkpoint + tail, nothing lost.
-        let db = ResinDb::open(&dir).unwrap();
-        let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.rows[0][0].as_int().unwrap().value(), &96);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

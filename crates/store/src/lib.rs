@@ -13,12 +13,14 @@
 //! * [`segment`] — size-capped, rotating WAL segment files (`wal.000001`,
 //!   …) whose concatenation in index order is the log;
 //! * [`store::Store`] — one directory holding a manifest-based checkpoint
-//!   (named, immutable part images — unchanged parts carry between
-//!   checkpoints by reference) plus the WAL segments, with atomic
+//!   (named, immutable part images) plus the WAL segments, with atomic
 //!   checkpoints (temp file + rename), fsynced appends, compaction of
 //!   covered segments, and sequence numbers that keep a crash between
 //!   "rename manifest" and "delete covered segments" from double-applying
-//!   operations;
+//!   operations. The store also owns the incremental-checkpoint rule:
+//!   clients mark the parts their writes touch, and a checkpoint encodes
+//!   exactly those (plus parts it has never written) and carries every
+//!   other part over by reference;
 //! * [`replica`] — WAL shipping (incremental directory copy) and
 //!   read-only tailing, the transport under read replicas.
 //!
@@ -28,10 +30,10 @@
 //! therefore work without any policy class being registered — the paper's
 //! property that persisted policies outlive the code that produced them.
 //!
-//! The client layers live upstream: `resin_sql` snapshots its table
-//! catalog and logs post-guard statements; `resin_vfs` snapshots its tree
-//! and logs file operations. Both recover by replaying the WAL onto the
-//! last complete snapshot.
+//! The client layers live upstream and use [`Store`] directly: `resin_sql`
+//! checkpoints one part per table and logs post-guard statements;
+//! `resin_vfs` checkpoints its tree as one part and logs file operations.
+//! Both recover by replaying the WAL onto the last complete checkpoint.
 
 pub mod error;
 pub mod io;
@@ -44,4 +46,4 @@ pub mod wal;
 pub use error::{Result, StoreError};
 pub use replica::{checkpoint_base_seq, read_checkpoint, ship, tail_records, ShipReport, Tailed};
 pub use snapshot::{SnapshotReader, SnapshotWriter, SpanRef, SNAPSHOT_VERSION};
-pub use store::{Part, Parts, Recovered, Store, StoreStats, IMAGE_PART};
+pub use store::{Parts, Recovered, Store, StoreStats};

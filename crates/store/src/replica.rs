@@ -6,14 +6,30 @@
 //! mutating anything ([`read_checkpoint`], [`tail_records`]). This works
 //! because every durable artifact is append-only or immutable:
 //!
-//! * part files are written once under a fresh name and never modified,
-//!   so copying one is idempotent;
+//! * part files are written once under a fresh name and never modified
+//!   while a manifest names them. A primary does reuse the name of a part
+//!   file it deleted (it counts part numbers from the files on disk when
+//!   it opens), so a file is skipped only when the replica's **own
+//!   current manifest** names it with the same length and checksum —
+//!   never on its length alone;
 //! * segments only grow between checkpoints, so shipping resumes by
 //!   copying the byte tail past what the replica already has — a frame
 //!   half-copied by one ship completes on the next;
 //! * the manifest is replaced atomically (temp + rename), and is only
-//!   shipped after the parts it references, so a replica-side reader
-//!   never sees a manifest pointing at a missing part.
+//!   shipped after the parts it references, so a manifest never points at
+//!   a missing part.
+//!
+//! Part retention is the primary's rule, `remove_orphan_parts`: once the
+//! shipped manifest is in place, every part file it does not name is
+//! deleted, so the replica holds the images of one checkpoint, as the
+//! primary does.
+//!
+//! A reader of a directory that a ship is writing into races it, as it
+//! always has for segments: a reader that listed the segments (or read
+//! the manifest) before a ship pruned a segment (or a superseded part)
+//! finds that file gone and gets a `NotFound` error, never wrong data.
+//! Readers that share a directory with a shipper retry, or ship and read
+//! in turn, as `Follower` users and `loadgen --replica` do.
 //!
 //! [`tail_records`] treats a torn tail as "end of shipped log", not an
 //! error: the tear is the in-flight append the next ship will complete.
@@ -36,7 +52,9 @@ use std::path::Path;
 use crate::error::Result;
 use crate::io::checksum;
 use crate::segment::list_segments;
-use crate::store::{decode_manifest, read_checkpoint_state, Parts, MANIFEST_FILE};
+use crate::store::{
+    decode_manifest, read_checkpoint_state, remove_orphan_parts, Parts, MANIFEST_FILE,
+};
 use crate::wal::{scan, Record};
 
 /// What one [`ship`] call copied.
@@ -68,9 +86,11 @@ pub struct Tailed {
 /// new checkpoint parts first, then the manifest, then segment tails,
 /// then prunes replica segments the primary compacted away **if** the
 /// shipped checkpoint fully covers their records. Incremental and
-/// idempotent; the only deletions are those checkpoint-covered segments,
-/// so a slow follower that has not shipped the covering manifest yet
-/// keeps every segment it might still need.
+/// idempotent; the only deletions are part files the shipped manifest no
+/// longer names and those checkpoint-covered segments, so a slow follower
+/// that has not shipped the covering manifest yet keeps every segment it
+/// might still need. A ship with nothing new reads the two manifests and
+/// no part image.
 pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
     std::fs::create_dir_all(dst)?;
     let mut report = ShipReport::default();
@@ -81,24 +101,27 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(e.into()),
     };
-    if let Some(bytes) = manifest_bytes {
+    let have = std::fs::read(dst.join(MANIFEST_FILE)).unwrap_or_default();
+    if let Some(bytes) = manifest_bytes.filter(|b| *b != have) {
         let (_, entries) = decode_manifest(&bytes)?;
+        // What the replica's own manifest vouches for; an unreadable one
+        // vouches for nothing, and every part is copied again.
+        let held = decode_manifest(&have).map(|(_, e)| e).unwrap_or_default();
         for e in &entries {
-            let to = dst.join(&e.file);
-            let already = std::fs::metadata(&to).map(|m| m.len()).unwrap_or(0);
-            if already == e.len {
-                continue; // part files are immutable: same length = same file
+            if held
+                .iter()
+                .any(|h| h.file == e.file && h.len == e.len && h.sum == e.sum)
+            {
+                continue;
             }
             let image = std::fs::read(src.join(&e.file))?;
             write_atomic(dst, &e.file, &image)?;
             report.parts_copied += 1;
             report.bytes_copied += image.len() as u64;
         }
-        let have = std::fs::read(dst.join(MANIFEST_FILE)).unwrap_or_default();
-        if have != bytes {
-            write_atomic(dst, MANIFEST_FILE, &bytes)?;
-            report.bytes_copied += bytes.len() as u64;
-        }
+        write_atomic(dst, MANIFEST_FILE, &bytes)?;
+        report.bytes_copied += bytes.len() as u64;
+        remove_orphan_parts(dst, &entries);
     }
 
     // Segment tails: append-only between checkpoints, so resume at the
@@ -231,8 +254,16 @@ pub fn file_checksum(path: &Path) -> Result<u64> {
 mod tests {
     use super::*;
     use crate::store::Store;
+    use crate::StoreError;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Checkpoints `image` as the store's one part, rewritten every time.
+    fn checkpoint(s: &Store, image: &[u8]) {
+        s.mark_dirty("img");
+        s.checkpoint_parts([("img".to_string(), || Ok::<_, StoreError>(image.to_vec()))])
+            .unwrap();
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -280,7 +311,7 @@ mod tests {
         for i in 0..10u32 {
             s.append(format!("r{i}").as_bytes()).unwrap();
         }
-        s.checkpoint(b"CKPT").unwrap();
+        checkpoint(&s, b"CKPT");
         s.append(b"post").unwrap();
         let rep = ship(&src, &dst).unwrap();
         assert!(rep.parts_copied >= 1);
@@ -310,7 +341,7 @@ mod tests {
             // Ship the live log first (the replica now holds the rotated
             // segments), then checkpoint — the next ship must prune them.
             ship(&src, &dst).unwrap();
-            s.checkpoint(format!("CKPT{round}").as_bytes()).unwrap();
+            checkpoint(&s, format!("CKPT{round}").as_bytes());
             let rep = ship(&src, &dst).unwrap();
             pruned_total += rep.segments_pruned;
             // The replica holds a subset of the primary's segments (an
@@ -329,6 +360,19 @@ mod tests {
             assert!(
                 dst_idx.iter().all(|i| src_idx.contains(i)),
                 "round {round}: replica directory unbounded: src {src_idx:?} dst {dst_idx:?}"
+            );
+            // Superseded part images go too: every part file the replica
+            // holds is one its own manifest names.
+            let (_, entries) =
+                decode_manifest(&std::fs::read(dst.join(MANIFEST_FILE)).unwrap()).unwrap();
+            let held: Vec<String> = std::fs::read_dir(&dst)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|n| n.starts_with("part."))
+                .collect();
+            assert!(
+                held.iter().all(|f| entries.iter().any(|e| &e.file == f)),
+                "round {round}: replica keeps superseded parts: {held:?}"
             );
             // Replay still reconstructs the full state.
             let (base_seq, parts) = read_checkpoint(&dst).unwrap().expect("checkpoint shipped");
@@ -373,7 +417,7 @@ mod tests {
         // the source — but hand the replica a *stale* manifest whose
         // base_seq predates the tail records: segments holding records
         // above it must survive.
-        s.checkpoint(b"CKPT").unwrap();
+        checkpoint(&s, b"CKPT");
         ship(&src, &dst).unwrap();
         let base_seq = checkpoint_base_seq(&dst).unwrap().unwrap();
         assert_eq!(base_seq, 6);
@@ -420,7 +464,7 @@ mod tests {
         let (torn_idx, torn_path) = list_segments(&dst).unwrap().remove(0);
         let bytes = std::fs::read(&torn_path).unwrap();
         std::fs::write(&torn_path, &bytes[..bytes.len() - 3]).unwrap();
-        s.checkpoint(b"CKPT").unwrap();
+        checkpoint(&s, b"CKPT");
         let rep = ship(&src, &dst).unwrap();
         assert!(rep.segments_pruned >= 1, "torn covered segment leaked");
         assert!(

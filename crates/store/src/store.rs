@@ -16,11 +16,6 @@
 //! wal.lock       advisory single-writer lock
 //! ```
 //!
-//! Older stores used a single `snapshot.bin` + `wal.bin`; [`Store::open`]
-//! migrates them transparently (the legacy WAL becomes segment 1, the
-//! legacy snapshot reads as a single part) and the next checkpoint
-//! rewrites everything in the current format.
-//!
 //! # Recovery contract
 //!
 //! [`Store::open`] loads the last complete checkpoint and replays the
@@ -37,12 +32,20 @@
 //!
 //! # Incremental checkpoints
 //!
-//! [`Store::checkpoint_parts`] takes a list of named parts where each is
-//! either a new image or `Unchanged`: unchanged parts are re-referenced
-//! from the previous manifest without touching their bytes, so a
-//! checkpoint costs O(changed parts), not O(database). Parts absent from
-//! the list are dropped. The single-image [`Store::checkpoint`] is the
-//! degenerate one-part case.
+//! The store decides what a checkpoint rewrites. A client names the part
+//! each write touched ([`Store::mark_dirty`], beside the
+//! [`append`](Store::append) that logged it), and
+//! [`Store::checkpoint_parts`] takes every part the checkpoint should hold
+//! with a way to encode it: a part that is dirty, or that the manifest
+//! lacks, is encoded into a fresh file; every other part is re-referenced
+//! from the previous manifest without touching its bytes; parts absent
+//! from the list are dropped. A checkpoint costs O(changed parts), not
+//! O(database) — and one with nothing to do (no dirty part, nothing logged
+//! since `base_seq`, the same part names) writes nothing at all.
+//!
+//! The WAL does not say which part a record touched, so a client that
+//! replays a recovered tail marks what each record writes, as it did when
+//! the record was first logged.
 //!
 //! # Group commit
 //!
@@ -76,6 +79,7 @@
 //! the queue lock while `leader` is false) — the mutex exists so rotation
 //! can swap the file handle and so read-side diagnostics can observe it.
 
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -91,53 +95,15 @@ use crate::wal::{encode_record, scan, Record};
 pub(crate) const MANIFEST_FILE: &str = "manifest.bin";
 const MANIFEST_TMP: &str = "manifest.tmp";
 const LOCK_FILE: &str = "wal.lock";
-const LEGACY_SNAPSHOT_FILE: &str = "snapshot.bin";
-const LEGACY_WAL_FILE: &str = "wal.bin";
-
-/// The part name [`Store::checkpoint`] uses for its single image, and
-/// the name under which a legacy `snapshot.bin` is surfaced.
-pub const IMAGE_PART: &str = "__image__";
 
 /// Default segment rotation threshold (bytes). Small enough that
 /// compaction reclaims space promptly, large enough that rotation is
 /// rare next to appends.
 const DEFAULT_SEGMENT_MAX: u64 = 4 * 1024 * 1024;
 
-/// Outer framing of the legacy snapshot file: magic, base sequence
-/// number, checksum over both, then the client image.
-const SNAP_FILE_MAGIC: &[u8; 4] = b"RSTO";
-
 /// Magic bytes opening the checkpoint manifest.
 const MANIFEST_MAGIC: &[u8; 4] = b"RSTM";
 const MANIFEST_VERSION: u32 = 1;
-
-/// One named part the caller wants in the next checkpoint.
-#[derive(Debug, Clone)]
-pub struct Part {
-    /// Stable part name (e.g. a table name).
-    pub name: String,
-    /// `Some(bytes)` writes a fresh image; `None` re-references the
-    /// part's image from the previous manifest (error if there is none).
-    pub image: Option<Vec<u8>>,
-}
-
-impl Part {
-    /// A part with a fresh image.
-    pub fn new(name: impl Into<String>, image: Vec<u8>) -> Part {
-        Part {
-            name: name.into(),
-            image: Some(image),
-        }
-    }
-
-    /// A part carried over unchanged from the previous checkpoint.
-    pub fn unchanged(name: impl Into<String>) -> Part {
-        Part {
-            name: name.into(),
-            image: None,
-        }
-    }
-}
 
 /// One manifest entry: a named part and the immutable file holding it.
 #[derive(Debug, Clone)]
@@ -154,13 +120,9 @@ pub type Parts = Vec<(String, Vec<u8>)>;
 /// What [`Store::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// The last complete single-image snapshot, if the last checkpoint
-    /// was taken through [`Store::checkpoint`] (or recovered from a
-    /// legacy `snapshot.bin`). `None` when the checkpoint is multi-part.
-    pub snapshot: Option<Vec<u8>>,
     /// Every named part of the last checkpoint, in manifest order.
     /// Empty if no checkpoint was ever taken.
-    pub parts: Vec<(String, Vec<u8>)>,
+    pub parts: Parts,
     /// WAL payloads appended after that checkpoint, in append order.
     pub records: Vec<Vec<u8>>,
     /// True when a torn WAL tail was discarded during recovery.
@@ -217,8 +179,12 @@ struct WalShared {
     /// K appends need far fewer than 8·K syncs.
     syncs: AtomicU64,
     /// Current manifest (in-memory mirror of `manifest.bin`); the source
-    /// of images for `Part::unchanged` references.
+    /// of the entries a checkpoint re-references. Held across a whole
+    /// checkpoint, so checkpoints serialize; ordered before `state`.
     manifest: Mutex<Vec<ManifestEntry>>,
+    /// Parts written since the last checkpoint: the ones the next
+    /// checkpoint re-encodes. No other lock is taken while it is held.
+    dirty: Mutex<HashSet<String>>,
     /// Next part-file number (part files are never reused).
     next_part: AtomicU64,
     /// Sequence number the current manifest covers.
@@ -262,7 +228,6 @@ struct WalState {
     /// True while some appender is writing a batch outside the lock.
     leader: bool,
     sync: bool,
-    group: bool,
     /// Rotation threshold: a batch that finds the active segment at or
     /// past this length opens the next segment first.
     segment_max: u64,
@@ -284,6 +249,10 @@ fn lock_manifest(shared: &WalShared) -> MutexGuard<'_, Vec<ManifestEntry>> {
         .manifest
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock_dirty(shared: &WalShared) -> MutexGuard<'_, HashSet<String>> {
+    shared.dirty.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Best-effort directory fsync, making renames/creates/unlinks durable.
@@ -330,18 +299,6 @@ impl Store {
         }
 
         let (manifest, base_seq, parts) = read_checkpoint_state(&dir)?;
-
-        // Legacy layout: a single `wal.bin` becomes segment 1.
-        let legacy_wal = dir.join(LEGACY_WAL_FILE);
-        if legacy_wal.exists() {
-            if !list_segments(&dir)?.is_empty() {
-                return Err(StoreError::Corrupt(
-                    "both legacy wal.bin and WAL segments present".into(),
-                ));
-            }
-            std::fs::rename(&legacy_wal, segment_path(&dir, 1))?;
-            sync_dir(&dir);
-        }
 
         let mut segments = list_segments(&dir)?;
         if segments.is_empty() {
@@ -405,11 +362,6 @@ impl Store {
         let next_part = next_part_number(&dir)?;
         remove_orphan_parts(&dir, &manifest);
 
-        let snapshot = match parts.as_slice() {
-            [(name, image)] if name == IMAGE_PART => Some(image.clone()),
-            _ => None,
-        };
-
         Ok((
             Store {
                 dir: dir.clone(),
@@ -430,12 +382,12 @@ impl Store {
                         dead: Vec::new(),
                         leader: false,
                         sync: true,
-                        group: true,
                         segment_max: DEFAULT_SEGMENT_MAX,
                     }),
                     durable: Condvar::new(),
                     syncs: AtomicU64::new(0),
                     manifest: Mutex::new(manifest),
+                    dirty: Mutex::new(HashSet::new()),
                     next_part: AtomicU64::new(next_part),
                     base_seq: AtomicU64::new(base_seq),
                     last_ckpt_micros: AtomicU64::new(0),
@@ -443,7 +395,6 @@ impl Store {
                 }),
             },
             Recovered {
-                snapshot,
                 parts,
                 records,
                 torn_tail: torn,
@@ -457,14 +408,6 @@ impl Store {
     /// throughput — benchmarks and tests only.
     pub fn set_sync(&self, sync: bool) {
         lock(&self.shared).sync = sync;
-    }
-
-    /// Whether concurrent synced appends share fsyncs (default `true`).
-    /// Turning it off makes every append pay its own fsync while holding
-    /// the queue lock — the per-append-fsync baseline that group commit
-    /// is measured against.
-    pub fn set_group_commit(&self, group: bool) {
-        lock(&self.shared).group = group;
     }
 
     /// Sets the segment rotation threshold in bytes. Small values force
@@ -500,12 +443,21 @@ impl Store {
         self.shared.base_seq.load(Ordering::Relaxed)
     }
 
-    /// Names of the parts referenced by the current manifest.
-    pub fn part_names(&self) -> Vec<String> {
-        lock_manifest(&self.shared)
-            .iter()
-            .map(|e| e.name.clone())
-            .collect()
+    /// Marks `part` as written since the last checkpoint, so the next
+    /// [`checkpoint_parts`](Store::checkpoint_parts) encodes it afresh.
+    /// A write calls this beside the [`append`](Store::append) that
+    /// logged it; recovery calls it for each replayed record.
+    pub fn mark_dirty(&self, part: &str) {
+        let mut dirty = lock_dirty(&self.shared);
+        if !dirty.contains(part) {
+            dirty.insert(part.to_string());
+        }
+    }
+
+    /// Number of parts marked dirty since the last checkpoint — what the
+    /// next checkpoint will re-encode.
+    pub fn dirty_count(&self) -> usize {
+        lock_dirty(&self.shared).len()
     }
 
     /// Point-in-time diagnostics counters.
@@ -557,12 +509,11 @@ impl Store {
         let frame = encode_record(seq, payload);
         state.staged.extend_from_slice(&frame);
 
-        if (!state.sync || !state.group) && !state.leader {
-            // Solo path: flush everything staged right here, under the
-            // lock. Without sync this is just a buffered write; without
-            // group commit it is the one-fsync-per-append baseline. (If a
-            // leader is mid-write the file is not ours — fall through to
-            // the queue protocol, which handles the frame correctly.)
+        if !state.sync && !state.leader {
+            // Without sync there is no fsync to share: flush everything
+            // staged right here, under the lock — just a buffered write.
+            // (If a leader is mid-write the file is not ours — fall
+            // through to the queue protocol, which handles the frame.)
             return self.flush_staged(&mut state).map(|()| seq);
         }
 
@@ -709,27 +660,102 @@ impl Store {
         }
     }
 
-    /// Checkpoints `image` as a single-part manifest and compacts the
-    /// WAL. See [`checkpoint_parts`](Store::checkpoint_parts).
-    pub fn checkpoint(&self, image: &[u8]) -> Result<()> {
-        self.checkpoint_parts(vec![Part::new(IMAGE_PART, image.to_vec())])
-    }
-
-    /// Checkpoints the given parts as the new manifest and compacts the
+    /// Checkpoints `parts` — every part the checkpoint holds, in manifest
+    /// order, each with a function encoding its image — and compacts the
     /// WAL.
     ///
-    /// New part images are written to fresh immutable files and fsynced;
-    /// `Part::unchanged` entries re-reference the previous manifest's
-    /// file without touching its bytes. The manifest is then written to
-    /// a temp file, fsynced, and renamed into place — readers see either
-    /// the old or the new checkpoint, never a partial one. Covered WAL
-    /// segments are deleted afterwards; if a crash intervenes, the base
-    /// sequence number stored in the manifest keeps the stale records
-    /// from replaying twice. Any staged-but-unwritten frames are flushed
-    /// first, so the manifest's base sequence never claims to cover a
-    /// record that is not on disk.
-    pub fn checkpoint_parts(&self, parts: Vec<Part>) -> Result<()> {
+    /// This is the one place that decides what a checkpoint rewrites: a
+    /// part [marked dirty](Store::mark_dirty) since the last checkpoint,
+    /// or one the manifest lacks, is encoded into a fresh immutable file
+    /// and fsynced; every other part re-references the previous
+    /// manifest's file without touching its bytes, and its encoder never
+    /// runs; parts absent from the list are dropped. With no part dirty,
+    /// nothing logged since the last checkpoint and the same part names,
+    /// the call writes nothing.
+    ///
+    /// The manifest is written to a temp file, fsynced, and renamed into
+    /// place — readers see either the old or the new checkpoint, never a
+    /// partial one. Covered WAL segments are deleted afterwards; if a
+    /// crash intervenes, the base sequence number stored in the manifest
+    /// keeps the stale records from replaying twice. Any staged-but-
+    /// unwritten frames are flushed first, so the manifest's base sequence
+    /// never claims to cover a record that is not on disk.
+    ///
+    /// The images must hold every write appended so far: the caller keeps
+    /// writers out for the whole call. If encoding or writing fails, the
+    /// dirty marks are kept for the next attempt.
+    pub fn checkpoint_parts<E, F>(
+        &self,
+        parts: impl IntoIterator<Item = (String, F)>,
+    ) -> std::result::Result<(), E>
+    where
+        E: From<StoreError>,
+        F: FnOnce() -> std::result::Result<Vec<u8>, E>,
+    {
         let started = Instant::now();
+        let parts: Vec<(String, F)> = parts.into_iter().collect();
+        let mut manifest = lock_manifest(&self.shared);
+        let dirty = std::mem::take(&mut *lock_dirty(&self.shared));
+        let same_names = manifest.len() == parts.len()
+            && manifest
+                .iter()
+                .zip(&parts)
+                .all(|(e, (name, _))| e.name == *name);
+        if dirty.is_empty() && same_names && self.seq() == self.base_seq() {
+            return Ok(());
+        }
+        let result = (|| -> std::result::Result<(), E> {
+            let previous: HashMap<&str, &ManifestEntry> =
+                manifest.iter().map(|e| (e.name.as_str(), e)).collect();
+            let mut entries = Vec::with_capacity(parts.len());
+            let mut written = 0u64;
+            for (name, encode) in parts {
+                match previous.get(name.as_str()) {
+                    Some(&kept) if !dirty.contains(&name) => entries.push(kept.clone()),
+                    _ => {
+                        entries.push(self.write_part(name, &encode()?)?);
+                        written += 1;
+                    }
+                }
+            }
+            drop(previous);
+            self.commit_manifest(&mut manifest, entries)?;
+            self.shared
+                .last_ckpt_parts_written
+                .store(written, Ordering::Relaxed);
+            self.shared
+                .last_ckpt_micros
+                .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+            Ok(())
+        })();
+        if result.is_err() {
+            lock_dirty(&self.shared).extend(dirty);
+        }
+        result
+    }
+
+    /// Writes one part image to a fresh immutable file and fsyncs it.
+    fn write_part(&self, name: String, image: &[u8]) -> Result<ManifestEntry> {
+        let n = self.shared.next_part.fetch_add(1, Ordering::Relaxed);
+        let file = format!("part.{n:06}.bin");
+        let mut f = File::create(self.dir.join(&file))?;
+        f.write_all(image)?;
+        f.sync_all()?;
+        Ok(ManifestEntry {
+            name,
+            file,
+            len: image.len() as u64,
+            sum: checksum(image),
+        })
+    }
+
+    /// Makes `entries` the durable manifest at the current sequence
+    /// number, then drops the part files and WAL segments it supersedes.
+    fn commit_manifest(
+        &self,
+        manifest: &mut Vec<ManifestEntry>,
+        entries: Vec<ManifestEntry>,
+    ) -> Result<()> {
         let mut state = lock(&self.shared);
         // Wait out any in-flight batch write: compacting under a leader
         // would corrupt the log.
@@ -743,40 +769,6 @@ impl Store {
         self.flush_staged(&mut state)?;
         let base_seq = state.seq;
 
-        let mut manifest = lock_manifest(&self.shared);
-        let mut entries: Vec<ManifestEntry> = Vec::with_capacity(parts.len());
-        let mut written = 0u64;
-        for part in parts {
-            match part.image {
-                Some(bytes) => {
-                    let n = self.shared.next_part.fetch_add(1, Ordering::Relaxed);
-                    let file_name = format!("part.{n:06}.bin");
-                    let mut f = File::create(self.dir.join(&file_name))?;
-                    f.write_all(&bytes)?;
-                    f.sync_all()?;
-                    entries.push(ManifestEntry {
-                        name: part.name,
-                        file: file_name,
-                        len: bytes.len() as u64,
-                        sum: checksum(&bytes),
-                    });
-                    written += 1;
-                }
-                None => {
-                    let prev = manifest
-                        .iter()
-                        .find(|e| e.name == part.name)
-                        .ok_or_else(|| {
-                            StoreError::Corrupt(format!(
-                                "unchanged checkpoint part `{}` has no previous image",
-                                part.name
-                            ))
-                        })?;
-                    entries.push(prev.clone());
-                }
-            }
-        }
-
         let tmp = self.dir.join(MANIFEST_TMP);
         let fin = self.dir.join(MANIFEST_FILE);
         {
@@ -789,11 +781,9 @@ impl Store {
         sync_dir(&self.dir);
 
         // The new manifest is the truth: drop superseded/orphan part
-        // files, the legacy snapshot, and every covered segment.
+        // files and every covered segment.
         *manifest = entries;
-        let _ = std::fs::remove_file(self.dir.join(LEGACY_SNAPSHOT_FILE));
-        remove_orphan_parts(&self.dir, &manifest);
-        drop(manifest);
+        remove_orphan_parts(&self.dir, manifest);
 
         let mut active = lock_active(&self.shared);
         if active.len > 0 {
@@ -809,12 +799,6 @@ impl Store {
 
         state.live_bytes = 0;
         self.shared.base_seq.store(base_seq, Ordering::Relaxed);
-        self.shared
-            .last_ckpt_parts_written
-            .store(written, Ordering::Relaxed);
-        self.shared
-            .last_ckpt_micros
-            .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -875,37 +859,30 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<(u64, Vec<ManifestEntry>)>
     Ok((base_seq, entries))
 }
 
-/// Reads the checkpoint (manifest + part images, or the legacy single
-/// snapshot) without taking any locks or mutating anything. Shared by
-/// [`Store::open`] and the read-only replica tail
-/// ([`crate::replica::read_checkpoint`]).
+/// Reads the checkpoint (manifest + part images) without taking any
+/// locks or mutating anything. Shared by [`Store::open`] and the
+/// read-only replica tail ([`crate::replica::read_checkpoint`]).
 pub(crate) fn read_checkpoint_state(dir: &Path) -> Result<(Vec<ManifestEntry>, u64, Parts)> {
-    match std::fs::read(dir.join(MANIFEST_FILE)) {
-        Ok(bytes) => {
-            let (base_seq, entries) = decode_manifest(&bytes)?;
-            let mut parts = Vec::with_capacity(entries.len());
-            for e in &entries {
-                let image = std::fs::read(dir.join(&e.file))?;
-                if image.len() as u64 != e.len || checksum(&image) != e.sum {
-                    return Err(StoreError::Corrupt(format!(
-                        "checkpoint part `{}` ({}) fails its checksum",
-                        e.name, e.file
-                    )));
-                }
-                parts.push((e.name.clone(), image));
-            }
-            Ok((entries, base_seq, parts))
-        }
+    let bytes = match std::fs::read(dir.join(MANIFEST_FILE)) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            match read_snapshot_file(&dir.join(LEGACY_SNAPSHOT_FILE))? {
-                Some((image, base_seq)) => {
-                    Ok((Vec::new(), base_seq, vec![(IMAGE_PART.to_string(), image)]))
-                }
-                None => Ok((Vec::new(), 0, Vec::new())),
-            }
+            return Ok((Vec::new(), 0, Vec::new()));
         }
-        Err(e) => Err(e.into()),
+        Err(e) => return Err(e.into()),
+    };
+    let (base_seq, entries) = decode_manifest(&bytes)?;
+    let mut parts = Vec::with_capacity(entries.len());
+    for e in &entries {
+        let image = std::fs::read(dir.join(&e.file))?;
+        if image.len() as u64 != e.len || checksum(&image) != e.sum {
+            return Err(StoreError::Corrupt(format!(
+                "checkpoint part `{}` ({}) fails its checksum",
+                e.name, e.file
+            )));
+        }
+        parts.push((e.name.clone(), image));
     }
+    Ok((entries, base_seq, parts))
 }
 
 /// The highest part-file number on disk plus one.
@@ -928,8 +905,9 @@ fn next_part_number(dir: &Path) -> Result<u64> {
 
 /// Deletes `part.*.bin` files not referenced by `manifest` — superseded
 /// images and the debris of a crash between part write and manifest
-/// rename. Best effort.
-fn remove_orphan_parts(dir: &Path, manifest: &[ManifestEntry]) {
+/// rename. Best effort. The one retention rule for part files, on a
+/// primary and on a replica alike.
+pub(crate) fn remove_orphan_parts(dir: &Path, manifest: &[ManifestEntry]) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -945,30 +923,10 @@ fn remove_orphan_parts(dir: &Path, manifest: &[ManifestEntry]) {
     }
 }
 
-fn read_snapshot_file(path: &Path) -> Result<Option<(Vec<u8>, u64)>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.len() < 20 {
-        return Err(StoreError::Corrupt("snapshot file too short".into()));
-    }
-    if &bytes[..4] != SNAP_FILE_MAGIC {
-        return Err(StoreError::Corrupt("bad snapshot file magic".into()));
-    }
-    let base_seq = u64::from_le_bytes(bytes[4..12].try_into().expect("len 8"));
-    let stored = u64::from_le_bytes(bytes[12..20].try_into().expect("len 8"));
-    if checksum(&bytes[..12]) != stored {
-        return Err(StoreError::Corrupt("snapshot header checksum".into()));
-    }
-    Ok(Some((bytes[20..].to_vec(), base_seq)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::put_u64;
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -981,12 +939,34 @@ mod tests {
         list_segments(dir).unwrap().len()
     }
 
+    /// Checkpoints fixed images, one per named part.
+    fn checkpoint(s: &Store, parts: &[(&str, &[u8])]) -> Result<()> {
+        s.checkpoint_parts(
+            parts
+                .iter()
+                .map(|&(name, image)| (name.to_string(), move || Ok(image.to_vec()))),
+        )
+    }
+
+    /// Checkpoints `image` as the store's one part, rewritten every time.
+    fn checkpoint_image(s: &Store, image: &[u8]) {
+        s.mark_dirty("img");
+        checkpoint(s, &[("img", image)]).unwrap();
+    }
+
+    /// The image [`checkpoint_image`] left in a recovered checkpoint.
+    fn image(r: &Recovered) -> Option<&[u8]> {
+        match r.parts.as_slice() {
+            [(name, image)] if name == "img" => Some(image),
+            _ => None,
+        }
+    }
+
     #[test]
     fn append_close_reopen_replays() {
         let dir = tmp_dir("replay");
         {
             let (s, r) = Store::open(&dir).unwrap();
-            assert!(r.snapshot.is_none());
             assert!(r.parts.is_empty());
             assert!(r.records.is_empty());
             s.append(b"one").unwrap();
@@ -1005,11 +985,11 @@ mod tests {
         {
             let (s, _) = Store::open(&dir).unwrap();
             s.append(b"pre").unwrap();
-            s.checkpoint(b"IMAGE").unwrap();
+            checkpoint_image(&s, b"IMAGE");
             s.append(b"post").unwrap();
         }
         let (_, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"IMAGE" as &[u8]));
+        assert_eq!(image(&r), Some(b"IMAGE" as &[u8]));
         assert_eq!(r.records, vec![b"post".to_vec()]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1053,11 +1033,11 @@ mod tests {
             s.append(b"covered").unwrap();
             // Checkpoint, then put the pre-checkpoint segment back.
             let wal_bytes = std::fs::read(segment_path(&dir, 1)).unwrap();
-            s.checkpoint(b"SNAP").unwrap();
+            checkpoint_image(&s, b"SNAP");
             std::fs::write(segment_path(&dir, 1), &wal_bytes).unwrap();
         }
         let (s, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"SNAP" as &[u8]));
+        assert_eq!(image(&r), Some(b"SNAP" as &[u8]));
         assert!(
             r.records.is_empty(),
             "covered records must not replay twice"
@@ -1085,7 +1065,7 @@ mod tests {
         let dir = tmp_dir("badsnap");
         {
             let (s, _) = Store::open(&dir).unwrap();
-            s.checkpoint(b"GOOD").unwrap();
+            checkpoint_image(&s, b"GOOD");
         }
         // Corrupt the single part image behind the manifest.
         let part = std::fs::read_dir(&dir)
@@ -1102,44 +1082,6 @@ mod tests {
         bytes[0] ^= 0xff;
         std::fs::write(&part, &bytes).unwrap();
         assert!(Store::open(&dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_layout_migrates_to_segments() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Hand-craft the old layout: snapshot.bin + wal.bin.
-        let mut snap = Vec::new();
-        snap.extend_from_slice(SNAP_FILE_MAGIC);
-        put_u64(&mut snap, 1); // base_seq
-        let sum = checksum(&snap);
-        put_u64(&mut snap, sum);
-        snap.extend_from_slice(b"LEGACY");
-        std::fs::write(dir.join(LEGACY_SNAPSHOT_FILE), &snap).unwrap();
-        let mut wal = Vec::new();
-        wal.extend_from_slice(&encode_record(1, b"covered"));
-        wal.extend_from_slice(&encode_record(2, b"fresh"));
-        std::fs::write(dir.join(LEGACY_WAL_FILE), &wal).unwrap();
-
-        let (s, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"LEGACY" as &[u8]));
-        assert_eq!(r.parts, vec![(IMAGE_PART.to_string(), b"LEGACY".to_vec())]);
-        assert_eq!(r.records, vec![b"fresh".to_vec()]);
-        assert!(
-            !dir.join(LEGACY_WAL_FILE).exists(),
-            "wal.bin became wal.000001"
-        );
-        assert!(segment_path(&dir, 1).exists());
-        // The first checkpoint converts the snapshot to manifest form.
-        s.append(b"post").unwrap();
-        s.checkpoint(b"NEW").unwrap();
-        assert!(!dir.join(LEGACY_SNAPSHOT_FILE).exists());
-        assert!(dir.join(MANIFEST_FILE).exists());
-        drop(s);
-        let (_, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"NEW" as &[u8]));
-        assert!(r.records.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1215,7 +1157,7 @@ mod tests {
             s.append(format!("record-{i:04}").as_bytes()).unwrap();
         }
         assert!(segment_count(&dir) > 1);
-        s.checkpoint(b"COMPACT").unwrap();
+        checkpoint_image(&s, b"COMPACT");
         assert_eq!(
             segment_count(&dir),
             1,
@@ -1227,7 +1169,7 @@ mod tests {
         assert_eq!(stats.base_seq, 20);
         drop(s);
         let (_, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"COMPACT" as &[u8]));
+        assert_eq!(image(&r), Some(b"COMPACT" as &[u8]));
         assert!(r.records.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1236,18 +1178,12 @@ mod tests {
     fn incremental_parts_reuse_unchanged_images() {
         let dir = tmp_dir("parts");
         let (s, _) = Store::open(&dir).unwrap();
-        s.checkpoint_parts(vec![
-            Part::new("alpha", b"AAAA".to_vec()),
-            Part::new("beta", b"BBBB".to_vec()),
-        ])
-        .unwrap();
+        checkpoint(&s, &[("alpha", b"AAAA"), ("beta", b"BBBB")]).unwrap();
         assert_eq!(s.stats().last_checkpoint_parts_written, 2);
-        // Second checkpoint rewrites only beta; alpha carries by reference.
-        s.checkpoint_parts(vec![
-            Part::unchanged("alpha"),
-            Part::new("beta", b"B2B2".to_vec()),
-        ])
-        .unwrap();
+        // Second checkpoint rewrites only beta; alpha carries by reference
+        // (its new image is never encoded).
+        s.mark_dirty("beta");
+        checkpoint(&s, &[("alpha", b"XXXX"), ("beta", b"B2B2")]).unwrap();
         let stats = s.stats();
         assert_eq!(stats.last_checkpoint_parts_written, 1);
         assert_eq!(stats.parts, 2);
@@ -1260,18 +1196,85 @@ mod tests {
                 ("beta".to_string(), b"B2B2".to_vec()),
             ]
         );
-        assert!(
-            r.snapshot.is_none(),
-            "multi-part checkpoint has no single image"
-        );
-        // A part dropped from the list disappears, and an unchanged
-        // reference to a never-written part is refused.
-        s.checkpoint_parts(vec![Part::unchanged("beta")]).unwrap();
-        assert_eq!(s.part_names(), vec!["beta".to_string()]);
-        assert!(s.checkpoint_parts(vec![Part::unchanged("alpha")]).is_err());
+        // A part dropped from the list disappears, and its file with it.
+        checkpoint(&s, &[("beta", b"XXXX")]).unwrap();
+        assert_eq!(s.stats().parts, 1);
+        assert_eq!(s.stats().last_checkpoint_parts_written, 0);
+        let part_files = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("part."))
+            .count();
+        assert_eq!(part_files, 1, "alpha's image left with it");
         drop(s);
         let (_, r) = Store::open(&dir).unwrap();
         assert_eq!(r.parts, vec![("beta".to_string(), b"B2B2".to_vec())]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dirty_parts_decide_what_a_checkpoint_writes() {
+        let dir = tmp_dir("dirty");
+        let (s, _) = Store::open(&dir).unwrap();
+        s.set_sync(false);
+        let encoded = RefCell::new(Vec::new());
+        // Checkpoints parts `a` and `b`, returning which were encoded.
+        let run = |s: &Store| {
+            let log = &encoded;
+            log.borrow_mut().clear();
+            s.checkpoint_parts(["a", "b"].map(|name| {
+                (name.to_string(), move || {
+                    log.borrow_mut().push(name);
+                    Ok::<_, StoreError>(name.as_bytes().to_vec())
+                })
+            }))
+            .unwrap();
+            log.borrow().clone()
+        };
+        assert_eq!(s.dirty_count(), 0, "a fresh store is clean");
+        assert_eq!(run(&s), ["a", "b"], "missing parts are written");
+        // A write dirties only its part.
+        s.append(b"write to a").unwrap();
+        s.mark_dirty("a");
+        s.mark_dirty("a");
+        assert_eq!(s.dirty_count(), 1);
+        assert_eq!(run(&s), ["a"]);
+        assert_eq!(s.dirty_count(), 0);
+        // A clean checkpoint writes nothing and leaves base_seq alone.
+        let base_seq = s.base_seq();
+        let files = |dir: &Path| {
+            let mut names: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+                .unwrap()
+                .flatten()
+                .map(|e| {
+                    let bytes = std::fs::read(e.path()).unwrap();
+                    (e.file_name().into_string().unwrap(), bytes)
+                })
+                .collect();
+            names.sort();
+            names
+        };
+        let before = files(&dir);
+        assert!(run(&s).is_empty());
+        assert_eq!(s.base_seq(), base_seq);
+        assert_eq!(files(&dir), before, "not a byte written");
+        // A reopen with a WAL tail is dirty: even before the client marks
+        // what the tail wrote, its checkpoint is not skipped, and covers
+        // the tail.
+        s.append(b"tail").unwrap();
+        drop(s);
+        let (s, r) = Store::open(&dir).unwrap();
+        assert_eq!(r.records.len(), 1);
+        assert!(run(&s).is_empty());
+        assert_eq!(s.base_seq(), base_seq + 1);
+        // A failed encode keeps the marks for the next attempt.
+        s.mark_dirty("a");
+        let failed = s.checkpoint_parts([("a".to_string(), || {
+            Err(StoreError::Corrupt("encoder failed".into()))
+        })]);
+        assert!(failed.is_err());
+        assert_eq!(s.dirty_count(), 1);
+        assert_eq!(s.stats().parts, 2, "the manifest did not move");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1321,15 +1324,15 @@ mod tests {
 
     #[test]
     fn solo_baseline_syncs_once_per_append() {
+        // Group commit costs an uncontended appender nothing: each of its
+        // appends pays exactly the one fsync it needs, the floor.
         let dir = tmp_dir("solo");
         let (store, _) = Store::open(&dir).unwrap();
-        store.set_group_commit(false);
         store.append(b"a").unwrap();
+        assert_eq!(store.sync_count(), 1, "uncontended append = one fsync");
         store.append(b"b").unwrap();
-        assert_eq!(store.sync_count(), 2, "per-append fsync baseline");
-        store.set_group_commit(true);
         store.append(b"c").unwrap();
-        assert_eq!(store.sync_count(), 3, "uncontended append = one fsync");
+        assert_eq!(store.sync_count(), 3);
         drop(store);
         let (_, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records.len(), 3);
@@ -1387,16 +1390,16 @@ mod tests {
                 })
                 .collect();
             for _ in 0..5 {
-                store.checkpoint(b"MID").unwrap();
+                checkpoint_image(&store, b"MID");
                 std::thread::yield_now();
             }
             for h in appenders {
                 h.join().unwrap();
             }
-            store.checkpoint(b"FINAL").unwrap();
+            checkpoint_image(&store, b"FINAL");
         }
         let (s, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.snapshot.as_deref(), Some(b"FINAL" as &[u8]));
+        assert_eq!(image(&r), Some(b"FINAL" as &[u8]));
         assert!(r.records.is_empty(), "final checkpoint covers all appends");
         assert_eq!(s.seq(), (THREADS * PER) as u64);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1426,7 +1429,7 @@ mod tests {
                 })
                 .collect();
             for _ in 0..8 {
-                store.checkpoint(b"MID").unwrap();
+                checkpoint_image(&store, b"MID");
                 std::thread::yield_now();
             }
             for h in appenders {
@@ -1440,7 +1443,7 @@ mod tests {
         // Whatever the last MID checkpoint covered is in the snapshot;
         // everything after it must be in the recovered records, with no
         // gaps: base_seq + records == all acknowledged appends.
-        assert_eq!(r.snapshot.as_deref(), Some(b"MID" as &[u8]));
+        assert_eq!(image(&r), Some(b"MID" as &[u8]));
         assert!(!r.torn_tail);
         let (_, base_seq, _) = read_checkpoint_state(&dir).unwrap();
         assert_eq!(
@@ -1459,7 +1462,7 @@ mod tests {
         let before = s.stats();
         assert_eq!(before.base_seq, 0);
         assert!(before.live_wal_bytes > 0);
-        s.checkpoint(b"IMG").unwrap();
+        checkpoint_image(&s, b"IMG");
         let after = s.stats();
         assert_eq!(after.base_seq, 1);
         assert_eq!(after.live_wal_bytes, 0);

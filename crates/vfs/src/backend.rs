@@ -1,27 +1,18 @@
-//! Durability backends for the vfs.
+//! The vfs's write-ahead log records: [`FsOp`] and its codec.
 //!
-//! The tree in [`crate::Vfs`] is the working state; a [`Backend`] is the
-//! durability sink underneath it. Every mutating file operation that
-//! commits to the tree is offered to the backend as an [`FsOp`]; a
-//! checkpoint hands it the whole encoded tree. Two impls:
-//!
-//! * [`MemBackend`] — the default: nothing persists (the seed behaviour,
-//!   and what `TrackingMode::Off` baselines measure against);
-//! * [`DiskBackend`] — a [`resin_store::Store`]: ops append to a
-//!   checksummed WAL, checkpoints write an atomic snapshot whose policy
-//!   xattrs are deduplicated through the shared policy table, and
-//!   [`DiskBackend::open`] recovers the last consistent tree even from a
-//!   torn WAL tail.
+//! The tree in [`crate::Vfs`] is the working state. A durable `Vfs`
+//! ([`crate::Vfs::open_disk`]) holds a [`resin_store::Store`] beneath it:
+//! every mutating file operation that commits to the tree appends one
+//! `FsOp` to the store's WAL, and a checkpoint writes the whole encoded
+//! tree as the store's one part. Recovery decodes that part and replays
+//! the ops logged after it, even from a torn WAL tail.
 //!
 //! Ops are logged **post-guard**: persistent filters and dir-op checks
 //! ran before the tree mutated, so recovery re-applies raw state changes
 //! without re-running (or needing the code of) any filter.
 
-use std::fmt;
-use std::path::Path;
-
 use resin_store::io::{put_str, put_u8, Cursor};
-use resin_store::{Store, StoreError};
+use resin_store::StoreError;
 
 use crate::error::{Result, VfsError};
 
@@ -31,7 +22,7 @@ impl From<StoreError> for VfsError {
     }
 }
 
-/// One committed mutation of the tree, as logged to a backend.
+/// One committed mutation of the tree, as logged to the WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsOp {
     /// A directory came into existence (one op per created component).
@@ -178,131 +169,6 @@ impl FsOp {
     }
 }
 
-/// The durability sink beneath a [`crate::Vfs`].
-pub trait Backend: fmt::Debug + Send + Sync {
-    /// Records one committed tree mutation.
-    fn log(&mut self, op: &FsOp) -> Result<()>;
-
-    /// Replaces the durable snapshot with `image` (the encoded tree) and
-    /// resets the op log.
-    fn checkpoint(&mut self, image: &[u8]) -> Result<()>;
-
-    /// True when ops actually persist (diagnostics and tests).
-    fn is_durable(&self) -> bool;
-
-    /// True when ops were logged since the last checkpoint — a clean
-    /// backend lets [`crate::Vfs::checkpoint`] skip re-encoding the tree
-    /// entirely. Non-durable backends are never dirty.
-    fn is_dirty(&self) -> bool {
-        false
-    }
-
-    /// Live storage counters of the underlying store, if any.
-    fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        None
-    }
-}
-
-/// The default backend: nothing persists.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MemBackend;
-
-impl Backend for MemBackend {
-    fn log(&mut self, _op: &FsOp) -> Result<()> {
-        Ok(())
-    }
-
-    fn checkpoint(&mut self, _image: &[u8]) -> Result<()> {
-        Ok(())
-    }
-
-    fn is_durable(&self) -> bool {
-        false
-    }
-}
-
-/// A disk-backed backend over a [`resin_store::Store`].
-#[derive(Debug)]
-pub struct DiskBackend {
-    store: Store,
-    /// Ops logged since the last checkpoint: a clean backend means the
-    /// durable snapshot already equals the tree, so a checkpoint can be
-    /// skipped outright.
-    dirty: bool,
-}
-
-/// What [`DiskBackend::open`] recovered from disk.
-#[derive(Debug, Default)]
-pub struct VfsRecovered {
-    /// The last tree snapshot image, if a checkpoint was ever taken.
-    pub snapshot: Option<Vec<u8>>,
-    /// Ops committed after that snapshot, in order.
-    pub ops: Vec<FsOp>,
-    /// True when a torn WAL tail was discarded during recovery.
-    pub torn_tail: bool,
-    /// True when the discarded tail also dropped one or more whole later
-    /// WAL segments — a wider loss window than one in-flight append.
-    pub torn_cross_segment: bool,
-}
-
-impl DiskBackend {
-    /// Opens (creating if needed) the store at `dir`, returning the
-    /// backend plus the state to rebuild: last snapshot and the WAL's
-    /// surviving op prefix (a torn tail is discarded and repaired).
-    pub fn open(dir: impl AsRef<Path>) -> Result<(DiskBackend, VfsRecovered)> {
-        let (store, recovered) = Store::open(dir).map_err(VfsError::from)?;
-        let mut ops = Vec::with_capacity(recovered.records.len());
-        for payload in &recovered.records {
-            ops.push(FsOp::decode(payload)?);
-        }
-        Ok((
-            DiskBackend {
-                store,
-                // Replayed ops post-date the snapshot: the tree is ahead
-                // of it until the next checkpoint folds them in.
-                dirty: !ops.is_empty(),
-            },
-            VfsRecovered {
-                snapshot: recovered.snapshot,
-                ops,
-                torn_tail: recovered.torn_tail,
-                torn_cross_segment: recovered.torn_cross_segment,
-            },
-        ))
-    }
-
-    /// Whether WAL appends fsync (see [`Store::set_sync`]).
-    pub fn set_sync(&mut self, sync: bool) {
-        self.store.set_sync(sync);
-    }
-}
-
-impl Backend for DiskBackend {
-    fn log(&mut self, op: &FsOp) -> Result<()> {
-        self.store.append(&op.encode()).map_err(VfsError::from)?;
-        self.dirty = true;
-        Ok(())
-    }
-
-    fn checkpoint(&mut self, image: &[u8]) -> Result<()> {
-        self.store.checkpoint(image).map_err(VfsError::from)?;
-        self.dirty = false;
-        Ok(())
-    }
-
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        Some(self.store.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,36 +209,5 @@ mod tests {
         }
         assert!(FsOp::decode(&[99]).is_err(), "unknown tag");
         assert!(FsOp::decode(&[]).is_err(), "empty payload");
-    }
-
-    #[test]
-    fn disk_backend_tracks_dirtiness() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("resin-vfs-backend-test-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let (mut b, rec) = DiskBackend::open(&dir).unwrap();
-        assert!(!b.is_dirty(), "fresh store is clean");
-        assert!(rec.ops.is_empty());
-        b.set_sync(false);
-        b.log(&FsOp::Mkdir { path: "/a".into() }).unwrap();
-        assert!(b.is_dirty());
-        b.checkpoint(b"IMG").unwrap();
-        assert!(!b.is_dirty(), "checkpoint folds the log in");
-        b.log(&FsOp::Unlink { path: "/a".into() }).unwrap();
-        drop(b);
-
-        // Reopen with an op past the checkpoint: dirty from the start —
-        // the tree is ahead of the durable snapshot until the next
-        // checkpoint, which must therefore not be skipped.
-        let (b, rec) = DiskBackend::open(&dir).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"IMG"[..]));
-        assert_eq!(rec.ops.len(), 1);
-        assert!(b.is_dirty());
-        assert!(b.store_stats().is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

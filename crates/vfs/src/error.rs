@@ -19,7 +19,7 @@ pub enum VfsError {
     InvalidPath(String),
     /// A policy or persistent filter rejected the operation.
     Policy(FlowError),
-    /// The durable backend failed (I/O error, corrupt snapshot,
+    /// The durable store failed (I/O error, corrupt checkpoint,
     /// unsupported format version).
     Storage(String),
 }

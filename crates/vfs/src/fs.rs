@@ -22,9 +22,9 @@ use resin_core::{
     deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
     TaintedString,
 };
-use resin_store::{SnapshotReader, SnapshotWriter};
+use resin_store::{SnapshotReader, SnapshotWriter, Store};
 
-use crate::backend::{Backend, DiskBackend, FsOp, MemBackend};
+use crate::backend::FsOp;
 use crate::error::{Result, VfsError};
 use crate::path::{normalize, to_absolute};
 use crate::pfilter::{deserialize_filter, serialize_filter, DirOp, GateMount, PersistentFilterRef};
@@ -33,6 +33,11 @@ use crate::pfilter::{deserialize_filter, serialize_filter, DirOp, GateMount, Per
 pub const XATTR_POLICY: &str = "user.resin.policy";
 /// xattr key holding a node's serialized persistent filters.
 pub const XATTR_FILTER: &str = "user.resin.filter";
+
+/// The checkpoint part holding the whole tree, a durable vfs store's one
+/// part. The name is part of the on-disk format: every vfs store on disk
+/// holds its tree under it.
+const TREE_PART: &str = "__image__";
 
 /// Whether the runtime performs RESIN data tracking on file I/O.
 ///
@@ -99,14 +104,14 @@ impl OpenFile {
     }
 }
 
-/// The filesystem: an in-memory working tree over a pluggable durability
-/// [`Backend`].
+/// The filesystem: an in-memory working tree, optionally over a durable
+/// [`resin_store::Store`].
 ///
 /// [`Vfs::new`] keeps everything in memory (the seed behaviour);
-/// [`Vfs::open_disk`] attaches a [`DiskBackend`], after which every
-/// committed mutation is WAL-logged post-guard, and
-/// [`checkpoint`](Vfs::checkpoint) folds the log into an atomic tree
-/// snapshot whose policy xattrs are deduplicated through the store's
+/// [`Vfs::open_disk`] attaches a store, after which every committed
+/// mutation is WAL-logged post-guard (see [`FsOp`]), and
+/// [`checkpoint`](Vfs::checkpoint) folds the log into an atomic image of
+/// the tree whose policy xattrs are deduplicated through the image's
 /// shared policy table. Reopening the same directory — even after a crash
 /// with a torn WAL tail — recovers every file, xattr, persistent filter,
 /// and byte-range policy.
@@ -114,12 +119,9 @@ impl OpenFile {
 pub struct Vfs {
     root: DirNode,
     mode: TrackingMode,
-    backend: Box<dyn Backend>,
+    store: Option<Store>,
     torn_recovery: bool,
     torn_cross_segment: bool,
-    /// Live-WAL-bytes threshold above which a completed mutation
-    /// checkpoints the tree. Zero (the default) disables the trigger.
-    auto_checkpoint_wal_bytes: u64,
 }
 
 impl Default for Vfs {
@@ -131,14 +133,7 @@ impl Default for Vfs {
 impl Vfs {
     /// A filesystem with RESIN tracking enabled.
     pub fn new() -> Self {
-        Vfs {
-            root: DirNode::default(),
-            mode: TrackingMode::On,
-            backend: Box::new(MemBackend),
-            torn_recovery: false,
-            torn_cross_segment: false,
-            auto_checkpoint_wal_bytes: 0,
-        }
+        Vfs::with_mode(TrackingMode::On)
     }
 
     /// A filesystem with the given tracking mode.
@@ -146,10 +141,9 @@ impl Vfs {
         Vfs {
             root: DirNode::default(),
             mode,
-            backend: Box::new(MemBackend),
+            store: None,
             torn_recovery: false,
             torn_cross_segment: false,
-            auto_checkpoint_wal_bytes: 0,
         }
     }
 
@@ -158,23 +152,33 @@ impl Vfs {
     /// prefix. Tracking is on — durability exists to keep persistent
     /// policies persistent.
     pub fn open_disk(dir: impl AsRef<std::path::Path>) -> Result<Vfs> {
-        let (backend, recovered) = DiskBackend::open(dir)?;
-        let root = match recovered.snapshot {
-            Some(image) => decode_tree(&image)?,
-            None => DirNode::default(),
+        let (store, recovered) = Store::open(dir)?;
+        let root = match recovered.parts.as_slice() {
+            [] => DirNode::default(),
+            [(name, image)] if name == TREE_PART => decode_tree(image)?,
+            _ => {
+                return Err(VfsError::Storage(
+                    "checkpoint holds parts other than the tree".into(),
+                ));
+            }
         };
+        drop(recovered.parts);
         let mut fs = Vfs {
             root,
             mode: TrackingMode::On,
-            backend: Box::new(MemBackend), // replay must not re-log
+            store: None, // replay must not re-log
             torn_recovery: recovered.torn_tail,
             torn_cross_segment: recovered.torn_cross_segment,
-            auto_checkpoint_wal_bytes: 0,
         };
-        for op in &recovered.ops {
-            fs.apply_op(op)?;
+        if !recovered.records.is_empty() {
+            // The replayed ops post-date the checkpoint: the tree is ahead
+            // of its image until the next checkpoint folds them in.
+            store.mark_dirty(TREE_PART);
         }
-        fs.backend = Box::new(backend);
+        for payload in recovered.records {
+            fs.apply_op(&FsOp::decode(&payload)?)?;
+        }
+        fs.store = Some(store);
         Ok(fs)
     }
 
@@ -195,37 +199,7 @@ impl Vfs {
     /// Live storage counters of the underlying store, or `None` for an
     /// in-memory tree.
     pub fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        self.backend.store_stats()
-    }
-
-    /// Arms the size-based checkpoint trigger: once the live WAL grows
-    /// past `bytes`, the mutation that crossed the line checkpoints the
-    /// tree before returning. Zero (the default) disables the trigger.
-    pub fn set_auto_checkpoint_wal_bytes(&mut self, bytes: u64) {
-        self.auto_checkpoint_wal_bytes = bytes;
-    }
-
-    /// The armed auto-checkpoint threshold (0 = disabled).
-    pub fn auto_checkpoint_wal_bytes(&self) -> u64 {
-        self.auto_checkpoint_wal_bytes
-    }
-
-    /// Runs the size-based trigger after a completed mutation — never
-    /// mid-operation: some ops journal write-ahead, and a checkpoint
-    /// taken between the log record and the tree update would truncate
-    /// an op the snapshot lacks. Best-effort: the mutation is already
-    /// applied and logged, so a checkpoint failure must not turn it into
-    /// a caller-visible error; the next explicit checkpoint surfaces it.
-    fn maybe_auto_checkpoint(&mut self) {
-        if self.auto_checkpoint_wal_bytes == 0 {
-            return;
-        }
-        let over = self
-            .store_stats()
-            .is_some_and(|s| s.live_wal_bytes >= self.auto_checkpoint_wal_bytes);
-        if over {
-            let _ = self.checkpoint();
-        }
+        self.store.as_ref().map(Store::stats)
     }
 
     /// The active tracking mode.
@@ -233,26 +207,26 @@ impl Vfs {
         self.mode
     }
 
-    /// True when a durable backend persists this tree.
+    /// True when a durable store persists this tree.
     pub fn is_durable(&self) -> bool {
-        self.backend.is_durable()
+        self.store.is_some()
     }
 
-    /// Folds the op log into a fresh tree snapshot (no-op in memory, and
-    /// skipped when no op was logged since the last checkpoint — the
-    /// durable snapshot already equals the tree, so a periodic
-    /// checkpointer on an idle filesystem costs nothing).
+    /// Folds the op log into a fresh image of the tree (no-op in memory).
+    /// The store writes nothing when no op was logged since the last
+    /// checkpoint — its image already equals the tree, so a periodic
+    /// checkpointer on an idle filesystem costs nothing.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if !self.backend.is_durable() || !self.backend.is_dirty() {
+        let Some(store) = &self.store else {
             return Ok(());
-        }
-        let image = encode_tree(&self.root)?;
-        self.backend.checkpoint(&image)
+        };
+        let root = &self.root;
+        store.checkpoint_parts([(TREE_PART.to_string(), || encode_tree(root))])
     }
 
     /// Re-applies one recovered op to the raw tree. The op was committed
     /// post-guard before the crash, so no filter or gate re-runs; a
-    /// failure here means the snapshot and log disagree (real corruption)
+    /// failure here means the checkpoint and log disagree (real corruption)
     /// and surfaces as an error from [`Vfs::open_disk`].
     fn apply_op(&mut self, op: &FsOp) -> Result<()> {
         match op {
@@ -479,14 +453,15 @@ impl Vfs {
         Ok(())
     }
 
-    /// Logs `op` to a durable backend; in-memory backends skip even the
-    /// op's construction (path/content allocations stay off the hot path).
-    fn journal(&mut self, op: impl FnOnce() -> FsOp) -> Result<()> {
-        if self.backend.is_durable() {
-            self.backend.log(&op())
-        } else {
-            Ok(())
+    /// Logs `op` to the store of a durable tree, whose image it dirties;
+    /// an in-memory tree skips even the op's construction (path/content
+    /// allocations stay off the hot path).
+    fn journal(&self, op: impl FnOnce() -> FsOp) -> Result<()> {
+        if let Some(store) = &self.store {
+            store.append(&op().encode())?;
+            store.mark_dirty(TREE_PART);
         }
+        Ok(())
     }
 
     // ---- directory operations ----
@@ -519,7 +494,6 @@ impl Vfs {
             }
             done.push(c);
         }
-        self.maybe_auto_checkpoint();
         Ok(())
     }
 
@@ -586,7 +560,6 @@ impl Vfs {
             path: to_absolute(&comps),
         })?;
         self.get_dir_mut(&parent)?.children.remove(&name);
-        self.maybe_auto_checkpoint();
         Ok(())
     }
 
@@ -637,7 +610,6 @@ impl Vfs {
             self.get_dir_mut(&fparent)?.children.insert(fname, node);
             return Err(e);
         }
-        self.maybe_auto_checkpoint();
         Ok(())
     }
 
@@ -767,7 +739,6 @@ impl Vfs {
             }
             return Err(e);
         }
-        self.maybe_auto_checkpoint();
         Ok(())
     }
 
@@ -875,7 +846,6 @@ impl Vfs {
                 None => return Err(VfsError::NotFound(path.to_string())),
             }
         }
-        self.maybe_auto_checkpoint();
         Ok(())
     }
 
@@ -924,17 +894,16 @@ impl Vfs {
                 None => return Err(VfsError::NotFound(path.to_string())),
             }
         }
-        self.maybe_auto_checkpoint();
         Ok(())
     }
 }
 
-// ---- tree snapshot codec ----
+// ---- tree image codec ----
 
-// Node tags in the snapshot body.
+// Node tags in the image body.
 const NODE_FILE: u8 = 0;
 const NODE_DIR: u8 = 1;
-// Xattr value encodings: raw string, or span refs into the snapshot's
+// Xattr value encodings: raw string, or span refs into the image's
 // shared policy table (used for `user.resin.policy`, so a thousand files
 // under one ACL persist the policy body once).
 const XATTR_RAW: u8 = 0;
@@ -1380,6 +1349,23 @@ mod tests {
     }
 
     #[test]
+    fn inline_set_policy_xattr_fails_closed() {
+        // The pre-interning span form (`start..end|set`) is refused on
+        // every read surface, never revived as untainted text.
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/d", &anon()).unwrap();
+        fs.write_file("/d/f", &TaintedString::from("data"), &anon())
+            .unwrap();
+        fs.set_xattr("/d/f", XATTR_POLICY, "0..4|UntrustedData{}")
+            .unwrap();
+        assert!(matches!(
+            fs.read_file("/d/f", &anon()),
+            Err(VfsError::Policy(_))
+        ));
+        assert!(matches!(fs.open("/d/f"), Err(VfsError::Policy(_))));
+    }
+
+    #[test]
     fn mem_backend_checkpoint_is_noop() {
         let mut fs = Vfs::new();
         assert!(!fs.is_durable());
@@ -1398,7 +1384,7 @@ mod tests {
             let after_first = fs.store_stats().unwrap();
             assert_eq!(after_first.base_seq, 2);
             // No ops since: a periodic checkpointer costs nothing (the
-            // skip mechanics are pinned down in the backend tests).
+            // store's dirty-part rule is pinned down in its own tests).
             fs.checkpoint().unwrap();
             fs.checkpoint().unwrap();
             assert_eq!(fs.store_stats().unwrap().base_seq, after_first.base_seq);
@@ -1427,53 +1413,5 @@ mod tests {
         fs.write_file("/d/file", &TaintedString::from("x"), &anon())
             .unwrap();
         assert!(fs.mkdir_p("/d/file/sub", &anon()).is_err());
-    }
-
-    #[test]
-    fn size_based_auto_checkpoint_bounds_the_op_log() {
-        let dir = disk_dir("auto-ckpt");
-        {
-            let mut fs = Vfs::open_disk(&dir).unwrap();
-            fs.mkdir_p("/logs", &anon()).unwrap();
-            // Off by default: the op log grows without bound.
-            for i in 0..16 {
-                fs.write_file(
-                    &format!("/logs/entry-{i}"),
-                    &TaintedString::from("a log line fat enough to matter"),
-                    &anon(),
-                )
-                .unwrap();
-            }
-            let before = fs.store_stats().unwrap();
-            assert_eq!(before.base_seq, 0, "no checkpoint without the trigger");
-            assert!(before.live_wal_bytes > 256);
-
-            fs.set_auto_checkpoint_wal_bytes(256);
-            assert_eq!(fs.auto_checkpoint_wal_bytes(), 256);
-            let mut max_wal = 0;
-            for i in 16..48 {
-                fs.write_file(
-                    &format!("/logs/entry-{i}"),
-                    &TaintedString::from("a log line fat enough to matter"),
-                    &anon(),
-                )
-                .unwrap();
-                max_wal = max_wal.max(fs.store_stats().unwrap().live_wal_bytes);
-            }
-            let after = fs.store_stats().unwrap();
-            assert!(after.base_seq > 0, "trigger never checkpointed");
-            // One op may overshoot before the trigger fires, but the log
-            // never grows a second threshold past the line.
-            assert!(
-                max_wal < 256 + 1024,
-                "op log unbounded with the trigger armed: {max_wal}"
-            );
-        }
-        // Recovery sees checkpoint + tail, nothing lost.
-        let fs = Vfs::open_disk(&dir).unwrap();
-        for i in 0..48 {
-            assert!(fs.exists(&format!("/logs/entry-{i}")), "entry-{i} lost");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

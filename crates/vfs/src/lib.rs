@@ -39,6 +39,6 @@ pub mod fs;
 pub mod path;
 pub mod pfilter;
 
-pub use backend::{Backend, DiskBackend, FsOp, MemBackend, VfsRecovered};
+pub use backend::FsOp;
 pub use error::{Result, VfsError};
 pub use fs::{OpenFile, TrackingMode, Vfs, XATTR_FILTER, XATTR_POLICY};

@@ -29,7 +29,7 @@ fn corrupted_policy_xattr_fails_read() {
 #[test]
 fn unknown_policy_class_in_xattr_fails_read() {
     let mut fs = tainted_file();
-    fs.set_xattr("/d/f", XATTR_POLICY, "0..4|MysteryPolicy{}")
+    fs.set_xattr("/d/f", XATTR_POLICY, "#MysteryPolicy{}#0..4|0")
         .unwrap();
     let err = fs.read_file("/d/f", &Vfs::anonymous_ctx()).unwrap_err();
     let VfsError::Policy(FlowError::Serialize(se)) = &err else {
@@ -53,7 +53,7 @@ fn out_of_range_spans_are_harmless() {
     // A span past EOF re-attaches only to existing bytes (clamped), it
     // does not panic or corrupt adjacent state.
     let mut fs = tainted_file();
-    fs.set_xattr("/d/f", XATTR_POLICY, "0..9999|UntrustedData{}")
+    fs.set_xattr("/d/f", XATTR_POLICY, "#UntrustedData{}#0..9999|0")
         .unwrap();
     let data = fs.read_file("/d/f", &Vfs::anonymous_ctx()).unwrap();
     assert!(data.all_bytes_have::<UntrustedData>());

@@ -8,12 +8,20 @@
 //! finished. The tests reopen a copy and compare cell by cell, then write
 //! the same workload afresh and compare the files byte for byte: the
 //! on-disk format did not move.
+//!
+//! `tests/fixtures/parent_vfs_store/` is the vfs twin: a wiki store written
+//! at commit 0c3effa by `vfs_workload` below through `Vfs::open_disk` and
+//! `MoinWiki`, before the vfs lost its durability `Backend`, with the
+//! `vfs_dump` of what it held.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::Arc;
 
+use resin::apps::MoinWiki;
 use resin::core::prelude::*;
 use resin::sql::{GuardMode, ResinDb, TCell, Tracking, Value};
+use resin::vfs::{Vfs, VfsError, XATTR_FILTER, XATTR_POLICY};
 
 fn untrusted(s: &str) -> TaintedString {
     TaintedString::with_policy(s, Arc::new(UntrustedData::from_source("http_param")))
@@ -230,5 +238,158 @@ fn the_same_workload_writes_the_same_bytes() {
         .collect();
     written.sort();
     assert_eq!(written, store_files(), "no file more, no file less");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- the vfs twin ----
+
+fn wiki_acl() -> Acl {
+    Acl::new()
+        .grant("*", &[Right::Read])
+        .grant("alice", &[Right::Write])
+}
+
+fn secret_acl() -> Acl {
+    Acl::new().grant("alice", &[Right::Read, Right::Write])
+}
+
+/// Writes the vfs fixture's store into `dir`: a checkpoint, then a WAL
+/// tail, each holding page versions under `PagePolicy`, persistent write
+/// filters, raw xattrs and writes that failed before they were logged.
+pub fn vfs_workload(dir: &Path) -> MoinWiki {
+    let anon = Vfs::anonymous_ctx();
+    let mut wiki = MoinWiki::open(dir).unwrap();
+    wiki.create_page("Front", wiki_acl(), "welcome all", "alice");
+    wiki.create_page("Secret", secret_acl(), "the secret plans", "alice");
+    // Denied by the page directory's `AclWriteFilter`: never logged.
+    assert!(wiki
+        .edit_page("Secret", "defaced", "mallory")
+        .unwrap_err()
+        .is_violation());
+    let fs = &mut wiki.vfs;
+    fs.mkdir_p("/notes", &anon).unwrap();
+    let mut mixed = TaintedString::from("public part, secret part");
+    mixed.add_policy_range(13..24, Arc::new(PagePolicy::new(secret_acl())));
+    fs.write_file("/notes/mixed", &mixed, &anon).unwrap();
+    fs.set_xattr("/notes", "user.comment", "a raw xattr, stored as written")
+        .unwrap();
+    wiki.checkpoint().unwrap();
+
+    // The WAL tail after the checkpoint.
+    wiki.edit_page("Front", "welcome, second edition", "alice")
+        .unwrap();
+    assert!(wiki
+        .edit_page("Front", "vandalised", "bob")
+        .unwrap_err()
+        .is_violation());
+    let fs = &mut wiki.vfs;
+    let mut draft = TaintedString::from("draft: ");
+    draft.push_tainted(&untrusted("from a form"));
+    fs.write_file("/notes/draft", &draft, &anon).unwrap();
+    fs.rename("/notes/draft", "/notes/final", &anon).unwrap();
+    fs.write_file("/notes/scratch", &TaintedString::from("short-lived"), &anon)
+        .unwrap();
+    fs.unlink("/notes/scratch", &anon).unwrap();
+    fs.set_xattr("/pages/Secret", "user.comment", "set after the checkpoint")
+        .unwrap();
+    // A directory in the way: fails before anything is logged.
+    assert!(matches!(
+        fs.write_file("/notes", &TaintedString::from("x"), &anon),
+        Err(VfsError::IsADirectory(_))
+    ));
+    wiki
+}
+
+/// Every path of the tree with its xattrs, and every file's raw content
+/// and the spans a read as `alice` revives, one fact per line.
+pub fn vfs_dump(fs: &Vfs) -> String {
+    fn walk(fs: &Vfs, path: &str, out: &mut String) {
+        for key in [XATTR_POLICY, XATTR_FILTER, "user.moin.acl", "user.comment"] {
+            if let Some(v) = fs.get_xattr(path, key).unwrap() {
+                writeln!(out, "{path} xattr {key} = {v:?}").unwrap();
+            }
+        }
+        if fs.is_dir(path) {
+            writeln!(out, "{path} dir").unwrap();
+            for (name, _) in fs.list_dir(path).unwrap() {
+                let child = format!("{}/{name}", path.trim_end_matches('/'));
+                walk(fs, &child, out);
+            }
+        } else {
+            let raw = fs.read_raw(path).unwrap();
+            let back = fs.read_file(path, &Vfs::user_ctx("alice")).unwrap();
+            assert_eq!(back.as_str(), raw);
+            writeln!(
+                out,
+                "{path} file {raw:?} spans {:?}",
+                serialize_spans(&back)
+            )
+            .unwrap();
+        }
+    }
+    let mut out = String::new();
+    walk(fs, "/", &mut out);
+    out
+}
+
+const VFS_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/parent_vfs_store"
+);
+
+fn vfs_store_files() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(VFS_FIXTURE)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n != "expected.txt" && n != "README.md")
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn vfs_store_written_before_the_backend_went_reopens_identically() {
+    let dir = tmp_dir("vfs-reopen");
+    for name in vfs_store_files() {
+        std::fs::copy(format!("{VFS_FIXTURE}/{name}"), dir.join(&name)).unwrap();
+    }
+    let mut fs = Vfs::open_disk(&dir).unwrap();
+    assert!(!fs.recovered_from_torn_wal());
+    assert!(!fs.recovered_torn_cross_segment());
+    let expected = std::fs::read_to_string(format!("{VFS_FIXTURE}/expected.txt")).unwrap();
+    let got = vfs_dump(&fs);
+    for (line, (want, got)) in expected.lines().zip(got.lines()).enumerate() {
+        assert_eq!(got, want, "expected.txt line {}", line + 1);
+    }
+    assert_eq!(got.lines().count(), expected.lines().count());
+    // The persisted write filter still guards its page.
+    let err = fs
+        .write_file(
+            "/pages/Secret/v1",
+            &TaintedString::from("defaced"),
+            &Vfs::user_ctx("mallory"),
+        )
+        .unwrap_err();
+    assert!(err.is_violation());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_same_vfs_workload_writes_the_same_bytes() {
+    let dir = tmp_dir("vfs-rewrite");
+    drop(vfs_workload(&dir));
+    for name in vfs_store_files() {
+        assert_eq!(
+            std::fs::read(dir.join(&name)).unwrap(),
+            std::fs::read(format!("{VFS_FIXTURE}/{name}")).unwrap(),
+            "{name} differs from the parent's"
+        );
+    }
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, vfs_store_files(), "no file more, no file less");
     std::fs::remove_dir_all(&dir).ok();
 }
