@@ -15,7 +15,7 @@
 //!   points (phpBB attachment mod, Kwalbum, wPortfolio, AWStats Totals,
 //!   phpMyAdmin from the paper's references).
 
-use resin_lang::{default_engine, Engine, Interp, LangError, Tracking};
+use resin_lang::{Interp, LangError, Tracking};
 
 /// Lines of the script-injection assertion (one assertion, five apps).
 pub const ASSERTION_LOC: usize = 12;
@@ -37,18 +37,10 @@ pub struct ScriptHost {
 }
 
 impl ScriptHost {
-    /// Installs the application code on the process-default engine.
-    /// `resin` arms the import filter.
+    /// Installs the application code. `resin` arms the import filter.
     pub fn new(resin: bool) -> Self {
-        ScriptHost::new_on(resin, default_engine())
-    }
-
-    /// [`ScriptHost::new`] pinned to a specific RSL engine — the
-    /// injection defense must hold whether app code runs on the
-    /// tree-walker or the bytecode VM.
-    pub fn new_on(resin: bool, engine: Engine) -> Self {
         let tracking = if resin { Tracking::On } else { Tracking::Off };
-        let mut interp = Interp::with_config(tracking, engine);
+        let mut interp = Interp::with_tracking(tracking);
         interp
             .run(
                 r#"mkdir("/app");
@@ -143,32 +135,6 @@ pub const PAYLOAD: &str = r#"file_write("/tmp_owned_marker", "owned");"#;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn attacks_fail_closed_on_both_engines() {
-        // The defense is an import-time data-flow check, so it must block
-        // identically no matter which engine executes the app — including
-        // the VM path every policy check now takes by default.
-        for engine in [Engine::Tree, Engine::Vm] {
-            let mut s = ScriptHost::new_on(true, engine);
-            s.upload("evil_theme.rsl", PAYLOAD);
-            let err = s.load_theme("/uploads/evil_theme.rsl").unwrap_err();
-            assert!(err.violation, "theme include on {engine:?}: {err}");
-            assert!(!s.compromised(), "theme include on {engine:?}");
-
-            let mut s = ScriptHost::new_on(true, engine);
-            s.upload("shell.rsl", PAYLOAD);
-            let err = s.http_request_script("/uploads/shell.rsl").unwrap_err();
-            assert!(err.violation, "direct request on {engine:?}: {err}");
-            assert!(!s.compromised(), "direct request on {engine:?}");
-
-            // Legitimate, approved code still runs on both engines.
-            let mut s = ScriptHost::new_on(true, engine);
-            s.load_theme("/app/theme_default.rsl")
-                .unwrap_or_else(|e| panic!("legit theme on {engine:?}: {e}"));
-            assert!(!s.compromised());
-        }
-    }
 
     #[test]
     fn legit_theme_loads_either_way() {

@@ -1,12 +1,12 @@
-//! RSL execution: tree-walking interpreter vs bytecode VM.
+//! RSL execution on the bytecode VM.
 //!
-//! `rsl_exec/*` — engine microcases (straight-line arithmetic, a counted
-//! loop, a recursive call tree) isolating dispatch cost. What a policy
+//! `rsl_exec/vm_*` — microcases (straight-line arithmetic, a counted loop,
+//! a recursive call tree) isolating dispatch cost. What a policy
 //! check costs at a gate is `resin-e2e`'s `lang.export_check_*_ns` and
 //! `lang.check_cache_hit_ratio`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use resin_lang::{parse_program, Engine, Interp, Tracking};
+use resin_lang::{parse_program, Interp};
 
 /// Straight-line arithmetic: 64 dependent ops, no control flow.
 const STRAIGHT_SRC: &str = r#"
@@ -46,17 +46,10 @@ fn rsl_exec(c: &mut Criterion) {
         ("loop", LOOP_SRC),
         ("call", CALL_SRC),
     ] {
-        // Tree: re-walk the AST each iteration (parse hoisted out — the
-        // comparison is execution, not parsing).
-        let program = parse_program(src).expect("bench source parses");
-        let mut tree = Interp::with_config(Tracking::On, Engine::Tree);
-        g.bench_function(BenchmarkId::from_parameter(format!("tree_{name}")), |b| {
-            b.iter(|| tree.exec_program(&program).unwrap());
-        });
-
-        // VM: compile once, dispatch the chunk each iteration — the
+        // Parse and compile once, dispatch the chunk each iteration — the
         // compile-cache steady state every policy check runs in.
-        let mut vm = Interp::with_config(Tracking::On, Engine::Vm);
+        let program = parse_program(src).expect("bench source parses");
+        let mut vm = Interp::new();
         let chunk = vm.compile(&program).expect("compiles");
         g.bench_function(BenchmarkId::from_parameter(format!("vm_{name}")), |b| {
             b.iter(|| vm.exec_chunk(&chunk).unwrap());

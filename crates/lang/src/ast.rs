@@ -110,10 +110,9 @@ pub enum Target {
 
 /// A statement with its source position.
 ///
-/// The line is attached by the parser and flows into both engines: the
-/// tree-walker stamps it onto errors as they unwind, and the bytecode
-/// compiler records it in the chunk's line table so the VM can recover it
-/// from an instruction pointer.
+/// The line is attached by the parser; the bytecode compiler records it in
+/// the chunk's line table so the VM can recover it from an instruction
+/// pointer.
 #[derive(Debug, Clone)]
 pub struct Stmt {
     /// What the statement does.

@@ -34,7 +34,7 @@ use resin_core::{Context, CtxValue, PolicyViolation};
 
 use crate::ast::ClassDecl;
 use crate::chunk::Chunk;
-use crate::interp::{default_engine, Engine, Flow, Interp, LangError, Tracking, R};
+use crate::interp::{Flow, Interp, LangError, R};
 use crate::value::{Obj, PValue, Value};
 
 /// A policy's field snapshot, as [`ScriptPolicy`](crate::ScriptPolicy)
@@ -200,7 +200,7 @@ fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     counter.with(|c| c.set(c.get() + 1));
 }
 
-fn materialize(class: &Arc<ClassDecl>, fields: &Fields) -> Rc<RefCell<Obj>> {
+pub(crate) fn materialize(class: &Arc<ClassDecl>, fields: &Fields) -> Rc<RefCell<Obj>> {
     Rc::new(RefCell::new(Obj {
         class: class.clone(),
         fields: fields
@@ -265,8 +265,8 @@ fn this_for_check(plan: &ClassPlan, fields: &Arc<Fields>) -> Value {
 }
 
 /// Converts a channel context into the script-visible hash table that
-/// `export_check(context)` receives (shared by both engines).
-fn context_to_map(context: &Context) -> Value {
+/// `export_check(context)` receives.
+pub(crate) fn context_to_map(context: &Context) -> Value {
     let map = context
         .iter()
         .map(|(k, v)| {
@@ -302,9 +302,9 @@ fn context_map_for_check(context: &Context, cacheable: bool) -> Value {
 
 // ---- the crossing ----
 
-fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViolation> {
+pub(crate) fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViolation> {
     match flow {
-        Ok(_) | Err(Flow::Return(_)) => Ok(()),
+        Ok(_) => Ok(()),
         Err(Flow::Throw(v)) => Err(PolicyViolation::new(
             class_name,
             v.to_tainted().as_str().to_string(),
@@ -320,7 +320,6 @@ fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViolation> {
 /// channel context — the bridge that lets Rust-side filters invoke
 /// script-defined assertion code.
 pub(crate) fn cross(
-    engine: Engine,
     plan: &Arc<ClassPlan>,
     fields: &Arc<Fields>,
     context: &Context,
@@ -330,29 +329,23 @@ pub(crate) fn cross(
     };
     #[cfg(debug_assertions)]
     if oracle::running() {
-        return from_scratch(engine, &plan.class, fields, context);
+        return from_scratch(&plan.class, fields, context);
     }
     if !CHECK_CACHE_ENABLED.with(|c| c.get()) {
         count(&CHECK_CACHE_MISSES);
-        return from_scratch(engine, &plan.class, fields, context);
+        return from_scratch(&plan.class, fields, context);
     }
     // No VFS or HTTP gate exists unless a policy body touches one, and
     // one that did keeps the evaluator out of the pool.
-    let mut interp = EVALUATOR
-        .take()
-        .unwrap_or_else(|| Box::new(Interp::with_config(Tracking::On, engine)));
-    interp.engine = engine;
+    let mut interp = EVALUATOR.take().unwrap_or_default();
     // The plan makes the class visible to `new` and its methods callable.
     interp.plan = Some(plan.clone());
     let this = this_for_check(plan, fields);
     let decl = &plan.class.methods[method];
     let arg = (!decl.params.is_empty()).then(|| context_map_for_check(context, plan.cacheable));
-    let flow = match engine {
-        Engine::Tree => interp.call_decl(decl, arg.into_iter().collect(), Some(this)),
-        Engine::Vm => match plan.chunk(method) {
-            Ok(chunk) => crate::vm::call_chunk(&mut interp, chunk.clone(), arg, Some(this)),
-            Err(e) => Err(Flow::Error(e)),
-        },
+    let flow = match plan.chunk(method) {
+        Ok(chunk) => crate::vm::call_chunk(&mut interp, chunk.clone(), arg, Some(this)),
+        Err(e) => Err(Flow::Error(e)),
     };
     let served = verdict(flow, &plan.class.name);
     interp.plan = None;
@@ -361,7 +354,7 @@ pub(crate) fn cross(
     }
     #[cfg(debug_assertions)]
     if plan.cacheable {
-        oracle::compare(engine, &plan.class, fields, context, &served);
+        oracle::compare(&plan.class, fields, context, &served);
     }
     served
 }
@@ -370,7 +363,6 @@ pub(crate) fn cross(
 /// knows the class by name and compiles what it calls, a fresh `this`, a
 /// fresh context map. Touches no counter.
 fn from_scratch(
-    engine: Engine,
     class: &Arc<ClassDecl>,
     fields: &Fields,
     context: &Context,
@@ -378,7 +370,7 @@ fn from_scratch(
     let method = class
         .method("export_check")
         .expect("the plan found export_check");
-    let mut interp = Interp::with_config(Tracking::On, engine);
+    let mut interp = Interp::new();
     interp.classes.insert(class.name.clone(), class.clone());
     let this = Value::Object(materialize(class, fields));
     let args = if method.params.is_empty() {
@@ -386,10 +378,7 @@ fn from_scratch(
     } else {
         vec![context_to_map(context)]
     };
-    let flow = match engine {
-        Engine::Tree => interp.call_decl(method, args, Some(this)),
-        Engine::Vm => crate::vm::call_function(&mut interp, method, args, Some(this)),
-    };
+    let flow = crate::vm::call_function(&mut interp, method, args, Some(this));
     verdict(flow, &class.name)
 }
 
@@ -418,7 +407,6 @@ mod oracle {
     }
 
     pub(super) fn compare(
-        engine: Engine,
         class: &Arc<ClassDecl>,
         fields: &Fields,
         context: &Context,
@@ -427,7 +415,7 @@ mod oracle {
         RUNNING.with(|r| r.set(true));
         let scratch = {
             let _running = Running;
-            from_scratch(engine, class, fields, context)
+            from_scratch(class, fields, context)
         };
         assert!(
             scratch == *served,
@@ -439,23 +427,13 @@ mod oracle {
 }
 
 /// Evaluates a class's `export_check` over a field snapshot against a
-/// channel context, on the process-default engine.
+/// channel context: one crossing through the class's plan.
 pub fn eval_policy_method(
     class: &Arc<ClassDecl>,
     fields: &BTreeMap<String, PValue>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
-    eval_policy_method_on(default_engine(), class, fields, context)
-}
-
-/// [`eval_policy_method`] pinned to a specific engine.
-pub(crate) fn eval_policy_method_on(
-    engine: Engine,
-    class: &Arc<ClassDecl>,
-    fields: &BTreeMap<String, PValue>,
-    context: &Context,
-) -> Result<(), PolicyViolation> {
-    cross(engine, &plan_for(class), &Arc::new(fields.clone()), context)
+    cross(&plan_for(class), &Arc::new(fields.clone()), context)
 }
 
 #[cfg(test)]
@@ -593,30 +571,24 @@ mod tests {
         );
         let [throws, recurses, passes] =
             [0, 1, 2].map(|mode| policy(&deep, &[("mode", PValue::Int(mode))]));
-        for engine in [Engine::Vm, Engine::Tree] {
-            let [throws, recurses, passes] = [&throws, &recurses, &passes].map(|p| {
-                ScriptPolicy::new("Deep".into(), p.fields().clone(), p.class().cloned())
-                    .with_engine(engine)
-            });
-            let seen = served_and_scratch(
-                &[
-                    &passes, &throws, &passes, &recurses, &passes, &recurses, &throws,
-                ],
-                &http(),
-            );
-            assert_eq!(seen[0], Ok(()));
-            assert_eq!(seen[2], Ok(()));
-            assert_eq!(seen[4], Ok(()));
-            assert!(seen[1].as_ref().unwrap_err().ends_with("deep"), "{seen:?}");
-            assert!(
-                seen[3]
-                    .as_ref()
-                    .unwrap_err()
-                    .contains("call depth limit exceeded"),
-                "{seen:?}"
-            );
-            assert!(!pool_is_empty(), "an unwound evaluator is still clean");
-        }
+        let seen = served_and_scratch(
+            &[
+                &passes, &throws, &passes, &recurses, &passes, &recurses, &throws,
+            ],
+            &http(),
+        );
+        assert_eq!(seen[0], Ok(()));
+        assert_eq!(seen[2], Ok(()));
+        assert_eq!(seen[4], Ok(()));
+        assert!(seen[1].as_ref().unwrap_err().ends_with("deep"), "{seen:?}");
+        assert!(
+            seen[3]
+                .as_ref()
+                .unwrap_err()
+                .contains("call depth limit exceeded"),
+            "{seen:?}"
+        );
+        assert!(!pool_is_empty(), "an unwound evaluator is still clean");
     }
 
     #[test]
@@ -657,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_alternate_on_one_pooled_evaluator() {
+    fn twin_policies_alternate_on_one_pooled_evaluator() {
         let owner = class(
             r#"class Owner {
                 fn is_owner(user) { return user == this.owner; }
@@ -668,15 +640,36 @@ mod tests {
             }"#,
         );
         let fields = [("owner", PValue::Str("alice".into()))];
-        let vm = policy(&owner, &fields);
-        let tree = policy(&owner, &fields).with_engine(Engine::Tree);
+        let (one, twin) = (policy(&owner, &fields), policy(&owner, &fields));
         for user in ["alice", "mallory", "alice"] {
             let mut ctx = http();
             ctx.set_str("user", user);
-            let seen = served_and_scratch(&[&vm, &tree, &vm, &tree], &ctx);
+            let seen = served_and_scratch(&[&one, &twin, &one, &twin], &ctx);
             assert!(seen.iter().all(|v| *v == seen[0]), "{seen:?}");
             assert_eq!(seen[0].is_ok(), user == "alice");
         }
+    }
+
+    #[test]
+    fn a_non_ascii_literal_matches_the_context_it_names() {
+        let only = class(
+            r#"class OnlyJose {
+                fn export_check(context) {
+                    if (context["user"] == "José") { return; }
+                    throw "not José";
+                }
+            }"#,
+        );
+        let p = policy(&only, &[]);
+        let mut ctx = http();
+        ctx.set_str("user", "José");
+        assert_eq!(served_and_scratch(&[&p], &ctx), [Ok(())]);
+        ctx.set_str("user", "Jose");
+        let seen = served_and_scratch(&[&p], &ctx);
+        assert!(
+            seen[0].as_ref().unwrap_err().ends_with("not José"),
+            "{seen:?}"
+        );
     }
 
     #[test]

@@ -88,8 +88,9 @@ pub(crate) enum Op {
     Not { dst: u16, src: Src },
     /// `dst = -src`.
     Neg { dst: u16, src: Src },
-    /// `dst = a ⊕ b`; labels union exactly as in the tree-walker (`+`
-    /// also concatenates strings with byte-range spans).
+    /// `dst = a ⊕ b`; labels union as `Interp::add_values` and
+    /// `arith_values` define (`+` also concatenates strings with
+    /// byte-range spans).
     Add { dst: u16, a: Src, b: Src },
     Sub { dst: u16, a: Src, b: Src },
     Mul { dst: u16, a: Src, b: Src },

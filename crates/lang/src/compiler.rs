@@ -1,11 +1,11 @@
 //! The RSL bytecode compiler: AST → [`Chunk`].
 //!
-//! Lowering rules mirror the tree-walker exactly — same scoping (last
-//! local frame, then globals, PHP-style implicit definition), same
-//! evaluation order (assignment value before target, receiver before
-//! arguments), same short-circuit results (`&&`/`||` always yield bools).
-//! The differential test suite holds the two engines to bit-identical
-//! values, labels, and error messages.
+//! Lowering keeps RSL's source-level semantics exactly — scoping (last
+//! local frame, then globals, PHP-style implicit definition), evaluation
+//! order (assignment value before target, receiver before arguments),
+//! short-circuit results (`&&`/`||` always yield bools). The differential
+//! suite holds the VM to bit-identical values, labels, and error messages
+//! against a tree-walking oracle that exists only in test builds.
 //!
 //! An expression compiles to an *operand* — a constant or a local is read
 //! where it lies, anything else is computed into a temporary — and a
@@ -15,7 +15,7 @@
 //! and released at the end of the expression that needed them.
 //!
 //! Reading a local in place reads it when the instruction runs, which is
-//! later than the tree-walker reads it if other operands are evaluated in
+//! later than source order reads it if other operands are evaluated in
 //! between. That is only visible for a local that may be unbound (its read
 //! falls back to a global, or fails), so such a local is copied to a
 //! temporary first whenever code follows it; parameters and locals a `let`
@@ -127,7 +127,7 @@ impl<'a> Compiler<'a> {
         if let Some(decl) = decl {
             // Slot `1 + i` is parameter `i` whatever its name (of two
             // parameters with one name the later is the one the name
-            // reads, as in the tree-walker); then every name `let`-bound
+            // reads); then every name `let`-bound
             // or assigned anywhere in the body.
             for p in &decl.params {
                 c.slot_idx.remove(p);
@@ -276,8 +276,8 @@ impl<'a> Compiler<'a> {
                 self.null_into(want)?;
             }
             StmtKind::Assign(target, e) => {
-                // Evaluation order matches the tree-walker: value first,
-                // then the target's container and index expressions.
+                // Evaluation order: value first, then the target's
+                // container and index expressions.
                 match target {
                     Target::Var(name) => match self.local(name) {
                         Some(slot) if self.bound[slot as usize] => self.expr_into(e, slot)?,
@@ -535,8 +535,7 @@ impl<'a> Compiler<'a> {
                 op: BinOp::And | BinOp::Or,
                 ..
             } => {
-                // Short-circuit logicals always produce a plain bool,
-                // exactly like the tree-walker.
+                // Short-circuit logicals always produce a plain bool.
                 let to_false = self.branch(e, false)?;
                 let src = self.constant(ConstKey::Bool(true))?;
                 self.emit(Op::Move { dst, src });
@@ -676,8 +675,8 @@ fn push_idx<T>(v: &mut Vec<T>, item: T, what: &str) -> Result<u32, LangError> {
 /// Collects every name the body may bind locally: `let` targets and plain
 /// variable assignments, through `if`/`while` but not into nested function
 /// or class bodies (those compile to their own chunks with their own
-/// slots). Matches the tree-walker, where only `define`/`set_var` against
-/// the current frame create locals.
+/// slots). Only `let` and assignment in the function's own body create
+/// locals.
 fn collect_assigned(stmts: &[Stmt], c: &mut Compiler<'_>) {
     for s in stmts {
         match &s.kind {

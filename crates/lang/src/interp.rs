@@ -1,4 +1,11 @@
-//! The RSL tree-walking interpreter.
+//! The RSL interpreter: its state, and the semantics of every operation.
+//!
+//! [`Interp`] holds what a script can see — globals, functions, classes,
+//! the VFS, the HTTP gate — and runs code on the register VM
+//! ([`crate::compiler`] → [`crate::vm`]). The operation helpers and the
+//! builtins below are the one definition of what each operation does; the
+//! VM's general paths call them, and so does the test-only differential
+//! oracle, which walks the AST instead of compiling it.
 //!
 //! Policy tracking is woven into every operation handler, the way the
 //! paper's prototype modifies PHP's opcode handlers (§4):
@@ -18,7 +25,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use resin_core::{
@@ -27,12 +33,12 @@ use resin_core::{
 };
 use resin_vfs::{TrackingMode as VfsTracking, Vfs};
 
-use crate::ast::{BinOp, ClassDecl, Expr, FnDecl, Stmt, StmtKind, Target};
+use crate::ast::{BinOp, ClassDecl, FnDecl, Stmt};
 use crate::check::ClassPlan;
-pub use crate::check::{check_cache_stats, eval_policy_method, set_check_cache};
+pub use crate::check::{check_cache_stats, set_check_cache};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
-use crate::value::{Obj, PValue, ScriptPolicy, Value};
+use crate::value::{PValue, ScriptPolicy, Value};
 
 /// Whether the interpreter performs RESIN data tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,51 +48,6 @@ pub enum Tracking {
     /// The RESIN interpreter.
     #[default]
     On,
-}
-
-/// Which execution engine runs RSL code.
-///
-/// Both engines implement identical semantics — value results, label
-/// propagation, and error messages line up bit for bit (the differential
-/// test suite asserts it). The tree-walker is kept as the oracle; the VM
-/// is the production path because policy checks run on every gate
-/// crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The original tree-walking interpreter (the differential oracle).
-    Tree,
-    /// The bytecode pipeline: AST → chunk compiler → register VM.
-    #[default]
-    Vm,
-}
-
-impl Engine {
-    /// Stable wire name, used when an engine pin is persisted alongside a
-    /// [`ScriptPolicy`]'s fields.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Tree => "tree",
-            Engine::Vm => "vm",
-        }
-    }
-
-    /// Inverse of [`Engine::name`].
-    pub fn from_name(s: &str) -> Option<Engine> {
-        match s {
-            "tree" => Some(Engine::Tree),
-            "vm" => Some(Engine::Vm),
-            _ => None,
-        }
-    }
-}
-
-/// The engine every serving path runs: the bytecode VM.
-///
-/// The tree-walker stays as the differential oracle, reachable only by
-/// pinning it explicitly ([`Interp::with_engine`],
-/// `ScriptPolicy::with_engine`, or a persisted engine pin).
-pub fn default_engine() -> Engine {
-    Engine::Vm
 }
 
 /// A runtime error (including policy violations surfacing in script).
@@ -131,10 +92,9 @@ impl fmt::Display for LangError {
 
 impl std::error::Error for LangError {}
 
-/// Control-flow signals inside the evaluator (shared with the VM).
+/// What unwinds a run: an error or a `throw`.
 pub(crate) enum Flow {
     Error(LangError),
-    Return(Value),
     Throw(Value),
 }
 
@@ -153,16 +113,16 @@ pub struct SentMail {
     pub body: String,
 }
 
-/// How deep script calls may recurse (both engines).
+/// How deep script calls may recurse.
 ///
-/// Conservative limit: each script frame costs many Rust frames in a
-/// tree-walker, and debug-build test threads have small stacks. The VM
-/// uses the same cap so a recursive policy fails identically under either
-/// engine instead of overflowing the native stack.
+/// A script that recurses without end fails here with an ordinary error
+/// instead of growing the VM's frame stack and slot array until memory
+/// runs out: a policy check runs inside every gate crossing it guards, so
+/// a runaway one has to fail fast and closed.
 pub(crate) const MAX_CALL_DEPTH: usize = 64;
 
-/// Declares [`Builtin`] and its one `name ⇄ id` table: the compiler
-/// resolves a call's name through it once, the tree-walker per call.
+/// Declares [`Builtin`] and its one `name ⇄ id` table, through which the
+/// compiler resolves a call's name once.
 macro_rules! builtins {
     ($($variant:ident = $name:literal,)*) => {
         /// A builtin function, by id.
@@ -231,9 +191,7 @@ builtins! {
 /// The interpreter.
 pub struct Interp {
     pub(crate) tracking: Tracking,
-    pub(crate) engine: Engine,
     pub(crate) globals: HashMap<String, Value>,
-    locals: Vec<HashMap<String, Value>>,
     pub(crate) fns: HashMap<String, Arc<FnDecl>>,
     pub(crate) classes: HashMap<String, Arc<ClassDecl>>,
     /// The virtual filesystem, built on first file operation (policy
@@ -263,28 +221,16 @@ pub struct Interp {
 }
 
 impl Interp {
-    /// A RESIN interpreter (tracking on, process-default engine).
+    /// A RESIN interpreter (tracking on).
     pub fn new() -> Self {
-        Interp::with_config(Tracking::On, default_engine())
+        Interp::with_tracking(Tracking::On)
     }
 
     /// An interpreter with the given tracking mode.
     pub fn with_tracking(tracking: Tracking) -> Self {
-        Interp::with_config(tracking, default_engine())
-    }
-
-    /// An interpreter with the given engine (tracking on).
-    pub fn with_engine(engine: Engine) -> Self {
-        Interp::with_config(Tracking::On, engine)
-    }
-
-    /// An interpreter with explicit tracking mode and engine.
-    pub fn with_config(tracking: Tracking, engine: Engine) -> Self {
         Interp {
             tracking,
-            engine,
             globals: HashMap::new(),
-            locals: Vec::new(),
             fns: HashMap::new(),
             classes: HashMap::new(),
             vfs: None,
@@ -308,9 +254,7 @@ impl Interp {
         // Every field is named: a new one has to be classified here.
         let Interp {
             tracking: _,
-            engine: _,
             globals,
-            locals,
             fns,
             classes,
             vfs,
@@ -327,7 +271,6 @@ impl Interp {
             lint_reports,
         } = self;
         globals.is_empty()
-            && locals.is_empty()
             && fns.is_empty()
             && classes.is_empty()
             && vfs.is_none()
@@ -379,11 +322,6 @@ impl Interp {
         self.tracking
     }
 
-    /// The execution engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The virtual filesystem (created on first use).
     pub fn vfs(&mut self) -> &mut Vfs {
         let tracking = self.tracking;
@@ -416,7 +354,7 @@ impl Interp {
     }
 
     /// A script-visible global, if defined (used by harnesses and the
-    /// differential tests to compare engine states).
+    /// differential oracle).
     pub fn global(&self, name: &str) -> Option<Value> {
         self.globals.get(name).cloned()
     }
@@ -434,22 +372,12 @@ impl Interp {
     /// Runs a pre-parsed program (used by the benchmarks to exclude parse
     /// time, as the paper's microbenchmarks do).
     pub fn exec_program(&mut self, program: &[Stmt]) -> Result<Value, LangError> {
-        match self.engine {
-            Engine::Tree => {
-                let flow = self.exec_block(program);
-                finish(flow)
-            }
-            Engine::Vm => {
-                let chunk = self.compile(program)?;
-                self.exec_chunk(&chunk)
-            }
-        }
+        let chunk = self.compile(program)?;
+        self.exec_chunk(&chunk)
     }
 
-    /// Compiles a pre-parsed program to a chunk (top-level scope).
-    ///
-    /// Benchmarks compile once and run the chunk repeatedly, exactly as
-    /// the tree engine re-walks a pre-parsed AST.
+    /// Compiles a pre-parsed program to a chunk (top-level scope), which
+    /// benchmarks compile once and run repeatedly.
     pub fn compile(&mut self, program: &[Stmt]) -> Result<Arc<Chunk>, LangError> {
         crate::compiler::compile_program(program).map(Arc::new)
     }
@@ -467,147 +395,14 @@ impl Interp {
             .get(name)
             .cloned()
             .ok_or_else(|| LangError::new(format!("undefined function `{name}`")))?;
-        let flow = match self.engine {
-            Engine::Tree => self.call_decl(&decl, args, None),
-            Engine::Vm => crate::vm::call_function(self, &decl, args, None),
-        };
-        finish(flow)
+        finish(crate::vm::call_function(self, &decl, args, None))
     }
 
-    // ---- scopes ----
-
-    fn lookup(&self, name: &str) -> Option<Value> {
-        if let Some(frame) = self.locals.last() {
-            if let Some(v) = frame.get(name) {
-                return Some(v.clone());
-            }
-        }
-        self.globals.get(name).cloned()
-    }
-
-    fn define(&mut self, name: &str, value: Value) {
-        match self.locals.last_mut() {
-            Some(frame) => {
-                frame.insert(name.to_string(), value);
-            }
-            None => {
-                self.globals.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    fn set_var(&mut self, name: &str, value: Value) -> R<()> {
-        if let Some(frame) = self.locals.last_mut() {
-            if frame.contains_key(name) {
-                frame.insert(name.to_string(), value);
-                return Ok(());
-            }
-        }
-        if self.globals.contains_key(name) {
-            self.globals.insert(name.to_string(), value);
-            return Ok(());
-        }
-        // Implicit definition on first assignment (PHP-style).
-        self.define(name, value);
-        Ok(())
-    }
-
-    // ---- execution ----
-
-    fn exec_block(&mut self, stmts: &[Stmt]) -> R<Value> {
-        let mut last = Value::Null;
-        for s in stmts {
-            last = self.exec_stmt(s)?;
-        }
-        Ok(last)
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt) -> R<Value> {
-        match self.exec_stmt_kind(&stmt.kind) {
-            Err(Flow::Error(mut e)) => {
-                // Innermost statement wins: inner frames attach first.
-                if e.line.is_none() {
-                    e.line = Some(stmt.line);
-                }
-                Err(Flow::Error(e))
-            }
-            other => other,
-        }
-    }
-
-    fn exec_stmt_kind(&mut self, stmt: &StmtKind) -> R<Value> {
-        match stmt {
-            StmtKind::Let(name, e) => {
-                let v = self.eval(e)?;
-                self.define(name, v);
-                Ok(Value::Null)
-            }
-            StmtKind::Assign(target, e) => {
-                let v = self.eval(e)?;
-                match target {
-                    Target::Var(name) => self.set_var(name, v)?,
-                    Target::Prop(obj, field) => {
-                        let o = self.eval(obj)?;
-                        Interp::prop_assign(&o, field, v)?;
-                    }
-                    Target::Index(arr, idx) => {
-                        let a = self.eval(arr)?;
-                        let i = self.eval(idx)?;
-                        Interp::index_assign(&a, &i, v)?;
-                    }
-                }
-                Ok(Value::Null)
-            }
-            StmtKind::Expr(e) => self.eval(e),
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                if self.eval(cond)?.truthy() {
-                    self.exec_block(then_body)
-                } else {
-                    self.exec_block(else_body)
-                }
-            }
-            StmtKind::While { cond, body } => {
-                let mut iterations = 0u64;
-                while self.eval(cond)?.truthy() {
-                    self.exec_block(body)?;
-                    iterations += 1;
-                    if iterations > 100_000_000 {
-                        return Err(rt("loop iteration limit exceeded"));
-                    }
-                }
-                Ok(Value::Null)
-            }
-            StmtKind::Return(e) => {
-                let v = match e {
-                    Some(e) => self.eval(e)?,
-                    None => Value::Null,
-                };
-                Err(Flow::Return(v))
-            }
-            StmtKind::Throw(e) => {
-                let v = self.eval(e)?;
-                Err(Flow::Throw(v))
-            }
-            StmtKind::FnDef(decl) => {
-                self.fns.insert(decl.name.clone(), decl.clone());
-                Ok(Value::Null)
-            }
-            StmtKind::ClassDef(decl) => {
-                self.register_class(decl)?;
-                Ok(Value::Null)
-            }
-        }
-    }
-
-    /// Registers a class definition (shared by both engines). Classes with
-    /// an `export_check` method are policy classes: they are statically
-    /// analyzed first — error-severity lint findings fail the definition
-    /// closed (an unsound policy never guards traffic), warnings accumulate
-    /// on [`Interp::lint_reports`] — then registered with the process-wide
+    /// Registers a class definition. Classes with an `export_check` method
+    /// are policy classes: they are statically analyzed first —
+    /// error-severity lint findings fail the definition closed (an unsound
+    /// policy never guards traffic), warnings accumulate on
+    /// [`Interp::lint_reports`] — then registered with the process-wide
     /// policy registry so persisted instances can be revived (§3.4.1 —
     /// only class name and fields are stored).
     pub(crate) fn register_class(&mut self, decl: &Arc<ClassDecl>) -> R<()> {
@@ -648,24 +443,7 @@ impl Interp {
                     });
                 }
                 let mut decoded = BTreeMap::new();
-                let mut engine = None;
                 for (k, v) in fields {
-                    // The engine pin rides along as a reserved field, not an
-                    // instance field: strip it here and re-apply it below so
-                    // a pinned policy keeps checking on the engine it was
-                    // stored under (§3.4.1 stores only name + fields, so the
-                    // pin has to travel inside the field list).
-                    if k == ScriptPolicy::ENGINE_FIELD {
-                        engine = Engine::from_name(v);
-                        if engine.is_none() {
-                            return Err(resin_core::SerializeError::BadField {
-                                class: class_name.clone(),
-                                field: k.clone(),
-                                reason: format!("unknown engine {v:?}"),
-                            });
-                        }
-                        continue;
-                    }
                     let pv =
                         PValue::decode(v).ok_or_else(|| resin_core::SerializeError::BadField {
                             class: class_name.clone(),
@@ -674,18 +452,14 @@ impl Interp {
                         })?;
                     decoded.insert(k.clone(), pv);
                 }
-                let mut policy =
-                    ScriptPolicy::new(class_name.clone(), decoded, Some(class.clone()));
-                if let Some(engine) = engine {
-                    policy = policy.with_engine(engine);
-                }
+                let policy = ScriptPolicy::new(class_name.clone(), decoded, Some(class.clone()));
                 Ok(Arc::new(policy) as PolicyRef)
             });
         }
         Ok(())
     }
 
-    // ---- shared operation semantics (used by both engines) ----
+    // ---- operation semantics (the VM's general paths call these) ----
 
     /// `a[i] = v` (array by int, map by string).
     pub(crate) fn index_assign(a: &Value, i: &Value, v: Value) -> R<()> {
@@ -774,10 +548,9 @@ impl Interp {
         }
     }
 
-    /// The integer result of `- * / %`, for both engines: `-` and `*`
-    /// wrap (as `+` does); `/` and `%` fail on a zero divisor and on the
-    /// one quotient that does not fit (`i64::MIN / -1`), which Rust would
-    /// panic on.
+    /// The integer result of `- * / %`: `-` and `*` wrap (as `+` does);
+    /// `/` and `%` fail on a zero divisor and on the one quotient that does
+    /// not fit (`i64::MIN / -1`), which Rust would panic on.
     pub(crate) fn int_arith(op: BinOp, a: i64, b: i64) -> R<i64> {
         let n = match op {
             BinOp::Sub => Some(a.wrapping_sub(b)),
@@ -825,159 +598,6 @@ impl Interp {
             _ => unreachable!("compare_values only handles <, <=, >, >="),
         };
         Ok(Value::Bool(b))
-    }
-
-    // ---- expression evaluation ----
-
-    fn eval(&mut self, expr: &Expr) -> R<Value> {
-        match expr {
-            Expr::Int(n) => Ok(Value::int(*n)),
-            Expr::Str(s) => Ok(Value::str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Null => Ok(Value::Null),
-            Expr::Var(name) => self
-                .lookup(name)
-                .ok_or_else(|| rt(format!("undefined variable `{name}`"))),
-            Expr::This => self
-                .lookup("this")
-                .ok_or_else(|| rt("`this` outside method")),
-            Expr::Array(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for i in items {
-                    out.push(self.eval(i)?);
-                }
-                Ok(Value::new_array(out))
-            }
-            Expr::Not(e) => Ok(Value::Bool(!self.eval(e)?.truthy())),
-            Expr::Neg(e) => {
-                let v = self.eval(e)?;
-                Interp::neg_value(v)
-            }
-            Expr::Binary { op, left, right } => self.eval_binary(*op, left, right),
-            Expr::Index(arr, idx) => {
-                let a = self.eval(arr)?;
-                let i = self.eval(idx)?;
-                Interp::index_value(&a, &i)
-            }
-            Expr::Prop(obj, field) => {
-                let o = self.eval(obj)?;
-                Interp::prop_value(&o, field)
-            }
-            Expr::New { class, args } => {
-                let decl = self
-                    .class_named(class)
-                    .ok_or_else(|| rt(format!("undefined class `{class}`")))?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a)?);
-                }
-                let obj = Rc::new(std::cell::RefCell::new(Obj {
-                    class: decl.clone(),
-                    fields: BTreeMap::new(),
-                }));
-                if let Some(init) = decl.method("init") {
-                    let init = init.clone();
-                    self.call_decl(&init, argv, Some(Value::Object(obj.clone())))?;
-                }
-                Ok(Value::Object(obj))
-            }
-            Expr::MethodCall { recv, method, args } => {
-                let r = self.eval(recv)?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a)?);
-                }
-                let Value::Object(o) = &r else {
-                    return Err(rt(format!("cannot call method on {}", r.type_name())));
-                };
-                let decl = o.borrow().class.clone();
-                let m = decl
-                    .method(method)
-                    .cloned()
-                    .ok_or_else(|| rt(format!("no method `{method}` on `{}`", decl.name)))?;
-                self.call_decl(&m, argv, Some(r.clone()))
-            }
-            Expr::Call { name, args } => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a)?);
-                }
-                if let Some(decl) = self.fns.get(name).cloned() {
-                    return self.call_decl(&decl, argv, None);
-                }
-                match Builtin::from_name(name) {
-                    Some(id) => self.builtin(id, &mut argv),
-                    None => Err(rt(format!("undefined function `{name}`"))),
-                }
-            }
-        }
-    }
-
-    pub(crate) fn call_decl(
-        &mut self,
-        decl: &FnDecl,
-        args: Vec<Value>,
-        this: Option<Value>,
-    ) -> R<Value> {
-        if args.len() != decl.params.len() {
-            return Err(rt(format!(
-                "`{}` expects {} arguments, got {}",
-                decl.name,
-                decl.params.len(),
-                args.len()
-            )));
-        }
-        if self.call_depth >= MAX_CALL_DEPTH {
-            return Err(rt("call depth limit exceeded"));
-        }
-        let mut frame = HashMap::with_capacity(args.len() + 1);
-        for (p, a) in decl.params.iter().zip(args) {
-            frame.insert(p.clone(), a);
-        }
-        if let Some(t) = this {
-            frame.insert("this".to_string(), t);
-        }
-        self.locals.push(frame);
-        self.call_depth += 1;
-        let result = self.exec_block(&decl.body);
-        self.call_depth -= 1;
-        self.locals.pop();
-        match result {
-            Ok(_) => Ok(Value::Null),
-            Err(Flow::Return(v)) => Ok(v),
-            Err(other) => Err(other),
-        }
-    }
-
-    fn eval_binary(&mut self, op: BinOp, left: &Expr, right: &Expr) -> R<Value> {
-        // Short-circuit logicals first.
-        match op {
-            BinOp::And => {
-                let l = self.eval(left)?;
-                if !l.truthy() {
-                    return Ok(Value::Bool(false));
-                }
-                return Ok(Value::Bool(self.eval(right)?.truthy()));
-            }
-            BinOp::Or => {
-                let l = self.eval(left)?;
-                if l.truthy() {
-                    return Ok(Value::Bool(true));
-                }
-                return Ok(Value::Bool(self.eval(right)?.truthy()));
-            }
-            _ => {}
-        }
-        let l = self.eval(left)?;
-        let r = self.eval(right)?;
-        match op {
-            BinOp::Eq => Ok(Value::Bool(l.loose_eq(&r))),
-            BinOp::Ne => Ok(Value::Bool(!l.loose_eq(&r))),
-            BinOp::Add => self.add_values(l, r),
-            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => self.arith_values(op, l, r),
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => Interp::compare_values(op, &l, &r),
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
-        }
     }
 
     /// `+`: integer addition (merging policies) or string concatenation
@@ -1391,11 +1011,9 @@ impl Interp {
     /// The interpreter's code-import boundary: reads the file (reviving
     /// persistent policies) and applies the import filter before executing.
     ///
-    /// Under the tree engine imported code runs in the *caller's* scope
-    /// (PHP `include` style); under the VM it runs at global scope. The
-    /// two agree everywhere except an `import` nested inside a function
-    /// body, which RESIN applications do not do (imports happen at load
-    /// time, before any request handler runs).
+    /// Imported code runs at global scope wherever `import` is called
+    /// from: its `let`s define globals even when the call sits inside a
+    /// function body.
     fn import(&mut self, path: &str) -> R<Value> {
         let ctx = self.file_ctx();
         let code = self.vfs().read_file(path, &ctx).map_err(vfs_err)?;
@@ -1410,15 +1028,8 @@ impl Interp {
         }
         let program =
             parse_program(code.as_str()).map_err(|e| rt(format!("import `{path}`: {e}")))?;
-        match self.engine {
-            Engine::Tree => self.exec_block(&program),
-            Engine::Vm => {
-                let chunk = crate::compiler::compile_program(&program)
-                    .map(Arc::new)
-                    .map_err(Flow::Error)?;
-                crate::vm::run_chunk(self, chunk)
-            }
-        }
+        let chunk = self.compile(&program).map_err(Flow::Error)?;
+        crate::vm::run_chunk(self, chunk)
     }
 
     /// Converts a script value into a policy object.
@@ -1466,13 +1077,11 @@ fn vfs_err(e: resin_vfs::VfsError) -> Flow {
     Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
 }
 
-/// Maps terminal control flow to the public result type. `Return` at the
-/// top level yields the returned value; an uncaught `throw` becomes a
-/// non-violation error, as in the tree engine.
+/// Maps terminal control flow to the public result type: an uncaught
+/// `throw` becomes a non-violation error.
 pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
     match flow {
         Ok(v) => Ok(v),
-        Err(Flow::Return(v)) => Ok(v),
         Err(Flow::Throw(v)) => Err(LangError::new(format!(
             "uncaught exception: {}",
             v.to_tainted().as_str()
@@ -1484,7 +1093,8 @@ pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check_is_cacheable, eval_policy_method_on};
+    use crate::ast::StmtKind;
+    use crate::check::{check_is_cacheable, eval_policy_method};
     use resin_core::{Context, PasswordPolicy};
 
     fn run(src: &str) -> Interp {
@@ -1748,10 +1358,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_pin_survives_policy_serialization() {
-        // A pinned policy serialized to the wire format and revived via
-        // the class registry keeps its pin; an unpinned one stays on the
-        // process default (no reserved field is ever emitted for it).
+    fn legacy_engine_pin_fails_closed() {
+        // An engine pin once rode in the wire format as a reserved field.
+        // Nothing writes one now, and revival refuses a blob that carries
+        // one, whatever it names: the field is not a decodable value.
         let mut i = Interp::new();
         i.run(
             r#"class PinnedPolicy {
@@ -1763,36 +1373,20 @@ mod tests {
         let class = i.classes.get("PinnedPolicy").unwrap().clone();
         let mut fields = BTreeMap::new();
         fields.insert("owner".to_string(), PValue::Str("alice".to_string()));
-        for (pin, expect) in [
-            (None, None),
-            (Some(Engine::Tree), Some(Engine::Tree)),
-            (Some(Engine::Vm), Some(Engine::Vm)),
-        ] {
-            let mut p =
-                ScriptPolicy::new("PinnedPolicy".into(), fields.clone(), Some(class.clone()));
-            if let Some(e) = pin {
-                p = p.with_engine(e);
-            }
-            let wire = resin_core::serialize_policy(&(Arc::new(p) as resin_core::PolicyRef));
-            if pin.is_none() {
-                assert!(!wire.contains("__rp_engine"), "no pin, no field: {wire}");
-            }
-            let back = resin_core::deserialize_policy(&wire).unwrap();
-            let back = back
-                .as_any()
-                .downcast_ref::<ScriptPolicy>()
-                .expect("revives as a script policy");
-            assert_eq!(back.engine(), expect, "wire: {wire}");
-            assert_eq!(
-                back.fields().get("owner"),
-                Some(&PValue::Str("alice".to_string())),
-                "reserved field stripped, real fields intact"
+        let p = ScriptPolicy::new("PinnedPolicy".into(), fields, Some(class));
+        let wire = resin_core::serialize_policy(&(Arc::new(p) as PolicyRef));
+        assert!(!wire.contains("__rp_engine"), "{wire}");
+        assert!(resin_core::deserialize_policy(&wire).is_ok(), "{wire}");
+        for pin in ["vm", "tree", "quantum"] {
+            let legacy = format!("PinnedPolicy{{owner=s%3Aalice;__rp_engine={pin}}}");
+            assert!(
+                matches!(
+                    resin_core::deserialize_policy(&legacy),
+                    Err(resin_core::SerializeError::BadField { .. })
+                ),
+                "{legacy}"
             );
         }
-        // An unknown engine name fails closed rather than silently
-        // falling back to the process default.
-        let bad = "PinnedPolicy{owner=s%3Aalice;__rp_engine=quantum}";
-        assert!(resin_core::deserialize_policy(bad).is_err());
     }
 
     #[test]
@@ -1824,6 +1418,21 @@ mod tests {
         )
         .unwrap();
         assert!(i.globals.contains_key("owned"), "no filter, no protection");
+    }
+
+    #[test]
+    fn import_inside_a_function_defines_globals() {
+        let mut i = Interp::new();
+        i.run(
+            r#"mkdir("/lib");
+               file_write("/lib/conf.rsl", "let conf = 7;");
+               fn load() { import("/lib/conf.rsl"); return 0; }
+               load();
+               let seen = conf + 1;"#,
+        )
+        .unwrap();
+        assert!(i.global("conf").unwrap().loose_eq(&Value::int(7)));
+        assert!(i.global("seen").unwrap().loose_eq(&Value::int(8)));
     }
 
     #[test]
@@ -1888,49 +1497,39 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_cap_call_depth() {
-        // A self-recursive policy must fail with a lang error, not blow
-        // the native stack (satellite: bounded recursion, both engines).
-        for engine in [Engine::Tree, Engine::Vm] {
-            let mut i = Interp::with_engine(engine);
-            let e = i
-                .run("fn loop_(n) { return loop_(n); } loop_(1);")
-                .unwrap_err();
-            assert!(
-                e.message.contains("call depth limit exceeded"),
-                "{engine:?}: {e}"
-            );
-            assert!(!e.violation);
-        }
+    fn call_depth_is_capped() {
+        // A self-recursive policy must fail with a lang error, not run
+        // until memory is gone.
+        let e = Interp::new()
+            .run("fn loop_(n) { return loop_(n); } loop_(1);")
+            .unwrap_err();
+        assert!(e.message.contains("call depth limit exceeded"), "{e}");
+        assert!(!e.violation);
     }
 
     #[test]
     fn runtime_errors_carry_lines() {
-        for engine in [Engine::Tree, Engine::Vm] {
-            let mut i = Interp::with_engine(engine);
-            let e = i.run("let a = 1;\nlet b = 2;\na / (b - 2);").unwrap_err();
-            assert_eq!(e.message, "division by zero");
-            assert_eq!(e.line, Some(3), "{engine:?}");
-            assert!(e.to_string().contains("(line 3)"), "{e}");
-        }
+        let e = Interp::new()
+            .run("let a = 1;\nlet b = 2;\na / (b - 2);")
+            .unwrap_err();
+        assert_eq!(e.message, "division by zero");
+        assert_eq!(e.line, Some(3));
+        assert!(e.to_string().contains("(line 3)"), "{e}");
     }
 
     #[test]
     fn error_lines_point_into_the_callee() {
-        for engine in [Engine::Tree, Engine::Vm] {
-            let mut i = Interp::with_engine(engine);
-            let e = i
-                .run("fn f() {\n  return missing_var;\n}\nf();")
-                .unwrap_err();
-            assert_eq!(e.message, "undefined variable `missing_var`");
-            assert_eq!(e.line, Some(2), "innermost frame wins ({engine:?})");
-        }
+        let e = Interp::new()
+            .run("fn f() {\n  return missing_var;\n}\nf();")
+            .unwrap_err();
+        assert_eq!(e.message, "undefined variable `missing_var`");
+        assert_eq!(e.line, Some(2), "innermost frame wins");
     }
 
     #[test]
     fn vm_compile_once_run_many() {
         // The exec_chunk API lets callers pay compilation once.
-        let mut i = Interp::with_engine(Engine::Vm);
+        let mut i = Interp::new();
         let program = parse_program("let n = 0; n = n + 1; n;").unwrap();
         let chunk = i.compile(&program).unwrap();
         for _ in 0..3 {
@@ -1941,22 +1540,12 @@ mod tests {
 
     #[test]
     fn function_chunks_cached_per_interp() {
-        let mut i = Interp::with_engine(Engine::Vm);
+        let mut i = Interp::new();
         i.run("fn f() { return 1; }").unwrap();
         assert_eq!(i.chunks.len(), 0, "compilation is lazy");
         i.call_function("f", vec![]).unwrap();
         i.call_function("f", vec![]).unwrap();
         assert_eq!(i.chunks.len(), 1, "same decl compiles once");
-    }
-
-    #[test]
-    fn engine_selection_helpers() {
-        assert_eq!(Interp::new().engine(), default_engine());
-        assert_eq!(Interp::with_engine(Engine::Tree).engine(), Engine::Tree);
-        assert_eq!(
-            Interp::with_config(Tracking::Off, Engine::Vm).tracking(),
-            Tracking::Off
-        );
     }
 
     // ---- per-crossing check caches ----
@@ -1992,8 +1581,8 @@ mod tests {
         fields.insert("limit".to_string(), PValue::Int(10));
         let ctx = Context::new(GateKind::Http);
         let (h0, m0) = check_cache_stats();
-        for engine in [Engine::Tree, Engine::Vm, Engine::Tree, Engine::Vm] {
-            eval_policy_method_on(engine, &class, &fields, &ctx).unwrap();
+        for _ in 0..4 {
+            eval_policy_method(&class, &fields, &ctx).unwrap();
         }
         let (h1, m1) = check_cache_stats();
         assert_eq!(m1 - m0, 1, "this materialized once");
@@ -2001,7 +1590,7 @@ mod tests {
         // Changed fields invalidate the snapshot; the verdict follows the
         // new values, never the cached ones.
         fields.insert("limit".to_string(), PValue::Int(0));
-        let err = eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap_err();
+        let err = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         assert!(err.to_string().contains("over"));
         let (h2, m2) = check_cache_stats();
         assert_eq!((h2 - h1, m2 - m1), (0, 1));
@@ -2026,7 +1615,7 @@ mod tests {
         let ctx = Context::new(GateKind::Http);
         let (h0, _) = check_cache_stats();
         for _ in 0..3 {
-            eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap();
+            eval_policy_method(&class, &fields, &ctx).unwrap();
         }
         let (h1, _) = check_cache_stats();
         assert_eq!(h1 - h0, 0, "mutating checks never hit the cache");
@@ -2044,14 +1633,14 @@ mod tests {
         let fields = BTreeMap::new();
         let mut ctx = Context::new(GateKind::Http);
         ctx.set_str("user", "alice");
-        eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap();
+        eval_policy_method(&class, &fields, &ctx).unwrap();
         // Mutating the context refreshes its stamp, so the cached map
         // cannot be served stale.
         ctx.set_str("user", "mallory");
-        let err = eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap_err();
+        let err = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         assert!(err.to_string().contains("wrong user"));
         ctx.set_str("user", "alice");
-        eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap();
+        eval_policy_method(&class, &fields, &ctx).unwrap();
     }
 
     #[test]
@@ -2104,8 +1693,8 @@ mod tests {
         fields.insert("limit".to_string(), PValue::Int(10));
         let ctx = Context::new(GateKind::Http);
         let (h0, m0) = check_cache_stats();
-        for engine in [Engine::Tree, Engine::Vm, Engine::Tree, Engine::Vm] {
-            eval_policy_method_on(engine, &class, &fields, &ctx).unwrap();
+        for _ in 0..4 {
+            eval_policy_method(&class, &fields, &ctx).unwrap();
         }
         let (h1, m1) = check_cache_stats();
         assert_eq!(m1 - m0, 1, "this materialized once");
@@ -2114,9 +1703,9 @@ mod tests {
         // verdict: cached and uncached crossings agree, and the Rust-side
         // field snapshot stays pristine.
         fields.insert("limit".to_string(), PValue::Int(5));
-        let cached = eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap_err();
+        let cached = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         set_check_cache(false);
-        let uncached = eval_policy_method_on(Engine::Vm, &class, &fields, &ctx).unwrap_err();
+        let uncached = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         set_check_cache(true);
         assert_eq!(cached.to_string(), uncached.to_string());
         assert!(!fields.contains_key("last_sum"), "snapshot stays pristine");
@@ -2124,16 +1713,12 @@ mod tests {
 
     #[test]
     fn unsound_policy_class_fails_registration_closed() {
-        // Error-severity lint findings refuse the class definition on
-        // both engines (the differential harness needs them to agree).
-        for engine in [Engine::Tree, Engine::Vm] {
-            let mut i = Interp::with_engine(engine);
-            let err = i
-                .run(r#"class BadCall { fn export_check(context) { this.nope(); } }"#)
-                .unwrap_err();
-            assert!(err.to_string().contains("rejected by lint"), "{err}");
-            assert!(err.to_string().contains("RL003"), "{err}");
-        }
+        // Error-severity lint findings refuse the class definition.
+        let err = Interp::new()
+            .run(r#"class BadCall { fn export_check(context) { this.nope(); } }"#)
+            .unwrap_err();
+        assert!(err.to_string().contains("rejected by lint"), "{err}");
+        assert!(err.to_string().contains("RL003"), "{err}");
         // Warnings do not block registration; they accumulate on the
         // interpreter for the application to surface.
         let mut i = Interp::new();
@@ -2167,7 +1752,7 @@ mod tests {
         fields.insert("n".to_string(), PValue::Int(0));
         let ctx = Context::new(GateKind::Http);
         for i in 0..3 {
-            eval_policy_method_on(Engine::Vm, &class, &fields, &ctx)
+            eval_policy_method(&class, &fields, &ctx)
                 .unwrap_or_else(|e| panic!("crossing {i} observed prior run: {e}"));
         }
     }

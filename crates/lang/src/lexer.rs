@@ -99,6 +99,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 let (start_line, start_col) = (line, col);
                 i += 1;
                 let mut s = String::new();
+                // Literal bytes are copied a run at a time, as UTF-8; an
+                // escape or the closing quote ends a run, and both are
+                // ASCII, so a run ends on a character boundary.
+                let mut run = i;
                 loop {
                     match bytes.get(i) {
                         None => {
@@ -109,10 +113,12 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                             });
                         }
                         Some(b'"') => {
+                            s.push_str(&src[run..i]);
                             i += 1;
                             break;
                         }
                         Some(b'\\') => {
+                            s.push_str(&src[run..i]);
                             let esc = bytes.get(i + 1).copied().ok_or(LexError {
                                 line,
                                 col: (i - line_start + 1) as u32,
@@ -124,22 +130,22 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                                 b'r' => '\r',
                                 b'"' => '"',
                                 b'\\' => '\\',
-                                other => {
+                                _ => {
                                     return Err(LexError {
                                         line,
                                         col: (i - line_start + 1) as u32,
-                                        message: format!("bad escape `\\{}`", other as char),
+                                        message: format!("bad escape `\\{}`", char_at(src, i + 1)),
                                     });
                                 }
                             });
                             i += 2;
+                            run = i;
                         }
                         Some(&b) => {
                             if b == b'\n' {
                                 line += 1;
                                 line_start = i + 1;
                             }
-                            s.push(b as char);
                             i += 1;
                         }
                     }
@@ -207,7 +213,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         return Err(LexError {
                             line,
                             col,
-                            message: format!("unexpected character `{c}`"),
+                            message: format!("unexpected character `{}`", char_at(src, i)),
                         });
                     }
                 }
@@ -215,6 +221,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         }
     }
     Ok(out)
+}
+
+/// The character that starts at byte `i` of `src`.
+fn char_at(src: &str, i: usize) -> char {
+    src[i..].chars().next().expect("a character starts here")
 }
 
 #[cfg(test)]
@@ -242,6 +253,25 @@ mod tests {
     #[test]
     fn strings_with_escapes() {
         assert_eq!(toks(r#""a\nb\"c\\d""#), vec![Tok::Str("a\nb\"c\\d".into())]);
+    }
+
+    #[test]
+    fn non_ascii_literals_are_utf8() {
+        // Two bytes, not the four a Latin-1 reading of them makes.
+        assert_eq!(toks(r#""é""#), vec![Tok::Str("é".into())]);
+        // Runs on either side of escapes, and a line break inside.
+        assert_eq!(
+            toks("\"José\\t\\\"ü\\\"\nñ\" x"),
+            vec![Tok::Str("José\t\"ü\"\nñ".into()), Tok::Ident("x".into())]
+        );
+    }
+
+    #[test]
+    fn an_unexpected_character_is_named_as_written() {
+        let e = lex("let x = é;").unwrap_err();
+        assert_eq!(e.message, "unexpected character `é`");
+        let e = lex(r#""\é""#).unwrap_err();
+        assert_eq!(e.message, "bad escape `\\é`");
     }
 
     #[test]

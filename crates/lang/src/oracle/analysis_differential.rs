@@ -6,7 +6,7 @@
 //!
 //! 1. **Cache soundness** — for every generated class, the sequence of
 //!    verdicts over repeated crossings is identical with the per-crossing
-//!    caches on and off, and identical between engines. A class the
+//!    caches on and off, and identical to the oracle's. A class the
 //!    analysis wrongly certified as cache-eligible would diverge here:
 //!    its mutation would survive inside the cached `this` and change a
 //!    later verdict (the instrumented assertion checks hit counters to
@@ -16,19 +16,22 @@
 //!    never hits those runtime errors when its check actually runs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use resin_core::{Context, GateKind, Policy};
-use resin_lang::analysis::lint_class;
-use resin_lang::{
-    check_cache_stats, class_effects, parse_program, set_check_cache, Engine, PValue, ScriptPolicy,
-};
+use resin_core::{Context, GateKind, Policy, PolicyViolation};
 
-fn class_of(src: &str) -> std::sync::Arc<resin_lang::ast::ClassDecl> {
+use crate::analysis::{class_effects, lint_class};
+use crate::ast::{ClassDecl, StmtKind};
+use crate::check::{check_cache_stats, set_check_cache};
+use crate::parser::parse_program;
+use crate::value::{PValue, ScriptPolicy};
+
+fn class_of(src: &str) -> Arc<ClassDecl> {
     parse_program(src)
         .unwrap_or_else(|e| panic!("{e}\n{src}"))
         .into_iter()
         .find_map(|s| match s.kind {
-            resin_lang::ast::StmtKind::ClassDef(c) => Some(c),
+            StmtKind::ClassDef(c) => Some(c),
             _ => None,
         })
         .expect("class decl")
@@ -54,28 +57,21 @@ fn ctx() -> Context {
 }
 
 /// One crossing's observable outcome, as a comparable string.
-fn verdict(policy: &ScriptPolicy, context: &Context) -> String {
-    match policy.export_check(context) {
+fn verdict(outcome: Result<(), PolicyViolation>) -> String {
+    match outcome {
         Ok(()) => "allow".to_string(),
         Err(v) => format!("deny: {v}"),
     }
 }
 
-/// Runs `n` crossings of `class` on `engine` and returns the verdicts.
-fn crossings(
-    src_class: &std::sync::Arc<resin_lang::ast::ClassDecl>,
-    fields: &BTreeMap<String, PValue>,
-    engine: Engine,
-    n: usize,
-) -> Vec<String> {
-    let policy = ScriptPolicy::new(
-        src_class.name.clone(),
-        fields.clone(),
-        Some(src_class.clone()),
-    )
-    .with_engine(engine);
+/// Runs `n` crossings of `class` through a [`ScriptPolicy`] and returns
+/// the verdicts.
+fn crossings(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>, n: usize) -> Vec<String> {
+    let policy = ScriptPolicy::new(class.name.clone(), fields.clone(), Some(class.clone()));
     let context = ctx();
-    (0..n).map(|_| verdict(&policy, &context)).collect()
+    (0..n)
+        .map(|_| verdict(policy.export_check(&context)))
+        .collect()
 }
 
 /// The core differential assertion for one class source.
@@ -86,12 +82,15 @@ fn assert_cache_transparent(src: &str) {
 
     set_check_cache(true);
     let (h0, _) = check_cache_stats();
-    let cached_vm = crossings(&class, &fields, Engine::Vm, 4);
-    let cached_tree = crossings(&class, &fields, Engine::Tree, 4);
+    let cached_vm = crossings(&class, &fields, 4);
     let (h1, _) = check_cache_stats();
     set_check_cache(false);
-    let uncached_vm = crossings(&class, &fields, Engine::Vm, 4);
+    let uncached_vm = crossings(&class, &fields, 4);
     set_check_cache(true);
+    // The oracle evaluates `export_check` on a fresh `this` every time.
+    let oracle: Vec<String> = (0..4)
+        .map(|_| verdict(super::cross(&class, &fields, &ctx())))
+        .collect();
 
     assert_eq!(
         cached_vm, uncached_vm,
@@ -99,7 +98,7 @@ fn assert_cache_transparent(src: &str) {
         class.name
     );
     assert_eq!(
-        cached_vm, cached_tree,
+        cached_vm, oracle,
         "engines disagree on {}:\n{src}",
         class.name
     );
@@ -111,9 +110,9 @@ fn assert_cache_transparent(src: &str) {
     );
     if eligible {
         // Instrumented assertion: an eligible class must actually have
-        // exercised the cache (7 same-thread crossings after the first).
+        // exercised the cache (3 same-thread crossings after the first).
         assert!(
-            h1 - h0 >= 7,
+            h1 - h0 >= 3,
             "{} was marked eligible but never hit the cache",
             class.name
         );

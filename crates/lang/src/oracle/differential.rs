@@ -1,21 +1,22 @@
-//! Differential tests: every program runs through the tree-walking
-//! interpreter AND the bytecode VM, and the two must agree on everything
-//! observable — result values, **policy labels** (taint must be neither
-//! laundered nor over-applied by compilation), error messages with their
-//! source lines, print output, HTTP output, and final global state.
+//! Differential tests: every program runs through the tree-walking oracle
+//! AND the bytecode VM, and the two must agree on everything observable —
+//! result values, **policy labels** (taint must be neither laundered nor
+//! over-applied by compilation), error messages with their source lines,
+//! print output, HTTP output, and final global state.
 
-use resin_lang::{Engine, Interp, LangError, Tracking, Value};
+use crate::interp::{Interp, LangError, Tracking};
+use crate::value::Value;
 
-/// Runs one program on both engines and asserts full observable equality.
-/// Returns the tree engine's outcome for additional assertions.
+/// Runs one program on the oracle and the VM and asserts full observable
+/// equality. Returns the oracle's outcome for additional assertions.
 fn diff(src: &str) -> Result<Value, LangError> {
     diff_with(src, Tracking::On)
 }
 
 fn diff_with(src: &str, tracking: Tracking) -> Result<Value, LangError> {
-    let mut tree = Interp::with_config(tracking, Engine::Tree);
-    let mut vm = Interp::with_config(tracking, Engine::Vm);
-    let rt = tree.run(src);
+    let mut tree = Interp::with_tracking(tracking);
+    let mut vm = Interp::with_tracking(tracking);
+    let rt = super::run(&mut tree, src);
     let rv = vm.run(src);
     match (&rt, &rv) {
         (Ok(a), Ok(b)) => assert_value_eq(a, b, "result"),
@@ -39,8 +40,7 @@ fn diff_with(src: &str, tracking: Tracking) -> Result<Value, LangError> {
 }
 
 /// Deep value equality *including labels*. Labels are compared by their
-/// policy-name sets (the two engines run in separate interpreter
-/// instances, so script-policy ids differ even when the taint is
+/// policy-name sets (the two runs use separate interpreter instances, so script-policy ids differ even when the taint is
 /// identical); strings are compared byte by byte.
 fn assert_value_eq(a: &Value, b: &Value, path: &str) {
     match (a, b) {
@@ -291,6 +291,15 @@ fn errors_match_with_lines() {
         let e = diff(src).unwrap_err();
         assert!(!e.message.is_empty());
     }
+}
+
+#[test]
+fn non_ascii_literals_are_utf8() {
+    let v = diff(
+        r#"let x = len("é"); let y = "José" == "Jos" + "é"; let z = substr("José", 3, 2); [x, y, z];"#,
+    )
+    .unwrap();
+    assert_eq!(format!("{v:?}"), "[2, true, é]");
 }
 
 #[test]
@@ -589,9 +598,7 @@ fn operand_space_runs_out_cleanly() {
         )
     };
     diff(&literal(2_000)).unwrap();
-    let e = Interp::with_engine(Engine::Vm)
-        .run(&literal(40_000))
-        .unwrap_err();
+    let e = Interp::new().run(&literal(40_000)).unwrap_err();
     assert!(e.message.contains("out of temporaries"), "{e}");
     // 255 arguments, each a call.
     let args: Vec<String> = (0..255).map(|i| format!("id({i})")).collect();

@@ -324,9 +324,6 @@ pub struct ScriptPolicy {
     /// Shared so the check caches can recognise this snapshot by identity.
     fields: Arc<BTreeMap<String, PValue>>,
     class: Option<Arc<ClassDecl>>,
-    /// When set, checks run on this engine instead of the process default
-    /// (the interpreter-vs-VM benchmarks pin one policy to each engine).
-    engine: Option<crate::interp::Engine>,
     /// The class's check plan, resolved by the first crossing.
     plan: OnceLock<Arc<ClassPlan>>,
 }
@@ -344,31 +341,8 @@ impl ScriptPolicy {
             class_name,
             fields: Arc::new(fields),
             class,
-            engine: None,
             plan: OnceLock::new(),
         }
-    }
-
-    /// Reserved serialized-field name carrying the engine pin. The `__rp_`
-    /// prefix keeps it out of the script-visible field namespace (RSL
-    /// identifiers never start with it in practice, and the revival path
-    /// strips it before decoding instance fields).
-    pub const ENGINE_FIELD: &'static str = "__rp_engine";
-
-    /// Pins `export_check` to a specific engine (default: the process
-    /// engine). Used by benchmarks and the differential tests. The pin
-    /// persists: serialization emits it as the reserved
-    /// [`ENGINE_FIELD`](Self::ENGINE_FIELD) and revival re-applies it, so
-    /// a policy written to storage under one engine keeps checking on that
-    /// engine after a restart even if the process default changed.
-    pub fn with_engine(mut self, engine: crate::interp::Engine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// The engine pin, if any.
-    pub fn engine(&self) -> Option<crate::interp::Engine> {
-        self.engine
     }
 
     /// The snapshotted fields.
@@ -397,20 +371,14 @@ impl resin_core::Policy for ScriptPolicy {
             return Ok(());
         };
         let plan = self.plan.get_or_init(|| crate::check::plan_for(class));
-        let engine = self.engine.unwrap_or_else(crate::interp::default_engine);
-        crate::check::cross(engine, plan, &self.fields, context)
+        crate::check::cross(plan, &self.fields, context)
     }
 
     fn serialize_fields(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .fields
+        self.fields
             .iter()
             .map(|(k, v)| (k.clone(), v.encode()))
-            .collect();
-        if let Some(engine) = self.engine {
-            out.push((Self::ENGINE_FIELD.to_string(), engine.name().to_string()));
-        }
-        out
+            .collect()
     }
 
     /// A script policy's behaviour lives in the captured class AST, not in

@@ -2,16 +2,17 @@
 //!
 //! One slot array and an explicit frame stack shared by every active call
 //! — script recursion consumes VM frames, not native stack, and is bounded
-//! by the same depth cap as the tree-walker. An instruction names its
+//! by `MAX_CALL_DEPTH`. An instruction names its
 //! operands (`Src`: a slot of the frame or a constant) and its
 //! destination slot; there is no value stack. Each instruction is
 //! implemented once: in the dispatch loop, the cases a policy's loop is
 //! made of — unlabeled ints, compares, bound slots, an array indexed where
 //! it lies — by matching references into the slots, so nothing is cloned
 //! to be looked at; then, out of line, the general path (labels, strings,
-//! unbound locals, errors), which reads the operands as values in the
-//! tree-walker's order and delegates to the exact helpers the tree-walker
-//! uses, so the two engines cannot drift in taint semantics.
+//! unbound locals, errors), which reads the operands as values in source
+//! order and delegates to `Interp`'s operation helpers. Those helpers are
+//! the one definition of taint semantics; the test-only differential
+//! oracle walks the AST over the same ones.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -26,9 +27,8 @@ use crate::compiler::chunk_for;
 use crate::interp::{rt, Builtin, Flow, Interp, MAX_CALL_DEPTH, R};
 use crate::value::{Obj, Value};
 
-/// Total backward jumps one VM run may take — the VM's equivalent of the
-/// tree-walker's per-loop iteration limit (a global budget rather than a
-/// per-loop counter, but the same order of magnitude and error).
+/// Total backward jumps one VM run may take before it fails with `loop
+/// iteration limit exceeded` (a budget for the whole run, not per loop).
 const BACK_JUMP_LIMIT: u64 = 100_000_000;
 
 #[cfg(debug_assertions)]
@@ -66,8 +66,8 @@ fn compiled(interp: &mut Interp, decl: &Arc<FnDecl>) -> R<Arc<Chunk>> {
     chunk_for(interp, decl).map_err(Flow::Error)
 }
 
-/// Compiles and calls a function — the VM counterpart of `call_decl`, with
-/// the same arity error and depth cap.
+/// Compiles and calls a function, with `enter`'s arity error and depth
+/// cap.
 pub(crate) fn call_function(
     interp: &mut Interp,
     decl: &Arc<FnDecl>,
@@ -100,7 +100,7 @@ enum FrameMode {
     /// Ordinary call: the value goes to the caller's destination slot.
     Call,
     /// Constructor: discard the value, this object is the result (`new`
-    /// ignores `init`'s return value, like the tree-walker).
+    /// ignores `init`'s return value).
     Init(Value),
 }
 
@@ -138,8 +138,8 @@ struct Vm<'a> {
 }
 
 /// Enters `chunk` as a frame that counts against the call-depth cap
-/// (calls, methods, constructors, and function entry from Rust), with
-/// `call_decl`'s arity error. Its window starts at `base`: the caller has
+/// (calls, methods, constructors, and function entry from Rust), checking
+/// its arity. Its window starts at `base`: the caller has
 /// put `this` (or nothing) there and the `argc` arguments after it; the
 /// callee's other slots start unbound, whatever dead temporary of the
 /// caller lay there.
@@ -309,8 +309,8 @@ struct Regs<'a> {
 
 impl<'a> Regs<'a> {
     /// The operand as a value: a bound slot or a constant, else (a named
-    /// local) the global with the slot's name, exactly like the
-    /// tree-walker's frame-then-globals lookup.
+    /// local) the global with the slot's name — the frame-then-globals
+    /// lookup of RSL's scoping.
     fn read(&self, src: Src) -> R<Value> {
         match src.decode() {
             Ok(slot) => match &self.frame[slot] {
@@ -715,8 +715,8 @@ impl<'a> Vm<'a> {
                         base: w,
                         dst,
                     } => {
-                        // Script functions shadow builtins, as in the
-                        // tree-walker, whenever they were defined.
+                        // Script functions shadow builtins whenever they
+                        // were defined.
                         if !regs.interp.fns.is_empty() {
                             if let Some(callee) = tri!(regs.script_fn(id.name())) {
                                 regs.frame[w as usize] = None;
@@ -745,7 +745,7 @@ impl<'a> Vm<'a> {
                             call!(init, w, argc, dst, FrameMode::Init(obj))
                         }
                         // No constructor: the arguments were evaluated and
-                        // are dropped, matching the tree-walker.
+                        // are dropped.
                         (obj, None) => regs.frame[dst as usize] = Some(obj),
                     },
                     Op::GetProp { dst, obj, name } => tri!(regs.get_prop(dst, obj, name)),
@@ -794,8 +794,8 @@ impl<'a> Vm<'a> {
                 }
             };
             return Err(match flow {
-                // The innermost frame's line table wins, matching the
-                // tree-walker's innermost-statement attribution.
+                // The innermost frame's line table wins: an error is
+                // reported at the innermost statement it unwound.
                 Flow::Error(mut e) if e.line.is_none() => {
                     e.line = chunk.line_of(at);
                     Flow::Error(e)

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use resin_core::{Context, GateKind, Policy};
 use resin_lang::ast::StmtKind;
-use resin_lang::{compiled_policy_chunks, parse_program, Engine, ScriptPolicy};
+use resin_lang::{compiled_policy_chunks, parse_program, ScriptPolicy};
 
 const CLASS_SRC: &str = r#"
 class MailOnly {
@@ -39,7 +39,7 @@ fn parse_class(src: &str) -> std::sync::Arc<resin_lang::ast::ClassDecl> {
 fn policy_for(class: std::sync::Arc<resin_lang::ast::ClassDecl>) -> ScriptPolicy {
     let mut fields = BTreeMap::new();
     fields.insert("addr".to_string(), resin_lang::PValue::Str("u@x".into()));
-    ScriptPolicy::new(class.name.clone(), fields, Some(class)).with_engine(Engine::Vm)
+    ScriptPolicy::new(class.name.clone(), fields, Some(class))
 }
 
 #[test]

@@ -5,15 +5,14 @@
 //! column (§3.4.1 — class name + fields), and a SELECT revives it. The
 //! check fires at a *checking* surface — here an HTTP gate — where the
 //! revived policy's RSL `export_check` runs on the compiled-chunk VM
-//! path; `pinned_engines_agree_before_and_after_persistence` re-runs the
-//! crossing against the tree-walking oracle.
+//! path, with the same verdict before and after persistence.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use resin_core::{Gate, GateKind, TaintedStrBuilder, TaintedString};
 use resin_lang::ast::StmtKind;
-use resin_lang::{parse_program, Engine, Interp, PValue, ScriptPolicy};
+use resin_lang::{parse_program, Interp, PValue, ScriptPolicy};
 use resin_sql::ResinDb;
 
 /// Confines labeled data to one channel type (`"sql"`, `"http"`, ...).
@@ -27,12 +26,12 @@ class ChannelOnly {
 }
 "#;
 
-/// A `ChannelOnly(channel)` policy pinned to `engine`. Defining the
-/// class through the interpreter (as an application would) registers it
-/// with the process policy registry, so the sql layer can persist
-/// instances into policy columns and revive them on read.
-fn channel_only(channel: &str, engine: Engine) -> Arc<ScriptPolicy> {
-    Interp::with_engine(engine)
+/// A `ChannelOnly(channel)` policy. Defining the class through the
+/// interpreter (as an application would) registers it with the process
+/// policy registry, so the sql layer can persist instances into policy
+/// columns and revive them on read.
+fn channel_only(channel: &str) -> Arc<ScriptPolicy> {
+    Interp::new()
         .run(CHANNEL_ONLY_SRC)
         .expect("policy class defines");
     let class = parse_program(CHANNEL_ONLY_SRC)
@@ -45,7 +44,7 @@ fn channel_only(channel: &str, engine: Engine) -> Arc<ScriptPolicy> {
         .expect("class decl");
     let mut fields = BTreeMap::new();
     fields.insert("channel".to_string(), PValue::Str(channel.to_string()));
-    Arc::new(ScriptPolicy::new(class.name.clone(), fields, Some(class)).with_engine(engine))
+    Arc::new(ScriptPolicy::new(class.name.clone(), fields, Some(class)))
 }
 
 fn insert_labeled(db: &ResinDb, id: i64, name: &str, policy: Arc<ScriptPolicy>) {
@@ -72,8 +71,8 @@ fn script_policy_survives_sql_and_enforces_at_http_gate() {
         .unwrap();
 
     // Storage is not an export: both inserts succeed, policies and all.
-    insert_labeled(&db, 1, "carol", channel_only("http", Engine::Vm));
-    insert_labeled(&db, 2, "dave", channel_only("email", Engine::Vm));
+    insert_labeled(&db, 1, "carol", channel_only("http"));
+    insert_labeled(&db, 2, "dave", channel_only("email"));
 
     // The revived policy still guards the data at the checking surface:
     // the http-confined row crosses an HTTP gate, the email-confined one
@@ -93,22 +92,20 @@ fn script_policy_survives_sql_and_enforces_at_http_gate() {
 }
 
 #[test]
-fn pinned_engines_agree_before_and_after_persistence() {
-    // Head-to-head: the same labeled value, pinned to each engine,
-    // must get the same verdict at an HTTP gate both when exported
-    // directly and when exported after a round trip through the db.
-    for engine in [Engine::Tree, Engine::Vm] {
-        let mut direct = TaintedString::from("dave");
-        direct.add_policy(channel_only("email", engine));
-        let mut http = Gate::new(GateKind::Http);
-        let err = http.write(direct).unwrap_err();
-        assert!(err.is_violation(), "direct export on {engine:?}: {err}");
+fn verdict_agrees_before_and_after_persistence() {
+    // The same labeled value gets the same verdict at an HTTP gate both
+    // when exported directly and when exported after a round trip
+    // through the db.
+    let mut direct = TaintedString::from("dave");
+    direct.add_policy(channel_only("email"));
+    let mut http = Gate::new(GateKind::Http);
+    let err = http.write(direct).unwrap_err();
+    assert!(err.is_violation(), "direct export: {err}");
 
-        let db = ResinDb::new();
-        db.query_str("CREATE TABLE users (id INTEGER, name TEXT)")
-            .unwrap();
-        insert_labeled(&db, 2, "dave", channel_only("email", engine));
-        let err = http.write(select_name(&db, 2)).unwrap_err();
-        assert!(err.is_violation(), "revived export on {engine:?}: {err}");
-    }
+    let db = ResinDb::new();
+    db.query_str("CREATE TABLE users (id INTEGER, name TEXT)")
+        .unwrap();
+    insert_labeled(&db, 2, "dave", channel_only("email"));
+    let err = http.write(select_name(&db, 2)).unwrap_err();
+    assert!(err.is_violation(), "revived export: {err}");
 }

@@ -2,16 +2,15 @@
 //!
 //! A `ScriptPolicy` written in RSL rides on response data; `Response`
 //! exports cross the registry's http gate, which runs the policy's
-//! `export_check` — on the bytecode VM by default, with the tree-walker
-//! as the differential oracle. Both engines must allow and deny
-//! identically at a real web-layer gate.
+//! `export_check` on the bytecode VM and allows or denies at a real
+//! web-layer gate.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use resin_core::TaintedString;
 use resin_lang::ast::StmtKind;
-use resin_lang::{parse_program, Engine, PValue, ScriptPolicy};
+use resin_lang::{parse_program, PValue, ScriptPolicy};
 use resin_web::Response;
 
 /// The paper's owner-only shape: data may reach the HTTP channel only
@@ -26,7 +25,7 @@ class OwnerOnly {
 }
 "#;
 
-fn owner_only(owner: &str, engine: Engine) -> TaintedString {
+fn owner_only(owner: &str) -> TaintedString {
     let class = parse_program(OWNER_ONLY_SRC)
         .expect("policy parses")
         .into_iter()
@@ -37,52 +36,37 @@ fn owner_only(owner: &str, engine: Engine) -> TaintedString {
         .expect("class decl");
     let mut fields = BTreeMap::new();
     fields.insert("owner".to_string(), PValue::Str(owner.to_string()));
-    let policy = ScriptPolicy::new(class.name.clone(), fields, Some(class)).with_engine(engine);
+    let policy = ScriptPolicy::new(class.name.clone(), fields, Some(class));
     let mut s = TaintedString::from("alice's draft review");
     s.add_policy(Arc::new(policy));
     s
 }
 
 #[test]
-fn http_gate_runs_script_policy_on_both_engines() {
-    for engine in [Engine::Tree, Engine::Vm] {
-        // The owner sees their own data.
-        let mut r = Response::for_user("alice");
-        r.echo(owner_only("alice", engine))
-            .unwrap_or_else(|e| panic!("owner blocked on {engine:?}: {e}"));
-        assert_eq!(r.body(), "alice's draft review");
+fn http_gate_runs_script_policy() {
+    // The owner sees their own data.
+    let mut r = Response::for_user("alice");
+    r.echo(owner_only("alice"))
+        .unwrap_or_else(|e| panic!("owner blocked: {e}"));
+    assert_eq!(r.body(), "alice's draft review");
 
-        // Anyone else is denied at the gate, and nothing leaks.
-        let mut r = Response::for_user("mallory");
-        let err = r.echo(owner_only("alice", engine)).unwrap_err();
-        assert!(
-            err.is_violation(),
-            "expected violation on {engine:?}: {err}"
-        );
-        assert!(
-            err.to_string().contains("not the owner"),
-            "policy's own message surfaces on {engine:?}: {err}"
-        );
-        assert_eq!(r.body(), "", "nothing visible after violation");
-    }
+    // Anyone else is denied at the gate, and nothing leaks.
+    let mut r = Response::for_user("mallory");
+    let err = r.echo(owner_only("alice")).unwrap_err();
+    assert!(err.is_violation(), "expected violation: {err}");
+    assert!(
+        err.to_string().contains("not the owner"),
+        "policy's own message surfaces: {err}"
+    );
+    assert_eq!(r.body(), "", "nothing visible after violation");
 }
 
 #[test]
-fn both_engines_agree_on_every_outcome() {
-    // Differential check at the web gate itself: for each (owner, user)
-    // pair the two engines must return the same allow/deny decision.
+fn every_outcome_follows_the_owner() {
+    // Allow exactly when the gate's user is the owner, at the web gate.
     for (owner, user) in [("a", "a"), ("a", "b"), ("", ""), ("x", "")] {
-        let verdicts: Vec<bool> = [Engine::Tree, Engine::Vm]
-            .into_iter()
-            .map(|engine| {
-                let mut r = Response::for_user(user);
-                r.echo(owner_only(owner, engine)).is_ok()
-            })
-            .collect();
-        assert_eq!(
-            verdicts[0], verdicts[1],
-            "engines disagree for owner={owner:?} user={user:?}"
-        );
-        assert_eq!(verdicts[0], owner == user);
+        let mut r = Response::for_user(user);
+        let allowed = r.echo(owner_only(owner)).is_ok();
+        assert_eq!(allowed, owner == user, "owner={owner:?} user={user:?}");
     }
 }

@@ -1,11 +1,8 @@
 //! Server-side script injection and the CodeApproval import filter
 //! (paper §5.2, Figure 6), running on the RSL bytecode VM.
 //!
-//! The interpreter runs the compiled engine; the tree-walker is kept as
-//! a differential oracle for tests that pin it.
-//! The import filter is a data-flow check on the imported bytes, so the
-//! engine executing the app makes no difference to the defense — this
-//! demo asserts the attack fails closed on the VM path.
+//! The import filter is a data-flow check on the imported bytes: this
+//! demo asserts the attack fails closed and approved code still loads.
 //!
 //! ```text
 //! cargo run --example script_injection
@@ -15,7 +12,6 @@ use resin::lang::Interp;
 
 fn main() {
     let mut interp = Interp::new();
-    println!("engine: {:?}", interp.engine());
 
     // Install the application and tag its code as approved (Figure 6's
     // make_file_executable), then arm the interpreter's import filter.
