@@ -16,13 +16,19 @@
 //!   ([`crate::analysis::effects`]), one materialized `this` per class
 //!   declaration and thread, revalidated by the identity of the policy's
 //!   field snapshot (equality only when the pointers differ), and the
-//!   `$context` map of the last context seen.
+//!   `$context` map of the last context seen;
+//! * per thread, the allows of the current context: a crossing whose
+//!   (plan, field-snapshot identity, context stamp) already allowed is not
+//!   executed again, provided its class passes a small bytecode checker
+//!   (`ClassPlan::verdict_is_reusable`) — one that does not consult the
+//!   effects analysis. A deny is always executed again.
 //!
-//! None of it is a verdict cache: every crossing executes `export_check`.
 //! [`set_check_cache`]`(false)` is the from-scratch path — a fresh
 //! evaluator, a fresh `this`, a fresh context map, chunks compiled on the
-//! spot — and debug builds run it after every served crossing of a
-//! cache-eligible class and panic when the two verdicts differ.
+//! spot, no verdict reused — and debug builds run it after every served
+//! crossing of a cache-eligible class and after every reused verdict, and
+//! panic when the two verdicts differ or when a cached `this` no longer
+//! matches its snapshot.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -33,8 +39,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use resin_core::{Context, CtxValue, PolicyViolation};
 
 use crate::ast::ClassDecl;
-use crate::chunk::Chunk;
-use crate::interp::{Flow, Interp, LangError, R};
+use crate::chunk::{Chunk, Op};
+use crate::interp::{Builtin, Flow, Interp, LangError, R};
 use crate::value::{Obj, PValue, Value};
 
 /// A policy's field snapshot, as [`ScriptPolicy`](crate::ScriptPolicy)
@@ -52,11 +58,17 @@ pub(crate) struct ClassPlan {
     /// The effects analysis' verdict: `this` and the context map may be
     /// reused across crossings.
     cacheable: bool,
+    /// The fields the analysis found written and never read: the only
+    /// ones a cached `this` may hold apart from its snapshot.
+    #[cfg(debug_assertions)]
+    write_only: std::collections::BTreeSet<String>,
     /// Index of `export_check` among the class's methods.
     export_check: Option<usize>,
     /// One chunk per method, parallel to `class.methods`, compiled on
     /// first use.
     chunks: Vec<OnceLock<Arc<Chunk>>>,
+    /// [`ClassPlan::verdict_is_reusable`], decided on first use.
+    reusable: OnceLock<bool>,
 }
 
 static POLICY_COMPILES: AtomicU64 = AtomicU64::new(0);
@@ -81,13 +93,89 @@ pub fn plan_table_locks() -> u64 {
 impl ClassPlan {
     fn new(class: &Arc<ClassDecl>) -> ClassPlan {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let effects = crate::analysis::class_effects(class);
         ClassPlan {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             class: class.clone(),
-            cacheable: check_is_cacheable(class),
+            cacheable: effects.cache_eligible(),
+            #[cfg(debug_assertions)]
+            write_only: effects.field_writes,
             export_check: class.methods.iter().position(|m| m.name == "export_check"),
             chunks: class.methods.iter().map(|_| OnceLock::new()).collect(),
+            reusable: OnceLock::new(),
         }
+    }
+
+    /// True when an allow from `export_check` may be reused for the same
+    /// field snapshot under the same context stamp: the certificate that
+    /// the verdict is a function of the class, the snapshot and the
+    /// context's content.
+    ///
+    /// Every instruction of `export_check` and of every method it reaches
+    /// by a resolved `this.m()` must be one that neither creates nor
+    /// reaches state outside the run: no assignment that may fall back to a
+    /// global, no global, no script function, no `new`, no store into an
+    /// object or container, no definition, and only builtins that compute
+    /// from their arguments. A crossing starts on a pristine evaluator, so
+    /// no global, function or class exists, and nothing here can create
+    /// one: an unbound local's global fallback fails the same way every
+    /// time. The only object reachable is `this` (fields and context hold
+    /// none), and nothing can mutate a container or build a cycle.
+    pub(crate) fn verdict_is_reusable(&self) -> bool {
+        *self.reusable.get_or_init(|| self.certify())
+    }
+
+    fn certify(&self) -> bool {
+        let Some(entry) = self.export_check else {
+            return false;
+        };
+        let mut seen = vec![false; self.chunks.len()];
+        seen[entry] = true;
+        let mut todo = vec![entry];
+        while let Some(method) = todo.pop() {
+            let Ok(chunk) = self.chunk(method) else {
+                return false;
+            };
+            for op in &chunk.code {
+                match *op {
+                    Op::Move { .. }
+                    | Op::MakeArray { .. }
+                    | Op::Not { .. }
+                    | Op::Neg { .. }
+                    | Op::Add { .. }
+                    | Op::Sub { .. }
+                    | Op::Mul { .. }
+                    | Op::Div { .. }
+                    | Op::Mod { .. }
+                    | Op::Cmp { .. }
+                    | Op::CmpJump { .. }
+                    | Op::Jump(_)
+                    | Op::JumpIf { .. }
+                    | Op::GetProp { .. }
+                    | Op::Index { .. }
+                    | Op::Return { .. }
+                    | Op::Throw { .. } => {}
+                    Op::CallBuiltin { id, .. } if computes_only(id) => {}
+                    Op::Method { index, .. } if index != Op::UNRESOLVED => {
+                        let index = index as usize;
+                        if !std::mem::replace(&mut seen[index], true) {
+                            todo.push(index);
+                        }
+                    }
+                    Op::Assign { .. }
+                    | Op::LoadGlobal { .. }
+                    | Op::StoreGlobal { .. }
+                    | Op::Call { .. }
+                    | Op::CallBuiltin { .. }
+                    | Op::Method { .. }
+                    | Op::New { .. }
+                    | Op::SetProp { .. }
+                    | Op::SetIndex { .. }
+                    | Op::Define(_) => return false,
+                }
+            }
+        }
+        true
     }
 
     /// The class this plan was resolved for.
@@ -146,9 +234,31 @@ pub(crate) fn plan_for(class: &Arc<ClassDecl>) -> Arc<ClassPlan> {
 /// escapes, no container reachable from a field or the context is mutated
 /// in place, and every directly-written field is write-only — never read
 /// by any reachable method, so a later crossing cannot observe the
-/// previous crossing's value.
+/// previous crossing's value. (A plan keeps this verdict as `cacheable`.)
+#[cfg(test)]
 pub(crate) fn check_is_cacheable(class: &ClassDecl) -> bool {
     crate::analysis::class_effects(class).cache_eligible()
+}
+
+/// The builtins whose result is a function of their arguments alone and
+/// that change nothing: no output, no file, no gate, no mutated container.
+fn computes_only(id: Builtin) -> bool {
+    matches!(
+        id,
+        Builtin::Len
+            | Builtin::Substr
+            | Builtin::Upper
+            | Builtin::Lower
+            | Builtin::Trim
+            | Builtin::Contains
+            | Builtin::Replace
+            | Builtin::Split
+            | Builtin::Join
+            | Builtin::Str
+            | Builtin::Int
+            | Builtin::Typeof
+            | Builtin::Keys
+    )
 }
 
 // ---- per-thread state ----
@@ -162,7 +272,25 @@ struct ThisSlot {
 /// `this` slots a thread keeps before its table is cleared.
 const THIS_SLOT_CAP: usize = 256;
 
+/// The crossings that allowed under one context stamp, for plans whose
+/// verdicts are reusable.
+struct Allowed {
+    stamp: u64,
+    /// `(plan id, field snapshot)`; the held clone keeps the snapshot's
+    /// address from being reused while the entry lives.
+    entries: Vec<(u64, Arc<Fields>)>,
+}
+
+/// Allows a thread keeps for one context before it starts over.
+const ALLOWED_CAP: usize = 64;
+
 thread_local! {
+    /// Context stamps start at 1, so the initial stamp matches none.
+    static ALLOWED: RefCell<Allowed> = RefCell::new(Allowed {
+        stamp: 0,
+        entries: Vec::with_capacity(ALLOWED_CAP),
+    });
+    static VERDICTS_REUSED: Cell<u64> = const { Cell::new(0) };
     /// One slot per class plan. Each pins its class (through the object),
     /// which is why the table is bounded.
     static THIS_SLOTS: RefCell<HashMap<u64, ThisSlot>> = RefCell::new(HashMap::new());
@@ -179,21 +307,30 @@ thread_local! {
 }
 
 /// Disables (or re-enables) this thread's policy-check caches — the cached
-/// `this`, the cached context map and the pooled evaluator. For tests that
-/// need the from-scratch crossing as a baseline; production callers leave
-/// the caches on.
+/// `this`, the cached context map, the pooled evaluator and the reused
+/// allows. For tests that need the from-scratch crossing as a baseline;
+/// production callers leave the caches on.
 pub fn set_check_cache(enabled: bool) {
     CHECK_CACHE_ENABLED.with(|c| c.set(enabled));
 }
 
 /// Per-thread policy-check cache counters `(hits, misses)`: a hit means a
-/// crossing reused the materialized `this`; a miss means it rebuilt it
+/// crossing reused the materialized `this`, or did not execute at all
+/// because it reused an allow of the same snapshot under the same context
+/// ([`verdicts_reused`] counts those); a miss means it rebuilt `this`
 /// (first crossing, mutating policy class, or changed fields).
 pub fn check_cache_stats() -> (u64, u64) {
     (
         CHECK_CACHE_HITS.with(|c| c.get()),
         CHECK_CACHE_MISSES.with(|c| c.get()),
     )
+}
+
+/// Crossings on this thread that reused an earlier allow instead of
+/// executing `export_check` (a count for tests).
+#[doc(hidden)]
+pub fn verdicts_reused() -> u64 {
+    VERDICTS_REUSED.with(|c| c.get())
 }
 
 fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
@@ -300,6 +437,30 @@ fn context_map_for_check(context: &Context, cacheable: bool) -> Value {
     })
 }
 
+/// True when this snapshot of the plan's class already allowed under the
+/// context stamped `stamp`.
+fn allowed_before(plan: &ClassPlan, fields: &Arc<Fields>, stamp: u64) -> bool {
+    ALLOWED.with(|allowed| {
+        let allowed = allowed.borrow();
+        allowed.stamp == stamp
+            && allowed
+                .entries
+                .iter()
+                .any(|(id, snap)| *id == plan.id && Arc::ptr_eq(snap, fields))
+    })
+}
+
+fn remember_allowed(plan: &ClassPlan, fields: &Arc<Fields>, stamp: u64) {
+    ALLOWED.with(|allowed| {
+        let mut allowed = allowed.borrow_mut();
+        if allowed.stamp != stamp || allowed.entries.len() >= ALLOWED_CAP {
+            allowed.stamp = stamp;
+            allowed.entries.clear();
+        }
+        allowed.entries.push((plan.id, fields.clone()));
+    })
+}
+
 // ---- the crossing ----
 
 pub(crate) fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViolation> {
@@ -335,6 +496,14 @@ pub(crate) fn cross(
         count(&CHECK_CACHE_MISSES);
         return from_scratch(&plan.class, fields, context);
     }
+    let stamp = context.cache_stamp();
+    if allowed_before(plan, fields, stamp) {
+        count(&CHECK_CACHE_HITS);
+        count(&VERDICTS_REUSED);
+        #[cfg(debug_assertions)]
+        oracle::compare(&plan.class, fields, context, &Ok(()));
+        return Ok(());
+    }
     // No VFS or HTTP gate exists unless a policy body touches one, and
     // one that did keeps the evaluator out of the pool.
     let mut interp = EVALUATOR.take().unwrap_or_default();
@@ -355,6 +524,10 @@ pub(crate) fn cross(
     #[cfg(debug_assertions)]
     if plan.cacheable {
         oracle::compare(&plan.class, fields, context, &served);
+        oracle::this_matches_its_snapshot(plan, fields);
+    }
+    if served.is_ok() && plan.verdict_is_reusable() {
+        remember_allowed(plan, fields, stamp);
     }
     served
 }
@@ -423,6 +596,56 @@ mod oracle {
              served {served:?}, from scratch {scratch:?}",
             class.name
         );
+    }
+
+    /// After a served crossing of a cache-eligible class, the `this` the
+    /// next crossing will reuse must still be the snapshot: every field
+    /// converts back to the snapshot's value, and the only extra fields
+    /// are ones the analysis found write-only.
+    pub(super) fn this_matches_its_snapshot(plan: &ClassPlan, fields: &Fields) {
+        THIS_SLOTS.with(|slots| {
+            let slots = slots.borrow();
+            let Some(slot) = slots.get(&plan.id) else {
+                return;
+            };
+            let this = slot.obj.borrow();
+            let class = &plan.class.name;
+            for (name, value) in &this.fields {
+                if plan.write_only.contains(name) {
+                    continue;
+                }
+                let Some(snap) = fields.get(name) else {
+                    panic!("the check caches left a field `{name}` on the `this` of policy class `{class}` that its snapshot lacks");
+                };
+                assert!(
+                    converts_to(value, snap),
+                    "the check caches left field `{name}` of policy class `{class}` at {value:?}, \
+                     its snapshot holds {snap:?}"
+                );
+            }
+            for name in fields.keys() {
+                assert!(
+                    this.fields.contains_key(name),
+                    "the check caches lost field `{name}` of policy class `{class}`"
+                );
+            }
+        })
+    }
+
+    /// `PValue::from_value(value) == Some(snap)`, without building the
+    /// conversion (a warm crossing allocates nothing, oracle or not).
+    pub(super) fn converts_to(value: &Value, snap: &PValue) -> bool {
+        match (value, snap) {
+            (Value::Null, PValue::Null) => true,
+            (Value::Bool(a), PValue::Bool(b)) => a == b,
+            (Value::Int(a, _), PValue::Int(b)) => a == b,
+            (Value::Str(a), PValue::Str(b)) => a.as_str() == b,
+            (Value::Array(a), PValue::List(b)) => {
+                let a = a.borrow();
+                a.len() == b.len() && a.iter().zip(b).all(|(a, b)| converts_to(a, b))
+            }
+            _ => false,
+        }
     }
 }
 
@@ -628,17 +851,24 @@ mod tests {
         assert_eq!(seen[1], Ok(()));
     }
 
+    const OWNER: &str = r#"class Owner {
+        fn is_owner(user) { return user == this.owner; }
+        fn export_check(context) {
+            if (this.is_owner(context["user"])) { return; }
+            throw "not the owner";
+        }
+    }"#;
+
+    const QUOTA: &str = r#"class Quota {
+        fn export_check(context) {
+            let w = this.weights;
+            if (w[0] + w[1] > this.limit) { throw "over " + this.name; }
+        }
+    }"#;
+
     #[test]
     fn twin_policies_alternate_on_one_pooled_evaluator() {
-        let owner = class(
-            r#"class Owner {
-                fn is_owner(user) { return user == this.owner; }
-                fn export_check(context) {
-                    if (this.is_owner(context["user"])) { return; }
-                    throw "not the owner";
-                }
-            }"#,
-        );
+        let owner = class(OWNER);
         let fields = [("owner", PValue::Str("alice".into()))];
         let (one, twin) = (policy(&owner, &fields), policy(&owner, &fields));
         for user in ["alice", "mallory", "alice"] {
@@ -674,14 +904,7 @@ mod tests {
 
     #[test]
     fn each_instance_is_judged_by_its_own_fields() {
-        let quota = class(
-            r#"class Quota {
-                fn export_check(context) {
-                    let w = this.weights;
-                    if (w[0] + w[1] > this.limit) { throw "over " + this.name; }
-                }
-            }"#,
-        );
+        let quota = class(QUOTA);
         assert!(check_is_cacheable(&quota));
         let of = |w: [i64; 2], limit: i64, name: &str| {
             policy(
@@ -700,12 +923,15 @@ mod tests {
         for i in [1, 3, 4] {
             assert!(seen[i].as_ref().unwrap_err().ends_with("over tight"));
         }
-        // Alternating instances rebuild `this` every time; the same one
-        // twice in a row reuses it.
+        // Alternating instances rebuild `this` every time they execute; the
+        // same one twice in a row reuses it. `roomy` executes once under
+        // this context (a miss) and then reuses its allow twice (two hits
+        // that leave `this` alone), so `tight`'s denies miss once and then
+        // find the slot holding `tight` twice.
         let (h0, m0) = check_cache_stats();
         verdicts(&[&roomy, &tight, &roomy, &roomy, &tight, &tight], &http());
         let (h1, m1) = check_cache_stats();
-        assert_eq!((h1 - h0, m1 - m0), (2, 4));
+        assert_eq!((h1 - h0, m1 - m0), (4, 2));
         // Equal fields in a separately allocated map are the same snapshot.
         let twin = of([5, 6], 10, "tight");
         assert!(!std::ptr::eq(twin.fields(), tight.fields()));
@@ -778,5 +1004,247 @@ mod tests {
             1,
             "evicted with its plan and its `this`"
         );
+    }
+
+    /// `rsl_page`'s three classes.
+    const PAGE_CLASSES: [&str; 3] = [
+        r#"class ChannelGate {
+            fn export_check(context) {
+                if (context["type"] == "http") { return; }
+                throw "channel not allowed";
+            }
+        }"#,
+        r#"class ChannelQuota {
+            fn export_check(context) {
+                let w = this.weights;
+                let n = len(w);
+                let acc = 0;
+                let i = 0;
+                while (i < n) { acc = (acc * 33 + w[i]) % 65521; i = i + 1; }
+                if (acc > 70000 + this.tag) { throw "quota exceeded"; }
+                if (context["type"] == "http") { return; }
+                throw "channel not allowed";
+            }
+        }"#,
+        r#"class AllowList {
+            fn listed(user) {
+                let u = this.users;
+                let i = 0;
+                while (i < len(u)) { if (u[i] == user) { return true; } i = i + 1; }
+                return false;
+            }
+            fn export_check(context) {
+                if (context["type"] != "http") { throw "channel not allowed"; }
+                if (this.listed(context["user"])) { return; }
+                throw "viewer not on the allow list";
+            }
+        }"#,
+    ];
+
+    fn reusable(src: &str) -> bool {
+        plan_for(&class(src)).verdict_is_reusable()
+    }
+
+    /// Crossings of `p` that executed and that reused an allow.
+    fn executed_and_reused(p: &ScriptPolicy, ctx: &Context, n: usize) -> (u64, u64) {
+        let ((h0, m0), r0) = (check_cache_stats(), verdicts_reused());
+        for _ in 0..n {
+            let _ = p.export_check(ctx);
+        }
+        let ((h1, m1), r1) = (check_cache_stats(), verdicts_reused());
+        let reused = r1 - r0;
+        (h1 - h0 + m1 - m0 - reused, reused)
+    }
+
+    #[test]
+    fn read_only_classes_are_certified() {
+        for src in PAGE_CLASSES.iter().chain(&[OWNER, QUOTA]) {
+            assert!(reusable(src), "{src}");
+        }
+        // Every builtin that only computes, wherever it sits.
+        for name in [
+            "len", "substr", "upper", "lower", "trim", "contains", "replace", "split", "join",
+            "str", "int", "typeof", "keys",
+        ] {
+            assert!(Builtin::from_name(name).is_some(), "{name}");
+            let src = format!(
+                "class Computes {{ fn export_check(c) {{ if (this.mode == 1) {{ {name}(); }} }} }}"
+            );
+            assert!(reusable(&src), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_class_that_may_reach_outside_its_run_executes_every_time() {
+        // Each reaches out only on a branch the crossings below never take.
+        let guarded = |body: &str| {
+            format!("class Refused {{ fn export_check(c) {{ if (this.mode == 1) {{ {body} }} }} }}")
+        };
+        let mut refused = vec![
+            (
+                WITNESS.to_string(),
+                "file_exists, a script function, a global",
+            ),
+            (
+                guarded(r#"import("/g.rsl"); return g;"#),
+                "a global read via import",
+            ),
+            (guarded("y = 1;"), "an assignment that may reach a global"),
+            (guarded("this.f = 1;"), "a field store"),
+            (guarded("let a = [1]; a[0] = 2;"), "an index store"),
+            (guarded("return new Refused();"), "new"),
+            (guarded("this.missing();"), "an unresolved method"),
+            (guarded("fn f() { return 1; }"), "a function definition"),
+            (
+                guarded("class Inner { fn m() { return 1; } }"),
+                "a class definition",
+            ),
+        ];
+        for name in [
+            "print",
+            "echo",
+            "http_context",
+            "set_email_preview",
+            "email",
+            "set_user",
+            "policy_add",
+            "policy_remove",
+            "policy_get",
+            "push",
+            "pop",
+            "map",
+            "mkdir",
+            "file_write",
+            "file_append",
+            "file_read",
+            "file_exists",
+            "make_executable",
+            "require_code_approval",
+            "import",
+            "assert",
+        ] {
+            assert!(Builtin::from_name(name).is_some(), "{name}");
+            refused.push((guarded(&format!("{name}();")), "a builtin that reaches out"));
+        }
+        let ctx = http();
+        for (src, why) in &refused {
+            let decl = class(src);
+            assert!(!plan_for(&decl).verdict_is_reusable(), "{why}: {src}");
+            let p = policy(&decl, &[("mode", PValue::Int(0))]);
+            assert_eq!(p.export_check(&ctx), Ok(()), "{why}: {src}");
+            assert_eq!(executed_and_reused(&p, &ctx, 3), (3, 0), "{why}: {src}");
+        }
+        // `Reent` (`echo`, `policy_add`, `new`) crosses a gate of its own
+        // from inside its check: every outer crossing executes, and so
+        // makes a second.
+        let reent = class(
+            r#"class Reent {
+                fn init(depth) { this.depth = depth; }
+                fn export_check(context) {
+                    if (this.depth > 0) { echo(policy_add("nested", new Reent(this.depth - 1))); }
+                }
+            }"#,
+        );
+        assert!(!plan_for(&reent).verdict_is_reusable());
+        let outer = policy(&reent, &[("depth", PValue::Int(1))]);
+        assert_eq!(executed_and_reused(&outer, &ctx, 3), (6, 0));
+        assert_eq!(outer.export_check(&ctx), Ok(()));
+    }
+
+    #[test]
+    fn an_allow_is_reused_for_its_snapshot_under_its_stamp_only() {
+        let owner = class(OWNER);
+        let alice = [("owner", PValue::Str("alice".into()))];
+        let (one, twin) = (policy(&owner, &alice), policy(&owner, &alice));
+        let mut ctx = http();
+        ctx.set_str("user", "alice");
+        assert_eq!(executed_and_reused(&one, &ctx, 3), (1, 2));
+        // A clone has the context's stamp, so its content.
+        assert_eq!(executed_and_reused(&one, &ctx.clone(), 1), (0, 1));
+        // An equal snapshot allocated apart is another key.
+        assert_eq!(executed_and_reused(&twin, &ctx, 2), (1, 1));
+        // Re-stamped with the same content: executed again.
+        ctx.set_str("user", "alice");
+        assert_eq!(executed_and_reused(&one, &ctx, 2), (1, 1));
+        // A deny is never reused, and an earlier allow does not outlive a
+        // change of context.
+        ctx.set_str("user", "mallory");
+        assert_eq!(executed_and_reused(&one, &ctx, 3), (3, 0));
+        assert!(one.export_check(&ctx).is_err());
+        // The caches off, nothing is reused.
+        ctx.set_str("user", "alice");
+        set_check_cache(false);
+        assert_eq!(executed_and_reused(&one, &ctx, 2), (2, 0));
+        set_check_cache(true);
+    }
+
+    #[test]
+    fn the_allows_are_bounded() {
+        let quota = class(QUOTA);
+        let ctx = http();
+        let capacity = ALLOWED.with(|a| a.borrow().entries.capacity());
+        for limit in 0..ALLOWED_CAP as i64 * 3 {
+            let p = policy(
+                &quota,
+                &[
+                    (
+                        "weights",
+                        PValue::List(vec![PValue::Int(0), PValue::Int(0)]),
+                    ),
+                    ("limit", PValue::Int(limit)),
+                    ("name", PValue::Str("q".into())),
+                ],
+            );
+            p.export_check(&ctx).unwrap();
+            ALLOWED.with(|a| {
+                let a = a.borrow();
+                assert!(a.entries.len() <= ALLOWED_CAP);
+                assert_eq!(a.entries.capacity(), capacity, "allocated once");
+            });
+        }
+    }
+
+    /// A wrong eligibility verdict the verdict oracle cannot see — the
+    /// check allows whatever its `this` holds — is caught by comparing the
+    /// cached `this` with its snapshot.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "field `log` of policy class `Logger`")]
+    fn a_wrongly_eligible_class_is_caught_by_its_snapshot() {
+        let logger = class(r#"class Logger { fn export_check(context) { push(this.log, 1); } }"#);
+        assert!(!check_is_cacheable(&logger));
+        let mut plan = ClassPlan::new(&logger);
+        plan.cacheable = true;
+        let fields = Fields::from([("log".to_string(), PValue::List(Vec::new()))]);
+        let _ = cross(&Arc::new(plan), &Arc::new(fields), &http());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_snapshot_comparison_is_the_conversion() {
+        let list = |items: Vec<Value>| Value::new_array(items);
+        let untrusted: resin_core::PolicyRef = Arc::new(resin_core::UntrustedData::new());
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::int(3),
+            Value::Int(3, resin_core::Label::of(&untrusted)),
+            Value::str("3"),
+            list(vec![]),
+            list(vec![Value::int(1), Value::str("x")]),
+            list(vec![list(vec![Value::int(1)])]),
+            list(vec![Value::new_map()]),
+            Value::new_map(),
+        ];
+        let snaps: Vec<PValue> = values.iter().filter_map(PValue::from_value).collect();
+        for value in &values {
+            for snap in &snaps {
+                assert_eq!(
+                    oracle::converts_to(value, snap),
+                    PValue::from_value(value).as_ref() == Some(snap),
+                    "{value:?} against {snap:?}"
+                );
+            }
+        }
     }
 }

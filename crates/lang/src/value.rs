@@ -22,7 +22,7 @@
 //! semantics, as before.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
@@ -131,7 +131,9 @@ impl Value {
     }
 
     /// Renders the value as a tainted string (policies carried: an int's
-    /// set applies to all its digits).
+    /// set applies to all its digits). Arrays and maps render without
+    /// native recursion, and one met again inside itself renders as `[...]`
+    /// or `{...}` (PHP's `*RECURSION*`), so any value renders.
     pub fn to_tainted(&self) -> TaintedString {
         match self {
             Value::Null => TaintedString::new(),
@@ -142,33 +144,91 @@ impl Value {
                 s
             }
             Value::Str(s) => TaintedString::clone(s),
-            Value::Array(a) => {
-                let mut out = TaintedStrBuilder::new();
-                out.push_char('[');
-                for (i, v) in a.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_tainted(&v.to_tainted());
-                }
-                out.push_char(']');
-                out.build()
-            }
-            Value::Map(m) => {
-                let mut out = TaintedStrBuilder::new();
-                out.push_char('{');
-                for (i, (k, v)) in m.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(k);
-                    out.push_str(": ");
-                    out.push_tainted(&v.to_tainted());
-                }
-                out.push_char('}');
-                out.build()
-            }
+            Value::Array(_) | Value::Map(_) => render_containers(self),
             Value::Object(o) => TaintedString::from(format!("<{}>", o.borrow().class.name)),
+        }
+    }
+}
+
+/// A container being rendered: its address, its closing bracket, and the
+/// entries (a map's with their keys) it has left.
+struct Open {
+    addr: usize,
+    close: char,
+    rest: std::vec::IntoIter<(Option<String>, Value)>,
+    first: bool,
+}
+
+impl Open {
+    /// A container's address and brackets; `None` for anything else.
+    fn brackets(v: &Value) -> Option<(usize, char, char)> {
+        match v {
+            Value::Array(a) => Some((Rc::as_ptr(a) as usize, '[', ']')),
+            Value::Map(m) => Some((Rc::as_ptr(m) as usize, '{', '}')),
+            _ => None,
+        }
+    }
+
+    fn entries(v: &Value) -> Vec<(Option<String>, Value)> {
+        match v {
+            Value::Array(a) => a.borrow().iter().map(|v| (None, v.clone())).collect(),
+            Value::Map(m) => m
+                .borrow()
+                .iter()
+                .map(|(k, v)| (Some(k.clone()), v.clone()))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// Renders an array or a map. `path` holds the containers being rendered,
+/// outermost first; one already on it is not entered again.
+fn render_containers(root: &Value) -> TaintedString {
+    let mut out = TaintedStrBuilder::new();
+    let mut path: Vec<Open> = Vec::new();
+    let mut on_path = HashSet::new();
+    let mut next = Some(root.clone());
+    loop {
+        if let Some(v) = next.take() {
+            match Open::brackets(&v) {
+                None => out.push_tainted(&v.to_tainted()),
+                Some((addr, open, close)) => {
+                    out.push_char(open);
+                    if on_path.insert(addr) {
+                        let rest = Open::entries(&v).into_iter();
+                        path.push(Open {
+                            addr,
+                            close,
+                            rest,
+                            first: true,
+                        });
+                    } else {
+                        out.push_str("...");
+                        out.push_char(close);
+                    }
+                }
+            }
+        }
+        let Some(top) = path.last_mut() else {
+            return out.build();
+        };
+        match top.rest.next() {
+            Some((key, v)) => {
+                if !std::mem::take(&mut top.first) {
+                    out.push_str(", ");
+                }
+                if let Some(key) = key {
+                    out.push_str(&key);
+                    out.push_str(": ");
+                }
+                next = Some(v);
+            }
+            None => {
+                out.push_char(top.close);
+                on_path.remove(&top.addr);
+                path.pop();
+            }
         }
     }
 }
@@ -429,6 +489,35 @@ mod tests {
         assert_eq!(Value::int(-5).to_tainted().as_str(), "-5");
         let arr = Value::new_array(vec![Value::int(1), Value::str("x")]);
         assert_eq!(arr.to_tainted().as_str(), "[1, x]");
+    }
+
+    #[test]
+    fn a_container_inside_itself_renders_once() {
+        let a = Value::new_array(vec![Value::int(1)]);
+        let Value::Array(items) = &a else {
+            unreachable!()
+        };
+        items.borrow_mut().push(a.clone());
+        assert_eq!(a.to_tainted().as_str(), "[1, [...]]");
+        assert_eq!(format!("{a:?}"), "[1, [...]]");
+        let m = Value::new_map();
+        let Value::Map(entries) = &m else {
+            unreachable!()
+        };
+        entries.borrow_mut().insert("n".into(), Value::int(2));
+        entries.borrow_mut().insert("self".into(), m.clone());
+        entries.borrow_mut().insert("list".into(), a.clone());
+        assert_eq!(
+            m.to_tainted().as_str(),
+            "{list: [1, [...]], n: 2, self: {...}}"
+        );
+        // One container twice side by side is not a cycle.
+        let shared = Value::new_array(vec![Value::int(7)]);
+        let twice = Value::new_array(vec![shared.clone(), shared]);
+        assert_eq!(twice.to_tainted().as_str(), "[[7], [7]]");
+        // (Cycles are never freed; break these two.)
+        items.borrow_mut().clear();
+        entries.borrow_mut().clear();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! What a warm script-policy crossing does, as counts (a time would move
-//! with the host): heap allocations on the hit and miss paths, VM
-//! instructions dispatched, chunks compiled, and acquisitions of the
-//! process-wide plan-table lock.
+//! with the host): heap allocations on the hit, miss and reused-allow
+//! paths, VM instructions dispatched, verdicts reused, chunks compiled,
+//! and acquisitions of the process-wide plan-table lock.
 //!
 //! One `#[test]` in its own process: the counting allocator is the
 //! process's allocator, and the compile and lock counters are global.
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use resin::core::{Context, GateKind, Policy, TaintedString};
 use resin::lang::ast::{ClassDecl, StmtKind};
-use resin::lang::check::plan_table_locks;
+use resin::lang::check::{plan_table_locks, verdicts_reused};
 use resin::lang::vm::dispatched_ops;
 use resin::lang::{
     check_cache_stats, compiled_policy_chunks, parse_program, set_check_cache, PValue, ScriptPolicy,
@@ -131,19 +131,21 @@ fn crossing_allocations(policy: &ScriptPolicy, ctx: &Context) -> u64 {
     served - oracle
 }
 
+/// What `f` dispatches.
+fn ops(f: impl Fn()) -> u64 {
+    let before = dispatched_ops();
+    f();
+    dispatched_ops() - before
+}
+
 /// VM instructions one served crossing dispatches — counted by debug
 /// builds only, where the oracle's from-scratch run (the same bytecode
 /// over the same fields) is measured the same way and taken off.
 fn crossing_ops(policy: &ScriptPolicy, ctx: &Context) -> u64 {
-    let ops = |f: &dyn Fn()| {
-        let before = dispatched_ops();
-        f();
-        dispatched_ops() - before
-    };
     let check = || policy.export_check(ctx).expect("http is allowed");
-    let served = ops(&check);
+    let served = ops(check);
     set_check_cache(false);
-    let oracle = ops(&check);
+    let oracle = ops(check);
     set_check_cache(true);
     served - oracle
 }
@@ -154,27 +156,40 @@ fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
     ctx.set_str("user", "reader7");
 
     // Hit and miss paths, class by class: one instance again and again,
-    // then two instances alternating on one declaration.
+    // then two instances alternating on one declaration. An allow is
+    // reused for the snapshot it was given under the same context, so a
+    // crossing meant to execute gets an equal, separately allocated one
+    // (`fresh`), which the `this` slot still recognises by content.
     for (kind, src) in CLASSES.iter().enumerate() {
         let class = load(src);
-        let (a, b) = (policy(kind, &class, 1), policy(kind, &class, 2));
+        let fresh = |tag| policy(kind, &class, tag);
+        let (a, b) = (fresh(1), fresh(2));
         for p in [&a, &b, &a, &b] {
             p.export_check(&ctx).expect("http is allowed");
         }
-        let (h0, m0) = check_cache_stats();
-        let miss = crossing_allocations(&a, &ctx);
-        let hit = crossing_allocations(&a, &ctx);
-        let miss_again = crossing_allocations(&b, &ctx);
+        let ((h0, m0), r0) = (check_cache_stats(), verdicts_reused());
+        let miss = crossing_allocations(&fresh(1), &ctx);
+        let hit = crossing_allocations(&fresh(1), &ctx);
+        let miss_again = crossing_allocations(&fresh(2), &ctx);
+        let reused = crossing_allocations(&a, &ctx);
         // (The from-scratch runs of a debug build count as misses too.)
-        let (h1, m1) = check_cache_stats();
-        assert_eq!(h1 - h0, 1, "{}: one of the three reused `this`", class.name);
-        assert!(m1 - m0 >= 2, "{}: two of the three rebuilt it", class.name);
+        let ((h1, m1), r1) = (check_cache_stats(), verdicts_reused());
+        assert_eq!(
+            r1 - r0,
+            1,
+            "{}: one of the four reused an allow",
+            class.name
+        );
+        assert_eq!(h1 - h0, 2, "{}: it and one more reused `this`", class.name);
+        assert!(m1 - m0 >= 2, "{}: two of the four rebuilt it", class.name);
         // The evaluator, its buffers, `this`, the context map and every
         // string constant are reused; a rebuilt `this` refills the object,
-        // the list and the strings it already owns.
+        // the list and the strings it already owns; the table of allows
+        // was sized when it was made.
         assert_eq!(hit, 0, "{} hit path", class.name);
         assert_eq!(miss, 0, "{} miss path", class.name);
         assert_eq!(miss_again, 0, "{} miss path", class.name);
+        assert_eq!(reused, 0, "{} reused allow", class.name);
 
         // The crossing's bytecode, instruction by instruction. The floor
         // is 3 (`context["type"]`, compare-and-branch, return).
@@ -185,10 +200,23 @@ fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
         // helper's loop; a user that is not the viewer costs 7 (`len(u)`
         // moves its argument, calls, compares; `u[i]`, `==`, `i + 1`, the
         // jump back) and `reader7`, the last of eight, 6.
+        // An executed hit (the slot holds tag 2), an executed miss, and a
+        // reused allow, which executes nothing.
         if cfg!(debug_assertions) {
             let expected = [3, 6 + 6 * 64 + 6, 7 + 2 + 7 * 7 + 6][kind];
-            assert_eq!(crossing_ops(&a, &ctx), expected, "{} ops", class.name);
-            assert_eq!(crossing_ops(&b, &ctx), expected, "{} ops", class.name);
+            assert_eq!(
+                crossing_ops(&fresh(2), &ctx),
+                expected,
+                "{} ops",
+                class.name
+            );
+            assert_eq!(
+                crossing_ops(&fresh(1), &ctx),
+                expected,
+                "{} ops",
+                class.name
+            );
+            assert_eq!(crossing_ops(&a, &ctx), 0, "{} ops", class.name);
         }
     }
 
@@ -218,14 +246,32 @@ fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
     let expected: String = page.iter().map(|f| f.as_str()).collect();
     assert_eq!(render(), expected, "warm-up page");
 
-    let (chunks, locks, (h0, m0)) = (
+    let (chunks, locks, (h0, m0), r0) = (
         compiled_policy_chunks(),
         plan_table_locks(),
         check_cache_stats(),
+        verdicts_reused(),
     );
-    assert_eq!(render(), expected);
-    let (h1, m1) = check_cache_stats();
+    let served = ops(|| assert_eq!(render(), expected));
+    let ((h1, m1), r1) = (check_cache_stats(), verdicts_reused());
     assert_eq!(compiled_policy_chunks() - chunks, 0, "chunks compiled");
     assert_eq!(plan_table_locks() - locks, 0, "plan-table lock taken");
     assert_eq!((h1 - h0, m1 - m0), (16, 16), "half hit, half miss");
+    // The hit half is three policy instances (equal policies intern to
+    // one), so 13 of its 16 crossings reuse the allow of the first.
+    assert_eq!(r1 - r0, 13, "verdicts reused");
+
+    // What the page dispatches: every crossing executed (the caches off)
+    // is 6 `ChannelGate`s, 5 `ChannelQuota`s and 5 `AllowList`s on the
+    // hit half, and 2 711 ops on the miss half; served, the hit half runs
+    // one of each. (The oracle of a debug build runs every crossing from
+    // scratch, so the caches-off render is also what it adds.)
+    if cfg!(debug_assertions) {
+        let miss_half = 2711;
+        set_check_cache(false);
+        let scratch = ops(|| assert_eq!(render(), expected));
+        set_check_cache(true);
+        assert_eq!(scratch, 6 * 3 + 5 * 396 + 5 * 64 + miss_half);
+        assert_eq!(served - scratch, 3 + 396 + 64 + miss_half);
+    }
 }

@@ -1,7 +1,9 @@
 //! A script policy's check that panics costs its own request and nothing
 //! after it: `serve_request` confines the panic, the evaluator the check
 //! had taken from the thread's pool is lost with it, and the next request
-//! on the same thread builds a new one and is judged correctly.
+//! on the same thread builds a new one and is judged correctly. A script
+//! that used to abort the process — whatever no `catch_unwind` confines —
+//! is refused instead.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,6 +34,19 @@ class Hostile {
         if (this.armed) { let s = "é"; return s[0]; }
         let min = 0 - 9223372036854775807 - 1;
         return min / (0 - 1);
+    }
+}
+"#;
+
+/// A check whose refusal renders a container holding itself.
+const CYCLIC: &str = r#"
+class Cyclic {
+    fn export_check(context) {
+        if (this.armed) { let a = [1]; push(a, a); throw str(a); }
+        let m = map();
+        m["n"] = 2;
+        m["self"] = m;
+        throw str(m);
     }
 }
 "#;
@@ -123,4 +138,24 @@ fn a_hostile_script_is_refused_not_unwound() {
     let err = page.outcome.expect_err("refused");
     assert!(err.to_string().contains("character boundary"), "{err}");
     assert_eq!(page.body, "");
+}
+
+#[test]
+fn a_container_holding_itself_renders_into_the_refusal() {
+    for (armed, text) in [(true, "[1, [...]]"), (false, "{n: 2, self: {...}}")] {
+        // Through a bare gate.
+        let data = guarded_by(CYCLIC, "never shown", armed);
+        let mut gate = Runtime::global().open(GateKind::Http);
+        let err = gate.write(data).expect_err("the check refuses");
+        assert!(err.is_violation(), "{err}");
+        assert!(err.to_string().contains(text), "{err}");
+        assert_eq!(gate.output_text(), "");
+        // And through a request.
+        let data = guarded_by(CYCLIC, "never shown", armed);
+        let app = move |_: &Request, resp: &mut Response| resp.echo_ref(&data);
+        let page = serve_request(&app, &Request::get("/"));
+        let err = page.outcome.expect_err("refused");
+        assert!(err.to_string().contains(text), "{err}");
+        assert_eq!(page.body, "");
+    }
 }
