@@ -1,16 +1,16 @@
 //! A small forward worklist dataflow framework over [`Cfg`]s.
 //!
-//! Clients describe a join-semilattice of facts and a transfer function;
-//! the framework iterates to a fixpoint and hands back the entry fact of
-//! every reachable block (`None` for unreachable blocks, so clients get
-//! constant-guard pruning for free via [`Cfg::succs`]). Effect-collecting
-//! clients should *not* record anything during the fixpoint — facts are
-//! still growing then — but make a final pass over the blocks with the
-//! stable entry facts, which [`forward`] returns for exactly that reason.
+//! Clients describe a join-semilattice of facts and a transfer function
+//! over a block's statements; the framework iterates to a fixpoint and
+//! hands back the entry fact of every reachable block (`None` for
+//! unreachable blocks, so clients get constant-guard pruning for free via
+//! [`Cfg::succs`]). Facts are still growing during the fixpoint, so a
+//! client that reports findings makes one pass over the blocks afterwards,
+//! from the stable entry facts [`forward`] returns.
 
-use crate::ast::{Expr, Stmt};
+use crate::ast::Stmt;
 
-use super::cfg::{Cfg, Term};
+use super::cfg::Cfg;
 
 /// A forward dataflow analysis over one method body.
 pub trait Analysis<'a> {
@@ -26,11 +26,6 @@ pub trait Analysis<'a> {
 
     /// Applies one straight-line statement to the fact.
     fn transfer_stmt(&mut self, stmt: &'a Stmt, fact: &mut Self::Fact);
-
-    /// Applies a terminator's operand (branch condition or the value of
-    /// a `return`/`throw`) to the fact. Defaults to a no-op for clients
-    /// that only care about statements.
-    fn transfer_operand(&mut self, _operand: &'a Expr, _fact: &mut Self::Fact) {}
 }
 
 /// Runs `analysis` forward to a fixpoint; returns each block's entry
@@ -41,7 +36,9 @@ pub fn forward<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, analysis: &mut A) -> Vec<Opti
     let mut work = vec![0usize];
     while let Some(id) = work.pop() {
         let mut fact = facts[id].clone().expect("queued blocks have facts");
-        transfer_block(cfg, analysis, id, &mut fact);
+        for stmt in &cfg.blocks[id].stmts {
+            analysis.transfer_stmt(stmt, &mut fact);
+        }
         for succ in cfg.succs(id) {
             let changed = match &mut facts[succ] {
                 Some(existing) => analysis.join(existing, &fact),
@@ -56,28 +53,6 @@ pub fn forward<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, analysis: &mut A) -> Vec<Opti
         }
     }
     facts
-}
-
-/// Applies every statement of block `id` plus its terminator operand to
-/// `fact`. Exposed so effect collectors can replay blocks once the entry
-/// facts are stable.
-pub fn transfer_block<'a, A: Analysis<'a>>(
-    cfg: &Cfg<'a>,
-    analysis: &mut A,
-    id: usize,
-    fact: &mut A::Fact,
-) {
-    let block = &cfg.blocks[id];
-    for stmt in &block.stmts {
-        analysis.transfer_stmt(stmt, fact);
-    }
-    match &block.term {
-        Term::Branch { cond, .. } => analysis.transfer_operand(cond, fact),
-        Term::Return { value: Some(e), .. } | Term::Throw { value: e, .. } => {
-            analysis.transfer_operand(e, fact)
-        }
-        _ => {}
-    }
 }
 
 /// Definite-assignment facts: the set of local names assigned on *every*

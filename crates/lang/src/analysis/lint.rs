@@ -34,8 +34,7 @@ use crate::compiler::compile_function;
 use crate::parser::parse_program;
 
 use super::cfg::{const_truth, Cfg, Term};
-use super::dataflow::{forward, DefiniteAssignment};
-use super::effects::{class_effects, ClassEffects};
+use super::dataflow::{forward, Analysis, DefiniteAssignment};
 
 /// How bad a diagnostic is. Errors fail closed at load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -88,9 +87,6 @@ impl fmt::Display for Diagnostic {
 pub struct LintReport {
     /// The class the report describes.
     pub class_name: String,
-    /// Whether the effects analysis certified the class for the
-    /// per-crossing check caches.
-    pub cache_eligible: bool,
     /// All findings, errors first.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -124,17 +120,16 @@ impl LintReport {
 /// is empty (it is not a policy; nothing enforces on it).
 pub fn lint_class(class: &ClassDecl) -> LintReport {
     let mut diags = Vec::new();
-    let effects = class_effects(class);
     if class.method("export_check").is_none() {
         return LintReport {
             class_name: class.name.clone(),
-            cache_eligible: false,
             diagnostics: diags,
         };
     }
+    let (missing, reads) = live_calls_and_reads(class);
 
-    // RL003: calls to undefined methods (collected by the effects walk).
-    for m in &effects.missing_methods {
+    // RL003: calls to undefined methods.
+    for m in &missing {
         diags.push(Diagnostic {
             code: "RL003",
             severity: Severity::Error,
@@ -146,7 +141,7 @@ pub fn lint_class(class: &ClassDecl) -> LintReport {
 
     // RL009: fields the check reads but no method ever writes.
     let written = fields_written_anywhere(class);
-    for f in effects.field_reads.difference(&written) {
+    for f in reads.difference(&written) {
         diags.push(Diagnostic {
             code: "RL009",
             severity: Severity::Warning,
@@ -159,25 +154,22 @@ pub fn lint_class(class: &ClassDecl) -> LintReport {
         });
     }
 
-    let reachable = reachable_methods(class);
+    // The per-method lints cover every method a call names, live or dead.
+    let (reachable, _) = reach(class, |method| {
+        let mut calls = Vec::new();
+        for stmt in &method.body {
+            walk_stmt_tree(stmt, &mut |s| {
+                walk_stmt_exprs(s, &mut |e| calls.extend(called(class, e)))
+            });
+        }
+        calls
+    });
     let mut any_reachable_throw = false;
     let mut check_completes = false;
-    for (name, method) in &reachable {
-        lint_method(class, name, method, &mut diags);
-        let cfg = Cfg::build(&method.body);
-        let reach = cfg.reachable();
-        for (id, block) in cfg.blocks.iter().enumerate() {
-            if !reach[id] {
-                continue;
-            }
-            match &block.term {
-                Term::Throw { .. } => any_reachable_throw = true,
-                Term::Return { .. } | Term::Exit if *name == "export_check" => {
-                    check_completes = true
-                }
-                _ => {}
-            }
-        }
+    for method in reachable {
+        let (throws, completes) = lint_method(&method.name, method, &mut diags);
+        any_reachable_throw |= throws;
+        check_completes |= completes && method.name == "export_check";
     }
 
     // RL001 / RL002: the check's outcome is a foregone conclusion.
@@ -202,35 +194,32 @@ pub fn lint_class(class: &ClassDecl) -> LintReport {
     diags.sort_by_key(|d| (std::cmp::Reverse(d.severity), d.code, d.line));
     LintReport {
         class_name: class.name.clone(),
-        cache_eligible: effects.cache_eligible(),
         diagnostics: diags,
     }
 }
 
-/// [`lint_class`] plus the effects verdict, for callers that want both.
-pub fn lint_class_with_effects(class: &ClassDecl) -> (LintReport, ClassEffects) {
-    (lint_class(class), class_effects(class))
-}
-
-fn lint_method(class: &ClassDecl, name: &str, method: &FnDecl, diags: &mut Vec<Diagnostic>) {
+/// Lints one method; returns whether it has a reachable `throw` and
+/// whether a reachable path completes without one.
+fn lint_method(name: &str, method: &FnDecl, diags: &mut Vec<Diagnostic>) -> (bool, bool) {
     let cfg = Cfg::build(&method.body);
     let reach = cfg.reachable();
 
     // RL004: a deny branch that can never fire — a `throw` in a block
     // unreachable from entry (constant-false guard or code past an
     // unconditional exit).
-    for (id, block) in cfg.blocks.iter().enumerate() {
-        if reach[id] {
-            continue;
-        }
-        if let Term::Throw { line, .. } = block.term {
-            diags.push(Diagnostic {
+    let (mut throws, mut completes) = (false, false);
+    for (block, reached) in cfg.blocks.iter().zip(&reach) {
+        match (&block.term, reached) {
+            (Term::Throw { line, .. }, false) => diags.push(Diagnostic {
                 code: "RL004",
                 severity: Severity::Error,
                 method: name.to_string(),
-                line: Some(line),
+                line: Some(*line),
                 message: "`throw` can never execute: this deny branch is unreachable".into(),
-            });
+            }),
+            (Term::Throw { .. }, true) => throws = true,
+            (Term::Return { .. } | Term::Exit, true) => completes = true,
+            _ => {}
         }
     }
 
@@ -374,8 +363,7 @@ fn lint_method(class: &ClassDecl, name: &str, method: &FnDecl, diags: &mut Vec<D
             }
         }
     }
-
-    let _ = class;
+    (throws, completes)
 }
 
 /// RL007 (never assigned: guaranteed `undefined variable` error) and
@@ -466,6 +454,111 @@ fn lint_variable_reads(cfg: &Cfg<'_>, name: &str, method: &FnDecl, diags: &mut V
     }
 }
 
+/// What a run of the check can reach, from the CFG-reachable blocks of
+/// `export_check` and of every method those blocks call: the methods
+/// called that the class does not define, and the fields read off `this`
+/// or a local that may hold it.
+fn live_calls_and_reads(class: &ClassDecl) -> (BTreeSet<String>, BTreeSet<String>) {
+    let mut reads = BTreeSet::new();
+    let (_, missing) = reach(class, |method| {
+        let mut calls = Vec::new();
+        let mut visit = |e: &Expr, aliases: &BTreeSet<String>| {
+            walk_expr(e, &mut |e| match e {
+                Expr::Prop(recv, f) if holds_this(recv, aliases) => {
+                    reads.insert(f.clone());
+                }
+                _ => calls.extend(called(class, e)),
+            })
+        };
+        let cfg = Cfg::build(&method.body);
+        for (block, fact) in cfg.blocks.iter().zip(forward(&cfg, &mut ThisAliases)) {
+            let Some(mut aliases) = fact else { continue };
+            for stmt in &block.stmts {
+                walk_stmt_exprs(stmt, &mut |e| visit(e, &aliases));
+                ThisAliases.transfer_stmt(stmt, &mut aliases);
+            }
+            if let Term::Branch { cond: e, .. }
+            | Term::Return { value: Some(e), .. }
+            | Term::Throw { value: e, .. } = &block.term
+            {
+                visit(e, &aliases);
+            }
+        }
+        calls
+    });
+    (missing, reads)
+}
+
+/// The methods reachable from `export_check`, in visit order, following
+/// the calls `calls_of` finds in each; and the names called that the class
+/// does not define.
+fn reach<'c>(
+    class: &'c ClassDecl,
+    mut calls_of: impl FnMut(&'c FnDecl) -> Vec<String>,
+) -> (Vec<&'c Arc<FnDecl>>, BTreeSet<String>) {
+    let (mut reached, mut missing) = (Vec::new(), BTreeSet::new());
+    let mut seen = BTreeSet::from(["export_check".to_string()]);
+    let mut queue = vec!["export_check".to_string()];
+    while let Some(name) = queue.pop() {
+        let Some(method) = class.method(&name) else {
+            missing.insert(name);
+            continue;
+        };
+        reached.push(method);
+        let unseen = calls_of(method)
+            .into_iter()
+            .filter(|m| seen.insert(m.clone()));
+        queue.extend(unseen);
+    }
+    (reached, missing)
+}
+
+/// The method `e` calls: `m` for `x.m(...)` (the only objects are `this`
+/// and new instances of its class), `init` for `new` of the class itself.
+fn called(class: &ClassDecl, e: &Expr) -> Option<String> {
+    match e {
+        Expr::MethodCall { method, .. } => Some(method.clone()),
+        Expr::New { class: c, .. } if *c == class.name => Some("init".into()),
+        _ => None,
+    }
+}
+
+fn holds_this(e: &Expr, aliases: &BTreeSet<String>) -> bool {
+    match e {
+        Expr::This => true,
+        Expr::Var(v) => aliases.contains(v),
+        _ => false,
+    }
+}
+
+/// The locals that may hold `this` (join = union), so that `let t = this;
+/// t.f` reads `f`.
+struct ThisAliases;
+
+impl<'a> Analysis<'a> for ThisAliases {
+    type Fact = BTreeSet<String>;
+
+    fn entry_fact(&self) -> Self::Fact {
+        BTreeSet::new()
+    }
+
+    fn join(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
+        let before = into.len();
+        into.extend(other.iter().cloned());
+        into.len() != before
+    }
+
+    fn transfer_stmt(&mut self, stmt: &'a Stmt, fact: &mut Self::Fact) {
+        if let StmtKind::Let(n, e) | StmtKind::Assign(Target::Var(n), e) = &stmt.kind {
+            if holds_this(e, fact) {
+                fact.insert(n.clone());
+            } else {
+                fact.remove(n);
+            }
+        }
+    }
+}
+
 /// Every field any method of the class assigns via `this.f = ...`.
 fn fields_written_anywhere(class: &ClassDecl) -> BTreeSet<String> {
     let mut written = BTreeSet::new();
@@ -481,36 +574,6 @@ fn fields_written_anywhere(class: &ClassDecl) -> BTreeSet<String> {
         }
     }
     written
-}
-
-/// Methods reachable from `export_check` through `this.m(...)` and
-/// `new` of the same class, in visit order.
-fn reachable_methods(class: &ClassDecl) -> Vec<(&str, &Arc<FnDecl>)> {
-    let mut out: Vec<(&str, &Arc<FnDecl>)> = Vec::new();
-    let mut queue: Vec<String> = vec!["export_check".into()];
-    let mut seen: BTreeSet<String> = queue.iter().cloned().collect();
-    while let Some(name) = queue.pop() {
-        let Some(method) = class.method(&name) else {
-            continue;
-        };
-        out.push((method.name.as_str(), method));
-        let mut called: Vec<String> = Vec::new();
-        for stmt in &method.body {
-            walk_stmt_tree(stmt, &mut |s| {
-                walk_stmt_exprs(s, &mut |e| match e {
-                    Expr::MethodCall { method, .. } => called.push(method.clone()),
-                    Expr::New { class: c, .. } if *c == class.name => called.push("init".into()),
-                    _ => {}
-                });
-            });
-        }
-        for m in called {
-            if seen.insert(m.clone()) {
-                queue.push(m);
-            }
-        }
-    }
-    out
 }
 
 // ---- AST walking helpers ----
@@ -607,7 +670,6 @@ pub fn lint_source(src: &str) -> Vec<LintReport> {
         Err(e) => {
             return vec![LintReport {
                 class_name: "<parse>".into(),
-                cache_eligible: false,
                 diagnostics: vec![Diagnostic {
                     code: "RL000",
                     severity: Severity::Error,
@@ -685,7 +747,6 @@ mod tests {
         );
         assert_eq!(r.len(), 1);
         assert!(r[0].diagnostics.is_empty(), "{}", r[0].render());
-        assert!(r[0].cache_eligible);
     }
 
     #[test]
@@ -822,6 +883,56 @@ mod tests {
         );
         assert!(r[0].diagnostics.iter().any(|d| d.code == "RL009"));
         assert!(!r[0].has_errors());
+    }
+
+    #[test]
+    fn calls_and_field_reads_come_from_reachable_blocks_and_this_aliases() {
+        // A call in a dead block is never made, nor is what it would reach.
+        assert_eq!(
+            codes(
+                r#"class Dead {
+                     fn helper() { return this.w + this.nope(); }
+                     fn export_check(context) {
+                       if (false) { this.nope(); }
+                       if (1 > 2) { this.helper(); }
+                       if (context["a"]) { throw "no"; }
+                     }
+                   }"#
+            ),
+            Vec::<&str>::new()
+        );
+        // A local holding `this` reads the field it names, and stops
+        // doing so once reassigned.
+        let r = reports(
+            r#"class Alias {
+                 fn export_check(context) {
+                   let t = this;
+                   let n = t.x;
+                   t = new Alias();
+                   if (context["a"]) { throw "no"; }
+                   return t.y;
+                 }
+               }"#,
+        );
+        let messages: Vec<String> = r[0].diagnostics.iter().map(|d| d.to_string()).collect();
+        assert_eq!(
+            messages,
+            [
+                "RL003 error: call to undefined method `init`",
+                "RL009 warning: field `x` is read by the check but written by no method; \
+                 instances missing it fail every crossing",
+            ]
+        );
+        // A field of a new instance is not a field of `this`.
+        assert_eq!(
+            codes(
+                r#"class Fresh {
+                     fn init(n) { this.n = n; }
+                     fn export_check(context) { if (new Fresh(1).y > 0) { throw "no"; } }
+                   }"#
+            ),
+            Vec::<&str>::new()
+        );
     }
 
     #[test]

@@ -4,31 +4,29 @@
 //! A crossing should cost what the policy's bytecode costs, so everything
 //! that does not depend on the crossing is resolved once and kept:
 //!
-//! * a `ClassPlan` per class declaration — the cache-eligibility
-//!   verdict, `export_check`'s chunk and the chunk of every other method,
-//!   each compiled on first use. A [`ScriptPolicy`](crate::ScriptPolicy)
+//! * a `ClassPlan` per class declaration — the certificate (below),
+//!   `export_check`'s chunk and the chunk of every other method, each
+//!   compiled on first use. A [`ScriptPolicy`](crate::ScriptPolicy)
 //!   resolves its plan once (one look in the process-wide table) and holds
 //!   it, so a crossing, and every `this.m()` inside it, takes no lock;
 //! * a pooled evaluator per thread — the [`Interp`] and its VM buffers are
 //!   taken from a thread-local and put back, provided the check left
 //!   nothing script-visible behind;
-//! * for classes the effects analysis certifies
-//!   ([`crate::analysis::effects`]), one materialized `this` per class
-//!   declaration and thread, revalidated by the identity of the policy's
-//!   field snapshot (equality only when the pointers differ), and the
-//!   `$context` map of the last context seen;
-//! * per thread, the allows of the current context: a crossing whose
-//!   (plan, field-snapshot identity, context stamp) already allowed is not
-//!   executed again, provided its class passes a small bytecode checker
-//!   (`ClassPlan::verdict_is_reusable`) — one that does not consult the
-//!   effects analysis. A deny is always executed again.
+//! * for a class a small bytecode checker certifies pure
+//!   (`ClassPlan::certify`, the only eligibility rule), per thread: one
+//!   materialized `this` per class declaration, revalidated by the identity
+//!   of the policy's field snapshot (equality only when the pointers
+//!   differ); the `$context` map of the last context seen; and the allows
+//!   of the current context — a crossing whose (plan, field-snapshot
+//!   identity, context stamp) already allowed is not executed again. A
+//!   deny is always executed again.
 //!
 //! [`set_check_cache`]`(false)` is the from-scratch path — a fresh
 //! evaluator, a fresh `this`, a fresh context map, chunks compiled on the
 //! spot, no verdict reused — and debug builds run it after every served
-//! crossing of a cache-eligible class and after every reused verdict, and
-//! panic when the two verdicts differ or when a cached `this` no longer
-//! matches its snapshot.
+//! crossing of a certified class and after every reused verdict, and panic
+//! when the two verdicts differ or when a cached `this` is no longer
+//! exactly its snapshot.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -55,20 +53,14 @@ pub(crate) struct ClassPlan {
     /// Key of this plan's `this` slot in each thread's table.
     id: u64,
     class: Arc<ClassDecl>,
-    /// The effects analysis' verdict: `this` and the context map may be
-    /// reused across crossings.
-    cacheable: bool,
-    /// The fields the analysis found written and never read: the only
-    /// ones a cached `this` may hold apart from its snapshot.
-    #[cfg(debug_assertions)]
-    write_only: std::collections::BTreeSet<String>,
     /// Index of `export_check` among the class's methods.
     export_check: Option<usize>,
     /// One chunk per method, parallel to `class.methods`, compiled on
     /// first use.
     chunks: Vec<OnceLock<Arc<Chunk>>>,
-    /// [`ClassPlan::verdict_is_reusable`], decided on first use.
-    reusable: OnceLock<bool>,
+    /// [`ClassPlan::certify`]'s verdict: the crossing may reuse `this`,
+    /// the context map and an earlier allow.
+    pub(crate) certified: bool,
 }
 
 static POLICY_COMPILES: AtomicU64 = AtomicU64::new(0);
@@ -93,38 +85,33 @@ pub fn plan_table_locks() -> u64 {
 impl ClassPlan {
     fn new(class: &Arc<ClassDecl>) -> ClassPlan {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let effects = crate::analysis::class_effects(class);
-        ClassPlan {
+        let mut plan = ClassPlan {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             class: class.clone(),
-            cacheable: effects.cache_eligible(),
-            #[cfg(debug_assertions)]
-            write_only: effects.field_writes,
             export_check: class.methods.iter().position(|m| m.name == "export_check"),
             chunks: class.methods.iter().map(|_| OnceLock::new()).collect(),
-            reusable: OnceLock::new(),
-        }
+            certified: false,
+        };
+        plan.certified = plan.certify();
+        plan
     }
 
-    /// True when an allow from `export_check` may be reused for the same
-    /// field snapshot under the same context stamp: the certificate that
-    /// the verdict is a function of the class, the snapshot and the
-    /// context's content.
+    /// The certificate: a run of `export_check` is pure, so its verdict is
+    /// a function of the class, the field snapshot and the context's
+    /// content, and the cached `this` and context map may serve it.
     ///
-    /// Every instruction of `export_check` and of every method it reaches
-    /// by a resolved `this.m()` must be one that neither creates nor
-    /// reaches state outside the run: no assignment that may fall back to a
-    /// global, no global, no script function, no `new`, no store into an
-    /// object or container, no definition, and only builtins that compute
-    /// from their arguments. A crossing starts on a pristine evaluator, so
-    /// no global, function or class exists, and nothing here can create
-    /// one: an unbound local's global fallback fails the same way every
-    /// time. The only object reachable is `this` (fields and context hold
-    /// none), and nothing can mutate a container or build a cycle.
-    pub(crate) fn verdict_is_reusable(&self) -> bool {
-        *self.reusable.get_or_init(|| self.certify())
-    }
-
+    /// No instruction of `export_check`, or of a method it reaches by a
+    /// resolved `this.m()`, is a `SetProp`, `SetIndex`, `push`/`pop`,
+    /// `Assign` (it may fall back to a global), global, `Call`, `New`,
+    /// `Define` or a builtin that does more than compute. A crossing starts
+    /// on a pristine evaluator with no global, function or class, and
+    /// nothing here creates one, so an unbound local fails the same way
+    /// every time. The only object reachable is `this` (fields and context
+    /// hold none). With no store the run cannot change `this`, the context
+    /// map or a container inside either, nor build a cycle; with no store,
+    /// global or definition it cannot keep a reference to either after it
+    /// returns — `[this]`, or a returned or thrown `this`, lives in its
+    /// registers only.
     fn certify(&self) -> bool {
         let Some(entry) = self.export_check else {
             return false;
@@ -162,16 +149,8 @@ impl ClassPlan {
                             todo.push(index);
                         }
                     }
-                    Op::Assign { .. }
-                    | Op::LoadGlobal { .. }
-                    | Op::StoreGlobal { .. }
-                    | Op::Call { .. }
-                    | Op::CallBuiltin { .. }
-                    | Op::Method { .. }
-                    | Op::New { .. }
-                    | Op::SetProp { .. }
-                    | Op::SetIndex { .. }
-                    | Op::Define(_) => return false,
+                    // Anything else, an instruction added later included.
+                    _ => return false,
                 }
             }
         }
@@ -220,24 +199,13 @@ pub(crate) fn plan_for(class: &Arc<ClassDecl>) -> Arc<ClassPlan> {
     if let Some(plan) = plan_table().get(&key) {
         return plan.clone();
     }
-    // The analysis runs outside the lock.
+    // The certificate, which compiles, runs outside the lock.
     let plan = Arc::new(ClassPlan::new(class));
     let mut plans = plan_table();
     if plans.len() >= PLAN_TABLE_CAP {
         plans.clear();
     }
     plans.entry(key).or_insert(plan).clone()
-}
-
-/// True when the field-sensitive effects analysis certifies the class for
-/// the per-crossing caches (see [`crate::analysis::effects`]): nothing
-/// escapes, no container reachable from a field or the context is mutated
-/// in place, and every directly-written field is write-only — never read
-/// by any reachable method, so a later crossing cannot observe the
-/// previous crossing's value. (A plan keeps this verdict as `cacheable`.)
-#[cfg(test)]
-pub(crate) fn check_is_cacheable(class: &ClassDecl) -> bool {
-    crate::analysis::class_effects(class).cache_eligible()
 }
 
 /// The builtins whose result is a function of their arguments alone and
@@ -272,8 +240,7 @@ struct ThisSlot {
 /// `this` slots a thread keeps before its table is cleared.
 const THIS_SLOT_CAP: usize = 256;
 
-/// The crossings that allowed under one context stamp, for plans whose
-/// verdicts are reusable.
+/// The crossings of certified plans that allowed under one context stamp.
 struct Allowed {
     stamp: u64,
     /// `(plan id, field snapshot)`; the held clone keeps the snapshot's
@@ -295,8 +262,8 @@ thread_local! {
     /// which is why the table is bounded.
     static THIS_SLOTS: RefCell<HashMap<u64, ThisSlot>> = RefCell::new(HashMap::new());
     /// Single-slot `$context` map cache keyed by the context's content
-    /// stamp (equal stamps guarantee equal content). Only cache-eligible
-    /// checks consult or fill it, so the cached map is never mutated.
+    /// stamp (equal stamps guarantee equal content). Only certified checks
+    /// consult or fill it, so the cached map is never mutated.
     static CTX_MAP: RefCell<Option<(u64, Value)>> = const { RefCell::new(None) };
     /// The pooled evaluator. A crossing takes it and puts it back, so a
     /// re-entrant crossing finds the pool empty and a panic loses it.
@@ -318,7 +285,7 @@ pub fn set_check_cache(enabled: bool) {
 /// crossing reused the materialized `this`, or did not execute at all
 /// because it reused an allow of the same snapshot under the same context
 /// ([`verdicts_reused`] counts those); a miss means it rebuilt `this`
-/// (first crossing, mutating policy class, or changed fields).
+/// (first crossing, uncertified class, or changed fields).
 pub fn check_cache_stats() -> (u64, u64) {
     (
         CHECK_CACHE_HITS.with(|c| c.get()),
@@ -349,29 +316,23 @@ pub(crate) fn materialize(class: &Arc<ClassDecl>, fields: &Fields) -> Rc<RefCell
 
 /// Rebuilds a cached `this` from a new snapshot — in place, keeping the
 /// keys and whatever buffers nothing else shares, when this slot holds the
-/// only reference (the rule for a cache-eligible class: nothing escapes).
+/// only reference (a certified run keeps none) and the snapshot has the
+/// keys of the last one (a certified run adds none); anew otherwise.
 fn rematerialize(obj: &mut Rc<RefCell<Obj>>, class: &Arc<ClassDecl>, fields: &Fields) {
-    let Some(cell) = Rc::get_mut(obj) else {
-        *obj = materialize(class, fields);
-        return;
-    };
-    let this = cell.get_mut();
-    // A certified check may have left write-only scratch fields behind.
-    this.fields.retain(|k, _| fields.contains_key(k));
-    for (k, v) in fields {
-        match this.fields.get_mut(k) {
-            Some(slot) => v.store_into(slot),
-            None => {
-                this.fields.insert(k.clone(), v.to_value());
+    match Rc::get_mut(obj).map(RefCell::get_mut) {
+        Some(this) if this.fields.keys().eq(fields.keys()) => {
+            for (slot, v) in this.fields.values_mut().zip(fields.values()) {
+                v.store_into(slot);
             }
         }
+        _ => *obj = materialize(class, fields),
     }
 }
 
 /// The `this` of a crossing: the class's cached object when the check is
-/// cache-eligible and the snapshot is the one it was built from.
+/// certified and the snapshot is the one it was built from.
 fn this_for_check(plan: &ClassPlan, fields: &Arc<Fields>) -> Value {
-    if !plan.cacheable {
+    if !plan.certified {
         count(&CHECK_CACHE_MISSES);
         return Value::Object(materialize(&plan.class, fields));
     }
@@ -419,9 +380,9 @@ pub(crate) fn context_to_map(context: &Context) -> Value {
 }
 
 /// The `$context` argument map, served from the stamp-keyed cache when
-/// the check is cache-eligible.
-fn context_map_for_check(context: &Context, cacheable: bool) -> Value {
-    if !cacheable {
+/// the check is certified.
+fn context_map_for_check(context: &Context, certified: bool) -> Value {
+    if !certified {
         return context_to_map(context);
     }
     CTX_MAP.with(|slot| {
@@ -511,7 +472,7 @@ pub(crate) fn cross(
     interp.plan = Some(plan.clone());
     let this = this_for_check(plan, fields);
     let decl = &plan.class.methods[method];
-    let arg = (!decl.params.is_empty()).then(|| context_map_for_check(context, plan.cacheable));
+    let arg = (!decl.params.is_empty()).then(|| context_map_for_check(context, plan.certified));
     let flow = match plan.chunk(method) {
         Ok(chunk) => crate::vm::call_chunk(&mut interp, chunk.clone(), arg, Some(this)),
         Err(e) => Err(Flow::Error(e)),
@@ -522,11 +483,11 @@ pub(crate) fn cross(
         EVALUATOR.set(Some(interp));
     }
     #[cfg(debug_assertions)]
-    if plan.cacheable {
+    if plan.certified {
         oracle::compare(&plan.class, fields, context, &served);
         oracle::this_matches_its_snapshot(plan, fields);
     }
-    if served.is_ok() && plan.verdict_is_reusable() {
+    if served.is_ok() && plan.certified {
         remember_allowed(plan, fields, stamp);
     }
     served
@@ -598,10 +559,9 @@ mod oracle {
         );
     }
 
-    /// After a served crossing of a cache-eligible class, the `this` the
-    /// next crossing will reuse must still be the snapshot: every field
-    /// converts back to the snapshot's value, and the only extra fields
-    /// are ones the analysis found write-only.
+    /// After a served crossing of a certified class, the `this` the next
+    /// crossing will reuse must still be exactly the snapshot: the same
+    /// fields, each converting back to the snapshot's value.
     pub(super) fn this_matches_its_snapshot(plan: &ClassPlan, fields: &Fields) {
         THIS_SLOTS.with(|slots| {
             let slots = slots.borrow();
@@ -609,24 +569,17 @@ mod oracle {
                 return;
             };
             let this = slot.obj.borrow();
-            let class = &plan.class.name;
-            for (name, value) in &this.fields {
-                if plan.write_only.contains(name) {
-                    continue;
-                }
-                let Some(snap) = fields.get(name) else {
-                    panic!("the check caches left a field `{name}` on the `this` of policy class `{class}` that its snapshot lacks");
-                };
-                assert!(
-                    converts_to(value, snap),
-                    "the check caches left field `{name}` of policy class `{class}` at {value:?}, \
-                     its snapshot holds {snap:?}"
-                );
-            }
-            for name in fields.keys() {
-                assert!(
-                    this.fields.contains_key(name),
-                    "the check caches lost field `{name}` of policy class `{class}`"
+            let differs = |name: &&String| match (this.fields.get(*name), fields.get(*name)) {
+                (Some(value), Some(snap)) => !converts_to(value, snap),
+                _ => true,
+            };
+            if let Some(name) = this.fields.keys().chain(fields.keys()).find(differs) {
+                panic!(
+                    "the check caches left field `{name}` of policy class `{}` at {:?}, \
+                     its snapshot holds {:?}",
+                    plan.class.name,
+                    this.fields.get(name),
+                    fields.get(name)
                 );
             }
         })
@@ -905,7 +858,7 @@ mod tests {
     #[test]
     fn each_instance_is_judged_by_its_own_fields() {
         let quota = class(QUOTA);
-        assert!(check_is_cacheable(&quota));
+        assert!(plan_for(&quota).certified);
         let of = |w: [i64; 2], limit: i64, name: &str| {
             policy(
                 &quota,
@@ -944,17 +897,16 @@ mod tests {
     #[test]
     fn a_rebuilt_this_is_the_new_snapshot_whatever_its_shape() {
         // The in-place rebuild keeps buffers; lists that grow and shrink,
-        // fields that appear, vanish and change type, and a scratch field
-        // the check itself wrote must all come out as a fresh `this` would.
+        // fields that appear, vanish and change type must all come out as
+        // a fresh `this` would.
         let shape = class(
             r#"class Shape {
                 fn export_check(context) {
-                    this.scratch = "written";
                     throw str(this.a) + "|" + str(this.b);
                 }
             }"#,
         );
-        assert!(check_is_cacheable(&shape));
+        assert!(plan_for(&shape).certified);
         let list = |items: &[&str]| {
             PValue::List(items.iter().map(|s| PValue::Str(s.to_string())).collect())
         };
@@ -1041,8 +993,8 @@ mod tests {
         }"#,
     ];
 
-    fn reusable(src: &str) -> bool {
-        plan_for(&class(src)).verdict_is_reusable()
+    fn certified(src: &str) -> bool {
+        plan_for(&class(src)).certified
     }
 
     /// Crossings of `p` that executed and that reused an allow.
@@ -1059,7 +1011,7 @@ mod tests {
     #[test]
     fn read_only_classes_are_certified() {
         for src in PAGE_CLASSES.iter().chain(&[OWNER, QUOTA]) {
-            assert!(reusable(src), "{src}");
+            assert!(certified(src), "{src}");
         }
         // Every builtin that only computes, wherever it sits.
         for name in [
@@ -1070,8 +1022,12 @@ mod tests {
             let src = format!(
                 "class Computes {{ fn export_check(c) {{ if (this.mode == 1) {{ {name}(); }} }} }}"
             );
-            assert!(reusable(&src), "{name}");
+            assert!(certified(&src), "{name}");
         }
+        // `this` rendered, boxed and thrown: it escapes no pure run.
+        assert!(certified(
+            "class C { fn export_check(c) { let s = str(this); if ([this][0].n > 0) { throw this; } } }"
+        ));
     }
 
     #[test]
@@ -1129,7 +1085,7 @@ mod tests {
         let ctx = http();
         for (src, why) in &refused {
             let decl = class(src);
-            assert!(!plan_for(&decl).verdict_is_reusable(), "{why}: {src}");
+            assert!(!plan_for(&decl).certified, "{why}: {src}");
             let p = policy(&decl, &[("mode", PValue::Int(0))]);
             assert_eq!(p.export_check(&ctx), Ok(()), "{why}: {src}");
             assert_eq!(executed_and_reused(&p, &ctx, 3), (3, 0), "{why}: {src}");
@@ -1145,7 +1101,7 @@ mod tests {
                 }
             }"#,
         );
-        assert!(!plan_for(&reent).verdict_is_reusable());
+        assert!(!plan_for(&reent).certified);
         let outer = policy(&reent, &[("depth", PValue::Int(1))]);
         assert_eq!(executed_and_reused(&outer, &ctx, 3), (6, 0));
         assert_eq!(outer.export_check(&ctx), Ok(()));
@@ -1212,9 +1168,9 @@ mod tests {
     #[should_panic(expected = "field `log` of policy class `Logger`")]
     fn a_wrongly_eligible_class_is_caught_by_its_snapshot() {
         let logger = class(r#"class Logger { fn export_check(context) { push(this.log, 1); } }"#);
-        assert!(!check_is_cacheable(&logger));
         let mut plan = ClassPlan::new(&logger);
-        plan.cacheable = true;
+        assert!(!plan.certified);
+        plan.certified = true;
         let fields = Fields::from([("log".to_string(), PValue::List(Vec::new()))]);
         let _ = cross(&Arc::new(plan), &Arc::new(fields), &http());
     }

@@ -1094,7 +1094,7 @@ pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
 mod tests {
     use super::*;
     use crate::ast::StmtKind;
-    use crate::check::{check_is_cacheable, eval_policy_method};
+    use crate::check::eval_policy_method;
     use resin_core::{Context, PasswordPolicy};
 
     fn run(src: &str) -> Interp {
@@ -1358,6 +1358,27 @@ mod tests {
     }
 
     #[test]
+    fn a_policy_field_holding_itself_is_refused_not_aborted() {
+        let class = r#"class P {
+            fn init(f) { this.f = f; }
+            fn export_check(c) { if (c["type"] == "email") { return; } throw "no"; }
+        }"#;
+        let mut i = Interp::new();
+        i.run(class).unwrap();
+        let err = i
+            .run(r#"let a = [1]; push(a, a); policy_add("x", new P(a));"#)
+            .unwrap_err();
+        assert_eq!(err.message, "policy field `f` is not a persistable scalar");
+        assert!(!err.violation);
+        // Deep, but not inside itself: a snapshot like any other.
+        i.run(r#"let s = [1]; let t = policy_add("y", new P([s, [s]]));"#)
+            .unwrap();
+        // (`a[1] = 0` breaks the cycle, which would never be freed.)
+        i.run(r#"a[1] = 0; echo(t);"#).unwrap_err();
+        assert_eq!(i.http_output(), "");
+    }
+
+    #[test]
     fn legacy_engine_pin_fails_closed() {
         // An engine pin once rode in the wire format as a reserved field.
         // Nothing writes one now, and revival refuses a blob that carries
@@ -1572,7 +1593,6 @@ mod tests {
                 }
             }"#,
         );
-        assert!(check_is_cacheable(&class));
         let mut fields = BTreeMap::new();
         fields.insert(
             "weights".to_string(),
@@ -1598,8 +1618,8 @@ mod tests {
 
     #[test]
     fn mutating_check_is_rebuilt_every_crossing() {
-        // `this.n = this.n + 1` writes a field: the analysis must refuse
-        // to cache, so every crossing sees the pristine snapshot and the
+        // `this.n = this.n + 1` writes a field: the certificate refuses
+        // the class, so every crossing sees the pristine snapshot and the
         // policy never observes its own prior runs.
         let class = policy_class(
             r#"class Once {
@@ -1609,7 +1629,6 @@ mod tests {
                 }
             }"#,
         );
-        assert!(!check_is_cacheable(&class));
         let mut fields = BTreeMap::new();
         fields.insert("n".to_string(), PValue::Int(0));
         let ctx = Context::new(GateKind::Http);
@@ -1645,38 +1664,44 @@ mod tests {
 
     #[test]
     fn read_only_analysis_walks_reachable_methods() {
-        // A helper that pushes into a list reached through `this` must
-        // poison the verdict even though export_check itself is clean.
-        let class = policy_class(
-            r#"class Sneaky {
-                fn bump() { push(this.log, 1); }
-                fn export_check(context) { this.bump(); }
-            }"#,
-        );
-        assert!(!check_is_cacheable(&class));
-        // Index stores through a local alias are stores all the same.
-        let alias = policy_class(
-            r#"class Alias {
-                fn export_check(context) { let w = this.weights; w[0] = 9; }
-            }"#,
-        );
-        assert!(!check_is_cacheable(&alias));
-        // An unreachable mutating method does not poison the verdict.
-        let unreachable = policy_class(
-            r#"class Clean {
-                fn init(n) { this.n = n; }
-                fn export_check(context) { if (this.n > 0) { return; } throw "no"; }
-            }"#,
-        );
-        assert!(check_is_cacheable(&unreachable));
+        // A helper that pushes into a list reached through `this` refuses
+        // the class even though export_check itself is clean, as does an
+        // index store through a local alias: no crossing reuses `this`.
+        // An unreachable mutating method refuses nothing.
+        let ctx = Context::new(GateKind::Http);
+        let log = BTreeMap::from([("log".to_string(), PValue::List(vec![PValue::Int(0)]))]);
+        let n = BTreeMap::from([("n".to_string(), PValue::Int(1))]);
+        for (src, fields, hits) in [
+            (
+                "class Sneaky { fn bump() { push(this.log, 1); } fn export_check(c) { this.bump(); } }",
+                &log,
+                0,
+            ),
+            (
+                "class Alias { fn export_check(c) { let w = this.log; w[0] = 9; } }",
+                &log,
+                0,
+            ),
+            (
+                "class Clean { fn init(n) { this.n = n; } fn export_check(c) { return this.n; } }",
+                &n,
+                2,
+            ),
+        ] {
+            let class = policy_class(src);
+            let (h0, _) = check_cache_stats();
+            for _ in 0..3 {
+                eval_policy_method(&class, fields, &ctx).unwrap();
+            }
+            assert_eq!(check_cache_stats().0 - h0, hits, "{src}");
+        }
     }
 
     #[test]
-    fn scratch_field_write_is_cacheable_and_unobservable() {
-        // Writes an audit field no reachable method reads: the old
-        // all-or-nothing BFS rejected this shape outright; the
-        // field-sensitive analysis certifies it, because a write-only
-        // field cannot be observed on a later crossing.
+    fn a_scratch_field_writer_executes_every_crossing_verdict_unchanged() {
+        // Writes an audit field no method reads. The certificate refuses
+        // any field store, so every crossing executes on a fresh `this`,
+        // and the write never feeds back into the snapshot or the verdict.
         let class = policy_class(
             r#"class Audited {
                 fn export_check(context) {
@@ -1686,7 +1711,6 @@ mod tests {
                 }
             }"#,
         );
-        assert!(check_is_cacheable(&class));
         let mut fields = BTreeMap::new();
         fields.insert("a".to_string(), PValue::Int(3));
         fields.insert("b".to_string(), PValue::Int(4));
@@ -1697,17 +1721,13 @@ mod tests {
             eval_policy_method(&class, &fields, &ctx).unwrap();
         }
         let (h1, m1) = check_cache_stats();
-        assert_eq!(m1 - m0, 1, "this materialized once");
-        assert_eq!(h1 - h0, 3, "scratch-field writer reuses the cached this");
-        // The scratch write never feeds back into the snapshot or the
-        // verdict: cached and uncached crossings agree, and the Rust-side
-        // field snapshot stays pristine.
+        assert_eq!((h1 - h0, m1 - m0), (0, 4), "every crossing executes anew");
         fields.insert("limit".to_string(), PValue::Int(5));
-        let cached = eval_policy_method(&class, &fields, &ctx).unwrap_err();
+        let served = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         set_check_cache(false);
-        let uncached = eval_policy_method(&class, &fields, &ctx).unwrap_err();
+        let scratch = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         set_check_cache(true);
-        assert_eq!(cached.to_string(), uncached.to_string());
+        assert_eq!(served.to_string(), scratch.to_string());
         assert!(!fields.contains_key("last_sum"), "snapshot stays pristine");
     }
 
@@ -1743,10 +1763,6 @@ mod tests {
                     if (t.n > 1) { throw "ran twice"; }
                 }
             }"#,
-        );
-        assert!(
-            !check_is_cacheable(&class),
-            "UNSOUND: array-smuggled this mutation certified cacheable"
         );
         let mut fields = BTreeMap::new();
         fields.insert("n".to_string(), PValue::Int(0));

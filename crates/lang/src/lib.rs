@@ -57,7 +57,7 @@ pub mod parser;
 pub mod value;
 pub mod vm;
 
-pub use analysis::{class_effects, lint_class, lint_source, ClassEffects, LintReport, Severity};
+pub use analysis::{lint_class, lint_source, LintReport, Severity};
 pub use check::{check_cache_stats, compiled_policy_chunks, set_check_cache};
 pub use chunk::Chunk;
 pub use interp::{Interp, LangError, SentMail, Tracking};

@@ -1,16 +1,17 @@
 //! Differential coverage for the static analyzer.
 //!
 //! Two properties, checked over a seeded-random corpus of policy classes
-//! plus the targeted mutating shapes the effects analysis was built
-//! around:
+//! plus targeted shapes — mutating ones, and ones that alias `this` or a
+//! field's list without storing through the alias:
 //!
-//! 1. **Cache soundness** — for every generated class, the sequence of
-//!    verdicts over repeated crossings is identical with the per-crossing
-//!    caches on and off, and identical to the oracle's. A class the
-//!    analysis wrongly certified as cache-eligible would diverge here:
-//!    its mutation would survive inside the cached `this` and change a
-//!    later verdict (the instrumented assertion checks hit counters to
-//!    prove eligible classes really exercised the cache).
+//! 1. **Cache soundness** — for every class, the sequence of verdicts
+//!    over repeated crossings is identical with the per-crossing caches
+//!    on and off, and identical to the tree-walker's. A class the
+//!    bytecode certificate wrongly accepted would diverge here: its
+//!    mutation would survive inside the cached `this` and change a later
+//!    verdict (and a debug build's snapshot oracle would panic first; the
+//!    instrumented assertion checks hit counters to prove certified
+//!    classes really exercised the cache).
 //! 2. **Lint honesty** — a class the linter passes without RL003
 //!    (undefined method) or RL007/RL010 (unassigned variable) findings
 //!    never hits those runtime errors when its check actually runs.
@@ -20,9 +21,9 @@ use std::sync::Arc;
 
 use resin_core::{Context, GateKind, Policy, PolicyViolation};
 
-use crate::analysis::{class_effects, lint_class};
+use crate::analysis::lint_class;
 use crate::ast::{ClassDecl, StmtKind};
-use crate::check::{check_cache_stats, set_check_cache};
+use crate::check::{check_cache_stats, plan_for, set_check_cache};
 use crate::parser::parse_program;
 use crate::value::{PValue, ScriptPolicy};
 
@@ -74,11 +75,12 @@ fn crossings(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>, n: usize
         .collect()
 }
 
-/// The core differential assertion for one class source.
-fn assert_cache_transparent(src: &str) {
+/// The core differential assertion for one class source; returns whether
+/// the certificate accepted the class.
+fn assert_cache_transparent(src: &str) -> bool {
     let class = class_of(src);
     let fields = base_fields();
-    let eligible = class_effects(&class).cache_eligible();
+    let certified = plan_for(&class).certified;
 
     set_check_cache(true);
     let (h0, _) = check_cache_stats();
@@ -108,12 +110,12 @@ fn assert_cache_transparent(src: &str) {
         "crossings of {} are not independent:\n{src}\n{cached_vm:?}",
         class.name
     );
-    if eligible {
-        // Instrumented assertion: an eligible class must actually have
+    if certified {
+        // Instrumented assertion: a certified class must actually have
         // exercised the cache (3 same-thread crossings after the first).
         assert!(
             h1 - h0 >= 3,
-            "{} was marked eligible but never hit the cache",
+            "{} was certified but never hit the cache",
             class.name
         );
     }
@@ -134,19 +136,22 @@ fn assert_cache_transparent(src: &str) {
             );
         }
     }
+    certified
 }
 
 #[test]
 fn targeted_mutating_shapes_are_cache_transparent() {
-    for src in [
-        // Eligible: pure reader.
+    // A pure reader: certified.
+    assert!(assert_cache_transparent(
         r#"class Quota {
             fn export_check(context) {
                 let w = this.l0;
                 if (w[0] + w[1] > this.f0) { throw "over"; }
             }
-        }"#,
-        // Eligible: scratch-field writer (the newly-cacheable shape).
+        }"#
+    ));
+    for src in [
+        // A scratch-field writer.
         r#"class Audited {
             fn export_check(context) {
                 let sum = this.f0 + this.f1;
@@ -154,14 +159,14 @@ fn targeted_mutating_shapes_are_cache_transparent() {
                 if (sum > this.f2) { throw "over"; }
             }
         }"#,
-        // Ineligible: read-back counter.
+        // A read-back counter.
         r#"class Once {
             fn export_check(context) {
                 this.f0 = this.f0 + 1;
                 if (this.f0 > 4) { throw "ran too often"; }
             }
         }"#,
-        // Ineligible: deep store through an alias.
+        // A deep store through an alias.
         r#"class Alias {
             fn export_check(context) {
                 let w = this.l0;
@@ -169,7 +174,7 @@ fn targeted_mutating_shapes_are_cache_transparent() {
                 if (w[0] > 2) { throw "bumped"; }
             }
         }"#,
-        // Ineligible: push through a helper.
+        // A push through a helper.
         r#"class Sneaky {
             fn bump() { push(this.l0, 1); }
             fn export_check(context) {
@@ -177,7 +182,7 @@ fn targeted_mutating_shapes_are_cache_transparent() {
                 if (len(this.l0) > 3) { throw "grew"; }
             }
         }"#,
-        // Ineligible: context mutation.
+        // A context mutation.
         r#"class CtxWriter {
             fn export_check(context) {
                 if (context["seen"]) { throw "second look"; }
@@ -185,15 +190,74 @@ fn targeted_mutating_shapes_are_cache_transparent() {
             }
         }"#,
     ] {
-        assert_cache_transparent(src);
+        assert!(!assert_cache_transparent(src), "certified:\n{src}");
+    }
+}
+
+/// Shapes that alias `this` or a field's list: the certificate accepts
+/// those that only read through the alias, and refuses any store.
+#[test]
+fn aliasing_shapes_are_cache_transparent() {
+    for src in [
+        // `this` in a list literal, read back by index.
+        r#"class Boxed { fn export_check(context) {
+            let b = [this]; if (b[0].f0 + [this][0].f1 > 20) { throw "big"; } } }"#,
+        // A local holding `this`.
+        r#"class Local { fn export_check(context) { let t = this; if (t.f1 > 5) { throw t.f1; } } }"#,
+        // `this` rendered and thrown, and returned from a helper.
+        r#"class Rendered { fn export_check(context) {
+            if (len(str(this)) > 100) { throw "long"; } throw this; } }"#,
+        r#"class Returned {
+            fn me() { return this; }
+            fn export_check(context) { let m = this.me(); if (m.f2 > 10) { throw [m, m.l0]; } }
+        }"#,
+        // Nested lists built from a field.
+        r#"class Nested { fn export_check(context) {
+            let n = [this.l0, [this.l0]]; if (n[1][0][2] + n[0][0] > 3) { throw n; } } }"#,
+        // A helper returning a field's list; a parameter passed one.
+        r#"class Lister {
+            fn list() { return this.l0; }
+            fn export_check(context) { if (this.list()[2] > 2) { throw "third"; } }
+        }"#,
+        r#"class Summer {
+            fn sum(xs) { return xs[0] + xs[1] + xs[2]; }
+            fn export_check(context) { if (this.sum(this.l0) > 5) { throw "sum"; } }
+        }"#,
+    ] {
+        assert!(assert_cache_transparent(src), "refused:\n{src}");
+    }
+    // The same aliases, stored through.
+    for src in [
+        r#"class BoxedWriter { fn export_check(context) {
+            [this][0].f0 = [this][0].f0 + 1; if (this.f0 > 4) { throw "ran twice"; } } }"#,
+        r#"class LocalWriter {
+            fn export_check(context) { let t = this; t.f1 = t.f1 + 1; if (t.f1 > 8) { throw 2; } }
+        }"#,
+        r#"class ReturnedWriter {
+            fn me() { return this; }
+            fn export_check(context) { let m = this.me(); m.f2 = m.f2 * 2; if (this.f2 > 11) { throw 3; } }
+        }"#,
+        r#"class NestedWriter { fn export_check(context) {
+            let n = [[this.l0]]; n[0][0][1] = n[0][0][1] + 5; if (this.l0[1] > 6) { throw 5; } } }"#,
+        r#"class ListerWriter {
+            fn list() { return this.l0; }
+            fn export_check(context) { push(this.list(), 4); if (len(this.l0) > 4) { throw 4; } }
+        }"#,
+        r#"class Filler {
+            fn fill(xs) { xs[0] = xs[0] + 10; return xs[0]; }
+            fn export_check(context) { if (this.fill(this.l0) > 11) { throw "filled twice"; } }
+        }"#,
+    ] {
+        assert!(!assert_cache_transparent(src), "certified:\n{src}");
     }
 }
 
 // ---- seeded-random policy corpus ----
 
 /// Deterministic generator for small policy classes mixing reads,
-/// scratch writes, counters, deep stores, helpers, branches, and bounded
-/// loops — the shapes the effects analysis has to separate.
+/// scratch writes, counters, deep stores, reads and stores through aliases
+/// of `this` and of a field's list, helpers, branches, and bounded loops —
+/// the shapes the certificate has to separate.
 struct PolicyGen {
     rng: proptest::TestRng,
     scratch: u32,
@@ -230,7 +294,7 @@ impl PolicyGen {
     }
 
     fn stmt(&mut self, idx: u32) -> String {
-        match self.rng.below(8) {
+        match self.rng.below(12) {
             // Pure local work.
             0 | 1 => format!("let v{idx} = {};", self.int_expr(2)),
             // Scratch write: a field never read by any generated code.
@@ -252,7 +316,21 @@ impl PolicyGen {
                 self.int_expr(1)
             ),
             // Bounded loop.
-            _ => format!("let i{idx} = 0; while (i{idx} < 3) {{ i{idx} = i{idx} + 1; }}"),
+            7 => format!("let i{idx} = 0; while (i{idx} < 3) {{ i{idx} = i{idx} + 1; }}"),
+            // Reads through aliases of `this`.
+            8 => format!(
+                "let t{idx} = this; let v{idx} = [t{idx}][0].f{} + len(str(this));",
+                self.rng.below(3)
+            ),
+            // Reads through nested lists built from a field.
+            9 => format!(
+                "let n{idx} = [this.l0, [this.l0]]; let v{idx} = n{idx}[1][0][{}];",
+                self.rng.below(3)
+            ),
+            // A store through an alias of `this` (disqualifying).
+            10 => format!("let t{idx} = [this][0]; t{idx}.f1 = t{idx}.f1 + 1;"),
+            // A store through nested lists built from a field (disqualifying).
+            _ => format!("let n{idx} = [[this.l0]]; n{idx}[0][0][1] = 9;"),
         }
     }
 
@@ -262,19 +340,26 @@ impl PolicyGen {
         for i in 0..n {
             body.push_str(&format!("        {}\n", self.stmt(i as u32)));
         }
-        let use_helper = self.rng.below(3) == 0;
-        let helper = if use_helper {
-            let h = format!(
-                "    fn helper() {{\n        {}\n        return this.f1;\n    }}\n",
+        let helper = if self.rng.below(3) == 0 {
+            // A helper returning a field, `this` or a field's list, or
+            // passed a field's list.
+            let (params, ret, call) = match self.rng.below(4) {
+                0 => ("", "this.f1", "this.helper()"),
+                1 => ("", "this", "this.helper().f1"),
+                2 => ("", "this.l0", "this.helper()[0]"),
+                _ => ("xs", "xs[1]", "this.helper(this.l0)"),
+            };
+            body.push_str(&format!("        let hv = {call};\n"));
+            format!(
+                "    fn helper({params}) {{\n        {}\n        return {ret};\n    }}\n",
                 self.stmt(90)
-            );
-            body.push_str("        let hv = this.helper();\n");
-            h
+            )
         } else {
             String::new()
         };
+        let deny = ["\"deny\"", "this", "[this, this.l0]"][self.rng.below(3) as usize];
         format!(
-            "class {name} {{\n{helper}    fn export_check(context) {{\n{body}        if {} {{ throw \"deny\"; }}\n    }}\n}}\n",
+            "class {name} {{\n{helper}    fn export_check(context) {{\n{body}        if {} {{ throw {deny}; }}\n    }}\n}}\n",
             self.cond()
         )
     }
@@ -283,28 +368,26 @@ impl PolicyGen {
 #[test]
 fn random_policy_classes_cache_transparently() {
     let seed = proptest::seed_from_name("random_policy_classes_cache_transparently");
-    let mut eligible = 0usize;
+    let mut certified = 0usize;
     for case in 0..300u64 {
         let mut g = PolicyGen {
             rng: proptest::TestRng::new(seed ^ (case.wrapping_mul(0xA076_1D64_78BD_642F) | 1)),
             scratch: 0,
         };
         let src = g.class(&format!("Rand{case}"));
-        let class = class_of(&src);
-        if class_effects(&class).cache_eligible() {
-            eligible += 1;
+        if assert_cache_transparent(&src) {
+            certified += 1;
         }
-        assert_cache_transparent(&src);
     }
-    // The generator must cover both sides of the eligibility line, with
-    // enough eligible classes to make the transparency claim meaningful.
+    // The generator must cover both sides of the certificate's line, with
+    // enough certified classes to make the transparency claim meaningful.
     assert!(
-        eligible >= 30,
-        "only {eligible}/300 generated classes were cache-eligible"
+        certified >= 30,
+        "only {certified}/300 generated classes were certified"
     );
     assert!(
-        eligible <= 270,
-        "only {}/300 generated classes were mutating",
-        300 - eligible
+        certified <= 270,
+        "only {}/300 generated classes were refused",
+        300 - certified
     );
 }

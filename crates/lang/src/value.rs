@@ -262,21 +262,26 @@ pub enum PValue {
 
 impl PValue {
     /// Snapshots a runtime value; containers of scalars are supported,
-    /// nested objects are not (matching the flat-fields persistence model).
+    /// nested objects are not (matching the flat-fields persistence model),
+    /// and neither is a list met again inside itself.
     pub fn from_value(v: &Value) -> Option<PValue> {
-        Some(match v {
-            Value::Null => PValue::Null,
-            Value::Bool(b) => PValue::Bool(*b),
-            Value::Int(n, _) => PValue::Int(*n),
-            Value::Str(s) => PValue::Str(s.as_str().to_string()),
-            Value::Array(a) => PValue::List(
-                a.borrow()
-                    .iter()
-                    .map(PValue::from_value)
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-            Value::Map(_) | Value::Object(_) => return None,
-        })
+        // `path` holds the lists being converted, outermost first.
+        fn on(v: &Value, path: &mut Vec<*const RefCell<Vec<Value>>>) -> Option<PValue> {
+            Some(match v {
+                Value::Null => PValue::Null,
+                Value::Bool(b) => PValue::Bool(*b),
+                Value::Int(n, _) => PValue::Int(*n),
+                Value::Str(s) => PValue::Str(s.as_str().to_string()),
+                Value::Array(a) if !path.contains(&Rc::as_ptr(a)) => {
+                    path.push(Rc::as_ptr(a));
+                    let items: Option<_> = a.borrow().iter().map(|v| on(v, path)).collect();
+                    path.pop();
+                    PValue::List(items?)
+                }
+                Value::Array(_) | Value::Map(_) | Value::Object(_) => return None,
+            })
+        }
+        on(v, &mut Vec::new())
     }
 
     /// Rebuilds a runtime value.
@@ -545,5 +550,20 @@ mod tests {
             PValue::from_value(&arr),
             Some(PValue::List(vec![PValue::Int(1)]))
         );
+        // One list twice side by side is not a cycle; a list inside
+        // itself has no snapshot.
+        let twice = Value::new_array(vec![arr.clone(), arr.clone()]);
+        let one = PValue::List(vec![PValue::Int(1)]);
+        assert_eq!(
+            PValue::from_value(&twice),
+            Some(PValue::List(vec![one.clone(), one]))
+        );
+        let Value::Array(items) = &arr else {
+            unreachable!()
+        };
+        items.borrow_mut().push(Value::new_array(vec![arr.clone()]));
+        assert_eq!(PValue::from_value(&arr), None);
+        assert_eq!(PValue::from_value(&twice), None);
+        items.borrow_mut().clear();
     }
 }

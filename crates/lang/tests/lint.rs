@@ -1,8 +1,10 @@
 //! Linter integration tests: every seeded-unsound fixture is flagged
-//! with its expected diagnostic code, and the real policy corpus
-//! embedded across the repository stays free of error-severity findings.
+//! with its expected diagnostic code, by the library and by the
+//! `resin-lint` binary, and the real policy corpus embedded across the
+//! repository stays free of error-severity findings.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use resin_lang::analysis::lint::extract_embedded_rsl;
 use resin_lang::{lint_source, Severity};
@@ -38,6 +40,32 @@ fn every_seeded_unsound_fixture_is_flagged() {
             .find(|d| d.code == code)
             .unwrap_or_else(|| panic!("{file}: expected {code}, got:\n{}", reports[0].render()));
         assert_eq!(diag.severity, severity, "{file}: {code} severity");
+    }
+}
+
+/// The binary over the fixtures exits with status 1 exactly and prints
+/// their findings, so that a build failure or a crash cannot pass for the
+/// lint failure the corpus sweep guards against.
+#[test]
+fn the_binary_fails_the_fixtures_and_prints_their_findings() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures");
+    let out = Command::new(env!("CARGO_BIN_EXE_resin-lint"))
+        .arg("--scan")
+        .arg(&fixtures)
+        .output()
+        .expect("resin-lint runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    for (file, finding) in [
+        ("rl003_undefined_method.rsl", "RL003 error"),
+        ("rl009_never_written_field.rsl", "RL009 warning"),
+    ] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.contains(file) && l.contains(finding)),
+            "{file}: no {finding} in\n{stdout}"
+        );
     }
 }
 

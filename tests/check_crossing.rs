@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use resin::apps::scriptinj::ScriptHost;
 use resin::core::{FlowError, Gate, GateKind, Runtime, TaintedString};
 use resin::lang::ast::StmtKind;
 use resin::lang::{parse_program, PValue, ScriptPolicy};
@@ -50,6 +51,10 @@ class Cyclic {
     }
 }
 "#;
+
+/// An upload that `scriptinj`'s unarmed host runs when it is requested: a
+/// policy whose field is a list holding itself.
+const SELF_HOLDING: &str = r#"class P { fn init(f) { this.f = f; } fn export_check(c) { if (c["type"] == "email") { return; } throw "no"; } } let a = [1]; push(a, a); policy_add("x", new P(a));"#;
 
 fn guarded(text: &str, armed: bool) -> TaintedString {
     guarded_by(SRC, text, armed)
@@ -158,4 +163,24 @@ fn a_container_holding_itself_renders_into_the_refusal() {
         assert!(err.to_string().contains(text), "{err}");
         assert_eq!(page.body, "");
     }
+}
+
+#[test]
+fn a_policy_field_holding_itself_is_refused_through_a_request() {
+    let app = |req: &Request, resp: &mut Response| -> Result<(), FlowError> {
+        let mut host = ScriptHost::new(false);
+        host.upload("shell.rsl", req.param_or_empty("script").as_str());
+        match host.http_request_script("/uploads/shell.rsl") {
+            Ok(()) => resp.echo_str("ran"),
+            Err(e) => resp.echo_str(&e.message),
+        }
+    };
+    let page = serve_request(&app, &Request::get("/").with_param("script", SELF_HOLDING));
+    assert_eq!(page.status, 200);
+    assert!(
+        page.body
+            .ends_with("policy field `f` is not a persistable scalar"),
+        "{}",
+        page.body
+    );
 }
