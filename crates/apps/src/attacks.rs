@@ -7,9 +7,8 @@
 //! aggregates the outcomes into the paper's table rows.
 
 use resin_core::TaintedString;
-use resin_core::UntrustedData;
+use resin_web::request::untrusted;
 use resin_web::Response;
-use std::sync::Arc;
 
 use crate::filemgr::FileManager;
 use crate::forum::Forum;
@@ -43,7 +42,7 @@ impl AttackOutcome {
 }
 
 fn input(s: &str) -> TaintedString {
-    TaintedString::with_policy(s, Arc::new(UntrustedData::from_source("http_param")))
+    untrusted(s, "http_param")
 }
 
 // ---- individual attacks; each returns "exploit succeeded" for one config ----

@@ -654,7 +654,7 @@ mod tests {
             &app,
             &Request::post("/post")
                 .with_cookie("sid", &sid)
-                .with_param("body", &"a".repeat(4096)),
+                .with_param("body", "a".repeat(4096)),
         )
         .outcome
         .unwrap();
@@ -718,7 +718,7 @@ mod tests {
                         let req = match i % 4 {
                             0 => Request::post("/post")
                                 .with_cookie("sid", sid)
-                                .with_param("body", &format!("benign post {i}")),
+                                .with_param("body", format!("benign post {i}")),
                             1 => Request::get("/view_raw").with_param("id", evil_id),
                             2 => Request::get("/view").with_param("id", "1 OR 1=1"),
                             _ => Request::get("/search").with_param("q", "benign"),
@@ -928,7 +928,7 @@ mod tests {
                             1 => Request::post("/edit")
                                 .with_cookie("sid", alice)
                                 .with_param("page", "Public")
-                                .with_param("body", &format!("rev {i}")),
+                                .with_param("body", format!("rev {i}")),
                             _ => Request::get("/raw")
                                 .with_cookie("sid", mallory)
                                 .with_param("page", "Secret"),

@@ -409,9 +409,9 @@ impl PolicyKey {
 pub struct PolicyInterner {
     policies: Vec<PolicyRef>,
     by_key: HashMap<PolicyKey, u32>,
-    /// Epoch at which each slot was (last) interned; parallel to
-    /// `policies`.
-    epochs: Vec<u64>,
+    /// The latest epoch at which each slot was interned or found; parallel
+    /// to `policies`. Atomic so a lookup under the read lock can raise it.
+    epochs: Vec<AtomicU64>,
     /// Swept slots awaiting reuse, with the epoch they were freed at.
     free: Vec<(u32, u64)>,
     /// The read index: a wire text and the id of the policy the class
@@ -431,6 +431,26 @@ pub struct PolicyInterner {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireMiss(u64);
 
+/// Raises a slot's epoch to `epoch`, the epoch a lookup handed it out in.
+/// A sweep keeps every slot whose epoch is at or after the oldest live
+/// pin, so a label or policy a pinned request *finds* is as safe as one it
+/// creates. Stored only when lower: a hot slot is read, not written.
+/// Relaxed is enough: callers hold the table's read lock and a sweep
+/// reads the slot under the write lock, so the lock orders the two.
+#[inline]
+fn touch(slot: &AtomicU64, epoch: u64) {
+    if slot.load(Ordering::Relaxed) < epoch {
+        raise(slot, epoch);
+    }
+}
+
+/// The store half of [`touch`]: once per slot per epoch, off the hit path.
+#[cold]
+#[inline(never)]
+fn raise(slot: &AtomicU64, epoch: u64) {
+    slot.fetch_max(epoch, Ordering::Relaxed);
+}
+
 impl PolicyInterner {
     /// Interns `policy`, returning its id (existing id for duplicates).
     /// `epoch` stamps a fresh slot; `reuse_floor` is the oldest pinned
@@ -443,12 +463,13 @@ impl PolicyInterner {
         reuse_floor: Option<u64>,
     ) -> PolicyId {
         if let Some(&id) = self.by_key.get(&key) {
+            touch(&self.epochs[id as usize], epoch);
             return PolicyId(id);
         }
         let id = match self.pop_free(reuse_floor) {
             Some(slot) => {
                 self.policies[slot as usize] = policy.clone();
-                self.epochs[slot as usize] = epoch;
+                *self.epochs[slot as usize].get_mut() = epoch;
                 // The tombstone's text, if anyone serialised it.
                 self.wire[slot as usize] = None;
                 slot
@@ -456,7 +477,7 @@ impl PolicyInterner {
             None => {
                 let id = u32::try_from(self.policies.len()).expect("policy interner overflow");
                 self.policies.push(policy.clone());
-                self.epochs.push(epoch);
+                self.epochs.push(AtomicU64::new(epoch));
                 self.wire.push(None);
                 id
             }
@@ -529,9 +550,9 @@ struct TableInner {
     sets: Vec<LabelEntry>,
     by_ids: HashMap<Arc<[PolicyId]>, u32>,
     union_cache: HashMap<(u32, u32), u32>,
-    /// Epoch at which each set slot was (last) interned; parallel to
-    /// `sets`.
-    set_epochs: Vec<u64>,
+    /// The latest epoch at which each set slot was interned or found;
+    /// parallel to `sets` (see [`touch`]).
+    set_epochs: Vec<AtomicU64>,
     /// Swept set slots awaiting reuse, with the epoch they were freed at.
     free_sets: Vec<(u32, u64)>,
 }
@@ -619,9 +640,10 @@ pub struct LabelTableStats {
 }
 
 /// An RAII epoch pin: while alive, the sweep treats every label or
-/// policy interned at or after the pinned epoch as reachable, and no
-/// slot freed at or after it is reused. Take one at transaction or
-/// request start so in-flight handles survive a concurrent sweep.
+/// policy interned or found (by a lookup that hands it out) at or after
+/// the pinned epoch as reachable, and no slot freed at or after it is
+/// reused. Take one at transaction or request start so in-flight handles
+/// survive a concurrent sweep.
 pub struct EpochPin<'a> {
     table: &'a LabelTable,
     epoch: u64,
@@ -685,7 +707,7 @@ impl LabelTable {
         };
         let inner = TableInner {
             sets: vec![empty], // index 0 = Label::EMPTY
-            set_epochs: vec![0],
+            set_epochs: vec![AtomicU64::new(0)],
             ..TableInner::default()
         };
         LabelTable {
@@ -725,9 +747,9 @@ impl LabelTable {
     }
 
     /// Pins the current epoch for the pin's lifetime. Take one at
-    /// transaction/request start: labels and policies interned while the
-    /// pin is live (or already live when it was taken, transitively via
-    /// the reuse floor) survive concurrent sweeps.
+    /// transaction/request start: labels and policies interned or found
+    /// while the pin is live (or already live when it was taken,
+    /// transitively via the reuse floor) survive concurrent sweeps.
     pub fn pin(&self) -> EpochPin<'_> {
         let epoch = self.epoch.load(Ordering::Relaxed);
         *crate::sync::mlock(&self.pins).entry(epoch).or_insert(0) += 1;
@@ -738,10 +760,14 @@ impl LabelTable {
     pub fn intern_policy(&self, policy: &PolicyRef) -> PolicyId {
         // Compute the key outside the lock (serialize_fields may allocate).
         let key = PolicyKey::of(policy);
-        if let Some(&id) = self.read().interner.by_key.get(&key) {
-            return PolicyId(id);
-        }
         let epoch = self.current_epoch();
+        {
+            let inner = self.read();
+            if let Some(&id) = inner.interner.by_key.get(&key) {
+                touch(&inner.interner.epochs[id as usize], epoch);
+                return PolicyId(id);
+            }
+        }
         let floor = self.oldest_pin();
         self.write().interner.intern(key, policy, epoch, floor)
     }
@@ -759,24 +785,28 @@ impl LabelTable {
     fn wire_hit<R>(
         &self,
         text: &str,
-        hit: impl FnOnce(&TableInner, PolicyId) -> R,
+        hit: impl FnOnce(&TableInner, PolicyId, u64) -> R,
     ) -> Result<R, WireMiss> {
+        let epoch = self.current_epoch();
         let inner = self.read();
         match inner.interner.by_wire.get(text) {
-            Some(&id) => Ok(hit(&inner, PolicyId(id))),
+            Some(&id) => {
+                touch(&inner.interner.epochs[id as usize], epoch);
+                Ok(hit(&inner, PolicyId(id), epoch))
+            }
             None => Err(WireMiss(inner.interner.wire_generation)),
         }
     }
 
     /// The id `text` decoded to, if the read index holds it.
     pub(crate) fn wire_id(&self, text: &str) -> Result<PolicyId, WireMiss> {
-        self.wire_hit(text, |_, id| id)
+        self.wire_hit(text, |_, id, _| id)
     }
 
     /// The canonical object of the policy `text` decoded to, if the read
     /// index holds it.
     pub(crate) fn wire_policy(&self, text: &str) -> Option<PolicyRef> {
-        self.wire_hit(text, |inner, id| {
+        self.wire_hit(text, |inner, id, _| {
             inner.interner.policies[id.0 as usize].clone()
         })
         .ok()
@@ -787,8 +817,10 @@ impl LabelTable {
     /// allocation (unless that label was swept while the policy lived on
     /// in a larger set, and is interned again here).
     pub(crate) fn wire_label(&self, text: &str) -> Result<Label, WireMiss> {
-        let found = self.wire_hit(text, |inner, id| {
-            inner.by_ids.get(&[id][..]).map(|&l| Label(l)).ok_or(id)
+        let found = self.wire_hit(text, |inner, id, epoch| {
+            let &l = inner.by_ids.get(&[id][..]).ok_or(id)?;
+            touch(&inner.set_epochs[l as usize], epoch);
+            Ok(Label(l))
         })?;
         Ok(found.unwrap_or_else(|id| self.intern_ids(vec![id])))
     }
@@ -866,20 +898,23 @@ impl LabelTable {
             return Label::EMPTY;
         }
         let ids: Arc<[PolicyId]> = ids.into();
-        if let Some(&idx) = self.read().by_ids.get(&ids) {
-            return Label(idx);
-        }
+        let epoch = self.current_epoch();
         let refs: Vec<PolicyRef> = {
             let inner = self.read();
+            if let Some(&idx) = inner.by_ids.get(&ids) {
+                touch(&inner.set_epochs[idx as usize], epoch);
+                return Label(idx);
+            }
             ids.iter()
                 .map(|id| inner.interner.policies[id.0 as usize].clone())
                 .collect()
         };
-        let epoch = self.current_epoch();
         let floor = self.oldest_pin();
         let mut inner = self.write();
         if let Some(&idx) = inner.by_ids.get(&ids) {
-            return Label(idx); // raced: another thread interned it first
+            // Raced: another thread interned it first.
+            touch(&inner.set_epochs[idx as usize], epoch);
+            return Label(idx);
         }
         let entry = LabelEntry {
             ids: ids.clone(),
@@ -888,13 +923,13 @@ impl LabelTable {
         let idx = match inner.pop_free_set(floor) {
             Some(slot) => {
                 inner.sets[slot as usize] = entry;
-                inner.set_epochs[slot as usize] = epoch;
+                *inner.set_epochs[slot as usize].get_mut() = epoch;
                 slot
             }
             None => {
                 let idx = u32::try_from(inner.sets.len()).expect("label table overflow");
                 inner.sets.push(entry);
-                inner.set_epochs.push(epoch);
+                inner.set_epochs.push(AtomicU64::new(epoch));
                 idx
             }
         };
@@ -908,8 +943,13 @@ impl LabelTable {
 
     fn union(&self, a: Label, b: Label) -> Label {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        if let Some(&idx) = self.read().union_cache.get(&key) {
-            return Label(idx);
+        let epoch = self.current_epoch();
+        {
+            let inner = self.read();
+            if let Some(&idx) = inner.union_cache.get(&key) {
+                touch(&inner.set_epochs[idx as usize], epoch);
+                return Label(idx);
+            }
         }
         // Merge the two sorted id lists outside the write lock.
         let (ea, eb) = (self.entry(a), self.entry(b));
@@ -963,9 +1003,9 @@ impl LabelTable {
     /// app-held tainted values). Durable state needs no roots: policies
     /// persist serialized with their data and re-intern on read. Call
     /// after a checkpoint, when durable state is self-contained, so the
-    /// root set is exactly the in-memory survivors. Handles interned
-    /// while an [`EpochPin`] is live (request/transaction scratch) are
-    /// kept via the epoch check, and no swept slot is reused while a pin
+    /// root set is exactly the in-memory survivors. Handles interned or
+    /// found while an [`EpochPin`] is live (request/transaction scratch)
+    /// are kept via the epoch check, and no swept slot is reused while a pin
     /// predating its release remains — so a contract *violation* (a
     /// stale handle outside roots and pins) resolves to the fail-closed
     /// `SweptLabel` tombstone, denying export instead of laundering
@@ -983,7 +1023,7 @@ impl LabelTable {
         for idx in 1..inner.sets.len() as u32 {
             if root_set.contains(&idx)
                 || already_free.contains(&idx)
-                || inner.set_epochs[idx as usize] >= safe_before
+                || inner.set_epochs[idx as usize].load(Ordering::Relaxed) >= safe_before
             {
                 continue;
             }
@@ -1001,7 +1041,7 @@ impl LabelTable {
         }
         for &idx in &swept_labels {
             inner.sets[idx as usize] = tombstone_entry();
-            inner.set_epochs[idx as usize] = sweep_epoch;
+            *inner.set_epochs[idx as usize].get_mut() = sweep_epoch;
             inner.free_sets.push((idx, sweep_epoch));
         }
         inner.by_ids.retain(|_, idx| !swept_labels.contains(idx));
@@ -1018,7 +1058,7 @@ impl LabelTable {
         for idx in 0..inner.interner.policies.len() as u32 {
             if live_policies.contains(&idx)
                 || policy_free.contains(&idx)
-                || inner.interner.epochs[idx as usize] >= safe_before
+                || inner.interner.epochs[idx as usize].load(Ordering::Relaxed) >= safe_before
             {
                 continue;
             }
@@ -1026,7 +1066,7 @@ impl LabelTable {
         }
         for &idx in &swept_policies {
             inner.interner.policies[idx as usize] = Arc::new(SweptLabel) as PolicyRef;
-            inner.interner.epochs[idx as usize] = sweep_epoch;
+            *inner.interner.epochs[idx as usize].get_mut() = sweep_epoch;
             inner.interner.free.push((idx, sweep_epoch));
             inner.interner.wire[idx as usize] = None;
         }
@@ -1336,6 +1376,42 @@ mod tests {
             "slots freed at/after a live pin's epoch are not reused"
         );
         drop(pin3);
+    }
+
+    #[test]
+    fn labels_a_pinned_request_finds_are_not_swept() {
+        // A label (and a policy no label holds) interned before the pin
+        // and *found* under it: the request's handles must outlive a
+        // concurrent sweep.
+        let t = LabelTable::new();
+        let p = pw("gc-found@x");
+        let l = t.label_of(&p);
+        let bare = t.intern_policy(&pw("gc-found-bare@x"));
+        let a = t.pin();
+        t.sweep([]);
+        drop(a);
+        let b = t.pin();
+        assert_eq!(t.label_of(&p), l);
+        assert_eq!(t.intern_policy(&pw("gc-found-bare@x")), bare);
+        let report = t.sweep([]);
+        assert_eq!((report.labels_swept, report.policies_swept), (0, 0));
+        assert_eq!(t.entry(l).ids[..], [t.intern_policy(&p)], "not tombstoned");
+        assert_eq!(t.resolve_policy(bare).name(), "PasswordPolicy");
+        drop(b);
+
+        // Found through the union cache and through the read index.
+        let m = t.label_of(&untrusted());
+        let lm = t.union(l, m);
+        let text = t.wire_text(t.intern_policy(&p), &p);
+        t.intern_decoded(&text, &p, t.wire_id(&text).unwrap_err());
+        t.sweep([l, m, lm]);
+        let b = t.pin();
+        assert_eq!(t.union(l, m), lm);
+        assert_eq!(t.wire_label(&text).unwrap(), l);
+        assert_eq!(t.sweep([]).labels_swept, 1, "only `m`, found by nothing");
+        assert_eq!(t.entry(lm).ids.len(), 2, "the union survives");
+        assert_eq!(t.entry(l).ids.len(), 1, "the decoded label survives");
+        drop(b);
     }
 
     #[test]

@@ -351,7 +351,15 @@ mod tests {
                 "duplicate Content-Length",
             ),
             (
+                &b"POST /echo HTTP/1.1\r\ncontent-length: 3\r\nContent-LENGTH: 3\r\n\r\nabc"[..],
+                "duplicate Content-Length",
+            ),
+            (
                 &b"POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"[..],
+                "Transfer-Encoding",
+            ),
+            (
+                &b"POST /echo HTTP/1.1\r\nTRANSFER-ENCODING: chunked\r\n\r\n0\r\n\r\n"[..],
                 "Transfer-Encoding",
             ),
             (&b"GET /echo HTTP/1.1\nHost: x\n\n"[..], "bare LF"),

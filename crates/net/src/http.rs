@@ -12,15 +12,19 @@
 //! 2. **Taint.** Every network-derived byte lands in the
 //!    [`resin_web::Request`] as a policy-labeled value: path, query
 //!    params, headers, cookies, and body each carry
-//!    [`UntrustedData`] with a
+//!    [`UntrustedData`](resin_core::UntrustedData) with a
 //!    source-specific tag. Downstream, the SQL/XSS/splitting assertions
-//!    key off these labels — identical to requests built in-process.
+//!    key off these labels — identical to requests built in-process,
+//!    because both are tainted by [`untrusted`].
 
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
 
-use resin_core::{TaintedString, UntrustedData};
+use resin_web::request::untrusted;
 use resin_web::{Method, Request};
+
+#[cfg(test)]
+mod oracle;
 
 /// Why a request was rejected at the parse boundary, mapped to the
 /// status code the connection answers before closing.
@@ -88,27 +92,28 @@ impl fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// A validated request head: line + headers, still untainted *text* —
-/// [`build_request`] attaches the labels.
+/// A validated request head: line + headers, still untainted *text*
+/// borrowed from the head bytes — [`build_request`] attaches the labels.
 #[derive(Debug)]
-pub struct Head {
+pub struct Head<'a> {
     /// GET or POST.
     pub method: Method,
     /// The raw request-target (path + optional query), undecoded.
-    pub target: String,
-    /// `(lowercased-name, value)` in arrival order.
-    pub headers: Vec<(String, String)>,
+    pub target: &'a str,
+    /// `(name, value)` in arrival order, names as sent (compare them
+    /// case-insensitively), values trimmed.
+    pub headers: Vec<(&'a str, &'a str)>,
     /// True for HTTP/1.1, false for HTTP/1.0 (affects keep-alive default).
     pub http11: bool,
 }
 
-impl Head {
+impl<'a> Head<'a> {
     /// All values of one (case-insensitive) header, in order.
-    fn all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+    fn all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
         self.headers
             .iter()
-            .filter(move |(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|&(_, v)| v)
     }
 
     /// The declared body length: `None` when no body is transmitted.
@@ -116,23 +121,24 @@ impl Head {
         if self.all("transfer-encoding").next().is_some() {
             return Err(HttpError::TransferEncoding);
         }
-        // Collect every value, splitting comma lists: `Content-Length:
-        // 5, 5` is the same smuggling shape as two headers.
-        let mut values = Vec::new();
-        for v in self.all("content-length") {
-            for part in v.split(',') {
-                values.push(part.trim());
-            }
-        }
-        let Some(&first) = values.first() else {
+        // Every value counts, comma lists split: `Content-Length: 5, 5`
+        // is the same smuggling shape as two headers.
+        let mut values = self
+            .all("content-length")
+            .flat_map(|v| v.split(','))
+            .map(str::trim);
+        let Some(first) = values.next() else {
             return Ok(None);
         };
-        if values.len() > 1 {
-            return if values.iter().all(|v| *v == first) {
-                Err(HttpError::DuplicateContentLength)
-            } else {
-                Err(HttpError::ConflictingContentLength)
-            };
+        let mut duplicated = false;
+        for v in values {
+            if v != first {
+                return Err(HttpError::ConflictingContentLength);
+            }
+            duplicated = true;
+        }
+        if duplicated {
+            return Err(HttpError::DuplicateContentLength);
         }
         if first.is_empty() || !first.bytes().all(|b| b.is_ascii_digit()) {
             return Err(HttpError::Malformed(format!(
@@ -147,28 +153,31 @@ impl Head {
 
     /// Whether the connection stays open after this exchange.
     pub fn keep_alive(&self) -> bool {
-        let conn = self
-            .all("connection")
-            .last()
-            .map(str::to_ascii_lowercase)
-            .unwrap_or_default();
+        let conn = self.all("connection").last();
         if self.http11 {
-            conn != "close"
+            !conn.is_some_and(|c| c.eq_ignore_ascii_case("close"))
         } else {
-            conn == "keep-alive"
+            conn.is_some_and(|c| c.eq_ignore_ascii_case("keep-alive"))
         }
     }
 }
 
 /// Parses and validates one head block (request line through the blank
-/// line, terminators included).
+/// line, terminators included). The [`Head`] borrows `head`.
 ///
 /// Line discipline: every line must end with exactly `\r\n`; a bare LF
 /// is rejected ([`HttpError::BareLf`]) and so is any CR not immediately
 /// followed by LF ([`HttpError::BareCr`]) — both are smuggling vectors
-/// through parser disagreement.
-pub fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
-    let mut lines = Vec::new();
+/// through parser disagreement. The whole block's line discipline is
+/// checked before the request line, and the request line before any
+/// header line.
+pub fn parse_head(head: &[u8]) -> Result<Head<'_>, HttpError> {
+    let mut request_line = None;
+    // One allocation: at most one header per line past the request line
+    // and the blank one.
+    let lines = head.iter().filter(|&&b| b == b'\n').count();
+    let mut headers = Vec::with_capacity(lines.saturating_sub(2));
+    let mut bad_header = None;
     let mut rest = head;
     loop {
         let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
@@ -193,9 +202,16 @@ pub fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
         }
         let line = std::str::from_utf8(line)
             .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()))?;
-        lines.push(line);
+        if request_line.is_none() {
+            request_line = Some(line);
+        } else if bad_header.is_none() {
+            match header_line(line) {
+                Ok(header) => headers.push(header),
+                Err(e) => bad_header = Some(e),
+            }
+        }
     }
-    let Some((request_line, header_lines)) = lines.split_first() else {
+    let Some(request_line) = request_line else {
         return Err(HttpError::Malformed("empty request".into()));
     };
 
@@ -225,77 +241,84 @@ pub fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     if target.is_empty() || !target.starts_with('/') {
         return Err(HttpError::Malformed(format!("target {target:?}")));
     }
-
-    let mut headers = Vec::with_capacity(header_lines.len());
-    for line in header_lines {
-        if line.starts_with(' ') || line.starts_with('\t') {
-            // Obs-fold: continuation lines make header values ambiguous
-            // across parsers.
-            return Err(HttpError::Malformed("folded header line".into()));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::Malformed(format!("header line {line:?}")));
-        };
-        if name.is_empty()
-            || name
-                .bytes()
-                .any(|b| b.is_ascii_whitespace() || b.is_ascii_control())
-        {
-            // `Content-Length : 5` style names are parsed as distinct
-            // headers by distinct implementations — reject.
-            return Err(HttpError::Malformed(format!("header name {name:?}")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+    if let Some(e) = bad_header {
+        return Err(e);
     }
     Ok(Head {
         method,
-        target: target.to_string(),
+        target,
         headers,
         http11,
     })
 }
 
-fn taint(value: &str, source: &str) -> TaintedString {
-    TaintedString::with_policy(value, Arc::new(UntrustedData::from_source(source)))
+/// One header line as `(name, trimmed value)`.
+fn header_line(line: &str) -> Result<(&str, &str), HttpError> {
+    if line.starts_with(' ') || line.starts_with('\t') {
+        // Obs-fold: continuation lines make header values ambiguous
+        // across parsers.
+        return Err(HttpError::Malformed("folded header line".into()));
+    }
+    let Some((name, value)) = line.split_once(':') else {
+        return Err(HttpError::Malformed(format!("header line {line:?}")));
+    };
+    if name.is_empty()
+        || name
+            .bytes()
+            .any(|b| b.is_ascii_whitespace() || b.is_ascii_control())
+    {
+        // `Content-Length : 5` style names are parsed as distinct
+        // headers by distinct implementations — reject.
+        return Err(HttpError::Malformed(format!("header name {name:?}")));
+    }
+    Ok((name, value.trim()))
 }
 
 /// Percent-decodes `raw` (plus `+` → space when `form` is set), lossily
 /// UTF-8. Invalid escapes pass through verbatim — the value is tainted
-/// either way.
-fn percent_decode(raw: &str, form: bool) -> String {
+/// either way. A value with nothing to decode is borrowed; otherwise the
+/// runs between escapes are copied whole.
+fn percent_decode(raw: &str, form: bool) -> Cow<'_, str> {
     let bytes = raw.as_bytes();
+    let special = |b: &u8| *b == b'%' || (form && *b == b'+');
+    let Some(mut i) = bytes.iter().position(special) else {
+        return Cow::Borrowed(raw);
+    };
     let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
+    out.extend_from_slice(&bytes[..i]);
     while i < bytes.len() {
-        match bytes[i] {
-            b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+        // `bytes[i]` is a `%` or a form-mode `+`.
+        if bytes[i] == b'+' {
+            out.push(b' ');
+            i += 1;
+        } else {
+            let hex = bytes.get(i + 1..i + 3);
+            match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
+                Some(b) => {
+                    out.push(b);
+                    i += 3;
+                }
+                None => {
+                    out.push(b'%');
+                    i += 1;
                 }
             }
-            b'+' if form => {
-                out.push(b' ');
-                i += 1;
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
         }
+        let run = bytes[i..]
+            .iter()
+            .position(special)
+            .map_or(bytes.len(), |n| i + n);
+        out.extend_from_slice(&bytes[i..run]);
+        i = run;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    Cow::Owned(match String::from_utf8(out) {
+        Ok(text) => text,
+        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+    })
 }
 
 /// Splits a query/form string into decoded pairs.
-fn form_pairs(s: &str) -> impl Iterator<Item = (String, String)> + '_ {
+fn form_pairs(s: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
     s.split('&').filter(|p| !p.is_empty()).map(|pair| {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
         (percent_decode(k, true), percent_decode(v, true))
@@ -303,7 +326,8 @@ fn form_pairs(s: &str) -> impl Iterator<Item = (String, String)> + '_ {
 }
 
 /// Builds the application-level [`Request`] from a validated head and
-/// optional body, attaching taint to **every** network-derived value:
+/// optional body, attaching taint to **every** network-derived value
+/// through [`untrusted`], the tainter in-process requests share:
 ///
 /// | field            | source tag     |
 /// |------------------|----------------|
@@ -315,24 +339,24 @@ fn form_pairs(s: &str) -> impl Iterator<Item = (String, String)> + '_ {
 ///
 /// The routing key ([`Request::path`]) is the decoded path *component*
 /// only — the query never reaches route matching.
-pub fn build_request(head: &Head, body: Option<&[u8]>) -> Request {
+pub fn build_request(head: &Head<'_>, body: Option<&[u8]>) -> Request {
     let (path_part, query) = match head.target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
-        None => (head.target.as_str(), None),
+        None => (head.target, None),
     };
     let mut req = match head.method {
         Method::Get => Request::get(percent_decode(path_part, false)),
         Method::Post => Request::post(percent_decode(path_part, false)),
     };
-    req = req.with_raw_path(taint(&head.target, "http_path"));
+    req = req.with_raw_path(untrusted(head.target, "http_path"));
     if let Some(q) = query {
         for (k, v) in form_pairs(q) {
-            req = req.with_param(k, &v);
+            req = req.with_param(k, v);
         }
     }
-    for (name, value) in &head.headers {
-        req = req.with_header(name.clone(), value);
-        if name == "cookie" {
+    for &(name, value) in &head.headers {
+        req = req.with_header(name, value);
+        if name.eq_ignore_ascii_case("cookie") {
             for pair in value.split(';') {
                 let pair = pair.trim();
                 if pair.is_empty() {
@@ -345,7 +369,6 @@ pub fn build_request(head: &Head, body: Option<&[u8]>) -> Request {
     }
     if let Some(body) = body {
         let text = String::from_utf8_lossy(body);
-        req = req.with_body(&text);
         let is_form = head
             .all("content-type")
             .last()
@@ -355,9 +378,10 @@ pub fn build_request(head: &Head, body: Option<&[u8]>) -> Request {
             .unwrap_or(head.method == Method::Post);
         if is_form {
             for (k, v) in form_pairs(&text) {
-                req = req.with_param(k, &v);
+                req = req.with_param(k, v);
             }
         }
+        req = req.with_body(text);
     }
     req
 }
@@ -367,7 +391,7 @@ mod tests {
     use super::*;
     use resin_core::UntrustedData;
 
-    fn head_of(raw: &str) -> Head {
+    fn head_of(raw: &str) -> Head<'_> {
         parse_head(raw.as_bytes()).unwrap()
     }
 
@@ -377,7 +401,7 @@ mod tests {
         assert_eq!(h.method, Method::Get);
         assert_eq!(h.target, "/view?id=1");
         assert!(h.http11);
-        assert_eq!(h.headers, vec![("host".into(), "x".into())]);
+        assert_eq!(h.headers, vec![("Host", "x")], "names as sent");
         assert_eq!(h.body_length().unwrap(), None);
         assert!(h.keep_alive());
     }
@@ -442,9 +466,40 @@ mod tests {
     }
 
     #[test]
+    fn framing_headers_are_matched_in_any_case() {
+        // `Head` keeps names as sent, so each framing rule compares them
+        // case-insensitively: no spelling slips a header past one.
+        for (raw, want) in [
+            (
+                "TRANSFER-ENCODING: chunked\r\nContent-Length: 4",
+                Err(HttpError::TransferEncoding),
+            ),
+            (
+                "transfer-Encoding: chunked",
+                Err(HttpError::TransferEncoding),
+            ),
+            (
+                "content-length: 5\r\nContent-LENGTH: 5",
+                Err(HttpError::DuplicateContentLength),
+            ),
+            (
+                "CONTENT-LENGTH: 5\r\ncontent-length: 6",
+                Err(HttpError::ConflictingContentLength),
+            ),
+            ("Content-LENGTH: 7", Ok(Some(7))),
+        ] {
+            let head = format!("POST / HTTP/1.1\r\n{raw}\r\n\r\n");
+            assert_eq!(head_of(&head).body_length(), want, "{raw:?}");
+        }
+        assert!(!head_of("GET / HTTP/1.1\r\nCONNECTION: Close\r\n\r\n").keep_alive());
+        assert!(head_of("GET / HTTP/1.0\r\nconnection: Keep-Alive\r\n\r\n").keep_alive());
+    }
+
+    #[test]
     fn non_numeric_content_length_rejected() {
         for bad in ["abc", "5x", "-1", "+5", ""] {
-            let h = head_of(&format!("POST / HTTP/1.1\r\nContent-Length:{bad}\r\n\r\n"));
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length:{bad}\r\n\r\n");
+            let h = head_of(&raw);
             assert!(
                 matches!(h.body_length(), Err(HttpError::Malformed(_))),
                 "{bad:?}"

@@ -5,11 +5,65 @@
 //! builder attaches [`UntrustedData`] to each of them — this is RESIN's
 //! default input filter behaviour that the SQL-injection and XSS assertions
 //! of §5.3 build on.
+//!
+//! [`untrusted`] is the one tainter: the builder's `with_*` methods and
+//! the network edge (`resin_net::build_request`) both go through it.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use resin_core::{TaintedString, UntrustedData};
+use resin_core::{Label, LabelTable, PolicyRef, TaintedString, UntrustedData};
+
+thread_local! {
+    /// Each source tag this thread has tainted with: the label of its
+    /// [`UntrustedData`] and the label-table epoch the label was handed
+    /// out in.
+    static SOURCE_LABELS: RefCell<Vec<(&'static str, u64, Label)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// `value` with [`UntrustedData`] from `source` on every byte.
+///
+/// The label of each source is interned once per thread per label-table
+/// epoch, not once per value. A cached label is reused only within the
+/// epoch it was handed out in: a sweep advances the epoch before it frees
+/// anything, and the table keeps every label a lookup hands out under a
+/// live [`pin`](LabelTable::pin), so a reused label is never a swept slot.
+/// The first value after a sweep interns the label again.
+///
+/// ```
+/// use resin_core::UntrustedData;
+/// use resin_web::request::untrusted;
+///
+/// let q = untrusted("x' OR 1=1", "http_param");
+/// assert!(q.all_bytes_have::<UntrustedData>());
+/// assert_eq!(q.label(), untrusted("other", "http_param").label());
+/// ```
+pub fn untrusted(value: impl Into<String>, source: &'static str) -> TaintedString {
+    TaintedString::with_label(value, source_label(source))
+}
+
+fn source_label(source: &'static str) -> Label {
+    // Read before any lookup, so a label is never stamped with an epoch
+    // later than the one it was handed out in.
+    let epoch = LabelTable::global().current_epoch();
+    SOURCE_LABELS.with_borrow_mut(|cache| {
+        let cached = cache.iter_mut().find(|(s, _, _)| *s == source);
+        if let Some((_, stamp, label)) = &cached {
+            if *stamp == epoch {
+                return *label;
+            }
+        }
+        let policy: PolicyRef = Arc::new(UntrustedData::from_source(source));
+        let label = Label::of(&policy);
+        match cached {
+            Some(entry) => *entry = (source, epoch, label),
+            None => cache.push((source, epoch, label)),
+        }
+        label
+    })
+}
 
 /// HTTP method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,37 +124,32 @@ impl Request {
         }
     }
 
-    fn taint(value: &str, source: &str) -> TaintedString {
-        TaintedString::with_policy(value, Arc::new(UntrustedData::from_source(source)))
-    }
-
     /// Adds a query/form parameter; the value is marked untrusted.
-    pub fn with_param(mut self, key: impl Into<String>, value: &str) -> Self {
+    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.params
-            .insert(key.into(), Self::taint(value, "http_param"));
+            .insert(key.into(), untrusted(value, "http_param"));
         self
     }
 
     /// Adds a cookie; the value is marked untrusted.
-    pub fn with_cookie(mut self, key: impl Into<String>, value: &str) -> Self {
+    pub fn with_cookie(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.cookies
-            .insert(key.into(), Self::taint(value, "http_cookie"));
+            .insert(key.into(), untrusted(value, "http_cookie"));
         self
     }
 
     /// Adds a request header; the value is marked untrusted. Names are
     /// lowercased (HTTP header names are case-insensitive).
-    pub fn with_header(mut self, name: impl Into<String>, value: &str) -> Self {
-        self.headers.insert(
-            name.into().to_ascii_lowercase(),
-            Self::taint(value, "http_header"),
-        );
+    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+        let mut name = name.into();
+        name.make_ascii_lowercase();
+        self.headers.insert(name, untrusted(value, "http_header"));
         self
     }
 
     /// Sets the raw request body; marked untrusted.
-    pub fn with_body(mut self, body: &str) -> Self {
-        self.body = Some(Self::taint(body, "http_body"));
+    pub fn with_body(mut self, body: impl Into<String>) -> Self {
+        self.body = Some(untrusted(body, "http_body"));
         self
     }
 
@@ -114,8 +163,8 @@ impl Request {
     /// Adds an uploaded file; name and content are marked untrusted.
     pub fn with_upload(mut self, filename: &str, content: &str) -> Self {
         self.uploads.push(Upload {
-            filename: Self::taint(filename, "upload"),
-            content: Self::taint(content, "upload"),
+            filename: untrusted(filename, "upload"),
+            content: untrusted(content, "upload"),
         });
         self
     }
@@ -209,9 +258,23 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_source_label_is_the_one_the_table_interns() {
+        for source in ["http_path", "http_param", "http_header", "upload"] {
+            let policy: PolicyRef = Arc::new(UntrustedData::from_source(source));
+            let want = TaintedString::with_policy("v", policy);
+            for _ in 0..2 {
+                assert!(untrusted("v", source).taint_eq(&want), "{source}");
+            }
+        }
+        assert!(
+            untrusted("", "http_param").is_untainted(),
+            "no bytes, no label"
+        );
+    }
+
+    #[test]
     fn headers_body_and_raw_path_untrusted() {
-        let raw =
-            TaintedString::with_policy("/x?a=1", Arc::new(UntrustedData::from_source("http_path")));
+        let raw = untrusted("/x?a=1", "http_path");
         let r = Request::post("/x")
             .with_header("X-Forwarded-For", "198.51.100.7")
             .with_body("a=1&b=2")

@@ -1,7 +1,9 @@
 //! Label-lifecycle GC through the product path: [`ForumApp::gc_labels`]
 //! sweeps the process-wide label table between request bursts, and the
 //! assertions keep firing afterwards because durable policy columns
-//! re-intern on read.
+//! re-intern on read. Requests built off the wire keep their taint
+//! across the sweeps too: the edge's cached source labels are interned
+//! again in the epoch after each one.
 //!
 //! This file holds a single test on purpose: it sweeps the **global**
 //! label table, which would race the label handles of unrelated tests
@@ -11,13 +13,30 @@
 use std::sync::Arc;
 
 use resin_apps::ForumApp;
-use resin_core::LabelTable;
+use resin_core::{LabelTable, UntrustedData};
 use resin_web::{serve_request, Request, SessionStore, WebApp};
 
 fn login(app: &dyn WebApp, user: &str) -> String {
     let page = serve_request(app, &Request::post("/login").with_param("user", user));
     assert!(page.outcome.is_ok(), "{:?}", page.outcome);
     page.body
+}
+
+/// `GET target` as it arrives off a socket, through the network edge.
+fn from_wire(target: &str) -> Request {
+    let raw = format!("GET {target} HTTP/1.1\r\nHost: forum.example.org\r\n\r\n");
+    resin_net::build_request(&resin_net::parse_head(raw.as_bytes()).unwrap(), None)
+}
+
+/// Fails unless `req`'s `id` carries a live `http_param` label (a swept
+/// one resolves to the `SweptLabel` tombstone instead).
+fn assert_param_taint_is_live(req: &Request) {
+    let label = req.param("id").expect("id").label();
+    let policies = label.policies();
+    let source = policies
+        .iter()
+        .find_map(|p| p.as_any().downcast_ref::<UntrustedData>()?.source());
+    assert_eq!(source, Some("http_param"), "{label:?}");
 }
 
 #[test]
@@ -48,7 +67,7 @@ fn label_table_plateaus_under_request_churn_with_gc() {
                 &app,
                 &Request::post("/post")
                     .with_cookie("sid", &sid)
-                    .with_param("body", &format!("round {round} post {i}")),
+                    .with_param("body", format!("round {round} post {i}")),
             );
             assert!(page.outcome.is_ok(), "{:?}", page.outcome);
             let page = serve_request(&app, &Request::get("/search").with_param("q", "post"));
@@ -56,6 +75,16 @@ fn label_table_plateaus_under_request_churn_with_gc() {
         }
         let report = app.gc_labels().unwrap();
         plateau.push(LabelTable::global().label_count());
+        // Off the wire after the sweep, the assertions fire as before.
+        let raw = from_wire(&format!("/view_raw?id={evil_id}"));
+        assert_param_taint_is_live(&raw);
+        let page = serve_request(&app, &raw);
+        assert!(page.blocked(), "round {round}: {:?}", page.outcome);
+        let view = from_wire(&format!("/view?id={evil_id}"));
+        assert_param_taint_is_live(&view);
+        let page = serve_request(&app, &view);
+        assert!(page.outcome.is_ok(), "round {round}: {:?}", page.outcome);
+        assert!(page.body.contains("&lt;script&gt;"));
         if round > 0 {
             assert!(
                 report.labels_swept > 0,

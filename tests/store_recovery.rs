@@ -451,14 +451,14 @@ fn forum_stored_xss_still_blocked_after_reopen() {
 
     // The buggy raw endpoint: recovered taint must still trip the XSS
     // assertion.
-    let req = Request::get("/view_raw").with_param("id", &post_id.to_string());
+    let req = Request::get("/view_raw").with_param("id", post_id.to_string());
     let mut resp = Response::for_user("guest");
     let err = app.handle(&req, &mut resp).unwrap_err();
     assert!(err.is_violation(), "stored XSS fails closed after restart");
     assert!(!resp.body().contains("<script>"));
 
     // The correct endpoint renders it escaped.
-    let req = Request::get("/view").with_param("id", &post_id.to_string());
+    let req = Request::get("/view").with_param("id", post_id.to_string());
     let mut resp = Response::for_user("guest");
     app.handle(&req, &mut resp).unwrap();
     assert!(resp.body().contains("&lt;script&gt;"));
