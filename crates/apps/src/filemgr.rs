@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use resin_core::{Acl, Right, TaintedString};
+use resin_core::{Acl, Right, TaintedString, Tracking};
 use resin_vfs::path::join;
 use resin_vfs::pfilter::{AclWriteFilter, PersistentFilterRef};
 use resin_vfs::{Vfs, VfsError};
@@ -32,11 +32,7 @@ pub struct FileManager {
 impl FileManager {
     /// Creates the file area. `resin` installs the write filters.
     pub fn new(resin: bool) -> Self {
-        let vfs = if resin {
-            Vfs::new()
-        } else {
-            Vfs::with_mode(resin_vfs::TrackingMode::Off)
-        };
+        let vfs = Vfs::with_mode(if resin { Tracking::On } else { Tracking::Off });
         let mut fm = FileManager { vfs, resin };
         fm.vfs
             .mkdir_p("/files", &Vfs::anonymous_ctx())

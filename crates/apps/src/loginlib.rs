@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use resin_core::{PasswordPolicy, TaintedString};
+use resin_core::{PasswordPolicy, TaintedString, Tracking};
 use resin_vfs::{Vfs, VfsError};
 use resin_web::{serve_static_aware, serve_static_naive, Response};
 
@@ -35,11 +35,7 @@ impl LoginLib {
     /// Installs the library. `resin` enables the password assertion and
     /// makes the static file server RESIN-aware.
     pub fn new(resin: bool) -> Self {
-        let vfs = if resin {
-            Vfs::new()
-        } else {
-            Vfs::with_mode(resin_vfs::TrackingMode::Off)
-        };
+        let vfs = Vfs::with_mode(if resin { Tracking::On } else { Tracking::Off });
         let mut lib = LoginLib { vfs, resin };
         lib.vfs
             .mkdir_p("/htdocs/login", &Vfs::anonymous_ctx())

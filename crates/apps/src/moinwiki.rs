@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use resin_core::{Acl, Context, PagePolicy, Right, TaintedString};
+use resin_core::{Acl, Context, PagePolicy, Right, TaintedString, Tracking};
 use resin_vfs::pfilter::{AclWriteFilter, PersistentFilterRef};
 use resin_vfs::{Vfs, VfsError};
 use resin_web::Response;
@@ -38,11 +38,7 @@ pub struct MoinWiki {
 impl MoinWiki {
     /// Creates the wiki; `resin` enables both assertions.
     pub fn new(resin: bool) -> Self {
-        let vfs = if resin {
-            Vfs::new()
-        } else {
-            Vfs::with_mode(resin_vfs::TrackingMode::Off)
-        };
+        let vfs = Vfs::with_mode(if resin { Tracking::On } else { Tracking::Off });
         let mut w = MoinWiki { vfs, resin };
         w.vfs
             .mkdir_p("/pages", &Vfs::anonymous_ctx())

@@ -15,7 +15,8 @@
 //!   points (phpBB attachment mod, Kwalbum, wPortfolio, AWStats Totals,
 //!   phpMyAdmin from the paper's references).
 
-use resin_lang::{Interp, LangError, Tracking};
+use resin_core::Tracking;
+use resin_lang::{Interp, LangError};
 
 /// Lines of the script-injection assertion (one assertion, five apps).
 pub const ASSERTION_LOC: usize = 12;

@@ -8,21 +8,26 @@
 
 use std::sync::Arc;
 
-use resin_core::{EmptyPolicy, TaintedString};
-use resin_lang::{parse_program, Interp, Tracking, Value};
-use resin_sql::{GuardMode, ResinDb, Tracking as SqlTracking};
-use resin_vfs::{TrackingMode, Vfs};
+use resin_core::{EmptyPolicy, TaintedString, Tracking};
+use resin_lang::{parse_program, Interp, Value};
+use resin_sql::{GuardMode, ResinDb};
+use resin_vfs::Vfs;
 
 use crate::Config;
 
 /// Inner-loop iteration count for interpreter microbenchmarks.
 pub const OPS: usize = 2000;
 
-fn interp_for(config: Config) -> Interp {
+/// The unmodified runtime for the baseline column, RESIN for the others.
+fn tracking(config: Config) -> Tracking {
     match config {
-        Config::Unmodified => Interp::with_tracking(Tracking::Off),
-        _ => Interp::with_tracking(Tracking::On),
+        Config::Unmodified => Tracking::Off,
+        _ => Tracking::On,
     }
+}
+
+fn interp_for(config: Config) -> Interp {
+    Interp::with_tracking(tracking(config))
 }
 
 fn seed_string(config: Config) -> Value {
@@ -135,10 +140,7 @@ pub struct FileBench {
 
 /// Prepares a VFS with a 1 KB file at `/bench/data`.
 pub fn file_bench(config: Config) -> FileBench {
-    let mut vfs = match config {
-        Config::Unmodified => Vfs::with_mode(TrackingMode::Off),
-        _ => Vfs::new(),
-    };
+    let mut vfs = Vfs::with_mode(tracking(config));
     let ctx = Vfs::anonymous_ctx();
     vfs.mkdir_p("/bench", &ctx).expect("mkdir");
     let mut payload = TaintedString::from("x".repeat(1024));
@@ -183,11 +185,7 @@ pub struct SqlBench {
 
 /// Prepares a 10-column table with 100 seeded rows.
 pub fn sql_bench(config: Config) -> SqlBench {
-    let tracking = match config {
-        Config::Unmodified => SqlTracking::Off,
-        _ => SqlTracking::On,
-    };
-    let db = ResinDb::with_modes(tracking, GuardMode::Off);
+    let db = ResinDb::with_modes(tracking(config), GuardMode::Off);
     let cols: Vec<String> = (0..10).map(|i| format!("c{i} TEXT")).collect();
     db.query_str(&format!(
         "CREATE TABLE bench (id INTEGER, {})",

@@ -285,25 +285,15 @@ impl Gate {
 
     /// Adds a rule: data carrying a `T` policy may not cross outward.
     pub fn deny<T: Policy>(mut self) -> Self {
-        self.add_deny_rule::<T>();
+        self.rules.push(Rule::deny::<T>());
         self
     }
 
     /// Adds a rule: crossing outward removes all `T` policies (a
     /// declassification point, like the encryption-function filter of §3.2).
     pub fn strip<T: Policy>(mut self) -> Self {
-        self.add_strip_rule::<T>();
-        self
-    }
-
-    /// Non-consuming form of [`Gate::deny`].
-    pub fn add_deny_rule<T: Policy>(&mut self) {
-        self.rules.push(Rule::deny::<T>());
-    }
-
-    /// Non-consuming form of [`Gate::strip`].
-    pub fn add_strip_rule<T: Policy>(&mut self) {
         self.rules.push(Rule::strip::<T>());
+        self
     }
 
     /// The label violations carry: the gate's name when it has one, else

@@ -3,48 +3,43 @@
 //! The paper stores "a pointer, that points to a set of policy objects" per
 //! datum (§4). Representing that literally as a shared vector makes every
 //! `union`/`contains` a structural scan — O(n²) policy comparisons on the
-//! merge- and concat-heavy hot paths. This module interns instead:
+//! merge- and concat-heavy hot paths. This module interns instead, in one
+//! [`LabelTable`] with two kinds of slot and one lifecycle (epoch stamps,
+//! pins, sweeps and slot reuse):
 //!
-//! * a [`PolicyInterner`] assigns each structurally-distinct policy object a
+//! * a **policy slot** per structurally-distinct policy object, named by a
 //!   [`PolicyId`] (keyed on `name()` + `serialize_fields()`, sound because
 //!   policies are immutable once attached);
-//! * a [`LabelTable`] interns each canonical, sorted set of `PolicyId`s as a
+//! * a **set slot** per canonical, sorted set of `PolicyId`s, named by a
 //!   [`Label`] handle, with [`Label::EMPTY`] reserved for the empty set and
-//!   a memoized pairwise-union cache.
+//!   a memoized pairwise-union cache beside them.
 //!
 //! After interning, set **union**, **equality**, and **dedup** are integer
 //! table hits — no policy is compared structurally ever again. `Label` is
-//! `Copy`, hashable, and cheap to ship across threads, which is what the
-//! sharding/caching work on the ROADMAP needs.
+//! `Copy`, hashable, and cheap to ship across threads.
 //!
 //! # Wire-text indexes
 //!
 //! A policy crosses storage as text ([`crate::serialize`]), and a site
-//! holds few distinct policies across many cells, so the interner also
-//! knows each policy's wire text, in both directions:
+//! holds few distinct policies across many cells, so the table also
+//! knows each policy's wire text, both ways:
 //!
 //! * the **read index**, wire text → [`PolicyId`], is filled by
 //!   `crate::serialize` after a *successful decode* of that text through
-//!   the class registry, and by nothing else. Serialising never fills it:
-//!   two script policies from different class declarations share a wire
-//!   text but not an id, and a text must resolve to what the registry
-//!   would build from it today;
-//! * the **write index**, [`PolicyId`] → wire text, is filled the first
-//!   time a policy is serialised.
+//!   the class registry, and by nothing else: two script policies from
+//!   different class declarations share a wire text but not an id, and a
+//!   text must resolve to what the registry would build from it today;
+//! * the **write index**, [`PolicyId`] → wire text, is kept in the
+//!   policy's slot, filled the first time the policy is serialised.
 //!
-//! Both live in the [`PolicyInterner`] and share its lifecycle. A
-//! [`sweep`](LabelTable::sweep) drops the entries of every policy it
-//! sweeps, with `by_key`, so a swept policy's text decodes afresh to a
-//! live id. Registering or replacing a policy class drops that class's
-//! texts from the read index and starts a new *generation*; a decode that
-//! began under an older generation is not indexed, so a text never
-//! outlives the deserializer that decoded it. A decoded policy is interned
-//! and its text recorded under one write lock
-//! (`LabelTable::intern_decoded`): a sweep that frees the slot comes
-//! before both or after both, and in either case takes the text with it,
-//! so a text never names a slot that another policy has moved into. Each
-//! index holds at most one entry per live interned policy — there is
-//! nothing to size or expire.
+//! A [`sweep`](LabelTable::sweep) drops the entries of every policy it
+//! sweeps. Registering or replacing a policy class drops that class's
+//! texts from the read index and starts a new *generation*: a decode begun
+//! under an older one is not indexed, so a text never outlives the
+//! deserializer that decoded it. A decoded policy is interned and its text
+//! indexed under one write lock, so a text never names a slot another
+//! policy has moved into. Each index holds at most one entry per live
+//! policy — there is nothing to size or expire.
 //!
 //! # Examples
 //!
@@ -67,8 +62,10 @@
 //! assert_eq!(a, Label::of(&again));
 //! ```
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -115,11 +112,10 @@ impl PolicyId {
 
 /// An O(1) handle for an interned policy set.
 ///
-/// `Label` replaces the per-datum `Arc<Vec<PolicyRef>>` of earlier
-/// revisions: the set itself lives once in the global [`LabelTable`], and
-/// data carries this 4-byte `Copy` handle. Union, equality, and dedup are
-/// table hits; only operations that genuinely need the policy *objects*
-/// (running `export_check`, downcasting) resolve through the table.
+/// The set lives once in the global [`LabelTable`], and data carries this
+/// 4-byte `Copy` handle. Union, equality, and dedup are table hits; only
+/// operations that need the policy *objects* (running `export_check`,
+/// downcasting) resolve through the table.
 ///
 /// # Examples
 ///
@@ -157,13 +153,12 @@ impl Label {
         I: IntoIterator<Item = &'a PolicyRef>,
     {
         let table = LabelTable::global();
-        let mut ids: Vec<PolicyId> = policies
-            .into_iter()
-            .map(|p| table.intern_policy(p))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        table.intern_ids(ids)
+        table.intern_ids(
+            policies
+                .into_iter()
+                .map(|p| table.intern_policy(p))
+                .collect(),
+        )
     }
 
     /// True when no policy is attached.
@@ -364,7 +359,7 @@ impl<V: Copy> LabelMemo<V> {
     }
 }
 
-// ---- the interner ----
+// ---- one slot lifecycle, two kinds of slot ----
 
 /// Key under which a policy is interned: class name + serialized fields
 /// (the same identity the persistent-policy format uses, §3.4.1) + the
@@ -388,154 +383,138 @@ impl PolicyKey {
     }
 }
 
-/// Assigns each structurally-distinct policy object a stable [`PolicyId`].
-///
-/// Interning is keyed on `name()` + `serialize_fields()` +
-/// [`intern_discriminator`](Policy::intern_discriminator). This is sound
-/// because policies are immutable once attached and their behaviour is a
-/// pure function of that key (the contract [`Policy::policy_eq`] already
-/// relies on for name + fields; policies carrying code override the
-/// discriminator). The first object interned under a key becomes the
-/// canonical [`PolicyRef`] every resolution returns.
-///
-/// The interner's growth is bounded by the **label lifecycle** (epoch/
-/// pin/sweep, see [`LabelTable::sweep`]): ids are still never recycled
-/// while any epoch pinned before their release is live, so a `PolicyId`
-/// held under a pin (or a serialized reference re-interned on read) can
-/// never dangle. A swept slot turns into a fail-closed tombstone until
-/// it is provably safe to reuse, so even a contract-violating stale
-/// handle denies export instead of laundering.
-#[derive(Default)]
-pub struct PolicyInterner {
-    policies: Vec<PolicyRef>,
-    by_key: HashMap<PolicyKey, u32>,
-    /// The latest epoch at which each slot was interned or found; parallel
-    /// to `policies`. Atomic so a lookup under the read lock can raise it.
-    epochs: Vec<AtomicU64>,
-    /// Swept slots awaiting reuse, with the epoch they were freed at.
-    free: Vec<(u32, u64)>,
-    /// The read index: a wire text and the id of the policy the class
-    /// registry decoded it to, under the current `wire_generation`.
-    by_wire: HashMap<Arc<str>, u32>,
-    /// The write index: each slot's wire text once it has been
-    /// serialised; parallel to `policies`.
-    wire: Vec<Option<Arc<str>>>,
-    /// Advances whenever the read index is dropped (a policy class was
-    /// registered or replaced).
-    wire_generation: u64,
-}
-
-/// A read-index miss: the generation the lookup ran under, which
-/// [`LabelTable::intern_decoded`] wants back so that a decode racing a
-/// class registration indexes nothing.
+/// A read-index miss: the generation it ran under, which [`LabelTable::intern_decoded`]
+/// checks so that a decode racing a class registration indexes nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireMiss(u64);
 
-/// Raises a slot's epoch to `epoch`, the epoch a lookup handed it out in.
-/// A sweep keeps every slot whose epoch is at or after the oldest live
-/// pin, so a label or policy a pinned request *finds* is as safe as one it
-/// creates. Stored only when lower: a hot slot is read, not written.
-/// Relaxed is enough: callers hold the table's read lock and a sweep
-/// reads the slot under the write lock, so the lock orders the two.
-#[inline]
-fn touch(slot: &AtomicU64, epoch: u64) {
-    if slot.load(Ordering::Relaxed) < epoch {
-        raise(slot, epoch);
+/// A freed slot's stamp: above every epoch, so no sweep frees the slot
+/// twice and no lookup raises the stamp.
+const FREE: u64 = u64::MAX;
+
+/// One kind of slot and its lifecycle, for policies or for label sets. A
+/// slot is found by its key and stamped with the latest epoch at which it
+/// was inserted or handed out; a sweep frees what nothing keeps, and a
+/// freed slot is reused once no live pin predates its release.
+struct Slots<K, V> {
+    values: Vec<V>,
+    by_key: HashMap<K, u32>,
+    /// Stamps, parallel to `values`; atomic so a lookup under the read
+    /// lock can raise one.
+    epochs: Vec<AtomicU64>,
+    /// Freed slots, with the epoch each was freed at.
+    free: Vec<(u32, u64)>,
+}
+
+impl<K, V> Default for Slots<K, V> {
+    fn default() -> Self {
+        Slots {
+            values: Vec::new(),
+            by_key: HashMap::new(),
+            epochs: Vec::new(),
+            free: Vec::new(),
+        }
     }
 }
 
-/// The store half of [`touch`]: once per slot per epoch, off the hit path.
+impl<K: Hash + Eq, V> Slots<K, V> {
+    /// The slot `key` names, stamped with `epoch`.
+    fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q, epoch: u64) -> Option<u32>
+    where
+        K: Borrow<Q>,
+    {
+        let &id = self.by_key.get(key)?;
+        self.touch(id, epoch);
+        Some(id)
+    }
+
+    /// Raises slot `id`'s stamp to `epoch`, the epoch a lookup handed it
+    /// out in, so what a pinned request *finds* survives a sweep as what it
+    /// creates does. Stored only when lower: a hot slot is read, not
+    /// written. Relaxed, as the table's lock orders it against a sweep.
+    #[inline]
+    fn touch(&self, id: u32, epoch: u64) {
+        let stamp = &self.epochs[id as usize];
+        if stamp.load(Ordering::Relaxed) < epoch {
+            raise(stamp, epoch);
+        }
+    }
+
+    /// The slot `key` names, or a new one holding `value()`.
+    fn insert(&mut self, key: K, epoch: u64, floor: Option<u64>, value: impl FnOnce() -> V) -> u32 {
+        if let Some(id) = self.get(&key, epoch) {
+            return id;
+        }
+        let id = self.alloc(value(), epoch, floor);
+        self.by_key.insert(key, id);
+        id
+    }
+
+    /// An unkeyed slot holding `value`: one freed before `floor`, the
+    /// oldest pinned epoch, else a new one.
+    fn alloc(&mut self, value: V, epoch: u64, floor: Option<u64>) -> u32 {
+        let reusable = (self.free.iter()).position(|&(_, freed)| floor.is_none_or(|f| freed < f));
+        let Some(i) = reusable else {
+            self.values.push(value);
+            self.epochs.push(AtomicU64::new(epoch));
+            return u32::try_from(self.values.len() - 1).expect("label table overflow");
+        };
+        let (id, _) = self.free.swap_remove(i);
+        self.values[id as usize] = value;
+        *self.epochs[id as usize].get_mut() = epoch;
+        id
+    }
+
+    /// Frees every slot that `keep` rejects and that is stamped before
+    /// `safe_before`, recording the release at `now`. Returns the slots
+    /// freed, so the caller can purge what else names them.
+    fn sweep(
+        &mut self,
+        keep: impl Fn(u32) -> bool,
+        safe_before: u64,
+        now: u64,
+        tombstone: impl Fn() -> V,
+    ) -> HashSet<u32> {
+        let mut swept = HashSet::new();
+        for (id, stamp) in (0..).zip(&mut self.epochs) {
+            if *stamp.get_mut() < safe_before && !keep(id) {
+                *stamp.get_mut() = FREE;
+                self.values[id as usize] = tombstone();
+                self.free.push((id, now));
+                swept.insert(id);
+            }
+        }
+        self.by_key.retain(|_, id| !swept.contains(id));
+        swept
+    }
+
+    fn live(&self) -> usize {
+        self.values.len() - self.free.len()
+    }
+}
+
+/// The store half of [`Slots::touch`]: once per slot per epoch, off the
+/// hit path.
 #[cold]
 #[inline(never)]
 fn raise(slot: &AtomicU64, epoch: u64) {
     slot.fetch_max(epoch, Ordering::Relaxed);
 }
 
-impl PolicyInterner {
-    /// Interns `policy`, returning its id (existing id for duplicates).
-    /// `epoch` stamps a fresh slot; `reuse_floor` is the oldest pinned
-    /// epoch (freed slots are reused only when freed strictly before it).
-    fn intern(
-        &mut self,
-        key: PolicyKey,
-        policy: &PolicyRef,
-        epoch: u64,
-        reuse_floor: Option<u64>,
-    ) -> PolicyId {
-        if let Some(&id) = self.by_key.get(&key) {
-            touch(&self.epochs[id as usize], epoch);
-            return PolicyId(id);
-        }
-        let id = match self.pop_free(reuse_floor) {
-            Some(slot) => {
-                self.policies[slot as usize] = policy.clone();
-                *self.epochs[slot as usize].get_mut() = epoch;
-                // The tombstone's text, if anyone serialised it.
-                self.wire[slot as usize] = None;
-                slot
-            }
-            None => {
-                let id = u32::try_from(self.policies.len()).expect("policy interner overflow");
-                self.policies.push(policy.clone());
-                self.epochs.push(AtomicU64::new(epoch));
-                self.wire.push(None);
-                id
-            }
-        };
-        self.by_key.insert(key, id);
-        PolicyId(id)
-    }
+/// A policy slot: the canonical object, and its wire text once it has
+/// been serialised (the write index).
+struct PolicySlot {
+    policy: PolicyRef,
+    wire: Option<Arc<str>>,
+}
 
-    /// A freed slot safe to reuse: no live pin predates its release.
-    fn pop_free(&mut self, reuse_floor: Option<u64>) -> Option<u32> {
-        let (i, _) = self
-            .free
-            .iter()
-            .enumerate()
-            .find(|(_, &(_, freed))| reuse_floor.is_none_or(|floor| freed < floor))?;
-        Some(self.free.swap_remove(i).0)
-    }
-
-    /// Number of distinct live policies interned.
-    pub fn len(&self) -> usize {
-        self.policies.len() - self.free.len()
-    }
-
-    /// True when nothing live is interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point-in-time interner counters.
-    pub fn stats(&self) -> PolicyInternerStats {
-        PolicyInternerStats {
-            live: self.len(),
-            slots: self.policies.len(),
-            free: self.free.len(),
-            read_index: self.by_wire.len(),
-            write_index: self.wire.iter().flatten().count(),
-        }
+impl PolicySlot {
+    fn new(policy: PolicyRef) -> PolicySlot {
+        PolicySlot { policy, wire: None }
     }
 }
 
-/// Counters for [`PolicyInterner::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyInternerStats {
-    /// Live (non-tombstone) policies.
-    pub live: usize,
-    /// Total slots ever allocated (live + free).
-    pub slots: usize,
-    /// Swept slots awaiting reuse.
-    pub free: usize,
-    /// Wire texts the read index resolves without decoding.
-    pub read_index: usize,
-    /// Policies whose wire text the write index holds.
-    pub write_index: usize,
-}
-
-// ---- the label table ----
-
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct LabelEntry {
     /// Sorted, deduplicated member ids (canonical form).
     ids: Arc<[PolicyId]>,
@@ -545,28 +524,52 @@ struct LabelEntry {
 
 #[derive(Default)]
 struct TableInner {
-    interner: PolicyInterner,
-    /// `sets[0]` is the empty set; labels index this vector.
-    sets: Vec<LabelEntry>,
-    by_ids: HashMap<Arc<[PolicyId]>, u32>,
+    policies: Slots<PolicyKey, PolicySlot>,
+    /// Slot 0, unkeyed, is the empty set.
+    sets: Slots<Arc<[PolicyId]>, LabelEntry>,
+    /// (lower, higher) operand → their union.
     union_cache: HashMap<(u32, u32), u32>,
-    /// The latest epoch at which each set slot was interned or found;
-    /// parallel to `sets` (see [`touch`]).
-    set_epochs: Vec<AtomicU64>,
-    /// Swept set slots awaiting reuse, with the epoch they were freed at.
-    free_sets: Vec<(u32, u64)>,
+    /// The read index: a wire text and the id of the policy the class
+    /// registry decoded it to, under the current `wire_generation`.
+    by_wire: HashMap<Arc<str>, u32>,
+    /// Advances whenever a policy class is registered or replaced.
+    wire_generation: u64,
 }
 
 impl TableInner {
-    /// A freed label slot safe to reuse: no live pin predates its
-    /// release.
-    fn pop_free_set(&mut self, reuse_floor: Option<u64>) -> Option<u32> {
-        let (i, _) = self
-            .free_sets
-            .iter()
-            .enumerate()
-            .find(|(_, &(_, freed))| reuse_floor.is_none_or(|floor| freed < floor))?;
-        Some(self.free_sets.swap_remove(i).0)
+    /// The set slot of `ids` (sorted, deduplicated, not empty). A set
+    /// naming a free policy slot is never keyed, or the slot's next tenant
+    /// would find it: its caller, who held that id outside every pin across
+    /// a sweep, gets a fresh tombstone.
+    fn intern_set(&mut self, ids: Arc<[PolicyId]>, epoch: u64, floor: Option<u64>) -> u32 {
+        let TableInner { policies, sets, .. } = self;
+        let free = |id: &PolicyId| policies.epochs[id.0 as usize].load(Ordering::Relaxed) == FREE;
+        if ids.iter().any(free) {
+            return sets.alloc(tombstone_entry(), epoch, floor);
+        }
+        let policy = |id: &PolicyId| policies.values[id.0 as usize].policy.clone();
+        let entry = || LabelEntry {
+            refs: Arc::new(ids.iter().map(policy).collect()),
+            ids: ids.clone(),
+        };
+        sets.insert(ids.clone(), epoch, floor, entry)
+    }
+
+    /// The union of set slots `a` and `b`, memoized. An operand with no ids
+    /// is a tombstone (freed, or handed to a caller that presented a freed
+    /// handle), and the union fails closed to it, memoizing nothing.
+    fn union_set(&mut self, (a, b): (u32, u32), epoch: u64, floor: Option<u64>) -> u32 {
+        let ea = &self.sets.values[a as usize].ids;
+        let eb = &self.sets.values[b as usize].ids;
+        if ea.is_empty() || eb.is_empty() {
+            return if ea.is_empty() { a } else { b };
+        }
+        let mut ids = [&ea[..], &eb[..]].concat();
+        ids.sort_unstable();
+        ids.dedup();
+        let union = self.intern_set(ids.into(), epoch, floor);
+        self.union_cache.insert((a, b), union);
+        union
     }
 }
 
@@ -594,9 +597,10 @@ impl Policy for SweptLabel {
     }
 }
 
+/// What a swept set slot holds: no ids, and the tombstone policy.
 fn tombstone_entry() -> LabelEntry {
     LabelEntry {
-        ids: Arc::from(Vec::<PolicyId>::new()),
+        ids: Arc::default(),
         refs: Arc::new(vec![Arc::new(SweptLabel) as PolicyRef]),
     }
 }
@@ -614,9 +618,8 @@ pub struct SweepReport {
     pub policies_live: usize,
 }
 
-/// Point-in-time counters for [`LabelTable::stats`] (the observability
-/// satellite): entry counts, lifecycle epoch, and an estimate of bytes
-/// retained by the table.
+/// Point-in-time counters for [`LabelTable::stats`]: entry counts,
+/// lifecycle epoch, and an estimate of bytes retained by the table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelTableStats {
     /// Live label entries (excluding the empty label and tombstones).
@@ -629,11 +632,15 @@ pub struct LabelTableStats {
     pub free_policies: usize,
     /// Memoized pairwise unions.
     pub union_cache: usize,
+    /// Wire texts the read index resolves without decoding.
+    pub read_index: usize,
+    /// Policies whose wire text the write index holds.
+    pub write_index: usize,
     /// Current lifecycle epoch (advances on every sweep).
     pub epoch: u64,
     /// Epoch pins currently held (transactions/requests in flight).
     pub active_pins: usize,
-    /// Rough estimate of heap bytes retained by sets + interner
+    /// Rough estimate of heap bytes retained by sets + policy slot
     /// bookkeeping, wire-text indexes included (not the policy objects
     /// themselves).
     pub bytes_retained: usize,
@@ -678,15 +685,20 @@ impl Drop for EpochPin<'_> {
 ///
 /// # Label lifecycle
 ///
-/// The table no longer grows without bound: it carries an **epoch**
-/// counter, [`EpochPin`]s taken at transaction/request start, and a
-/// [`sweep`](LabelTable::sweep) that tombstones every label not in the
-/// caller-supplied root set, not pinned, and not recently interned.
-/// Durable data is safe by construction — policies persist *serialized*
-/// with their data and re-intern on read — so after a checkpoint the
-/// roots are just the labels still held by live in-memory state. Swept
-/// slots deny export (fail closed) until every pin that could hold a
-/// stale handle has dropped, then become reusable.
+/// Policy slots and set slots share one lifecycle. Each slot is stamped
+/// with the latest **epoch** at which it was interned or handed out. A
+/// [`sweep`](LabelTable::sweep) advances the epoch and tombstones every set
+/// slot outside its roots and stamped before the oldest [`EpochPin`], then
+/// every policy slot no surviving set names. A swept slot denies export
+/// (fails closed) until no pin that could hold a stale handle is left, and
+/// is reused after.
+///
+/// **Publication rule.** An entry is written in the write section that
+/// creates it, from what the table holds there: a set with its policy
+/// objects, a union-cache entry with the set it names, a wire text with
+/// the policy it decoded to. So no entry names a slot that a sweep freed
+/// and another tenant took in between. A caller presenting a freed slot
+/// (a handle held outside every pin across a sweep) gets a tombstone.
 pub struct LabelTable {
     inner: RwLock<TableInner>,
     /// Lifecycle epoch; advances on every sweep.
@@ -696,20 +708,11 @@ pub struct LabelTable {
 }
 
 impl LabelTable {
-    /// A fresh, empty table (slot 0 = the empty label). Product code
-    /// uses [`global`](LabelTable::global); standalone tables exist so
-    /// lifecycle tests can churn and sweep without touching process-wide
-    /// state.
+    /// A fresh, empty table. Product code uses [`global`](LabelTable::global);
+    /// standalone tables let lifecycle tests sweep without touching it.
     pub fn new() -> LabelTable {
-        let empty = LabelEntry {
-            ids: Arc::from(Vec::<PolicyId>::new()),
-            refs: Arc::new(Vec::new()),
-        };
-        let inner = TableInner {
-            sets: vec![empty], // index 0 = Label::EMPTY
-            set_epochs: vec![AtomicU64::new(0)],
-            ..TableInner::default()
-        };
+        let mut inner = TableInner::default();
+        inner.sets.alloc(LabelEntry::default(), 0, None); // slot 0 = Label::EMPTY
         LabelTable {
             inner: RwLock::new(inner),
             epoch: AtomicU64::new(1),
@@ -723,11 +726,9 @@ impl LabelTable {
         TABLE.get_or_init(LabelTable::new)
     }
 
-    // The table is append-only and every write-locked section leaves it
-    // consistent at each possible panic point (a pushed policy or set whose
-    // index entry was never written is merely unreachable — no handed-out
-    // handle can dangle), so a poisoned lock is recoverable; see
-    // [`crate::sync`].
+    // Every write section leaves the table consistent at each panic point
+    // (a slot whose key was never written is merely unreachable), so a
+    // poisoned lock is recoverable; see [`crate::sync`].
     fn read(&self) -> std::sync::RwLockReadGuard<'_, TableInner> {
         crate::sync::rlock(&self.inner)
     }
@@ -761,15 +762,12 @@ impl LabelTable {
         // Compute the key outside the lock (serialize_fields may allocate).
         let key = PolicyKey::of(policy);
         let epoch = self.current_epoch();
-        {
-            let inner = self.read();
-            if let Some(&id) = inner.interner.by_key.get(&key) {
-                touch(&inner.interner.epochs[id as usize], epoch);
-                return PolicyId(id);
-            }
+        if let Some(id) = self.read().policies.get(&key, epoch) {
+            return PolicyId(id);
         }
         let floor = self.oldest_pin();
-        self.write().interner.intern(key, policy, epoch, floor)
+        let slot = || PolicySlot::new(policy.clone());
+        PolicyId(self.write().policies.insert(key, epoch, floor, slot))
     }
 
     /// The canonical policy object for `id`.
@@ -777,7 +775,7 @@ impl LabelTable {
     /// # Panics
     /// Panics if `id` did not come from this table.
     pub fn resolve_policy(&self, id: PolicyId) -> PolicyRef {
-        self.read().interner.policies[id.0 as usize].clone()
+        self.read().policies.values[id.0 as usize].policy.clone()
     }
 
     /// Looks `text` up in the read index under one read lock: `hit` sees
@@ -789,13 +787,17 @@ impl LabelTable {
     ) -> Result<R, WireMiss> {
         let epoch = self.current_epoch();
         let inner = self.read();
-        match inner.interner.by_wire.get(text) {
-            Some(&id) => {
-                touch(&inner.interner.epochs[id as usize], epoch);
-                Ok(hit(&inner, PolicyId(id), epoch))
-            }
-            None => Err(WireMiss(inner.interner.wire_generation)),
-        }
+        let Some(&id) = inner.by_wire.get(text) else {
+            return Err(WireMiss(inner.wire_generation));
+        };
+        inner.policies.touch(id, epoch);
+        #[cfg(test)]
+        let oracle = tests::wire_oracle(&inner, id);
+        let found = hit(&inner, PolicyId(id), epoch);
+        drop(inner);
+        #[cfg(test)]
+        oracle(self, text);
+        Ok(found)
     }
 
     /// The id `text` decoded to, if the read index holds it.
@@ -807,7 +809,7 @@ impl LabelTable {
     /// index holds it.
     pub(crate) fn wire_policy(&self, text: &str) -> Option<PolicyRef> {
         self.wire_hit(text, |inner, id, _| {
-            inner.interner.policies[id.0 as usize].clone()
+            inner.policies.values[id.0 as usize].policy.clone()
         })
         .ok()
     }
@@ -818,9 +820,7 @@ impl LabelTable {
     /// in a larger set, and is interned again here).
     pub(crate) fn wire_label(&self, text: &str) -> Result<Label, WireMiss> {
         let found = self.wire_hit(text, |inner, id, epoch| {
-            let &l = inner.by_ids.get(&[id][..]).ok_or(id)?;
-            touch(&inner.set_epochs[l as usize], epoch);
-            Ok(Label(l))
+            inner.sets.get(&[id][..], epoch).map(Label).ok_or(id)
         })?;
         Ok(found.unwrap_or_else(|id| self.intern_ids(vec![id])))
     }
@@ -841,53 +841,51 @@ impl LabelTable {
         let epoch = self.current_epoch();
         let floor = self.oldest_pin();
         let mut inner = self.write();
-        let interner = &mut inner.interner;
-        let id = interner.intern(key, policy, epoch, floor);
-        if interner.wire_generation == miss.0 {
+        let inner = &mut *inner;
+        let slot = || PolicySlot::new(policy.clone());
+        let id = inner.policies.insert(key, epoch, floor, slot);
+        if inner.wire_generation == miss.0 {
             // A canonical round trip (the usual case) reads back the text
             // the write index already holds: share it.
-            let key = match &interner.wire[id.0 as usize] {
+            let key = match &inner.policies.values[id as usize].wire {
                 Some(cached) if **cached == *text => cached.clone(),
                 _ => Arc::from(text),
             };
-            interner.by_wire.insert(key, id.0);
+            inner.by_wire.insert(key, id);
         }
-        id
+        PolicyId(id)
     }
 
-    /// Starts a new generation of the read index and drops the texts
-    /// `stale` picks out: a policy class was registered or replaced, so
-    /// none of its texts may resolve to what an earlier deserializer
-    /// built. The generation is the whole index's — a decode of *any*
-    /// class in flight across this call records nothing, and decodes
-    /// again next time.
+    /// Drops the texts `stale` picks out (a policy class was registered or
+    /// replaced) and starts a new generation of the whole read index: a
+    /// decode of *any* class in flight across this call records nothing.
     pub(crate) fn forget_wire_index(&self, stale: impl Fn(&str) -> bool) {
         let mut inner = self.write();
-        inner.interner.wire_generation += 1;
-        inner.interner.by_wire.retain(|text, _| !stale(text));
+        inner.wire_generation += 1;
+        inner.by_wire.retain(|text, _| !stale(text));
     }
 
     /// The wire text of the live policy `id`, whose canonical object is
     /// `policy`: rendered the first time it is asked for, then served
     /// from the write index.
     pub(crate) fn wire_text(&self, id: PolicyId, policy: &PolicyRef) -> Arc<str> {
-        if let Some(text) = &self.read().interner.wire[id.0 as usize] {
+        if let Some(text) = &self.read().policies.values[id.0 as usize].wire {
             return text.clone();
         }
         let text: Arc<str> = crate::serialize::serialize_policy(policy).into();
         let mut inner = self.write();
+        let slot = &mut inner.policies.values[id.0 as usize];
         // The slot may have been swept (and reused) since the caller
         // resolved `policy`: only the object's own text may be cached.
-        if Arc::ptr_eq(&inner.interner.policies[id.0 as usize], policy) {
-            inner.interner.wire[id.0 as usize] = Some(text.clone());
+        if Arc::ptr_eq(&slot.policy, policy) {
+            slot.wire = Some(text.clone());
         }
         text
     }
 
     /// The label for a single policy.
     pub fn label_of(&self, policy: &PolicyRef) -> Label {
-        let id = self.intern_policy(policy);
-        self.intern_ids(vec![id])
+        self.intern_ids(vec![self.intern_policy(policy)])
     }
 
     /// Interns a set of ids (sorted and deduplicated here) as a label.
@@ -897,96 +895,39 @@ impl LabelTable {
         if ids.is_empty() {
             return Label::EMPTY;
         }
-        let ids: Arc<[PolicyId]> = ids.into();
         let epoch = self.current_epoch();
-        let refs: Vec<PolicyRef> = {
-            let inner = self.read();
-            if let Some(&idx) = inner.by_ids.get(&ids) {
-                touch(&inner.set_epochs[idx as usize], epoch);
-                return Label(idx);
-            }
-            ids.iter()
-                .map(|id| inner.interner.policies[id.0 as usize].clone())
-                .collect()
-        };
-        let floor = self.oldest_pin();
-        let mut inner = self.write();
-        if let Some(&idx) = inner.by_ids.get(&ids) {
-            // Raced: another thread interned it first.
-            touch(&inner.set_epochs[idx as usize], epoch);
+        if let Some(idx) = self.read().sets.get(&ids[..], epoch) {
             return Label(idx);
         }
-        let entry = LabelEntry {
-            ids: ids.clone(),
-            refs: Arc::new(refs),
-        };
-        let idx = match inner.pop_free_set(floor) {
-            Some(slot) => {
-                inner.sets[slot as usize] = entry;
-                *inner.set_epochs[slot as usize].get_mut() = epoch;
-                slot
-            }
-            None => {
-                let idx = u32::try_from(inner.sets.len()).expect("label table overflow");
-                inner.sets.push(entry);
-                inner.set_epochs.push(AtomicU64::new(epoch));
-                idx
-            }
-        };
-        inner.by_ids.insert(ids, idx);
-        Label(idx)
+        let floor = self.oldest_pin();
+        Label(self.write().intern_set(ids.into(), epoch, floor))
     }
 
     fn entry(&self, label: Label) -> LabelEntry {
-        self.read().sets[label.0 as usize].clone()
+        self.read().sets.values[label.0 as usize].clone()
     }
 
     fn union(&self, a: Label, b: Label) -> Label {
         let key = (a.0.min(b.0), a.0.max(b.0));
         let epoch = self.current_epoch();
-        {
-            let inner = self.read();
-            if let Some(&idx) = inner.union_cache.get(&key) {
-                touch(&inner.set_epochs[idx as usize], epoch);
-                return Label(idx);
-            }
+        let inner = self.read();
+        if let Some(&idx) = inner.union_cache.get(&key) {
+            inner.sets.touch(idx, epoch);
+            return Label(idx);
         }
-        // Merge the two sorted id lists outside the write lock.
-        let (ea, eb) = (self.entry(a), self.entry(b));
-        let mut merged = Vec::with_capacity(ea.ids.len() + eb.ids.len());
-        let (mut i, mut j) = (0, 0);
-        while i < ea.ids.len() && j < eb.ids.len() {
-            match ea.ids[i].cmp(&eb.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(ea.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(eb.ids[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(ea.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&ea.ids[i..]);
-        merged.extend_from_slice(&eb.ids[j..]);
-        let result = self.intern_ids(merged);
-        self.write().union_cache.insert(key, result.0);
-        result
+        drop(inner);
+        let floor = self.oldest_pin();
+        Label(self.write().union_set(key, epoch, floor))
     }
 
     /// Number of distinct live policies interned.
     pub fn policy_count(&self) -> usize {
-        self.read().interner.len()
+        self.read().policies.live()
     }
 
     /// Number of label slots (including the empty label and tombstones).
     pub fn label_count(&self) -> usize {
-        self.read().sets.len()
+        self.read().sets.values.len()
     }
 
     /// Number of memoized pairwise unions.
@@ -994,9 +935,8 @@ impl LabelTable {
         self.read().union_cache.len()
     }
 
-    /// Sweeps every label not rooted, not pinned, and not freshly
-    /// interned, tombstoning its slot for eventual reuse; policies
-    /// referenced by no surviving label are swept the same way.
+    /// Tombstones every label not rooted, not pinned and not freshly
+    /// interned, then every policy no surviving label names.
     ///
     /// **Roots contract.** `roots` must contain every label still
     /// reachable from long-lived in-memory state (sessions, caches,
@@ -1013,110 +953,61 @@ impl LabelTable {
     pub fn sweep<I: IntoIterator<Item = Label>>(&self, roots: I) -> SweepReport {
         // Advance the epoch first: everything interned from here on is
         // young and untouchable by this pass.
-        let sweep_epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let safe_before = self.oldest_pin().unwrap_or(sweep_epoch).min(sweep_epoch);
-        let root_set: HashSet<u32> = roots.into_iter().map(|l| l.0).collect();
+        let now = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let safe_before = self.oldest_pin().unwrap_or(now).min(now);
+        let roots: HashSet<u32> = roots.into_iter().map(|l| l.0).collect();
         let mut inner = self.write();
+        let inner = &mut *inner;
 
-        let already_free: HashSet<u32> = inner.free_sets.iter().map(|&(i, _)| i).collect();
-        let mut swept_labels: HashSet<u32> = HashSet::new();
-        for idx in 1..inner.sets.len() as u32 {
-            if root_set.contains(&idx)
-                || already_free.contains(&idx)
-                || inner.set_epochs[idx as usize].load(Ordering::Relaxed) >= safe_before
-            {
-                continue;
-            }
-            swept_labels.insert(idx);
-        }
-        // Policies referenced by surviving labels form the policy roots.
-        let mut live_policies: HashSet<u32> = HashSet::new();
-        for idx in 1..inner.sets.len() as u32 {
-            if swept_labels.contains(&idx) || already_free.contains(&idx) {
-                continue;
-            }
-            for id in inner.sets[idx as usize].ids.iter() {
-                live_policies.insert(id.0);
-            }
-        }
-        for &idx in &swept_labels {
-            inner.sets[idx as usize] = tombstone_entry();
-            *inner.set_epochs[idx as usize].get_mut() = sweep_epoch;
-            inner.free_sets.push((idx, sweep_epoch));
-        }
-        inner.by_ids.retain(|_, idx| !swept_labels.contains(idx));
-        // Memoized unions naming a swept operand or result are stale.
-        // (Entries naming *previously* freed slots were purged by the
-        // pass that freed them; reused slots only re-enter the cache
-        // after reuse, so this pass's swept set is the whole stale set.)
-        inner.union_cache.retain(|&(a, b), r| {
-            !(swept_labels.contains(&a) || swept_labels.contains(&b) || swept_labels.contains(r))
-        });
+        let keep = |idx| idx == 0 || roots.contains(&idx);
+        let labels = inner.sets.sweep(keep, safe_before, now, tombstone_entry);
+        // Memoized unions naming a swept operand or result are stale. Those
+        // naming earlier-freed slots went with the pass that freed them, and
+        // none is written naming a free slot: this pass's set is all.
+        inner
+            .union_cache
+            .retain(|&(a, b), r| ![a, b, *r].iter().any(|i| labels.contains(i)));
 
-        let policy_free: HashSet<u32> = inner.interner.free.iter().map(|&(i, _)| i).collect();
-        let mut swept_policies: HashSet<u32> = HashSet::new();
-        for idx in 0..inner.interner.policies.len() as u32 {
-            if live_policies.contains(&idx)
-                || policy_free.contains(&idx)
-                || inner.interner.epochs[idx as usize].load(Ordering::Relaxed) >= safe_before
-            {
-                continue;
-            }
-            swept_policies.insert(idx);
-        }
-        for &idx in &swept_policies {
-            inner.interner.policies[idx as usize] = Arc::new(SweptLabel) as PolicyRef;
-            *inner.interner.epochs[idx as usize].get_mut() = sweep_epoch;
-            inner.interner.free.push((idx, sweep_epoch));
-            inner.interner.wire[idx as usize] = None;
-        }
-        inner
-            .interner
-            .by_key
-            .retain(|_, id| !swept_policies.contains(id));
-        inner
-            .interner
-            .by_wire
-            .retain(|_, id| !swept_policies.contains(id));
+        // Policies named by a surviving set are the policy roots.
+        let named: HashSet<u32> = (inner.sets.values.iter())
+            .flat_map(|entry| entry.ids.iter().map(|id| id.0))
+            .collect();
+        let tombstone = || PolicySlot::new(Arc::new(SweptLabel));
+        let policies =
+            (inner.policies).sweep(|id| named.contains(&id), safe_before, now, tombstone);
+        inner.by_wire.retain(|_, id| !policies.contains(id));
 
         SweepReport {
-            labels_swept: swept_labels.len(),
-            policies_swept: swept_policies.len(),
-            labels_live: inner.sets.len() - 1 - inner.free_sets.len(),
-            policies_live: inner.interner.len(),
+            labels_swept: labels.len(),
+            policies_swept: policies.len(),
+            labels_live: inner.sets.live() - 1,
+            policies_live: inner.policies.live(),
         }
     }
 
     /// Point-in-time lifecycle and size counters.
     pub fn stats(&self) -> LabelTableStats {
         let inner = self.read();
-        let sets_bytes: usize = inner.sets.iter().map(|e| e.ids.len() * 12 + 64).sum();
+        let written = || inner.policies.values.iter().filter_map(|p| p.wire.as_ref());
+        let (read_index, write_index) = (inner.by_wire.len(), written().count());
+        let ids: usize = inner.sets.values.iter().map(|e| e.ids.len()).sum();
         // A text both wire indexes hold is shared, and counted twice here.
-        let wire_bytes: usize = inner
-            .interner
-            .wire
-            .iter()
-            .flatten()
-            .chain(inner.interner.by_wire.keys())
-            .map(|text| text.len() + 16)
-            .sum();
-        let interner_bytes = inner.interner.policies.len() * 64 + wire_bytes;
-        let cache_bytes = inner.union_cache.len() * 24;
+        let texts: usize = written().chain(inner.by_wire.keys()).map(|t| t.len()).sum();
+        let slots = inner.sets.values.len() + inner.policies.values.len();
+        let cache = inner.union_cache.len();
+        let bytes = slots * 64 + ids * 12 + texts + (read_index + write_index) * 16 + cache * 24;
         LabelTableStats {
-            labels: inner.sets.len() - 1 - inner.free_sets.len(),
-            policies: inner.interner.len(),
-            free_labels: inner.free_sets.len(),
-            free_policies: inner.interner.free.len(),
-            union_cache: inner.union_cache.len(),
+            labels: inner.sets.live() - 1,
+            policies: inner.policies.live(),
+            free_labels: inner.sets.free.len(),
+            free_policies: inner.policies.free.len(),
+            union_cache: cache,
+            read_index,
+            write_index,
             epoch: self.current_epoch(),
             active_pins: crate::sync::mlock(&self.pins).values().sum(),
-            bytes_retained: sets_bytes + interner_bytes + cache_bytes,
+            bytes_retained: bytes,
         }
-    }
-
-    /// Point-in-time counters for the policy interner alone.
-    pub fn policy_interner_stats(&self) -> PolicyInternerStats {
-        self.read().interner.stats()
     }
 }
 
@@ -1130,6 +1021,28 @@ impl Default for LabelTable {
 mod tests {
     use super::*;
     use crate::policies::{HtmlSanitized, PasswordPolicy, SqlSanitized, UntrustedData};
+    use crate::serialize::serialize_policy;
+
+    /// The read index's oracle, taken at a hit under the lock and run after
+    /// it: the hit must be what the registry decodes the text to, unless a
+    /// class registration moved the generation in between.
+    pub(super) fn wire_oracle(inner: &TableInner, id: u32) -> impl FnOnce(&LabelTable, &str) {
+        let indexed = inner.policies.values[id as usize].policy.clone();
+        let generation = inner.wire_generation;
+        move |t, text| {
+            let decoded = crate::serialize::decode_policy(text);
+            if t.read().wire_generation != generation {
+                return;
+            }
+            let decoded =
+                decoded.unwrap_or_else(|e| panic!("indexed `{text}` fails to decode: {e:?}"));
+            assert!(
+                PolicyKey::of(&decoded) == PolicyKey::of(&indexed),
+                "the read index resolves `{text}` to a {} it does not decode to",
+                indexed.name()
+            );
+        }
+    }
 
     fn pw(email: &str) -> PolicyRef {
         Arc::new(PasswordPolicy::new(email))
@@ -1290,7 +1203,7 @@ mod tests {
         .join();
         assert!(table.inner.is_poisoned(), "the panic poisoned the lock");
         // Interning from another thread must still work end-to-end:
-        // policy interner, label sets, and the union cache.
+        // policy slots, set slots, and the union cache.
         let l = std::thread::spawn(|| {
             let a = Label::of(&(Arc::new(UntrustedData::from_source("post-poison")) as PolicyRef));
             let b = Label::of(&pw("post-poison@x"));
@@ -1415,6 +1328,139 @@ mod tests {
     }
 
     #[test]
+    fn a_union_is_memoized_with_its_set_or_not_at_all() {
+        // `union` used to memoize its result in a second write section: a
+        // sweep before it left the memo naming two freed slots, read as the
+        // old union by a pinned union of their next tenants.
+        let t = LabelTable::new();
+        let (a, b) = (t.label_of(&pw("memo-ra@x")), t.label_of(&pw("memo-rb@x")));
+        let key = (a.0.min(b.0), a.0.max(b.0));
+        let epoch = t.current_epoch();
+        let r = t.intern_ids([&t.entry(a).ids[..], &t.entry(b).ids[..]].concat());
+        t.sweep([r]);
+        let union = t.write().union_set(key, epoch, None);
+        assert_eq!(union, a.0, "fails closed to the tombstone");
+        assert_eq!(t.union_cache_len(), 0, "no memo names a free slot");
+        let (pc, pd) = (pw("memo-rc@x"), pw("memo-rd@x"));
+        let (c, d) = (t.label_of(&pc), t.label_of(&pd));
+        assert_eq!((c.0.min(d.0), c.0.max(d.0)), key, "the freed slots reused");
+        let _pin = t.pin();
+        let want = [t.intern_policy(&pc), t.intern_policy(&pd)];
+        assert_eq!(t.entry(t.union(c, d)).ids[..], want);
+    }
+
+    #[test]
+    fn a_set_is_published_with_the_policies_its_slots_hold_then() {
+        // `intern_ids` used to resolve a set's policies under the read lock:
+        // after a sweep and slot reuse in between, it published the new
+        // tenant's id with the old tenant's object for a pinned caller.
+        let t = LabelTable::new();
+        let (pa, pb) = (pw("publish-a@x"), pw("publish-b@x"));
+        let x = t.intern_policy(&pa);
+        let epoch = t.current_epoch();
+        t.sweep([]);
+        let stale = Label(t.write().intern_set(vec![x].into(), epoch, None));
+        assert!(t.entry(stale).ids.is_empty(), "a tombstone");
+        assert_eq!(t.intern_policy(&pb), x, "pb moves into slot x");
+        let _pin = t.pin();
+        let l = t.label_of(&pb);
+        assert_ne!(l, stale);
+        let entry = t.entry(l);
+        assert_eq!(entry.ids[..], [x]);
+        assert!(Arc::ptr_eq(&entry.refs[0], &pb), "{:?}", entry.refs);
+        // Published once the new tenant is in, a set names the new tenant.
+        let late = Label(t.write().intern_set(vec![x].into(), epoch, None));
+        assert!(Arc::ptr_eq(&t.entry(late).refs[0], &pb));
+    }
+
+    #[test]
+    fn pinned_handles_hold_while_sweeps_and_a_violator_race_them() {
+        // Pinned workers intern, find and union random sets while one thread
+        // sweeps and another, with no pin, reuses labels across sweeps (the
+        // roots contract's violator). Each handle holds until its pin drops.
+        let t = LabelTable::new();
+        let policy = |k: u64| pw(&format!("stress-{}@x", k % 40));
+        let rng = |mut x: u64| {
+            move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            }
+        };
+        let sorted = |mut ids: Vec<PolicyId>| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (1..=3)
+                .map(|seed| {
+                    let t = &t;
+                    s.spawn(move || {
+                        let mut next = rng(seed);
+                        for _ in 0..400 {
+                            let _pin = t.pin();
+                            let mut held: Vec<(Label, Vec<PolicyId>)> = Vec::new();
+                            for _ in 0..3 {
+                                let p = policy(next());
+                                held.push((t.label_of(&p), vec![t.intern_policy(&p)]));
+                                let ids = (0..3).map(|_| t.intern_policy(&policy(next())));
+                                let ids = sorted(ids.collect());
+                                held.push((t.intern_ids(ids.clone()), ids));
+                                let (a, ia) = held[next() as usize % held.len()].clone();
+                                let (b, ib) = held[next() as usize % held.len()].clone();
+                                if a != b {
+                                    held.push((t.union(a, b), sorted([ia, ib].concat())));
+                                }
+                            }
+                            for (label, ids) in held {
+                                let entry = t.entry(label);
+                                assert_eq!(entry.ids[..], ids[..], "a pinned handle moved");
+                                for (&id, p) in entry.ids.iter().zip(entry.refs.iter()) {
+                                    assert!(Arc::ptr_eq(p, &t.resolve_policy(id)), "{p:?}");
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let (mut next, mut kept) = (rng(99), Vec::new());
+                while !stop.load(Ordering::Relaxed) {
+                    kept.push(t.label_of(&policy(next())));
+                    if kept.len() > 8 {
+                        kept.swap_remove(next() as usize % 8);
+                    }
+                    let a = kept[next() as usize % kept.len()];
+                    let b = kept[next() as usize % kept.len()];
+                    if a != b {
+                        t.union(a, b);
+                    }
+                    t.intern_ids(t.entry(a).ids.to_vec());
+                    std::thread::yield_now();
+                }
+            });
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    t.sweep([]);
+                    // Paced: on two cores a sweeper that re-takes the write
+                    // lock at once can starve the workers for seconds.
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+            });
+            // Joined before the loops above are stopped, so that a worker's
+            // failure ends the test instead of leaving them running.
+            let outcomes: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+            stop.store(true, Ordering::Relaxed);
+            for outcome in outcomes {
+                outcome.expect("a pinned worker failed");
+            }
+        });
+    }
+
+    #[test]
     fn sweep_purges_stale_union_cache_entries() {
         let t = LabelTable::new();
         let a = t.label_of(&pw("gc-ua@x"));
@@ -1453,9 +1499,9 @@ mod tests {
             "label slots must plateau near the sweep interval, got {peak_slots}"
         );
         assert!(
-            t.policy_interner_stats().slots <= 2 * INTERVAL + 2,
+            stats.policies + stats.free_policies <= 2 * INTERVAL + 2,
             "policy slots must plateau too, got {}",
-            t.policy_interner_stats().slots
+            stats.policies + stats.free_policies
         );
         assert!(stats.labels <= INTERVAL, "live labels bounded");
         assert!(stats.epoch >= (CHURN / INTERVAL) as u64);
@@ -1478,28 +1524,22 @@ mod tests {
         let miss = t.wire_id(&text).unwrap_err();
         assert_eq!(t.intern_decoded(&text, &pw("wire-keep@x"), miss), keep_id);
         assert_eq!(t.intern_decoded(&drop_text, &drop_me, miss), drop_id);
-        assert_eq!(t.intern_decoded("another spelling", &keep, miss), keep_id);
+        let spelling = "PasswordPolicy{email=wire-keep@x}";
+        assert_eq!(t.intern_decoded(spelling, &keep, miss), keep_id);
         assert_eq!(t.wire_id(&text).unwrap(), keep_id);
         assert_eq!(t.wire_label(&text).unwrap(), keep_label);
-        assert_eq!(t.wire_label("another spelling").unwrap(), keep_label);
+        assert_eq!(t.wire_label(spelling).unwrap(), keep_label);
         assert!(Arc::ptr_eq(&t.wire_policy(&drop_text).unwrap(), &drop_me));
-        let stats = t.policy_interner_stats();
+        let stats = t.stats();
         assert_eq!((stats.read_index, stats.write_index), (3, 2));
-        let shared = t
-            .read()
-            .interner
-            .by_wire
-            .get_key_value(&*text)
-            .unwrap()
-            .0
-            .clone();
+        let shared = t.read().by_wire.get_key_value(&*text).unwrap().0.clone();
         assert!(Arc::ptr_eq(&shared, &text), "one text, two indexes");
 
         // A sweep drops both entries of what it sweeps, and nothing else.
         t.sweep([keep_label]);
         assert!(t.wire_id(&drop_text).is_err());
         assert_eq!(t.wire_id(&text).unwrap(), keep_id);
-        let stats = t.policy_interner_stats();
+        let stats = t.stats();
         assert_eq!((stats.read_index, stats.write_index), (2, 1));
         // The freed slot is reused with no text of its former tenant, or
         // of the tombstone in between.
@@ -1511,7 +1551,7 @@ mod tests {
         // A caller that resolved the slot before the sweep gets its own
         // object's text, and that text is not kept for the new tenant.
         assert!(t.wire_text(fresh_id, &drop_me).contains("wire-drop@x"));
-        assert_eq!(t.policy_interner_stats().write_index, 1);
+        assert_eq!(t.stats().write_index, 1);
         assert!(t.wire_text(fresh_id, &fresh).contains("wire-fresh@x"));
 
         // A singleton label swept while its policy lives on in a pair is
@@ -1528,32 +1568,34 @@ mod tests {
     fn a_decode_that_raced_a_registration_is_not_indexed() {
         let t = LabelTable::new();
         let p = pw("wire-gen@x");
-        let before = t.wire_id("text").unwrap_err();
-        let id = t.intern_decoded("text", &p, before);
-        t.intern_decoded("other{}", &p, before);
-        assert_eq!(t.wire_id("text").unwrap(), id);
+        let (text, other) = (serialize_policy(&p), "PasswordPolicy{email=wire-gen@x}");
+        let before = t.wire_id(&text).unwrap_err();
+        let id = t.intern_decoded(&text, &p, before);
+        t.intern_decoded(other, &p, before);
+        assert_eq!(t.wire_id(&text).unwrap(), id);
         // A class is registered: its texts go and the generation moves,
         // so the miss taken before it interns and indexes nothing.
-        t.forget_wire_index(|text| text == "text");
-        assert!(t.wire_id("text").is_err());
-        assert_eq!(t.wire_id("other{}").unwrap(), id, "another class's text");
-        assert_eq!(t.intern_decoded("text", &p, before), id);
-        assert!(t.wire_id("text").is_err(), "stale generation");
-        let after = t.wire_id("text").unwrap_err();
-        t.intern_decoded("text", &p, after);
-        assert_eq!(t.wire_id("text").unwrap(), id);
+        t.forget_wire_index(|stale| stale == text);
+        assert!(t.wire_id(&text).is_err());
+        assert_eq!(t.wire_id(other).unwrap(), id, "a text not picked");
+        assert_eq!(t.intern_decoded(&text, &p, before), id);
+        assert!(t.wire_id(&text).is_err(), "stale generation");
+        let after = t.wire_id(&text).unwrap_err();
+        t.intern_decoded(&text, &p, after);
+        assert_eq!(t.wire_id(&text).unwrap(), id);
         // The write index holds texts of live objects, whatever class
         // decodes them: it stays.
         let text = t.wire_text(id, &p);
         t.forget_wire_index(|_| true);
         assert!(Arc::ptr_eq(&text, &t.wire_text(id, &p)));
-        assert_eq!(t.policy_interner_stats().read_index, 0);
+        assert_eq!(t.stats().read_index, 0);
     }
 
     #[test]
     fn a_sweep_between_decode_and_intern_leaves_no_stale_text() {
         let t = LabelTable::new();
-        let text = "the stored text";
+        let stored = serialize_policy(&pw("wire-race@x"));
+        let text = stored.as_str();
         // A reader misses and decodes; an earlier reader's twin of the
         // policy is interned already, held by nothing.
         let miss = t.wire_id(text).unwrap_err();
@@ -1575,7 +1617,7 @@ mod tests {
         assert_eq!(other, id, "freed slot reused");
         assert!(t.wire_id(text).is_err() && t.wire_policy(text).is_none());
         assert!(t.wire_label(text).is_err());
-        assert_eq!(t.policy_interner_stats().read_index, 0);
+        assert_eq!(t.stats().read_index, 0);
     }
 
     #[test]
@@ -1598,7 +1640,7 @@ mod tests {
                             break;
                         }
                         let i = (round + worker) % TEXTS;
-                        let text = format!("text {i}");
+                        let text = serialize_policy(&pw(&email(i)));
                         match t.wire_policy(&text) {
                             Some(found) => {
                                 hits += 1;
@@ -1622,9 +1664,9 @@ mod tests {
         });
         // Every entry left names a live slot.
         let inner = t.read();
-        for (text, &id) in &inner.interner.by_wire {
+        for (text, &id) in &inner.by_wire {
             assert_ne!(
-                inner.interner.policies[id as usize].name(),
+                inner.policies.values[id as usize].policy.name(),
                 "SweptLabel",
                 "{text}"
             );
@@ -1639,8 +1681,8 @@ mod tests {
         assert!(t.policy_count() > before);
         assert!(t.label_count() >= 1);
         let _ = t.union_cache_len(); // smoke: accessible
-        let interner_len = t.read().interner.len();
-        assert!(!t.read().interner.is_empty());
-        assert_eq!(interner_len, t.policy_count());
+        let live = t.read().policies.live();
+        assert!(live > 0);
+        assert_eq!(live, t.policy_count());
     }
 }

@@ -69,8 +69,7 @@ pub mod prelude {
     pub use crate::filter::{DefaultFilter, Filter, FnFilter};
     pub use crate::gate::{Gate, GateBuilder, GateKind};
     pub use crate::label::{
-        EpochPin, Label, LabelMemo, LabelTable, LabelTableStats, PolicyId, PolicyInterner,
-        PolicyInternerStats, SweepReport,
+        EpochPin, Label, LabelMemo, LabelTable, LabelTableStats, PolicyId, SweepReport,
     };
     pub use crate::merge::{merge_many, merge_sets};
     pub use crate::policies::{
@@ -78,7 +77,7 @@ pub mod prelude {
         Right, SqlSanitized, UntrustedData,
     };
     pub use crate::policy::{downcast_policy, MergeDecision, Policy, PolicyRef};
-    pub use crate::runtime::{GateFactory, GateRegistry, Runtime};
+    pub use crate::runtime::{GateFactory, GateRegistry, Runtime, Tracking};
     pub use crate::serialize::{
         deserialize_label, deserialize_policy, deserialize_spans, register_policy_class,
         serialize_label, serialize_policy, serialize_spans,

@@ -30,6 +30,17 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::gate::{Gate, GateKind};
 
+/// Whether the SQL front, the interpreter or the filesystem performs RESIN
+/// data tracking, or runs as its unmodified twin (Table 5's baseline).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Tracking {
+    /// The unmodified runtime: no propagation, no persisted policies.
+    Off,
+    /// The RESIN runtime.
+    #[default]
+    On,
+}
+
 /// Creates a fresh gate for one use of a surface.
 pub type GateFactory = Arc<dyn Fn() -> Gate + Send + Sync>;
 

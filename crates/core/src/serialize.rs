@@ -27,10 +27,10 @@
 //!
 //! A site stores thousands of cells under a few hundred distinct
 //! policies, so the codecs here work in policy *texts*, not policy
-//! objects, through the two wire-text indexes the policy interner keeps
+//! objects, through the two wire-text indexes the label table keeps
 //! (see [`crate::label`]):
 //!
-//! * reading, each policy text of a blob is looked up in the interner's
+//! * reading, each policy text of a blob is looked up in the table's
 //!   **read index** first. A hit is one lock and one hash, and yields the
 //!   interned id; only a miss parses the fields, runs the class's
 //!   deserializer and interns the object — and then, *because the decode
@@ -56,7 +56,9 @@
 //! while their caller may hold a storage lock — `resin_sql` revives cells
 //! under the SQL table's read lock. So it is storage lock → label table,
 //! never the reverse, and a deserializer must not query the store it is
-//! being revived from. Nothing in the label table calls out while locked.
+//! being revived from. A registration holds the class registry's lock
+//! while it drops the class's texts (registry → label table). Nothing in
+//! the label table calls out while locked.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -92,7 +94,7 @@ fn registry() -> &'static RwLock<HashMap<String, Deserializer>> {
 ///
 /// Applications call this once (e.g. at startup) for each custom policy
 /// class they persist; the stock policies are pre-registered. Registering
-/// (or replacing) a class drops that class's texts from the interner's
+/// (or replacing) a class drops that class's texts from the label table's
 /// read index: each is decoded again, by the deserializer registered now.
 /// Texts of other classes stay, so a site that loads a policy script per
 /// request keeps its other policies warm. (A deserializer that decodes
@@ -103,9 +105,12 @@ pub fn register_policy_class(
     deserializer: impl Fn(&FieldMap) -> Result<PolicyRef, SerializeError> + Send + Sync + 'static,
 ) {
     let name = name.into();
-    crate::sync::wlock(registry()).insert(name.clone(), Arc::new(deserializer));
+    let mut classes = crate::sync::wlock(registry());
+    classes.insert(name.clone(), Arc::new(deserializer));
     // After the registry changed, never before: a decode that fetched the
-    // old deserializer holds a miss of the old generation.
+    // old deserializer holds a miss of the old generation. And before the
+    // registry is released: a decode that fetches the new one finds the
+    // generation moved.
     LabelTable::global().forget_wire_index(|text| wire_class(text).as_deref() == Some(&name));
 }
 
@@ -252,7 +257,7 @@ pub fn serialize_policy(policy: &PolicyRef) -> String {
 
 /// Deserializes one policy via the class registry.
 ///
-/// A text the interner's read index holds yields the canonical interned
+/// A text the label table's read index holds yields the canonical interned
 /// object it decoded to; any other is decoded (and, having no label to
 /// join, neither interned nor indexed).
 pub fn deserialize_policy(s: &str) -> Result<PolicyRef, SerializeError> {
@@ -270,7 +275,7 @@ fn wire_class(text: &str) -> Option<String> {
 /// Rebuilds a policy object from its wire text: parses the fields and runs
 /// the class's registered deserializer. The slow path behind the read
 /// index, and the only one that knows the `Name{key=value;…}` grammar.
-fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
+pub(crate) fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
     let open = s
         .find('{')
         .ok_or_else(|| SerializeError::Malformed(format!("no `{{` in `{s}`")))?;
@@ -305,7 +310,7 @@ fn decode_and_index(text: &str, miss: WireMiss) -> Result<PolicyId, SerializeErr
     Ok(LabelTable::global().intern_decoded(text, &policy, miss))
 }
 
-/// The wire text of one member of a label: `id`'s, from the interner's
+/// The wire text of one member of a label: `id`'s, from the label table's
 /// write index. A swept label keeps no ids; its tombstone policy is
 /// written by name, uncached, and fails the read back closed (no such
 /// class).

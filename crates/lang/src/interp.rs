@@ -29,9 +29,10 @@ use std::sync::Arc;
 
 use resin_core::{
     merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy, Gate,
-    GateKind, HtmlSanitized, Label, PolicyRef, Runtime, SqlSanitized, TaintedString, UntrustedData,
+    GateKind, HtmlSanitized, Label, PolicyRef, Runtime, SqlSanitized, TaintedString, Tracking,
+    UntrustedData,
 };
-use resin_vfs::{TrackingMode as VfsTracking, Vfs};
+use resin_vfs::Vfs;
 
 use crate::ast::{BinOp, ClassDecl, FnDecl, Stmt};
 use crate::check::ClassPlan;
@@ -39,16 +40,6 @@ pub use crate::check::{check_cache_stats, set_check_cache};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
 use crate::value::{PValue, ScriptPolicy, Value};
-
-/// Whether the interpreter performs RESIN data tracking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tracking {
-    /// The unmodified interpreter: no propagation, unguarded channels.
-    Off,
-    /// The RESIN interpreter.
-    #[default]
-    On,
-}
 
 /// A runtime error (including policy violations surfacing in script).
 #[derive(Debug, Clone, PartialEq)]
@@ -325,10 +316,7 @@ impl Interp {
     /// The virtual filesystem (created on first use).
     pub fn vfs(&mut self) -> &mut Vfs {
         let tracking = self.tracking;
-        self.vfs.get_or_insert_with(|| match tracking {
-            Tracking::On => Vfs::new(),
-            Tracking::Off => Vfs::with_mode(VfsTracking::Off),
-        })
+        self.vfs.get_or_insert_with(|| Vfs::with_mode(tracking))
     }
 
     /// The HTTP output gate (created on first use).

@@ -14,13 +14,13 @@
 //! * Policy classes are *written in RSL* (§3.3): any class with an
 //!   `export_check` method can be attached to data with `policy_add`, and
 //!   Rust-side filters call back into the interpreter to run the check.
-//! * [`interp::Tracking::Off`] is the unmodified-interpreter baseline used
-//!   by the Table 5 microbenchmarks.
+//! * [`resin_core::Tracking::Off`] is the unmodified-interpreter baseline
+//!   used by the Table 5 microbenchmarks.
 //!
 //! # Examples
 //!
 //! ```
-//! use resin_lang::{Interp, Tracking};
+//! use resin_lang::Interp;
 //!
 //! let mut interp = Interp::new();
 //! let err = interp.run(r#"
@@ -60,7 +60,7 @@ pub mod vm;
 pub use analysis::{lint_class, lint_source, LintReport, Severity};
 pub use check::{check_cache_stats, compiled_policy_chunks, set_check_cache};
 pub use chunk::Chunk;
-pub use interp::{Interp, LangError, SentMail, Tracking};
+pub use interp::{Interp, LangError, SentMail};
 pub use parser::{parse_program, ParseError};
 pub use value::{PValue, ScriptPolicy, Value};
 

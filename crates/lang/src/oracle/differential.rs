@@ -4,7 +4,9 @@
 //! over-applied by compilation), error messages with their source lines,
 //! print output, HTTP output, and final global state.
 
-use crate::interp::{Interp, LangError, Tracking};
+use resin_core::Tracking;
+
+use crate::interp::{Interp, LangError};
 use crate::value::Value;
 
 /// Runs one program on the oracle and the VM and asserts full observable

@@ -59,10 +59,11 @@ pub use engine::{Database, QueryResult, Table};
 pub use error::{Result, SqlError};
 pub use index::Index;
 pub use replica::Follower;
+pub use resin_core::Tracking;
 pub use resin_store::segment;
 pub use resin_store::{ship, ShipReport, StoreStats};
 pub use rewrite::{
-    BindValue, BoundStatement, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult, Tracking,
+    BindValue, BoundStatement, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult,
     POLICY_COL_PREFIX,
 };
 pub use shard::ResinDb;

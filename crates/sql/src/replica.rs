@@ -33,8 +33,9 @@ use resin_core::TaintedString;
 
 use crate::durable::{decode_parts, decode_wal_batch};
 use crate::error::Result;
-use crate::rewrite::{GuardMode, Tracking};
+use crate::rewrite::GuardMode;
 use crate::shard::ResinDb;
+use crate::Tracking;
 
 /// A read replica: an in-memory [`ResinDb`] kept in sync with a
 /// shipped store directory by replaying its WAL tail.

@@ -30,7 +30,7 @@ use std::ops::Range;
 use resin_core::{
     deserialize_label, deserialize_spans, serialize_label, serialize_spans, Context, Filter,
     FlowError, Gate, GateKind, Label, PolicyViolation, Runtime, SqlSanitized, Tainted,
-    TaintedStrBuilder, TaintedString, UntrustedData,
+    TaintedStrBuilder, TaintedString, Tracking, UntrustedData,
 };
 
 use crate::ast::{ColumnDef, ColumnType, Expr, LitValue, Literal, Projection, Statement};
@@ -41,16 +41,6 @@ use crate::value::Value;
 
 /// Prefix of shadow policy columns.
 pub const POLICY_COL_PREFIX: &str = "__rp_";
-
-/// Whether query/result rewriting for persistent policies is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tracking {
-    /// Unmodified runtime: queries pass through untouched, taint is lost.
-    Off,
-    /// RESIN runtime: policy columns maintained transparently.
-    #[default]
-    On,
-}
 
 /// Which SQL-injection assertion guards the query channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

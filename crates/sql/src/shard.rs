@@ -30,9 +30,10 @@ use crate::engine::Database;
 use crate::error::Result;
 use crate::rewrite::{
     prepare_query, prepare_statement, render_bound_sql, run_prepared, BindValue, BoundStatement,
-    GuardMode, Prepared, TaintedResult, Tracking,
+    GuardMode, Prepared, TaintedResult,
 };
 use crate::txn::{statement_write_target, Transaction};
+use crate::Tracking;
 
 /// What every clone of a [`ResinDb`] handle shares.
 #[derive(Debug, Default)]

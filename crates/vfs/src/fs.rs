@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use resin_core::{
     deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
-    TaintedString,
+    TaintedString, Tracking,
 };
 use resin_store::{SnapshotReader, SnapshotWriter, Store};
 
@@ -38,20 +38,6 @@ pub const XATTR_FILTER: &str = "user.resin.filter";
 /// part. The name is part of the on-disk format: every vfs store on disk
 /// holds its tree under it.
 const TREE_PART: &str = "__image__";
-
-/// Whether the runtime performs RESIN data tracking on file I/O.
-///
-/// `Off` models the unmodified interpreter (Table 5 column 1): policies are
-/// silently dropped on write and never revived on read, and persistent
-/// filters are not consulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrackingMode {
-    /// Unmodified runtime: no serialization, no filters.
-    Off,
-    /// RESIN runtime: persistent policies and filters active.
-    #[default]
-    On,
-}
 
 #[derive(Debug, Default, Clone)]
 struct FileNode {
@@ -118,7 +104,7 @@ impl OpenFile {
 #[derive(Debug)]
 pub struct Vfs {
     root: DirNode,
-    mode: TrackingMode,
+    mode: Tracking,
     store: Option<Store>,
     torn_recovery: bool,
     torn_cross_segment: bool,
@@ -133,11 +119,11 @@ impl Default for Vfs {
 impl Vfs {
     /// A filesystem with RESIN tracking enabled.
     pub fn new() -> Self {
-        Vfs::with_mode(TrackingMode::On)
+        Vfs::with_mode(Tracking::On)
     }
 
     /// A filesystem with the given tracking mode.
-    pub fn with_mode(mode: TrackingMode) -> Self {
+    pub fn with_mode(mode: Tracking) -> Self {
         Vfs {
             root: DirNode::default(),
             mode,
@@ -165,7 +151,7 @@ impl Vfs {
         drop(recovered.parts);
         let mut fs = Vfs {
             root,
-            mode: TrackingMode::On,
+            mode: Tracking::On,
             store: None, // replay must not re-log
             torn_recovery: recovered.torn_tail,
             torn_cross_segment: recovered.torn_cross_segment,
@@ -203,7 +189,7 @@ impl Vfs {
     }
 
     /// The active tracking mode.
-    pub fn mode(&self) -> TrackingMode {
+    pub fn mode(&self) -> Tracking {
         self.mode
     }
 
@@ -393,7 +379,7 @@ impl Vfs {
     /// The nearest governing filters for a node: its own, else the closest
     /// ancestor's.
     fn governing_filters(&self, comps: &[String]) -> Result<Vec<PersistentFilterRef>> {
-        if self.mode == TrackingMode::Off {
+        if self.mode == Tracking::Off {
             return Ok(Vec::new());
         }
         for depth in (0..=comps.len()).rev() {
@@ -550,7 +536,7 @@ impl Vfs {
         }
         // Deleting is a write to the file and a dir-op on the parent
         // (tracking off bypasses the gate, like write_file/read_file).
-        if self.mode == TrackingMode::On {
+        if self.mode == Tracking::On {
             self.file_gate(&comps, path, ctx)?
                 .export(TaintedString::new())
                 .map_err(VfsError::from)?;
@@ -636,7 +622,7 @@ impl Vfs {
         let components = normalize(path)?;
         match self.get_node(&components) {
             Some(Node::File(f)) => {
-                if self.mode == TrackingMode::On {
+                if self.mode == Tracking::On {
                     // Parse (and thereby validate) the RESIN xattrs; this is
                     // the per-open cost Table 5 measures.
                     if let Some(spans) = f.xattrs.get(XATTR_POLICY) {
@@ -674,7 +660,7 @@ impl Vfs {
         // (Tracking off — the unmodified-runtime baseline — bypasses the
         // gate and borrows the data as-is.)
         let exported;
-        let data: &TaintedString = if self.mode == TrackingMode::On {
+        let data: &TaintedString = if self.mode == Tracking::On {
             let gate = self.file_gate(&comps, path, ctx)?;
             let data = if gate.filter_count() == 0 && gate.rule_count() == 0 {
                 // No interposition: skip the identity export and its clone.
@@ -690,7 +676,7 @@ impl Vfs {
         } else {
             data
         };
-        let serialized = if self.mode == TrackingMode::On && !data.is_untainted() {
+        let serialized = if self.mode == Tracking::On && !data.is_untainted() {
             Some(serialize_spans(data))
         } else {
             None
@@ -762,7 +748,7 @@ impl Vfs {
             Some(Node::Dir(_)) => return Err(VfsError::IsADirectory(path.to_string())),
             None => return Err(VfsError::NotFound(path.to_string())),
         };
-        if self.mode == TrackingMode::Off {
+        if self.mode == Tracking::Off {
             return Ok(TaintedString::from(file.content.as_str()));
         }
         // Pull the raw content in through the file gate: the governing
@@ -1041,14 +1027,14 @@ mod tests {
 
     #[test]
     fn tracking_off_drops_policies() {
-        let mut fs = Vfs::with_mode(TrackingMode::Off);
+        let mut fs = Vfs::with_mode(Tracking::Off);
         fs.mkdir_p("/d", &anon()).unwrap();
         let mut secret = TaintedString::from("pw");
         secret.add_policy(Arc::new(PasswordPolicy::new("u@x")));
         fs.write_file("/d/f", &secret, &anon()).unwrap();
         let back = fs.read_file("/d/f", &anon()).unwrap();
         assert!(back.is_untainted(), "unmodified runtime loses taint");
-        assert_eq!(fs.mode(), TrackingMode::Off);
+        assert_eq!(fs.mode(), Tracking::Off);
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub mod pfilter;
 
 pub use backend::FsOp;
 pub use error::{Result, VfsError};
-pub use fs::{OpenFile, TrackingMode, Vfs, XATTR_FILTER, XATTR_POLICY};
+pub use fs::{OpenFile, Vfs, XATTR_FILTER, XATTR_POLICY};

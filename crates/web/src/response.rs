@@ -63,12 +63,6 @@ impl Response {
         &mut self.gate
     }
 
-    /// v1 name for [`Response::gate_mut`].
-    #[deprecated(since = "0.2.0", note = "use `gate_mut`")]
-    pub fn channel_mut(&mut self) -> &mut Gate {
-        &mut self.gate
-    }
-
     /// Adds a header after checking for user-supplied CR-LF-CR-LF
     /// sequences (HTTP response splitting, §5.4).
     pub fn set_header(&mut self, name: &str, value: TaintedString) -> Result<()> {

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use resin::core::prelude::*;
-use resin::lang::{Interp, Tracking};
+use resin::lang::Interp;
 use resin::web::{Request, Response};
 
 #[test]

@@ -3,7 +3,8 @@
 //! programmers write policies in the application's own language, reusing
 //! its data structures).
 
-use resin::lang::{Interp, Tracking};
+use resin::core::Tracking;
+use resin::lang::Interp;
 
 const WIKI_APP: &str = r#"
     # A tiny wiki. Pages live in /wiki; each page body carries a PagePolicy

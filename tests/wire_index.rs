@@ -1,4 +1,4 @@
-//! The policy interner's wire-text indexes, through the product path:
+//! The label table's wire-text indexes, through the product path:
 //! `ResinDb` writes policies into policy columns as text and revives
 //! them on every read, and each distinct text is to be decoded once per
 //! registry generation — not once per cell — without outliving a label
@@ -162,7 +162,7 @@ fn revived_labels_survive_a_sweep_and_the_table_does_not_grow() {
         db.checkpoint().unwrap();
         LabelTable::global().sweep(std::iter::empty());
         assert_eq!(
-            LabelTable::global().policy_interner_stats().read_index,
+            LabelTable::global().stats().read_index,
             0,
             "no text resolves to a swept policy"
         );
@@ -321,7 +321,7 @@ fn a_failed_decode_is_not_indexed() {
             reason: "export_check can return without deciding".into(),
         })
     });
-    let indexed = || LabelTable::global().policy_interner_stats().read_index;
+    let indexed = || LabelTable::global().stats().read_index;
     let before = indexed();
     let read = |q: &str| match db.query_str(q) {
         Err(SqlError::Policy(FlowError::Serialize(e))) => e,
