@@ -11,9 +11,7 @@
 //! as `UntrustedData`; the sanitizer attaches `SqlSanitized`; the SQL
 //! filter rejects queries containing unsanitized untrusted bytes.
 
-use std::sync::Arc;
-
-use resin_core::{SqlSanitized, TaintedString};
+use resin_core::{Label, SqlSanitized, TaintedString};
 use resin_sql::{GuardMode, ResinDb, SqlError, TaintedResult, Tracking};
 
 /// Lines of the SQL-injection assertion.
@@ -52,7 +50,7 @@ impl GradApp {
     /// The sanitizer: escapes quotes and attaches the evidence marker.
     fn sanitize(input: &TaintedString) -> TaintedString {
         let mut out = input.replace_str("'", "''");
-        out.add_policy(Arc::new(SqlSanitized::new()));
+        out.add_label(Label::of_static("", SqlSanitized::new));
         out
     }
 
@@ -106,6 +104,7 @@ impl GradApp {
 mod tests {
     use super::*;
     use resin_core::UntrustedData;
+    use std::sync::Arc;
 
     fn input(s: &str) -> TaintedString {
         TaintedString::with_policy(s, Arc::new(UntrustedData::from_source("http_param")))

@@ -62,7 +62,9 @@
 //! assert_eq!(a, Label::of(&again));
 //! ```
 
+use std::any::TypeId;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
@@ -132,6 +134,16 @@ impl PolicyId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(u32);
 
+/// What names a policy to [`Label::of_static`]: its type and a key.
+type StaticName = (TypeId, &'static str);
+
+thread_local! {
+    /// The labels [`Label::of_static`] handed out on this thread, by name,
+    /// each with the label-table epoch it was handed out in.
+    static STATIC_LABELS: RefCell<Vec<(StaticName, u64, Label)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
 impl Label {
     /// The empty policy set. The zero handle, so untainted data costs one
     /// integer compare — the moral equivalent of the paper's null pointer.
@@ -140,6 +152,47 @@ impl Label {
     /// The label for a single policy (interning it if new).
     pub fn of(policy: &PolicyRef) -> Label {
         LabelTable::global().label_of(policy)
+    }
+
+    /// The label of the policy `make` builds, for a policy that its type
+    /// and `key` determine: a fieldless marker (`key` is then `""`), or a
+    /// source tag. Interned once per thread per label-table epoch, not once
+    /// per call.
+    ///
+    /// A cached label is reused only within the epoch it was handed out
+    /// in: a sweep advances the epoch before it frees anything, and the
+    /// table keeps every label a lookup hands out under a live
+    /// [`pin`](LabelTable::pin), so a reused label is never a swept slot.
+    /// The first call after a sweep interns the label again.
+    ///
+    /// ```
+    /// use resin_core::prelude::*;
+    /// use std::sync::Arc;
+    ///
+    /// let marker = Label::of_static("", HtmlSanitized::new);
+    /// assert_eq!(marker, Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef)));
+    /// assert_eq!(marker, Label::of_static("", HtmlSanitized::new));
+    /// ```
+    pub fn of_static<P: Policy>(key: &'static str, make: impl FnOnce() -> P) -> Label {
+        let table = LabelTable::global();
+        // Read before any lookup, so a label is never stamped with an epoch
+        // later than the one it was handed out in.
+        let epoch = table.current_epoch();
+        let name = (TypeId::of::<P>(), key);
+        STATIC_LABELS.with_borrow_mut(|cache| {
+            let cached = cache.iter_mut().find(|(n, _, _)| *n == name);
+            if let Some((_, stamp, label)) = &cached {
+                if *stamp == epoch {
+                    return *label;
+                }
+            }
+            let label = table.label_of(&(Arc::new(make()) as PolicyRef));
+            match cached {
+                Some(entry) => *entry = (name, epoch, label),
+                None => cache.push((name, epoch, label)),
+            }
+            label
+        })
     }
 
     /// The label for one already-interned policy id.

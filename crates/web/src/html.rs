@@ -11,11 +11,11 @@
 //!   JavaScript (`<script>` bodies, `on*` attributes arrive inside tags so
 //!   the tag rule covers them).
 
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 
 use resin_core::{
-    HtmlSanitized, Label, LabelMemo, PolicyRef, PolicyViolation, Result, TaintedStrBuilder,
-    TaintedString, UntrustedData,
+    HtmlSanitized, Label, LabelMemo, PolicyViolation, Result, TaintedStrBuilder, TaintedString,
+    UntrustedData,
 };
 
 /// What an encoder does to each byte: the replacement function, and a
@@ -87,8 +87,8 @@ static HTML_ESCAPES: LazyLock<EscapeTable> = LazyLock::new(|| {
 /// This is "the existing sanitization function" of §5.3 step 3: it both
 /// neutralizes the data *and* records the evidence that it did.
 pub fn html_escape(input: &TaintedString) -> TaintedString {
-    let marker: PolicyRef = Arc::new(HtmlSanitized::new());
-    escape_bytes(input, &HTML_ESCAPES, Label::of(&marker))
+    let marker = Label::of_static("", HtmlSanitized::new);
+    escape_bytes(input, &HTML_ESCAPES, marker)
 }
 
 /// Strategy 1: every untrusted byte must carry the sanitizer's marker.
@@ -119,36 +119,41 @@ pub fn check_html_markers(output: &TaintedString) -> Result<()> {
 /// allowed — it renders as text, not code.
 pub fn check_html_structure(output: &TaintedString) -> Result<()> {
     let bytes = output.as_str().as_bytes();
-    let lower = output.as_str().to_ascii_lowercase();
-    // Resolve the untrusted ranges once (a handful of coalesced spans)
-    // instead of a label-table hit per byte.
+    // Resolve the untrusted ranges once instead of a label-table hit per
+    // byte. They are sorted and disjoint, and `i` only grows, so a cursor
+    // walks them: an escaped page holds about one per metacharacter.
     let untrusted = output.ranges_with::<UntrustedData>();
+    let mut ahead = untrusted.iter().peekable();
+    let opens = |at: &[u8], tag: &[u8]| {
+        at.get(..tag.len())
+            .is_some_and(|t| t.eq_ignore_ascii_case(tag))
+    };
     let mut in_tag = false;
     let mut in_script = false;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
+    for (i, &c) in bytes.iter().enumerate() {
         if !in_tag && c == b'<' {
             in_tag = true;
-            if lower[i..].starts_with("<script") {
+            if opens(&bytes[i..], b"<script") {
                 in_script = true;
             }
-            if lower[i..].starts_with("</script") {
+            if opens(&bytes[i..], b"</script") {
                 in_script = false;
             }
         }
         let structural = in_tag || in_script || c == b'<' || c == b'>';
-        if structural && untrusted.iter().any(|r| r.contains(&i)) {
-            return Err(PolicyViolation::new(
-                "XssGuard",
-                format!("untrusted data in HTML structure at byte {i}"),
-            )
-            .into());
+        if structural {
+            while ahead.next_if(|r| r.end <= i).is_some() {}
+            if ahead.peek().is_some_and(|r| r.start <= i) {
+                return Err(PolicyViolation::new(
+                    "XssGuard",
+                    format!("untrusted data in HTML structure at byte {i}"),
+                )
+                .into());
+            }
         }
         if in_tag && c == b'>' {
             in_tag = false;
         }
-        i += 1;
     }
     Ok(())
 }
@@ -156,6 +161,8 @@ pub fn check_html_structure(output: &TaintedString) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resin_core::PolicyRef;
+    use std::sync::Arc;
 
     fn untrusted(s: &str) -> TaintedString {
         TaintedString::with_policy(s, Arc::new(UntrustedData::new()))
@@ -280,6 +287,76 @@ mod tests {
             let want = escape_sliced(&input, crate::json::JSON_ESCAPES.replacement);
             let got = crate::json::escape_tainted(&input);
             proptest::prop_assert!(got.taint_eq(&want), "json: {got:?} != {want:?}");
+        }
+    }
+
+    /// `check_html_structure` as it was: a lowercased copy of the page,
+    /// and every untrusted range tried at every structural byte.
+    fn check_html_structure_scan(output: &TaintedString) -> Result<()> {
+        let bytes = output.as_str().as_bytes();
+        let lower = output.as_str().to_ascii_lowercase();
+        let untrusted = output.ranges_with::<UntrustedData>();
+        let mut in_tag = false;
+        let mut in_script = false;
+        let mut i = 0usize;
+        while i < bytes.len() {
+            let c = bytes[i];
+            if !in_tag && c == b'<' {
+                in_tag = true;
+                if lower[i..].starts_with("<script") {
+                    in_script = true;
+                }
+                if lower[i..].starts_with("</script") {
+                    in_script = false;
+                }
+            }
+            let structural = in_tag || in_script || c == b'<' || c == b'>';
+            if structural && untrusted.iter().any(|r| r.contains(&i)) {
+                return Err(PolicyViolation::new(
+                    "XssGuard",
+                    format!("untrusted data in HTML structure at byte {i}"),
+                )
+                .into());
+            }
+            if in_tag && c == b'>' {
+                in_tag = false;
+            }
+            i += 1;
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn structure_check_agrees_with_the_scan(
+            pages in proptest::prop::collection::vec(
+                proptest::prop::collection::vec((0usize..12, 0usize..4), 0..16),
+                32..33,
+            ),
+        ) {
+            const TOKENS: [&str; 12] = [
+                "<script>", "</SCRIPT>", "<ScRiPt src=x>", "</script", "<p class=\"a\">",
+                "</p>", "<", ">", "text ", "&lt;", "é✓", "<scrip",
+            ];
+            for pieces in &pages {
+                let mut page = TaintedStrBuilder::new();
+                for &(token, taint) in pieces {
+                    let token = TOKENS[token];
+                    // Server markup (half the pieces), raw input, or escaped
+                    // input: one untrusted range per metacharacter.
+                    match taint {
+                        0 | 1 => page.push_str(token),
+                        2 => page.push_tainted(&untrusted(token)),
+                        _ => page.push_tainted(&html_escape(&untrusted(token))),
+                    }
+                }
+                let page = page.build();
+                let verdict = |r: Result<()>| r.map_err(|e| e.to_string());
+                proptest::prop_assert_eq!(
+                    verdict(check_html_structure(&page)),
+                    verdict(check_html_structure_scan(&page))
+                );
+            }
         }
     }
 

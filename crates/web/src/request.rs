@@ -9,28 +9,14 @@
 //! [`untrusted`] is the one tainter: the builder's `with_*` methods and
 //! the network edge (`resin_net::build_request`) both go through it.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use resin_core::{Label, LabelTable, PolicyRef, TaintedString, UntrustedData};
-
-thread_local! {
-    /// Each source tag this thread has tainted with: the label of its
-    /// [`UntrustedData`] and the label-table epoch the label was handed
-    /// out in.
-    static SOURCE_LABELS: RefCell<Vec<(&'static str, u64, Label)>> =
-        const { RefCell::new(Vec::new()) };
-}
+use resin_core::{Label, TaintedString, UntrustedData};
 
 /// `value` with [`UntrustedData`] from `source` on every byte.
 ///
 /// The label of each source is interned once per thread per label-table
-/// epoch, not once per value. A cached label is reused only within the
-/// epoch it was handed out in: a sweep advances the epoch before it frees
-/// anything, and the table keeps every label a lookup hands out under a
-/// live [`pin`](LabelTable::pin), so a reused label is never a swept slot.
-/// The first value after a sweep interns the label again.
+/// epoch, not once per value ([`Label::of_static`]).
 ///
 /// ```
 /// use resin_core::UntrustedData;
@@ -41,28 +27,8 @@ thread_local! {
 /// assert_eq!(q.label(), untrusted("other", "http_param").label());
 /// ```
 pub fn untrusted(value: impl Into<String>, source: &'static str) -> TaintedString {
-    TaintedString::with_label(value, source_label(source))
-}
-
-fn source_label(source: &'static str) -> Label {
-    // Read before any lookup, so a label is never stamped with an epoch
-    // later than the one it was handed out in.
-    let epoch = LabelTable::global().current_epoch();
-    SOURCE_LABELS.with_borrow_mut(|cache| {
-        let cached = cache.iter_mut().find(|(s, _, _)| *s == source);
-        if let Some((_, stamp, label)) = &cached {
-            if *stamp == epoch {
-                return *label;
-            }
-        }
-        let policy: PolicyRef = Arc::new(UntrustedData::from_source(source));
-        let label = Label::of(&policy);
-        match cached {
-            Some(entry) => *entry = (source, epoch, label),
-            None => cache.push((source, epoch, label)),
-        }
-        label
-    })
+    let label = Label::of_static(source, || UntrustedData::from_source(source));
+    TaintedString::with_label(value, label)
 }
 
 /// HTTP method.
@@ -234,6 +200,8 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resin_core::PolicyRef;
+    use std::sync::Arc;
 
     #[test]
     fn params_are_untrusted() {

@@ -1,24 +1,27 @@
 //! What a warm script-policy crossing does, as counts (a time would move
 //! with the host): heap allocations on the hit, miss and reused-allow
 //! paths, VM instructions dispatched, verdicts reused, chunks compiled,
-//! and acquisitions of the process-wide plan-table lock.
+//! and acquisitions of the process-wide plan-table lock. Beside it, the
+//! allocations of a warm `html_escape`, of which its marker makes none.
 //!
-//! One `#[test]` in its own process: the counting allocator is the
-//! process's allocator, and the compile and lock counters are global.
+//! In a process of their own: the counting allocator is the process's
+//! allocator, and the compile and lock counters are global. Allocations
+//! are counted per thread, so the two tests do not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use resin::core::{Context, GateKind, Policy, TaintedString};
+use resin::core::{Context, GateKind, HtmlSanitized, Label, Policy, PolicyRef, TaintedString};
 use resin::lang::ast::{ClassDecl, StmtKind};
 use resin::lang::check::{plan_table_locks, verdicts_reused};
 use resin::lang::vm::dispatched_ops;
 use resin::lang::{
     check_cache_stats, compiled_policy_chunks, parse_program, set_check_cache, PValue, ScriptPolicy,
 };
-use resin::web::Response;
+use resin::web::request::untrusted;
+use resin::web::{html_escape, Response};
 
 struct Counting;
 
@@ -274,4 +277,32 @@ fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
         assert_eq!(scratch, 6 * 3 + 5 * 396 + 5 * 64 + miss_half);
         assert_eq!(served - scratch, 3 + 396 + 64 + miss_half);
     }
+}
+
+#[test]
+fn a_warm_escape_allocates_only_its_output() {
+    // 1 KiB of prose with an HTML metacharacter every ten bytes or so.
+    let prose = "the quick brown fox & jumps <over> the \"lazy\" dog's back; ";
+    let text: String = prose.chars().cycle().take(1024).collect();
+    let input = untrusted(text, "http_param");
+    let marker = || Label::of_static("", HtmlSanitized::new);
+    html_escape(&input);
+
+    let n = allocations(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(marker());
+        }
+    });
+    assert_eq!(n, 0, "the marker, 1 000 warm calls");
+    let fresh: PolicyRef = Arc::new(HtmlSanitized::new());
+    assert_eq!(marker(), Label::of(&fresh));
+    let n = allocations(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(html_escape(std::hint::black_box(&input)));
+        }
+    });
+    // The output's text, sized up front, and its span list, which grows by
+    // doubling to two spans per metacharacter: 9 a call. Interning the
+    // marker afresh cost 3 more (the policy, its key's name, the id list).
+    assert_eq!(n, 1000 * 9, "1 000 warm escapes");
 }

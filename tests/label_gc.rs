@@ -3,7 +3,7 @@
 //! assertions keep firing afterwards because durable policy columns
 //! re-intern on read. Requests built off the wire keep their taint
 //! across the sweeps too: the edge's cached source labels are interned
-//! again in the epoch after each one.
+//! again in the epoch after each one, and so is the sanitizer's marker.
 //!
 //! This file holds a single test on purpose: it sweeps the **global**
 //! label table, which would race the label handles of unrelated tests
@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use resin_apps::ForumApp;
-use resin_core::{LabelTable, UntrustedData};
-use resin_web::{serve_request, Request, SessionStore, WebApp};
+use resin_core::{HtmlSanitized, Label, LabelTable, UntrustedData};
+use resin_web::{html_escape, serve_request, Request, SessionStore, WebApp};
 
 fn login(app: &dyn WebApp, user: &str) -> String {
     let page = serve_request(app, &Request::post("/login").with_param("user", user));
@@ -73,11 +73,20 @@ fn label_table_plateaus_under_request_churn_with_gc() {
             let page = serve_request(&app, &Request::get("/search").with_param("q", "post"));
             assert!(page.outcome.is_ok(), "{:?}", page.outcome);
         }
+        let marker = Label::of_static("", HtmlSanitized::new);
         let report = app.gc_labels().unwrap();
         plateau.push(LabelTable::global().label_count());
+        assert!(!marker.has::<HtmlSanitized>(), "round {round}: {marker:?}");
         // Off the wire after the sweep, the assertions fire as before.
         let raw = from_wire(&format!("/view_raw?id={evil_id}"));
         assert_param_taint_is_live(&raw);
+        // An escape after the sweep marks with a live marker, not the one
+        // the escapes before it were handed, which the sweep freed.
+        let escaped = html_escape(raw.param("id").expect("id"));
+        assert!(
+            escaped.all_bytes_have::<HtmlSanitized>(),
+            "round {round}: {escaped:?}"
+        );
         let page = serve_request(&app, &raw);
         assert!(page.blocked(), "round {round}: {:?}", page.outcome);
         let view = from_wire(&format!("/view?id={evil_id}"));
