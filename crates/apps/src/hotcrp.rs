@@ -61,11 +61,6 @@ impl HotCrp {
         }
     }
 
-    /// True when assertions are enabled.
-    pub fn resin_enabled(&self) -> bool {
-        self.resin
-    }
-
     /// Registers a user. With RESIN, the password is annotated with a
     /// [`PasswordPolicy`] *here, at the single point where passwords enter
     /// the system* — the policy column persists it through the database.

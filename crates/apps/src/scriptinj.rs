@@ -34,7 +34,6 @@ pub const VULNERABLE_APPS: [&str; 5] = [
 pub struct ScriptHost {
     /// The interpreter (owns the VFS and HTTP channel).
     pub interp: Interp,
-    resin: bool,
 }
 
 impl ScriptHost {
@@ -63,7 +62,7 @@ impl ScriptHost {
                 .expect("arm assertion");
         }
         interp.run(r#"import("/app/main.rsl");"#).expect("boot");
-        let mut host = ScriptHost { interp, resin };
+        let mut host = ScriptHost { interp };
         host.surface_lint_warnings();
         host
     }
@@ -78,11 +77,6 @@ impl ScriptHost {
                 eprintln!("scriptinj: {}: {d}", report.class_name);
             }
         }
-    }
-
-    /// True when the assertion is armed.
-    pub fn resin_enabled(&self) -> bool {
-        self.resin
     }
 
     /// The upload feature: stores adversary-controlled content. Uploads

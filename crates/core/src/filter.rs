@@ -15,10 +15,9 @@ use crate::taint::TaintedString;
 
 /// The boundary-interposition interface (Table 3's `filter::*` rows).
 ///
-/// Both hooks receive the data by value and return (possibly altered) data;
-/// returning an error aborts the flow. `offset` is the running byte offset
-/// on the gate, mirroring the paper's `filter_read(data, offset)`
-/// signature.
+/// Both hooks return the (possibly altered) data; returning an error aborts
+/// the flow. `offset` is the running byte offset on the gate, mirroring the
+/// paper's `filter_read(data, offset)` signature.
 pub trait Filter: Send + Sync {
     /// Invoked when data comes *in* through a data flow boundary; may assign
     /// initial policies (e.g. deserialize persistent policies) or reject.
@@ -33,34 +32,20 @@ pub trait Filter: Send + Sync {
 
     /// Invoked when data is *exported* through a data flow boundary;
     /// typically invokes assertion checks.
-    fn filter_write(
-        &self,
-        data: TaintedString,
-        _offset: u64,
-        _context: &Context,
-    ) -> Result<TaintedString> {
-        Ok(data)
-    }
-
-    /// Copy-on-write variant of [`filter_write`](Filter::filter_write):
-    /// the [`Gate`](crate::gate::Gate) outbound path hands each filter a
-    /// [`Cow`], so a filter that only *checks* (the overwhelmingly common
-    /// case — the default filter, guard filters, persistent-filter mounts)
-    /// can forward borrowed data untouched and the whole chain completes
-    /// without cloning the in-transit `TaintedString`.
     ///
-    /// The provided implementation routes through `filter_write`, cloning a
-    /// borrowed value first — always correct. Filters that pass data
-    /// through unmodified should override this to return `Ok(data)` after
-    /// their checks.
-    fn filter_write_cow<'a>(
+    /// The data arrives as a [`Cow`]: a filter that only *checks* (the
+    /// overwhelmingly common case — the default filter, guard filters,
+    /// persistent-filter mounts) returns it as it came, so a borrowed
+    /// value crosses the whole [`Gate`](crate::gate::Gate) chain without
+    /// a clone. A filter that rewrites takes ownership with
+    /// [`Cow::into_owned`] or [`Cow::to_mut`].
+    fn filter_write<'a>(
         &self,
         data: Cow<'a, TaintedString>,
-        offset: u64,
-        context: &Context,
+        _offset: u64,
+        _context: &Context,
     ) -> Result<Cow<'a, TaintedString>> {
-        self.filter_write(data.into_owned(), offset, context)
-            .map(Cow::Owned)
+        Ok(data)
     }
 }
 
@@ -93,19 +78,9 @@ impl DefaultFilter {
 }
 
 impl Filter for DefaultFilter {
-    fn filter_write(
-        &self,
-        data: TaintedString,
-        offset: u64,
-        context: &Context,
-    ) -> Result<TaintedString> {
-        self.filter_write_cow(Cow::Owned(data), offset, context)
-            .map(Cow::into_owned)
-    }
-
     // Pure check: the data is forwarded exactly as it arrived, so a
     // borrowed value stays borrowed across the whole chain.
-    fn filter_write_cow<'a>(
+    fn filter_write<'a>(
         &self,
         data: Cow<'a, TaintedString>,
         _offset: u64,
@@ -179,17 +154,7 @@ impl Filter for FnFilter {
         }
     }
 
-    fn filter_write(
-        &self,
-        data: TaintedString,
-        offset: u64,
-        context: &Context,
-    ) -> Result<TaintedString> {
-        self.filter_write_cow(Cow::Owned(data), offset, context)
-            .map(Cow::into_owned)
-    }
-
-    fn filter_write_cow<'a>(
+    fn filter_write<'a>(
         &self,
         data: Cow<'a, TaintedString>,
         offset: u64,
@@ -216,7 +181,9 @@ mod tests {
         let ctx = Context::new(GateKind::Http);
         let mut data = TaintedString::from("pw");
         data.add_policy(Arc::new(PasswordPolicy::new("u@x")));
-        let err = DefaultFilter.filter_write(data, 0, &ctx).unwrap_err();
+        let err = DefaultFilter
+            .filter_write(Cow::Owned(data), 0, &ctx)
+            .unwrap_err();
         assert!(err.is_violation());
         let v = err.as_violation().unwrap();
         assert_eq!(v.channel, Some(GateKind::Http));
@@ -226,7 +193,7 @@ mod tests {
     fn default_filter_passes_policy_free_data() {
         let ctx = Context::new(GateKind::Http);
         let out = DefaultFilter
-            .filter_write(TaintedString::from("ok"), 0, &ctx)
+            .filter_write(Cow::Owned(TaintedString::from("ok")), 0, &ctx)
             .unwrap();
         assert_eq!(out.as_str(), "ok");
     }
@@ -237,7 +204,9 @@ mod tests {
         let ctx = Context::new(GateKind::Http);
         let mut data = TaintedString::from("x");
         data.add_policy(Arc::new(UntrustedData::new()));
-        assert!(DefaultFilter.filter_write(data, 0, &ctx).is_ok());
+        assert!(DefaultFilter
+            .filter_write(Cow::Owned(data), 0, &ctx)
+            .is_ok());
     }
 
     #[test]
@@ -245,7 +214,7 @@ mod tests {
         let f = FnFilter::on_write(|data, _, _| Ok(data.replace_str("\r\n\r\n", "")));
         let ctx = Context::new(GateKind::Http);
         let out = f
-            .filter_write(TaintedString::from("a\r\n\r\nb"), 0, &ctx)
+            .filter_write(Cow::Owned(TaintedString::from("a\r\n\r\nb")), 0, &ctx)
             .unwrap();
         assert_eq!(out.as_str(), "ab");
     }
@@ -260,7 +229,9 @@ mod tests {
         let out = f.filter_read(TaintedString::from("in"), 0, &ctx).unwrap();
         assert!(out.has_policy::<UntrustedData>());
         // Write hook not installed: passthrough.
-        let w = f.filter_write(TaintedString::from("w"), 0, &ctx).unwrap();
+        let w = f
+            .filter_write(Cow::Owned(TaintedString::from("w")), 0, &ctx)
+            .unwrap();
         assert!(w.is_untainted());
     }
 

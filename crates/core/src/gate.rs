@@ -267,12 +267,6 @@ impl Gate {
         self.filters.push(filter);
     }
 
-    /// Replaces all filters (used e.g. to override the interpreter's import
-    /// filter from a global configuration, §5.2).
-    pub fn set_filters(&mut self, filters: Vec<Box<dyn Filter>>) {
-        self.filters = filters;
-    }
-
     /// Number of filters guarding the gate.
     pub fn filter_count(&self) -> usize {
         self.filters.len()
@@ -335,7 +329,7 @@ impl Gate {
             }
         }
         for f in &self.filters {
-            buf = f.filter_write_cow(buf, self.write_offset, &self.context)?;
+            buf = f.filter_write(buf, self.write_offset, &self.context)?;
         }
         Ok(buf)
     }

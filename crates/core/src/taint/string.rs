@@ -144,11 +144,6 @@ impl TaintedString {
         self.spans.remove_type::<T>(0..len);
     }
 
-    /// Removes all policies from every byte (declassification).
-    pub fn clear_policies(&mut self) {
-        self.spans = SpanMap::new();
-    }
-
     /// The union of all labels attached anywhere in the string — memoized
     /// label unions, O(spans) handle operations.
     pub fn label(&self) -> Label {
@@ -221,18 +216,6 @@ impl TaintedString {
         let mut b = TaintedStrBuilder::with_capacity(self.len() + other.len());
         b.push_tainted(self);
         b.push_tainted(other);
-        b.build()
-    }
-
-    /// Concatenates many parts.
-    pub fn concat_all<'a, I>(parts: I) -> TaintedString
-    where
-        I: IntoIterator<Item = &'a TaintedString>,
-    {
-        let mut b = TaintedStrBuilder::new();
-        for p in parts {
-            b.push_tainted(p);
-        }
         b.build()
     }
 

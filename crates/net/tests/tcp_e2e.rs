@@ -5,14 +5,18 @@
 //! The server is a [`NetServer`] fronting [`ForumApp::open`] on a
 //! snapshot+WAL store with fsync on — the full stack of the paper's
 //! deployment story: network parse boundary → taint → gates → durable
-//! policy columns.
+//! policy columns. Beside the attack suite: concurrent keep-alive traffic
+//! with group-committed writes, and a read replica served over its own
+//! socket.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use resin_apps::ForumApp;
+use resin_core::UntrustedData;
 use resin_net::{NetConfig, NetServer};
 use resin_web::{serve_request, Request, SessionStore, WebApp};
 
@@ -78,6 +82,23 @@ impl Client {
         self.send(request);
         self.read_response()
     }
+
+    /// Logs `user` in; the response body is the session id.
+    fn login(&mut self, user: &str) -> String {
+        let (status, sid) = self.roundtrip(&post("/login", None, &format!("user={user}")));
+        assert_eq!(status, 200, "login {user}: {sid}");
+        sid
+    }
+
+    /// Stores one post; returns the id out of the `posted N` answer.
+    fn post_body(&mut self, sid: &str, body: &str) -> i64 {
+        let (status, answer) = self.roundtrip(&post("/post", Some(sid), &format!("body={body}")));
+        assert_eq!(status, 200, "{answer}");
+        answer
+            .strip_prefix("posted ")
+            .and_then(|id| id.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected /post answer {answer:?}"))
+    }
 }
 
 fn get(path_query: &str, cookie: Option<&str>) -> String {
@@ -125,14 +146,11 @@ fn attack_suite_over_tcp_matches_in_process_dispatch() {
     let mut client = Client::connect(server.local_addr());
 
     // Login over the wire; the response body is the session id.
-    let (status, sid) = client.roundtrip(&post("/login", None, "user=alice"));
-    assert_eq!(status, 200);
+    let sid = client.login("alice");
     assert!(!sid.is_empty());
 
     // A benign post (keep-alive request #2 on the same socket).
-    let (status, posted) = client.roundtrip(&post("/post", Some(&sid), "body=hello+forum"));
-    assert_eq!(status, 200, "{posted}");
-    assert!(posted.starts_with("posted "), "{posted}");
+    client.post_body(&sid, "hello+forum");
 
     // Attack 1 — SQL injection through /search. The pattern is a bound
     // parameter: the quote is data, 200, zero rows dumped, same as
@@ -153,13 +171,9 @@ fn attack_suite_over_tcp_matches_in_process_dispatch() {
     // Attack 2 — stored XSS. The payload is stored fine (the guard
     // sanitizes the INSERT but the body taint persists); /view escapes
     // and renders, /view_raw trips the marker assertion.
-    let (status, posted) = client.roundtrip(&post(
-        "/post",
-        Some(&sid),
-        "body=%3Cscript%3Ealert(1)%3C%2Fscript%3E",
-    ));
-    assert_eq!(status, 200);
-    let id = posted.trim_start_matches("posted ").to_string();
+    let id = client
+        .post_body(&sid, "%3Cscript%3Ealert(1)%3C%2Fscript%3E")
+        .to_string();
 
     let (tcp_status, tcp_body) = client.roundtrip(&get(&format!("/view?id={id}"), None));
     let (ip_status, _) = in_process(app.as_ref(), Request::get("/view").with_param("id", &id));
@@ -302,13 +316,8 @@ fn posts_over_tcp_survive_restart_and_torn_tail_is_surfaced() {
         )
         .expect("bind");
         let mut client = Client::connect(server.local_addr());
-        let (_, sid) = client.roundtrip(&post("/login", None, "user=alice"));
-        let (status, _) = client.roundtrip(&post(
-            "/post",
-            Some(&sid),
-            "body=%3Cscript%3Epersist()%3C%2Fscript%3E",
-        ));
-        assert_eq!(status, 200);
+        let sid = client.login("alice");
+        client.post_body(&sid, "%3Cscript%3Epersist()%3C%2Fscript%3E");
         drop(client);
         server.shutdown();
     }
@@ -343,14 +352,180 @@ fn posts_over_tcp_survive_restart_and_torn_tail_is_surfaced() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One request on a fresh connection.
+fn once(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
+    Client::connect(addr).roundtrip(request)
+}
+
+#[test]
+fn concurrent_keep_alive_reads_and_synced_writes_all_succeed_and_survive_reopen() {
+    const CONNS: usize = 4;
+    const REQUESTS: usize = 40;
+    const WRITE_EVERY: usize = 4;
+
+    let dir = tmp_dir("concurrent");
+    let app = Arc::new(ForumApp::open(&dir, Arc::new(SessionStore::new())).expect("open forum"));
+    app.db().set_wal_sync(true);
+    let mut server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&app) as Arc<dyn WebApp>,
+        NetConfig {
+            workers: CONNS,
+            ..NetConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+
+    // The post every reader views is acknowledged before any worker
+    // starts, so no read can race the write that makes it visible.
+    let mut seeder = Client::connect(addr);
+    let sid = seeder.login("seeder");
+    let seed = seeder.post_body(&sid, "seed+post");
+    drop(seeder);
+
+    // Each connection makes a fixed number of requests, every
+    // `WRITE_EVERY`-th a write, and returns each acknowledged id with the
+    // body it was given.
+    let mut posted: BTreeMap<i64, String> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CONNS)
+            .map(|conn| {
+                s.spawn(move || {
+                    let mut client = Client::connect(addr);
+                    let sid = client.login(&format!("load{conn}"));
+                    let view = get(&format!("/view?id={seed}"), None);
+                    let mut acked = Vec::new();
+                    for n in 1..=REQUESTS {
+                        if n % WRITE_EVERY == 0 {
+                            let body = format!("hello+from+load{conn}+req{n}");
+                            acked.push((client.post_body(&sid, &body), body.replace('+', " ")));
+                        } else {
+                            let (status, body) = client.roundtrip(&view);
+                            assert_eq!(status, 200, "conn {conn} request {n}: {body}");
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker panicked"))
+            .collect()
+    });
+    assert_eq!(
+        posted.len(),
+        CONNS * REQUESTS / WRITE_EVERY,
+        "ids are distinct"
+    );
+    posted.insert(seed, "seed post".to_string());
+
+    server.shutdown();
+    assert_eq!(server.served() as usize, 2 + CONNS * (1 + REQUESTS));
+    assert_eq!(server.rejected(), 0);
+    drop(server);
+    drop(app);
+
+    // Every acknowledged write is on disk, tainted as it arrived.
+    let app = ForumApp::open(&dir, Arc::new(SessionStore::new())).expect("reopen forum");
+    assert!(!app.recovered_from_torn_wal(), "clean shutdown");
+    for (id, want) in &posted {
+        let page = serve_request(
+            &app,
+            &Request::get("/view").with_param("id", id.to_string()),
+        );
+        assert_eq!(page.status, 200, "post {id}: {}", page.body);
+        assert!(
+            page.body.contains(want.as_str()),
+            "post {id}: {}",
+            page.body
+        );
+        let row = app
+            .db()
+            .query_str(&format!("SELECT body FROM posts WHERE id = {id}"))
+            .expect("select");
+        let body = row.cell(0, "body").and_then(|c| c.as_text()).expect("body");
+        assert_eq!(body.as_str(), want);
+        assert!(
+            body.all_bytes_have::<UntrustedData>(),
+            "post {id} lost its request taint"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replica_over_tcp_serves_identical_reads_fails_closed_and_catches_up() {
+    let dir = tmp_dir("primary");
+    let replica_dir = tmp_dir("replica");
+    // One session store for both: the replica refuses a write from a
+    // logged-in user, not merely an anonymous one.
+    let sessions = Arc::new(SessionStore::new());
+    let primary = Arc::new(ForumApp::open(&dir, Arc::clone(&sessions)).expect("open forum"));
+    let mut primary_server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&primary) as Arc<dyn WebApp>,
+        NetConfig::default(),
+    )
+    .expect("bind primary");
+    let primary_addr = primary_server.local_addr();
+
+    // A benign post to compare, and a stored-XSS payload for the replica
+    // to fail closed on.
+    let mut client = Client::connect(primary_addr);
+    let sid = client.login("replicator");
+    let benign = client.post_body(&sid, "replica+comparison+post");
+    let evil = client.post_body(&sid, "%3Cscript%3Esteal()%3C/script%3E");
+
+    resin_sql::ship(&dir, &replica_dir).expect("ship");
+    let replica = Arc::new(ForumApp::open_replica(&replica_dir, sessions).expect("open replica"));
+    let mut replica_server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&replica) as Arc<dyn WebApp>,
+        NetConfig::default(),
+    )
+    .expect("bind replica");
+    let replica_addr = replica_server.local_addr();
+
+    // Reads are byte-identical to the primary's.
+    let view = get(&format!("/view?id={benign}"), None);
+    let want = once(primary_addr, &view);
+    assert_eq!(want.0, 200, "{}", want.1);
+    assert!(want.1.contains("replica comparison post"), "{}", want.1);
+    assert_eq!(once(replica_addr, &view), want);
+
+    // The stored script fails closed on the replica.
+    let (status, body) = once(replica_addr, &get(&format!("/view_raw?id={evil}"), None));
+    assert_ne!(status, 200, "{body}");
+    assert!(!body.contains("<script>"), "{body}");
+
+    // Writes are refused.
+    let (status, body) = once(replica_addr, &post("/post", Some(&sid), "body=diverge"));
+    assert_eq!(status, 403, "{body}");
+    assert!(body.contains("read-only"), "{body}");
+
+    // A second ship catches the replica up.
+    let late = client.post_body(&sid, "post+after+first+ship");
+    resin_sql::ship(&dir, &replica_dir).expect("re-ship");
+    let applied = replica.replica_refresh().expect("catch up");
+    assert!(applied >= 1, "catch-up applied {applied} records");
+    let (status, body) = once(replica_addr, &get(&format!("/view?id={late}"), None));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("after first ship"), "{body}");
+
+    drop(client);
+    replica_server.shutdown();
+    primary_server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
 #[test]
 fn every_request_field_crosses_the_boundary_tainted() {
     // Taint-completeness at the *wire* level: parse a raw byte string
     // and check every field of the resulting Request carries the
     // untrusted label. (Unit tests in resin_net::http cover the same
     // through the builder; this exercises the public crate surface.)
-    use resin_core::UntrustedData;
-
     let head = resin_net::parse_head(
         b"POST /post?q=probe HTTP/1.1\r\nHost: evil.example\r\nCookie: sid=stolen; theme=dark\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 9\r\n\r\n",
     )

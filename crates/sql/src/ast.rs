@@ -26,13 +26,14 @@ pub struct ColumnDef {
     pub ty: ColumnType,
 }
 
-/// The shape of a secondary index (see [`crate::index`]).
+/// How `CREATE INDEX` spelled a secondary index. Both spellings build the
+/// same B-tree (see [`crate::index`]); the kind is kept so that stored
+/// catalogs and `EXPLAIN` read back as written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Hash map keyed on cell values: O(1) equality probes only.
+    /// `USING HASH`.
     Hash,
-    /// B-tree keyed on cell values: equality, ranges, and ordered
-    /// iteration (ORDER BY / LIMIT pushdown).
+    /// `USING BTREE`, the default.
     Ordered,
 }
 

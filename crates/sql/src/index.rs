@@ -27,8 +27,16 @@
 //! exact (candidate set ⊇ match set is the only invariant the index must
 //! uphold). Ordered iteration (ORDER BY pushdown) is offered only while
 //! the residue is empty.
+//!
+//! # One layout
+//!
+//! Every index is a B-tree over its typed keys, whatever its
+//! [`IndexKind`]: `USING HASH` and `USING BTREE` are two spellings of the
+//! same structure, kept so that stored catalogs and `EXPLAIN` output read
+//! as they were written. A B-tree answers equality as well as ranges and
+//! ordered iteration.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use crate::ast::{ColumnDef, ColumnType, IndexKind};
@@ -39,13 +47,11 @@ use crate::value::Value;
 /// results iterate rows exactly as a full scan would.
 type Postings = Vec<usize>;
 
-/// The key → postings storage, specialized by kind and declared type.
+/// The key → postings storage, specialized by declared type.
 #[derive(Debug, Clone)]
 enum KeyMap {
-    HashInt(HashMap<i64, Postings>),
-    HashText(HashMap<String, Postings>),
-    OrdInt(BTreeMap<i64, Postings>),
-    OrdText(BTreeMap<String, Postings>),
+    Int(BTreeMap<i64, Postings>),
+    Text(BTreeMap<String, Postings>),
 }
 
 /// A secondary index over one column of one table.
@@ -55,7 +61,7 @@ pub struct Index {
     pub(crate) name: String,
     /// Indexed column name.
     pub(crate) column: String,
-    /// Hash or ordered.
+    /// How `CREATE INDEX` spelled it (the layout is the same).
     pub(crate) kind: IndexKind,
     /// Position of the indexed column in row storage.
     pub(crate) col: usize,
@@ -80,11 +86,9 @@ impl Index {
             .position(|c| c.name == column)
             .ok_or_else(|| SqlError::schema(format!("no column `{column}` to index")))?;
         let key_ty = columns[col].ty;
-        let map = match (kind, key_ty) {
-            (IndexKind::Hash, ColumnType::Integer) => KeyMap::HashInt(HashMap::new()),
-            (IndexKind::Hash, ColumnType::Text) => KeyMap::HashText(HashMap::new()),
-            (IndexKind::Ordered, ColumnType::Integer) => KeyMap::OrdInt(BTreeMap::new()),
-            (IndexKind::Ordered, ColumnType::Text) => KeyMap::OrdText(BTreeMap::new()),
+        let map = match key_ty {
+            ColumnType::Integer => KeyMap::Int(BTreeMap::new()),
+            ColumnType::Text => KeyMap::Text(BTreeMap::new()),
         };
         let mut ix = Index {
             name: name.to_string(),
@@ -111,16 +115,16 @@ impl Index {
         &self.column
     }
 
-    /// Hash or ordered.
+    /// How `CREATE INDEX` spelled the index.
     pub fn kind(&self) -> IndexKind {
         self.kind
     }
 
-    /// True when ordered iteration is available *and* exact: a B-tree
-    /// keyed map with no residue rows (no NULL / off-type cells whose
-    /// position in `Value::compare` order the key map cannot represent).
+    /// True when ordered iteration is exact: no residue rows (no NULL /
+    /// off-type cells whose position in `Value::compare` order the key
+    /// map cannot represent).
     pub(crate) fn supports_ordered_iteration(&self) -> bool {
-        self.kind == IndexKind::Ordered && self.residue.is_empty()
+        self.residue.is_empty()
     }
 
     /// Row ids the key map cannot hold (NULL or off-type cells).
@@ -131,10 +135,8 @@ impl Index {
     /// Registers row `id` (which must exceed all present ids) under `cell`.
     pub(crate) fn add(&mut self, id: usize, cell: &Value) {
         match (&mut self.map, cell) {
-            (KeyMap::HashInt(m), Value::Int(k)) => m.entry(*k).or_default().push(id),
-            (KeyMap::OrdInt(m), Value::Int(k)) => m.entry(*k).or_default().push(id),
-            (KeyMap::HashText(m), Value::Text(k)) => m.entry(k.clone()).or_default().push(id),
-            (KeyMap::OrdText(m), Value::Text(k)) => m.entry(k.clone()).or_default().push(id),
+            (KeyMap::Int(m), Value::Int(k)) => m.entry(*k).or_default().push(id),
+            (KeyMap::Text(m), Value::Text(k)) => m.entry(k.clone()).or_default().push(id),
             _ => self.residue.push(id),
         }
     }
@@ -148,19 +150,7 @@ impl Index {
     }
 
     fn remove(&mut self, id: usize, cell: &Value) {
-        fn drop_id<K: std::cmp::Eq + std::hash::Hash>(
-            m: &mut HashMap<K, Postings>,
-            k: &K,
-            id: usize,
-        ) {
-            if let Some(v) = m.get_mut(k) {
-                v.retain(|&x| x != id);
-                if v.is_empty() {
-                    m.remove(k);
-                }
-            }
-        }
-        fn drop_id_ord<K: Ord>(m: &mut BTreeMap<K, Postings>, k: &K, id: usize) {
+        fn drop_id<K: Ord>(m: &mut BTreeMap<K, Postings>, k: &K, id: usize) {
             if let Some(v) = m.get_mut(k) {
                 v.retain(|&x| x != id);
                 if v.is_empty() {
@@ -169,10 +159,8 @@ impl Index {
             }
         }
         match (&mut self.map, cell) {
-            (KeyMap::HashInt(m), Value::Int(k)) => drop_id(m, k, id),
-            (KeyMap::OrdInt(m), Value::Int(k)) => drop_id_ord(m, k, id),
-            (KeyMap::HashText(m), Value::Text(k)) => drop_id(m, k, id),
-            (KeyMap::OrdText(m), Value::Text(k)) => drop_id_ord(m, k, id),
+            (KeyMap::Int(m), Value::Int(k)) => drop_id(m, k, id),
+            (KeyMap::Text(m), Value::Text(k)) => drop_id(m, k, id),
             _ => self.residue.retain(|&x| x != id),
         }
     }
@@ -183,10 +171,8 @@ impl Index {
             v.insert(at, id);
         }
         match (&mut self.map, cell) {
-            (KeyMap::HashInt(m), Value::Int(k)) => put(m.entry(*k).or_default(), id),
-            (KeyMap::OrdInt(m), Value::Int(k)) => put(m.entry(*k).or_default(), id),
-            (KeyMap::HashText(m), Value::Text(k)) => put(m.entry(k.clone()).or_default(), id),
-            (KeyMap::OrdText(m), Value::Text(k)) => put(m.entry(k.clone()).or_default(), id),
+            (KeyMap::Int(m), Value::Int(k)) => put(m.entry(*k).or_default(), id),
+            (KeyMap::Text(m), Value::Text(k)) => put(m.entry(k.clone()).or_default(), id),
             _ => put(&mut self.residue, id),
         }
     }
@@ -206,19 +192,11 @@ impl Index {
             });
         };
         match &mut self.map {
-            KeyMap::HashInt(m) => m.retain(|_, v| {
+            KeyMap::Int(m) => m.retain(|_, v| {
                 fix(v);
                 !v.is_empty()
             }),
-            KeyMap::HashText(m) => m.retain(|_, v| {
-                fix(v);
-                !v.is_empty()
-            }),
-            KeyMap::OrdInt(m) => m.retain(|_, v| {
-                fix(v);
-                !v.is_empty()
-            }),
-            KeyMap::OrdText(m) => m.retain(|_, v| {
+            KeyMap::Text(m) => m.retain(|_, v| {
                 fix(v);
                 !v.is_empty()
             }),
@@ -244,17 +222,14 @@ impl Index {
     /// [`covers_literal`]: Index::covers_literal
     pub(crate) fn probe_eq(&self, key: &Value) -> &[usize] {
         match (&self.map, key) {
-            (KeyMap::HashInt(m), Value::Int(k)) => m.get(k).map_or(&[], |v| v),
-            (KeyMap::OrdInt(m), Value::Int(k)) => m.get(k).map_or(&[], |v| v),
-            (KeyMap::HashText(m), Value::Text(k)) => m.get(k).map_or(&[], |v| v),
-            (KeyMap::OrdText(m), Value::Text(k)) => m.get(k).map_or(&[], |v| v),
+            (KeyMap::Int(m), Value::Int(k)) => m.get(k).map_or(&[], |v| v),
+            (KeyMap::Text(m), Value::Text(k)) => m.get(k).map_or(&[], |v| v),
             _ => &[],
         }
     }
 
     /// Candidate row ids for a key range, in **key order** (ties in row
-    /// order; reversed for `desc`). Only valid on ordered indexes with
-    /// in-type bounds.
+    /// order; reversed for `desc`). Bounds must be of the key type.
     pub(crate) fn probe_range(
         &self,
         lo: Bound<&Value>,
@@ -316,10 +291,8 @@ impl Index {
             }
         }
         match &self.map {
-            KeyMap::OrdInt(m) => collect(m, as_int(lo), as_int(hi), desc),
-            KeyMap::OrdText(m) => collect(m, as_text(lo), as_text(hi), desc),
-            // Hash maps cannot serve ranges; the planner never asks.
-            KeyMap::HashInt(_) | KeyMap::HashText(_) => Vec::new(),
+            KeyMap::Int(m) => collect(m, as_int(lo), as_int(hi), desc),
+            KeyMap::Text(m) => collect(m, as_text(lo), as_text(hi), desc),
         }
     }
 
@@ -353,20 +326,16 @@ impl Index {
             out
         }
         match &self.map {
-            KeyMap::OrdInt(m) => collect(m, desc, cap),
-            KeyMap::OrdText(m) => collect(m, desc, cap),
-            // Hash maps have no key order; the planner never asks.
-            KeyMap::HashInt(_) | KeyMap::HashText(_) => Vec::new(),
+            KeyMap::Int(m) => collect(m, desc, cap),
+            KeyMap::Text(m) => collect(m, desc, cap),
         }
     }
 
     /// Number of distinct keys (diagnostics / tests).
     pub fn key_count(&self) -> usize {
         match &self.map {
-            KeyMap::HashInt(m) => m.len(),
-            KeyMap::HashText(m) => m.len(),
-            KeyMap::OrdInt(m) => m.len(),
-            KeyMap::OrdText(m) => m.len(),
+            KeyMap::Int(m) => m.len(),
+            KeyMap::Text(m) => m.len(),
         }
     }
 }

@@ -8,14 +8,16 @@
 //! and picks one of three access paths:
 //!
 //! 1. **Equality probe** (`col = lit`, `col IN (lits)`): the
-//!    session/login/post-by-id shape the forum and wiki hammer. Hash
-//!    indexes are preferred; an ordered index serves equality too.
+//!    session/login/post-by-id shape the forum and wiki hammer.
 //! 2. **Range probe** (`col > lit`, chains of range conjuncts on one
-//!    column with bound tightening) over an ordered index. When the
-//!    range column is also the `ORDER BY` column and the index is exact,
-//!    rows come back already sorted and `LIMIT` pushes down.
+//!    column with bound tightening). When the range column is also the
+//!    `ORDER BY` column and the index is exact, rows come back already
+//!    sorted and `LIMIT` pushes down.
 //! 3. **Ordered iteration**: no usable predicate conjunct, but the
-//!    `ORDER BY` column has an exact ordered index — skip the sort.
+//!    `ORDER BY` column has an exact index — skip the sort.
+//!
+//! Every index is the same ordered structure (see [`crate::index`]), so
+//! each shape uses the first index declared on its column.
 //!
 //! Anything else falls back to the full scan. **The index narrows, the
 //! predicate decides**: probes return *candidate* ids only, and the
@@ -29,7 +31,7 @@
 
 use std::ops::Bound;
 
-use crate::ast::{BinOp, Expr, IndexKind, SelectStmt};
+use crate::ast::{BinOp, Expr, SelectStmt};
 use crate::engine::Table;
 use crate::error::Result;
 use crate::index::{kind_name, Index};
@@ -193,7 +195,7 @@ fn choose<'t>(
     // 1. Equality probe: the most selective shape we recognize.
     for c in &cs {
         if let Some((col, keys)) = eq_shape(c, params) {
-            if let Some(ix) = index_for(t, col, /* needs_order: */ false) {
+            if let Some(ix) = index_on(t, col) {
                 if keys.iter().all(|k| ix.covers_literal(k)) {
                     return Choice::Eq { ix, keys };
                 }
@@ -208,7 +210,7 @@ fn choose<'t>(
         let Some((col, op, key)) = range_shape(c, params) else {
             continue;
         };
-        let Some(ix) = ordered_index_on(t, col) else {
+        let Some(ix) = index_on(t, col) else {
             continue;
         };
         if !ix.covers_literal(&key) {
@@ -252,7 +254,7 @@ fn choose<'t>(
 
     // 3. No usable predicate: ordered iteration for ORDER BY alone.
     if let Some((oc, desc)) = order {
-        if let Some(ix) = ordered_index_on(t, oc) {
+        if let Some(ix) = index_on(t, oc) {
             if ix.supports_ordered_iteration() {
                 return Choice::OrderIter { ix, desc };
             }
@@ -371,32 +373,9 @@ fn const_value(e: &Expr, params: &[Value]) -> Option<Value> {
     }
 }
 
-/// An index on `col`, preferring hash over ordered for equality probes.
-fn index_for<'t>(t: &'t Table, col: &str, needs_order: bool) -> Option<&'t Index> {
-    let mut best: Option<&Index> = None;
-    for ix in t.indexes() {
-        if ix.column() != col {
-            continue;
-        }
-        match ix.kind() {
-            IndexKind::Ordered => {
-                if best.is_none() {
-                    best = Some(ix);
-                }
-            }
-            IndexKind::Hash => {
-                if !needs_order {
-                    return Some(ix);
-                }
-            }
-        }
-    }
-    best
-}
-
-fn ordered_index_on<'t>(t: &'t Table, col: &str) -> Option<&'t Index> {
-    t.indexes()
-        .find(|ix| ix.column() == col && ix.kind() == IndexKind::Ordered)
+/// The first index declared on `col`.
+fn index_on<'t>(t: &'t Table, col: &str) -> Option<&'t Index> {
+    t.indexes().find(|ix| ix.column() == col)
 }
 
 fn tighten_lo(cur: &mut Bound<Value>, new: Bound<Value>) {
@@ -499,9 +478,9 @@ mod tests {
         let db = db();
         let plan = planned(&db, "SELECT name FROM users WHERE age > 26");
         assert!(plan.contains("probe-range"), "{plan}");
-        // Hash index cannot serve a range.
+        // A `USING HASH` index is the same ordered map: it serves ranges.
         let plan = planned(&db, "SELECT name FROM users WHERE id > 1");
-        assert_eq!(plan, "scan(users)");
+        assert_eq!(plan, "probe-range(users via ix_id)");
     }
 
     #[test]

@@ -152,20 +152,10 @@ impl SqlGuardFilter {
 }
 
 impl Filter for SqlGuardFilter {
-    fn filter_write(
-        &self,
-        data: TaintedString,
-        offset: u64,
-        context: &Context,
-    ) -> Result<TaintedString, FlowError> {
-        self.filter_write_cow(Cow::Owned(data), offset, context)
-            .map(Cow::into_owned)
-    }
-
     // Only `AutoSanitize` rewrites the query; the checking modes forward
     // borrowed data untouched, so a `write_ref`/`export_cow` through the
     // sql gate stays copy-free.
-    fn filter_write_cow<'a>(
+    fn filter_write<'a>(
         &self,
         data: Cow<'a, TaintedString>,
         _offset: u64,

@@ -29,7 +29,7 @@
 //! the manifest) before a ship pruned a segment (or a superseded part)
 //! finds that file gone and gets a `NotFound` error, never wrong data.
 //! Readers that share a directory with a shipper retry, or ship and read
-//! in turn, as `Follower` users and `loadgen --replica` do.
+//! in turn, as `Follower` users and the forum's replica do.
 //!
 //! [`tail_records`] treats a torn tail as "end of shipped log", not an
 //! error: the tear is the in-flight append the next ship will complete.
@@ -50,7 +50,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::error::Result;
-use crate::io::checksum;
 use crate::segment::list_segments;
 use crate::store::{
     decode_manifest, read_checkpoint_state, remove_orphan_parts, Parts, MANIFEST_FILE,
@@ -243,11 +242,6 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
     }
     std::fs::rename(&tmp, dir.join(name))?;
     Ok(())
-}
-
-/// FNV-1a checksum of a shipped file, for divergence diagnostics.
-pub fn file_checksum(path: &Path) -> Result<u64> {
-    Ok(checksum(&std::fs::read(path)?))
 }
 
 #[cfg(test)]

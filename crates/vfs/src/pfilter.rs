@@ -188,19 +188,9 @@ impl GateMount {
 }
 
 impl Filter for GateMount {
-    fn filter_write(
-        &self,
-        data: TaintedString,
-        offset: u64,
-        context: &Context,
-    ) -> Result<TaintedString, FlowError> {
-        self.filter_write_cow(std::borrow::Cow::Owned(data), offset, context)
-            .map(std::borrow::Cow::into_owned)
-    }
-
     // The mount only consults the context, never the data: borrowed data
     // passes through the gate without a copy.
-    fn filter_write_cow<'a>(
+    fn filter_write<'a>(
         &self,
         data: std::borrow::Cow<'a, TaintedString>,
         _offset: u64,
