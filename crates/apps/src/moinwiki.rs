@@ -58,36 +58,13 @@ impl MoinWiki {
             vfs: Vfs::open_disk(dir)?,
             resin: true,
         };
-        if w.recovered_from_torn_wal() {
-            // Surface the data loss instead of recovering silently: the
-            // tree is consistent, but acknowledged writes from the
-            // crashed process were discarded with the torn tail.
-            eprintln!(
-                "resin-apps: wiki at {} recovered from a torn WAL tail; \
-                 acknowledged writes may have been discarded",
-                dir.display()
-            );
-        }
-        if w.vfs.recovered_torn_cross_segment() {
-            eprintln!(
-                "resin-apps: wiki at {} found a torn record before the last \
-                 WAL segment; all later segments were discarded",
-                dir.display()
-            );
-        }
+        crate::webapp::warn_if_torn("wiki", dir, w.vfs.recovery());
         w.vfs.mkdir_p("/pages", &Vfs::anonymous_ctx())?;
         Ok(w)
     }
 
-    /// True when [`open`](MoinWiki::open) discarded a torn WAL tail:
-    /// the wiki is consistent, but acknowledged page edits from the
-    /// crashed process may be gone.
-    pub fn recovered_from_torn_wal(&self) -> bool {
-        self.vfs.recovered_from_torn_wal()
-    }
-
     /// Folds the write-ahead log into a fresh tree snapshot.
-    pub fn checkpoint(&mut self) -> Result<(), VfsError> {
+    pub fn checkpoint(&self) -> Result<(), VfsError> {
         self.vfs.checkpoint()
     }
 

@@ -24,11 +24,20 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use resin_core::{FlowError, TaintedString};
-use resin_sql::{Follower, GuardMode, Prepared, ResinDb, Tracking};
+use resin_sql::{Follower, GuardMode, Prepared, Recovery, ResinDb, Tracking};
 use resin_web::server::WebApp;
 use resin_web::{check_html_markers, html_escape, Request, Response, SessionStore};
 
 use crate::moinwiki::MoinWiki;
+
+/// Surfaces a torn-log recovery on stderr instead of recovering
+/// silently: the store is consistent, but acknowledged writes from the
+/// crashed process were discarded with the torn tail.
+pub(crate) fn warn_if_torn(app: &str, dir: &std::path::Path, recovery: Recovery) {
+    if recovery != Recovery::Clean {
+        eprintln!("resin-apps: {app} at {} {recovery}", dir.display());
+    }
+}
 
 /// Writes `html` to the response after the XSS marker assertion (§5.3).
 fn emit_html(html: TaintedString, resp: &mut Response) -> Result<(), FlowError> {
@@ -89,8 +98,6 @@ pub struct ForumApp {
     db: ResinDb,
     sessions: Arc<SessionStore>,
     next_id: AtomicI64,
-    torn_recovery: bool,
-    torn_cross_segment: bool,
     /// `Some` when this forum serves reads from a shipped replica store;
     /// write routes are rejected so the replica cannot silently diverge.
     replica: Option<Mutex<Follower>>,
@@ -105,12 +112,23 @@ impl ForumApp {
         let db = ResinDb::with_modes(Tracking::On, GuardMode::AutoSanitize);
         db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")
             .expect("posts schema");
-        Self::assemble(db, sessions, 1, false)
+        Self::assemble(db, sessions).expect("fresh forum")
     }
 
     /// Parses templates once and caches them for the app's lifetime;
-    /// every request binds values into these.
-    fn assemble(db: ResinDb, sessions: Arc<SessionStore>, next: i64, torn_recovery: bool) -> Self {
+    /// every request binds values into these. The next post id follows
+    /// the highest stored one.
+    fn assemble(db: ResinDb, sessions: Arc<SessionStore>) -> Result<Self, resin_sql::SqlError> {
+        // The pk index turns this into an ordered-iteration sort-skip
+        // rather than a full sort of a recovered table.
+        let r = db.query_str("SELECT id FROM posts ORDER BY id DESC LIMIT 1")?;
+        let next = r
+            .rows
+            .first()
+            .and_then(|row| row.first())
+            .and_then(|c| c.as_int())
+            .map(|t| *t.value() + 1)
+            .unwrap_or(1);
         let ins_post = db
             .prepare("INSERT INTO posts VALUES (?, ?)")
             .expect("insert template");
@@ -120,17 +138,15 @@ impl ForumApp {
         let sel_search = db
             .prepare("SELECT body FROM posts WHERE body LIKE ?")
             .expect("search template");
-        ForumApp {
+        Ok(ForumApp {
             db,
             sessions,
             next_id: AtomicI64::new(next),
-            torn_recovery,
-            torn_cross_segment: false,
             replica: None,
             ins_post,
             sel_body,
             sel_search,
-        }
+        })
     }
 
     /// Opens (creating if needed) a durable forum rooted at `dir`: posts
@@ -143,47 +159,14 @@ impl ForumApp {
     ) -> Result<Self, resin_sql::SqlError> {
         let dir = dir.as_ref();
         let db = ResinDb::open_with_modes(dir, Tracking::On, GuardMode::AutoSanitize)?;
-        let torn_recovery = db.recovered_from_torn_wal();
-        if torn_recovery {
-            // Surface the data loss instead of recovering silently: the
-            // database is consistent, but acknowledged posts from the
-            // crashed process were discarded with the torn tail.
-            eprintln!(
-                "resin-apps: forum at {} recovered from a torn WAL tail; \
-                 acknowledged writes may have been discarded",
-                dir.display()
-            );
-        }
-        let torn_cross_segment = db.recovered_torn_cross_segment();
-        if torn_cross_segment {
-            // A torn frame in a *non-final* segment means whole later
-            // segments were dropped, not just an in-flight append — call
-            // that out separately, it implies more loss.
-            eprintln!(
-                "resin-apps: forum at {} found a torn record before the last \
-                 WAL segment; all later segments were discarded",
-                dir.display()
-            );
-        }
+        warn_if_torn("forum", dir, db.recovery());
         // Only a genuinely fresh store runs (and WAL-logs) the CREATE —
         // an unconditional IF NOT EXISTS would append one no-op record
         // per restart until a checkpoint.
         if !db.raw().table_names().iter().any(|n| n == "posts") {
             db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")?;
         }
-        // The pk index turns this into an ordered-iteration sort-skip
-        // rather than a full sort of the recovered table.
-        let r = db.query_str("SELECT id FROM posts ORDER BY id DESC LIMIT 1")?;
-        let next = r
-            .rows
-            .first()
-            .and_then(|row| row.first())
-            .and_then(|c| c.as_int())
-            .map(|t| *t.value() + 1)
-            .unwrap_or(1);
-        let mut app = Self::assemble(db, sessions, next, torn_recovery);
-        app.torn_cross_segment = torn_cross_segment;
-        Ok(app)
+        Self::assemble(db, sessions)
     }
 
     /// Opens a **read replica** over a shipped copy of a forum store:
@@ -202,16 +185,7 @@ impl ForumApp {
     ) -> Result<Self, resin_sql::SqlError> {
         let follower =
             Follower::open_with_modes(dir.as_ref(), Tracking::On, GuardMode::AutoSanitize)?;
-        let db = follower.db().clone();
-        let r = db.query_str("SELECT id FROM posts ORDER BY id DESC LIMIT 1")?;
-        let next = r
-            .rows
-            .first()
-            .and_then(|row| row.first())
-            .and_then(|c| c.as_int())
-            .map(|t| *t.value() + 1)
-            .unwrap_or(1);
-        let mut app = Self::assemble(db, sessions, next, false);
+        let mut app = Self::assemble(follower.db().clone(), sessions)?;
         app.replica = Some(Mutex::new(follower));
         Ok(app)
     }
@@ -253,18 +227,12 @@ impl ForumApp {
         Ok(resin_core::LabelTable::global().sweep(std::iter::empty()))
     }
 
-    /// True when [`open`](ForumApp::open) discarded a torn WAL tail:
-    /// the forum is consistent, but acknowledged posts from the crashed
-    /// process may be gone.
-    pub fn recovered_from_torn_wal(&self) -> bool {
-        self.torn_recovery
-    }
-
-    /// True when recovery found a torn record before the final WAL
-    /// segment (whole later segments were discarded, not just an
-    /// in-flight tail append).
-    pub fn recovered_torn_cross_segment(&self) -> bool {
-        self.torn_cross_segment
+    /// How [`open`](ForumApp::open) found the forum's log (`Clean`
+    /// in memory and on a replica): after a torn tail the forum is
+    /// consistent, but acknowledged posts from the crashed process may be
+    /// gone.
+    pub fn recovery(&self) -> Recovery {
+        self.db.recovery()
     }
 
     /// Storage counters (segment count, live WAL bytes, checkpoint
@@ -448,19 +416,14 @@ impl WikiApp {
         dir: impl AsRef<std::path::Path>,
         sessions: Arc<SessionStore>,
     ) -> Result<Self, resin_vfs::VfsError> {
-        // MoinWiki::open logs the warning; keep the flag queryable here.
+        // MoinWiki::open logs the warning; `recovery` keeps it queryable.
         Ok(WikiApp::new(MoinWiki::open(dir)?, sessions))
     }
 
-    /// True when [`open`](WikiApp::open) discarded a torn WAL tail.
-    pub fn recovered_from_torn_wal(&self) -> bool {
-        self.read().recovered_from_torn_wal()
-    }
-
-    /// True when recovery found a torn record before the final WAL
-    /// segment (whole later segments were discarded).
-    pub fn recovered_torn_cross_segment(&self) -> bool {
-        self.read().vfs.recovered_torn_cross_segment()
+    /// How [`open`](WikiApp::open) found the wiki's log (`Clean` in
+    /// memory).
+    pub fn recovery(&self) -> Recovery {
+        self.read().vfs.recovery()
     }
 
     /// Storage counters when the wiki is disk-backed; `None` in-memory.
@@ -468,9 +431,10 @@ impl WikiApp {
         self.read().vfs.store_stats()
     }
 
-    /// Folds the wiki's op log into a fresh snapshot.
+    /// Folds the wiki's op log into a fresh snapshot under the read lock:
+    /// pages keep rendering while it runs, and edits wait for it.
     pub fn checkpoint(&self) -> Result<(), resin_vfs::VfsError> {
-        self.write().checkpoint()
+        self.read().checkpoint()
     }
 
     // A panicking request is answered 500 by the dispatcher and must not

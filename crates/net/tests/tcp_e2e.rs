@@ -18,6 +18,7 @@ use std::sync::Arc;
 use resin_apps::ForumApp;
 use resin_core::UntrustedData;
 use resin_net::{NetConfig, NetServer};
+use resin_sql::Recovery;
 use resin_web::{serve_request, Request, SessionStore, WebApp};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -326,14 +327,14 @@ fn posts_over_tcp_survive_restart_and_torn_tail_is_surfaced() {
     // from disk, so the raw view is still blocked.
     {
         let app = ForumApp::open(&dir, Arc::new(SessionStore::new())).expect("reopen forum");
-        assert!(!app.recovered_from_torn_wal(), "clean shutdown");
+        assert_eq!(app.recovery(), Recovery::Clean, "clean shutdown");
         let (status, blocked) = in_process(&app, Request::get("/view_raw").with_param("id", "1"));
         assert!(blocked, "persisted taint must still block raw render");
         assert_eq!(status, 403);
     }
 
     // Generation 3: tear the WAL tail mid-record — the app open
-    // surfaces it (satellite: recovered_from_torn_wal at startup).
+    // surfaces it.
     let wal = resin_sql::segment::list_segments(&dir)
         .expect("list segments")
         .pop()
@@ -344,8 +345,9 @@ fn posts_over_tcp_survive_restart_and_torn_tail_is_surfaced() {
     std::fs::write(&wal, &bytes[..bytes.len() - 7]).expect("tear");
     {
         let app = ForumApp::open(&dir, Arc::new(SessionStore::new())).expect("open torn forum");
-        assert!(
-            app.recovered_from_torn_wal(),
+        assert_eq!(
+            app.recovery(),
+            Recovery::TornTail,
             "torn tail must be observable at app startup"
         );
     }
@@ -428,7 +430,7 @@ fn concurrent_keep_alive_reads_and_synced_writes_all_succeed_and_survive_reopen(
 
     // Every acknowledged write is on disk, tainted as it arrived.
     let app = ForumApp::open(&dir, Arc::new(SessionStore::new())).expect("reopen forum");
-    assert!(!app.recovered_from_torn_wal(), "clean shutdown");
+    assert_eq!(app.recovery(), Recovery::Clean, "clean shutdown");
     for (id, want) in &posted {
         let page = serve_request(
             &app,

@@ -61,7 +61,7 @@ pub use index::Index;
 pub use replica::Follower;
 pub use resin_core::Tracking;
 pub use resin_store::segment;
-pub use resin_store::{ship, ShipReport, StoreStats};
+pub use resin_store::{ship, Recovery, ShipReport, StoreStats};
 pub use rewrite::{
     BindValue, BoundStatement, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult,
     POLICY_COL_PREFIX,

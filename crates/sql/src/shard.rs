@@ -21,7 +21,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use resin_core::sync::{mlock, rlock, wlock};
 use resin_core::TaintedString;
-use resin_store::Store;
+use resin_store::{Recovery, Store};
 
 use crate::durable::{
     decode_parts, decode_wal_batch, encode_table_part, encode_wal_batch, table_part_name,
@@ -93,8 +93,6 @@ pub struct ResinDb {
     shared: Arc<Shared>,
     tracking: Tracking,
     guard: GuardMode,
-    torn_recovery: bool,
-    torn_cross_segment: bool,
 }
 
 impl ResinDb {
@@ -136,11 +134,7 @@ impl ResinDb {
         guard: GuardMode,
     ) -> Result<Self> {
         let (store, recovered) = Store::open(dir)?;
-        let db = ResinDb {
-            torn_recovery: recovered.torn_tail,
-            torn_cross_segment: recovered.torn_cross_segment,
-            ..ResinDb::with_modes(tracking, guard)
-        };
+        let db = ResinDb::with_modes(tracking, guard);
         // Each image and record is dropped once decoded: recovery holds
         // the tables, not their encodings beside them.
         db.raw().reset_tables(decode_parts(&recovered.parts)?);
@@ -157,18 +151,11 @@ impl ResinDb {
         Ok(db)
     }
 
-    /// True when this open discarded a torn WAL tail: the store is
-    /// consistent, but acknowledged-but-unsynced work from the crashed
-    /// process may have been lost — worth logging or alerting on.
-    pub fn recovered_from_torn_wal(&self) -> bool {
-        self.torn_recovery
-    }
-
-    /// True when the torn tail spanned a segment boundary, so recovery
-    /// dropped one or more whole later segments — a wider loss window
-    /// than one in-flight append.
-    pub fn recovered_torn_cross_segment(&self) -> bool {
-        self.torn_cross_segment
+    /// How [`open`](ResinDb::open) found the store's log (`Clean` when
+    /// not durable): a torn tail means acknowledged-but-unsynced work from
+    /// the crashed process may have been lost.
+    pub fn recovery(&self) -> Recovery {
+        self.store().map_or(Recovery::Clean, Store::recovery)
     }
 
     /// Replays one logged statement (crash recovery, and read replicas

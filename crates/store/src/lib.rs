@@ -46,4 +46,4 @@ pub mod wal;
 pub use error::{Result, StoreError};
 pub use replica::{checkpoint_base_seq, read_checkpoint, ship, tail_records, ShipReport, Tailed};
 pub use snapshot::{SnapshotReader, SnapshotWriter, SpanRef, SNAPSHOT_VERSION};
-pub use store::{Parts, Recovered, Store, StoreStats};
+pub use store::{Parts, Recovered, Recovery, Store, StoreStats};

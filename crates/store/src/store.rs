@@ -28,7 +28,9 @@
 //! crash *between* "rename new manifest into place" and "delete covered
 //! segments" cannot double-apply operations. Every crash point therefore
 //! recovers to a consistent state: the last checkpoint plus a prefix of
-//! the operations appended after it.
+//! the operations appended after it. How the log was found — clean, or
+//! repaired from a tear — is the store's [`Recovery`], which every client
+//! layer reports rather than keeping a copy.
 //!
 //! # Incremental checkpoints
 //!
@@ -117,7 +119,8 @@ pub(crate) struct ManifestEntry {
 /// Named checkpoint parts in manifest order: `(part name, image bytes)`.
 pub type Parts = Vec<(String, Vec<u8>)>;
 
-/// What [`Store::open`] recovered from disk.
+/// What [`Store::open`] recovered from disk: the state its client
+/// replays. How the log was found is [`Store::recovery`].
 #[derive(Debug, Default)]
 pub struct Recovered {
     /// Every named part of the last checkpoint, in manifest order.
@@ -125,13 +128,38 @@ pub struct Recovered {
     pub parts: Parts,
     /// WAL payloads appended after that checkpoint, in append order.
     pub records: Vec<Vec<u8>>,
-    /// True when a torn WAL tail was discarded during recovery.
-    pub torn_tail: bool,
-    /// True when the torn tail was found while more than one WAL segment
-    /// was on disk — i.e. recovery crossed (or discarded) a segment
-    /// boundary to repair the log. Surfaced so operators can tell a
-    /// mundane single-segment tear from one that dropped whole segments.
-    pub torn_cross_segment: bool,
+}
+
+/// How [`Store::open`] found the log: the one recovery status every
+/// client layer reports, read from its store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recovery {
+    /// Every frame on disk was whole: nothing was discarded.
+    Clean,
+    /// A torn frame ended the log and was truncated away. The state is
+    /// consistent, but acknowledged-but-unsynced appends from the crashed
+    /// process may be lost.
+    TornTail,
+    /// As [`TornTail`](Recovery::TornTail), found while more than one
+    /// segment was on disk: recovery crossed (or discarded) a segment
+    /// boundary to repair the log, a wider loss window than one in-flight
+    /// append.
+    TornAcrossSegments,
+}
+
+impl std::fmt::Display for Recovery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Recovery::Clean => "recovered a clean WAL",
+            Recovery::TornTail => {
+                "recovered from a torn WAL tail; acknowledged writes may have been discarded"
+            }
+            Recovery::TornAcrossSegments => {
+                "recovered from a torn WAL record with several segments on disk; \
+                 acknowledged writes in it and every later segment may have been discarded"
+            }
+        })
+    }
 }
 
 /// Point-in-time counters for diagnostics (see the observability
@@ -270,6 +298,7 @@ fn sync_dir(dir: &Path) {
 #[derive(Debug, Clone)]
 pub struct Store {
     dir: PathBuf,
+    recovery: Recovery,
     shared: Arc<WalShared>,
 }
 
@@ -361,10 +390,16 @@ impl Store {
 
         let next_part = next_part_number(&dir)?;
         remove_orphan_parts(&dir, &manifest);
+        let recovery = match (torn, total_segments > 1) {
+            (false, _) => Recovery::Clean,
+            (true, false) => Recovery::TornTail,
+            (true, true) => Recovery::TornAcrossSegments,
+        };
 
         Ok((
             Store {
                 dir: dir.clone(),
+                recovery,
                 shared: Arc::new(WalShared {
                     dir,
                     _lock: lock_file,
@@ -394,12 +429,7 @@ impl Store {
                     last_ckpt_parts_written: AtomicU64::new(0),
                 }),
             },
-            Recovered {
-                parts,
-                records,
-                torn_tail: torn,
-                torn_cross_segment: torn && total_segments > 1,
-            },
+            Recovered { parts, records },
         ))
     }
 
@@ -420,6 +450,12 @@ impl Store {
     /// direct observable of group-commit amortization.
     pub fn sync_count(&self) -> u64 {
         self.shared.syncs.load(Ordering::Relaxed)
+    }
+
+    /// How [`open`](Store::open) found the log: clean, or repaired from
+    /// a torn tail (worth logging or alerting on).
+    pub fn recovery(&self) -> Recovery {
+        self.recovery
     }
 
     /// The store directory.
@@ -974,7 +1010,7 @@ mod tests {
         }
         let (s, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records, vec![b"one".to_vec(), b"two".to_vec()]);
-        assert!(!r.torn_tail);
+        assert_eq!(s.recovery(), Recovery::Clean);
         assert_eq!(s.seq(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1009,17 +1045,16 @@ mod tests {
         {
             let (s, r) = Store::open(&dir).unwrap();
             assert_eq!(r.records, vec![b"keep me".to_vec()]);
-            assert!(r.torn_tail);
-            assert!(!r.torn_cross_segment, "single segment tear");
+            assert_eq!(s.recovery(), Recovery::TornTail, "single segment tear");
             // The repaired log accepts new appends cleanly.
             s.append(b"after repair").unwrap();
         }
-        let (_, r) = Store::open(&dir).unwrap();
+        let (s, r) = Store::open(&dir).unwrap();
         assert_eq!(
             r.records,
             vec![b"keep me".to_vec(), b"after repair".to_vec()]
         );
-        assert!(!r.torn_tail);
+        assert_eq!(s.recovery(), Recovery::Clean);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1131,8 +1166,11 @@ mod tests {
         let survivors;
         {
             let (s, r) = Store::open(&dir).unwrap();
-            assert!(r.torn_tail);
-            assert!(r.torn_cross_segment, "tear dropped later segments");
+            assert_eq!(
+                s.recovery(),
+                Recovery::TornAcrossSegments,
+                "tear dropped later segments"
+            );
             survivors = r.records.len();
             assert!(survivors < 20);
             // Later segments are gone; the torn one is the active tail.
@@ -1140,10 +1178,10 @@ mod tests {
             assert_eq!(segs.last().unwrap().0, cut_segment.0);
             s.append(b"after repair").unwrap();
         }
-        let (_, r) = Store::open(&dir).unwrap();
+        let (s, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records.len(), survivors + 1);
         assert_eq!(r.records.last().unwrap(), &b"after repair".to_vec());
-        assert!(!r.torn_tail);
+        assert_eq!(s.recovery(), Recovery::Clean);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1312,9 +1350,9 @@ mod tests {
             total_syncs = store.sync_count();
             assert!(total_syncs >= 1);
         }
-        let (_, r) = Store::open(&dir).unwrap();
+        let (s, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records.len(), THREADS * PER);
-        assert!(!r.torn_tail);
+        assert_eq!(s.recovery(), Recovery::Clean);
         // Sanity on the amortization mechanism: syncs can never exceed
         // appends. (The *ratio* is measured in the net_throughput bench,
         // not asserted here, to keep the test scheduler-independent.)
@@ -1439,12 +1477,12 @@ mod tests {
             // segments compaction left behind.
             assert_eq!(store.seq(), (THREADS * PER) as u64);
         }
-        let (_, r) = Store::open(&dir).unwrap();
+        let (s, r) = Store::open(&dir).unwrap();
         // Whatever the last MID checkpoint covered is in the snapshot;
         // everything after it must be in the recovered records, with no
         // gaps: base_seq + records == all acknowledged appends.
         assert_eq!(image(&r), Some(b"MID" as &[u8]));
-        assert!(!r.torn_tail);
+        assert_eq!(s.recovery(), Recovery::Clean);
         let (_, base_seq, _) = read_checkpoint_state(&dir).unwrap();
         assert_eq!(
             base_seq + r.records.len() as u64,

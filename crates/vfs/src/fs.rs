@@ -15,18 +15,23 @@
 //! filters decides; deeper filters override shallower ones. This models
 //! attaching a filter to "the files and directory that represent a wiki
 //! page" while letting applications carve out per-user subtrees.
+//!
+//! Every mutation runs its guards, then commits one [`FsOp`]: the op is
+//! validated, logged and applied by the one function recovery replays the
+//! log through.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use resin_core::{
     deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
     TaintedString, Tracking,
 };
-use resin_store::{SnapshotReader, SnapshotWriter, Store};
+use resin_store::{Recovery, SnapshotReader, SnapshotWriter, Store};
 
-use crate::backend::FsOp;
 use crate::error::{Result, VfsError};
-use crate::path::{normalize, to_absolute};
+use crate::op::FsOp;
+use crate::path::{normalize, split_parent, to_absolute};
 use crate::pfilter::{deserialize_filter, serialize_filter, DirOp, GateMount, PersistentFilterRef};
 
 /// xattr key holding a file's serialized content policies.
@@ -79,7 +84,6 @@ impl Node {
 /// the open call carries the validation cost the paper measures in Table 5.
 #[derive(Debug, Clone)]
 pub struct OpenFile {
-    components: Vec<String>,
     path: String,
 }
 
@@ -106,8 +110,6 @@ pub struct Vfs {
     root: DirNode,
     mode: Tracking,
     store: Option<Store>,
-    torn_recovery: bool,
-    torn_cross_segment: bool,
 }
 
 impl Default for Vfs {
@@ -128,8 +130,6 @@ impl Vfs {
             root: DirNode::default(),
             mode,
             store: None,
-            torn_recovery: false,
-            torn_cross_segment: false,
         }
     }
 
@@ -149,37 +149,33 @@ impl Vfs {
             }
         };
         drop(recovered.parts);
-        let mut fs = Vfs {
-            root,
-            mode: Tracking::On,
-            store: None, // replay must not re-log
-            torn_recovery: recovered.torn_tail,
-            torn_cross_segment: recovered.torn_cross_segment,
-        };
         if !recovered.records.is_empty() {
             // The replayed ops post-date the checkpoint: the tree is ahead
             // of its image until the next checkpoint folds them in.
             store.mark_dirty(TREE_PART);
         }
+        // Replay commits each logged op as it was committed live, with
+        // the store not yet attached: the ops are in the log already. An
+        // op that no longer validates means the checkpoint and log
+        // disagree (real corruption) and fails the open.
+        let mut fs = Vfs {
+            root,
+            mode: Tracking::On,
+            store: None,
+        };
         for payload in recovered.records {
-            fs.apply_op(&FsOp::decode(&payload)?)?;
+            fs.commit(FsOp::decode(&payload)?)?;
         }
         fs.store = Some(store);
         Ok(fs)
     }
 
-    /// True when this open discarded a torn WAL tail: the tree is
-    /// consistent, but acknowledged-but-unsynced ops from the crashed
-    /// process may have been lost — worth logging or alerting on.
-    pub fn recovered_from_torn_wal(&self) -> bool {
-        self.torn_recovery
-    }
-
-    /// True when the torn tail spanned a WAL segment boundary, so
-    /// recovery dropped one or more whole later segments — a wider loss
-    /// window than one in-flight append.
-    pub fn recovered_torn_cross_segment(&self) -> bool {
-        self.torn_cross_segment
+    /// How [`open_disk`](Vfs::open_disk) found the op log (`Clean` for
+    /// an in-memory tree): after a torn tail the tree is consistent, but
+    /// acknowledged-but-unsynced ops from the crashed process may have
+    /// been lost.
+    pub fn recovery(&self) -> Recovery {
+        self.store.as_ref().map_or(Recovery::Clean, Store::recovery)
     }
 
     /// Live storage counters of the underlying store, or `None` for an
@@ -201,8 +197,9 @@ impl Vfs {
     /// Folds the op log into a fresh image of the tree (no-op in memory).
     /// The store writes nothing when no op was logged since the last
     /// checkpoint — its image already equals the tree, so a periodic
-    /// checkpointer on an idle filesystem costs nothing.
-    pub fn checkpoint(&mut self) -> Result<()> {
+    /// checkpointer on an idle filesystem costs nothing. It only reads
+    /// the tree, so readers sharing the tree keep going while it runs.
+    pub fn checkpoint(&self) -> Result<()> {
         let Some(store) = &self.store else {
             return Ok(());
         };
@@ -210,101 +207,122 @@ impl Vfs {
         store.checkpoint_parts([(TREE_PART.to_string(), || encode_tree(root))])
     }
 
-    /// Re-applies one recovered op to the raw tree. The op was committed
-    /// post-guard before the crash, so no filter or gate re-runs; a
-    /// failure here means the checkpoint and log disagree (real corruption)
-    /// and surfaces as an error from [`Vfs::open_disk`].
-    fn apply_op(&mut self, op: &FsOp) -> Result<()> {
+    // ---- the one mutation path ----
+
+    /// Validates `op` against the tree, logs it to a durable tree's store
+    /// (dirtying its image), then applies it. Every mutation a caller
+    /// makes ends here once its guards passed, and recovery replays the
+    /// log through here, so a live op and its replay cannot diverge.
+    ///
+    /// Validation comes first: an op that cannot apply never reaches the
+    /// log, where its replay would fail every future open. The log comes
+    /// before the apply: the tree never holds an op the log lacks, and
+    /// the caller sees `Ok` only once the op is logged.
+    fn commit(&mut self, op: FsOp) -> Result<()> {
+        self.validate(&op)?;
+        if let Some(store) = &self.store {
+            store.append(&op.encode())?;
+            store.mark_dirty(TREE_PART);
+        }
+        self.apply(op);
+        Ok(())
+    }
+
+    /// Errors, without touching the tree, when `op` does not fit it:
+    /// whenever [`apply`](Vfs::apply) would fail, or would clobber a node
+    /// no caller named (a directory under a new one, a rename target, a
+    /// non-empty directory's children).
+    fn validate(&self, op: &FsOp) -> Result<()> {
         match op {
-            FsOp::Mkdir { path } => {
-                let comps = normalize(path)?;
-                let mut done: Vec<String> = Vec::new();
-                for c in comps {
-                    self.get_dir_mut(&done)?
-                        .children
-                        .entry(c.clone())
-                        .or_insert_with(|| Node::Dir(DirNode::default()));
-                    done.push(c);
+            FsOp::Mkdir { path } => match self.entry(path)? {
+                None => Ok(()),
+                Some(Node::File(_)) => Err(VfsError::NotADirectory(to_absolute(path))),
+                Some(Node::Dir(_)) => Err(VfsError::AlreadyExists(to_absolute(path))),
+            },
+            FsOp::Write { path, .. } => match self.entry(path)? {
+                Some(Node::Dir(_)) => Err(VfsError::IsADirectory(to_absolute(path))),
+                _ => Ok(()),
+            },
+            FsOp::Unlink { path } => match self.entry(path)? {
+                None => Err(VfsError::NotFound(to_absolute(path))),
+                Some(Node::Dir(d)) if !d.children.is_empty() => {
+                    Err(VfsError::IsADirectory(to_absolute(path)))
+                }
+                Some(_) => Ok(()),
+            },
+            FsOp::Rename { from, to } => {
+                if self.entry(from)?.is_none() {
+                    return Err(VfsError::NotFound(to_absolute(from)));
+                }
+                if self.entry(to)?.is_some() {
+                    return Err(VfsError::AlreadyExists(to_absolute(to)));
+                }
+                // Moving a directory under itself would detach the very
+                // subtree its destination lives in.
+                if to.starts_with(from) {
+                    return Err(VfsError::InvalidPath(to_absolute(to)));
+                }
+                Ok(())
+            }
+            FsOp::SetXattr { path, .. } | FsOp::RemoveXattr { path, .. } => {
+                match self.xattrs(path) {
+                    Some(_) => Ok(()),
+                    None => Err(VfsError::NotFound(to_absolute(path))),
                 }
             }
+        }
+    }
+
+    /// Carries out an op [`validate`](Vfs::validate) accepted.
+    fn apply(&mut self, op: FsOp) {
+        match op {
+            FsOp::Mkdir { mut path } => {
+                let name = path.pop().expect("validated: not the root");
+                self.dir_mut(&path)
+                    .children
+                    .insert(name, Node::Dir(DirNode::default()));
+            }
             FsOp::Write {
-                path,
+                mut path,
                 content,
                 policy,
             } => {
-                let comps = normalize(path)?;
-                let (parent, name) = match comps.split_last() {
-                    Some((n, p)) => (p.to_vec(), n.clone()),
-                    None => return Err(VfsError::InvalidPath(path.clone())),
-                };
-                let dir = self.get_dir_mut(&parent)?;
-                let node = dir
+                let name = path.pop().expect("validated: not the root");
+                let node = self
+                    .dir_mut(&path)
                     .children
                     .entry(name)
                     .or_insert_with(|| Node::File(FileNode::default()));
                 let Node::File(file) = node else {
-                    return Err(VfsError::IsADirectory(path.clone()));
+                    unreachable!("validated: not a directory");
                 };
-                file.content = content.clone();
+                file.content = content;
                 match policy {
-                    Some(p) => {
-                        file.xattrs.insert(XATTR_POLICY.to_string(), p.clone());
-                    }
-                    None => {
-                        file.xattrs.remove(XATTR_POLICY);
-                    }
-                }
+                    Some(p) => file.xattrs.insert(XATTR_POLICY.to_string(), p),
+                    None => file.xattrs.remove(XATTR_POLICY),
+                };
             }
-            FsOp::Unlink { path } => {
-                let comps = normalize(path)?;
-                let (parent, name) = match comps.split_last() {
-                    Some((n, p)) => (p.to_vec(), n.clone()),
-                    None => return Err(VfsError::InvalidPath(path.clone())),
-                };
-                self.get_dir_mut(&parent)?.children.remove(&name);
+            FsOp::Unlink { mut path } => {
+                let name = path.pop().expect("validated: not the root");
+                self.dir_mut(&path).children.remove(&name);
             }
-            FsOp::Rename { from, to } => {
-                let fc = normalize(from)?;
-                let tc = normalize(to)?;
-                let (fparent, fname) = match fc.split_last() {
-                    Some((n, p)) => (p.to_vec(), n.clone()),
-                    None => return Err(VfsError::InvalidPath(from.clone())),
-                };
-                let (tparent, tname) = match tc.split_last() {
-                    Some((n, p)) => (p.to_vec(), n.clone()),
-                    None => return Err(VfsError::InvalidPath(to.clone())),
-                };
+            FsOp::Rename { mut from, mut to } => {
+                let name = from.pop().expect("validated: not the root");
                 let node = self
-                    .get_dir_mut(&fparent)?
+                    .dir_mut(&from)
                     .children
-                    .remove(&fname)
-                    .ok_or_else(|| VfsError::NotFound(from.clone()))?;
-                self.get_dir_mut(&tparent)?.children.insert(tname, node);
+                    .remove(&name)
+                    .expect("validated: the source exists");
+                let name = to.pop().expect("validated: not the root");
+                self.dir_mut(&to).children.insert(name, node);
             }
             FsOp::SetXattr { path, key, value } => {
-                let comps = normalize(path)?;
-                let xattrs = if comps.is_empty() {
-                    &mut self.root.xattrs
-                } else {
-                    self.get_node_mut(&comps)
-                        .ok_or_else(|| VfsError::NotFound(path.clone()))?
-                        .xattrs_mut()
-                };
-                xattrs.insert(key.clone(), value.clone());
+                self.xattrs_mut(&path).insert(key, value);
             }
             FsOp::RemoveXattr { path, key } => {
-                let comps = normalize(path)?;
-                let xattrs = if comps.is_empty() {
-                    &mut self.root.xattrs
-                } else {
-                    self.get_node_mut(&comps)
-                        .ok_or_else(|| VfsError::NotFound(path.clone()))?
-                        .xattrs_mut()
-                };
-                xattrs.remove(key);
+                self.xattrs_mut(&path).remove(&key);
             }
         }
-        Ok(())
     }
 
     /// A file-gate context with no authenticated user.
@@ -325,8 +343,8 @@ impl Vfs {
     // ---- node lookup ----
 
     fn get_node(&self, comps: &[String]) -> Option<&Node> {
-        let mut dir = &self.root;
         let (last, body) = comps.split_last()?;
+        let mut dir = &self.root;
         for c in body {
             match dir.children.get(c) {
                 Some(Node::Dir(d)) => dir = d,
@@ -336,41 +354,75 @@ impl Vfs {
         dir.children.get(last)
     }
 
-    fn get_node_mut(&mut self, comps: &[String]) -> Option<&mut Node> {
-        let mut dir = &mut self.root;
-        let (last, body) = comps.split_last()?;
-        for c in body {
-            match dir.children.get_mut(c) {
-                Some(Node::Dir(d)) => dir = d,
-                _ => return None,
-            }
-        }
-        dir.children.get_mut(last)
-    }
-
-    fn get_dir_mut(&mut self, comps: &[String]) -> Result<&mut DirNode> {
-        let mut dir = &mut self.root;
+    /// The directory at `comps`.
+    fn dir(&self, comps: &[String]) -> Result<&DirNode> {
+        let mut dir = &self.root;
         for c in comps {
-            match dir.children.get_mut(c) {
+            match dir.children.get(c) {
                 Some(Node::Dir(d)) => dir = d,
-                Some(Node::File(_)) => {
-                    return Err(VfsError::NotADirectory(to_absolute(comps)));
-                }
+                Some(Node::File(_)) => return Err(VfsError::NotADirectory(to_absolute(comps))),
                 None => return Err(VfsError::NotFound(to_absolute(comps))),
             }
         }
         Ok(dir)
     }
 
+    /// The node at a non-root `path`, or `None` when its directory lacks
+    /// it: what every op that creates, replaces or removes an entry needs
+    /// to know, once the directory itself is there.
+    fn entry(&self, path: &[String]) -> Result<Option<&Node>> {
+        let (name, parent) = path
+            .split_last()
+            .ok_or_else(|| VfsError::InvalidPath("/".into()))?;
+        Ok(self.dir(parent)?.children.get(name))
+    }
+
+    /// The file at `comps`.
+    fn file(&self, comps: &[String]) -> Result<&FileNode> {
+        match self.get_node(comps) {
+            Some(Node::File(f)) => Ok(f),
+            Some(Node::Dir(_)) => Err(VfsError::IsADirectory(to_absolute(comps))),
+            None => Err(VfsError::NotFound(to_absolute(comps))),
+        }
+    }
+
+    /// The xattrs of the root or of the node at `comps`, if it exists.
+    fn xattrs(&self, comps: &[String]) -> Option<&BTreeMap<String, String>> {
+        if comps.is_empty() {
+            return Some(&self.root.xattrs);
+        }
+        self.get_node(comps).map(Node::xattrs)
+    }
+
+    /// The directory at `comps`, which validation found.
+    fn dir_mut(&mut self, comps: &[String]) -> &mut DirNode {
+        let mut dir = &mut self.root;
+        for c in comps {
+            match dir.children.get_mut(c) {
+                Some(Node::Dir(d)) => dir = d,
+                _ => unreachable!("validated: {c} is a directory"),
+            }
+        }
+        dir
+    }
+
+    /// The xattrs of the root or of the node at `comps`, which validation
+    /// found.
+    fn xattrs_mut(&mut self, comps: &[String]) -> &mut BTreeMap<String, String> {
+        match comps.split_last() {
+            None => &mut self.root.xattrs,
+            Some((name, parent)) => self
+                .dir_mut(parent)
+                .children
+                .get_mut(name)
+                .expect("validated: the node exists")
+                .xattrs_mut(),
+        }
+    }
+
     /// Filters at exactly this node (deserialized). Empty vec when none.
     fn filters_on(&self, comps: &[String]) -> Result<Vec<PersistentFilterRef>> {
-        let xattr = if comps.is_empty() {
-            self.root.xattrs.get(XATTR_FILTER)
-        } else {
-            self.get_node(comps)
-                .and_then(|n| n.xattrs().get(XATTR_FILTER))
-        };
-        let Some(serialized) = xattr else {
+        let Some(serialized) = self.xattrs(comps).and_then(|x| x.get(XATTR_FILTER)) else {
             return Ok(Vec::new());
         };
         serialized.lines().map(deserialize_filter).collect()
@@ -420,13 +472,12 @@ impl Vfs {
         merged
     }
 
-    fn check_dir_op_allowed(
-        &self,
-        parent: &[String],
-        op: DirOp,
-        entry: &str,
-        ctx: &Context,
-    ) -> Result<()> {
+    /// Asks the filters governing `path`'s directory whether `op` may
+    /// touch its entry (the root has no directory to ask).
+    fn check_dir_op_allowed(&self, path: &[String], op: DirOp, ctx: &Context) -> Result<()> {
+        let Some((parent, entry)) = split_parent(path) else {
+            return Ok(());
+        };
         let filters = self.governing_filters(parent)?;
         if filters.is_empty() {
             return Ok(());
@@ -439,62 +490,24 @@ impl Vfs {
         Ok(())
     }
 
-    /// Logs `op` to the store of a durable tree, whose image it dirties;
-    /// an in-memory tree skips even the op's construction (path/content
-    /// allocations stay off the hot path).
-    fn journal(&self, op: impl FnOnce() -> FsOp) -> Result<()> {
-        if let Some(store) = &self.store {
-            store.append(&op().encode())?;
-            store.mark_dirty(TREE_PART);
-        }
-        Ok(())
-    }
-
     // ---- directory operations ----
 
     /// Creates a directory and all missing ancestors.
     pub fn mkdir_p(&mut self, path: &str, ctx: &Context) -> Result<()> {
         let comps = normalize(path)?;
-        let mut done: Vec<String> = Vec::new();
-        for c in comps {
-            let exists = matches!(
-                self.get_dir_mut(&done)?.children.get(&c),
-                Some(Node::Dir(_))
-            );
-            if !exists {
-                if let Some(Node::File(_)) = self.get_dir_mut(&done)?.children.get(&c) {
-                    done.push(c);
-                    return Err(VfsError::NotADirectory(to_absolute(&done)));
-                }
-                self.check_dir_op_allowed(&done, DirOp::Create, &c, ctx)?;
-                self.journal(|| {
-                    let mut full = done.clone();
-                    full.push(c.clone());
-                    FsOp::Mkdir {
-                        path: to_absolute(&full),
-                    }
-                })?;
-                self.get_dir_mut(&done)?
-                    .children
-                    .insert(c.clone(), Node::Dir(DirNode::default()));
+        for depth in 1..=comps.len() {
+            let dir = &comps[..depth];
+            if !matches!(self.get_node(dir), Some(Node::Dir(_))) {
+                self.check_dir_op_allowed(dir, DirOp::Create, ctx)?;
+                self.commit(FsOp::Mkdir { path: dir.to_vec() })?;
             }
-            done.push(c);
         }
         Ok(())
     }
 
     /// Lists a directory's entries as `(name, is_dir)` pairs, sorted.
     pub fn list_dir(&self, path: &str) -> Result<Vec<(String, bool)>> {
-        let comps = normalize(path)?;
-        let dir = if comps.is_empty() {
-            &self.root
-        } else {
-            match self.get_node(&comps) {
-                Some(Node::Dir(d)) => d,
-                Some(Node::File(_)) => return Err(VfsError::NotADirectory(path.to_string())),
-                None => return Err(VfsError::NotFound(path.to_string())),
-            }
-        };
+        let dir = self.dir(&normalize(path)?)?;
         Ok(dir
             .children
             .iter()
@@ -504,115 +517,35 @@ impl Vfs {
 
     /// True if a file or directory exists at `path`.
     pub fn exists(&self, path: &str) -> bool {
-        match normalize(path) {
-            Ok(c) if c.is_empty() => true,
-            Ok(c) => self.get_node(&c).is_some(),
-            Err(_) => false,
-        }
+        normalize(path).is_ok_and(|c| self.xattrs(&c).is_some())
     }
 
     /// True if a directory exists at `path`.
     pub fn is_dir(&self, path: &str) -> bool {
-        match normalize(path) {
-            Ok(c) if c.is_empty() => true,
-            Ok(c) => matches!(self.get_node(&c), Some(Node::Dir(_))),
-            Err(_) => false,
-        }
+        normalize(path).is_ok_and(|c| self.dir(&c).is_ok())
     }
 
     /// Deletes a file or empty directory.
     pub fn unlink(&mut self, path: &str, ctx: &Context) -> Result<()> {
         let comps = normalize(path)?;
-        let (parent, name) = match comps.split_last() {
-            Some((n, p)) => (p.to_vec(), n.clone()),
-            None => return Err(VfsError::InvalidPath(path.to_string())),
-        };
-        match self.get_node(&comps) {
-            None => return Err(VfsError::NotFound(path.to_string())),
-            Some(Node::Dir(d)) if !d.children.is_empty() => {
-                return Err(VfsError::IsADirectory(path.to_string()));
-            }
-            _ => {}
-        }
         // Deleting is a write to the file and a dir-op on the parent
         // (tracking off bypasses the gate, like write_file/read_file).
         if self.mode == Tracking::On {
             self.file_gate(&comps, path, ctx)?
                 .export(TaintedString::new())
                 .map_err(VfsError::from)?;
-            self.check_dir_op_allowed(&parent, DirOp::Delete, &name, ctx)?;
+            self.check_dir_op_allowed(&comps, DirOp::Delete, ctx)?;
         }
-        self.journal(|| FsOp::Unlink {
-            path: to_absolute(&comps),
-        })?;
-        self.get_dir_mut(&parent)?.children.remove(&name);
-        Ok(())
+        self.commit(FsOp::Unlink { path: comps })
     }
 
     /// Renames `from` to `to` (both full paths).
     pub fn rename(&mut self, from: &str, to: &str, ctx: &Context) -> Result<()> {
-        let fc = normalize(from)?;
-        let tc = normalize(to)?;
-        let (fparent, fname) = match fc.split_last() {
-            Some((n, p)) => (p.to_vec(), n.clone()),
-            None => return Err(VfsError::InvalidPath(from.to_string())),
-        };
-        let (tparent, tname) = match tc.split_last() {
-            Some((n, p)) => (p.to_vec(), n.clone()),
-            None => return Err(VfsError::InvalidPath(to.to_string())),
-        };
-        if self.get_node(&fc).is_none() {
-            return Err(VfsError::NotFound(from.to_string()));
-        }
-        if self.get_node(&tc).is_some() {
-            return Err(VfsError::AlreadyExists(to.to_string()));
-        }
-        self.check_dir_op_allowed(&fparent, DirOp::Rename, &fname, ctx)?;
-        self.check_dir_op_allowed(&tparent, DirOp::Create, &tname, ctx)?;
-        // Validate the destination parent *before* detaching the node: a
-        // rename into a missing directory must fail cleanly, not drop the
-        // source node on the floor — and must leave no op in the WAL,
-        // whose replay would brick every future open.
-        self.check_is_dir(&tparent)?;
-        let node = self
-            .get_dir_mut(&fparent)?
-            .children
-            .remove(&fname)
-            .expect("checked above");
-        self.get_dir_mut(&tparent)?
-            .children
-            .insert(tname.clone(), node);
-        if let Err(e) = self.journal(|| FsOp::Rename {
-            from: to_absolute(&fc),
-            to: to_absolute(&tc),
-        }) {
-            // Un-move: a rename the WAL never recorded must not be
-            // observable, or a restart would silently undo it.
-            let node = self
-                .get_dir_mut(&tparent)?
-                .children
-                .remove(&tname)
-                .expect("inserted above");
-            self.get_dir_mut(&fparent)?.children.insert(fname, node);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Immutable twin of [`get_dir_mut`](Vfs::get_dir_mut)'s validation:
-    /// errors exactly when that walk would, without touching the tree.
-    fn check_is_dir(&self, comps: &[String]) -> Result<()> {
-        let mut dir = &self.root;
-        for c in comps {
-            match dir.children.get(c) {
-                Some(Node::Dir(d)) => dir = d,
-                Some(Node::File(_)) => {
-                    return Err(VfsError::NotADirectory(to_absolute(comps)));
-                }
-                None => return Err(VfsError::NotFound(to_absolute(comps))),
-            }
-        }
-        Ok(())
+        let from = normalize(from)?;
+        let to = normalize(to)?;
+        self.check_dir_op_allowed(&from, DirOp::Rename, ctx)?;
+        self.check_dir_op_allowed(&to, DirOp::Create, ctx)?;
+        self.commit(FsOp::Rename { from, to })
     }
 
     // ---- file I/O ----
@@ -620,28 +553,22 @@ impl Vfs {
     /// Opens a file, validating its path and RESIN xattrs.
     pub fn open(&self, path: &str) -> Result<OpenFile> {
         let components = normalize(path)?;
-        match self.get_node(&components) {
-            Some(Node::File(f)) => {
-                if self.mode == Tracking::On {
-                    // Parse (and thereby validate) the RESIN xattrs; this is
-                    // the per-open cost Table 5 measures.
-                    if let Some(spans) = f.xattrs.get(XATTR_POLICY) {
-                        deserialize_spans(&f.content, spans)?;
-                    }
-                    if let Some(filters) = f.xattrs.get(XATTR_FILTER) {
-                        for line in filters.lines() {
-                            deserialize_filter(line)?;
-                        }
-                    }
-                }
-                Ok(OpenFile {
-                    path: to_absolute(&components),
-                    components,
-                })
+        let f = self.file(&components)?;
+        if self.mode == Tracking::On {
+            // Parse (and thereby validate) the RESIN xattrs; this is the
+            // per-open cost Table 5 measures.
+            if let Some(spans) = f.xattrs.get(XATTR_POLICY) {
+                deserialize_spans(&f.content, spans)?;
             }
-            Some(Node::Dir(_)) => Err(VfsError::IsADirectory(path.to_string())),
-            None => Err(VfsError::NotFound(path.to_string())),
+            if let Some(filters) = f.xattrs.get(XATTR_FILTER) {
+                for line in filters.lines() {
+                    deserialize_filter(line)?;
+                }
+            }
         }
+        Ok(OpenFile {
+            path: to_absolute(&components),
+        })
     }
 
     /// Writes (replaces) a file's content, creating it if needed.
@@ -650,82 +577,29 @@ impl Vfs {
     /// policy xattr, and persistent filters govern the write.
     pub fn write_file(&mut self, path: &str, data: &TaintedString, ctx: &Context) -> Result<()> {
         let comps = normalize(path)?;
-        let (parent, name) = match comps.split_last() {
-            Some((n, p)) => (p.to_vec(), n.clone()),
-            None => return Err(VfsError::InvalidPath(path.to_string())),
-        };
-        let creating = self.get_node(&comps).is_none();
         // Route the data through the file gate: governing persistent
-        // filters interpose exactly like any other boundary's filters.
+        // filters interpose exactly like any other boundary's filters, and
+        // a chain that only checks passes the borrow through uncopied.
         // (Tracking off — the unmodified-runtime baseline — bypasses the
-        // gate and borrows the data as-is.)
-        let exported;
-        let data: &TaintedString = if self.mode == Tracking::On {
-            let gate = self.file_gate(&comps, path, ctx)?;
-            let data = if gate.filter_count() == 0 && gate.rule_count() == 0 {
-                // No interposition: skip the identity export and its clone.
-                data
-            } else {
-                exported = gate.export(data.clone()).map_err(VfsError::from)?;
-                &exported
-            };
-            if creating {
-                self.check_dir_op_allowed(&parent, DirOp::Create, &name, ctx)?;
+        // gate.)
+        let data = if self.mode == Tracking::On {
+            let data = self
+                .file_gate(&comps, path, ctx)?
+                .export_cow(Cow::Borrowed(data))?;
+            if self.get_node(&comps).is_none() {
+                self.check_dir_op_allowed(&comps, DirOp::Create, ctx)?;
             }
             data
         } else {
-            data
+            Cow::Borrowed(data)
         };
-        let serialized = if self.mode == Tracking::On && !data.is_untainted() {
-            Some(serialize_spans(data))
-        } else {
-            None
-        };
-        let dir = self.get_dir_mut(&parent)?;
-        let node = dir
-            .children
-            .entry(name.clone())
-            .or_insert_with(|| Node::File(FileNode::default()));
-        let Node::File(file) = node else {
-            return Err(VfsError::IsADirectory(path.to_string()));
-        };
-        // Prior state for the journal-failure revert, captured without
-        // copying: the old content moves out (replaced either way) and
-        // only the small policy xattr clones.
-        let old_content = std::mem::replace(&mut file.content, data.as_str().to_string());
-        let old_policy = match &serialized {
-            Some(s) => file.xattrs.insert(XATTR_POLICY.to_string(), s.clone()),
-            None => file.xattrs.remove(XATTR_POLICY),
-        };
-        // Logged only after the tree mutation succeeded: a write that
-        // errors out (directory in the way, missing parent) must never
-        // reach the WAL, where its replay would fail every future
-        // `open_disk`. The caller sees `Ok` only once the op is logged,
-        // so a crash in between loses nothing that was acknowledged.
-        if let Err(e) = self.journal(|| FsOp::Write {
-            path: to_absolute(&comps),
+        let policy =
+            (self.mode == Tracking::On && !data.is_untainted()).then(|| serialize_spans(&data));
+        self.commit(FsOp::Write {
+            path: comps,
             content: data.as_str().to_string(),
-            policy: serialized,
-        }) {
-            // Put the prior state back — the caller must never observe a
-            // write the log lacks.
-            let dir = self.get_dir_mut(&parent)?;
-            if creating {
-                dir.children.remove(&name);
-            } else if let Some(Node::File(file)) = dir.children.get_mut(&name) {
-                file.content = old_content;
-                match old_policy {
-                    Some(p) => {
-                        file.xattrs.insert(XATTR_POLICY.to_string(), p);
-                    }
-                    None => {
-                        file.xattrs.remove(XATTR_POLICY);
-                    }
-                }
-            }
-            return Err(e);
-        }
-        Ok(())
+            policy,
+        })
     }
 
     /// Appends to a file, splicing the new data's policies after the
@@ -743,11 +617,7 @@ impl Vfs {
     /// Reads a file, reviving its persistent policies (tracking on).
     pub fn read_file(&self, path: &str, ctx: &Context) -> Result<TaintedString> {
         let comps = normalize(path)?;
-        let file = match self.get_node(&comps) {
-            Some(Node::File(f)) => f,
-            Some(Node::Dir(_)) => return Err(VfsError::IsADirectory(path.to_string())),
-            None => return Err(VfsError::NotFound(path.to_string())),
-        };
+        let file = self.file(&comps)?;
         if self.mode == Tracking::Off {
             return Ok(TaintedString::from(file.content.as_str()));
         }
@@ -775,74 +645,29 @@ impl Vfs {
     /// serving static files); see the myPHPscripts password-disclosure
     /// scenario, where only a RESIN-aware server catches the leak.
     pub fn read_raw(&self, path: &str) -> Result<String> {
-        let comps = normalize(path)?;
-        match self.get_node(&comps) {
-            Some(Node::File(f)) => Ok(f.content.clone()),
-            Some(Node::Dir(_)) => Err(VfsError::IsADirectory(path.to_string())),
-            None => Err(VfsError::NotFound(path.to_string())),
-        }
-    }
-
-    /// Reads through an [`OpenFile`] handle.
-    pub fn read_handle(&self, handle: &OpenFile, ctx: &Context) -> Result<TaintedString> {
-        self.read_file(&handle.path, ctx)
-    }
-
-    /// Writes through an [`OpenFile`] handle.
-    pub fn write_handle(
-        &mut self,
-        handle: &OpenFile,
-        data: &TaintedString,
-        ctx: &Context,
-    ) -> Result<()> {
-        let _ = &handle.components;
-        self.write_file(&handle.path, data, ctx)
+        Ok(self.file(&normalize(path)?)?.content.clone())
     }
 
     /// File size in bytes.
     pub fn file_len(&self, path: &str) -> Result<usize> {
-        let comps = normalize(path)?;
-        match self.get_node(&comps) {
-            Some(Node::File(f)) => Ok(f.content.len()),
-            Some(Node::Dir(_)) => Err(VfsError::IsADirectory(path.to_string())),
-            None => Err(VfsError::NotFound(path.to_string())),
-        }
+        Ok(self.file(&normalize(path)?)?.content.len())
     }
 
     // ---- xattrs and persistent filters ----
 
     /// Sets an extended attribute on a file or directory.
     pub fn set_xattr(&mut self, path: &str, key: &str, value: &str) -> Result<()> {
-        let comps = normalize(path)?;
-        if !comps.is_empty() && self.get_node(&comps).is_none() {
-            return Err(VfsError::NotFound(path.to_string()));
-        }
-        self.journal(|| FsOp::SetXattr {
-            path: to_absolute(&comps),
+        self.commit(FsOp::SetXattr {
+            path: normalize(path)?,
             key: key.to_string(),
             value: value.to_string(),
-        })?;
-        if comps.is_empty() {
-            self.root.xattrs.insert(key.to_string(), value.to_string());
-        } else {
-            match self.get_node_mut(&comps) {
-                Some(n) => {
-                    n.xattrs_mut().insert(key.to_string(), value.to_string());
-                }
-                None => return Err(VfsError::NotFound(path.to_string())),
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Reads an extended attribute.
     pub fn get_xattr(&self, path: &str, key: &str) -> Result<Option<String>> {
-        let comps = normalize(path)?;
-        if comps.is_empty() {
-            return Ok(self.root.xattrs.get(key).cloned());
-        }
-        match self.get_node(&comps) {
-            Some(n) => Ok(n.xattrs().get(key).cloned()),
+        match self.xattrs(&normalize(path)?) {
+            Some(x) => Ok(x.get(key).cloned()),
             None => Err(VfsError::NotFound(path.to_string())),
         }
     }
@@ -862,25 +687,10 @@ impl Vfs {
 
     /// Removes all persistent filters from a node.
     pub fn clear_filters(&mut self, path: &str) -> Result<()> {
-        let comps = normalize(path)?;
-        if !comps.is_empty() && self.get_node(&comps).is_none() {
-            return Err(VfsError::NotFound(path.to_string()));
-        }
-        self.journal(|| FsOp::RemoveXattr {
-            path: to_absolute(&comps),
+        self.commit(FsOp::RemoveXattr {
+            path: normalize(path)?,
             key: XATTR_FILTER.to_string(),
-        })?;
-        if comps.is_empty() {
-            self.root.xattrs.remove(XATTR_FILTER);
-        } else {
-            match self.get_node_mut(&comps) {
-                Some(n) => {
-                    n.xattrs_mut().remove(XATTR_FILTER);
-                }
-                None => return Err(VfsError::NotFound(path.to_string())),
-            }
-        }
-        Ok(())
+        })
     }
 }
 
@@ -1189,12 +999,9 @@ mod tests {
         fs.mkdir_p("/d", &anon()).unwrap();
         fs.write_file("/d/f", &TaintedString::from("x"), &anon())
             .unwrap();
-        let h = fs.open("/d/f").unwrap();
+        let h = fs.open("/d/./e/../f").unwrap();
         assert_eq!(h.path(), "/d/f");
-        assert_eq!(fs.read_handle(&h, &anon()).unwrap().as_str(), "x");
-        fs.write_handle(&h, &TaintedString::from("y"), &anon())
-            .unwrap();
-        assert_eq!(fs.read_raw("/d/f").unwrap(), "y");
+        assert_eq!(fs.read_file(h.path(), &anon()).unwrap().as_str(), "x");
         assert!(matches!(fs.open("/d"), Err(VfsError::IsADirectory(_))));
         assert!(matches!(fs.open("/nope"), Err(VfsError::NotFound(_))));
     }
@@ -1325,7 +1132,7 @@ mod tests {
             );
         }
         let fs = Vfs::open_disk(&dir).expect("failed writes must not poison the log");
-        assert!(!fs.recovered_from_torn_wal(), "clean log, clean open");
+        assert_eq!(fs.recovery(), Recovery::Clean, "clean log, clean open");
         assert_eq!(
             fs.read_file("/pages/Front/v1", &anon()).unwrap().as_str(),
             "ok"
@@ -1353,7 +1160,7 @@ mod tests {
 
     #[test]
     fn mem_backend_checkpoint_is_noop() {
-        let mut fs = Vfs::new();
+        let fs = Vfs::new();
         assert!(!fs.is_durable());
         fs.checkpoint().unwrap();
     }
@@ -1381,8 +1188,7 @@ mod tests {
             assert_eq!(fs.store_stats().unwrap().base_seq, 3);
         }
         let fs = Vfs::open_disk(&dir).unwrap();
-        assert!(!fs.recovered_from_torn_wal());
-        assert!(!fs.recovered_torn_cross_segment());
+        assert_eq!(fs.recovery(), Recovery::Clean);
         assert_eq!(fs.read_file("/d/b", &anon()).unwrap().as_str(), "bb");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1399,5 +1205,142 @@ mod tests {
         fs.write_file("/d/file", &TaintedString::from("x"), &anon())
             .unwrap();
         assert!(fs.mkdir_p("/d/file/sub", &anon()).is_err());
+    }
+
+    #[test]
+    fn rename_into_its_own_subtree_is_refused_and_keeps_the_tree() {
+        let dir = disk_dir("rename-into-self");
+        {
+            let mut fs = Vfs::open_disk(&dir).unwrap();
+            fs.mkdir_p("/a/b", &anon()).unwrap();
+            fs.write_file("/a/b/f", &TaintedString::from("kept"), &anon())
+                .unwrap();
+            assert!(matches!(
+                fs.rename("/a", "/a/b/a", &anon()),
+                Err(VfsError::InvalidPath(_))
+            ));
+            assert_eq!(fs.read_raw("/a/b/f").unwrap(), "kept");
+        }
+        let fs = Vfs::open_disk(&dir).unwrap();
+        assert_eq!(fs.read_raw("/a/b/f").unwrap(), "kept");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn guards_answer_before_the_tree_does() {
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/locked", &anon()).unwrap();
+        let nobody: PersistentFilterRef = Arc::new(AclWriteFilter::new(Acl::new()));
+        fs.attach_filter("/locked", &nobody).unwrap();
+        // A refused caller learns nothing about what the directory holds.
+        let bob = Vfs::user_ctx("bob");
+        assert!(fs
+            .unlink("/locked/missing", &bob)
+            .unwrap_err()
+            .is_violation());
+        assert!(fs
+            .rename("/locked/missing", "/locked/other", &bob)
+            .unwrap_err()
+            .is_violation());
+        assert!(fs.mkdir_p("/locked/sub", &bob).unwrap_err().is_violation());
+        // Past the guards, the tree answers.
+        assert!(matches!(
+            fs.unlink("/missing", &bob),
+            Err(VfsError::NotFound(_))
+        ));
+    }
+
+    #[test]
+    fn a_logged_op_that_does_not_validate_fails_the_open() {
+        let dir = disk_dir("bad-op");
+        {
+            let (store, _) = Store::open(&dir).unwrap();
+            let op = FsOp::Unlink {
+                path: normalize("/never/was").unwrap(),
+            };
+            store.append(&op.encode()).unwrap();
+        }
+        assert!(matches!(Vfs::open_disk(&dir), Err(VfsError::NotFound(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A small deterministic generator (64-bit LCG), enough to draw op
+    /// sequences without a dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// Runs one drawn op on `fs`; callers compare the outcomes.
+    fn drawn_op(fs: &mut Vfs, rng: &mut Lcg) -> Result<()> {
+        const PATHS: [&str; 8] = ["/a", "/a/b", "/a/b/c", "/a/f", "/a/b/f", "/d", "/d/f", "/"];
+        let path = PATHS[rng.below(PATHS.len())];
+        let other = PATHS[rng.below(PATHS.len())];
+        let ctx = Vfs::user_ctx(["alice", "bob"][rng.below(2)]);
+        match rng.below(8) {
+            0 => fs.mkdir_p(path, &ctx),
+            1 | 2 => {
+                let mut data = TaintedString::from(format!("{path} by {other}"));
+                if rng.below(2) == 0 {
+                    data.add_policy_range(1..3, Arc::new(UntrustedData::new()));
+                }
+                fs.write_file(path, &data, &ctx)
+            }
+            3 => fs.append_file(path, &TaintedString::from("+"), &ctx),
+            4 => fs.unlink(path, &ctx),
+            5 => fs.rename(path, other, &ctx),
+            6 => fs.set_xattr(path, "user.note", other),
+            _ => match rng.below(3) {
+                0 => fs.clear_filters(path),
+                _ => {
+                    let alice_writes: PersistentFilterRef = Arc::new(AclWriteFilter::new(
+                        Acl::new().grant("alice", &[Right::Write]),
+                    ));
+                    fs.attach_filter(path, &alice_writes)
+                }
+            },
+        }
+    }
+
+    #[test]
+    fn every_op_replays_to_the_tree_it_built() {
+        for seed in 1..=4u64 {
+            let dir = disk_dir("replay-differential");
+            let mut mem = Vfs::new();
+            let mut rng = Lcg(seed);
+            {
+                let mut disk = Vfs::open_disk(&dir).unwrap();
+                let mut disk_rng = Lcg(seed);
+                for step in 0..300 {
+                    let want = drawn_op(&mut mem, &mut rng);
+                    let got = drawn_op(&mut disk, &mut disk_rng);
+                    assert_eq!(got, want, "seed {seed} step {step}");
+                    if step == 150 {
+                        disk.checkpoint().unwrap();
+                    }
+                }
+                assert_eq!(
+                    encode_tree(&disk.root).unwrap(),
+                    encode_tree(&mem.root).unwrap()
+                );
+            }
+            // Recovery commits the logged tail through the same path and
+            // lands on the same tree, byte for byte.
+            let disk = Vfs::open_disk(&dir).unwrap();
+            assert_eq!(disk.recovery(), Recovery::Clean);
+            assert_eq!(
+                encode_tree(&disk.root).unwrap(),
+                encode_tree(&mem.root).unwrap(),
+                "seed {seed}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -33,12 +33,12 @@
 //! assert!(fs.write_file("/wiki/Front/v1", &page, &Vfs::user_ctx("bob")).is_err());
 //! ```
 
-pub mod backend;
 pub mod error;
 pub mod fs;
+pub mod op;
 pub mod path;
 pub mod pfilter;
 
-pub use backend::FsOp;
 pub use error::{Result, VfsError};
 pub use fs::{OpenFile, Vfs, XATTR_FILTER, XATTR_POLICY};
+pub use op::FsOp;

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use resin::apps::MoinWiki;
 use resin::core::prelude::*;
-use resin::sql::{GuardMode, ResinDb, TCell, Tracking, Value};
+use resin::sql::{GuardMode, Recovery, ResinDb, TCell, Tracking, Value};
 use resin::vfs::{Vfs, VfsError, XATTR_FILTER, XATTR_POLICY};
 
 fn untrusted(s: &str) -> TaintedString {
@@ -200,7 +200,7 @@ fn store_written_by_the_single_threaded_front_reopens_identically() {
         std::fs::copy(format!("{FIXTURE}/{name}"), dir.join(&name)).unwrap();
     }
     let db = open(&dir);
-    assert!(!db.recovered_from_torn_wal());
+    assert_eq!(db.recovery(), Recovery::Clean);
     let expected = std::fs::read_to_string(format!("{FIXTURE}/expected.txt")).unwrap();
     let got = dump(&db);
     for (line, (want, got)) in expected.lines().zip(got.lines()).enumerate() {
@@ -354,8 +354,7 @@ fn vfs_store_written_before_the_backend_went_reopens_identically() {
         std::fs::copy(format!("{VFS_FIXTURE}/{name}"), dir.join(&name)).unwrap();
     }
     let mut fs = Vfs::open_disk(&dir).unwrap();
-    assert!(!fs.recovered_from_torn_wal());
-    assert!(!fs.recovered_torn_cross_segment());
+    assert_eq!(fs.recovery(), Recovery::Clean);
     let expected = std::fs::read_to_string(format!("{VFS_FIXTURE}/expected.txt")).unwrap();
     let got = vfs_dump(&fs);
     for (line, (want, got)) in expected.lines().zip(got.lines()).enumerate() {

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use resin::core::prelude::*;
 use resin::sql::{GuardMode, ResinDb, Tracking};
 use resin::store::wal::{encode_record, scan, RECORD_HEADER};
-use resin::store::Store;
+use resin::store::{Recovery, Store};
 use resin::web::Response;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -164,14 +164,14 @@ proptest! {
             }
         }
         prop_assert_eq!(&recovered.records, &expect);
-        prop_assert_eq!(recovered.torn_tail, torn);
-        prop_assert_eq!(recovered.torn_cross_segment, torn);
+        let want = if torn { Recovery::TornAcrossSegments } else { Recovery::Clean };
+        prop_assert_eq!(store.recovery(), want);
 
         // The repair holds: the store accepts appends and reopens clean.
         store.append(b"post-repair").unwrap();
         drop(store);
-        let (_, again) = Store::open(&dir).unwrap();
-        prop_assert!(!again.torn_tail);
+        let (store, again) = Store::open(&dir).unwrap();
+        prop_assert_eq!(store.recovery(), Recovery::Clean);
         prop_assert_eq!(again.records.len(), expect.len() + 1);
         prop_assert_eq!(again.records.last().unwrap().as_slice(), b"post-repair");
         std::fs::remove_dir_all(&dir).ok();
@@ -220,7 +220,7 @@ fn stolen_password_fails_closed_after_restart_wal_only() {
         // Dropped with no checkpoint: recovery is WAL replay alone.
     }
     let db = ResinDb::open(&dir).unwrap();
-    assert!(!db.recovered_from_torn_wal(), "clean shutdown, clean open");
+    assert_eq!(db.recovery(), Recovery::Clean, "clean shutdown, clean open");
     assert_password_fails_closed(&db, "victim", "hunter2");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -262,8 +262,9 @@ fn torn_wal_tail_keeps_committed_passwords_guarded() {
     std::fs::write(&wal, &bytes[..bytes.len() - 7]).unwrap();
 
     let db = ResinDb::open(&dir).unwrap();
-    assert!(
-        db.recovered_from_torn_wal(),
+    assert_eq!(
+        db.recovery(),
+        Recovery::TornTail,
         "the tear must be observable to the application"
     );
     let r = db.query_str("SELECT COUNT(*) FROM userdb").unwrap();
@@ -412,8 +413,9 @@ fn wiki_acl_attacks_fail_closed_after_checkpoint_and_torn_tail() {
     std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
 
     let mut w = MoinWiki::open(&dir).unwrap();
-    assert!(
-        w.vfs.recovered_from_torn_wal(),
+    assert_ne!(
+        w.vfs.recovery(),
+        Recovery::Clean,
         "tear observable on the vfs"
     );
     // The torn edit is gone; the checkpointed state is intact.
