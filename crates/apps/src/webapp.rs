@@ -791,6 +791,36 @@ mod tests {
         assert!(primary.store_stats().is_some());
     }
 
+    #[test]
+    fn a_recovered_utf8_post_renders_and_its_script_still_fails_closed() {
+        // A bound post is logged as SQL text and recovered through the
+        // lexer. Its bytes must come back as the same UTF-8, or the body
+        // outgrows its spans and `/view_raw` cuts it off a character
+        // boundary: a panic, served as a 500.
+        let (dir, _) = replica_dirs("utf8-recovery");
+        let body = format!("{}<script>steal()</script>", "é".repeat(30));
+        let id = {
+            let forum = ForumApp::open(&dir, Arc::new(SessionStore::new())).unwrap();
+            forum.db().set_wal_sync(false);
+            let sid = login(&forum, "mallory");
+            let page = serve_request(
+                &forum,
+                &Request::post("/post")
+                    .with_cookie("sid", &sid)
+                    .with_param("body", &body),
+            );
+            page.body.strip_prefix("posted ").unwrap().to_string()
+        };
+        let forum = ForumApp::open(&dir, Arc::new(SessionStore::new())).unwrap();
+        let page = serve_request(&forum, &Request::get("/view_raw").with_param("id", &id));
+        assert!(page.blocked(), "{} {:?}", page.status, page.outcome);
+        assert!(!page.body.contains("<script>"));
+        let page = serve_request(&forum, &Request::get("/view").with_param("id", &id));
+        assert!(page.outcome.is_ok(), "{:?}", page.outcome);
+        assert!(page.body.contains(&"é".repeat(30)), "{}", page.body);
+        std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+    }
+
     fn wiki_app() -> WikiApp {
         let mut wiki = MoinWiki::new(true);
         wiki.create_page(

@@ -23,6 +23,16 @@
 //! format: a blob without the leading `#` is malformed, and reads fail
 //! closed on it.
 //!
+//! # One reader and one writer
+//!
+//! Nothing else splits, parses or formats this grammar. `resin_sql` keeps
+//! blobs in its policy columns and its WAL; `resin_store`'s checkpoint
+//! images move them into table texts and span refs and back, undecoded
+//! and byte for byte ([`read_spans`], [`read_texts`], [`SpansWriter`],
+//! [`write_texts`]); `resin_vfs` keeps spans blobs in an xattr, and its
+//! persistent filters (§3.2.3) as objects ([`write_object`],
+//! [`read_object`]).
+//!
 //! # Each policy is decoded once
 //!
 //! A site stores thousands of cells under a few hundred distinct
@@ -63,6 +73,7 @@
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::error::SerializeError;
@@ -189,17 +200,14 @@ fn install_defaults(map: &mut HashMap<String, Deserializer>) {
 
 // ---- escaping ----
 
-const META: &[u8] = b"%{};,=|#";
-
-/// `s` with every metacharacter written `%XX`. Every metacharacter is
-/// ASCII, so the stretches between them are copied as they are, whatever
-/// they hold.
-fn escape(s: &str) -> String {
+/// Appends `s` to `out` with every byte of `meta` written `%XX`. Every
+/// metacharacter is ASCII, so the stretches between them are copied as
+/// they are, whatever they hold.
+fn escape_into(out: &mut String, s: &str, meta: &[u8]) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
-    let mut out = String::with_capacity(s.len() + 4);
     let mut copied = 0;
     for (i, b) in s.bytes().enumerate() {
-        if META.contains(&b) {
+        if meta.contains(&b) {
             out.push_str(&s[copied..i]);
             out.push('%');
             out.push(HEX[usize::from(b >> 4)] as char);
@@ -208,10 +216,9 @@ fn escape(s: &str) -> String {
         }
     }
     out.push_str(&s[copied..]);
-    out
 }
 
-/// `s` with every `%XX` read back as the byte it names ([`escape`]'s
+/// `s` with every `%XX` read back as the byte it names ([`escape_into`]'s
 /// inverse, and `Acl::decode`'s for principals).
 pub(crate) fn unescape(s: &str) -> Result<String, SerializeError> {
     if !s.contains('%') {
@@ -237,21 +244,65 @@ pub(crate) fn unescape(s: &str) -> Result<String, SerializeError> {
     String::from_utf8(out).map_err(|_| SerializeError::Malformed("invalid UTF-8".into()))
 }
 
+// ---- objects: `Name{key=value;…}` ----
+
+/// Writes one object, `name{key=value;…}`: the one writer of the grammar,
+/// for policies and for the vfs's persistent filters. `%`, the braces,
+/// `;` and `=` are escaped in the name, keys and values: what the grammar
+/// and the list scanner need. [`read_object`] reads it back.
+pub fn write_object(name: &str, fields: &[(String, String)]) -> String {
+    const META: &[u8] = b"%{};=";
+    let mut out = String::with_capacity(name.len() + 16);
+    escape_into(&mut out, name, META);
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        escape_into(&mut out, k, META);
+        out.push('=');
+        escape_into(&mut out, v, META);
+    }
+    out.push('}');
+    out
+}
+
+/// Reads one object text — a policy's or one [`write_object`] wrote —
+/// into its class name and fields, unescaped. The only parser of the
+/// `Name{key=value;…}` grammar.
+pub fn read_object(text: &str) -> Result<(String, FieldMap), SerializeError> {
+    let open = text
+        .find('{')
+        .ok_or_else(|| SerializeError::Malformed(format!("no `{{` in `{text}`")))?;
+    if !text.ends_with('}') {
+        return Err(SerializeError::Malformed(format!(
+            "no trailing `}}` in `{text}`"
+        )));
+    }
+    let name = unescape(&text[..open])?;
+    let body = &text[open + 1..text.len() - 1];
+    let mut fields = FieldMap::new();
+    if !body.is_empty() {
+        for pair in body.split(';') {
+            let (k, v) = pair
+                .split_once('=')
+                .ok_or_else(|| SerializeError::Malformed(format!("bad field `{pair}`")))?;
+            fields.insert(unescape(k)?, unescape(v)?);
+        }
+    }
+    Ok((name, fields))
+}
+
 // ---- policy / set serialization ----
 
 /// Serializes one policy: class name plus data fields.
 pub fn serialize_policy(policy: &PolicyRef) -> String {
-    let mut out = escape(policy.name());
-    out.push('{');
-    for (i, (k, v)) in policy.serialize_fields().iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        out.push_str(&escape(k));
-        out.push('=');
-        out.push_str(&escape(v));
-    }
-    out.push('}');
+    // A policy text escapes the list separators too, as every stored one
+    // does (a stored text is matched by its bytes). In an object they can
+    // only stand in a name or value, so one more pass escapes just those.
+    let object = write_object(policy.name(), &policy.serialize_fields());
+    let mut out = String::with_capacity(object.len() + 8);
+    escape_into(&mut out, &object, b",|#");
     out
 }
 
@@ -272,29 +323,12 @@ fn wire_class(text: &str) -> Option<String> {
     unescape(text.split_once('{')?.0).ok()
 }
 
-/// Rebuilds a policy object from its wire text: parses the fields and runs
-/// the class's registered deserializer. The slow path behind the read
-/// index, and the only one that knows the `Name{key=value;…}` grammar.
+/// Rebuilds a policy object from its wire text: reads it through
+/// [`read_object`] and runs the class's registered deserializer. The slow
+/// path behind the read index, and, through `read_object`, the only one
+/// that knows the `Name{key=value;…}` grammar.
 pub(crate) fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
-    let open = s
-        .find('{')
-        .ok_or_else(|| SerializeError::Malformed(format!("no `{{` in `{s}`")))?;
-    if !s.ends_with('}') {
-        return Err(SerializeError::Malformed(format!(
-            "no trailing `}}` in `{s}`"
-        )));
-    }
-    let name = unescape(&s[..open])?;
-    let body = &s[open + 1..s.len() - 1];
-    let mut fields = FieldMap::new();
-    if !body.is_empty() {
-        for pair in body.split(';') {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| SerializeError::Malformed(format!("bad field `{pair}`")))?;
-            fields.insert(unescape(k)?, unescape(v)?);
-        }
-    }
+    let (name, fields) = read_object(s)?;
     let deser = crate::sync::rlock(registry())
         .get(&name)
         .cloned()
@@ -324,18 +358,16 @@ fn member_text(id: Option<PolicyId>, policy: &PolicyRef) -> Arc<str> {
 /// Serializes an interned label (comma-joined policies). The empty label
 /// serializes to the empty string.
 pub fn serialize_label(label: Label) -> String {
-    let mut out = String::new();
     if label.is_empty() {
-        return out;
+        return String::new();
     }
     let (ids, policies) = label.members();
-    for (i, policy) in policies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&member_text(ids.get(i).copied(), policy));
-    }
-    out
+    write_texts(
+        policies
+            .iter()
+            .enumerate()
+            .map(|(i, policy)| member_text(ids.get(i).copied(), policy)),
+    )
 }
 
 /// Deserializes a label, interning each revived policy.
@@ -349,8 +381,7 @@ pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
     }
     let table = LabelTable::global();
     let mut ids = Vec::new();
-    let mut parts = TopLevel::new(s, *b",");
-    while let Some((part, _)) = parts.next_part() {
+    for part in read_texts(s) {
         ids.push(match table.wire_id(part) {
             Ok(id) => id,
             Err(miss) => decode_and_index(part, miss)?,
@@ -370,22 +401,7 @@ pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
 /// at open time instead of surfacing as garbled policies.
 pub const WIRE_VERSION: u32 = 2;
 
-/// Splits `s` on `sep` at brace depth zero — the tokenizer for every
-/// comma/semicolon/hash-joined list in the wire format.
-///
-/// Metacharacters inside policy names and field values are `%XX`-escaped
-/// by [`serialize_policy`], so brace depth is reliable: a separator inside
-/// `{...}` belongs to a field, not the list. Public so storage layers
-/// (e.g. `resin_store`'s snapshot encoder) can re-tokenize persisted
-/// blobs without deserializing policy objects.
-///
-/// # Panics
-/// Panics if `sep` is not ASCII: every separator of the format is.
-pub fn split_serialized(s: &str, sep: char) -> Vec<&str> {
-    assert!(sep.is_ascii(), "wire separators are ASCII, not `{sep}`");
-    let mut parts = TopLevel::new(s, [sep as u8]);
-    std::iter::from_fn(|| parts.next_part().map(|(part, _)| part)).collect()
-}
+// ---- lists and spans blobs ----
 
 /// The one scanner of the wire format's lists: walks `src` and hands out
 /// each stretch between separators at brace depth zero, with the separator
@@ -426,6 +442,137 @@ impl<'a, const N: usize> TopLevel<'a, N> {
     /// What no part has covered yet.
     fn rest(&self) -> &'a str {
         self.src.get(self.pos..).unwrap_or("")
+    }
+}
+
+/// The policy texts of a comma-joined list: a label blob, or the table of
+/// a spans blob. The empty list holds none.
+pub fn read_texts(list: &str) -> impl Iterator<Item = &str> {
+    let mut parts = TopLevel::new(list, *b",");
+    std::iter::from_fn(move || match list {
+        "" => None,
+        _ => parts.next_part().map(|(part, _)| part),
+    })
+}
+
+/// Appends `texts` to `out` as a comma-joined list.
+fn push_texts<T: AsRef<str>>(out: &mut String, texts: impl IntoIterator<Item = T>) {
+    for (i, text) in texts.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(text.as_ref());
+    }
+}
+
+/// Writes policy texts as a comma-joined list, [`read_texts`]'s inverse.
+pub fn write_texts<T: AsRef<str>>(texts: impl IntoIterator<Item = T>) -> String {
+    let mut out = String::new();
+    push_texts(&mut out, texts);
+    out
+}
+
+/// True if `blob` is a spans blob rather than a label list (a policy text
+/// escapes `#`).
+pub fn is_spans_blob(blob: &str) -> bool {
+    blob.starts_with('#')
+}
+
+/// The one reader of `#table#spans` blobs. `text` is handed each policy
+/// text of the table as the one scan over it meets them, so before the
+/// blob is known to be well formed: what must not happen for a malformed
+/// blob (a decode) waits until this returns the spans, each a byte range
+/// and the table indexes it names. A blob that is not a `#`, the table, a
+/// `#` and the spans is malformed, and so is, when its turn comes, a span
+/// that is not `start..end|` and one index or more, or whose range is
+/// reversed: read as "no bytes" it would turn a corrupt blob into
+/// untainted text.
+#[allow(clippy::type_complexity)]
+pub fn read_spans<'a>(
+    blob: &'a str,
+    text: &mut dyn FnMut(&'a str),
+) -> Result<
+    impl Iterator<Item = Result<(Range<u64>, impl Iterator<Item = usize> + 'a), SerializeError>>,
+    SerializeError,
+> {
+    let not_two_parts =
+        || SerializeError::Malformed(format!("expected `#table#spans`, got `{blob}`"));
+    let mut parts = TopLevel::new(blob.strip_prefix('#').ok_or_else(not_two_parts)?, *b",#");
+    let mut first = true;
+    loop {
+        let Some((part, Some(sep))) = parts.next_part() else {
+            return Err(not_two_parts());
+        };
+        // `##…` is the empty table, not a table of one empty text.
+        if !(first && sep == b'#' && part.is_empty()) {
+            text(part);
+        }
+        if sep == b'#' {
+            break;
+        }
+        first = false;
+    }
+    let spans = parts.rest();
+    if let Some((_, Some(_))) = TopLevel::new(spans, *b"#").next_part() {
+        return Err(not_two_parts());
+    }
+    Ok(spans
+        .split(';')
+        .filter(move |_| !spans.is_empty())
+        .map(read_span))
+}
+
+/// One span of a spans blob: its range and the table indexes it names.
+fn read_span(span: &str) -> Result<(Range<u64>, impl Iterator<Item = usize> + '_), SerializeError> {
+    let malformed = || SerializeError::Malformed(format!("bad span `{span}`"));
+    let (range, indexes) = span.split_once('|').ok_or_else(malformed)?;
+    // Two one-byte splits: a `".."` pattern is a substring search.
+    let (a, b) = range.split_once('.').ok_or_else(malformed)?;
+    let b = b.strip_prefix('.').ok_or_else(malformed)?;
+    let (Ok(start), Ok(end)) = (a.parse::<u64>(), b.parse::<u64>()) else {
+        return Err(malformed());
+    };
+    let mut indexes = indexes.split(',').filter(|i| !i.is_empty());
+    let bad = |i: &str| i.parse::<usize>().is_err();
+    if start > end || indexes.clone().next().is_none() || indexes.clone().any(bad) {
+        return Err(malformed());
+    }
+    Ok((
+        start..end,
+        std::iter::from_fn(move || indexes.next()?.parse().ok()),
+    ))
+}
+
+/// The one writer of `#table#spans` blobs. Spans go in as they are met,
+/// each as its byte range and the table indexes of its policies;
+/// [`finish`](Self::finish) puts the table's policy texts before them.
+#[derive(Debug, Default)]
+pub struct SpansWriter {
+    spans: String,
+}
+
+impl SpansWriter {
+    /// Appends one span: `range`, naming the table's policies at `indexes`.
+    pub fn span(&mut self, range: Range<u64>, indexes: impl IntoIterator<Item = usize>) {
+        if !self.spans.is_empty() {
+            self.spans.push(';');
+        }
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.spans, "{}..{}|", range.start, range.end);
+        for (i, idx) in indexes.into_iter().enumerate() {
+            let _ = write!(self.spans, "{}{idx}", if i > 0 { "," } else { "" });
+        }
+    }
+
+    /// The blob: `texts`, the policy table the spans index, then the spans.
+    pub fn finish<T: AsRef<str>>(self, texts: &[T]) -> String {
+        let bodies: usize = texts.iter().map(|t| t.as_ref().len() + 1).sum();
+        let mut out = String::with_capacity(bodies + self.spans.len() + 2);
+        out.push('#');
+        push_texts(&mut out, texts);
+        out.push('#');
+        out.push_str(&self.spans);
+        out
     }
 }
 
@@ -476,126 +623,60 @@ pub fn serialize_spans(data: &TaintedString) -> String {
         return String::new();
     }
     let mut table = WireTable::default();
-    let mut spans = String::new();
+    let mut out = SpansWriter::default();
     for (r, label) in data.spans() {
-        if !spans.is_empty() {
-            spans.push(';');
-        }
-        // Writing to a `String` cannot fail.
-        let _ = write!(spans, "{}..{}|", r.start, r.end);
         let (ids, policies) = label.members();
-        for (i, policy) in policies.iter().enumerate() {
-            if i > 0 {
-                spans.push(',');
-            }
-            let _ = write!(spans, "{}", table.index_of(ids.get(i).copied(), policy));
-        }
+        let members = policies.iter().enumerate();
+        out.span(
+            r.start as u64..r.end as u64,
+            members.map(|(i, p)| table.index_of(ids.get(i).copied(), p)),
+        );
     }
-    let bodies: usize = table.texts.iter().map(|t| t.len() + 1).sum();
-    let mut out = String::with_capacity(bodies + spans.len() + 2);
-    out.push('#');
-    for (i, text) in table.texts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(text);
-    }
-    out.push('#');
-    out.push_str(&spans);
-    out
-}
-
-fn parse_range(range: &str) -> Result<(usize, usize), SerializeError> {
-    let (a, b) = range
-        .split_once("..")
-        .ok_or_else(|| SerializeError::Malformed(format!("bad range `{range}`")))?;
-    let start: usize = a
-        .parse()
-        .map_err(|_| SerializeError::Malformed(format!("bad start `{a}`")))?;
-    let end: usize = b
-        .parse()
-        .map_err(|_| SerializeError::Malformed(format!("bad end `{b}`")))?;
-    // Nothing writes a reversed range; read as "no bytes" it would turn a
-    // corrupt blob into untainted text.
-    if start > end {
-        return Err(SerializeError::Malformed(format!(
-            "reversed range `{range}`"
-        )));
-    }
-    Ok((start, end))
-}
-
-fn names_no_policy(span: &str) -> SerializeError {
-    SerializeError::Malformed(format!("span `{span}` names no policy"))
+    out.finish(&table.texts)
 }
 
 /// Re-attaches serialized spans to `text`, producing a tainted string.
 ///
 /// Accepts the interned `#table#spans` format. A blob that is not exactly
 /// that is an error, never a less tainted string: that includes a blob
-/// without the leading `#` and a span whose range is reversed or that
-/// names no policy. (A span reaching past `text` is clipped to it.)
+/// without the leading `#`, a span whose range is reversed or that names
+/// no policy, and a span that starts or ends inside a UTF-8 character of
+/// `text`. (A span reaching past `text` is clipped to it first.)
 pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
     let mut out = TaintedString::from(text);
     if spans.is_empty() {
         return Ok(out);
     }
-    // One walk over the blob: the table's texts resolve through the read
-    // index as they go by, and nothing is decoded until the blob is known
-    // to have its two parts.
-    let not_two_parts =
-        || SerializeError::Malformed(format!("expected `#table#spans`, got `{spans}`"));
-    let rest = spans.strip_prefix('#').ok_or_else(not_two_parts)?;
+    // The table's texts resolve through the read index as they go by; a
+    // miss is decoded once the blob is known to have its two parts.
     let table = LabelTable::global();
     let mut labels: Vec<Label> = Vec::new();
     let mut misses: Vec<(usize, &str, WireMiss)> = Vec::new();
-    let mut parts = TopLevel::new(rest, *b",#");
-    loop {
-        let (part, Some(sep)) = parts.next_part().ok_or_else(not_two_parts)? else {
-            return Err(not_two_parts());
-        };
-        // `##…` is the empty table, not a table of one empty text.
-        if !(sep == b'#' && part.is_empty() && labels.is_empty()) {
-            match table.wire_label(part) {
-                Ok(label) => labels.push(label),
-                Err(miss) => {
-                    misses.push((labels.len(), part, miss));
-                    labels.push(Label::EMPTY);
-                }
-            }
+    let spans = read_spans(spans, &mut |part| match table.wire_label(part) {
+        Ok(label) => labels.push(label),
+        Err(miss) => {
+            misses.push((labels.len(), part, miss));
+            labels.push(Label::EMPTY);
         }
-        if sep == b'#' {
-            break;
-        }
-    }
-    let spans_src = parts.rest();
-    if let Some((_, Some(_))) = TopLevel::new(spans_src, *b"#").next_part() {
-        return Err(not_two_parts());
-    }
+    })?;
     for (i, part, miss) in misses {
         labels[i] = Label::from_id(decode_and_index(part, miss)?);
     }
-
-    if spans_src.is_empty() {
-        return Ok(out);
-    }
-    for part in spans_src.split(';') {
-        let (range, idxs) = part
-            .split_once('|')
-            .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
-        let (start, end) = parse_range(range)?;
+    for span in spans {
+        let (range, indexes) = span?;
         let mut label = Label::EMPTY;
-        for idx in idxs.split(',').filter(|s| !s.is_empty()) {
-            let i: usize = idx
-                .parse()
-                .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
+        for i in indexes {
             let l = labels.get(i).ok_or_else(|| {
                 SerializeError::Malformed(format!("index `{i}` outside the policy table"))
             })?;
             label = label.union(*l);
         }
-        if label.is_empty() {
-            return Err(names_no_policy(part));
+        let clip = |v: u64| usize::try_from(v).map_or(text.len(), |v| v.min(text.len()));
+        let (start, end) = (clip(range.start), clip(range.end));
+        if !(text.is_char_boundary(start) && text.is_char_boundary(end)) {
+            return Err(SerializeError::Malformed(format!(
+                "span `{range:?}` splits a character"
+            )));
         }
         out.add_label_range(start..end, label);
     }
@@ -744,6 +825,67 @@ mod tests {
     }
 
     #[test]
+    fn a_span_that_splits_a_character_is_an_error() {
+        // `é` is two bytes: a span from or to the middle of it would panic
+        // the first `slice` that cut there.
+        for blob in [
+            "#UntrustedData{}#1..2|0",
+            "#UntrustedData{}#0..1|0",
+            "#UntrustedData{}#1..1|0",
+        ] {
+            let got = deserialize_spans("é", blob);
+            assert!(
+                matches!(got, Err(SerializeError::Malformed(_))),
+                "{blob}: {got:?}"
+            );
+        }
+        // Clipped to the text first, so an end past it is still fine.
+        let t = deserialize_spans("é", "#UntrustedData{}#0..9|0").unwrap();
+        assert!(t.label_at(1).has::<UntrustedData>());
+    }
+
+    #[test]
+    fn a_range_that_splits_a_character_is_widened_and_stored_blobs_read_back() {
+        // No such span is ever written: the range grows to the characters
+        // it touches, so it taints more, never less.
+        let mut data = TaintedString::from("aéb");
+        data.add_policy_range(2..3, Arc::new(UntrustedData::new()));
+        assert_eq!(data.ranges_with::<UntrustedData>(), vec![1..3]);
+        data.add_policy_range(0..2, Arc::new(HtmlSanitized::new()));
+        assert!((0..3).all(|i| data.label_at(i).has::<HtmlSanitized>()));
+        let blob = serialize_spans(&data);
+        assert!(deserialize_spans("aéb", &blob).unwrap().taint_eq(&data));
+    }
+
+    #[test]
+    fn an_object_escapes_what_its_grammar_needs_and_reads_back() {
+        let fields = [("acl", "owner:rw,x;acl=mallory:w"), ("k{=}", "100%|#")]
+            .map(|(k, v)| (k.to_string(), v.to_string()));
+        let text = write_object("Filter", &fields);
+        assert_eq!(
+            text,
+            "Filter{acl=owner:rw,x%3Bacl%3Dmallory:w;k%7B%3D%7D=100%25|#}"
+        );
+        let (name, back) = read_object(&text).unwrap();
+        assert_eq!(name, "Filter");
+        assert_eq!(back, fields.into_iter().collect());
+        // A policy text is an object too, with the separators escaped.
+        let p: PolicyRef = Arc::new(UntrustedData::from_source("a,b"));
+        let (name, back) = read_object(&serialize_policy(&p)).unwrap();
+        assert_eq!(
+            (name.as_str(), back["source"].as_str()),
+            ("UntrustedData", "a,b")
+        );
+        assert_eq!(
+            write_object("Plain", &[("acl".into(), "*:r,alice:w".into())]),
+            "Plain{acl=*:r,alice:w}"
+        );
+        for bad in ["NoBraces", "X{", "X{k}", "X{k=%G0}"] {
+            assert!(read_object(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn unknown_class_is_error() {
         let err = deserialize_policy("Mystery{}").unwrap_err();
         assert!(matches!(err, SerializeError::UnknownClass(_)));
@@ -836,7 +978,8 @@ mod tests {
             downcast_policy::<PasswordPolicy>(&q).unwrap().email(),
             "josé=x@conf.org"
         );
-        assert_eq!(escape("é,€"), "é%2C€");
+        let p: PolicyRef = Arc::new(UntrustedData::from_source("é,€"));
+        assert_eq!(serialize_policy(&p), "UntrustedData{source=é%2C€}");
     }
 
     /// The codecs as they stood before the interner learnt wire texts:
@@ -847,8 +990,30 @@ mod tests {
     mod oracle {
         use super::*;
 
+        fn parse_range(range: &str) -> Result<(usize, usize), SerializeError> {
+            let (a, b) = range
+                .split_once("..")
+                .ok_or_else(|| SerializeError::Malformed(format!("bad range `{range}`")))?;
+            let start: usize = a
+                .parse()
+                .map_err(|_| SerializeError::Malformed(format!("bad start `{a}`")))?;
+            let end: usize = b
+                .parse()
+                .map_err(|_| SerializeError::Malformed(format!("bad end `{b}`")))?;
+            if start > end {
+                return Err(SerializeError::Malformed(format!(
+                    "reversed range `{range}`"
+                )));
+            }
+            Ok((start, end))
+        }
+
+        fn names_no_policy(span: &str) -> SerializeError {
+            SerializeError::Malformed(format!("span `{span}` names no policy"))
+        }
+
         /// The splitter the codecs used, one `char` at a time into a
-        /// vector; [`split_serialized`] now runs the byte scanner.
+        /// vector; `split_serialized` runs the byte scanner.
         pub fn split_top_level(s: &str, sep: char) -> Vec<&str> {
             let mut out = Vec::new();
             let mut depth = 0usize;
@@ -967,6 +1132,13 @@ mod tests {
         }
     }
 
+    /// Splits `s` on `sep` at brace depth zero, through the byte scanner
+    /// every reader of lists runs.
+    fn split_serialized(s: &str, sep: char) -> Vec<&str> {
+        let mut parts = TopLevel::new(s, [sep as u8]);
+        std::iter::from_fn(|| parts.next_part().map(|(part, _)| part)).collect()
+    }
+
     /// A policy made from generated strings: hostile names, emails and
     /// principals, metacharacters, `%` and non-ASCII included.
     fn generated_policy(kind: usize, a: &str, b: &str) -> PolicyRef {
@@ -1031,11 +1203,19 @@ mod tests {
             b in "[x-zλ%:,=;{}|#]{0,8}",
         ) {
             let mut data = TaintedString::from(text.as_str());
+            // Byte ranges that need not respect characters: one that
+            // splits a character is widened to it, tainting every byte it
+            // named and leaving no span a stored blob would refuse.
             for ((start, len), (k1, k2)) in pieces {
-                // Byte ranges, as stored: they need not respect characters.
                 let label = Label::of(&generated_policy(k1, &a, &b))
                     .union(Label::of(&generated_policy(k2, &b, &a)));
                 data.add_label_range(start..start + len, label);
+                for i in start..(start + len).min(text.len()) {
+                    proptest::prop_assert_eq!(data.label_at(i).union(label), data.label_at(i));
+                }
+            }
+            for (r, _) in data.spans() {
+                proptest::prop_assert!(text.is_char_boundary(r.start) && text.is_char_boundary(r.end));
             }
             let blob = serialize_spans(&data);
             proptest::prop_assert_eq!(&blob, &oracle::serialize_spans(&data));
@@ -1069,6 +1249,26 @@ mod tests {
                     Err(std::mem::discriminant(&SerializeError::Malformed(String::new())))
                 );
             }
+        }
+
+        /// Whatever the name, keys and values hold, the object reads back
+        /// as written, and any policy text read as an object is the
+        /// policy's class and fields.
+        #[test]
+        fn an_object_round_trips(
+            name in "[a-c%{};,=|#é]{0,6}",
+            fields in proptest::prop::collection::vec(("[a-c%{};,=|#:]{0,6}", "[x-z%{};,=|#:λ]{0,8}"), 0..4),
+            kind in 0usize..5,
+        ) {
+            let want: FieldMap = fields.iter().cloned().collect();
+            let text = write_object(&name, &want.clone().into_iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(read_object(&text).unwrap(), (name.clone(), want));
+            let p = generated_policy(kind, &name, "b;c");
+            let want: FieldMap = p.serialize_fields().into_iter().collect();
+            proptest::prop_assert_eq!(
+                read_object(&serialize_policy(&p)).unwrap(),
+                (p.name().to_string(), want)
+            );
         }
 
         /// The byte scanner cuts where the `char` splitter did, on any

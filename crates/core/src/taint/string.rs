@@ -105,11 +105,12 @@ impl TaintedString {
         self.spans.add_policy(0..len, policy);
     }
 
-    /// Attaches `policy` to the bytes in `range`.
+    /// Attaches `policy` to the bytes in `range`, clipped to the text and
+    /// widened outward to the characters it touches: a span never splits
+    /// a UTF-8 character, so it taints more, never less.
     pub fn add_policy_range(&mut self, range: Range<usize>, policy: PolicyRef) {
-        let len = self.len();
-        self.spans
-            .add_policy(range.start.min(len)..range.end.min(len), policy);
+        let range = self.on_chars(range);
+        self.spans.add_policy(range, policy);
     }
 
     /// Unions `label` into every byte (no-op on an empty string).
@@ -118,11 +119,19 @@ impl TaintedString {
         self.spans.add_label(0..len, label);
     }
 
-    /// Unions `label` into the bytes in `range`.
+    /// Unions `label` into the bytes in `range`, clipped and widened as in
+    /// [`add_policy_range`](Self::add_policy_range).
     pub fn add_label_range(&mut self, range: Range<usize>, label: Label) {
-        let len = self.len();
-        self.spans
-            .add_label(range.start.min(len)..range.end.min(len), label);
+        let range = self.on_chars(range);
+        self.spans.add_label(range, label);
+    }
+
+    /// `range` clipped to the text and widened outward to character
+    /// boundaries, so a stored copy reads back (`deserialize_spans`
+    /// refuses a span that splits a character).
+    fn on_chars(&self, range: Range<usize>) -> Range<usize> {
+        let text = self.text.as_str();
+        text.floor_char_boundary(range.start)..text.ceil_char_boundary(range.end)
     }
 
     /// The span map itself, for the serialize oracle, which adds each

@@ -43,7 +43,6 @@ pub struct Follower {
     db: ResinDb,
     dir: PathBuf,
     applied_seq: u64,
-    torn: bool,
 }
 
 impl Follower {
@@ -74,7 +73,6 @@ impl Follower {
             db,
             dir,
             applied_seq: base_seq,
-            torn: false,
         };
         follower.catch_up()?;
         Ok(follower)
@@ -101,7 +99,6 @@ impl Follower {
                 tailed = resin_store::tail_records(&self.dir, self.applied_seq)?;
             }
         }
-        self.torn = tailed.torn;
         let mut applied = 0u64;
         for record in &tailed.records {
             for sql in decode_wal_batch(&record.payload)? {
@@ -131,12 +128,6 @@ impl Follower {
         primary_seq.saturating_sub(self.applied_seq)
     }
 
-    /// True when the last [`catch_up`](Follower::catch_up) stopped at a
-    /// partially shipped frame (the next ship will complete it).
-    pub fn shipped_tail_torn(&self) -> bool {
-        self.torn
-    }
-
     /// Replays one already-decoded statement (crate-internal: tests and
     /// divergence diagnostics).
     #[cfg(test)]
@@ -150,7 +141,6 @@ impl std::fmt::Debug for Follower {
         f.debug_struct("Follower")
             .field("dir", &self.dir)
             .field("applied_seq", &self.applied_seq)
-            .field("torn", &self.torn)
             .finish()
     }
 }

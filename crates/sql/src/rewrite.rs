@@ -36,7 +36,7 @@ use resin_core::{
 use crate::ast::{ColumnDef, ColumnType, Expr, LitValue, Literal, Projection, Statement};
 use crate::engine::{column_positions, Database, QueryResult};
 use crate::error::{Result, SqlError};
-use crate::token::{lex, lex_tainted, sanitize_query, Tok, Token};
+use crate::token::{lex, lex_tainted, push_quoted, sanitize_query, unquote, Tok, Token};
 use crate::value::Value;
 
 /// Prefix of shadow policy columns.
@@ -459,28 +459,15 @@ pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[BindValue]) -> Tai
     let mut out = TaintedStrBuilder::with_capacity(text.len() + 16 * values.len());
     let mut pos = 0usize;
     for (span, v) in prepared.param_spans.iter().zip(values) {
-        out.push_tainted(&text.slice(pos..span.start));
+        out.push_range(text, pos..span.start);
         match v {
             BindValue::Null => out.push_label("NULL", Label::EMPTY),
             BindValue::Int(i) => out.push_label(&i.value().to_string(), i.label()),
-            BindValue::Text(t) => {
-                out.push_char('\'');
-                let bytes = t.as_str().as_bytes();
-                let mut start = 0usize;
-                for (i, &b) in bytes.iter().enumerate() {
-                    if b == b'\'' {
-                        out.push_tainted(&t.slice(start..i));
-                        out.push_label("''", t.label_at(i));
-                        start = i + 1;
-                    }
-                }
-                out.push_tainted(&t.slice(start..bytes.len()));
-                out.push_char('\'');
-            }
+            BindValue::Text(t) => push_quoted(&mut out, t, 0..t.len()),
         }
         pos = span.end;
     }
-    out.push_tainted(&text.slice(pos..text.len()));
+    out.push_range(text, pos..text.len());
     out.build()
 }
 
@@ -682,31 +669,23 @@ fn span_has_untrusted(sql: &TaintedString, span: &Range<usize>) -> bool {
     sql.slice(span.clone()).has_policy::<UntrustedData>()
 }
 
-/// Decodes a string literal's interior from the tainted query, carrying
-/// byte policies through `''` escape pairs: the collapsed quote gets the
-/// **union of both escape bytes' labels**, so an attacker-controlled quote
-/// that survives sanitization re-enters storage tainted. (An earlier
-/// revision used an untainted replacement here, leaving a 1-byte blind
-/// spot per escape pair that a stored-injection payload could hide in.)
+/// Decodes a string literal's interior from the tainted query through the
+/// lexer's own unquote, so the text and its labels cover the same bytes.
+/// A collapsed `''` gets the **union of both escape bytes' labels**, so an
+/// attacker-controlled quote that survives sanitization re-enters storage
+/// tainted, never as a 1-byte blind spot.
 fn decode_literal(sql: &TaintedString, span: &Range<usize>) -> TaintedString {
-    let interior = sql.slice(span.start + 1..span.end.saturating_sub(1));
-    if !interior.contains("''") {
-        return interior;
-    }
-    let bytes = interior.as_str().as_bytes();
-    let mut out = TaintedStrBuilder::with_capacity(bytes.len());
-    let (mut i, mut start) = (0usize, 0usize);
-    while i < bytes.len() {
-        if bytes[i] == b'\'' && bytes.get(i + 1) == Some(&b'\'') {
-            out.push_tainted(&interior.slice(start..i));
-            out.push_label("'", interior.label_at(i).union(interior.label_at(i + 1)));
-            i += 2;
-            start = i;
-        } else {
-            i += 1;
-        }
-    }
-    out.push_tainted(&interior.slice(start..bytes.len()));
+    let mut out = TaintedStrBuilder::with_capacity(span.len());
+    // Unquoted strictly, a range starting at a quote is an escape pair.
+    unquote(
+        sql.as_str(),
+        span.start,
+        |_| false,
+        |r| match sql.as_str().as_bytes()[r.start] {
+            b'\'' => out.push_label("'", sql.label_at(r.start).union(sql.label_at(r.end))),
+            _ => out.push_range(sql, r),
+        },
+    );
     out.build()
 }
 
@@ -714,22 +693,11 @@ fn decode_literal(sql: &TaintedString, span: &Range<usize>) -> TaintedString {
 /// carry their labels in the query text's byte ranges; bind parameters
 /// carry them on the [`BindValue`] itself.
 fn policy_blob_for(sql: &TaintedString, expr: &Expr, params: &[BindValue]) -> String {
+    // Untainted text and an empty label serialize to the empty blob.
     if let Expr::Param(i) = expr {
         return match params.get(*i) {
-            Some(BindValue::Text(t)) => {
-                if t.is_untainted() {
-                    String::new()
-                } else {
-                    serialize_spans(t)
-                }
-            }
-            Some(BindValue::Int(v)) => {
-                if v.label().is_empty() {
-                    String::new()
-                } else {
-                    serialize_label(v.label())
-                }
-            }
+            Some(BindValue::Text(t)) => serialize_spans(t),
+            Some(BindValue::Int(v)) => serialize_label(v.label()),
             Some(BindValue::Null) | None => String::new(),
         };
     }
@@ -737,45 +705,19 @@ fn policy_blob_for(sql: &TaintedString, expr: &Expr, params: &[BindValue]) -> St
         return String::new();
     };
     match &lit.value {
-        LitValue::Text(_) => {
-            let decoded = decode_literal(sql, &lit.span);
-            if decoded.is_untainted() {
-                String::new()
-            } else {
-                serialize_spans(&decoded)
-            }
-        }
-        LitValue::Int(_) => {
-            let label = sql.slice(lit.span.clone()).label();
-            if label.is_empty() {
-                String::new()
-            } else {
-                serialize_label(label)
-            }
-        }
+        LitValue::Text(_) => serialize_spans(&decode_literal(sql, &lit.span)),
+        LitValue::Int(_) => serialize_label(sql.slice(lit.span.clone()).label()),
         LitValue::Null => String::new(),
     }
 }
 
 fn revive_cell(data: &Value, policy: &Value) -> Result<TCell> {
+    // The empty blob revives as untainted text or an empty label.
     let blob = policy.as_text().unwrap_or("");
     Ok(match data {
         Value::Null => TCell::Null,
-        Value::Int(i) => {
-            let label = if blob.is_empty() {
-                Label::EMPTY
-            } else {
-                deserialize_label(blob)?
-            };
-            TCell::Int(Tainted::with_label(*i, label))
-        }
-        Value::Text(s) => {
-            if blob.is_empty() {
-                TCell::Text(TaintedString::from(s.as_str()))
-            } else {
-                TCell::Text(deserialize_spans(s, blob)?)
-            }
-        }
+        Value::Int(i) => TCell::Int(Tainted::with_label(*i, deserialize_label(blob)?)),
+        Value::Text(s) => TCell::Text(deserialize_spans(s, blob)?),
     })
 }
 

@@ -695,6 +695,71 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn text_cell(db: &ResinDb, sql: &str) -> TaintedString {
+        let r = db.query_str(sql).unwrap();
+        r.cell(0, "body").unwrap().as_text().unwrap().clone()
+    }
+
+    #[test]
+    fn a_tainted_literal_keeps_its_utf8_bytes_and_its_span() {
+        // A literal's value is its source bytes. Read one byte a `char`
+        // (Latin-1), `é` would be stored as `Ã©` while the literal's
+        // label, cut from the query's bytes, ends at byte 5.
+        let db = posts_db();
+        let mut q = TaintedString::from("INSERT INTO posts VALUES (1, '");
+        q.push_tainted(&untrusted("café"));
+        q.push_str("')");
+        db.query(&q).unwrap();
+        let stored = db.raw().snapshot_table("posts").unwrap();
+        let at = stored
+            .columns
+            .iter()
+            .position(|c| c.name == "body")
+            .unwrap();
+        assert_eq!(stored.rows[0][at], crate::value::Value::Text("café".into()));
+        let body = text_cell(&db, "SELECT body FROM posts");
+        assert_eq!(body.as_str(), "café");
+        assert_eq!(body.spans().map(|(r, _)| r).collect::<Vec<_>>(), vec![0..5]);
+        assert!(body.all_bytes_have::<UntrustedData>());
+    }
+
+    #[test]
+    fn a_prepared_utf8_value_is_found_by_an_equal_literal() {
+        let db = posts_db();
+        let ins = db.prepare("INSERT INTO posts VALUES (?, ?)").unwrap();
+        db.exec_prepared(&ins, vec![1i64.into(), "café".into()])
+            .unwrap();
+        let r = db
+            .query_str("SELECT COUNT(*) FROM posts WHERE body = 'café'")
+            .unwrap();
+        assert_eq!(r.rows[0][0].as_int().unwrap().value(), &1);
+    }
+
+    #[test]
+    fn a_prepared_utf8_value_replays_from_the_wal_and_on_a_follower() {
+        // The WAL holds a bound write as SQL text, so recovery and a
+        // follower read the value back through the lexer.
+        let base = disk_dir("utf8-replay");
+        let (primary, replica) = (base.join("primary"), base.join("replica"));
+        {
+            let db = ResinDb::open(&primary).unwrap();
+            db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")
+                .unwrap();
+            let ins = db.prepare("INSERT INTO posts VALUES (?, ?)").unwrap();
+            db.exec_prepared(&ins, vec![1i64.into(), untrusted("café <b>").into()])
+                .unwrap();
+        }
+        resin_store::ship(&primary, &replica).unwrap();
+        let follower = crate::Follower::open(&replica).unwrap();
+        let recovered = ResinDb::open(&primary).unwrap();
+        for (who, db) in [("recovered", &recovered), ("follower", follower.db())] {
+            let body = text_cell(db, "SELECT body FROM posts WHERE id = 1");
+            assert_eq!(body.as_str(), "café <b>", "{who}");
+            assert!(body.all_bytes_have::<UntrustedData>(), "{who}");
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
     #[test]
     fn txn_commit_is_one_atomic_wal_record() {
         // A crash mid-commit must never persist a prefix of a

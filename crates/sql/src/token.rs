@@ -168,42 +168,17 @@ fn lex_inner(src: &str, taint: Option<&TaintedString>) -> Result<Vec<Token>> {
             }
             '\'' => {
                 let start = i;
-                i += 1;
                 let mut content = String::new();
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(SqlError::Lex {
-                                pos: start,
-                                message: "unterminated string literal".into(),
-                            });
-                        }
-                        Some(b'\'') => {
-                            // Tolerant mode: an *untrusted* quote is data.
-                            if is_untrusted_at(i) {
-                                content.push('\'');
-                                i += 1;
-                                continue;
-                            }
-                            // Escaped quote `''`.
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                content.push('\'');
-                                i += 2;
-                                continue;
-                            }
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            content.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
+                let end = unquote(src, start, is_untrusted_at, |r| content.push_str(&src[r]))
+                    .ok_or_else(|| SqlError::Lex {
+                        pos: start,
+                        message: "unterminated string literal".into(),
+                    })?;
                 out.push(Token {
                     tok: Tok::Str(content),
-                    span: start..i,
+                    span: start..end,
                 });
+                i = end;
             }
             '-' => {
                 // Negative number literal or minus operator.
@@ -277,6 +252,56 @@ fn lex_inner(src: &str, taint: Option<&TaintedString>) -> Result<Vec<Token>> {
     Ok(out)
 }
 
+/// The one unquote of string literals: hands `piece` the source ranges
+/// whose bytes, joined, are the content of the literal opening at
+/// `src[open]`, and returns the offset past its closing quote. A `''` is
+/// one quote, handed out as the range of its first byte, as is a quote
+/// `lone` accepts (an untrusted one, in tolerant mode). Cuts fall at ASCII
+/// quotes only, so every range is whole UTF-8.
+pub(crate) fn unquote(
+    src: &str,
+    open: usize,
+    lone: impl Fn(usize) -> bool,
+    mut piece: impl FnMut(Range<usize>),
+) -> Option<usize> {
+    let bytes = src.as_bytes();
+    let (mut from, mut start) = (open + 1, open + 1);
+    loop {
+        let q = from + bytes.get(from..)?.iter().position(|&b| b == b'\'')?;
+        if lone(q) {
+            from = q + 1;
+            continue;
+        }
+        if start < q {
+            piece(start..q);
+        }
+        if bytes.get(q + 1) != Some(&b'\'') {
+            return Some(q + 1);
+        }
+        piece(q..q + 1);
+        from = q + 2;
+        start = from;
+    }
+}
+
+/// The one quote of string literals: appends `src[range]` as `'…'`, each
+/// quote doubled, both bytes of the pair under the quote's label (an
+/// untainted escape would launder an attacker's quote through storage).
+pub(crate) fn push_quoted(out: &mut TaintedStrBuilder, src: &TaintedString, range: Range<usize>) {
+    out.push_char('\'');
+    let mut start = range.start;
+    for (i, &b) in src.as_str().as_bytes()[range.clone()].iter().enumerate() {
+        if b == b'\'' {
+            let q = range.start + i;
+            out.push_range(src, start..q);
+            out.push_label("''", src.label_at(q));
+            start = q + 1;
+        }
+    }
+    out.push_range(src, start..range.end);
+    out.push_char('\'');
+}
+
 /// Re-emits a tolerantly-lexed tainted query as a *sanitized* tainted query:
 /// string-literal content is re-escaped (quotes doubled), so untrusted
 /// quotes can no longer change the query structure. Taint is preserved
@@ -288,31 +313,9 @@ pub fn sanitize_query(query: &TaintedString, tokens: &[Token]) -> TaintedString 
             out.push_char(' ');
         }
         match &t.tok {
-            Tok::Str(_) => {
-                // Slice the literal's interior (excluding delimiters) from
-                // the tainted source, then re-escape quotes. Both bytes of
-                // each emitted `''` carry the source quote's label — an
-                // untainted replacement here would launder the attacker's
-                // quote through the guard's own rewrite (the escape pair
-                // later collapses back to one byte in storage, and that
-                // byte must still read as untrusted).
-                let inner = query.slice(t.span.start + 1..t.span.end - 1);
-                out.push_char('\'');
-                let bytes = inner.as_str().as_bytes();
-                let mut start = 0usize;
-                for (i, &b) in bytes.iter().enumerate() {
-                    if b == b'\'' {
-                        out.push_tainted(&inner.slice(start..i));
-                        out.push_label("''", inner.label_at(i));
-                        start = i + 1;
-                    }
-                }
-                out.push_tainted(&inner.slice(start..bytes.len()));
-                out.push_char('\'');
-            }
-            _ => {
-                out.push_tainted(&query.slice(t.span.clone()));
-            }
+            // The literal's interior, between its delimiters, quoted anew.
+            Tok::Str(_) => push_quoted(&mut out, query, t.span.start + 1..t.span.end - 1),
+            _ => out.push_range(query, t.span.clone()),
         }
     }
     out.build()
@@ -381,6 +384,23 @@ mod tests {
     #[test]
     fn escaped_quotes() {
         assert_eq!(toks("'it''s'"), vec![Tok::Str("it's".into())]);
+    }
+
+    #[test]
+    fn a_literal_keeps_its_utf8() {
+        // A literal's value is its source bytes: `é` is two bytes, one `char`.
+        assert_eq!(toks("'café'"), vec![Tok::Str("café".into())]);
+        assert_eq!(toks("'l''été'"), vec![Tok::Str("l'été".into())]);
+        assert_eq!(lex("'€' x").unwrap()[0].span, 0..5);
+        let mut pieces = Vec::new();
+        let end = unquote("'l''été'", 0, |_| false, |r| pieces.push(r));
+        assert_eq!(end, Some(10));
+        assert_eq!(
+            pieces,
+            [1..2, 2..3, 4..9],
+            "an escape pair is its first quote"
+        );
+        assert_eq!(unquote("'never closed", 0, |_| false, |_| {}), None);
     }
 
     #[test]

@@ -19,15 +19,18 @@
 //! ```
 //!
 //! The storage layer never *deserializes* policies: bodies are opaque
-//! strings in the textual wire format, re-tokenized with
-//! [`split_serialized`] only to pull out table entries. Policy classes
-//! therefore do not need to be registered to checkpoint or recover a
-//! store — exactly the paper's property that persisted policies outlive
-//! (and never load) the code that produced them.
+//! strings in the textual wire format. The blobs that name them move
+//! through `resin_core::serialize`'s one reader and writer of the format
+//! ([`read_spans`], [`SpansWriter`], [`read_texts`], [`write_texts`]),
+//! texts in and texts out, so nothing here knows the grammar. Policy
+//! classes therefore do not need to be registered to checkpoint or
+//! recover a store — exactly the paper's property that persisted policies
+//! outlive (and never load) the code that produced them.
 
 use std::collections::HashMap;
 
-use resin_core::serialize::{split_serialized, WIRE_VERSION};
+use resin_core::serialize::{read_spans, read_texts, write_texts, SpansWriter, WIRE_VERSION};
+use resin_core::SerializeError;
 
 use crate::error::{Result, StoreError};
 use crate::io::{checksum, put_i64, put_str, put_u32, put_u64, put_u8, Cursor};
@@ -76,72 +79,35 @@ impl SnapshotWriter {
         i
     }
 
-    /// Parses an interned spans blob (`#table#spans`, the output of
-    /// `serialize_spans`) and interns its policies into the shared table,
-    /// returning per-span refs.
+    /// Interns the policies of a spans blob (`#table#spans`, the output
+    /// of `serialize_spans`) into the shared table, returning per-span
+    /// refs.
     pub fn intern_spans_blob(&mut self, blob: &str) -> Result<Vec<SpanRef>> {
-        let rest = blob
-            .strip_prefix('#')
-            .ok_or_else(|| StoreError::Corrupt(format!("spans blob without `#`: `{blob}`")))?;
-        let parts = split_serialized(rest, '#');
-        let [table_src, spans_src] = parts.as_slice() else {
-            return Err(StoreError::Corrupt(format!(
-                "expected `#table#spans`, got `{blob}`"
-            )));
-        };
+        let mut texts = Vec::new();
+        let spans = read_spans(blob, &mut |text| texts.push(text)).map_err(corrupt)?;
         // Local (per-blob) table index → shared table index.
-        let mut local: Vec<u32> = Vec::new();
-        if !table_src.is_empty() {
-            for body in split_serialized(table_src, ',') {
-                local.push(self.intern(body));
-            }
-        }
-        let mut refs = Vec::new();
-        if spans_src.is_empty() {
-            return Ok(refs);
-        }
-        for span in split_serialized(spans_src, ';') {
-            let (range, idxs) = span
-                .split_once('|')
-                .ok_or_else(|| StoreError::Corrupt(format!("bad span `{span}`")))?;
-            let (a, b) = range
-                .split_once("..")
-                .ok_or_else(|| StoreError::Corrupt(format!("bad range `{range}`")))?;
-            let start: u64 = a
-                .parse()
-                .map_err(|_| StoreError::Corrupt(format!("bad start `{a}`")))?;
-            let end: u64 = b
-                .parse()
-                .map_err(|_| StoreError::Corrupt(format!("bad end `{b}`")))?;
-            let mut policies = Vec::new();
-            for idx in idxs.split(',').filter(|s| !s.is_empty()) {
-                let i: usize = idx
-                    .parse()
-                    .map_err(|_| StoreError::Corrupt(format!("bad index `{idx}`")))?;
-                let shared = *local.get(i).ok_or_else(|| {
-                    StoreError::Corrupt(format!("index `{i}` outside the blob policy table"))
-                })?;
-                policies.push(shared);
-            }
-            refs.push(SpanRef {
-                start,
-                end,
-                policies,
-            });
-        }
-        Ok(refs)
+        let local: Vec<u32> = texts.into_iter().map(|text| self.intern(text)).collect();
+        let outside = |i| StoreError::Corrupt(format!("index `{i}` outside the blob policy table"));
+        spans
+            .map(|span| {
+                let (range, indexes) = span.map_err(corrupt)?;
+                let policies = indexes
+                    .map(|i| local.get(i).copied().ok_or_else(|| outside(i)))
+                    .collect::<Result<_>>()?;
+                Ok(SpanRef {
+                    start: range.start,
+                    end: range.end,
+                    policies,
+                })
+            })
+            .collect()
     }
 
-    /// Parses a whole-datum label blob (comma-joined policy bodies, the
-    /// output of `serialize_label`) into shared table indexes.
-    pub fn intern_label_blob(&mut self, blob: &str) -> Result<Vec<u32>> {
-        if blob.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(split_serialized(blob, ',')
-            .into_iter()
-            .map(|body| self.intern(body))
-            .collect())
+    /// Interns the policies of a whole-datum label blob (comma-joined
+    /// policy bodies, the output of `serialize_label`), returning their
+    /// shared table indexes.
+    pub fn intern_label_blob(&mut self, blob: &str) -> Vec<u32> {
+        read_texts(blob).map(|text| self.intern(text)).collect()
     }
 
     // ---- body encoding ----
@@ -208,6 +174,10 @@ impl SnapshotWriter {
         put_u64(&mut out, sum);
         out
     }
+}
+
+fn corrupt(e: SerializeError) -> StoreError {
+    StoreError::Corrupt(e.to_string())
 }
 
 /// Decodes a snapshot image: validates the header and checksum, exposes
@@ -283,32 +253,26 @@ impl<'a> SnapshotReader<'a> {
     pub fn spans_blob(&self, refs: &[SpanRef]) -> Result<String> {
         let mut local: Vec<&str> = Vec::new();
         let mut map: HashMap<u32, usize> = HashMap::new();
-        let mut spans: Vec<String> = Vec::new();
+        let mut out = SpansWriter::default();
+        let mut idxs = Vec::new();
         for r in refs {
-            let idxs: Vec<String> = r
-                .policies
-                .iter()
-                .map(|&p| {
-                    let body = self.policy(p)?;
-                    let i = *map.entry(p).or_insert_with(|| {
-                        local.push(body);
-                        local.len() - 1
-                    });
-                    Ok(i.to_string())
-                })
-                .collect::<Result<_>>()?;
-            spans.push(format!("{}..{}|{}", r.start, r.end, idxs.join(",")));
+            idxs.clear();
+            for &p in &r.policies {
+                let body = self.policy(p)?;
+                idxs.push(*map.entry(p).or_insert_with(|| {
+                    local.push(body);
+                    local.len() - 1
+                }));
+            }
+            out.span(r.start..r.end, idxs.iter().copied());
         }
-        Ok(format!("#{}#{}", local.join(","), spans.join(";")))
+        Ok(out.finish(&local))
     }
 
     /// Regenerates a whole-datum label blob from policy indexes.
     pub fn label_blob(&self, idxs: &[u32]) -> Result<String> {
-        let bodies: Vec<&str> = idxs
-            .iter()
-            .map(|&i| self.policy(i))
-            .collect::<Result<_>>()?;
-        Ok(bodies.join(","))
+        let bodies = idxs.iter().map(|&i| self.policy(i));
+        Ok(write_texts(bodies.collect::<Result<Vec<_>>>()?))
     }
 
     // ---- body decoding ----
@@ -424,9 +388,9 @@ mod tests {
     fn label_blob_roundtrips() {
         let blob = "UntrustedData{source=q},SqlSanitized{}";
         let mut w = SnapshotWriter::new();
-        let idxs = w.intern_label_blob(blob).unwrap();
+        let idxs = w.intern_label_blob(blob);
         assert_eq!(idxs.len(), 2);
-        assert!(w.intern_label_blob("").unwrap().is_empty());
+        assert!(w.intern_label_blob("").is_empty());
         w.put_label_refs(&idxs);
         let bytes = w.finish();
         let mut r = SnapshotReader::parse(&bytes).unwrap();

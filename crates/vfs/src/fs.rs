@@ -23,6 +23,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
+use resin_core::serialize::is_spans_blob;
 use resin_core::{
     deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
     TaintedString, Tracking,
@@ -32,7 +33,7 @@ use resin_store::{Recovery, SnapshotReader, SnapshotWriter, Store};
 use crate::error::{Result, VfsError};
 use crate::op::FsOp;
 use crate::path::{normalize, split_parent, to_absolute};
-use crate::pfilter::{deserialize_filter, serialize_filter, DirOp, GateMount, PersistentFilterRef};
+use crate::pfilter::{filter_text, revive_filter, DirOp, GateMount, PersistentFilterRef};
 
 /// xattr key holding a file's serialized content policies.
 pub const XATTR_POLICY: &str = "user.resin.policy";
@@ -425,7 +426,7 @@ impl Vfs {
         let Some(serialized) = self.xattrs(comps).and_then(|x| x.get(XATTR_FILTER)) else {
             return Ok(Vec::new());
         };
-        serialized.lines().map(deserialize_filter).collect()
+        serialized.lines().map(revive_filter).collect()
     }
 
     /// The nearest governing filters for a node: its own, else the closest
@@ -562,7 +563,7 @@ impl Vfs {
             }
             if let Some(filters) = f.xattrs.get(XATTR_FILTER) {
                 for line in filters.lines() {
-                    deserialize_filter(line)?;
+                    revive_filter(line)?;
                 }
             }
         }
@@ -675,7 +676,7 @@ impl Vfs {
     /// Attaches a persistent filter object to a file or directory,
     /// serializing it into the filter xattr (§3.2.3).
     pub fn attach_filter(&mut self, path: &str, filter: &PersistentFilterRef) -> Result<()> {
-        let line = serialize_filter(filter);
+        let line = filter_text(filter)?;
         let existing = self.get_xattr(path, XATTR_FILTER)?.unwrap_or_default();
         let combined = if existing.is_empty() {
             line
@@ -709,7 +710,7 @@ fn encode_xattrs(xattrs: &BTreeMap<String, String>, w: &mut SnapshotWriter) -> R
     w.put_u32(xattrs.len() as u32);
     for (k, v) in xattrs {
         w.put_str(k);
-        if k == XATTR_POLICY && v.starts_with('#') {
+        if k == XATTR_POLICY && is_spans_blob(v) {
             if let Ok(refs) = w.intern_spans_blob(v) {
                 w.put_u8(XATTR_SPANS);
                 w.put_span_refs(&refs);
@@ -1078,6 +1079,135 @@ mod tests {
             .unwrap_err();
         assert!(err.is_violation(), "write ACL survives restart");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes one file under `/d` as each user, expecting each outcome.
+    fn expect_writes(fs: &mut Vfs, when: &str, users: &[(&str, bool)]) {
+        for &(user, may) in users {
+            let got = fs.write_file("/d/f", &TaintedString::from(user), &Vfs::user_ctx(user));
+            match got {
+                Ok(()) => assert!(may, "{when}: `{user}` wrote"),
+                Err(e) => assert!(!may && e.is_violation(), "{when}: `{user}`: {e:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_parent_stores_tree_image_re_encodes_byte_for_byte() {
+        // A recorded store (never regenerated): its policy xattrs go
+        // through the wire codec's reader into span refs and back out
+        // through its writer, and must come out as they were written.
+        let part = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/parent_vfs_store/part.000000.bin"
+        );
+        let image = std::fs::read(part).unwrap();
+        assert_eq!(encode_tree(&decode_tree(&image).unwrap()).unwrap(), image);
+    }
+
+    #[test]
+    fn a_principal_cannot_rewrite_the_write_acl_it_is_stored_in() {
+        // At rest the ACL is a field of the filter's text. A principal
+        // holding the grammar's `;` and `=` must not end that field and
+        // start another `acl`, which would replace the ACL on revival.
+        let dir = disk_dir("hostile-acl");
+        let acl = Acl::new()
+            .grant("owner", &[Right::Read, Right::Write])
+            .grant("x;acl=mallory", &[Right::Write]);
+        let users = [
+            ("owner", true),
+            ("x;acl=mallory", true),
+            ("mallory", false),
+            ("x", false),
+        ];
+        {
+            let mut fs = Vfs::open_disk(&dir).unwrap();
+            fs.mkdir_p("/d", &anon()).unwrap();
+            let filter: PersistentFilterRef = Arc::new(AclWriteFilter::new(acl));
+            fs.attach_filter("/d", &filter).unwrap();
+            expect_writes(&mut fs, "live", &users);
+            fs.checkpoint().unwrap();
+        }
+        let mut fs = Vfs::open_disk(&dir).unwrap();
+        expect_writes(&mut fs, "after checkpoint and reopen", &users);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_filter_text_that_reads_back_as_another_filter_is_refused() {
+        // Escaped by the ACL alone, as filters once were stored: read as an
+        // object it unescapes to `a:w,mallory:w`, an ACL granting `mallory`.
+        // It does not store the filter it revives as, so it fails closed,
+        // live and after checkpoint and reopen.
+        let dir = disk_dir("unescaped-filter");
+        let refused = |fs: &mut Vfs, when: &str| {
+            for user in ["mallory", "a", "a:w,mallory"] {
+                let got = fs.write_file("/d/f", &TaintedString::from(user), &Vfs::user_ctx(user));
+                assert!(
+                    matches!(got, Err(VfsError::Policy(FlowError::Serialize(_)))),
+                    "{when}: `{user}`: {got:?}"
+                );
+            }
+        };
+        {
+            let mut fs = Vfs::open_disk(&dir).unwrap();
+            fs.mkdir_p("/d", &anon()).unwrap();
+            fs.set_xattr("/d", XATTR_FILTER, "AclWriteFilter{acl=a%3Aw%2Cmallory:w}")
+                .unwrap();
+            refused(&mut fs, "live");
+            fs.checkpoint().unwrap();
+        }
+        let mut fs = Vfs::open_disk(&dir).unwrap();
+        refused(&mut fs, "after checkpoint and reopen");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_metacharacter_in_a_principal_round_trips_and_a_newline_is_refused() {
+        let mut fs = Vfs::new();
+        for c in ['%', '{', '}', ';', ',', '=', '|', '#', ':'] {
+            let principal = format!("a{c}b");
+            let filter: PersistentFilterRef = Arc::new(AclWriteFilter::new(
+                Acl::new().grant(&principal, &[Right::Write]),
+            ));
+            fs.mkdir_p("/d", &anon()).unwrap();
+            fs.attach_filter("/d", &filter).unwrap();
+            let stored = fs.get_xattr("/d", XATTR_FILTER).unwrap().unwrap();
+            assert_eq!(stored.lines().count(), 1, "{stored}");
+            let when = format!("principal `{principal}` stored as `{stored}`");
+            expect_writes(
+                &mut fs,
+                &when,
+                &[(&principal, true), ("a", false), ("b", false)],
+            );
+            fs.clear_filters("/d").unwrap();
+            fs.unlink("/d/f", &anon()).unwrap();
+            fs.unlink("/d", &anon()).unwrap();
+        }
+        // The filter xattr is one filter a line: a newline is refused at
+        // attach, and the filters already there stay as they were.
+        fs.mkdir_p("/d", &anon()).unwrap();
+        let owner: PersistentFilterRef = Arc::new(AclWriteFilter::new(
+            Acl::new().grant("owner", &[Right::Write]),
+        ));
+        fs.attach_filter("/d", &owner).unwrap();
+        let split: PersistentFilterRef = Arc::new(AclWriteFilter::new(
+            Acl::new().grant("a\nb", &[Right::Write]),
+        ));
+        let err = fs.attach_filter("/d", &split).unwrap_err();
+        assert!(
+            matches!(err, VfsError::Policy(FlowError::Serialize(_))),
+            "{err:?}"
+        );
+        assert_eq!(
+            fs.get_xattr("/d", XATTR_FILTER).unwrap().unwrap(),
+            "AclWriteFilter{acl=owner:w}"
+        );
+        expect_writes(
+            &mut fs,
+            "after the refusal",
+            &[("owner", true), ("a", false), ("b", false)],
+        );
     }
 
     #[test]

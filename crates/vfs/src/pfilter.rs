@@ -8,19 +8,22 @@
 //! modified (creating, deleting, or renaming files).
 //!
 //! Like persistent policies, persistent filters are stored as *class name +
-//! fields* and revived through a registry, so filter code can evolve.
+//! fields* and revived through a registry, so filter code can evolve. The
+//! text is the policy grammar, `Name{key=value;…}`, written and read by
+//! `resin_core::serialize`'s object codec ([`write_object`],
+//! [`read_object`]); this module keeps its own filter-class registry.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
 
+use resin_core::serialize::{read_object, write_object, FieldMap};
 use resin_core::{
     Acl, Context, Filter, FlowError, GateKind, PolicyViolation, Right, SerializeError,
     TaintedString,
 };
 
-use crate::error::{Result, VfsError};
+use crate::error::Result;
 
 /// A directory-modifying operation a persistent filter can veto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +88,7 @@ pub type PersistentFilterRef = Arc<dyn PersistentFilter>;
 // ---- registry ----
 
 /// Fields of a serialized filter.
-pub type FilterFields = BTreeMap<String, String>;
+pub type FilterFields = FieldMap;
 
 type FilterFactory =
     Arc<dyn Fn(&FilterFields) -> Result<PersistentFilterRef, SerializeError> + Send + Sync>;
@@ -124,42 +127,43 @@ pub fn register_filter_class(
     resin_core::sync::wlock(registry()).insert(name.into(), Arc::new(factory));
 }
 
-/// Serializes a persistent filter (class name + fields), same wire shape as
-/// policies.
-pub fn serialize_filter(filter: &PersistentFilterRef) -> String {
-    let fields = filter
-        .serialize_fields()
-        .into_iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect::<Vec<_>>()
-        .join(";");
-    format!("{}{{{}}}", filter.name(), fields)
+/// The text `filter` is stored as: its class name and fields as an object
+/// of the policy grammar. Newlines separate the filters of the filter
+/// xattr, so a text holding one is refused rather than stored as two.
+pub(crate) fn filter_text(filter: &PersistentFilterRef) -> Result<String> {
+    let text = write_object(filter.name(), &filter.serialize_fields());
+    if text.contains('\n') {
+        return Err(SerializeError::Malformed(format!(
+            "`{}` filter holds a newline, the filter list's separator",
+            filter.name()
+        ))
+        .into());
+    }
+    Ok(text)
 }
 
-/// Revives a persistent filter from its serialized form.
-pub fn deserialize_filter(s: &str) -> Result<PersistentFilterRef> {
-    let open = s
-        .find('{')
-        .ok_or_else(|| VfsError::from(SerializeError::Malformed(format!("no `{{` in `{s}`"))))?;
-    if !s.ends_with('}') {
-        return Err(SerializeError::Malformed(format!("no `}}` in `{s}`")).into());
-    }
-    let name = &s[..open];
-    let body = &s[open + 1..s.len() - 1];
-    let mut fields = FilterFields::new();
-    if !body.is_empty() {
-        for pair in body.split(';') {
-            let (k, v) = pair.split_once('=').ok_or_else(|| {
-                VfsError::from(SerializeError::Malformed(format!("bad field `{pair}`")))
-            })?;
-            fields.insert(k.to_string(), v.to_string());
-        }
-    }
+/// Revives a persistent filter from its stored text through the registry.
+///
+/// The revived filter must be stored as `text` again, byte for byte, or it
+/// is refused: every text [`filter_text`] writes passes, while one that
+/// reads back as a different filter fails closed. Texts written before
+/// fields were escaped, whose `%XX` the reader now unescapes once more (an
+/// ACL principal `a:w,mallory` stored as `acl=a%3Aw%2Cmallory:w` would
+/// revive granting `mallory`), are of that kind.
+pub(crate) fn revive_filter(text: &str) -> Result<PersistentFilterRef> {
+    let (name, fields) = read_object(text)?;
     let factory = resin_core::sync::rlock(registry())
-        .get(name)
+        .get(&name)
         .cloned()
-        .ok_or_else(|| VfsError::from(SerializeError::UnknownClass(name.to_string())))?;
-    factory(&fields).map_err(VfsError::from)
+        .ok_or(SerializeError::UnknownClass(name))?;
+    let filter = factory(&fields)?;
+    if filter_text(&filter)? != text {
+        return Err(SerializeError::Malformed(format!(
+            "`{text}` does not read back as the filter it stores"
+        ))
+        .into());
+    }
+    Ok(filter)
 }
 
 // ---- gate integration ----
@@ -318,22 +322,19 @@ mod tests {
         let f: PersistentFilterRef = Arc::new(AclWriteFilter::new(
             Acl::new().grant("alice", &[Right::Write]),
         ));
-        let s = serialize_filter(&f);
+        let s = filter_text(&f).unwrap();
         assert_eq!(s, "AclWriteFilter{acl=alice:w}");
-        let g = deserialize_filter(&s).unwrap();
+        let g = revive_filter(&s).unwrap();
         assert!(g.check_write("/x", &ctx("alice")).is_ok());
         assert!(g.check_write("/x", &ctx("bob")).is_err());
     }
 
     #[test]
     fn unknown_class_rejected() {
-        assert!(deserialize_filter("Nope{}").is_err());
-        assert!(deserialize_filter("Nope").is_err());
-        assert!(
-            deserialize_filter("AclWriteFilter{}").is_err(),
-            "missing acl"
-        );
-        assert!(deserialize_filter("AclWriteFilter{acl=???}").is_err());
+        assert!(revive_filter("Nope{}").is_err());
+        assert!(revive_filter("Nope").is_err());
+        assert!(revive_filter("AclWriteFilter{}").is_err(), "missing acl");
+        assert!(revive_filter("AclWriteFilter{acl=???}").is_err());
     }
 
     #[test]
@@ -354,7 +355,7 @@ mod tests {
         register_filter_class("DenyAllTestFilter", |_| {
             Ok(Arc::new(DenyAll) as PersistentFilterRef)
         });
-        let f = deserialize_filter("DenyAllTestFilter{}").unwrap();
+        let f = revive_filter("DenyAllTestFilter{}").unwrap();
         assert!(f.check_write("/anything", &ctx("root")).is_err());
         assert_eq!(DirOp::Create.to_string(), "create");
     }

@@ -2,7 +2,8 @@
 //! with the host): heap allocations on the hit, miss and reused-allow
 //! paths, VM instructions dispatched, verdicts reused, chunks compiled,
 //! and acquisitions of the process-wide plan-table lock. Beside it, the
-//! allocations of a warm `html_escape`, of which its marker makes none.
+//! allocations of a warm `html_escape`, of which its marker makes none,
+//! and of a warm spans codec, both ways.
 //!
 //! In a process of their own: the counting allocator is the process's
 //! allocator, and the compile and lock counters are global. Allocations
@@ -13,7 +14,10 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use resin::core::{Context, GateKind, HtmlSanitized, Label, Policy, PolicyRef, TaintedString};
+use resin::core::{
+    deserialize_spans, serialize_spans, Context, GateKind, HtmlSanitized, Label, PasswordPolicy,
+    Policy, PolicyRef, TaintedString, UntrustedData,
+};
 use resin::lang::ast::{ClassDecl, StmtKind};
 use resin::lang::check::{plan_table_locks, verdicts_reused};
 use resin::lang::vm::dispatched_ops;
@@ -305,4 +309,42 @@ fn a_warm_escape_allocates_only_its_output() {
     // doubling to two spans per metacharacter: 9 a call. Interning the
     // marker afresh cost 3 more (the policy, its key's name, the id list).
     assert_eq!(n, 1000 * 9, "1 000 warm escapes");
+}
+
+#[test]
+fn a_warm_spans_codec_allocates_a_fixed_count() {
+    // `forum_read` revives one spans blob a cell, `forum_write` writes one
+    // a post: three spans over two policies, one span holding both.
+    let form: PolicyRef = Arc::new(UntrustedData::from_source("http_param"));
+    let secret: PolicyRef = Arc::new(PasswordPolicy::new("owner@conf.org"));
+    let mut data = TaintedString::from("alpha beta gamma");
+    data.add_policy_range(0..5, form.clone());
+    data.add_policy_range(6..10, form);
+    data.add_policy_range(6..10, secret.clone());
+    data.add_policy_range(11..16, secret);
+    let blob = serialize_spans(&data);
+    assert_eq!(
+        blob,
+        "#UntrustedData{source=http_param},PasswordPolicy{email=owner@conf.org;allow_chair=true}\
+         #0..5|0;6..10|0,1;11..16|1"
+    );
+    assert!(deserialize_spans(data.as_str(), &blob)
+        .unwrap()
+        .taint_eq(&data));
+
+    let n = allocations(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(serialize_spans(std::hint::black_box(&data)));
+        }
+    });
+    // The table's two entries and the id list, the spans text as it grows
+    // (three times here), the blob sized up front.
+    assert_eq!(n, 1000 * 6, "1 000 warm serializations");
+    let n = allocations(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(deserialize_spans(data.as_str(), &blob).unwrap());
+        }
+    });
+    // The text, the table's labels, the span list.
+    assert_eq!(n, 1000 * 3, "1 000 warm revivals");
 }
