@@ -3,9 +3,11 @@
 //! A policy that can never deny, never runs its deny branch, loops
 //! forever, or calls code that does not exist defeats the data-flow
 //! assertion it implements — and unlike application code, policy code
-//! runs inside the gate with no one watching. The linter turns the
-//! [`super::cfg`]/[`super::dataflow`] machinery toward those bugs and
-//! reports them as coded diagnostics:
+//! runs inside the gate with no one watching. The linter reads the
+//! bytecode a crossing runs — the chunks of the class's check plan
+//! ([`crate::check`]), compiled once at registration — through
+//! the basic blocks of `analysis::graph`, and reports those bugs as coded
+//! diagnostics, each line from the chunk's line table:
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
@@ -14,34 +16,34 @@
 //! | RL003 | error    | call to a method the class does not define |
 //! | RL004 | error    | a `throw` (deny branch) that can never execute |
 //! | RL005 | error    | a loop that provably never exits (back-jump budget exceeded) |
-//! | RL006 | warning  | dead statements after `throw`/`return` (bytecode-level, lines from the chunk line table) |
+//! | RL006 | warning  | dead statements: after `throw`/`return`, behind a constant guard, after a loop that never exits |
 //! | RL007 | error    | read of a variable never assigned in the method (the check evaluator has no globals) |
 //! | RL008 | warning  | method ignores all its parameters and returns a constant (label-laundering smell) |
 //! | RL009 | warning  | field read by the check but written by no method |
 //! | RL010 | warning  | variable may be read before assignment on some path |
 //!
-//! Error-severity diagnostics fail closed at class-registration and
-//! policy-revival time; warnings accumulate on the interpreter's
-//! [`LintReport`] list for the application to surface.
+//! Error-severity diagnostics fail a class closed at registration, which
+//! then registers no reviver for its persisted instances; warnings
+//! accumulate on the interpreter's [`LintReport`] list for the
+//! application to surface.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::ast::{ClassDecl, Expr, FnDecl, Stmt, StmtKind, Target};
-use crate::chunk::Op;
-use crate::compiler::compile_function;
+use crate::ast::{ClassDecl, Stmt, StmtKind};
+use crate::check::{plan_for, ClassPlan};
+use crate::chunk::{Chunk, Op, Src};
 use crate::parser::parse_program;
 
-use super::cfg::{const_truth, Cfg, Term};
-use super::dataflow::{forward, Analysis, DefiniteAssignment};
+use super::graph::Graph;
 
 /// How bad a diagnostic is. Errors fail closed at load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but legal; surfaced, never fatal.
     Warning,
-    /// Unsound policy code; registration and revival refuse it.
+    /// Unsound policy code; registration refuses it.
     Error,
 }
 
@@ -118,77 +120,79 @@ impl LintReport {
 
 /// Lints one policy class. For a class without `export_check` the report
 /// is empty (it is not a policy; nothing enforces on it).
-pub fn lint_class(class: &ClassDecl) -> LintReport {
+pub fn lint_class(class: &Arc<ClassDecl>) -> LintReport {
     let mut diags = Vec::new();
-    if class.method("export_check").is_none() {
+    let Some(entry) = class.methods.iter().position(|m| m.name == "export_check") else {
         return LintReport {
             class_name: class.name.clone(),
             diagnostics: diags,
         };
-    }
-    let (missing, reads) = live_calls_and_reads(class);
+    };
+    let plan = plan_for(class);
+    let methods: Vec<Option<Method>> = (0..class.methods.len())
+        .map(|i| Method::of(&plan, i))
+        .collect();
 
-    // RL003: calls to undefined methods.
+    // RL003: calls to undefined methods, from what a run can reach.
+    let (live, missing) = reach(class, &methods, entry, true);
     for m in &missing {
-        diags.push(Diagnostic {
-            code: "RL003",
-            severity: Severity::Error,
-            method: String::new(),
-            line: None,
-            message: format!("call to undefined method `{m}`"),
-        });
+        diags.push(diag(
+            "RL003",
+            Severity::Error,
+            "",
+            None,
+            format!("call to undefined method `{m}`"),
+        ));
     }
 
     // RL009: fields the check reads but no method ever writes.
-    let written = fields_written_anywhere(class);
+    let reads: BTreeSet<&str> = live.iter().flat_map(|m| m.field_reads()).collect();
+    let written: BTreeSet<&str> = methods
+        .iter()
+        .flatten()
+        .flat_map(|m| m.fields_set_on_this())
+        .collect();
     for f in reads.difference(&written) {
-        diags.push(Diagnostic {
-            code: "RL009",
-            severity: Severity::Warning,
-            method: String::new(),
-            line: None,
-            message: format!(
+        diags.push(diag(
+            "RL009",
+            Severity::Warning,
+            "",
+            None,
+            format!(
                 "field `{f}` is read by the check but written by no method; \
                  instances missing it fail every crossing"
             ),
-        });
+        ));
     }
 
     // The per-method lints cover every method a call names, live or dead.
-    let (reachable, _) = reach(class, |method| {
-        let mut calls = Vec::new();
-        for stmt in &method.body {
-            walk_stmt_tree(stmt, &mut |s| {
-                walk_stmt_exprs(s, &mut |e| calls.extend(called(class, e)))
-            });
-        }
-        calls
-    });
-    let mut any_reachable_throw = false;
-    let mut check_completes = false;
-    for method in reachable {
-        let (throws, completes) = lint_method(&method.name, method, &mut diags);
+    let (reached, _) = reach(class, &methods, entry, false);
+    let (mut any_reachable_throw, mut check_completes) = (false, false);
+    for method in reached {
+        let (throws, completes) = method.lint(&mut diags);
         any_reachable_throw |= throws;
-        check_completes |= completes && method.name == "export_check";
+        check_completes |= completes && method.name() == "export_check";
     }
 
     // RL001 / RL002: the check's outcome is a foregone conclusion.
     if !any_reachable_throw {
-        diags.push(Diagnostic {
-            code: "RL001",
-            severity: Severity::Warning,
-            method: "export_check".into(),
-            line: None,
-            message: "no reachable `throw`: the check allows every crossing".into(),
-        });
+        let message = "no reachable `throw`: the check allows every crossing";
+        diags.push(diag(
+            "RL001",
+            Severity::Warning,
+            "export_check",
+            None,
+            message.into(),
+        ));
     } else if !check_completes {
-        diags.push(Diagnostic {
-            code: "RL002",
-            severity: Severity::Warning,
-            method: "export_check".into(),
-            line: None,
-            message: "no path completes without `throw`: the check denies every crossing".into(),
-        });
+        let message = "no path completes without `throw`: the check denies every crossing";
+        diags.push(diag(
+            "RL002",
+            Severity::Warning,
+            "export_check",
+            None,
+            message.into(),
+        ));
     }
 
     diags.sort_by_key(|d| (std::cmp::Reverse(d.severity), d.code, d.line));
@@ -198,499 +202,464 @@ pub fn lint_class(class: &ClassDecl) -> LintReport {
     }
 }
 
-/// Lints one method; returns whether it has a reachable `throw` and
-/// whether a reachable path completes without one.
-fn lint_method(name: &str, method: &FnDecl, diags: &mut Vec<Diagnostic>) -> (bool, bool) {
-    let cfg = Cfg::build(&method.body);
-    let reach = cfg.reachable();
-
-    // RL004: a deny branch that can never fire — a `throw` in a block
-    // unreachable from entry (constant-false guard or code past an
-    // unconditional exit).
-    let (mut throws, mut completes) = (false, false);
-    for (block, reached) in cfg.blocks.iter().zip(&reach) {
-        match (&block.term, reached) {
-            (Term::Throw { line, .. }, false) => diags.push(Diagnostic {
-                code: "RL004",
-                severity: Severity::Error,
-                method: name.to_string(),
-                line: Some(*line),
-                message: "`throw` can never execute: this deny branch is unreachable".into(),
-            }),
-            (Term::Throw { .. }, true) => throws = true,
-            (Term::Return { .. } | Term::Exit, true) => completes = true,
-            _ => {}
-        }
+fn diag(
+    code: &'static str,
+    severity: Severity,
+    method: &str,
+    line: Option<u32>,
+    message: String,
+) -> Diagnostic {
+    Diagnostic {
+        code,
+        severity,
+        method: method.to_string(),
+        line,
+        message,
     }
-
-    // RL005: a loop whose guard is constant-true and whose body can
-    // neither `return`/`throw` nor call a method that could. Builtin
-    // calls cannot raise script exceptions, so the loop can only end in
-    // a runtime error or by exhausting the back-jump budget.
-    for (id, block) in cfg.blocks.iter().enumerate() {
-        if !reach[id] {
-            continue;
-        }
-        let Term::Branch {
-            cond,
-            line,
-            then_to,
-            is_loop: true,
-            ..
-        } = &block.term
-        else {
-            continue;
-        };
-        if const_truth(cond) != Some(true) {
-            continue;
-        }
-        let body = cfg.reachable_from(*then_to);
-        let mut escapes = false;
-        for (bid, b) in cfg.blocks.iter().enumerate() {
-            if !body[bid] || bid == id {
-                continue;
-            }
-            let mut has_call = false;
-            {
-                let mut flag_calls = |e: &Expr| {
-                    walk_expr(e, &mut |e| {
-                        if matches!(e, Expr::MethodCall { .. } | Expr::New { .. }) {
-                            has_call = true;
-                        }
-                    });
-                };
-                if let Term::Branch { cond, .. } = &b.term {
-                    flag_calls(cond);
-                }
-                for stmt in &b.stmts {
-                    walk_stmt_exprs(stmt, &mut flag_calls);
-                }
-            }
-            if has_call || matches!(b.term, Term::Return { .. } | Term::Throw { .. }) {
-                escapes = true;
-            }
-        }
-        if !escapes {
-            diags.push(Diagnostic {
-                code: "RL005",
-                severity: Severity::Error,
-                method: name.to_string(),
-                line: Some(*line),
-                message: "loop guard is constantly true and the body never exits: \
-                          the back-jump budget is provably exceeded"
-                    .into(),
-            });
-        }
-    }
-
-    // RL007 / RL010: variable reads the check evaluator cannot satisfy.
-    lint_variable_reads(&cfg, name, method, diags);
-
-    // RL008: the method ignores every parameter and returns a constant —
-    // a sanitizer-shaped helper that launders labels by construction.
-    if name != "export_check" && !method.params.is_empty() {
-        let mut param_read = false;
-        let mut const_return_line = None;
-        for stmt in &method.body {
-            walk_stmt_tree(stmt, &mut |s| {
-                if let StmtKind::Return(Some(e)) = &s.kind {
-                    if is_const_expr(e) && const_return_line.is_none() {
-                        const_return_line = Some(s.line);
-                    }
-                }
-                walk_stmt_exprs(s, &mut |e| {
-                    if let Expr::Var(v) = e {
-                        if method.params.iter().any(|p| p == v) {
-                            param_read = true;
-                        }
-                    }
-                });
-            });
-        }
-        if !param_read {
-            if let Some(line) = const_return_line {
-                diags.push(Diagnostic {
-                    code: "RL008",
-                    severity: Severity::Warning,
-                    method: name.to_string(),
-                    line: Some(line),
-                    message: "returns a constant while ignoring every parameter: \
-                              the result carries no label from its inputs"
-                        .into(),
-                });
-            }
-        }
-    }
-
-    // RL006: dead code at the bytecode level. The compiled chunk's line
-    // table attributes each dead instruction to its source line; compiler
-    // artifacts (the implicit-return epilogue, rejoin jumps after an arm
-    // that returned) are skipped so only source statements report.
-    if let Ok(chunk) = compile_function(method, None) {
-        let targets: BTreeSet<usize> = chunk
-            .code
-            .iter()
-            .filter_map(|op| op.jump_target())
-            .collect();
-        let mut live = true;
-        let mut reported = BTreeSet::new();
-        for (ip, op) in chunk.code.iter().enumerate() {
-            if targets.contains(&ip) {
-                live = true;
-            }
-            // (A loop's back-edge is a jump whatever its form.)
-            let artifact = match op {
-                Op::Jump(_) | Op::Return { .. } => true,
-                op => op.jump_target().is_some_and(|t| t <= ip),
-            };
-            if !live && !artifact {
-                if let Some(line) = chunk.line_of(ip) {
-                    if reported.insert(line) {
-                        diags.push(Diagnostic {
-                            code: "RL006",
-                            severity: Severity::Warning,
-                            method: name.to_string(),
-                            line: Some(line),
-                            message: "statement is unreachable (dead code after \
-                                      `return`/`throw`)"
-                                .into(),
-                        });
-                    }
-                }
-            }
-            if matches!(op, Op::Jump(_) | Op::Return { .. } | Op::Throw { .. }) {
-                live = false;
-            }
-        }
-    }
-    (throws, completes)
-}
-
-/// RL007 (never assigned: guaranteed `undefined variable` error) and
-/// RL010 (assigned somewhere, but not on every path reaching a read).
-fn lint_variable_reads(cfg: &Cfg<'_>, name: &str, method: &FnDecl, diags: &mut Vec<Diagnostic>) {
-    let mut assigned_anywhere: BTreeSet<String> = method.params.iter().cloned().collect();
-    for stmt in &method.body {
-        walk_stmt_tree(stmt, &mut |s| match &s.kind {
-            StmtKind::Let(n, _) | StmtKind::Assign(Target::Var(n), _) => {
-                assigned_anywhere.insert(n.clone());
-            }
-            _ => {}
-        });
-    }
-
-    let mut analysis = DefiniteAssignment {
-        params: method.params.clone(),
-    };
-    let entry_facts = forward(cfg, &mut analysis);
-    let mut reported: BTreeSet<(String, u32)> = BTreeSet::new();
-    for (id, fact) in entry_facts.iter().enumerate() {
-        let Some(fact) = fact else { continue };
-        let mut fact = fact.clone();
-        let mut check = |e: &Expr, line: u32, fact: &BTreeSet<String>| {
-            let mut reads = Vec::new();
-            walk_expr(e, &mut |e| {
-                if let Expr::Var(v) = e {
-                    reads.push(v.clone());
-                }
-            });
-            for v in reads {
-                if fact.contains(&v) || !reported.insert((v.clone(), line)) {
-                    continue;
-                }
-                if assigned_anywhere.contains(&v) {
-                    diags.push(Diagnostic {
-                        code: "RL010",
-                        severity: Severity::Warning,
-                        method: name.to_string(),
-                        line: Some(line),
-                        message: format!("`{v}` may be read before it is assigned"),
-                    });
-                } else {
-                    diags.push(Diagnostic {
-                        code: "RL007",
-                        severity: Severity::Error,
-                        method: name.to_string(),
-                        line: Some(line),
-                        message: format!(
-                            "`{v}` is never assigned in this method; the check \
-                             evaluator has no globals to fall back to"
-                        ),
-                    });
-                }
-            }
-        };
-        for stmt in &cfg.blocks[id].stmts {
-            match &stmt.kind {
-                StmtKind::Let(n, e) => {
-                    check(e, stmt.line, &fact);
-                    fact.insert(n.clone());
-                }
-                StmtKind::Assign(Target::Var(n), e) => {
-                    check(e, stmt.line, &fact);
-                    fact.insert(n.clone());
-                }
-                StmtKind::Assign(Target::Prop(recv, _), e)
-                | StmtKind::Assign(Target::Index(recv, _), e) => {
-                    check(e, stmt.line, &fact);
-                    check(recv, stmt.line, &fact);
-                    if let StmtKind::Assign(Target::Index(_, idx), _) = &stmt.kind {
-                        check(idx, stmt.line, &fact);
-                    }
-                }
-                StmtKind::Expr(e) => check(e, stmt.line, &fact),
-                _ => {}
-            }
-        }
-        match &cfg.blocks[id].term {
-            Term::Branch { cond, line, .. } => check(cond, *line, &fact),
-            Term::Return {
-                value: Some(e),
-                line,
-            }
-            | Term::Throw { value: e, line } => check(e, *line, &fact),
-            _ => {}
-        }
-    }
-}
-
-/// What a run of the check can reach, from the CFG-reachable blocks of
-/// `export_check` and of every method those blocks call: the methods
-/// called that the class does not define, and the fields read off `this`
-/// or a local that may hold it.
-fn live_calls_and_reads(class: &ClassDecl) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut reads = BTreeSet::new();
-    let (_, missing) = reach(class, |method| {
-        let mut calls = Vec::new();
-        let mut visit = |e: &Expr, aliases: &BTreeSet<String>| {
-            walk_expr(e, &mut |e| match e {
-                Expr::Prop(recv, f) if holds_this(recv, aliases) => {
-                    reads.insert(f.clone());
-                }
-                _ => calls.extend(called(class, e)),
-            })
-        };
-        let cfg = Cfg::build(&method.body);
-        for (block, fact) in cfg.blocks.iter().zip(forward(&cfg, &mut ThisAliases)) {
-            let Some(mut aliases) = fact else { continue };
-            for stmt in &block.stmts {
-                walk_stmt_exprs(stmt, &mut |e| visit(e, &aliases));
-                ThisAliases.transfer_stmt(stmt, &mut aliases);
-            }
-            if let Term::Branch { cond: e, .. }
-            | Term::Return { value: Some(e), .. }
-            | Term::Throw { value: e, .. } = &block.term
-            {
-                visit(e, &aliases);
-            }
-        }
-        calls
-    });
-    (missing, reads)
 }
 
 /// The methods reachable from `export_check`, in visit order, following
-/// the calls `calls_of` finds in each; and the names called that the class
-/// does not define.
-fn reach<'c>(
-    class: &'c ClassDecl,
-    mut calls_of: impl FnMut(&'c FnDecl) -> Vec<String>,
-) -> (Vec<&'c Arc<FnDecl>>, BTreeSet<String>) {
+/// the calls of each (only those its entry can reach, when `live`); and
+/// the names called that the class does not define.
+fn reach<'m>(
+    class: &ClassDecl,
+    methods: &'m [Option<Method<'m>>],
+    entry: usize,
+    live: bool,
+) -> (Vec<&'m Method<'m>>, BTreeSet<String>) {
     let (mut reached, mut missing) = (Vec::new(), BTreeSet::new());
     let mut seen = BTreeSet::from(["export_check".to_string()]);
-    let mut queue = vec!["export_check".to_string()];
-    while let Some(name) = queue.pop() {
-        let Some(method) = class.method(&name) else {
-            missing.insert(name);
+    let mut queue = vec![Ok(entry)];
+    while let Some(callee) = queue.pop() {
+        let index = match callee {
+            Ok(index) => index,
+            Err(name) => {
+                missing.insert(name);
+                continue;
+            }
+        };
+        // (A method that does not compile has no code to lint.)
+        let Some(method) = &methods[index] else {
             continue;
         };
         reached.push(method);
-        let unseen = calls_of(method)
-            .into_iter()
-            .filter(|m| seen.insert(m.clone()));
+        let unseen = method.calls(class, live).filter(|callee| {
+            let name = match callee {
+                Ok(i) => class.methods[*i].name.clone(),
+                Err(name) => name.clone(),
+            };
+            seen.insert(name)
+        });
         queue.extend(unseen);
     }
     (reached, missing)
 }
 
-/// The method `e` calls: `m` for `x.m(...)` (the only objects are `this`
-/// and new instances of its class), `init` for `new` of the class itself.
-fn called(class: &ClassDecl, e: &Expr) -> Option<String> {
-    match e {
-        Expr::MethodCall { method, .. } => Some(method.clone()),
-        Expr::New { class: c, .. } if *c == class.name => Some("init".into()),
-        _ => None,
-    }
+/// One method's chunk, from the class's check plan, and its graph.
+struct Method<'p> {
+    chunk: &'p Chunk,
+    graph: Graph,
+    /// Per instruction: reachable from the method's entry.
+    live: Vec<bool>,
 }
 
-fn holds_this(e: &Expr, aliases: &BTreeSet<String>) -> bool {
-    match e {
-        Expr::This => true,
-        Expr::Var(v) => aliases.contains(v),
-        _ => false,
-    }
-}
-
-/// The locals that may hold `this` (join = union), so that `let t = this;
-/// t.f` reads `f`.
-struct ThisAliases;
-
-impl<'a> Analysis<'a> for ThisAliases {
-    type Fact = BTreeSet<String>;
-
-    fn entry_fact(&self) -> Self::Fact {
-        BTreeSet::new()
+impl<'p> Method<'p> {
+    fn of(plan: &'p ClassPlan, index: usize) -> Option<Method<'p>> {
+        let chunk = &**plan.chunk(index).ok()?;
+        let graph = Graph::of(chunk);
+        let live = graph.live_ops();
+        Some(Method { chunk, graph, live })
     }
 
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
-        let before = into.len();
-        into.extend(other.iter().cloned());
-        into.len() != before
+    fn name(&self) -> &str {
+        &self.chunk.name
     }
 
-    fn transfer_stmt(&mut self, stmt: &'a Stmt, fact: &mut Self::Fact) {
-        if let StmtKind::Let(n, e) | StmtKind::Assign(Target::Var(n), e) = &stmt.kind {
-            if holds_this(e, fact) {
-                fact.insert(n.clone());
-            } else {
-                fact.remove(n);
+    fn line(&self, ip: usize) -> Option<u32> {
+        self.chunk.line_of(ip)
+    }
+
+    fn named_slots(&self) -> usize {
+        self.chunk.slot_names.len()
+    }
+
+    /// The method each call instruction names, by index among the class's
+    /// methods, or by name when the class has none of that name: `m` for
+    /// `x.m(...)` (the only objects are `this` and new instances of its
+    /// class), `init` for `new` of the class itself.
+    fn calls<'a>(
+        &'a self,
+        class: &'a ClassDecl,
+        live: bool,
+    ) -> impl Iterator<Item = Result<usize, String>> + 'a {
+        let names = &self.chunk.names;
+        self.chunk
+            .code
+            .iter()
+            .zip(&self.live)
+            .filter(move |(_, reached)| **reached || !live)
+            .filter_map(move |(op, _)| match *op {
+                Op::Method { index, name, .. } if index == Op::UNRESOLVED => {
+                    Some(Err(names[name as usize].to_string()))
+                }
+                Op::Method { index, .. } => Some(Ok(index as usize)),
+                Op::New { class: c, .. } if *names[c as usize] == *class.name => Some(
+                    class
+                        .methods
+                        .iter()
+                        .position(|m| m.name == "init")
+                        .ok_or_else(|| "init".to_string()),
+                ),
+                _ => None,
+            })
+    }
+
+    /// The fields reachable code reads off `this` or a local that may hold
+    /// it (so `let t = this; t.f` reads `f`).
+    fn field_reads(&self) -> Vec<&'p str> {
+        let named = self.named_slots();
+        let holds_this = |src: Src, aliases: &[bool]| match src.decode() {
+            Ok(slot) => slot == 0 || (slot < named && aliases[slot]),
+            Err(_) => false,
+        };
+        let step = |op: Op, aliases: &mut Vec<bool>| {
+            if let Some(dst) = op.dest().map(usize::from).filter(|&d| d < named) {
+                aliases[dst] = matches!(op, Op::Move { src, .. } | Op::Assign { src, .. }
+                    if holds_this(src, aliases));
             }
-        }
-    }
-}
-
-/// Every field any method of the class assigns via `this.f = ...`.
-fn fields_written_anywhere(class: &ClassDecl) -> BTreeSet<String> {
-    let mut written = BTreeSet::new();
-    for method in &class.methods {
-        for stmt in &method.body {
-            walk_stmt_tree(stmt, &mut |s| {
-                if let StmtKind::Assign(Target::Prop(recv, f), _) = &s.kind {
-                    if matches!(recv, Expr::This) {
-                        written.insert(f.clone());
+        };
+        let facts = self.graph.forward(
+            self.chunk,
+            vec![false; named],
+            |into, from| union(into, from),
+            |_, op, aliases| step(op, aliases),
+        );
+        let mut reads = Vec::new();
+        for (block, fact) in self.graph.blocks.iter().zip(facts) {
+            let Some(mut aliases) = fact else { continue };
+            for &op in &self.chunk.code[block.start..block.end] {
+                if let Op::GetProp { obj, name, .. } = op {
+                    if holds_this(obj, &aliases) {
+                        reads.push(&*self.chunk.names[name as usize]);
                     }
                 }
-            });
-        }
-    }
-    written
-}
-
-// ---- AST walking helpers ----
-
-/// Visits `stmt` and every statement nested inside it.
-fn walk_stmt_tree(stmt: &Stmt, f: &mut dyn FnMut(&Stmt)) {
-    f(stmt);
-    match &stmt.kind {
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => {
-            for s in then_body.iter().chain(else_body) {
-                walk_stmt_tree(s, f);
+                step(op, &mut aliases);
             }
         }
-        StmtKind::While { body, .. } => {
-            for s in body {
-                walk_stmt_tree(s, f);
-            }
-        }
-        _ => {}
+        reads
     }
-}
 
-/// Visits every expression directly inside one statement (not nested
-/// statements — pair with [`walk_stmt_tree`] for those).
-fn walk_stmt_exprs(stmt: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    match &stmt.kind {
-        StmtKind::Let(_, e) | StmtKind::Expr(e) | StmtKind::Throw(e) => walk_expr(e, f),
-        StmtKind::Assign(target, e) => {
-            walk_expr(e, f);
-            match target {
-                Target::Var(_) => {}
-                Target::Prop(recv, _) => walk_expr(recv, f),
-                Target::Index(recv, idx) => {
-                    walk_expr(recv, f);
-                    walk_expr(idx, f);
+    /// Every field the method assigns as `this.f = ...`, live or dead.
+    fn fields_set_on_this(&self) -> Vec<&'p str> {
+        let chunk = self.chunk;
+        chunk
+            .code
+            .iter()
+            .filter_map(|op| match *op {
+                Op::SetProp { obj, name, .. } if obj == Src::slot(0) => {
+                    Some(&*chunk.names[name as usize])
                 }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Lints the method; returns whether it has a reachable `throw` and
+    /// whether a reachable path completes without one.
+    fn lint(&self, diags: &mut Vec<Diagnostic>) -> (bool, bool) {
+        // RL004: a deny branch that can never fire — a `throw` the entry
+        // cannot reach (behind a constant guard, or past an exit).
+        let (mut throws, mut completes) = (false, false);
+        for (ip, op) in self.chunk.code.iter().enumerate() {
+            match (op, self.live[ip]) {
+                (Op::Throw { .. }, false) => diags.push(diag(
+                    "RL004",
+                    Severity::Error,
+                    self.name(),
+                    self.line(ip),
+                    "`throw` can never execute: this deny branch is unreachable".into(),
+                )),
+                (Op::Throw { .. }, true) => throws = true,
+                (Op::Return { .. }, true) => completes = true,
+                _ => {}
             }
         }
-        StmtKind::If { cond, .. } => walk_expr(cond, f),
-        StmtKind::While { cond, .. } => walk_expr(cond, f),
-        StmtKind::Return(Some(e)) => walk_expr(e, f),
-        StmtKind::Return(None) | StmtKind::FnDef(_) | StmtKind::ClassDef(_) => {}
+        self.lint_loops(diags);
+        self.lint_variable_reads(diags);
+        self.lint_constant_return(diags);
+        self.lint_dead_statements(diags);
+        (throws, completes)
+    }
+
+    /// RL005: a reachable loop that no jump leaves (its guard folded to
+    /// nothing: constantly true) and whose body can neither `return`,
+    /// `throw` nor call a method that could. Builtin calls cannot raise
+    /// script exceptions, so the loop can only end in a runtime error or
+    /// by exhausting the back-jump budget.
+    fn lint_loops(&self, diags: &mut Vec<Diagnostic>) {
+        let code = &self.chunk.code;
+        for (back, op) in code.iter().enumerate() {
+            let Op::Jump(top) = *op else { continue };
+            let top = top as usize;
+            let body = top..=back;
+            let leaves = |op: &Op| op.jump_target().is_some_and(|t| !body.contains(&t));
+            if top > back || code[top..=back].iter().any(leaves) {
+                continue;
+            }
+            let header = self.graph.block_of(top);
+            if !self.graph.reachable[header] {
+                continue;
+            }
+            let runs = self.graph.reachable_from(header);
+            let escapes = self.graph.blocks.iter().zip(&runs).any(|(block, runs)| {
+                *runs
+                    && code[block.start..block.end].iter().any(|op| {
+                        matches!(
+                            op,
+                            Op::Return { .. }
+                                | Op::Throw { .. }
+                                | Op::Method { .. }
+                                | Op::New { .. }
+                        )
+                    })
+            });
+            if !escapes {
+                diags.push(diag(
+                    "RL005",
+                    Severity::Error,
+                    self.name(),
+                    self.line(back),
+                    "loop guard is constantly true and the body never exits: \
+                     the back-jump budget is provably exceeded"
+                        .into(),
+                ));
+            }
+        }
+    }
+
+    /// RL007 (a read of a name that is no local: the check evaluator has no
+    /// globals, so it always fails) and RL010 (a read of a local that is
+    /// not bound on every path reaching it).
+    fn lint_variable_reads(&self, diags: &mut Vec<Diagnostic>) {
+        let named = self.named_slots();
+        let bind = |op: Op, bound: &mut Vec<bool>| {
+            if let Some(dst) = op.dest().map(usize::from).filter(|&d| d < named) {
+                bound[dst] = true;
+            }
+        };
+        let mut entry = vec![false; named];
+        entry[..=self.chunk.arity].fill(true);
+        let facts = self.graph.forward(
+            self.chunk,
+            entry,
+            |into, from| intersection(into, from),
+            |_, op, bound| bind(op, bound),
+        );
+        let mut reported = BTreeSet::new();
+        for (block, fact) in self.graph.blocks.iter().zip(facts) {
+            let Some(mut bound) = fact else { continue };
+            for ip in block.start..block.end {
+                let op = self.chunk.code[ip];
+                let line = self.line(ip);
+                if let Op::LoadGlobal { name, .. } = op {
+                    let v = &self.chunk.names[name as usize];
+                    if reported.insert((v.clone(), line)) {
+                        diags.push(diag(
+                            "RL007",
+                            Severity::Error,
+                            self.name(),
+                            line,
+                            format!(
+                                "`{v}` is never assigned in this method; the check \
+                                 evaluator has no globals to fall back to"
+                            ),
+                        ));
+                    }
+                }
+                for src in op.sources().into_iter().flatten() {
+                    let Ok(slot) = src.decode() else { continue };
+                    if slot >= named || bound[slot] {
+                        continue;
+                    }
+                    let v = &self.chunk.slot_names[slot];
+                    if reported.insert((v.clone(), line)) {
+                        diags.push(diag(
+                            "RL010",
+                            Severity::Warning,
+                            self.name(),
+                            line,
+                            format!("`{v}` may be read before it is assigned"),
+                        ));
+                    }
+                }
+                bind(op, &mut bound);
+            }
+        }
+    }
+
+    /// RL008: the method reads none of its parameters and returns a
+    /// constant — a sanitizer-shaped helper that launders labels by
+    /// construction.
+    fn lint_constant_return(&self, diags: &mut Vec<Diagnostic>) {
+        let (chunk, arity) = (self.chunk, self.chunk.arity);
+        if self.name() == "export_check" || arity == 0 {
+            return;
+        }
+        let param = |src: Src| matches!(src.decode(), Ok(slot) if (1..=arity).contains(&slot));
+        if chunk
+            .code
+            .iter()
+            .any(|op| op.sources().into_iter().flatten().any(param))
+        {
+            return;
+        }
+        // (The last instruction is the implicit `return null`.)
+        let epilogue = chunk.code.len() - 1;
+        let constant = (0..epilogue).find(|&ip| {
+            matches!(chunk.code[ip], Op::Return { .. }) && self.computes_from_constants(ip)
+        });
+        if let Some(ip) = constant {
+            diags.push(diag(
+                "RL008",
+                Severity::Warning,
+                self.name(),
+                self.line(ip),
+                "returns a constant while ignoring every parameter: \
+                 the result carries no label from its inputs"
+                    .into(),
+            ));
+        }
+    }
+
+    /// True when the statement whose code ends at `end` — it starts at its
+    /// line-table entry — only computes from literals: every operand is a
+    /// constant or a temporary, and nothing is loaded, called or indexed.
+    fn computes_from_constants(&self, end: usize) -> bool {
+        let lines = &self.chunk.lines;
+        let start = lines[lines.partition_point(|&(at, _)| at as usize <= end) - 1].0 as usize;
+        let named = self.named_slots();
+        self.chunk.code[start..=end].iter().all(|op| {
+            let computes = matches!(
+                op,
+                Op::Move { .. }
+                    | Op::MakeArray { .. }
+                    | Op::Not { .. }
+                    | Op::Neg { .. }
+                    | Op::Add { .. }
+                    | Op::Sub { .. }
+                    | Op::Mul { .. }
+                    | Op::Div { .. }
+                    | Op::Mod { .. }
+                    | Op::Cmp { .. }
+                    | Op::CmpJump { .. }
+                    | Op::Jump(_)
+                    | Op::JumpIf { .. }
+                    | Op::Return { .. }
+            );
+            let from_constants = |src: Src| src.decode().map_or(true, |slot| slot >= named);
+            computes && op.sources().into_iter().flatten().all(from_constants)
+        })
+    }
+
+    /// RL006: statements the entry cannot reach, one finding per line.
+    /// Compiler artifacts — the implicit return, the jump that rejoins
+    /// after an arm, a loop's back-edge — are skipped, so that only source
+    /// statements report.
+    fn lint_dead_statements(&self, diags: &mut Vec<Diagnostic>) {
+        let mut reported = BTreeSet::new();
+        for (ip, op) in self.chunk.code.iter().enumerate() {
+            let artifact = match op {
+                Op::Jump(_) | Op::Return { .. } => true,
+                op => op.jump_target().is_some_and(|t| t <= ip),
+            };
+            if self.live[ip] || artifact {
+                continue;
+            }
+            if let Some(line) = self.line(ip).filter(|line| reported.insert(*line)) {
+                diags.push(diag(
+                    "RL006",
+                    Severity::Warning,
+                    self.name(),
+                    Some(line),
+                    "statement is unreachable (dead code after `return`/`throw`, \
+                     behind a constant guard or after a loop that never exits)"
+                        .into(),
+                ));
+            }
+        }
     }
 }
 
-/// Visits `e` and every subexpression.
-fn walk_expr(e: &Expr, f: &mut dyn FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Array(items) => items.iter().for_each(|e| walk_expr(e, f)),
-        Expr::Not(e) | Expr::Neg(e) => walk_expr(e, f),
-        Expr::Binary { left, right, .. } => {
-            walk_expr(left, f);
-            walk_expr(right, f);
-        }
-        Expr::Call { args, .. } | Expr::New { args, .. } => {
-            args.iter().for_each(|e| walk_expr(e, f))
-        }
-        Expr::MethodCall { recv, args, .. } => {
-            walk_expr(recv, f);
-            args.iter().for_each(|e| walk_expr(e, f));
-        }
-        Expr::Index(recv, idx) => {
-            walk_expr(recv, f);
-            walk_expr(idx, f);
-        }
-        Expr::Prop(recv, _) => walk_expr(recv, f),
-        _ => {}
+fn union(into: &mut [bool], from: &[bool]) -> bool {
+    let mut changed = false;
+    for (i, f) in into.iter_mut().zip(from) {
+        changed |= !*i && *f;
+        *i |= *f;
     }
+    changed
 }
 
-/// True for literal constants and pure compositions of them.
-fn is_const_expr(e: &Expr) -> bool {
-    match e {
-        Expr::Int(_) | Expr::Str(_) | Expr::Bool(_) | Expr::Null => true,
-        Expr::Not(e) | Expr::Neg(e) => is_const_expr(e),
-        Expr::Binary { left, right, .. } => is_const_expr(left) && is_const_expr(right),
-        Expr::Array(items) => items.iter().all(is_const_expr),
-        _ => false,
+fn intersection(into: &mut [bool], from: &[bool]) -> bool {
+    let mut changed = false;
+    for (i, f) in into.iter_mut().zip(from) {
+        changed |= *i && !*f;
+        *i &= *f;
     }
+    changed
 }
 
 // ---- source-level entry points (shared by `resin-lint` and tests) ----
 
 /// Lints every policy class (any class with `export_check`) found in an
-/// RSL source. A parse failure is itself a report with one error.
+/// RSL source, nested ones included. A parse failure is itself a report
+/// with one error.
 pub fn lint_source(src: &str) -> Vec<LintReport> {
     let stmts = match parse_program(src) {
         Ok(stmts) => stmts,
         Err(e) => {
             return vec![LintReport {
                 class_name: "<parse>".into(),
-                diagnostics: vec![Diagnostic {
-                    code: "RL000",
-                    severity: Severity::Error,
-                    method: String::new(),
-                    line: None,
-                    message: format!("parse error: {e}"),
-                }],
+                diagnostics: vec![diag(
+                    "RL000",
+                    Severity::Error,
+                    "",
+                    None,
+                    format!("parse error: {e}"),
+                )],
             }]
         }
     };
-    let mut reports = Vec::new();
-    for stmt in &stmts {
-        walk_stmt_tree(stmt, &mut |s| {
-            if let StmtKind::ClassDef(class) = &s.kind {
+    let mut classes = Vec::new();
+    policy_classes(&stmts, &mut classes);
+    classes.into_iter().map(lint_class).collect()
+}
+
+/// The policy classes `stmts` define, in source order, including those
+/// defined inside a branch, a loop, a function or a method.
+pub(crate) fn policy_classes<'s>(stmts: &'s [Stmt], out: &mut Vec<&'s Arc<ClassDecl>>) {
+    for stmt in stmts {
+        match &stmt.kind {
+            StmtKind::ClassDef(class) => {
                 if class.method("export_check").is_some() {
-                    reports.push(lint_class(class));
+                    out.push(class);
+                }
+                for method in &class.methods {
+                    policy_classes(&method.body, out);
                 }
             }
-        });
+            StmtKind::FnDef(decl) => policy_classes(&decl.body, out),
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                policy_classes(then_body, out);
+                policy_classes(else_body, out);
+            }
+            StmtKind::While { body, .. } => policy_classes(body, out),
+            _ => {}
+        }
     }
-    reports
 }
 
 /// Extracts candidate RSL snippets embedded in Rust source as raw string
@@ -887,7 +856,8 @@ mod tests {
 
     #[test]
     fn calls_and_field_reads_come_from_reachable_blocks_and_this_aliases() {
-        // A call in a dead block is never made, nor is what it would reach.
+        // A call in a dead block is never made, nor is what it would reach:
+        // the dead arms are dead code, and that is all.
         assert_eq!(
             codes(
                 r#"class Dead {
@@ -899,7 +869,7 @@ mod tests {
                      }
                    }"#
             ),
-            Vec::<&str>::new()
+            vec!["RL006"]
         );
         // A local holding `this` reads the field it names, and stops
         // doing so once reassigned.

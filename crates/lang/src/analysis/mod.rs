@@ -1,21 +1,20 @@
 //! Static analysis for RSL policy code (`resin-analyze`).
 //!
-//! Three layers, each building on the last:
+//! Everything here reads bytecode: the chunks of a class's check plan
+//! ([`crate::check`]), the same ones its crossings run.
 //!
-//! * [`mod@cfg`] — lowers method ASTs into basic-block control-flow graphs,
-//!   with constant-guard edge pruning and reachability;
-//! * [`dataflow`] — a small forward worklist framework over those CFGs;
-//! * [`lint`] — a policy linter with coded diagnostics (RL001–RL010).
-//!   Error-severity findings fail closed at class registration and
-//!   persisted-policy revival; warnings surface through the
-//!   interpreter's [`lint::LintReport`] accessors and the `resin-lint`
-//!   binary.
+//! * `graph` — splits a chunk into basic blocks at its jump targets and
+//!   after its jumps, returns and throws, with successors, reachability
+//!   and one small forward worklist over per-slot facts;
+//! * [`lint`] — a policy linter with coded diagnostics (RL001–RL010) over
+//!   those graphs. Error-severity findings fail a class closed at
+//!   registration; warnings surface through the interpreter's
+//!   [`lint::LintReport`] accessors and the `resin-lint` binary.
 //!
-//! The linter is the only client; the check caches' eligibility is
-//! [`crate::check`]'s bytecode certificate.
+//! The check caches' eligibility is [`crate::check`]'s bytecode
+//! certificate, over the same chunks.
 
-pub mod cfg;
-pub mod dataflow;
+mod graph;
 pub mod lint;
 
 pub use lint::{lint_class, lint_source, Diagnostic, LintReport, Severity};
@@ -24,7 +23,7 @@ pub use lint::{lint_class, lint_source, Diagnostic, LintReport, Severity};
 mod effects {
     //! The write effects a check may have, and whether [`crate::check`]'s
     //! certificate lets its crossings share the cached `this`, `$context`
-    //! map and verdict.
+    //! map and verdict. `check::tests` crosses the same shapes end to end.
 
     use crate::{ast::StmtKind, parser::parse_program};
 

@@ -6,7 +6,10 @@
 //!
 //! * a `ClassPlan` per class declaration — the certificate (below),
 //!   `export_check`'s chunk and the chunk of every other method, each
-//!   compiled on first use. A [`ScriptPolicy`](crate::ScriptPolicy)
+//!   compiled once, on first use. Registering a policy class lints it, and
+//!   the linter ([`crate::analysis`]) reads these chunks, so a registered
+//!   class's crossings run the very code that was linted and certified.
+//!   A [`ScriptPolicy`](crate::ScriptPolicy)
 //!   resolves its plan once (one look in the process-wide table) and holds
 //!   it, so a crossing, and every `this.m()` inside it, takes no lock;
 //! * a pooled evaluator per thread — the [`Interp`] and its VM buffers are
@@ -1028,6 +1031,14 @@ mod tests {
         assert!(certified(
             "class C { fn export_check(c) { let s = str(this); if ([this][0].n > 0) { throw this; } } }"
         ));
+        // A field's list read through a local; a store in a method the
+        // check never reaches.
+        assert!(certified(
+            "class C { fn export_check(context) { let w = this.weights; if (w[0] + w[1] > this.limit) { throw 1; } } }"
+        ));
+        assert!(certified(
+            "class C { fn init(n) { this.n = n; } fn export_check(c) { return this.n; } }"
+        ));
     }
 
     #[test]
@@ -1054,6 +1065,35 @@ mod tests {
             (
                 guarded("class Inner { fn m() { return 1; } }"),
                 "a class definition",
+            ),
+            (
+                guarded("this.n = this.n + 1; if (this.n > 1) { throw 1; }"),
+                "a read-back counter",
+            ),
+            (
+                guarded("let w = this.weights; w[0] = 9;"),
+                "a store through a local holding a field's list",
+            ),
+            (
+                guarded(r#"let w = [0]; if (c["deep"]) { w = this.weights; } w[0] = 1;"#),
+                "a store through a local that holds a field's list on one path",
+            ),
+            (
+                guarded("let again = [this.grid[0]][0]; push(again, 1);"),
+                "a push into a container taken out of a list",
+            ),
+            (guarded(r#"c["seen"] = true;"#), "a context store"),
+            (
+                "class Refused { fn bump() { push(this.log, 1); } \
+                 fn export_check(c) { if (this.mode == 1) { this.bump(); } } }"
+                    .to_string(),
+                "a push in a helper",
+            ),
+            (
+                "class Refused { fn fill(xs) { xs[0] = 1; } \
+                 fn export_check(c) { if (this.mode == 1) { this.fill([0]); } } }"
+                    .to_string(),
+                "a helper storing into its parameter",
             ),
         ];
         for name in [

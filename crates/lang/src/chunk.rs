@@ -153,6 +153,74 @@ impl Op {
         }
     }
 
+    /// The source operands the instruction reads, in operand order (the
+    /// windows of calls and arrays hold temporaries and are not listed).
+    pub(crate) fn sources(self) -> [Option<Src>; 3] {
+        match self {
+            Op::Move { src, .. }
+            | Op::Assign { src, .. }
+            | Op::StoreGlobal { src, .. }
+            | Op::Not { src, .. }
+            | Op::Neg { src, .. }
+            | Op::JumpIf { src, .. }
+            | Op::Return { src }
+            | Op::Throw { src } => [Some(src), None, None],
+            Op::Add { a, b, .. }
+            | Op::Sub { a, b, .. }
+            | Op::Mul { a, b, .. }
+            | Op::Div { a, b, .. }
+            | Op::Mod { a, b, .. }
+            | Op::Cmp { a, b, .. }
+            | Op::CmpJump { a, b, .. } => [Some(a), Some(b), None],
+            Op::GetProp { obj, .. } => [Some(obj), None, None],
+            Op::SetProp { obj, val, .. } => [Some(obj), Some(val), None],
+            Op::Index { a, i, .. } => [Some(a), Some(i), None],
+            Op::SetIndex { a, i, val } => [Some(a), Some(i), Some(val)],
+            Op::LoadGlobal { .. }
+            | Op::MakeArray { .. }
+            | Op::Jump(_)
+            | Op::Call { .. }
+            | Op::CallBuiltin { .. }
+            | Op::Method { .. }
+            | Op::New { .. }
+            | Op::Define(_) => [None; 3],
+        }
+    }
+
+    /// The slot the instruction writes, if any ([`Op::Method`]'s result
+    /// replaces its receiver).
+    pub(crate) fn dest(self) -> Option<u16> {
+        match self {
+            Op::Move { dst, .. }
+            | Op::Assign { dst, .. }
+            | Op::LoadGlobal { dst, .. }
+            | Op::MakeArray { dst, .. }
+            | Op::Not { dst, .. }
+            | Op::Neg { dst, .. }
+            | Op::Add { dst, .. }
+            | Op::Sub { dst, .. }
+            | Op::Mul { dst, .. }
+            | Op::Div { dst, .. }
+            | Op::Mod { dst, .. }
+            | Op::Cmp { dst, .. }
+            | Op::Call { dst, .. }
+            | Op::CallBuiltin { dst, .. }
+            | Op::New { dst, .. }
+            | Op::GetProp { dst, .. }
+            | Op::Index { dst, .. } => Some(dst),
+            Op::Method { base, .. } => Some(base),
+            Op::StoreGlobal { .. }
+            | Op::CmpJump { .. }
+            | Op::Jump(_)
+            | Op::JumpIf { .. }
+            | Op::SetProp { .. }
+            | Op::SetIndex { .. }
+            | Op::Define(_)
+            | Op::Return { .. }
+            | Op::Throw { .. } => None,
+        }
+    }
+
     /// The jump instruction retargeted to `t` (a compare-and-branch keeps
     /// its target in 16 bits).
     pub(crate) fn with_target(self, t: usize) -> Result<Op, LangError> {

@@ -160,10 +160,13 @@ impl<'a> Compiler<'a> {
         self.chunk.code.len() - 1
     }
 
+    /// Opens a line-table entry at the next instruction: every statement
+    /// starts one, so the linter can find where a statement's code begins.
     fn mark_line(&mut self, line: u32) {
         let at = self.chunk.code.len() as u32;
-        if self.chunk.lines.last().map(|&(_, l)| l) != Some(line) {
-            self.chunk.lines.push((at, line));
+        match self.chunk.lines.last_mut() {
+            Some(last) if last.0 == at => last.1 = line,
+            _ => self.chunk.lines.push((at, line)),
         }
     }
 
@@ -317,7 +320,7 @@ impl<'a> Compiler<'a> {
                 then_body,
                 else_body,
             } => {
-                let to_else = self.branch(cond, false)?;
+                let to_else = self.guard(cond)?;
                 self.nested(then_body, want)?;
                 if else_body.is_empty() && want.is_none() {
                     self.patch(&to_else)?;
@@ -330,15 +333,15 @@ impl<'a> Compiler<'a> {
             }
             StmtKind::While { cond, body } => {
                 let top = self.chunk.code.len();
-                let to_end = self.branch(cond, false)?;
+                let to_end = self.guard(cond)?;
                 self.nested(body, None)?;
                 self.mark_line(stmt.line);
-                let back = match self.chunk.code[top] {
+                let back = match self.chunk.code.get(top) {
                     // A guard that is one instruction (it starts with its
                     // own jump: no operand took code) is emitted at both
                     // ends: an iteration runs the body and the negated
                     // guard, and no unconditional jump.
-                    Op::CmpJump { cmp, a, b, .. } if to_end == [top] => {
+                    Some(&Op::CmpJump { cmp, a, b, .. }) if to_end == [top] => {
                         let cmp = negated(cmp);
                         Op::CmpJump { cmp, a, b, t: 0 }.with_target(top + 1)?
                     }
@@ -451,6 +454,17 @@ impl<'a> Compiler<'a> {
         let a = self.operand(left, &mut scratch, !self.is_simple(right))?;
         let b = self.operand(right, &mut scratch, false)?;
         Ok((a, b))
+    }
+
+    /// The guard of an `if` or `while`: jumps when `cond` is falsy. A
+    /// constant guard ([`const_truth`]) compiles to one unconditional jump
+    /// or to nothing; the arm it skips is still emitted, as dead code.
+    fn guard(&mut self, cond: &Expr) -> Result<Vec<usize>, LangError> {
+        match const_truth(cond) {
+            Some(true) => Ok(Vec::new()),
+            Some(false) => Ok(vec![self.emit(Op::Jump(0))]),
+            None => self.branch(cond, false),
+        }
     }
 
     /// Emits code that jumps when `truthy(e) == sense` and falls through
@@ -648,6 +662,46 @@ impl<'a> Compiler<'a> {
     }
 }
 
+/// The truthiness of a guard built from literals alone — through `not`,
+/// `&&`, `||` and the comparisons the runtime makes without erroring (ints
+/// and strings ordered, ints, strings and bools equal) — under the
+/// runtime's rules (`null`, `false`, `0` and `""` are falsy). `None` for
+/// anything else, so a folded guard never skips a read, a call or an error.
+pub(crate) fn const_truth(e: &Expr) -> Option<bool> {
+    match e {
+        Expr::Int(n) => Some(*n != 0),
+        Expr::Str(s) => Some(!s.is_empty()),
+        Expr::Bool(b) => Some(*b),
+        Expr::Null => Some(false),
+        Expr::Not(e) => const_truth(e).map(|b| !b),
+        Expr::Binary { op, left, right } => {
+            use std::cmp::Ordering::*;
+            let ord = match op {
+                BinOp::And => return Some(const_truth(left)? & const_truth(right)?),
+                BinOp::Or => return Some(const_truth(left)? | const_truth(right)?),
+                _ => match (&**left, &**right) {
+                    (Expr::Int(x), Expr::Int(y)) => x.cmp(y),
+                    (Expr::Str(x), Expr::Str(y)) => x.cmp(y),
+                    (Expr::Bool(x), Expr::Bool(y)) if matches!(op, BinOp::Eq | BinOp::Ne) => {
+                        x.cmp(y)
+                    }
+                    _ => return None,
+                },
+            };
+            match op {
+                BinOp::Eq => Some(ord == Equal),
+                BinOp::Ne => Some(ord != Equal),
+                BinOp::Lt => Some(ord == Less),
+                BinOp::Le => Some(ord != Greater),
+                BinOp::Gt => Some(ord == Greater),
+                BinOp::Ge => Some(ord != Less),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
 fn is_compare(op: BinOp) -> bool {
     use BinOp::*;
     matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
@@ -790,6 +844,56 @@ mod tests {
         assert_eq!(c.line_of(0), Some(1));
         let last = c.len() - 1;
         assert_eq!(c.line_of(last), Some(3));
+    }
+
+    #[test]
+    fn const_truth_folds_pure_shapes() {
+        let cases = [
+            ("true", Some(true)),
+            ("false", Some(false)),
+            ("0", Some(false)),
+            ("3", Some(true)),
+            (r#""""#, Some(false)),
+            (r#""x""#, Some(true)),
+            ("null", Some(false)),
+            ("not 0", Some(true)),
+            ("1 < 2", Some(true)),
+            (r#""a" == "b""#, Some(false)),
+            ("true && false", Some(false)),
+            ("false || true", Some(true)),
+            ("true == true", Some(true)),
+            // A guard that reads anything is not folded, even where the
+            // read would be short-circuited away.
+            ("false && missing", None),
+            ("missing", None),
+            ("1 + 2", None), // arithmetic is not folded
+            (r#"1 == "1""#, None),
+            // The runtime refuses to order bools.
+            ("true < false", None),
+        ];
+        for (src, want) in cases {
+            let stmts = parse_program(&format!("{src};")).unwrap();
+            let StmtKind::Expr(e) = &stmts[0].kind else {
+                panic!()
+            };
+            assert_eq!(const_truth(e), want, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_constant_guard_compiles_to_one_jump_or_to_nothing() {
+        // The skipped arm is still emitted, behind the jump.
+        let c = compile_fn(r#"fn f(p) { if (1 > 2) { throw "never"; } return p; }"#);
+        assert!(matches!(c.code[0], Op::Jump(2)), "{:?}", c.code);
+        assert!(matches!(c.code[1], Op::Throw { .. }));
+        let c = compile_fn("fn f(p) { while (true) { p = p + 1; } }");
+        assert!(matches!(c.code[0], Op::Add { .. }), "{:?}", c.code);
+        assert_eq!(c.code[1], Op::Jump(0));
+        let c = compile_fn("fn f() { while (true) { } }");
+        assert_eq!(c.code[0], Op::Jump(0));
+        // A constant inside `&&` is a guard of its own, not folded.
+        let c = compile_fn(r#"fn f(p) { if (p && false) { throw "maybe"; } }"#);
+        assert!(matches!(c.code[1], Op::JumpIf { .. }), "{:?}", c.code);
     }
 
     #[test]

@@ -303,9 +303,7 @@ impl Interp {
 
     /// Runs the policy linter over a registered class by name.
     pub fn lint_class(&self, name: &str) -> Option<crate::analysis::LintReport> {
-        self.classes
-            .get(name)
-            .map(|c| crate::analysis::lint_class(c))
+        self.classes.get(name).map(crate::analysis::lint_class)
     }
 
     /// The tracking mode.
@@ -392,9 +390,12 @@ impl Interp {
     /// policy never guards traffic), warnings accumulate on
     /// [`Interp::lint_reports`] — then registered with the process-wide
     /// policy registry so persisted instances can be revived (§3.4.1 —
-    /// only class name and fields are stored).
+    /// only class name and fields are stored). The linter reads the
+    /// class's check plan, so each method compiles once, here, into the
+    /// chunk its crossings run.
     pub(crate) fn register_class(&mut self, decl: &Arc<ClassDecl>) -> R<()> {
-        if decl.method("export_check").is_some() {
+        let policy = decl.method("export_check").is_some();
+        if policy {
             let report = crate::analysis::lint_class(decl);
             if let Some(err) = report.errors().next() {
                 return Err(rt(format!(
@@ -409,27 +410,10 @@ impl Interp {
             }
         }
         self.classes.insert(decl.name.clone(), decl.clone());
-        if decl.method("export_check").is_some() {
+        if policy {
             let class_name = decl.name.clone();
             let class = decl.clone();
-            // Revival re-runs the analyzer (memoized — once per process
-            // per class) so a policy persisted before the linter existed
-            // still fails closed when its class turns out unsound.
-            let lint_memo: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
             register_policy_class(class_name.clone(), move |fields| {
-                let lint_err = lint_memo.get_or_init(|| {
-                    crate::analysis::lint_class(&class)
-                        .errors()
-                        .next()
-                        .map(|d| d.to_string())
-                });
-                if let Some(err) = lint_err {
-                    return Err(resin_core::SerializeError::BadField {
-                        class: class_name.clone(),
-                        field: "<lint>".into(),
-                        reason: err.clone(),
-                    });
-                }
                 let mut decoded = BTreeMap::new();
                 for (k, v) in fields {
                     let pv =

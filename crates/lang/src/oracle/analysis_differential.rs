@@ -15,14 +15,23 @@
 //! 2. **Lint honesty** — a class the linter passes without RL003
 //!    (undefined method) or RL007/RL010 (unassigned variable) findings
 //!    never hits those runtime errors when its check actually runs.
+//! 3. **One linter, two program forms** — the bytecode linter finds what
+//!    the AST linter kept as an oracle ([`super::lint`]) finds: the same
+//!    errors and warnings in the same order, and RL006 dead lines that
+//!    are a superset of the oracle's, every extra one in a block the
+//!    oracle's AST CFG finds unreachable. Checked over the lint fixtures,
+//!    the corpus CI's `resin-lint` job scans and the seeded classes, whose
+//!    generator makes every code RL001–RL010 fire.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::sync::Arc;
 
 use resin_core::{Context, GateKind, Policy, PolicyViolation};
 
-use crate::analysis::lint_class;
-use crate::ast::{ClassDecl, StmtKind};
+use crate::analysis::lint::{extract_embedded_rsl, policy_classes};
+use crate::analysis::{lint_class, Diagnostic, LintReport};
+use crate::ast::{ClassDecl, FnDecl, StmtKind};
 use crate::check::{check_cache_stats, plan_for, set_check_cache};
 use crate::parser::parse_program;
 use crate::value::{PValue, ScriptPolicy};
@@ -252,6 +261,157 @@ fn aliasing_shapes_are_cache_transparent() {
     }
 }
 
+// ---- the bytecode linter against the AST oracle ----
+
+/// Lints `class` with both linters and holds the bytecode one to the AST
+/// oracle; returns the bytecode linter's report.
+fn assert_lint_matches_oracle(class: &Arc<ClassDecl>, src: &str) -> LintReport {
+    let (bytecode, ast) = (lint_class(class), super::lint::lint_class(class));
+    let shown = || {
+        format!(
+            "{src}\nbytecode:\n{}oracle:\n{}",
+            bytecode.render(),
+            ast.render()
+        )
+    };
+    assert_eq!(bytecode.has_errors(), ast.has_errors(), "{}", shown());
+    let key = |d: &Diagnostic| {
+        (
+            d.code,
+            d.severity,
+            d.method.clone(),
+            d.line,
+            d.message.clone(),
+        )
+    };
+    let others = |r: &LintReport| -> Vec<_> {
+        r.diagnostics
+            .iter()
+            .filter(|d| d.code != "RL006")
+            .map(key)
+            .collect()
+    };
+    assert_eq!(others(&bytecode), others(&ast), "{}", shown());
+    let dead = |r: &LintReport| -> BTreeSet<(String, u32)> {
+        r.diagnostics
+            .iter()
+            .filter(|d| d.code == "RL006")
+            .map(|d| (d.method.clone(), d.line.expect("RL006 has a line")))
+            .collect()
+    };
+    let (found, reference) = (dead(&bytecode), dead(&ast));
+    assert!(reference.is_subset(&found), "{}", shown());
+    for (method, line) in found.difference(&reference) {
+        let decl = class.method(method).expect("a linted method");
+        assert!(
+            oracle_dead_lines(decl).contains(line),
+            "line {line} of `{method}` is live in the AST CFG:\n{}",
+            shown()
+        );
+    }
+    bytecode
+}
+
+/// The lines of the statements in blocks the oracle's AST CFG cannot reach.
+fn oracle_dead_lines(method: &FnDecl) -> BTreeSet<u32> {
+    use super::cfg::{Cfg, Term};
+    let cfg = Cfg::build(&method.body);
+    let reachable = cfg.reachable();
+    let mut lines = BTreeSet::new();
+    for (block, _) in cfg.blocks.iter().zip(reachable).filter(|(_, r)| !r) {
+        lines.extend(block.stmts.iter().map(|s| s.line));
+        if let Term::Branch { line, .. } | Term::Return { line, .. } | Term::Throw { line, .. } =
+            block.term
+        {
+            lines.insert(line);
+        }
+    }
+    lines
+}
+
+/// Every policy class in an RSL source, or in the snippets a Rust source
+/// embeds, as `resin-lint` finds them.
+fn classes_in(path: &Path) -> Vec<(String, Arc<ClassDecl>)> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return Vec::new();
+    };
+    let sources = match path.extension().and_then(|e| e.to_str()) {
+        Some("rsl") => vec![text],
+        Some("rs") => extract_embedded_rsl(&text)
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect(),
+        _ => Vec::new(),
+    };
+    let mut found = Vec::new();
+    for src in sources {
+        let Ok(program) = parse_program(&src) else {
+            continue;
+        };
+        let mut classes = Vec::new();
+        policy_classes(&program, &mut classes);
+        found.extend(classes.into_iter().map(|c| (src.clone(), c.clone())));
+    }
+    found
+}
+
+fn files_under(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|e| e.path()) {
+        if path.is_dir() {
+            files_under(&path, out);
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_bytecode_linter_agrees_with_the_ast_oracle_on_the_fixtures_and_the_scan_set() {
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let repo = crate_dir.join("../..");
+    let mut files = Vec::new();
+    files_under(&crate_dir.join("tests/lint_fixtures"), &mut files);
+    // CI's `resin-lint` scan set (`tests/lint.rs` keeps the same list).
+    for dir in [
+        "examples",
+        "tests",
+        "crates/apps",
+        "crates/sql",
+        "crates/bench",
+        "crates/net",
+        "crates/web",
+        "crates/lang/tests",
+        "crates/lang/src/oracle",
+    ] {
+        let mut found = Vec::new();
+        files_under(&repo.join(dir), &mut found);
+        files.extend(
+            found
+                .into_iter()
+                .filter(|p| !p.to_string_lossy().contains("target")),
+        );
+    }
+    files.sort();
+    let mut codes = BTreeMap::<&str, usize>::new();
+    let mut classes = 0;
+    for path in &files {
+        for (src, class) in classes_in(path) {
+            classes += 1;
+            for d in assert_lint_matches_oracle(&class, &src).diagnostics {
+                *codes.entry(d.code).or_default() += 1;
+            }
+        }
+    }
+    // The fixtures alone fire every code.
+    assert!(
+        classes >= 40 && codes.len() == 10,
+        "{classes} classes, codes fired: {codes:?}"
+    );
+}
+
 // ---- seeded-random policy corpus ----
 
 /// Deterministic generator for small policy classes mixing reads,
@@ -261,6 +421,9 @@ fn aliasing_shapes_are_cache_transparent() {
 struct PolicyGen {
     rng: proptest::TestRng,
     scratch: u32,
+    /// Also draw the shapes each lint code fires on (constant guards,
+    /// endless loops, dead code, `this` aliases, constant helpers, ...).
+    lint_shapes: bool,
 }
 
 impl PolicyGen {
@@ -334,11 +497,110 @@ impl PolicyGen {
         }
     }
 
+    /// A guard made of literals alone, which the compiler folds.
+    fn const_guard(&mut self) -> &'static str {
+        const GUARDS: [&str; 10] = [
+            "(true)",
+            "(false)",
+            "(1 > 2)",
+            "(1 < 2)",
+            "(\"a\" == \"a\")",
+            "(not 0)",
+            "(true && false)",
+            "(false || true)",
+            "(null)",
+            "(0 != 0)",
+        ];
+        GUARDS[self.rng.below(GUARDS.len() as u64) as usize]
+    }
+
+    fn const_atom(&mut self) -> &'static str {
+        ["true", "false", "1", "0"][self.rng.below(4) as usize]
+    }
+
+    /// A statement shaped for a lint code. Its parts go on lines of their
+    /// own where a finding's line tells them apart.
+    fn lint_stmt(&mut self, idx: u32) -> String {
+        match self.rng.below(14) {
+            // Whole constant guards, with and without a dead arm.
+            0 => format!(
+                "if {} {{ let c{idx} = 1; }} else {{\n let e{idx} = 2; }}",
+                self.const_guard()
+            ),
+            1 => format!("if {} {{\n throw \"never{idx}\"; }}", self.const_guard()),
+            2 => format!("while {} {{\n let d{idx} = 1; }}", self.const_guard()),
+            // Constants inside `&&` / `||`: the guard stays conditional.
+            3 => format!(
+                "if ({} && {}) {{\n throw \"and{idx}\"; }}",
+                self.cond(),
+                self.const_atom()
+            ),
+            4 => format!(
+                "if ({} || {}) {{ let o{idx} = 1; }}",
+                self.const_atom(),
+                self.cond()
+            ),
+            // `while (true)` with an exit, and without one.
+            5 => format!(
+                "let i{idx} = 0; while (true) {{\n i{idx} = i{idx} + 1; if (i{idx} > 2) {{ return; }} }}"
+            ),
+            // (After a loop that exits through its guard.)
+            6 => format!(
+                "let j{idx} = 0; while (j{idx} < len(this.l0)) {{ j{idx} = j{idx} + 1; }}\n while (true) {{\n let s{idx} = {}; }}",
+                self.int_expr(1)
+            ),
+            // `this` aliases, read through and reassigned.
+            7 => format!(
+                "let t{idx} = this;\n let a{idx} = t{idx}.f{} + t{idx}.g{};\n t{idx} = [1];",
+                self.rng.below(3),
+                self.rng.below(2)
+            ),
+            // Bound on one path only, then on every path.
+            8 => format!(
+                "if {} {{ m{idx} = 1; }}\n let u{idx} = m{idx} + 1;\n k{idx} = 2; let h{idx} = k{idx};",
+                self.cond()
+            ),
+            // Never assigned.
+            9 => format!("let q{idx} = quota{idx} + 1;"),
+            // No such method.
+            10 => format!("this.nope{idx}();"),
+            // A field written only in `init`.
+            11 => "let gi = this.g1;".into(),
+            // An early allow.
+            12 => format!("if {} {{ return; }}", self.cond()),
+            _ => format!("let r{idx} = this.f{} + 1;", self.rng.below(3)),
+        }
+    }
+
+    fn any_stmt(&mut self, idx: u32) -> String {
+        if self.lint_shapes && self.rng.below(2) == 0 {
+            self.lint_stmt(idx)
+        } else {
+            self.stmt(idx)
+        }
+    }
+
+    /// How the lint-shaped check ends: a deny on a condition, a deny
+    /// always, no deny, or a deny with dead code after it.
+    fn lint_ending(&mut self, deny: &str) -> String {
+        let cond = self.cond();
+        match self.rng.below(6) {
+            0 => format!("throw {deny};"),
+            1 => "return;".into(),
+            2 => format!(
+                "throw {deny};\n        let dead = 1;\n        while {cond} {{\n dead = dead + 1; }}"
+            ),
+            3 => format!("if {cond} {{ throw {deny}; }}\n        return;\n        let after = 2;"),
+            _ => format!("if {cond} {{ throw {deny}; }}"),
+        }
+    }
+
     fn class(&mut self, name: &str) -> String {
         let mut body = String::new();
         let n = 1 + self.rng.below(4);
         for i in 0..n {
-            body.push_str(&format!("        {}\n", self.stmt(i as u32)));
+            let stmt = self.any_stmt(i as u32);
+            body.push_str(&format!("        {stmt}\n"));
         }
         let helper = if self.rng.below(3) == 0 {
             // A helper returning a field, `this` or a field's list, or
@@ -352,42 +614,77 @@ impl PolicyGen {
             body.push_str(&format!("        let hv = {call};\n"));
             format!(
                 "    fn helper({params}) {{\n        {}\n        return {ret};\n    }}\n",
-                self.stmt(90)
+                self.any_stmt(90)
             )
         } else {
             String::new()
         };
         let deny = ["\"deny\"", "this", "[this, this.l0]"][self.rng.below(3) as usize];
+        if !self.lint_shapes {
+            return format!(
+                "class {name} {{\n{helper}    fn export_check(context) {{\n{body}        if {} {{ throw {deny}; }}\n    }}\n}}\n",
+                self.cond()
+            );
+        }
+        let mut methods = helper;
+        if self.rng.below(2) == 0 {
+            // A helper that ignores its parameter and returns a constant.
+            let ret = ["\"ok\"", "1 + 2", "[1, \"a\"]", "-1"][self.rng.below(4) as usize];
+            methods.push_str(&format!(
+                "    fn clean(x) {{\n        return {ret};\n    }}\n"
+            ));
+            body.push_str("        let cv = this.clean(context[\"k0\"]);\n");
+        }
+        if self.rng.below(2) == 0 {
+            // Fields written only in `init`, which no crossing runs.
+            methods
+                .push_str("    fn init(a) {\n        this.g1 = a;\n        this.g0 = a;\n    }\n");
+        }
+        let ending = self.lint_ending(deny);
         format!(
-            "class {name} {{\n{helper}    fn export_check(context) {{\n{body}        if {} {{ throw {deny}; }}\n    }}\n}}\n",
-            self.cond()
+            "class {name} {{\n{methods}    fn export_check(context) {{\n{body}        {ending}\n    }}\n}}\n"
         )
     }
 }
 
+/// Seeded classes, half drawn with the lint shapes too. Each is held to
+/// the AST oracle's lint, and each that can finish a run is crossed,
+/// cached and from scratch, against the tree-walker.
 #[test]
 fn random_policy_classes_cache_transparently() {
+    const CLASSES: u64 = 600;
     let seed = proptest::seed_from_name("random_policy_classes_cache_transparently");
-    let mut certified = 0usize;
-    for case in 0..300u64 {
+    let (mut crossed, mut certified) = (0usize, 0usize);
+    let mut codes = BTreeMap::<&str, usize>::new();
+    for case in 0..CLASSES {
         let mut g = PolicyGen {
             rng: proptest::TestRng::new(seed ^ (case.wrapping_mul(0xA076_1D64_78BD_642F) | 1)),
             scratch: 0,
+            lint_shapes: case >= CLASSES / 2,
         };
         let src = g.class(&format!("Rand{case}"));
+        let report = assert_lint_matches_oracle(&class_of(&src), &src);
+        for d in &report.diagnostics {
+            *codes.entry(d.code).or_default() += 1;
+        }
+        // (An endless loop would run out the back-jump budget, 10^8.)
+        if report.diagnostics.iter().any(|d| d.code == "RL005") {
+            continue;
+        }
+        crossed += 1;
         if assert_cache_transparent(&src) {
             certified += 1;
         }
     }
+    let every_code = (1..=10).all(|n| codes.contains_key(format!("RL{n:03}").as_str()));
+    assert!(
+        every_code,
+        "a lint code never fired over {CLASSES} classes: {codes:?}"
+    );
     // The generator must cover both sides of the certificate's line, with
     // enough certified classes to make the transparency claim meaningful.
     assert!(
-        certified >= 30,
-        "only {certified}/300 generated classes were certified"
-    );
-    assert!(
-        certified <= 270,
-        "only {}/300 generated classes were refused",
-        300 - certified
+        certified * 10 >= crossed && certified * 10 <= crossed * 9,
+        "{certified}/{crossed} crossed classes were certified; codes fired: {codes:?}"
     );
 }

@@ -1,4 +1,6 @@
-//! Basic-block control-flow graphs lowered from RSL method ASTs.
+//! Basic-block control-flow graphs lowered from RSL method ASTs: the
+//! graphs the linter ran on before it read the plan's bytecode, kept as
+//! the reference [`super::lint`] runs on.
 //!
 //! RSL's statement grammar is fully structured (`if`/`while`, no `goto`,
 //! no `break`), so the lowering is a single recursive pass: straight-line
@@ -9,7 +11,8 @@
 //! reachability pass (not the lowering) is what reports them dead, so the
 //! graph stays a faithful picture of the source.
 
-use crate::ast::{BinOp, Expr, Stmt, StmtKind};
+use crate::ast::{Expr, Stmt, StmtKind};
+use crate::compiler::const_truth;
 
 /// A block index into [`Cfg::blocks`].
 pub type BlockId = usize;
@@ -185,57 +188,6 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Statically evaluates an expression's truthiness, mirroring the
-/// runtime's rules (`null`, `false`, `0`, and `""` are falsy). `None`
-/// when the value isn't a compile-time constant. Used to prune edges out
-/// of constant guards; stays deliberately pure — no expression whose
-/// evaluation could error (division, indexing) is folded.
-pub fn const_truth(e: &Expr) -> Option<bool> {
-    match e {
-        Expr::Int(n) => Some(*n != 0),
-        Expr::Str(s) => Some(!s.is_empty()),
-        Expr::Bool(b) => Some(*b),
-        Expr::Null => Some(false),
-        Expr::Not(e) => const_truth(e).map(|b| !b),
-        Expr::Binary { op, left, right } => match op {
-            BinOp::And => match const_truth(left) {
-                Some(false) => Some(false),
-                Some(true) => const_truth(right),
-                None => None,
-            },
-            BinOp::Or => match const_truth(left) {
-                Some(true) => Some(true),
-                Some(false) => const_truth(right),
-                None => None,
-            },
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let ord = const_cmp(left, right)?;
-                Some(match op {
-                    BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                    BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                    BinOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinOp::Le => ord != std::cmp::Ordering::Greater,
-                    BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                    _ => ord != std::cmp::Ordering::Less,
-                })
-            }
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Compares two constant operands of the same type, the only comparisons
-/// the runtime performs without erroring.
-fn const_cmp(a: &Expr, b: &Expr) -> Option<std::cmp::Ordering> {
-    match (a, b) {
-        (Expr::Int(x), Expr::Int(y)) => Some(x.cmp(y)),
-        (Expr::Str(x), Expr::Str(y)) => Some(x.cmp(y)),
-        (Expr::Bool(x), Expr::Bool(y)) => Some(x.cmp(y)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,34 +257,5 @@ mod tests {
             .position(|b| matches!(b.term, Term::Throw { .. }))
             .unwrap();
         assert!(!reach[throw_block], "constant-false arm is unreachable");
-    }
-
-    #[test]
-    fn const_truth_folds_pure_shapes() {
-        let cases = [
-            ("true", Some(true)),
-            ("false", Some(false)),
-            ("0", Some(false)),
-            ("3", Some(true)),
-            (r#""""#, Some(false)),
-            (r#""x""#, Some(true)),
-            ("null", Some(false)),
-            ("not 0", Some(true)),
-            ("1 < 2", Some(true)),
-            (r#""a" == "b""#, Some(false)),
-            ("true && false", Some(false)),
-            ("false || true", Some(true)),
-            ("false && missing", Some(false)),
-            ("missing", None),
-            ("1 + 2", None), // arithmetic is not folded
-            (r#"1 == "1""#, None),
-        ];
-        for (src, want) in cases {
-            let stmts = parse_program(&format!("{src};")).unwrap();
-            let StmtKind::Expr(e) = &stmts[0].kind else {
-                panic!()
-            };
-            assert_eq!(const_truth(e), want, "{src}");
-        }
     }
 }

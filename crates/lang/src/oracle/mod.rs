@@ -1,7 +1,8 @@
-//! The differential oracle: a tree-walking evaluator for RSL, compiled
-//! into test builds only.
+//! The differential oracles, compiled into test builds only: a
+//! tree-walking evaluator for RSL (this module), and the policy linter as
+//! it ran on method ASTs ([`lint`], over [`mod@cfg`] and [`dataflow`]).
 //!
-//! It runs the AST as written — a stack of hash-map scopes, one recursive
+//! The tree-walker runs the AST as written — a stack of hash-map scopes, one recursive
 //! call per statement and expression — and calls the same operation
 //! helpers and builtins as the VM, so the two can only disagree where
 //! compilation got something wrong: a value, a label, an error or its
@@ -23,7 +24,10 @@ use crate::parser::parse_program;
 use crate::value::{Obj, PValue, Value};
 
 mod analysis_differential;
+mod cfg;
+mod dataflow;
 mod differential;
+mod lint;
 
 /// Parses and runs a program at global scope on the tree-walker, as
 /// [`Interp::run`] does on the VM.

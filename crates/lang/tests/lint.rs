@@ -95,10 +95,56 @@ fn error_fixtures_fail_registration_closed() {
     }
 }
 
+#[test]
+fn a_class_refused_at_registration_leaves_no_reviver() {
+    let mut interp = resin_lang::Interp::new();
+    let err = interp
+        .run(&fixture("rl005_infinite_loop.rsl"))
+        .expect_err("RL005 refuses the class");
+    assert!(err.to_string().contains("rejected by lint"), "{err}");
+    let revived = resin_core::deserialize_policy("SpinForever{}");
+    assert!(
+        matches!(revived, Err(resin_core::SerializeError::UnknownClass(ref c)) if c == "SpinForever"),
+        "{revived:?}"
+    );
+}
+
+#[test]
+fn a_policy_class_nested_in_a_function_body_is_linted() {
+    let reports = lint_source(&fixture("nested_policy_class.rsl"));
+    let names: Vec<&str> = reports.iter().map(|r| r.class_name.as_str()).collect();
+    assert_eq!(names, ["Visible", "Hidden"]);
+    for report in &reports {
+        assert!(
+            report.errors().any(|d| d.code == "RL003"),
+            "{}",
+            report.render()
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_resin-lint"))
+        .arg(
+            Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/lint_fixtures/nested_policy_class.rsl"),
+        )
+        .output()
+        .expect("resin-lint runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stderr.contains("2 policies checked"), "{stderr}");
+    assert!(
+        stdout.contains("Hidden") && stdout.contains("RL003"),
+        "{stdout}"
+    );
+}
+
 /// Sweeps the repository's real policy corpus — example programs, app
-/// crates, benches, integration tests — exactly like the CI `resin-lint`
-/// job, asserting zero error-severity diagnostics. The linter's own
-/// deliberately-unsound unit-test fixtures (in `crates/lang/src` and
+/// crates, benches, integration tests, the differential oracles — exactly
+/// like the CI `resin-lint` job, whose scan list this one is, asserting
+/// zero error-severity diagnostics. The linter's own deliberately-unsound
+/// unit-test fixtures (`crates/lang/src/analysis` and
 /// `tests/lint_fixtures`) are out of scope: they exist to be flagged.
 #[test]
 fn embedded_policy_corpus_has_no_error_diagnostics() {
@@ -114,6 +160,7 @@ fn embedded_policy_corpus_has_no_error_diagnostics() {
         "crates/net",
         "crates/web",
         "crates/lang/tests",
+        "crates/lang/src/oracle",
     ] {
         sweep(&repo.join(dir), &mut policies, &mut errors);
     }
