@@ -84,6 +84,7 @@ pub mod prelude {
     };
     pub use crate::taint::{
         policy_add, policy_get, policy_remove, Labeled, Tainted, TaintedStrBuilder, TaintedString,
+        TextTail,
     };
 }
 

@@ -12,7 +12,7 @@ pub mod string;
 pub mod value;
 
 pub use spans::{Span, SpanMap};
-pub use string::{TaintedStrBuilder, TaintedString};
+pub use string::{TaintedStrBuilder, TaintedString, TextTail};
 pub use value::Tainted;
 
 use crate::label::Label;

@@ -379,7 +379,7 @@ impl SpanMap {
     /// boundary), so no renormalization pass runs.
     pub fn slice(&self, range: Range<usize>) -> SpanMap {
         let mut out = SpanMap::new();
-        out.append_range_with(self, range, 0, |label| label);
+        out.append_range(self, range, 0);
         out
     }
 
@@ -432,39 +432,22 @@ impl SpanMap {
         self.spans.push(Span { start, end, label });
     }
 
-    /// Appends `other`'s labels over `range`, rebased so `range.start`
-    /// lands on `offset` (which must not precede the current end), each
-    /// passed through `relabel` — uncovered stretches too, as
-    /// [`Label::EMPTY`]. A borrowed [`slice`](SpanMap::slice) +
-    /// [`append`](SpanMap::append) + [`edit`](SpanMap::edit) in one pass.
-    pub(crate) fn append_range_with<F>(
-        &mut self,
-        other: &SpanMap,
-        range: Range<usize>,
-        offset: usize,
-        mut relabel: F,
-    ) where
-        F: FnMut(Label) -> Label,
-    {
+    /// Appends `other`'s spans over `range`, clipped to it and rebased so
+    /// `range.start` lands on `offset` (which must not precede the current
+    /// end). A borrowed [`slice`](SpanMap::slice) +
+    /// [`append`](SpanMap::append) in one pass.
+    pub(crate) fn append_range(&mut self, other: &SpanMap, range: Range<usize>, offset: usize) {
         if range.start >= range.end {
             return;
         }
         let rebase = |pos: usize| pos - range.start + offset;
-        let mut cursor = range.start;
         let lo = other.spans.partition_point(|s| s.end <= range.start);
         for s in other.spans[lo..].iter() {
             if s.start >= range.end {
                 break;
             }
             let (start, end) = (s.start.max(range.start), s.end.min(range.end));
-            if cursor < start {
-                self.push_coalesced(rebase(cursor), rebase(start), relabel(Label::EMPTY));
-            }
-            self.push_coalesced(rebase(start), rebase(end), relabel(s.label));
-            cursor = end;
-        }
-        if cursor < range.end {
-            self.push_coalesced(rebase(cursor), rebase(range.end), relabel(Label::EMPTY));
+            self.push_coalesced(rebase(start), rebase(end), s.label);
         }
         debug_assert!(self.is_normalized());
     }
@@ -915,27 +898,23 @@ mod tests {
     }
 
     #[test]
-    fn append_range_with_clips_rebases_and_relabels_gaps() {
-        let (u, s) = (Label::of(&untrusted()), Label::of(&sanitized()));
+    fn append_range_clips_and_rebases() {
+        let u = Label::of(&untrusted());
         let mut src = SpanMap::new();
         src.add_label(2..5, u);
         src.add_label(7..9, u);
         let mut out = SpanMap::new();
-        out.append_range_with(&src, 3..8, 10, |l| l);
+        out.append_range(&src, 3..8, 10);
         let got: Vec<_> = out.iter().collect();
         assert_eq!(got, vec![(10..12, u), (14..15, u)]);
-        // Relabelling sees the gap (5..7) and the uncovered head and tail.
+        // The gap between two equal spans keeps them apart.
         let mut out = SpanMap::new();
-        out.append_range_with(&src, 0..10, 0, |l| l.union(s));
+        out.append_range(&src, 0..10, 0);
         let got: Vec<_> = out.iter().collect();
-        let us = u.union(s);
-        assert_eq!(
-            got,
-            vec![(0..2, s), (2..5, us), (5..7, s), (7..9, us), (9..10, s)]
-        );
+        assert_eq!(got, vec![(2..5, u), (7..9, u)]);
         // An empty range appends nothing.
         let mut out = SpanMap::new();
-        out.append_range_with(&src, 4..4, 0, |l| l.union(s));
+        out.append_range(&src, 4..4, 0);
         assert!(out.is_empty());
     }
 }

@@ -543,23 +543,11 @@ impl TaintedStrBuilder {
     /// without the intermediate string. Byte indices, clamped to the
     /// source; they must lie on UTF-8 boundaries.
     pub fn push_range(&mut self, src: &TaintedString, range: Range<usize>) {
-        self.push_range_with(src, range, |label| label);
-    }
-
-    /// [`push_range`](TaintedStrBuilder::push_range) with every byte's
-    /// label passed through `relabel` on the way in. Bytes no span covers
-    /// are offered too, as [`Label::EMPTY`], so a sanitizer can mark
-    /// everything it emits in the pass that emits it.
-    pub fn push_range_with<F>(&mut self, src: &TaintedString, range: Range<usize>, relabel: F)
-    where
-        F: FnMut(Label) -> Label,
-    {
         let start = range.start.min(src.len());
         let end = range.end.min(src.len()).max(start);
         let offset = self.text.len();
         self.text.push_str(&src.text[start..end]);
-        self.spans
-            .append_range_with(&src.spans, start..end, offset, relabel);
+        self.spans.append_range(&src.spans, start..end, offset);
     }
 
     /// Appends text with `label` applied to every byte of it (no-op label
@@ -570,6 +558,20 @@ impl TaintedStrBuilder {
         self.spans.push_coalesced(start, self.text.len(), label);
     }
 
+    /// Appends what `write` pushes through the [`TextTail`] it is lent,
+    /// with `label` applied to every byte of it: a
+    /// [`push_label`](TaintedStrBuilder::push_label) whose text is
+    /// assembled in place, from any number of pieces, instead of in a
+    /// scratch string.
+    pub fn push_label_with<F>(&mut self, label: Label, write: F)
+    where
+        F: FnOnce(&mut TextTail<'_>),
+    {
+        let start = self.text.len();
+        write(&mut TextTail(&mut self.text));
+        self.spans.push_coalesced(start, self.text.len(), label);
+    }
+
     /// Finishes the string. The span map was kept normalized at every push,
     /// so this is O(1) — no deferred sort or coalesce pass.
     pub fn build(self) -> TaintedString {
@@ -577,6 +579,18 @@ impl TaintedStrBuilder {
             text: self.text,
             spans: self.spans,
         }
+    }
+}
+
+/// The end of a [`TaintedStrBuilder`]'s text, lent to the closure of
+/// [`push_label_with`](TaintedStrBuilder::push_label_with): it can only
+/// append, so the bytes already built keep their labels.
+pub struct TextTail<'a>(&'a mut String);
+
+impl TextTail<'_> {
+    /// Appends `s`.
+    pub fn push_str(&mut self, s: &str) {
+        self.0.push_str(s);
     }
 }
 
@@ -862,6 +876,22 @@ mod tests {
         assert!(s.all_bytes_have::<UntrustedData>());
     }
 
+    #[test]
+    fn push_label_with_labels_what_the_closure_appends() {
+        let u = Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef));
+        let mut b = TaintedStrBuilder::new();
+        b.push_str("<p>");
+        b.push_label_with(u, |tail| {
+            tail.push_str("a");
+            tail.push_str("&amp;");
+        });
+        b.push_label_with(u, |_| {});
+        b.push_label_with(u, |tail| tail.push_str("b"));
+        let s = b.build();
+        assert_eq!(s.as_str(), "<p>a&amp;b");
+        assert_eq!(s.spans().collect::<Vec<_>>(), vec![(3..10, u)]);
+    }
+
     proptest::proptest! {
         #[test]
         fn push_range_is_slice_then_push(
@@ -873,7 +903,6 @@ mod tests {
                 Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
                 Label::of(&(Arc::new(PasswordPolicy::new("u@x")) as PolicyRef)),
             ];
-            let marker = Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef));
             let mut src = TaintedStrBuilder::new();
             for (text, which) in &pieces {
                 // 3 is a second untainted stretch, so gaps abut gaps.
@@ -895,15 +924,6 @@ mod tests {
             let got = got.build();
             proptest::prop_assert!(got.taint_eq(&want), "{got:?} != {want:?}");
 
-            let mut piece = src.slice(range.clone());
-            piece.add_label(marker);
-            let mut want = untrusted("head");
-            want.push_tainted(&piece);
-            let mut got = TaintedStrBuilder::new();
-            got.push_tainted(&untrusted("head"));
-            got.push_range_with(&src, range, |l| l.union(marker));
-            let got = got.build();
-            proptest::prop_assert!(got.taint_eq(&want), "{got:?} != {want:?}");
         }
     }
 

@@ -11,11 +11,12 @@
 //!   JavaScript (`<script>` bodies, `on*` attributes arrive inside tags so
 //!   the tag rule covers them).
 
+use std::ops::Range;
 use std::sync::LazyLock;
 
 use resin_core::{
     HtmlSanitized, Label, LabelMemo, PolicyViolation, Result, TaintedStrBuilder, TaintedString,
-    UntrustedData,
+    TextTail, UntrustedData,
 };
 
 /// What an encoder does to each byte: the replacement function, and a
@@ -39,33 +40,62 @@ impl EscapeTable {
             replacement,
         }
     }
+
+    /// True when the table replaces `b`.
+    fn replaces(&self, b: u8) -> bool {
+        self.escaped[usize::from(b)]
+    }
+
+    /// Appends `text` escaped: clean runs copied whole, each replaced
+    /// byte as its replacement.
+    fn escape_into(&self, out: &mut TextTail<'_>, text: &str) {
+        let bytes = text.as_bytes();
+        let mut at = 0usize;
+        while let Some(run) = bytes[at..].iter().position(|&b| self.replaces(b)) {
+            out.push_str(&text[at..at + run]);
+            at += run;
+            let rep = (self.replacement)(bytes[at]).expect("a replaced byte has a replacement");
+            out.push_str(rep);
+            at += 1;
+        }
+        out.push_str(&text[at..]);
+    }
 }
 
-/// The run scanner shared by the HTML and JSON encoders. A stretch of
-/// bytes the table leaves alone is copied whole, its spans with it;
-/// a replacement is server text, as in a `replace` with an untainted
-/// replacement. Every byte emitted, copied or not, also gets `marker`
-/// ([`Label::EMPTY`] for none), unioned in once per distinct source label.
+/// The escaper shared by the HTML and JSON encoders. It walks the
+/// source's spans and the gaps between them, and each becomes one output
+/// span: its text escaped, its label the source label ∪ `marker`
+/// ([`Label::EMPTY`] for none). So every output byte, copied or
+/// replacement, carries the label of the source byte it stands for plus
+/// the marker. A replacement is a function of the byte it replaces, so it
+/// keeps that byte's policies, as `decode_literal`'s collapsed quote does.
+/// Spans lie on character boundaries, as every `TaintedString` keeps
+/// them.
 pub(crate) fn escape_bytes(
     input: &TaintedString,
     table: &EscapeTable,
     marker: Label,
 ) -> TaintedString {
-    let bytes = input.as_str().as_bytes();
-    let mut out = TaintedStrBuilder::with_capacity(bytes.len() + bytes.len() / 4 + 8);
+    let text = input.as_str();
+    // Room for a replacement every eight bytes or so, `forum_search`'s
+    // bodies hold one every twenty; a denser input grows the buffer.
+    // Counting the exact length first costs a pass that measured slower.
+    let mut out = TaintedStrBuilder::with_capacity(text.len() + text.len() / 2);
     let mut marked = LabelMemo::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let run = bytes[at..]
-            .iter()
-            .position(|&b| table.escaped[usize::from(b)])
-            .unwrap_or(bytes.len() - at);
-        out.push_range_with(input, at..at + run, |l| marked.get(l, |l| l.union(marker)));
-        at += run;
-        if let Some(rep) = bytes.get(at).and_then(|&b| (table.replacement)(b)) {
-            out.push_label(rep, marker);
-            at += 1;
+    let mut emit = |range: Range<usize>, label: Label| {
+        let label = marked.get(label, |l| l.union(marker));
+        out.push_label_with(label, |tail| table.escape_into(tail, &text[range]));
+    };
+    let mut cursor = 0usize;
+    for (range, label) in input.spans() {
+        if cursor < range.start {
+            emit(cursor..range.start, Label::EMPTY);
         }
+        cursor = range.end;
+        emit(range, label);
+    }
+    if cursor < text.len() {
+        emit(cursor..text.len(), Label::EMPTY);
     }
     out.build()
 }
@@ -82,7 +112,8 @@ static HTML_ESCAPES: LazyLock<EscapeTable> = LazyLock::new(|| {
 });
 
 /// Escapes HTML metacharacters and attaches the [`HtmlSanitized`] marker
-/// to every byte of the result.
+/// to every byte of the result. An entity keeps the policies of the byte
+/// it replaces.
 ///
 /// This is "the existing sanitization function" of §5.3 step 3: it both
 /// neutralizes the data *and* records the evidence that it did.
@@ -121,7 +152,7 @@ pub fn check_html_structure(output: &TaintedString) -> Result<()> {
     let bytes = output.as_str().as_bytes();
     // Resolve the untrusted ranges once instead of a label-table hit per
     // byte. They are sorted and disjoint, and `i` only grows, so a cursor
-    // walks them: an escaped page holds about one per metacharacter.
+    // walks them: an escaped page holds about one per escaped fragment.
     let untrusted = output.ranges_with::<UntrustedData>();
     let mut ahead = untrusted.iter().peekable();
     let opens = |at: &[u8], tag: &[u8]| {
@@ -161,7 +192,8 @@ pub fn check_html_structure(output: &TaintedString) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::PolicyRef;
+    use crate::Response;
+    use resin_core::{PasswordPolicy, PolicyRef};
     use std::sync::Arc;
 
     fn untrusted(s: &str) -> TaintedString {
@@ -238,9 +270,10 @@ mod tests {
         assert!(check_html_structure(&page).is_ok());
     }
 
-    /// `escape_bytes` as it was: a `TaintedString` sliced out per clean
-    /// stretch, pushed, and (for HTML) the marker added in an edit pass
-    /// over the finished string.
+    /// `escape_bytes` as it was before replacements took their source
+    /// byte's label: a `TaintedString` sliced out per clean stretch and
+    /// pushed, each replacement pushed as server text. The text oracle,
+    /// and for labels the old layout the new one must cover.
     fn escape_sliced(
         input: &TaintedString,
         table: fn(u8) -> Option<&'static str>,
@@ -255,6 +288,23 @@ mod tests {
             start = i + 1;
         }
         out.push_tainted(&input.slice(start..text.len()));
+        out.build()
+    }
+
+    /// The label rule one character at a time: each output byte carries
+    /// its source byte's label ∪ `marker`.
+    fn escape_bytewise(
+        input: &TaintedString,
+        table: fn(u8) -> Option<&'static str>,
+        marker: Label,
+    ) -> TaintedString {
+        let mut out = TaintedStrBuilder::new();
+        for (i, c) in input.as_str().char_indices() {
+            let mut buf = [0u8; 4];
+            let rep = u8::try_from(c).ok().and_then(table);
+            let label = input.label_at(i).union(marker);
+            out.push_label(rep.unwrap_or_else(|| c.encode_utf8(&mut buf)), label);
+        }
         out.build()
     }
 
@@ -277,17 +327,114 @@ mod tests {
                 input.push_label(text, labels[which % 3]);
             }
             let input = input.build();
+            let marker = Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef));
 
-            let mut want = escape_sliced(&input, HTML_ESCAPES.replacement);
-            want.add_policy(Arc::new(HtmlSanitized::new()));
+            let mut old = escape_sliced(&input, HTML_ESCAPES.replacement);
+            old.add_policy(Arc::new(HtmlSanitized::new()));
             let got = html_escape(&input);
+            let want = escape_bytewise(&input, HTML_ESCAPES.replacement, marker);
+            proptest::prop_assert_eq!(got.as_str(), old.as_str());
             proptest::prop_assert!(got.taint_eq(&want), "html: {got:?} != {want:?}");
+            // Labels only grew: every byte keeps what the old layout gave it.
+            for i in 0..got.len() {
+                let (new, was) = (got.label_at(i), old.label_at(i));
+                proptest::prop_assert!(new.union(was) == new, "byte {i}");
+            }
             proptest::prop_assert!(got.is_empty() || got.all_bytes_have::<HtmlSanitized>());
 
-            let want = escape_sliced(&input, crate::json::JSON_ESCAPES.replacement);
+            // The verdicts. The marker check's are equal. The structure
+            // check may only get stricter, and only where the old layout
+            // dropped every untrusted byte: untrusted input made entirely
+            // of metacharacters, escaped inside a tag or a script.
+            let verdict = |r: Result<()>| r.map_err(|e| e.to_string());
+            let all_meta = {
+                let untrusted = input.ranges_with::<UntrustedData>();
+                let bytes = input.as_str().as_bytes();
+                !untrusted.is_empty()
+                    && untrusted.iter().flat_map(|r| &bytes[r.clone()]).all(|&b| {
+                        HTML_ESCAPES.replaces(b)
+                    })
+            };
+            for (open, close, markup) in [
+                ("<p>", "</p>", false),
+                ("<p title=\"", "\">", true),
+                ("<script>var s = '", "';</script>", true),
+            ] {
+                let page = |escaped: &TaintedString| {
+                    let mut page = TaintedStrBuilder::new();
+                    page.push_str(open);
+                    page.push_tainted(escaped);
+                    page.push_str(close);
+                    page.build()
+                };
+                let (new, was) = (page(&got), page(&old));
+                proptest::prop_assert_eq!(
+                    verdict(check_html_markers(&new)),
+                    verdict(check_html_markers(&was))
+                );
+                let (new, was) = (check_html_structure(&new), check_html_structure(&was));
+                if new.is_ok() != was.is_ok() {
+                    proptest::prop_assert!(new.is_err() && markup && all_meta, "{open}{input:?}");
+                }
+            }
+
+            let old = escape_sliced(&input, crate::json::JSON_ESCAPES.replacement);
             let got = crate::json::escape_tainted(&input);
+            let want =
+                escape_bytewise(&input, crate::json::JSON_ESCAPES.replacement, Label::EMPTY);
+            proptest::prop_assert_eq!(got.as_str(), old.as_str());
             proptest::prop_assert!(got.taint_eq(&want), "json: {got:?} != {want:?}");
+            for i in 0..got.len() {
+                let (new, was) = (got.label_at(i), old.label_at(i));
+                proptest::prop_assert!(new.union(was) == new, "byte {i}");
+            }
         }
+    }
+
+    #[test]
+    fn an_escaped_search_hit_is_one_span() {
+        // `forum_search`'s shape: a 970-byte body under one label with a
+        // metacharacter every 20 bytes. Before replacements took
+        // their source byte's label, each one started two spans (the
+        // entity, then the run after it): 2k + 1 for k metacharacters.
+        let metas = b"&<>\"'";
+        let body: String = (0..970)
+            .map(|i| match i % 20 {
+                19 => char::from(metas[i / 20 % metas.len()]),
+                _ => char::from(b"lorem ipsum dolor s"[i % 20]),
+            })
+            .collect();
+        let body = untrusted(&body);
+        let k = body
+            .as_str()
+            .bytes()
+            .filter(|&b| HTML_ESCAPES.replaces(b))
+            .count();
+        assert_eq!(k, 48);
+        let mut old = escape_sliced(&body, HTML_ESCAPES.replacement);
+        old.add_policy(Arc::new(HtmlSanitized::new()));
+        assert_eq!(old.span_count(), 2 * k + 1);
+        let escaped = html_escape(&body);
+        assert_eq!(escaped.as_str(), old.as_str());
+        assert_eq!(escaped.span_count(), 1);
+        assert_eq!(crate::json::escape_tainted(&body).span_count(), 1);
+    }
+
+    #[test]
+    fn an_escaped_secret_of_metacharacters_is_refused_over_http() {
+        // Every byte replaced: before replacements took their source
+        // byte's label, the output held only the marker and left
+        // unchecked.
+        let secret = TaintedString::with_policy("<&>\"'", Arc::new(PasswordPolicy::new("u@x")));
+        let escaped = html_escape(&secret);
+        assert_eq!(escaped.as_str(), "&lt;&amp;&gt;&quot;&#39;");
+        assert!(escaped.all_bytes_have::<PasswordPolicy>());
+        assert!(Response::new().echo(secret).is_err());
+        assert!(Response::new().echo(escaped.clone()).is_err());
+        let mut chair = Response::for_user("chair");
+        chair.set_priv_chair(true);
+        chair.echo(escaped).unwrap();
+        assert_eq!(chair.body(), "&lt;&amp;&gt;&quot;&#39;");
     }
 
     /// `check_html_structure` as it was: a lowercased copy of the page,

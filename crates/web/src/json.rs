@@ -35,8 +35,10 @@ pub fn encode_object(fields: &BTreeMap<String, TaintedString>) -> TaintedString 
     out.build()
 }
 
-/// Escapes JSON string content, preserving taint. One pass: untouched
-/// stretches carry their spans, escape sequences are server text.
+/// Escapes JSON string content, preserving taint. One pass: every output
+/// byte, an escape sequence's too, carries the label of the source byte
+/// it stands for, so a secret made only of quotes and newlines leaves
+/// as secret as it came.
 ///
 /// Every control byte below 0x20 is escaped — RFC 8259 forbids them raw
 /// inside string literals. An earlier revision passed the exotic ones
@@ -77,21 +79,28 @@ fn escape_plain(s: &str) -> String {
 }
 
 /// Rejects JSON output whose *structure* (anything outside string
-/// literals) carries untrusted bytes.
+/// literals, and the unescaped quotes that open and close them) carries
+/// untrusted bytes. Inside a literal a backslash and the byte it escapes
+/// are content: the encoder's `\"` keeps its source byte's label.
 pub fn check_json_structure(json: &TaintedString) -> Result<()> {
     let bytes = json.as_str().as_bytes();
-    // Resolve the untrusted ranges once instead of per byte.
+    // Resolve the untrusted ranges once instead of per byte. They are
+    // sorted and disjoint, and `i` only grows, so a cursor walks them.
     let untrusted = json.ranges_with::<UntrustedData>();
+    let mut ahead = untrusted.iter().peekable();
     let mut in_str = false;
     let mut escaped = false;
     for (i, &b) in bytes.iter().enumerate() {
-        let structural = !in_str || b == b'"';
-        if structural && untrusted.iter().any(|r| r.contains(&i)) {
-            return Err(PolicyViolation::new(
-                "JsonGuard",
-                format!("untrusted data in JSON structure at byte {i}"),
-            )
-            .into());
+        let structural = !in_str || (!escaped && b == b'"');
+        if structural {
+            while ahead.next_if(|r| r.end <= i).is_some() {}
+            if ahead.peek().is_some_and(|r| r.start <= i) {
+                return Err(PolicyViolation::new(
+                    "JsonGuard",
+                    format!("untrusted data in JSON structure at byte {i}"),
+                )
+                .into());
+            }
         }
         if in_str {
             if escaped {
@@ -111,6 +120,8 @@ pub fn check_json_structure(json: &TaintedString) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Response;
+    use resin_core::PasswordPolicy;
     use std::sync::Arc;
 
     fn untrusted(s: &str) -> TaintedString {
@@ -188,9 +199,112 @@ mod tests {
         assert!(j.as_str().contains("\\u0000"));
         assert!(j.as_str().contains("\\u001f"));
         assert!(check_json_structure(&j).is_ok());
-        // Taint attribution: the escapes are server text, the surrounding
-        // object structure stays untainted.
+        // Taint attribution: each escape carries the label of the byte it
+        // replaces, and the surrounding object structure stays untainted.
         assert!(j.label_at(0).is_empty());
+        let escape = j.find("\\u0000").unwrap();
+        assert!((escape..escape + 6).all(|i| j.label_at(i).has::<UntrustedData>()));
+    }
+
+    #[test]
+    fn an_untrusted_escaped_quote_inside_a_literal_passes() {
+        let mut j = TaintedString::from("{\"name\":\"");
+        j.push_tainted(&untrusted("\\\""));
+        j.push_str("\"}");
+        assert_eq!(j.as_str(), "{\"name\":\"\\\"\"}");
+        assert!(check_json_structure(&j).is_ok());
+        // The encoder's own output: its `\"` carries the quote's taint.
+        let mut m = BTreeMap::new();
+        m.insert("q".to_string(), untrusted("\""));
+        let j = encode_object(&m);
+        assert!(j.label_at(j.find("\\").unwrap()).has::<UntrustedData>());
+        assert!(check_json_structure(&j).is_ok());
+    }
+
+    #[test]
+    fn a_bare_untrusted_quote_still_fails() {
+        let mut j = TaintedString::from("{\"name\":\"");
+        j.push_tainted(&untrusted("\""));
+        j.push_str("\"}");
+        assert!(check_json_structure(&j).is_err());
+        // An escaped backslash does not escape the quote after it.
+        let mut j = TaintedString::from("{\"name\":\"");
+        j.push_tainted(&untrusted("\\\\\""));
+        j.push_str("\"}");
+        assert!(check_json_structure(&j).is_err());
+    }
+
+    /// `check_json_structure` one byte at a time: every untrusted range
+    /// tried at every structural byte.
+    fn check_json_structure_scan(json: &TaintedString) -> Result<()> {
+        let untrusted = json.ranges_with::<UntrustedData>();
+        let mut in_str = false;
+        let mut escaped = false;
+        for (i, &b) in json.as_str().as_bytes().iter().enumerate() {
+            let structural = !in_str || (!escaped && b == b'"');
+            if structural && untrusted.iter().any(|r| r.contains(&i)) {
+                return Err(PolicyViolation::new(
+                    "JsonGuard",
+                    format!("untrusted data in JSON structure at byte {i}"),
+                )
+                .into());
+            }
+            if in_str {
+                if escaped {
+                    escaped = false;
+                } else if b == b'\\' {
+                    escaped = true;
+                } else if b == b'"' {
+                    in_str = false;
+                }
+            } else if b == b'"' {
+                in_str = true;
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn structure_check_agrees_with_the_scan(
+            pieces in proptest::prop::collection::vec(
+                ("[ab\"\\{}:,\n]{0,5}", 0usize..4),
+                0..14,
+            ),
+        ) {
+            let mut j = TaintedStrBuilder::new();
+            for (text, taint) in &pieces {
+                // Server text (half the pieces), raw input, or encoded input.
+                let text = TaintedString::from(text.as_str());
+                match taint {
+                    0 | 1 => j.push_tainted(&text),
+                    2 => j.push_tainted(&untrusted(text.as_str())),
+                    _ => j.push_tainted(&escape_tainted(&untrusted(text.as_str()))),
+                }
+            }
+            let j = j.build();
+            let verdict = |r: Result<()>| r.map_err(|e| e.to_string());
+            proptest::prop_assert_eq!(
+                verdict(check_json_structure(&j)),
+                verdict(check_json_structure_scan(&j))
+            );
+        }
+    }
+
+    #[test]
+    fn an_escaped_secret_of_metacharacters_is_refused_over_http() {
+        // Every byte replaced: before escapes took their source byte's
+        // label, the output held no secret byte and left unchecked.
+        let secret = TaintedString::with_policy("\"\n", Arc::new(PasswordPolicy::new("u@x")));
+        let escaped = escape_tainted(&secret);
+        assert_eq!(escaped.as_str(), "\\\"\\n");
+        assert!(escaped.all_bytes_have::<PasswordPolicy>());
+        assert!(Response::new().echo(secret).is_err());
+        assert!(Response::new().echo(escaped.clone()).is_err());
+        let mut chair = Response::for_user("chair");
+        chair.set_priv_chair(true);
+        chair.echo(escaped).unwrap();
+        assert_eq!(chair.body(), "\\\"\\n");
     }
 
     #[test]
