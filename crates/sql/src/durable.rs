@@ -3,7 +3,9 @@
 //! decides what each checkpoint rewrites.
 //!
 //! A checkpoint holds one part per table (`tbl.<name>`), each a snapshot
-//! image of that table alone. Data cells are stored verbatim;
+//! image of that table alone, streamed straight from the table into its
+//! part file and back (never whole in memory). Data cells are stored
+//! verbatim;
 //! **policy-column** cells (the `__rp_` shadow blobs) are not stored as
 //! strings but re-encoded as refs into the image's shared policy table — a
 //! table with a million identically-labeled cells persists each distinct
@@ -17,10 +19,11 @@
 //! about rewriting.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 
 use resin_core::serialize::is_spans_blob;
 use resin_core::{deserialize_spans, serialize_spans, TaintedString};
-use resin_store::{SnapshotReader, SnapshotWriter, StoreError};
+use resin_store::{HashWriter, Part, SnapshotReader, SnapshotWriter, StoreError};
 
 use crate::ast::{ColumnDef, ColumnType};
 use crate::engine::Table;
@@ -89,60 +92,67 @@ fn index_meta_table(tables: &[(&str, &Table)]) -> Option<Table> {
     })
 }
 
-/// Encodes `tables` as one snapshot image.
+/// Encodes `tables` as one snapshot image into `out`.
 pub(crate) fn encode_tables<'a>(
+    out: &mut HashWriter<dyn Write + '_>,
     tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
-) -> Result<Vec<u8>> {
+) -> Result<()> {
     let mut tables: Vec<(&str, &Table)> = tables.into_iter().collect();
     let meta = index_meta_table(&tables);
     if let Some(meta) = meta.as_ref() {
         tables.push((INDEX_META_TABLE, meta));
     }
-    let mut w = SnapshotWriter::new();
-    w.put_u32(tables.len() as u32);
-    for (name, t) in tables {
-        w.put_str(name);
-        w.put_u32(t.columns.len() as u32);
-        let mut is_policy_col = Vec::with_capacity(t.columns.len());
-        for c in &t.columns {
-            w.put_str(&c.name);
-            w.put_u8(match c.ty {
-                ColumnType::Integer => 0,
-                ColumnType::Text => 1,
-            });
-            is_policy_col.push(c.name.starts_with(POLICY_COL_PREFIX));
+    SnapshotWriter::write(out, |w| {
+        w.put_u32(tables.len() as u32)?;
+        for &(name, t) in &tables {
+            encode_table(w, name, t)?;
         }
-        w.put_u64(t.rows.len() as u64);
-        for row in &t.rows {
-            for (i, v) in row.iter().enumerate() {
-                encode_cell(&mut w, v, is_policy_col[i])?;
-            }
-        }
-    }
-    Ok(w.finish())
+        Ok(())
+    })
 }
 
-fn encode_cell(w: &mut SnapshotWriter, v: &Value, policy_col: bool) -> Result<()> {
+fn encode_table(w: &mut SnapshotWriter<'_>, name: &str, t: &Table) -> Result<()> {
+    w.put_str(name)?;
+    w.put_u32(t.columns.len() as u32)?;
+    let mut is_policy_col = Vec::with_capacity(t.columns.len());
+    for c in &t.columns {
+        w.put_str(&c.name)?;
+        w.put_u8(match c.ty {
+            ColumnType::Integer => 0,
+            ColumnType::Text => 1,
+        })?;
+        is_policy_col.push(c.name.starts_with(POLICY_COL_PREFIX));
+    }
+    w.put_u64(t.rows.len() as u64)?;
+    for row in &t.rows {
+        for (i, v) in row.iter().enumerate() {
+            encode_cell(w, v, is_policy_col[i])?;
+        }
+    }
+    Ok(())
+}
+
+fn encode_cell(w: &mut SnapshotWriter<'_>, v: &Value, policy_col: bool) -> Result<()> {
     match v {
-        Value::Null => w.put_u8(CELL_NULL),
+        Value::Null => w.put_u8(CELL_NULL)?,
         Value::Int(i) => {
-            w.put_u8(CELL_INT);
-            w.put_i64(*i);
+            w.put_u8(CELL_INT)?;
+            w.put_i64(*i)?;
         }
         Value::Text(s) if policy_col && !s.is_empty() => {
             if is_spans_blob(s) {
                 let refs = w.intern_spans_blob(s)?;
-                w.put_u8(CELL_SPANS);
-                w.put_span_refs(&refs);
+                w.put_u8(CELL_SPANS)?;
+                w.put_span_refs(&refs)?;
             } else {
-                let idxs = w.intern_label_blob(s);
-                w.put_u8(CELL_LABEL);
-                w.put_label_refs(&idxs);
+                let idxs = w.intern_label_blob(s)?;
+                w.put_u8(CELL_LABEL)?;
+                w.put_label_refs(&idxs)?;
             }
         }
         Value::Text(s) => {
-            w.put_u8(CELL_TEXT);
-            w.put_str(s);
+            w.put_u8(CELL_TEXT)?;
+            w.put_str(s)?;
         }
     }
     Ok(())
@@ -153,12 +163,16 @@ fn encode_cell(w: &mut SnapshotWriter, v: &Value, policy_col: bool) -> Result<()
 /// table (with its index definitions). Parts therefore decode without
 /// the rest of the catalog — an unchanged part can carry over between
 /// checkpoints by reference while its neighbors are re-encoded.
-pub(crate) fn encode_table_part(name: &str, table: &Table) -> Result<Vec<u8>> {
-    encode_tables(std::iter::once((name, table)))
+pub(crate) fn encode_table_part(
+    out: &mut HashWriter<dyn Write + '_>,
+    name: &str,
+    table: &Table,
+) -> Result<()> {
+    encode_tables(out, std::iter::once((name, table)))
 }
 
 /// Decodes a per-table part image back into its (name, table).
-pub(crate) fn decode_table_part(image: &[u8]) -> Result<(String, Table)> {
+pub(crate) fn decode_table_part(image: impl Read) -> Result<(String, Table)> {
     let mut tables = decode_tables(image)?;
     if tables.len() != 1 {
         return Err(SqlError::Storage(format!(
@@ -170,24 +184,28 @@ pub(crate) fn decode_table_part(image: &[u8]) -> Result<(String, Table)> {
 }
 
 /// Decodes recovered per-table `tbl.*` checkpoint parts into the table
-/// catalog.
-pub(crate) fn decode_parts(parts: &[(String, Vec<u8>)]) -> Result<BTreeMap<String, Table>> {
+/// catalog, streaming each image from its file.
+pub(crate) fn decode_parts(parts: Vec<Part>) -> Result<BTreeMap<String, Table>> {
     let mut out = BTreeMap::new();
-    for (name, image) in parts {
-        if !name.starts_with(TABLE_PART_PREFIX) {
+    for part in parts {
+        if !part.name().starts_with(TABLE_PART_PREFIX) {
             return Err(SqlError::Storage(format!(
-                "unknown checkpoint part `{name}`"
+                "unknown checkpoint part `{}`",
+                part.name()
             )));
         }
-        let (tname, table) = decode_table_part(image)?;
+        let (tname, table) = decode_table_part(part.into_image()?)?;
         out.insert(tname, table);
     }
     Ok(out)
 }
 
 /// Decodes a snapshot image back into the table catalog.
-pub(crate) fn decode_tables(image: &[u8]) -> Result<BTreeMap<String, Table>> {
-    let mut r = SnapshotReader::parse(image)?;
+pub(crate) fn decode_tables(image: impl Read) -> Result<BTreeMap<String, Table>> {
+    SnapshotReader::read(image, decode_catalog)
+}
+
+fn decode_catalog(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, Table>> {
     let mut out = BTreeMap::new();
     let n_tables = r.u32()?;
     for _ in 0..n_tables {
@@ -210,7 +228,7 @@ pub(crate) fn decode_tables(image: &[u8]) -> Result<BTreeMap<String, Table>> {
         for _ in 0..n_rows {
             let mut row = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
-                row.push(decode_cell(&mut r)?);
+                row.push(decode_cell(r)?);
             }
             rows.push(row);
         }
@@ -249,7 +267,7 @@ fn apply_index_meta(tables: &mut BTreeMap<String, Table>, meta: Table) -> Result
     Ok(())
 }
 
-fn decode_cell(r: &mut SnapshotReader) -> Result<Value> {
+fn decode_cell(r: &mut SnapshotReader<'_>) -> Result<Value> {
     Ok(match r.u8()? {
         CELL_NULL => Value::Null,
         CELL_INT => Value::Int(r.i64()?),
@@ -299,6 +317,13 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
+    /// One image of `tables`, written through the streaming writer.
+    fn image_of(tables: &BTreeMap<String, Table>) -> Vec<u8> {
+        let mut out = HashWriter::new(Vec::new());
+        encode_tables(&mut out, tables.iter().map(|(n, t)| (n.as_str(), t))).unwrap();
+        out.finish().unwrap()
+    }
+
     #[test]
     fn the_parent_stores_part_images_re_encode_byte_for_byte() {
         // Recorded stores (never regenerated): their blobs go through the
@@ -320,8 +345,10 @@ mod tests {
                 continue;
             }
             let image = std::fs::read(&path).unwrap();
-            let (name, table) = decode_table_part(&image).unwrap();
-            assert_eq!(encode_table_part(&name, &table).unwrap(), image, "{path:?}");
+            let (name, table) = decode_table_part(std::fs::File::open(&path).unwrap()).unwrap();
+            let mut out = HashWriter::new(Vec::new());
+            encode_table_part(&mut out, &name, &table).unwrap();
+            assert_eq!(out.finish().unwrap(), image, "{path:?}");
             parts += 1;
         }
         assert!(parts > 0, "no part images under {dir}");
@@ -368,12 +395,58 @@ mod tests {
                 indexes: Vec::new(),
             },
         );
-        let image = encode_tables(tables.iter().map(|(n, t)| (n.as_str(), t))).unwrap();
-        let back = decode_tables(&image).unwrap();
+        let image = image_of(&tables);
+        let back = decode_tables(&image[..]).unwrap();
         assert_eq!(back.len(), 1);
         let t = &back["users"];
         assert_eq!(t.columns, tables["users"].columns);
         assert_eq!(t.rows, tables["users"].rows);
+    }
+
+    #[test]
+    fn an_image_with_an_undecoded_body_byte_is_refused() {
+        // One more body byte than the catalog holds, with the body length
+        // and the checksum recomputed so only the decoder's end check can
+        // tell: the image is refused, not silently half-read.
+        let mut tables = BTreeMap::new();
+        tables.insert(
+            "t".to_string(),
+            Table {
+                columns: vec![
+                    ColumnDef {
+                        name: "b".into(),
+                        ty: ColumnType::Text,
+                    },
+                    ColumnDef {
+                        name: "__rp_b".into(),
+                        ty: ColumnType::Text,
+                    },
+                ],
+                rows: vec![vec![
+                    Value::Text("hello".into()),
+                    Value::Text("#UntrustedData{}#0..5|0".into()),
+                ]],
+                indexes: Vec::new(),
+            },
+        );
+        let image = image_of(&tables);
+        assert!(decode_tables(&image[..]).is_ok());
+        // Walk the header (magic, versions, policy table) to the body length.
+        let u64_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+        let policies = u32::from_le_bytes(image[12..16].try_into().unwrap());
+        let mut at = 16;
+        for _ in 0..policies {
+            at += 8 + u64_at(at) as usize;
+        }
+        let body_len = u64_at(at);
+        assert_eq!(image.len(), at + 8 + body_len as usize + 8);
+        let mut longer = image[..image.len() - 8].to_vec();
+        longer[at..at + 8].copy_from_slice(&(body_len + 1).to_le_bytes());
+        longer.push(0);
+        let sum = resin_store::io::checksum(&longer);
+        longer.extend_from_slice(&sum.to_le_bytes());
+        let err = decode_tables(&longer[..]).unwrap_err();
+        assert!(err.to_string().contains("undecoded"), "{err}");
     }
 
     #[test]
@@ -401,7 +474,7 @@ mod tests {
             };
             let mut m = BTreeMap::new();
             m.insert("t".to_string(), table);
-            encode_tables(m.iter().map(|(n, t)| (n.as_str(), t))).unwrap()
+            image_of(&m)
         };
         let one = make(1).len();
         let hundred = make(100).len();
@@ -445,8 +518,8 @@ mod tests {
             .unwrap();
         let mut tables = BTreeMap::new();
         tables.insert("t".to_string(), table);
-        let image = encode_tables(tables.iter().map(|(n, t)| (n.as_str(), t))).unwrap();
-        let back = decode_tables(&image).unwrap();
+        let image = image_of(&tables);
+        let back = decode_tables(&image[..]).unwrap();
         assert_eq!(back.len(), 1, "meta table consumed, not surfaced");
         let t = &back["t"];
         let names: Vec<&str> = t.indexes().map(|ix| ix.name()).collect();

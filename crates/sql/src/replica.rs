@@ -64,7 +64,7 @@ impl Follower {
     ) -> Result<Follower> {
         let dir = dir.as_ref().to_path_buf();
         let (base_seq, tables) = match resin_store::read_checkpoint(&dir)? {
-            Some((base_seq, parts)) => (base_seq, decode_parts(&parts)?),
+            Some((base_seq, parts)) => (base_seq, decode_parts(parts)?),
             None => (0, Default::default()),
         };
         let db = ResinDb::with_modes(tracking, guard);
@@ -94,7 +94,7 @@ impl Follower {
         let contiguous = tailed.records.first().map(|r| r.seq) == Some(self.applied_seq + 1);
         if !contiguous && resin_store::checkpoint_base_seq(&self.dir)? > Some(self.applied_seq) {
             if let Some((base_seq, parts)) = resin_store::read_checkpoint(&self.dir)? {
-                self.db.raw().reset_tables(decode_parts(&parts)?);
+                self.db.raw().reset_tables(decode_parts(parts)?);
                 self.applied_seq = base_seq;
                 tailed = resin_store::tail_records(&self.dir, self.applied_seq)?;
             }

@@ -17,11 +17,12 @@
 //!   checks.
 
 use std::borrow::Cow;
+use std::fs::File;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use resin_core::sync::{mlock, rlock, wlock};
 use resin_core::TaintedString;
-use resin_store::{Recovery, Store};
+use resin_store::{HashWriter, Recovery, Store};
 
 use crate::durable::{
     decode_parts, decode_wal_batch, encode_table_part, encode_wal_batch, table_part_name,
@@ -135,10 +136,10 @@ impl ResinDb {
     ) -> Result<Self> {
         let (store, recovered) = Store::open(dir)?;
         let db = ResinDb::with_modes(tracking, guard);
-        // Each image and record is dropped once decoded: recovery holds
-        // the tables, not their encodings beside them.
-        db.raw().reset_tables(decode_parts(&recovered.parts)?);
-        drop(recovered.parts);
+        // Each image streams from its file, and each record is dropped
+        // once decoded: recovery holds the tables, not their encodings
+        // beside them.
+        db.raw().reset_tables(decode_parts(recovered.parts)?);
         // Attached first, so replay marks the tables it writes dirty;
         // replay never logs.
         let _ = db.shared.store.set(store);
@@ -229,9 +230,11 @@ impl ResinDb {
         // deep copy. Durable writers are already excluded by the ckpt
         // lock, and readers take the same shared locks.
         self.shared.db.with_all_tables(|tables| {
-            store.checkpoint_parts(
-                tables.map(|(name, t)| (table_part_name(name), move || encode_table_part(name, t))),
-            )
+            store.checkpoint_parts(tables.map(|(name, t)| {
+                (table_part_name(name), move |out: &mut HashWriter<File>| {
+                    encode_table_part(out, name, t)
+                })
+            }))
         })
     }
 

@@ -5,17 +5,154 @@
 //! buffer from a corrupt one. Integrity is an FNV-1a 64-bit checksum —
 //! cheap, dependency-free, and strong enough to detect the torn or
 //! partially-written records that crash recovery must tolerate.
+//!
+//! Checkpoint parts move through [`HashWriter`]: every byte of a part goes
+//! to its file, its replica copy, or the verifying pass of a recovery in
+//! [`CHUNK`]-sized writes, hashed once per chunk, so no part is ever held
+//! whole in memory.
+
+use std::io::{self, Read, Write};
 
 use crate::error::{Result, StoreError};
 
+/// The window every checkpoint part is written, copied and read through.
+pub const CHUNK: usize = 64 * 1024;
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit over `data`.
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    checksum_from(FNV_OFFSET, data)
+}
+
+/// Continues an FNV-1a 64-bit hash whose state is `h` over `data`: the
+/// hash of a stream is the hash of its pieces, fed in order.
+pub fn checksum_from(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// A writer that hands `W` its bytes in [`CHUNK`]-sized writes, counting
+/// them and hashing each chunk once on its way out. [`sum`](Self::sum) is
+/// [`checksum`] of everything written so far.
+///
+/// The sink is the last field, so a `&mut HashWriter<File>` coerces to a
+/// `&mut HashWriter<dyn Write>`: a snapshot encoder writes through one
+/// type whatever the sink is, and pays a dynamic call per chunk, not per
+/// field.
+#[derive(Debug)]
+pub struct HashWriter<W: ?Sized> {
+    chunk: Box<[u8]>,
+    filled: usize,
+    /// Bytes handed to `inner`.
+    flushed: u64,
+    /// FNV-1a state over the bytes handed to `inner`.
+    hash: u64,
+    inner: W,
+}
+
+impl<W: Write> HashWriter<W> {
+    /// A writer at offset 0 of `inner`.
+    pub fn new(inner: W) -> Self {
+        HashWriter {
+            chunk: vec![0; CHUNK].into_boxed_slice(),
+            filled: 0,
+            flushed: 0,
+            hash: FNV_OFFSET,
+            inner,
+        }
+    }
+
+    /// Hands over the last chunk and returns the sink.
+    pub fn finish(mut self) -> io::Result<W> {
+        self.flush_chunk()?;
+        Ok(self.inner)
+    }
+}
+
+impl<W: Write + ?Sized> HashWriter<W> {
+    /// Bytes written so far.
+    pub fn len(&self) -> u64 {
+        self.flushed + self.filled as u64
+    }
+
+    /// True when nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The FNV-1a checksum of every byte written so far. Hands the pending
+    /// chunk to the sink first, so no byte is hashed twice.
+    pub fn sum(&mut self) -> io::Result<u64> {
+        self.flush_chunk()?;
+        Ok(self.hash)
+    }
+
+    /// Copies `from` to its end through the chunk itself, returning the
+    /// bytes copied.
+    pub fn copy_from(&mut self, from: &mut dyn Read) -> io::Result<u64> {
+        let mut copied = 0u64;
+        loop {
+            if self.filled == CHUNK {
+                self.flush_chunk()?;
+            }
+            match from.read(&mut self.chunk[self.filled..]) {
+                Ok(0) => return Ok(copied),
+                Ok(n) => {
+                    self.filled += n;
+                    copied += n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Appends `bytes`; the fast path of a snapshot encoder's every field.
+    #[inline]
+    pub fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let end = self.filled + bytes.len();
+        if end <= CHUNK {
+            self.chunk[self.filled..end].copy_from_slice(bytes);
+            self.filled = end;
+            Ok(())
+        } else {
+            self.write_all(bytes)
+        }
+    }
+
+    fn flush_chunk(&mut self) -> io::Result<()> {
+        if self.filled == 0 {
+            return Ok(());
+        }
+        let chunk = &self.chunk[..self.filled];
+        self.hash = checksum_from(self.hash, chunk);
+        self.inner.write_all(chunk)?;
+        self.flushed += self.filled as u64;
+        self.filled = 0;
+        Ok(())
+    }
+}
+
+impl<W: Write + ?Sized> Write for HashWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.filled == CHUNK {
+            self.flush_chunk()?;
+        }
+        let n = buf.len().min(CHUNK - self.filled);
+        self.chunk[self.filled..self.filled + n].copy_from_slice(&buf[..n]);
+        self.filled += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.flush_chunk()?;
+        self.inner.flush()
+    }
 }
 
 /// Appends a `u8`.
@@ -150,6 +287,26 @@ mod tests {
             Cursor::new(&[1, 2]).u32(),
             Err(StoreError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn a_hash_writer_hashes_what_it_writes_in_chunks() {
+        // Three chunks and a bit, through every way in: the sink gets every
+        // byte in order, and the running sum is the checksum of the whole.
+        let data: Vec<u8> = (0..3 * CHUNK + 17).map(|i| (i * 31 % 251) as u8).collect();
+        let mut w = HashWriter::new(Vec::new());
+        w.put(&data[..5]).unwrap();
+        w.write_all(&data[5..CHUNK + 3]).unwrap();
+        assert_eq!(w.len(), CHUNK as u64 + 3);
+        assert_eq!(w.sum().unwrap(), checksum(&data[..CHUNK + 3]));
+        w.copy_from(&mut &data[CHUNK + 3..]).unwrap();
+        assert_eq!(w.sum().unwrap(), checksum(&data));
+        assert_eq!(w.finish().unwrap(), data);
+        assert_eq!(
+            checksum_from(checksum(&data[..9]), &data[9..]),
+            checksum(&data),
+            "a hash continues across pieces"
+        );
     }
 
     #[test]

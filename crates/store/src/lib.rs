@@ -24,6 +24,11 @@
 //! * [`replica`] — WAL shipping (incremental directory copy) and
 //!   read-only tailing, the transport under read replicas.
 //!
+//! Checkpoint parts are streamed everywhere they move — encoded into
+//! their files, verified on recovery, decoded, and shipped — through one
+//! 64 KiB window ([`io::HashWriter`] out, [`SnapshotReader`] in), so no
+//! part image is ever held whole in memory.
+//!
 //! The store is deliberately *policy-oblivious*: policy bodies are opaque
 //! strings in `resin_core`'s textual wire format, tokenized (never
 //! deserialized) while building the table. Checkpointing and recovery
@@ -44,6 +49,7 @@ pub mod store;
 pub mod wal;
 
 pub use error::{Result, StoreError};
+pub use io::HashWriter;
 pub use replica::{checkpoint_base_seq, read_checkpoint, ship, tail_records, ShipReport, Tailed};
 pub use snapshot::{SnapshotReader, SnapshotWriter, SpanRef, SNAPSHOT_VERSION};
-pub use store::{Parts, Recovered, Recovery, Store, StoreStats};
+pub use store::{Part, Parts, Recovered, Recovery, Store, StoreStats};

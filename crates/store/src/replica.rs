@@ -17,7 +17,13 @@
 //!   half-copied by one ship completes on the next;
 //! * the manifest is replaced atomically (temp + rename), and is only
 //!   shipped after the parts it references, so a manifest never points at
-//!   a missing part.
+//!   a missing part;
+//! * a part streams into its temp file through the same hashing writer a
+//!   checkpoint writes it with, and the new parts are renamed into place
+//!   only once every one of them matches its length and checksum in the
+//!   shipped manifest. A corrupt source part fails the ship before any
+//!   replica file or the replica's manifest moves, so the replica keeps
+//!   reading its previous checkpoint.
 //!
 //! Part retention is the primary's rule, `remove_orphan_parts`: once the
 //! shipped manifest is in place, every part file it does not name is
@@ -46,13 +52,15 @@
 //! dropping a record a replay still needs.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::error::Result;
+use crate::error::{Result, StoreError};
+use crate::io::HashWriter;
 use crate::segment::list_segments;
 use crate::store::{
-    decode_manifest, read_checkpoint_state, remove_orphan_parts, Parts, MANIFEST_FILE,
+    decode_manifest, part_mismatch, read_checkpoint_state, remove_orphan_parts, write_file, Parts,
+    MANIFEST_FILE,
 };
 use crate::wal::{scan, Record};
 
@@ -89,7 +97,8 @@ pub struct Tailed {
 /// longer names and those checkpoint-covered segments, so a slow follower
 /// that has not shipped the covering manifest yet keeps every segment it
 /// might still need. A ship with nothing new reads the two manifests and
-/// no part image.
+/// no part image. A part whose copy does not match the shipped manifest
+/// fails the ship before the replica's manifest is replaced.
 pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
     std::fs::create_dir_all(dst)?;
     let mut report = ShipReport::default();
@@ -106,6 +115,10 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
         // What the replica's own manifest vouches for; an unreadable one
         // vouches for nothing, and every part is copied again.
         let held = decode_manifest(&have).map(|(_, e)| e).unwrap_or_default();
+        // Every new part is copied and verified into its temp file before
+        // any is renamed, so a part that fails leaves every file the
+        // replica's manifest names as it was, a reused part name included.
+        let mut staged = Vec::new();
         for e in &entries {
             if held
                 .iter()
@@ -113,12 +126,32 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
             {
                 continue;
             }
-            let image = std::fs::read(src.join(&e.file))?;
-            write_atomic(dst, &e.file, &image)?;
+            let tmp = dst.join(format!("{}.shiptmp", e.file));
+            let copied = File::open(src.join(&e.file))
+                .map_err(StoreError::from)
+                .and_then(|mut from| {
+                    write_file(&tmp, |out| {
+                        out.copy_from(&mut from)?;
+                        if out.len() != e.len || out.sum()? != e.sum {
+                            return Err(part_mismatch(e));
+                        }
+                        Ok(())
+                    })
+                });
+            if let Err(err) = copied {
+                for (tmp, _) in &staged {
+                    let _ = std::fs::remove_file(tmp);
+                }
+                return Err(err);
+            }
+            staged.push((tmp, &e.file));
             report.parts_copied += 1;
-            report.bytes_copied += image.len() as u64;
+            report.bytes_copied += e.len;
         }
-        write_atomic(dst, MANIFEST_FILE, &bytes)?;
+        for (tmp, file) in staged {
+            std::fs::rename(tmp, dst.join(file))?;
+        }
+        write_atomic(dst, MANIFEST_FILE, |out| Ok(out.write_all(&bytes)?))?;
         report.bytes_copied += bytes.len() as u64;
         remove_orphan_parts(dst, &entries);
     }
@@ -138,8 +171,6 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
         let from = if dst_len < src_len { dst_len } else { 0 };
         let mut src_file = File::open(path)?;
         src_file.seek(SeekFrom::Start(from))?;
-        let mut tail = Vec::new();
-        src_file.read_to_end(&mut tail)?;
         let mut dst_file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -147,10 +178,10 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
             .open(&to)?;
         dst_file.set_len(from)?;
         dst_file.seek(SeekFrom::Start(from))?;
-        dst_file.write_all(&tail)?;
+        let copied = std::io::copy(&mut src_file, &mut dst_file)?;
         dst_file.sync_data()?;
         report.segments_copied += 1;
-        report.bytes_copied += tail.len() as u64;
+        report.bytes_copied += copied;
     }
 
     // Retention: drop replica segments the primary compacted away, but
@@ -231,15 +262,15 @@ pub fn tail_records(dir: &Path, after_seq: u64) -> Result<Tailed> {
     Ok(out)
 }
 
-/// Writes `bytes` into `dir/name` atomically (temp file + rename), so a
-/// replica-side reader never observes a half-copied file.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
+/// Fills `dir/name` atomically (temp file + rename), so a replica-side
+/// reader never observes a half-copied file.
+fn write_atomic(
+    dir: &Path,
+    name: &str,
+    fill: impl FnOnce(&mut HashWriter<File>) -> Result<()>,
+) -> Result<()> {
     let tmp = dir.join(format!("{name}.shiptmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
+    write_file(&tmp, fill)?;
     std::fs::rename(&tmp, dir.join(name))?;
     Ok(())
 }
@@ -255,8 +286,16 @@ mod tests {
     /// Checkpoints `image` as the store's one part, rewritten every time.
     fn checkpoint(s: &Store, image: &[u8]) {
         s.mark_dirty("img");
-        s.checkpoint_parts([("img".to_string(), || Ok::<_, StoreError>(image.to_vec()))])
-            .unwrap();
+        s.checkpoint_parts([("img".to_string(), |out: &mut HashWriter<File>| {
+            Ok::<_, StoreError>(out.write_all(image)?)
+        })])
+        .unwrap();
+    }
+
+    /// The image of a shipped checkpoint's one part.
+    fn image(parts: Parts) -> Vec<u8> {
+        let [part]: [crate::store::Part; 1] = parts.try_into().expect("one part");
+        part.bytes()
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -311,7 +350,7 @@ mod tests {
         assert!(rep.parts_copied >= 1);
         let (base_seq, parts) = read_checkpoint(&dst).unwrap().expect("checkpoint shipped");
         assert_eq!(base_seq, 10);
-        assert_eq!(parts[0].1, b"CKPT");
+        assert_eq!(image(parts), b"CKPT");
         let t = tail_records(&dst, base_seq).unwrap();
         assert_eq!(t.records.len(), 1);
         assert_eq!(t.records[0].payload, b"post");
@@ -370,7 +409,7 @@ mod tests {
             );
             // Replay still reconstructs the full state.
             let (base_seq, parts) = read_checkpoint(&dst).unwrap().expect("checkpoint shipped");
-            assert_eq!(parts[0].1, format!("CKPT{round}").as_bytes());
+            assert_eq!(image(parts), format!("CKPT{round}").as_bytes());
             let t = tail_records(&dst, base_seq).unwrap();
             assert!(t.records.is_empty());
             assert!(!t.torn);
@@ -470,9 +509,60 @@ mod tests {
         );
         // Replay is whole: checkpoint plus (empty) tail.
         let (base_seq, parts) = read_checkpoint(&dst).unwrap().unwrap();
-        assert_eq!(parts[0].1, b"CKPT");
+        assert_eq!(image(parts), b"CKPT");
         let t = tail_records(&dst, base_seq).unwrap();
         assert!(t.records.is_empty() && !t.torn);
+        std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_source_part_fails_the_ship_and_leaves_the_replica_as_it_was() {
+        let src = tmp_dir("badpartsrc");
+        let dst = tmp_dir("badpartdst");
+        let (s, _) = Store::open(&src).unwrap();
+        s.set_sync(false);
+        s.append(b"one").unwrap();
+        checkpoint(&s, b"CKPT1");
+        ship(&src, &dst).unwrap();
+        let names = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let shipped = names(&dst);
+        let manifest = std::fs::read(dst.join(MANIFEST_FILE)).unwrap();
+        // The next checkpoint writes two parts, and its second rots on the
+        // primary before it ships.
+        s.append(b"two").unwrap();
+        s.mark_dirty("img");
+        s.checkpoint_parts(["img", "z"].map(|name| {
+            (name.to_string(), move |out: &mut HashWriter<File>| {
+                Ok::<_, StoreError>(out.write_all(name.as_bytes())?)
+            })
+        }))
+        .unwrap();
+        let (_, entries) =
+            decode_manifest(&std::fs::read(src.join(MANIFEST_FILE)).unwrap()).unwrap();
+        let part = src.join(&entries[1].file);
+        let mut bytes = std::fs::read(&part).unwrap();
+        bytes[0] ^= 0xff;
+        std::fs::write(&part, &bytes).unwrap();
+        let err = ship(&src, &dst).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("fails its checksum")),
+            "{err:?}"
+        );
+        // No temp file, no new part (not even the sound first one), the
+        // same manifest: the follower still reads the checkpoint it had.
+        assert_eq!(names(&dst), shipped);
+        assert_eq!(std::fs::read(dst.join(MANIFEST_FILE)).unwrap(), manifest);
+        let (base_seq, parts) = read_checkpoint(&dst).unwrap().unwrap();
+        assert_eq!(base_seq, 1);
+        assert_eq!(image(parts), b"CKPT1");
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();
     }

@@ -45,6 +45,20 @@
 //! O(database) — and one with nothing to do (no dirty part, nothing logged
 //! since `base_seq`, the same part names) writes nothing at all.
 //!
+//! # Parts stream
+//!
+//! No part image is ever whole in memory. A part's encoder writes into a
+//! [`HashWriter`] over its fresh file, which hands the file 64 KiB chunks
+//! and hashes each once on the way, so the manifest's length and checksum
+//! cost no second pass; a part whose encoder, write or fsync fails is
+//! removed, and the manifest and dirty marks stay as they were. Recovery
+//! hands the client a [`Part`] per manifest entry, whose file
+//! [`Store::open`] has already streamed against the manifest's length and
+//! checksum: no unverified byte reaches a decoder, and the client decodes
+//! the image through its own window. So a checkpoint costs a chunk of heap
+//! beyond what its encoder holds, and a recovery one window beyond the
+//! state it rebuilds.
+//!
 //! The WAL does not say which part a record touched, so a client that
 //! replays a recovered tail marks what each record writes, as it did when
 //! the record was first logged.
@@ -90,7 +104,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::error::{Result, StoreError};
-use crate::io::{checksum, put_str, put_u32, put_u64, Cursor};
+use crate::io::{checksum, put_str, put_u32, put_u64, Cursor, HashWriter};
 use crate::segment::{list_segments, segment_path};
 use crate::wal::{encode_record, scan, Record};
 
@@ -116,8 +130,43 @@ pub(crate) struct ManifestEntry {
     pub(crate) sum: u64,
 }
 
-/// Named checkpoint parts in manifest order: `(part name, image bytes)`.
-pub type Parts = Vec<(String, Vec<u8>)>;
+/// One part of a recovered checkpoint: its name and its image file,
+/// already streamed against the manifest's length and checksum. The file
+/// stays open, so the image decoded is the image verified, whatever
+/// later happens to the name; decoding consumes the handle and closes it.
+#[derive(Debug)]
+pub struct Part {
+    name: String,
+    file: File,
+    len: u64,
+}
+
+impl Part {
+    /// The part's name, as the client gave it to the checkpoint.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The image from its first byte, unbuffered: the client reads it
+    /// through its own window (`SnapshotReader::read`).
+    pub fn into_image(mut self) -> Result<impl Read> {
+        self.file.seek(SeekFrom::Start(0))?;
+        Ok(self.file.take(self.len))
+    }
+}
+
+/// The parts of a recovered checkpoint, in manifest order.
+pub type Parts = Vec<Part>;
+
+#[cfg(test)]
+impl Part {
+    /// The whole image, for tests of the store's own raw images.
+    pub(crate) fn bytes(self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.into_image().unwrap().read_to_end(&mut bytes).unwrap();
+        bytes
+    }
+}
 
 /// What [`Store::open`] recovered from disk: the state its client
 /// replays. How the log was found is [`Store::recovery`].
@@ -717,16 +766,19 @@ impl Store {
     /// unwritten frames are flushed first, so the manifest's base sequence
     /// never claims to cover a record that is not on disk.
     ///
-    /// The images must hold every write appended so far: the caller keeps
-    /// writers out for the whole call. If encoding or writing fails, the
-    /// dirty marks are kept for the next attempt.
+    /// Each encoder writes its image into a [`HashWriter`] over the
+    /// part's fresh file, which counts and hashes it for the manifest on
+    /// the way. The images must hold every write appended so far: the
+    /// caller keeps writers out for the whole call. If an encoder, a write
+    /// or an fsync fails, the part file it was writing is removed, and the
+    /// manifest and the dirty marks stay as they were for the next attempt.
     pub fn checkpoint_parts<E, F>(
         &self,
         parts: impl IntoIterator<Item = (String, F)>,
     ) -> std::result::Result<(), E>
     where
         E: From<StoreError>,
-        F: FnOnce() -> std::result::Result<Vec<u8>, E>,
+        F: FnOnce(&mut HashWriter<File>) -> std::result::Result<(), E>,
     {
         let started = Instant::now();
         let parts: Vec<(String, F)> = parts.into_iter().collect();
@@ -749,7 +801,15 @@ impl Store {
                 match previous.get(name.as_str()) {
                     Some(&kept) if !dirty.contains(&name) => entries.push(kept.clone()),
                     _ => {
-                        entries.push(self.write_part(name, &encode()?)?);
+                        let n = self.shared.next_part.fetch_add(1, Ordering::Relaxed);
+                        let file = format!("part.{n:06}.bin");
+                        let (len, sum) = write_file(&self.dir.join(&file), encode)?;
+                        entries.push(ManifestEntry {
+                            name,
+                            file,
+                            len,
+                            sum,
+                        });
                         written += 1;
                     }
                 }
@@ -768,21 +828,6 @@ impl Store {
             lock_dirty(&self.shared).extend(dirty);
         }
         result
-    }
-
-    /// Writes one part image to a fresh immutable file and fsyncs it.
-    fn write_part(&self, name: String, image: &[u8]) -> Result<ManifestEntry> {
-        let n = self.shared.next_part.fetch_add(1, Ordering::Relaxed);
-        let file = format!("part.{n:06}.bin");
-        let mut f = File::create(self.dir.join(&file))?;
-        f.write_all(image)?;
-        f.sync_all()?;
-        Ok(ManifestEntry {
-            name,
-            file,
-            len: image.len() as u64,
-            sum: checksum(image),
-        })
     }
 
     /// Makes `entries` the durable manifest at the current sequence
@@ -895,9 +940,41 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<(u64, Vec<ManifestEntry>)>
     Ok((base_seq, entries))
 }
 
-/// Reads the checkpoint (manifest + part images) without taking any
-/// locks or mutating anything. Shared by [`Store::open`] and the
-/// read-only replica tail ([`crate::replica::read_checkpoint`]).
+/// Creates `path` and fills it through a [`HashWriter`], then fsyncs it,
+/// returning its length and checksum. A failure at any step removes the
+/// file: a part file exists whole or not at all.
+pub(crate) fn write_file<E: From<StoreError>>(
+    path: &Path,
+    fill: impl FnOnce(&mut HashWriter<File>) -> std::result::Result<(), E>,
+) -> std::result::Result<(u64, u64), E> {
+    let result = (|| {
+        let mut out = HashWriter::new(File::create(path).map_err(StoreError::from)?);
+        fill(&mut out)?;
+        let sum = out.sum().map_err(StoreError::from)?;
+        let len = out.len();
+        let file = out.finish().map_err(StoreError::from)?;
+        file.sync_all().map_err(StoreError::from)?;
+        Ok((len, sum))
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(path);
+    }
+    result
+}
+
+/// The error of a part file that does not match its manifest entry.
+pub(crate) fn part_mismatch(e: &ManifestEntry) -> StoreError {
+    StoreError::Corrupt(format!(
+        "checkpoint part `{}` ({}) fails its checksum",
+        e.name, e.file
+    ))
+}
+
+/// Reads the checkpoint (manifest + part handles) without taking any
+/// locks or mutating anything: each part file is opened and streamed
+/// against its manifest entry, and handed out open. Shared by
+/// [`Store::open`] and the read-only replica tail
+/// ([`crate::replica::read_checkpoint`]).
 pub(crate) fn read_checkpoint_state(dir: &Path) -> Result<(Vec<ManifestEntry>, u64, Parts)> {
     let bytes = match std::fs::read(dir.join(MANIFEST_FILE)) {
         Ok(bytes) => bytes,
@@ -909,14 +986,17 @@ pub(crate) fn read_checkpoint_state(dir: &Path) -> Result<(Vec<ManifestEntry>, u
     let (base_seq, entries) = decode_manifest(&bytes)?;
     let mut parts = Vec::with_capacity(entries.len());
     for e in &entries {
-        let image = std::fs::read(dir.join(&e.file))?;
-        if image.len() as u64 != e.len || checksum(&image) != e.sum {
-            return Err(StoreError::Corrupt(format!(
-                "checkpoint part `{}` ({}) fails its checksum",
-                e.name, e.file
-            )));
+        let mut file = File::open(dir.join(&e.file))?;
+        let mut verify = HashWriter::new(std::io::sink());
+        verify.copy_from(&mut file)?;
+        if verify.len() != e.len || verify.sum()? != e.sum {
+            return Err(part_mismatch(e));
         }
-        parts.push((e.name.clone(), image));
+        parts.push(Part {
+            name: e.name.clone(),
+            file,
+            len: e.len,
+        });
     }
     Ok((entries, base_seq, parts))
 }
@@ -977,11 +1057,19 @@ mod tests {
 
     /// Checkpoints fixed images, one per named part.
     fn checkpoint(s: &Store, parts: &[(&str, &[u8])]) -> Result<()> {
-        s.checkpoint_parts(
-            parts
-                .iter()
-                .map(|&(name, image)| (name.to_string(), move || Ok(image.to_vec()))),
-        )
+        s.checkpoint_parts(parts.iter().map(|&(name, image)| {
+            (name.to_string(), move |out: &mut HashWriter<File>| {
+                Ok(out.write_all(image)?)
+            })
+        }))
+    }
+
+    /// The recovered parts as `(name, image)` pairs.
+    fn contents(parts: Parts) -> Vec<(String, Vec<u8>)> {
+        parts
+            .into_iter()
+            .map(|p| (p.name().to_string(), p.bytes()))
+            .collect()
     }
 
     /// Checkpoints `image` as the store's one part, rewritten every time.
@@ -991,9 +1079,9 @@ mod tests {
     }
 
     /// The image [`checkpoint_image`] left in a recovered checkpoint.
-    fn image(r: &Recovered) -> Option<&[u8]> {
-        match r.parts.as_slice() {
-            [(name, image)] if name == "img" => Some(image),
+    fn image(mut parts: Parts) -> Option<Vec<u8>> {
+        match parts.pop() {
+            Some(part) if parts.is_empty() && part.name() == "img" => Some(part.bytes()),
             _ => None,
         }
     }
@@ -1025,7 +1113,7 @@ mod tests {
             s.append(b"post").unwrap();
         }
         let (_, r) = Store::open(&dir).unwrap();
-        assert_eq!(image(&r), Some(b"IMAGE" as &[u8]));
+        assert_eq!(image(r.parts), Some(b"IMAGE".to_vec()));
         assert_eq!(r.records, vec![b"post".to_vec()]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1072,7 +1160,7 @@ mod tests {
             std::fs::write(segment_path(&dir, 1), &wal_bytes).unwrap();
         }
         let (s, r) = Store::open(&dir).unwrap();
-        assert_eq!(image(&r), Some(b"SNAP" as &[u8]));
+        assert_eq!(image(r.parts), Some(b"SNAP".to_vec()));
         assert!(
             r.records.is_empty(),
             "covered records must not replay twice"
@@ -1207,7 +1295,7 @@ mod tests {
         assert_eq!(stats.base_seq, 20);
         drop(s);
         let (_, r) = Store::open(&dir).unwrap();
-        assert_eq!(image(&r), Some(b"COMPACT" as &[u8]));
+        assert_eq!(image(r.parts), Some(b"COMPACT".to_vec()));
         assert!(r.records.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1228,7 +1316,7 @@ mod tests {
         drop(s);
         let (s, r) = Store::open(&dir).unwrap();
         assert_eq!(
-            r.parts,
+            contents(r.parts),
             vec![
                 ("alpha".to_string(), b"AAAA".to_vec()),
                 ("beta".to_string(), b"B2B2".to_vec()),
@@ -1246,7 +1334,10 @@ mod tests {
         assert_eq!(part_files, 1, "alpha's image left with it");
         drop(s);
         let (_, r) = Store::open(&dir).unwrap();
-        assert_eq!(r.parts, vec![("beta".to_string(), b"B2B2".to_vec())]);
+        assert_eq!(
+            contents(r.parts),
+            vec![("beta".to_string(), b"B2B2".to_vec())]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1261,9 +1352,9 @@ mod tests {
             let log = &encoded;
             log.borrow_mut().clear();
             s.checkpoint_parts(["a", "b"].map(|name| {
-                (name.to_string(), move || {
+                (name.to_string(), move |out: &mut HashWriter<File>| {
                     log.borrow_mut().push(name);
-                    Ok::<_, StoreError>(name.as_bytes().to_vec())
+                    Ok::<_, StoreError>(out.write_all(name.as_bytes())?)
                 })
             }))
             .unwrap();
@@ -1307,12 +1398,83 @@ mod tests {
         assert_eq!(s.base_seq(), base_seq + 1);
         // A failed encode keeps the marks for the next attempt.
         s.mark_dirty("a");
-        let failed = s.checkpoint_parts([("a".to_string(), || {
+        let failed = s.checkpoint_parts([("a".to_string(), |_: &mut HashWriter<File>| {
             Err(StoreError::Corrupt("encoder failed".into()))
         })]);
         assert!(failed.is_err());
         assert_eq!(s.dirty_count(), 1);
         assert_eq!(s.stats().parts, 2, "the manifest did not move");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_streamed_part_leaves_nothing_behind() {
+        let dir = tmp_dir("failpart");
+        let (s, _) = Store::open(&dir).unwrap();
+        checkpoint(&s, &[("a", b"A1"), ("b", b"B1")]).unwrap();
+        let part_files = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .flatten()
+                .map(|e| e.file_name().into_string().unwrap())
+                .filter(|n| n.starts_with("part."))
+                .collect();
+            names.sort();
+            names
+        };
+        let before = part_files();
+        // `b` writes more than a chunk to its file, then fails: the file
+        // goes, and the manifest and the mark stand.
+        s.append(b"w").unwrap();
+        s.mark_dirty("b");
+        let failed = s.checkpoint_parts(["a", "b"].map(|name| {
+            (name.to_string(), move |out: &mut HashWriter<File>| {
+                assert_eq!(name, "b", "`a` is clean");
+                out.write_all(&vec![7u8; crate::io::CHUNK + 10])?;
+                Err(StoreError::Corrupt("encoder failed midway".into()))
+            })
+        }));
+        assert!(failed.is_err());
+        assert_eq!(part_files(), before, "no partial part file");
+        assert_eq!(s.dirty_count(), 1, "the mark is kept");
+        assert_eq!(s.base_seq(), 0, "the manifest did not move");
+        // A snapshot encoder whose writing pass strays from its sizing
+        // pass fails the same way, as corrupt.
+        let mut pass = 0;
+        let diverged = s.checkpoint_parts([("b".to_string(), |out: &mut HashWriter<File>| {
+            crate::SnapshotWriter::write(out, |w| {
+                pass += 1;
+                w.put_str(&"x".repeat(pass * 40_000))
+            })
+        })]);
+        assert!(
+            matches!(diverged, Err(StoreError::Corrupt(_))),
+            "{diverged:?}"
+        );
+        assert_eq!(part_files(), before, "no partial part file");
+        assert_eq!(s.dirty_count(), 1);
+        drop(s);
+        // A reopen reads the prior checkpoint; the next checkpoint works.
+        let (s, r) = Store::open(&dir).unwrap();
+        assert_eq!(
+            contents(r.parts),
+            vec![
+                ("a".to_string(), b"A1".to_vec()),
+                ("b".to_string(), b"B1".to_vec()),
+            ]
+        );
+        assert_eq!(r.records, vec![b"w".to_vec()]);
+        s.mark_dirty("b");
+        checkpoint(&s, &[("a", b"A1"), ("b", b"B3")]).unwrap();
+        drop(s);
+        let (_, r) = Store::open(&dir).unwrap();
+        assert_eq!(
+            contents(r.parts),
+            vec![
+                ("a".to_string(), b"A1".to_vec()),
+                ("b".to_string(), b"B3".to_vec()),
+            ]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1437,7 +1599,7 @@ mod tests {
             checkpoint_image(&store, b"FINAL");
         }
         let (s, r) = Store::open(&dir).unwrap();
-        assert_eq!(image(&r), Some(b"FINAL" as &[u8]));
+        assert_eq!(image(r.parts), Some(b"FINAL".to_vec()));
         assert!(r.records.is_empty(), "final checkpoint covers all appends");
         assert_eq!(s.seq(), (THREADS * PER) as u64);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1481,7 +1643,7 @@ mod tests {
         // Whatever the last MID checkpoint covered is in the snapshot;
         // everything after it must be in the recovered records, with no
         // gaps: base_seq + records == all acknowledged appends.
-        assert_eq!(image(&r), Some(b"MID" as &[u8]));
+        assert_eq!(image(r.parts), Some(b"MID".to_vec()));
         assert_eq!(s.recovery(), Recovery::Clean);
         let (_, base_seq, _) = read_checkpoint_state(&dir).unwrap();
         assert_eq!(

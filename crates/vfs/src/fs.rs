@@ -22,13 +22,15 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{Read, Write};
 
 use resin_core::serialize::is_spans_blob;
 use resin_core::{
     deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
     TaintedString, Tracking,
 };
-use resin_store::{Recovery, SnapshotReader, SnapshotWriter, Store};
+use resin_store::{HashWriter, Recovery, SnapshotReader, SnapshotWriter, Store};
 
 use crate::error::{Result, VfsError};
 use crate::op::FsOp;
@@ -140,16 +142,18 @@ impl Vfs {
     /// policies persistent.
     pub fn open_disk(dir: impl AsRef<std::path::Path>) -> Result<Vfs> {
         let (store, recovered) = Store::open(dir)?;
-        let root = match recovered.parts.as_slice() {
-            [] => DirNode::default(),
-            [(name, image)] if name == TREE_PART => decode_tree(image)?,
-            _ => {
+        let mut parts = recovered.parts;
+        let root = match parts.pop() {
+            None => DirNode::default(),
+            Some(tree) if parts.is_empty() && tree.name() == TREE_PART => {
+                decode_tree(tree.into_image()?)?
+            }
+            Some(_) => {
                 return Err(VfsError::Storage(
                     "checkpoint holds parts other than the tree".into(),
                 ));
             }
         };
-        drop(recovered.parts);
         if !recovered.records.is_empty() {
             // The replayed ops post-date the checkpoint: the tree is ahead
             // of its image until the next checkpoint folds them in.
@@ -205,7 +209,9 @@ impl Vfs {
             return Ok(());
         };
         let root = &self.root;
-        store.checkpoint_parts([(TREE_PART.to_string(), || encode_tree(root))])
+        store.checkpoint_parts([(TREE_PART.to_string(), |out: &mut HashWriter<File>| {
+            encode_tree(out, root)
+        })])
     }
 
     // ---- the one mutation path ----
@@ -706,24 +712,24 @@ const NODE_DIR: u8 = 1;
 const XATTR_RAW: u8 = 0;
 const XATTR_SPANS: u8 = 1;
 
-fn encode_xattrs(xattrs: &BTreeMap<String, String>, w: &mut SnapshotWriter) -> Result<()> {
-    w.put_u32(xattrs.len() as u32);
+fn encode_xattrs(xattrs: &BTreeMap<String, String>, w: &mut SnapshotWriter<'_>) -> Result<()> {
+    w.put_u32(xattrs.len() as u32)?;
     for (k, v) in xattrs {
-        w.put_str(k);
+        w.put_str(k)?;
         if k == XATTR_POLICY && is_spans_blob(v) {
             if let Ok(refs) = w.intern_spans_blob(v) {
-                w.put_u8(XATTR_SPANS);
-                w.put_span_refs(&refs);
+                w.put_u8(XATTR_SPANS)?;
+                w.put_span_refs(&refs)?;
                 continue;
             }
         }
-        w.put_u8(XATTR_RAW);
-        w.put_str(v);
+        w.put_u8(XATTR_RAW)?;
+        w.put_str(v)?;
     }
     Ok(())
 }
 
-fn decode_xattrs(r: &mut SnapshotReader) -> Result<BTreeMap<String, String>> {
+fn decode_xattrs(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, String>> {
     let n = r.u32().map_err(VfsError::from)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
@@ -741,19 +747,19 @@ fn decode_xattrs(r: &mut SnapshotReader) -> Result<BTreeMap<String, String>> {
     Ok(out)
 }
 
-fn encode_dir(dir: &DirNode, w: &mut SnapshotWriter) -> Result<()> {
+fn encode_dir(dir: &DirNode, w: &mut SnapshotWriter<'_>) -> Result<()> {
     encode_xattrs(&dir.xattrs, w)?;
-    w.put_u32(dir.children.len() as u32);
+    w.put_u32(dir.children.len() as u32)?;
     for (name, node) in &dir.children {
-        w.put_str(name);
+        w.put_str(name)?;
         match node {
             Node::File(f) => {
-                w.put_u8(NODE_FILE);
-                w.put_str(&f.content);
+                w.put_u8(NODE_FILE)?;
+                w.put_str(&f.content)?;
                 encode_xattrs(&f.xattrs, w)?;
             }
             Node::Dir(d) => {
-                w.put_u8(NODE_DIR);
+                w.put_u8(NODE_DIR)?;
                 encode_dir(d, w)?;
             }
         }
@@ -761,7 +767,7 @@ fn encode_dir(dir: &DirNode, w: &mut SnapshotWriter) -> Result<()> {
     Ok(())
 }
 
-fn decode_dir(r: &mut SnapshotReader) -> Result<DirNode> {
+fn decode_dir(r: &mut SnapshotReader<'_>) -> Result<DirNode> {
     let xattrs = decode_xattrs(r)?;
     let n = r.u32().map_err(VfsError::from)?;
     let mut children = BTreeMap::new();
@@ -781,15 +787,12 @@ fn decode_dir(r: &mut SnapshotReader) -> Result<DirNode> {
     Ok(DirNode { children, xattrs })
 }
 
-fn encode_tree(root: &DirNode) -> Result<Vec<u8>> {
-    let mut w = SnapshotWriter::new();
-    encode_dir(root, &mut w)?;
-    Ok(w.finish())
+fn encode_tree(out: &mut HashWriter<dyn Write + '_>, root: &DirNode) -> Result<()> {
+    SnapshotWriter::write(out, |w| encode_dir(root, w))
 }
 
-fn decode_tree(image: &[u8]) -> Result<DirNode> {
-    let mut r = SnapshotReader::parse(image).map_err(VfsError::from)?;
-    decode_dir(&mut r)
+fn decode_tree(image: impl Read) -> Result<DirNode> {
+    SnapshotReader::read(image, decode_dir)
 }
 
 #[cfg(test)]
@@ -801,6 +804,13 @@ mod tests {
 
     fn anon() -> Context {
         Vfs::anonymous_ctx()
+    }
+
+    /// The tree's image, written through the streaming writer.
+    fn tree_image(root: &DirNode) -> Vec<u8> {
+        let mut out = HashWriter::new(Vec::new());
+        encode_tree(&mut out, root).unwrap();
+        out.finish().unwrap()
     }
 
     #[test]
@@ -1102,7 +1112,8 @@ mod tests {
             "/../../tests/fixtures/parent_vfs_store/part.000000.bin"
         );
         let image = std::fs::read(part).unwrap();
-        assert_eq!(encode_tree(&decode_tree(&image).unwrap()).unwrap(), image);
+        let tree = decode_tree(File::open(part).unwrap()).unwrap();
+        assert_eq!(tree_image(&tree), image);
     }
 
     #[test]
@@ -1456,20 +1467,13 @@ mod tests {
                         disk.checkpoint().unwrap();
                     }
                 }
-                assert_eq!(
-                    encode_tree(&disk.root).unwrap(),
-                    encode_tree(&mem.root).unwrap()
-                );
+                assert_eq!(tree_image(&disk.root), tree_image(&mem.root));
             }
             // Recovery commits the logged tail through the same path and
             // lands on the same tree, byte for byte.
             let disk = Vfs::open_disk(&dir).unwrap();
             assert_eq!(disk.recovery(), Recovery::Clean);
-            assert_eq!(
-                encode_tree(&disk.root).unwrap(),
-                encode_tree(&mem.root).unwrap(),
-                "seed {seed}"
-            );
+            assert_eq!(tree_image(&disk.root), tree_image(&mem.root), "seed {seed}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
