@@ -662,6 +662,50 @@ pub(crate) fn policy_classes<'s>(stmts: &'s [Stmt], out: &mut Vec<&'s Arc<ClassD
     }
 }
 
+/// The policy corpus's scan list (`crates/lang/tests/policy_corpus.txt`,
+/// which CI's `resin-lint` step, `tests/lint.rs` and the differential
+/// oracle all read): the directories to sweep, and the path substrings to
+/// skip inside them.
+#[derive(Debug, Default)]
+pub struct CorpusList {
+    /// Directories to sweep (in the list file, relative to the
+    /// repository root).
+    pub scans: Vec<String>,
+    /// A path containing one of these is skipped.
+    pub excludes: Vec<String>,
+}
+
+impl CorpusList {
+    /// Reads the list: one `scan DIR` or `exclude SUBSTR` a line; blank
+    /// lines and `#` comments are skipped.
+    pub fn parse(text: &str) -> Result<CorpusList, String> {
+        let mut list = CorpusList::default();
+        for (n, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            match line.split_once(' ') {
+                Some(("scan", dir)) => list.scans.push(dir.trim().to_string()),
+                Some(("exclude", pat)) => list.excludes.push(pat.trim().to_string()),
+                _ => {
+                    return Err(format!(
+                        "line {}: not `scan DIR` or `exclude SUBSTR`",
+                        n + 1
+                    ))
+                }
+            }
+        }
+        Ok(list)
+    }
+
+    /// Whether the list skips `path`.
+    pub fn skips(&self, path: &std::path::Path) -> bool {
+        let shown = path.display().to_string();
+        self.excludes.iter().any(|pat| shown.contains(pat.as_str()))
+    }
+}
+
 /// Extracts candidate RSL snippets embedded in Rust source as raw string
 /// literals (`r#"..."#`) that mention `export_check`. Returns each
 /// snippet with the 1-based line its literal starts on; snippets that do

@@ -12,6 +12,10 @@
 //!                                       # are fragments)
 //! resin-lint --scan crates --exclude lint_fixtures
 //!                                       # skip paths containing a substring
+//! resin-lint --corpus crates/lang/tests/policy_corpus.txt
+//!                                       # the scans and excludes a corpus
+//!                                       # list names (`scan DIR`,
+//!                                       # `exclude SUBSTR` lines)
 //! ```
 //!
 //! Exit status is 1 when any error-severity diagnostic (or an unparsable
@@ -21,30 +25,37 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use resin_lang::analysis::lint::extract_embedded_rsl;
+use resin_lang::analysis::lint::{extract_embedded_rsl, CorpusList};
 use resin_lang::{lint_source, LintReport};
 
 fn main() -> ExitCode {
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut scans: Vec<PathBuf> = Vec::new();
-    let mut excludes: Vec<String> = Vec::new();
+    let mut corpus = CorpusList::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scan" => match args.next() {
-                Some(dir) => scans.push(PathBuf::from(dir)),
+                Some(dir) => corpus.scans.push(dir),
                 None => return usage("--scan needs a directory"),
             },
             "--exclude" => match args.next() {
-                Some(pat) => excludes.push(pat),
+                Some(pat) => corpus.excludes.push(pat),
                 None => return usage("--exclude needs a substring"),
+            },
+            "--corpus" => match args.next().map(|file| read_corpus(&file)) {
+                Some(Ok(list)) => {
+                    corpus.scans.extend(list.scans);
+                    corpus.excludes.extend(list.excludes);
+                }
+                Some(Err(e)) => return usage(&e),
+                None => return usage("--corpus needs a file"),
             },
             "--help" | "-h" => return usage(""),
             _ if arg.starts_with('-') => return usage(&format!("unknown flag {arg}")),
             _ => files.push(PathBuf::from(arg)),
         }
     }
-    if files.is_empty() && scans.is_empty() {
+    if files.is_empty() && corpus.scans.is_empty() {
         return usage("nothing to lint");
     }
 
@@ -52,8 +63,8 @@ fn main() -> ExitCode {
     for file in &files {
         lint_rsl_file(file, &mut stats);
     }
-    for dir in &scans {
-        walk(dir, &excludes, &mut stats);
+    for dir in &corpus.scans {
+        walk(Path::new(dir), &corpus, &mut stats);
     }
 
     eprintln!(
@@ -104,9 +115,9 @@ fn lint_rsl_file(path: &Path, stats: &mut Stats) {
     }
 }
 
-fn walk(dir: &Path, excludes: &[String], stats: &mut Stats) {
+fn walk(dir: &Path, corpus: &CorpusList, stats: &mut Stats) {
     let shown = dir.display().to_string();
-    if excludes.iter().any(|pat| shown.contains(pat.as_str())) {
+    if corpus.skips(dir) {
         return;
     }
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -118,11 +129,11 @@ fn walk(dir: &Path, excludes: &[String], stats: &mut Stats) {
     paths.sort();
     for path in paths {
         let shown = path.display().to_string();
-        if excludes.iter().any(|pat| shown.contains(pat.as_str())) {
+        if corpus.skips(&path) {
             continue;
         }
         if path.is_dir() {
-            walk(&path, excludes, stats);
+            walk(&path, corpus, stats);
         } else if shown.ends_with(".rsl") {
             lint_rsl_file(&path, stats);
         } else if shown.ends_with(".rs") {
@@ -140,11 +151,18 @@ fn walk(dir: &Path, excludes: &[String], stats: &mut Stats) {
     }
 }
 
+fn read_corpus(file: &str) -> Result<CorpusList, String> {
+    let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+    CorpusList::parse(&text).map_err(|e| format!("{file}: {e}"))
+}
+
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("resin-lint: {err}");
     }
-    eprintln!("usage: resin-lint [--scan DIR]... [--exclude SUBSTR]... [FILE.rsl]...");
+    eprintln!(
+        "usage: resin-lint [--corpus LIST] [--scan DIR]... [--exclude SUBSTR]... [FILE.rsl]..."
+    );
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -12,9 +12,10 @@
 //!   A [`ScriptPolicy`](crate::ScriptPolicy)
 //!   resolves its plan once (one look in the process-wide table) and holds
 //!   it, so a crossing, and every `this.m()` inside it, takes no lock;
-//! * a pooled evaluator per thread — the [`Interp`] and its VM buffers are
-//!   taken from a thread-local and put back, provided the check left
-//!   nothing script-visible behind;
+//! * the VM's buffers, per thread. A crossing runs on them with its plan
+//!   and no script host: no global, function or other class exists, and a
+//!   host builtin (output, mail, files, gates, `import`) or a definition
+//!   fails closed as a violation naming it, so no check crosses a gate;
 //! * for a class a small bytecode checker certifies pure
 //!   (`ClassPlan::certify`, the only eligibility rule), per thread: one
 //!   materialized `this` per class declaration, revalidated by the identity
@@ -24,9 +25,10 @@
 //!   identity, context stamp) already allowed is not executed again. A
 //!   deny is always executed again.
 //!
-//! [`set_check_cache`]`(false)` is the from-scratch path — a fresh
-//! evaluator, a fresh `this`, a fresh context map, chunks compiled on the
-//! spot, no verdict reused — and debug builds run it after every served
+//! [`set_check_cache`]`(false)` is the from-scratch path — the same
+//! evaluator over fresh buffers and a fresh plan that no table holds and
+//! no counter sees, a fresh `this`, a fresh context map, no verdict
+//! reused — and debug builds run it after every served
 //! crossing of a certified class and after every reused verdict, and panic
 //! when the two verdicts differ or when a cached `this` is no longer
 //! exactly its snapshot.
@@ -41,8 +43,9 @@ use resin_core::{Context, CtxValue, PolicyViolation};
 
 use crate::ast::ClassDecl;
 use crate::chunk::{Chunk, Op};
-use crate::interp::{Builtin, Flow, Interp, LangError, R};
+use crate::interp::{Flow, LangError, Reach, R};
 use crate::value::{Obj, PValue, Value};
+use crate::vm::Bufs;
 
 /// A policy's field snapshot, as [`ScriptPolicy`](crate::ScriptPolicy)
 /// shares it with the check caches.
@@ -64,6 +67,9 @@ pub(crate) struct ClassPlan {
     /// [`ClassPlan::certify`]'s verdict: the crossing may reuse `this`,
     /// the context map and an earlier allow.
     pub(crate) certified: bool,
+    /// Whether compiling a chunk moves [`compiled_policy_chunks`] (not for
+    /// a from-scratch crossing's plan).
+    counted: bool,
 }
 
 static POLICY_COMPILES: AtomicU64 = AtomicU64::new(0);
@@ -86,7 +92,9 @@ pub fn plan_table_locks() -> u64 {
 }
 
 impl ClassPlan {
-    fn new(class: &Arc<ClassDecl>) -> ClassPlan {
+    /// The plan of `class`; `counted` and certified, unless it is for one
+    /// from-scratch crossing.
+    fn new(class: &Arc<ClassDecl>, counted: bool) -> ClassPlan {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let mut plan = ClassPlan {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
@@ -94,8 +102,9 @@ impl ClassPlan {
             export_check: class.methods.iter().position(|m| m.name == "export_check"),
             chunks: class.methods.iter().map(|_| OnceLock::new()).collect(),
             certified: false,
+            counted,
         };
-        plan.certified = plan.certify();
+        plan.certified = counted && plan.certify();
         plan
     }
 
@@ -106,10 +115,10 @@ impl ClassPlan {
     /// No instruction of `export_check`, or of a method it reaches by a
     /// resolved `this.m()`, is a `SetProp`, `SetIndex`, `push`/`pop`,
     /// `Assign` (it may fall back to a global), global, `Call`, `New`,
-    /// `Define` or a builtin that does more than compute. A crossing starts
-    /// on a pristine evaluator with no global, function or class, and
-    /// nothing here creates one, so an unbound local fails the same way
-    /// every time. The only object reachable is `this` (fields and context
+    /// `Define` or a builtin that does more than compute. A crossing runs
+    /// without a script host, so no global, function or other class
+    /// exists, and an unbound local fails the same way every time. The
+    /// only object reachable is `this` (fields and context
     /// hold none). With no store the run cannot change `this`, the context
     /// map or a container inside either, nor build a cycle; with no store,
     /// global or definition it cannot keep a reference to either after it
@@ -145,7 +154,7 @@ impl ClassPlan {
                     | Op::Index { .. }
                     | Op::Return { .. }
                     | Op::Throw { .. } => {}
-                    Op::CallBuiltin { id, .. } if computes_only(id) => {}
+                    Op::CallBuiltin { id, .. } if id.reach() == Reach::Computes => {}
                     Op::Method { index, .. } if index != Op::UNRESOLVED => {
                         let index = index as usize;
                         if !std::mem::replace(&mut seen[index], true) {
@@ -172,7 +181,7 @@ impl ClassPlan {
             let decl = &self.class.methods[method];
             let chunk = crate::compiler::compile_function(decl, Some(&self.class))?;
             // Two threads may compile at once; one chunk is kept and counted.
-            if cell.set(Arc::new(chunk)).is_ok() {
+            if cell.set(Arc::new(chunk)).is_ok() && self.counted {
                 POLICY_COMPILES.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -203,33 +212,12 @@ pub(crate) fn plan_for(class: &Arc<ClassDecl>) -> Arc<ClassPlan> {
         return plan.clone();
     }
     // The certificate, which compiles, runs outside the lock.
-    let plan = Arc::new(ClassPlan::new(class));
+    let plan = Arc::new(ClassPlan::new(class, true));
     let mut plans = plan_table();
     if plans.len() >= PLAN_TABLE_CAP {
         plans.clear();
     }
     plans.entry(key).or_insert(plan).clone()
-}
-
-/// The builtins whose result is a function of their arguments alone and
-/// that change nothing: no output, no file, no gate, no mutated container.
-fn computes_only(id: Builtin) -> bool {
-    matches!(
-        id,
-        Builtin::Len
-            | Builtin::Substr
-            | Builtin::Upper
-            | Builtin::Lower
-            | Builtin::Trim
-            | Builtin::Contains
-            | Builtin::Replace
-            | Builtin::Split
-            | Builtin::Join
-            | Builtin::Str
-            | Builtin::Int
-            | Builtin::Typeof
-            | Builtin::Keys
-    )
 }
 
 // ---- per-thread state ----
@@ -268,18 +256,19 @@ thread_local! {
     /// stamp (equal stamps guarantee equal content). Only certified checks
     /// consult or fill it, so the cached map is never mutated.
     static CTX_MAP: RefCell<Option<(u64, Value)>> = const { RefCell::new(None) };
-    /// The pooled evaluator. A crossing takes it and puts it back, so a
-    /// re-entrant crossing finds the pool empty and a panic loses it.
-    static EVALUATOR: Cell<Option<Box<Interp>>> = const { Cell::new(None) };
+    /// The crossings' VM buffers. A crossing takes them and puts them
+    /// back, so a panic loses them.
+    static BUFS: Cell<Bufs> = Cell::new(Bufs::default());
     static CHECK_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
     static CHECK_CACHE_MISSES: Cell<u64> = const { Cell::new(0) };
     static CHECK_CACHE_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
 /// Disables (or re-enables) this thread's policy-check caches — the cached
-/// `this`, the cached context map, the pooled evaluator and the reused
-/// allows. For tests that need the from-scratch crossing as a baseline;
-/// production callers leave the caches on.
+/// `this`, the cached context map, the reused allows, and the check plan
+/// and VM buffers a crossing would otherwise share with others. For tests
+/// that need the from-scratch crossing as a baseline; production callers
+/// leave the caches on.
 pub fn set_check_cache(enabled: bool) {
     CHECK_CACHE_ENABLED.with(|c| c.set(enabled));
 }
@@ -445,16 +434,12 @@ pub(crate) fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViol
 /// channel context — the bridge that lets Rust-side filters invoke
 /// script-defined assertion code.
 pub(crate) fn cross(
-    plan: &Arc<ClassPlan>,
+    plan: &ClassPlan,
     fields: &Arc<Fields>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
-    let Some(method) = plan.export_check else {
+    if plan.export_check.is_none() {
         return Ok(());
-    };
-    #[cfg(debug_assertions)]
-    if oracle::running() {
-        return from_scratch(&plan.class, fields, context);
     }
     if !CHECK_CACHE_ENABLED.with(|c| c.get()) {
         count(&CHECK_CACHE_MISSES);
@@ -468,23 +453,12 @@ pub(crate) fn cross(
         oracle::compare(&plan.class, fields, context, &Ok(()));
         return Ok(());
     }
-    // No VFS or HTTP gate exists unless a policy body touches one, and
-    // one that did keeps the evaluator out of the pool.
-    let mut interp = EVALUATOR.take().unwrap_or_default();
-    // The plan makes the class visible to `new` and its methods callable.
-    interp.plan = Some(plan.clone());
     let this = this_for_check(plan, fields);
-    let decl = &plan.class.methods[method];
-    let arg = (!decl.params.is_empty()).then(|| context_map_for_check(context, plan.certified));
-    let flow = match plan.chunk(method) {
-        Ok(chunk) => crate::vm::call_chunk(&mut interp, chunk.clone(), arg, Some(this)),
-        Err(e) => Err(Flow::Error(e)),
-    };
-    let served = verdict(flow, &plan.class.name);
-    interp.plan = None;
-    if interp.is_pristine() {
-        EVALUATOR.set(Some(interp));
-    }
+    let mut bufs = BUFS.take();
+    let served = execute(plan, &mut bufs, this, || {
+        context_map_for_check(context, plan.certified)
+    });
+    BUFS.set(bufs);
     #[cfg(debug_assertions)]
     if plan.certified {
         oracle::compare(&plan.class, fields, context, &served);
@@ -496,27 +470,33 @@ pub(crate) fn cross(
     served
 }
 
-/// A crossing that shares nothing with any other: a fresh evaluator that
-/// knows the class by name and compiles what it calls, a fresh `this`, a
-/// fresh context map. Touches no counter.
+/// Runs the plan's `export_check` on `this`, passing the context map `arg`
+/// builds when the method takes a parameter.
+fn execute(
+    plan: &ClassPlan,
+    bufs: &mut Bufs,
+    this: Value,
+    arg: impl FnOnce() -> Value,
+) -> Result<(), PolicyViolation> {
+    let method = plan.export_check.expect("the plan found export_check");
+    let arg = (!plan.class.methods[method].params.is_empty()).then(arg);
+    let flow = crate::vm::cross(plan, bufs, method, arg, this);
+    verdict(flow, &plan.class.name)
+}
+
+/// A crossing that shares nothing with any other: fresh buffers, a fresh
+/// plan that compiles what it calls, a fresh `this`, a fresh context map.
+/// Touches no counter.
 fn from_scratch(
     class: &Arc<ClassDecl>,
     fields: &Fields,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
-    let method = class
-        .method("export_check")
-        .expect("the plan found export_check");
-    let mut interp = Interp::new();
-    interp.classes.insert(class.name.clone(), class.clone());
+    let plan = ClassPlan::new(class, false);
     let this = Value::Object(materialize(class, fields));
-    let args = if method.params.is_empty() {
-        Vec::new()
-    } else {
-        vec![context_to_map(context)]
-    };
-    let flow = crate::vm::call_function(&mut interp, method, args, Some(this));
-    verdict(flow, &class.name)
+    execute(&plan, &mut Bufs::default(), this, || {
+        context_to_map(context)
+    })
 }
 
 /// The cache-transparency oracle of debug builds: a crossing the caches
@@ -525,35 +505,13 @@ fn from_scratch(
 mod oracle {
     use super::*;
 
-    thread_local! {
-        static RUNNING: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// True inside an oracle run, whose own crossings (a policy body that
-    /// writes to a gate) must stay from scratch and uncounted too.
-    pub(super) fn running() -> bool {
-        RUNNING.with(|r| r.get())
-    }
-
-    struct Running;
-
-    impl Drop for Running {
-        fn drop(&mut self) {
-            RUNNING.with(|r| r.set(false));
-        }
-    }
-
     pub(super) fn compare(
         class: &Arc<ClassDecl>,
         fields: &Fields,
         context: &Context,
         served: &Result<(), PolicyViolation>,
     ) {
-        RUNNING.with(|r| r.set(true));
-        let scratch = {
-            let _running = Running;
-            from_scratch(class, fields, context)
-        };
+        let scratch = from_scratch(class, fields, context);
         assert!(
             scratch == *served,
             "the check caches changed the verdict of policy class `{}`: \
@@ -605,20 +563,11 @@ mod oracle {
     }
 }
 
-/// Evaluates a class's `export_check` over a field snapshot against a
-/// channel context: one crossing through the class's plan.
-pub fn eval_policy_method(
-    class: &Arc<ClassDecl>,
-    fields: &BTreeMap<String, PValue>,
-    context: &Context,
-) -> Result<(), PolicyViolation> {
-    cross(&plan_for(class), &Arc::new(fields.clone()), context)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::StmtKind;
+    use crate::interp::Builtin;
     use crate::parser::parse_program;
     use crate::ScriptPolicy;
     use resin_core::{GateKind, Policy};
@@ -664,48 +613,77 @@ mod tests {
         served
     }
 
-    fn pool_is_empty() -> bool {
-        let pooled = EVALUATOR.take();
-        let empty = pooled.is_none();
-        EVALUATOR.set(pooled);
-        empty
+    /// The slot capacity the pooled VM buffers kept, or `None` when a
+    /// crossing left anything in them.
+    fn pooled_bufs() -> Option<usize> {
+        let bufs = BUFS.take();
+        let kept = bufs.kept();
+        BUFS.set(bufs);
+        kept
+    }
+
+    fn refusal(what: &str) -> String {
+        format!("policy error: {what} is refused inside a policy check")
     }
 
     /// What a later crossing would see of an earlier one's leftovers:
-    /// a function, a global, a file, the mail preview switch.
+    /// a function, a global, a class.
     const WITNESS: &str = r#"class Witness {
         fn probe() { return leaked_fn(); }
         fn export_check(context) {
             if (this.mode == 1) { return this.probe(); }
             if (this.mode == 2) { return leaked_global; }
-            if (this.mode == 3) { if (file_exists("/leak")) { throw "saw the file"; } }
+            if (this.mode == 3) { return new Leaked(); }
         }
     }"#;
 
     #[test]
-    fn a_dirty_evaluator_is_dropped_and_the_next_crossing_sees_nothing() {
+    fn a_dirty_shape_is_refused_and_the_next_crossing_sees_nothing() {
         let dirty = [
-            r#"class DefinesFn { fn export_check(c) { fn leaked_fn() { return 1; } } }"#,
-            r#"class DefinesClass { fn export_check(c) { class Leaked { fn m() { return 1; } } } }"#,
-            r#"class AssignsGlobal { fn export_check(c) {
+            (
+                r#"class DefinesFn { fn export_check(c) { fn leaked_fn() { return 1; } } }"#,
+                "function definition `leaked_fn`",
+            ),
+            (
+                r#"class DefinesClass { fn export_check(c) { class Leaked { fn m() { return 1; } } } }"#,
+                "class definition `Leaked`",
+            ),
+            (
+                r#"class AssignsGlobal { fn export_check(c) {
                    file_write("/g.rsl", "let leaked_global = 7;"); import("/g.rsl");
                } }"#,
-            r#"class Prints { fn export_check(c) { print("seen"); } }"#,
-            r#"class SendsMail { fn export_check(c) { email("a@b", "hello"); } }"#,
-            r#"class Previews { fn export_check(c) { set_email_preview(true); } }"#,
-            r#"class OpensVfs { fn export_check(c) { file_write("/leak", "x"); } }"#,
-            r#"class SetsUser { fn export_check(c) { set_user("root"); } }"#,
+                "builtin `file_write`",
+            ),
+            (
+                r#"class Imports { fn export_check(c) { import("/g.rsl"); } }"#,
+                "builtin `import`",
+            ),
+            (
+                r#"class Prints { fn export_check(c) { print("seen"); } }"#,
+                "builtin `print`",
+            ),
+            (
+                r#"class SendsMail { fn export_check(c) { email("a@b", "hello"); } }"#,
+                "builtin `email`",
+            ),
+            (
+                r#"class Previews { fn export_check(c) { set_email_preview(true); } }"#,
+                "builtin `set_email_preview`",
+            ),
+            (
+                r#"class ReadsVfs { fn export_check(c) { if (file_exists("/leak")) { throw "saw"; } } }"#,
+                "builtin `file_exists`",
+            ),
+            (
+                r#"class SetsUser { fn export_check(c) { set_user("root"); } }"#,
+                "builtin `set_user`",
+            ),
         ];
         let witness = class(WITNESS);
         let witnesses = [0, 1, 2, 3].map(|mode| policy(&witness, &[("mode", PValue::Int(mode))]));
-        for src in dirty {
+        for (src, what) in dirty {
             let dirty = class(src);
             let dirty = policy(&dirty, &[]);
-            // A clean crossing first, so there is an evaluator to dirty.
-            witnesses[0].export_check(&http()).unwrap();
-            assert!(!pool_is_empty());
-            dirty.export_check(&http()).unwrap();
-            assert!(pool_is_empty(), "pooled after {src}");
             let seen = served_and_scratch(
                 &[
                     &dirty,
@@ -719,14 +697,19 @@ mod tests {
                 ],
                 &http(),
             );
+            for refused in [&seen[0], &seen[2], &seen[4], &seen[6]] {
+                let e = refused.as_ref().unwrap_err();
+                assert!(e.ends_with(&refusal(what)), "{src}: {e}");
+            }
             assert_eq!(seen[1], Ok(()), "{src}");
-            assert_eq!(seen[7], Ok(()), "{src}");
             let undefined = |v: &Result<(), String>, what: &str| {
                 let e = v.as_ref().unwrap_err();
                 assert!(e.ends_with(&format!("undefined {what}")), "{src}: {e}");
             };
             undefined(&seen[3], "function `leaked_fn`");
             undefined(&seen[5], "variable `leaked_global`");
+            undefined(&seen[7], "class `Leaked`");
+            assert!(pooled_bufs().is_some(), "{src}");
         }
     }
 
@@ -767,14 +750,17 @@ mod tests {
                 .contains("call depth limit exceeded"),
             "{seen:?}"
         );
-        assert!(!pool_is_empty(), "an unwound evaluator is still clean");
+        assert!(
+            pooled_bufs().is_some_and(|slots| slots > 0),
+            "the unwound check's buffers are back, empty"
+        );
     }
 
     #[test]
-    fn a_reentrant_crossing_builds_its_own_evaluator() {
-        // The body exports data guarded by another instance of its class:
-        // the inner crossing runs while the outer holds the pooled
-        // evaluator.
+    fn a_crossing_cannot_cross_another_gate() {
+        // The body would export data guarded by another instance of its
+        // class: `new` and `policy_add` run, and `echo` is refused, so no
+        // crossing ever nests inside another.
         let reent = class(
             r#"class Reent {
                 fn init(depth, channel) { this.depth = depth; this.channel = channel; }
@@ -786,6 +772,7 @@ mod tests {
                 }
             }"#,
         );
+        assert!(!plan_for(&reent).certified);
         let of = |depth: i64, channel: &str| {
             policy(
                 &reent,
@@ -795,16 +782,19 @@ mod tests {
                 ],
             )
         };
-        let (both_pass, outer_fails, inner_only) = (of(2, "http"), of(1, "email"), of(0, "http"));
-        let seen = served_and_scratch(&[&both_pass, &outer_fails, &inner_only], &http());
-        assert_eq!(seen[0], Ok(()));
-        assert!(seen[1].as_ref().unwrap_err().ends_with("outer channel"));
-        assert_eq!(seen[2], Ok(()));
-        // On an email channel the nested export still goes to http and
-        // passes; only the outer verdict follows the outer context.
-        let seen = served_and_scratch(&[&both_pass, &outer_fails], &Context::new(GateKind::Email));
-        assert!(seen[0].as_ref().unwrap_err().ends_with("outer channel"));
-        assert_eq!(seen[1], Ok(()));
+        let (nests, nests_then_fails, inner_only) = (of(2, "http"), of(1, "email"), of(0, "http"));
+        for ctx in [http(), Context::new(GateKind::Email)] {
+            let seen = served_and_scratch(&[&nests, &nests_then_fails, &inner_only], &ctx);
+            for nested in &seen[..2] {
+                let e = nested.as_ref().unwrap_err();
+                assert!(e.ends_with(&refusal("builtin `echo`")), "{e}");
+            }
+            let email = *ctx.kind() == GateKind::Email;
+            assert_eq!(seen[2].is_err(), email, "{seen:?}");
+        }
+        // Every crossing executes once, and makes no second.
+        assert_eq!(executed_and_reused(&nests, &http(), 3), (3, 0));
+        assert!(pooled_bufs().is_some());
     }
 
     const OWNER: &str = r#"class Owner {
@@ -1011,17 +1001,60 @@ mod tests {
         (h1 - h0 + m1 - m0 - reused, reused)
     }
 
+    /// The builtins the certificate counts pure.
+    const COMPUTES: [&str; 13] = [
+        "len", "substr", "upper", "lower", "trim", "contains", "replace", "split", "join", "str",
+        "int", "typeof", "keys",
+    ];
+
+    /// The others: they reach the host, or change a container or a label.
+    const REACHES_OUT: [&str; 21] = [
+        "print",
+        "echo",
+        "http_context",
+        "set_email_preview",
+        "email",
+        "set_user",
+        "policy_add",
+        "policy_remove",
+        "policy_get",
+        "push",
+        "pop",
+        "map",
+        "mkdir",
+        "file_write",
+        "file_append",
+        "file_read",
+        "file_exists",
+        "make_executable",
+        "require_code_approval",
+        "import",
+        "assert",
+    ];
+
+    #[test]
+    fn a_crossing_refuses_exactly_the_host_builtins() {
+        let ctx = http();
+        for name in COMPUTES.iter().chain(&REACHES_OUT) {
+            let id = Builtin::from_name(name).expect("a builtin");
+            let src = format!("class Calls {{ fn export_check(c) {{ {name}(); }} }}");
+            let seen = served_and_scratch(&[&policy(&class(&src), &[])], &ctx);
+            let refused = seen[0]
+                .as_ref()
+                .is_err_and(|e| e.ends_with(&refusal(&format!("builtin `{name}`"))));
+            assert_eq!(refused, id.reach() == Reach::Host, "{name}: {seen:?}");
+        }
+    }
+
     #[test]
     fn read_only_classes_are_certified() {
         for src in PAGE_CLASSES.iter().chain(&[OWNER, QUOTA]) {
             assert!(certified(src), "{src}");
         }
         // Every builtin that only computes, wherever it sits.
-        for name in [
-            "len", "substr", "upper", "lower", "trim", "contains", "replace", "split", "join",
-            "str", "int", "typeof", "keys",
-        ] {
-            assert!(Builtin::from_name(name).is_some(), "{name}");
+        for name in COMPUTES {
+            let reach = Builtin::from_name(name).map(Builtin::reach);
+            assert_eq!(reach, Some(Reach::Computes), "{name}");
             let src = format!(
                 "class Computes {{ fn export_check(c) {{ if (this.mode == 1) {{ {name}(); }} }} }}"
             );
@@ -1048,10 +1081,7 @@ mod tests {
             format!("class Refused {{ fn export_check(c) {{ if (this.mode == 1) {{ {body} }} }} }}")
         };
         let mut refused = vec![
-            (
-                WITNESS.to_string(),
-                "file_exists, a script function, a global",
-            ),
+            (WITNESS.to_string(), "new, a script function, a global"),
             (
                 guarded(r#"import("/g.rsl"); return g;"#),
                 "a global read via import",
@@ -1096,30 +1126,9 @@ mod tests {
                 "a helper storing into its parameter",
             ),
         ];
-        for name in [
-            "print",
-            "echo",
-            "http_context",
-            "set_email_preview",
-            "email",
-            "set_user",
-            "policy_add",
-            "policy_remove",
-            "policy_get",
-            "push",
-            "pop",
-            "map",
-            "mkdir",
-            "file_write",
-            "file_append",
-            "file_read",
-            "file_exists",
-            "make_executable",
-            "require_code_approval",
-            "import",
-            "assert",
-        ] {
-            assert!(Builtin::from_name(name).is_some(), "{name}");
+        for name in REACHES_OUT {
+            let reach = Builtin::from_name(name).map(Builtin::reach);
+            assert!(matches!(reach, Some(Reach::Host | Reach::Values)), "{name}");
             refused.push((guarded(&format!("{name}();")), "a builtin that reaches out"));
         }
         let ctx = http();
@@ -1130,21 +1139,6 @@ mod tests {
             assert_eq!(p.export_check(&ctx), Ok(()), "{why}: {src}");
             assert_eq!(executed_and_reused(&p, &ctx, 3), (3, 0), "{why}: {src}");
         }
-        // `Reent` (`echo`, `policy_add`, `new`) crosses a gate of its own
-        // from inside its check: every outer crossing executes, and so
-        // makes a second.
-        let reent = class(
-            r#"class Reent {
-                fn init(depth) { this.depth = depth; }
-                fn export_check(context) {
-                    if (this.depth > 0) { echo(policy_add("nested", new Reent(this.depth - 1))); }
-                }
-            }"#,
-        );
-        assert!(!plan_for(&reent).certified);
-        let outer = policy(&reent, &[("depth", PValue::Int(1))]);
-        assert_eq!(executed_and_reused(&outer, &ctx, 3), (6, 0));
-        assert_eq!(outer.export_check(&ctx), Ok(()));
     }
 
     #[test]
@@ -1208,11 +1202,11 @@ mod tests {
     #[should_panic(expected = "field `log` of policy class `Logger`")]
     fn a_wrongly_eligible_class_is_caught_by_its_snapshot() {
         let logger = class(r#"class Logger { fn export_check(context) { push(this.log, 1); } }"#);
-        let mut plan = ClassPlan::new(&logger);
+        let mut plan = ClassPlan::new(&logger, true);
         assert!(!plan.certified);
         plan.certified = true;
         let fields = Fields::from([("log".to_string(), PValue::List(Vec::new()))]);
-        let _ = cross(&Arc::new(plan), &Arc::new(fields), &http());
+        let _ = cross(&plan, &Arc::new(fields), &http());
     }
 
     #[cfg(debug_assertions)]

@@ -28,14 +28,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use resin_core::{
-    merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy, Gate,
-    GateKind, HtmlSanitized, Label, PolicyRef, Runtime, SqlSanitized, TaintedString, Tracking,
-    UntrustedData,
+    merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
+    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, Runtime, SqlSanitized,
+    TaintedString, Tracking, UntrustedData,
 };
 use resin_vfs::Vfs;
 
 use crate::ast::{BinOp, ClassDecl, FnDecl, Stmt};
-use crate::check::ClassPlan;
 pub use crate::check::{check_cache_stats, set_check_cache};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
@@ -112,10 +111,11 @@ pub struct SentMail {
 /// a runaway one has to fail fast and closed.
 pub(crate) const MAX_CALL_DEPTH: usize = 64;
 
-/// Declares [`Builtin`] and its one `name ⇄ id` table, through which the
-/// compiler resolves a call's name once.
+/// Declares [`Builtin`] and its one table: each builtin's name, through
+/// which the compiler resolves a call once, and its [`Reach`], which the
+/// certificate and the refusal inside a gate crossing both read.
 macro_rules! builtins {
-    ($($variant:ident = $name:literal,)*) => {
+    ($($variant:ident = $name:literal: $reach:ident,)*) => {
         /// A builtin function, by id.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[allow(missing_docs)] // each variant is the builtin of that name
@@ -138,45 +138,74 @@ macro_rules! builtins {
                     $(Builtin::$variant => $name,)*
                 }
             }
+
+            /// What it reaches beyond its arguments.
+            pub(crate) fn reach(self) -> Reach {
+                match self {
+                    $(Builtin::$variant => Reach::$reach,)*
+                }
+            }
         }
     };
 }
 
+/// What a builtin reaches beyond its arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// The script host: output, mail, files, the gates, the current user,
+    /// code import. A gate crossing has no host and refuses it.
+    Host,
+    /// Its arguments alone, but it changes a container, builds a label or
+    /// a container, or (`assert`) fails the run: the certificate does not
+    /// count it pure.
+    Values,
+    /// Its arguments alone: the result is a function of them, and it
+    /// changes nothing.
+    Computes,
+}
+
 builtins! {
-    Print = "print",
-    Echo = "echo",
-    HttpContext = "http_context",
-    SetEmailPreview = "set_email_preview",
-    Email = "email",
-    SetUser = "set_user",
-    PolicyAdd = "policy_add",
-    PolicyRemove = "policy_remove",
-    PolicyGet = "policy_get",
-    Len = "len",
-    Substr = "substr",
-    Upper = "upper",
-    Lower = "lower",
-    Trim = "trim",
-    Contains = "contains",
-    Replace = "replace",
-    Split = "split",
-    Join = "join",
-    Str = "str",
-    Int = "int",
-    Typeof = "typeof",
-    Push = "push",
-    Pop = "pop",
-    Map = "map",
-    Keys = "keys",
-    Mkdir = "mkdir",
-    FileWrite = "file_write",
-    FileAppend = "file_append",
-    FileRead = "file_read",
-    FileExists = "file_exists",
-    MakeExecutable = "make_executable",
-    RequireCodeApproval = "require_code_approval",
-    Import = "import",
-    Assert = "assert",
+    Print = "print": Host,
+    Echo = "echo": Host,
+    HttpContext = "http_context": Host,
+    SetEmailPreview = "set_email_preview": Host,
+    Email = "email": Host,
+    SetUser = "set_user": Host,
+    PolicyAdd = "policy_add": Values,
+    PolicyRemove = "policy_remove": Values,
+    PolicyGet = "policy_get": Values,
+    Len = "len": Computes,
+    Substr = "substr": Computes,
+    Upper = "upper": Computes,
+    Lower = "lower": Computes,
+    Trim = "trim": Computes,
+    Contains = "contains": Computes,
+    Replace = "replace": Computes,
+    Split = "split": Computes,
+    Join = "join": Computes,
+    Str = "str": Computes,
+    Int = "int": Computes,
+    Typeof = "typeof": Computes,
+    Push = "push": Values,
+    Pop = "pop": Values,
+    Map = "map": Values,
+    Keys = "keys": Computes,
+    Mkdir = "mkdir": Host,
+    FileWrite = "file_write": Host,
+    FileAppend = "file_append": Host,
+    FileRead = "file_read": Host,
+    FileExists = "file_exists": Host,
+    MakeExecutable = "make_executable": Host,
+    RequireCodeApproval = "require_code_approval": Host,
+    Import = "import": Host,
+    Assert = "assert": Values,
+}
+
+/// What a gate crossing's run gets for reaching past its policy's fields
+/// and context — a host builtin, a definition: a violation naming it.
+pub(crate) fn refused(what: String) -> Flow {
+    let message = format!("{what} is refused inside a policy check");
+    Flow::Error(LangError::flagged(message, true))
 }
 
 /// The interpreter.
@@ -196,14 +225,9 @@ pub struct Interp {
     require_code_approval: bool,
     print_buf: String,
     current_user: Option<String>,
-    pub(crate) call_depth: usize,
     /// Per-interpreter chunk cache for script functions, keyed by the
     /// `FnDecl` allocation (the `Arc` is held so the address stays valid).
     pub(crate) chunks: HashMap<usize, (Arc<FnDecl>, Arc<Chunk>)>,
-    /// Set while this interpreter runs a gate crossing ([`crate::check`]):
-    /// the plan's class is visible by name without being registered, and
-    /// its methods' chunks come from the plan.
-    pub(crate) plan: Option<Arc<ClassPlan>>,
     /// The VM's buffers between runs (their capacity is worth keeping).
     pub(crate) vm_bufs: crate::vm::Bufs,
     /// Warning-level lint reports accumulated as policy classes were
@@ -231,62 +255,10 @@ impl Interp {
             require_code_approval: false,
             print_buf: String::new(),
             current_user: None,
-            call_depth: 0,
             chunks: HashMap::new(),
-            plan: None,
             vm_bufs: Default::default(),
             lint_reports: Vec::new(),
         }
-    }
-
-    /// True when nothing script-visible has happened on this interpreter,
-    /// so the next gate crossing cannot tell it from a new one.
-    pub(crate) fn is_pristine(&self) -> bool {
-        // Every field is named: a new one has to be classified here.
-        let Interp {
-            tracking: _,
-            globals,
-            fns,
-            classes,
-            vfs,
-            http,
-            emails,
-            email_preview,
-            require_code_approval,
-            print_buf,
-            current_user,
-            call_depth,
-            chunks,
-            plan,
-            vm_bufs: _,
-            lint_reports,
-        } = self;
-        globals.is_empty()
-            && fns.is_empty()
-            && classes.is_empty()
-            && vfs.is_none()
-            && http.is_none()
-            && emails.is_empty()
-            && !email_preview
-            && !require_code_approval
-            && print_buf.is_empty()
-            && current_user.is_none()
-            && *call_depth == 0
-            && chunks.is_empty()
-            && plan.is_none()
-            && lint_reports.is_empty()
-    }
-
-    /// The class `name` refers to: one defined here, else the class of
-    /// the gate crossing in progress.
-    pub(crate) fn class_named(&self, name: &str) -> Option<Arc<ClassDecl>> {
-        let of_plan = || {
-            self.plan
-                .as_ref()
-                .map(|p| p.class())
-                .filter(|c| c.name == name)
-        };
-        self.classes.get(name).or_else(of_plan).cloned()
     }
 
     /// Lint reports (warnings only) collected while registering policy
@@ -536,7 +508,7 @@ impl Interp {
     }
 
     /// `-`/`*`/`/`/`%` on ints, merging the operands' labels.
-    pub(crate) fn arith_values(&mut self, op: BinOp, l: Value, r: Value) -> R<Value> {
+    pub(crate) fn arith_values(tracking: Tracking, op: BinOp, l: Value, r: Value) -> R<Value> {
         let (Value::Int(a, pa), Value::Int(b, pb)) = (&l, &r) else {
             return Err(rt(format!(
                 "arithmetic on {} and {}",
@@ -545,7 +517,7 @@ impl Interp {
             )));
         };
         let n = Interp::int_arith(op, *a, *b)?;
-        let pol = self.merge_int_policies(*pa, *pb)?;
+        let pol = Interp::merge_int_policies(tracking, *pa, *pb)?;
         Ok(Value::Int(n, pol))
     }
 
@@ -575,16 +547,16 @@ impl Interp {
     /// `+`: integer addition (merging policies) or string concatenation
     /// (carrying byte-range spans). These are the first two opcode handlers
     /// Table 5 measures.
-    pub(crate) fn add_values(&mut self, l: Value, r: Value) -> R<Value> {
+    pub(crate) fn add_values(tracking: Tracking, l: Value, r: Value) -> R<Value> {
         match (&l, &r) {
             (Value::Int(a, pa), Value::Int(b, pb)) => {
-                let pol = self.merge_int_policies(*pa, *pb)?;
+                let pol = Interp::merge_int_policies(tracking, *pa, *pb)?;
                 Ok(Value::Int(a.wrapping_add(*b), pol))
             }
             (Value::Str(_), _) | (_, Value::Str(_)) => {
                 let a = l.to_tainted();
                 let b = r.to_tainted();
-                if self.tracking == Tracking::Off {
+                if tracking == Tracking::Off {
                     // Unmodified runtime: plain text concatenation.
                     let mut s = String::with_capacity(a.len() + b.len());
                     s.push_str(a.as_str());
@@ -604,47 +576,20 @@ impl Interp {
         }
     }
 
-    pub(crate) fn merge_int_policies(&self, pa: Label, pb: Label) -> R<Label> {
-        if self.tracking == Tracking::Off {
+    pub(crate) fn merge_int_policies(tracking: Tracking, pa: Label, pb: Label) -> R<Label> {
+        if tracking == Tracking::Off {
             return Ok(Label::EMPTY);
         }
-        merge_sets(pa, pb)
-            .map_err(|e| Flow::Error(LangError::flagged(e.to_string(), e.is_violation())))
+        merge_sets(pa, pb).map_err(flow_err)
     }
 
     // ---- builtins ----
 
-    pub(crate) fn builtin(&mut self, id: Builtin, args: &mut [Value]) -> R<Value> {
+    /// Runs host builtin `id` (its [`Reach`] is `Host`).
+    fn host_builtin(&mut self, id: Builtin, args: &mut [Value]) -> R<Value> {
         let name = id.name();
-        // Helpers for argument extraction.
-        fn want_str<'a>(v: &'a Value, what: &str) -> R<&'a TaintedString> {
-            match v {
-                Value::Str(s) => Ok(s),
-                other => Err(rt(format!(
-                    "{what}: expected string, got {}",
-                    other.type_name()
-                ))),
-            }
-        }
-        fn want_int(v: &Value, what: &str) -> R<i64> {
-            match v {
-                Value::Int(n, _) => Ok(*n),
-                other => Err(rt(format!(
-                    "{what}: expected int, got {}",
-                    other.type_name()
-                ))),
-            }
-        }
-        let argc = args.len();
-        let arity = |n: usize| -> R<()> {
-            if argc == n {
-                Ok(())
-            } else {
-                Err(rt(format!("{name}: expected {n} arguments, got {argc}")))
-            }
-        };
-
         match id {
+            // ---- output, mail and the current user ----
             Builtin::Print => {
                 let parts: Vec<String> = args
                     .iter()
@@ -655,15 +600,13 @@ impl Interp {
                 Ok(Value::Null)
             }
             Builtin::Echo => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let data = args[0].to_tainted();
-                self.http().write(data).map_err(|e| {
-                    Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
-                })?;
+                self.http().write(data).map_err(flow_err)?;
                 Ok(Value::Null)
             }
             Builtin::HttpContext => {
-                arity(2)?;
+                arity(id, args, 2)?;
                 let key = want_str(&args[0], name)?;
                 let ctx = self.http().context_mut();
                 match &args[1] {
@@ -677,21 +620,19 @@ impl Interp {
                 Ok(Value::Null)
             }
             Builtin::SetEmailPreview => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 self.email_preview = args[0].truthy();
                 Ok(Value::Null)
             }
             Builtin::Email => {
-                arity(2)?;
+                arity(id, args, 2)?;
                 let to = want_str(&args[0], name)?;
                 let body = args[1].to_tainted();
                 if self.email_preview {
                     // Preview mode: the message goes to the browser — the
                     // HotCRP vulnerability path (§2). The HTTP boundary
                     // decides whether that is allowed.
-                    self.http().write(body).map_err(|e| {
-                        Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
-                    })?;
+                    self.http().write(body).map_err(flow_err)?;
                     return Ok(Value::Null);
                 }
                 let mut ch = match self.tracking {
@@ -699,9 +640,7 @@ impl Interp {
                     Tracking::Off => Gate::unguarded(GateKind::Email),
                 };
                 ch.context_mut().set_str("email", to.as_str());
-                ch.write(body).map_err(|e| {
-                    Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
-                })?;
+                ch.write(body).map_err(flow_err)?;
                 self.emails.push(SentMail {
                     to: to.as_str().to_string(),
                     body: ch.output_text(),
@@ -709,207 +648,22 @@ impl Interp {
                 Ok(Value::Null)
             }
             Builtin::SetUser => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let u = want_str(&args[0], name)?;
                 self.current_user = Some(u.as_str().to_string());
                 self.http().context_mut().set_str("user", u.as_str());
                 Ok(Value::Null)
             }
-            // ---- policy API (Table 3) ----
-            Builtin::PolicyAdd => {
-                arity(2)?;
-                let policy = self.policy_from_value(&args[1])?;
-                match std::mem::replace(&mut args[0], Value::Null) {
-                    Value::Str(mut s) => {
-                        Arc::make_mut(&mut s).add_policy(policy);
-                        Ok(Value::Str(s))
-                    }
-                    Value::Int(n, p) => Ok(Value::Int(n, p.union(Label::of(&policy)))),
-                    other => Err(rt(format!(
-                        "policy_add: cannot label {}",
-                        other.type_name()
-                    ))),
-                }
-            }
-            Builtin::PolicyRemove => {
-                arity(2)?;
-                let target = std::mem::replace(&mut args[0], Value::Null);
-                let cname = want_str(&args[1], name)?;
-                match target {
-                    Value::Str(mut s) => {
-                        let to_remove: Vec<PolicyRef> = s
-                            .label()
-                            .policies()
-                            .iter()
-                            .filter(|p| p.name() == cname.as_str())
-                            .cloned()
-                            .collect();
-                        let text = Arc::make_mut(&mut s);
-                        for p in &to_remove {
-                            text.remove_policy(p);
-                        }
-                        Ok(Value::Str(s))
-                    }
-                    Value::Int(n, p) => {
-                        let kept = p.retain(|q| q.name() != cname.as_str());
-                        Ok(Value::Int(n, kept))
-                    }
-                    other => Err(rt(format!(
-                        "policy_remove: cannot unlabel {}",
-                        other.type_name()
-                    ))),
-                }
-            }
-            Builtin::PolicyGet => {
-                arity(1)?;
-                let label = match &args[0] {
-                    Value::Str(s) => s.label(),
-                    Value::Int(_, p) => *p,
-                    _ => Label::EMPTY,
-                };
-                Ok(Value::new_array(
-                    label
-                        .policies()
-                        .iter()
-                        .map(|p| Value::str(p.name().to_string()))
-                        .collect(),
-                ))
-            }
-            // ---- strings ----
-            Builtin::Len => {
-                arity(1)?;
-                match &args[0] {
-                    Value::Str(s) => Ok(Value::int(s.len() as i64)),
-                    Value::Array(a) => Ok(Value::int(a.borrow().len() as i64)),
-                    Value::Map(m) => Ok(Value::int(m.borrow().len() as i64)),
-                    other => Err(rt(format!("len: unsupported {}", other.type_name()))),
-                }
-            }
-            Builtin::Substr => {
-                arity(3)?;
-                let s = want_str(&args[0], name)?;
-                let off = want_int(&args[1], name)?.max(0) as usize;
-                let n = want_int(&args[2], name)?.max(0) as usize;
-                Interp::str_slice(s, off, n)
-            }
-            Builtin::Upper => {
-                arity(1)?;
-                Ok(Value::from(want_str(&args[0], name)?.to_ascii_uppercase()))
-            }
-            Builtin::Lower => {
-                arity(1)?;
-                Ok(Value::from(want_str(&args[0], name)?.to_ascii_lowercase()))
-            }
-            Builtin::Trim => {
-                arity(1)?;
-                Ok(Value::from(want_str(&args[0], name)?.trim()))
-            }
-            Builtin::Contains => {
-                arity(2)?;
-                let s = want_str(&args[0], name)?;
-                let sub = want_str(&args[1], name)?;
-                Ok(Value::Bool(s.contains(sub.as_str())))
-            }
-            Builtin::Replace => {
-                arity(3)?;
-                let s = want_str(&args[0], name)?;
-                let from = want_str(&args[1], name)?;
-                let to = want_str(&args[2], name)?;
-                if from.is_empty() {
-                    return Err(rt("replace: empty pattern"));
-                }
-                Ok(Value::from(s.replace(from.as_str(), to)))
-            }
-            Builtin::Split => {
-                arity(2)?;
-                let s = want_str(&args[0], name)?;
-                let sep = want_str(&args[1], name)?;
-                if sep.is_empty() {
-                    return Err(rt("split: empty separator"));
-                }
-                Ok(Value::new_array(
-                    s.split(sep.as_str()).into_iter().map(Value::from).collect(),
-                ))
-            }
-            Builtin::Join => {
-                arity(2)?;
-                let sep = want_str(&args[0], name)?;
-                let Value::Array(a) = &args[1] else {
-                    return Err(rt("join: expected array"));
-                };
-                let parts: Vec<TaintedString> = a.borrow().iter().map(|v| v.to_tainted()).collect();
-                Ok(Value::from(TaintedString::join(sep.as_str(), parts.iter())))
-            }
-            Builtin::Str => {
-                arity(1)?;
-                Ok(Value::from(args[0].to_tainted()))
-            }
-            Builtin::Int => {
-                arity(1)?;
-                match &args[0] {
-                    Value::Int(n, p) => Ok(Value::Int(*n, *p)),
-                    Value::Str(s) => {
-                        if self.tracking == Tracking::Off {
-                            let n: i64 =
-                                s.as_str().trim().parse().map_err(|_| {
-                                    rt(format!("int: not a number `{}`", s.as_str()))
-                                })?;
-                            return Ok(Value::int(n));
-                        }
-                        // Conversion merges the string's policies (§3.4.2).
-                        let t = s.to_int().map_err(|e| {
-                            Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
-                        })?;
-                        Ok(Value::Int(*t.value(), t.label()))
-                    }
-                    Value::Bool(b) => Ok(Value::int(*b as i64)),
-                    other => Err(rt(format!("int: unsupported {}", other.type_name()))),
-                }
-            }
-            Builtin::Typeof => {
-                arity(1)?;
-                Ok(Value::str(args[0].type_name()))
-            }
-            // ---- arrays & maps ----
-            Builtin::Push => {
-                arity(2)?;
-                let Value::Array(a) = &args[0] else {
-                    return Err(rt("push: expected array"));
-                };
-                a.borrow_mut().push(args[1].clone());
-                Ok(Value::Null)
-            }
-            Builtin::Pop => {
-                arity(1)?;
-                let Value::Array(a) = &args[0] else {
-                    return Err(rt("pop: expected array"));
-                };
-                let v = a.borrow_mut().pop();
-                Ok(v.unwrap_or(Value::Null))
-            }
-            Builtin::Map => {
-                arity(0)?;
-                Ok(Value::new_map())
-            }
-            Builtin::Keys => {
-                arity(1)?;
-                let Value::Map(m) = &args[0] else {
-                    return Err(rt("keys: expected map"));
-                };
-                Ok(Value::new_array(
-                    m.borrow().keys().map(|k| Value::str(k.clone())).collect(),
-                ))
-            }
             // ---- files (through the policy-persisting VFS) ----
             Builtin::Mkdir => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
                 self.vfs().mkdir_p(p.as_str(), &ctx).map_err(vfs_err)?;
                 Ok(Value::Null)
             }
             Builtin::FileWrite => {
-                arity(2)?;
+                arity(id, args, 2)?;
                 let p = want_str(&args[0], name)?;
                 let data = args[1].to_tainted();
                 let ctx = self.file_ctx();
@@ -919,7 +673,7 @@ impl Interp {
                 Ok(Value::Null)
             }
             Builtin::FileAppend => {
-                arity(2)?;
+                arity(id, args, 2)?;
                 let p = want_str(&args[0], name)?;
                 let data = args[1].to_tainted();
                 let ctx = self.file_ctx();
@@ -929,20 +683,20 @@ impl Interp {
                 Ok(Value::Null)
             }
             Builtin::FileRead => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
                 let data = self.vfs().read_file(p.as_str(), &ctx).map_err(vfs_err)?;
                 Ok(Value::from(data))
             }
             Builtin::FileExists => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let p = want_str(&args[0], name)?;
                 Ok(Value::Bool(self.vfs().exists(p.as_str())))
             }
             // ---- code import (§3.2.2, Figure 6) ----
             Builtin::MakeExecutable => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let p = want_str(&args[0], name)?;
                 let ctx = self.file_ctx();
                 let mut code = self.vfs().read_file(p.as_str(), &ctx).map_err(vfs_err)?;
@@ -953,23 +707,16 @@ impl Interp {
                 Ok(Value::Null)
             }
             Builtin::RequireCodeApproval => {
-                arity(0)?;
+                arity(id, args, 0)?;
                 self.require_code_approval = true;
                 Ok(Value::Null)
             }
             Builtin::Import => {
-                arity(1)?;
+                arity(id, args, 1)?;
                 let p = want_str(&args[0], name)?;
                 self.import(p.as_str())
             }
-            Builtin::Assert => {
-                arity(1)?;
-                if args[0].truthy() {
-                    Ok(Value::Null)
-                } else {
-                    Err(rt("assertion failed"))
-                }
-            }
+            _ => unreachable!("`{name}` is a value builtin"),
         }
     }
 
@@ -1003,39 +750,279 @@ impl Interp {
         let chunk = self.compile(&program).map_err(Flow::Error)?;
         crate::vm::run_chunk(self, chunk)
     }
+}
 
-    /// Converts a script value into a policy object.
-    ///
-    /// Strings name stock policies; objects of classes with an
-    /// `export_check` method become [`ScriptPolicy`] snapshots.
-    fn policy_from_value(&mut self, v: &Value) -> R<PolicyRef> {
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "UntrustedData" => Ok(Arc::new(UntrustedData::new())),
-                "SqlSanitized" => Ok(Arc::new(SqlSanitized::new())),
-                "HtmlSanitized" => Ok(Arc::new(HtmlSanitized::new())),
-                "CodeApproval" => Ok(Arc::new(CodeApproval::new())),
-                "AuthenticData" => Ok(Arc::new(AuthenticData::new())),
-                "EmptyPolicy" => Ok(Arc::new(EmptyPolicy::new())),
-                other => Err(rt(format!("unknown stock policy `{other}`"))),
-            },
-            Value::Object(o) => {
-                let o = o.borrow();
-                let mut fields = BTreeMap::new();
-                for (k, fv) in &o.fields {
-                    let pv = PValue::from_value(fv).ok_or_else(|| {
-                        rt(format!("policy field `{k}` is not a persistable scalar"))
-                    })?;
-                    fields.insert(k.clone(), pv);
+/// Runs builtin `id` on `host`, or with none: inside a gate crossing a
+/// value builtin runs with tracking on, and a host builtin is refused.
+pub(crate) fn run_builtin(host: Option<&mut Interp>, id: Builtin, args: &mut [Value]) -> R<Value> {
+    match (host, id.reach()) {
+        (Some(host), Reach::Host) => host.host_builtin(id, args),
+        (None, Reach::Host) => Err(refused(format!("builtin `{}`", id.name()))),
+        (host, _) => value_builtin(id, args, host.map_or(Tracking::On, |h| h.tracking)),
+    }
+}
+
+fn arity(id: Builtin, args: &[Value], n: usize) -> R<()> {
+    match args.len() {
+        argc if argc == n => Ok(()),
+        argc => Err(rt(format!(
+            "{}: expected {n} arguments, got {argc}",
+            id.name()
+        ))),
+    }
+}
+
+fn want_str<'a>(v: &'a Value, what: &str) -> R<&'a TaintedString> {
+    match v {
+        Value::Str(s) => Ok(s),
+        other => Err(rt(format!(
+            "{what}: expected string, got {}",
+            other.type_name()
+        ))),
+    }
+}
+
+fn want_int(v: &Value, what: &str) -> R<i64> {
+    match v {
+        Value::Int(n, _) => Ok(*n),
+        other => Err(rt(format!(
+            "{what}: expected int, got {}",
+            other.type_name()
+        ))),
+    }
+}
+
+/// The builtins that need no host: their arguments and the tracking mode
+/// are all they see.
+fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value> {
+    let name = id.name();
+    match id {
+        // ---- policy API (Table 3) ----
+        Builtin::PolicyAdd => {
+            arity(id, args, 2)?;
+            let policy = policy_from_value(&args[1])?;
+            match std::mem::replace(&mut args[0], Value::Null) {
+                Value::Str(mut s) => {
+                    Arc::make_mut(&mut s).add_policy(policy);
+                    Ok(Value::Str(s))
                 }
-                Ok(Arc::new(ScriptPolicy::new(
-                    o.class.name.clone(),
-                    fields,
-                    Some(o.class.clone()),
-                )))
+                Value::Int(n, p) => Ok(Value::Int(n, p.union(Label::of(&policy)))),
+                other => Err(rt(format!(
+                    "policy_add: cannot label {}",
+                    other.type_name()
+                ))),
             }
-            other => Err(rt(format!("not a policy: {}", other.type_name()))),
         }
+        Builtin::PolicyRemove => {
+            arity(id, args, 2)?;
+            let target = std::mem::replace(&mut args[0], Value::Null);
+            let cname = want_str(&args[1], name)?;
+            match target {
+                Value::Str(mut s) => {
+                    let to_remove: Vec<PolicyRef> = s
+                        .label()
+                        .policies()
+                        .iter()
+                        .filter(|p| p.name() == cname.as_str())
+                        .cloned()
+                        .collect();
+                    let text = Arc::make_mut(&mut s);
+                    for p in &to_remove {
+                        text.remove_policy(p);
+                    }
+                    Ok(Value::Str(s))
+                }
+                Value::Int(n, p) => {
+                    let kept = p.retain(|q| q.name() != cname.as_str());
+                    Ok(Value::Int(n, kept))
+                }
+                other => Err(rt(format!(
+                    "policy_remove: cannot unlabel {}",
+                    other.type_name()
+                ))),
+            }
+        }
+        Builtin::PolicyGet => {
+            arity(id, args, 1)?;
+            let label = match &args[0] {
+                Value::Str(s) => s.label(),
+                Value::Int(_, p) => *p,
+                _ => Label::EMPTY,
+            };
+            Ok(Value::new_array(
+                label
+                    .policies()
+                    .iter()
+                    .map(|p| Value::str(p.name().to_string()))
+                    .collect(),
+            ))
+        }
+        // ---- strings ----
+        Builtin::Len => {
+            arity(id, args, 1)?;
+            match &args[0] {
+                Value::Str(s) => Ok(Value::int(s.len() as i64)),
+                Value::Array(a) => Ok(Value::int(a.borrow().len() as i64)),
+                Value::Map(m) => Ok(Value::int(m.borrow().len() as i64)),
+                other => Err(rt(format!("len: unsupported {}", other.type_name()))),
+            }
+        }
+        Builtin::Substr => {
+            arity(id, args, 3)?;
+            let s = want_str(&args[0], name)?;
+            let off = want_int(&args[1], name)?.max(0) as usize;
+            let n = want_int(&args[2], name)?.max(0) as usize;
+            Interp::str_slice(s, off, n)
+        }
+        Builtin::Upper => {
+            arity(id, args, 1)?;
+            Ok(Value::from(want_str(&args[0], name)?.to_ascii_uppercase()))
+        }
+        Builtin::Lower => {
+            arity(id, args, 1)?;
+            Ok(Value::from(want_str(&args[0], name)?.to_ascii_lowercase()))
+        }
+        Builtin::Trim => {
+            arity(id, args, 1)?;
+            Ok(Value::from(want_str(&args[0], name)?.trim()))
+        }
+        Builtin::Contains => {
+            arity(id, args, 2)?;
+            let s = want_str(&args[0], name)?;
+            let sub = want_str(&args[1], name)?;
+            Ok(Value::Bool(s.contains(sub.as_str())))
+        }
+        Builtin::Replace => {
+            arity(id, args, 3)?;
+            let s = want_str(&args[0], name)?;
+            let from = want_str(&args[1], name)?;
+            let to = want_str(&args[2], name)?;
+            if from.is_empty() {
+                return Err(rt("replace: empty pattern"));
+            }
+            Ok(Value::from(s.replace(from.as_str(), to)))
+        }
+        Builtin::Split => {
+            arity(id, args, 2)?;
+            let s = want_str(&args[0], name)?;
+            let sep = want_str(&args[1], name)?;
+            if sep.is_empty() {
+                return Err(rt("split: empty separator"));
+            }
+            Ok(Value::new_array(
+                s.split(sep.as_str()).into_iter().map(Value::from).collect(),
+            ))
+        }
+        Builtin::Join => {
+            arity(id, args, 2)?;
+            let sep = want_str(&args[0], name)?;
+            let Value::Array(a) = &args[1] else {
+                return Err(rt("join: expected array"));
+            };
+            let parts: Vec<TaintedString> = a.borrow().iter().map(|v| v.to_tainted()).collect();
+            Ok(Value::from(TaintedString::join(sep.as_str(), parts.iter())))
+        }
+        Builtin::Str => {
+            arity(id, args, 1)?;
+            Ok(Value::from(args[0].to_tainted()))
+        }
+        Builtin::Int => {
+            arity(id, args, 1)?;
+            match &args[0] {
+                Value::Int(n, p) => Ok(Value::Int(*n, *p)),
+                Value::Str(s) => {
+                    if tracking == Tracking::Off {
+                        let n: i64 = s
+                            .as_str()
+                            .trim()
+                            .parse()
+                            .map_err(|_| rt(format!("int: not a number `{}`", s.as_str())))?;
+                        return Ok(Value::int(n));
+                    }
+                    // Conversion merges the string's policies (§3.4.2).
+                    let t = s.to_int().map_err(flow_err)?;
+                    Ok(Value::Int(*t.value(), t.label()))
+                }
+                Value::Bool(b) => Ok(Value::int(*b as i64)),
+                other => Err(rt(format!("int: unsupported {}", other.type_name()))),
+            }
+        }
+        Builtin::Typeof => {
+            arity(id, args, 1)?;
+            Ok(Value::str(args[0].type_name()))
+        }
+        // ---- arrays & maps ----
+        Builtin::Push => {
+            arity(id, args, 2)?;
+            let Value::Array(a) = &args[0] else {
+                return Err(rt("push: expected array"));
+            };
+            a.borrow_mut().push(args[1].clone());
+            Ok(Value::Null)
+        }
+        Builtin::Pop => {
+            arity(id, args, 1)?;
+            let Value::Array(a) = &args[0] else {
+                return Err(rt("pop: expected array"));
+            };
+            let v = a.borrow_mut().pop();
+            Ok(v.unwrap_or(Value::Null))
+        }
+        Builtin::Map => {
+            arity(id, args, 0)?;
+            Ok(Value::new_map())
+        }
+        Builtin::Keys => {
+            arity(id, args, 1)?;
+            let Value::Map(m) = &args[0] else {
+                return Err(rt("keys: expected map"));
+            };
+            Ok(Value::new_array(
+                m.borrow().keys().map(|k| Value::str(k.clone())).collect(),
+            ))
+        }
+        Builtin::Assert => {
+            arity(id, args, 1)?;
+            if args[0].truthy() {
+                Ok(Value::Null)
+            } else {
+                Err(rt("assertion failed"))
+            }
+        }
+        _ => unreachable!("`{name}` needs the host"),
+    }
+}
+
+/// Converts a script value into a policy object.
+///
+/// Strings name stock policies; objects of classes with an
+/// `export_check` method become [`ScriptPolicy`] snapshots.
+fn policy_from_value(v: &Value) -> R<PolicyRef> {
+    match v {
+        Value::Str(s) => match s.as_str() {
+            "UntrustedData" => Ok(Arc::new(UntrustedData::new())),
+            "SqlSanitized" => Ok(Arc::new(SqlSanitized::new())),
+            "HtmlSanitized" => Ok(Arc::new(HtmlSanitized::new())),
+            "CodeApproval" => Ok(Arc::new(CodeApproval::new())),
+            "AuthenticData" => Ok(Arc::new(AuthenticData::new())),
+            "EmptyPolicy" => Ok(Arc::new(EmptyPolicy::new())),
+            other => Err(rt(format!("unknown stock policy `{other}`"))),
+        },
+        Value::Object(o) => {
+            let o = o.borrow();
+            let mut fields = BTreeMap::new();
+            for (k, fv) in &o.fields {
+                let pv = PValue::from_value(fv)
+                    .ok_or_else(|| rt(format!("policy field `{k}` is not a persistable scalar")))?;
+                fields.insert(k.clone(), pv);
+            }
+            Ok(Arc::new(ScriptPolicy::new(
+                o.class.name.clone(),
+                fields,
+                Some(o.class.clone()),
+            )))
+        }
+        other => Err(rt(format!("not a policy: {}", other.type_name()))),
     }
 }
 
@@ -1046,6 +1033,10 @@ impl Default for Interp {
 }
 
 fn vfs_err(e: resin_vfs::VfsError) -> Flow {
+    Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
+}
+
+fn flow_err(e: FlowError) -> Flow {
     Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
 }
 
@@ -1066,8 +1057,17 @@ pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
 mod tests {
     use super::*;
     use crate::ast::StmtKind;
-    use crate::check::eval_policy_method;
-    use resin_core::{Context, PasswordPolicy};
+    use resin_core::{Context, PasswordPolicy, Policy, PolicyViolation};
+
+    /// One crossing of `class`'s `export_check` over a snapshot of `fields`.
+    fn eval_policy_method(
+        class: &Arc<ClassDecl>,
+        fields: &BTreeMap<String, PValue>,
+        context: &Context,
+    ) -> Result<(), PolicyViolation> {
+        let policy = ScriptPolicy::new(class.name.clone(), fields.clone(), Some(class.clone()));
+        policy.export_check(context)
+    }
 
     fn run(src: &str) -> Interp {
         let mut i = Interp::new();

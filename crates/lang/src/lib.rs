@@ -42,7 +42,9 @@
 //! bytecode pipeline (lexer → AST → [`compiler`] → [`chunk::Chunk`] →
 //! [`vm`]), and [`check`] is what a crossing runs through: a policy
 //! class's methods compile once per class declaration into its check plan,
-//! the evaluator is pooled per thread, and a crossing thereafter is a
+//! a crossing runs on an evaluator of its own — that plan, the VM's
+//! buffers (pooled per thread), a call depth and a back-jump count, and
+//! no script host, so a builtin that needs one is refused — and it is a
 //! dispatch loop over a 16-byte [`Value`]. The tests hold the VM to a
 //! tree-walking oracle that exists only in test builds.
 

@@ -6,7 +6,8 @@
 //!
 //! 1. **Cache soundness** — for every class, the sequence of verdicts
 //!    over repeated crossings is identical with the per-crossing caches
-//!    on and off, and identical to the tree-walker's. A class the
+//!    on and off, and identical to the tree-walker's, refusals of a host
+//!    builtin or a definition included. A class the
 //!    bytecode certificate wrongly accepted would diverge here: its
 //!    mutation would survive inside the cached `this` and change a later
 //!    verdict (and a debug build's snapshot oracle would panic first; the
@@ -29,10 +30,12 @@ use std::sync::Arc;
 
 use resin_core::{Context, GateKind, Policy, PolicyViolation};
 
-use crate::analysis::lint::{extract_embedded_rsl, policy_classes};
+use crate::analysis::lint::{extract_embedded_rsl, policy_classes, CorpusList};
 use crate::analysis::{lint_class, Diagnostic, LintReport};
 use crate::ast::{ClassDecl, FnDecl, StmtKind};
 use crate::check::{check_cache_stats, plan_for, set_check_cache};
+use crate::chunk::Op;
+use crate::interp::Reach;
 use crate::parser::parse_program;
 use crate::value::{PValue, ScriptPolicy};
 
@@ -84,9 +87,12 @@ fn crossings(class: &Arc<ClassDecl>, fields: &BTreeMap<String, PValue>, n: usize
         .collect()
 }
 
+/// What a crossing refused reads, whatever it reached for.
+const REFUSED: &str = "is refused inside a policy check";
+
 /// The core differential assertion for one class source; returns whether
-/// the certificate accepted the class.
-fn assert_cache_transparent(src: &str) -> bool {
+/// the certificate accepted the class, and the verdicts.
+fn assert_cache_transparent(src: &str) -> (bool, Vec<String>) {
     let class = class_of(src);
     let fields = base_fields();
     let certified = plan_for(&class).certified;
@@ -145,20 +151,53 @@ fn assert_cache_transparent(src: &str) -> bool {
             );
         }
     }
-    certified
+    (certified, cached_vm)
+}
+
+/// Whether `export_check`, or a method it reaches by a resolved
+/// `this.m()`, calls a host builtin or defines a function or class: what
+/// a crossing refuses.
+fn reaches_the_host(class: &Arc<ClassDecl>) -> bool {
+    let plan = plan_for(class);
+    let Some(entry) = class.methods.iter().position(|m| m.name == "export_check") else {
+        return false;
+    };
+    let mut seen = BTreeSet::from([entry]);
+    let mut todo = vec![entry];
+    while let Some(method) = todo.pop() {
+        let Ok(chunk) = plan.chunk(method) else {
+            continue;
+        };
+        for op in &chunk.code {
+            match *op {
+                Op::CallBuiltin { id, .. } if id.reach() == Reach::Host => return true,
+                Op::Define(_) => return true,
+                Op::Method { index, .. }
+                    if index != Op::UNRESOLVED && seen.insert(index as usize) =>
+                {
+                    todo.push(index as usize);
+                }
+                _ => {}
+            }
+        }
+    }
+    false
 }
 
 #[test]
 fn targeted_mutating_shapes_are_cache_transparent() {
     // A pure reader: certified.
-    assert!(assert_cache_transparent(
-        r#"class Quota {
+    assert!(
+        assert_cache_transparent(
+            r#"class Quota {
             fn export_check(context) {
                 let w = this.l0;
                 if (w[0] + w[1] > this.f0) { throw "over"; }
             }
         }"#
-    ));
+        )
+        .0
+    );
     for src in [
         // A scratch-field writer.
         r#"class Audited {
@@ -199,7 +238,7 @@ fn targeted_mutating_shapes_are_cache_transparent() {
             }
         }"#,
     ] {
-        assert!(!assert_cache_transparent(src), "certified:\n{src}");
+        assert!(!assert_cache_transparent(src).0, "certified:\n{src}");
     }
 }
 
@@ -233,7 +272,7 @@ fn aliasing_shapes_are_cache_transparent() {
             fn export_check(context) { if (this.sum(this.l0) > 5) { throw "sum"; } }
         }"#,
     ] {
-        assert!(assert_cache_transparent(src), "refused:\n{src}");
+        assert!(assert_cache_transparent(src).0, "refused:\n{src}");
     }
     // The same aliases, stored through.
     for src in [
@@ -257,7 +296,7 @@ fn aliasing_shapes_are_cache_transparent() {
             fn export_check(context) { if (this.fill(this.l0) > 11) { throw "filled twice"; } }
         }"#,
     ] {
-        assert!(!assert_cache_transparent(src), "certified:\n{src}");
+        assert!(!assert_cache_transparent(src).0, "certified:\n{src}");
     }
 }
 
@@ -372,36 +411,31 @@ fn files_under(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
 fn the_bytecode_linter_agrees_with_the_ast_oracle_on_the_fixtures_and_the_scan_set() {
     let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
     let repo = crate_dir.join("../..");
-    let mut files = Vec::new();
-    files_under(&crate_dir.join("tests/lint_fixtures"), &mut files);
-    // CI's `resin-lint` scan set (`tests/lint.rs` keeps the same list).
-    for dir in [
-        "examples",
-        "tests",
-        "crates/apps",
-        "crates/sql",
-        "crates/bench",
-        "crates/net",
-        "crates/web",
-        "crates/lang/tests",
-        "crates/lang/src/oracle",
-    ] {
-        let mut found = Vec::new();
-        files_under(&repo.join(dir), &mut found);
-        files.extend(
-            found
-                .into_iter()
-                .filter(|p| !p.to_string_lossy().contains("target")),
-        );
+    let mut fixtures = Vec::new();
+    files_under(&crate_dir.join("tests/lint_fixtures"), &mut fixtures);
+    // CI's `resin-lint` scan set.
+    let corpus = CorpusList::parse(include_str!("../../tests/policy_corpus.txt")).unwrap();
+    let mut scanned = Vec::new();
+    for dir in &corpus.scans {
+        files_under(&repo.join(dir), &mut scanned);
     }
-    files.sort();
+    scanned.retain(|p| !corpus.skips(p));
+    scanned.sort();
     let mut codes = BTreeMap::<&str, usize>::new();
     let mut classes = 0;
-    for path in &files {
+    let mut reaching = BTreeSet::new();
+    for (path, in_scan_set) in fixtures
+        .iter()
+        .map(|p| (p, false))
+        .chain(scanned.iter().map(|p| (p, true)))
+    {
         for (src, class) in classes_in(path) {
             classes += 1;
             for d in assert_lint_matches_oracle(&class, &src).diagnostics {
                 *codes.entry(d.code).or_default() += 1;
+            }
+            if in_scan_set && reaches_the_host(&class) {
+                reaching.insert(class.name.clone());
             }
         }
     }
@@ -409,6 +443,12 @@ fn the_bytecode_linter_agrees_with_the_ast_oracle_on_the_fixtures_and_the_scan_s
     assert!(
         classes >= 40 && codes.len() == 10,
         "{classes} classes, codes fired: {codes:?}"
+    );
+    // The scan set's checks that reach for the host are the ones written
+    // to be refused for it (`tests/check_crossing.rs`).
+    assert_eq!(
+        reaching,
+        BTreeSet::from(["Panicky".to_string(), "Reent".to_string()])
     );
 }
 
@@ -572,6 +612,25 @@ impl PolicyGen {
         }
     }
 
+    /// What a crossing refuses: a host builtin, or a definition.
+    fn reach_out(&mut self, idx: u32) -> String {
+        const HOST: [&str; 8] = [
+            "echo(\"x\");",
+            "print(this.f0);",
+            "email(\"a@b\", str(this.f1));",
+            "file_write(\"/f\", \"x\");",
+            "import(\"/g.rsl\");",
+            "set_user(\"root\");",
+            "http_context(\"k\", 1);",
+            "mkdir(\"/d\");",
+        ];
+        match self.rng.below(10) {
+            8 => format!("fn leak{idx}() {{ return 1; }}"),
+            9 => format!("class Leak{idx} {{ fn m() {{ return 1; }} }}"),
+            i => HOST[i as usize].to_string(),
+        }
+    }
+
     fn any_stmt(&mut self, idx: u32) -> String {
         if self.lint_shapes && self.rng.below(2) == 0 {
             self.lint_stmt(idx)
@@ -601,6 +660,11 @@ impl PolicyGen {
         for i in 0..n {
             let stmt = self.any_stmt(i as u32);
             body.push_str(&format!("        {stmt}\n"));
+        }
+        if self.rng.below(4) == 0 {
+            // On a branch some crossings take and some do not.
+            let reach = self.reach_out(n as u32);
+            body.push_str(&format!("        if {} {{ {reach} }}\n", self.cond()));
         }
         let helper = if self.rng.below(3) == 0 {
             // A helper returning a field, `this` or a field's list, or
@@ -655,6 +719,7 @@ fn random_policy_classes_cache_transparently() {
     const CLASSES: u64 = 600;
     let seed = proptest::seed_from_name("random_policy_classes_cache_transparently");
     let (mut crossed, mut certified) = (0usize, 0usize);
+    let mut refusals = BTreeMap::<&str, usize>::new();
     let mut codes = BTreeMap::<&str, usize>::new();
     for case in 0..CLASSES {
         let mut g = PolicyGen {
@@ -672,10 +737,22 @@ fn random_policy_classes_cache_transparently() {
             continue;
         }
         crossed += 1;
-        if assert_cache_transparent(&src) {
-            certified += 1;
+        let (is_certified, verdicts) = assert_cache_transparent(&src);
+        certified += is_certified as usize;
+        for v in verdicts.iter().filter(|v| v.contains(REFUSED)) {
+            let what = if v.contains("definition `") {
+                "definition"
+            } else {
+                "builtin"
+            };
+            *refusals.entry(what).or_default() += 1;
         }
     }
+    // All three engines refused the same host builtins and definitions.
+    assert!(
+        refusals.len() == 2,
+        "no refusal of some kind over {CLASSES} classes: {refusals:?}"
+    );
     let every_code = (1..=10).all(|n| codes.contains_key(format!("RL{n:03}").as_str()));
     assert!(
         every_code,

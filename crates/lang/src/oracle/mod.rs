@@ -8,18 +8,21 @@
 //! compilation got something wrong: a value, a label, an error or its
 //! line, evaluation order, or scoping. The suites beside it run every case
 //! on both. `import` runs the imported file on the VM at global scope, as
-//! it does everywhere.
+//! it does everywhere. A crossing runs without a host here too, and
+//! refuses what the VM's crossing refuses.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use resin_core::{Context, PolicyViolation};
+use resin_core::{Context, PolicyViolation, Tracking};
 
 use crate::ast::{BinOp, ClassDecl, Expr, FnDecl, Stmt, StmtKind, Target};
 use crate::check::{context_to_map, materialize, verdict};
-use crate::interp::{finish, rt, Builtin, Flow, Interp, LangError, MAX_CALL_DEPTH, R};
+use crate::interp::{
+    finish, refused, rt, run_builtin, Builtin, Flow, Interp, LangError, MAX_CALL_DEPTH, R,
+};
 use crate::parser::parse_program;
 use crate::value::{Obj, PValue, Value};
 
@@ -37,30 +40,27 @@ pub(crate) fn run(interp: &mut Interp, src: &str) -> Result<Value, LangError> {
         violation: false,
         line: Some(e.line),
     })?;
-    match Tree::new(interp).exec_block(&program) {
+    match Tree::new(Some(interp), None).exec_block(&program) {
         Ok(v) | Err(Unwind::Return(v)) => Ok(v),
         Err(Unwind::Flow(flow)) => finish(Err(flow)),
     }
 }
 
 /// One crossing of `class`'s `export_check` on the tree-walker, sharing
-/// nothing with any other: a fresh interpreter, a fresh `this`, a fresh
-/// context map.
+/// nothing with any other: no host, a fresh `this`, a fresh context map.
 pub(crate) fn cross(
     class: &Arc<ClassDecl>,
     fields: &BTreeMap<String, PValue>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
     let method = class.method("export_check").expect("a policy class");
-    let mut interp = Interp::new();
-    interp.classes.insert(class.name.clone(), class.clone());
     let this = Value::Object(materialize(class, fields));
     let args = if method.params.is_empty() {
         Vec::new()
     } else {
         vec![context_to_map(context)]
     };
-    let flow = Tree::new(&mut interp).call_decl(method, args, Some(this));
+    let flow = Tree::new(None, Some(class)).call_decl(method, args, Some(this));
     verdict(flow, &class.name)
 }
 
@@ -77,18 +77,27 @@ impl From<Flow> for Unwind {
     }
 }
 
-/// The walker: an interpreter's state plus the call frames' local scopes.
+/// The walker: the host, or in a crossing the crossed class, plus the
+/// call frames' local scopes.
 struct Tree<'a> {
-    interp: &'a mut Interp,
+    host: Option<&'a mut Interp>,
+    crossed: Option<&'a Arc<ClassDecl>>,
     locals: Vec<HashMap<String, Value>>,
+    call_depth: usize,
 }
 
 impl<'a> Tree<'a> {
-    fn new(interp: &'a mut Interp) -> Self {
+    fn new(host: Option<&'a mut Interp>, crossed: Option<&'a Arc<ClassDecl>>) -> Self {
         Tree {
-            interp,
+            host,
+            crossed,
             locals: Vec::new(),
+            call_depth: 0,
         }
+    }
+
+    fn tracking(&self) -> Tracking {
+        self.host.as_ref().map_or(Tracking::On, |h| h.tracking)
     }
 
     // ---- scopes ----
@@ -99,7 +108,7 @@ impl<'a> Tree<'a> {
                 return Some(v.clone());
             }
         }
-        self.interp.globals.get(name).cloned()
+        self.host.as_ref()?.globals.get(name).cloned()
     }
 
     fn define(&mut self, name: &str, value: Value) {
@@ -108,7 +117,9 @@ impl<'a> Tree<'a> {
                 frame.insert(name.to_string(), value);
             }
             None => {
-                self.interp.globals.insert(name.to_string(), value);
+                if let Some(host) = self.host.as_deref_mut() {
+                    host.globals.insert(name.to_string(), value);
+                }
             }
         }
     }
@@ -120,7 +131,8 @@ impl<'a> Tree<'a> {
                 return;
             }
         }
-        if let Some(global) = self.interp.globals.get_mut(name) {
+        let host = self.host.as_deref_mut();
+        if let Some(global) = host.and_then(|h| h.globals.get_mut(name)) {
             *global = value;
             return;
         }
@@ -202,10 +214,16 @@ impl<'a> Tree<'a> {
                 return Err(Unwind::Return(v));
             }
             StmtKind::Throw(e) => return Err(Flow::Throw(self.eval(e)?).into()),
-            StmtKind::FnDef(decl) => {
-                self.interp.fns.insert(decl.name.clone(), decl.clone());
-            }
-            StmtKind::ClassDef(decl) => self.interp.register_class(decl)?,
+            StmtKind::FnDef(decl) => match self.host.as_deref_mut() {
+                Some(host) => {
+                    host.fns.insert(decl.name.clone(), decl.clone());
+                }
+                None => return Err(refused(format!("function definition `{}`", decl.name)).into()),
+            },
+            StmtKind::ClassDef(decl) => match self.host.as_deref_mut() {
+                Some(host) => host.register_class(decl)?,
+                None => return Err(refused(format!("class definition `{}`", decl.name)).into()),
+            },
         }
         Ok(Value::Null)
     }
@@ -245,11 +263,13 @@ impl<'a> Tree<'a> {
                 Interp::prop_value(&o, field)
             }
             Expr::New { class, args } => {
-                let decl = self
-                    .interp
-                    .class_named(class)
-                    .ok_or_else(|| rt(format!("undefined class `{class}`")))?;
+                // (The arguments first, as the VM evaluates them.)
                 let argv = self.eval_all(args)?;
+                let decl = match self.host.as_deref() {
+                    Some(host) => host.classes.get(class).cloned(),
+                    None => self.crossed.filter(|c| c.name == *class).cloned(),
+                };
+                let decl = decl.ok_or_else(|| rt(format!("undefined class `{class}`")))?;
                 let obj = Value::Object(Rc::new(RefCell::new(Obj {
                     class: decl.clone(),
                     fields: BTreeMap::new(),
@@ -273,11 +293,12 @@ impl<'a> Tree<'a> {
             }
             Expr::Call { name, args } => {
                 let mut argv = self.eval_all(args)?;
-                if let Some(decl) = self.interp.fns.get(name).cloned() {
+                let script_fn = self.host.as_ref().and_then(|h| h.fns.get(name).cloned());
+                if let Some(decl) = script_fn {
                     return self.call_decl(&decl, argv, None);
                 }
                 match Builtin::from_name(name) {
-                    Some(id) => self.interp.builtin(id, &mut argv),
+                    Some(id) => run_builtin(self.host.as_deref_mut(), id, &mut argv),
                     None => Err(rt(format!("undefined function `{name}`"))),
                 }
             }
@@ -293,7 +314,7 @@ impl<'a> Tree<'a> {
                 args.len()
             )));
         }
-        if self.interp.call_depth >= MAX_CALL_DEPTH {
+        if self.call_depth >= MAX_CALL_DEPTH {
             return Err(rt("call depth limit exceeded"));
         }
         let mut frame: HashMap<String, Value> = decl.params.iter().cloned().zip(args).collect();
@@ -301,9 +322,9 @@ impl<'a> Tree<'a> {
             frame.insert("this".to_string(), t);
         }
         self.locals.push(frame);
-        self.interp.call_depth += 1;
+        self.call_depth += 1;
         let result = self.exec_block(&decl.body);
-        self.interp.call_depth -= 1;
+        self.call_depth -= 1;
         self.locals.pop();
         match result {
             Ok(_) => Ok(Value::Null),
@@ -325,8 +346,10 @@ impl<'a> Tree<'a> {
         match op {
             BinOp::Eq => Ok(Value::Bool(l.loose_eq(&r))),
             BinOp::Ne => Ok(Value::Bool(!l.loose_eq(&r))),
-            BinOp::Add => self.interp.add_values(l, r),
-            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => self.interp.arith_values(op, l, r),
+            BinOp::Add => Interp::add_values(self.tracking(), l, r),
+            BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+                Interp::arith_values(self.tracking(), op, l, r)
+            }
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => Interp::compare_values(op, &l, &r),
             BinOp::And | BinOp::Or => unreachable!("handled above"),
         }

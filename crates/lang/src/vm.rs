@@ -13,18 +13,23 @@
 //! order and delegates to `Interp`'s operation helpers. Those helpers are
 //! the one definition of taint semantics; the test-only differential
 //! oracle walks the AST over the same ones.
+//!
+//! A gate crossing runs with no host ([`Interp`]), on its class plan alone;
+//! only the cold paths ask (unbound names, calls, builtins, definitions,
+//! `new`), and a host builtin or a definition is refused there.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use resin_core::Label;
+use resin_core::{Label, Tracking};
 
 use crate::ast::{BinOp, ClassDecl, FnDecl};
+use crate::check::ClassPlan;
 use crate::chunk::{Chunk, Const, Op, Src};
 use crate::compiler::chunk_for;
-use crate::interp::{rt, Builtin, Flow, Interp, MAX_CALL_DEPTH, R};
+use crate::interp::{refused, rt, run_builtin, Builtin, Flow, Interp, MAX_CALL_DEPTH, R};
 use crate::value::{Obj, Value};
 
 /// Total backward jumps one VM run may take before it fails with `loop
@@ -49,16 +54,27 @@ pub fn dispatched_ops() -> u64 {
 /// Runs a compiled top-level chunk. Used by `exec_program`, `exec_chunk`
 /// and `import` — the frame does not count against the call depth.
 pub(crate) fn run_chunk(interp: &mut Interp, chunk: Arc<Chunk>) -> R<Value> {
-    let mut vm = Vm::new(interp);
-    vm.bufs.slots.resize_with(chunk.slot_count(), || None);
-    vm.bufs.frames.push(Frame {
-        chunk,
-        ip: 0,
-        base: 0,
-        dst: 0,
-        mode: FrameMode::Entry,
-    });
-    vm.exec()
+    on_host(interp, |vm| {
+        vm.bufs.slots.resize_with(chunk.slot_count(), || None);
+        vm.bufs.frames.push(Frame {
+            chunk,
+            ip: 0,
+            base: 0,
+            dst: 0,
+            mode: FrameMode::Entry,
+        });
+        vm.exec()
+    })
+}
+
+/// Runs `run` on a VM hosted by `interp`, over the interpreter's resting
+/// buffers (a nested run — an `import` from inside the VM — finds them
+/// taken and grows its own).
+fn on_host(interp: &mut Interp, run: impl FnOnce(&mut Vm<'_>) -> R<Value>) -> R<Value> {
+    let mut bufs = std::mem::take(&mut interp.vm_bufs);
+    let flow = run(&mut Vm::new(Some(&mut *interp), None, &mut bufs));
+    interp.vm_bufs = bufs;
+    flow
 }
 
 /// `decl`'s chunk, through the interpreter's chunk cache.
@@ -75,22 +91,20 @@ pub(crate) fn call_function(
     this: Option<Value>,
 ) -> R<Value> {
     let chunk = compiled(interp, decl)?;
-    call_chunk(interp, chunk, args, this)
+    on_host(interp, |vm| vm.call(chunk, args, this))
 }
 
-/// Calls a compiled function or method body.
-pub(crate) fn call_chunk(
-    interp: &mut Interp,
-    chunk: Arc<Chunk>,
-    args: impl IntoIterator<Item = Value>,
-    this: Option<Value>,
+/// A gate crossing: calls the `method`-th method of `plan`'s class on
+/// `this`, with no host, over `bufs`.
+pub(crate) fn cross(
+    plan: &ClassPlan,
+    bufs: &mut Bufs,
+    method: usize,
+    args: Option<Value>,
+    this: Value,
 ) -> R<Value> {
-    let mut vm = Vm::new(interp);
-    vm.bufs.slots.push(this);
-    vm.bufs.slots.extend(args.into_iter().map(Some));
-    let argc = vm.bufs.slots.len() - 1;
-    enter(&mut vm, chunk, 0, argc, 0, FrameMode::Entry)?;
-    vm.exec()
+    let chunk = plan.chunk(method).map_err(Flow::Error)?.clone();
+    Vm::new(None, Some(plan), bufs).call(chunk, args, Some(this))
 }
 
 /// What to do with a frame's return value.
@@ -106,9 +120,9 @@ enum FrameMode {
 
 type Slot = Option<Value>;
 
-/// The VM's growable buffers. Between runs they rest, empty, on the
-/// [`Interp`], so a pooled evaluator and a long-lived script host keep
-/// their capacity instead of allocating it per run.
+/// The VM's growable buffers. Between runs they rest, empty — on the
+/// [`Interp`], and per thread for the gate crossings — keeping their
+/// capacity, and nothing a script can see.
 #[derive(Default)]
 pub(crate) struct Bufs {
     /// Every active frame's slots: a callee's window starts inside its
@@ -118,6 +132,15 @@ pub(crate) struct Bufs {
     frames: Vec<Frame>,
     /// A builtin's arguments, moved out of their temporaries for the call.
     args: Vec<Value>,
+}
+
+impl Bufs {
+    /// The slot capacity kept, or `None` when a run left anything behind.
+    #[cfg(test)]
+    pub(crate) fn kept(&self) -> Option<usize> {
+        let empty = self.slots.is_empty() && self.frames.is_empty() && self.args.is_empty();
+        empty.then_some(self.slots.capacity())
+    }
 }
 
 struct Frame {
@@ -131,8 +154,12 @@ struct Frame {
 }
 
 struct Vm<'a> {
-    interp: &'a mut Interp,
-    bufs: Bufs,
+    /// The script host; `None` in a gate crossing.
+    host: Option<&'a mut Interp>,
+    /// The class plan of a gate crossing: its class is the only one in
+    /// reach, and its methods' chunks are the plan's.
+    plan: Option<&'a ClassPlan>,
+    bufs: &'a mut Bufs,
     call_depth: usize,
     back_jumps: u64,
 }
@@ -178,33 +205,34 @@ fn enter(
     Ok(())
 }
 
-/// The chunk of `class`'s method `name`: the plan's when a gate crossing
-/// is in progress and `class` is its class — then `index`, the method's
-/// position as the compiler resolved it in a chunk of that plan, stands in
-/// for the name — and otherwise compiled through the interpreter's cache.
-/// `None` when the class has no such method.
+/// The chunk of `class`'s method `name`: the plan's when `class` is the
+/// crossing's class — then `index`, the method's position as the compiler
+/// resolved it in a chunk of that plan, stands in for the name — and
+/// otherwise compiled through the host's cache. `None` when the class has
+/// no such method.
 fn method_chunk(
-    interp: &mut Interp,
+    host: Option<&mut Interp>,
+    plan: Option<&ClassPlan>,
     class: &Arc<ClassDecl>,
     name: &str,
     index: u16,
 ) -> R<Option<Arc<Chunk>>> {
     let position = || class.methods.iter().position(|m| m.name == name);
-    if let Some(plan) = &interp.plan {
-        if Arc::ptr_eq(plan.class(), class) {
-            let method = match index {
-                Op::UNRESOLVED => position(),
-                i => Some(i as usize),
-            };
-            return match method {
-                Some(m) => plan.chunk(m).cloned().map(Some).map_err(Flow::Error),
-                None => Ok(None),
-            };
-        }
+    if let Some(plan) = plan.filter(|p| Arc::ptr_eq(p.class(), class)) {
+        let method = match index {
+            Op::UNRESOLVED => position(),
+            i => Some(i as usize),
+        };
+        return match method {
+            Some(m) => plan.chunk(m).cloned().map(Some).map_err(Flow::Error),
+            None => Ok(None),
+        };
     }
-    match position() {
-        Some(m) => compiled(interp, &class.methods[m]).map(Some),
-        None => Ok(None),
+    match (host, position()) {
+        (Some(host), Some(m)) => compiled(host, &class.methods[m]).map(Some),
+        // A crossing reaches no object of another class: `this` is of the
+        // plan's, and so is whatever `new` builds there.
+        _ => Ok(None),
     }
 }
 
@@ -298,13 +326,14 @@ impl Copied {
 // ---- the general paths ----
 
 /// What an instruction works on: the current frame's slots, its chunk,
-/// and the interpreter. The methods are the general paths, out of line so
-/// that the dispatch loop stays small enough to keep its state in
-/// registers.
+/// and the host or the crossing's plan. The methods are the general paths,
+/// out of line so that the dispatch loop stays small enough to keep its
+/// state in registers.
 struct Regs<'a> {
     frame: &'a mut [Slot],
     chunk: &'a Chunk,
-    interp: &'a mut Interp,
+    host: Option<&'a mut Interp>,
+    plan: Option<&'a ClassPlan>,
 }
 
 impl<'a> Regs<'a> {
@@ -328,7 +357,7 @@ impl<'a> Regs<'a> {
             return Err(rt("`this` outside method"));
         }
         let name: &str = &self.chunk.slot_names[slot];
-        match self.interp.globals.get(name) {
+        match self.host.as_ref().and_then(|h| h.globals.get(name)) {
             Some(v) => Ok(v.clone()),
             None => Err(rt(format!("undefined variable `{name}`"))),
         }
@@ -344,7 +373,8 @@ impl<'a> Regs<'a> {
         let dst = dst as usize;
         if self.frame[dst].is_none() {
             let name: &str = &self.chunk.slot_names[dst];
-            if let Some(global) = self.interp.globals.get_mut(name) {
+            let host = self.host.as_deref_mut();
+            if let Some(global) = host.and_then(|h| h.globals.get_mut(name)) {
                 *global = v;
                 return Ok(());
             }
@@ -357,7 +387,7 @@ impl<'a> Regs<'a> {
     #[inline(never)]
     fn load_global(&mut self, dst: u16, name: u32) -> R<()> {
         let name = self.name(name);
-        match self.interp.globals.get(name) {
+        match self.host.as_ref().and_then(|h| h.globals.get(name)) {
             Some(v) => Copied::of(v).store(&mut self.frame[dst as usize]),
             None => return Err(rt(format!("undefined variable `{name}`"))),
         }
@@ -368,13 +398,16 @@ impl<'a> Regs<'a> {
     fn store_global(&mut self, name: u32, src: Src) -> R<()> {
         let v = self.read(src)?;
         let name = self.name(name);
+        // (Only a top-level chunk stores one, and no crossing runs one.)
+        let Some(host) = self.host.as_deref_mut() else {
+            return Err(refused(format!("global `{name}`")));
+        };
         // get_mut-then-insert: re-assignment (the hot case in every
         // top-level loop) costs one hash and zero allocations.
-        if let Some(global) = self.interp.globals.get_mut(name) {
+        if let Some(global) = host.globals.get_mut(name) {
             *global = v;
         } else {
-            let name = name.to_string();
-            self.interp.globals.insert(name, v);
+            host.globals.insert(name.to_string(), v);
         }
         Ok(())
     }
@@ -403,9 +436,10 @@ impl<'a> Regs<'a> {
     #[inline(never)]
     fn arith(&mut self, op: BinOp, dst: u16, a: Src, b: Src) -> R<()> {
         let (l, r) = (self.read(a)?, self.read(b)?);
+        let tracking = self.host.as_ref().map_or(Tracking::On, |h| h.tracking);
         let v = match op {
-            BinOp::Add => self.interp.add_values(l, r)?,
-            op => self.interp.arith_values(op, l, r)?,
+            BinOp::Add => Interp::add_values(tracking, l, r)?,
+            op => Interp::arith_values(tracking, op, l, r)?,
         };
         self.frame[dst as usize] = Some(v);
         Ok(())
@@ -421,11 +455,14 @@ impl<'a> Regs<'a> {
         })
     }
 
-    /// The chunk of the script function `name`, if one is defined.
+    /// The chunk of the script function `name`, if the host defined one.
     #[inline(never)]
     fn script_fn(&mut self, name: &str) -> R<Option<Arc<Chunk>>> {
-        match self.interp.fns.get(name).cloned() {
-            Some(decl) => compiled(self.interp, &decl).map(Some),
+        let Some(host) = self.host.as_deref_mut() else {
+            return Ok(None);
+        };
+        match host.fns.get(name).cloned() {
+            Some(decl) => compiled(host, &decl).map(Some),
             None => Ok(None),
         }
     }
@@ -438,7 +475,7 @@ impl<'a> Regs<'a> {
             .iter_mut()
             .map(|s| s.take().expect("a temporary is bound"));
         args.extend(taken);
-        let result = self.interp.builtin(id, args);
+        let result = run_builtin(self.host.as_deref_mut(), id, args);
         args.clear();
         self.frame[dst as usize] = Some(result?);
         Ok(())
@@ -454,22 +491,25 @@ impl<'a> Regs<'a> {
         {
             Value::Object(o) => {
                 let class = &o.borrow().class;
-                method_chunk(self.interp, class, name, index)?
+                method_chunk(self.host.as_deref_mut(), self.plan, class, name, index)?
                     .ok_or_else(|| rt(format!("no method `{name}` on `{}`", class.name)))
             }
             recv => Err(rt(format!("cannot call method on {}", recv.type_name()))),
         }
     }
 
-    /// A new instance of class `names[class]` and its `init`, if declared.
+    /// A new instance of class `names[class]` — one the host defined, or
+    /// in a crossing the plan's own — and its `init`, if declared.
     #[inline(never)]
     fn instantiate(&mut self, class: u16) -> R<(Value, Option<Arc<Chunk>>)> {
         let name = self.name(class);
-        let decl = self
-            .interp
-            .class_named(name)
-            .ok_or_else(|| rt(format!("undefined class `{name}`")))?;
-        let init = method_chunk(self.interp, &decl, "init", Op::UNRESOLVED)?;
+        let decl = match (self.host.as_deref(), self.plan) {
+            (Some(host), _) => host.classes.get(name).cloned(),
+            (None, plan) => plan.map(|p| p.class()).filter(|c| c.name == name).cloned(),
+        };
+        let decl = decl.ok_or_else(|| rt(format!("undefined class `{name}`")))?;
+        let host = self.host.as_deref_mut();
+        let init = method_chunk(host, self.plan, &decl, "init", Op::UNRESOLVED)?;
         let obj = Obj {
             class: decl,
             fields: BTreeMap::new(),
@@ -529,27 +569,43 @@ impl<'a> Regs<'a> {
 
     #[inline(never)]
     fn define(&mut self, k: u32) -> R<()> {
-        match &self.chunk.consts[k as usize] {
-            Const::Fn(decl) => {
-                self.interp.fns.insert(decl.name.clone(), decl.clone());
+        match (&self.chunk.consts[k as usize], self.host.as_deref_mut()) {
+            (Const::Fn(decl), Some(host)) => {
+                host.fns.insert(decl.name.clone(), decl.clone());
                 Ok(())
             }
-            Const::Class(decl) => self.interp.register_class(decl),
+            (Const::Class(decl), Some(host)) => host.register_class(decl),
+            (Const::Fn(decl), None) => Err(refused(format!("function definition `{}`", decl.name))),
+            (Const::Class(decl), None) => Err(refused(format!("class definition `{}`", decl.name))),
             _ => Err(rt("internal: definition constant is not a declaration")),
         }
     }
 }
 
 impl<'a> Vm<'a> {
-    /// A VM over the interpreter's resting buffers (a nested run — an
-    /// `import` from inside the VM — finds them taken and grows its own).
-    fn new(interp: &'a mut Interp) -> Vm<'a> {
+    /// A VM with no frame: on `host`, or in a crossing of `plan`'s class.
+    fn new(host: Option<&'a mut Interp>, plan: Option<&'a ClassPlan>, bufs: &'a mut Bufs) -> Self {
         Vm {
-            call_depth: interp.call_depth,
-            bufs: std::mem::take(&mut interp.vm_bufs),
-            interp,
+            host,
+            plan,
+            bufs,
+            call_depth: 0,
             back_jumps: 0,
         }
+    }
+
+    /// Calls a compiled function or method body.
+    fn call(
+        &mut self,
+        chunk: Arc<Chunk>,
+        args: impl IntoIterator<Item = Value>,
+        this: Option<Value>,
+    ) -> R<Value> {
+        self.bufs.slots.push(this);
+        self.bufs.slots.extend(args.into_iter().map(Some));
+        let argc = self.bufs.slots.len() - 1;
+        enter(self, chunk, 0, argc, 0, FrameMode::Entry)?;
+        self.exec()
     }
 
     fn exec(&mut self) -> R<Value> {
@@ -566,7 +622,8 @@ impl<'a> Vm<'a> {
             let mut regs = Regs {
                 frame: &mut self.bufs.slots[base..base + chunk.slots],
                 chunk: &chunk,
-                interp: &mut *self.interp,
+                host: self.host.as_deref_mut(),
+                plan: self.plan,
             };
             // An instruction continues this loop, re-enters `'frames`
             // (call, return), or breaks with what went wrong and where.
@@ -717,7 +774,7 @@ impl<'a> Vm<'a> {
                     } => {
                         // Script functions shadow builtins whenever they
                         // were defined.
-                        if !regs.interp.fns.is_empty() {
+                        if regs.host.as_ref().is_some_and(|h| !h.fns.is_empty()) {
                             if let Some(callee) = tri!(regs.script_fn(id.name())) {
                                 regs.frame[w as usize] = None;
                                 call!(callee, w, argc, dst, FrameMode::Call)
@@ -807,11 +864,10 @@ impl<'a> Vm<'a> {
 }
 
 impl Drop for Vm<'_> {
-    /// Hands the buffers back, emptied (an error leaves frames behind).
+    /// Leaves the buffers empty (an error leaves frames behind).
     fn drop(&mut self) {
         self.bufs.frames.clear();
         self.bufs.slots.clear();
         self.bufs.args.clear();
-        self.interp.vm_bufs = std::mem::take(&mut self.bufs);
     }
 }

@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use resin_lang::analysis::lint::extract_embedded_rsl;
+use resin_lang::analysis::lint::{extract_embedded_rsl, CorpusList};
 use resin_lang::{lint_source, Severity};
 
 fn fixture(name: &str) -> String {
@@ -141,34 +141,37 @@ fn a_policy_class_nested_in_a_function_body_is_linted() {
 }
 
 /// Sweeps the repository's real policy corpus — example programs, app
-/// crates, benches, integration tests, the differential oracles — exactly
-/// like the CI `resin-lint` job, whose scan list this one is, asserting
+/// crates, benches, integration tests, the differential oracles — over the
+/// list the CI `resin-lint` job reads (`policy_corpus.txt`), asserting
 /// zero error-severity diagnostics. The linter's own deliberately-unsound
 /// unit-test fixtures (`crates/lang/src/analysis` and
 /// `tests/lint_fixtures`) are out of scope: they exist to be flagged.
 #[test]
 fn embedded_policy_corpus_has_no_error_diagnostics() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let corpus = CorpusList::parse(include_str!("policy_corpus.txt")).expect("the corpus list");
     let mut errors = Vec::new();
     let mut policies = 0usize;
-    for dir in [
-        "examples",
-        "tests",
-        "crates/apps",
-        "crates/sql",
-        "crates/bench",
-        "crates/net",
-        "crates/web",
-        "crates/lang/tests",
-        "crates/lang/src/oracle",
-    ] {
-        sweep(&repo.join(dir), &mut policies, &mut errors);
+    for dir in &corpus.scans {
+        sweep(&repo.join(dir), &corpus, &mut policies, &mut errors);
     }
     assert!(policies >= 6, "corpus sweep found only {policies} policies");
     assert!(errors.is_empty(), "{}", errors.join("\n"));
+    // The binary reads the same list, as CI runs it, and finds the same.
+    let out = Command::new(env!("CARGO_BIN_EXE_resin-lint"))
+        .args(["--corpus", "crates/lang/tests/policy_corpus.txt"])
+        .current_dir(&repo)
+        .output()
+        .expect("resin-lint runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains(&format!("{policies} policies checked, 0 errors")),
+        "{stderr}"
+    );
 }
 
-fn sweep(dir: &Path, policies: &mut usize, errors: &mut Vec<String>) {
+fn sweep(dir: &Path, corpus: &CorpusList, policies: &mut usize, errors: &mut Vec<String>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -176,11 +179,11 @@ fn sweep(dir: &Path, policies: &mut usize, errors: &mut Vec<String>) {
     paths.sort();
     for path in paths {
         let shown = path.display().to_string();
-        if shown.contains("lint_fixtures") || shown.contains("target") {
+        if corpus.skips(&path) {
             continue;
         }
         if path.is_dir() {
-            sweep(&path, policies, errors);
+            sweep(&path, corpus, policies, errors);
             continue;
         }
         let reports = if shown.ends_with(".rsl") {

@@ -1,23 +1,22 @@
-//! A script policy's check that panics costs its own request and nothing
-//! after it: `serve_request` confines the panic, the evaluator the check
-//! had taken from the thread's pool is lost with it, and the next request
-//! on the same thread builds a new one and is judged correctly. A script
-//! that used to abort the process — whatever no `catch_unwind` confines —
-//! is refused instead.
+//! A policy check that panics costs its own request and nothing after it:
+//! `serve_request` confines the panic, and the next request on the same
+//! thread is judged correctly, script policies included. A script that
+//! used to abort the process — whatever no `catch_unwind` confines — is
+//! refused instead.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use resin::apps::scriptinj::ScriptHost;
-use resin::core::{FlowError, Gate, GateKind, Runtime, TaintedString};
+use resin::core::{Context, FlowError, GateKind, Policy, PolicyViolation, Runtime, TaintedString};
 use resin::lang::ast::StmtKind;
 use resin::lang::{parse_program, PValue, ScriptPolicy};
 use resin::web::{serve_request, Request, Response};
 
-/// The armed instance sends mail, and this process's email gate cannot be
-/// opened: its factory panics, inside the VM's builtin call, inside the
-/// crossing (no script can panic the evaluator by itself any more — see
-/// the tests below); the other one is an owner check.
+/// The armed instance sends mail, which a check may not: the crossing has
+/// no host, and refuses `email` as a violation; the other one is an owner
+/// check.
 const SRC: &str = r#"
 class Panicky {
     fn export_check(context) {
@@ -52,6 +51,38 @@ class Cyclic {
 }
 "#;
 
+/// A check that exports data guarded by another instance of its class,
+/// one level deeper each time. Nested on the native stack, one crossing
+/// inside the other, 100 000 levels overflowed it and aborted the process.
+const REENT: &str = r#"
+class Reent {
+    fn init(depth) { this.depth = depth; }
+    fn export_check(context) {
+        if (this.depth > 0) { echo(policy_add("nested", new Reent(this.depth - 1))); }
+        if (context["type"] != "http") { throw "not http"; }
+    }
+}
+"#;
+
+/// A native policy whose check panics, as a bug in Rust-side policy code
+/// would.
+#[derive(Debug)]
+struct Panics;
+
+impl Policy for Panics {
+    fn name(&self) -> &str {
+        "Panics"
+    }
+
+    fn export_check(&self, _: &Context) -> Result<(), PolicyViolation> {
+        panic!("the policy's own code is broken")
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
 /// An upload that `scriptinj`'s unarmed host runs when it is requested: a
 /// policy whose field is a list holding itself.
 const SELF_HOLDING: &str = r#"class P { fn init(f) { this.f = f; } fn export_check(c) { if (c["type"] == "email") { return; } throw "no"; } } let a = [1]; push(a, a); policy_add("x", new P(a));"#;
@@ -61,6 +92,10 @@ fn guarded(text: &str, armed: bool) -> TaintedString {
 }
 
 fn guarded_by(src: &str, text: &str, armed: bool) -> TaintedString {
+    guarded_with(src, text, "armed", PValue::Bool(armed))
+}
+
+fn guarded_with(src: &str, text: &str, field: &str, value: PValue) -> TaintedString {
     let class = parse_program(src)
         .expect("policy parses")
         .into_iter()
@@ -69,8 +104,7 @@ fn guarded_by(src: &str, text: &str, armed: bool) -> TaintedString {
             _ => None,
         })
         .expect("class decl");
-    let mut fields = BTreeMap::new();
-    fields.insert("armed".to_string(), PValue::Bool(armed));
+    let fields = BTreeMap::from([(field.to_string(), value)]);
     let mut s = TaintedString::from(text);
     s.add_policy(Arc::new(ScriptPolicy::new(
         class.name.clone(),
@@ -82,17 +116,15 @@ fn guarded_by(src: &str, text: &str, armed: bool) -> TaintedString {
 
 #[test]
 fn a_panicking_check_is_confined_to_its_request() {
-    Runtime::global()
-        .registry()
-        .register(GateKind::Email, || -> Gate {
-            panic!("the mail gate is down")
-        });
     let safe = guarded("for alice", false);
     let armed = guarded("never shown", true);
+    let mut panics = TaintedString::from("never shown");
+    panics.add_policy(Arc::new(Panics));
     let app = move |req: &Request, resp: &mut Response| -> Result<(), FlowError> {
         let user = req.param_or_empty("user");
         resp.gate_mut().context_mut().set_str("user", user.as_str());
         match req.path() {
+            "/panics" => resp.echo_ref(&panics),
             "/armed" => resp.echo_ref(&armed),
             _ => resp.echo_ref(&safe),
         }
@@ -103,8 +135,16 @@ fn a_panicking_check_is_confined_to_its_request() {
     let page = get("/safe", "alice");
     assert_eq!((page.status, page.body.as_str()), (200, "for alice"));
     for _ in 0..3 {
-        let page = get("/armed", "alice");
+        let page = get("/panics", "alice");
         assert_eq!((page.status, page.body.as_str()), (500, ""));
+        // The armed script reaches for the mail gate, and is refused.
+        let page = get("/armed", "alice");
+        let err = page.outcome.expect_err("the armed check is refused");
+        assert!(
+            err.is_violation() && err.to_string().contains("builtin `email` is refused"),
+            "{err}"
+        );
+        assert_eq!(page.body, "");
         // The thread keeps serving, and keeps serving correct verdicts.
         let page = get("/safe", "alice");
         assert_eq!((page.status, page.body.as_str()), (200, "for alice"));
@@ -143,6 +183,36 @@ fn a_hostile_script_is_refused_not_unwound() {
     let err = page.outcome.expect_err("refused");
     assert!(err.to_string().contains("character boundary"), "{err}");
     assert_eq!(page.body, "");
+}
+
+#[test]
+fn a_check_that_would_nest_crossings_is_refused_not_aborted() {
+    let deep = || guarded_with(REENT, "never shown", "depth", PValue::Int(100_000));
+    // Through a bare gate, with nothing to confine a panic.
+    let mut gate = Runtime::global().open(GateKind::Http);
+    let err = gate.write(deep()).expect_err("the check is refused");
+    assert!(err.is_violation(), "{err}");
+    assert!(
+        err.to_string()
+            .contains("policy error: builtin `echo` is refused inside a policy check"),
+        "{err}"
+    );
+    assert_eq!(gate.output_text(), "");
+    // And through a request.
+    let data = deep();
+    let app = move |_: &Request, resp: &mut Response| resp.echo_ref(&data);
+    let page = serve_request(&app, &Request::get("/"));
+    let err = page.outcome.expect_err("refused");
+    assert!(
+        err.to_string().contains("builtin `echo` is refused"),
+        "{err}"
+    );
+    assert_eq!(page.body, "");
+    // An instance with nothing to nest is judged by its channel alone.
+    let flat = guarded_with(REENT, "shown", "depth", PValue::Int(0));
+    let app = move |_: &Request, resp: &mut Response| resp.echo_ref(&flat);
+    let page = serve_request(&app, &Request::get("/"));
+    assert_eq!((page.status, page.body.as_str()), (200, "shown"));
 }
 
 #[test]
