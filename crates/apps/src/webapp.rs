@@ -235,11 +235,11 @@ impl ForumApp {
         self.db.recovery()
     }
 
-    /// Storage counters (segment count, live WAL bytes, checkpoint
-    /// cost) when the forum is durable; `None` in-memory or on a
-    /// replica (whose progress is [`replica_applied_seq`](Self::replica_applied_seq)).
+    /// The forum's store counters when it is durable; `None` in-memory
+    /// or on a replica (whose progress is
+    /// [`replica_applied_seq`](Self::replica_applied_seq)).
     pub fn store_stats(&self) -> Option<resin_sql::StoreStats> {
-        self.db.store_stats()
+        self.db.store().map(|store| store.stats())
     }
 
     /// Folds the WAL into a fresh snapshot.
@@ -424,11 +424,6 @@ impl WikiApp {
     /// memory).
     pub fn recovery(&self) -> Recovery {
         self.read().vfs.recovery()
-    }
-
-    /// Storage counters when the wiki is disk-backed; `None` in-memory.
-    pub fn store_stats(&self) -> Option<resin_sql::StoreStats> {
-        self.read().vfs.store_stats()
     }
 
     /// Folds the wiki's op log into a fresh snapshot under the read lock:

@@ -11,6 +11,7 @@ use std::borrow::Cow;
 
 use crate::context::Context;
 use crate::error::{FlowError, Result};
+use crate::metrics::{self, Counter};
 use crate::taint::TaintedString;
 
 /// The boundary-interposition interface (Table 3's `filter::*` rows).
@@ -69,6 +70,7 @@ impl DefaultFilter {
             return Ok(());
         }
         for policy in label.policies().iter() {
+            metrics::inc(Counter::NativeChecks);
             policy
                 .export_check(context)
                 .map_err(|v| FlowError::Denied(v.on_channel(context.kind().clone())))?;

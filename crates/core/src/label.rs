@@ -73,6 +73,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::context::Context;
 use crate::error::PolicyViolation;
+use crate::metrics::{self, Counter};
 use crate::policy::{Policy, PolicyRef};
 
 /// The interned identity of one structurally-distinct policy object.
@@ -658,25 +659,26 @@ fn tombstone_entry() -> LabelEntry {
     }
 }
 
-/// What one [`LabelTable::sweep`] pass reclaimed and kept.
+/// What one [`LabelTable::sweep`] pass reclaimed ([`LabelTable::stats`]
+/// reads what it kept).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
     /// Label slots tombstoned by this pass.
     pub labels_swept: usize,
     /// Policy slots tombstoned by this pass.
     pub policies_swept: usize,
-    /// Live label slots after the pass (excluding the empty label).
-    pub labels_live: usize,
-    /// Live policy slots after the pass.
-    pub policies_live: usize,
 }
 
-/// Point-in-time counters for [`LabelTable::stats`]: entry counts,
-/// lifecycle epoch, and an estimate of bytes retained by the table.
+/// Point-in-time counters for [`LabelTable::stats`]: entry and slot
+/// counts, index sizes and the lifecycle epoch. Its lock takes and index
+/// hits are events, counted in [`crate::metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelTableStats {
     /// Live label entries (excluding the empty label and tombstones).
     pub labels: usize,
+    /// Label slots, the empty label and tombstones included: the table's
+    /// high-water mark, which only a sweep's reuse keeps flat.
+    pub label_slots: usize,
     /// Live interned policies.
     pub policies: usize,
     /// Tombstoned label slots awaiting reuse.
@@ -693,10 +695,6 @@ pub struct LabelTableStats {
     pub epoch: u64,
     /// Epoch pins currently held (transactions/requests in flight).
     pub active_pins: usize,
-    /// Rough estimate of heap bytes retained by sets + policy slot
-    /// bookkeeping, wire-text indexes included (not the policy objects
-    /// themselves).
-    pub bytes_retained: usize,
 }
 
 /// An RAII epoch pin: while alive, the sweep treats every label or
@@ -783,10 +781,12 @@ impl LabelTable {
     // (a slot whose key was never written is merely unreachable), so a
     // poisoned lock is recoverable; see [`crate::sync`].
     fn read(&self) -> std::sync::RwLockReadGuard<'_, TableInner> {
+        metrics::inc(Counter::LabelReadLocks);
         crate::sync::rlock(&self.inner)
     }
 
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, TableInner> {
+        metrics::inc(Counter::LabelWriteLocks);
         crate::sync::wlock(&self.inner)
     }
 
@@ -841,8 +841,10 @@ impl LabelTable {
         let epoch = self.current_epoch();
         let inner = self.read();
         let Some(&id) = inner.by_wire.get(text) else {
+            metrics::inc(Counter::WireMisses);
             return Err(WireMiss(inner.wire_generation));
         };
+        metrics::inc(Counter::WireHits);
         inner.policies.touch(id, epoch);
         #[cfg(test)]
         let oracle = tests::wire_oracle(&inner, id);
@@ -973,21 +975,6 @@ impl LabelTable {
         Label(self.write().union_set(key, epoch, floor))
     }
 
-    /// Number of distinct live policies interned.
-    pub fn policy_count(&self) -> usize {
-        self.read().policies.live()
-    }
-
-    /// Number of label slots (including the empty label and tombstones).
-    pub fn label_count(&self) -> usize {
-        self.read().sets.values.len()
-    }
-
-    /// Number of memoized pairwise unions.
-    pub fn union_cache_len(&self) -> usize {
-        self.read().union_cache.len()
-    }
-
     /// Tombstones every label not rooted, not pinned and not freshly
     /// interned, then every policy no surviving label names.
     ///
@@ -1033,33 +1020,25 @@ impl LabelTable {
         SweepReport {
             labels_swept: labels.len(),
             policies_swept: policies.len(),
-            labels_live: inner.sets.live() - 1,
-            policies_live: inner.policies.live(),
         }
     }
 
     /// Point-in-time lifecycle and size counters.
     pub fn stats(&self) -> LabelTableStats {
         let inner = self.read();
-        let written = || inner.policies.values.iter().filter_map(|p| p.wire.as_ref());
-        let (read_index, write_index) = (inner.by_wire.len(), written().count());
-        let ids: usize = inner.sets.values.iter().map(|e| e.ids.len()).sum();
-        // A text both wire indexes hold is shared, and counted twice here.
-        let texts: usize = written().chain(inner.by_wire.keys()).map(|t| t.len()).sum();
-        let slots = inner.sets.values.len() + inner.policies.values.len();
-        let cache = inner.union_cache.len();
-        let bytes = slots * 64 + ids * 12 + texts + (read_index + write_index) * 16 + cache * 24;
         LabelTableStats {
             labels: inner.sets.live() - 1,
+            label_slots: inner.sets.values.len(),
             policies: inner.policies.live(),
             free_labels: inner.sets.free.len(),
             free_policies: inner.policies.free.len(),
-            union_cache: cache,
-            read_index,
-            write_index,
+            union_cache: inner.union_cache.len(),
+            read_index: inner.by_wire.len(),
+            write_index: (inner.policies.values.iter())
+                .filter(|p| p.wire.is_some())
+                .count(),
             epoch: self.current_epoch(),
             active_pins: crate::sync::mlock(&self.pins).values().sum(),
-            bytes_retained: bytes,
         }
     }
 }
@@ -1146,11 +1125,11 @@ mod tests {
         let a = Label::of(&pw("memo-a@x"));
         let b = Label::of(&pw("memo-b@x"));
         let first = a.union(b);
-        let before = LabelTable::global().label_count();
+        let before = LabelTable::global().stats().label_slots;
         let second = a.union(b);
         assert_eq!(first, second);
         assert_eq!(
-            LabelTable::global().label_count(),
+            LabelTable::global().stats().label_slots,
             before,
             "second union allocates nothing"
         );
@@ -1282,7 +1261,7 @@ mod tests {
         let report = t.sweep([]);
         assert_eq!(report.labels_swept, 1);
         assert_eq!(report.policies_swept, 1);
-        assert_eq!(report.labels_live, 0);
+        assert_eq!(t.stats().labels, 0);
         // The stale handle now resolves to the fail-closed tombstone.
         let entry = t.entry(l);
         assert!(entry.ids.is_empty());
@@ -1302,7 +1281,7 @@ mod tests {
         let drop_me = t.label_of(&pw("gc-drop@x"));
         let report = t.sweep([keep]);
         assert_eq!(report.labels_swept, 1);
-        assert_eq!(report.labels_live, 1);
+        assert_eq!(t.stats().labels, 1);
         // The root still interns to the same handle, object intact.
         assert_eq!(t.label_of(&pw("gc-keep@x")), keep);
         assert_eq!(t.entry(keep).refs[0].name(), "PasswordPolicy");
@@ -1393,7 +1372,7 @@ mod tests {
         t.sweep([r]);
         let union = t.write().union_set(key, epoch, None);
         assert_eq!(union, a.0, "fails closed to the tombstone");
-        assert_eq!(t.union_cache_len(), 0, "no memo names a free slot");
+        assert_eq!(t.stats().union_cache, 0, "no memo names a free slot");
         let (pc, pd) = (pw("memo-rc@x"), pw("memo-rd@x"));
         let (c, d) = (t.label_of(&pc), t.label_of(&pd));
         assert_eq!((c.0.min(d.0), c.0.max(d.0)), key, "the freed slots reused");
@@ -1519,10 +1498,10 @@ mod tests {
         let a = t.label_of(&pw("gc-ua@x"));
         let b = t.label_of(&pw("gc-ub@x"));
         let _ab = t.union(a, b);
-        assert_eq!(t.union_cache_len(), 1);
+        assert_eq!(t.stats().union_cache, 1);
         t.sweep([a]);
         assert_eq!(
-            t.union_cache_len(),
+            t.stats().union_cache,
             0,
             "cached union names a swept operand/result"
         );
@@ -1544,7 +1523,7 @@ mod tests {
             if (i + 1) % INTERVAL == 0 {
                 t.sweep([]);
             }
-            peak_slots = peak_slots.max(t.label_count());
+            peak_slots = peak_slots.max(t.stats().label_slots);
         }
         let stats = t.stats();
         assert!(
@@ -1729,13 +1708,13 @@ mod tests {
     #[test]
     fn table_stats_grow_monotonically() {
         let t = LabelTable::global();
-        let before = t.policy_count();
+        let before = t.stats().policies;
         let _ = Label::of(&pw("stats-unique@x"));
-        assert!(t.policy_count() > before);
-        assert!(t.label_count() >= 1);
-        let _ = t.union_cache_len(); // smoke: accessible
+        assert!(t.stats().policies > before);
+        assert!(t.stats().label_slots >= 1);
+        let _ = t.stats().union_cache; // smoke: accessible
         let live = t.read().policies.live();
         assert!(live > 0);
-        assert_eq!(live, t.policy_count());
+        assert_eq!(live, t.stats().policies);
     }
 }

@@ -20,6 +20,8 @@
 //!   where assertions are checked by invoking each policy's `export_check`.
 //!   The [`runtime::Runtime`]'s [`runtime::GateRegistry`] owns the default
 //!   gate for every I/O surface.
+//! * **Counters** ([`metrics`]) count the runtime's own work — lock
+//!   takes, decodes, checks run — per thread and per process.
 //!
 //! # Quickstart
 //!
@@ -55,6 +57,7 @@ pub mod filter;
 pub mod gate;
 pub mod label;
 pub mod merge;
+pub mod metrics;
 pub mod policies;
 pub mod policy;
 pub mod runtime;

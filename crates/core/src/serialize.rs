@@ -71,13 +71,13 @@
 //! the label table calls out while locked.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::error::SerializeError;
 use crate::label::{Label, LabelTable, PolicyId, WireMiss};
+use crate::metrics::{self, Counter};
 use crate::policies::Acl;
 use crate::policies::{
     AuthenticData, CodeApproval, EmptyPolicy, HtmlSanitized, PagePolicy, PasswordPolicy,
@@ -89,17 +89,59 @@ use crate::taint::TaintedString;
 /// The fields of a serialized policy.
 pub type FieldMap = BTreeMap<String, String>;
 
-/// A function that reconstructs a policy object from its fields.
-pub type Deserializer = Arc<dyn Fn(&FieldMap) -> Result<PolicyRef, SerializeError> + Send + Sync>;
+// ---- class registries ----
 
-fn registry() -> &'static RwLock<HashMap<String, Deserializer>> {
-    static REGISTRY: OnceLock<RwLock<HashMap<String, Deserializer>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut map: HashMap<String, Deserializer> = HashMap::new();
-        install_defaults(&mut map);
-        RwLock::new(map)
-    })
+/// Rebuilds an object of one class from its fields.
+pub type Constructor<T> = Arc<dyn Fn(&FieldMap) -> Result<T, SerializeError> + Send + Sync>;
+
+/// A class a registry starts with: its name and its constructor.
+pub type Stock<T> = (&'static str, fn(&FieldMap) -> Result<T, SerializeError>);
+
+/// A registry of persisted classes, name → constructor. An object is
+/// stored as its class name and fields ([`write_object`]) and revived by
+/// the constructor its name has when it is read, so a class's code can
+/// change without migrating what was stored. Policy classes are one
+/// registry; the vfs's persistent filters are another.
+pub struct ClassRegistry<T: 'static> {
+    stock: &'static [Stock<T>],
+    registered: RwLock<BTreeMap<String, Constructor<T>>>,
 }
+
+impl<T> ClassRegistry<T> {
+    /// A registry of the `stock` classes.
+    pub const fn new(stock: &'static [Stock<T>]) -> Self {
+        ClassRegistry {
+            stock,
+            registered: RwLock::new(BTreeMap::new()),
+        }
+    }
+
+    /// Registers the class `name`, in place of any stock or earlier class
+    /// of that name. The registry stays locked until the returned guard
+    /// is dropped, so the caller can finish what must happen before any
+    /// revival meets the new constructor.
+    pub fn register(&self, name: String, constructor: Constructor<T>) -> impl Sized + '_ {
+        let mut registered = crate::sync::wlock(&self.registered);
+        registered.insert(name, constructor);
+        registered
+    }
+
+    /// Revives the object `text` stores ([`read_object`]) with its class's
+    /// constructor, which runs after the registry is released.
+    pub fn revive(&self, text: &str) -> Result<T, SerializeError> {
+        let (name, fields) = read_object(text)?;
+        let registered = crate::sync::rlock(&self.registered).get(&name).cloned();
+        if let Some(constructor) = registered {
+            return constructor(&fields);
+        }
+        let stock = self.stock.iter().find(|(stock, _)| *stock == name);
+        let (_, constructor) = stock.ok_or(SerializeError::UnknownClass(name))?;
+        constructor(&fields)
+    }
+}
+
+/// The policy classes persisted policies revive through.
+static POLICY_CLASSES: ClassRegistry<PolicyRef> = ClassRegistry::new(STOCK_POLICIES);
 
 /// Registers a policy class for deserialization.
 ///
@@ -116,8 +158,7 @@ pub fn register_policy_class(
     deserializer: impl Fn(&FieldMap) -> Result<PolicyRef, SerializeError> + Send + Sync + 'static,
 ) {
     let name = name.into();
-    let mut classes = crate::sync::wlock(registry());
-    classes.insert(name.clone(), Arc::new(deserializer));
+    let _registered = POLICY_CLASSES.register(name.clone(), Arc::new(deserializer));
     // After the registry changed, never before: a decode that fetched the
     // old deserializer holds a miss of the old generation. And before the
     // registry is released: a decode that fetches the new one finds the
@@ -125,12 +166,9 @@ pub fn register_policy_class(
     LabelTable::global().forget_wire_index(|text| wire_class(text).as_deref() == Some(&name));
 }
 
-/// True if `name` is a registered policy class.
-pub fn is_registered(name: &str) -> bool {
-    crate::sync::rlock(registry()).contains_key(name)
-}
-
-fn field(fields: &FieldMap, class: &str, key: &str) -> Result<String, SerializeError> {
+/// The field `key` of a `class` object's `fields`, or the error naming
+/// what is missing: for constructors.
+pub fn field(fields: &FieldMap, class: &str, key: &str) -> Result<String, SerializeError> {
     fields
         .get(key)
         .cloned()
@@ -140,63 +178,44 @@ fn field(fields: &FieldMap, class: &str, key: &str) -> Result<String, SerializeE
         })
 }
 
-fn install_defaults(map: &mut HashMap<String, Deserializer>) {
-    map.insert(
-        "PasswordPolicy".into(),
-        Arc::new(|f: &FieldMap| {
-            let email = field(f, "PasswordPolicy", "email")?;
-            let chair = f.get("allow_chair").map(|v| v == "true").unwrap_or(true);
-            let p = if chair {
-                PasswordPolicy::new(email)
-            } else {
-                PasswordPolicy::strict(email)
-            };
-            Ok(Arc::new(p) as PolicyRef)
-        }),
-    );
-    map.insert(
-        "UntrustedData".into(),
-        Arc::new(|f: &FieldMap| {
-            let p = match f.get("source") {
-                Some(s) => UntrustedData::from_source(s.clone()),
-                None => UntrustedData::new(),
-            };
-            Ok(Arc::new(p) as PolicyRef)
-        }),
-    );
-    map.insert(
-        "SqlSanitized".into(),
-        Arc::new(|_f: &FieldMap| Ok(Arc::new(SqlSanitized::new()) as PolicyRef)),
-    );
-    map.insert(
-        "HtmlSanitized".into(),
-        Arc::new(|_f: &FieldMap| Ok(Arc::new(HtmlSanitized::new()) as PolicyRef)),
-    );
-    map.insert(
-        "CodeApproval".into(),
-        Arc::new(|_f: &FieldMap| Ok(Arc::new(CodeApproval::new()) as PolicyRef)),
-    );
-    map.insert(
-        "AuthenticData".into(),
-        Arc::new(|_f: &FieldMap| Ok(Arc::new(AuthenticData::new()) as PolicyRef)),
-    );
-    map.insert(
-        "EmptyPolicy".into(),
-        Arc::new(|_f: &FieldMap| Ok(Arc::new(EmptyPolicy::new()) as PolicyRef)),
-    );
-    map.insert(
-        "PagePolicy".into(),
-        Arc::new(|f: &FieldMap| {
-            let enc = field(f, "PagePolicy", "acl")?;
-            let acl = Acl::decode(&enc).ok_or_else(|| SerializeError::BadField {
-                class: "PagePolicy".into(),
-                field: "acl".into(),
-                reason: format!("unparsable ACL `{enc}`"),
-            })?;
-            Ok(Arc::new(PagePolicy::new(acl)) as PolicyRef)
-        }),
-    );
+/// The `acl` field of a `class` object's `fields`, decoded.
+pub fn acl_field(fields: &FieldMap, class: &str) -> Result<Acl, SerializeError> {
+    let enc = field(fields, class, "acl")?;
+    Acl::decode(&enc).ok_or_else(|| SerializeError::BadField {
+        class: class.to_string(),
+        field: "acl".into(),
+        reason: format!("unparsable ACL `{enc}`"),
+    })
 }
+
+/// The stock policy classes.
+const STOCK_POLICIES: &[Stock<PolicyRef>] = &[
+    ("PasswordPolicy", |f| {
+        let email = field(f, "PasswordPolicy", "email")?;
+        let chair = f.get("allow_chair").map(|v| v == "true").unwrap_or(true);
+        let p = if chair {
+            PasswordPolicy::new(email)
+        } else {
+            PasswordPolicy::strict(email)
+        };
+        Ok(Arc::new(p))
+    }),
+    ("UntrustedData", |f| {
+        let p = match f.get("source") {
+            Some(s) => UntrustedData::from_source(s.clone()),
+            None => UntrustedData::new(),
+        };
+        Ok(Arc::new(p))
+    }),
+    ("SqlSanitized", |_| Ok(Arc::new(SqlSanitized::new()))),
+    ("HtmlSanitized", |_| Ok(Arc::new(HtmlSanitized::new()))),
+    ("CodeApproval", |_| Ok(Arc::new(CodeApproval::new()))),
+    ("AuthenticData", |_| Ok(Arc::new(AuthenticData::new()))),
+    ("EmptyPolicy", |_| Ok(Arc::new(EmptyPolicy::new()))),
+    ("PagePolicy", |f| {
+        Ok(Arc::new(PagePolicy::new(acl_field(f, "PagePolicy")?)))
+    }),
+];
 
 // ---- escaping ----
 
@@ -328,12 +347,8 @@ fn wire_class(text: &str) -> Option<String> {
 /// path behind the read index, and, through `read_object`, the only one
 /// that knows the `Name{key=value;…}` grammar.
 pub(crate) fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
-    let (name, fields) = read_object(s)?;
-    let deser = crate::sync::rlock(registry())
-        .get(&name)
-        .cloned()
-        .ok_or(SerializeError::UnknownClass(name))?;
-    deser(&fields)
+    metrics::inc(Counter::PolicyDecodes);
+    POLICY_CLASSES.revive(s)
 }
 
 /// The read-index miss path: decodes `text`, then interns what it built
@@ -925,7 +940,6 @@ mod tests {
         register_policy_class("CustomTestPolicy", |f| {
             Ok(Arc::new(Custom(f.get("v").cloned().unwrap_or_default())) as PolicyRef)
         });
-        assert!(is_registered("CustomTestPolicy"));
         let p: PolicyRef = Arc::new(Custom("hi".into()));
         let q = deserialize_policy(&serialize_policy(&p)).unwrap();
         assert_eq!(downcast_policy::<Custom>(&q).unwrap().0, "hi");
@@ -989,6 +1003,7 @@ mod tests {
     /// method).
     mod oracle {
         use super::*;
+        use std::collections::HashMap;
 
         fn parse_range(range: &str) -> Result<(usize, usize), SerializeError> {
             let (a, b) = range

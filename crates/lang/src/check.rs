@@ -39,6 +39,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use resin_core::metrics::{self, Counter};
 use resin_core::{Context, CtxValue, PolicyViolation};
 
 use crate::ast::ClassDecl;
@@ -67,28 +68,10 @@ pub(crate) struct ClassPlan {
     /// [`ClassPlan::certify`]'s verdict: the crossing may reuse `this`,
     /// the context map and an earlier allow.
     pub(crate) certified: bool,
-    /// Whether compiling a chunk moves [`compiled_policy_chunks`] (not for
-    /// a from-scratch crossing's plan).
+    /// Whether compiling a chunk counts as
+    /// [`Counter::PolicyChunksCompiled`] (not for a from-scratch
+    /// crossing's plan).
     counted: bool,
-}
-
-static POLICY_COMPILES: AtomicU64 = AtomicU64::new(0);
-static PLAN_TABLE_LOCKS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of policy-method chunks the class plans have compiled.
-///
-/// Observable by tests: checking the same policy N times moves this by
-/// one; two distinct classes with byte-identical source move it by two
-/// (they must not conflate — same rule as `intern_discriminator`).
-pub fn compiled_policy_chunks() -> u64 {
-    POLICY_COMPILES.load(Ordering::SeqCst)
-}
-
-/// Times the process-wide plan table's lock was taken (a count for tests:
-/// a warm page of crossings takes it zero times).
-#[doc(hidden)]
-pub fn plan_table_locks() -> u64 {
-    PLAN_TABLE_LOCKS.load(Ordering::Relaxed)
 }
 
 impl ClassPlan {
@@ -182,7 +165,7 @@ impl ClassPlan {
             let chunk = crate::compiler::compile_function(decl, Some(&self.class))?;
             // Two threads may compile at once; one chunk is kept and counted.
             if cell.set(Arc::new(chunk)).is_ok() && self.counted {
-                POLICY_COMPILES.fetch_add(1, Ordering::SeqCst);
+                metrics::inc(Counter::PolicyChunksCompiled);
             }
         }
         Ok(cell.get().expect("set above"))
@@ -196,7 +179,7 @@ const PLAN_TABLE_CAP: usize = 1024;
 
 fn plan_table() -> MutexGuard<'static, HashMap<usize, Arc<ClassPlan>>> {
     static PLANS: OnceLock<Mutex<HashMap<usize, Arc<ClassPlan>>>> = OnceLock::new();
-    PLAN_TABLE_LOCKS.fetch_add(1, Ordering::Relaxed);
+    metrics::inc(Counter::PlanTableLocks);
     PLANS
         .get_or_init(Default::default)
         .lock()
@@ -248,7 +231,6 @@ thread_local! {
         stamp: 0,
         entries: Vec::with_capacity(ALLOWED_CAP),
     });
-    static VERDICTS_REUSED: Cell<u64> = const { Cell::new(0) };
     /// One slot per class plan. Each pins its class (through the object),
     /// which is why the table is bounded.
     static THIS_SLOTS: RefCell<HashMap<u64, ThisSlot>> = RefCell::new(HashMap::new());
@@ -259,8 +241,6 @@ thread_local! {
     /// The crossings' VM buffers. A crossing takes them and puts them
     /// back, so a panic loses them.
     static BUFS: Cell<Bufs> = Cell::new(Bufs::default());
-    static CHECK_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static CHECK_CACHE_MISSES: Cell<u64> = const { Cell::new(0) };
     static CHECK_CACHE_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
@@ -273,27 +253,18 @@ pub fn set_check_cache(enabled: bool) {
     CHECK_CACHE_ENABLED.with(|c| c.set(enabled));
 }
 
-/// Per-thread policy-check cache counters `(hits, misses)`: a hit means a
-/// crossing reused the materialized `this`, or did not execute at all
-/// because it reused an allow of the same snapshot under the same context
-/// ([`verdicts_reused`] counts those); a miss means it rebuilt `this`
-/// (first crossing, uncertified class, or changed fields).
+/// This thread's policy-check cache counts `(hits, misses)`, the
+/// [`Counter::CheckCacheHits`] and [`Counter::CheckCacheMisses`] of
+/// [`metrics::thread`]: a hit means a crossing reused the materialized
+/// `this`, or did not execute at all because it reused an allow of the
+/// same snapshot under the same context ([`Counter::VerdictsReused`]); a
+/// miss means it rebuilt `this` (first crossing, uncertified class, or
+/// changed fields).
 pub fn check_cache_stats() -> (u64, u64) {
     (
-        CHECK_CACHE_HITS.with(|c| c.get()),
-        CHECK_CACHE_MISSES.with(|c| c.get()),
+        metrics::thread(Counter::CheckCacheHits),
+        metrics::thread(Counter::CheckCacheMisses),
     )
-}
-
-/// Crossings on this thread that reused an earlier allow instead of
-/// executing `export_check` (a count for tests).
-#[doc(hidden)]
-pub fn verdicts_reused() -> u64 {
-    VERDICTS_REUSED.with(|c| c.get())
-}
-
-fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
-    counter.with(|c| c.set(c.get() + 1));
 }
 
 pub(crate) fn materialize(class: &Arc<ClassDecl>, fields: &Fields) -> Rc<RefCell<Obj>> {
@@ -325,22 +296,22 @@ fn rematerialize(obj: &mut Rc<RefCell<Obj>>, class: &Arc<ClassDecl>, fields: &Fi
 /// certified and the snapshot is the one it was built from.
 fn this_for_check(plan: &ClassPlan, fields: &Arc<Fields>) -> Value {
     if !plan.certified {
-        count(&CHECK_CACHE_MISSES);
+        metrics::inc(Counter::CheckCacheMisses);
         return Value::Object(materialize(&plan.class, fields));
     }
     THIS_SLOTS.with(|slots| {
         let mut slots = slots.borrow_mut();
         if let Some(slot) = slots.get_mut(&plan.id) {
             if Arc::ptr_eq(&slot.snap, fields) || slot.snap == *fields {
-                count(&CHECK_CACHE_HITS);
+                metrics::inc(Counter::CheckCacheHits);
             } else {
-                count(&CHECK_CACHE_MISSES);
+                metrics::inc(Counter::CheckCacheMisses);
                 rematerialize(&mut slot.obj, &plan.class, fields);
                 slot.snap = fields.clone();
             }
             return Value::Object(slot.obj.clone());
         }
-        count(&CHECK_CACHE_MISSES);
+        metrics::inc(Counter::CheckCacheMisses);
         if slots.len() >= THIS_SLOT_CAP {
             slots.clear();
         }
@@ -442,18 +413,20 @@ pub(crate) fn cross(
         return Ok(());
     }
     if !CHECK_CACHE_ENABLED.with(|c| c.get()) {
-        count(&CHECK_CACHE_MISSES);
+        metrics::inc(Counter::CheckCacheMisses);
+        metrics::inc(Counter::ScriptCrossings);
         return from_scratch(&plan.class, fields, context);
     }
     let stamp = context.cache_stamp();
     if allowed_before(plan, fields, stamp) {
-        count(&CHECK_CACHE_HITS);
-        count(&VERDICTS_REUSED);
+        metrics::inc(Counter::CheckCacheHits);
+        metrics::inc(Counter::VerdictsReused);
         #[cfg(debug_assertions)]
         oracle::compare(&plan.class, fields, context, &Ok(()));
         return Ok(());
     }
     let this = this_for_check(plan, fields);
+    metrics::inc(Counter::ScriptCrossings);
     let mut bufs = BUFS.take();
     let served = execute(plan, &mut bufs, this, || {
         context_map_for_check(context, plan.certified)
@@ -988,6 +961,10 @@ mod tests {
 
     fn certified(src: &str) -> bool {
         plan_for(&class(src)).certified
+    }
+
+    fn verdicts_reused() -> u64 {
+        metrics::thread(Counter::VerdictsReused)
     }
 
     /// Crossings of `p` that executed and that reused an allow.

@@ -60,7 +60,7 @@ pub mod value;
 pub mod vm;
 
 pub use analysis::{lint_class, lint_source, LintReport, Severity};
-pub use check::{check_cache_stats, compiled_policy_chunks, set_check_cache};
+pub use check::{check_cache_stats, set_check_cache};
 pub use chunk::Chunk;
 pub use interp::{Interp, LangError, SentMail};
 pub use parser::{parse_program, ParseError};

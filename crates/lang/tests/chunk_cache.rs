@@ -10,9 +10,10 @@
 
 use std::collections::BTreeMap;
 
+use resin_core::metrics::{self, Counter};
 use resin_core::{Context, GateKind, Policy};
 use resin_lang::ast::StmtKind;
-use resin_lang::{compiled_policy_chunks, parse_program, ScriptPolicy};
+use resin_lang::{parse_program, ScriptPolicy};
 
 const CLASS_SRC: &str = r#"
 class MailOnly {
@@ -25,6 +26,11 @@ class MailOnly {
     }
 }
 "#;
+
+/// Policy-method chunks compiled in this process so far.
+fn compiled_policy_chunks() -> u64 {
+    metrics::total(Counter::PolicyChunksCompiled)
+}
 
 fn parse_class(src: &str) -> std::sync::Arc<resin_lang::ast::ClassDecl> {
     let program = parse_program(src).expect("class parses");

@@ -123,7 +123,7 @@ impl Follower {
     }
 
     /// Records this replica is behind a primary whose current sequence
-    /// number is `primary_seq` (from `ResinDb::store_stats().seq`).
+    /// number is `primary_seq` (the primary's `StoreStats::seq`).
     pub fn lag(&self, primary_seq: u64) -> u64 {
         primary_seq.saturating_sub(self.applied_seq)
     }
@@ -218,12 +218,12 @@ mod tests {
         resin_store::ship(&primary_dir, &replica_dir).unwrap();
         let mut follower = Follower::open(&replica_dir).unwrap();
         assert_eq!(follower.applied_seq(), 2);
-        assert_eq!(follower.lag(db.store_stats().unwrap().seq), 0);
+        assert_eq!(follower.lag(db.store().unwrap().stats().seq), 0);
 
         // The primary advances; lag is visible until ship + catch_up.
         db.query_str("INSERT INTO t VALUES (2)").unwrap();
         db.query_str("INSERT INTO t VALUES (3)").unwrap();
-        let primary_seq = db.store_stats().unwrap().seq;
+        let primary_seq = db.store().unwrap().stats().seq;
         assert_eq!(follower.lag(primary_seq), 2);
         resin_store::ship(&primary_dir, &replica_dir).unwrap();
         assert_eq!(follower.catch_up().unwrap(), 2);

@@ -174,13 +174,11 @@ impl ResinDb {
         Ok(())
     }
 
-    fn store(&self) -> Option<&Store> {
+    /// The durable store under this database, `None` when in memory or
+    /// a replica: for its counters ([`Store::stats`]). Writes go through
+    /// the database, which logs them, never straight to the store.
+    pub fn store(&self) -> Option<&Store> {
         self.shared.store.get()
-    }
-
-    /// True when a durable store backs this database.
-    pub fn is_durable(&self) -> bool {
-        self.store().is_some()
     }
 
     /// Folds the WAL into a fresh checkpoint (no-op without a store). Only
@@ -238,18 +236,6 @@ impl ResinDb {
         })
     }
 
-    /// Live storage counters (segments, WAL bytes, checkpoint cost) of
-    /// the underlying store, or `None` when not durable.
-    pub fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        self.store().map(Store::stats)
-    }
-
-    /// Number of tables written since the last checkpoint — what the
-    /// next checkpoint will re-encode.
-    pub fn dirty_table_count(&self) -> usize {
-        self.store().map_or(0, Store::dirty_count)
-    }
-
     /// Marks tables as written since the last checkpoint (transactions
     /// call this at commit, when their buffered WAL record lands).
     pub(crate) fn mark_tables_dirty<'a>(&self, names: impl IntoIterator<Item = &'a str>) {
@@ -268,10 +254,10 @@ impl ResinDb {
         }
     }
 
-    /// Total fsyncs the WAL has issued — the observable of group-commit
-    /// amortization under concurrent committers.
+    /// Total fsyncs the WAL has issued: [`StoreStats::syncs`](resin_store::StoreStats::syncs),
+    /// 0 when not durable.
     pub fn wal_sync_count(&self) -> u64 {
-        self.store().map_or(0, Store::sync_count)
+        self.store().map_or(0, |store| store.stats().syncs)
     }
 
     /// Appends statements to the WAL as one atomic record (a transaction
@@ -428,6 +414,11 @@ mod tests {
         db.query_str("CREATE TABLE sessions (sid TEXT, user TEXT)")
             .unwrap();
         db
+    }
+
+    /// The counters of a durable database's store.
+    fn stats(db: &ResinDb) -> resin_store::StoreStats {
+        db.store().expect("durable").stats()
     }
 
     fn untrusted(s: &str) -> TaintedString {
@@ -823,19 +814,19 @@ mod tests {
             db.query_str("CREATE TABLE b (x INTEGER)").unwrap();
             db.query_str("CREATE TABLE c (x INTEGER)").unwrap();
             db.query_str("INSERT INTO a VALUES (1)").unwrap();
-            assert_eq!(db.dirty_table_count(), 3);
+            assert_eq!(stats(&db).dirty_parts, 3);
             db.checkpoint().unwrap();
-            let s = db.store_stats().unwrap();
+            let s = stats(&db);
             assert_eq!(
                 s.last_checkpoint_parts_written, 3,
                 "first checkpoint writes every part"
             );
-            assert_eq!(db.dirty_table_count(), 0);
+            assert_eq!(stats(&db).dirty_parts, 0);
 
             db.query_str("INSERT INTO b VALUES (2)").unwrap();
-            assert_eq!(db.dirty_table_count(), 1);
+            assert_eq!(stats(&db).dirty_parts, 1);
             db.checkpoint().unwrap();
-            let s = db.store_stats().unwrap();
+            let s = stats(&db);
             assert_eq!(s.last_checkpoint_parts_written, 1, "only b re-encoded");
             assert_eq!(s.parts, 3, "a and c carried over by reference");
         }
@@ -857,10 +848,10 @@ mod tests {
             db.query_str("CREATE TABLE keep (x INTEGER)").unwrap();
             db.query_str("CREATE TABLE gone (x INTEGER)").unwrap();
             db.checkpoint().unwrap();
-            assert_eq!(db.store_stats().unwrap().parts, 2);
+            assert_eq!(stats(&db).parts, 2);
             db.query_str("DROP TABLE gone").unwrap();
             db.checkpoint().unwrap();
-            assert_eq!(db.store_stats().unwrap().parts, 1);
+            assert_eq!(stats(&db).parts, 1);
         }
         let db = ResinDb::open(&dir).unwrap();
         assert!(db.query_str("SELECT COUNT(*) FROM keep").is_ok());
@@ -875,17 +866,17 @@ mod tests {
         db.set_wal_sync(false);
         db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
         db.checkpoint().unwrap();
-        assert_eq!(db.dirty_table_count(), 0);
+        assert_eq!(stats(&db).dirty_parts, 0);
         let mut txn = db.begin();
         txn.query_str("INSERT INTO t VALUES (1)").unwrap();
         txn.commit().unwrap();
-        assert_eq!(db.dirty_table_count(), 1);
+        assert_eq!(stats(&db).dirty_parts, 1);
         // A rolled-back transaction leaves no dirty mark behind.
         db.checkpoint().unwrap();
         let mut txn = db.begin();
         txn.query_str("INSERT INTO t VALUES (2)").unwrap();
         txn.rollback();
-        assert_eq!(db.dirty_table_count(), 0);
+        assert_eq!(stats(&db).dirty_parts, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

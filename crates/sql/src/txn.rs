@@ -142,7 +142,7 @@ impl<'c> Transaction<'c> {
     pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt) = prepare_query(sql, self.db.guard())?;
         let target = statement_write_target(&stmt);
-        let durable_write = target.is_some() && self.db.is_durable();
+        let durable_write = target.is_some() && self.db.store().is_some();
         if durable_write && !self.registered {
             self.db.register_txn_writer();
             self.registered = true;

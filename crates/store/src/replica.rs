@@ -52,15 +52,14 @@
 //! dropping a record a replay still needs.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom};
 use std::path::Path;
 
 use crate::error::{Result, StoreError};
-use crate::io::HashWriter;
 use crate::segment::list_segments;
 use crate::store::{
-    decode_manifest, part_mismatch, read_checkpoint_state, remove_orphan_parts, write_file, Parts,
-    MANIFEST_FILE,
+    decode_manifest, part_mismatch, read_checkpoint_state, remove_orphan_parts, sync_dir,
+    write_atomic, write_file, Parts, MANIFEST_FILE,
 };
 use crate::wal::{scan, Record};
 
@@ -151,7 +150,7 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
         for (tmp, file) in staged {
             std::fs::rename(tmp, dst.join(file))?;
         }
-        write_atomic(dst, MANIFEST_FILE, |out| Ok(out.write_all(&bytes)?))?;
+        write_atomic(dst, MANIFEST_FILE, &bytes)?;
         report.bytes_copied += bytes.len() as u64;
         remove_orphan_parts(dst, &entries);
     }
@@ -211,9 +210,7 @@ pub fn ship(src: &Path, dst: &Path) -> Result<ShipReport> {
         }
     }
 
-    if let Ok(d) = File::open(dst) {
-        let _ = d.sync_all();
-    }
+    sync_dir(dst)?;
     Ok(report)
 }
 
@@ -262,24 +259,13 @@ pub fn tail_records(dir: &Path, after_seq: u64) -> Result<Tailed> {
     Ok(out)
 }
 
-/// Fills `dir/name` atomically (temp file + rename), so a replica-side
-/// reader never observes a half-copied file.
-fn write_atomic(
-    dir: &Path,
-    name: &str,
-    fill: impl FnOnce(&mut HashWriter<File>) -> Result<()>,
-) -> Result<()> {
-    let tmp = dir.join(format!("{name}.shiptmp"));
-    write_file(&tmp, fill)?;
-    std::fs::rename(&tmp, dir.join(name))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::HashWriter;
     use crate::store::Store;
     use crate::StoreError;
+    use std::io::Write;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 

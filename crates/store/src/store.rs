@@ -109,7 +109,6 @@ use crate::segment::{list_segments, segment_path};
 use crate::wal::{encode_record, scan, Record};
 
 pub(crate) const MANIFEST_FILE: &str = "manifest.bin";
-const MANIFEST_TMP: &str = "manifest.tmp";
 const LOCK_FILE: &str = "wal.lock";
 
 /// Default segment rotation threshold (bytes). Small enough that
@@ -211,9 +210,10 @@ impl std::fmt::Display for Recovery {
     }
 }
 
-/// Point-in-time counters for diagnostics (see the observability
-/// satellite): segment count, live WAL bytes, sequence watermarks, and
-/// the cost of the last checkpoint.
+/// One store's counters, read at one point in time by [`Store::stats`]:
+/// segments, live WAL bytes, sequence watermarks, parts, fsyncs, and the
+/// cost of the last checkpoint. They belong to the instance (a process
+/// may hold several stores), so they are not `resin_core::metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// WAL segments currently on disk.
@@ -226,11 +226,17 @@ pub struct StoreStats {
     pub base_seq: u64,
     /// Parts referenced by the current manifest.
     pub parts: u64,
+    /// Parts marked dirty since the last checkpoint: what the next
+    /// checkpoint will re-encode.
+    pub dirty_parts: u64,
     /// Parts actually (re)written by the last checkpoint — the direct
     /// observable of incremental reuse.
     pub last_checkpoint_parts_written: u64,
     /// Wall-clock duration of the last checkpoint, microseconds.
     pub last_checkpoint_micros: u64,
+    /// `fsync` calls the WAL has issued since open: the direct observable
+    /// of group-commit amortization.
+    pub syncs: u64,
 }
 
 /// The segmented WAL plus the group-commit queue, shared by every clone
@@ -332,11 +338,10 @@ fn lock_dirty(shared: &WalShared) -> MutexGuard<'_, HashSet<String>> {
     shared.dirty.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Best-effort directory fsync, making renames/creates/unlinks durable.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsyncs the directory `dir`, making the creates, renames and unlinks
+/// in it durable.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// A durable checkpoint+WAL store rooted at one directory.
@@ -385,7 +390,7 @@ impl Store {
                 .create_new(true)
                 .write(true)
                 .open(&path)?;
-            sync_dir(&dir);
+            sync_dir(&dir)?;
             segments.push((1, path));
         }
 
@@ -416,7 +421,7 @@ impl Store {
                 for (_, later) in &segments[pos + 1..] {
                     std::fs::remove_file(later)?;
                 }
-                sync_dir(&dir);
+                sync_dir(&dir)?;
                 torn = true;
                 file.seek(SeekFrom::Start(scanned.valid_len as u64))?;
                 active = Some((*index, file, scanned.valid_len as u64));
@@ -495,12 +500,6 @@ impl Store {
         lock(&self.shared).segment_max = max.max(1);
     }
 
-    /// Number of `fsync` calls this store has issued since open — the
-    /// direct observable of group-commit amortization.
-    pub fn sync_count(&self) -> u64 {
-        self.shared.syncs.load(Ordering::Relaxed)
-    }
-
     /// How [`open`](Store::open) found the log: clean, or repaired from
     /// a torn tail (worth logging or alerting on).
     pub fn recovery(&self) -> Recovery {
@@ -513,19 +512,8 @@ impl Store {
     }
 
     /// The sequence number of the most recent append (0 if none yet).
-    pub fn seq(&self) -> u64 {
+    fn seq(&self) -> u64 {
         lock(&self.shared).seq
-    }
-
-    /// Live WAL bytes across all segments (diagnostics and checkpoint
-    /// policy).
-    pub fn wal_len(&self) -> u64 {
-        lock(&self.shared).live_bytes
-    }
-
-    /// The sequence number the current checkpoint covers (0 if none).
-    pub fn base_seq(&self) -> u64 {
-        self.shared.base_seq.load(Ordering::Relaxed)
     }
 
     /// Marks `part` as written since the last checkpoint, so the next
@@ -537,12 +525,6 @@ impl Store {
         if !dirty.contains(part) {
             dirty.insert(part.to_string());
         }
-    }
-
-    /// Number of parts marked dirty since the last checkpoint — what the
-    /// next checkpoint will re-encode.
-    pub fn dirty_count(&self) -> usize {
-        lock_dirty(&self.shared).len()
     }
 
     /// Point-in-time diagnostics counters.
@@ -559,11 +541,13 @@ impl Store {
             seq,
             base_seq: self.shared.base_seq.load(Ordering::Relaxed),
             parts: lock_manifest(&self.shared).len() as u64,
+            dirty_parts: lock_dirty(&self.shared).len() as u64,
             last_checkpoint_parts_written: self
                 .shared
                 .last_ckpt_parts_written
                 .load(Ordering::Relaxed),
             last_checkpoint_micros: self.shared.last_ckpt_micros.load(Ordering::Relaxed),
+            syncs: self.shared.syncs.load(Ordering::Relaxed),
         }
     }
 
@@ -705,7 +689,12 @@ impl Store {
             .write(true)
             .create_new(true)
             .open(&path)?;
-        sync_dir(&self.shared.dir);
+        if let Err(e) = sync_dir(&self.shared.dir) {
+            // Not made active: leave no file for the next rotation's
+            // `create_new` to trip over.
+            let _ = std::fs::remove_file(&path);
+            return Err(e.into());
+        }
         active.file = file;
         active.index = next;
         active.len = 0;
@@ -789,7 +778,8 @@ impl Store {
                 .iter()
                 .zip(&parts)
                 .all(|(e, (name, _))| e.name == *name);
-        if dirty.is_empty() && same_names && self.seq() == self.base_seq() {
+        let base_seq = self.shared.base_seq.load(Ordering::Relaxed);
+        if dirty.is_empty() && same_names && self.seq() == base_seq {
             return Ok(());
         }
         let result = (|| -> std::result::Result<(), E> {
@@ -850,16 +840,14 @@ impl Store {
         self.flush_staged(&mut state)?;
         let base_seq = state.seq;
 
-        let tmp = self.dir.join(MANIFEST_TMP);
-        let fin = self.dir.join(MANIFEST_FILE);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&encode_manifest(base_seq, &entries))?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &fin)?;
-        // Make the rename itself durable before discarding the WAL.
-        sync_dir(&self.dir);
+        write_atomic(
+            &self.dir,
+            MANIFEST_FILE,
+            &encode_manifest(base_seq, &entries),
+        )?;
+        // Make the rename itself durable before discarding the WAL: if it
+        // cannot be, the checkpoint fails with every segment still there.
+        sync_dir(&self.dir)?;
 
         // The new manifest is the truth: drop superseded/orphan part
         // files and every covered segment.
@@ -876,7 +864,10 @@ impl Store {
         }
         active.first_index = active.index;
         drop(active);
-        sync_dir(&self.dir);
+        // The checkpoint is durable already. A crash that undoes these
+        // unlinks brings back segments the manifest covers, and opening
+        // skips their records: this sync only saves disk space.
+        let _ = sync_dir(&self.dir);
 
         state.live_bytes = 0;
         self.shared.base_seq.store(base_seq, Ordering::Relaxed);
@@ -960,6 +951,15 @@ pub(crate) fn write_file<E: From<StoreError>>(
         let _ = std::fs::remove_file(path);
     }
     result
+}
+
+/// Writes `bytes` to `dir/name` atomically: a synced temp file renamed
+/// over it, so no reader observes a half-written file.
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    write_file(&tmp, |out| Ok::<_, StoreError>(out.write_all(bytes)?))?;
+    std::fs::rename(&tmp, dir.join(name))?;
+    Ok(())
 }
 
 /// The error of a part file that does not match its manifest entry.
@@ -1053,6 +1053,15 @@ mod tests {
 
     fn segment_count(dir: &Path) -> usize {
         list_segments(dir).unwrap().len()
+    }
+
+    #[test]
+    fn a_directory_sync_reports_its_failure() {
+        let dir = tmp_dir("sync-dir");
+        assert!(sync_dir(&dir).is_err(), "a missing directory is not synced");
+        std::fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Checkpoints fixed images, one per named part.
@@ -1289,7 +1298,7 @@ mod tests {
             1,
             "compaction leaves only the fresh active segment"
         );
-        assert_eq!(s.wal_len(), 0);
+        assert_eq!(s.stats().live_wal_bytes, 0);
         let stats = s.stats();
         assert_eq!(stats.segments, 1);
         assert_eq!(stats.base_seq, 20);
@@ -1360,17 +1369,17 @@ mod tests {
             .unwrap();
             log.borrow().clone()
         };
-        assert_eq!(s.dirty_count(), 0, "a fresh store is clean");
+        assert_eq!(s.stats().dirty_parts, 0, "a fresh store is clean");
         assert_eq!(run(&s), ["a", "b"], "missing parts are written");
         // A write dirties only its part.
         s.append(b"write to a").unwrap();
         s.mark_dirty("a");
         s.mark_dirty("a");
-        assert_eq!(s.dirty_count(), 1);
+        assert_eq!(s.stats().dirty_parts, 1);
         assert_eq!(run(&s), ["a"]);
-        assert_eq!(s.dirty_count(), 0);
+        assert_eq!(s.stats().dirty_parts, 0);
         // A clean checkpoint writes nothing and leaves base_seq alone.
-        let base_seq = s.base_seq();
+        let base_seq = s.stats().base_seq;
         let files = |dir: &Path| {
             let mut names: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
                 .unwrap()
@@ -1385,7 +1394,7 @@ mod tests {
         };
         let before = files(&dir);
         assert!(run(&s).is_empty());
-        assert_eq!(s.base_seq(), base_seq);
+        assert_eq!(s.stats().base_seq, base_seq);
         assert_eq!(files(&dir), before, "not a byte written");
         // A reopen with a WAL tail is dirty: even before the client marks
         // what the tail wrote, its checkpoint is not skipped, and covers
@@ -1395,14 +1404,14 @@ mod tests {
         let (s, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records.len(), 1);
         assert!(run(&s).is_empty());
-        assert_eq!(s.base_seq(), base_seq + 1);
+        assert_eq!(s.stats().base_seq, base_seq + 1);
         // A failed encode keeps the marks for the next attempt.
         s.mark_dirty("a");
         let failed = s.checkpoint_parts([("a".to_string(), |_: &mut HashWriter<File>| {
             Err(StoreError::Corrupt("encoder failed".into()))
         })]);
         assert!(failed.is_err());
-        assert_eq!(s.dirty_count(), 1);
+        assert_eq!(s.stats().dirty_parts, 1);
         assert_eq!(s.stats().parts, 2, "the manifest did not move");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1436,8 +1445,8 @@ mod tests {
         }));
         assert!(failed.is_err());
         assert_eq!(part_files(), before, "no partial part file");
-        assert_eq!(s.dirty_count(), 1, "the mark is kept");
-        assert_eq!(s.base_seq(), 0, "the manifest did not move");
+        assert_eq!(s.stats().dirty_parts, 1, "the mark is kept");
+        assert_eq!(s.stats().base_seq, 0, "the manifest did not move");
         // A snapshot encoder whose writing pass strays from its sizing
         // pass fails the same way, as corrupt.
         let mut pass = 0;
@@ -1452,7 +1461,7 @@ mod tests {
             "{diverged:?}"
         );
         assert_eq!(part_files(), before, "no partial part file");
-        assert_eq!(s.dirty_count(), 1);
+        assert_eq!(s.stats().dirty_parts, 1);
         drop(s);
         // A reopen reads the prior checkpoint; the next checkpoint works.
         let (s, r) = Store::open(&dir).unwrap();
@@ -1509,7 +1518,7 @@ mod tests {
             seqs.sort_unstable();
             let expect: Vec<u64> = (1..=(THREADS * PER) as u64).collect();
             assert_eq!(seqs, expect, "every seq claimed exactly once");
-            total_syncs = store.sync_count();
+            total_syncs = store.stats().syncs;
             assert!(total_syncs >= 1);
         }
         let (s, r) = Store::open(&dir).unwrap();
@@ -1529,10 +1538,10 @@ mod tests {
         let dir = tmp_dir("solo");
         let (store, _) = Store::open(&dir).unwrap();
         store.append(b"a").unwrap();
-        assert_eq!(store.sync_count(), 1, "uncontended append = one fsync");
+        assert_eq!(store.stats().syncs, 1, "uncontended append = one fsync");
         store.append(b"b").unwrap();
         store.append(b"c").unwrap();
-        assert_eq!(store.sync_count(), 3);
+        assert_eq!(store.stats().syncs, 3);
         drop(store);
         let (_, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records.len(), 3);
@@ -1546,7 +1555,7 @@ mod tests {
             let (s, _) = Store::open(&dir).unwrap();
             s.set_sync(false);
             s.append(b"fast").unwrap();
-            assert_eq!(s.sync_count(), 0, "no fsync in nosync mode");
+            assert_eq!(s.stats().syncs, 0, "no fsync in nosync mode");
         }
         let (_, r) = Store::open(&dir).unwrap();
         assert_eq!(r.records, vec![b"fast".to_vec()]);

@@ -183,20 +183,9 @@ impl Vfs {
         self.store.as_ref().map_or(Recovery::Clean, Store::recovery)
     }
 
-    /// Live storage counters of the underlying store, or `None` for an
-    /// in-memory tree.
-    pub fn store_stats(&self) -> Option<resin_store::StoreStats> {
-        self.store.as_ref().map(Store::stats)
-    }
-
     /// The active tracking mode.
     pub fn mode(&self) -> Tracking {
         self.mode
-    }
-
-    /// True when a durable store persists this tree.
-    pub fn is_durable(&self) -> bool {
-        self.store.is_some()
     }
 
     /// Folds the op log into a fresh image of the tree (no-op in memory).
@@ -1061,7 +1050,7 @@ mod tests {
         let dir = disk_dir("reopen");
         {
             let mut fs = Vfs::open_disk(&dir).unwrap();
-            assert!(fs.is_durable());
+            assert!(fs.store.is_some());
             fs.mkdir_p("/pages/Front", &anon()).unwrap();
             let filter: PersistentFilterRef = Arc::new(AclWriteFilter::new(
                 Acl::new().grant("alice", &[Right::Write]),
@@ -1302,7 +1291,7 @@ mod tests {
     #[test]
     fn mem_backend_checkpoint_is_noop() {
         let fs = Vfs::new();
-        assert!(!fs.is_durable());
+        assert!(fs.store.is_none());
         fs.checkpoint().unwrap();
     }
 
@@ -1315,18 +1304,21 @@ mod tests {
             fs.write_file("/d/a", &TaintedString::from("aa"), &anon())
                 .unwrap();
             fs.checkpoint().unwrap();
-            let after_first = fs.store_stats().unwrap();
+            let after_first = fs.store.as_ref().unwrap().stats();
             assert_eq!(after_first.base_seq, 2);
             // No ops since: a periodic checkpointer costs nothing (the
             // store's dirty-part rule is pinned down in its own tests).
             fs.checkpoint().unwrap();
             fs.checkpoint().unwrap();
-            assert_eq!(fs.store_stats().unwrap().base_seq, after_first.base_seq);
+            assert_eq!(
+                fs.store.as_ref().unwrap().stats().base_seq,
+                after_first.base_seq
+            );
             // The next op makes the tree dirty again.
             fs.write_file("/d/b", &TaintedString::from("bb"), &anon())
                 .unwrap();
             fs.checkpoint().unwrap();
-            assert_eq!(fs.store_stats().unwrap().base_seq, 3);
+            assert_eq!(fs.store.as_ref().unwrap().stats().base_seq, 3);
         }
         let fs = Vfs::open_disk(&dir).unwrap();
         assert_eq!(fs.recovery(), Recovery::Clean);

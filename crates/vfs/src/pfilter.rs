@@ -11,13 +11,14 @@
 //! fields* and revived through a registry, so filter code can evolve. The
 //! text is the policy grammar, `Name{key=value;…}`, written and read by
 //! `resin_core::serialize`'s object codec ([`write_object`],
-//! [`read_object`]); this module keeps its own filter-class registry.
+//! [`read_object`](resin_core::serialize::read_object)), and revived
+//! through a [`ClassRegistry`] of filter classes, the shape policy classes
+//! are registered in too.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
-use resin_core::serialize::{read_object, write_object, FieldMap};
+use resin_core::serialize::{acl_field, write_object, ClassRegistry, FieldMap};
 use resin_core::{
     Acl, Context, Filter, FlowError, GateKind, PolicyViolation, Right, SerializeError,
     TaintedString,
@@ -90,31 +91,12 @@ pub type PersistentFilterRef = Arc<dyn PersistentFilter>;
 /// Fields of a serialized filter.
 pub type FilterFields = FieldMap;
 
-type FilterFactory =
-    Arc<dyn Fn(&FilterFields) -> Result<PersistentFilterRef, SerializeError> + Send + Sync>;
-
-fn registry() -> &'static RwLock<HashMap<String, FilterFactory>> {
-    static REGISTRY: OnceLock<RwLock<HashMap<String, FilterFactory>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut map: HashMap<String, FilterFactory> = HashMap::new();
-        map.insert(
-            "AclWriteFilter".into(),
-            Arc::new(|f: &FilterFields| {
-                let enc = f.get("acl").cloned().ok_or(SerializeError::MissingField {
-                    class: "AclWriteFilter".into(),
-                    field: "acl".into(),
-                })?;
-                let acl = Acl::decode(&enc).ok_or_else(|| SerializeError::BadField {
-                    class: "AclWriteFilter".into(),
-                    field: "acl".into(),
-                    reason: format!("unparsable ACL `{enc}`"),
-                })?;
-                Ok(Arc::new(AclWriteFilter::new(acl)) as PersistentFilterRef)
-            }),
-        );
-        RwLock::new(map)
-    })
-}
+/// The persistent-filter classes stored filters revive through.
+static FILTER_CLASSES: ClassRegistry<PersistentFilterRef> =
+    ClassRegistry::new(&[("AclWriteFilter", |f| {
+        let acl = acl_field(f, "AclWriteFilter")?;
+        Ok(Arc::new(AclWriteFilter::new(acl)))
+    })]);
 
 /// Registers a persistent-filter class for deserialization.
 pub fn register_filter_class(
@@ -124,7 +106,7 @@ pub fn register_filter_class(
         + Sync
         + 'static,
 ) {
-    resin_core::sync::wlock(registry()).insert(name.into(), Arc::new(factory));
+    let _registered = FILTER_CLASSES.register(name.into(), Arc::new(factory));
 }
 
 /// The text `filter` is stored as: its class name and fields as an object
@@ -151,12 +133,7 @@ pub(crate) fn filter_text(filter: &PersistentFilterRef) -> Result<String> {
 /// ACL principal `a:w,mallory` stored as `acl=a%3Aw%2Cmallory:w` would
 /// revive granting `mallory`), are of that kind.
 pub(crate) fn revive_filter(text: &str) -> Result<PersistentFilterRef> {
-    let (name, fields) = read_object(text)?;
-    let factory = resin_core::sync::rlock(registry())
-        .get(&name)
-        .cloned()
-        .ok_or(SerializeError::UnknownClass(name))?;
-    let filter = factory(&fields)?;
+    let filter = FILTER_CLASSES.revive(text)?;
     if filter_text(&filter)? != text {
         return Err(SerializeError::Malformed(format!(
             "`{text}` does not read back as the filter it stores"

@@ -14,16 +14,14 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use resin::core::metrics::{self, Counter};
 use resin::core::{
     deserialize_spans, serialize_spans, Context, GateKind, HtmlSanitized, Label, PasswordPolicy,
     Policy, PolicyRef, TaintedString, UntrustedData,
 };
 use resin::lang::ast::{ClassDecl, StmtKind};
-use resin::lang::check::{plan_table_locks, verdicts_reused};
 use resin::lang::vm::dispatched_ops;
-use resin::lang::{
-    check_cache_stats, compiled_policy_chunks, parse_program, set_check_cache, PValue, ScriptPolicy,
-};
+use resin::lang::{check_cache_stats, parse_program, set_check_cache, PValue, ScriptPolicy};
 use resin::web::request::untrusted;
 use resin::web::{html_escape, Response};
 
@@ -56,6 +54,11 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Crossings on this thread that reused an earlier allow.
+fn verdicts_reused() -> u64 {
+    metrics::thread(Counter::VerdictsReused)
+}
 
 fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(|n| n.get());
@@ -254,15 +257,17 @@ fn a_warm_crossing_allocates_compiles_and_locks_nothing() {
     assert_eq!(render(), expected, "warm-up page");
 
     let (chunks, locks, (h0, m0), r0) = (
-        compiled_policy_chunks(),
-        plan_table_locks(),
+        metrics::total(Counter::PolicyChunksCompiled),
+        metrics::total(Counter::PlanTableLocks),
         check_cache_stats(),
         verdicts_reused(),
     );
     let served = ops(|| assert_eq!(render(), expected));
     let ((h1, m1), r1) = (check_cache_stats(), verdicts_reused());
-    assert_eq!(compiled_policy_chunks() - chunks, 0, "chunks compiled");
-    assert_eq!(plan_table_locks() - locks, 0, "plan-table lock taken");
+    let compiled = metrics::total(Counter::PolicyChunksCompiled) - chunks;
+    assert_eq!(compiled, 0, "chunks compiled");
+    let locked = metrics::total(Counter::PlanTableLocks) - locks;
+    assert_eq!(locked, 0, "plan-table lock taken");
     assert_eq!((h1 - h0, m1 - m0), (16, 16), "half hit, half miss");
     // The hit half is three policy instances (equal policies intern to
     // one), so 13 of its 16 crossings reuse the allow of the first.

@@ -75,7 +75,7 @@ fn label_table_plateaus_under_request_churn_with_gc() {
         }
         let marker = Label::of_static("", HtmlSanitized::new);
         let report = app.gc_labels().unwrap();
-        plateau.push(LabelTable::global().label_count());
+        plateau.push(LabelTable::global().stats().label_slots);
         assert!(!marker.has::<HtmlSanitized>(), "round {round}: {marker:?}");
         // Off the wire after the sweep, the assertions fire as before.
         let raw = from_wire(&format!("/view_raw?id={evil_id}"));
