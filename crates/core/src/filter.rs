@@ -101,15 +101,14 @@ impl Filter for DefaultFilter {
 /// use resin_core::prelude::*;
 ///
 /// // Reject any CR-LF-CR-LF in transit (HTTP response splitting, §3.2).
-/// let mut gate = Gate::builder(GateKind::Http)
-///     .filter(FnFilter::on_write(|data, _, _| {
-///         if data.contains("\r\n\r\n") {
-///             Err(FlowError::rejected("response splitting"))
-///         } else {
-///             Ok(data)
-///         }
-///     }))
-///     .build();
+/// let mut gate = Gate::new(GateKind::Http);
+/// gate.add_filter(Box::new(FnFilter::on_write(|data, _, _| {
+///     if data.contains("\r\n\r\n") {
+///         Err(FlowError::rejected("response splitting"))
+///     } else {
+///         Ok(data)
+///     }
+/// })));
 /// assert!(gate.write_str("a\r\n\r\nb").is_err());
 /// ```
 pub struct FnFilter {

@@ -7,8 +7,8 @@
 //!
 //! * the I/O **channel** (sockets, pipes, files, HTTP output, email, SQL,
 //!   code import, §3.2.1) — a gate has a kind, a [`Context`], an ordered
-//!   filter chain, inbound/outbound queues, and a capture sink standing in
-//!   for "the outside world";
+//!   filter chain, and inbound/outbound queues, the outbound one standing
+//!   in for "the outside world";
 //! * the **internal module boundary** (§8) — a gate carries deny/strip
 //!   rules over policy classes, so a module can refuse to let clear-text
 //!   passwords escape, or declassify on the way out;
@@ -16,10 +16,11 @@
 //!   guard a function call, running its outbound path over the arguments
 //!   and its read filters over the return value.
 //!
-//! Gates are built with the fluent [`GateBuilder`] and are usually resolved
-//! from the [`Runtime`](crate::runtime::Runtime)'s
-//! [`GateRegistry`](crate::runtime::GateRegistry), which owns the default
-//! gate for each of the paper's I/O surfaces.
+//! A gate is built where it is used: [`Gate::new`] for a checking surface,
+//! [`Gate::unguarded`] for a persistence surface whose crate mounts its own
+//! filters, [`Gate::internal`] for a module boundary. The methods
+//! [`Gate::add_filter`], [`Gate::deny`], [`Gate::strip`] and
+//! [`Gate::context_mut`] configure it afterwards.
 //!
 //! On the outbound path a gate applies, in order:
 //!
@@ -28,12 +29,12 @@
 //! 3. the **filter chain** — each [`Filter::filter_write`] in insertion
 //!    order (a guarded gate starts with [`DefaultFilter`], which runs every
 //!    policy's `export_check`);
-//! 4. the **capture sink** — whatever survives becomes visible output.
+//! 4. the **output** — whatever survives becomes visible output.
 
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::context::{Context, CtxValue};
+use crate::context::Context;
 use crate::error::{FlowError, PolicyViolation, Result};
 use crate::filter::{DefaultFilter, Filter};
 use crate::policy::Policy;
@@ -144,9 +145,6 @@ impl Rule {
     }
 }
 
-/// Where output that survives the outbound path goes.
-type Sink = Box<dyn Fn(&TaintedString) + Send + Sync>;
-
 /// A guarded data-flow boundary.
 ///
 /// Writing through the gate runs the deny/strip rules, then every filter's
@@ -159,14 +157,12 @@ type Sink = Box<dyn Fn(&TaintedString) + Send + Sync>;
 ///
 /// The paper's flagship scenario — a password annotated with
 /// [`PasswordPolicy`](crate::policies::PasswordPolicy) may not flow to an
-/// HTTP response, but may be emailed to its owner — runs through gates
-/// resolved from the [`Runtime`](crate::runtime::Runtime)'s registry:
+/// HTTP response, but may be emailed to its owner — runs through the
+/// default gates of those two surfaces:
 ///
 /// ```
 /// use resin_core::prelude::*;
 /// use std::sync::Arc;
-///
-/// let rt = Runtime::new();
 ///
 /// // Annotate the password with a policy object (Figure 2).
 /// let mut password = TaintedString::from("s3cret");
@@ -177,13 +173,13 @@ type Sink = Box<dyn Fn(&TaintedString) + Send + Sync>;
 /// body.push_tainted(&password);
 ///
 /// // ...and the default gates enforce the assertion. HTTP: denied.
-/// let mut http = rt.open(GateKind::Http);
+/// let mut http = Gate::new(GateKind::Http);
 /// let err = http.write(body.clone()).unwrap_err();
 /// assert!(err.is_violation());
 /// assert_eq!(http.output_text(), "", "nothing leaked");
 ///
 /// // Email to the owner's address: allowed.
-/// let mut email = rt.open(GateKind::Email);
+/// let mut email = Gate::new(GateKind::Email);
 /// email.context_mut().set_str("email", "u@foo.com");
 /// email.write(body).unwrap();
 /// assert_eq!(email.output_text(), "Your password is: s3cret");
@@ -194,8 +190,6 @@ pub struct Gate {
     context: Context,
     rules: Vec<Rule>,
     filters: Vec<Box<dyn Filter>>,
-    capture: bool,
-    sink: Option<Sink>,
     /// Data that crossed the boundary outward (visible to "the world").
     written: Vec<TaintedString>,
     /// Queued data the next `read` will pull through the inbound filters.
@@ -207,29 +201,35 @@ pub struct Gate {
 impl Gate {
     /// A gate of `kind` guarded by the default filter (Figure 3).
     pub fn new(kind: GateKind) -> Self {
-        GateBuilder::new(kind).build()
+        let mut gate = Gate::unguarded(kind);
+        gate.filters = vec![Box::new(DefaultFilter)];
+        gate
     }
 
     /// A gate with no filters at all (an *unguarded* boundary).
     ///
-    /// Used to model the "unmodified PHP" baseline and for tests that need
-    /// to observe raw flows.
+    /// The sql and file surfaces start here and mount their own filters;
+    /// it also models the "unmodified PHP" baseline.
     pub fn unguarded(kind: GateKind) -> Self {
-        GateBuilder::new(kind).unguarded().build()
+        Gate {
+            context: Context::new(kind.clone()),
+            kind,
+            name: None,
+            rules: Vec::new(),
+            filters: Vec::new(),
+            written: Vec::new(),
+            inbound: Vec::new(),
+            write_offset: 0,
+            read_offset: 0,
+        }
     }
 
     /// An unguarded gate around a software module (an internal boundary,
     /// §8): add deny/strip rules with [`Gate::deny`] and [`Gate::strip`].
     pub fn internal(name: &'static str) -> Self {
-        GateBuilder::new(GateKind::Custom(name))
-            .name(name)
-            .unguarded()
-            .build()
-    }
-
-    /// Starts building a gate of `kind`.
-    pub fn builder(kind: GateKind) -> GateBuilder {
-        GateBuilder::new(kind)
+        let mut gate = Gate::unguarded(GateKind::Custom(name));
+        gate.name = Some(name);
+        gate
     }
 
     /// The gate's kind.
@@ -250,14 +250,6 @@ impl Gate {
     /// Mutable access to the gate context, for application annotations.
     pub fn context_mut(&mut self) -> &mut Context {
         &mut self.context
-    }
-
-    /// Consumes the gate, keeping only its context.
-    ///
-    /// Handy when a component needs the registry-configured context of a
-    /// surface (say, the file channel) without holding a whole gate.
-    pub fn into_context(self) -> Context {
-        self.context
     }
 
     /// Pushes an additional filter object onto the gate.
@@ -362,12 +354,7 @@ impl Gate {
     pub fn write(&mut self, data: TaintedString) -> Result<()> {
         let buf = self.export(data)?;
         self.write_offset += buf.len() as u64;
-        if let Some(sink) = &self.sink {
-            sink(&buf);
-        }
-        if self.capture {
-            self.written.push(buf);
-        }
+        self.written.push(buf);
         Ok(())
     }
 
@@ -377,18 +364,12 @@ impl Gate {
     ///
     /// When the filter chain passes the data through unmodified (the
     /// common case for the default chain), nothing is cloned on the way:
-    /// a sink observes the borrow, and only a capturing gate copies once
-    /// at the very end to retain the output.
+    /// the one copy is made at the very end to retain the output.
     pub fn write_ref(&mut self, data: &TaintedString) -> Result<()> {
         let buf = self.export_cow(Cow::Borrowed(data))?;
         self.write_offset += buf.len() as u64;
-        if let Some(sink) = &self.sink {
-            sink(&buf);
-        }
-        if self.capture {
-            // Clones only if the chain left the data borrowed.
-            self.written.push(buf.into_owned());
-        }
+        // Clones only if the chain left the data borrowed.
+        self.written.push(buf.into_owned());
         Ok(())
     }
 
@@ -493,145 +474,13 @@ impl fmt::Debug for Gate {
     }
 }
 
-/// Fluent constructor for [`Gate`]s.
-///
-/// A builder starts *guarded*: the built gate's filter chain begins with
-/// [`DefaultFilter`] (Figure 3), followed by any filters added with
-/// [`GateBuilder::filter`] in insertion order. Call
-/// [`GateBuilder::unguarded`] for a gate with no default filter.
-///
-/// ```
-/// use resin_core::prelude::*;
-///
-/// let gate = Gate::builder(GateKind::Email)
-///     .context("email", "u@foo.com")
-///     .build();
-/// assert_eq!(gate.context().get_str("email"), Some("u@foo.com"));
-/// assert_eq!(gate.filter_count(), 1); // the default filter
-/// ```
-pub struct GateBuilder {
-    kind: GateKind,
-    name: Option<&'static str>,
-    context: Context,
-    rules: Vec<Rule>,
-    filters: Vec<Box<dyn Filter>>,
-    guarded: bool,
-    capture: bool,
-    sink: Option<Sink>,
-}
-
-impl GateBuilder {
-    /// Starts a guarded builder for a gate of `kind`.
-    pub fn new(kind: GateKind) -> Self {
-        let context = Context::new(kind.clone());
-        GateBuilder {
-            kind,
-            name: None,
-            context,
-            rules: Vec::new(),
-            filters: Vec::new(),
-            guarded: true,
-            capture: true,
-            sink: None,
-        }
-    }
-
-    /// Names the gate (module and function boundaries).
-    pub fn name(mut self, name: &'static str) -> Self {
-        self.name = Some(name);
-        self
-    }
-
-    /// Adds a typed context entry (string, integer, or boolean).
-    pub fn context(mut self, key: impl Into<String>, value: impl Into<CtxValue>) -> Self {
-        self.context.set(key, value);
-        self
-    }
-
-    /// Appends a filter to the chain.
-    pub fn filter<F: Filter + 'static>(self, filter: F) -> Self {
-        self.filter_boxed(Box::new(filter))
-    }
-
-    /// Appends an already-boxed filter to the chain.
-    pub fn filter_boxed(mut self, filter: Box<dyn Filter>) -> Self {
-        self.filters.push(filter);
-        self
-    }
-
-    /// Drops the default filter: the gate runs only explicit filters.
-    pub fn unguarded(mut self) -> Self {
-        self.guarded = false;
-        self
-    }
-
-    /// Data carrying a `T` policy may not cross outward.
-    pub fn deny<T: Policy>(mut self) -> Self {
-        self.rules.push(Rule::deny::<T>());
-        self
-    }
-
-    /// Crossing outward removes all `T` policies (declassification).
-    pub fn strip<T: Policy>(mut self) -> Self {
-        self.rules.push(Rule::strip::<T>());
-        self
-    }
-
-    /// Enables or disables the capture buffer (default: enabled).
-    ///
-    /// Disable it on hot paths where output only flows to a [`sink`]
-    /// (or nowhere), so the gate does not accumulate memory.
-    ///
-    /// [`sink`]: GateBuilder::sink
-    pub fn capture(mut self, on: bool) -> Self {
-        self.capture = on;
-        self
-    }
-
-    /// Installs a callback observing everything that crosses outward.
-    ///
-    /// The sink runs before the capture buffer (if any) records the datum —
-    /// the instrumentation point the ROADMAP's batching/caching work hangs
-    /// off.
-    pub fn sink<F>(mut self, sink: F) -> Self
-    where
-        F: Fn(&TaintedString) + Send + Sync + 'static,
-    {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Builds the gate.
-    pub fn build(self) -> Gate {
-        let mut filters: Vec<Box<dyn Filter>> =
-            Vec::with_capacity(self.filters.len() + usize::from(self.guarded));
-        if self.guarded {
-            filters.push(Box::new(DefaultFilter));
-        }
-        filters.extend(self.filters);
-        Gate {
-            kind: self.kind,
-            name: self.name,
-            context: self.context,
-            rules: self.rules,
-            filters,
-            capture: self.capture,
-            sink: self.sink,
-            written: Vec::new(),
-            inbound: Vec::new(),
-            write_offset: 0,
-            read_offset: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::FnFilter;
     use crate::policies::{PasswordPolicy, UntrustedData};
     use crate::policy::PolicyRef;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     fn pw(email: &str) -> PolicyRef {
         Arc::new(PasswordPolicy::new(email))
@@ -655,9 +504,8 @@ mod tests {
         assert!(err.is_violation());
         assert_eq!(http.output_text(), "", "nothing visible after violation");
 
-        let mut mail = Gate::builder(GateKind::Email)
-            .context("email", "u@foo.com")
-            .build();
+        let mut mail = Gate::new(GateKind::Email);
+        mail.context_mut().set("email", "u@foo.com");
         mail.write(secret).unwrap();
         assert_eq!(mail.output_text(), "s3cret");
     }
@@ -685,9 +533,7 @@ mod tests {
         // A guarded gate with a strip rule: the strip runs before the
         // default filter's export_check, so the declassified data passes
         // even where the policy would deny.
-        let mut g = Gate::builder(GateKind::Http)
-            .strip::<PasswordPolicy>()
-            .build();
+        let mut g = Gate::new(GateKind::Http).strip::<PasswordPolicy>();
         let secret = TaintedString::with_policy("s3cret", pw("u@x"));
         g.write(secret).unwrap();
         assert_eq!(g.output_text(), "s3cret");
@@ -708,15 +554,13 @@ mod tests {
 
     #[test]
     fn filter_chain_runs_in_insertion_order() {
-        let g = Gate::builder(GateKind::Custom("order"))
-            .unguarded()
-            .filter(FnFilter::on_write(|d, _, _| {
-                Ok(TaintedString::from(format!("{}a", d.as_str()).as_str()))
-            }))
-            .filter(FnFilter::on_write(|d, _, _| {
-                Ok(TaintedString::from(format!("{}b", d.as_str()).as_str()))
-            }))
-            .build();
+        let mut g = Gate::unguarded(GateKind::Custom("order"));
+        g.add_filter(Box::new(FnFilter::on_write(|d, _, _| {
+            Ok(TaintedString::from(format!("{}a", d.as_str()).as_str()))
+        })));
+        g.add_filter(Box::new(FnFilter::on_write(|d, _, _| {
+            Ok(TaintedString::from(format!("{}b", d.as_str()).as_str()))
+        })));
         let out = g.export(TaintedString::from("x")).unwrap();
         assert_eq!(out.as_str(), "xab");
     }
@@ -757,9 +601,7 @@ mod tests {
     fn write_ref_strip_rule_copies_only_on_match() {
         // Strip rules must not force a copy when their class is absent,
         // and must still declassify (on a private copy) when present.
-        let mut g = Gate::builder(GateKind::Http)
-            .strip::<PasswordPolicy>()
-            .build();
+        let mut g = Gate::new(GateKind::Http).strip::<PasswordPolicy>();
         let plain = TaintedString::from("no password here");
         g.write_ref(&plain).unwrap();
 
@@ -787,9 +629,10 @@ mod tests {
         );
 
         // A rewriting filter takes ownership.
-        let g2 = Gate::builder(GateKind::Http)
-            .filter(FnFilter::on_write(|d, _, _| Ok(d.replace_str("a", "b"))))
-            .build();
+        let mut g2 = Gate::new(GateKind::Http);
+        g2.add_filter(Box::new(FnFilter::on_write(|d, _, _| {
+            Ok(d.replace_str("a", "b"))
+        })));
         let out2 = g2.export_cow(Cow::Borrowed(&data)).unwrap();
         assert!(matches!(out2, Cow::Owned(_)));
         assert_eq!(out2.as_str(), "plbin");
@@ -802,29 +645,6 @@ mod tests {
         g.feed(TaintedString::from("in"));
         assert_eq!(g.read().unwrap().unwrap().as_str(), "in");
         assert!(g.read().unwrap().is_none());
-    }
-
-    #[test]
-    fn capture_off_discards_but_offsets_advance() {
-        let mut g = Gate::builder(GateKind::Http).capture(false).build();
-        g.write_str("abc").unwrap();
-        g.write_str("de").unwrap();
-        assert!(g.output().is_empty());
-        assert_eq!(g.write_offset(), 5);
-    }
-
-    #[test]
-    fn sink_observes_surviving_writes() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let mut g = Gate::builder(GateKind::Http)
-            .sink(move |d| seen2.lock().unwrap().push(d.as_str().to_string()))
-            .build();
-        g.write_str("ok").unwrap();
-        let mut secret = TaintedString::from("pw");
-        secret.add_policy(pw("u@x"));
-        let _ = g.write(secret);
-        assert_eq!(*seen.lock().unwrap(), vec!["ok".to_string()]);
     }
 
     #[test]
@@ -841,14 +661,13 @@ mod tests {
 
     #[test]
     fn builder_composition() {
-        let g = Gate::builder(GateKind::Custom("composite"))
-            .name("composite")
-            .context("user", "alice")
-            .context("attempts", 3i64)
-            .context("admin", true)
-            .deny::<UntrustedData>()
-            .filter(FnFilter::on_write(|d, _, _| Ok(d)))
-            .build();
+        let mut g = Gate::internal("composite").deny::<UntrustedData>();
+        g.add_filter(Box::new(DefaultFilter));
+        g.add_filter(Box::new(FnFilter::on_write(|d, _, _| Ok(d))));
+        g.context_mut()
+            .set("user", "alice")
+            .set("attempts", 3i64)
+            .set("admin", true);
         assert_eq!(g.name(), Some("composite"));
         assert_eq!(g.context().get_str("user"), Some("alice"));
         assert_eq!(g.context().get_int("attempts"), Some(3));

@@ -18,8 +18,8 @@
 //! * **Gates** ([`gate::Gate`]) define data flow boundaries (sockets,
 //!   files, SQL, email, HTTP, code import, module exits, function calls)
 //!   where assertions are checked by invoking each policy's `export_check`.
-//!   The [`runtime::Runtime`]'s [`runtime::GateRegistry`] owns the default
-//!   gate for every I/O surface.
+//!   [`Gate::new`](gate::Gate::new) opens a surface guarded by the default
+//!   filter; [`runtime::Runtime::open`] names each surface's default.
 //! * **Counters** ([`metrics`]) count the runtime's own work — lock
 //!   takes, decodes, checks run — per thread and per process.
 //!
@@ -28,8 +28,6 @@
 //! ```
 //! use resin_core::prelude::*;
 //! use std::sync::Arc;
-//!
-//! let rt = Runtime::new();
 //!
 //! // Annotate the password with a policy object (Figure 2).
 //! let mut password = TaintedString::from("s3cret");
@@ -42,11 +40,11 @@
 //! // ...carrying its interned label with it...
 //! assert!(body.label().has::<PasswordPolicy>());
 //!
-//! // ...and the registry's default gates enforce the assertion.
-//! let mut http = rt.open(GateKind::Http);
+//! // ...and the default gates enforce the assertion.
+//! let mut http = Gate::new(GateKind::Http);
 //! assert!(http.write(body.clone()).is_err()); // disclosure prevented
 //!
-//! let mut email = rt.open(GateKind::Email);
+//! let mut email = Gate::new(GateKind::Email);
 //! email.context_mut().set_str("email", "u@foo.com");
 //! assert!(email.write(body).is_ok()); // owner's address: allowed
 //! ```
@@ -70,7 +68,7 @@ pub mod prelude {
     pub use crate::context::{Context, CtxValue};
     pub use crate::error::{FlowError, PolicyViolation, Result, SerializeError};
     pub use crate::filter::{DefaultFilter, Filter, FnFilter};
-    pub use crate::gate::{Gate, GateBuilder, GateKind};
+    pub use crate::gate::{Gate, GateKind};
     pub use crate::label::{
         EpochPin, Label, LabelMemo, LabelTable, LabelTableStats, PolicyId, SweepReport,
     };
@@ -80,7 +78,7 @@ pub mod prelude {
         Right, SqlSanitized, UntrustedData,
     };
     pub use crate::policy::{downcast_policy, MergeDecision, Policy, PolicyRef};
-    pub use crate::runtime::{GateFactory, GateRegistry, Runtime, Tracking};
+    pub use crate::runtime::{Runtime, Tracking};
     pub use crate::serialize::{
         deserialize_label, deserialize_policy, deserialize_spans, register_policy_class,
         serialize_label, serialize_policy, serialize_spans,

@@ -1,32 +1,25 @@
-//! The runtime: a registry of default gates for every I/O surface.
+//! The runtime: the default gate for every I/O surface.
 //!
 //! RESIN pre-defines default filter objects on all I/O channels into and
 //! out of the runtime — sockets, pipes, files, HTTP output, email, SQL,
-//! and code import (§3.2.1). The [`GateRegistry`] owns those defaults: each
-//! surface maps to a *gate factory*, and [`GateRegistry::open`] stamps out
-//! a fresh [`Gate`] for one connection/file/query stream. Applications and
-//! the `vfs`/`sql`/`web` layers resolve their gates here instead of
-//! hand-rolling boundary plumbing, so a deployment can tighten or
-//! instrument every surface in one place — the single interposition point
-//! the ROADMAP's batching, verdict-caching, and instrumentation items hang
-//! off.
+//! and code import (§3.2.1). [`Runtime::open`] names those defaults in one
+//! `match`; each crate builds the gate it uses where it uses it, with
+//! [`Gate::new`] or [`Gate::unguarded`], and this is the same choice.
 //!
-//! Two surfaces are registered *unguarded* by default:
+//! Two surfaces are *unguarded* by default:
 //!
 //! * **file** — the paper's default file filter performs policy
 //!   *persistence* (serialize on write, revive on read, §3.4.1), not export
 //!   checks; `resin_vfs` implements persistence and mounts per-file
-//!   persistent filters on the gate it opens here.
+//!   persistent filters on the file gate it opens.
 //! * **sql** — likewise, the SQL filter *rewrites* queries and results to
 //!   persist policies (§3.4.1) and guards injection (§5.3); `resin_sql`
-//!   mounts its guard filter on the gate it opens here.
+//!   mounts its guard filter on the sql gate it opens.
 //!
-//! Everything else (http, email, socket, pipe, code-import) starts with
+//! Everything else (http, email, socket, pipe, code-import, and any
+//! `Custom` boundary) starts with
 //! [`DefaultFilter`](crate::filter::DefaultFilter), which runs every
 //! policy's `export_check` (Figure 3).
-
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::gate::{Gate, GateKind};
 
@@ -41,200 +34,75 @@ pub enum Tracking {
     On,
 }
 
-/// Creates a fresh gate for one use of a surface.
-pub type GateFactory = Arc<dyn Fn() -> Gate + Send + Sync>;
-
-/// Maps I/O surfaces to their default-gate factories.
-pub struct GateRegistry {
-    factories: RwLock<HashMap<String, GateFactory>>,
-}
-
-impl GateRegistry {
-    /// The registry key for a kind.
-    ///
-    /// Custom surfaces are namespaced so an application-defined boundary
-    /// named (say) `"email"` can never alias — or replace — the builtin
-    /// Email surface and its default checks.
-    fn key(kind: &GateKind) -> String {
-        match kind {
-            GateKind::Custom(name) => format!("custom:{name}"),
-            builtin => builtin.type_name().to_string(),
-        }
-    }
-
-    /// A registry with no defaults (every [`open`](GateRegistry::open)
-    /// falls back to a guarded [`Gate::new`]).
-    pub fn empty() -> Self {
-        GateRegistry {
-            factories: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// A registry pre-populated with the paper's seven I/O surfaces.
-    pub fn with_defaults() -> Self {
-        let registry = GateRegistry::empty();
-        for kind in GateKind::IO_SURFACES {
-            let factory: GateFactory = match kind {
-                // Persistence surfaces: vfs/sql provide the real filtering.
-                GateKind::File | GateKind::Sql => {
-                    let kind = kind.clone();
-                    Arc::new(move || Gate::unguarded(kind.clone()))
-                }
-                // Checking surfaces: the default filter of Figure 3.
-                _ => {
-                    let kind = kind.clone();
-                    Arc::new(move || Gate::new(kind.clone()))
-                }
-            };
-            registry.set_factory(GateRegistry::key(&kind), factory);
-        }
-        registry
-    }
-
-    // Registrations are single `insert`/`get` steps, so the map is
-    // consistent at every panic point and a poisoned lock is recoverable
-    // (see `crate::sync`).
-    fn set_factory(&self, key: String, factory: GateFactory) {
-        crate::sync::wlock(&self.factories).insert(key, factory);
-    }
-
-    /// Registers (or replaces) the default gate for a surface.
-    ///
-    /// The factory runs once per [`open`](GateRegistry::open), so each
-    /// caller gets an independent gate with fresh context, offsets, and
-    /// capture buffer.
-    pub fn register<F>(&self, kind: GateKind, factory: F)
-    where
-        F: Fn() -> Gate + Send + Sync + 'static,
-    {
-        self.set_factory(GateRegistry::key(&kind), Arc::new(factory));
-    }
-
-    /// True if a default is registered for `kind`.
-    pub fn contains(&self, kind: &GateKind) -> bool {
-        crate::sync::rlock(&self.factories).contains_key(&GateRegistry::key(kind))
-    }
-
-    /// The registered surface names, sorted.
-    pub fn surfaces(&self) -> Vec<String> {
-        let mut names: Vec<String> = crate::sync::rlock(&self.factories)
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
-    }
-
-    /// Stamps out a fresh gate for `kind`.
-    ///
-    /// Unregistered kinds fall back to a guarded [`Gate::new`], so opening
-    /// a surface is always safe — an unknown boundary gets the paper's
-    /// default filter rather than no filter.
-    pub fn open(&self, kind: GateKind) -> Gate {
-        let factory = crate::sync::rlock(&self.factories)
-            .get(&GateRegistry::key(&kind))
-            .cloned();
-        match factory {
-            Some(f) => f(),
-            None => Gate::new(kind),
-        }
-    }
-}
-
-impl Default for GateRegistry {
-    fn default() -> Self {
-        GateRegistry::with_defaults()
-    }
-}
-
-impl std::fmt::Debug for GateRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GateRegistry")
-            .field("surfaces", &self.surfaces())
-            .finish()
-    }
-}
-
-/// The RESIN runtime: owns the gate registry.
-///
-/// Most code uses the process-wide [`Runtime::global`]; tests and
-/// multi-tenant embeddings build their own with [`Runtime::new`] and
-/// customize its registry.
+/// The RESIN runtime: opens the default gate of a surface.
 ///
 /// ```
 /// use resin_core::prelude::*;
 ///
-/// let rt = Runtime::new();
-/// let gate = rt.open(GateKind::Http);
+/// let gate = Runtime::global().open(GateKind::Http);
 /// assert_eq!(gate.kind(), &GateKind::Http);
 /// assert_eq!(gate.filter_count(), 1, "default filter pre-installed");
 ///
 /// // Persistence surfaces start unguarded; their crates mount filters.
-/// assert_eq!(rt.open(GateKind::Sql).filter_count(), 0);
+/// assert_eq!(Runtime::global().open(GateKind::Sql).filter_count(), 0);
 /// ```
 #[derive(Debug, Default)]
-pub struct Runtime {
-    registry: GateRegistry,
-}
+pub struct Runtime;
 
 impl Runtime {
-    /// A runtime with the default registry.
-    pub fn new() -> Self {
-        Runtime {
-            registry: GateRegistry::with_defaults(),
-        }
-    }
-
-    /// A runtime around a custom registry.
-    pub fn with_registry(registry: GateRegistry) -> Self {
-        Runtime { registry }
-    }
-
     /// The process-wide runtime.
-    ///
-    /// Registrations on its registry affect every subsequent
-    /// [`Runtime::open`] anywhere in the process — the one place to
-    /// tighten or instrument a surface globally.
     pub fn global() -> &'static Runtime {
-        static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-        GLOBAL.get_or_init(Runtime::new)
+        static GLOBAL: Runtime = Runtime;
+        &GLOBAL
     }
 
-    /// The runtime's registry.
-    pub fn registry(&self) -> &GateRegistry {
-        &self.registry
-    }
-
-    /// Opens a fresh gate for `kind` from the registry.
+    /// Opens a fresh gate for `kind`: File and Sql unguarded, every other
+    /// kind, `Custom` included, guarded by the default filter.
     pub fn open(&self, kind: GateKind) -> Gate {
-        self.registry.open(kind)
-    }
-
-    /// Opens a gate for an application-defined surface by name.
-    pub fn open_custom(&self, name: &'static str) -> Gate {
-        self.registry.open(GateKind::Custom(name))
+        match kind {
+            GateKind::File | GateKind::Sql => Gate::unguarded(kind),
+            _ => Gate::new(kind),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::Context;
     use crate::policies::PasswordPolicy;
     use crate::taint::TaintedString;
     use std::sync::Arc;
 
     #[test]
     fn defaults_cover_all_seven_surfaces() {
-        let r = GateRegistry::with_defaults();
-        for kind in GateKind::IO_SURFACES {
-            assert!(r.contains(&kind), "{kind} missing");
+        // (kind, filters): the default filter everywhere but on the two
+        // persistence surfaces, whose crates mount their own.
+        let expected = [
+            (GateKind::Http, 1),
+            (GateKind::Email, 1),
+            (GateKind::Socket, 1),
+            (GateKind::Pipe, 1),
+            (GateKind::File, 0),
+            (GateKind::Sql, 0),
+            (GateKind::CodeImport, 1),
+            (GateKind::Custom("audit"), 1),
+        ];
+        assert!(GateKind::IO_SURFACES.iter().all(|k| expected.iter().any(|(e, _)| e == k)));
+        for (kind, filters) in expected {
+            let gate = Runtime::global().open(kind.clone());
+            assert_eq!(gate.kind(), &kind);
+            assert_eq!(gate.filter_count(), filters, "{kind}");
+            assert_eq!(gate.rule_count(), 0, "{kind}");
+            assert_eq!(gate.name(), None, "{kind}");
+            assert_eq!(gate.context(), &Context::new(kind.clone()), "{kind}");
+            assert_eq!(gate.context().len(), 1, "{kind}: only `type`");
         }
-        assert_eq!(r.surfaces().len(), 7);
     }
 
     #[test]
     fn checking_surfaces_are_guarded_persistence_surfaces_are_not() {
-        let rt = Runtime::new();
+        let rt = Runtime::global();
         assert_eq!(rt.open(GateKind::Http).filter_count(), 1);
         assert_eq!(rt.open(GateKind::Email).filter_count(), 1);
         assert_eq!(rt.open(GateKind::Socket).filter_count(), 1);
@@ -246,7 +114,7 @@ mod tests {
 
     #[test]
     fn open_returns_independent_gates() {
-        let rt = Runtime::new();
+        let rt = Runtime::global();
         let mut a = rt.open(GateKind::Http);
         let b = rt.open(GateKind::Http);
         a.write_str("x").unwrap();
@@ -255,51 +123,22 @@ mod tests {
     }
 
     #[test]
-    fn register_overrides_default() {
-        let rt = Runtime::new();
-        rt.registry().register(GateKind::Http, || {
-            Gate::builder(GateKind::Http)
-                .context("hardened", true)
-                .build()
-        });
-        assert!(rt.open(GateKind::Http).context().get_flag("hardened"));
-    }
-
-    #[test]
     fn unregistered_kind_falls_back_to_guarded() {
-        let r = GateRegistry::empty();
-        assert!(!r.contains(&GateKind::Custom("nope")));
-        let mut g = r.open(GateKind::Custom("nope"));
-        assert_eq!(g.filter_count(), 1, "fallback is guarded, not naked");
+        let mut g = Runtime::global().open(GateKind::Custom("nope"));
+        assert_eq!(g.filter_count(), 1, "a custom boundary is guarded, not naked");
         let mut secret = TaintedString::from("pw");
         secret.add_policy(Arc::new(PasswordPolicy::new("u@x")));
         assert!(g.write(secret).is_err());
     }
 
     #[test]
-    fn custom_surface_registration() {
-        let rt = Runtime::new();
-        rt.registry().register(GateKind::Custom("audit"), || {
-            Gate::internal("audit").deny::<PasswordPolicy>()
-        });
-        let g = rt.open_custom("audit");
-        let secret = TaintedString::with_policy("pw", Arc::new(PasswordPolicy::new("u@x")));
-        assert!(g.export(secret).is_err());
-    }
-
-    #[test]
     fn custom_kind_cannot_alias_builtin_surface() {
-        let rt = Runtime::new();
-        rt.registry().register(GateKind::Custom("email"), || {
-            Gate::unguarded(GateKind::Custom("email"))
-        });
-        // The builtin email surface is untouched: still guarded.
-        assert_eq!(rt.open(GateKind::Email).filter_count(), 1);
-        // The custom surface resolves separately.
-        assert_eq!(rt.open_custom("email").filter_count(), 0);
-        // And an unregistered custom name never inherits a builtin's
-        // (possibly unguarded) factory: guarded fallback.
-        assert_eq!(rt.open_custom("sql").filter_count(), 1);
+        // A custom boundary named after an unguarded builtin surface is
+        // still guarded: only the builtin File and Sql kinds start naked.
+        let rt = Runtime::global();
+        assert_eq!(rt.open(GateKind::Custom("email")).filter_count(), 1);
+        assert_eq!(rt.open(GateKind::Custom("sql")).filter_count(), 1);
+        assert_eq!(rt.open(GateKind::Custom("file")).filter_count(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Poison-recovering lock accessors.
 //!
-//! The process-global tables (labels, gate registry, policy classes) and
+//! The process-global tables (labels, policy classes) and
 //! every per-request shared structure in the serving path are consistent
 //! at each possible panic point — their writes are single inserts/pushes,
 //! or stage data before attaching it. For such structures a poisoned lock

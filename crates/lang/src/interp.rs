@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use resin_core::{
     merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
-    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, Runtime, SqlSanitized,
+    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, SqlSanitized,
     TaintedString, Tracking, UntrustedData,
 };
 use resin_vfs::Vfs;
@@ -293,7 +293,7 @@ impl Interp {
     pub fn http(&mut self) -> &mut Gate {
         let tracking = self.tracking;
         self.http.get_or_insert_with(|| match tracking {
-            Tracking::On => Runtime::global().open(GateKind::Http),
+            Tracking::On => Gate::new(GateKind::Http),
             Tracking::Off => Gate::unguarded(GateKind::Http),
         })
     }
@@ -636,7 +636,7 @@ impl Interp {
                     return Ok(Value::Null);
                 }
                 let mut ch = match self.tracking {
-                    Tracking::On => Runtime::global().open(GateKind::Email),
+                    Tracking::On => Gate::new(GateKind::Email),
                     Tracking::Off => Gate::unguarded(GateKind::Email),
                 };
                 ch.context_mut().set_str("email", to.as_str());

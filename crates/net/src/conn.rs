@@ -6,7 +6,7 @@
 //! error responses — is testable over in-memory streams; the TCP server
 //! in [`crate::NetServer`] hands it real sockets.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use resin_web::{serve_request, ServedPage, WebApp};
 
@@ -78,6 +78,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Writes the head, then the body slice behind it, as one vectored write
+/// where the stream takes it: the body is never copied behind the head.
 fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -85,23 +87,34 @@ fn write_response(
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut out = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
+    let mut head = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
     for (name, value) in headers {
         // Gate-approved headers only; the splitting guard already ran.
-        out.push_str(name);
-        out.push_str(": ");
-        out.push_str(value);
-        out.push_str("\r\n");
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
     }
-    out.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    out.push_str(if keep_alive {
+    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    head.push_str(if keep_alive {
         "Connection: keep-alive\r\n"
     } else {
         "Connection: close\r\n"
     });
-    out.push_str("\r\n");
-    out.push_str(body);
-    stream.write_all(out.as_bytes())
+    head.push_str("\r\n");
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut parts = &mut parts[..];
+    // Advancing drops each slice written in full, an empty body with the
+    // head's last byte.
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn write_error(stream: &mut impl Write, err: &HttpError) -> io::Result<()> {
@@ -289,6 +302,96 @@ mod tests {
             }
             Ok(())
         }
+    }
+
+    /// Takes at most `k` bytes per call, across slices, and records the
+    /// address of every slice it was offered.
+    struct ShortWriter {
+        k: usize,
+        out: Vec<u8>,
+        offered: Vec<usize>,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut left = self.k;
+            for b in bufs {
+                self.offered.push(b.as_ptr() as usize);
+                let n = b.len().min(left);
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.k - left)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The response bytes as one buffer: head, then body.
+    fn expected_bytes(
+        status: u16,
+        headers: &[(String, String)],
+        body: &str,
+        keep_alive: bool,
+    ) -> Vec<u8> {
+        let mut out = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
+        for (name, value) in headers {
+            out.push_str(&format!("{name}: {value}\r\n"));
+        }
+        out.push_str(&format!("Content-Length: {}\r\n", body.len()));
+        let conn = if keep_alive { "keep-alive" } else { "close" };
+        out.push_str(&format!("Connection: {conn}\r\n\r\n{body}"));
+        out.into_bytes()
+    }
+
+    #[test]
+    fn short_writes_send_identical_bytes_and_never_copy_the_body() {
+        let headers = [
+            ("Content-Type".to_string(), "text/html".to_string()),
+            ("Set-Cookie".to_string(), "sid=abc".to_string()),
+        ];
+        let long = "<p>row</p>".repeat(700);
+        let cases = [
+            (200, &headers[..], "<p>hello</p>", true),
+            (404, &headers[..0], "nope", false),
+            (302, &headers[1..], "", true),
+            (200, &headers[..0], long.as_str(), true),
+        ];
+        for (status, headers, body, keep_alive) in cases {
+            let want = expected_bytes(status, headers, body, keep_alive);
+            let head_len = want.len() - body.len();
+            for k in [1, 7, head_len, want.len()] {
+                let mut w = ShortWriter {
+                    k,
+                    out: Vec::new(),
+                    offered: Vec::new(),
+                };
+                write_response(&mut w, status, headers, body, keep_alive).unwrap();
+                assert!(w.out == want, "status {status}, k {k}");
+                if !body.is_empty() {
+                    // The body went out from the caller's own buffer.
+                    assert!(
+                        w.offered.contains(&(body.as_ptr() as usize)),
+                        "status {status}, k {k}: body copied"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_that_takes_nothing_is_an_error() {
+        let mut w = ShortWriter {
+            k: 0,
+            out: Vec::new(),
+            offered: Vec::new(),
+        };
+        let err = write_response(&mut w, 200, &[], "x", true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     fn run(input: &[u8]) -> (ConnStats, String) {

@@ -210,8 +210,10 @@ fn decode_catalog(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, Table>>
     let n_tables = r.u32()?;
     for _ in 0..n_tables {
         let name = r.str()?;
+        // Counts are read before the image's checksum is, so none of them
+        // sizes an allocation unbounded.
         let n_cols = r.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
+        let mut columns = Vec::with_capacity(n_cols.min(1024));
         for _ in 0..n_cols {
             let col_name = r.str()?;
             let ty = match r.u8()? {
@@ -226,7 +228,7 @@ fn decode_catalog(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, Table>>
         let n_rows = r.u64()? as usize;
         let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
         for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(n_cols);
+            let mut row = Vec::with_capacity(n_cols.min(1024));
             for _ in 0..n_cols {
                 row.push(decode_cell(r)?);
             }
@@ -403,11 +405,8 @@ mod tests {
         assert_eq!(t.rows, tables["users"].rows);
     }
 
-    #[test]
-    fn an_image_with_an_undecoded_body_byte_is_refused() {
-        // One more body byte than the catalog holds, with the body length
-        // and the checksum recomputed so only the decoder's end check can
-        // tell: the image is refused, not silently half-read.
+    /// A one-table catalog with a policy column, and its image.
+    fn small_image() -> (BTreeMap<String, Table>, Vec<u8>) {
         let mut tables = BTreeMap::new();
         tables.insert(
             "t".to_string(),
@@ -430,6 +429,15 @@ mod tests {
             },
         );
         let image = image_of(&tables);
+        (tables, image)
+    }
+
+    #[test]
+    fn an_image_with_an_undecoded_body_byte_is_refused() {
+        // One more body byte than the catalog holds, with the body length
+        // and the checksum recomputed so only the decoder's end check can
+        // tell: the image is refused, not silently half-read.
+        let (_, image) = small_image();
         assert!(decode_tables(&image[..]).is_ok());
         // Walk the header (magic, versions, policy table) to the body length.
         let u64_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
@@ -447,6 +455,40 @@ mod tests {
         longer.extend_from_slice(&sum.to_le_bytes());
         let err = decode_tables(&longer[..]).unwrap_err();
         assert!(err.to_string().contains("undecoded"), "{err}");
+    }
+
+    #[test]
+    fn a_damaged_column_count_is_refused_not_allocated() {
+        // The column count is read before the checksum: a flipped high
+        // byte must come back an error, not a multi-gigabyte reservation.
+        let (tables, image) = small_image();
+        let u64_at = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+        let policies = u32::from_le_bytes(image[12..16].try_into().unwrap());
+        let mut at = 16;
+        for _ in 0..policies {
+            at += 8 + u64_at(at) as usize;
+        }
+        // Body: length, table count, the table's name, its column count.
+        let name_at = at + 8 + 4;
+        let cols_at = name_at + 8 + u64_at(name_at) as usize;
+        let n_cols = u32::from_le_bytes(image[cols_at..cols_at + 4].try_into().unwrap());
+        assert_eq!(n_cols as usize, tables["t"].columns.len());
+        let mut damaged = image.clone();
+        damaged[cols_at + 3] ^= 0xf0;
+        assert!(decode_tables(&damaged[..]).is_err());
+        assert!(decode_table_part(&damaged[..]).is_err());
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_a_part_image_is_refused() {
+        let (tables, image) = small_image();
+        assert_eq!(decode_tables(&image[..]).unwrap()["t"].rows, tables["t"].rows);
+        let mut bytes = image;
+        for i in 0..bytes.len() {
+            bytes[i] ^= 0xff;
+            assert!(decode_table_part(&bytes[..]).is_err(), "flip at {i}");
+            bytes[i] ^= 0xff;
+        }
     }
 
     #[test]

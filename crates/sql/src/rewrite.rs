@@ -29,7 +29,7 @@ use std::ops::Range;
 
 use resin_core::{
     deserialize_label, deserialize_spans, serialize_label, serialize_spans, Context, Filter,
-    FlowError, Gate, GateKind, Label, PolicyViolation, Runtime, SqlSanitized, Tainted,
+    FlowError, Gate, GateKind, Label, PolicyViolation, SqlSanitized, Tainted,
     TaintedStrBuilder, TaintedString, Tracking, UntrustedData,
 };
 
@@ -125,7 +125,7 @@ impl TaintedResult {
 
 /// The SQL-injection data flow assertion as a gate filter (§5.3).
 ///
-/// [`ResinDb`](crate::ResinDb) mounts one of these onto the [`Runtime`] registry's sql
+/// [`ResinDb`](crate::ResinDb) mounts one of these onto an unguarded sql
 /// gate and exports every query through it, so the injection guard runs at
 /// the same interposition point as every other boundary check. Standalone
 /// use works too: mount it on any gate whose writes are SQL text.
@@ -206,9 +206,9 @@ fn guard_query_cow<'a>(
     }
 }
 
-/// The registry's sql gate with `guard` mounted on the filter chain.
+/// An unguarded sql gate with `guard` mounted on the filter chain.
 pub(crate) fn query_gate(guard: GuardMode) -> Gate {
-    let mut gate = Runtime::global().open(GateKind::Sql);
+    let mut gate = Gate::unguarded(GateKind::Sql);
     gate.add_filter(Box::new(SqlGuardFilter::new(guard)));
     gate
 }

@@ -27,7 +27,7 @@ use std::io::{Read, Write};
 
 use resin_core::serialize::is_spans_blob;
 use resin_core::{
-    deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind, Runtime,
+    deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind,
     TaintedString, Tracking,
 };
 use resin_store::{HashWriter, Recovery, SnapshotReader, SnapshotWriter, Store};
@@ -322,11 +322,8 @@ impl Vfs {
     }
 
     /// A file-gate context with no authenticated user.
-    ///
-    /// Resolved from the global [`Runtime`]'s file gate, so registry-level
-    /// annotations on the file surface reach every vfs operation.
     pub fn anonymous_ctx() -> Context {
-        Runtime::global().open(GateKind::File).into_context()
+        Context::new(GateKind::File)
     }
 
     /// A file-gate context for an authenticated `user`.
@@ -439,15 +436,12 @@ impl Vfs {
         Ok(Vec::new())
     }
 
-    /// The data-flow gate for one file operation: the registry's file gate
-    /// (unguarded — persistence is this crate's job), carrying the caller's
-    /// context plus the file path, with every governing persistent filter
-    /// mounted on the chain.
+    /// The data-flow gate for one file operation: an unguarded file gate
+    /// (persistence is this crate's job), carrying the caller's context
+    /// plus the file path, with every governing persistent filter mounted
+    /// on the chain.
     fn file_gate(&self, comps: &[String], path: &str, ctx: &Context) -> Result<Gate> {
-        let mut gate = Runtime::global().open(GateKind::File);
-        // Merge the caller's entries over the registry-configured context
-        // (rather than replacing it), so registry-level file-surface
-        // annotations still reach every filter.
+        let mut gate = Gate::unguarded(GateKind::File);
         for (key, value) in ctx.iter() {
             gate.context_mut().set(key, value.clone());
         }
@@ -458,10 +452,9 @@ impl Vfs {
         Ok(gate)
     }
 
-    /// The caller's context merged over the registry-configured file-gate
-    /// context, so registry-level annotations reach every filter hook.
+    /// The caller's context merged over a fresh file-gate context.
     fn merged_file_ctx(ctx: &Context) -> Context {
-        let mut merged = Runtime::global().open(GateKind::File).into_context();
+        let mut merged = Context::new(GateKind::File);
         for (key, value) in ctx.iter() {
             merged.set(key, value.clone());
         }

@@ -147,8 +147,7 @@ pub(crate) fn revive_filter(text: &str) -> Result<PersistentFilterRef> {
 
 /// Mounts a persistent filter onto a core file [`Gate`](resin_core::Gate).
 ///
-/// The vfs resolves the file gate from the
-/// [`Runtime`](resin_core::Runtime) registry and pushes one mount per
+/// The vfs opens an unguarded file gate and pushes one mount per
 /// governing persistent filter: data flowing *into* the file runs
 /// `check_write`, data flowing *out* runs `check_read`, with the gate's
 /// context (user, path, ...) passed through — the same interposition every

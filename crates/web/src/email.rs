@@ -7,7 +7,7 @@
 //! [`resin_core::PasswordPolicy`] decide whether the flow is the
 //! legitimate reminder (to the account holder) or a leak.
 
-use resin_core::{GateKind, Result, Runtime, TaintedString};
+use resin_core::{Gate, GateKind, Result, TaintedString};
 
 use crate::response::Response;
 
@@ -70,7 +70,7 @@ impl Mailer {
             http.echo_str("</pre>")?;
             return Ok(());
         }
-        let mut gate = Runtime::global().open(GateKind::Email);
+        let mut gate = Gate::new(GateKind::Email);
         gate.context_mut().set_str("email", to);
         gate.write(body)?;
         self.sent.push(SentEmail {

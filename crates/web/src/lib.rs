@@ -5,10 +5,10 @@
 //!
 //! * [`request::Request`] / [`response::Response`] — HTTP with the default
 //!   RESIN boundary: request inputs arrive marked [`resin_core::UntrustedData`];
-//!   response bodies leave through the HTTP [`Gate`](resin_core::Gate)
-//!   resolved from the [`Runtime`](resin_core::Runtime) registry.
-//! * [`email::Mailer`] — the sendmail pipe: bodies cross the registry's
-//!   email gate with recipient-annotated context, plus HotCRP's email
+//!   response bodies leave through an HTTP [`Gate`](resin_core::Gate)
+//!   guarded by the default filter.
+//! * [`email::Mailer`] — the sendmail pipe: bodies cross a guarded email
+//!   gate with recipient-annotated context, plus HotCRP's email
 //!   preview mode (§2).
 //! * [`html`] — sanitizers that attach [`resin_core::HtmlSanitized`], and
 //!   both XSS guard strategies of §5.3.

@@ -1,16 +1,15 @@
 //! HTTP responses: the outbound HTTP channel plus output buffering (§5.5).
 
-use resin_core::{FlowError, Gate, GateKind, Result, Runtime, TaintedString};
+use resin_core::{FlowError, Gate, GateKind, Result, TaintedString};
 
 use crate::splitting::check_header_splitting;
 
 /// An HTTP response under construction.
 ///
-/// The body is written through the [`Runtime`] registry's HTTP [`Gate`],
-/// so every `echo` crosses the default filter and any policy's
-/// `export_check` runs with the response's context (current user,
-/// `priv_chair`, ...). Headers are guarded against response splitting
-/// (§5.4).
+/// The body is written through a guarded HTTP [`Gate`], so every `echo`
+/// crosses the default filter and any policy's `export_check` runs with
+/// the response's context (current user, `priv_chair`, ...). Headers are
+/// guarded against response splitting (§5.4).
 pub struct Response {
     status: u16,
     headers: Vec<(String, TaintedString)>,
@@ -29,7 +28,7 @@ impl Response {
         Response {
             status: 200,
             headers: Vec::new(),
-            gate: Runtime::global().open(GateKind::Http),
+            gate: Gate::new(GateKind::Http),
         }
     }
 

@@ -11,8 +11,7 @@
 //!   [`Gate`](resin_core::Gate) and [`Context`](resin_core::Context)),
 //!   exactly as each Apache request gets its own output channel;
 //! * the application state behind the handler is **shared** across
-//!   threads — a `ResinDb`, a `SessionStore`, the global
-//!   `LabelTable`/`GateRegistry`;
+//!   threads — a `ResinDb`, a `SessionStore`, the global `LabelTable`;
 //! * a handler panic is confined to its request (the caller gets a 500
 //!   page and keeps serving), so one poisoned request cannot take the
 //!   server down — the failure mode the poison-recovering locks in

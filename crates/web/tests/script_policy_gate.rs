@@ -1,7 +1,7 @@
 //! VM-backed script policies enforced at the HTTP gate.
 //!
 //! A `ScriptPolicy` written in RSL rides on response data; `Response`
-//! exports cross the registry's http gate, which runs the policy's
+//! exports cross a guarded http gate, which runs the policy's
 //! `export_check` on the bytecode VM and allows or denies at a real
 //! web-layer gate.
 

@@ -26,19 +26,17 @@ fn main() {
         email_body.label_at(0)
     );
 
-    // 3. GATES — boundaries check assertions on export. The runtime's
-    // registry owns the default gate for every I/O surface.
-    let rt = Runtime::global();
-
+    // 3. GATES — boundaries check assertions on export. A checking
+    // surface's gate starts with the default filter (Figure 3).
     // An HTTP response to some browser? Denied.
-    let mut http = rt.open(GateKind::Http);
+    let mut http = Gate::new(GateKind::Http);
     match http.write(email_body.clone()) {
         Err(e) => println!("HTTP export: BLOCKED — {e}"),
         Ok(()) => unreachable!("the password policy must fire"),
     }
 
     // Email to the account holder? Allowed.
-    let mut email = rt.open(GateKind::Email);
+    let mut email = Gate::new(GateKind::Email);
     email.context_mut().set_str("email", "u@foo.com");
     email.write(email_body.clone()).expect("owner may receive");
     println!(
@@ -47,7 +45,7 @@ fn main() {
     );
 
     // Email to anyone else? Denied.
-    let mut other = rt.open(GateKind::Email);
+    let mut other = Gate::new(GateKind::Email);
     other.context_mut().set_str("email", "adversary@evil.com");
     match other.write(email_body) {
         Err(e) => println!("email to adversary: BLOCKED — {e}"),

@@ -22,8 +22,7 @@
 //!   vulnerabilities and assertions.
 //!
 //! All boundaries go through one abstraction: the
-//! [`Gate`](resin_core::Gate), resolved from the
-//! [`Runtime`](resin_core::Runtime)'s registry; every datum carries an
+//! [`Gate`](resin_core::Gate), built where it is used; every datum carries an
 //! interned [`Label`](resin_core::Label) handle for its policy set. See
 //! `README.md` for a tour of the API and the crate map.
 

@@ -3,7 +3,7 @@
 //! paths, VM instructions dispatched, verdicts reused, chunks compiled,
 //! and acquisitions of the process-wide plan-table lock. Beside it, the
 //! allocations of a warm `html_escape`, of which its marker makes none,
-//! and of a warm spans codec, both ways.
+//! of a warm spans codec, both ways, and of opening a gate.
 //!
 //! In a process of their own: the counting allocator is the process's
 //! allocator, and the compile and lock counters are global. Allocations
@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use resin::core::metrics::{self, Counter};
 use resin::core::{
-    deserialize_spans, serialize_spans, Context, GateKind, HtmlSanitized, Label, PasswordPolicy,
-    Policy, PolicyRef, TaintedString, UntrustedData,
+    deserialize_spans, serialize_spans, Context, Gate, GateKind, HtmlSanitized, Label,
+    PasswordPolicy, Policy, PolicyRef, Runtime, TaintedString, UntrustedData,
 };
 use resin::lang::ast::{ClassDecl, StmtKind};
 use resin::lang::vm::dispatched_ops;
@@ -354,4 +354,34 @@ fn a_warm_spans_codec_allocates_a_fixed_count() {
     });
     // The text, the table's labels, the span list.
     assert_eq!(n, 1000 * 3, "1 000 warm revivals");
+}
+
+#[test]
+fn a_warm_gate_open_allocates_its_context_and_chain_only() {
+    // Allocations of one open, averaged over 1 000 warm ones.
+    fn per_open<T>(open: impl Fn() -> T) -> u64 {
+        drop(open());
+        allocations(|| {
+            for _ in 0..1000 {
+                drop(std::hint::black_box(open()));
+            }
+        }) / 1000
+    }
+    // A context is 3 (the entry map's node, the `type` key and its
+    // value); a guarded chain is 1 more (the filter list; the default
+    // filter is zero-sized). When every crate opened its gate through a
+    // process-wide registry, looked up by a `String` key, an open cost
+    // one more: 5 for a guarded gate, 4 for an unguarded one, and 5 for
+    // `Response::new()`.
+    let http = per_open(|| Gate::new(GateKind::Http));
+    assert!(http <= 4, "Gate::new(Http): {http}");
+    let sql = per_open(|| Gate::unguarded(GateKind::Sql));
+    assert!(sql <= 3, "Gate::unguarded(Sql): {sql}");
+    let response = per_open(Response::new);
+    assert!(response <= 4, "Response::new(): {response}");
+    // The runtime's forward opens the same gates.
+    let email = per_open(|| Runtime::global().open(GateKind::Email));
+    assert!(email <= 4, "Runtime::open(Email): {email}");
+    let file = per_open(|| Runtime::global().open(GateKind::File));
+    assert!(file <= 3, "Runtime::open(File): {file}");
 }

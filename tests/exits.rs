@@ -1,0 +1,216 @@
+//! The census of raw exits: every place the non-test source reaches the
+//! operating system past the gates — a socket, a file, a process — or
+//! steps outside safe Rust.
+//!
+//! RESIN's guarantee rests on interposing on every output channel
+//! (§3.2.1), and nothing in Rust enforces that interposition. So this
+//! test scans each crate's non-test source for the raw-exit patterns
+//! below and compares what it finds with `tests/exits.txt`, which gives
+//! one reason per entry. A new exit fails here until it is listed, so it
+//! shows up in review; an exit that goes away fails until its entry does.
+//!
+//! What counts as non-test source: every `.rs` file under `src/` and
+//! `crates/*/src/`, minus the paths the list excludes, minus each
+//! `#[cfg(test)]` module and every comment line. A line is counted once
+//! per pattern it holds; a pattern matches only as a whole token, so
+//! `#![forbid(unsafe_code)]` is not an `unsafe`.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+/// The raw-exit patterns.
+const PATTERNS: [&str; 9] = [
+    "std::net",
+    "std::fs",
+    "File::",
+    "OpenOptions",
+    "std::process",
+    "write_all",
+    "write_vectored",
+    "TcpStream",
+    "unsafe",
+];
+
+/// (file, pattern) → lines.
+type Census = BTreeMap<(String, String), usize>;
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// True if `pat` occurs in `line` with no identifier character glued to
+/// either end of it.
+fn holds(line: &str, pat: &str) -> bool {
+    line.match_indices(pat).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + pat.len()..].chars().next();
+        let open = !pat.starts_with(is_ident) || !before.is_some_and(is_ident);
+        let close = !pat.ends_with(is_ident) || !after.is_some_and(is_ident);
+        open && close
+    })
+}
+
+/// The lines of `src` outside its `#[cfg(test)]` modules and comments.
+fn non_test_lines(src: &str) -> Vec<&str> {
+    let lines: Vec<&str> = src.lines().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i];
+        let trimmed = line.trim_start();
+        if trimmed == "#[cfg(test)]" {
+            // Past any further attributes to the item the cfg covers.
+            let mut j = i + 1;
+            while j < lines.len() && lines[j].trim_start().starts_with("#[") {
+                j += 1;
+            }
+            let item = lines.get(j).map_or("", |l| l.trim());
+            let is_mod = item.starts_with("mod ") || item.starts_with("pub mod ");
+            if is_mod && item.ends_with('{') {
+                // The module ends at the first `}` at its own indent.
+                let close = format!("{}}}", &line[..line.len() - trimmed.len()]);
+                i = (j + 1..lines.len())
+                    .find(|&k| lines[k] == close)
+                    .map_or(lines.len(), |k| k + 1);
+                continue;
+            }
+        }
+        if !trimmed.starts_with("//") {
+            out.push(line);
+        }
+        i += 1;
+    }
+    out
+}
+
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Scans the workspace under `root`, skipping paths holding any of
+/// `excludes`.
+fn census(root: &Path, excludes: &[String]) -> Census {
+    let mut dirs = vec![root.join("src")];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+        dirs.push(entry.path().join("src"));
+    }
+    let mut files = Vec::new();
+    for dir in &dirs {
+        rs_files(dir, &mut files);
+    }
+    let mut out = Census::new();
+    for path in files {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap()
+            .to_string_lossy()
+            .replace('\\', "/");
+        if excludes.iter().any(|x| rel.contains(x.as_str())) {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).unwrap();
+        for line in non_test_lines(&src) {
+            for pat in PATTERNS {
+                if holds(line, pat) {
+                    *out.entry((rel.clone(), pat.to_string())).or_default() += 1;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The committed list: `exclude SUBSTR` lines, and `FILE PATTERN LINES
+/// reason…` entries.
+fn listed(text: &str) -> (Vec<String>, Census) {
+    let mut excludes = Vec::new();
+    let mut entries = Census::new();
+    for (n, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if let ["exclude", substr] = fields[..] {
+            excludes.push(substr.to_string());
+            continue;
+        }
+        let [file, pat, count, _reason, ..] = fields[..] else {
+            panic!("exits.txt:{}: want `FILE PATTERN LINES reason`", n + 1);
+        };
+        assert!(PATTERNS.contains(&pat), "exits.txt:{}: `{pat}`", n + 1);
+        let count = count.parse().expect("a line count");
+        let key = (file.to_string(), pat.to_string());
+        assert!(entries.insert(key, count).is_none(), "exits.txt:{}: twice", n + 1);
+    }
+    (excludes, entries)
+}
+
+#[test]
+fn every_raw_exit_is_listed_with_a_reason() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (excludes, want) = listed(include_str!("exits.txt"));
+    let found = census(root, &excludes);
+    let mut wrong = Vec::new();
+    for ((file, pat), &n) in &found {
+        match want.get(&(file.clone(), pat.clone())) {
+            Some(&m) if m == n => {}
+            Some(&m) => wrong.push(format!("{file} {pat}: {n} lines, listed {m}")),
+            None => wrong.push(format!("unlisted: {file} {pat} {n} <reason>")),
+        }
+    }
+    for (file, pat) in want.keys() {
+        if !found.contains_key(&(file.clone(), pat.clone())) {
+            wrong.push(format!("listed but gone: {file} {pat}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "raw exits differ from tests/exits.txt:\n{}",
+        wrong.join("\n")
+    );
+}
+
+#[test]
+fn the_census_skips_test_modules_comments_and_glued_tokens() {
+    let src = "\
+use std::fs::File;
+// a comment naming std::net is not an exit
+#![forbid(unsafe_code)]
+fn f() { let _ = unsafe { g() }; }
+#[cfg(test)]
+fn only_in_tests() { std::process::exit(1) }
+mod inner {
+    #[cfg(test)]
+    mod tests {
+        fn t() { std::net::TcpStream::connect(\"x\"); }
+    }
+    fn h(s: &mut TcpStream) { s.write_all(b\"x\"); }
+}
+#[cfg(test)]
+#[allow(unused)]
+mod tests {
+    fn t() { unsafe { g() } }
+}
+";
+    let lines = non_test_lines(src);
+    let count = |pat| lines.iter().filter(|l| holds(l, pat)).count();
+    assert_eq!(count("std::fs"), 1);
+    assert_eq!(count("std::net"), 0, "comment and test module skipped");
+    assert_eq!(count("unsafe"), 1, "`unsafe_code` is not `unsafe`");
+    assert_eq!(count("std::process"), 1, "a test-only fn is still scanned");
+    assert_eq!(count("TcpStream"), 1);
+    assert_eq!(count("write_all"), 1);
+    assert!(!holds("HashWriter<File>", "File::"));
+    assert!(holds("File::open(p)", "File::"));
+}

@@ -1,6 +1,6 @@
-//! Integration suite for the `Gate` API: builder composition, deny vs
-//! strip rules, filter-chain ordering, registry lookup, and interned
-//! labels flowing through gate boundaries.
+//! Integration suite for the `Gate` API: composition, deny vs strip
+//! rules, filter-chain ordering, each surface's default gate, and
+//! interned labels flowing through gate boundaries.
 
 use std::sync::{Arc, Mutex};
 
@@ -10,22 +10,21 @@ fn password(email: &str) -> TaintedString {
     TaintedString::with_policy("s3cret", Arc::new(PasswordPolicy::new(email)))
 }
 
-// ---- builder composition ----
+// ---- composition ----
 
 #[test]
-fn builder_composes_kind_context_rules_filters_and_sink() {
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let tee = Arc::clone(&seen);
-    let mut gate = Gate::builder(GateKind::Custom("audit"))
-        .name("audit")
-        .context("user", "alice")
-        .context("retries", 2i64)
-        .context("admin", false)
+fn gate_composes_kind_context_rules_and_filters() {
+    let mut gate = Gate::internal("audit")
         .deny::<UntrustedData>()
-        .strip::<PasswordPolicy>()
-        .filter(FnFilter::on_write(|d, _, _| Ok(d.replace_str("\r\n", " "))))
-        .sink(move |d| tee.lock().unwrap().push(d.as_str().to_string()))
-        .build();
+        .strip::<PasswordPolicy>();
+    gate.add_filter(Box::new(DefaultFilter));
+    gate.add_filter(Box::new(FnFilter::on_write(|d, _, _| {
+        Ok(d.replace_str("\r\n", " "))
+    })));
+    gate.context_mut()
+        .set("user", "alice")
+        .set("retries", 2i64)
+        .set("admin", false);
 
     assert_eq!(gate.kind(), &GateKind::Custom("audit"));
     assert_eq!(gate.name(), Some("audit"));
@@ -38,24 +37,11 @@ fn builder_composes_kind_context_rules_filters_and_sink() {
 
     gate.write_str("a\r\nb").unwrap();
     assert_eq!(gate.output_text(), "a b");
-    assert_eq!(*seen.lock().unwrap(), vec!["a b".to_string()]);
-}
-
-#[test]
-fn builder_capture_toggle_controls_buffering() {
-    let mut gate = Gate::builder(GateKind::Http).capture(false).build();
-    gate.write_str("invisible").unwrap();
-    assert!(gate.output().is_empty());
-    assert_eq!(gate.write_offset(), "invisible".len() as u64);
-
-    let mut buffered = Gate::builder(GateKind::Http).build();
-    buffered.write_str("kept").unwrap();
-    assert_eq!(buffered.output_text(), "kept");
 }
 
 #[test]
 fn unguarded_builder_has_no_default_filter() {
-    let gate = Gate::builder(GateKind::Http).unguarded().build();
+    let gate = Gate::unguarded(GateKind::Http);
     assert_eq!(gate.filter_count(), 0);
     // A password flows out unchecked: the "unmodified PHP" baseline.
     assert!(gate.export(password("u@x")).is_ok());
@@ -96,9 +82,7 @@ fn deny_and_strip_compose_on_one_gate() {
 #[test]
 fn strip_runs_before_default_filter_check() {
     // On a guarded gate, strip declassifies before export_check would fire.
-    let mut gate = Gate::builder(GateKind::Http)
-        .strip::<PasswordPolicy>()
-        .build();
+    let mut gate = Gate::new(GateKind::Http).strip::<PasswordPolicy>();
     gate.write(password("u@x")).unwrap();
     assert_eq!(gate.output_text(), "s3cret");
 }
@@ -115,18 +99,12 @@ fn deny_applies_to_any_labeled_byte() {
 
 #[test]
 fn filters_run_in_insertion_order_on_write() {
-    let gate = Gate::builder(GateKind::Custom("order"))
-        .unguarded()
-        .filter(FnFilter::on_write(|d, _, _| {
-            Ok(TaintedString::from(format!("{}1", d.as_str()).as_str()))
-        }))
-        .filter(FnFilter::on_write(|d, _, _| {
-            Ok(TaintedString::from(format!("{}2", d.as_str()).as_str()))
-        }))
-        .filter(FnFilter::on_write(|d, _, _| {
-            Ok(TaintedString::from(format!("{}3", d.as_str()).as_str()))
-        }))
-        .build();
+    let mut gate = Gate::unguarded(GateKind::Custom("order"));
+    for n in 1..=3 {
+        gate.add_filter(Box::new(FnFilter::on_write(move |d, _, _| {
+            Ok(TaintedString::from(format!("{}{n}", d.as_str()).as_str()))
+        })));
+    }
     assert_eq!(
         gate.export(TaintedString::from("x")).unwrap().as_str(),
         "x123"
@@ -135,15 +113,13 @@ fn filters_run_in_insertion_order_on_write() {
 
 #[test]
 fn filters_run_in_insertion_order_on_read() {
-    let mut gate = Gate::builder(GateKind::Socket)
-        .unguarded()
-        .filter(FnFilter::on_read(|d, _, _| {
-            Ok(TaintedString::from(format!("{}a", d.as_str()).as_str()))
-        }))
-        .filter(FnFilter::on_read(|d, _, _| {
-            Ok(TaintedString::from(format!("{}b", d.as_str()).as_str()))
-        }))
-        .build();
+    let mut gate = Gate::unguarded(GateKind::Socket);
+    gate.add_filter(Box::new(FnFilter::on_read(|d, _, _| {
+        Ok(TaintedString::from(format!("{}a", d.as_str()).as_str()))
+    })));
+    gate.add_filter(Box::new(FnFilter::on_read(|d, _, _| {
+        Ok(TaintedString::from(format!("{}b", d.as_str()).as_str()))
+    })));
     gate.feed(TaintedString::from("in"));
     assert_eq!(gate.read().unwrap().unwrap().as_str(), "inab");
 }
@@ -179,14 +155,11 @@ fn failed_write_leaves_no_output_and_offset_untouched() {
 
 #[test]
 fn call_runs_args_outbound_and_return_inbound() {
-    let gate = Gate::builder(GateKind::Custom("hash"))
-        .unguarded()
-        .strip::<PasswordPolicy>()
-        .filter(FnFilter::on_read(|mut d, _, _| {
-            d.add_policy(Arc::new(AuthenticData::new()) as PolicyRef);
-            Ok(d)
-        }))
-        .build();
+    let mut gate = Gate::unguarded(GateKind::Custom("hash")).strip::<PasswordPolicy>();
+    gate.add_filter(Box::new(FnFilter::on_read(|mut d, _, _| {
+        d.add_policy(Arc::new(AuthenticData::new()) as PolicyRef);
+        Ok(d)
+    })));
     let out = gate
         .call(vec![password("u@x")], |args| {
             assert!(!args[0].has_policy::<PasswordPolicy>(), "arg declassified");
@@ -196,11 +169,11 @@ fn call_runs_args_outbound_and_return_inbound() {
     assert!(out.has_policy::<AuthenticData>(), "return value labeled");
 }
 
-// ---- registry lookup ----
+// ---- each surface's default gate ----
 
 #[test]
 fn registry_serves_figure2_scenario_end_to_end() {
-    let rt = Runtime::new();
+    let rt = Runtime::global();
     let mut body = TaintedString::from("Your password is: ");
     body.push_tainted(&password("u@foo.com"));
 
@@ -220,7 +193,7 @@ fn registry_serves_figure2_scenario_end_to_end() {
 
 #[test]
 fn registry_defaults_guard_checking_surfaces_only() {
-    let rt = Runtime::new();
+    let rt = Runtime::global();
     for kind in [
         GateKind::Http,
         GateKind::Email,
@@ -236,24 +209,8 @@ fn registry_defaults_guard_checking_surfaces_only() {
 }
 
 #[test]
-fn registry_registration_overrides_and_customizes() {
-    let registry = GateRegistry::with_defaults();
-    registry.register(GateKind::Http, || {
-        Gate::builder(GateKind::Http)
-            .context("server", "hardened")
-            .deny::<UntrustedData>()
-            .build()
-    });
-    let rt = Runtime::with_registry(registry);
-    let mut gate = rt.open(GateKind::Http);
-    assert_eq!(gate.context().get_str("server"), Some("hardened"));
-    let evil = TaintedString::with_policy("x", Arc::new(UntrustedData::new()));
-    assert!(gate.write(evil).is_err(), "custom deny rule active");
-}
-
-#[test]
 fn registry_open_returns_fresh_gates() {
-    let rt = Runtime::new();
+    let rt = Runtime::global();
     let mut a = rt.open(GateKind::Http);
     a.write_str("state").unwrap();
     let b = rt.open(GateKind::Http);
@@ -262,11 +219,11 @@ fn registry_open_returns_fresh_gates() {
 
 #[test]
 fn unregistered_custom_surface_falls_back_guarded() {
-    let rt = Runtime::new();
-    let mut gate = rt.open_custom("unknown-surface");
+    let mut gate = Runtime::global().open(GateKind::Custom("unknown-surface"));
     assert_eq!(gate.filter_count(), 1, "fallback gets the default filter");
     assert!(gate.write(password("u@x")).is_err());
 }
+
 
 // ---- interned labels across gates ----
 
@@ -278,9 +235,8 @@ fn labels_survive_gate_transit_with_same_handle() {
     body.push_tainted(&password("u@x"));
     let label = body.label();
 
-    let mut mail = Gate::builder(GateKind::Email)
-        .context("email", "u@x")
-        .build();
+    let mut mail = Gate::new(GateKind::Email);
+    mail.context_mut().set("email", "u@x");
     mail.write(body).unwrap();
     assert_eq!(mail.output()[0].label(), label, "same handle after transit");
 }
