@@ -15,6 +15,7 @@
 //! `table_delete`) are free functions over a single locked [`Table`].
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use resin_core::sync::{rlock, wlock};
@@ -27,15 +28,22 @@ use crate::predicate::Predicate;
 use crate::value::Value;
 
 /// A table: schema, row storage, and secondary indexes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column definitions in declaration order.
     pub columns: Vec<ColumnDef>,
     /// Row-major storage.
     pub rows: Vec<Vec<Value>>,
     /// Secondary indexes (see [`crate::index`]). Kept inside the table so
-    /// transaction snapshots and rollbacks restore index state for free.
+    /// a transaction's private copy carries the indexes it maintains.
     pub(crate) indexes: Vec<Index>,
+}
+
+/// Write stamps are process-wide: no two table states share one, not even
+/// a dropped table and one re-created under its name.
+fn next_stamp() -> u64 {
+    static STAMPS: AtomicU64 = AtomicU64::new(1);
+    STAMPS.fetch_add(1, Relaxed)
 }
 
 impl Table {
@@ -104,7 +112,32 @@ pub struct QueryResult {
     pub affected: usize,
 }
 
-type TableShard = Arc<RwLock<Table>>;
+/// One table behind its lock, with its write stamp: drawn fresh for every
+/// write and whenever the table enters a catalog, so a transaction's
+/// commit can tell whether the table moved since it copied it.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    table: RwLock<Table>,
+    stamp: AtomicU64,
+}
+
+type TableShard = Arc<Shard>;
+
+fn shard(t: Table) -> TableShard {
+    Arc::new(Shard {
+        table: RwLock::new(t),
+        stamp: AtomicU64::new(next_stamp()),
+    })
+}
+
+fn no_such_table(name: &str) -> SqlError {
+    SqlError::schema(format!("no such table `{name}`"))
+}
+
+/// A write's log step, given the table the write names. The engine runs
+/// it once per write, under the lock that orders the write and before
+/// anything changes; an error aborts the write.
+pub(crate) type Log<'a> = &'a mut dyn FnMut(&str) -> Result<()>;
 
 /// The storage engine: one `RwLock` per table plus a catalog lock for
 /// schema changes.
@@ -133,9 +166,7 @@ impl Database {
         catalog: &'a BTreeMap<String, TableShard>,
         name: &str,
     ) -> Result<&'a TableShard> {
-        catalog
-            .get(name)
-            .ok_or_else(|| SqlError::schema(format!("no such table `{name}`")))
+        catalog.get(name).ok_or_else(|| no_such_table(name))
     }
 
     /// Names of all tables.
@@ -145,31 +176,69 @@ impl Database {
 
     /// A point-in-time copy of one table, if it exists.
     pub fn snapshot_table(&self, name: &str) -> Option<Table> {
-        let catalog = rlock(&self.catalog);
-        let shard = catalog.get(name)?;
-        let copy = rlock(shard).clone();
-        Some(copy)
+        self.copy_table(name).map(|(_, t)| t)
     }
 
-    /// Restores one table to a snapshot: `Some` replaces (or re-creates)
-    /// the table, `None` drops it.
-    pub fn restore_table(&self, name: &str, snapshot: Option<Table>) {
-        match snapshot {
-            Some(t) => {
-                let mut catalog = wlock(&self.catalog);
-                match catalog.get(name) {
-                    // Swap contents in place so concurrent holders of the
-                    // shard Arc observe the restored state too.
-                    Some(shard) => *wlock(shard) = t,
-                    None => {
-                        catalog.insert(name.to_string(), Arc::new(RwLock::new(t)));
-                    }
-                }
-            }
-            None => {
-                wlock(&self.catalog).remove(name);
+    /// A point-in-time copy of one table with its write stamp.
+    pub(crate) fn copy_table(&self, name: &str) -> Option<(u64, Table)> {
+        let catalog = rlock(&self.catalog);
+        let shard = catalog.get(name)?;
+        let t = rlock(&shard.table);
+        Some((shard.stamp.load(Relaxed), t.clone()))
+    }
+
+    /// A transaction's view: this database's tables, shared, into which
+    /// the transaction puts a copy of each table it writes.
+    pub(crate) fn view(&self) -> Database {
+        Database {
+            catalog: RwLock::new(rlock(&self.catalog).clone()),
+        }
+    }
+
+    /// Puts `table` under `name` in a view (`None` removes the name).
+    pub(crate) fn put_table(&self, name: &str, table: Option<Table>) {
+        let mut catalog = wlock(&self.catalog);
+        match table {
+            Some(t) => catalog.insert(name.to_string(), shard(t)),
+            None => catalog.remove(name),
+        };
+    }
+
+    /// Commits a transaction's `view` under the catalog write lock. Each
+    /// table in `copied` must still carry the stamp it had when copied
+    /// (`None`: still absent), or nothing is installed and the commit is a
+    /// [`SqlError::Conflict`]. Then `log` runs, and each view table
+    /// replaces its live one in place (so holders of the shard see it).
+    pub(crate) fn install(
+        &self,
+        view: &Database,
+        copied: &BTreeMap<String, Option<u64>>,
+        log: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let mut catalog = wlock(&self.catalog);
+        for (name, stamp) in copied {
+            if catalog.get(name).map(|live| live.stamp.load(Relaxed)) != *stamp {
+                return Err(SqlError::Conflict(format!(
+                    "table `{name}` changed since the transaction first wrote it"
+                )));
             }
         }
+        log()?;
+        let view = rlock(&view.catalog);
+        for name in copied.keys() {
+            match (view.get(name), catalog.get(name)) {
+                (Some(copy), Some(live)) => {
+                    *wlock(&live.table) = std::mem::take(&mut *wlock(&copy.table));
+                    live.stamp.store(next_stamp(), Relaxed);
+                }
+                (Some(copy), None) => {
+                    let t = std::mem::take(&mut *wlock(&copy.table));
+                    catalog.insert(name.clone(), shard(t));
+                }
+                (None, _) => drop(catalog.remove(name)),
+            }
+        }
+        Ok(())
     }
 
     /// Replaces the whole catalog (recovery, and read replicas rebuilding
@@ -179,7 +248,7 @@ impl Database {
         let mut catalog = wlock(&self.catalog);
         catalog.clear();
         for (name, t) in tables {
-            catalog.insert(name, Arc::new(RwLock::new(t)));
+            catalog.insert(name, shard(t));
         }
     }
 
@@ -192,28 +261,22 @@ impl Database {
         let catalog = rlock(&self.catalog);
         let shards: Vec<(&str, RwLockReadGuard<'_, Table>)> = catalog
             .iter()
-            .map(|(n, shard)| (n.as_str(), rlock(shard)))
+            .map(|(n, shard)| (n.as_str(), rlock(&shard.table)))
             .collect();
         f(&mut shards.iter().map(|(n, t)| (*n, &**t)))
     }
 
-    /// All column names of `table` (policy columns included).
-    pub(crate) fn columns_of(&self, table: &str) -> Result<Vec<String>> {
-        let catalog = rlock(&self.catalog);
-        let t = rlock(Self::resolve(&catalog, table)?);
-        Ok(t.columns.iter().map(|c| c.name.clone()).collect())
-    }
-
     /// Executes one parsed statement; `params[i]` is the value of the
     /// `i`-th `?` placeholder in text order.
-    ///
-    /// Row statements hold the catalog lock in *shared* mode for their
-    /// whole run (sharding comes from the per-table locks), so a schema
-    /// change — which takes the catalog lock exclusively — serializes
-    /// against in-flight row work instead of detaching a shard mid-write:
-    /// a write racing a `DROP TABLE` either lands before the drop or
-    /// reports "no such table", never a silently-lost `Ok`.
     pub fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
+        self.run(stmt, params, &mut |_| Ok(()))
+    }
+
+    /// [`execute`](Database::execute) with a [`Log`] step for a write.
+    /// `CREATE`/`DROP TABLE` log and run under the catalog write lock,
+    /// which row work holds shared ([`write_table`](Database::write_table)):
+    /// a write racing a `DROP TABLE` lands before it or finds no table.
+    pub(crate) fn run(&self, stmt: &Statement, params: &[Value], log: Log) -> Result<QueryResult> {
         let affected = |n: usize| QueryResult {
             affected: n,
             ..QueryResult::default()
@@ -226,6 +289,7 @@ impl Database {
                 primary_key,
             } => {
                 let mut catalog = wlock(&self.catalog);
+                log(name)?;
                 if catalog.contains_key(name) {
                     // Existence wins over column validation: IF NOT EXISTS
                     // on an existing table is a no-op even for an invalid
@@ -240,13 +304,13 @@ impl Database {
                 if let Some(pk) = primary_key {
                     table.create_index(&format!("pk_{name}"), pk, IndexKind::Ordered, false)?;
                 }
-                catalog.insert(name.clone(), Arc::new(RwLock::new(table)));
+                catalog.insert(name.clone(), shard(table));
                 Ok(QueryResult::default())
             }
             Statement::DropTable { name } => {
-                if wlock(&self.catalog).remove(name).is_none() {
-                    return Err(SqlError::schema(format!("no such table `{name}`")));
-                }
+                let mut catalog = wlock(&self.catalog);
+                log(name)?;
+                catalog.remove(name).ok_or_else(|| no_such_table(name))?;
                 Ok(QueryResult::default())
             }
             Statement::CreateIndex {
@@ -255,29 +319,23 @@ impl Database {
                 column,
                 kind,
                 if_not_exists,
-            } => {
-                // Index DDL mutates one table, not the catalog map, so the
-                // catalog lock stays shared — like a row statement.
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                wlock(shard).create_index(name, column, *kind, *if_not_exists)?;
-                Ok(QueryResult::default())
-            }
-            Statement::DropIndex { name, table } => {
-                let catalog = rlock(&self.catalog);
-                let shard = Self::resolve(&catalog, table)?;
-                wlock(shard).drop_index(name)?;
-                Ok(QueryResult::default())
-            }
+            } => self
+                .write_table(table, log, |t| {
+                    t.create_index(name, column, *kind, *if_not_exists)
+                })
+                .map(|_| QueryResult::default()),
+            Statement::DropIndex { name, table } => self
+                .write_table(table, log, |t| t.drop_index(name))
+                .map(|()| QueryResult::default()),
             Statement::Insert {
                 table,
                 columns,
                 rows,
-            } => {
-                let catalog = rlock(&self.catalog);
-                let mut t = wlock(Self::resolve(&catalog, table)?);
-                table_insert(&mut t, table, columns.as_deref(), rows, params).map(affected)
-            }
+            } => self
+                .write_table(table, log, |t| {
+                    table_insert(t, table, columns.as_deref(), rows, params)
+                })
+                .map(affected),
             Statement::Select(sel) => {
                 self.select_rows(sel, params, |t, rows| project(t, sel, rows))
             }
@@ -285,20 +343,41 @@ impl Database {
                 table,
                 assignments,
                 where_clause,
-            } => {
-                let catalog = rlock(&self.catalog);
-                let mut t = wlock(Self::resolve(&catalog, table)?);
-                table_update(&mut t, assignments, where_clause.as_ref(), params).map(affected)
-            }
+            } => self
+                .write_table(table, log, |t| {
+                    table_update(t, assignments, where_clause.as_ref(), params)
+                })
+                .map(affected),
             Statement::Delete {
                 table,
                 where_clause,
-            } => {
-                let catalog = rlock(&self.catalog);
-                let mut t = wlock(Self::resolve(&catalog, table)?);
-                table_delete(&mut t, where_clause.as_ref(), params).map(affected)
-            }
+            } => self
+                .write_table(table, log, |t| {
+                    table_delete(t, where_clause.as_ref(), params)
+                })
+                .map(affected),
         }
+    }
+
+    /// One write of the table `name`: under the catalog's read lock and
+    /// the table's write lock, `log` runs, then a fresh stamp, then `f`.
+    /// A missing table is logged under the catalog read lock, which orders
+    /// it against `CREATE TABLE`.
+    pub(crate) fn write_table<R>(
+        &self,
+        name: &str,
+        log: Log<'_>,
+        f: impl FnOnce(&mut Table) -> Result<R>,
+    ) -> Result<R> {
+        let catalog = rlock(&self.catalog);
+        let Some(shard) = catalog.get(name) else {
+            log(name)?;
+            return Err(no_such_table(name));
+        };
+        let mut t = wlock(&shard.table);
+        log(name)?;
+        shard.stamp.store(next_stamp(), Relaxed);
+        f(&mut t)
     }
 
     /// Runs the row-finding half of a SELECT — access path, WHERE, ORDER
@@ -314,7 +393,7 @@ impl Database {
         f: impl FnOnce(&Table, &[&Vec<Value>]) -> Result<R>,
     ) -> Result<R> {
         let catalog = rlock(&self.catalog);
-        let t = rlock(Self::resolve(&catalog, &sel.table)?);
+        let t = rlock(&Self::resolve(&catalog, &sel.table)?.table);
         let rows = matching_rows(&t, sel, params)?;
         f(&t, &rows)
     }
@@ -335,7 +414,7 @@ impl Database {
             return Ok("(not a select)".to_string());
         };
         let catalog = rlock(&self.catalog);
-        let t = rlock(Self::resolve(&catalog, &sel.table)?);
+        let t = rlock(&Self::resolve(&catalog, &sel.table)?.table);
         Ok(plan::explain_select(&t, &sel, &[]))
     }
 }
@@ -352,8 +431,7 @@ pub(crate) fn new_table(columns: &[ColumnDef]) -> Result<Table> {
     }
     Ok(Table {
         columns: columns.to_vec(),
-        rows: Vec::new(),
-        indexes: Vec::new(),
+        ..Table::default()
     })
 }
 

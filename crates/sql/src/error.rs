@@ -20,6 +20,10 @@ pub enum SqlError {
     /// The durable store failed (I/O error, corrupt snapshot, unsupported
     /// format version).
     Storage(String),
+    /// A transaction's commit found a table it wrote changed by another
+    /// writer since it copied it; nothing was installed, so the caller may
+    /// retry.
+    Conflict(String),
 }
 
 impl SqlError {
@@ -43,6 +47,7 @@ impl fmt::Display for SqlError {
             SqlError::Type(m) => write!(f, "type error: {m}"),
             SqlError::Policy(e) => write!(f, "{e}"),
             SqlError::Storage(m) => write!(f, "storage error: {m}"),
+            SqlError::Conflict(m) => write!(f, "conflict: {m}"),
         }
     }
 }

@@ -302,9 +302,15 @@ mod tests {
     /// A deep copy: statements run against it leave `db` as it was.
     fn copy_of(db: &Database) -> Database {
         let copy = Database::new();
-        for name in db.table_names() {
-            copy.restore_table(&name, db.snapshot_table(&name));
-        }
+        copy.reset_tables(
+            db.table_names()
+                .into_iter()
+                .map(|name| {
+                    let t = db.snapshot_table(&name).unwrap();
+                    (name, t)
+                })
+                .collect(),
+        );
         copy
     }
 

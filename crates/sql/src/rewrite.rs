@@ -29,12 +29,12 @@ use std::ops::Range;
 
 use resin_core::{
     deserialize_label, deserialize_spans, serialize_label, serialize_spans, Context, Filter,
-    FlowError, Gate, GateKind, Label, PolicyViolation, SqlSanitized, Tainted,
-    TaintedStrBuilder, TaintedString, Tracking, UntrustedData,
+    FlowError, Gate, GateKind, Label, PolicyViolation, SqlSanitized, Tainted, TaintedStrBuilder,
+    TaintedString, Tracking, UntrustedData,
 };
 
 use crate::ast::{ColumnDef, ColumnType, Expr, LitValue, Literal, Projection, Statement};
-use crate::engine::{column_positions, Database, QueryResult};
+use crate::engine::{column_positions, table_insert, table_update, Database, Log, QueryResult};
 use crate::error::{Result, SqlError};
 use crate::token::{lex, lex_tainted, push_quoted, sanitize_query, unquote, Tok, Token};
 use crate::value::Value;
@@ -233,17 +233,20 @@ pub(crate) fn prepare_query<'a>(
 /// The rewrite + execute back half of the pipeline, on an already
 /// guarded-and-parsed statement. `params` carries the bind-parameter
 /// values (empty for plain text queries): raw values flow to the engine,
-/// labels flow into the policy-column blobs.
+/// labels flow into the policy-column blobs. A write runs `log` under the
+/// lock that orders it (see [`Log`]); every parsed write reaches it,
+/// including one the rewrite refuses.
 pub(crate) fn run_prepared(
     backend: &Database,
     sql: &TaintedString,
     stmt: Statement,
     tracking: Tracking,
     params: &[BindValue],
+    log: Log<'_>,
 ) -> Result<TaintedResult> {
     let raw: Vec<Value> = params.iter().map(BindValue::raw).collect();
     if tracking == Tracking::Off {
-        let res = backend.execute(&stmt, &raw)?;
+        let res = backend.run(&stmt, &raw, log)?;
         return Ok(plain_result(res));
     }
     match stmt {
@@ -252,29 +255,48 @@ pub(crate) fn run_prepared(
             columns,
             if_not_exists,
             primary_key,
-        } => create_rewritten(backend, &name, columns, if_not_exists, primary_key),
+        } => create_rewritten(backend, &name, columns, if_not_exists, primary_key, log),
         Statement::Insert {
             table,
             columns,
             rows,
-        } => insert_rewritten(backend, sql, &table, columns, rows, params, &raw),
+        } => {
+            let rows = with_policy_cells(sql, rows, params);
+            let affected = backend.write_table(&table, log, |t| {
+                // No column list names the table's data columns, read
+                // under the lock that orders this insert.
+                let cols: Vec<String> = columns.unwrap_or_else(|| {
+                    t.columns
+                        .iter()
+                        .map(|c| c.name.clone())
+                        .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
+                        .collect()
+                });
+                let mut all = cols.clone();
+                all.extend(cols.iter().map(|c| format!("{POLICY_COL_PREFIX}{c}")));
+                table_insert(t, &table, Some(&all), &rows, &raw)
+            })?;
+            Ok(affected_result(affected))
+        }
         Statement::Select(sel) => select_rewritten(backend, sel, &raw),
         Statement::Update {
             table,
             assignments,
             where_clause,
-        } => update_rewritten(
-            backend,
-            sql,
-            &table,
-            assignments,
-            where_clause,
-            params,
-            &raw,
-        ),
-        Statement::CreateIndex { ref column, .. } if column.starts_with(POLICY_COL_PREFIX) => Err(
-            SqlError::schema(format!("cannot index policy column `{column}` directly")),
-        ),
+        } => {
+            let assignments = with_policy_assignments(sql, assignments, params);
+            let affected = backend.write_table(&table, log, |t| {
+                table_update(t, &assignments, where_clause.as_ref(), &raw)
+            })?;
+            Ok(affected_result(affected))
+        }
+        Statement::CreateIndex { table, column, .. } if column.starts_with(POLICY_COL_PREFIX) => {
+            // Refused by its text alone, as in `create_rewritten`.
+            log(&table)?;
+            Err(SqlError::schema(format!(
+                "cannot index policy column `{column}` directly"
+            )))
+        }
         other @ (Statement::Delete { .. }
         | Statement::DropTable { .. }
         | Statement::CreateIndex { .. }
@@ -283,7 +305,7 @@ pub(crate) fn run_prepared(
             // low overhead for exactly this reason (§7.2). Index DDL keys
             // on raw cell values only (labels stay with the stored cells),
             // so it passes through unchanged too.
-            let res = backend.execute(&other, &raw)?;
+            let res = backend.run(&other, &raw, log)?;
             Ok(plain_result(res))
         }
     }
@@ -372,8 +394,6 @@ pub struct Prepared {
     stmt: Statement,
     /// Byte spans of the `?` placeholders, in ordinal order.
     param_spans: Vec<Range<usize>>,
-    /// Cached write target (WAL/transaction decision).
-    write_target: Option<String>,
 }
 
 impl Prepared {
@@ -395,11 +415,6 @@ impl Prepared {
     /// Number of `?` placeholders.
     pub fn param_count(&self) -> usize {
         self.param_spans.len()
-    }
-
-    /// The table this statement writes, if any.
-    pub(crate) fn write_target(&self) -> Option<&str> {
-        self.write_target.as_deref()
     }
 
     /// Binds one value per placeholder, in text order.
@@ -439,12 +454,10 @@ pub(crate) fn prepare_statement(sql: &str, guard: GuardMode) -> Result<Prepared>
         .filter(|t| matches!(t.tok, Tok::Param(_)))
         .map(|t| t.span.clone())
         .collect();
-    let write_target = crate::txn::statement_write_target(&stmt).map(str::to_string);
     Ok(Prepared {
         text,
         stmt,
         param_spans,
-        write_target,
     })
 }
 
@@ -473,23 +486,19 @@ pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[BindValue]) -> Tai
 
 // ---- rewriting ----
 
-fn user_columns(backend: &Database, table: &str) -> Result<Vec<String>> {
-    Ok(backend
-        .columns_of(table)?
-        .into_iter()
-        .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
-        .collect())
-}
-
 fn create_rewritten(
     backend: &Database,
     name: &str,
     mut columns: Vec<ColumnDef>,
     if_not_exists: bool,
     primary_key: Option<String>,
+    log: Log<'_>,
 ) -> Result<TaintedResult> {
     for c in &columns {
         if c.name.starts_with(POLICY_COL_PREFIX) {
+            // Refused by its text alone, so it replays refused wherever
+            // the WAL holds it: logged without a lock.
+            log(name)?;
             return Err(SqlError::schema(format!(
                 "column name `{}` collides with the policy column prefix",
                 c.name
@@ -504,7 +513,7 @@ fn create_rewritten(
         })
         .collect();
     columns.extend(shadows);
-    let res = backend.execute(
+    let res = backend.run(
         &Statement::CreateTable {
             name: name.to_string(),
             columns,
@@ -512,79 +521,42 @@ fn create_rewritten(
             primary_key,
         },
         &[],
+        log,
     )?;
     Ok(plain_result(res))
 }
 
-fn insert_rewritten(
-    backend: &Database,
+/// `rows` with a policy-blob literal appended per value, in the order
+/// of the policy columns an insert names after its data columns.
+fn with_policy_cells(
     sql: &TaintedString,
-    table: &str,
-    columns: Option<Vec<String>>,
     rows: Vec<Vec<Expr>>,
     params: &[BindValue],
-    raw: &[Value],
-) -> Result<TaintedResult> {
-    let cols = match columns {
-        Some(c) => c,
-        None => user_columns(backend, table)?,
-    };
-    let mut new_cols = cols.clone();
-    new_cols.extend(cols.iter().map(|c| format!("{POLICY_COL_PREFIX}{c}")));
-    let mut new_rows = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut shadows = Vec::with_capacity(row.len());
-        for expr in &row {
-            shadows.push(Expr::Lit(Literal {
-                value: LitValue::Text(policy_blob_for(sql, expr, params)),
-                span: 0..0,
-            }));
-        }
-        let mut new_row = row;
-        new_row.extend(shadows);
-        new_rows.push(new_row);
-    }
-    let res = backend.execute(
-        &Statement::Insert {
-            table: table.to_string(),
-            columns: Some(new_cols),
-            rows: new_rows,
-        },
-        raw,
-    )?;
-    Ok(plain_result(res))
+) -> Vec<Vec<Expr>> {
+    rows.into_iter()
+        .map(|mut row| {
+            let blobs: Vec<Expr> = row.iter().map(|e| policy_literal(sql, e, params)).collect();
+            row.extend(blobs);
+            row
+        })
+        .collect()
 }
 
-fn update_rewritten(
-    backend: &Database,
+/// `assignments` with each column's policy column assigned its blob.
+fn with_policy_assignments(
     sql: &TaintedString,
-    table: &str,
     assignments: Vec<(String, Expr)>,
-    where_clause: Option<Expr>,
     params: &[BindValue],
-    raw: &[Value],
-) -> Result<TaintedResult> {
-    let mut new_assignments = Vec::with_capacity(assignments.len() * 2);
+) -> Vec<(String, Expr)> {
+    let mut out = Vec::with_capacity(assignments.len() * 2);
     for (col, expr) in assignments {
-        let blob = policy_blob_for(sql, &expr, params);
-        new_assignments.push((
+        out.push((
             format!("{POLICY_COL_PREFIX}{col}"),
-            Expr::Lit(Literal {
-                value: LitValue::Text(blob),
-                span: 0..0,
-            }),
+            policy_literal(sql, &expr, params),
         ));
-        new_assignments.push((col, expr));
+        out.push((col, expr));
     }
-    let res = backend.execute(
-        &Statement::Update {
-            table: table.to_string(),
-            assignments: new_assignments,
-            where_clause,
-        },
-        raw,
-    )?;
-    Ok(plain_result(res))
+    out
 }
 
 fn select_rewritten(
@@ -689,6 +661,12 @@ fn decode_literal(sql: &TaintedString, span: &Range<usize>) -> TaintedString {
     out.build()
 }
 
+/// The literal a policy column is written: [`policy_blob_for`]'s blob.
+fn policy_literal(sql: &TaintedString, expr: &Expr, params: &[BindValue]) -> Expr {
+    let value = LitValue::Text(policy_blob_for(sql, expr, params));
+    Expr::Lit(Literal { value, span: 0..0 })
+}
+
 /// The serialized policy blob for one inserted/assigned value. Literals
 /// carry their labels in the query text's byte ranges; bind parameters
 /// carry them on the [`BindValue`] itself.
@@ -721,6 +699,13 @@ fn revive_cell(data: &Value, policy: &Value) -> Result<TCell> {
     })
 }
 
+fn affected_result(affected: usize) -> TaintedResult {
+    TaintedResult {
+        affected,
+        ..TaintedResult::default()
+    }
+}
+
 fn plain_result(res: QueryResult) -> TaintedResult {
     TaintedResult {
         columns: res.columns,
@@ -739,6 +724,19 @@ fn plain_result(res: QueryResult) -> TaintedResult {
             .collect(),
         affected: res.affected,
     }
+}
+
+/// The data columns of `table`, for the tests' cloning `SELECT *`.
+#[cfg(test)]
+fn user_columns(backend: &Database, table: &str) -> Result<Vec<String>> {
+    let t = backend
+        .snapshot_table(table)
+        .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
+    Ok(t.columns
+        .into_iter()
+        .map(|c| c.name)
+        .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
+        .collect())
 }
 
 #[cfg(test)]

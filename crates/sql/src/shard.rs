@@ -11,17 +11,18 @@
 //!   (policy columns, injection guards, the sql gate);
 //! * opened on a directory ([`ResinDb::open`]) it logs every mutating
 //!   statement write-ahead into a shared [`resin_store::Store`] (one
-//!   checkpoint part per table, plus the WAL) and recovers every cell *and
-//!   every cell's policies* on reopen;
-//! * [`ResinDb::begin`] opens a [`Transaction`] with commit-time integrity
-//!   checks.
+//!   checkpoint part per table, plus the WAL), under the lock that orders
+//!   the statement, and recovers every cell *and every cell's policies* on
+//!   reopen in the order the statements executed;
+//! * [`ResinDb::begin`] opens a [`Transaction`], whose writes stay in its
+//!   own copies of the tables until a commit whose integrity checks pass
+//!   installs them.
 
 use std::borrow::Cow;
 use std::fs::File;
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock};
 
-use resin_core::sync::{mlock, rlock, wlock};
-use resin_core::TaintedString;
+use resin_core::{PolicyViolation, TaintedString};
 use resin_store::{HashWriter, Recovery, Store};
 
 use crate::durable::{
@@ -33,28 +34,19 @@ use crate::rewrite::{
     prepare_query, prepare_statement, render_bound_sql, run_prepared, BindValue, BoundStatement,
     GuardMode, Prepared, TaintedResult,
 };
-use crate::txn::{statement_write_target, Transaction};
+use crate::txn::Transaction;
 use crate::Tracking;
 
 /// What every clone of a [`ResinDb`] handle shares.
 #[derive(Debug, Default)]
 struct Shared {
     db: Database,
-    /// The checkpoint+WAL store of a durable database. Lock-free here
-    /// (`OnceLock`, set once at open): concurrent writers call straight
-    /// into the store's group-commit queue, which batches their fsyncs —
-    /// serializing appends behind an outer mutex would defeat exactly that.
+    /// The checkpoint+WAL store of a durable database, set once at open.
+    /// Writers of different tables append concurrently, and the store's
+    /// group-commit queue batches their fsyncs.
     store: OnceLock<Store>,
-    /// Checkpoint exclusion: writers hold it shared across their WAL
-    /// append → execute window, [`ResinDb::checkpoint`] holds it
-    /// exclusively — so a snapshot can never land between a statement's
-    /// log record and its effect on the tables.
-    ckpt: RwLock<()>,
-    /// Open transactions that have written. Their table changes are live
-    /// but their WAL records are buffered until commit, so a checkpoint
-    /// waits for this to reach zero (`txn_done` signals each finish).
-    txn_writers: Mutex<usize>,
-    txn_done: Condvar,
+    /// Set on the view an integrity check reads: its writes are refused.
+    read_only: bool,
 }
 
 /// A database wrapped by the RESIN SQL filter: clone a handle per worker
@@ -66,8 +58,9 @@ struct Shared {
 ///
 /// By default the database is in-memory only. [`ResinDb::open`] attaches
 /// a durable [`resin_store::Store`] underneath: every mutating statement
-/// is logged (post-guard, with its byte-range policies) before it
-/// executes, [`checkpoint`](ResinDb::checkpoint) folds the WAL into fresh
+/// is logged (post-guard, with its byte-range policies) under the lock
+/// that orders it, before it executes,
+/// [`checkpoint`](ResinDb::checkpoint) folds the WAL into fresh
 /// images of the tables written since, and reopening the same directory —
 /// even after a crash
 /// that tore the WAL tail mid-record — recovers every cell *and every
@@ -167,11 +160,22 @@ impl ResinDb {
     pub(crate) fn replay(&self, sql: &TaintedString) -> Result<()> {
         let tokens = crate::token::lex(sql.as_str())?;
         let stmt = crate::parser::parse(&tokens)?;
-        if let (Some(store), Some(target)) = (self.store(), statement_write_target(&stmt)) {
-            store.mark_dirty(&table_part_name(target));
-        }
-        run_prepared(&self.shared.db, sql, stmt, self.tracking, &[])?;
+        let mut log = |name: &str| {
+            self.mark_tables_dirty([name]);
+            Ok(())
+        };
+        run_prepared(&self.shared.db, sql, stmt, self.tracking, &[], &mut log)?;
         Ok(())
+    }
+
+    /// Marks tables as written since the last checkpoint (every logged
+    /// write, replayed write and commit does).
+    pub(crate) fn mark_tables_dirty<'a>(&self, names: impl IntoIterator<Item = &'a str>) {
+        if let Some(store) = self.store() {
+            for name in names {
+                store.mark_dirty(&table_part_name(name));
+            }
+        }
     }
 
     /// The durable store under this database, `None` when in memory or
@@ -186,47 +190,21 @@ impl ResinDb {
     /// carries the others over by reference, and writes nothing at all
     /// when no table was written and none created or dropped.
     ///
-    /// The checkpoint is statement-consistent: the checkpoint-exclusion
-    /// lock keeps it out of every writer's WAL-append → execute window
-    /// (a logged statement is never dropped unexecuted by the WAL
-    /// truncation), and it waits for open *writing* transactions to
-    /// finish (their table changes are live while their WAL records are
-    /// buffered until commit — snapshotting mid-transaction would
-    /// resurrect rollbacks or double-apply commits on recovery). The
-    /// image is encoded under every table's read lock simultaneously, so
-    /// it is point-in-time consistent across tables.
+    /// The image is encoded under the catalog's read lock and every
+    /// table's read lock at once, so it is consistent across tables. It
+    /// needs no lock of its own: every logged write holds a lock the
+    /// checkpoint also takes, from before its WAL append until its effect
+    /// has landed (its table's write lock; the catalog's for `CREATE`/`DROP
+    /// TABLE` and a transaction's commit). So every record the checkpoint
+    /// truncates is in the image, and no record it keeps is. A write to a
+    /// missing table changes nothing, and an open transaction changes only
+    /// its own copies.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(store) = self.store() else {
             return Ok(());
         };
-        // Wait for writing transactions *without* holding the ckpt write
-        // lock: their owner thread may need the read lock (a plain
-        // durable write) before it can commit, so parking on the condvar
-        // with the write lock held would deadlock the database. New
-        // registrations take the read lock, so once the count reads zero
-        // *under* the write lock, no transaction can slip in.
-        let mut excl = wlock(&self.shared.ckpt);
-        loop {
-            if *mlock(&self.shared.txn_writers) == 0 {
-                break;
-            }
-            drop(excl);
-            {
-                let mut open = mlock(&self.shared.txn_writers);
-                while *open > 0 {
-                    open = self
-                        .shared
-                        .txn_done
-                        .wait(open)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
-            excl = wlock(&self.shared.ckpt);
-        }
-        let _excl = excl;
         // Encoded straight from the table read guards — no whole-catalog
-        // deep copy. Durable writers are already excluded by the ckpt
-        // lock, and readers take the same shared locks.
+        // deep copy.
         self.shared.db.with_all_tables(|tables| {
             store.checkpoint_parts(tables.map(|(name, t)| {
                 (table_part_name(name), move |out: &mut HashWriter<File>| {
@@ -234,16 +212,6 @@ impl ResinDb {
                 })
             }))
         })
-    }
-
-    /// Marks tables as written since the last checkpoint (transactions
-    /// call this at commit, when their buffered WAL record lands).
-    pub(crate) fn mark_tables_dirty<'a>(&self, names: impl IntoIterator<Item = &'a str>) {
-        if let Some(store) = self.store() {
-            for name in names {
-                store.mark_dirty(&table_part_name(name));
-            }
-        }
     }
 
     /// Whether WAL appends fsync before returning (default `true`;
@@ -260,51 +228,44 @@ impl ResinDb {
         self.store().map_or(0, |store| store.stats().syncs)
     }
 
-    /// Appends statements to the WAL as one atomic record (a transaction
-    /// commits its buffer this way: a crash mid-commit persists the whole
-    /// transaction or none of it, never a prefix). An empty batch writes
-    /// nothing.
-    pub(crate) fn wal_log_batch(&self, stmts: &[TaintedString]) -> Result<()> {
-        if let (Some(store), false) = (self.store(), stmts.is_empty()) {
-            store.append(&encode_wal_batch(stmts))?;
+    /// Refuses a write on the read-only view an integrity check gets.
+    pub(crate) fn writable(&self) -> Result<()> {
+        if self.shared.read_only {
+            return Err(PolicyViolation::new("IntegrityCheck", "a check may not write").into());
         }
         Ok(())
     }
 
-    /// Opens the checkpoint-exclusion window of a durable write to
-    /// `target` and logs `sql` inside it: a checkpoint must never truncate
-    /// this statement's WAL record before its effect is in the tables it
-    /// snapshots, and the checkpoint that would truncate it also sees its
-    /// table as dirty. `None` (nothing logged) for reads and in-memory
-    /// databases.
-    fn log_write<'s>(
-        &self,
-        target: Option<&str>,
-        sql: impl FnOnce() -> Cow<'s, TaintedString>,
-    ) -> Result<Option<RwLockReadGuard<'_, ()>>> {
-        let (Some(store), Some(target)) = (self.store(), target) else {
-            return Ok(None);
-        };
-        let no_ckpt = rlock(&self.shared.ckpt);
-        store.append(&encode_wal_batch(std::slice::from_ref(&*sql())))?;
-        store.mark_dirty(&table_part_name(target));
-        Ok(Some(no_ckpt))
+    /// The [`Log`](crate::engine::Log) step of an autocommit write: on a
+    /// durable database, append `sql` to the WAL and mark the table dirty.
+    fn log_step<'s>(
+        &'s self,
+        sql: impl Fn() -> Cow<'s, TaintedString> + 's,
+    ) -> impl FnMut(&str) -> Result<()> + 's {
+        move |name| {
+            self.writable()?;
+            if let Some(store) = self.store() {
+                store.append(&encode_wal_batch(std::slice::from_ref(&*sql())))?;
+            }
+            self.mark_tables_dirty([name]);
+            Ok(())
+        }
     }
 
-    /// Counts a transaction's first durable write into `txn_writers`, so
-    /// checkpoints wait the transaction out: a snapshot taken
-    /// mid-transaction would see live table changes whose WAL records are
-    /// still buffered. Blocks out a running checkpoint first.
-    pub(crate) fn register_txn_writer(&self) {
-        let _gate = rlock(&self.shared.ckpt);
-        *mlock(&self.shared.txn_writers) += 1;
-    }
-
-    /// Undoes [`register_txn_writer`](Self::register_txn_writer) when the
-    /// transaction finishes, waking a waiting checkpoint.
-    pub(crate) fn unregister_txn_writer(&self) {
-        *mlock(&self.shared.txn_writers) -= 1;
-        self.shared.txn_done.notify_all();
+    /// A transaction's view of this database (see [`Database::view`]),
+    /// read-only through the handle: the transaction writes its copies
+    /// into [`raw`](ResinDb::raw), and its checks read them here.
+    pub(crate) fn view(&self) -> ResinDb {
+        let db = self.shared.db.view();
+        let shared = Arc::new(Shared {
+            db,
+            read_only: true,
+            ..Shared::default()
+        });
+        ResinDb {
+            shared,
+            ..self.clone()
+        }
     }
 
     /// Sets the injection guard **for this handle** (other clones keep
@@ -331,23 +292,18 @@ impl ResinDb {
     /// Executes a (possibly tainted) query through the RESIN SQL filter.
     ///
     /// Any number of workers may query concurrently. On a durable database
-    /// mutating statements hit the WAL (write-ahead) between the guard and
-    /// execution — the `prepare_query`/`run_prepared` seam — so what is
-    /// logged is exactly what executes. Concurrent appends group-commit
-    /// (the store batches them under shared fsyncs, in the order it
-    /// sequences them), and recovery replays in WAL order. Two *racing*
-    /// writers to the same table may therefore recover in the other
-    /// interleaving than the one that executed — every statement is
-    /// preserved, but non-commuting racing writes (two UPDATEs of one row)
-    /// can recover to the other winner. Racing writers partitioned by
-    /// table — the discipline the lock sharding already rewards — recover
-    /// exactly. A statement that fails *execution* after logging stays in
-    /// the WAL as a no-op (replay fails identically and is skipped) until
-    /// the next checkpoint truncates it.
+    /// a mutating statement is logged write-ahead, post-guard, under the
+    /// lock that orders it (its table's write lock; the catalog's for
+    /// `CREATE`/`DROP TABLE`), so the WAL holds each table's writes in the
+    /// order they ran. The fsync happens under that lock too: writers of
+    /// different tables share fsyncs, writers of one table take turns. A
+    /// statement that fails *execution* after logging stays in the WAL as
+    /// a no-op (replay fails identically and is skipped) until the next
+    /// checkpoint truncates it.
     pub fn query(&self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt) = prepare_query(sql, self.guard)?;
-        let _no_ckpt = self.log_write(statement_write_target(&stmt), || Cow::Borrowed(&*sql))?;
-        run_prepared(&self.shared.db, &sql, stmt, self.tracking, &[])
+        let mut log = self.log_step(|| Cow::Borrowed(&*sql));
+        run_prepared(&self.shared.db, &sql, stmt, self.tracking, &[], &mut log)
     }
 
     /// Executes an untainted query string.
@@ -368,19 +324,18 @@ impl ResinDb {
     /// injection-proof by construction. On a durable database a mutating
     /// statement is WAL-logged as rendered SQL (values spliced back as
     /// escaped, label-carrying literals) so recovery replays it byte- and
-    /// policy-identically, under the same checkpoint-exclusion window as
-    /// [`query`](ResinDb::query).
+    /// policy-identically, under the same lock as
+    /// [`query`](ResinDb::query) logs under.
     pub fn run(&self, bound: &BoundStatement<'_>) -> Result<TaintedResult> {
         let p = bound.prepared;
-        let _no_ckpt = self.log_write(p.write_target(), || {
-            Cow::Owned(render_bound_sql(p, &bound.values))
-        })?;
+        let mut log = self.log_step(|| Cow::Owned(render_bound_sql(p, &bound.values)));
         run_prepared(
             &self.shared.db,
             p.text_tainted(),
             p.statement().clone(),
             self.tracking,
             &bound.values,
+            &mut log,
         )
     }
 
@@ -395,8 +350,8 @@ impl ResinDb {
         self.run(&bound)
     }
 
-    /// Opens a transaction. No data is copied here — tables are
-    /// snapshotted lazily, on their first write.
+    /// Opens a transaction. No data is copied here — a table is copied
+    /// lazily, on the transaction's first write to it.
     pub fn begin<'c>(&self) -> Transaction<'c> {
         Transaction::new(self.clone())
     }
@@ -405,7 +360,11 @@ impl ResinDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::{PolicyViolation, UntrustedData};
+    use crate::error::SqlError;
+    use crate::value::Value;
+    use resin_core::UntrustedData;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn posts_db() -> ResinDb {
         let db = ResinDb::new();
@@ -521,10 +480,19 @@ mod tests {
             .unwrap();
         let mut txn = db.begin();
         txn.query_str("DROP TABLE posts").unwrap();
-        assert!(db.query_str("SELECT COUNT(*) FROM posts").is_err());
+        assert!(
+            db.query_str("SELECT COUNT(*) FROM posts").is_ok(),
+            "the live handle still sees the table"
+        );
+        assert!(
+            txn.query_str("SELECT COUNT(*) FROM posts").is_err(),
+            "the transaction does not"
+        );
         txn.rollback();
-        let r = db.query_str("SELECT body FROM posts").unwrap();
-        assert_eq!(r.rows.len(), 1);
+        for handle in [&db, &db.clone()] {
+            let r = handle.query_str("SELECT body FROM posts").unwrap();
+            assert_eq!(r.rows.len(), 1);
+        }
     }
 
     #[test]
@@ -553,69 +521,6 @@ mod tests {
             std::env::temp_dir().join(format!("resin-shard-test-{}-{tag}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn checkpoint_waits_for_writing_transactions() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let dir = disk_dir("ckpt-txn");
-        {
-            let db = ResinDb::open(&dir).unwrap();
-            db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
-            let mut txn = db.begin();
-            txn.query_str("INSERT INTO t VALUES (1)").unwrap();
-
-            let done = Arc::new(AtomicBool::new(false));
-            let (db2, done2) = (db.clone(), done.clone());
-            let h = std::thread::spawn(move || {
-                db2.checkpoint().unwrap();
-                done2.store(true, Ordering::SeqCst);
-            });
-            // Give the checkpoint ample time to (wrongly) complete: it
-            // must instead be parked on the open writing transaction,
-            // whose table change is live but whose WAL record is not.
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            assert!(
-                !done.load(Ordering::SeqCst),
-                "checkpoint must wait for the writing transaction"
-            );
-            txn.rollback();
-            h.join().unwrap();
-            assert!(done.load(Ordering::SeqCst));
-        }
-        // The rolled-back row must not be resurrected by recovery.
-        let db = ResinDb::open(&dir).unwrap();
-        let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.rows[0][0].as_int().unwrap().value(), &0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_does_not_deadlock_mixed_txn_and_plain_writes() {
-        // A checkpoint parked on an open writing transaction must not
-        // hold the ckpt write lock while waiting: the transaction's own
-        // thread may need the read lock (a plain durable write) before
-        // it can ever commit.
-        let dir = disk_dir("ckpt-deadlock");
-        {
-            let db = ResinDb::open(&dir).unwrap();
-            db.set_wal_sync(false);
-            db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
-            let mut txn = db.begin();
-            txn.query_str("INSERT INTO t VALUES (1)").unwrap();
-            let db2 = db.clone();
-            let h = std::thread::spawn(move || db2.checkpoint().unwrap());
-            // Let the checkpoint reach its wait on the open transaction.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            // Pre-fix this deadlocked against the parked checkpoint.
-            db.query_str("INSERT INTO t VALUES (2)").unwrap();
-            txn.commit().unwrap();
-            h.join().unwrap();
-        }
-        let db = ResinDb::open(&dir).unwrap();
-        let r = db.query_str("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.rows[0][0].as_int().unwrap().value(), &2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -877,6 +782,267 @@ mod tests {
         txn.query_str("INSERT INTO t VALUES (2)").unwrap();
         txn.rollback();
         assert_eq!(stats(&db).dirty_parts, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every table as the engine stores it (policy columns included).
+    fn tables(db: &ResinDb) -> BTreeMap<String, Vec<Vec<Value>>> {
+        db.raw()
+            .table_names()
+            .into_iter()
+            .map(|name| {
+                let rows = db.raw().snapshot_table(&name).unwrap().rows;
+                (name, rows)
+            })
+            .collect()
+    }
+
+    fn ints(db: &ResinDb, sql: &str) -> Vec<i64> {
+        let r = db.query_str(sql).unwrap();
+        r.rows
+            .iter()
+            .map(|row| *row[0].as_int().unwrap().value())
+            .collect()
+    }
+
+    /// Threads that keep the CPUs busy until dropped: crowding writers
+    /// off their CPUs mid-statement is what shows a WAL order that
+    /// differs from the order the writes executed in.
+    struct Spinners(Arc<AtomicBool>, Vec<std::thread::JoinHandle<()>>);
+
+    impl Spinners {
+        fn start(n: usize) -> Self {
+            let stop = Arc::new(AtomicBool::new(false));
+            let threads = (0..n)
+                .map(|_| {
+                    let stop = stop.clone();
+                    std::thread::spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            std::hint::spin_loop();
+                        }
+                    })
+                })
+                .collect();
+            Spinners(stop, threads)
+        }
+    }
+
+    impl Drop for Spinners {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+            for t in self.1.drain(..) {
+                let _ = t.join();
+            }
+        }
+    }
+
+    #[test]
+    fn racing_same_row_updates_recover_and_ship_as_they_executed() {
+        // Two writers race an UPDATE of each of 200 rows, fsync on. The
+        // WAL must hold each row's two updates in the order they ran, so
+        // the reopened store and a follower both end with the value the
+        // live table holds.
+        let _spin = Spinners::start(3);
+        for trial in 0..5 {
+            let base = disk_dir("race");
+            let (primary, replica) = (base.join("primary"), base.join("replica"));
+            let live = {
+                let db = ResinDb::open(&primary).unwrap();
+                db.query_str("CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
+                    .unwrap();
+                let rows: Vec<String> = (0..200).map(|i| format!("({i}, '')")).collect();
+                db.query_str(&format!("INSERT INTO kv VALUES {}", rows.join(", ")))
+                    .unwrap();
+                std::thread::scope(|s| {
+                    for tag in ["a", "b"] {
+                        let db = db.clone();
+                        s.spawn(move || {
+                            for i in 0..200 {
+                                db.query_str(&format!(
+                                    "UPDATE kv SET v = '{tag}{i}' WHERE id = {i}"
+                                ))
+                                .unwrap();
+                            }
+                        });
+                    }
+                });
+                tables(&db)
+            };
+            assert_eq!(
+                tables(&ResinDb::open(&primary).unwrap()),
+                live,
+                "trial {trial}: reopened"
+            );
+            resin_store::ship(&primary, &replica).unwrap();
+            let follower = crate::Follower::open(&replica).unwrap();
+            assert_eq!(tables(follower.db()), live, "trial {trial}: follower");
+            std::fs::remove_dir_all(&base).unwrap();
+        }
+    }
+
+    #[test]
+    fn another_handle_never_reads_a_write_whose_check_fails() {
+        let db = posts_db();
+        db.query_str("INSERT INTO posts VALUES (1, 'kept')")
+            .unwrap();
+        let other = db.clone();
+        let mut txn = db.begin();
+        txn.add_check(Box::new(|db| match ints(db, "SELECT id FROM posts")[..] {
+            [id] if id <= 100 => Ok(()),
+            _ => Err(PolicyViolation::new("IdRange", "id above 100")),
+        }));
+        txn.query_str("UPDATE posts SET id = 999 WHERE id = 1")
+            .unwrap();
+        assert_eq!(ints(&other, "SELECT id FROM posts"), vec![1]);
+        let r = txn.query_str("SELECT id FROM posts").unwrap();
+        assert_eq!(
+            r.rows[0][0].as_int().unwrap().value(),
+            &999,
+            "reads its own write"
+        );
+        assert!(txn.commit().unwrap_err().is_violation());
+        assert_eq!(ints(&other, "SELECT id FROM posts"), vec![1]);
+    }
+
+    #[test]
+    fn a_rollback_keeps_another_handles_acknowledged_insert() {
+        let dir = disk_dir("rollback-keeps");
+        {
+            let db = ResinDb::open(&dir).unwrap();
+            db.set_wal_sync(false);
+            db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
+            db.query_str("INSERT INTO t VALUES (1)").unwrap();
+            let mut txn = db.begin();
+            txn.query_str("INSERT INTO t VALUES (2)").unwrap();
+            db.clone().query_str("INSERT INTO t VALUES (3)").unwrap();
+            txn.rollback();
+            assert_eq!(ints(&db, "SELECT a FROM t ORDER BY a"), vec![1, 3]);
+        }
+        let db = ResinDb::open(&dir).unwrap();
+        assert_eq!(ints(&db, "SELECT a FROM t ORDER BY a"), vec![1, 3]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_conflicting_commit_is_refused_and_the_live_table_equals_reopen() {
+        let dir = disk_dir("conflict");
+        let live = {
+            let db = ResinDb::open(&dir).unwrap();
+            db.set_wal_sync(false);
+            db.query_str("CREATE TABLE t (a INTEGER)").unwrap();
+            let mut txn = db.begin();
+            txn.query_str("INSERT INTO t VALUES (1)").unwrap();
+            // A checkpoint does not wait for the open transaction, whose
+            // write is in its own copy.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let db2 = db.clone();
+            let h = std::thread::spawn(move || tx.send(db2.checkpoint()).unwrap());
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+                .expect("checkpoint waited for an open transaction")
+                .unwrap();
+            // Joined, so its handle on the store is gone before the reopen.
+            h.join().unwrap();
+            db.query_str("INSERT INTO t VALUES (2)").unwrap();
+            let err = txn.commit().unwrap_err();
+            assert!(matches!(err, SqlError::Conflict(_)), "{err}");
+            assert_eq!(ints(&db, "SELECT a FROM t"), vec![2]);
+            tables(&db)
+        };
+        assert_eq!(tables(&ResinDb::open(&dir).unwrap()), live);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_write_inside_a_check_is_refused() {
+        let db = posts_db();
+        let mut txn = db.begin();
+        txn.add_check(Box::new(|db| {
+            let insert = db.query_str("INSERT INTO sessions VALUES ('s1', 'eve')");
+            let mut nested = db.begin();
+            nested
+                .query_str("INSERT INTO sessions VALUES ('s2', 'eve')")
+                .map_err(|e| PolicyViolation::new("ReadOnly", e.to_string()))?;
+            match (insert, nested.commit()) {
+                (Err(a), Err(b)) if a.is_violation() && b.is_violation() => Ok(()),
+                other => Err(PolicyViolation::new("ReadOnly", format!("{other:?}"))),
+            }
+        }));
+        txn.query_str("INSERT INTO posts VALUES (1, 'x')").unwrap();
+        txn.commit().unwrap();
+        assert_eq!(ints(&db, "SELECT COUNT(*) FROM sessions"), vec![0]);
+        assert_eq!(ints(&db, "SELECT COUNT(*) FROM posts"), vec![1]);
+    }
+
+    /// Counts a writer thread out when it ends, panicking or not, so the
+    /// checkpointing thread that waits for the count to reach zero stops.
+    struct Writing<'a>(&'a AtomicUsize);
+
+    impl Drop for Writing<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn checkpoints_racing_writers_and_transactions_reopen_to_the_live_state() {
+        // Autocommit writers on `a` and `b`, transactions committing and
+        // rolling back on `c`, and a checkpoint in a loop. No write holds
+        // a checkpoint lock and no checkpoint waits for a transaction. An
+        // autocommit insert into `c` acknowledged while a transaction is
+        // open there survives that transaction's rollback.
+        let dir = disk_dir("ckpt-race");
+        let live = {
+            let db = ResinDb::open(&dir).unwrap();
+            db.set_wal_sync(false);
+            for t in ["a", "b", "c"] {
+                db.query_str(&format!("CREATE TABLE {t} (k TEXT)")).unwrap();
+            }
+            let writing = &AtomicUsize::new(3);
+            std::thread::scope(|s| {
+                for t in ["a", "b"] {
+                    let db = db.clone();
+                    s.spawn(move || {
+                        let _writing = Writing(writing);
+                        for i in 0..200 {
+                            db.query_str(&format!("INSERT INTO {t} VALUES ('{t}{i}')"))
+                                .unwrap();
+                            assert_eq!(
+                                ints(&db, "SELECT COUNT(*) FROM c WHERE k = 'rolled back'"),
+                                vec![0],
+                                "a rolled-back write is never visible"
+                            );
+                        }
+                    });
+                }
+                let txns = db.clone();
+                s.spawn(move || {
+                    let _writing = Writing(writing);
+                    for i in 0..200 {
+                        let mut txn = txns.begin();
+                        if i % 2 == 0 {
+                            txn.query_str(&format!("INSERT INTO c VALUES ('c{i}')"))
+                                .unwrap();
+                            txn.commit().unwrap();
+                        } else {
+                            txn.query_str("INSERT INTO c VALUES ('rolled back')")
+                                .unwrap();
+                            txns.query_str(&format!("INSERT INTO c VALUES ('kept{i}')"))
+                                .unwrap();
+                            txn.rollback();
+                        }
+                    }
+                });
+                let ckpt = db.clone();
+                s.spawn(move || {
+                    while writing.load(Ordering::SeqCst) > 0 {
+                        ckpt.checkpoint().unwrap();
+                    }
+                });
+            });
+            assert_eq!(ints(&db, "SELECT COUNT(*) FROM c"), vec![200]);
+            tables(&db)
+        };
+        assert_eq!(tables(&ResinDb::open(&dir).unwrap()), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

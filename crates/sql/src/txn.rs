@@ -3,38 +3,37 @@
 //! The paper's planned approach to data *integrity* invariants: "using
 //! transactions to buffer database or file system changes, and checking a
 //! programmer-specified assertion before committing them." A
-//! [`Transaction`] buffers changes, applies queries, and runs the
-//! programmer's integrity checks at commit; if any check fails, every
-//! buffered change is rolled back.
+//! [`Transaction`] does exactly that: its writes go to private copies of
+//! the tables it writes, its integrity checks read those copies, and only
+//! a commit whose checks all pass installs them.
 //!
-//! Snapshots are **lazy and per table**: a table is copied only when the
+//! Copies are **lazy and per table**: a table is copied only when the
 //! transaction first writes it, so touching one small table never clones
 //! the large cold ones next to it. The write target of each statement is
 //! read off the *prepared* statement — the parse produced after any guard
 //! rewriting (`prepare_query`), i.e. exactly what executes — so every
-//! executed write is covered and no statement is parsed twice.
+//! executed write lands in a copy and no statement is parsed twice.
 
 use std::collections::BTreeMap;
 
 use resin_core::{PolicyViolation, TaintedString};
 
 use crate::ast::Statement;
-use crate::engine::Table;
-use crate::error::{Result, SqlError};
+use crate::durable::encode_wal_batch;
+use crate::error::Result;
 use crate::rewrite::{prepare_query, run_prepared, TaintedResult};
 use crate::shard::ResinDb;
 
 /// A programmer-specified integrity assertion, checked at commit time
-/// against the post-transaction database state.
-///
-/// Checks must be read-only: a write performed inside a check bypasses the
-/// transaction's snapshot tracking and is not rolled back.
+/// against the post-transaction state: a read-only [`ResinDb`] over the
+/// transaction's own copies and the live tables it did not write. A write
+/// inside a check is refused.
 pub type IntegrityCheck<'c> =
     Box<dyn Fn(&ResinDb) -> std::result::Result<(), PolicyViolation> + Send + 'c>;
 
 /// The table a prepared statement writes (`None` for reads). Total over
 /// [`Statement`], so every statement that can execute has its write
-/// coverage known before it runs.
+/// target known before it runs.
 pub(crate) fn statement_write_target(stmt: &Statement) -> Option<&str> {
     match stmt {
         Statement::Select(_) => None,
@@ -49,23 +48,16 @@ pub(crate) fn statement_write_target(stmt: &Statement) -> Option<&str> {
 
 /// An open transaction on a [`ResinDb`], from [`ResinDb::begin`].
 ///
-/// A table is snapshotted only when the transaction first writes it;
-/// queries against other tables — from this transaction or from other
-/// threads — never pay for a clone. Rollback restores exactly the touched
-/// tables. Dropping an uncommitted transaction rolls it back.
+/// From its first write on, the transaction runs on a view: the live
+/// tables, shared, with a private copy of each table it has written. It
+/// reads its own writes, and no other handle sees them before commit. The
+/// view's set of tables is the one at the first write.
 ///
-/// Isolation is *per table*: concurrent writers to a table this
-/// transaction later rolls back will lose their writes to the restore
-/// (last-writer-wins). Partition writes by table — the same discipline the
-/// lock sharding already rewards.
-///
-/// The same discipline governs **durability**: a transaction's statements
-/// reach the WAL only at commit (as one atomic record), while its table
-/// changes are live immediately — so a non-transactional write that lands
-/// on a transaction-touched table between its write and its commit is
-/// logged *before* the transaction's record, and crash recovery replays
-/// them in that (WAL) order, not execution order. Writes partitioned by
-/// table recover exactly; interleaved same-table mixes may not.
+/// [`commit`](Transaction::commit) runs the integrity checks on the view,
+/// then installs the copies, unless another writer changed one of those
+/// tables since it was copied
+/// ([`SqlError::Conflict`](crate::SqlError::Conflict)). A rollback, or a
+/// drop, discards the view: the live tables never held its writes.
 ///
 /// # Examples
 ///
@@ -88,24 +80,23 @@ pub(crate) fn statement_write_target(stmt: &Statement) -> Option<&str> {
 ///     }
 /// }));
 /// txn.query_str("UPDATE grades SET score = 250 WHERE student = 'ada'").unwrap();
+/// let r = db.query_str("SELECT score FROM grades").unwrap();
+/// assert_eq!(r.rows[0][0].as_int().unwrap().value(), &91); // not yet visible
 /// assert!(txn.commit().is_err());                  // invariant fails...
 /// let r = db.query_str("SELECT score FROM grades").unwrap();
-/// assert_eq!(r.rows[0][0].as_int().unwrap().value(), &91); // ...rolled back
+/// assert_eq!(r.rows[0][0].as_int().unwrap().value(), &91); // ...never installed
 /// ```
 pub struct Transaction<'c> {
     db: ResinDb,
-    /// name → state at first write (`None` = did not exist, so rollback
-    /// removes it).
-    snapshots: BTreeMap<String, Option<Table>>,
+    /// The view every statement runs on from the first write on.
+    view: Option<ResinDb>,
+    /// name → the live table's write stamp when the transaction copied it
+    /// (`None`: it did not exist).
+    copied: BTreeMap<String, Option<u64>>,
     checks: Vec<IntegrityCheck<'c>>,
     wal: Vec<TaintedString>,
-    /// Counted among the database's writing transactions (set on the
-    /// first durable write, cleared on drop) so checkpoints wait this
-    /// transaction out.
-    registered: bool,
-    finished: bool,
-    /// Keeps labels interned during the transaction (snapshot scratch,
-    /// query results) safe from a concurrent label-table sweep.
+    /// Keeps labels interned during the transaction (copies, query
+    /// results) safe from a concurrent label-table sweep.
     _epoch_pin: resin_core::EpochPin<'static>,
 }
 
@@ -113,11 +104,10 @@ impl<'c> Transaction<'c> {
     pub(crate) fn new(db: ResinDb) -> Self {
         Transaction {
             db,
-            snapshots: BTreeMap::new(),
+            view: None,
+            copied: BTreeMap::new(),
             checks: Vec::new(),
             wal: Vec::new(),
-            registered: false,
-            finished: false,
             _epoch_pin: resin_core::LabelTable::global().pin(),
         }
     }
@@ -127,10 +117,10 @@ impl<'c> Transaction<'c> {
         self.checks.push(check);
     }
 
-    /// Table names snapshotted so far (sorted). Untouched tables never
-    /// appear here — that is the copy-on-write guarantee.
+    /// Table names copied so far (sorted). Untouched tables never appear
+    /// here — that is the copy-on-write guarantee.
     pub fn snapshotted_tables(&self) -> Vec<&str> {
-        self.snapshots.keys().map(String::as_str).collect()
+        self.copied.keys().map(String::as_str).collect()
     }
 
     /// Executes a query inside the transaction (all RESIN rewriting and
@@ -138,23 +128,21 @@ impl<'c> Transaction<'c> {
     ///
     /// The write target comes from the statement as prepared — parsed
     /// *after* any guard rewriting, i.e. exactly what executes — so a
-    /// query only ever snapshots the one table it writes.
+    /// query only ever copies the one table it writes.
     pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt) = prepare_query(sql, self.db.guard())?;
-        let target = statement_write_target(&stmt);
-        let durable_write = target.is_some() && self.db.store().is_some();
-        if durable_write && !self.registered {
-            self.db.register_txn_writer();
-            self.registered = true;
-        }
-        if let Some(name) = target {
-            if !self.snapshots.contains_key(name) {
-                let snap = self.db.raw().snapshot_table(name);
-                self.snapshots.insert(name.to_string(), snap);
+        let writes = statement_write_target(&stmt).is_some();
+        if let Some(name) = statement_write_target(&stmt) {
+            let view = self.view.get_or_insert_with(|| self.db.view());
+            if !self.copied.contains_key(name) {
+                let (stamp, copy) = self.db.raw().copy_table(name).unzip();
+                self.copied.insert(name.to_string(), stamp);
+                view.raw().put_table(name, copy);
             }
         }
-        let res = run_prepared(self.db.raw(), &sql, stmt, self.db.tracking(), &[])?;
-        if durable_write {
+        let db = self.view.as_ref().unwrap_or(&self.db);
+        let res = run_prepared(db.raw(), &sql, stmt, db.tracking(), &[], &mut |_| Ok(()))?;
+        if writes && self.db.store().is_some() {
             // Buffered, not logged: the WAL only sees statements whose
             // transaction committed, so a rollback recovers as a rollback.
             self.wal.push(sql.into_owned());
@@ -167,53 +155,30 @@ impl<'c> Transaction<'c> {
         self.query(&TaintedString::from(sql))
     }
 
-    fn restore(&mut self) {
-        for (name, snap) in std::mem::take(&mut self.snapshots) {
-            self.db.raw().restore_table(&name, snap);
+    /// Runs the integrity checks on the transaction's view; if all pass,
+    /// installs its writes and logs them as one WAL record, under the
+    /// catalog write lock. A failed check or a conflict installs nothing.
+    pub fn commit(self) -> Result<()> {
+        let view = self.view.unwrap_or_else(|| self.db.view());
+        for check in &self.checks {
+            check(&view)?;
         }
-    }
-
-    /// Runs the integrity checks; keeps the changes if all pass, restores
-    /// the touched tables otherwise.
-    pub fn commit(mut self) -> Result<()> {
-        self.finished = true;
-        let checks = std::mem::take(&mut self.checks);
-        for check in &checks {
-            if let Err(v) = check(&self.db) {
-                self.restore();
-                return Err(SqlError::Policy(resin_core::FlowError::Denied(v)));
+        if self.copied.is_empty() {
+            return Ok(());
+        }
+        self.db.writable()?;
+        // One WAL record: a crash mid-commit keeps all of it or none.
+        self.db.raw().install(view.raw(), &self.copied, || {
+            if let (Some(store), false) = (self.db.store(), self.wal.is_empty()) {
+                store.append(&encode_wal_batch(&self.wal))?;
             }
-        }
-        let wal = std::mem::take(&mut self.wal);
-        if let Err(e) = self.db.wal_log_batch(&wal) {
-            // The commit could not be made durable: take the writes back
-            // out of the live tables too, so the state the caller observes
-            // matches the state a restart would recover.
-            self.restore();
-            return Err(e);
-        }
-        // Still counted as a writing transaction until drop, so no
-        // checkpoint can slip between the batch landing and these marks.
-        self.db.mark_tables_dirty(self.snapshotted_tables());
-        Ok(())
+            self.db.mark_tables_dirty(self.copied.keys().map(String::as_str));
+            Ok(())
+        })
     }
 
     /// Discards all changes made inside the transaction.
-    pub fn rollback(mut self) {
-        self.finished = true;
-        self.restore();
-    }
-}
-
-impl Drop for Transaction<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.restore();
-        }
-        if self.registered {
-            self.db.unregister_txn_writer();
-        }
-    }
+    pub fn rollback(self) {}
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@ use resin::core::prelude::*;
 use resin::sql::ResinDb;
 
 fn main() {
-    // --- Transactions: buffer changes, assert invariants, then commit ---
+    // --- Transactions: write private copies, assert invariants, then
+    // install the copies ---
     let db = ResinDb::new();
     db.query_str("CREATE TABLE accounts (owner TEXT, balance INTEGER)")
         .unwrap();
@@ -31,7 +32,9 @@ fn main() {
         })
     };
 
-    // A buggy transfer that overdraws: both legs roll back atomically.
+    // A buggy transfer that overdraws: both legs land in the transaction's
+    // own copy of `accounts`, the check reads that copy, and the refused
+    // commit installs neither leg. No other handle ever saw them.
     let mut txn = db.begin();
     txn.add_check(no_overdraft());
     txn.query_str("UPDATE accounts SET balance = 130 WHERE owner = 'bob'")
@@ -51,7 +54,7 @@ fn main() {
         r.rows[1][0].as_int().unwrap().value()
     );
 
-    // A correct transfer commits.
+    // A correct transfer commits: its copy replaces the live table.
     let mut txn = db.begin();
     txn.add_check(no_overdraft());
     txn.query_str("UPDATE accounts SET balance = 50 WHERE owner = 'alice'")
