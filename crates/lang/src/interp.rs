@@ -35,7 +35,6 @@ use resin_core::{
 use resin_vfs::Vfs;
 
 use crate::ast::{BinOp, ClassDecl, FnDecl, Stmt};
-pub use crate::check::{check_cache_stats, set_check_cache};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
 use crate::value::{PValue, ScriptPolicy, Value};
@@ -1057,6 +1056,7 @@ pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
 mod tests {
     use super::*;
     use crate::ast::StmtKind;
+    use crate::check::{check_cache_stats, set_check_cache};
     use resin_core::{Context, PasswordPolicy, Policy, PolicyViolation};
 
     /// One crossing of `class`'s `export_check` over a snapshot of `fields`.

@@ -6,7 +6,7 @@
 //! snapshot+WAL store with fsync on — the full stack of the paper's
 //! deployment story: network parse boundary → taint → gates → durable
 //! policy columns. Beside the attack suite: concurrent keep-alive traffic
-//! with group-committed writes, and a read replica served over its own
+//! with synced writes, and a read replica served over its own
 //! socket.
 
 use std::collections::BTreeMap;

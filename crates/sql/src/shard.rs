@@ -42,8 +42,8 @@ use crate::Tracking;
 struct Shared {
     db: Database,
     /// The checkpoint+WAL store of a durable database, set once at open.
-    /// Writers of different tables append concurrently, and the store's
-    /// group-commit queue batches their fsyncs.
+    /// Its appends take turns under the store's one WAL lock, each with
+    /// its own fsync.
     store: OnceLock<Store>,
     /// Set on the view an integrity check reads: its writes are refused.
     read_only: bool,
@@ -295,11 +295,10 @@ impl ResinDb {
     /// a mutating statement is logged write-ahead, post-guard, under the
     /// lock that orders it (its table's write lock; the catalog's for
     /// `CREATE`/`DROP TABLE`), so the WAL holds each table's writes in the
-    /// order they ran. The fsync happens under that lock too: writers of
-    /// different tables share fsyncs, writers of one table take turns. A
-    /// statement that fails *execution* after logging stays in the WAL as
-    /// a no-op (replay fails identically and is skipped) until the next
-    /// checkpoint truncates it.
+    /// order they ran. The fsync happens under that lock too, so each
+    /// durable write pays one of its own. A statement that fails
+    /// *execution* after logging stays in the WAL as a no-op (replay fails
+    /// identically and is skipped) until the next checkpoint truncates it.
     pub fn query(&self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt) = prepare_query(sql, self.guard)?;
         let mut log = self.log_step(|| Cow::Borrowed(&*sql));
