@@ -6,7 +6,7 @@
 //!    of both operands carries it, and measure the false-sharing cost of
 //!    whole-value labeling (slices keep policies they shouldn't).
 //! 2. **SQL policy columns** — rewrite cost scaling with column count is
-//!    covered by `sql_ops` (6 vs 10 columns).
+//!    covered by `paper_tables -- table5`'s SELECT rows (6 vs 10 columns).
 
 use std::sync::Arc;
 

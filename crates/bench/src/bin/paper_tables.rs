@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p resin-bench --bin paper-tables            # everything
-//! cargo run --release -p resin-bench --bin paper-tables -- table5  # one table
+//! cargo run --release -p resin-bench --bin paper_tables            # everything
+//! cargo run --release -p resin-bench --bin paper_tables -- table5  # one table
 //! ```
 //!
 //! Accepted selectors: `table1 table2 table3 table4 table5 hotcrp-page all`.

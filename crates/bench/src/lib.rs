@@ -1,9 +1,9 @@
 //! # resin-bench — workloads regenerating the paper's tables and figures
 //!
 //! Each experiment from the paper's evaluation has a workload function
-//! here; the `paper-tables` binary prints paper-style tables, and the
-//! Criterion benches under `benches/` time the same workloads with proper
-//! statistics. End-to-end and per-layer numbers come from `resin-e2e`
+//! here; the `paper_tables` binary prints paper-style tables, and the
+//! Criterion benches under `benches/` time what neither it nor a
+//! workload covers. End-to-end and per-layer numbers come from `resin-e2e`
 //! (see `BENCHMARK.json`), not from here.
 
 pub mod survey;

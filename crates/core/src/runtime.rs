@@ -88,7 +88,9 @@ mod tests {
             (GateKind::CodeImport, 1),
             (GateKind::Custom("audit"), 1),
         ];
-        assert!(GateKind::IO_SURFACES.iter().all(|k| expected.iter().any(|(e, _)| e == k)));
+        assert!(GateKind::IO_SURFACES
+            .iter()
+            .all(|k| expected.iter().any(|(e, _)| e == k)));
         for (kind, filters) in expected {
             let gate = Runtime::global().open(kind.clone());
             assert_eq!(gate.kind(), &kind);
@@ -125,7 +127,11 @@ mod tests {
     #[test]
     fn unregistered_kind_falls_back_to_guarded() {
         let mut g = Runtime::global().open(GateKind::Custom("nope"));
-        assert_eq!(g.filter_count(), 1, "a custom boundary is guarded, not naked");
+        assert_eq!(
+            g.filter_count(),
+            1,
+            "a custom boundary is guarded, not naked"
+        );
         let mut secret = TaintedString::from("pw");
         secret.add_policy(Arc::new(PasswordPolicy::new("u@x")));
         assert!(g.write(secret).is_err());

@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use resin_core::{
     merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
-    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, SqlSanitized,
-    TaintedString, Tracking, UntrustedData,
+    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, SqlSanitized, TaintedString,
+    Tracking, UntrustedData,
 };
 use resin_vfs::Vfs;
 

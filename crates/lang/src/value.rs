@@ -349,8 +349,16 @@ impl PValue {
         }
     }
 
-    /// Decodes [`PValue::encode`] output.
+    /// Decodes [`PValue::encode`] output, and only that: a text that
+    /// reads as some value but is not what `encode` writes for it
+    /// (`b:TRUE`, `i:05`, a stray `%XX` in a list item) is `None`.
     pub fn decode(s: &str) -> Option<PValue> {
+        Self::read(s).filter(|v| v.encode() == s)
+    }
+
+    /// Reads a text in `encode`'s shape without checking that it is the
+    /// canonical one; [`PValue::decode`] checks the whole value once.
+    fn read(s: &str) -> Option<PValue> {
         let (tag, body) = s.split_once(':')?;
         Some(match tag {
             "n" => PValue::Null,
@@ -363,9 +371,7 @@ impl PValue {
                 } else {
                     PValue::List(
                         body.split('\u{1c}')
-                            .map(|p| {
-                                PValue::decode(&p.replace("%1C", "\u{1c}").replace("%25", "%"))
-                            })
+                            .map(|p| PValue::read(&p.replace("%1C", "\u{1c}").replace("%25", "%")))
                             .collect::<Option<Vec<_>>>()?,
                     )
                 }
@@ -540,6 +546,13 @@ mod tests {
         }
         assert!(PValue::decode("junk").is_none());
         assert!(PValue::decode("z:1").is_none());
+        // Texts that read as a value but are not what `encode` writes
+        // for it fail closed instead of reviving as something else.
+        for loose in [
+            "b:TRUE", "b:", "b:yes", "n:x", "i:+5", "i:05", "i:-0", "l:s:a%41", "l:b:TRUE",
+        ] {
+            assert!(PValue::decode(loose).is_none(), "{loose}");
+        }
     }
 
     #[test]

@@ -12,25 +12,18 @@ use resin_web::{serve_request, ServedPage, WebApp};
 
 use crate::http::{self, HttpError};
 
-/// Per-connection resource limits.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Maximum bytes for the request head (line + headers); beyond this
-    /// the connection answers 431 and closes.
-    pub max_head_bytes: usize,
-    /// Maximum declared body size; beyond this the connection answers
-    /// 413 *before* reading the body, and closes.
-    pub max_body_bytes: usize,
-}
+/// Largest request head (line + headers) a connection takes; beyond
+/// it the connection answers 431 and closes.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_head_bytes: 16 * 1024,
-            max_body_bytes: 1024 * 1024,
-        }
-    }
-}
+/// Largest declared body a connection takes; beyond it the connection
+/// answers 413 *before* reading the body, and closes.
+const MAX_BODY_BYTES: usize = 1024 * 1024;
+
+/// The `limits` argument of [`serve_connection`]. It sets nothing: the
+/// parse caps are fixed at 16 KiB of head and 1 MiB of body.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Limits(());
 
 /// What one connection did, for logs and tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +159,7 @@ fn fill(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
 pub fn serve_connection<S: Read + Write>(
     stream: &mut S,
     app: &dyn WebApp,
-    limits: Limits,
+    _limits: Limits,
 ) -> io::Result<ConnStats> {
     let mut stats = ConnStats::default();
     let mut buf: Vec<u8> = Vec::new();
@@ -176,7 +169,7 @@ pub fn serve_connection<S: Read + Write>(
             if let Some(end) = head_end(&buf) {
                 break end;
             }
-            if buf.len() > limits.max_head_bytes {
+            if buf.len() > MAX_HEAD_BYTES {
                 stats.rejected += 1;
                 write_error(stream, &HttpError::HeadTooLarge)?;
                 return Ok(stats);
@@ -191,7 +184,7 @@ pub fn serve_connection<S: Read + Write>(
                 return Ok(stats);
             }
         };
-        if end > limits.max_head_bytes {
+        if end > MAX_HEAD_BYTES {
             stats.rejected += 1;
             write_error(stream, &HttpError::HeadTooLarge)?;
             return Ok(stats);
@@ -213,7 +206,7 @@ pub fn serve_connection<S: Read + Write>(
         };
         let body = match body_len {
             None | Some(0) => None,
-            Some(len) if len > limits.max_body_bytes => {
+            Some(len) if len > MAX_BODY_BYTES => {
                 stats.rejected += 1;
                 write_error(stream, &HttpError::BodyTooLarge)?;
                 return Ok(stats);

@@ -1,8 +1,8 @@
 //! # resin-net — the TCP network edge
 //!
-//! A blocking HTTP/1.1 front end for RESIN web applications: a
-//! [`NetServer`] accepts TCP connections and serves each one on a
-//! bounded worker pool, parsing requests incrementally and attaching
+//! A blocking HTTP/1.1 front end for RESIN web applications: each of a
+//! [`NetServer`]'s worker threads accepts TCP connections off one shared
+//! listener and serves them, parsing requests incrementally and attaching
 //! RESIN taint to **every** network-derived byte at the parse boundary
 //! ([`http::build_request`]). Responses route through the same
 //! per-request [`Response`](resin_web::Response) gates as in-process
@@ -27,29 +27,22 @@ pub mod http;
 pub use conn::{serve_connection, ConnStats, Limits};
 pub use http::{build_request, parse_head, Head, HttpError};
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use resin_core::sync::mlock;
 use resin_web::WebApp;
 
 /// Tuning for a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Connection-serving worker threads.
+    /// Worker threads; each accepts and serves one connection at a time.
     pub workers: usize,
     /// How long an idle keep-alive connection is held open.
     pub keep_alive: Duration,
-    /// Accepted connections parked waiting for a worker; beyond this
-    /// the accept loop blocks (backpressure at the edge).
-    pub queue_depth: usize,
-    /// Per-connection parse limits.
-    pub limits: Limits,
 }
 
 impl Default for NetConfig {
@@ -57,85 +50,19 @@ impl Default for NetConfig {
         NetConfig {
             workers: 4,
             keep_alive: Duration::from_secs(5),
-            queue_depth: 64,
-            limits: Limits::default(),
         }
-    }
-}
-
-/// The accept-queue: a bounded deque of accepted sockets. `closed`
-/// wakes everyone for shutdown.
-struct Queue {
-    conns: Mutex<(VecDeque<TcpStream>, bool)>,
-    ready: Condvar,
-    space: Condvar,
-}
-
-impl Queue {
-    fn new() -> Self {
-        Queue {
-            conns: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    /// Blocks while the queue is full; drops the socket if closed.
-    fn push(&self, stream: TcpStream, depth: usize) {
-        let mut guard = mlock(&self.conns);
-        while guard.0.len() >= depth && !guard.1 {
-            guard = mlock_wait(&self.space, guard);
-        }
-        if guard.1 {
-            return;
-        }
-        guard.0.push_back(stream);
-        self.ready.notify_one();
-    }
-
-    /// Blocks until a connection or shutdown; `None` means shut down.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut guard = mlock(&self.conns);
-        loop {
-            if let Some(stream) = guard.0.pop_front() {
-                self.space.notify_one();
-                return Some(stream);
-            }
-            if guard.1 {
-                return None;
-            }
-            guard = mlock_wait(&self.ready, guard);
-        }
-    }
-
-    fn close(&self) {
-        mlock(&self.conns).1 = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-}
-
-/// Condvar wait that shrugs off poisoning, like
-/// [`resin_core::sync::mlock`] does for locks.
-fn mlock_wait<'a, T>(
-    cv: &Condvar,
-    guard: std::sync::MutexGuard<'a, T>,
-) -> std::sync::MutexGuard<'a, T> {
-    match cv.wait(guard) {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
 /// A running TCP listener serving a [`WebApp`] over HTTP/1.1.
 ///
-/// Dropping the server shuts it down: the listener closes, queued
-/// connections are abandoned, and worker threads are joined. Requests
-/// already being served finish their current exchange first.
+/// Connections wait in the kernel's listen backlog until a worker
+/// accepts one. Dropping the server shuts it down: workers finish the
+/// connection they are serving, connections still in the backlog are
+/// abandoned, and every worker is joined.
 pub struct NetServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<Queue>,
     threads: Vec<JoinHandle<()>>,
     served: Arc<AtomicU64>,
     rejected: Arc<AtomicU64>,
@@ -143,63 +70,54 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop plus `config.workers` serving threads.
+    /// starts `config.workers` threads (at least one), each accepting
+    /// and serving connections.
     pub fn bind(
         addr: impl ToSocketAddrs,
         app: Arc<dyn WebApp>,
         config: NetConfig,
     ) -> io::Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = Arc::new(TcpListener::bind(addr)?);
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(Queue::new());
         let served = Arc::new(AtomicU64::new(0));
         let rejected = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::with_capacity(config.workers + 1);
-
-        {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            let depth = config.queue_depth;
-            threads.push(std::thread::spawn(move || {
-                for stream in listener.incoming() {
+        let threads = (0..config.workers.max(1))
+            .map(|_| {
+                let listener = Arc::clone(&listener);
+                let shutdown = Arc::clone(&shutdown);
+                let app = Arc::clone(&app);
+                let served = Arc::clone(&served);
+                let rejected = Arc::clone(&rejected);
+                let keep_alive = config.keep_alive;
+                std::thread::spawn(move || loop {
+                    let accepted = listener.accept();
+                    // `shutdown` makes one connection per worker after
+                    // setting the flag, so every worker wakes to see it.
                     if shutdown.load(Ordering::SeqCst) {
-                        break;
+                        return;
                     }
-                    match stream {
-                        Ok(s) => queue.push(s, depth),
-                        Err(_) => continue,
-                    }
-                }
-            }));
-        }
-
-        for _ in 0..config.workers.max(1) {
-            let queue = Arc::clone(&queue);
-            let app = Arc::clone(&app);
-            let served = Arc::clone(&served);
-            let rejected = Arc::clone(&rejected);
-            let keep_alive = config.keep_alive;
-            let limits = config.limits;
-            threads.push(std::thread::spawn(move || {
-                while let Some(mut stream) = queue.pop() {
+                    let Ok((mut stream, _)) = accepted else {
+                        continue;
+                    };
                     // The idle timeout rides on the socket read timeout:
                     // a blocked read past it surfaces as WouldBlock and
                     // the connection loop closes cleanly.
                     let _ = stream.set_read_timeout(Some(keep_alive));
                     let _ = stream.set_nodelay(true);
-                    if let Ok(stats) = serve_connection(&mut stream, app.as_ref(), limits) {
+                    if let Ok(stats) =
+                        serve_connection(&mut stream, app.as_ref(), Limits::default())
+                    {
                         served.fetch_add(stats.served, Ordering::Relaxed);
                         rejected.fetch_add(stats.rejected, Ordering::Relaxed);
                     }
-                }
-            }));
-        }
+                })
+            })
+            .collect();
 
         Ok(NetServer {
             addr,
             shutdown,
-            queue,
             threads,
             served,
             rejected,
@@ -221,14 +139,18 @@ impl NetServer {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, drains workers, and joins all threads.
+    /// Stops accepting and joins every worker, waiting for each to
+    /// finish the connection it is serving.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        self.queue.close();
+        // One throwaway connection per worker: a worker blocked in
+        // `accept` wakes on one, and a busy worker takes a leftover one
+        // when it returns to `accept`.
+        for _ in 0..self.threads.len() {
+            let _ = TcpStream::connect(self.addr);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -401,5 +323,39 @@ mod tests {
         server.shutdown();
         server.shutdown();
         drop(server); // Drop after explicit shutdown must not hang.
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_busy_worker_and_joins_every_worker() {
+        let mut server = NetServer::bind(
+            "127.0.0.1:0",
+            Arc::new(PingApp),
+            NetConfig {
+                workers: 2,
+                ..NetConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(b"GET /ping HTTP/1.1\r\n\r\n").unwrap();
+        let resp = read_response_one(&mut stream);
+        assert!(resp.contains("pong"), "{resp}");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(server.served());
+        });
+        // One worker still holds the open keep-alive connection.
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "shutdown returned while a connection was being served"
+        );
+        drop(stream);
+        let served = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown joins every worker once the client closes");
+        assert_eq!(served, 1);
+        stopper.join().unwrap();
     }
 }

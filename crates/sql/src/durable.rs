@@ -482,7 +482,10 @@ mod tests {
     #[test]
     fn every_single_byte_flip_of_a_part_image_is_refused() {
         let (tables, image) = small_image();
-        assert_eq!(decode_tables(&image[..]).unwrap()["t"].rows, tables["t"].rows);
+        assert_eq!(
+            decode_tables(&image[..]).unwrap()["t"].rows,
+            tables["t"].rows
+        );
         let mut bytes = image;
         for i in 0..bytes.len() {
             bytes[i] ^= 0xff;

@@ -172,7 +172,8 @@ impl<'c> Transaction<'c> {
             if let (Some(store), false) = (self.db.store(), self.wal.is_empty()) {
                 store.append(&encode_wal_batch(&self.wal))?;
             }
-            self.db.mark_tables_dirty(self.copied.keys().map(String::as_str));
+            self.db
+                .mark_tables_dirty(self.copied.keys().map(String::as_str));
             Ok(())
         })
     }

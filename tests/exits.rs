@@ -151,7 +151,11 @@ fn listed(text: &str) -> (Vec<String>, Census) {
         assert!(PATTERNS.contains(&pat), "exits.txt:{}: `{pat}`", n + 1);
         let count = count.parse().expect("a line count");
         let key = (file.to_string(), pat.to_string());
-        assert!(entries.insert(key, count).is_none(), "exits.txt:{}: twice", n + 1);
+        assert!(
+            entries.insert(key, count).is_none(),
+            "exits.txt:{}: twice",
+            n + 1
+        );
     }
     (excludes, entries)
 }

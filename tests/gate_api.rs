@@ -224,7 +224,6 @@ fn unregistered_custom_surface_falls_back_guarded() {
     assert!(gate.write(password("u@x")).is_err());
 }
 
-
 // ---- interned labels across gates ----
 
 #[test]
