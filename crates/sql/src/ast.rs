@@ -138,7 +138,7 @@ pub enum Expr {
     },
     /// A `?` bind-parameter placeholder; the payload is its 0-based
     /// ordinal in query-text order. The value arrives at execution time
-    /// via [`crate::Prepared::bind`] — it never appears in the query
+    /// via [`crate::ResinDb::exec_prepared`] — it never appears in the query
     /// text, so it can never change query structure (§5.3).
     Param(usize),
 }

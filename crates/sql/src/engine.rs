@@ -583,7 +583,7 @@ pub(crate) fn column_positions(t: &Table, names: &[String]) -> Result<Vec<usize>
 
 /// The projecting half of a SELECT: `sel`'s columns of the matched rows,
 /// cloned into a result.
-fn project(t: &Table, sel: &SelectStmt, matched: &[&Vec<Value>]) -> Result<QueryResult> {
+pub(crate) fn project(t: &Table, sel: &SelectStmt, matched: &[&Vec<Value>]) -> Result<QueryResult> {
     match &sel.projection {
         Projection::CountStar => Ok(QueryResult {
             columns: vec!["count".to_string()],

@@ -330,14 +330,6 @@ impl Index {
             KeyMap::Text(m) => collect(m, desc, cap),
         }
     }
-
-    /// Number of distinct keys (diagnostics / tests).
-    pub fn key_count(&self) -> usize {
-        match &self.map {
-            KeyMap::Int(m) => m.len(),
-            KeyMap::Text(m) => m.len(),
-        }
-    }
 }
 
 /// Renders an [`IndexKind`] the way `CREATE INDEX ... USING` spells it.
@@ -354,6 +346,17 @@ pub(crate) fn kind_from_name(s: &str) -> Option<IndexKind> {
         "HASH" => Some(IndexKind::Hash),
         "BTREE" => Some(IndexKind::Ordered),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+impl Index {
+    /// Number of distinct keys.
+    pub(crate) fn key_count(&self) -> usize {
+        match &self.map {
+            KeyMap::Int(m) => m.len(),
+            KeyMap::Text(m) => m.len(),
+        }
     }
 }
 

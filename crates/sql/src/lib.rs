@@ -18,6 +18,13 @@
 //! replicas). [`ResinDb::begin`] opens the one [`Transaction`] type, whose
 //! [`IntegrityCheck`]s run at commit.
 //!
+//! A SQL value with its labels is one type, [`TCell`], both ways: a result
+//! cell comes back as one, and a value bound to a `?` goes in as one.
+//! [`ResinDb::prepare`] guards and parses a template once, and
+//! [`ResinDb::exec_prepared`], the one way to run a [`Prepared`], executes
+//! it with one value per placeholder, as data that never reaches the
+//! query text.
+//!
 //! # Examples
 //!
 //! ```
@@ -63,8 +70,7 @@ pub use resin_core::Tracking;
 pub use resin_store::segment;
 pub use resin_store::{ship, Recovery, ShipReport, StoreStats};
 pub use rewrite::{
-    BindValue, BoundStatement, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult,
-    POLICY_COL_PREFIX,
+    BindValue, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult, POLICY_COL_PREFIX,
 };
 pub use shard::ResinDb;
 pub use txn::{IntegrityCheck, Transaction};

@@ -33,8 +33,12 @@ use resin_core::{
     TaintedString, Tracking, UntrustedData,
 };
 
-use crate::ast::{ColumnDef, ColumnType, Expr, LitValue, Literal, Projection, Statement};
-use crate::engine::{column_positions, table_insert, table_update, Database, Log, QueryResult};
+use crate::ast::{
+    ColumnDef, ColumnType, Expr, LitValue, Literal, Projection, SelectStmt, Statement,
+};
+use crate::engine::{
+    column_positions, project, table_insert, table_update, Database, Log, QueryResult, Table,
+};
 use crate::error::{Result, SqlError};
 use crate::token::{lex, lex_tainted, push_quoted, sanitize_query, unquote, Tok, Token};
 use crate::value::Value;
@@ -56,7 +60,13 @@ pub enum GuardMode {
     AutoSanitize,
 }
 
-/// A result cell with policies re-attached.
+/// A SQL value with its labels: a result cell, or a value bound to a `?`.
+///
+/// A result cell has its policies re-attached from the policy columns. A
+/// bound value enters the pipeline **as data**: it is never spliced into
+/// query text, so nothing an attacker puts in one can reach the query's
+/// structure, and its labels go into the row's policy columns exactly as
+/// a tainted literal's would.
 #[derive(Debug, Clone)]
 pub enum TCell {
     /// SQL NULL.
@@ -66,6 +76,9 @@ pub enum TCell {
     /// Text with byte-range policies.
     Text(TaintedString),
 }
+
+/// A value bound to a `?` placeholder: a [`TCell`].
+pub type BindValue = TCell;
 
 impl TCell {
     /// The cell as tainted text, if it is text.
@@ -101,6 +114,52 @@ impl TCell {
             }
             TCell::Text(t) => t.clone(),
         }
+    }
+
+    /// The raw engine value (labels stripped — they travel separately
+    /// into the policy columns).
+    pub(crate) fn raw(&self) -> Value {
+        match self {
+            TCell::Null => Value::Null,
+            TCell::Int(i) => Value::Int(*i.value()),
+            TCell::Text(t) => Value::Text(t.as_str().to_string()),
+        }
+    }
+}
+
+impl From<i64> for TCell {
+    fn from(v: i64) -> Self {
+        TCell::Int(Tainted::new(v))
+    }
+}
+
+impl From<Tainted<i64>> for TCell {
+    fn from(v: Tainted<i64>) -> Self {
+        TCell::Int(v)
+    }
+}
+
+impl From<&str> for TCell {
+    fn from(v: &str) -> Self {
+        TCell::Text(TaintedString::from(v))
+    }
+}
+
+impl From<String> for TCell {
+    fn from(v: String) -> Self {
+        TCell::Text(TaintedString::from(v))
+    }
+}
+
+impl From<TaintedString> for TCell {
+    fn from(v: TaintedString) -> Self {
+        TCell::Text(v)
+    }
+}
+
+impl From<&TaintedString> for TCell {
+    fn from(v: &TaintedString) -> Self {
+        TCell::Text(v.clone())
     }
 }
 
@@ -213,21 +272,24 @@ pub(crate) fn query_gate(guard: GuardMode) -> Gate {
     gate
 }
 
-/// The guard + parse front half of the query pipeline: the query crosses
-/// the SQL gate (borrowed export — only cloned if a guard rewrites it)
-/// and comes back parsed. Transactions call this directly so they can
-/// read the statement's write set *after* any guard rewriting.
+/// The front half of every statement: the query crosses the SQL gate
+/// (borrowed export — only cloned if a guard rewrites it), is lexed and
+/// comes back parsed, with the byte spans of its `?` placeholders in
+/// ordinal order. Transactions read the statement's write set off this
+/// parse, i.e. *after* any guard rewriting.
 pub(crate) fn prepare_query<'a>(
-    sql: &'a TaintedString,
+    sql: Cow<'a, TaintedString>,
     guard: GuardMode,
-) -> Result<(Cow<'a, TaintedString>, Statement)> {
-    let gate = query_gate(guard);
-    let sql = gate
-        .export_cow(Cow::Borrowed(sql))
-        .map_err(SqlError::from)?;
+) -> Result<(Cow<'a, TaintedString>, Statement, Vec<Range<usize>>)> {
+    let sql = query_gate(guard).export_cow(sql).map_err(SqlError::from)?;
     let tokens = lex(sql.as_str())?;
     let stmt = crate::parser::parse(&tokens)?;
-    Ok((sql, stmt))
+    let param_spans = tokens
+        .iter()
+        .filter(|t| matches!(t.tok, Tok::Param(_)))
+        .map(|t| t.span.clone())
+        .collect();
+    Ok((sql, stmt, param_spans))
 }
 
 /// The rewrite + execute back half of the pipeline, on an already
@@ -239,15 +301,14 @@ pub(crate) fn prepare_query<'a>(
 pub(crate) fn run_prepared(
     backend: &Database,
     sql: &TaintedString,
-    stmt: Statement,
+    stmt: &Statement,
     tracking: Tracking,
-    params: &[BindValue],
+    params: &[TCell],
     log: Log<'_>,
 ) -> Result<TaintedResult> {
-    let raw: Vec<Value> = params.iter().map(BindValue::raw).collect();
+    let raw: Vec<Value> = params.iter().map(TCell::raw).collect();
     if tracking == Tracking::Off {
-        let res = backend.run(&stmt, &raw, log)?;
-        return Ok(plain_result(res));
+        return backend.run(stmt, &raw, log).map(plain_result);
     }
     match stmt {
         Statement::CreateTable {
@@ -255,26 +316,19 @@ pub(crate) fn run_prepared(
             columns,
             if_not_exists,
             primary_key,
-        } => create_rewritten(backend, &name, columns, if_not_exists, primary_key, log),
+        } => create_rewritten(backend, name, columns, *if_not_exists, primary_key, log),
         Statement::Insert {
             table,
             columns,
             rows,
         } => {
             let rows = with_policy_cells(sql, rows, params);
-            let affected = backend.write_table(&table, log, |t| {
+            let affected = backend.write_table(table, log, |t| {
                 // No column list names the table's data columns, read
                 // under the lock that orders this insert.
-                let cols: Vec<String> = columns.unwrap_or_else(|| {
-                    t.columns
-                        .iter()
-                        .map(|c| c.name.clone())
-                        .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
-                        .collect()
-                });
-                let mut all = cols.clone();
-                all.extend(cols.iter().map(|c| format!("{POLICY_COL_PREFIX}{c}")));
-                table_insert(t, &table, Some(&all), &rows, &raw)
+                let cols = columns.clone().unwrap_or_else(|| data_columns(t));
+                let all: Vec<String> = cols.iter().cloned().chain(shadows(&cols)).collect();
+                table_insert(t, table, Some(&all), &rows, &raw)
             })?;
             Ok(affected_result(affected))
         }
@@ -285,180 +339,49 @@ pub(crate) fn run_prepared(
             where_clause,
         } => {
             let assignments = with_policy_assignments(sql, assignments, params);
-            let affected = backend.write_table(&table, log, |t| {
+            let affected = backend.write_table(table, log, |t| {
                 table_update(t, &assignments, where_clause.as_ref(), &raw)
             })?;
             Ok(affected_result(affected))
         }
         Statement::CreateIndex { table, column, .. } if column.starts_with(POLICY_COL_PREFIX) => {
             // Refused by its text alone, as in `create_rewritten`.
-            log(&table)?;
+            log(table)?;
             Err(SqlError::schema(format!(
                 "cannot index policy column `{column}` directly"
             )))
         }
-        other @ (Statement::Delete { .. }
+        Statement::Delete { .. }
         | Statement::DropTable { .. }
         | Statement::CreateIndex { .. }
-        | Statement::DropIndex { .. }) => {
+        | Statement::DropIndex { .. } => {
             // DELETE/DROP need no rewriting — the paper notes DELETE's
             // low overhead for exactly this reason (§7.2). Index DDL keys
             // on raw cell values only (labels stay with the stored cells),
             // so it passes through unchanged too.
-            let res = backend.run(&other, &raw, log)?;
-            Ok(plain_result(res))
+            backend.run(stmt, &raw, log).map(plain_result)
         }
     }
 }
 
-/// A value bound to a `?` placeholder of a [`Prepared`] statement.
+/// A guarded, parsed statement, ready to run with one value per `?`.
 ///
-/// Bind values enter the pipeline **as data**: they are never spliced
-/// into query text, so nothing an attacker puts in one can reach the
-/// query's structure — the bind-parameter API is injection-proof by
-/// construction rather than by checking. Labels ride along: a tainted
-/// bind value stores its policies into the row's policy columns exactly
-/// as a tainted literal would.
-#[derive(Debug, Clone)]
-pub enum BindValue {
-    /// SQL NULL.
-    Null,
-    /// An integer with a (whole-datum) policy set.
-    Int(Tainted<i64>),
-    /// Text with byte-range policies.
-    Text(TaintedString),
-}
-
-impl BindValue {
-    /// The raw engine value (labels stripped — they travel separately
-    /// into the policy columns).
-    pub(crate) fn raw(&self) -> Value {
-        match self {
-            BindValue::Null => Value::Null,
-            BindValue::Int(i) => Value::Int(*i.value()),
-            BindValue::Text(t) => Value::Text(t.as_str().to_string()),
-        }
-    }
-}
-
-impl From<i64> for BindValue {
-    fn from(v: i64) -> Self {
-        BindValue::Int(Tainted::new(v))
-    }
-}
-
-impl From<Tainted<i64>> for BindValue {
-    fn from(v: Tainted<i64>) -> Self {
-        BindValue::Int(v)
-    }
-}
-
-impl From<&str> for BindValue {
-    fn from(v: &str) -> Self {
-        BindValue::Text(TaintedString::from(v))
-    }
-}
-
-impl From<String> for BindValue {
-    fn from(v: String) -> Self {
-        BindValue::Text(TaintedString::from(v))
-    }
-}
-
-impl From<TaintedString> for BindValue {
-    fn from(v: TaintedString) -> Self {
-        BindValue::Text(v)
-    }
-}
-
-impl From<&TaintedString> for BindValue {
-    fn from(v: &TaintedString) -> Self {
-        BindValue::Text(v.clone())
-    }
-}
-
-/// A guarded, parsed, ready-to-bind statement.
-///
-/// Produced by [`ResinDb::prepare`](crate::ResinDb::prepare). The expensive
-/// per-query work — the injection-guard gate crossing, lexing, parsing,
-/// and the write-target extraction that drives WAL logging — happens
-/// once here; each execution only binds values and plans against current
-/// index metadata. The template text is authored by the application (a
-/// plain `&str`, not tainted input), so the guard sees placeholder
-/// structure only; values bound later never touch the text.
+/// Produced by [`ResinDb::prepare`](crate::ResinDb::prepare) and run by
+/// [`ResinDb::exec_prepared`](crate::ResinDb::exec_prepared). The
+/// expensive per-query work — the injection-guard gate crossing, lexing
+/// and parsing — happens once here; each execution only checks its values
+/// against the placeholders and plans against current index metadata. The
+/// template text is authored by the application (a plain `&str`, not
+/// tainted input), so the guard sees placeholder structure only; values
+/// bound later never touch the text.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Post-guard query text.
-    text: TaintedString,
+    /// Post-guard query text, with its labels (WAL rendering).
+    pub(crate) text: TaintedString,
     /// The parsed statement (placeholders appear as [`Expr::Param`]).
-    stmt: Statement,
+    pub(crate) stmt: Statement,
     /// Byte spans of the `?` placeholders, in ordinal order.
-    param_spans: Vec<Range<usize>>,
-}
-
-impl Prepared {
-    /// The parsed statement.
-    pub fn statement(&self) -> &Statement {
-        &self.stmt
-    }
-
-    /// The (post-guard) template text.
-    pub fn sql(&self) -> &str {
-        self.text.as_str()
-    }
-
-    /// The template text with its labels (WAL rendering, error context).
-    pub(crate) fn text_tainted(&self) -> &TaintedString {
-        &self.text
-    }
-
-    /// Number of `?` placeholders.
-    pub fn param_count(&self) -> usize {
-        self.param_spans.len()
-    }
-
-    /// Binds one value per placeholder, in text order.
-    pub fn bind(&self, values: Vec<BindValue>) -> Result<BoundStatement<'_>> {
-        if values.len() != self.param_spans.len() {
-            return Err(SqlError::Type(format!(
-                "statement has {} parameter(s), {} value(s) bound",
-                self.param_spans.len(),
-                values.len()
-            )));
-        }
-        Ok(BoundStatement {
-            prepared: self,
-            values,
-        })
-    }
-}
-
-/// A [`Prepared`] statement plus its bound parameter values, ready to run.
-#[derive(Debug)]
-pub struct BoundStatement<'a> {
-    pub(crate) prepared: &'a Prepared,
-    pub(crate) values: Vec<BindValue>,
-}
-
-/// Guards, lexes, and parses a template into a [`Prepared`] statement.
-pub(crate) fn prepare_statement(sql: &str, guard: GuardMode) -> Result<Prepared> {
-    let gate = query_gate(guard);
-    let text = gate
-        .export_cow(Cow::Owned(TaintedString::from(sql)))
-        .map_err(SqlError::from)?
-        .into_owned();
-    let tokens = lex(text.as_str())?;
-    let stmt = crate::parser::parse(&tokens)?;
-    let param_spans: Vec<Range<usize>> = tokens
-        .iter()
-        .filter(|t| matches!(t.tok, Tok::Param(_)))
-        .map(|t| t.span.clone())
-        .collect();
-    Ok(Prepared {
-        text,
-        stmt,
-        param_spans,
-    })
+    pub(crate) param_spans: Vec<Range<usize>>,
 }
 
 /// Renders a bound statement as standalone tainted SQL text for the WAL:
@@ -467,16 +390,16 @@ pub(crate) fn prepare_statement(sql: &str, guard: GuardMode) -> Result<Prepared>
 /// the normal rewrite, reproducing byte-identical cells *and policy
 /// blobs* (escaped quote pairs carry the source label on both bytes, and
 /// `decode_literal` unions them back onto the collapsed byte).
-pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[BindValue]) -> TaintedString {
+pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[TCell]) -> TaintedString {
     let text = &prepared.text;
     let mut out = TaintedStrBuilder::with_capacity(text.len() + 16 * values.len());
     let mut pos = 0usize;
     for (span, v) in prepared.param_spans.iter().zip(values) {
         out.push_range(text, pos..span.start);
         match v {
-            BindValue::Null => out.push_label("NULL", Label::EMPTY),
-            BindValue::Int(i) => out.push_label(&i.value().to_string(), i.label()),
-            BindValue::Text(t) => push_quoted(&mut out, t, 0..t.len()),
+            TCell::Null => out.push_label("NULL", Label::EMPTY),
+            TCell::Int(i) => out.push_label(&i.value().to_string(), i.label()),
+            TCell::Text(t) => push_quoted(&mut out, t, 0..t.len()),
         }
         pos = span.end;
     }
@@ -489,12 +412,12 @@ pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[BindValue]) -> Tai
 fn create_rewritten(
     backend: &Database,
     name: &str,
-    mut columns: Vec<ColumnDef>,
+    columns: &[ColumnDef],
     if_not_exists: bool,
-    primary_key: Option<String>,
+    primary_key: &Option<String>,
     log: Log<'_>,
 ) -> Result<TaintedResult> {
-    for c in &columns {
+    for c in columns {
         if c.name.starts_with(POLICY_COL_PREFIX) {
             // Refused by its text alone, so it replays refused wherever
             // the WAL holds it: logged without a lock.
@@ -505,20 +428,16 @@ fn create_rewritten(
             )));
         }
     }
-    let shadows: Vec<ColumnDef> = columns
-        .iter()
-        .map(|c| ColumnDef {
-            name: format!("{POLICY_COL_PREFIX}{}", c.name),
-            ty: ColumnType::Text,
-        })
-        .collect();
-    columns.extend(shadows);
+    let shadows = columns.iter().map(|c| ColumnDef {
+        name: format!("{POLICY_COL_PREFIX}{}", c.name),
+        ty: ColumnType::Text,
+    });
     let res = backend.run(
         &Statement::CreateTable {
             name: name.to_string(),
-            columns,
+            columns: columns.iter().cloned().chain(shadows).collect(),
             if_not_exists,
-            primary_key,
+            primary_key: primary_key.clone(),
         },
         &[],
         log,
@@ -526,18 +445,27 @@ fn create_rewritten(
     Ok(plain_result(res))
 }
 
-/// `rows` with a policy-blob literal appended per value, in the order
-/// of the policy columns an insert names after its data columns.
-fn with_policy_cells(
-    sql: &TaintedString,
-    rows: Vec<Vec<Expr>>,
-    params: &[BindValue],
-) -> Vec<Vec<Expr>> {
-    rows.into_iter()
-        .map(|mut row| {
-            let blobs: Vec<Expr> = row.iter().map(|e| policy_literal(sql, e, params)).collect();
-            row.extend(blobs);
-            row
+/// The data columns of `t`, in storage order (policy columns hidden).
+fn data_columns(t: &Table) -> Vec<String> {
+    t.columns
+        .iter()
+        .map(|c| c.name.clone())
+        .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
+        .collect()
+}
+
+/// The policy column of each of `columns`.
+fn shadows(columns: &[String]) -> impl Iterator<Item = String> + '_ {
+    columns.iter().map(|c| format!("{POLICY_COL_PREFIX}{c}"))
+}
+
+/// `rows`, each with a policy-blob literal appended per value, in the
+/// order of the policy columns an insert names after its data columns.
+fn with_policy_cells(sql: &TaintedString, rows: &[Vec<Expr>], params: &[TCell]) -> Vec<Vec<Expr>> {
+    rows.iter()
+        .map(|row| {
+            let blobs = row.iter().map(|e| policy_literal(sql, e, params));
+            row.iter().cloned().chain(blobs).collect()
         })
         .collect()
 }
@@ -545,29 +473,26 @@ fn with_policy_cells(
 /// `assignments` with each column's policy column assigned its blob.
 fn with_policy_assignments(
     sql: &TaintedString,
-    assignments: Vec<(String, Expr)>,
-    params: &[BindValue],
+    assignments: &[(String, Expr)],
+    params: &[TCell],
 ) -> Vec<(String, Expr)> {
     let mut out = Vec::with_capacity(assignments.len() * 2);
     for (col, expr) in assignments {
         out.push((
             format!("{POLICY_COL_PREFIX}{col}"),
-            policy_literal(sql, &expr, params),
+            policy_literal(sql, expr, params),
         ));
-        out.push((col, expr));
+        out.push((col.clone(), expr.clone()));
     }
     out
 }
 
-fn select_rewritten(
-    backend: &Database,
-    sel: crate::ast::SelectStmt,
-    raw: &[Value],
-) -> Result<TaintedResult> {
+fn select_rewritten(backend: &Database, sel: &SelectStmt, raw: &[Value]) -> Result<TaintedResult> {
     match &sel.projection {
         Projection::CountStar => {
-            let res = backend.execute(&Statement::Select(sel), raw)?;
-            return Ok(plain_result(res));
+            return backend
+                .select_rows(sel, raw, |t, matched| project(t, sel, matched))
+                .map(plain_result);
         }
         Projection::Star => {}
         Projection::Columns(cols) => {
@@ -582,20 +507,12 @@ fn select_rewritten(
     // the stored data and policy values under the table's read lock, so
     // the text is copied once (into its `TaintedString`) and the blob
     // not at all.
-    backend.select_rows(&sel, raw, |t, matched| {
-        let columns: Vec<String> = match &sel.projection {
+    backend.select_rows(sel, raw, |t, matched| {
+        let columns = match &sel.projection {
             Projection::Columns(cols) => cols.clone(),
-            _ => t
-                .columns
-                .iter()
-                .map(|c| c.name.clone())
-                .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
-                .collect(),
+            _ => data_columns(t),
         };
-        let shadows: Vec<String> = columns
-            .iter()
-            .map(|c| format!("{POLICY_COL_PREFIX}{c}"))
-            .collect();
+        let shadows: Vec<String> = shadows(&columns).collect();
         let data_at = column_positions(t, &columns)?;
         let policy_at = column_positions(t, &shadows)?;
         let mut rows = Vec::with_capacity(matched.len());
@@ -662,21 +579,21 @@ fn decode_literal(sql: &TaintedString, span: &Range<usize>) -> TaintedString {
 }
 
 /// The literal a policy column is written: [`policy_blob_for`]'s blob.
-fn policy_literal(sql: &TaintedString, expr: &Expr, params: &[BindValue]) -> Expr {
+fn policy_literal(sql: &TaintedString, expr: &Expr, params: &[TCell]) -> Expr {
     let value = LitValue::Text(policy_blob_for(sql, expr, params));
     Expr::Lit(Literal { value, span: 0..0 })
 }
 
 /// The serialized policy blob for one inserted/assigned value. Literals
 /// carry their labels in the query text's byte ranges; bind parameters
-/// carry them on the [`BindValue`] itself.
-fn policy_blob_for(sql: &TaintedString, expr: &Expr, params: &[BindValue]) -> String {
+/// carry them on the bound [`TCell`] itself.
+fn policy_blob_for(sql: &TaintedString, expr: &Expr, params: &[TCell]) -> String {
     // Untainted text and an empty label serialize to the empty blob.
     if let Expr::Param(i) = expr {
         return match params.get(*i) {
-            Some(BindValue::Text(t)) => serialize_spans(t),
-            Some(BindValue::Int(v)) => serialize_label(v.label()),
-            Some(BindValue::Null) | None => String::new(),
+            Some(TCell::Text(t)) => serialize_spans(t),
+            Some(TCell::Int(v)) => serialize_label(v.label()),
+            Some(TCell::Null) | None => String::new(),
         };
     }
     let Some(lit) = expr.as_literal() else {
@@ -724,19 +641,6 @@ fn plain_result(res: QueryResult) -> TaintedResult {
             .collect(),
         affected: res.affected,
     }
-}
-
-/// The data columns of `table`, for the tests' cloning `SELECT *`.
-#[cfg(test)]
-fn user_columns(backend: &Database, table: &str) -> Result<Vec<String>> {
-    let t = backend
-        .snapshot_table(table)
-        .ok_or_else(|| SqlError::schema(format!("no such table `{table}`")))?;
-    Ok(t.columns
-        .into_iter()
-        .map(|c| c.name)
-        .filter(|n| !n.starts_with(POLICY_COL_PREFIX))
-        .collect())
 }
 
 #[cfg(test)]
@@ -1105,17 +1009,17 @@ mod tests {
         let mut db = setup();
         db.set_guard(GuardMode::StructureCheck);
         let sel = db.prepare("SELECT pw FROM users WHERE name = ?").unwrap();
-        assert_eq!(sel.param_count(), 1);
-        assert!(sel.bind(vec![]).is_err(), "too few values");
-        assert!(
-            sel.bind(vec!["a".into(), "b".into()]).is_err(),
-            "too many values"
-        );
+        assert_eq!(sel.param_spans.len(), 1);
+        for (values, bound) in [(vec![], 0), (vec!["a".into(), "b".into()], 2)] {
+            let err = db.exec_prepared(&sel, values).unwrap_err();
+            let want = format!("statement has 1 parameter(s), {bound} value(s) bound");
+            assert!(matches!(&err, SqlError::Type(m) if *m == want), "{err}");
+        }
         // UPDATE with mixed placeholder/literal assignments parses too.
         let upd = db
             .prepare("UPDATE users SET pw = ? WHERE name = ?")
             .unwrap();
-        assert_eq!(upd.param_count(), 2);
+        assert_eq!(upd.param_spans.len(), 2);
         db.query_str("INSERT INTO users VALUES ('u', 'old')")
             .unwrap();
         let r = db
@@ -1131,7 +1035,7 @@ mod tests {
         let hostile = untrusted("x', 'y");
         let mut n = Tainted::new(7i64);
         n.add_policy(Arc::new(UntrustedData::new()));
-        let rendered = render_bound_sql(&p, &[hostile.into(), BindValue::Int(n), BindValue::Null]);
+        let rendered = render_bound_sql(&p, &[hostile.into(), TCell::Int(n), TCell::Null]);
         assert_eq!(
             rendered.as_str(),
             "INSERT INTO t VALUES ('x'', ''y', 7, NULL)",
@@ -1166,7 +1070,7 @@ mod tests {
     /// `QueryResult`, which is then walked and thrown away.
     fn select_rewritten_cloning(
         backend: &Database,
-        sel: crate::ast::SelectStmt,
+        sel: SelectStmt,
         raw: &[Value],
     ) -> Result<TaintedResult> {
         let data_cols: Vec<String> = match &sel.projection {
@@ -1174,7 +1078,11 @@ mod tests {
                 let res = backend.execute(&Statement::Select(sel), raw)?;
                 return Ok(plain_result(res));
             }
-            Projection::Star => user_columns(backend, &sel.table)?,
+            Projection::Star => data_columns(
+                &backend
+                    .snapshot_table(&sel.table)
+                    .ok_or_else(|| SqlError::schema(format!("no such table `{}`", sel.table)))?,
+            ),
             Projection::Columns(cols) => {
                 for c in cols {
                     if c.starts_with(POLICY_COL_PREFIX) {
@@ -1188,7 +1096,7 @@ mod tests {
         };
         let mut fetch = data_cols.clone();
         fetch.extend(data_cols.iter().map(|c| format!("{POLICY_COL_PREFIX}{c}")));
-        let rewritten = crate::ast::SelectStmt {
+        let rewritten = SelectStmt {
             projection: Projection::Columns(fetch),
             ..sel
         };
@@ -1305,7 +1213,7 @@ mod tests {
                     unreachable!()
                 };
                 proptest::prop_assert_eq!(
-                    seen(select_rewritten(db.raw(), sel.clone(), &[])),
+                    seen(select_rewritten(db.raw(), &sel, &[])),
                     seen(select_rewritten_cloning(db.raw(), sel, &[]))
                 );
             }

@@ -29,10 +29,9 @@ use crate::durable::{
     decode_parts, decode_wal_batch, encode_table_part, encode_wal_batch, table_part_name,
 };
 use crate::engine::Database;
-use crate::error::Result;
+use crate::error::{Result, SqlError};
 use crate::rewrite::{
-    prepare_query, prepare_statement, render_bound_sql, run_prepared, BindValue, BoundStatement,
-    GuardMode, Prepared, TaintedResult,
+    prepare_query, render_bound_sql, run_prepared, GuardMode, Prepared, TCell, TaintedResult,
 };
 use crate::txn::Transaction;
 use crate::Tracking;
@@ -164,7 +163,7 @@ impl ResinDb {
             self.mark_tables_dirty([name]);
             Ok(())
         };
-        run_prepared(&self.shared.db, sql, stmt, self.tracking, &[], &mut log)?;
+        run_prepared(&self.shared.db, sql, &stmt, self.tracking, &[], &mut log)?;
         Ok(())
     }
 
@@ -284,7 +283,10 @@ impl ResinDb {
         self.tracking
     }
 
-    /// The underlying engine (for tests and diagnostics).
+    /// The underlying engine (for tests and diagnostics). A statement run
+    /// through it bypasses the injection guard, policy revival and the
+    /// WAL: it reads and writes policy columns as plain text, and its
+    /// writes are neither logged nor marked for the next checkpoint.
     pub fn raw(&self) -> &Database {
         &self.shared.db
     }
@@ -300,9 +302,9 @@ impl ResinDb {
     /// *execution* after logging stays in the WAL as a no-op (replay fails
     /// identically and is skipped) until the next checkpoint truncates it.
     pub fn query(&self, sql: &TaintedString) -> Result<TaintedResult> {
-        let (sql, stmt) = prepare_query(sql, self.guard)?;
+        let (sql, stmt, _) = prepare_query(Cow::Borrowed(sql), self.guard)?;
         let mut log = self.log_step(|| Cow::Borrowed(&*sql));
-        run_prepared(&self.shared.db, &sql, stmt, self.tracking, &[], &mut log)
+        run_prepared(&self.shared.db, &sql, &stmt, self.tracking, &[], &mut log)
     }
 
     /// Executes an untainted query string.
@@ -310,43 +312,46 @@ impl ResinDb {
         self.query(&TaintedString::from(sql))
     }
 
-    /// Guards, lexes, and parses a statement template once; `?`
-    /// placeholders become bind parameters ([`Prepared::bind`]). The
-    /// returned [`Prepared`] is reusable across executions (and across
-    /// databases — it holds no reference to this one).
+    /// Guards, lexes, and parses a statement template once; each `?`
+    /// placeholder takes a value at every
+    /// [`exec_prepared`](ResinDb::exec_prepared). The returned
+    /// [`Prepared`] is reusable across executions (and across databases —
+    /// it holds no reference to this one).
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        prepare_statement(sql, self.guard)
+        let (text, stmt, param_spans) =
+            prepare_query(Cow::Owned(TaintedString::from(sql)), self.guard)?;
+        Ok(Prepared {
+            text: text.into_owned(),
+            stmt,
+            param_spans,
+        })
     }
 
-    /// Executes a prepared statement with bound values. Bound values
-    /// reach the engine as data — never as query text — so this path is
-    /// injection-proof by construction. On a durable database a mutating
-    /// statement is WAL-logged as rendered SQL (values spliced back as
-    /// escaped, label-carrying literals) so recovery replays it byte- and
-    /// policy-identically, under the same lock as
-    /// [`query`](ResinDb::query) logs under.
-    pub fn run(&self, bound: &BoundStatement<'_>) -> Result<TaintedResult> {
-        let p = bound.prepared;
-        let mut log = self.log_step(|| Cow::Owned(render_bound_sql(p, &bound.values)));
+    /// Executes a prepared statement with one value per placeholder, in
+    /// text order; a count that does not match is refused before anything
+    /// runs or is logged. Bound values reach the engine as data — never as
+    /// query text — so this path is injection-proof by construction. On a
+    /// durable database a mutating statement is WAL-logged as rendered SQL
+    /// (values spliced back as escaped, label-carrying literals) so
+    /// recovery replays it byte- and policy-identically, under the same
+    /// lock as [`query`](ResinDb::query) logs under.
+    pub fn exec_prepared(&self, prepared: &Prepared, values: Vec<TCell>) -> Result<TaintedResult> {
+        if values.len() != prepared.param_spans.len() {
+            return Err(SqlError::Type(format!(
+                "statement has {} parameter(s), {} value(s) bound",
+                prepared.param_spans.len(),
+                values.len()
+            )));
+        }
+        let mut log = self.log_step(|| Cow::Owned(render_bound_sql(prepared, &values)));
         run_prepared(
             &self.shared.db,
-            p.text_tainted(),
-            p.statement().clone(),
+            &prepared.text,
+            &prepared.stmt,
             self.tracking,
-            &bound.values,
+            &values,
             &mut log,
         )
-    }
-
-    /// [`prepare`](ResinDb::prepare)-bind-[`run`](ResinDb::run) in one
-    /// call, for one-shot parameterized statements.
-    pub fn exec_prepared(
-        &self,
-        prepared: &Prepared,
-        values: Vec<BindValue>,
-    ) -> Result<TaintedResult> {
-        let bound = prepared.bind(values)?;
-        self.run(&bound)
     }
 
     /// Opens a transaction. No data is copied here — a table is copied
@@ -359,7 +364,6 @@ impl ResinDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::SqlError;
     use crate::value::Value;
     use resin_core::UntrustedData;
     use std::collections::BTreeMap;
@@ -590,6 +594,27 @@ mod tests {
         );
         let r = db.exec_prepared(&sel, vec![2i64.into()]).unwrap();
         assert!(r.cell(0, "body").unwrap().as_text().unwrap().is_untainted());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_wrong_value_count_is_refused_before_it_is_logged() {
+        let dir = disk_dir("arity");
+        {
+            let db = ResinDb::open(&dir).unwrap();
+            db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")
+                .unwrap();
+            let ins = db.prepare("INSERT INTO posts VALUES (?, ?)").unwrap();
+            let seq = stats(&db).seq;
+            for values in [vec![1i64.into()], vec![1i64.into(), "x".into(), "y".into()]] {
+                let n = values.len();
+                let err = db.exec_prepared(&ins, values).unwrap_err();
+                assert!(matches!(err, SqlError::Type(_)), "{n} values: {err}");
+                assert_eq!(stats(&db).seq, seq, "{n} values: nothing logged");
+            }
+        }
+        let db = ResinDb::open(&dir).unwrap();
+        assert_eq!(ints(&db, "SELECT COUNT(*) FROM posts"), vec![0]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

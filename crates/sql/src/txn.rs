@@ -14,6 +14,7 @@
 //! rewriting (`prepare_query`), i.e. exactly what executes — so every
 //! executed write lands in a copy and no statement is parsed twice.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use resin_core::{PolicyViolation, TaintedString};
@@ -130,7 +131,7 @@ impl<'c> Transaction<'c> {
     /// *after* any guard rewriting, i.e. exactly what executes — so a
     /// query only ever copies the one table it writes.
     pub fn query(&mut self, sql: &TaintedString) -> Result<TaintedResult> {
-        let (sql, stmt) = prepare_query(sql, self.db.guard())?;
+        let (sql, stmt, _) = prepare_query(Cow::Borrowed(sql), self.db.guard())?;
         let writes = statement_write_target(&stmt).is_some();
         if let Some(name) = statement_write_target(&stmt) {
             let view = self.view.get_or_insert_with(|| self.db.view());
@@ -141,7 +142,7 @@ impl<'c> Transaction<'c> {
             }
         }
         let db = self.view.as_ref().unwrap_or(&self.db);
-        let res = run_prepared(db.raw(), &sql, stmt, db.tracking(), &[], &mut |_| Ok(()))?;
+        let res = run_prepared(db.raw(), &sql, &stmt, db.tracking(), &[], &mut |_| Ok(()))?;
         if writes && self.db.store().is_some() {
             // Buffered, not logged: the WAL only sees statements whose
             // transaction committed, so a rollback recovers as a rollback.

@@ -3,11 +3,12 @@
 //! paths, VM instructions dispatched, verdicts reused, chunks compiled,
 //! and acquisitions of the process-wide plan-table lock. Beside it, the
 //! allocations of a warm `html_escape`, of which its marker makes none,
-//! of a warm spans codec, both ways, and of opening a gate.
+//! of a warm spans codec, both ways, of opening a gate, and of the forum's
+//! three prepared statements.
 //!
 //! In a process of their own: the counting allocator is the process's
 //! allocator, and the compile and lock counters are global. Allocations
-//! are counted per thread, so the two tests do not see each other's.
+//! are counted per thread, so the tests do not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +23,7 @@ use resin::core::{
 use resin::lang::ast::{ClassDecl, StmtKind};
 use resin::lang::vm::dispatched_ops;
 use resin::lang::{check_cache_stats, parse_program, set_check_cache, PValue, ScriptPolicy};
+use resin::sql::{GuardMode, ResinDb, Tracking};
 use resin::web::request::untrusted;
 use resin::web::{html_escape, Response};
 
@@ -384,4 +386,48 @@ fn a_warm_gate_open_allocates_its_context_and_chain_only() {
     assert!(email <= 4, "Runtime::open(Email): {email}");
     let file = per_open(|| Runtime::global().open(GateKind::File));
     assert!(file <= 3, "Runtime::open(File): {file}");
+}
+
+#[test]
+fn a_warm_prepared_statement_allocates_a_fixed_count() {
+    // `ForumApp`'s schema, guard and templates, over 50 posts whose
+    // bodies carry the edge's label.
+    let db = ResinDb::with_modes(Tracking::On, GuardMode::AutoSanitize);
+    db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")
+        .unwrap();
+    let insert = db.prepare("INSERT INTO posts VALUES (?, ?)").unwrap();
+    let view = db.prepare("SELECT body FROM posts WHERE id = ?").unwrap();
+    let search = db
+        .prepare("SELECT body FROM posts WHERE body LIKE ?")
+        .unwrap();
+    let body = |i: i64| untrusted(format!("post {i} says <b>hi</b>"), "http_param");
+    for i in 1..=50 {
+        db.exec_prepared(&insert, vec![i.into(), body(i).into()])
+            .unwrap();
+    }
+    // The fewest of 16 warm executions, each counted without building its
+    // arguments: an insert now and then also grows the table's rows or
+    // splits an index node.
+    let fewest = |run: &mut dyn FnMut(i64) -> u64| (0..16).map(run).min().unwrap();
+    let view_allocs = fewest(&mut |k| {
+        let args = vec![(1 + k % 50).into()];
+        allocations(|| assert_eq!(db.exec_prepared(&view, args).unwrap().rows.len(), 1))
+    });
+    // Five hits: posts 7, 17, 27, 37 and 47.
+    let search_allocs = fewest(&mut |_| {
+        let args = vec![untrusted("%7 says%", "http_param").into()];
+        allocations(|| assert_eq!(db.exec_prepared(&search, args).unwrap().rows.len(), 5))
+    });
+    let insert_allocs = fewest(&mut |k| {
+        let args = vec![(51 + k).into(), body(51 + k).into()];
+        allocations(|| assert_eq!(db.exec_prepared(&insert, args).unwrap().affected, 1))
+    });
+    // An execution borrows its parsed statement. When each one ran a
+    // clone of it, the SELECTs cost 6 more (24 and 38) and the insert 4
+    // more (29).
+    assert_eq!(
+        (view_allocs, search_allocs, insert_allocs),
+        (18, 32, 25),
+        "(/view, /search, /post)"
+    );
 }
