@@ -212,21 +212,6 @@ impl ForumApp {
             .map(|f| resin_core::sync::mlock(f).applied_seq())
     }
 
-    /// Checkpoints, then sweeps the process-wide label table with an
-    /// empty root set — the forum's label-lifecycle GC hook.
-    ///
-    /// Safe because the forum holds no label handles at rest: policy
-    /// columns store policies *serialized*, re-interned on read, and a
-    /// checkpoint first makes durable state self-contained. Labels
-    /// interned by in-flight requests and open transactions survive via
-    /// their epoch pins; any stale handle that escapes those contracts
-    /// resolves to the fail-closed tombstone, never to another datum's
-    /// policies. Call from a maintenance path, not per request.
-    pub fn gc_labels(&self) -> Result<resin_core::SweepReport, resin_sql::SqlError> {
-        self.checkpoint()?;
-        Ok(resin_core::LabelTable::global().sweep(std::iter::empty()))
-    }
-
     /// How [`open`](ForumApp::open) found the forum's log (`Clean`
     /// in memory and on a replica): after a torn tail the forum is
     /// consistent, but acknowledged posts from the crashed process may be

@@ -69,9 +69,7 @@ pub mod prelude {
     pub use crate::error::{FlowError, PolicyViolation, Result, SerializeError};
     pub use crate::filter::{DefaultFilter, Filter, FnFilter};
     pub use crate::gate::{Gate, GateKind};
-    pub use crate::label::{
-        EpochPin, Label, LabelMemo, LabelTable, LabelTableStats, PolicyId, SweepReport,
-    };
+    pub use crate::label::{Label, LabelMemo, LabelTable, LabelTableStats, PolicyId};
     pub use crate::merge::{merge_many, merge_sets};
     pub use crate::policies::{
         Acl, AuthenticData, CodeApproval, EmptyPolicy, HtmlSanitized, PagePolicy, PasswordPolicy,

@@ -54,11 +54,12 @@
 //!   serialised and kept in the **write index**; a blob's table is
 //!   deduplicated by id and joined from those texts.
 //!
-//! A label sweep drops the swept policies' entries from both indexes;
-//! [`register_policy_class`] drops the class's texts from the read index,
-//! so re-registering a class re-decodes every stored text of that class
-//! with the new deserializer, and starts a new index *generation*: a
-//! decode in flight across a registration records nothing.
+//! A policy slot is never freed, so no index entry goes stale with its
+//! policy; [`register_policy_class`] drops the class's texts from the
+//! read index, so re-registering a class re-decodes every stored text of
+//! that class with the new deserializer, and starts a new index
+//! *generation*: a decode in flight across a registration records
+//! nothing.
 //!
 //! Lock order: the decoders here take the label table's lock (a hit
 //! reads, a miss writes), and a miss runs a registered deserializer
@@ -353,21 +354,10 @@ pub(crate) fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
 
 /// The read-index miss path: decodes `text`, then interns what it built
 /// and — the decode having succeeded — records the text under that id,
-/// in one step (a label sweep must not come between the two).
+/// unless a class registration came in between.
 fn decode_and_index(text: &str, miss: WireMiss) -> Result<PolicyId, SerializeError> {
     let policy = decode_policy(text)?;
     Ok(LabelTable::global().intern_decoded(text, &policy, miss))
-}
-
-/// The wire text of one member of a label: `id`'s, from the label table's
-/// write index. A swept label keeps no ids; its tombstone policy is
-/// written by name, uncached, and fails the read back closed (no such
-/// class).
-fn member_text(id: Option<PolicyId>, policy: &PolicyRef) -> Arc<str> {
-    match id {
-        Some(id) => LabelTable::global().wire_text(id, policy),
-        None => serialize_policy(policy).into(),
-    }
 }
 
 /// Serializes an interned label (comma-joined policies). The empty label
@@ -377,11 +367,11 @@ pub fn serialize_label(label: Label) -> String {
         return String::new();
     }
     let (ids, policies) = label.members();
+    let table = LabelTable::global();
     write_texts(
-        policies
-            .iter()
-            .enumerate()
-            .map(|(i, policy)| member_text(ids.get(i).copied(), policy)),
+        ids.iter()
+            .zip(policies.iter())
+            .map(|(&id, p)| table.wire_text(id, p)),
     )
 }
 
@@ -605,11 +595,11 @@ impl WireTable {
     /// The table index of one member of a label, entering its text on
     /// first sight. Two ids can share a text (script policies of two
     /// class declarations): they share the entry, as they always did.
-    fn index_of(&mut self, id: Option<PolicyId>, policy: &PolicyRef) -> usize {
-        if let Some(&(_, i)) = self.by_id.iter().find(|(seen, _)| Some(*seen) == id) {
+    fn index_of(&mut self, id: PolicyId, policy: &PolicyRef) -> usize {
+        if let Some(&(_, i)) = self.by_id.iter().find(|(seen, _)| *seen == id) {
             return i;
         }
-        let text = member_text(id, policy);
+        let text = LabelTable::global().wire_text(id, policy);
         let i = match self.texts.iter().position(|t| **t == *text) {
             Some(i) => i,
             None => {
@@ -617,9 +607,7 @@ impl WireTable {
                 self.texts.len() - 1
             }
         };
-        if let Some(id) = id {
-            self.by_id.push((id, i));
-        }
+        self.by_id.push((id, i));
         i
     }
 }
@@ -641,10 +629,10 @@ pub fn serialize_spans(data: &TaintedString) -> String {
     let mut out = SpansWriter::default();
     for (r, label) in data.spans() {
         let (ids, policies) = label.members();
-        let members = policies.iter().enumerate();
+        let members = ids.iter().zip(policies.iter());
         out.span(
             r.start as u64..r.end as u64,
-            members.map(|(i, p)| table.index_of(ids.get(i).copied(), p)),
+            members.map(|(&id, p)| table.index_of(id, p)),
         );
     }
     out.finish(&table.texts)

@@ -223,11 +223,7 @@ pub fn serve_connection<S: Read + Write>(
             }
         };
 
-        // Phase 3: cross the taint boundary and dispatch. The epoch pin
-        // keeps every label interned while this request runs (parse-time
-        // taint, query results, response scratch) safe from a concurrent
-        // label-table sweep.
-        let _pin = resin_core::LabelTable::global().pin();
+        // Phase 3: cross the taint boundary and dispatch.
         let req = http::build_request(&head, body.as_deref());
         let page = serve_request(app, &req);
         stats.served += 1;

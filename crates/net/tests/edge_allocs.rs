@@ -128,7 +128,7 @@ fn a_warm_request_crosses_the_boundary_in_a_bounded_number_of_allocations() {
     let table = LabelTable::global();
     let interned = || {
         let stats = table.stats();
-        (stats.label_slots, stats.policies)
+        (stats.labels, stats.policies)
     };
     let before = interned();
     for _ in 0..1000 {

@@ -238,14 +238,11 @@ fn guard_query_cow<'a>(
         GuardMode::MarkerCheck => {
             let bad = sql.ranges_where(|l| l.has::<UntrustedData>() && !l.has::<SqlSanitized>());
             if let Some(r) = bad.first() {
-                let snippet = sql.slice(r.clone());
                 return Err(PolicyViolation::new(
                     "SqlGuard",
                     format!(
-                        "unsanitized untrusted data in SQL query at bytes {}..{}: `{}`",
-                        r.start,
-                        r.end,
-                        snippet.as_str()
+                        "unsanitized untrusted data in SQL query at bytes {}..{}",
+                        r.start, r.end
                     ),
                 )
                 .into());
@@ -536,16 +533,12 @@ fn check_structure_untainted(sql: &TaintedString, tokens: &[Token]) -> Result<()
         if !t.is_structure() {
             continue;
         }
-        let tainted = span_has_untrusted(sql, &t.span);
-        if tainted {
-            let snippet = sql.slice(t.span.clone());
+        if span_has_untrusted(sql, &t.span) {
             return Err(PolicyViolation::new(
                 "SqlGuard",
                 format!(
-                    "untrusted data in SQL query structure at bytes {}..{}: `{}`",
-                    t.span.start,
-                    t.span.end,
-                    snippet.as_str()
+                    "untrusted data in SQL query structure at bytes {}..{}",
+                    t.span.start, t.span.end
                 ),
             )
             .into());
@@ -821,6 +814,36 @@ mod tests {
         let q = build_login_query(&untrusted("x' OR '1'='1"));
         let err = db.query(&q).unwrap_err();
         assert!(err.is_violation());
+    }
+
+    #[test]
+    fn a_guard_denial_names_the_bytes_not_the_payload() {
+        // What an operator reads about a refused query must not replay
+        // the attacker's bytes (into a log, or a page that shows errors).
+        let payload = "x' OR 'zq-payload-7'='zq-payload-7";
+        let login = |mode, query: &str| {
+            let mut db = setup();
+            db.set_guard(mode);
+            let q = build_login_query(&untrusted(query));
+            match db.query(&q).unwrap_err() {
+                SqlError::Policy(FlowError::Denied(v)) => (q, v),
+                other => panic!("expected a denial, got {other:?}"),
+            }
+        };
+        // `MarkerCheck` names the whole unsanitized run: the payload.
+        let (q, marker) = login(GuardMode::MarkerCheck, payload);
+        let start = q.as_str().find(payload).unwrap();
+        let range = format!("at bytes {start}..{}", start + payload.len());
+        assert!(marker.message.ends_with(&range), "{}", marker.message);
+        // `StructureCheck` names the first structural token in it: `OR`.
+        let (_, structure) = login(GuardMode::StructureCheck, payload);
+        let range = format!("at bytes {}..{}", start + 3, start + 5);
+        assert!(structure.message.ends_with(&range), "{}", structure.message);
+        for v in [marker, structure] {
+            assert_eq!(v.policy, "SqlGuard");
+            assert!(!v.message.contains("zq-payload"), "{}", v.message);
+            assert!(!v.message.contains(" OR "), "{}", v.message);
+        }
     }
 
     #[test]

@@ -96,9 +96,6 @@ pub struct Transaction<'c> {
     copied: BTreeMap<String, Option<u64>>,
     checks: Vec<IntegrityCheck<'c>>,
     wal: Vec<TaintedString>,
-    /// Keeps labels interned during the transaction (copies, query
-    /// results) safe from a concurrent label-table sweep.
-    _epoch_pin: resin_core::EpochPin<'static>,
 }
 
 impl<'c> Transaction<'c> {
@@ -109,7 +106,6 @@ impl<'c> Transaction<'c> {
             copied: BTreeMap::new(),
             checks: Vec::new(),
             wal: Vec::new(),
-            _epoch_pin: resin_core::LabelTable::global().pin(),
         }
     }
 

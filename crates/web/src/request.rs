@@ -15,8 +15,8 @@ use resin_core::{Label, TaintedString, UntrustedData};
 
 /// `value` with [`UntrustedData`] from `source` on every byte.
 ///
-/// The label of each source is interned once per thread per label-table
-/// epoch, not once per value ([`Label::of_static`]).
+/// The label of each source is interned once per thread, not once per
+/// value ([`Label::of_static`]).
 ///
 /// ```
 /// use resin_core::UntrustedData;

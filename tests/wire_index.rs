@@ -1,12 +1,13 @@
 //! The label table's wire-text indexes, through the product path:
 //! `ResinDb` writes policies into policy columns as text and revives
 //! them on every read, and each distinct text is to be decoded once per
-//! registry generation — not once per cell — without outliving a label
-//! sweep or a class registration.
+//! registry generation — not once per cell — without outliving a class
+//! registration.
 //!
-//! The tests count deserializer runs, re-register classes and sweep the
-//! **global** label table, so they take turns ([`turn`]); as its own
-//! integration-test binary the file shares its process with nothing else.
+//! The tests count deserializer runs, re-register classes and read the
+//! **global** label table's sizes, so they take turns ([`turn`]); as its
+//! own integration-test binary the file shares its process with nothing
+//! else.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
@@ -132,7 +133,7 @@ fn a_select_decodes_each_distinct_policy_once() {
 }
 
 #[test]
-fn revived_labels_survive_a_sweep_and_the_table_does_not_grow() {
+fn revived_labels_survive_a_checkpoint_and_the_table_does_not_grow() {
     let _turn = turn();
     let dir = std::env::temp_dir().join(format!("resin-wire-index-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -156,23 +157,13 @@ fn revived_labels_survive_a_sweep_and_the_table_does_not_grow() {
             q.push_str("')");
             db.query(&q).unwrap();
         }
-        // As `ForumApp::gc_labels` does: durable state first, then sweep
-        // with no roots. Every policy interned so far is swept, and its
-        // index entries with it.
         db.checkpoint().unwrap();
-        LabelTable::global().sweep(std::iter::empty());
-        assert_eq!(
-            LabelTable::global().stats().read_index,
-            0,
-            "no text resolves to a swept policy"
-        );
 
         let r = db.query_str("SELECT body FROM pages").unwrap();
         labels_after_cycle.push(LabelTable::global().stats().labels);
         assert_eq!(r.rows.len(), (cycle + 1) * 4);
         for (i, row) in r.rows.iter().enumerate() {
             let cell = row[0].as_text().unwrap();
-            assert!(!cell.label().has_named("SweptLabel"), "row {i}");
             if i % 2 == 0 {
                 assert!(cell.has_policy::<PagePolicy>());
                 Response::for_user("alice").echo(cell.clone()).unwrap();
@@ -234,31 +225,23 @@ fn readers_racing_a_registration_never_keep_a_stale_entry() {
 }
 
 #[test]
-fn readers_racing_a_gc_never_read_another_policy() {
+fn readers_racing_squatters_never_read_another_policy() {
     let _turn = turn();
     const READERS: usize = 8;
     static RUNS: AtomicUsize = AtomicUsize::new(0);
-    register_counted("WireCountedGc", 1, &RUNS);
-    let db = db_over_two_policies("WireCountedGc", 10);
-    // How many cells of one read came back swept; every other cell must
-    // carry its own row's policy.
-    let swept_cells = |db: &ResinDb| {
+    register_counted("WireCountedSquat", 1, &RUNS);
+    let db = db_over_two_policies("WireCountedSquat", 10);
+    // Every cell of one read carries its own row's policy.
+    let own_cells = |db: &ResinDb| {
         let r = db.query_str("SELECT id, body FROM notes").unwrap();
         assert_eq!(r.rows.len(), 10);
-        let mut swept = 0;
         for row in &r.rows {
             let id = *row[0].as_int().unwrap().value() as usize;
             let policies = row[1].as_text().unwrap().label().policies();
             assert_eq!(policies.len(), 1);
-            match downcast_policy::<Counted>(&policies[0]) {
-                Some(p) => assert_eq!(p.owner, ["alice", "bob"][id % 2], "row {id}"),
-                None => {
-                    assert_eq!(policies[0].name(), "SweptLabel", "row {id}");
-                    swept += 1;
-                }
-            }
+            let p = downcast_policy::<Counted>(&policies[0]).expect("a Counted policy");
+            assert_eq!(p.owner, ["alice", "bob"][id % 2], "row {id}");
         }
-        swept
     };
 
     let start = Barrier::new(READERS + 1);
@@ -267,34 +250,35 @@ fn readers_racing_a_gc_never_read_another_policy() {
         for _ in 0..READERS {
             s.spawn(|| {
                 start.wait();
-                while !done.load(Ordering::SeqCst) {
-                    // The lifecycle's contract: a request holds a pin, so
-                    // what it revives is at worst swept under it (and then
-                    // denies every export), never reused.
-                    let _pin = LabelTable::global().pin();
-                    swept_cells(&db);
+                // At least one read after the last squatter.
+                let mut last_round = false;
+                loop {
+                    own_cells(&db);
+                    if last_round {
+                        break;
+                    }
+                    last_round = done.load(Ordering::SeqCst);
                 }
             });
         }
         s.spawn(|| {
             start.wait();
             for n in 0..300 {
-                // `gc_labels` with nothing to checkpoint, then a policy of
-                // the same class to move into whatever slot came free.
-                LabelTable::global().sweep(std::iter::empty());
-                Label::of(
+                // A policy of the same class, and a set holding it, interned
+                // beside the readers' revivals.
+                let squatter = Label::of(
                     &(Arc::new(Counted {
-                        class: "WireCountedGc",
+                        class: "WireCountedSquat",
                         owner: format!("squatter {n}"),
                         rev: 1,
                     }) as PolicyRef),
                 );
+                squatter.union(Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)));
             }
             done.store(true, Ordering::SeqCst);
         });
     });
-    // With the gc at rest every text resolves, live, to its own policy.
-    assert_eq!(swept_cells(&db), 0);
+    own_cells(&db);
 }
 
 #[test]
