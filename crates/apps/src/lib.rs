@@ -18,6 +18,8 @@
 //! | [`loginlib`] | myPHPscripts login | strict password policy |
 //! | [`scriptinj`] | five upload-and-execute apps | CodeApproval import filter (Fig. 6) |
 
+#![forbid(unsafe_code)]
+
 pub mod attacks;
 pub mod filemgr;
 pub mod forum;

@@ -13,11 +13,14 @@
 //!   [`Label`] handle, with [`Label::EMPTY`] reserved for the empty set and
 //!   a memoized pairwise-union cache beside them.
 //!
-//! A slot is written once and never freed or reused, so a handle resolves
-//! to what it was created with for the life of the process. After
-//! interning, set **union**, **equality**, and **dedup** are integer table
-//! hits — no policy is compared structurally ever again. `Label` is
-//! `Copy`, hashable, and cheap to ship across threads.
+//! A slot is written once and never freed, moved or reused, so a handle
+//! resolves to what it was created with for the life of the process, and
+//! resolving it takes no lock: like the paper's pointer, it is followed in
+//! place. Finding a slot by its key — interning, a union-memo probe, a
+//! read-index lookup — takes the table's shared lock. After interning, set
+//! **union**, **equality**, and **dedup** are integer table hits — no
+//! policy is compared structurally ever again. `Label` is `Copy`,
+//! hashable, and cheap to ship across threads.
 //!
 //! # Wire-text indexes
 //!
@@ -61,11 +64,9 @@
 //! ```
 
 use std::any::TypeId;
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::metrics::{self, Counter};
@@ -108,7 +109,7 @@ impl PolicyId {
 /// The set lives once in the global [`LabelTable`], and data carries this
 /// 4-byte `Copy` handle. Union, equality, and dedup are table hits; only
 /// operations that need the policy *objects* (running `export_check`,
-/// downcasting) resolve through the table.
+/// downcasting) resolve through the table, which takes no lock.
 ///
 /// # Examples
 ///
@@ -146,7 +147,10 @@ impl Label {
 
     /// The label of the policy `make` builds, for a policy that its type
     /// and `key` determine: a fieldless marker (`key` is then `""`), or a
-    /// source tag. Interned once per thread, not once per call.
+    /// source tag. Interned once per thread, not once per call: a warm
+    /// call skips building the policy and its key (a `String` and a
+    /// fields `Vec`) and two keyed lookups, which the network edge would
+    /// otherwise pay per request field (`edge_allocs.rs` pins it).
     ///
     /// ```
     /// use resin_core::prelude::*;
@@ -197,25 +201,19 @@ impl Label {
         if self.is_empty() {
             0
         } else {
-            LabelTable::global().entry(self).ids.len()
+            self.ids().len()
         }
     }
 
     /// The sorted policy ids of the set.
-    pub fn ids(self) -> Arc<[PolicyId]> {
-        LabelTable::global().entry(self).ids
+    pub fn ids(self) -> &'static [PolicyId] {
+        &LabelTable::global().sets.get(self.0).ids
     }
 
-    /// The canonical policy objects of the set (shared, not cloned).
-    pub fn policies(self) -> Arc<Vec<PolicyRef>> {
-        LabelTable::global().entry(self).refs
-    }
-
-    /// [`ids`](Label::ids) and [`policies`](Label::policies) under one
-    /// lock, index-aligned.
-    pub(crate) fn members(self) -> (Arc<[PolicyId]>, Arc<Vec<PolicyRef>>) {
-        let entry = LabelTable::global().entry(self);
-        (entry.ids, entry.refs)
+    /// The canonical policy objects of the set, index-aligned with
+    /// [`ids`](Label::ids).
+    pub fn policies(self) -> &'static [PolicyRef] {
+        &LabelTable::global().sets.get(self.0).refs
     }
 
     /// Set union — an O(1) memoized table hit after the first computation.
@@ -280,15 +278,12 @@ impl Label {
         if self.is_empty() {
             return self;
         }
-        let entry = LabelTable::global().entry(self);
-        let ids: Vec<PolicyId> = entry
-            .ids
-            .iter()
-            .zip(entry.refs.iter())
+        let ids: Vec<PolicyId> = (self.ids().iter())
+            .zip(self.policies())
             .filter(|(_, p)| pred(p))
             .map(|(&id, _)| id)
             .collect();
-        if ids.len() == entry.ids.len() {
+        if ids.len() == self.len() {
             self
         } else {
             LabelTable::global().intern_ids(ids)
@@ -312,71 +307,8 @@ impl fmt::Debug for Label {
         if self.is_empty() {
             return write!(f, "Label[]");
         }
-        let refs = self.policies();
-        let names: Vec<&str> = refs.iter().map(|p| p.name()).collect();
+        let names: Vec<&str> = self.policies().iter().map(|p| p.name()).collect();
         write!(f, "Label{names:?}")
-    }
-}
-
-/// A function of labels, remembered for one pass over a string's spans.
-///
-/// A rendered page carries hundreds of spans and a handful of distinct
-/// labels, and every question about a label's policies (`has`, `union`)
-/// goes through the [`LabelTable`]'s lock. A pass asks through a memo so
-/// the table is consulted once per distinct label, not once per span.
-///
-/// ```
-/// use resin_core::{Label, LabelMemo};
-/// let mut calls = 0;
-/// let mut memo = LabelMemo::new();
-/// for _ in 0..3 {
-///     assert!(memo.get(Label::EMPTY, |l| { calls += 1; l.is_empty() }));
-/// }
-/// assert_eq!(calls, 1);
-/// ```
-#[derive(Debug)]
-pub struct LabelMemo<V> {
-    /// The first two labels met: most strings carry no more (a field has
-    /// one, an escaped page the marker with and without its source), and
-    /// those passes should not pay for an allocation.
-    first: [Option<(Label, V)>; 2],
-    /// The others, sorted by label index: a page of many distinct labels
-    /// costs a binary search per span rather than a walk.
-    rest: Vec<(Label, V)>,
-}
-
-impl<V> Default for LabelMemo<V> {
-    fn default() -> Self {
-        LabelMemo {
-            first: [None, None],
-            rest: Vec::new(),
-        }
-    }
-}
-
-impl<V: Copy> LabelMemo<V> {
-    /// A memo that has seen no label.
-    pub fn new() -> Self {
-        LabelMemo::default()
-    }
-
-    /// `f(label)`, computed the first time `label` is asked about.
-    pub fn get(&mut self, label: Label, f: impl FnOnce(Label) -> V) -> V {
-        for slot in &mut self.first {
-            match slot {
-                Some((l, v)) if *l == label => return *v,
-                Some(_) => {}
-                None => return slot.insert((label, f(label))).1,
-            }
-        }
-        match self.rest.binary_search_by_key(&label.0, |(l, _)| l.0) {
-            Ok(i) => self.rest[i].1,
-            Err(i) => {
-                let v = f(label);
-                self.rest.insert(i, (label, v));
-                v
-            }
-        }
     }
 }
 
@@ -409,46 +341,54 @@ impl PolicyKey {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireMiss(u64);
 
-/// One kind of slot, for policies or for label sets: found by its key,
-/// appended when new, and never freed, so an index names one value for
-/// the life of the table.
-struct Slots<K, V> {
-    values: Vec<V>,
-    by_key: HashMap<K, u32>,
+/// One kind of slot, for policies or for label sets, read in place.
+///
+/// Chunk `c` holds `2^c` slots and is allocated the first time one of its
+/// slots is written, so a slot never moves and 32 chunks hold every `u32`
+/// index. A slot is written under the table's write lock before its index
+/// is handed out, and never again, so a read is `ilog2` and two
+/// `OnceLock::get`s, with no lock.
+struct Slots<T> {
+    chunks: [OnceLock<Box<[OnceLock<T>]>>; 32],
 }
 
-impl<K, V> Default for Slots<K, V> {
-    fn default() -> Self {
+impl<T> Slots<T> {
+    fn new() -> Slots<T> {
         Slots {
-            values: Vec::new(),
-            by_key: HashMap::new(),
+            chunks: [const { OnceLock::new() }; 32],
         }
     }
-}
 
-impl<K: Hash + Eq, V> Slots<K, V> {
-    /// The slot `key` names.
-    fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<u32>
-    where
-        K: Borrow<Q>,
-    {
-        self.by_key.get(key).copied()
+    /// The chunk slot `i` lives in, and its place there.
+    fn place(i: u32) -> (usize, usize) {
+        let n = u64::from(i) + 1;
+        let chunk = n.ilog2();
+        (chunk as usize, (n - (1 << chunk)) as usize)
     }
 
-    /// The slot `key` names, or a new one holding `value()`.
-    fn insert(&mut self, key: K, value: impl FnOnce() -> V) -> u32 {
-        if let Some(id) = self.get(&key) {
-            return id;
-        }
-        let id = self.push(value());
-        self.by_key.insert(key, id);
-        id
+    /// Slot `i`.
+    ///
+    /// # Panics
+    /// Panics if slot `i` was never written: `i` did not come from this
+    /// table.
+    fn get(&self, i: u32) -> &T {
+        let (chunk, at) = Slots::<T>::place(i);
+        (self.chunks[chunk].get())
+            .and_then(|chunk| chunk[at].get())
+            .unwrap_or_else(|| panic!("slot {i} is not in this label table"))
     }
 
-    /// A new unkeyed slot holding `value`.
-    fn push(&mut self, value: V) -> u32 {
-        self.values.push(value);
-        u32::try_from(self.values.len() - 1).expect("label table overflow")
+    /// Writes `value` into slot `*len`, the first unwritten one, then
+    /// claims it by advancing `*len`; nothing between can fail. The caller
+    /// holds the table's write lock and hands the index out after this.
+    fn push(&self, len: &mut u32, value: T) -> u32 {
+        let i = *len;
+        let (chunk, at) = Slots::<T>::place(i);
+        let chunk =
+            self.chunks[chunk].get_or_init(|| (0..1 << chunk).map(|_| OnceLock::new()).collect());
+        assert!(chunk[at].set(value).is_ok(), "slot {i} is written twice");
+        *len = i + 1;
+        i
     }
 }
 
@@ -456,28 +396,28 @@ impl<K: Hash + Eq, V> Slots<K, V> {
 /// been serialised (the write index).
 struct PolicySlot {
     policy: PolicyRef,
-    wire: Option<Arc<str>>,
-}
-
-impl PolicySlot {
-    fn new(policy: PolicyRef) -> PolicySlot {
-        PolicySlot { policy, wire: None }
-    }
-}
-
-#[derive(Clone, Default)]
-struct LabelEntry {
-    /// Sorted, deduplicated member ids (canonical form).
-    ids: Arc<[PolicyId]>,
-    /// Resolved canonical policy objects, index-aligned with `ids`.
-    refs: Arc<Vec<PolicyRef>>,
+    wire: OnceLock<Arc<str>>,
 }
 
 #[derive(Default)]
-struct TableInner {
-    policies: Slots<PolicyKey, PolicySlot>,
-    /// Slot 0, unkeyed, is the empty set.
-    sets: Slots<Arc<[PolicyId]>, LabelEntry>,
+struct LabelEntry {
+    /// Sorted, deduplicated member ids (canonical form), shared with the
+    /// set's key.
+    ids: Arc<[PolicyId]>,
+    /// Resolved canonical policy objects, index-aligned with `ids`.
+    refs: Box<[PolicyRef]>,
+}
+
+/// What finds a slot by its key, kept under the table's lock.
+#[derive(Default)]
+struct Keys {
+    /// Every policy slot.
+    policies: HashMap<PolicyKey, u32>,
+    /// Every set slot but 0, the empty set.
+    sets: HashMap<Arc<[PolicyId]>, u32>,
+    /// The slots written so far, of each kind.
+    policy_slots: u32,
+    set_slots: u32,
     /// (lower, higher) operand → their union.
     union_cache: HashMap<(u32, u32), u32>,
     /// The read index: a wire text and the id of the policy the class
@@ -485,31 +425,6 @@ struct TableInner {
     by_wire: HashMap<Arc<str>, u32>,
     /// Advances whenever a policy class is registered or replaced.
     wire_generation: u64,
-}
-
-impl TableInner {
-    /// The set slot of `ids` (sorted, deduplicated, not empty).
-    fn intern_set(&mut self, ids: Arc<[PolicyId]>) -> u32 {
-        let TableInner { policies, sets, .. } = self;
-        let policy = |id: &PolicyId| policies.values[id.0 as usize].policy.clone();
-        let entry = || LabelEntry {
-            refs: Arc::new(ids.iter().map(policy).collect()),
-            ids: ids.clone(),
-        };
-        sets.insert(ids.clone(), entry)
-    }
-
-    /// The union of set slots `a` and `b`, memoized.
-    fn union_set(&mut self, (a, b): (u32, u32)) -> u32 {
-        let ea = &self.sets.values[a as usize].ids;
-        let eb = &self.sets.values[b as usize].ids;
-        let mut ids = [&ea[..], &eb[..]].concat();
-        ids.sort_unstable();
-        ids.dedup();
-        let union = self.intern_set(ids.into());
-        self.union_cache.insert((a, b), union);
-        union
-    }
 }
 
 /// Point-in-time counters for [`LabelTable::stats`]: entry counts and
@@ -533,33 +448,40 @@ pub struct LabelTableStats {
 ///
 /// All [`Label`] and [`PolicyId`] operations go through the global table
 /// ([`LabelTable::global`]); the handles themselves stay plain integers.
-/// Reads (resolution, union-cache hits) take a shared lock; first-time
-/// interning takes the exclusive lock briefly.
+/// Resolving a handle to its slot takes no lock. Keyed lookups (interning,
+/// union-cache probes, the read index) take a shared lock, and
+/// first-time interning takes the exclusive lock briefly.
 ///
 /// # Label lifetime
 ///
 /// The table only grows. A policy slot or set slot is written once (a
 /// policy slot's wire text is added once, when first asked for) and is
-/// never freed or reused, so a [`PolicyId`] or [`Label`] resolves to what
-/// it was created with for the life of the process, whichever thread
-/// holds it and for however long.
+/// never freed, moved or reused, so a [`PolicyId`] or [`Label`] resolves
+/// to what it was created with for the life of the process, whichever
+/// thread holds it and for however long.
 ///
 /// **Publication rule.** An entry is written in the write section that
 /// creates it, from what the table holds there: a set with its policy
 /// objects, a union-cache entry with the set it names, a wire text with
-/// the policy it decoded to.
+/// the policy it decoded to. A slot is written before its key, so a key
+/// never names an unwritten slot.
 pub struct LabelTable {
-    inner: RwLock<TableInner>,
+    policies: Slots<PolicySlot>,
+    /// Slot 0, unkeyed, is the empty set.
+    sets: Slots<LabelEntry>,
+    inner: RwLock<Keys>,
 }
 
 impl LabelTable {
     /// A fresh, empty table. Product code uses [`global`](LabelTable::global);
     /// the module's tests race standalone ones.
     fn new() -> LabelTable {
-        let mut inner = TableInner::default();
-        inner.sets.push(LabelEntry::default()); // slot 0 = Label::EMPTY
+        let (sets, mut keys) = (Slots::new(), Keys::default());
+        sets.push(&mut keys.set_slots, LabelEntry::default()); // slot 0 = Label::EMPTY
         LabelTable {
-            inner: RwLock::new(inner),
+            policies: Slots::new(),
+            sets,
+            inner: RwLock::new(keys),
         }
     }
 
@@ -572,12 +494,12 @@ impl LabelTable {
     // Every write section leaves the table consistent at each panic point
     // (a slot whose key was never written is merely unreachable), so a
     // poisoned lock is recoverable; see [`crate::sync`].
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, TableInner> {
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Keys> {
         metrics::inc(Counter::LabelReadLocks);
         crate::sync::rlock(&self.inner)
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, TableInner> {
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Keys> {
         metrics::inc(Counter::LabelWriteLocks);
         crate::sync::wlock(&self.inner)
     }
@@ -586,11 +508,31 @@ impl LabelTable {
     fn intern_policy(&self, policy: &PolicyRef) -> PolicyId {
         // Compute the key outside the lock (serialize_fields may allocate).
         let key = PolicyKey::of(policy);
-        if let Some(id) = self.read().policies.get(&key) {
+        if let Some(&id) = self.read().policies.get(&key) {
             return PolicyId(id);
         }
-        let slot = || PolicySlot::new(policy.clone());
-        PolicyId(self.write().policies.insert(key, slot))
+        PolicyId(self.insert_policy(&mut self.write(), key, policy))
+    }
+
+    /// The policy slot `key` names, or a new one holding `policy`.
+    fn insert_policy(&self, keys: &mut Keys, key: PolicyKey, policy: &PolicyRef) -> u32 {
+        *keys.policies.entry(key).or_insert_with(|| {
+            let slot = PolicySlot {
+                policy: policy.clone(),
+                wire: OnceLock::new(),
+            };
+            self.policies.push(&mut keys.policy_slots, slot)
+        })
+    }
+
+    /// The set slot of `ids` (sorted, deduplicated, not empty), or a new
+    /// one holding them and their policy objects.
+    fn insert_set(&self, keys: &mut Keys, ids: Arc<[PolicyId]>) -> u32 {
+        *keys.sets.entry(ids.clone()).or_insert_with(|| {
+            let refs = ids.iter().map(|&id| self.resolve_policy(id)).collect();
+            let entry = LabelEntry { ids, refs };
+            self.sets.push(&mut keys.set_slots, entry)
+        })
     }
 
     /// The canonical policy object for `id`.
@@ -598,26 +540,26 @@ impl LabelTable {
     /// # Panics
     /// Panics if `id` did not come from this table.
     fn resolve_policy(&self, id: PolicyId) -> PolicyRef {
-        self.read().policies.values[id.0 as usize].policy.clone()
+        self.policies.get(id.0).policy.clone()
     }
 
     /// Looks `text` up in the read index under one read lock: `hit` sees
-    /// the table and the id the text resolves to.
+    /// the keys and the id the text resolves to.
     fn wire_hit<R>(
         &self,
         text: &str,
-        hit: impl FnOnce(&TableInner, PolicyId) -> R,
+        hit: impl FnOnce(&Keys, PolicyId) -> R,
     ) -> Result<R, WireMiss> {
-        let inner = self.read();
-        let Some(&id) = inner.by_wire.get(text) else {
+        let keys = self.read();
+        let Some(&id) = keys.by_wire.get(text) else {
             metrics::inc(Counter::WireMisses);
-            return Err(WireMiss(inner.wire_generation));
+            return Err(WireMiss(keys.wire_generation));
         };
         metrics::inc(Counter::WireHits);
         #[cfg(test)]
-        let oracle = tests::wire_oracle(&inner, id);
-        let found = hit(&inner, PolicyId(id));
-        drop(inner);
+        let oracle = tests::wire_oracle(self.resolve_policy(PolicyId(id)), keys.wire_generation);
+        let found = hit(&keys, PolicyId(id));
+        drop(keys);
         #[cfg(test)]
         oracle(self, text);
         Ok(found)
@@ -631,10 +573,7 @@ impl LabelTable {
     /// The canonical object of the policy `text` decoded to, if the read
     /// index holds it.
     pub(crate) fn wire_policy(&self, text: &str) -> Option<PolicyRef> {
-        self.wire_hit(text, |inner, id| {
-            inner.policies.values[id.0 as usize].policy.clone()
-        })
-        .ok()
+        self.wire_id(text).ok().map(|id| self.resolve_policy(id))
     }
 
     /// The single-policy label of the policy `text` decoded to, if the
@@ -642,8 +581,8 @@ impl LabelTable {
     /// allocation (unless that policy has been met only in larger sets,
     /// and its own label is interned here).
     pub(crate) fn wire_label(&self, text: &str) -> Result<Label, WireMiss> {
-        let found = self.wire_hit(text, |inner, id| {
-            inner.sets.get(&[id][..]).map(Label).ok_or(id)
+        let found = self.wire_hit(text, |keys, id| {
+            keys.sets.get(&[id][..]).map(|&set| Label(set)).ok_or(id)
         })?;
         Ok(found.unwrap_or_else(|id| self.intern_ids(vec![id])))
     }
@@ -660,18 +599,16 @@ impl LabelTable {
         miss: WireMiss,
     ) -> PolicyId {
         let key = PolicyKey::of(policy);
-        let mut inner = self.write();
-        let inner = &mut *inner;
-        let slot = || PolicySlot::new(policy.clone());
-        let id = inner.policies.insert(key, slot);
-        if inner.wire_generation == miss.0 {
+        let mut keys = self.write();
+        let id = self.insert_policy(&mut keys, key, policy);
+        if keys.wire_generation == miss.0 {
             // A canonical round trip (the usual case) reads back the text
             // the write index already holds: share it.
-            let key = match &inner.policies.values[id as usize].wire {
+            let text = match self.policies.get(id).wire.get() {
                 Some(cached) if **cached == *text => cached.clone(),
                 _ => Arc::from(text),
             };
-            inner.by_wire.insert(key, id);
+            keys.by_wire.insert(text, id);
         }
         PolicyId(id)
     }
@@ -680,22 +617,18 @@ impl LabelTable {
     /// replaced) and starts a new generation of the whole read index: a
     /// decode of *any* class in flight across this call records nothing.
     pub(crate) fn forget_wire_index(&self, stale: impl Fn(&str) -> bool) {
-        let mut inner = self.write();
-        inner.wire_generation += 1;
-        inner.by_wire.retain(|text, _| !stale(text));
+        let mut keys = self.write();
+        keys.wire_generation += 1;
+        keys.by_wire.retain(|text, _| !stale(text));
     }
 
-    /// The wire text of policy `id`, whose canonical object is `policy`:
-    /// rendered the first time it is asked for, then served from the
-    /// write index.
-    pub(crate) fn wire_text(&self, id: PolicyId, policy: &PolicyRef) -> Arc<str> {
-        if let Some(text) = &self.read().policies.values[id.0 as usize].wire {
-            return text.clone();
-        }
-        let text: Arc<str> = crate::serialize::serialize_policy(policy).into();
-        let mut inner = self.write();
-        let slot = &mut inner.policies.values[id.0 as usize];
-        slot.wire.get_or_insert(text).clone()
+    /// The wire text of policy `id`: rendered the first time it is asked
+    /// for, then served from the write index. Racing first calls render
+    /// it once, waiting on the slot rather than the table's lock, so a
+    /// policy's `serialize_fields` must not ask for its own wire text.
+    pub(crate) fn wire_text(&self, id: PolicyId) -> &str {
+        let slot = self.policies.get(id.0);
+        (slot.wire).get_or_init(|| crate::serialize::serialize_policy(&slot.policy).into())
     }
 
     /// The label for a single policy.
@@ -710,34 +643,38 @@ impl LabelTable {
         if ids.is_empty() {
             return Label::EMPTY;
         }
-        if let Some(idx) = self.read().sets.get(&ids[..]) {
-            return Label(idx);
+        if let Some(&set) = self.read().sets.get(&ids[..]) {
+            return Label(set);
         }
-        Label(self.write().intern_set(ids.into()))
+        Label(self.insert_set(&mut self.write(), ids.into()))
     }
 
-    fn entry(&self, label: Label) -> LabelEntry {
-        self.read().sets.values[label.0 as usize].clone()
-    }
-
+    /// The union of two non-empty labels, memoized.
     fn union(&self, a: Label, b: Label) -> Label {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        if let Some(&idx) = self.read().union_cache.get(&key) {
-            return Label(idx);
+        if let Some(&set) = self.read().union_cache.get(&key) {
+            return Label(set);
         }
-        Label(self.write().union_set(key))
+        let (ia, ib) = (&self.sets.get(a.0).ids, &self.sets.get(b.0).ids);
+        let mut ids = [&ia[..], &ib[..]].concat();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut keys = self.write();
+        let union = self.insert_set(&mut keys, ids.into());
+        keys.union_cache.insert(key, union);
+        Label(union)
     }
 
     /// Point-in-time size counters.
     pub fn stats(&self) -> LabelTableStats {
-        let inner = self.read();
+        let keys = self.read();
         LabelTableStats {
-            labels: inner.sets.values.len() - 1,
-            policies: inner.policies.values.len(),
-            union_cache: inner.union_cache.len(),
-            read_index: inner.by_wire.len(),
-            write_index: (inner.policies.values.iter())
-                .filter(|p| p.wire.is_some())
+            labels: keys.set_slots as usize - 1,
+            policies: keys.policy_slots as usize,
+            union_cache: keys.union_cache.len(),
+            read_index: keys.by_wire.len(),
+            write_index: (0..keys.policy_slots)
+                .filter(|&id| self.policies.get(id).wire.get().is_some())
                 .count(),
         }
     }
@@ -752,9 +689,10 @@ mod tests {
     /// The read index's oracle, taken at a hit under the lock and run after
     /// it: the hit must be what the registry decodes the text to, unless a
     /// class registration moved the generation in between.
-    pub(super) fn wire_oracle(inner: &TableInner, id: u32) -> impl FnOnce(&LabelTable, &str) {
-        let indexed = inner.policies.values[id as usize].policy.clone();
-        let generation = inner.wire_generation;
+    pub(super) fn wire_oracle(
+        indexed: PolicyRef,
+        generation: u64,
+    ) -> impl FnOnce(&LabelTable, &str) {
         move |t, text| {
             let decoded = crate::serialize::decode_policy(text);
             if t.read().wire_generation != generation {
@@ -945,29 +883,29 @@ mod tests {
         let (keep_id, other_id) = (t.intern_policy(&keep), t.intern_policy(&other));
         let keep_label = t.intern_ids(vec![keep_id]);
         // The write index renders once, then serves the same text.
-        let text = t.wire_text(keep_id, &keep);
-        assert!(Arc::ptr_eq(&text, &t.wire_text(keep_id, &keep)));
-        let other_text = t.wire_text(other_id, &other);
+        let text = t.wire_text(keep_id);
+        assert!(std::ptr::eq(text, t.wire_text(keep_id)));
+        let other_text = t.wire_text(other_id);
         // The read index knows only what it is told, and shares a text
         // the write index already holds.
-        let miss = t.wire_id(&text).unwrap_err();
-        assert_eq!(t.intern_decoded(&text, &pw("wire-keep@x"), miss), keep_id);
-        assert_eq!(t.intern_decoded(&other_text, &other, miss), other_id);
+        let miss = t.wire_id(text).unwrap_err();
+        assert_eq!(t.intern_decoded(text, &pw("wire-keep@x"), miss), keep_id);
+        assert_eq!(t.intern_decoded(other_text, &other, miss), other_id);
         let spelling = "PasswordPolicy{email=wire-keep@x}";
         assert_eq!(t.intern_decoded(spelling, &keep, miss), keep_id);
-        assert_eq!(t.wire_id(&text).unwrap(), keep_id);
-        assert_eq!(t.wire_label(&text).unwrap(), keep_label);
+        assert_eq!(t.wire_id(text).unwrap(), keep_id);
+        assert_eq!(t.wire_label(text).unwrap(), keep_label);
         assert_eq!(t.wire_label(spelling).unwrap(), keep_label);
-        assert!(Arc::ptr_eq(&t.wire_policy(&other_text).unwrap(), &other));
+        assert!(Arc::ptr_eq(&t.wire_policy(other_text).unwrap(), &other));
         let stats = t.stats();
         assert_eq!((stats.read_index, stats.write_index), (3, 2));
-        let shared = t.read().by_wire.get_key_value(&*text).unwrap().0.clone();
-        assert!(Arc::ptr_eq(&shared, &text), "one text, two indexes");
+        let shared = t.read().by_wire.get_key_value(text).unwrap().0.clone();
+        assert!(std::ptr::eq(&*shared, text), "one text, two indexes");
         // A policy met only in a larger set gets its own label from the
         // lookup, interned then.
         let labels = t.stats().labels;
-        let again = t.wire_label(&other_text).unwrap();
-        assert_eq!(t.entry(again).ids[..], [other_id]);
+        let again = t.wire_label(other_text).unwrap();
+        assert_eq!(t.sets.get(again.0).ids[..], [other_id]);
         assert_eq!(t.stats().labels, labels + 1);
     }
 
@@ -992,9 +930,9 @@ mod tests {
         assert_eq!(t.wire_id(&text).unwrap(), id);
         // The write index holds texts of live objects, whatever class
         // decodes them: it stays.
-        let text = t.wire_text(id, &p);
+        let text = t.wire_text(id);
         t.forget_wire_index(|_| true);
-        assert!(Arc::ptr_eq(&text, &t.wire_text(id, &p)));
+        assert!(std::ptr::eq(text, t.wire_text(id)));
         assert_eq!(t.stats().read_index, 0);
     }
 
@@ -1006,9 +944,13 @@ mod tests {
         assert!(t.stats().policies > before);
         assert!(t.stats().labels >= 1);
         let _ = t.stats().union_cache; // smoke: accessible
-        let slots = t.read().policies.values.len();
-        assert!(slots > 0);
-        assert_eq!(slots, t.stats().policies);
+        let keys = t.read();
+        assert!(keys.policy_slots > 0);
+        assert_eq!(
+            keys.policies.len(),
+            keys.policy_slots as usize,
+            "every policy slot is keyed"
+        );
     }
 
     #[test]
@@ -1041,13 +983,13 @@ mod tests {
         };
         let check = |held: &[Held]| {
             for (label, members) in held {
-                let entry = t.entry(*label);
+                let entry = t.sets.get(label.0);
                 let ids: Vec<PolicyId> = members.iter().map(|m| m.0).collect();
                 assert_eq!(entry.ids[..], ids[..], "label {} moved", label.0);
                 for ((&id, p), (_, email)) in entry.ids.iter().zip(entry.refs.iter()).zip(members) {
                     assert!(Arc::ptr_eq(p, &t.resolve_policy(id)), "{p:?}");
                     assert_eq!(p.serialize_fields()[0].1, *email);
-                    assert_eq!(*t.wire_text(id, p), serialize_policy(&pw(email)));
+                    assert_eq!(t.wire_text(id), serialize_policy(&pw(email)));
                 }
             }
         };
@@ -1083,5 +1025,37 @@ mod tests {
                 });
             }
         });
+        // Enough that the readers raced a writer opening a new chunk of
+        // each kind: set slot 255 starts chunk 8, policy slot 31 chunk 5.
+        let stats = t.stats();
+        assert!(stats.labels >= 255 && stats.policies >= 63, "{stats:?}");
+    }
+
+    #[test]
+    fn slots_read_back_across_chunk_boundaries() {
+        // Chunk c holds 2^c slots: 0 | 1 2 | 3..=6 | 7..=14 | 15..=30.
+        let slots = Slots::new();
+        let mut len = 0;
+        for i in 0..31u32 {
+            assert_eq!(slots.push(&mut len, i * 10), i);
+        }
+        let first: *const u32 = slots.get(0);
+        for i in [0, 1, 2, 6, 7, 14, 15, 30] {
+            assert_eq!(*slots.get(i), i * 10, "slot {i}");
+        }
+        assert_eq!(
+            [0, 2, 3, 6, 15, 30].map(Slots::<u32>::place),
+            [(0, 0), (1, 1), (2, 0), (2, 3), (4, 0), (4, 15)]
+        );
+        assert_eq!(Slots::<u32>::place(u32::MAX - 1), (31, (1 << 31) - 1));
+        // Opening chunk 5 moves none of the slots before it.
+        slots.push(&mut len, 310);
+        assert_eq!(*slots.get(31), 310);
+        assert!(std::ptr::eq(first, slots.get(0)));
+        // An index never handed out panics, in a chunk or past every one.
+        for i in [32, 62, 63, u32::MAX] {
+            let read = std::panic::catch_unwind(|| *slots.get(i));
+            assert!(read.is_err(), "slot {i}");
+        }
     }
 }

@@ -49,6 +49,8 @@
 //! assert!(email.write(body).is_ok()); // owner's address: allowed
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod error;
 pub mod filter;
@@ -69,7 +71,7 @@ pub mod prelude {
     pub use crate::error::{FlowError, PolicyViolation, Result, SerializeError};
     pub use crate::filter::{DefaultFilter, Filter, FnFilter};
     pub use crate::gate::{Gate, GateKind};
-    pub use crate::label::{Label, LabelMemo, LabelTable, LabelTableStats, PolicyId};
+    pub use crate::label::{Label, LabelTable, LabelTableStats, PolicyId};
     pub use crate::merge::{merge_many, merge_sets};
     pub use crate::policies::{
         Acl, AuthenticData, CodeApproval, EmptyPolicy, HtmlSanitized, PagePolicy, PasswordPolicy,

@@ -366,13 +366,8 @@ pub fn serialize_label(label: Label) -> String {
     if label.is_empty() {
         return String::new();
     }
-    let (ids, policies) = label.members();
     let table = LabelTable::global();
-    write_texts(
-        ids.iter()
-            .zip(policies.iter())
-            .map(|(&id, p)| table.wire_text(id, p)),
-    )
+    write_texts(label.ids().iter().map(|&id| table.wire_text(id)))
 }
 
 /// Deserializes a label, interning each revived policy.
@@ -585,7 +580,7 @@ impl SpansWriter {
 /// wire text once, in order of first use.
 #[derive(Default)]
 struct WireTable {
-    texts: Vec<Arc<str>>,
+    texts: Vec<&'static str>,
     /// Table index of each policy id met so far. A string carries a
     /// handful of distinct policies, so both lookups are short walks.
     by_id: Vec<(PolicyId, usize)>,
@@ -595,12 +590,12 @@ impl WireTable {
     /// The table index of one member of a label, entering its text on
     /// first sight. Two ids can share a text (script policies of two
     /// class declarations): they share the entry, as they always did.
-    fn index_of(&mut self, id: PolicyId, policy: &PolicyRef) -> usize {
+    fn index_of(&mut self, id: PolicyId) -> usize {
         if let Some(&(_, i)) = self.by_id.iter().find(|(seen, _)| *seen == id) {
             return i;
         }
-        let text = LabelTable::global().wire_text(id, policy);
-        let i = match self.texts.iter().position(|t| **t == *text) {
+        let text = LabelTable::global().wire_text(id);
+        let i = match self.texts.iter().position(|&t| t == text) {
             Some(i) => i,
             None => {
                 self.texts.push(text);
@@ -628,11 +623,9 @@ pub fn serialize_spans(data: &TaintedString) -> String {
     let mut table = WireTable::default();
     let mut out = SpansWriter::default();
     for (r, label) in data.spans() {
-        let (ids, policies) = label.members();
-        let members = ids.iter().zip(policies.iter());
         out.span(
             r.start as u64..r.end as u64,
-            members.map(|(&id, p)| table.index_of(id, p)),
+            label.ids().iter().map(|&id| table.index_of(id)),
         );
     }
     out.finish(&table.texts)

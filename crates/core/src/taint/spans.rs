@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use crate::label::{Label, LabelMemo, PolicyId};
+use crate::label::{Label, PolicyId};
 use crate::policy::{Policy, PolicyRef};
 
 /// One labeled byte range. `end` is exclusive.
@@ -454,10 +454,6 @@ impl SpanMap {
 
     /// True if every byte in `0..len` has a label satisfying `pred`.
     /// Vacuously true when `len == 0`.
-    ///
-    /// Here and in [`any_byte`](SpanMap::any_byte) and
-    /// [`ranges_where`](SpanMap::ranges_where), `pred` runs at most once
-    /// per distinct label, however many spans repeat it.
     pub fn all_bytes<F>(&self, len: usize, pred: F) -> bool
     where
         F: Fn(Label) -> bool,
@@ -465,8 +461,6 @@ impl SpanMap {
         if len == 0 {
             return true;
         }
-        let mut memo = LabelMemo::new();
-        let mut pred = |l| memo.get(l, &pred);
         let mut cursor = 0usize;
         for s in self.spans.iter() {
             if s.start >= len {
@@ -503,10 +497,9 @@ impl SpanMap {
         F: Fn(Label) -> bool,
     {
         let hi = self.spans.partition_point(|s| s.start < len);
-        let mut memo = LabelMemo::new();
         self.spans[..hi]
             .iter()
-            .filter(|s| memo.get(s.label, &pred))
+            .filter(|s| pred(s.label))
             .map(|s| s.start..s.end.min(len))
             .collect()
     }
@@ -797,58 +790,9 @@ mod tests {
         assert!(m.at(5).has::<SqlSanitized>());
     }
 
-    /// `all_bytes`, `any_byte` and `ranges_where` as they were before
-    /// `pred` was memoised per label: one call per span and per gap.
-    mod unmemoised {
-        use super::*;
-
-        pub fn all_bytes(m: &SpanMap, len: usize, pred: impl Fn(Label) -> bool) -> bool {
-            if len == 0 {
-                return true;
-            }
-            let mut cursor = 0usize;
-            for s in m.spans.iter() {
-                if s.start >= len {
-                    break;
-                }
-                if s.start > cursor {
-                    // An uncovered gap: the empty label must satisfy the predicate.
-                    if !pred(Label::EMPTY) {
-                        return false;
-                    }
-                }
-                if !pred(s.label) {
-                    return false;
-                }
-                cursor = s.end;
-            }
-            if cursor < len && !pred(Label::EMPTY) {
-                return false;
-            }
-            true
-        }
-
-        pub fn any_byte(m: &SpanMap, len: usize, pred: impl Fn(Label) -> bool) -> bool {
-            !all_bytes(m, len, |l| !pred(l))
-        }
-
-        pub fn ranges_where(
-            m: &SpanMap,
-            len: usize,
-            pred: impl Fn(Label) -> bool,
-        ) -> Vec<Range<usize>> {
-            let hi = m.spans.partition_point(|s| s.start < len);
-            m.spans[..hi]
-                .iter()
-                .filter(|s| pred(s.label))
-                .map(|s| s.start..s.end.min(len))
-                .collect()
-        }
-    }
-
     proptest::proptest! {
         #[test]
-        fn memoised_predicates_agree_with_unmemoised_and_ask_once_per_label(
+        fn span_predicates_agree_with_the_per_byte_definition(
             pieces in proptest::prop::collection::vec((0usize..3, (1usize..4, 0usize..3)), 0..16),
             cut in 0usize..8,
         ) {
@@ -873,25 +817,23 @@ mod tests {
                     &|_| false,
                 ];
                 for pred in preds {
-                    let calls = std::cell::Cell::new(0usize);
-                    let counted = |l| {
-                        calls.set(calls.get() + 1);
-                        pred(l)
-                    };
-                    proptest::prop_assert_eq!(
-                        m.all_bytes(len, counted),
-                        unmemoised::all_bytes(&m, len, pred)
-                    );
-                    proptest::prop_assert_eq!(
-                        m.any_byte(len, counted),
-                        unmemoised::any_byte(&m, len, pred)
-                    );
-                    proptest::prop_assert_eq!(
-                        m.ranges_where(len, counted),
-                        unmemoised::ranges_where(&m, len, pred)
-                    );
-                    // Three labels and the empty one, three passes.
-                    proptest::prop_assert!(calls.get() <= 3 * (labels.len() + 1));
+                    let bytes: Vec<bool> = (0..len).map(|i| pred(m.at(i))).collect();
+                    proptest::prop_assert_eq!(m.all_bytes(len, pred), bytes.iter().all(|&b| b));
+                    proptest::prop_assert_eq!(m.any_byte(len, pred), bytes.iter().any(|&b| b));
+                    // Each span whose label satisfies `pred`, clipped: a
+                    // maximal run of such bytes within one span.
+                    let mut want: Vec<Range<usize>> = Vec::new();
+                    for (i, &b) in bytes.iter().enumerate() {
+                        let joins = want.last().is_some_and(|r| {
+                            r.end == i && m.at(r.start) == m.at(i)
+                        });
+                        match (b && !m.at(i).is_empty(), joins) {
+                            (false, _) => {}
+                            (true, true) => want.last_mut().unwrap().end += 1,
+                            (true, false) => want.push(i..i + 1),
+                        }
+                    }
+                    proptest::prop_assert_eq!(m.ranges_where(len, pred), want);
                 }
             }
         }

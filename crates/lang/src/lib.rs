@@ -48,6 +48,8 @@
 //! dispatch loop over a 16-byte [`Value`]. The tests hold the VM to a
 //! tree-walking oracle that exists only in test builds.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod ast;
 pub mod check;

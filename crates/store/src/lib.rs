@@ -40,6 +40,8 @@
 //! `resin_vfs` checkpoints its tree as one part and logs file operations.
 //! Both recover by replaying the WAL onto the last complete checkpoint.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod io;
 pub mod replica;

@@ -33,6 +33,8 @@
 //! assert!(fs.write_file("/wiki/Front/v1", &page, &Vfs::user_ctx("bob")).is_err());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fs;
 pub mod op;

@@ -15,8 +15,8 @@ use std::ops::Range;
 use std::sync::LazyLock;
 
 use resin_core::{
-    HtmlSanitized, Label, LabelMemo, PolicyViolation, Result, TaintedStrBuilder, TaintedString,
-    TextTail, UntrustedData,
+    HtmlSanitized, Label, PolicyViolation, Result, TaintedStrBuilder, TaintedString, TextTail,
+    UntrustedData,
 };
 
 /// What an encoder does to each byte: the replacement function, and a
@@ -81,10 +81,10 @@ pub(crate) fn escape_bytes(
     // bodies hold one every twenty; a denser input grows the buffer.
     // Counting the exact length first costs a pass that measured slower.
     let mut out = TaintedStrBuilder::with_capacity(text.len() + text.len() / 2);
-    let mut marked = LabelMemo::new();
     let mut emit = |range: Range<usize>, label: Label| {
-        let label = marked.get(label, |l| l.union(marker));
-        out.push_label_with(label, |tail| table.escape_into(tail, &text[range]));
+        out.push_label_with(label.union(marker), |tail| {
+            table.escape_into(tail, &text[range])
+        });
     };
     let mut cursor = 0usize;
     for (range, label) in input.spans() {
@@ -126,14 +126,11 @@ pub fn html_escape(input: &TaintedString) -> TaintedString {
 pub fn check_html_markers(output: &TaintedString) -> Result<()> {
     let bad = output.ranges_where(|l| l.has::<UntrustedData>() && !l.has::<HtmlSanitized>());
     if let Some(r) = bad.first() {
-        let snippet = output.slice(r.clone());
         return Err(PolicyViolation::new(
             "XssGuard",
             format!(
-                "unsanitized untrusted data in HTML at bytes {}..{}: `{}`",
-                r.start,
-                r.end,
-                snippet.as_str()
+                "unsanitized untrusted data in HTML at bytes {}..{}",
+                r.start, r.end
             ),
         )
         .into());
@@ -228,6 +225,24 @@ mod tests {
         page.push_tainted(&html_escape(&untrusted("<script>evil()</script>")));
         page.push_str("</p>");
         assert!(check_html_markers(&page).is_ok());
+    }
+
+    #[test]
+    fn a_marker_denial_names_the_bytes_not_the_payload() {
+        // What an operator reads about a refused page must not replay the
+        // attacker's bytes (into a log, or a page that shows errors).
+        let payload = "<script>zq-payload-7()</script>";
+        let mut page = TaintedString::from("<p>");
+        page.push_tainted(&untrusted(payload));
+        page.push_str("</p>");
+        let Err(resin_core::FlowError::Denied(v)) = check_html_markers(&page) else {
+            panic!("expected a denial");
+        };
+        assert_eq!(v.policy, "XssGuard");
+        let range = format!("at bytes 3..{}", 3 + payload.len());
+        assert!(v.message.ends_with(&range), "{}", v.message);
+        assert!(!v.message.contains("zq-payload"), "{}", v.message);
+        assert!(!v.message.contains("<script>"), "{}", v.message);
     }
 
     #[test]

@@ -48,6 +48,8 @@
 //! assert!(mailer.sent()[0].body.contains("s3cret"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod email;
 pub mod html;
 pub mod json;
