@@ -631,13 +631,32 @@ pub fn serialize_spans(data: &TaintedString) -> String {
     out.finish(&table.texts)
 }
 
+/// `range` as byte bounds of `text`, if it is a span the writer could
+/// have written over it: not empty, within it, and on character
+/// boundaries. Clipped to the text instead, a span past its end would
+/// drop its policy.
+fn span_bounds(text: &str, range: &Range<u64>) -> Result<Range<usize>, SerializeError> {
+    let why = if range.start >= range.end {
+        "is empty"
+    } else if range.end > text.len() as u64 {
+        "runs past the text"
+    } else if !(text.is_char_boundary(range.start as usize)
+        && text.is_char_boundary(range.end as usize))
+    {
+        "splits a character"
+    } else {
+        return Ok(range.start as usize..range.end as usize);
+    };
+    Err(SerializeError::Malformed(format!("span `{range:?}` {why}")))
+}
+
 /// Re-attaches serialized spans to `text`, producing a tainted string.
 ///
 /// Accepts the interned `#table#spans` format. A blob that is not exactly
 /// that is an error, never a less tainted string: that includes a blob
-/// without the leading `#`, a span whose range is reversed or that names
-/// no policy, and a span that starts or ends inside a UTF-8 character of
-/// `text`. (A span reaching past `text` is clipped to it first.)
+/// without the leading `#`, a span whose range is reversed, empty or
+/// past the end of `text`, a span that names no policy, and a span that
+/// starts or ends inside a UTF-8 character of `text`.
 pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
     let mut out = TaintedString::from(text);
     if spans.is_empty() {
@@ -667,14 +686,7 @@ pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, Seria
             })?;
             label = label.union(*l);
         }
-        let clip = |v: u64| usize::try_from(v).map_or(text.len(), |v| v.min(text.len()));
-        let (start, end) = (clip(range.start), clip(range.end));
-        if !(text.is_char_boundary(start) && text.is_char_boundary(end)) {
-            return Err(SerializeError::Malformed(format!(
-                "span `{range:?}` splits a character"
-            )));
-        }
-        out.add_label_range(start..end, label);
+        out.add_label_range(span_bounds(text, &range)?, label);
     }
     Ok(out)
 }
@@ -814,8 +826,28 @@ mod tests {
                 );
             }
         }
-        // Still fine: an empty range, and one clipped to the text.
-        let t = deserialize_spans("hello", "#UntrustedData{}#2..2|0;3..99|0").unwrap();
+        // An empty span, and spans that run past the text: the writer
+        // writes none of them. These used to read back, the empty one as
+        // no bytes and the rest clipped, so a span wholly past the end
+        // dropped its policy.
+        for blob in [
+            "#UntrustedData{}#2..2|0;3..99|0",
+            "#UntrustedData{}#2..2|0",
+            "#UntrustedData{}#3..99|0",
+            "#UntrustedData{}#5..9|0",
+            "#UntrustedData{}#0..6|0",
+        ] {
+            for got in [
+                deserialize_spans("hello", blob),
+                oracle::deserialize_spans("hello", blob),
+            ] {
+                assert!(
+                    matches!(got, Err(SerializeError::Malformed(_))),
+                    "{blob}: {got:?}"
+                );
+            }
+        }
+        let t = deserialize_spans("hello", "#UntrustedData{}#3..5|0").unwrap();
         assert_eq!(t.spans().collect::<Vec<_>>().len(), 1);
         assert!(t.label_at(4).has::<UntrustedData>() && t.label_at(2).is_empty());
     }
@@ -828,6 +860,7 @@ mod tests {
             "#UntrustedData{}#1..2|0",
             "#UntrustedData{}#0..1|0",
             "#UntrustedData{}#1..1|0",
+            "#UntrustedData{}#0..9|0",
         ] {
             let got = deserialize_spans("é", blob);
             assert!(
@@ -835,8 +868,8 @@ mod tests {
                 "{blob}: {got:?}"
             );
         }
-        // Clipped to the text first, so an end past it is still fine.
-        let t = deserialize_spans("é", "#UntrustedData{}#0..9|0").unwrap();
+        // A span over the whole character reads back.
+        let t = deserialize_spans("é", "#UntrustedData{}#0..2|0").unwrap();
         assert!(t.label_at(1).has::<UntrustedData>());
     }
 
@@ -1118,11 +1151,13 @@ mod tests {
                 if label.is_empty() {
                     return Err(names_no_policy(part));
                 }
+                if start == end || end > text.len() {
+                    return Err(SerializeError::Malformed(format!(
+                        "span `{part}` is empty or runs past the text"
+                    )));
+                }
                 // One edit per span, not an append.
-                out.spans_mut()
-                    .edit(start.min(text.len())..end.min(text.len()), |cur| {
-                        cur.union(label)
-                    });
+                out.spans_mut().edit(start..end, |cur| cur.union(label));
             }
             Ok(out)
         }
@@ -1225,12 +1260,16 @@ mod tests {
             let fast = deserialize_spans(&text, &blob).unwrap();
             let slow = oracle::deserialize_spans(&text, &blob).unwrap();
             proptest::prop_assert!(same_spans(&fast, &slow) && same_spans(&fast, &data));
-            // Read against a shorter text, spans clip alike.
+            // Read against a shorter text, a span past it is refused
+            // alike; one within it reads back alike.
             let short = &text[..text.char_indices().nth(text.chars().count() / 2).unwrap().0];
-            proptest::prop_assert!(same_spans(
-                &deserialize_spans(short, &blob).unwrap(),
-                &oracle::deserialize_spans(short, &blob).unwrap()
-            ));
+            match (deserialize_spans(short, &blob), oracle::deserialize_spans(short, &blob)) {
+                (Ok(fast), Ok(slow)) => proptest::prop_assert!(same_spans(&fast, &slow)),
+                (fast, slow) => {
+                    proptest::prop_assert_eq!(outcome(fast), outcome(slow));
+                    proptest::prop_assert!(data.spans().any(|(r, _)| r.end > short.len()));
+                }
+            }
 
             let inline = data
                 .spans()

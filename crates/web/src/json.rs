@@ -46,7 +46,7 @@ pub fn encode_object(fields: &BTreeMap<String, TaintedString>) -> TaintedString 
 /// producing invalid JSON that a lenient client parser could resolve
 /// differently than [`check_json_structure`] saw — the same
 /// parser-differential shape as response splitting.
-pub fn escape_tainted(v: &TaintedString) -> TaintedString {
+pub(crate) fn escape_tainted(v: &TaintedString) -> TaintedString {
     escape_bytes(v, &JSON_ESCAPES, Label::EMPTY)
 }
 

@@ -2,9 +2,9 @@
 //! with the host): heap allocations on the hit, miss and reused-allow
 //! paths, VM instructions dispatched, verdicts reused, chunks compiled,
 //! and acquisitions of the process-wide plan-table lock. Beside it, the
-//! allocations of a warm `html_escape`, of which its marker makes none,
-//! of a warm spans codec, both ways, of opening a gate, and of the forum's
-//! three prepared statements.
+//! allocations of a warm `html_escape` (1 KiB and 1 MiB), of which its
+//! marker makes none, of a warm spans codec, both ways, of opening a
+//! gate, and of the forum's three prepared statements.
 //!
 //! In a process of their own: the counting allocator is the process's
 //! allocator, and the compile and lock counters are global. Allocations
@@ -318,6 +318,23 @@ fn a_warm_escape_allocates_only_its_output() {
     // the span list's inline slots. Interning the marker afresh cost 3
     // more (the policy, its key's name, the id list).
     assert_eq!(n, 1000, "1 000 warm escapes");
+}
+
+#[test]
+fn a_warm_megabyte_escape_allocates_only_its_output() {
+    // A body of `MAX_BODY_BYTES`, after only a short escape on this
+    // thread: the kernel escapes it through the fixed-size block it holds,
+    // not a buffer grown to the input, so the escape allocates what a
+    // 1 KiB one does, its output's text, once and never grown.
+    let prose = "the quick brown fox & jumps <over> the lazy dog; ";
+    let text: String = prose.chars().cycle().take(1 << 20).collect();
+    let input = untrusted(text, "http_param");
+    html_escape(&untrusted("<p>", "http_param"));
+    let mut out = None;
+    let n = allocations(|| out = Some(html_escape(std::hint::black_box(&input))));
+    assert_eq!(n, 1, "one warm 1 MiB escape");
+    let out = out.unwrap().into_plain();
+    assert_eq!(out.capacity(), input.len() + input.len() / 2);
 }
 
 #[test]

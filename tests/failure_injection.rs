@@ -49,14 +49,24 @@ fn corrupted_filter_xattr_fails_write() {
 }
 
 #[test]
-fn out_of_range_spans_are_harmless() {
-    // A span past EOF re-attaches only to existing bytes (clamped), it
-    // does not panic or corrupt adjacent state.
+fn an_out_of_range_span_fails_read_closed() {
+    // A span past EOF is refused, not clamped to the bytes there are:
+    // clamped, a span wholly past the end dropped its policy. The read
+    // and the open fail closed without panicking, and the file reads
+    // back whole once its xattr is.
     let mut fs = tainted_file();
+    let stored = fs.get_xattr("/d/f", XATTR_POLICY).unwrap().unwrap();
     fs.set_xattr("/d/f", XATTR_POLICY, "#UntrustedData{}#0..9999|0")
         .unwrap();
+    let err = fs.read_file("/d/f", &Vfs::anonymous_ctx()).unwrap_err();
+    assert!(
+        matches!(err, VfsError::Policy(FlowError::Serialize(_))),
+        "fails closed: {err}"
+    );
+    assert!(fs.open("/d/f").is_err());
+    fs.set_xattr("/d/f", XATTR_POLICY, &stored).unwrap();
     let data = fs.read_file("/d/f", &Vfs::anonymous_ctx()).unwrap();
-    assert!(data.all_bytes_have::<UntrustedData>());
+    assert!(data.all_bytes_have::<PasswordPolicy>());
 }
 
 #[test]
@@ -81,8 +91,15 @@ fn sql_policy_column_tampering_fails_select() {
         .as_text()
         .unwrap()
         .has_policy::<UntrustedData>());
-    // Not a blob at all, and a spans blob whose span runs past the text.
-    for blob in ["corrupt{", "#UntrustedData{}#0..1|7"] {
+    // Not a blob at all, a spans blob whose span names an index outside
+    // its policy table, and one whose span lies wholly past the text:
+    // clipped to it, that span was empty and its policy dropped, so the
+    // SELECT returned the value untainted.
+    for blob in [
+        "corrupt{",
+        "#UntrustedData{}#0..1|7",
+        "#PasswordPolicy{email=u@x}#2..9|0",
+    ] {
         db.raw()
             .execute_str(&format!("UPDATE t SET __rp_v = '{blob}'"))
             .unwrap();
