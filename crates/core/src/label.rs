@@ -16,31 +16,21 @@
 //! A slot is written once and never freed, moved or reused, so a handle
 //! resolves to what it was created with for the life of the process, and
 //! resolving it takes no lock: like the paper's pointer, it is followed in
-//! place. Finding a slot by its key — interning, a union-memo probe, a
-//! read-index lookup — takes the table's shared lock. After interning, set
-//! **union**, **equality**, and **dedup** are integer table hits — no
-//! policy is compared structurally ever again. `Label` is `Copy`,
-//! hashable, and cheap to ship across threads.
+//! place. Finding a slot by its key — interning, a union-memo probe —
+//! takes the table's shared lock. After interning, set **union**,
+//! **equality**, and **dedup** are integer table hits — no policy is
+//! compared structurally ever again. `Label` is `Copy`, hashable, and
+//! cheap to ship across threads.
 //!
-//! # Wire-text indexes
+//! # Wire text
 //!
 //! A policy crosses storage as text ([`crate::serialize`]), and a site
-//! holds few distinct policies across many cells, so the table also
-//! knows each policy's wire text, both ways:
-//!
-//! * the **read index**, wire text → [`PolicyId`], is filled by
-//!   `crate::serialize` after a *successful decode* of that text through
-//!   the class registry, and by nothing else: two script policies from
-//!   different class declarations share a wire text but not an id, and a
-//!   text must resolve to what the registry would build from it today;
-//! * the **write index**, [`PolicyId`] → wire text, is kept in the
-//!   policy's slot, filled the first time the policy is serialised.
-//!
-//! Registering or replacing a policy class drops that class's texts from
-//! the read index and starts a new *generation*: a decode begun under an
-//! older one is not indexed, so a text never outlives the deserializer
-//! that decoded it. Each index holds at most one entry per policy —
-//! there is nothing to size or expire.
+//! holds few distinct policies across many cells, so each policy slot
+//! keeps its wire text once it has been serialised (the **write index**).
+//! Reading a text back is not the table's business: a stored text means
+//! what the policy class registered when it is read builds from it, so
+//! the read index, text → label, lives with the class registry in
+//! [`crate::serialize`], which only interns here what it decoded.
 //!
 //! # Examples
 //!
@@ -336,11 +326,6 @@ impl PolicyKey {
     }
 }
 
-/// A read-index miss: the generation it ran under, which [`LabelTable::intern_decoded`]
-/// checks so that a decode racing a class registration indexes nothing.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WireMiss(u64);
-
 /// One kind of slot, for policies or for label sets, read in place.
 ///
 /// Chunk `c` holds `2^c` slots and is allocated the first time one of its
@@ -396,7 +381,7 @@ impl<T> Slots<T> {
 /// been serialised (the write index).
 struct PolicySlot {
     policy: PolicyRef,
-    wire: OnceLock<Arc<str>>,
+    wire: OnceLock<Box<str>>,
 }
 
 #[derive(Default)]
@@ -420,16 +405,10 @@ struct Keys {
     set_slots: u32,
     /// (lower, higher) operand → their union.
     union_cache: HashMap<(u32, u32), u32>,
-    /// The read index: a wire text and the id of the policy the class
-    /// registry decoded it to, under the current `wire_generation`.
-    by_wire: HashMap<Arc<str>, u32>,
-    /// Advances whenever a policy class is registered or replaced.
-    wire_generation: u64,
 }
 
 /// Point-in-time counters for [`LabelTable::stats`]: entry counts and
-/// index sizes. Its lock takes and index hits are events, counted in
-/// [`crate::metrics`].
+/// index sizes. Its lock takes are events, counted in [`crate::metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelTableStats {
     /// Label entries (excluding the empty label).
@@ -438,8 +417,6 @@ pub struct LabelTableStats {
     pub policies: usize,
     /// Memoized pairwise unions.
     pub union_cache: usize,
-    /// Wire texts the read index resolves without decoding.
-    pub read_index: usize,
     /// Policies whose wire text the write index holds.
     pub write_index: usize,
 }
@@ -449,8 +426,8 @@ pub struct LabelTableStats {
 /// All [`Label`] and [`PolicyId`] operations go through the global table
 /// ([`LabelTable::global`]); the handles themselves stay plain integers.
 /// Resolving a handle to its slot takes no lock. Keyed lookups (interning,
-/// union-cache probes, the read index) take a shared lock, and
-/// first-time interning takes the exclusive lock briefly.
+/// union-cache probes) take a shared lock, and first-time interning takes
+/// the exclusive lock briefly.
 ///
 /// # Label lifetime
 ///
@@ -462,9 +439,8 @@ pub struct LabelTableStats {
 ///
 /// **Publication rule.** An entry is written in the write section that
 /// creates it, from what the table holds there: a set with its policy
-/// objects, a union-cache entry with the set it names, a wire text with
-/// the policy it decoded to. A slot is written before its key, so a key
-/// never names an unwritten slot.
+/// objects, a union-cache entry with the set it names. A slot is written
+/// before its key, so a key never names an unwritten slot.
 pub struct LabelTable {
     policies: Slots<PolicySlot>,
     /// Slot 0, unkeyed, is the empty set.
@@ -543,85 +519,6 @@ impl LabelTable {
         self.policies.get(id.0).policy.clone()
     }
 
-    /// Looks `text` up in the read index under one read lock: `hit` sees
-    /// the keys and the id the text resolves to.
-    fn wire_hit<R>(
-        &self,
-        text: &str,
-        hit: impl FnOnce(&Keys, PolicyId) -> R,
-    ) -> Result<R, WireMiss> {
-        let keys = self.read();
-        let Some(&id) = keys.by_wire.get(text) else {
-            metrics::inc(Counter::WireMisses);
-            return Err(WireMiss(keys.wire_generation));
-        };
-        metrics::inc(Counter::WireHits);
-        #[cfg(test)]
-        let oracle = tests::wire_oracle(self.resolve_policy(PolicyId(id)), keys.wire_generation);
-        let found = hit(&keys, PolicyId(id));
-        drop(keys);
-        #[cfg(test)]
-        oracle(self, text);
-        Ok(found)
-    }
-
-    /// The id `text` decoded to, if the read index holds it.
-    pub(crate) fn wire_id(&self, text: &str) -> Result<PolicyId, WireMiss> {
-        self.wire_hit(text, |_, id| id)
-    }
-
-    /// The canonical object of the policy `text` decoded to, if the read
-    /// index holds it.
-    pub(crate) fn wire_policy(&self, text: &str) -> Option<PolicyRef> {
-        self.wire_id(text).ok().map(|id| self.resolve_policy(id))
-    }
-
-    /// The single-policy label of the policy `text` decoded to, if the
-    /// read index holds it: one read lock, one hash of the text, no
-    /// allocation (unless that policy has been met only in larger sets,
-    /// and its own label is interned here).
-    pub(crate) fn wire_label(&self, text: &str) -> Result<Label, WireMiss> {
-        let found = self.wire_hit(text, |keys, id| {
-            keys.sets.get(&[id][..]).map(|&set| Label(set)).ok_or(id)
-        })?;
-        Ok(found.unwrap_or_else(|id| self.intern_ids(vec![id])))
-    }
-
-    /// Interns `policy`, which `text` was just decoded to, and records
-    /// that `text` resolves to its id — both under one write lock, where
-    /// the generation is read. The text is not recorded if a class was
-    /// registered since `miss` was handed out: the decode may have run a
-    /// deserializer that is registered no longer.
-    pub(crate) fn intern_decoded(
-        &self,
-        text: &str,
-        policy: &PolicyRef,
-        miss: WireMiss,
-    ) -> PolicyId {
-        let key = PolicyKey::of(policy);
-        let mut keys = self.write();
-        let id = self.insert_policy(&mut keys, key, policy);
-        if keys.wire_generation == miss.0 {
-            // A canonical round trip (the usual case) reads back the text
-            // the write index already holds: share it.
-            let text = match self.policies.get(id).wire.get() {
-                Some(cached) if **cached == *text => cached.clone(),
-                _ => Arc::from(text),
-            };
-            keys.by_wire.insert(text, id);
-        }
-        PolicyId(id)
-    }
-
-    /// Drops the texts `stale` picks out (a policy class was registered or
-    /// replaced) and starts a new generation of the whole read index: a
-    /// decode of *any* class in flight across this call records nothing.
-    pub(crate) fn forget_wire_index(&self, stale: impl Fn(&str) -> bool) {
-        let mut keys = self.write();
-        keys.wire_generation += 1;
-        keys.by_wire.retain(|text, _| !stale(text));
-    }
-
     /// The wire text of policy `id`: rendered the first time it is asked
     /// for, then served from the write index. Racing first calls render
     /// it once, waiting on the slot rather than the table's lock, so a
@@ -672,7 +569,6 @@ impl LabelTable {
             labels: keys.set_slots as usize - 1,
             policies: keys.policy_slots as usize,
             union_cache: keys.union_cache.len(),
-            read_index: keys.by_wire.len(),
             write_index: (0..keys.policy_slots)
                 .filter(|&id| self.policies.get(id).wire.get().is_some())
                 .count(),
@@ -685,28 +581,6 @@ mod tests {
     use super::*;
     use crate::policies::{HtmlSanitized, PasswordPolicy, SqlSanitized, UntrustedData};
     use crate::serialize::serialize_policy;
-
-    /// The read index's oracle, taken at a hit under the lock and run after
-    /// it: the hit must be what the registry decodes the text to, unless a
-    /// class registration moved the generation in between.
-    pub(super) fn wire_oracle(
-        indexed: PolicyRef,
-        generation: u64,
-    ) -> impl FnOnce(&LabelTable, &str) {
-        move |t, text| {
-            let decoded = crate::serialize::decode_policy(text);
-            if t.read().wire_generation != generation {
-                return;
-            }
-            let decoded =
-                decoded.unwrap_or_else(|e| panic!("indexed `{text}` fails to decode: {e:?}"));
-            assert!(
-                PolicyKey::of(&decoded) == PolicyKey::of(&indexed),
-                "the read index resolves `{text}` to a {} it does not decode to",
-                indexed.name()
-            );
-        }
-    }
 
     fn pw(email: &str) -> PolicyRef {
         Arc::new(PasswordPolicy::new(email))
@@ -876,64 +750,17 @@ mod tests {
     }
 
     #[test]
-    fn wire_indexes_share_one_text_per_policy() {
+    fn the_write_index_renders_each_text_once() {
         let t = LabelTable::new();
-        let keep = pw("wire-keep@x");
-        let other = pw("wire-other@x");
+        let (keep, other) = (pw("wire-keep@x"), pw("wire-other@x"));
         let (keep_id, other_id) = (t.intern_policy(&keep), t.intern_policy(&other));
-        let keep_label = t.intern_ids(vec![keep_id]);
-        // The write index renders once, then serves the same text.
+        assert_eq!(t.stats().write_index, 0, "rendered when first asked for");
+        // Rendered once, then the same text is served.
         let text = t.wire_text(keep_id);
+        assert_eq!(text, serialize_policy(&keep));
         assert!(std::ptr::eq(text, t.wire_text(keep_id)));
-        let other_text = t.wire_text(other_id);
-        // The read index knows only what it is told, and shares a text
-        // the write index already holds.
-        let miss = t.wire_id(text).unwrap_err();
-        assert_eq!(t.intern_decoded(text, &pw("wire-keep@x"), miss), keep_id);
-        assert_eq!(t.intern_decoded(other_text, &other, miss), other_id);
-        let spelling = "PasswordPolicy{email=wire-keep@x}";
-        assert_eq!(t.intern_decoded(spelling, &keep, miss), keep_id);
-        assert_eq!(t.wire_id(text).unwrap(), keep_id);
-        assert_eq!(t.wire_label(text).unwrap(), keep_label);
-        assert_eq!(t.wire_label(spelling).unwrap(), keep_label);
-        assert!(Arc::ptr_eq(&t.wire_policy(other_text).unwrap(), &other));
-        let stats = t.stats();
-        assert_eq!((stats.read_index, stats.write_index), (3, 2));
-        let shared = t.read().by_wire.get_key_value(text).unwrap().0.clone();
-        assert!(std::ptr::eq(&*shared, text), "one text, two indexes");
-        // A policy met only in a larger set gets its own label from the
-        // lookup, interned then.
-        let labels = t.stats().labels;
-        let again = t.wire_label(other_text).unwrap();
-        assert_eq!(t.sets.get(again.0).ids[..], [other_id]);
-        assert_eq!(t.stats().labels, labels + 1);
-    }
-
-    #[test]
-    fn a_decode_that_raced_a_registration_is_not_indexed() {
-        let t = LabelTable::new();
-        let p = pw("wire-gen@x");
-        let (text, other) = (serialize_policy(&p), "PasswordPolicy{email=wire-gen@x}");
-        let before = t.wire_id(&text).unwrap_err();
-        let id = t.intern_decoded(&text, &p, before);
-        t.intern_decoded(other, &p, before);
-        assert_eq!(t.wire_id(&text).unwrap(), id);
-        // A class is registered: its texts go and the generation moves,
-        // so the miss taken before it interns and indexes nothing.
-        t.forget_wire_index(|stale| stale == text);
-        assert!(t.wire_id(&text).is_err());
-        assert_eq!(t.wire_id(other).unwrap(), id, "a text not picked");
-        assert_eq!(t.intern_decoded(&text, &p, before), id);
-        assert!(t.wire_id(&text).is_err(), "stale generation");
-        let after = t.wire_id(&text).unwrap_err();
-        t.intern_decoded(&text, &p, after);
-        assert_eq!(t.wire_id(&text).unwrap(), id);
-        // The write index holds texts of live objects, whatever class
-        // decodes them: it stays.
-        let text = t.wire_text(id);
-        t.forget_wire_index(|_| true);
-        assert!(std::ptr::eq(text, t.wire_text(id)));
-        assert_eq!(t.stats().read_index, 0);
+        assert_eq!(t.wire_text(other_id), serialize_policy(&other));
+        assert_eq!(t.stats().write_index, 2);
     }
 
     #[test]

@@ -40,9 +40,11 @@ pub enum Counter {
     LabelReadLocks,
     /// Label-table write-lock takes.
     LabelWriteLocks,
-    /// Policy texts the label table's read index resolved.
+    /// Policy texts the policy class registry's read index resolved: one
+    /// take of the registry's read lock each.
     WireHits,
-    /// Policy texts the read index did not hold.
+    /// Policy texts the read index did not hold: one take of the
+    /// registry's read lock each, before the text is decoded.
     WireMisses,
     /// Policy texts decoded through the class registry.
     PolicyDecodes,

@@ -105,6 +105,12 @@ pub trait Policy: Any + Send + Sync + fmt::Debug {
     /// behaviourally-different instances — a pointer-derived identity of
     /// the captured code works, since the interner keeps the policy (and
     /// hence the pointee) alive for the process lifetime. Default: `0`.
+    ///
+    /// The discriminator is not stored: policies that differ only here
+    /// share a wire text, which revives through the class registered when
+    /// it is read. The read index ([`crate::serialize`]) maps that text to
+    /// the label of what the registered class built, and forgets it when
+    /// the class is registered again.
     fn intern_discriminator(&self) -> u64 {
         0
     }
@@ -115,7 +121,8 @@ pub trait Policy: Any + Send + Sync + fmt::Debug {
 
 /// Returns true when two policy references denote the same policy, either by
 /// pointer identity or by structural equality.
-pub fn policy_refs_equal(a: &PolicyRef, b: &PolicyRef) -> bool {
+#[cfg(test)]
+pub(crate) fn policy_refs_equal(a: &PolicyRef, b: &PolicyRef) -> bool {
     // Fast path: the same allocation.
     if Arc::ptr_eq(a, b) {
         return true;

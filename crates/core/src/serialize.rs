@@ -37,12 +37,12 @@
 //!
 //! A site stores thousands of cells under a few hundred distinct
 //! policies, so the codecs here work in policy *texts*, not policy
-//! objects, through the two wire-text indexes the label table keeps
-//! (see [`crate::label`]):
+//! objects:
 //!
-//! * reading, each policy text of a blob is looked up in the table's
-//!   **read index** first. A hit is one lock and one hash, and yields the
-//!   interned id; only a miss parses the fields, runs the class's
+//! * reading, each policy text of a blob is looked up in the policy class
+//!   registry's **read index** first. A hit is one read lock of the
+//!   registry and one hash, and yields the single-policy [`Label`] the
+//!   text was decoded to; only a miss parses the fields, runs the class's
 //!   deserializer and interns the object — and then, *because the decode
 //!   succeeded*, records the text. The index is decode-only on purpose: a
 //!   text must resolve to what the registry builds from it today, and
@@ -51,33 +51,35 @@
 //!   failed decode (unknown class, a class its linter rejects, a bad
 //!   field) records nothing and fails again the next time;
 //! * writing, a policy's text is rendered the first time it is
-//!   serialised and kept in the **write index**; a blob's table is
-//!   deduplicated by id and joined from those texts.
+//!   serialised and kept in its label-table slot (the **write index**,
+//!   [`crate::label`]); a blob's table is deduplicated by id and joined
+//!   from those texts.
 //!
-//! A policy slot is never freed, so no index entry goes stale with its
-//! policy; [`register_policy_class`] drops the class's texts from the
-//! read index, so re-registering a class re-decodes every stored text of
-//! that class with the new deserializer, and starts a new index
-//! *generation*: a decode in flight across a registration records
-//! nothing.
+//! The read index lives under the registry's own lock, beside the
+//! constructors it answers for. [`register_policy_class`] swaps the
+//! class's constructor and drops that class's texts in one write section,
+//! so re-registering a class re-decodes every stored text of that class
+//! with the new deserializer, and the other classes stay warm. A decode
+//! runs with no lock held and records its text only if the constructor
+//! it ran is still the one registered for its class (no entry standing
+//! for a stock class), checked in the write section that records it: a
+//! decode that raced a registration records nothing.
 //!
-//! Lock order: the decoders here take the label table's lock (a hit
-//! reads, a miss writes), and a miss runs a registered deserializer
-//! (fetched under the class registry's lock, run after it is released),
-//! while their caller may hold a storage lock — `resin_sql` revives cells
-//! under the SQL table's read lock. So it is storage lock → label table,
-//! never the reverse, and a deserializer must not query the store it is
-//! being revived from. A registration holds the class registry's lock
-//! while it drops the class's texts (registry → label table). Nothing in
-//! the label table calls out while locked.
+//! One lock at a time: nothing here takes a lock while it holds another.
+//! A hit reads the registry, a miss reads it for the constructor, runs
+//! the deserializer, interns through the label table and writes the
+//! registry, each step after the last one's lock is released. Their
+//! caller may hold a storage lock — `resin_sql` revives cells under the
+//! SQL table's read lock — so a deserializer must not query the store it
+//! is being revived from.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, LazyLock, RwLock, RwLockReadGuard};
 
 use crate::error::SerializeError;
-use crate::label::{Label, LabelTable, PolicyId, WireMiss};
+use crate::label::{Label, LabelTable, PolicyId};
 use crate::metrics::{self, Counter};
 use crate::policies::Acl;
 use crate::policies::{
@@ -102,10 +104,33 @@ pub type Stock<T> = (&'static str, fn(&FieldMap) -> Result<T, SerializeError>);
 /// stored as its class name and fields ([`write_object`]) and revived by
 /// the constructor its name has when it is read, so a class's code can
 /// change without migrating what was stored. Policy classes are one
-/// registry; the vfs's persistent filters are another.
+/// registry, which also keeps the read index of the texts it decoded;
+/// the vfs's persistent filters are another.
 pub struct ClassRegistry<T: 'static> {
     stock: &'static [Stock<T>],
-    registered: RwLock<BTreeMap<String, Constructor<T>>>,
+    classes: LazyLock<RwLock<Classes<T>>>,
+}
+
+/// What a registry's one lock guards.
+struct Classes<T> {
+    /// The classes registered in place of a stock class or of none.
+    registered: BTreeMap<String, Constructor<T>>,
+    /// The read index: each text a decode revived through the constructor
+    /// its class has now, with that class's name and the single-policy
+    /// label of what it built. Only policy texts are indexed.
+    decoded: HashMap<Box<str>, (String, Label)>,
+}
+
+impl<T> Classes<T> {
+    /// True if `ran`, the constructor a revival of `class` ran (`None`
+    /// for the stock one), is the one registered for it now.
+    fn current(&self, class: &str, ran: Option<&Constructor<T>>) -> bool {
+        match (self.registered.get(class), ran) {
+            (None, None) => true,
+            (Some(now), Some(ran)) => Arc::ptr_eq(now, ran),
+            _ => false,
+        }
+    }
 }
 
 impl<T> ClassRegistry<T> {
@@ -113,31 +138,80 @@ impl<T> ClassRegistry<T> {
     pub const fn new(stock: &'static [Stock<T>]) -> Self {
         ClassRegistry {
             stock,
-            registered: RwLock::new(BTreeMap::new()),
+            classes: LazyLock::new(|| {
+                let (registered, decoded) = (BTreeMap::new(), HashMap::new());
+                RwLock::new(Classes {
+                    registered,
+                    decoded,
+                })
+            }),
         }
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, Classes<T>> {
+        crate::sync::rlock(&self.classes)
+    }
+
     /// Registers the class `name`, in place of any stock or earlier class
-    /// of that name. The registry stays locked until the returned guard
-    /// is dropped, so the caller can finish what must happen before any
-    /// revival meets the new constructor.
-    pub fn register(&self, name: String, constructor: Constructor<T>) -> impl Sized + '_ {
-        let mut registered = crate::sync::wlock(&self.registered);
-        registered.insert(name, constructor);
-        registered
+    /// of that name, and drops the texts decoded through the class it
+    /// replaces: one write section, so no revival meets the new
+    /// constructor while a text the old one decoded is still indexed.
+    pub fn register(&self, name: String, constructor: Constructor<T>) {
+        let mut classes = crate::sync::wlock(&self.classes);
+        classes.decoded.retain(|_, (class, _)| *class != name);
+        classes.registered.insert(name, constructor);
     }
 
     /// Revives the object `text` stores ([`read_object`]) with its class's
     /// constructor, which runs after the registry is released.
     pub fn revive(&self, text: &str) -> Result<T, SerializeError> {
+        self.revive_as(text).map(|(object, ..)| object)
+    }
+
+    /// [`revive`](Self::revive), with the object's class and the
+    /// constructor that built it (`None` for a stock class).
+    fn revive_as(&self, text: &str) -> Result<(T, String, Option<Constructor<T>>), SerializeError> {
         let (name, fields) = read_object(text)?;
-        let registered = crate::sync::rlock(&self.registered).get(&name).cloned();
-        if let Some(constructor) = registered {
-            return constructor(&fields);
+        let registered = self.read().registered.get(&name).cloned();
+        let object = match (&registered, self.stock.iter().find(|(s, _)| *s == name)) {
+            (Some(constructor), _) => constructor(&fields)?,
+            (None, Some((_, stock))) => stock(&fields)?,
+            (None, None) => return Err(SerializeError::UnknownClass(name)),
+        };
+        Ok((object, name, registered))
+    }
+}
+
+impl ClassRegistry<PolicyRef> {
+    /// The label of the policy `text` was decoded to, if the read index
+    /// holds it: one read lock, one hash of the text, no allocation.
+    fn indexed(&self, text: &str) -> Option<Label> {
+        let classes = self.read();
+        let Some(&(ref _class, label)) = classes.decoded.get(text) else {
+            metrics::inc(Counter::WireMisses);
+            return None;
+        };
+        metrics::inc(Counter::WireHits);
+        #[cfg(test)]
+        let now = (_class.clone(), classes.registered.get(_class).cloned());
+        drop(classes);
+        #[cfg(test)]
+        tests::index_oracle(self, text, now, label);
+        Some(label)
+    }
+
+    /// Decodes `text` and interns the policy it names, then records the
+    /// text — the decode having succeeded — unless a registration
+    /// replaced the constructor that ran.
+    fn decode(&self, text: &str) -> Result<Label, SerializeError> {
+        metrics::inc(Counter::PolicyDecodes);
+        let (policy, class, ran) = self.revive_as(text)?;
+        let label = Label::of(&policy);
+        let mut classes = crate::sync::wlock(&self.classes);
+        if classes.current(&class, ran.as_ref()) {
+            classes.decoded.insert(text.into(), (class, label));
         }
-        let stock = self.stock.iter().find(|(stock, _)| *stock == name);
-        let (_, constructor) = stock.ok_or(SerializeError::UnknownClass(name))?;
-        constructor(&fields)
+        Ok(label)
     }
 }
 
@@ -148,23 +222,17 @@ static POLICY_CLASSES: ClassRegistry<PolicyRef> = ClassRegistry::new(STOCK_POLIC
 ///
 /// Applications call this once (e.g. at startup) for each custom policy
 /// class they persist; the stock policies are pre-registered. Registering
-/// (or replacing) a class drops that class's texts from the label table's
-/// read index: each is decoded again, by the deserializer registered now.
-/// Texts of other classes stay, so a site that loads a policy script per
-/// request keeps its other policies warm. (A deserializer that decodes
-/// *other* classes' texts for nested policies is not tracked: register it
-/// again when they change.)
+/// (or replacing) a class drops that class's texts from the read index:
+/// each is decoded again, by the deserializer registered now. Texts of
+/// other classes stay, so a site that loads a policy script per request
+/// keeps its other policies warm. (A deserializer that decodes *other*
+/// classes' texts for nested policies is not tracked: register it again
+/// when they change.)
 pub fn register_policy_class(
     name: impl Into<String>,
     deserializer: impl Fn(&FieldMap) -> Result<PolicyRef, SerializeError> + Send + Sync + 'static,
 ) {
-    let name = name.into();
-    let _registered = POLICY_CLASSES.register(name.clone(), Arc::new(deserializer));
-    // After the registry changed, never before: a decode that fetched the
-    // old deserializer holds a miss of the old generation. And before the
-    // registry is released: a decode that fetches the new one finds the
-    // generation moved.
-    LabelTable::global().forget_wire_index(|text| wire_class(text).as_deref() == Some(&name));
+    POLICY_CLASSES.register(name.into(), Arc::new(deserializer));
 }
 
 /// The field `key` of a `class` object's `fields`, or the error naming
@@ -328,36 +396,17 @@ pub fn serialize_policy(policy: &PolicyRef) -> String {
 
 /// Deserializes one policy via the class registry.
 ///
-/// A text the label table's read index holds yields the canonical interned
-/// object it decoded to; any other is decoded (and, having no label to
-/// join, neither interned nor indexed).
+/// A text the read index holds yields the canonical interned object it
+/// decoded to; any other is decoded (and, having no label to join,
+/// neither interned nor indexed).
 pub fn deserialize_policy(s: &str) -> Result<PolicyRef, SerializeError> {
-    match LabelTable::global().wire_policy(s) {
-        Some(policy) => Ok(policy),
-        None => decode_policy(s),
+    match POLICY_CLASSES.indexed(s) {
+        Some(label) => Ok(label.policies()[0].clone()),
+        None => {
+            metrics::inc(Counter::PolicyDecodes);
+            POLICY_CLASSES.revive(s)
+        }
     }
-}
-
-/// The class a policy text names: what stands before its `{`, unescaped.
-fn wire_class(text: &str) -> Option<String> {
-    unescape(text.split_once('{')?.0).ok()
-}
-
-/// Rebuilds a policy object from its wire text: reads it through
-/// [`read_object`] and runs the class's registered deserializer. The slow
-/// path behind the read index, and, through `read_object`, the only one
-/// that knows the `Name{key=value;…}` grammar.
-pub(crate) fn decode_policy(s: &str) -> Result<PolicyRef, SerializeError> {
-    metrics::inc(Counter::PolicyDecodes);
-    POLICY_CLASSES.revive(s)
-}
-
-/// The read-index miss path: decodes `text`, then interns what it built
-/// and — the decode having succeeded — records the text under that id,
-/// unless a class registration came in between.
-fn decode_and_index(text: &str, miss: WireMiss) -> Result<PolicyId, SerializeError> {
-    let policy = decode_policy(text)?;
-    Ok(LabelTable::global().intern_decoded(text, &policy, miss))
 }
 
 /// Serializes an interned label (comma-joined policies). The empty label
@@ -379,15 +428,15 @@ pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
     if s.is_empty() {
         return Ok(Label::EMPTY);
     }
-    let table = LabelTable::global();
     let mut ids = Vec::new();
     for part in read_texts(s) {
-        ids.push(match table.wire_id(part) {
-            Ok(id) => id,
-            Err(miss) => decode_and_index(part, miss)?,
-        });
+        let label = match POLICY_CLASSES.indexed(part) {
+            Some(label) => label,
+            None => POLICY_CLASSES.decode(part)?,
+        };
+        ids.push(label.ids()[0]);
     }
-    Ok(table.intern_ids(ids))
+    Ok(LabelTable::global().intern_ids(ids))
 }
 
 /// Version of the textual policy wire format.
@@ -632,12 +681,15 @@ pub fn serialize_spans(data: &TaintedString) -> String {
 }
 
 /// `range` as byte bounds of `text`, if it is a span the writer could
-/// have written over it: not empty, within it, and on character
+/// have written over it after a span that ended at `after`: not empty,
+/// within the text, past the span before it, and on character
 /// boundaries. Clipped to the text instead, a span past its end would
 /// drop its policy.
-fn span_bounds(text: &str, range: &Range<u64>) -> Result<Range<usize>, SerializeError> {
+fn span_bounds(text: &str, range: &Range<u64>, after: u64) -> Result<Range<usize>, SerializeError> {
     let why = if range.start >= range.end {
         "is empty"
+    } else if range.start < after {
+        "starts before the span before it ends"
     } else if range.end > text.len() as u64 {
         "runs past the text"
     } else if !(text.is_char_boundary(range.start as usize)
@@ -652,11 +704,15 @@ fn span_bounds(text: &str, range: &Range<u64>) -> Result<Range<usize>, Serialize
 
 /// Re-attaches serialized spans to `text`, producing a tainted string.
 ///
-/// Accepts the interned `#table#spans` format. A blob that is not exactly
-/// that is an error, never a less tainted string: that includes a blob
-/// without the leading `#`, a span whose range is reversed, empty or
-/// past the end of `text`, a span that names no policy, and a span that
-/// starts or ends inside a UTF-8 character of `text`.
+/// Accepts the interned `#table#spans` format as the writer writes it. A
+/// blob that is not exactly that is an error, never a less tainted
+/// string: that includes a blob without the leading `#`, a span whose
+/// range is reversed, empty or past the end of `text`, spans out of order
+/// or overlapping, a span that names no policy, a span that starts or
+/// ends inside a UTF-8 character of `text`, and a table entry that no
+/// span names. The writer numbers the table in order of first use, so
+/// an index a span names first is the next table entry, never a later
+/// one.
 pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
     let mut out = TaintedString::from(text);
     if spans.is_empty() {
@@ -664,29 +720,37 @@ pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, Seria
     }
     // The table's texts resolve through the read index as they go by; a
     // miss is decoded once the blob is known to have its two parts.
-    let table = LabelTable::global();
     let mut labels: Vec<Label> = Vec::new();
-    let mut misses: Vec<(usize, &str, WireMiss)> = Vec::new();
-    let spans = read_spans(spans, &mut |part| match table.wire_label(part) {
-        Ok(label) => labels.push(label),
-        Err(miss) => {
-            misses.push((labels.len(), part, miss));
-            labels.push(Label::EMPTY);
-        }
+    let mut misses: Vec<(usize, &str)> = Vec::new();
+    let spans = read_spans(spans, &mut |part| {
+        labels.push(POLICY_CLASSES.indexed(part).unwrap_or_else(|| {
+            misses.push((labels.len(), part));
+            Label::EMPTY
+        }))
     })?;
-    for (i, part, miss) in misses {
-        labels[i] = Label::from_id(decode_and_index(part, miss)?);
+    for (i, part) in misses {
+        labels[i] = POLICY_CLASSES.decode(part)?;
     }
+    // Table entries named so far, and where the last span ended.
+    let (mut named, mut after) = (0, 0);
     for span in spans {
         let (range, indexes) = span?;
+        let bounds = span_bounds(text, &range, after)?;
+        after = range.end;
         let mut label = Label::EMPTY;
         for i in indexes {
-            let l = labels.get(i).ok_or_else(|| {
-                SerializeError::Malformed(format!("index `{i}` outside the policy table"))
+            let l = labels.get(i).filter(|_| i <= named).ok_or_else(|| {
+                SerializeError::Malformed(format!("index `{i}` is not table entry 0..={named}"))
             })?;
+            named = named.max(i + 1);
             label = label.union(*l);
         }
-        out.add_label_range(span_bounds(text, &range)?, label);
+        out.add_label_range(bounds, label);
+    }
+    if named < labels.len() {
+        return Err(SerializeError::Malformed(format!(
+            "table entry `{named}` is named by no span"
+        )));
     }
     Ok(out)
 }
@@ -696,6 +760,27 @@ mod tests {
     use super::*;
     use crate::policies::{Acl, Right};
     use crate::policy::downcast_policy;
+
+    /// The read index's oracle, run after a hit: unless a registration
+    /// has replaced `now`, the constructor `class` had at the hit, the
+    /// text decodes to the policy the hit returned.
+    pub(super) fn index_oracle(
+        registry: &ClassRegistry<PolicyRef>,
+        text: &str,
+        (class, now): (String, Option<Constructor<PolicyRef>>),
+        label: Label,
+    ) {
+        let decoded = registry.revive(text);
+        if !registry.read().current(&class, now.as_ref()) {
+            return;
+        }
+        let decoded = decoded.unwrap_or_else(|e| panic!("indexed `{text}` fails to decode: {e:?}"));
+        assert!(
+            PolicyId::intern(&decoded) == label.ids()[0],
+            "the read index resolves `{text}` to a {} it does not decode to",
+            decoded.name()
+        );
+    }
 
     #[test]
     fn password_policy_roundtrip() {
@@ -853,6 +938,44 @@ mod tests {
     }
 
     #[test]
+    fn a_blob_reads_back_only_as_the_writer_writes_it() {
+        // A table entry no span names was dropped on read; spans out of
+        // order or overlapping, and an index that skips the next unnamed
+        // entry, the writer never writes.
+        for blob in [
+            "#PasswordPolicy{email=u@x}#",
+            "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|1",
+            "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|0",
+            "#PasswordPolicy{email=u@x},UntrustedData{}#0..1|1;1..2|0",
+            "#UntrustedData{}#3..5|0;0..2|0",
+            "#UntrustedData{}#0..3|0;2..5|0",
+            "#UntrustedData{}#0..2|0;0..2|0",
+        ] {
+            for got in [
+                deserialize_spans("hello", blob),
+                oracle::deserialize_spans("hello", blob),
+            ] {
+                assert!(
+                    matches!(got, Err(SerializeError::Malformed(_))),
+                    "{blob}: {got:?}"
+                );
+            }
+        }
+        // What the writer does write: an index again inside one span (two
+        // ids that share a text), an earlier index in a later span, and
+        // spans that touch.
+        for blob in [
+            "#UntrustedData{}#0..2|0,0",
+            "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|0;2..3|1,0;4..5|0",
+            "##",
+        ] {
+            let fast = deserialize_spans("hello", blob).unwrap();
+            let slow = oracle::deserialize_spans("hello", blob).unwrap();
+            assert!(same_spans(&fast, &slow), "{blob}");
+        }
+    }
+
+    #[test]
     fn a_span_that_splits_a_character_is_an_error() {
         // `é` is two bytes: a span from or to the middle of it would panic
         // the first `slice` that cut there.
@@ -990,6 +1113,70 @@ mod tests {
         assert!(downcast_policy::<Evolving>(&q).unwrap().0);
     }
 
+    /// A registry of its own beside the global one: its stock classes,
+    /// and whatever a test registers.
+    type Registry = ClassRegistry<PolicyRef>;
+
+    fn stock_password(fields: &FieldMap) -> Result<PolicyRef, SerializeError> {
+        (STOCK_POLICIES[0].1)(fields)
+    }
+
+    #[test]
+    fn the_read_index_holds_what_a_decode_built() {
+        static CLASSES: Registry = ClassRegistry::new(STOCK_POLICIES);
+        let keep = Label::of(&(Arc::new(PasswordPolicy::new("wire-keep@x")) as PolicyRef));
+        let text = "PasswordPolicy{email=wire-keep@x;allow_chair=true}";
+        let spelling = "PasswordPolicy{email=wire-keep@x}";
+        // The index knows only what a decode told it, and two spellings
+        // of one policy resolve to its one label.
+        assert_eq!(CLASSES.indexed(text), None);
+        assert_eq!(CLASSES.decode(text).unwrap(), keep);
+        assert_eq!(CLASSES.decode(spelling).unwrap(), keep);
+        assert_eq!(CLASSES.indexed(text), Some(keep));
+        assert_eq!(CLASSES.indexed(spelling), Some(keep));
+        // A failed decode records nothing.
+        for bad in ["PasswordPolicy{}", "Mystery{}", "PasswordPolicy"] {
+            assert!(CLASSES.decode(bad).is_err(), "{bad}");
+            assert_eq!(CLASSES.indexed(bad), None, "{bad}");
+        }
+        assert_eq!(CLASSES.read().decoded.len(), 2);
+        // Registering another class keeps these; registering theirs drops
+        // both spellings, and the texts decode through it again.
+        CLASSES.register("UntrustedData".into(), Arc::new(STOCK_POLICIES[1].1));
+        assert_eq!(CLASSES.indexed(spelling), Some(keep));
+        CLASSES.register("PasswordPolicy".into(), Arc::new(stock_password));
+        assert!(CLASSES.read().decoded.is_empty());
+        assert_eq!(CLASSES.decode(text).unwrap(), keep);
+        assert_eq!(CLASSES.indexed(text), Some(keep));
+    }
+
+    #[test]
+    fn a_decode_that_raced_a_registration_is_not_indexed() {
+        static CLASSES: Registry = ClassRegistry::new(STOCK_POLICIES);
+        let text = "PasswordPolicy{email=wire-race@x;allow_chair=true}";
+        let label = CLASSES.decode(text).unwrap();
+        // A constructor replaced while it runs, as a registration racing
+        // a decode would: the decode still returns what it built, and
+        // records nothing.
+        CLASSES.register(
+            "PasswordPolicy".into(),
+            Arc::new(|fields: &FieldMap| {
+                CLASSES.register("PasswordPolicy".into(), Arc::new(stock_password));
+                stock_password(fields)
+            }),
+        );
+        assert_eq!(CLASSES.indexed(text), None, "the registration dropped it");
+        assert_eq!(CLASSES.decode(text).unwrap(), label);
+        assert_eq!(
+            CLASSES.indexed(text),
+            None,
+            "decoded by a replaced constructor"
+        );
+        // A decode by the constructor registered now records.
+        assert_eq!(CLASSES.decode(text).unwrap(), label);
+        assert_eq!(CLASSES.indexed(text), Some(label));
+    }
+
     #[test]
     fn escape_copies_what_is_not_a_metacharacter() {
         // The `,` sends both strings through the escaping loop, which used
@@ -1080,7 +1267,7 @@ mod tests {
             }
             let mut policies = Vec::new();
             for part in split_top_level(s, ',') {
-                policies.push(decode_policy(part)?);
+                policies.push(POLICY_CLASSES.revive(part)?);
             }
             Ok(Label::from_policies(policies.iter()))
         }
@@ -1126,14 +1313,15 @@ mod tests {
             let mut labels: Vec<Label> = Vec::new();
             if !table_src.is_empty() {
                 for part in split_top_level(table_src, ',') {
-                    let policy = decode_policy(part)?;
+                    let policy = POLICY_CLASSES.revive(part)?;
                     labels.push(Label::of(&policy));
                 }
             }
-            if spans_src.is_empty() {
-                return Ok(out);
-            }
-            for part in split_top_level(spans_src, ';') {
+            let (mut named, mut after) = (0, 0);
+            for part in split_top_level(spans_src, ';')
+                .into_iter()
+                .filter(|_| !spans_src.is_empty())
+            {
                 let (range, idxs) = part
                     .split_once('|')
                     .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
@@ -1146,18 +1334,30 @@ mod tests {
                     let l = labels.get(i).ok_or_else(|| {
                         SerializeError::Malformed(format!("index `{i}` outside the policy table"))
                     })?;
+                    if i > named {
+                        return Err(SerializeError::Malformed(format!(
+                            "index `{i}` skips table entry `{named}`"
+                        )));
+                    }
+                    named = named.max(i + 1);
                     label = label.union(*l);
                 }
                 if label.is_empty() {
                     return Err(names_no_policy(part));
                 }
-                if start == end || end > text.len() {
+                if start == end || start < after || end > text.len() {
                     return Err(SerializeError::Malformed(format!(
-                        "span `{part}` is empty or runs past the text"
+                        "span `{part}` is empty, overlaps the one before or runs past the text"
                     )));
                 }
+                after = end;
                 // One edit per span, not an append.
                 out.spans_mut().edit(start..end, |cur| cur.union(label));
+            }
+            if named < labels.len() {
+                return Err(SerializeError::Malformed(format!(
+                    "table entry `{named}` is named by no span"
+                )));
             }
             Ok(out)
         }
@@ -1201,7 +1401,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Satellite of the wire-text indexes: a policy's text is a
+        /// Satellite of the read and write indexes: a policy's text is a
         /// canonical name for it. Whatever the strings hold, the text
         /// decodes to an object that interns to the same id.
         #[test]

@@ -95,7 +95,8 @@ pub struct LintReport {
 
 impl LintReport {
     /// True when any diagnostic is error-severity.
-    pub fn has_errors(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_errors(&self) -> bool {
         self.diagnostics
             .iter()
             .any(|d| d.severity == Severity::Error)

@@ -39,7 +39,7 @@ pub enum BinOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),
@@ -98,7 +98,7 @@ pub enum Expr {
 }
 
 /// Assignment targets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Target {
     /// `x = ...`
     Var(String),
@@ -113,7 +113,7 @@ pub enum Target {
 /// The line is attached by the parser; the bytecode compiler records it in
 /// the chunk's line table so the VM can recover it from an instruction
 /// pointer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stmt {
     /// What the statement does.
     pub kind: StmtKind,
@@ -129,7 +129,7 @@ impl Stmt {
 }
 
 /// Statement kinds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StmtKind {
     /// `let x = e;`
     Let(String, Expr),
@@ -164,7 +164,7 @@ pub enum StmtKind {
 }
 
 /// A function (or method) declaration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnDecl {
     /// Name.
     pub name: String,
@@ -179,7 +179,9 @@ pub struct FnDecl {
 /// Classes have methods only; fields spring into existence on assignment
 /// (PHP/Python style). The method named `init` is the constructor. A class
 /// with an `export_check` method can be used as a *policy class* (§3.3).
-#[derive(Debug, Clone)]
+/// Two declarations are equal when they are the same code at the same
+/// lines, so they run alike and report errors alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDecl {
     /// Class name.
     pub name: String,

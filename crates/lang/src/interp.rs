@@ -25,8 +25,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use resin_core::sync::mlock;
 use resin_core::{
     merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
     FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, SqlSanitized, TaintedString,
@@ -364,24 +365,42 @@ impl Interp {
     /// only class name and fields are stored). The linter reads the
     /// class's check plan, so each method compiles once, here, into the
     /// chunk its crossings run.
+    ///
+    /// A policy class is known by its code: a declaration equal to the one
+    /// registered under its name (any earlier run's, in this process)
+    /// adopts that one's `Arc`, so its objects, policies, `PolicyId`s and
+    /// check plan are the earlier run's, and registers nothing. A changed
+    /// declaration is a new version: it is registered, and stored texts of
+    /// its class revive through it from then on. (Only declarations an
+    /// `Interp` registered are compared: a class that Rust code registers
+    /// under the same name is replaced by the next script that declares
+    /// it differently, not by one that repeats an earlier declaration.)
     pub(crate) fn register_class(&mut self, decl: &Arc<ClassDecl>) -> R<()> {
-        let policy = decl.method("export_check").is_some();
-        if policy {
-            let report = crate::analysis::lint_class(decl);
-            if let Some(err) = report.errors().next() {
-                return Err(rt(format!(
-                    "policy class `{}` rejected by lint: {err}",
-                    decl.name
-                )));
-            }
-            if !report.diagnostics.is_empty() {
-                self.lint_reports
-                    .retain(|r| r.class_name != report.class_name);
-                self.lint_reports.push(report);
-            }
+        if decl.method("export_check").is_none() {
+            self.classes.insert(decl.name.clone(), decl.clone());
+            return Ok(());
+        }
+        /// The policy classes registered so far, by name: held across the
+        /// compare and the registration, so the two agree.
+        static DECLARED: Mutex<BTreeMap<String, Arc<ClassDecl>>> = Mutex::new(BTreeMap::new());
+        let mut declared = mlock(&DECLARED);
+        let known = (declared.get(&decl.name)).filter(|known| **known == *decl);
+        let decl = known.unwrap_or(decl).clone();
+        let new = known.is_none();
+        let report = crate::analysis::lint_class(&decl);
+        if let Some(err) = report.errors().next() {
+            return Err(rt(format!(
+                "policy class `{}` rejected by lint: {err}",
+                decl.name
+            )));
+        }
+        if !report.diagnostics.is_empty() {
+            self.lint_reports
+                .retain(|r| r.class_name != report.class_name);
+            self.lint_reports.push(report);
         }
         self.classes.insert(decl.name.clone(), decl.clone());
-        if policy {
+        if new {
             let class_name = decl.name.clone();
             let class = decl.clone();
             register_policy_class(class_name.clone(), move |fields| {
@@ -398,6 +417,10 @@ impl Interp {
                 let policy = ScriptPolicy::new(class_name.clone(), decoded, Some(class.clone()));
                 Ok(Arc::new(policy) as PolicyRef)
             });
+            // Recorded once registered: a panic in between leaves the map
+            // naming an older version, and an equal declaration registers
+            // again.
+            declared.insert(decl.name.clone(), decl);
         }
         Ok(())
     }

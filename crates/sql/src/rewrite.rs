@@ -7,10 +7,10 @@
 //! * writes store each cell's serialized policy into its policy column;
 //! * reads fetch the policy columns and re-attach deserialized policy
 //!   objects to the corresponding data cells. Blobs are borrowed, never
-//!   copied; each distinct policy is decoded once per registry
-//!   generation: a read revives each cell from the stored row, under the
-//!   table's read lock, and a policy text the interner has decoded before
-//!   (`resin_core::serialize`) resolves to its label by one lookup.
+//!   copied; each distinct policy is decoded once per registration of its
+//!   class: a read revives each cell from the stored row, under the
+//!   table's read lock, and a policy text the class registry has decoded
+//!   before (`resin_core::serialize`) resolves to its label by one lookup.
 //!
 //! The same filter is where the SQL-injection data flow assertion lives
 //! (§5.3). Both strategies from the paper are implemented, plus the

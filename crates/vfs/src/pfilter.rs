@@ -106,7 +106,7 @@ pub fn register_filter_class(
         + Sync
         + 'static,
 ) {
-    let _registered = FILTER_CLASSES.register(name.into(), Arc::new(factory));
+    FILTER_CLASSES.register(name.into(), Arc::new(factory));
 }
 
 /// The text `filter` is stored as: its class name and fields as an object

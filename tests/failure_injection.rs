@@ -79,7 +79,7 @@ fn sql_policy_column_tampering_fails_select() {
     db.query_str("CREATE TABLE t (v TEXT)").unwrap();
     let mut q = TaintedString::from("INSERT INTO t VALUES ('");
     q.push_tainted(&TaintedString::with_policy(
-        "x",
+        "pw",
         Arc::new(UntrustedData::new()),
     ));
     q.push_str("')");
@@ -94,11 +94,15 @@ fn sql_policy_column_tampering_fails_select() {
     // Not a blob at all, a spans blob whose span names an index outside
     // its policy table, and one whose span lies wholly past the text:
     // clipped to it, that span was empty and its policy dropped, so the
-    // SELECT returned the value untainted.
+    // SELECT returned the value untainted. So did a table entry that no
+    // span names: a table with no spans, and one whose only span names
+    // the other entry.
     for blob in [
         "corrupt{",
         "#UntrustedData{}#0..1|7",
         "#PasswordPolicy{email=u@x}#2..9|0",
+        "#PasswordPolicy{email=u@x}#",
+        "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|1",
     ] {
         db.raw()
             .execute_str(&format!("UPDATE t SET __rp_v = '{blob}'"))

@@ -1,5 +1,5 @@
 //! What one warm request costs, as counts (a time would move with the
-//! host): label-table lock takes, wire-index hits and misses, policy
+//! host): label-table lock takes, read-index hits and misses, policy
 //! decodes, `export_check` calls and script crossings, and the check
 //! caches' hits, misses and reused verdicts — each read from
 //! `resin_core::metrics` around one served request. The sum of a
@@ -196,20 +196,21 @@ fn warm_forum_requests_cost_these_counts() {
         forum.post(&format!("needle+{i}"));
     }
 
-    // `/view`: three read-lock takes, each a keyed lookup: the set the
-    // id parameter's label merges to for `to_int`, the wire-index hit
-    // reviving the body's policy column, and the union memo probe in
-    // `html_escape`. The marker looks and the gate's default filter
-    // resolve labels in place, with no lock; the filter checks the page's
-    // two policies natively. No write lock, no decode.
+    // `/view`: two label read-lock takes, each a keyed lookup: the set
+    // the id parameter's label merges to for `to_int`, and the union memo
+    // probe in `html_escape`. The wire hit reviving the body's policy
+    // column reads the class registry's index, not the label table. The
+    // marker looks and the gate's default filter resolve labels in place,
+    // with no lock; the filter checks the page's two policies natively.
+    // No write lock, no decode.
     let view = from_wire("GET", &format!("/view?id={id}"), &forum.sid, "");
     let cost = forum.warm_counts(&view);
     assert_eq!(
         cost,
-        [(LabelReadLocks, 3), (WireHits, 1), (NativeChecks, 2)],
+        [(LabelReadLocks, 2), (WireHits, 1), (NativeChecks, 2)],
         "/view"
     );
-    assert_eq!(increments(&cost), 6, "/view increments");
+    assert_eq!(increments(&cost), 5, "/view increments");
 
     // `/post`: the body's spans are serialised twice, for the WAL record
     // and for the policy column, each reading the label's ids and the
@@ -232,7 +233,7 @@ fn warm_forum_requests_cost_these_counts() {
     assert_eq!(increments(&cost), 0, "/post increments");
 
     // `/search`: nothing per request, and per result row what `/view`
-    // spends on its body: two read-lock takes (the wire hit and the
+    // spends on its body: a wire hit, one label read-lock take (the
     // escape's union memo probe) and the gate's check of two policies.
     let search = from_wire("GET", "/search?q=needle", &forum.sid, "");
     for rows in [4, 5] {
@@ -240,13 +241,13 @@ fn warm_forum_requests_cost_these_counts() {
         assert_eq!(
             cost,
             [
-                (LabelReadLocks, 2 * rows),
+                (LabelReadLocks, rows),
                 (WireHits, rows),
                 (NativeChecks, 2 * rows)
             ],
             "/search, {rows} rows"
         );
-        assert_eq!(increments(&cost), 5 * rows, "/search increments");
+        assert_eq!(increments(&cost), 4 * rows, "/search increments");
         forum.post("needle+more");
     }
 }

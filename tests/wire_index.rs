@@ -1,17 +1,18 @@
-//! The label table's wire-text indexes, through the product path:
+//! The policy class registry's read index, through the product path:
 //! `ResinDb` writes policies into policy columns as text and revives
 //! them on every read, and each distinct text is to be decoded once per
-//! registry generation — not once per cell — without outliving a class
-//! registration.
+//! registration of its class — not once per cell — without outliving a
+//! class registration.
 //!
-//! The tests count deserializer runs, re-register classes and read the
-//! **global** label table's sizes, so they take turns ([`turn`]); as its
-//! own integration-test binary the file shares its process with nothing
-//! else.
+//! The tests count deserializer runs and decodes, re-register classes and
+//! read the **global** label table's sizes, so they take turns
+//! ([`turn`]); as its own integration-test binary the file shares its
+//! process with nothing else.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
+use resin::core::metrics::{self, Counter};
 use resin::core::prelude::*;
 use resin::core::{register_policy_class, LabelTable, SerializeError};
 use resin::sql::{ResinDb, SqlError, TCell};
@@ -305,8 +306,8 @@ fn a_failed_decode_is_not_indexed() {
             reason: "export_check can return without deciding".into(),
         })
     });
-    let indexed = || LabelTable::global().stats().read_index;
-    let before = indexed();
+    let decodes = || metrics::total(Counter::PolicyDecodes);
+    let before = decodes();
     let read = |q: &str| match db.query_str(q) {
         Err(SqlError::Policy(FlowError::Serialize(e))) => e,
         other => panic!("expected a serialize error, got {other:?}"),
@@ -322,7 +323,7 @@ fn a_failed_decode_is_not_indexed() {
         ));
     }
     assert_eq!(REJECTIONS.load(Ordering::SeqCst), 2, "asked both times");
-    assert_eq!(indexed(), before);
+    assert_eq!(decodes() - before, 4, "each read decodes again");
 
     // Nor is the failure remembered: once the class exists, the same
     // stored text revives.
