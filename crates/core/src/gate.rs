@@ -148,10 +148,14 @@ impl Rule {
 /// A guarded data-flow boundary.
 ///
 /// Writing through the gate runs the deny/strip rules, then every filter's
-/// `filter_write` in order; reading runs `filter_read` in order. The gate
-/// owns its [`Context`], which applications annotate with boundary-specific
-/// key–value pairs (`sock.__filter.context['user'] = req.user` in the
-/// paper's MoinMoin example, Figure 5).
+/// `filter_write` in order, on the fragment written; what survives is
+/// appended to the gate's output, one [`TaintedString`] that keeps each
+/// byte's label. Output buffering (§5.5) cuts that string back to a byte
+/// length ([`Gate::output_mark`], [`Gate::truncate_output`]). Reading runs
+/// `filter_read` in order. The gate owns its [`Context`], which
+/// applications annotate with boundary-specific key–value pairs
+/// (`sock.__filter.context['user'] = req.user` in the paper's MoinMoin
+/// example, Figure 5).
 ///
 /// # Example: the Figure 2 password policy, end to end
 ///
@@ -191,7 +195,9 @@ pub struct Gate {
     rules: Vec<Rule>,
     filters: Vec<Box<dyn Filter>>,
     /// Data that crossed the boundary outward (visible to "the world").
-    written: Vec<TaintedString>,
+    out: TaintedString,
+    /// The fragment `write_str` checks, kept for its capacity.
+    plain: TaintedString,
     /// Queued data the next `read` will pull through the inbound filters.
     inbound: Vec<TaintedString>,
     write_offset: u64,
@@ -217,7 +223,8 @@ impl Gate {
             name: None,
             rules: Vec::new(),
             filters: Vec::new(),
-            written: Vec::new(),
+            out: TaintedString::new(),
+            plain: TaintedString::new(),
             inbound: Vec::new(),
             write_offset: 0,
             read_offset: 0,
@@ -352,10 +359,7 @@ impl Gate {
     /// violation aborts the write and nothing becomes visible in
     /// [`Gate::output`].
     pub fn write(&mut self, data: TaintedString) -> Result<()> {
-        let buf = self.export(data)?;
-        self.write_offset += buf.len() as u64;
-        self.written.push(buf);
-        Ok(())
+        self.append(Cow::Owned(data))
     }
 
     /// Writes `data` across the boundary *by reference* — the zero-copy
@@ -364,18 +368,30 @@ impl Gate {
     ///
     /// When the filter chain passes the data through unmodified (the
     /// common case for the default chain), nothing is cloned on the way:
-    /// the one copy is made at the very end to retain the output.
+    /// the one copy is the append to the output.
     pub fn write_ref(&mut self, data: &TaintedString) -> Result<()> {
-        let buf = self.export_cow(Cow::Borrowed(data))?;
-        self.write_offset += buf.len() as u64;
-        // Clones only if the chain left the data borrowed.
-        self.written.push(buf.into_owned());
-        Ok(())
+        self.append(Cow::Borrowed(data))
     }
 
-    /// Writes a plain (policy-free) string across the boundary.
+    /// Writes a plain (policy-free) string across the boundary. The chain
+    /// sees it in a fragment the gate keeps, so a warm write allocates
+    /// nothing.
     pub fn write_str(&mut self, data: &str) -> Result<()> {
-        self.write(TaintedString::from(data))
+        let mut plain = std::mem::take(&mut self.plain);
+        plain.truncate(0);
+        plain.push_str(data);
+        let written = self.append(Cow::Borrowed(&plain));
+        self.plain = plain;
+        written
+    }
+
+    /// The one write: the outbound path over `data`, then an append of
+    /// what survives, text and spans, to the output.
+    fn append(&mut self, data: Cow<'_, TaintedString>) -> Result<()> {
+        let buf = self.export_cow(data)?;
+        self.write_offset += buf.len() as u64;
+        self.out.push_tainted(&buf);
+        Ok(())
     }
 
     /// Queues data on the inbound side, as if it arrived from outside.
@@ -422,43 +438,40 @@ impl Gate {
         Ok(ret)
     }
 
-    /// Everything that successfully crossed the boundary outward.
-    pub fn output(&self) -> &[TaintedString] {
-        &self.written
+    /// Everything that successfully crossed the boundary outward, with
+    /// each byte's label.
+    pub fn output(&self) -> &TaintedString {
+        &self.out
     }
 
-    /// The outbound data concatenated into one plain string.
-    pub fn output_text(&self) -> String {
-        self.written.iter().map(|t| t.as_str()).collect()
+    /// The text of [`Gate::output`].
+    pub fn output_text(&self) -> &str {
+        self.out.as_str()
     }
 
-    /// Discards all captured output (used by output buffering, §5.5).
+    /// Discards all captured output, keeping its capacity.
     pub fn clear_output(&mut self) {
-        self.written.clear();
+        self.out.truncate(0);
     }
 
-    /// Removes and returns captured output produced after `mark` writes.
+    /// Cuts the output, text and spans, back to `mark` bytes, a length
+    /// [`Gate::output_mark`] returned (a cut inside a character panics).
     ///
-    /// Building block for the output-buffering mechanism: the web layer
-    /// records a mark at `try`-block entry and truncates back to it when
-    /// the block raises.
-    pub fn truncate_output(&mut self, mark: usize) -> Vec<TaintedString> {
-        self.written.split_off(mark.min(self.written.len()))
+    /// Building block for the output-buffering mechanism (§5.5): the web
+    /// layer records a mark at `try`-block entry and truncates back to it
+    /// when the block raises.
+    pub fn truncate_output(&mut self, mark: usize) {
+        self.out.truncate(mark);
     }
 
-    /// Number of successful outbound writes (the "mark" for buffering).
+    /// The output's length in bytes (the "mark" for buffering).
     pub fn output_mark(&self) -> usize {
-        self.written.len()
+        self.out.len()
     }
 
     /// Running byte offset of outbound writes.
     pub fn write_offset(&self) -> u64 {
         self.write_offset
-    }
-
-    /// Running byte offset of inbound reads.
-    pub fn read_offset(&self) -> u64 {
-        self.read_offset
     }
 }
 
@@ -469,7 +482,7 @@ impl fmt::Debug for Gate {
             .field("name", &self.name)
             .field("rules", &self.rules.len())
             .field("filters", &self.filters.len())
-            .field("written", &self.written.len())
+            .field("output_len", &self.out.len())
             .finish()
     }
 }
@@ -478,8 +491,10 @@ impl fmt::Debug for Gate {
 mod tests {
     use super::*;
     use crate::filter::FnFilter;
-    use crate::policies::{PasswordPolicy, UntrustedData};
+    use crate::label::Label;
+    use crate::policies::{Acl, HtmlSanitized, PagePolicy, PasswordPolicy, Right, UntrustedData};
     use crate::policy::PolicyRef;
+    use proptest::TestRng;
     use std::sync::Arc;
 
     fn pw(email: &str) -> PolicyRef {
@@ -537,7 +552,7 @@ mod tests {
         let secret = TaintedString::with_policy("s3cret", pw("u@x"));
         g.write(secret).unwrap();
         assert_eq!(g.output_text(), "s3cret");
-        assert!(!g.output()[0].has_policy::<PasswordPolicy>());
+        assert!(!g.output().has_policy::<PasswordPolicy>());
     }
 
     #[test]
@@ -594,7 +609,7 @@ mod tests {
         let mut secret = TaintedString::from("pw");
         secret.add_policy(pw("u@x"));
         assert!(g.write_ref(&secret).is_err());
-        assert_eq!(g.output_mark(), 2);
+        assert_eq!(g.output_mark(), 40);
     }
 
     #[test]
@@ -612,7 +627,7 @@ mod tests {
             "caller's copy untouched"
         );
         assert!(
-            !g.output()[1].has_policy::<PasswordPolicy>(),
+            !g.output().has_policy::<PasswordPolicy>(),
             "output stripped"
         );
     }
@@ -654,8 +669,8 @@ mod tests {
         let mark = g.output_mark();
         g.write_str("discard1").unwrap();
         g.write_str("discard2").unwrap();
-        let dropped = g.truncate_output(mark);
-        assert_eq!(dropped.len(), 2);
+        g.truncate_output(mark);
+        assert_eq!(mark, 4);
         assert_eq!(g.output_text(), "keep");
     }
 
@@ -681,5 +696,107 @@ mod tests {
         let g = Gate::internal("auth").deny::<PasswordPolicy>();
         let s = format!("{g:?}");
         assert!(s.contains("auth"));
+    }
+
+    /// A fragment of up to 11 characters, some of them two bytes, with up
+    /// to two ranges labeled from `policies`.
+    fn fragment(rng: &mut TestRng, policies: &[PolicyRef]) -> TaintedString {
+        const CHARS: [&str; 5] = ["a", "<", " ", "é", "\n"];
+        let mut t = TaintedString::new();
+        for _ in 0..rng.below(12) {
+            t.push_str(CHARS[rng.below(5) as usize]);
+        }
+        for _ in 0..rng.below(3) {
+            let (a, b) = (rng.below(t.len() as u64 + 1), rng.below(t.len() as u64 + 1));
+            let policy = policies[rng.below(policies.len() as u64) as usize].clone();
+            t.add_policy_range(a.min(b) as usize..a.max(b) as usize, policy);
+        }
+        t
+    }
+
+    /// Each byte's label, in order.
+    fn byte_labels<'a>(parts: impl IntoIterator<Item = &'a TaintedString>) -> Vec<Label> {
+        parts
+            .into_iter()
+            .flat_map(|t| (0..t.len()).map(move |i| t.label_at(i)))
+            .collect()
+    }
+
+    #[test]
+    fn output_buffer_matches_the_fragment_model() {
+        // The reference keeps the output as it once was kept: a fragment
+        // per write, a mark counting fragments, a truncate dropping the
+        // fragments past it. Text and every byte's label must agree with
+        // the one buffer after every op.
+        let alice = PagePolicy::new(Acl::new().grant("alice", &[Right::Read]));
+        let passing: [PolicyRef; 4] = [
+            Arc::new(UntrustedData::from_source("a")),
+            Arc::new(UntrustedData::from_source("b")),
+            Arc::new(HtmlSanitized::new()),
+            Arc::new(alice),
+        ];
+        let secret = TaintedString::with_policy("pw", pw("u@x"));
+        for seed in 0..64 {
+            let mut rng = TestRng::new(seed);
+            let mut g = Gate::new(GateKind::Http).strip::<HtmlSanitized>();
+            g.context_mut().set_str("user", "alice");
+            let mut model: Vec<TaintedString> = Vec::new();
+            // (fragments, bytes) at each open mark, oldest first.
+            let mut marks: Vec<(usize, usize)> = Vec::new();
+            for step in 0..200 {
+                let mut data = fragment(&mut rng, &passing);
+                let op = rng.below(9);
+                match op {
+                    // A denied write: a secret byte in the fragment.
+                    3 => data.push_tainted(&secret),
+                    // A strip-rule write: the rule's class on every byte.
+                    4 => data.add_policy(passing[2].clone()),
+                    2 => data = TaintedString::from(data.as_str()),
+                    _ => {}
+                }
+                let expected = g.export(data.clone());
+                let wrote = match op {
+                    0 | 3 | 4 => g.write(data),
+                    1 => g.write_ref(&data),
+                    2 => g.write_str(data.as_str()),
+                    5 => {
+                        marks.push((model.len(), g.output_mark()));
+                        continue;
+                    }
+                    6 | 7 if !marks.is_empty() => {
+                        let (fragments, bytes) = marks[rng.below(marks.len() as u64) as usize];
+                        marks.retain(|&(f, _)| f < fragments);
+                        model.truncate(fragments);
+                        g.truncate_output(bytes);
+                        Ok(())
+                    }
+                    8 => {
+                        model.clear();
+                        marks.clear();
+                        g.clear_output();
+                        Ok(())
+                    }
+                    _ => continue,
+                };
+                if op <= 4 {
+                    assert_eq!(wrote.is_ok(), expected.is_ok(), "seed {seed} step {step}");
+                    assert_eq!(op == 3, wrote.is_err(), "seed {seed} step {step}");
+                    model.extend(expected);
+                }
+                let out = g.output();
+                let text: String = model.iter().map(TaintedString::as_str).collect();
+                assert_eq!(out.as_str(), text, "seed {seed} step {step}");
+                assert_eq!(
+                    byte_labels([out]),
+                    byte_labels(&model),
+                    "seed {seed} step {step}"
+                );
+                assert!(
+                    out.spans().all(|(r, _)| r.end <= out.len()),
+                    "seed {seed} step {step}: a span past the text"
+                );
+                assert!(!out.has_policy::<HtmlSanitized>() && !out.has_policy::<PasswordPolicy>());
+            }
+        }
     }
 }

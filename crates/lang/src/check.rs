@@ -632,10 +632,6 @@ mod tests {
                 "builtin `import`",
             ),
             (
-                r#"class Prints { fn export_check(c) { print("seen"); } }"#,
-                "builtin `print`",
-            ),
-            (
                 r#"class SendsMail { fn export_check(c) { email("a@b", "hello"); } }"#,
                 "builtin `email`",
             ),
@@ -985,8 +981,7 @@ mod tests {
     ];
 
     /// The others: they reach the host, or change a container or a label.
-    const REACHES_OUT: [&str; 21] = [
-        "print",
+    const REACHES_OUT: [&str; 20] = [
         "echo",
         "http_context",
         "set_email_preview",

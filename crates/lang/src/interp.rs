@@ -165,7 +165,6 @@ pub(crate) enum Reach {
 }
 
 builtins! {
-    Print = "print": Host,
     Echo = "echo": Host,
     HttpContext = "http_context": Host,
     SetEmailPreview = "set_email_preview": Host,
@@ -223,7 +222,6 @@ pub struct Interp {
     pub emails: Vec<SentMail>,
     email_preview: bool,
     require_code_approval: bool,
-    print_buf: String,
     current_user: Option<String>,
     /// Per-interpreter chunk cache for script functions, keyed by the
     /// `FnDecl` allocation (the `Arc` is held so the address stays valid).
@@ -253,7 +251,6 @@ impl Interp {
             emails: Vec::new(),
             email_preview: false,
             require_code_approval: false,
-            print_buf: String::new(),
             current_user: None,
             chunks: HashMap::new(),
             vm_bufs: Default::default(),
@@ -298,17 +295,9 @@ impl Interp {
         })
     }
 
-    /// Accumulated `print` output.
-    pub fn print_output(&self) -> &str {
-        &self.print_buf
-    }
-
     /// The HTTP body produced so far.
-    pub fn http_output(&self) -> String {
-        self.http
-            .as_ref()
-            .map(|g| g.output_text())
-            .unwrap_or_default()
+    pub fn http_output(&self) -> &str {
+        self.http.as_ref().map_or("", Gate::output_text)
     }
 
     /// A script-visible global, if defined (used by harnesses and the
@@ -612,15 +601,6 @@ impl Interp {
         let name = id.name();
         match id {
             // ---- output, mail and the current user ----
-            Builtin::Print => {
-                let parts: Vec<String> = args
-                    .iter()
-                    .map(|v| v.to_tainted().as_str().to_string())
-                    .collect();
-                self.print_buf.push_str(&parts.join(" "));
-                self.print_buf.push('\n');
-                Ok(Value::Null)
-            }
             Builtin::Echo => {
                 arity(id, args, 1)?;
                 let data = args[0].to_tainted();
@@ -662,10 +642,10 @@ impl Interp {
                     Tracking::Off => Gate::unguarded(GateKind::Email),
                 };
                 ch.context_mut().set_str("email", to.as_str());
-                ch.write(body).map_err(flow_err)?;
+                let body = ch.export(body).map_err(flow_err)?.into_plain();
                 self.emails.push(SentMail {
                     to: to.as_str().to_string(),
-                    body: ch.output_text(),
+                    body,
                 });
                 Ok(Value::Null)
             }
@@ -1479,9 +1459,24 @@ mod tests {
     }
 
     #[test]
-    fn print_collects_output() {
-        let i = run(r#"print("a", 1); print("b");"#);
-        assert_eq!(i.print_output(), "a 1\nb\n");
+    fn a_secret_has_no_output_channel_past_the_gate() {
+        // A script's one output channel is `echo`, through the HTTP gate:
+        // no builtin hands the secret back past it.
+        let mut i = Interp::new();
+        let err = i
+            .run(
+                r#"class Secret {
+                     fn init(owner) { this.owner = owner; }
+                     fn export_check(context) { throw "never exported"; }
+                   }
+                   let pw = policy_add("s3cret", new Secret("u@x"));
+                   print(pw);"#,
+            )
+            .unwrap_err();
+        assert!(!err.to_string().contains("s3cret"), "{err}");
+        assert!(i.run("echo(pw);").unwrap_err().violation);
+        assert_eq!(i.http_output(), "");
+        assert!(i.emails.is_empty());
     }
 
     #[test]

@@ -616,7 +616,7 @@ impl PolicyGen {
     fn reach_out(&mut self, idx: u32) -> String {
         const HOST: [&str; 8] = [
             "echo(\"x\");",
-            "print(this.f0);",
+            "echo(this.f0);",
             "email(\"a@b\", str(this.f1));",
             "file_write(\"/f\", \"x\");",
             "import(\"/g.rsl\");",

@@ -2,7 +2,7 @@
 //! AND the bytecode VM, and the two must agree on everything observable —
 //! result values, **policy labels** (taint must be neither laundered nor
 //! over-applied by compilation), error messages with their source lines,
-//! print output, HTTP output, and final global state.
+//! HTTP output, and final global state.
 
 use resin_core::Tracking;
 
@@ -29,7 +29,6 @@ fn diff_with(src: &str, tracking: Tracking) -> Result<Value, LangError> {
         }
         (a, b) => panic!("engines disagree on outcome for {src:?}:\n tree={a:?}\n vm={b:?}"),
     }
-    assert_eq!(tree.print_output(), vm.print_output(), "print for {src:?}");
     assert_eq!(tree.http_output(), vm.http_output(), "http for {src:?}");
     for name in ["x", "y", "z", "a", "b", "c", "out", "msg", "names"] {
         match (tree.global(name), vm.global(name)) {
@@ -379,7 +378,7 @@ fn unbound_locals_and_the_globals_they_shadow() {
     )
     .unwrap();
     // An undefined local fails before a later operand's side effect.
-    let e = diff("fn noisy() { print(\"ran\"); return 1; } fn f() { if (false) { u = 0; } return u + noisy(); } f();")
+    let e = diff("fn noisy() { echo(\"ran\"); return 1; } fn f() { if (false) { u = 0; } return u + noisy(); } f();")
         .unwrap_err();
     assert_eq!(e.message, "undefined variable `u`");
     let e = diff("fn f() { if (false) { u = 0; } return [1 / 0, u]; }\nf();").unwrap_err();

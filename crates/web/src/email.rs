@@ -44,11 +44,6 @@ impl Mailer {
         self.preview_mode = on;
     }
 
-    /// True when preview mode is active.
-    pub fn preview_mode(&self) -> bool {
-        self.preview_mode
-    }
-
     /// Sends (or previews) an email.
     ///
     /// * Delivery: the body crosses an email channel whose context carries
@@ -72,11 +67,12 @@ impl Mailer {
         }
         let mut gate = Gate::new(GateKind::Email);
         gate.context_mut().set_str("email", to);
-        gate.write(body)?;
+        // The message leaves as the gate exports it: no buffer, no copy.
+        let body = gate.export(body)?.into_plain();
         self.sent.push(SentEmail {
             to: to.to_string(),
             subject: subject.to_string(),
-            body: gate.output_text(),
+            body,
         });
         Ok(())
     }
@@ -140,7 +136,6 @@ mod tests {
         // adversary's browser — the HTTP boundary catches it.
         let mut m = Mailer::new();
         m.set_preview_mode(true);
-        assert!(m.preview_mode());
         let mut http = Response::for_user("adversary");
         let err = m
             .send(

@@ -82,9 +82,10 @@ impl Response {
         self.gate.write(data)
     }
 
-    /// Writes body data by reference — the zero-copy path for fragments
-    /// the caller keeps (shared templates, repeated chrome). The filter
-    /// chain borrows the data; see [`resin_core::Gate::write_ref`].
+    /// Writes body data by reference, for fragments the caller keeps
+    /// (shared templates, repeated chrome). The filter chain borrows the
+    /// data, and the append to the body is its one copy; see
+    /// [`resin_core::Gate::write_ref`].
     pub fn echo_ref(&mut self, data: &TaintedString) -> Result<()> {
         self.gate.write_ref(data)
     }
@@ -94,15 +95,16 @@ impl Response {
         self.gate.write_str(s)
     }
 
-    /// The body text that actually crossed the boundary.
+    /// The body text that actually crossed the boundary, copied once.
     pub fn body(&self) -> String {
-        self.gate.output_text()
+        self.gate.output_text().to_owned()
     }
 
     /// Runs `f` with output buffering (§5.5): output produced inside `f` is
-    /// released only if `f` succeeds. On failure the buffered output is
-    /// discarded and `fallback` runs in its place (e.g. printing
-    /// `"Anonymous"` when the author-list policy raises).
+    /// released only if `f` succeeds. On failure the body is cut back, text
+    /// and labels, to its length when `f` began, and `fallback` runs in its
+    /// place (e.g. printing `"Anonymous"` when the author-list policy
+    /// raises).
     ///
     /// Returns the error from `f` (after applying the fallback) so callers
     /// can distinguish the two outcomes.
@@ -140,7 +142,7 @@ impl std::fmt::Debug for Response {
         f.debug_struct("Response")
             .field("status", &self.status)
             .field("headers", &self.headers.len())
-            .field("body_len", &self.body().len())
+            .field("body_len", &self.gate.output().len())
             .finish()
     }
 }
@@ -218,6 +220,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.body(), "<h1>Paper</h1>Anonymous");
+    }
+
+    #[test]
+    fn buffered_leaves_no_label_of_the_dropped_bytes() {
+        // A tainted echo, then a denial: the fallback lands where the
+        // tainted bytes were, and carries none of their label.
+        let mut r = Response::for_user("pc_member");
+        r.echo_str("<p>").unwrap();
+        let form = TaintedString::with_policy("<b>typed</b>", Arc::new(UntrustedData::new()));
+        let secret = TaintedString::with_policy("Alice, Bob", Arc::new(PasswordPolicy::new("x@y")));
+        r.buffered_or(
+            |r| {
+                r.echo(form)?;
+                r.echo(secret)
+            },
+            "Anonymous",
+        )
+        .unwrap();
+        let out = r.gate.output();
+        assert_eq!(out.as_str(), "<p>Anonymous");
+        assert!(out.is_untainted(), "{:?}", out.spans().collect::<Vec<_>>());
     }
 
     #[test]

@@ -20,18 +20,19 @@ fn main() {
             r#"
         mkdir("/app");
         mkdir("/uploads");
-        file_write("/app/main.rsl", "let booted = 1; print(\"app booted\");");
+        file_write("/app/main.rsl", "let booted = 1; echo(\"app booted\");");
         make_executable("/app/main.rsl");
         require_code_approval();
         import("/app/main.rsl");
     "#,
         )
         .expect("install");
-    print!("{}", interp.print_output());
+    println!("{}", interp.http_output());
+    interp.http().clear_output();
 
     // The adversary uploads a script (uploads are data — no approval).
     interp
-        .run(r#"file_write("/uploads/shell.rsl", "print(\"owned!\");");"#)
+        .run(r#"file_write("/uploads/shell.rsl", "echo(\"owned!\");");"#)
         .expect("upload");
 
     // The application is tricked into importing it (theme include /
@@ -48,11 +49,12 @@ fn main() {
     interp
         .run(
             r#"
-        file_write("/app/extra.rsl", "print(\"extra module loaded\");");
+        file_write("/app/extra.rsl", "echo(\"extra module loaded\");");
         make_executable("/app/extra.rsl");
         import("/app/extra.rsl");
     "#,
         )
         .expect("approved import");
-    print!("{}", interp.print_output());
+    assert_eq!(interp.http_output(), "extra module loaded");
+    println!("{}", interp.http_output());
 }

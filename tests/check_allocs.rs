@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use resin::core::metrics::{self, Counter};
 use resin::core::{
-    deserialize_spans, serialize_spans, Context, Gate, GateKind, HtmlSanitized, Label,
-    PasswordPolicy, Policy, PolicyRef, Runtime, TaintedString, UntrustedData,
+    deserialize_spans, serialize_spans, Acl, Context, Gate, GateKind, HtmlSanitized, Label,
+    PagePolicy, PasswordPolicy, Policy, PolicyRef, Right, Runtime, TaintedString, UntrustedData,
 };
 use resin::lang::ast::{ClassDecl, StmtKind};
 use resin::lang::vm::dispatched_ops;
@@ -447,4 +447,73 @@ fn a_warm_prepared_statement_allocates_a_fixed_count() {
         (18, 32, 25),
         "(/view, /search, /post)"
     );
+}
+
+#[test]
+fn a_warm_untainted_echo_allocates_nothing() {
+    let row = "<div class=\"row\"><span class=\"value\">plain</span></div>\n";
+    let mut resp = Response::new();
+    for _ in 0..1000 {
+        resp.echo_str(row).unwrap();
+    }
+    // The body keeps its capacity; the echoes below refill it.
+    resp.gate_mut().clear_output();
+    let n = allocations(|| {
+        for _ in 0..1000 {
+            resp.echo_str(std::hint::black_box(row)).unwrap();
+        }
+    });
+    assert_eq!(n, 0, "1 000 warm untainted echoes");
+    assert_eq!(resp.body().len(), 1000 * row.len());
+}
+
+#[test]
+fn a_warm_page_of_gate_writes_allocates_a_fixed_count() {
+    // `hotcrp_page`'s 50 gate writes as the tracked site makes them: 46
+    // `echo_str`, the title and the abstract under the PC's page policy,
+    // and the author list under an ACL the viewer is not on, whose denial
+    // output buffering answers with "Anonymous" (§5.5). Then `body()`.
+    let viewer = "pc1@conf.org";
+    let pc: PolicyRef = Arc::new(PagePolicy::new(Acl::new().grant(viewer, &[Right::Read])));
+    let hidden: PolicyRef = Arc::new(PagePolicy::new(
+        Acl::new().grant("author@uni.edu", &[Right::Read]),
+    ));
+    let title = TaintedString::with_policy("Data Flow Assertions at Scale", pc.clone());
+    let abstract_ = TaintedString::with_policy("We measure the cost. ".repeat(20), pc);
+    let authors = TaintedString::with_policy("A. Author, B. Author", hidden);
+    let rows: Vec<String> = (0..40)
+        .map(|i| {
+            format!(
+                "<div class=\"row r{i}\"><span class=\"label\">field {i}</span>\
+                 <span class=\"value\">{}</span></div>\n",
+                "x".repeat(160)
+            )
+        })
+        .collect();
+    let page = |title: TaintedString, abstract_: TaintedString, authors: TaintedString| {
+        let mut resp = Response::for_user(viewer);
+        resp.echo_str("<html><head><title>Paper</title></head><body>\n")
+            .unwrap();
+        resp.echo_str("<h1>").unwrap();
+        resp.echo(title).unwrap();
+        resp.echo_str("</h1>\n<div class=\"abstract\">").unwrap();
+        resp.echo(abstract_).unwrap();
+        resp.echo_str("</div>\n<div class=\"authors\">Authors: ")
+            .unwrap();
+        resp.buffered_or(|r| r.echo(authors), "Anonymous").unwrap();
+        resp.echo_str("</div>\n").unwrap();
+        for row in &rows {
+            resp.echo_str(row).unwrap();
+        }
+        resp.echo_str("</body></html>\n").unwrap();
+        resp.body()
+    };
+    let body = page(title.clone(), abstract_.clone(), authors.clone());
+    assert!(body.contains("Authors: Anonymous</div>"));
+    assert!(!body.contains("A. Author"));
+    let n = allocations(|| drop(std::hint::black_box(page(title, abstract_, authors))));
+    // The response's context and chain (6), the body and the fragment
+    // `echo_str` checks as each grows (12), the denial's message (2), and
+    // `body()`'s one copy.
+    assert_eq!(n, 21, "one warm page");
 }

@@ -237,7 +237,7 @@ fn labels_survive_gate_transit_with_same_handle() {
     let mut mail = Gate::new(GateKind::Email);
     mail.context_mut().set("email", "u@x");
     mail.write(body).unwrap();
-    assert_eq!(mail.output()[0].label(), label, "same handle after transit");
+    assert_eq!(mail.output().label(), label, "same handle after transit");
 }
 
 #[test]
