@@ -45,6 +45,9 @@
 //! assert!(db.query(&q).unwrap_err().is_violation());
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod ast;
 pub mod durable;
 pub mod engine;

@@ -17,23 +17,29 @@
 //!
 //! # Finding a segment
 //!
-//! A segment with two literal (non-`_`) bytes or more is found through a
-//! *packed pair* filter, after Muła's SIMD-friendly substring search: its
-//! first and last literal bytes, at their fixed distance, are compared
-//! with the text at a whole block of window positions at once, and only a
-//! position where both compare equal is verified byte by byte. A search
-//! term's first byte may be common in the text; the pair of its first and
-//! last bytes, at that distance, rarely is.
+//! A segment with a literal (non-`_`) byte is found through a *packed
+//! pair* filter, after Muła's SIMD-friendly substring search: its first
+//! and last literal bytes, at their fixed distance, are compared with the
+//! text at a whole block of window positions at once, and only a position
+//! where both compare equal is verified byte by byte. A search term's
+//! first byte may be common in the text; the pair of its first and last
+//! bytes, at that distance, rarely is. A segment with one literal byte is
+//! a pair whose two ends are that byte. A segment of `_`s alone needs no
+//! search: it fits at the first position or nowhere.
 //!
-//! On x86_64 a block is sixteen positions in SSE2 registers. SSE2 is part
-//! of the x86_64 baseline, so this is a property of the target and not a
-//! switch: the one `unsafe` call into the SSE2 body is compiled only where
-//! the target has it. The portable body does the same eight positions at a
-//! time in a `u64` (SWAR), and then one at a time; it is the whole search
-//! on other targets and, on x86_64, the positions after the last whole
-//! block. A segment with fewer literal bytes skips from one occurrence of
-//! its first byte to the next, eight bytes a step, or walks. Either way
-//! each window position is verified at most once.
+//! On x86_64 a step is sixty-four positions: four blocks of sixteen in
+//! SSE2 registers, each one unaligned load from the text, and one branch
+//! on whether any of them holds the pair. The positions after the last
+//! whole step go a block at a time, and the last block ends at the last
+//! position, masked to the positions the block before it did not test.
+//! SSE2 is part of the x86_64 baseline, so this is a property of the
+//! target and not a switch. The SSE2 body is the only code in the crate
+//! allowed `unsafe`: its call into the `#[target_feature]` code, compiled
+//! only where the target has SSE2, and its load, whose bound every loop
+//! condition proves. The portable body does eight positions at a time in
+//! a `u64` (SWAR), and then one at a time; it is the whole search on other
+//! targets and, on x86_64, the search of a text shorter than one block.
+//! Either way each window position is verified at most once.
 
 use std::ops::Range;
 
@@ -41,8 +47,9 @@ use std::ops::Range;
 pub(crate) struct LikePattern {
     /// The pattern, ASCII-lowercased.
     bytes: Vec<u8>,
-    /// The non-empty runs between `%`s, as ranges into `bytes`.
-    segs: Vec<Range<usize>>,
+    /// The non-empty runs between `%`s, as ranges into `bytes`, each with
+    /// its pair (`None` for a run of `_`s alone).
+    segs: Vec<(Range<usize>, Option<Pair>)>,
     /// The pattern does not open with `%`.
     anchored_start: bool,
     /// The pattern does not close with `%`.
@@ -57,7 +64,7 @@ impl LikePattern {
         for (i, &b) in bytes.iter().chain(b"%").enumerate() {
             if b == b'%' {
                 if start < i {
-                    segs.push(start..i);
+                    segs.push((start..i, Pair::of(&bytes[start..i])));
                 }
                 start = i + 1;
             }
@@ -71,16 +78,16 @@ impl LikePattern {
     }
 
     pub(crate) fn matches(&self, text: &str) -> bool {
-        self.matches_with(text, find_seg)
+        self.matches_with(text, find_pair)
     }
 
     /// [`matches`](LikePattern::matches), with `find` searching for each
     /// segment that no end pins: the tests pass each body of the filter.
-    fn matches_with(&self, text: &str, find: impl Fn(&[u8], &[u8]) -> Option<usize>) -> bool {
+    fn matches_with(&self, text: &str, find: impl Fn(&[u8], &[u8], Pair) -> Option<usize>) -> bool {
         let mut hay = text.as_bytes();
         let mut segs = self.segs.as_slice();
         if self.anchored_start {
-            if let Some((first, rest)) = segs.split_first() {
+            if let Some(((first, _), rest)) = segs.split_first() {
                 let seg = &self.bytes[first.clone()];
                 if hay.len() < seg.len() || !seg_matches(seg, hay) {
                     return false;
@@ -92,7 +99,7 @@ impl LikePattern {
         if self.anchored_end {
             // No segment left to pin means the pattern had no `%` at all
             // (or was empty): the text must be used up exactly.
-            let Some((last, rest)) = segs.split_last() else {
+            let Some(((last, _), rest)) = segs.split_last() else {
                 return hay.is_empty();
             };
             let seg = &self.bytes[last.clone()];
@@ -105,19 +112,24 @@ impl LikePattern {
             hay = &hay[..at];
             segs = rest;
         }
-        for r in segs {
+        for (r, pair) in segs {
             let seg = &self.bytes[r.clone()];
-            match find(seg, hay) {
-                Some(at) => hay = &hay[at + seg.len()..],
-                None => return false,
-            }
+            let found = match *pair {
+                Some(pair) => find(seg, hay, pair),
+                // All `_`: the first window fits if any does.
+                None => (hay.len() >= seg.len()).then_some(0),
+            };
+            let Some(at) = found else {
+                return false;
+            };
+            hay = &hay[at + seg.len()..];
         }
         true
     }
 }
 
 // Work done on this thread, for the complexity regression tests: steps
-// (byte comparisons, and word or block steps of a skip loop) and candidate
+// (byte comparisons, and block or word steps of a filter) and candidate
 // windows verified are deterministic where wall time is not.
 #[cfg(test)]
 thread_local! {
@@ -164,14 +176,16 @@ struct Pair {
 }
 
 impl Pair {
-    /// The pair of a segment with two literal bytes or more.
+    /// The pair of a segment with a literal byte; with only one, both ends
+    /// are that byte.
     fn of(seg: &[u8]) -> Option<Pair> {
         let first = seg.iter().position(|&b| b != b'_')?;
         let last = seg.iter().rposition(|&b| b != b'_')?;
-        (first < last).then(|| Pair {
-            at: [first, last],
-            byte: [seg[first], seg[last]],
-            fold: [fold(seg[first]), fold(seg[last])],
+        let at = [first, last];
+        Some(Pair {
+            at,
+            byte: at.map(|i| seg[i]),
+            fold: at.map(|i| fold(seg[i])),
         })
     }
 
@@ -181,94 +195,101 @@ impl Pair {
     }
 }
 
-/// Leftmost offset in `hay` at which the non-empty `seg` matches.
-fn find_seg(seg: &[u8], hay: &[u8]) -> Option<usize> {
-    if hay.len() < seg.len() {
-        return None;
-    }
-    let Some(pair) = Pair::of(seg) else {
-        return find_one(seg, hay);
-    };
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    // SAFETY: `find_pair_sse2` requires SSE2, and this call is compiled
-    // only for targets that have it: see the `cfg` above.
-    let found = unsafe { find_pair_sse2(seg, hay, pair) };
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-    let found = find_pair_swar(seg, hay, pair, 0);
-    found
-}
-
-/// [`find_seg`] for a segment with at most one literal byte: a skip to
-/// each occurrence of its first byte, or a walk if that is a `_`.
-fn find_one(seg: &[u8], hay: &[u8]) -> Option<usize> {
-    let last = hay.len() - seg.len();
-    let first = seg[0];
-    if first == b'_' {
-        return (0..=last).find(|&i| seg_matches(seg, &hay[i..]));
-    }
-    let fold = fold(first);
-    let mut from = 0;
-    while from <= last {
-        let at = from + find_byte(&hay[from..=last], first, fold)?;
-        if seg_matches(&seg[1..], &hay[at + 1..]) {
-            return Some(at);
-        }
-        from = at + 1;
-    }
-    None
-}
-
-/// The pair filter sixteen window positions a step: each pair byte is
-/// compared with a block of sixteen text bytes at its offset, and only a
-/// position where both compare equal is verified. The positions after the
-/// last whole block go to [`find_pair_swar`]. `hay` is at least as long
-/// as `seg`.
+/// The body of the pair filter this target runs: the leftmost offset in
+/// `hay` at which `seg`, with its `pair`, matches.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-#[target_feature(enable = "sse2")]
+use find_pair_sse2 as find_pair;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+use find_pair_swar as find_pair;
+
+/// The pair filter sixty-four window positions a step, then sixteen: each
+/// pair byte is compared with a block of sixteen text bytes at its offset,
+/// and the positions where both compare equal are verified, leftmost
+/// first. A text with fewer than sixteen window positions holds no block,
+/// and goes to [`find_pair_swar`].
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[allow(unsafe_code)]
 fn find_pair_sse2(seg: &[u8], hay: &[u8], pair: Pair) -> Option<usize> {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8,
-        _mm_set_epi64x,
+        __m128i, _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128,
+        _mm_set1_epi8,
     };
-    let end = hay.len() - seg.len() + 1;
-    let splat = |b: u8| _mm_set1_epi8(b as i8);
-    let (want, fold) = (pair.byte.map(splat), pair.fold.map(splat));
-    let half = |at: usize| i64::from_le_bytes(hay[at..at + 8].try_into().expect("8 bytes"));
-    let block = |at: usize| -> __m128i { _mm_set_epi64x(half(at + 8), half(at)) };
-    let mut from = 0;
-    // A block's last window ends at `from + 15 + seg.len() <= hay.len()`,
-    // so both loads stay inside `hay`.
-    while from + 16 <= end {
-        tick(1);
-        let eq =
-            |i: usize| _mm_cmpeq_epi8(_mm_or_si128(block(from + pair.at[i]), fold[i]), want[i]);
-        // Bit `k` is set when the window at `from + k` holds both bytes.
-        let mut hits = _mm_movemask_epi8(_mm_and_si128(eq(0), eq(1))) as u32;
-        while hits != 0 {
-            let at = from + hits.trailing_zeros() as usize;
-            if seg_matches(seg, &hay[at..]) {
+    /// `end` is the number of window positions, at least sixteen.
+    #[target_feature(enable = "sse2")]
+    fn body(seg: &[u8], hay: &[u8], pair: Pair, end: usize) -> Option<usize> {
+        let splat = |b: u8| _mm_set1_epi8(b as i8);
+        let (want, fold) = (pair.byte.map(splat), pair.fold.map(splat));
+        // The block of window positions `p..p + 16` reads the text from
+        // `p + pair.at[i] <= p + seg.len() - 1`, sixteen bytes, so it
+        // stays inside `hay` when `p + 16 <= end`: each loop below
+        // checks that before it loads.
+        let load = |at: usize| {
+            debug_assert!(at + 16 <= hay.len(), "load at {at} of {} bytes", hay.len());
+            // SAFETY: `at + 16 <= hay.len()`, by the argument above.
+            unsafe { _mm_loadu_si128(hay.as_ptr().add(at).cast::<__m128i>()) }
+        };
+        let eq = |i: usize, p| _mm_cmpeq_epi8(_mm_or_si128(load(p + pair.at[i]), fold[i]), want[i]);
+        // Byte `k` is all ones when the window at `p + k` holds both bytes.
+        let block = |p: usize| _mm_and_si128(eq(0, p), eq(1, p));
+        let bits = |b: __m128i| u64::from(_mm_movemask_epi8(b) as u16);
+        // Verifies the window at `p + k` for each bit `k` of `hits`, in
+        // position order.
+        let verify = |p: usize, mut hits: u64| {
+            while hits != 0 {
+                let at = p + hits.trailing_zeros() as usize;
+                if seg_matches(seg, &hay[at..]) {
+                    return Some(at);
+                }
+                hits &= hits - 1;
+            }
+            None
+        };
+        let mut from = 0;
+        while from + 64 <= end {
+            tick(1);
+            let b = [0, 16, 32, 48].map(|k| block(from + k));
+            let any = _mm_or_si128(_mm_or_si128(b[0], b[1]), _mm_or_si128(b[2], b[3]));
+            if _mm_movemask_epi8(any) != 0 {
+                let hits = bits(b[0]) | bits(b[1]) << 16 | bits(b[2]) << 32 | bits(b[3]) << 48;
+                if let Some(at) = verify(from, hits) {
+                    return Some(at);
+                }
+            }
+            from += 64;
+        }
+        // The last block ends at `end` and overlaps the one before it,
+        // whose positions are masked off.
+        while from < end {
+            tick(1);
+            let p = from.min(end - 16);
+            if let Some(at) = verify(p, bits(block(p)) >> (from - p) << (from - p)) {
                 return Some(at);
             }
-            hits &= hits - 1;
+            from = p + 16;
         }
-        from += 16;
+        None
     }
-    find_pair_swar(seg, hay, pair, from)
+    let end = (hay.len() + 1).checked_sub(seg.len())?;
+    if end < 16 {
+        return find_pair_swar(seg, hay, pair);
+    }
+    // SAFETY: `body` requires SSE2, and this call is compiled only for
+    // targets that have it: see the `cfg` above.
+    unsafe { body(seg, hay, pair, end) }
 }
 
-/// One in each byte of a word.
-const LO: u64 = 0x0101_0101_0101_0101;
-
-/// The pair filter eight window positions a step, in a `u64`, from `from`
-/// on, then one position at a time. The whole search on targets without
-/// SSE2, and the tail of it on x86_64. `hay` is at least as long as `seg`.
-fn find_pair_swar(seg: &[u8], hay: &[u8], pair: Pair, mut from: usize) -> Option<usize> {
+/// The pair filter eight window positions a step, in a `u64`, then one
+/// position at a time. The whole search on targets without SSE2, and on
+/// x86_64 that of a text shorter than one block.
+fn find_pair_swar(seg: &[u8], hay: &[u8], pair: Pair) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    let end = hay.len() - seg.len() + 1;
+    let end = (hay.len() + 1).checked_sub(seg.len())?;
     let splat = |b: u8| LO * u64::from(b);
     let (want, fold) = (pair.byte.map(splat), pair.fold.map(splat));
     let word = |at: usize| u64::from_le_bytes(hay[at..at + 8].try_into().expect("8 bytes"));
     // As for the blocks of `find_pair_sse2`, both loads stay inside `hay`.
+    let mut from = 0;
     while from + 8 <= end {
         tick(1);
         let ne = |i: usize| (word(from + pair.at[i]) | fold[i]) ^ want[i];
@@ -289,33 +310,6 @@ fn find_pair_swar(seg: &[u8], hay: &[u8], pair: Pair, mut from: usize) -> Option
     }
     tick(end - from);
     (from..end).find(|&at| pair.hits(hay, at) && seg_matches(seg, &hay[at..]))
-}
-
-/// Offset of the first `b` in `hay` with `b | fold == byte`, eight bytes
-/// to a step.
-fn find_byte(hay: &[u8], byte: u8, fold: u8) -> Option<usize> {
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let (want, fold8) = (LO * u64::from(byte), LO * u64::from(fold));
-    let mut words = hay.chunks_exact(8);
-    let mut base = 0;
-    for w in &mut words {
-        tick(1);
-        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        // A byte of `x` is zero exactly where the text byte matches; the
-        // lowest flagged byte of `zero` is always a true zero (borrows
-        // only travel upwards).
-        let x = (w | fold8) ^ want;
-        let zero = x.wrapping_sub(LO) & !x & HI;
-        if zero != 0 {
-            return Some(base + (zero.trailing_zeros() / 8) as usize);
-        }
-        base += 8;
-    }
-    let tail = words.remainder();
-    tick(tail.len());
-    tail.iter()
-        .position(|&b| b | fold == byte)
-        .map(|i| base + i)
 }
 
 /// The recursive backtracker `like_match` used to be, kept as the
@@ -383,45 +377,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn skip_loop_finds_every_offset_in_either_case() {
-        for len in 0..40 {
-            for at in 0..len {
-                for hit in [b'q', b'Q'] {
-                    let mut hay = vec![b'x'; len];
-                    hay[at] = hit;
-                    assert_eq!(find_byte(&hay, b'q', 0x20), Some(at), "{len} {at}");
-                }
-                let mut hay = vec![b'\x01'; len];
-                hay[at] = b'0';
-                assert_eq!(find_byte(&hay, b'0', 0), Some(at), "{len} {at}");
-                hay[at] = b'\x10'; // `'0' & !0x20`: folds only for letters
-                assert_eq!(find_byte(&hay, b'0', 0), None, "{len} {at}");
-            }
-        }
+    type Find = fn(&[u8], &[u8], Pair) -> Option<usize>;
+
+    /// The body this target runs, and the portable body alone, as a
+    /// target without SSE2 runs it.
+    const BODIES: [(&str, Find); 2] = [("native", find_pair), ("portable", find_pair_swar)];
+
+    /// `seg`'s leftmost offset in `hay` by `find`, and the candidate
+    /// windows it verified on the way.
+    fn find_counted(find: Find, seg: &[u8], hay: &[u8]) -> (Option<usize>, usize) {
+        CANDIDATES.with(|c| c.set(0));
+        let found = find(seg, hay, Pair::of(seg).expect("a literal byte"));
+        (found, CANDIDATES.with(|c| c.get()))
     }
-
-    /// [`find_seg`] with the portable body alone, as a target without
-    /// SSE2 runs it; on x86_64 `find_seg` runs it only as the tail.
-    fn find_seg_portable(seg: &[u8], hay: &[u8]) -> Option<usize> {
-        if hay.len() < seg.len() {
-            return None;
-        }
-        match Pair::of(seg) {
-            Some(pair) => find_pair_swar(seg, hay, pair, 0),
-            None => find_one(seg, hay),
-        }
-    }
-
-    type Find = fn(&[u8], &[u8]) -> Option<usize>;
-
-    /// `find_seg` as this target runs it, and the portable body alone.
-    const BODIES: [(&str, Find); 2] = [("native", find_seg), ("portable", find_seg_portable)];
 
     #[test]
     fn pair_filter_finds_every_offset_in_either_case() {
-        for len in 2..=20 {
-            // Literal ends, a `_` in every third place between them.
+        // Texts of up to 200 bytes reach past three 64-position steps, the
+        // blocks after them and the last block, which overlaps the one
+        // before it.
+        for len in 1..=20 {
+            // Literal ends, a `_` in every third place between them; one
+            // literal byte at `len` 1.
             let seg: Vec<u8> = (0..len)
                 .map(|i| match i {
                     0 => b'q',
@@ -430,9 +407,13 @@ mod tests {
                     _ => b'a' + i as u8,
                 })
                 .collect();
-            for n in 0..=48 {
+            for n in 0..=200 {
                 for (body, find) in BODIES {
-                    assert_eq!(find(&seg, &vec![b'x'; n]), None, "{body} {len} {n}");
+                    assert_eq!(
+                        find_counted(find, &seg, &vec![b'x'; n]),
+                        (None, 0),
+                        "{body} {len} {n}"
+                    );
                 }
                 for at in 0..(n + 1).saturating_sub(len) {
                     for case in [u8::to_ascii_lowercase, u8::to_ascii_uppercase] {
@@ -440,17 +421,60 @@ mod tests {
                         for (h, &p) in hay[at..at + len].iter_mut().zip(&seg) {
                             *h = if p == b'_' { b'!' } else { case(&p) };
                         }
-                        // The pair alone, without the literals between.
+                        // The pair alone, without the literals between:
+                        // the one window holding it is verified once,
+                        // wherever it sits, in the last block's overlap too.
                         let mut decoy = vec![b'x'; n];
                         decoy[at] = hay[at];
                         decoy[at + len - 1] = hay[at + len - 1];
                         let only_ends = len <= 3;
                         for (body, find) in BODIES {
-                            assert_eq!(find(&seg, &hay), Some(at), "{body} {len} {n} {at}");
-                            let want = only_ends.then_some(at);
-                            assert_eq!(find(&seg, &decoy), want, "{body} {len} {n} {at}");
+                            assert_eq!(
+                                find_counted(find, &seg, &hay).0,
+                                Some(at),
+                                "{body} {len} {n} {at}"
+                            );
+                            let want = (only_ends.then_some(at), 1);
+                            assert_eq!(
+                                find_counted(find, &seg, &decoy),
+                                want,
+                                "{body} {len} {n} {at}"
+                            );
                         }
                     }
+                    // One literal that folds for no case: `\x10` is
+                    // `'0' & !0x20`, and only letters fold.
+                    if len == 1 {
+                        let mut hay = vec![b'\x01'; n];
+                        for (byte, want) in [(b'0', Some(at)), (b'\x10', None)] {
+                            hay[at] = byte;
+                            for (body, find) in BODIES {
+                                let found = find_counted(find, b"0", &hay).0;
+                                assert_eq!(found, want, "{body} {n} {at} {byte}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_leftmost_of_two_matches_is_found_wherever_they_sit() {
+        // Two matches in one block, in two blocks of one step, in two
+        // steps, and in the last block and the one before it.
+        let n = 200;
+        for a in 0..=n - 3 {
+            for b in a + 3..=n - 3 {
+                let mut hay = vec![b'x'; n];
+                hay[a..a + 3].copy_from_slice(b"q1z");
+                hay[b..b + 3].copy_from_slice(b"Q1Z");
+                for (body, find) in BODIES {
+                    assert_eq!(
+                        find_counted(find, b"q1z", &hay).0,
+                        Some(a),
+                        "{body} {a} {b}"
+                    );
                 }
             }
         }
@@ -523,8 +547,8 @@ mod tests {
     proptest! {
         #[test]
         fn segment_matcher_agrees_with_the_recursive_one(
-            pairs in prop::collection::vec(("[aAbB1_%é]{0,80}", "[aAbB1_%é]{0,20}"), 64..65),
-            cuts in prop::collection::vec((0usize..80, 2usize..21), 64..65),
+            pairs in prop::collection::vec(("[aAbB1_%é]{0,300}", "[aAbB1_%é]{0,20}"), 64..65),
+            cuts in prop::collection::vec((0usize..300, 2usize..21), 64..65),
         ) {
             for ((text, drawn), &(at, len)) in pairs.iter().zip(&cuts) {
                 // A drawn segment of many bytes rarely occurs in the text; one
