@@ -3,7 +3,9 @@
 //! The surface centres on one taxonomy, [`FlowError`]: every way a data
 //! flow can fail to cross a gate is one of its variants.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 use crate::gate::GateKind;
 
@@ -15,24 +17,74 @@ use crate::gate::GateKind;
 /// in the paper (Figure 2): the runtime converts the exception into an
 /// aborted write, so the faulty flow never becomes visible outside the
 /// boundary.
+///
+/// A violation is a record, not prose, and no field can hold the refused
+/// data: a denial logged or shown never replays it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyViolation {
-    /// Class name of the policy (or filter/gate) that rejected the flow.
-    pub policy: String,
-    /// Human-readable description of the violation.
-    pub message: String,
+    /// Class name of the policy (or filter/gate) that rejected the flow:
+    /// a literal at a native site, so a denial allocates nothing.
+    pub policy: Cow<'static, str>,
+    /// Why the flow was refused.
+    pub reason: Reason,
+    /// Where in the checked data the refused bytes are, when a guard
+    /// scanned it.
+    pub at: Option<Range<usize>>,
     /// The kind of gate on which the violation occurred, if known.
     pub channel: Option<GateKind>,
 }
 
+/// Why a flow was refused: the closed set the runtime raises.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reason {
+    /// The channel carries no authenticated user.
+    NoUser,
+    /// The channel's user lacks the right the ACL requires.
+    NotOnAcl,
+    /// A gate deny rule refused data labelled with this policy class.
+    DenyRule(&'static str),
+    /// Untrusted bytes without the sanitizer's marker.
+    Unsanitized,
+    /// Untrusted bytes in the output's structure (markup, JSON, SQL).
+    InStructure,
+    /// A user-supplied header/body delimiter in a header value.
+    HeaderDelimiter,
+    /// A script policy threw.
+    Threw(Thrown),
+    /// A script policy's check failed: the interpreter's own error text.
+    ScriptError(Box<str>),
+    /// A fixed reason: an application invariant, a merge veto, a policy
+    /// whose only answer is no.
+    Refused(&'static str),
+}
+
+/// A thrown value as an error may show it. `resin_lang` decides which
+/// (`interp::thrown`): a short text that carries no policy is kept, since
+/// `throw "not the owner"` is the reason; anything else only by length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Thrown {
+    /// A short, unlabelled text, as thrown.
+    Text(Box<str>),
+    /// A labelled or long value's length in bytes.
+    Withheld(usize),
+}
+
 impl PolicyViolation {
-    /// Creates a violation raised by `policy` with a description.
-    pub fn new(policy: impl Into<String>, message: impl Into<String>) -> Self {
+    /// A violation raised by `policy` for `reason`.
+    pub fn new(policy: impl Into<Cow<'static, str>>, reason: Reason) -> Self {
         PolicyViolation {
             policy: policy.into(),
-            message: message.into(),
+            reason,
+            at: None,
             channel: None,
         }
+    }
+
+    /// A violation raised by a guard that found the refused bytes `at`.
+    pub fn at(policy: &'static str, reason: Reason, at: Range<usize>) -> Self {
+        let mut v = PolicyViolation::new(policy, reason);
+        v.at = Some(at);
+        v
     }
 
     /// Attaches the gate kind on which the violation occurred.
@@ -42,9 +94,32 @@ impl PolicyViolation {
     }
 }
 
+impl fmt::Display for Thrown {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Thrown::Text(text) => f.write_str(text),
+            Thrown::Withheld(len) => write!(f, "a thrown value of {len} bytes, withheld"),
+        }
+    }
+}
+
 impl fmt::Display for PolicyViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "policy violation [{}]: {}", self.policy, self.message)?;
+        write!(f, "policy violation [{}]: ", self.policy)?;
+        match &self.reason {
+            Reason::NoUser => f.write_str("no authenticated user on channel"),
+            Reason::NotOnAcl => f.write_str("user not on the ACL"),
+            Reason::DenyRule(class) => write!(f, "`{class}`-labeled data may not leave the gate"),
+            Reason::Unsanitized => f.write_str("unsanitized untrusted data"),
+            Reason::InStructure => f.write_str("untrusted data in structure"),
+            Reason::HeaderDelimiter => f.write_str("user-supplied header delimiter"),
+            Reason::Threw(thrown) => write!(f, "{thrown}"),
+            Reason::ScriptError(message) => write!(f, "policy error: {message}"),
+            Reason::Refused(why) => f.write_str(why),
+        }?;
+        if let Some(at) = &self.at {
+            write!(f, " at bytes {}..{}", at.start, at.end)?;
+        }
         if let Some(ch) = &self.channel {
             write!(f, " (channel: {ch})")?;
         }
@@ -107,7 +182,7 @@ impl std::error::Error for SerializeError {}
 /// * [`MergeDenied`](FlowError::MergeDenied) — two policies refused to
 ///   merge when data was combined (§3.4.2);
 /// * [`Rejected`](FlowError::Rejected) — a filter rejected in-transit data
-///   for a non-policy reason (e.g. the HTTP-response-splitting filter);
+///   for a non-policy reason (e.g. a query the SQL guard cannot lex);
 /// * [`Serialize`](FlowError::Serialize) — persistent policy
 ///   (de)serialization failed (§3.4.1);
 /// * [`Runtime`](FlowError::Runtime) — infrastructure failure on a
@@ -127,11 +202,6 @@ pub enum FlowError {
 }
 
 impl FlowError {
-    /// Convenience constructor for [`FlowError::Denied`].
-    pub fn denied(policy: impl Into<String>, message: impl Into<String>) -> Self {
-        FlowError::Denied(PolicyViolation::new(policy, message))
-    }
-
     /// Convenience constructor for [`FlowError::Rejected`].
     pub fn rejected(msg: impl Into<String>) -> Self {
         FlowError::Rejected(msg.into())
@@ -191,17 +261,22 @@ mod tests {
 
     #[test]
     fn violation_display_includes_policy_and_channel() {
-        let v = PolicyViolation::new("PasswordPolicy", "unauthorized disclosure")
+        let v = PolicyViolation::new("PasswordPolicy", Reason::Refused("unauthorized disclosure"))
             .on_channel(GateKind::Http);
-        let s = v.to_string();
-        assert!(s.contains("PasswordPolicy"));
-        assert!(s.contains("unauthorized disclosure"));
-        assert!(s.contains("http"));
+        assert_eq!(
+            v.to_string(),
+            "policy violation [PasswordPolicy]: unauthorized disclosure (channel: http)"
+        );
+        let v = PolicyViolation::at("XssGuard", Reason::Unsanitized, 3..9);
+        assert_eq!(
+            v.to_string(),
+            "policy violation [XssGuard]: unsanitized untrusted data at bytes 3..9"
+        );
     }
 
     #[test]
     fn flow_error_violation_roundtrip() {
-        let v = PolicyViolation::new("P", "m");
+        let v = PolicyViolation::new("P", Reason::NotOnAcl);
         let e: FlowError = v.clone().into();
         assert!(e.is_violation());
         assert_eq!(e.as_violation(), Some(&v));
@@ -223,6 +298,6 @@ mod tests {
     fn runtime_and_rejected_not_violations() {
         assert!(!FlowError::runtime("x").is_violation());
         assert!(!FlowError::rejected("y").is_violation());
-        assert!(FlowError::denied("P", "m").is_violation());
+        assert!(FlowError::from(PolicyViolation::new("P", Reason::NoUser)).is_violation());
     }
 }

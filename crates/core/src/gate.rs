@@ -35,7 +35,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use crate::context::Context;
-use crate::error::{FlowError, PolicyViolation, Result};
+use crate::error::{FlowError, PolicyViolation, Reason, Result};
 use crate::filter::{DefaultFilter, Filter};
 use crate::policy::Policy;
 use crate::taint::TaintedString;
@@ -289,12 +289,6 @@ impl Gate {
         self
     }
 
-    /// The label violations carry: the gate's name when it has one, else
-    /// `"Gate"`.
-    fn violation_source(&self) -> &'static str {
-        self.name.unwrap_or("Gate")
-    }
-
     /// Runs the outbound path — deny rules, strip rules, write filters —
     /// and returns the (possibly altered) data without capturing it.
     ///
@@ -338,15 +332,8 @@ impl Gate {
         for rule in &self.rules {
             if rule.action == RuleAction::Deny && (rule.matches)(data) {
                 return Err(FlowError::Denied(
-                    PolicyViolation::new(
-                        self.violation_source(),
-                        format!(
-                            "`{}`-labeled data may not leave gate `{}`",
-                            rule.class,
-                            self.name.unwrap_or(self.kind.type_name()),
-                        ),
-                    )
-                    .on_channel(self.kind.clone()),
+                    PolicyViolation::new(self.name.unwrap_or("Gate"), Reason::DenyRule(rule.class))
+                        .on_channel(self.kind.clone()),
                 ));
             }
         }

@@ -68,7 +68,7 @@ pub mod taint;
 /// One-stop imports for applications using the runtime.
 pub mod prelude {
     pub use crate::context::{Context, CtxValue};
-    pub use crate::error::{FlowError, PolicyViolation, Result, SerializeError};
+    pub use crate::error::{FlowError, PolicyViolation, Reason, Result, SerializeError, Thrown};
     pub use crate::filter::{DefaultFilter, Filter, FnFilter};
     pub use crate::gate::{Gate, GateKind};
     pub use crate::label::{Label, LabelTable, LabelTableStats, PolicyId};

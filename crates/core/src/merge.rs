@@ -83,7 +83,7 @@ where
 mod tests {
     use super::*;
     use crate::context::Context;
-    use crate::error::PolicyViolation;
+    use crate::error::{PolicyViolation, Reason};
     use crate::policies::{AuthenticData, UntrustedData};
     use crate::policy::{MergeDecision, Policy, PolicyRef};
     use std::any::Any;
@@ -101,7 +101,10 @@ mod tests {
             Ok(())
         }
         fn merge(&self, _others: Label) -> MergeDecision {
-            MergeDecision::Deny(PolicyViolation::new("NoMerge", "cannot merge"))
+            MergeDecision::Deny(PolicyViolation::new(
+                "NoMerge",
+                Reason::Refused("cannot merge"),
+            ))
         }
         fn as_any(&self) -> &dyn Any {
             self

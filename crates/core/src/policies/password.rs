@@ -3,7 +3,7 @@
 use std::any::Any;
 
 use crate::context::Context;
-use crate::error::PolicyViolation;
+use crate::error::{PolicyViolation, Reason};
 use crate::policy::Policy;
 
 /// Data Flow Assertion 5: *user `u`'s password may leave the system only via
@@ -48,7 +48,8 @@ impl PasswordPolicy {
     }
 
     /// Whether disclosure to the program chair over HTTP is allowed.
-    pub fn allows_chair(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn allows_chair(&self) -> bool {
         self.allow_chair
     }
 }
@@ -69,8 +70,8 @@ impl Policy for PasswordPolicy {
             _ => {}
         }
         Err(PolicyViolation::new(
-            self.name(),
-            format!("unauthorized disclosure of password for {}", self.email),
+            "PasswordPolicy",
+            Reason::Refused("unauthorized disclosure of a password"),
         ))
     }
 

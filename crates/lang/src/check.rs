@@ -40,11 +40,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use resin_core::metrics::{self, Counter};
-use resin_core::{Context, CtxValue, PolicyViolation};
+use resin_core::{Context, CtxValue, PolicyViolation, Reason};
 
 use crate::ast::ClassDecl;
 use crate::chunk::{Chunk, Op};
-use crate::interp::{Flow, LangError, Reach, R};
+use crate::interp::{thrown, Flow, LangError, Reach, R};
 use crate::value::{Obj, PValue, Value};
 use crate::vm::Bufs;
 
@@ -388,17 +388,12 @@ fn remember_allowed(plan: &ClassPlan, fields: &Arc<Fields>, stamp: u64) {
 // ---- the crossing ----
 
 pub(crate) fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViolation> {
-    match flow {
-        Ok(_) => Ok(()),
-        Err(Flow::Throw(v)) => Err(PolicyViolation::new(
-            class_name,
-            v.to_tainted().as_str().to_string(),
-        )),
-        Err(Flow::Error(e)) => Err(PolicyViolation::new(
-            class_name,
-            format!("policy error: {}", e.message),
-        )),
-    }
+    let reason = match flow {
+        Ok(_) => return Ok(()),
+        Err(Flow::Throw(v)) => Reason::Threw(thrown(&v)),
+        Err(Flow::Error(e)) => Reason::ScriptError(e.message.into()),
+    };
+    Err(PolicyViolation::new(class_name.to_owned(), reason))
 }
 
 /// One crossing: runs the plan's `export_check` over `fields` against the

@@ -31,7 +31,7 @@ use resin_core::sync::mlock;
 use resin_core::{
     merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
     FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, SqlSanitized, TaintedString,
-    Tracking, UntrustedData,
+    Thrown, Tracking, UntrustedData,
 };
 use resin_vfs::Vfs;
 
@@ -1042,6 +1042,20 @@ fn flow_err(e: FlowError) -> Flow {
     Flow::Error(LangError::flagged(e.to_string(), e.is_violation()))
 }
 
+/// How a thrown value is shown, in a policy's violation and an uncaught
+/// `throw` alike: its text when unlabelled and at most 64 bytes (`throw
+/// "not the owner"`), else only its length. A labelled value is never
+/// quoted.
+pub(crate) fn thrown(v: &Value) -> Thrown {
+    const SHOWN_MAX: usize = 64;
+    let text = v.to_tainted();
+    if text.is_untainted() && text.len() <= SHOWN_MAX {
+        Thrown::Text(text.as_str().into())
+    } else {
+        Thrown::Withheld(text.len())
+    }
+}
+
 /// Maps terminal control flow to the public result type: an uncaught
 /// `throw` becomes a non-violation error.
 pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
@@ -1049,7 +1063,7 @@ pub(crate) fn finish(flow: R<Value>) -> Result<Value, LangError> {
         Ok(v) => Ok(v),
         Err(Flow::Throw(v)) => Err(LangError::new(format!(
             "uncaught exception: {}",
-            v.to_tainted().as_str()
+            thrown(&v)
         ))),
         Err(Flow::Error(e)) => Err(e),
     }

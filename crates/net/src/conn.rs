@@ -121,9 +121,9 @@ fn write_error(stream: &mut impl Write, err: &HttpError) -> io::Result<()> {
 /// [`ServedPage::blocked`] semantics.
 fn write_page(stream: &mut impl Write, page: &ServedPage, keep_alive: bool) -> io::Result<()> {
     if page.blocked() && page.status < 400 {
-        // Deliberately generic: the violation message quotes the
-        // offending bytes, and reflecting an attacker's payload into an
-        // error page would be its own injection vector.
+        // Deliberately generic: the violation quotes no data, but which
+        // policy refused, at which bytes, is for the operator
+        // (`ServedPage::outcome`), not for a client probing the guards.
         let why = "blocked by data flow assertion\n";
         return write_response(stream, 403, &[], why, keep_alive);
     }

@@ -78,7 +78,7 @@ pub type Result<T, E = SqlError> = std::result::Result<T, E>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::PolicyViolation;
+    use resin_core::{PolicyViolation, Reason};
 
     #[test]
     fn display_and_violation() {
@@ -88,7 +88,7 @@ mod tests {
         };
         assert!(e.to_string().contains("byte 3"));
         assert!(!e.is_violation());
-        let v: SqlError = PolicyViolation::new("SqlGuard", "injected").into();
+        let v: SqlError = PolicyViolation::new("SqlGuard", Reason::InStructure).into();
         assert!(v.is_violation());
     }
 }

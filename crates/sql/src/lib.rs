@@ -54,6 +54,8 @@ pub mod engine;
 pub mod error;
 pub mod index;
 mod like;
+#[cfg(test)]
+mod oracle;
 pub mod parser;
 pub mod plan;
 mod predicate;

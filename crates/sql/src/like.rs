@@ -312,26 +312,10 @@ fn find_pair_swar(seg: &[u8], hay: &[u8], pair: Pair) -> Option<usize> {
     (from..end).find(|&at| pair.hits(hay, at) && seg_matches(seg, &hay[at..]))
 }
 
-/// The recursive backtracker `like_match` used to be, kept as the
-/// oracle: it *is* the specification, one byte at a time.
-#[cfg(test)]
-pub(crate) fn like_match_recursive(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[u8], p: &[u8]) -> bool {
-        match (p.first(), t.first()) {
-            (None, None) => true,
-            (None, Some(_)) => false,
-            (Some(b'%'), _) => rec(t, &p[1..]) || (!t.is_empty() && rec(&t[1..], p)),
-            (Some(b'_'), Some(_)) => rec(&t[1..], &p[1..]),
-            (Some(pc), Some(tc)) if pc.eq_ignore_ascii_case(tc) => rec(&t[1..], &p[1..]),
-            _ => false,
-        }
-    }
-    rec(text.as_bytes(), pattern.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::like_match_recursive;
     use crate::value::like_match;
     use proptest::prelude::*;
 

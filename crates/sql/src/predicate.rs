@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use crate::ast::Statement;
     use crate::engine::Database;
-    use crate::like::like_match_recursive;
+    use crate::oracle::like_match_recursive;
     use crate::parser::parse_str;
 
     /// The evaluator this module replaced, verbatim: it resolved columns

@@ -29,8 +29,8 @@ use std::ops::Range;
 
 use resin_core::{
     deserialize_label, deserialize_spans, serialize_label, serialize_spans, Context, Filter,
-    FlowError, Gate, GateKind, Label, PolicyViolation, SqlSanitized, Tainted, TaintedStrBuilder,
-    TaintedString, Tracking, UntrustedData,
+    FlowError, Gate, GateKind, Label, PolicyViolation, Reason, SqlSanitized, Tainted,
+    TaintedStrBuilder, TaintedString, Tracking, UntrustedData,
 };
 
 use crate::ast::{
@@ -238,14 +238,7 @@ fn guard_query_cow<'a>(
         GuardMode::MarkerCheck => {
             let bad = sql.ranges_where(|l| l.has::<UntrustedData>() && !l.has::<SqlSanitized>());
             if let Some(r) = bad.first() {
-                return Err(PolicyViolation::new(
-                    "SqlGuard",
-                    format!(
-                        "unsanitized untrusted data in SQL query at bytes {}..{}",
-                        r.start, r.end
-                    ),
-                )
-                .into());
+                return Err(PolicyViolation::at("SqlGuard", Reason::Unsanitized, r.clone()).into());
             }
             Ok(sql)
         }
@@ -534,14 +527,9 @@ fn check_structure_untainted(sql: &TaintedString, tokens: &[Token]) -> Result<()
             continue;
         }
         if span_has_untrusted(sql, &t.span) {
-            return Err(PolicyViolation::new(
-                "SqlGuard",
-                format!(
-                    "untrusted data in SQL query structure at bytes {}..{}",
-                    t.span.start, t.span.end
-                ),
-            )
-            .into());
+            return Err(
+                PolicyViolation::at("SqlGuard", Reason::InStructure, t.span.clone()).into(),
+            );
         }
     }
     Ok(())
@@ -833,16 +821,17 @@ mod tests {
         // `MarkerCheck` names the whole unsanitized run: the payload.
         let (q, marker) = login(GuardMode::MarkerCheck, payload);
         let start = q.as_str().find(payload).unwrap();
-        let range = format!("at bytes {start}..{}", start + payload.len());
-        assert!(marker.message.ends_with(&range), "{}", marker.message);
+        assert_eq!(marker.reason, Reason::Unsanitized);
+        assert_eq!(marker.at, Some(start..start + payload.len()));
         // `StructureCheck` names the first structural token in it: `OR`.
         let (_, structure) = login(GuardMode::StructureCheck, payload);
-        let range = format!("at bytes {}..{}", start + 3, start + 5);
-        assert!(structure.message.ends_with(&range), "{}", structure.message);
+        assert_eq!(structure.reason, Reason::InStructure);
+        assert_eq!(structure.at, Some(start + 3..start + 5));
         for v in [marker, structure] {
             assert_eq!(v.policy, "SqlGuard");
-            assert!(!v.message.contains("zq-payload"), "{}", v.message);
-            assert!(!v.message.contains(" OR "), "{}", v.message);
+            let shown = format!("{v} {v:?}");
+            assert!(!shown.contains("zq-payload"), "{shown}");
+            assert!(!shown.contains(" OR "), "{shown}");
         }
     }
 

@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::sync::{Arc, OnceLock};
 
-use resin_core::{PolicyViolation, TaintedString};
+use resin_core::{PolicyViolation, Reason, TaintedString};
 use resin_store::{HashWriter, Recovery, Store};
 
 use crate::durable::{
@@ -229,8 +229,9 @@ impl ResinDb {
 
     /// Refuses a write on the read-only view an integrity check gets.
     pub(crate) fn writable(&self) -> Result<()> {
+        let refused = Reason::Refused("a check may not write");
         if self.shared.read_only {
-            return Err(PolicyViolation::new("IntegrityCheck", "a check may not write").into());
+            return Err(PolicyViolation::new("IntegrityCheck", refused).into());
         }
         Ok(())
     }
@@ -448,13 +449,11 @@ mod tests {
         let db = posts_db();
         let mut txn = db.begin();
         txn.add_check(Box::new(|db| {
-            let r = db
-                .query_str("SELECT COUNT(*) FROM posts WHERE id > 100")
-                .map_err(|e| PolicyViolation::new("IdRange", e.to_string()))?;
+            let r = db.query_str("SELECT COUNT(*) FROM posts WHERE id > 100")?;
             if r.rows[0][0].as_int().map(|v| *v.value()) == Some(0) {
                 Ok(())
             } else {
-                Err(PolicyViolation::new("IdRange", "id above 100"))
+                Err(PolicyViolation::new("IdRange", Reason::Refused("id above 100")).into())
             }
         }));
         txn.query_str("INSERT INTO posts VALUES (999, 'out of range')")
@@ -542,12 +541,12 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut txn = worker.begin();
             txn.add_check(Box::new(|db| {
-                let r = db
-                    .query_str("SELECT COUNT(*) FROM t")
-                    .map_err(|e| PolicyViolation::new("SeesOwnWrite", e.to_string()))?;
+                let r = db.query_str("SELECT COUNT(*) FROM t")?;
                 match r.rows[0][0].as_int().map(|v| *v.value()) {
                     Some(1) => Ok(()),
-                    n => Err(PolicyViolation::new("SeesOwnWrite", format!("{n:?}"))),
+                    _ => Err(
+                        PolicyViolation::new("SeesOwnWrite", Reason::Refused("not one row")).into(),
+                    ),
                 }
             }));
             txn.query_str("INSERT INTO t VALUES (1)").unwrap();
@@ -913,7 +912,7 @@ mod tests {
         let mut txn = db.begin();
         txn.add_check(Box::new(|db| match ints(db, "SELECT id FROM posts")[..] {
             [id] if id <= 100 => Ok(()),
-            _ => Err(PolicyViolation::new("IdRange", "id above 100")),
+            _ => Err(PolicyViolation::new("IdRange", Reason::Refused("id above 100")).into()),
         }));
         txn.query_str("UPDATE posts SET id = 999 WHERE id = 1")
             .unwrap();
@@ -983,12 +982,10 @@ mod tests {
         txn.add_check(Box::new(|db| {
             let insert = db.query_str("INSERT INTO sessions VALUES ('s1', 'eve')");
             let mut nested = db.begin();
-            nested
-                .query_str("INSERT INTO sessions VALUES ('s2', 'eve')")
-                .map_err(|e| PolicyViolation::new("ReadOnly", e.to_string()))?;
+            nested.query_str("INSERT INTO sessions VALUES ('s2', 'eve')")?;
             match (insert, nested.commit()) {
                 (Err(a), Err(b)) if a.is_violation() && b.is_violation() => Ok(()),
-                other => Err(PolicyViolation::new("ReadOnly", format!("{other:?}"))),
+                _ => Err(PolicyViolation::new("ReadOnly", Reason::Refused("a check wrote")).into()),
             }
         }));
         txn.query_str("INSERT INTO posts VALUES (1, 'x')").unwrap();

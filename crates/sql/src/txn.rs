@@ -17,7 +17,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use resin_core::{PolicyViolation, TaintedString};
+use resin_core::TaintedString;
 
 use crate::ast::Statement;
 use crate::durable::encode_wal_batch;
@@ -28,9 +28,10 @@ use crate::shard::ResinDb;
 /// A programmer-specified integrity assertion, checked at commit time
 /// against the post-transaction state: a read-only [`ResinDb`] over the
 /// transaction's own copies and the live tables it did not write. A write
-/// inside a check is refused.
-pub type IntegrityCheck<'c> =
-    Box<dyn Fn(&ResinDb) -> std::result::Result<(), PolicyViolation> + Send + 'c>;
+/// inside a check is refused. A check fails the commit with its
+/// [`PolicyViolation`](resin_core::PolicyViolation), or with the error of
+/// a query it ran.
+pub type IntegrityCheck<'c> = Box<dyn Fn(&ResinDb) -> Result<()> + Send + 'c>;
 
 /// The table a prepared statement writes (`None` for reads). Total over
 /// [`Statement`], so every statement that can execute has its write
@@ -73,11 +74,10 @@ pub(crate) fn statement_write_target(stmt: &Statement) -> Option<&str> {
 /// // Invariant: no score may exceed 100.
 /// let mut txn = db.begin();
 /// txn.add_check(Box::new(|db| {
-///     let r = db.query_str("SELECT COUNT(*) FROM grades WHERE score > 100")
-///         .map_err(|e| PolicyViolation::new("GradeInvariant", e.to_string()))?;
+///     let r = db.query_str("SELECT COUNT(*) FROM grades WHERE score > 100")?;
 ///     match r.rows[0][0].as_int().map(|v| *v.value()) {
 ///         Some(0) => Ok(()),
-///         _ => Err(PolicyViolation::new("GradeInvariant", "score above 100")),
+///         _ => Err(PolicyViolation::new("GradeInvariant", Reason::Refused("score above 100")).into()),
 ///     }
 /// }));
 /// txn.query_str("UPDATE grades SET score = 250 WHERE student = 'ada'").unwrap();
@@ -182,7 +182,7 @@ impl<'c> Transaction<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::UntrustedData;
+    use resin_core::{PolicyViolation, Reason, UntrustedData};
     use std::sync::Arc;
 
     fn grades_db() -> ResinDb {
@@ -196,13 +196,14 @@ mod tests {
 
     fn max_100_check<'c>() -> IntegrityCheck<'c> {
         Box::new(|db| {
-            let r = db
-                .query_str("SELECT COUNT(*) FROM grades WHERE score > 100")
-                .map_err(|e| PolicyViolation::new("GradeInvariant", e.to_string()))?;
+            let r = db.query_str("SELECT COUNT(*) FROM grades WHERE score > 100")?;
             if r.rows[0][0].as_int().map(|v| *v.value()) == Some(0) {
                 Ok(())
             } else {
-                Err(PolicyViolation::new("GradeInvariant", "score above 100"))
+                Err(
+                    PolicyViolation::new("GradeInvariant", Reason::Refused("score above 100"))
+                        .into(),
+                )
             }
         })
     }
@@ -287,13 +288,14 @@ mod tests {
         let mut txn = db.begin();
         txn.add_check(max_100_check());
         txn.add_check(Box::new(|db| {
-            let r = db
-                .query_str("SELECT COUNT(*) FROM grades")
-                .map_err(|e| PolicyViolation::new("NonEmpty", e.to_string()))?;
+            let r = db.query_str("SELECT COUNT(*) FROM grades")?;
             if r.rows[0][0].as_int().map(|v| *v.value()) > Some(0) {
                 Ok(())
             } else {
-                Err(PolicyViolation::new("NonEmpty", "grades table emptied"))
+                Err(
+                    PolicyViolation::new("NonEmpty", Reason::Refused("grades table emptied"))
+                        .into(),
+                )
             }
         }));
         txn.query_str("DELETE FROM grades").unwrap();

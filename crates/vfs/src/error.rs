@@ -72,11 +72,14 @@ pub type Result<T, E = VfsError> = std::result::Result<T, E>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::PolicyViolation;
+    use resin_core::{PolicyViolation, Reason};
 
     #[test]
     fn violation_detection() {
-        let e = VfsError::Policy(FlowError::Denied(PolicyViolation::new("P", "m")));
+        let e = VfsError::Policy(FlowError::Denied(PolicyViolation::new(
+            "P",
+            Reason::NotOnAcl,
+        )));
         assert!(e.is_violation());
         assert!(!VfsError::NotFound("/x".into()).is_violation());
         let f = VfsError::Policy(FlowError::Rejected("w".into()));

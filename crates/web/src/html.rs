@@ -16,8 +16,8 @@ use std::ops::Range;
 use std::sync::LazyLock;
 
 use resin_core::{
-    HtmlSanitized, Label, PolicyViolation, Result, TaintedStrBuilder, TaintedString, TextTail,
-    UntrustedData,
+    HtmlSanitized, Label, PolicyViolation, Reason, Result, TaintedStrBuilder, TaintedString,
+    TextTail, UntrustedData,
 };
 
 /// A page, as 4K aliasing sees it: an x86 core stalls a load that
@@ -184,14 +184,7 @@ pub fn html_escape(input: &TaintedString) -> TaintedString {
 pub fn check_html_markers(output: &TaintedString) -> Result<()> {
     let bad = output.ranges_where(|l| l.has::<UntrustedData>() && !l.has::<HtmlSanitized>());
     if let Some(r) = bad.first() {
-        return Err(PolicyViolation::new(
-            "XssGuard",
-            format!(
-                "unsanitized untrusted data in HTML at bytes {}..{}",
-                r.start, r.end
-            ),
-        )
-        .into());
+        return Err(PolicyViolation::at("XssGuard", Reason::Unsanitized, r.clone()).into());
     }
     Ok(())
 }
@@ -230,11 +223,7 @@ pub fn check_html_structure(output: &TaintedString) -> Result<()> {
         if structural {
             while ahead.next_if(|r| r.end <= i).is_some() {}
             if ahead.peek().is_some_and(|r| r.start <= i) {
-                return Err(PolicyViolation::new(
-                    "XssGuard",
-                    format!("untrusted data in HTML structure at byte {i}"),
-                )
-                .into());
+                return Err(PolicyViolation::at("XssGuard", Reason::InStructure, i..i + 1).into());
             }
         }
         if in_tag && c == b'>' {
@@ -297,10 +286,13 @@ mod tests {
             panic!("expected a denial");
         };
         assert_eq!(v.policy, "XssGuard");
-        let range = format!("at bytes 3..{}", 3 + payload.len());
-        assert!(v.message.ends_with(&range), "{}", v.message);
-        assert!(!v.message.contains("zq-payload"), "{}", v.message);
-        assert!(!v.message.contains("<script>"), "{}", v.message);
+        assert_eq!(
+            (v.reason.clone(), v.at.clone()),
+            (Reason::Unsanitized, Some(3..3 + payload.len()))
+        );
+        let shown = format!("{v} {v:?}");
+        assert!(!shown.contains("zq-payload"), "{shown}");
+        assert!(!shown.contains("<script>"), "{shown}");
     }
 
     #[test]
@@ -660,11 +652,7 @@ mod tests {
             }
             let structural = in_tag || in_script || c == b'<' || c == b'>';
             if structural && untrusted.iter().any(|r| r.contains(&i)) {
-                return Err(PolicyViolation::new(
-                    "XssGuard",
-                    format!("untrusted data in HTML structure at byte {i}"),
-                )
-                .into());
+                return Err(PolicyViolation::at("XssGuard", Reason::InStructure, i..i + 1).into());
             }
             if in_tag && c == b'>' {
                 in_tag = false;

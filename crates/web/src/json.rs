@@ -10,7 +10,9 @@
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
-use resin_core::{Label, PolicyViolation, Result, TaintedStrBuilder, TaintedString, UntrustedData};
+use resin_core::{
+    Label, PolicyViolation, Reason, Result, TaintedStrBuilder, TaintedString, UntrustedData,
+};
 
 use crate::html::{escape_bytes, EscapeTable};
 
@@ -95,11 +97,7 @@ pub fn check_json_structure(json: &TaintedString) -> Result<()> {
         if structural {
             while ahead.next_if(|r| r.end <= i).is_some() {}
             if ahead.peek().is_some_and(|r| r.start <= i) {
-                return Err(PolicyViolation::new(
-                    "JsonGuard",
-                    format!("untrusted data in JSON structure at byte {i}"),
-                )
-                .into());
+                return Err(PolicyViolation::at("JsonGuard", Reason::InStructure, i..i + 1).into());
             }
         }
         if in_str {
@@ -243,11 +241,7 @@ mod tests {
         for (i, &b) in json.as_str().as_bytes().iter().enumerate() {
             let structural = !in_str || (!escaped && b == b'"');
             if structural && untrusted.iter().any(|r| r.contains(&i)) {
-                return Err(PolicyViolation::new(
-                    "JsonGuard",
-                    format!("untrusted data in JSON structure at byte {i}"),
-                )
-                .into());
+                return Err(PolicyViolation::at("JsonGuard", Reason::InStructure, i..i + 1).into());
             }
             if in_str {
                 if escaped {

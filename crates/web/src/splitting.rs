@@ -12,7 +12,7 @@
 //! delimiter straight past the guard; the scan now normalizes over every
 //! combination of `\r\n` / `\n` line breaks.
 
-use resin_core::{PolicyViolation, Result, TaintedString, UntrustedData};
+use resin_core::{PolicyViolation, Reason, Result, TaintedString, UntrustedData};
 
 /// The length of a blank-line delimiter starting at the head of `bytes`:
 /// two consecutive line breaks, each either `\r\n` or a bare `\n`.
@@ -40,13 +40,9 @@ pub fn check_header_splitting(value: &TaintedString) -> Result<()> {
         let Some(len) = delimiter_len(&bytes[start..]) else {
             continue;
         };
-        let tainted = (start..start + len).any(|i| untrusted.iter().any(|r| r.contains(&i)));
-        if tainted {
-            return Err(PolicyViolation::new(
-                "HttpSplitGuard",
-                format!("user-supplied header delimiter at byte {start} in header value"),
-            )
-            .into());
+        let at = start..start + len;
+        if at.clone().any(|i| untrusted.iter().any(|r| r.contains(&i))) {
+            return Err(PolicyViolation::at("HttpSplitGuard", Reason::HeaderDelimiter, at).into());
         }
     }
     Ok(())

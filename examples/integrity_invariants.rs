@@ -22,12 +22,12 @@ fn main() {
     // Invariant: no account may go negative.
     let no_overdraft = || -> resin::sql::IntegrityCheck<'static> {
         Box::new(|db| {
-            let r = db
-                .query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")
-                .map_err(|e| PolicyViolation::new("NoOverdraft", e.to_string()))?;
+            let r = db.query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")?;
             match r.rows[0][0].as_int().map(|v| *v.value()) {
                 Some(0) => Ok(()),
-                _ => Err(PolicyViolation::new("NoOverdraft", "negative balance")),
+                _ => Err(
+                    PolicyViolation::new("NoOverdraft", Reason::Refused("negative balance")).into(),
+                ),
             }
         })
     };

@@ -513,7 +513,48 @@ fn a_warm_page_of_gate_writes_allocates_a_fixed_count() {
     assert!(!body.contains("A. Author"));
     let n = allocations(|| drop(std::hint::black_box(page(title, abstract_, authors))));
     // The response's context and chain (6), the body and the fragment
-    // `echo_str` checks as each grows (12), the denial's message (2), and
-    // `body()`'s one copy.
-    assert_eq!(n, 21, "one warm page");
+    // `echo_str` checks as each grows (12), and `body()`'s one copy. The
+    // denial is a record of static fields: it allocates nothing.
+    assert_eq!(n, 19, "one warm page");
+}
+
+#[test]
+fn a_denied_buffered_echo_allocates_no_more_than_an_allowed_echo_and_its_fallback() {
+    // `hotcrp_page`'s one denial a page: the author list under an ACL the
+    // viewer is not on, answered with "Anonymous" (§5.5). Refusing the
+    // echo may cost what the fallback's own echo costs, and nothing for
+    // the violation itself.
+    let viewer = "pc1@conf.org";
+    let pc: PolicyRef = Arc::new(PagePolicy::new(Acl::new().grant(viewer, &[Right::Read])));
+    let hidden: PolicyRef = Arc::new(PagePolicy::new(
+        Acl::new().grant("author@uni.edu", &[Right::Read]),
+    ));
+    let title = TaintedString::with_policy("Data Flow Assertions at Scale", pc);
+    let authors = TaintedString::with_policy("A. Author, B. Author", hidden);
+    let mut resp = Response::for_user(viewer);
+    let round = |resp: &mut Response| {
+        let (title, authors) = (title.clone(), authors.clone());
+        let allowed = allocations(|| resp.echo(title).unwrap());
+        let fallback = allocations(|| resp.echo_str("Anonymous").unwrap());
+        let denied = allocations(|| {
+            resp.buffered_or(|r| r.echo(authors), "Anonymous").unwrap();
+        });
+        (allowed, fallback, denied)
+    };
+    for _ in 0..8 {
+        round(&mut resp);
+    }
+    // The body keeps its capacity; the round below refills it.
+    resp.gate_mut().clear_output();
+    let (allowed, fallback, denied) = round(&mut resp);
+    assert!(
+        denied <= allowed + fallback,
+        "a denied echo made {denied} allocations, an allowed one {allowed} and the fallback {fallback}"
+    );
+    assert!(resp.body().ends_with("AnonymousAnonymous"));
+    assert_eq!(
+        (allowed, fallback, denied),
+        (0, 0, 0),
+        "(allowed, fallback, denied)"
+    );
 }

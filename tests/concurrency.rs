@@ -149,13 +149,11 @@ fn shared_db_rollback_survives_concurrent_traffic() {
     // fails its integrity check: only `accounts` must roll back.
     let mut txn = db.begin();
     txn.add_check(Box::new(|db: &ResinDb| {
-        let r = db
-            .query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")
-            .map_err(|e| PolicyViolation::new("NoOverdraft", e.to_string()))?;
+        let r = db.query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")?;
         if r.rows[0][0].as_int().map(|v| *v.value()) == Some(0) {
             Ok(())
         } else {
-            Err(PolicyViolation::new("NoOverdraft", "negative balance"))
+            Err(PolicyViolation::new("NoOverdraft", Reason::Refused("negative balance")).into())
         }
     }));
     txn.query_str("UPDATE accounts SET balance = -500 WHERE id = 1")

@@ -1,13 +1,21 @@
-//! The census of raw exits: every place the non-test source reaches the
-//! operating system past the gates — a socket, a file, a process — or
-//! steps outside safe Rust.
+//! Two censuses of the non-test source, each a pattern list compared
+//! with a committed list that gives one reason per entry.
 //!
-//! RESIN's guarantee rests on interposing on every output channel
-//! (§3.2.1), and nothing in Rust enforces that interposition. So this
-//! test scans each crate's non-test source for the raw-exit patterns
-//! below and compares what it finds with `tests/exits.txt`, which gives
-//! one reason per entry. A new exit fails here until it is listed, so it
-//! shows up in review; an exit that goes away fails until its entry does.
+//! **Raw exits** (`tests/exits.txt`): every place the source reaches the
+//! operating system past the gates — a socket, a file, a process — or
+//! steps outside safe Rust. RESIN's guarantee rests on interposing on
+//! every output channel (§3.2.1), and nothing in Rust enforces that
+//! interposition.
+//!
+//! **Label-dropping conversions** (`tests/conversions.txt`): every place
+//! a tainted text becomes a plain `String` that outlives the call, so its
+//! bytes go on without their policies. No byte may lose its policy in
+//! transit; each entry says why this one may (a key, an address, a text
+//! that crossed a gate, a label that travels beside it). The grep is a
+//! tripwire, not a proof.
+//!
+//! A new entry fails here until it is listed, so it shows up in review;
+//! an entry that goes away fails until its line does.
 //!
 //! What counts as non-test source: every `.rs` file under `src/` and
 //! `crates/*/src/`, minus the paths the list excludes, minus each
@@ -19,7 +27,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The raw-exit patterns.
-const PATTERNS: [&str; 9] = [
+const EXITS: [&str; 9] = [
     "std::net",
     "std::fs",
     "File::",
@@ -29,6 +37,13 @@ const PATTERNS: [&str; 9] = [
     "write_vectored",
     "TcpStream",
     "unsafe",
+];
+
+/// The patterns that turn a `TaintedString` into plain text.
+const CONVERSIONS: [&str; 3] = [
+    "as_str().to_string()",
+    "as_str().to_owned()",
+    "into_plain()",
 ];
 
 /// (file, pattern) → lines.
@@ -97,9 +112,9 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Scans the workspace under `root`, skipping paths holding any of
-/// `excludes`.
-fn census(root: &Path, excludes: &[String]) -> Census {
+/// Scans the workspace under `root` for `patterns`, skipping paths
+/// holding any of `excludes`.
+fn census(root: &Path, excludes: &[String], patterns: &[&str]) -> Census {
     let mut dirs = vec![root.join("src")];
     for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
         dirs.push(entry.path().join("src"));
@@ -120,7 +135,7 @@ fn census(root: &Path, excludes: &[String]) -> Census {
         }
         let src = std::fs::read_to_string(&path).unwrap();
         for line in non_test_lines(&src) {
-            for pat in PATTERNS {
+            for &pat in patterns {
                 if holds(line, pat) {
                     *out.entry((rel.clone(), pat.to_string())).or_default() += 1;
                 }
@@ -130,9 +145,9 @@ fn census(root: &Path, excludes: &[String]) -> Census {
     out
 }
 
-/// The committed list: `exclude SUBSTR` lines, and `FILE PATTERN LINES
-/// reason…` entries.
-fn listed(text: &str) -> (Vec<String>, Census) {
+/// The committed list `name`: `exclude SUBSTR` lines, and `FILE PATTERN
+/// LINES reason…` entries, each PATTERN one of `patterns`.
+fn listed(name: &str, text: &str, patterns: &[&str]) -> (Vec<String>, Census) {
     let mut excludes = Vec::new();
     let mut entries = Census::new();
     for (n, line) in text.lines().enumerate() {
@@ -146,25 +161,26 @@ fn listed(text: &str) -> (Vec<String>, Census) {
             continue;
         }
         let [file, pat, count, _reason, ..] = fields[..] else {
-            panic!("exits.txt:{}: want `FILE PATTERN LINES reason`", n + 1);
+            panic!("{name}:{}: want `FILE PATTERN LINES reason`", n + 1);
         };
-        assert!(PATTERNS.contains(&pat), "exits.txt:{}: `{pat}`", n + 1);
+        assert!(patterns.contains(&pat), "{name}:{}: `{pat}`", n + 1);
         let count = count.parse().expect("a line count");
         let key = (file.to_string(), pat.to_string());
         assert!(
             entries.insert(key, count).is_none(),
-            "exits.txt:{}: twice",
+            "{name}:{}: twice",
             n + 1
         );
     }
     (excludes, entries)
 }
 
-#[test]
-fn every_raw_exit_is_listed_with_a_reason() {
+/// Fails unless the source holds `patterns` on exactly the lines the list
+/// `name` (text `text`) gives.
+fn source_matches_list(name: &str, text: &str, patterns: &[&str]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (excludes, want) = listed(include_str!("exits.txt"));
-    let found = census(root, &excludes);
+    let (excludes, want) = listed(name, text, patterns);
+    let found = census(root, &excludes, patterns);
     let mut wrong = Vec::new();
     for ((file, pat), &n) in &found {
         match want.get(&(file.clone(), pat.clone())) {
@@ -180,8 +196,22 @@ fn every_raw_exit_is_listed_with_a_reason() {
     }
     assert!(
         wrong.is_empty(),
-        "raw exits differ from tests/exits.txt:\n{}",
+        "the source differs from tests/{name}:\n{}",
         wrong.join("\n")
+    );
+}
+
+#[test]
+fn every_raw_exit_is_listed_with_a_reason() {
+    source_matches_list("exits.txt", include_str!("exits.txt"), &EXITS);
+}
+
+#[test]
+fn every_label_dropping_conversion_is_listed_with_a_reason() {
+    source_matches_list(
+        "conversions.txt",
+        include_str!("conversions.txt"),
+        &CONVERSIONS,
     );
 }
 

@@ -55,7 +55,11 @@ fn deny_rule_refuses_labeled_data() {
     let err = gate.export(password("u@x")).unwrap_err();
     assert!(err.is_violation());
     let v = err.as_violation().unwrap();
-    assert!(v.message.contains("auth"), "violation names the gate: {v}");
+    assert_eq!(v.policy, "auth", "violation names the gate: {v}");
+    assert_eq!(
+        v.reason,
+        Reason::DenyRule(std::any::type_name::<PasswordPolicy>())
+    );
     assert!(gate.export(TaintedString::from("public")).is_ok());
 }
 
