@@ -84,8 +84,7 @@ pub mod prelude {
         serialize_label, serialize_policy, serialize_spans,
     };
     pub use crate::taint::{
-        policy_add, policy_get, policy_remove, Labeled, Tainted, TaintedStrBuilder, TaintedString,
-        TextTail,
+        policy_add, policy_get, policy_remove, Labeled, Tainted, TaintedString, TextTail,
     };
 }
 

@@ -7,12 +7,11 @@
 //! the same contents but a different policy set. Policy sets are interned
 //! [`Label`] handles throughout.
 
-pub mod spans;
+mod spans;
 pub mod string;
 pub mod value;
 
-pub use spans::{Span, SpanMap};
-pub use string::{TaintedStrBuilder, TaintedString, TextTail};
+pub use string::{TaintedString, TextTail};
 pub use value::Tainted;
 
 use crate::label::Label;

@@ -31,7 +31,7 @@ use crate::policy::{Policy, PolicyRef};
 
 /// One labeled byte range. `end` is exclusive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     /// First byte covered.
     pub start: usize,
     /// One past the last byte covered.
@@ -199,7 +199,7 @@ impl Default for SpanVec {
 
 /// A normalized map from byte ranges to labels.
 #[derive(Debug, Clone, Default)]
-pub struct SpanMap {
+pub(crate) struct SpanMap {
     spans: SpanVec,
 }
 
@@ -414,10 +414,10 @@ impl SpanMap {
     /// Appends one span at the end of the map (its start must not precede
     /// the current end), coalescing with the last span when possible.
     ///
-    /// This is the O(1) primitive [`TaintedStrBuilder`] composition rides
-    /// on: the map stays normalized without ever being re-sorted.
+    /// This is the O(1) primitive in-place [`TaintedString`] composition
+    /// rides on: the map stays normalized without ever being re-sorted.
     ///
-    /// [`TaintedStrBuilder`]: crate::taint::TaintedStrBuilder
+    /// [`TaintedString`]: crate::taint::TaintedString
     pub(crate) fn push_coalesced(&mut self, start: usize, end: usize, label: Label) {
         if label.is_empty() || start >= end {
             return;

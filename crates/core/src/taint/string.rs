@@ -39,6 +39,35 @@ impl TaintedString {
         TaintedString::default()
     }
 
+    /// An empty string whose text buffer is pre-sized for `bytes` bytes —
+    /// use when the output length is known (or estimable) up front.
+    ///
+    /// Composing a page, query, or response out of many fragments is *the*
+    /// taint-propagation hot path (the paper's Table 5 concat rows). Each
+    /// push appends a fragment's text and spans in O(fragment), and the
+    /// span map stays normalized structurally (one coalesce check at each
+    /// seam), so the finished string needs no deferred re-sort pass.
+    ///
+    /// ```
+    /// use resin_core::prelude::*;
+    /// use std::sync::Arc;
+    ///
+    /// let name = TaintedString::with_policy("bob", Arc::new(UntrustedData::new()));
+    /// let mut s = TaintedString::with_capacity(32);
+    /// s.push_str("hello, ");
+    /// s.push_tainted(&name);
+    /// s.push('!');
+    /// assert_eq!(s.as_str(), "hello, bob!");
+    /// assert!(s.label_at(7).has::<UntrustedData>());
+    /// assert!(s.label_at(0).is_empty());
+    /// ```
+    pub fn with_capacity(bytes: usize) -> Self {
+        TaintedString {
+            text: String::with_capacity(bytes),
+            spans: SpanMap::new(),
+        }
+    }
+
     /// A string with `policy` applied to every byte.
     ///
     /// # The empty-string contract
@@ -220,12 +249,46 @@ impl TaintedString {
         self.text.push(c);
     }
 
+    /// Appends `src[range]` — text and policy spans — straight from the
+    /// borrowed source: what `push_tainted(&src.slice(range))` appends,
+    /// without the intermediate string. Byte indices, clamped to the
+    /// source; they must lie on UTF-8 boundaries.
+    pub fn push_range(&mut self, src: &TaintedString, range: Range<usize>) {
+        let start = range.start.min(src.len());
+        let end = range.end.min(src.len()).max(start);
+        let offset = self.text.len();
+        self.text.push_str(&src.text[start..end]);
+        self.spans.append_range(&src.spans, start..end, offset);
+    }
+
+    /// Appends text with `label` applied to every byte of it (no-op label
+    /// attach when `text` is empty, per the byte-granularity contract).
+    pub fn push_label(&mut self, text: &str, label: Label) {
+        let start = self.text.len();
+        self.text.push_str(text);
+        self.spans.push_coalesced(start, self.text.len(), label);
+    }
+
+    /// Appends what `write` pushes through the [`TextTail`] it is lent,
+    /// with `label` applied to every byte of it: a
+    /// [`push_label`](TaintedString::push_label) whose text is
+    /// assembled in place, from any number of pieces, instead of in a
+    /// scratch string.
+    pub fn push_label_with<F>(&mut self, label: Label, write: F)
+    where
+        F: FnOnce(&mut TextTail<'_>),
+    {
+        let start = self.text.len();
+        write(&mut TextTail(&mut self.text));
+        self.spans.push_coalesced(start, self.text.len(), label);
+    }
+
     /// Concatenates two tainted strings into a new one.
     pub fn concat(&self, other: &TaintedString) -> TaintedString {
-        let mut b = TaintedStrBuilder::with_capacity(self.len() + other.len());
-        b.push_tainted(self);
-        b.push_tainted(other);
-        b.build()
+        let mut out = TaintedString::with_capacity(self.len() + other.len());
+        out.push_tainted(self);
+        out.push_tainted(other);
+        out
     }
 
     /// Extracts `range` as a new tainted string (byte indices; must lie on
@@ -237,11 +300,6 @@ impl TaintedString {
             text: self.text[start..end].to_string(),
             spans: self.spans.slice(start..end),
         }
-    }
-
-    /// PHP-style `substr(offset, len)`.
-    pub fn substr(&self, offset: usize, len: usize) -> TaintedString {
-        self.slice(offset..offset.saturating_add(len))
     }
 
     /// Truncates to `len` bytes.
@@ -283,29 +341,29 @@ impl TaintedString {
     where
         I: IntoIterator<Item = &'a TaintedString>,
     {
-        let mut b = TaintedStrBuilder::new();
+        let mut out = TaintedString::new();
         for (i, p) in parts.into_iter().enumerate() {
             if i > 0 {
-                b.push_str(sep);
+                out.push_str(sep);
             }
-            b.push_tainted(p);
+            out.push_tainted(p);
         }
-        b.build()
+        out
     }
 
     /// Replaces every occurrence of `from` with the tainted `to`,
     /// preserving the taint of untouched bytes and of the replacement.
     pub fn replace(&self, from: &str, to: &TaintedString) -> TaintedString {
         assert!(!from.is_empty(), "pattern must be non-empty");
-        let mut b = TaintedStrBuilder::with_capacity(self.len());
+        let mut out = TaintedString::with_capacity(self.len());
         let mut start = 0usize;
         while let Some(pos) = self.text[start..].find(from) {
-            b.push_range(self, start..start + pos);
-            b.push_tainted(to);
+            out.push_range(self, start..start + pos);
+            out.push_tainted(to);
             start += pos + from.len();
         }
-        b.push_range(self, start..self.text.len());
-        b.build()
+        out.push_range(self, start..self.text.len());
+        out
     }
 
     /// Replaces with untainted replacement text.
@@ -339,11 +397,11 @@ impl TaintedString {
 
     /// Repeats the string `n` times, repeating the policy ranges too.
     pub fn repeat(&self, n: usize) -> TaintedString {
-        let mut b = TaintedStrBuilder::with_capacity(self.len() * n);
+        let mut out = TaintedString::with_capacity(self.len() * n);
         for _ in 0..n {
-            b.push_tainted(self);
+            out.push_tainted(self);
         }
-        b.build()
+        out
     }
 
     // ---- text queries (taint-oblivious) ----
@@ -464,127 +522,9 @@ impl PartialEq<&str> for TaintedString {
     }
 }
 
-/// An amortized-O(1)-per-fragment builder for [`TaintedString`]s.
-///
-/// Composing a page, query, or response out of many fragments is *the*
-/// taint-propagation hot path (the paper's Table 5 concat rows). Folding
-/// [`TaintedString::concat`] re-walks the accumulated spans per step; this
-/// builder instead appends each fragment's text and spans in O(fragment)
-/// — the span list stays normalized structurally (one coalesce check at
-/// each seam), so [`build`](TaintedStrBuilder::build) hands the finished
-/// string over without any deferred re-sort pass.
-///
-/// # Examples
-///
-/// ```
-/// use resin_core::prelude::*;
-/// use std::sync::Arc;
-///
-/// let name = TaintedString::with_policy("bob", Arc::new(UntrustedData::new()));
-/// let mut b = TaintedStrBuilder::with_capacity(32);
-/// b.push_str("hello, ");
-/// b.push_tainted(&name);
-/// b.push_char('!');
-/// let s = b.build();
-/// assert_eq!(s.as_str(), "hello, bob!");
-/// assert!(s.label_at(7).has::<UntrustedData>());
-/// assert!(s.label_at(0).is_empty());
-/// ```
-#[derive(Default)]
-pub struct TaintedStrBuilder {
-    text: String,
-    spans: SpanMap,
-}
-
-impl TaintedStrBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        TaintedStrBuilder::default()
-    }
-
-    /// An empty builder whose text buffer is pre-sized for `bytes` bytes —
-    /// use when the output length is known (or estimable) up front.
-    pub fn with_capacity(bytes: usize) -> Self {
-        TaintedStrBuilder {
-            text: String::with_capacity(bytes),
-            spans: SpanMap::new(),
-        }
-    }
-
-    /// Bytes accumulated so far.
-    pub fn len(&self) -> usize {
-        self.text.len()
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.text.is_empty()
-    }
-
-    /// Appends untainted text.
-    pub fn push_str(&mut self, s: &str) {
-        self.text.push_str(s);
-    }
-
-    /// Appends a single untainted char.
-    pub fn push_char(&mut self, c: char) {
-        self.text.push(c);
-    }
-
-    /// Appends a tainted fragment, carrying its policy spans along.
-    pub fn push_tainted(&mut self, other: &TaintedString) {
-        let offset = self.text.len();
-        self.text.push_str(&other.text);
-        self.spans.append(&other.spans, offset);
-    }
-
-    /// Appends `src[range]` — text and policy spans — straight from the
-    /// borrowed source: what `push_tainted(&src.slice(range))` builds,
-    /// without the intermediate string. Byte indices, clamped to the
-    /// source; they must lie on UTF-8 boundaries.
-    pub fn push_range(&mut self, src: &TaintedString, range: Range<usize>) {
-        let start = range.start.min(src.len());
-        let end = range.end.min(src.len()).max(start);
-        let offset = self.text.len();
-        self.text.push_str(&src.text[start..end]);
-        self.spans.append_range(&src.spans, start..end, offset);
-    }
-
-    /// Appends text with `label` applied to every byte of it (no-op label
-    /// attach when `text` is empty, per the byte-granularity contract).
-    pub fn push_label(&mut self, text: &str, label: Label) {
-        let start = self.text.len();
-        self.text.push_str(text);
-        self.spans.push_coalesced(start, self.text.len(), label);
-    }
-
-    /// Appends what `write` pushes through the [`TextTail`] it is lent,
-    /// with `label` applied to every byte of it: a
-    /// [`push_label`](TaintedStrBuilder::push_label) whose text is
-    /// assembled in place, from any number of pieces, instead of in a
-    /// scratch string.
-    pub fn push_label_with<F>(&mut self, label: Label, write: F)
-    where
-        F: FnOnce(&mut TextTail<'_>),
-    {
-        let start = self.text.len();
-        write(&mut TextTail(&mut self.text));
-        self.spans.push_coalesced(start, self.text.len(), label);
-    }
-
-    /// Finishes the string. The span map was kept normalized at every push,
-    /// so this is O(1) — no deferred sort or coalesce pass.
-    pub fn build(self) -> TaintedString {
-        TaintedString {
-            text: self.text,
-            spans: self.spans,
-        }
-    }
-}
-
-/// The end of a [`TaintedStrBuilder`]'s text, lent to the closure of
-/// [`push_label_with`](TaintedStrBuilder::push_label_with): it can only
-/// append, so the bytes already built keep their labels.
+/// The end of a [`TaintedString`]'s text, lent to the closure of
+/// [`push_label_with`](TaintedString::push_label_with): it can only
+/// append, so the bytes already written keep their labels.
 pub struct TextTail<'a>(&'a mut String);
 
 impl TextTail<'_> {
@@ -594,7 +534,7 @@ impl TextTail<'_> {
     }
 }
 
-impl<'a> Extend<&'a TaintedString> for TaintedStrBuilder {
+impl<'a> Extend<&'a TaintedString> for TaintedString {
     fn extend<I: IntoIterator<Item = &'a TaintedString>>(&mut self, iter: I) {
         for p in iter {
             self.push_tainted(p);
@@ -604,9 +544,9 @@ impl<'a> Extend<&'a TaintedString> for TaintedStrBuilder {
 
 impl<'a> FromIterator<&'a TaintedString> for TaintedString {
     fn from_iter<I: IntoIterator<Item = &'a TaintedString>>(iter: I) -> TaintedString {
-        let mut b = TaintedStrBuilder::new();
-        b.extend(iter);
-        b.build()
+        let mut s = TaintedString::new();
+        s.extend(iter);
+        s
     }
 }
 
@@ -742,14 +682,14 @@ mod tests {
     }
 
     #[test]
-    fn substr_php_style() {
+    fn slice_clips_to_the_text() {
         let s = untrusted("abcdef");
-        let sub = s.substr(2, 3);
+        let sub = s.slice(2..5);
         assert_eq!(sub.as_str(), "cde");
         assert!(sub.all_bytes_have::<UntrustedData>());
-        // Out-of-range lengths are clipped, not a panic.
-        assert_eq!(s.substr(4, 100).as_str(), "ef");
-        assert_eq!(s.substr(10, 5).as_str(), "");
+        // Out-of-range ends are clipped, not a panic.
+        assert_eq!(s.slice(4..104).as_str(), "ef");
+        assert_eq!(s.slice(10..15).as_str(), "");
     }
 
     #[test]
@@ -831,11 +771,10 @@ mod tests {
             TaintedString::new(),
             untrusted("tail"),
         ];
-        let mut b = TaintedStrBuilder::new();
+        let mut built = TaintedString::new();
         for p in &parts {
-            b.push_tainted(p);
+            built.push_tainted(p);
         }
-        let built = b.build();
         let mut folded = TaintedString::new();
         for p in &parts {
             folded = folded.concat(p);
@@ -846,21 +785,20 @@ mod tests {
 
     #[test]
     fn builder_mixed_pushes() {
-        let mut b = TaintedStrBuilder::with_capacity(64);
-        assert!(b.is_empty());
-        b.push_str("a=");
-        b.push_label(
+        let mut s = TaintedString::with_capacity(64);
+        assert!(s.is_empty());
+        s.push_str("a=");
+        s.push_label(
             "v1",
             Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
         );
-        b.push_char('&');
-        b.push_label(
+        s.push('&');
+        s.push_label(
             "",
             Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
         );
-        b.push_label("v2", Label::EMPTY);
-        assert_eq!(b.len(), 7);
-        let s = b.build();
+        s.push_label("v2", Label::EMPTY);
+        assert_eq!(s.len(), 7);
         assert_eq!(s.as_str(), "a=v1&v2");
         assert_eq!(s.ranges_with::<UntrustedData>(), vec![2..4]);
         assert!(s.label_at(5).is_empty());
@@ -868,10 +806,9 @@ mod tests {
 
     #[test]
     fn builder_coalesces_adjacent_equal_fragments() {
-        let mut b = TaintedStrBuilder::new();
-        b.push_tainted(&untrusted("ab"));
-        b.push_tainted(&untrusted("cd"));
-        let s = b.build();
+        let mut s = TaintedString::new();
+        s.push_tainted(&untrusted("ab"));
+        s.push_tainted(&untrusted("cd"));
         assert_eq!(s.span_count(), 1, "seam coalesced");
         assert!(s.all_bytes_have::<UntrustedData>());
     }
@@ -879,15 +816,14 @@ mod tests {
     #[test]
     fn push_label_with_labels_what_the_closure_appends() {
         let u = Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef));
-        let mut b = TaintedStrBuilder::new();
-        b.push_str("<p>");
-        b.push_label_with(u, |tail| {
+        let mut s = TaintedString::new();
+        s.push_str("<p>");
+        s.push_label_with(u, |tail| {
             tail.push_str("a");
             tail.push_str("&amp;");
         });
-        b.push_label_with(u, |_| {});
-        b.push_label_with(u, |tail| tail.push_str("b"));
-        let s = b.build();
+        s.push_label_with(u, |_| {});
+        s.push_label_with(u, |tail| tail.push_str("b"));
         assert_eq!(s.as_str(), "<p>a&amp;b");
         assert_eq!(s.spans().collect::<Vec<_>>(), vec![(3..10, u)]);
     }
@@ -903,12 +839,11 @@ mod tests {
                 Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
                 Label::of(&(Arc::new(PasswordPolicy::new("u@x")) as PolicyRef)),
             ];
-            let mut src = TaintedStrBuilder::new();
+            let mut src = TaintedString::new();
             for (text, which) in &pieces {
                 // 3 is a second untainted stretch, so gaps abut gaps.
                 src.push_label(text, labels[which % 3]);
             }
-            let src = src.build();
             // Any two char boundaries, in order; one may run past the end.
             let bounds: Vec<usize> = (0..=src.len() + 3)
                 .filter(|&i| i > src.len() || src.as_str().is_char_boundary(i))
@@ -918,10 +853,8 @@ mod tests {
 
             let mut want = untrusted("head");
             want.push_tainted(&src.slice(range.clone()));
-            let mut got = TaintedStrBuilder::new();
-            got.push_tainted(&untrusted("head"));
+            let mut got = untrusted("head");
             got.push_range(&src, range.clone());
-            let got = got.build();
             proptest::prop_assert!(got.taint_eq(&want), "{got:?} != {want:?}");
 
         }

@@ -27,7 +27,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
-use resin_core::{Context, Label, PolicyViolation, TaintedStrBuilder, TaintedString};
+use resin_core::{Context, Label, PolicyViolation, TaintedString};
 
 use crate::ast::{ClassDecl, FnDecl};
 use crate::check::ClassPlan;
@@ -185,7 +185,7 @@ impl Open {
 /// Renders an array or a map. `path` holds the containers being rendered,
 /// outermost first; one already on it is not entered again.
 fn render_containers(root: &Value) -> TaintedString {
-    let mut out = TaintedStrBuilder::new();
+    let mut out = TaintedString::new();
     let mut path: Vec<Open> = Vec::new();
     let mut on_path = HashSet::new();
     let mut next = Some(root.clone());
@@ -194,7 +194,7 @@ fn render_containers(root: &Value) -> TaintedString {
             match Open::brackets(&v) {
                 None => out.push_tainted(&v.to_tainted()),
                 Some((addr, open, close)) => {
-                    out.push_char(open);
+                    out.push(open);
                     if on_path.insert(addr) {
                         let rest = Open::entries(&v).into_iter();
                         path.push(Open {
@@ -205,13 +205,13 @@ fn render_containers(root: &Value) -> TaintedString {
                         });
                     } else {
                         out.push_str("...");
-                        out.push_char(close);
+                        out.push(close);
                     }
                 }
             }
         }
         let Some(top) = path.last_mut() else {
-            return out.build();
+            return out;
         };
         match top.rest.next() {
             Some((key, v)) => {
@@ -225,7 +225,7 @@ fn render_containers(root: &Value) -> TaintedString {
                 next = Some(v);
             }
             None => {
-                out.push_char(top.close);
+                out.push(top.close);
                 on_path.remove(&top.addr);
                 path.pop();
             }

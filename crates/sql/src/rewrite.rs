@@ -30,7 +30,7 @@ use std::ops::Range;
 use resin_core::{
     deserialize_label, deserialize_spans, serialize_label, serialize_spans, Context, Filter,
     FlowError, Gate, GateKind, Label, PolicyViolation, Reason, SqlSanitized, Tainted,
-    TaintedStrBuilder, TaintedString, Tracking, UntrustedData,
+    TaintedString, Tracking, UntrustedData,
 };
 
 use crate::ast::{
@@ -382,7 +382,7 @@ pub struct Prepared {
 /// `decode_literal` unions them back onto the collapsed byte).
 pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[TCell]) -> TaintedString {
     let text = &prepared.text;
-    let mut out = TaintedStrBuilder::with_capacity(text.len() + 16 * values.len());
+    let mut out = TaintedString::with_capacity(text.len() + 16 * values.len());
     let mut pos = 0usize;
     for (span, v) in prepared.param_spans.iter().zip(values) {
         out.push_range(text, pos..span.start);
@@ -394,7 +394,7 @@ pub(crate) fn render_bound_sql(prepared: &Prepared, values: &[TCell]) -> Tainted
         pos = span.end;
     }
     out.push_range(text, pos..text.len());
-    out.build()
+    out
 }
 
 // ---- rewriting ----
@@ -545,7 +545,7 @@ fn span_has_untrusted(sql: &TaintedString, span: &Range<usize>) -> bool {
 /// attacker-controlled quote that survives sanitization re-enters storage
 /// tainted, never as a 1-byte blind spot.
 fn decode_literal(sql: &TaintedString, span: &Range<usize>) -> TaintedString {
-    let mut out = TaintedStrBuilder::with_capacity(span.len());
+    let mut out = TaintedString::with_capacity(span.len());
     // Unquoted strictly, a range starting at a quote is an escape pair.
     unquote(
         sql.as_str(),
@@ -556,7 +556,7 @@ fn decode_literal(sql: &TaintedString, span: &Range<usize>) -> TaintedString {
             _ => out.push_range(sql, r),
         },
     );
-    out.build()
+    out
 }
 
 /// The literal a policy column is written: [`policy_blob_for`]'s blob.
@@ -1180,13 +1180,13 @@ mod tests {
                 // A literal whose head carries one label and whose tail
                 // another, quotes doubled under their own label.
                 let cut = (*cut).min(body.len());
-                let mut lit = TaintedStrBuilder::new();
+                let mut lit = TaintedString::new();
                 for (piece, label) in [(&body[..cut], labels[*whole]), (&body[cut..], labels[(*whole + 1) % 4])] {
                     lit.push_label(&piece.replace('\'', "''"), label);
                 }
-                let mut q = TaintedStrBuilder::new();
+                let mut q = TaintedString::new();
                 q.push_str(&format!("INSERT INTO t VALUES ({id}, '"));
-                q.push_tainted(&lit.build());
+                q.push_tainted(&lit);
                 q.push_str("', ");
                 match int_kind {
                     0 => q.push_str("NULL"),
@@ -1194,7 +1194,7 @@ mod tests {
                     _ => q.push_label("42", labels[3]),
                 }
                 q.push_str(")");
-                db.query(&q.build()).unwrap();
+                db.query(&q).unwrap();
             }
             // One more row straight into the engine, policy column and all.
             let blob = [

@@ -15,7 +15,7 @@
 
 use std::ops::Range;
 
-use resin_core::{TaintedStrBuilder, TaintedString, UntrustedData};
+use resin_core::{TaintedString, UntrustedData};
 
 use crate::error::{Result, SqlError};
 
@@ -287,8 +287,8 @@ pub(crate) fn unquote(
 /// The one quote of string literals: appends `src[range]` as `'…'`, each
 /// quote doubled, both bytes of the pair under the quote's label (an
 /// untainted escape would launder an attacker's quote through storage).
-pub(crate) fn push_quoted(out: &mut TaintedStrBuilder, src: &TaintedString, range: Range<usize>) {
-    out.push_char('\'');
+pub(crate) fn push_quoted(out: &mut TaintedString, src: &TaintedString, range: Range<usize>) {
+    out.push('\'');
     let mut start = range.start;
     for (i, &b) in src.as_str().as_bytes()[range.clone()].iter().enumerate() {
         if b == b'\'' {
@@ -299,7 +299,7 @@ pub(crate) fn push_quoted(out: &mut TaintedStrBuilder, src: &TaintedString, rang
         }
     }
     out.push_range(src, start..range.end);
-    out.push_char('\'');
+    out.push('\'');
 }
 
 /// Re-emits a tolerantly-lexed tainted query as a *sanitized* tainted query:
@@ -307,10 +307,10 @@ pub(crate) fn push_quoted(out: &mut TaintedStrBuilder, src: &TaintedString, rang
 /// quotes can no longer change the query structure. Taint is preserved
 /// byte-for-byte for the copied content.
 pub fn sanitize_query(query: &TaintedString, tokens: &[Token]) -> TaintedString {
-    let mut out = TaintedStrBuilder::with_capacity(query.len() + tokens.len());
+    let mut out = TaintedString::with_capacity(query.len() + tokens.len());
     for (idx, t) in tokens.iter().enumerate() {
         if idx > 0 {
-            out.push_char(' ');
+            out.push(' ');
         }
         match &t.tok {
             // The literal's interior, between its delimiters, quoted anew.
@@ -318,7 +318,7 @@ pub fn sanitize_query(query: &TaintedString, tokens: &[Token]) -> TaintedString 
             _ => out.push_range(query, t.span.clone()),
         }
     }
-    out.build()
+    out
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use resin_core::{Gate, GateKind, TaintedStrBuilder, TaintedString};
+use resin_core::{Gate, GateKind, TaintedString};
 use resin_lang::ast::StmtKind;
 use resin_lang::{parse_program, Interp, PValue, ScriptPolicy};
 use resin_sql::ResinDb;
@@ -50,11 +50,11 @@ fn channel_only(channel: &str) -> Arc<ScriptPolicy> {
 fn insert_labeled(db: &ResinDb, id: i64, name: &str, policy: Arc<ScriptPolicy>) {
     let mut value = TaintedString::from(name);
     value.add_policy(policy);
-    let mut q = TaintedStrBuilder::new();
+    let mut q = TaintedString::new();
     q.push_str(&format!("INSERT INTO users (id, name) VALUES ({id}, '"));
     q.push_tainted(&value);
     q.push_str("')");
-    db.query(&q.build()).expect("labeled insert persists");
+    db.query(&q).expect("labeled insert persists");
 }
 
 fn select_name(db: &ResinDb, id: i64) -> TaintedString {

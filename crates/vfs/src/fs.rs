@@ -35,7 +35,7 @@ use resin_store::{HashWriter, Recovery, SnapshotReader, SnapshotWriter, Store};
 use crate::error::{Result, VfsError};
 use crate::op::FsOp;
 use crate::path::{normalize, split_parent, to_absolute};
-use crate::pfilter::{filter_text, revive_filter, DirOp, GateMount, PersistentFilterRef};
+use crate::pfilter::{filter_text, revive_filter, GateMount, PersistentFilterRef};
 
 /// xattr key holding a file's serialized content policies.
 pub const XATTR_POLICY: &str = "user.resin.policy";
@@ -447,7 +447,7 @@ impl Vfs {
         }
         gate.context_mut().set_str("path", path);
         for f in self.governing_filters(comps)? {
-            gate.add_filter(Box::new(GateMount::new(f, path)));
+            gate.add_filter(Box::new(GateMount::new(f)));
         }
         Ok(gate)
     }
@@ -461,10 +461,11 @@ impl Vfs {
         merged
     }
 
-    /// Asks the filters governing `path`'s directory whether `op` may
-    /// touch its entry (the root has no directory to ask).
-    fn check_dir_op_allowed(&self, path: &[String], op: DirOp, ctx: &Context) -> Result<()> {
-        let Some((parent, entry)) = split_parent(path) else {
+    /// Asks the filters governing `path`'s directory whether its entry
+    /// may be created, deleted or renamed (the root has no directory to
+    /// ask).
+    fn check_dir_op_allowed(&self, path: &[String], ctx: &Context) -> Result<()> {
+        let Some((parent, _)) = split_parent(path) else {
             return Ok(());
         };
         let filters = self.governing_filters(parent)?;
@@ -473,7 +474,7 @@ impl Vfs {
         }
         let merged = Self::merged_file_ctx(ctx);
         for f in filters {
-            f.check_dir_op(op, entry, &merged)
+            f.check_dir_op(&merged)
                 .map_err(|v| VfsError::Policy(FlowError::Denied(v)))?;
         }
         Ok(())
@@ -487,7 +488,7 @@ impl Vfs {
         for depth in 1..=comps.len() {
             let dir = &comps[..depth];
             if !matches!(self.get_node(dir), Some(Node::Dir(_))) {
-                self.check_dir_op_allowed(dir, DirOp::Create, ctx)?;
+                self.check_dir_op_allowed(dir, ctx)?;
                 self.commit(FsOp::Mkdir { path: dir.to_vec() })?;
             }
         }
@@ -523,7 +524,7 @@ impl Vfs {
             self.file_gate(&comps, path, ctx)?
                 .export(TaintedString::new())
                 .map_err(VfsError::from)?;
-            self.check_dir_op_allowed(&comps, DirOp::Delete, ctx)?;
+            self.check_dir_op_allowed(&comps, ctx)?;
         }
         self.commit(FsOp::Unlink { path: comps })
     }
@@ -532,8 +533,8 @@ impl Vfs {
     pub fn rename(&mut self, from: &str, to: &str, ctx: &Context) -> Result<()> {
         let from = normalize(from)?;
         let to = normalize(to)?;
-        self.check_dir_op_allowed(&from, DirOp::Rename, ctx)?;
-        self.check_dir_op_allowed(&to, DirOp::Create, ctx)?;
+        self.check_dir_op_allowed(&from, ctx)?;
+        self.check_dir_op_allowed(&to, ctx)?;
         self.commit(FsOp::Rename { from, to })
     }
 
@@ -576,7 +577,7 @@ impl Vfs {
                 .file_gate(&comps, path, ctx)?
                 .export_cow(Cow::Borrowed(data))?;
             if self.get_node(&comps).is_none() {
-                self.check_dir_op_allowed(&comps, DirOp::Create, ctx)?;
+                self.check_dir_op_allowed(&comps, ctx)?;
             }
             data
         } else {
@@ -635,11 +636,6 @@ impl Vfs {
     /// scenario, where only a RESIN-aware server catches the leak.
     pub fn read_raw(&self, path: &str) -> Result<String> {
         Ok(self.file(&normalize(path)?)?.content.clone())
-    }
-
-    /// File size in bytes.
-    pub fn file_len(&self, path: &str) -> Result<usize> {
-        Ok(self.file(&normalize(path)?)?.content.len())
     }
 
     // ---- xattrs and persistent filters ----
@@ -806,7 +802,7 @@ mod tests {
             fs.read_file("/a/b/c/f.txt", &anon()).unwrap().as_str(),
             "hi"
         );
-        assert_eq!(fs.file_len("/a/b/c/f.txt").unwrap(), 2);
+        assert_eq!(fs.read_raw("/a/b/c/f.txt").unwrap().len(), 2);
     }
 
     #[test]

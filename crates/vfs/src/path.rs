@@ -31,21 +31,6 @@ pub fn normalize(path: &str) -> Result<Vec<String>> {
     Ok(out)
 }
 
-/// Normalizes like a Unix kernel: `..` at the root stays at the root.
-pub fn normalize_clamped(path: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for comp in path.split('/') {
-        match comp {
-            "" | "." => {}
-            ".." => {
-                out.pop();
-            }
-            name => out.push(name.to_string()),
-        }
-    }
-    out
-}
-
 /// Joins a base directory and a (possibly relative, possibly hostile)
 /// name the way a naive application would: simple string concatenation.
 pub fn join(base: &str, name: &str) -> String {
@@ -75,21 +60,36 @@ pub fn split_parent(components: &[String]) -> Option<(&[String], &str)> {
     Some((parent, last.as_str()))
 }
 
-/// True if `path`, after normalization, stays within `root`.
-///
-/// This is the check a *correct* application performs; the vulnerable file
-/// managers in `resin-apps` skip it.
-pub fn is_within(root: &str, path: &str) -> bool {
-    let Ok(root_c) = normalize(root) else {
-        return false;
-    };
-    let path_c = normalize_clamped(path);
-    path_c.len() >= root_c.len() && path_c[..root_c.len()] == root_c[..]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Normalizes like a Unix kernel: `..` at the root stays at the root.
+    fn normalize_clamped(path: &str) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for comp in path.split('/') {
+            match comp {
+                "" | "." => {}
+                ".." => {
+                    out.pop();
+                }
+                name => out.push(name.to_string()),
+            }
+        }
+        out
+    }
+
+    /// True if `path`, after normalization, stays within `root`.
+    ///
+    /// This is the check a *correct* application performs; the vulnerable file
+    /// managers in `resin-apps` skip it.
+    fn is_within(root: &str, path: &str) -> bool {
+        let Ok(root_c) = normalize(root) else {
+            return false;
+        };
+        let path_c = normalize_clamped(path);
+        path_c.len() >= root_c.len() && path_c[..root_c.len()] == root_c[..]
+    }
 
     #[test]
     fn normalize_basic() {

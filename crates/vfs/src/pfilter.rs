@@ -26,22 +26,12 @@ use resin_core::{
 
 use crate::error::Result;
 
-/// A directory-modifying operation a persistent filter can veto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirOp {
-    /// Creating a file or subdirectory.
-    Create,
-    /// Deleting an entry.
-    Delete,
-    /// Renaming an entry.
-    Rename,
-}
-
 /// A filter object persisted on a file or directory.
 ///
 /// Default implementations allow everything, so a filter only overrides the
 /// hooks it cares about (e.g. a write-ACL filter overrides `check_write`
-/// and `check_dir_op`).
+/// and `check_dir_op`). A hook sees only the channel context; a file
+/// read's or write's carries the file's `path`.
 pub trait PersistentFilter: Send + Sync + fmt::Debug {
     /// The filter's class name (for persistence).
     fn name(&self) -> &str;
@@ -52,22 +42,18 @@ pub trait PersistentFilter: Send + Sync + fmt::Debug {
     }
 
     /// Invoked when data flows *into* the guarded file.
-    fn check_write(&self, _path: &str, _ctx: &Context) -> Result<(), PolicyViolation> {
+    fn check_write(&self, _ctx: &Context) -> Result<(), PolicyViolation> {
         Ok(())
     }
 
     /// Invoked when data flows *out of* the guarded file.
-    fn check_read(&self, _path: &str, _ctx: &Context) -> Result<(), PolicyViolation> {
+    fn check_read(&self, _ctx: &Context) -> Result<(), PolicyViolation> {
         Ok(())
     }
 
-    /// Invoked when the guarded directory is modified.
-    fn check_dir_op(
-        &self,
-        _op: DirOp,
-        _entry: &str,
-        _ctx: &Context,
-    ) -> Result<(), PolicyViolation> {
+    /// Invoked when the guarded directory is modified (an entry created,
+    /// deleted or renamed).
+    fn check_dir_op(&self, _ctx: &Context) -> Result<(), PolicyViolation> {
         Ok(())
     }
 }
@@ -143,16 +129,12 @@ pub(crate) fn revive_filter(text: &str) -> Result<PersistentFilterRef> {
 /// other I/O surface gets.
 pub struct GateMount {
     filter: PersistentFilterRef,
-    path: String,
 }
 
 impl GateMount {
-    /// Mounts `filter`, reporting violations against `path`.
-    pub fn new(filter: PersistentFilterRef, path: impl Into<String>) -> Self {
-        GateMount {
-            filter,
-            path: path.into(),
-        }
+    /// Mounts `filter`.
+    pub fn new(filter: PersistentFilterRef) -> Self {
+        GateMount { filter }
     }
 }
 
@@ -166,7 +148,7 @@ impl Filter for GateMount {
         context: &Context,
     ) -> Result<std::borrow::Cow<'a, TaintedString>, FlowError> {
         self.filter
-            .check_write(&self.path, context)
+            .check_write(context)
             .map_err(|v| FlowError::Denied(v.on_channel(GateKind::File)))?;
         Ok(data)
     }
@@ -178,7 +160,7 @@ impl Filter for GateMount {
         context: &Context,
     ) -> Result<TaintedString, FlowError> {
         self.filter
-            .check_read(&self.path, context)
+            .check_read(context)
             .map_err(|v| FlowError::Denied(v.on_channel(GateKind::File)))?;
         Ok(data)
     }
@@ -188,7 +170,6 @@ impl fmt::Debug for GateMount {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GateMount")
             .field("filter", &self.filter.name())
-            .field("path", &self.path)
             .finish()
     }
 }
@@ -226,11 +207,11 @@ impl PersistentFilter for AclWriteFilter {
         vec![("acl".to_string(), self.acl.encode())]
     }
 
-    fn check_write(&self, _path: &str, ctx: &Context) -> Result<(), PolicyViolation> {
+    fn check_write(&self, ctx: &Context) -> Result<(), PolicyViolation> {
         self.acl.require("AclWriteFilter", ctx, Right::Write)
     }
 
-    fn check_dir_op(&self, _op: DirOp, _entry: &str, ctx: &Context) -> Result<(), PolicyViolation> {
+    fn check_dir_op(&self, ctx: &Context) -> Result<(), PolicyViolation> {
         self.acl.require("AclWriteFilter", ctx, Right::Write)
     }
 }
@@ -249,11 +230,11 @@ mod tests {
     #[test]
     fn acl_write_filter_enforces() {
         let f = AclWriteFilter::new(Acl::new().grant("alice", &[Right::Write]));
-        assert!(f.check_write("/x", &ctx("alice")).is_ok());
-        assert!(f.check_write("/x", &ctx("bob")).is_err());
-        assert!(f.check_write("/x", &Context::new(GateKind::File)).is_err());
+        assert!(f.check_write(&ctx("alice")).is_ok());
+        assert!(f.check_write(&ctx("bob")).is_err());
+        assert!(f.check_write(&Context::new(GateKind::File)).is_err());
         assert!(
-            f.check_read("/x", &ctx("bob")).is_ok(),
+            f.check_read(&ctx("bob")).is_ok(),
             "read hook default-allows"
         );
     }
@@ -261,9 +242,9 @@ mod tests {
     #[test]
     fn dir_ops_checked() {
         let f = AclWriteFilter::new(Acl::new().grant("alice", &[Right::Write]));
-        assert!(f.check_dir_op(DirOp::Create, "new", &ctx("alice")).is_ok());
-        assert!(f.check_dir_op(DirOp::Delete, "v1", &ctx("bob")).is_err());
-        assert!(f.check_dir_op(DirOp::Rename, "v1", &ctx("bob")).is_err());
+        assert!(f.check_dir_op(&ctx("alice")).is_ok());
+        assert!(f.check_dir_op(&ctx("bob")).is_err());
+        assert!(f.check_dir_op(&Context::new(GateKind::File)).is_err());
     }
 
     #[test]
@@ -274,8 +255,8 @@ mod tests {
         let s = filter_text(&f).unwrap();
         assert_eq!(s, "AclWriteFilter{acl=alice:w}");
         let g = revive_filter(&s).unwrap();
-        assert!(g.check_write("/x", &ctx("alice")).is_ok());
-        assert!(g.check_write("/x", &ctx("bob")).is_err());
+        assert!(g.check_write(&ctx("alice")).is_ok());
+        assert!(g.check_write(&ctx("bob")).is_err());
     }
 
     #[test]
@@ -294,7 +275,7 @@ mod tests {
             fn name(&self) -> &str {
                 "DenyAllTestFilter"
             }
-            fn check_write(&self, _p: &str, _c: &Context) -> Result<(), PolicyViolation> {
+            fn check_write(&self, _c: &Context) -> Result<(), PolicyViolation> {
                 Err(PolicyViolation::new(
                     "DenyAllTestFilter",
                     Reason::Refused("no writes"),
@@ -305,6 +286,6 @@ mod tests {
             Ok(Arc::new(DenyAll) as PersistentFilterRef)
         });
         let f = revive_filter("DenyAllTestFilter{}").unwrap();
-        assert!(f.check_write("/anything", &ctx("root")).is_err());
+        assert!(f.check_write(&ctx("root")).is_err());
     }
 }

@@ -16,8 +16,7 @@ use std::ops::Range;
 use std::sync::LazyLock;
 
 use resin_core::{
-    HtmlSanitized, Label, PolicyViolation, Reason, Result, TaintedStrBuilder, TaintedString,
-    TextTail, UntrustedData,
+    HtmlSanitized, Label, PolicyViolation, Reason, Result, TaintedString, TextTail, UntrustedData,
 };
 
 /// A page, as 4K aliasing sees it: an x86 core stalls a load that
@@ -138,7 +137,7 @@ pub(crate) fn escape_bytes(
     let text = input.as_str();
     // Room for a replacement every eight bytes or so; `forum_search`'s
     // bodies hold one every twenty. A denser input grows the buffer.
-    let mut out = TaintedStrBuilder::with_capacity(text.len() + text.len() / 2);
+    let mut out = TaintedString::with_capacity(text.len() + text.len() / 2);
     let mut emit = |range: Range<usize>, label: Label| {
         out.push_label_with(label.union(marker), |tail| {
             table.escape_into(tail, &text[range])
@@ -155,7 +154,7 @@ pub(crate) fn escape_bytes(
     if cursor < text.len() {
         emit(cursor..text.len(), Label::EMPTY);
     }
-    out.build()
+    out
 }
 
 static HTML_ESCAPES: LazyLock<EscapeTable> = LazyLock::new(|| {
@@ -344,7 +343,7 @@ mod tests {
         table: fn(u8) -> Option<&'static str>,
     ) -> TaintedString {
         let text = input.as_str();
-        let mut out = TaintedStrBuilder::with_capacity(text.len() + 8);
+        let mut out = TaintedString::with_capacity(text.len() + 8);
         let mut start = 0usize;
         for (i, b) in text.bytes().enumerate() {
             let Some(rep) = table(b) else { continue };
@@ -353,7 +352,7 @@ mod tests {
             start = i + 1;
         }
         out.push_tainted(&input.slice(start..text.len()));
-        out.build()
+        out
     }
 
     /// The label rule one character at a time: each output byte carries
@@ -363,14 +362,14 @@ mod tests {
         table: fn(u8) -> Option<&'static str>,
         marker: Label,
     ) -> TaintedString {
-        let mut out = TaintedStrBuilder::new();
+        let mut out = TaintedString::new();
         for (i, c) in input.as_str().char_indices() {
             let mut buf = [0u8; 4];
             let rep = u8::try_from(c).ok().and_then(table);
             let label = input.label_at(i).union(marker);
             out.push_label(rep.unwrap_or_else(|| c.encode_utf8(&mut buf)), label);
         }
-        out.build()
+        out
     }
 
     proptest::proptest! {
@@ -386,12 +385,11 @@ mod tests {
                 Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
                 Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef)),
             ];
-            let mut input = TaintedStrBuilder::new();
+            let mut input = TaintedString::new();
             for (text, which) in &pieces {
                 // 3 is a second untainted stretch, so gaps abut gaps.
                 input.push_label(text, labels[which % 3]);
             }
-            let input = input.build();
             let marker = Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef));
 
             let mut old = escape_sliced(&input, HTML_ESCAPES.replacement);
@@ -426,11 +424,11 @@ mod tests {
                 ("<script>var s = '", "';</script>", true),
             ] {
                 let page = |escaped: &TaintedString| {
-                    let mut page = TaintedStrBuilder::new();
+                    let mut page = TaintedString::new();
                     page.push_str(open);
                     page.push_tainted(escaped);
                     page.push_str(close);
-                    page.build()
+                    page
                 };
                 let (new, was) = (page(&got), page(&old));
                 proptest::prop_assert_eq!(
@@ -536,11 +534,11 @@ mod tests {
             [1, 2 * BLOCK_BYTES, BLOCK_BYTES - 3],
         ] {
             for first in 0..labels.len() {
-                let mut input = TaintedStrBuilder::new();
+                let mut input = TaintedString::new();
                 for (i, len) in lens.into_iter().enumerate() {
                     input.push_label(&fill(&mixed[i..], len), labels[(first + i) % 3]);
                 }
-                agrees_with_the_oracles(&input.build());
+                agrees_with_the_oracles(&input);
             }
         }
     }
@@ -559,11 +557,11 @@ mod tests {
                 Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef)),
                 Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef)),
             ];
-            let mut input = TaintedStrBuilder::new();
+            let mut input = TaintedString::new();
             for &((from, len), which) in &pieces {
                 input.push_label(&fill(&CHARS[from..], len), labels[which % 3]);
             }
-            agrees_with_the_oracles(&input.build());
+            agrees_with_the_oracles(&input);
         }
     }
 
@@ -675,7 +673,7 @@ mod tests {
                 "</p>", "<", ">", "text ", "&lt;", "é✓", "<scrip",
             ];
             for pieces in &pages {
-                let mut page = TaintedStrBuilder::new();
+                let mut page = TaintedString::new();
                 for &(token, taint) in pieces {
                     let token = TOKENS[token];
                     // Server markup (half the pieces), raw input, or escaped
@@ -686,7 +684,6 @@ mod tests {
                         _ => page.push_tainted(&html_escape(&untrusted(token))),
                     }
                 }
-                let page = page.build();
                 let verdict = |r: Result<()>| r.map_err(|e| e.to_string());
                 proptest::prop_assert_eq!(
                     verdict(check_html_structure(&page)),

@@ -10,9 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
-use resin_core::{
-    Label, PolicyViolation, Reason, Result, TaintedStrBuilder, TaintedString, UntrustedData,
-};
+use resin_core::{Label, PolicyViolation, Reason, Result, TaintedString, UntrustedData};
 
 use crate::html::{escape_bytes, EscapeTable};
 
@@ -21,20 +19,20 @@ use crate::html::{escape_bytes, EscapeTable};
 /// Keys are assumed server-controlled; values are escaped byte-for-byte so
 /// untrusted content stays inside string literals.
 pub fn encode_object(fields: &BTreeMap<String, TaintedString>) -> TaintedString {
-    let mut out = TaintedStrBuilder::with_capacity(64);
-    out.push_char('{');
+    let mut out = TaintedString::with_capacity(64);
+    out.push('{');
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
-            out.push_char(',');
+            out.push(',');
         }
-        out.push_char('"');
+        out.push('"');
         out.push_str(&escape_plain(k));
         out.push_str("\":\"");
         out.push_tainted(&escape_tainted(v));
-        out.push_char('"');
+        out.push('"');
     }
-    out.push_char('}');
-    out.build()
+    out.push('}');
+    out
 }
 
 /// Escapes JSON string content, preserving taint. One pass: every output
@@ -266,7 +264,7 @@ mod tests {
                 0..14,
             ),
         ) {
-            let mut j = TaintedStrBuilder::new();
+            let mut j = TaintedString::new();
             for (text, taint) in &pieces {
                 // Server text (half the pieces), raw input, or encoded input.
                 let text = TaintedString::from(text.as_str());
@@ -276,7 +274,6 @@ mod tests {
                     _ => j.push_tainted(&escape_tainted(&untrusted(text.as_str()))),
                 }
             }
-            let j = j.build();
             let verdict = |r: Result<()>| r.map_err(|e| e.to_string());
             proptest::prop_assert_eq!(
                 verdict(check_json_structure(&j)),

@@ -218,18 +218,17 @@ proptest! {
         prop_assert!(back.taint_eq(&data));
     }
 
-    /// The builder is observationally the left-fold of `concat`: same text,
-    /// same spans, for arbitrary fragment sequences (untainted, fully
-    /// tainted, partially tainted, doubly labeled, empty).
+    /// Appending in place is observationally the left-fold of `concat`:
+    /// same text, same spans, for arbitrary fragment sequences (untainted,
+    /// fully tainted, partially tainted, doubly labeled, empty).
     #[test]
     fn builder_equals_fold_concat(frags in prop::collection::vec(("[a-z]{0,8}", 0usize..4), 0..12)) {
         let parts: Vec<TaintedString> = frags.iter().map(|(text, mode)| mk_fragment(text, *mode)).collect();
 
-        let mut b = TaintedStrBuilder::new();
+        let mut built = TaintedString::new();
         for p in &parts {
-            b.push_tainted(p);
+            built.push_tainted(p);
         }
-        let built = b.build();
 
         let mut folded = TaintedString::new();
         for p in &parts {
@@ -238,31 +237,76 @@ proptest! {
         prop_assert!(built.taint_eq(&folded));
     }
 
-    /// Structural `append` (no re-sort) preserves every SpanMap
-    /// normalization law on the concatenation result: spans sorted,
+    /// Every append keeps the span normalization laws (spans sorted,
     /// non-overlapping, non-empty, non-empty-labeled, and no two touching
-    /// spans share a label.
+    /// spans share a label) and gives each byte the label a plain
+    /// per-byte model gives it, checked after each step of a sequence
+    /// drawn from `push_str`, `push_tainted`, `push_range`, `push_label`
+    /// and `push_label_with`.
     #[test]
-    fn append_preserves_normalization_laws(frags in prop::collection::vec(("[a-z]{0,8}", 0usize..4), 0..12)) {
-        let mut b = TaintedStrBuilder::new();
-        for (text, mode) in &frags {
-            b.push_tainted(&mk_fragment(text, *mode));
-        }
-        let built = b.build();
+    fn append_preserves_normalization_laws(
+        steps in prop::collection::vec(
+            ((0usize..5, "[a-zé]{0,8}"), (0usize..4, (0usize..16, 0usize..16))),
+            0..12,
+        ),
+    ) {
+        let u = Label::of(&(Arc::new(UntrustedData::new()) as PolicyRef));
+        let h = Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef));
+        let labels = [Label::EMPTY, u, h, u.union(h)];
+        let mut built = TaintedString::new();
+        let mut model: Vec<Label> = Vec::new();
+        for ((op, text), (mode, cuts)) in &steps {
+            let src = mk_fragment(text, *mode);
+            let src_labels: Vec<Label> = (0..src.len()).map(|i| src.label_at(i)).collect();
+            match op {
+                0 => {
+                    built.push_str(text);
+                    model.extend(text.bytes().map(|_| Label::EMPTY));
+                }
+                1 => {
+                    built.push_tainted(&src);
+                    model.extend(&src_labels);
+                }
+                2 => {
+                    // Two char boundaries of the source, in order.
+                    let bounds: Vec<usize> =
+                        (0..=src.len()).filter(|&i| text.is_char_boundary(i)).collect();
+                    let (a, b) = (bounds[cuts.0 % bounds.len()], bounds[cuts.1 % bounds.len()]);
+                    built.push_range(&src, a.min(b)..a.max(b));
+                    model.extend(&src_labels[a.min(b)..a.max(b)]);
+                }
+                3 => {
+                    built.push_label(text, labels[*mode]);
+                    model.extend(text.bytes().map(|_| labels[*mode]));
+                }
+                _ => {
+                    let mid = text.floor_char_boundary(cuts.0 % (text.len() + 1));
+                    built.push_label_with(labels[*mode], |tail| {
+                        tail.push_str(&text[..mid]);
+                        tail.push_str(&text[mid..]);
+                    });
+                    model.extend(text.bytes().map(|_| labels[*mode]));
+                }
+            }
 
-        let spans: Vec<_> = built.spans().collect();
-        for (r, l) in &spans {
-            prop_assert!(r.start < r.end, "no empty span: {r:?}");
-            prop_assert!(!l.is_empty(), "no empty label");
-            prop_assert!(r.end <= built.len(), "span in bounds");
-        }
-        for w in spans.windows(2) {
-            let ((a, la), (b, lb)) = (&w[0], &w[1]);
-            prop_assert!(a.end <= b.start, "sorted, non-overlapping: {a:?} vs {b:?}");
-            prop_assert!(
-                !(a.end == b.start && la == lb),
-                "touching equal-label spans must coalesce: {a:?} {b:?}"
-            );
+            prop_assert_eq!(built.len(), model.len());
+            for (i, &want) in model.iter().enumerate() {
+                prop_assert!(built.label_at(i) == want, "byte {i}: {:?} != {want:?}", built.label_at(i));
+            }
+            let spans: Vec<_> = built.spans().collect();
+            for (r, l) in &spans {
+                prop_assert!(r.start < r.end, "no empty span: {r:?}");
+                prop_assert!(!l.is_empty(), "no empty label");
+                prop_assert!(r.end <= built.len(), "span in bounds");
+            }
+            for w in spans.windows(2) {
+                let ((a, la), (b, lb)) = (&w[0], &w[1]);
+                prop_assert!(a.end <= b.start, "sorted, non-overlapping: {a:?} vs {b:?}");
+                prop_assert!(
+                    !(a.end == b.start && la == lb),
+                    "touching equal-label spans must coalesce: {a:?} {b:?}"
+                );
+            }
         }
     }
 }
