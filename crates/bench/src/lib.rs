@@ -68,7 +68,6 @@ pub fn hotcrp_site(resin: bool) -> resin_apps::HotCrp {
 /// through output buffering.
 pub fn hotcrp_page_once(site: &mut resin_apps::HotCrp) -> usize {
     let mut page = Response::for_user("pc@conf.org");
-    page.gate_mut().context_mut().set_str("user", "pc@conf.org");
     site.paper_page(1, &mut page).expect("page");
     page.body().len()
 }

@@ -5,6 +5,13 @@
 //! annotated with the recipient address, and applications add their own
 //! key–value pairs (the current user on an HTTP connection, say). The filter
 //! passes the context to each policy's `export_check`.
+//!
+//! The paper's default filter also tags each context with the channel's
+//! `type` (Figure 2 tests `$context['type'] == 'email'`). Here that fact is
+//! the context's [`GateKind`], stored once: Rust reads it with
+//! [`Context::channel_type`] or [`Context::kind`], and the RSL `context`
+//! map shows it as its `type` key. It is never an entry, so no caller can
+//! set a channel's type apart from its kind.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -92,10 +99,8 @@ impl fmt::Display for CtxValue {
     }
 }
 
-/// The context hash table attached to a filter object.
-///
-/// The `type` key is always present and names the channel kind, matching the
-/// paper's `$context['type'] == 'email'` idiom.
+/// The context hash table attached to a filter object: the channel's kind
+/// and the entries someone set.
 #[derive(Debug, Clone)]
 pub struct Context {
     kind: GateKind,
@@ -117,13 +122,11 @@ impl PartialEq for Context {
 }
 
 impl Context {
-    /// Creates a context for a channel of `kind`; sets the `type` entry.
+    /// Creates a context for a channel of `kind`, with no entries.
     pub fn new(kind: GateKind) -> Self {
-        let mut entries = BTreeMap::new();
-        entries.insert("type".to_string(), CtxValue::from(kind.type_name()));
         Context {
             kind,
-            entries,
+            entries: BTreeMap::new(),
             stamp: fresh_stamp(),
         }
     }
@@ -140,15 +143,22 @@ impl Context {
         &self.kind
     }
 
-    /// The channel type string (same as `get_str("type")`).
+    /// The channel type string: the paper's `$context['type']`.
     pub fn channel_type(&self) -> &str {
         self.kind.type_name()
     }
 
     /// Inserts or replaces a context entry.
+    ///
+    /// `type` is the channel's kind, not an entry: setting it is a bug in
+    /// the caller (a debug build panics) and stores nothing.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<CtxValue>) -> &mut Self {
-        self.entries.insert(key.into(), value.into());
-        self.stamp = fresh_stamp();
+        let key = key.into();
+        debug_assert_ne!(key, "type", "a channel's type is its kind");
+        if key != "type" {
+            self.entries.insert(key, value.into());
+            self.stamp = fresh_stamp();
+        }
         self
     }
 
@@ -194,19 +204,19 @@ impl Context {
         self.entries.contains_key(key)
     }
 
-    /// Iterates over all `(key, value)` entries in key order.
+    /// Iterates over the entries that were set, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &CtxValue)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Number of entries, including the implicit `type`.
+    /// Number of entries that were set.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when only the implicit `type` entry is present.
+    /// True when no entry was set.
     pub fn is_empty(&self) -> bool {
-        self.entries.len() <= 1
+        self.entries.is_empty()
     }
 }
 
@@ -215,11 +225,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_key_set_automatically() {
+    fn type_is_the_kind_not_an_entry() {
         let ctx = Context::new(GateKind::Email);
-        assert_eq!(ctx.get_str("type"), Some("email"));
         assert_eq!(ctx.channel_type(), "email");
-        assert!(ctx.is_empty(), "only the implicit type entry");
+        assert_eq!(ctx.kind(), &GateKind::Email);
+        assert_eq!(ctx.get_str("type"), None);
+        assert!(ctx.is_empty(), "a fresh context has no entries");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "a channel's type is its kind")
+    )]
+    fn setting_type_stores_nothing() {
+        let mut ctx = Context::new(GateKind::Http);
+        let stamp = ctx.cache_stamp();
+        ctx.set_str("type", "email");
+        assert_eq!(ctx.get("type"), None);
+        assert_eq!(ctx.channel_type(), "http");
+        assert_eq!(ctx.cache_stamp(), stamp, "nothing changed");
     }
 
     #[test]
@@ -232,7 +257,7 @@ mod tests {
         assert!(ctx.get_flag("priv_chair"));
         assert!(!ctx.get_flag("absent"));
         assert_eq!(ctx.get_int("status"), Some(200));
-        assert_eq!(ctx.len(), 4);
+        assert_eq!(ctx.len(), 3);
         assert!(!ctx.is_empty());
     }
 
@@ -285,6 +310,6 @@ mod tests {
         let mut ctx = Context::new(GateKind::Pipe);
         ctx.set_str("b", "2").set_str("a", "1");
         let keys: Vec<&str> = ctx.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "b", "type"]);
+        assert_eq!(keys, vec!["a", "b"]);
     }
 }

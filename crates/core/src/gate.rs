@@ -6,9 +6,10 @@
 //! codebase spread across three APIs:
 //!
 //! * the I/O **channel** (sockets, pipes, files, HTTP output, email, SQL,
-//!   code import, §3.2.1) — a gate has a kind, a [`Context`], an ordered
-//!   filter chain, and inbound/outbound queues, the outbound one standing
-//!   in for "the outside world";
+//!   code import, §3.2.1) — a gate has a [`Context`], whose kind is the
+//!   gate's kind, an ordered filter chain, and an output buffer standing
+//!   in for "the outside world"; inbound data is handed to
+//!   [`Gate::read`], which returns what the read filters let in;
 //! * the **internal module boundary** (§8) — a gate carries deny/strip
 //!   rules over policy classes, so a module can refuse to let clear-text
 //!   passwords escape, or declassify on the way out;
@@ -42,9 +43,10 @@ use crate::taint::TaintedString;
 
 /// The kind of I/O surface a gate guards.
 ///
-/// The kind doubles as the `type` entry of the gate's default context, so
+/// The kind is the channel's `type` (the paper's `$context['type']`), so
 /// policy `export_check` methods can distinguish (say) email from HTTP, as
-/// in the HotCRP password policy of Figure 2.
+/// in the HotCRP password policy of Figure 2. A gate keeps it in its
+/// [`Context`] and nowhere else.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// HTTP response body sent to a browser.
@@ -66,7 +68,8 @@ pub enum GateKind {
 }
 
 impl GateKind {
-    /// The string used for the `type` key in a gate context.
+    /// The channel type a policy sees: [`Context::channel_type`] in Rust,
+    /// `context["type"]` in RSL.
     pub fn type_name(&self) -> &'static str {
         match self {
             GateKind::Http => "http",
@@ -151,8 +154,9 @@ impl Rule {
 /// `filter_write` in order, on the fragment written; what survives is
 /// appended to the gate's output, one [`TaintedString`] that keeps each
 /// byte's label. Output buffering (§5.5) cuts that string back to a byte
-/// length ([`Gate::output_mark`], [`Gate::truncate_output`]). Reading runs
-/// `filter_read` in order. The gate owns its [`Context`], which
+/// length ([`Gate::output_mark`], [`Gate::truncate_output`]). Reading
+/// ([`Gate::read`]) runs `filter_read` in order over data that arrived.
+/// The gate owns its [`Context`], which holds its kind and which
 /// applications annotate with boundary-specific key–value pairs
 /// (`sock.__filter.context['user'] = req.user` in the paper's MoinMoin
 /// example, Figure 5).
@@ -189,7 +193,6 @@ impl Rule {
 /// assert_eq!(email.output_text(), "Your password is: s3cret");
 /// ```
 pub struct Gate {
-    kind: GateKind,
     name: Option<&'static str>,
     context: Context,
     rules: Vec<Rule>,
@@ -198,8 +201,6 @@ pub struct Gate {
     out: TaintedString,
     /// The fragment `write_str` checks, kept for its capacity.
     plain: TaintedString,
-    /// Queued data the next `read` will pull through the inbound filters.
-    inbound: Vec<TaintedString>,
     write_offset: u64,
     read_offset: u64,
 }
@@ -218,14 +219,12 @@ impl Gate {
     /// it also models the "unmodified PHP" baseline.
     pub fn unguarded(kind: GateKind) -> Self {
         Gate {
-            context: Context::new(kind.clone()),
-            kind,
+            context: Context::new(kind),
             name: None,
             rules: Vec::new(),
             filters: Vec::new(),
             out: TaintedString::new(),
             plain: TaintedString::new(),
-            inbound: Vec::new(),
             write_offset: 0,
             read_offset: 0,
         }
@@ -239,9 +238,9 @@ impl Gate {
         gate
     }
 
-    /// The gate's kind.
+    /// The gate's kind: its context's.
     pub fn kind(&self) -> &GateKind {
-        &self.kind
+        self.context.kind()
     }
 
     /// The gate's name, when it labels a module or function boundary.
@@ -333,7 +332,7 @@ impl Gate {
             if rule.action == RuleAction::Deny && (rule.matches)(data) {
                 return Err(FlowError::Denied(
                     PolicyViolation::new(self.name.unwrap_or("Gate"), Reason::DenyRule(rule.class))
-                        .on_channel(self.kind.clone()),
+                        .on_channel(self.kind().clone()),
                 ));
             }
         }
@@ -381,27 +380,23 @@ impl Gate {
         Ok(())
     }
 
-    /// Queues data on the inbound side, as if it arrived from outside.
-    pub fn feed(&mut self, data: TaintedString) {
-        self.inbound.push(data);
+    /// Reads `data`, which arrived from outside, through the read filters.
+    ///
+    /// Filters may assign initial policies (e.g. deserialize persistent
+    /// policies) or reject the data (e.g. the code-import filter of
+    /// Figure 6).
+    pub fn read(&mut self, data: TaintedString) -> Result<TaintedString> {
+        let buf = self.filter_read(data, self.read_offset)?;
+        self.read_offset += buf.len() as u64;
+        Ok(buf)
     }
 
-    /// Reads the next queued inbound datum through the read filters.
-    ///
-    /// Returns `Ok(None)` when no data is queued. Filters may assign
-    /// initial policies (e.g. deserialize persistent policies) or reject
-    /// the data (e.g. the code-import filter of Figure 6).
-    pub fn read(&mut self) -> Result<Option<TaintedString>> {
-        if self.inbound.is_empty() {
-            return Ok(None);
-        }
-        let mut buf = self.inbound.remove(0);
-        let offset = self.read_offset;
+    /// The one inbound path: every filter's `filter_read`, in order.
+    fn filter_read(&self, mut data: TaintedString, offset: u64) -> Result<TaintedString> {
         for f in &self.filters {
-            buf = f.filter_read(buf, offset, &self.context)?;
+            data = f.filter_read(data, offset, &self.context)?;
         }
-        self.read_offset += buf.len() as u64;
-        Ok(Some(buf))
+        Ok(data)
     }
 
     /// Calls `func` with arguments run through the outbound path and a
@@ -418,11 +413,7 @@ impl Gate {
         for a in args {
             filtered.push(self.export(a)?);
         }
-        let mut ret = func(filtered)?;
-        for f in &self.filters {
-            ret = f.filter_read(ret, 0, &self.context)?;
-        }
-        Ok(ret)
+        self.filter_read(func(filtered)?, 0)
     }
 
     /// Everything that successfully crossed the boundary outward, with
@@ -465,7 +456,7 @@ impl Gate {
 impl fmt::Debug for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Gate")
-            .field("kind", &self.kind)
+            .field("kind", self.kind())
             .field("name", &self.name)
             .field("rules", &self.rules.len())
             .field("filters", &self.filters.len())
@@ -643,10 +634,20 @@ mod tests {
     #[test]
     fn read_pulls_through_filters() {
         let mut g = Gate::new(GateKind::Socket);
-        assert!(g.read().unwrap().is_none());
-        g.feed(TaintedString::from("in"));
-        assert_eq!(g.read().unwrap().unwrap().as_str(), "in");
-        assert!(g.read().unwrap().is_none());
+        let offsets = Arc::new(std::sync::Mutex::new(Vec::new()));
+        for tag in ["a", "b"] {
+            let offsets = Arc::clone(&offsets);
+            g.add_filter(Box::new(FnFilter::on_read(move |d, offset, ctx| {
+                assert_eq!(ctx.channel_type(), "socket");
+                offsets.lock().unwrap().push(offset);
+                Ok(TaintedString::from(format!("{}{tag}", d.as_str()).as_str()))
+            })));
+        }
+        assert_eq!(g.read(TaintedString::from("in")).unwrap().as_str(), "inab");
+        assert_eq!(g.read(TaintedString::from("x")).unwrap().as_str(), "xab");
+        // Each read sees the running inbound offset, once per filter.
+        assert_eq!(*offsets.lock().unwrap(), [0, 0, 4, 4]);
+        assert_eq!(g.output_text(), "", "reading writes nothing");
     }
 
     #[test]

@@ -98,7 +98,8 @@ mod tests {
             assert_eq!(gate.rule_count(), 0, "{kind}");
             assert_eq!(gate.name(), None, "{kind}");
             assert_eq!(gate.context(), &Context::new(kind.clone()), "{kind}");
-            assert_eq!(gate.context().len(), 1, "{kind}: only `type`");
+            assert!(gate.context().is_empty(), "{kind}: no entries");
+            assert_eq!(gate.context().channel_type(), kind.type_name(), "{kind}");
         }
     }
 

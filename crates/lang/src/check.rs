@@ -326,8 +326,9 @@ fn this_for_check(plan: &ClassPlan, fields: &Arc<Fields>) -> Value {
 }
 
 /// Converts a channel context into the script-visible hash table that
-/// `export_check(context)` receives.
+/// `export_check(context)` receives: its entries, and `type` from its kind.
 pub(crate) fn context_to_map(context: &Context) -> Value {
+    let channel_type = ("type".to_string(), Value::str(context.channel_type()));
     let map = context
         .iter()
         .map(|(k, v)| {
@@ -338,6 +339,7 @@ pub(crate) fn context_to_map(context: &Context) -> Value {
             };
             (k.to_string(), val)
         })
+        .chain([channel_type])
         .collect();
     Value::Map(Rc::new(RefCell::new(map)))
 }

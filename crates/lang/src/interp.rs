@@ -30,8 +30,8 @@ use std::sync::{Arc, Mutex};
 use resin_core::sync::mlock;
 use resin_core::{
     merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
-    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, SqlSanitized, TaintedString,
-    Thrown, Tracking, UntrustedData,
+    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, PolicyViolation, Reason,
+    SqlSanitized, TaintedString, Thrown, Tracking, UntrustedData,
 };
 use resin_vfs::Vfs;
 
@@ -610,6 +610,12 @@ impl Interp {
             Builtin::HttpContext => {
                 arity(id, args, 2)?;
                 let key = want_str(&args[0], name)?;
+                if key.as_str() == "type" {
+                    let refused = Reason::Refused("`type` is the channel's kind, not an entry");
+                    return Err(flow_err(FlowError::Denied(
+                        PolicyViolation::new(name, refused).on_channel(GateKind::Http),
+                    )));
+                }
                 let ctx = self.http().context_mut();
                 match &args[1] {
                     Value::Str(s) => ctx.set_str(key.as_str(), s.as_str()),
@@ -1642,6 +1648,91 @@ mod tests {
         }
         let (h1, _) = check_cache_stats();
         assert_eq!(h1 - h0, 0, "mutating checks never hit the cache");
+    }
+
+    #[test]
+    fn a_script_cannot_rename_its_http_channel() {
+        // Figure 2's password may leave by email to its owner. A script
+        // that sets its HTTP channel's `type` to `email` must not turn
+        // `echo` into that email.
+        let mut i = Interp::new();
+        let err = i
+            .run(
+                r#"class Pw { fn init(e) { this.e = e; }
+                     fn export_check(c) {
+                       if (c["type"] == "email" && c["email"] == this.e) { return; }
+                       throw "no";
+                     } }
+                   let pw = policy_add("s3cret", new Pw("u@foo.com"));
+                   http_context("type", "email"); http_context("email", "u@foo.com"); echo(pw);"#,
+            )
+            .unwrap_err();
+        assert!(err.violation, "{err}");
+        assert!(err.message.contains("`type`"), "names the key: {err}");
+        assert!(!err.message.contains("email"), "not the value: {err}");
+        assert!(
+            i.run(r#"http_context("email", "u@foo.com"); echo(pw);"#)
+                .unwrap_err()
+                .violation
+        );
+        assert_eq!(i.http_output(), "");
+    }
+
+    #[test]
+    fn every_view_of_a_channel_type_agrees() {
+        /// A native policy that allows only a channel of type `0`.
+        #[derive(Debug)]
+        struct OnlyOn(&'static str);
+        impl Policy for OnlyOn {
+            fn name(&self) -> &str {
+                "OnlyOn"
+            }
+            fn export_check(&self, c: &Context) -> Result<(), PolicyViolation> {
+                if c.channel_type() == self.0 {
+                    return Ok(());
+                }
+                Err(PolicyViolation::new(
+                    "OnlyOn",
+                    Reason::Refused("another channel"),
+                ))
+            }
+            fn serialize_fields(&self) -> Vec<(String, String)> {
+                vec![("type".to_string(), self.0.to_string())]
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+        }
+        let says_type =
+            policy_class(r#"class SaysType { fn export_check(c) { throw c["type"]; } }"#);
+        let kinds = GateKind::IO_SURFACES
+            .into_iter()
+            .chain([GateKind::Custom("audit")]);
+        for kind in kinds {
+            let name = kind.type_name();
+            let mut gate = Gate::new(kind.clone());
+            assert_eq!(gate.context().channel_type(), name);
+            // Native: the policy for this type passes, another refuses.
+            let other = if name == "http" { "email" } else { "http" };
+            let native = |t| TaintedString::with_policy("x", Arc::new(OnlyOn(t)));
+            gate.write(native(name)).unwrap();
+            assert!(
+                gate.write(native(other)).unwrap_err().is_violation(),
+                "{kind}"
+            );
+            // RSL: `context["type"]`, thrown back as the reason.
+            let script =
+                ScriptPolicy::new("SaysType".into(), BTreeMap::new(), Some(says_type.clone()));
+            let err = gate
+                .write(TaintedString::with_policy("x", Arc::new(script)))
+                .unwrap_err();
+            let thrown = Reason::Threw(Thrown::Text(name.into()));
+            assert_eq!(
+                err.as_violation().map(|v| &v.reason),
+                Some(&thrown),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

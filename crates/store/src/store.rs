@@ -79,8 +79,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
+
+use resin_core::sync::mlock;
 
 use crate::error::{Result, StoreError};
 use crate::io::{checksum, put_str, put_u32, put_u64, Cursor, HashWriter};
@@ -260,6 +262,10 @@ pub struct Store {
     recovery: Recovery,
     /// Advisory single-writer lock, held for the store's lifetime.
     _lock: File,
+    // Each mutex below is consistent at every unlock point (a failed
+    // write is rolled back before the lock drops), so a panicking thread
+    // must not poison the store for every other one: they are taken
+    // with `mlock`.
     wal: Mutex<Wal>,
     /// Current manifest (in-memory mirror of `manifest.bin`); the source
     /// of the entries a checkpoint re-references. Held across a whole
@@ -272,13 +278,6 @@ pub struct Store {
     next_part: AtomicU64,
     last_ckpt_micros: AtomicU64,
     last_ckpt_parts_written: AtomicU64,
-}
-
-// Each of these is consistent at every unlock point (a failed write is
-// rolled back before the lock drops), so a panicking thread must not
-// poison the store for every other one.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Store {
@@ -406,13 +405,13 @@ impl Store {
     /// this off trades crash durability of the very last appends for
     /// throughput — benchmarks and tests only.
     pub fn set_sync(&self, sync: bool) {
-        lock(&self.wal).sync = sync;
+        mlock(&self.wal).sync = sync;
     }
 
     /// Sets the segment rotation threshold in bytes. Small values force
     /// frequent rotation (tests); the default is 4 MiB.
     pub fn set_segment_max_bytes(&self, max: u64) {
-        lock(&self.wal).segment_max = max.max(1);
+        mlock(&self.wal).segment_max = max.max(1);
     }
 
     /// How [`open`](Store::open) found the log: clean, or repaired from
@@ -429,7 +428,7 @@ impl Store {
     /// The sequence number of the most recent append (0 if none yet).
     #[cfg(test)]
     fn seq(&self) -> u64 {
-        lock(&self.wal).seq
+        mlock(&self.wal).seq
     }
 
     /// Marks `part` as written since the last checkpoint, so the next
@@ -437,7 +436,7 @@ impl Store {
     /// A write calls this beside the [`append`](Store::append) that
     /// logged it; recovery calls it for each replayed record.
     pub fn mark_dirty(&self, part: &str) {
-        let mut dirty = lock(&self.dirty);
+        let mut dirty = mlock(&self.dirty);
         if !dirty.contains(part) {
             dirty.insert(part.to_string());
         }
@@ -445,7 +444,7 @@ impl Store {
 
     /// Point-in-time diagnostics counters.
     pub fn stats(&self) -> StoreStats {
-        let wal = lock(&self.wal);
+        let wal = mlock(&self.wal);
         let (segments, live_wal_bytes, seq, base_seq, syncs) = (
             wal.index - wal.first_index + 1,
             wal.live_bytes,
@@ -459,8 +458,8 @@ impl Store {
             live_wal_bytes,
             seq,
             base_seq,
-            parts: lock(&self.manifest).len() as u64,
-            dirty_parts: lock(&self.dirty).len() as u64,
+            parts: mlock(&self.manifest).len() as u64,
+            dirty_parts: mlock(&self.dirty).len() as u64,
             last_checkpoint_parts_written: self.last_ckpt_parts_written.load(Ordering::Relaxed),
             last_checkpoint_micros: self.last_ckpt_micros.load(Ordering::Relaxed),
             syncs,
@@ -486,7 +485,7 @@ impl Store {
                 payload.len()
             )));
         }
-        let mut guard = lock(&self.wal);
+        let mut guard = mlock(&self.wal);
         let wal = &mut *guard;
         wal.seq += 1;
         let seq = wal.seq;
@@ -580,15 +579,15 @@ impl Store {
     {
         let started = Instant::now();
         let parts: Vec<(String, F)> = parts.into_iter().collect();
-        let mut manifest = lock(&self.manifest);
-        let dirty = std::mem::take(&mut *lock(&self.dirty));
+        let mut manifest = mlock(&self.manifest);
+        let dirty = std::mem::take(&mut *mlock(&self.dirty));
         let same_names = manifest.len() == parts.len()
             && manifest
                 .iter()
                 .zip(&parts)
                 .all(|(e, (name, _))| e.name == *name);
         let logged = {
-            let wal = lock(&self.wal);
+            let wal = mlock(&self.wal);
             wal.seq != wal.base_seq
         };
         if dirty.is_empty() && same_names && !logged {
@@ -625,7 +624,7 @@ impl Store {
             Ok(())
         })();
         if result.is_err() {
-            lock(&self.dirty).extend(dirty);
+            mlock(&self.dirty).extend(dirty);
         }
         result
     }
@@ -637,7 +636,7 @@ impl Store {
         manifest: &mut Vec<ManifestEntry>,
         entries: Vec<ManifestEntry>,
     ) -> Result<()> {
-        let mut guard = lock(&self.wal);
+        let mut guard = mlock(&self.wal);
         let wal = &mut *guard;
         let base_seq = wal.seq;
 

@@ -442,9 +442,7 @@ impl Vfs {
     /// on the chain.
     fn file_gate(&self, comps: &[String], path: &str, ctx: &Context) -> Result<Gate> {
         let mut gate = Gate::unguarded(GateKind::File);
-        for (key, value) in ctx.iter() {
-            gate.context_mut().set(key, value.clone());
-        }
+        *gate.context_mut() = Self::merged_file_ctx(ctx);
         gate.context_mut().set_str("path", path);
         for f in self.governing_filters(comps)? {
             gate.add_filter(Box::new(GateMount::new(f)));
@@ -452,7 +450,7 @@ impl Vfs {
         Ok(gate)
     }
 
-    /// The caller's context merged over a fresh file-gate context.
+    /// The caller's entries on a context of kind `File`.
     fn merged_file_ctx(ctx: &Context) -> Context {
         let mut merged = Context::new(GateKind::File);
         for (key, value) in ctx.iter() {
@@ -622,11 +620,7 @@ impl Vfs {
                 deserialize_spans(data.as_str(), &spans).map_err(FlowError::from)
             })));
         }
-        gate.feed(TaintedString::from(file.content.as_str()));
-        Ok(gate
-            .read()
-            .map_err(VfsError::from)?
-            .expect("exactly one datum queued on the gate"))
+        Ok(gate.read(TaintedString::from(file.content.as_str()))?)
     }
 
     /// Reads raw bytes, bypassing policy revival and filters.
@@ -789,6 +783,66 @@ mod tests {
         let mut out = HashWriter::new(Vec::new());
         encode_tree(&mut out, root).unwrap();
         out.finish().unwrap()
+    }
+
+    #[test]
+    fn a_file_gate_is_a_file_channel_whatever_context_the_caller_brings() {
+        use crate::pfilter::{register_filter_class, PersistentFilter};
+        use resin_core::sync::mlock;
+        use resin_core::PolicyViolation;
+        use std::sync::Mutex;
+
+        /// What each hook saw: the channel type, a `type` entry, the
+        /// `path` and the caller's `user`.
+        type Seen = (String, Option<String>, Option<String>, Option<String>);
+        static SEEN: Mutex<Vec<Seen>> = Mutex::new(Vec::new());
+
+        #[derive(Debug)]
+        struct SeesContext;
+        impl SeesContext {
+            fn record(ctx: &Context) -> std::result::Result<(), PolicyViolation> {
+                let get = |key| ctx.get_str(key).map(str::to_string);
+                let seen = (
+                    ctx.channel_type().to_string(),
+                    get("type"),
+                    get("path"),
+                    get("user"),
+                );
+                mlock(&SEEN).push(seen);
+                Ok(())
+            }
+        }
+        impl PersistentFilter for SeesContext {
+            fn name(&self) -> &str {
+                "SeesContextTestFilter"
+            }
+            fn check_write(&self, ctx: &Context) -> std::result::Result<(), PolicyViolation> {
+                Self::record(ctx)
+            }
+            fn check_read(&self, ctx: &Context) -> std::result::Result<(), PolicyViolation> {
+                Self::record(ctx)
+            }
+        }
+        register_filter_class("SeesContextTestFilter", |_| {
+            Ok(Arc::new(SeesContext) as PersistentFilterRef)
+        });
+
+        let mut fs = Vfs::new();
+        fs.mkdir_p("/d", &anon()).unwrap();
+        fs.attach_filter("/d", &(Arc::new(SeesContext) as PersistentFilterRef))
+            .unwrap();
+        let mut http = Context::new(GateKind::Http);
+        http.set_str("user", "alice");
+        fs.write_file("/d/f", &TaintedString::from("hi"), &http)
+            .unwrap();
+        assert_eq!(fs.read_file("/d/f", &http).unwrap().as_str(), "hi");
+        let file = (
+            "file".to_string(),
+            None,
+            Some("/d/f".to_string()),
+            Some("alice".to_string()),
+        );
+        assert_eq!(*mlock(&SEEN), [file.clone(), file]);
     }
 
     #[test]

@@ -36,3 +36,9 @@ pub use resin_vfs as vfs;
 pub use resin_web as web;
 
 pub use resin_core::prelude;
+
+/// `README.md`'s Rust blocks, compiled (and run, unless `no_run`) as
+/// doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

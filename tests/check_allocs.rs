@@ -386,23 +386,23 @@ fn a_warm_gate_open_allocates_its_context_and_chain_only() {
             }
         }) / 1000
     }
-    // A context is 3 (the entry map's node, the `type` key and its
-    // value); a guarded chain is 1 more (the filter list; the default
-    // filter is zero-sized). When every crate opened its gate through a
-    // process-wide registry, looked up by a `String` key, an open cost
-    // one more: 5 for a guarded gate, 4 for an unguarded one, and 5 for
-    // `Response::new()`.
+    // A fresh context is its kind and an empty entry map: nothing. A
+    // guarded chain is 1 (the filter list; the default filter is
+    // zero-sized). While the context stored the kind again as a `type`
+    // entry (the map's node, the key and its value), an open cost 3
+    // more; when every crate opened its gate through a process-wide
+    // registry, looked up by a `String` key, one more again.
     let http = per_open(|| Gate::new(GateKind::Http));
-    assert!(http <= 4, "Gate::new(Http): {http}");
+    assert_eq!(http, 1, "Gate::new(Http)");
     let sql = per_open(|| Gate::unguarded(GateKind::Sql));
-    assert!(sql <= 3, "Gate::unguarded(Sql): {sql}");
+    assert_eq!(sql, 0, "Gate::unguarded(Sql)");
     let response = per_open(Response::new);
-    assert!(response <= 4, "Response::new(): {response}");
+    assert_eq!(response, 1, "Response::new()");
     // The runtime's forward opens the same gates.
     let email = per_open(|| Runtime::global().open(GateKind::Email));
-    assert!(email <= 4, "Runtime::open(Email): {email}");
+    assert_eq!(email, 1, "Runtime::open(Email)");
     let file = per_open(|| Runtime::global().open(GateKind::File));
-    assert!(file <= 3, "Runtime::open(File): {file}");
+    assert_eq!(file, 0, "Runtime::open(File)");
 }
 
 #[test]
@@ -512,10 +512,12 @@ fn a_warm_page_of_gate_writes_allocates_a_fixed_count() {
     assert!(body.contains("Authors: Anonymous</div>"));
     assert!(!body.contains("A. Author"));
     let n = allocations(|| drop(std::hint::black_box(page(title, abstract_, authors))));
-    // The response's context and chain (6), the body and the fragment
-    // `echo_str` checks as each grows (12), and `body()`'s one copy. The
-    // denial is a record of static fields: it allocates nothing.
-    assert_eq!(n, 19, "one warm page");
+    // The response's `user` entry (the map's node, the key and its
+    // value) and chain (4), the body and the fragment `echo_str` checks
+    // as each grows (12), and `body()`'s one copy. The denial is a record
+    // of static fields: it allocates nothing. While the context stored a
+    // `type` entry too, the page cost 19.
+    assert_eq!(n, 17, "one warm page");
 }
 
 #[test]

@@ -31,7 +31,8 @@ fn gate_composes_kind_context_rules_and_filters() {
     assert_eq!(gate.context().get_str("user"), Some("alice"));
     assert_eq!(gate.context().get_int("retries"), Some(2));
     assert!(!gate.context().get_flag("admin"));
-    assert_eq!(gate.context().get_str("type"), Some("audit"));
+    assert_eq!(gate.context().channel_type(), "audit");
+    assert_eq!(gate.context().len(), 3, "the entries set, and no `type`");
     assert_eq!(gate.rule_count(), 2);
     assert_eq!(gate.filter_count(), 2, "default filter + explicit filter");
 
@@ -124,8 +125,10 @@ fn filters_run_in_insertion_order_on_read() {
     gate.add_filter(Box::new(FnFilter::on_read(|d, _, _| {
         Ok(TaintedString::from(format!("{}b", d.as_str()).as_str()))
     })));
-    gate.feed(TaintedString::from("in"));
-    assert_eq!(gate.read().unwrap().unwrap().as_str(), "inab");
+    assert_eq!(
+        gate.read(TaintedString::from("in")).unwrap().as_str(),
+        "inab"
+    );
 }
 
 #[test]
