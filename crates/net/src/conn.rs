@@ -6,11 +6,12 @@
 //! error responses — is testable over in-memory streams; the TCP server
 //! in [`crate::NetServer`] hands it real sockets.
 
+use std::fmt::Write as _;
 use std::io::{self, IoSlice, Read, Write};
 
 use resin_web::{serve_request, ServedPage, WebApp};
 
-use crate::http::{self, HttpError};
+use crate::http::{self, HeadIndex, HttpError};
 
 /// Largest request head (line + headers) a connection takes; beyond
 /// it the connection answers 431 and closes.
@@ -72,7 +73,8 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Writes the head, then the body slice behind it, as one vectored write
-/// where the stream takes it: the body is never copied behind the head.
+/// where the stream takes it: the body is never copied behind the head,
+/// and the head is written into one buffer, sized once.
 fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -80,21 +82,37 @@ fn write_response(
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
+    let reason = reason(status);
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let size = "HTTP/1.1 ".len()
+        + digits(status.into())
+        + 1
+        + reason.len()
+        + 2
+        + headers
+            .iter()
+            .map(|(name, value)| name.len() + 2 + value.len() + 2)
+            .sum::<usize>()
+        + "Content-Length: ".len()
+        + digits(body.len())
+        + "\r\nConnection: ".len()
+        + connection.len()
+        + 4;
+    let mut head = String::with_capacity(size);
+    let fits = "a String takes every write";
+    write!(head, "HTTP/1.1 {status} {reason}\r\n").expect(fits);
     for (name, value) in headers {
         // Gate-approved headers only; the splitting guard already ran.
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(head, "{name}: {value}\r\n").expect(fits);
     }
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n"
-    } else {
-        "Connection: close\r\n"
-    });
-    head.push_str("\r\n");
+    let length = body.len();
+    write!(
+        head,
+        "Content-Length: {length}\r\nConnection: {connection}\r\n\r\n"
+    )
+    .expect(fits);
+    debug_assert_eq!(head.len(), size, "{head:?}");
     let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
     let mut parts = &mut parts[..];
     // Advancing drops each slice written in full, an empty body with the
@@ -190,13 +208,12 @@ pub fn serve_connection<S: Read + Write>(
             return Ok(stats);
         }
 
-        // Phase 2: validate the head and read the declared body.
-        let head_bytes: Vec<u8> = buf.drain(..end).collect();
-        let parsed = http::parse_head(&head_bytes).and_then(|head| {
-            let len = head.body_length()?;
-            Ok((head, len))
+        // Phase 2: validate the head and index it where it lies.
+        let parsed = http::parse_head(&buf[..end]).and_then(|head| {
+            let len = head.body_length()?.unwrap_or(0);
+            Ok((HeadIndex::of(&head, &buf[..end]), len, head.keep_alive()))
         });
-        let (head, body_len) = match parsed {
+        let (index, body_len, keep_alive) = match parsed {
             Ok(ok) => ok,
             Err(e) => {
                 stats.rejected += 1;
@@ -204,30 +221,29 @@ pub fn serve_connection<S: Read + Write>(
                 return Ok(stats);
             }
         };
-        let body = match body_len {
-            None | Some(0) => None,
-            Some(len) if len > MAX_BODY_BYTES => {
+        if body_len > MAX_BODY_BYTES {
+            stats.rejected += 1;
+            write_error(stream, &HttpError::BodyTooLarge)?;
+            return Ok(stats);
+        }
+
+        // Phase 3: read the declared body behind the head, into the same
+        // buffer, and move head and body into the request together. Bytes
+        // of the next request, if any, stay behind.
+        let len = end + body_len;
+        while buf.len() < len {
+            if !fill(stream, &mut buf)? {
                 stats.rejected += 1;
-                write_error(stream, &HttpError::BodyTooLarge)?;
+                write_error(stream, &HttpError::Truncated)?;
                 return Ok(stats);
             }
-            Some(len) => {
-                while buf.len() < len {
-                    if !fill(stream, &mut buf)? {
-                        stats.rejected += 1;
-                        write_error(stream, &HttpError::Truncated)?;
-                        return Ok(stats);
-                    }
-                }
-                Some(buf.drain(..len).collect::<Vec<u8>>())
-            }
-        };
+        }
+        let rest = buf.split_off(len);
+        let req = index.finish_in(std::mem::replace(&mut buf, rest), end);
 
-        // Phase 3: cross the taint boundary and dispatch.
-        let req = http::build_request(&head, body.as_deref());
+        // Phase 4: dispatch; the request's fields are tainted as read.
         let page = serve_request(app, &req);
         stats.served += 1;
-        let keep_alive = head.keep_alive();
         write_page(stream, &page, keep_alive)?;
         stream.flush()?;
         if !keep_alive {
@@ -239,9 +255,10 @@ pub fn serve_connection<S: Read + Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::FlowError;
+    use resin_core::{FlowError, TaintedString};
     use resin_web::{Request, Response};
     use std::io::Cursor;
+    use std::sync::Mutex;
 
     /// An in-memory duplex: reads from `input`, writes into `output`.
     struct Duplex {
@@ -370,6 +387,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every field of `req`: its name, text and spans.
+    fn dump(req: &Request) -> String {
+        let mut out = format!("{:?} {:?}\n", req.method(), req.path());
+        let mut field = |kind: &str, name: &str, value: &TaintedString| {
+            let spans: Vec<_> = value.spans().collect();
+            writeln!(out, "{kind} {name:?} {:?} {spans:?}", value.as_str()).unwrap();
+        };
+        if let Some(v) = req.raw_path() {
+            field("path", "", v);
+        }
+        req.params().for_each(|(k, v)| field("param", k, v));
+        req.headers().for_each(|(k, v)| field("header", k, v));
+        req.cookies().for_each(|(k, v)| field("cookie", k, v));
+        if let Some(v) = req.body() {
+            field("body", "", v);
+        }
+        out
+    }
+
+    /// Records every request it serves.
+    struct Recorder(Mutex<Vec<String>>);
+
+    impl WebApp for Recorder {
+        fn handle(&self, req: &Request, _: &mut Response) -> Result<(), FlowError> {
+            self.0.lock().unwrap().push(dump(req));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_connection_builds_what_build_request_builds() {
+        // One keep-alive stream, so each request but the last is read
+        // with the next one's bytes behind it.
+        let requests: [(&str, &[u8]); 8] = [
+            ("GET /a%2Fb?q=%C3%A9&q=2&&x HTTP/1.1\r\nHost: h\r\nHOST: H2\r\n", b""),
+            (
+                "GET / HTTP/1.1\r\nCookie: sid = abc ;  theme=dark\r\nCOOKIE:  a=b=c ;; x ;\r\n",
+                b"",
+            ),
+            (
+                "POST /p?a=query&b=1 HTTP/1.1\r\nContent-Type: application/x-www-form-urlencoded\r\n",
+                b"a=form&c=%2B+d",
+            ),
+            ("POST /p HTTP/1.1\r\nContent-Type: text/plain\r\n", b"a=b"),
+            ("POST /p HTTP/1.1\r\nCONTENT-TYPE: TEXT/PLAIN\r\n", b"a=b"),
+            ("POST /p HTTP/1.1\r\nX-Empty:\r\n", b"q=\xff%41+x&k="),
+            ("GET /p?x=1 HTTP/1.1\r\n", b"a=b\xc3"),
+            ("GET /caf\u{e9}?n=%FF HTTP/1.1\r\n", b""),
+        ];
+        let mut stream = Vec::new();
+        let mut want = Vec::new();
+        for (head, body) in requests {
+            let mut head = head.to_string();
+            if !body.is_empty() {
+                head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+            }
+            head.push_str("\r\n");
+            let parsed = http::parse_head(head.as_bytes()).unwrap();
+            let body = (!body.is_empty()).then_some(body);
+            want.push(dump(&http::build_request(&parsed, body)));
+            stream.extend_from_slice(head.as_bytes());
+            stream.extend_from_slice(body.unwrap_or_default());
+        }
+        let app = Recorder(Mutex::new(Vec::new()));
+        let mut d = Duplex::new(&stream);
+        let stats = serve_connection(&mut d, &app, Limits::default()).unwrap();
+        assert_eq!(stats.served, requests.len() as u64);
+        assert_eq!(app.0.into_inner().unwrap(), want);
     }
 
     #[test]

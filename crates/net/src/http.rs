@@ -13,14 +13,18 @@
 //!    [`resin_web::Request`] as a policy-labeled value: path, query
 //!    params, headers, cookies, and body each carry
 //!    [`UntrustedData`](resin_core::UntrustedData) with a
-//!    source-specific tag. Downstream, the SQL/XSS/splitting assertions
-//!    key off these labels — identical to requests built in-process,
-//!    because both are tainted by [`untrusted`].
+//!    source-specific tag from the moment a handler reads them.
+//!    Downstream, the SQL/XSS/splitting assertions key off these labels —
+//!    identical to requests built in-process, because both are tainted
+//!    by [`untrusted`].
+//!
+//! [`untrusted`]: resin_web::request::untrusted
 
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
-use resin_web::request::untrusted;
+use resin_web::request::{Field, FieldKind};
 use resin_web::{Method, Request};
 
 #[cfg(test)]
@@ -274,42 +278,40 @@ fn header_line(line: &str) -> Result<(&str, &str), HttpError> {
     Ok((name, value.trim()))
 }
 
+/// The byte an escape's two characters spell, read as
+/// `u8::from_str_radix(h, 16)` reads them: two hex digits, or a `+` sign
+/// and one.
+fn unhex(h: &[u8]) -> Option<u8> {
+    let digit = |c: u8| char::from(c).to_digit(16).map(|d| d as u8);
+    match *h {
+        [b'+', lo] => digit(lo),
+        [hi, lo] => Some(digit(hi)? << 4 | digit(lo)?),
+        _ => None,
+    }
+}
+
 /// Percent-decodes `raw` (plus `+` → space when `form` is set), lossily
 /// UTF-8. Invalid escapes pass through verbatim — the value is tainted
-/// either way. A value with nothing to decode is borrowed; otherwise the
-/// runs between escapes are copied whole.
+/// either way. A value with nothing to decode is borrowed.
 fn percent_decode(raw: &str, form: bool) -> Cow<'_, str> {
     let bytes = raw.as_bytes();
-    let special = |b: &u8| *b == b'%' || (form && *b == b'+');
-    let Some(mut i) = bytes.iter().position(special) else {
+    let Some(start) = bytes.iter().position(|&b| b == b'%' || (form && b == b'+')) else {
         return Cow::Borrowed(raw);
     };
     let mut out = Vec::with_capacity(bytes.len());
-    out.extend_from_slice(&bytes[..i]);
-    while i < bytes.len() {
-        // `bytes[i]` is a `%` or a form-mode `+`.
-        if bytes[i] == b'+' {
-            out.push(b' ');
-            i += 1;
-        } else {
-            let hex = bytes.get(i + 1..i + 3);
-            match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                Some(b) => {
-                    out.push(b);
-                    i += 3;
-                }
-                None => {
-                    out.push(b'%');
-                    i += 1;
-                }
-            }
-        }
-        let run = bytes[i..]
-            .iter()
-            .position(special)
-            .map_or(bytes.len(), |n| i + n);
-        out.extend_from_slice(&bytes[i..run]);
-        i = run;
+    out.extend_from_slice(&bytes[..start]);
+    let mut i = start;
+    while let Some(&b) = bytes.get(i) {
+        let (byte, len) = match b {
+            b'%' => match bytes.get(i + 1..i + 3).and_then(unhex) {
+                Some(decoded) => (decoded, 3),
+                None => (b'%', 1),
+            },
+            b'+' if form => (b' ', 1),
+            b => (b, 1),
+        };
+        out.push(byte);
+        i += len;
     }
     Cow::Owned(match String::from_utf8(out) {
         Ok(text) => text,
@@ -317,17 +319,154 @@ fn percent_decode(raw: &str, form: bool) -> Cow<'_, str> {
     })
 }
 
-/// Splits a query/form string into decoded pairs.
-fn form_pairs(s: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
-    s.split('&').filter(|p| !p.is_empty()).map(|pair| {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        (percent_decode(k, true), percent_decode(v, true))
-    })
+/// `raw` percent-decoded in form mode or not: `raw` itself when nothing
+/// needed decoding, or else the decoded text, appended to `text`.
+fn decoded(text: &mut String, raw: Range<usize>, form: bool) -> Range<usize> {
+    let owned = match percent_decode(&text[raw.clone()], form) {
+        Cow::Borrowed(_) => return raw,
+        Cow::Owned(owned) => owned,
+    };
+    let start = text.len();
+    text.push_str(&owned);
+    start..text.len()
+}
+
+/// Indexes each `name=value` pair of the form-encoded text at `form`,
+/// decoded. Empty pairs are skipped, and a pair without `=` has an empty
+/// value.
+fn index_form(text: &mut String, form: Range<usize>, fields: &mut Vec<Field>) {
+    let mut start = form.start;
+    while start < form.end {
+        let end = text[start..form.end]
+            .find('&')
+            .map_or(form.end, |n| start + n);
+        if end > start {
+            let (name, value) = match text[start..end].find('=') {
+                Some(n) => (start..start + n, start + n + 1..end),
+                None => (start..end, end..end),
+            };
+            let name = decoded(text, name, true);
+            let value = decoded(text, value, true);
+            fields.push(Field::new(FieldKind::Param, name, value));
+        }
+        start = end + 1;
+    }
+}
+
+/// Where `part` starts in `whole`, of which it is a slice.
+fn offset(whole: &[u8], part: &str) -> usize {
+    let at = (part.as_ptr() as usize).wrapping_sub(whole.as_ptr() as usize);
+    assert!(
+        at <= whole.len() && part.len() <= whole.len() - at,
+        "a slice of the head lies in the bytes it was parsed from"
+    );
+    at
+}
+
+/// A head's fields, indexed into the buffer its [`Request`] will own: the
+/// target, and the headers and cookies, which are never decoded. The rest
+/// waits for [`HeadIndex::finish`], when the buffer is the request's and a
+/// decoded name or value can be appended to it.
+pub(crate) struct HeadIndex {
+    method: Method,
+    target: Range<usize>,
+    /// Whether a body is a form.
+    form: bool,
+    fields: Vec<Field>,
+}
+
+impl HeadIndex {
+    /// Indexes `head` in `buf`, the bytes it was parsed from.
+    pub(crate) fn of(head: &Head<'_>, buf: &[u8]) -> HeadIndex {
+        HeadIndex::new(head, |s| {
+            let at = offset(buf, s);
+            at..at + s.len()
+        })
+    }
+
+    /// Indexes `head`, each of whose slices `locate` places in the
+    /// request's buffer: the target, then each header's name and value.
+    fn new(head: &Head<'_>, mut locate: impl FnMut(&str) -> Range<usize>) -> HeadIndex {
+        let target = locate(head.target);
+        // One allocation: room for every header, cookie and query pair.
+        let pieces = |s: &str, sep: u8| s.bytes().filter(|&b| b == sep).count() + 1;
+        let query = head
+            .target
+            .split_once('?')
+            .map_or(0, |(_, q)| pieces(q, b'&'));
+        let cookies: usize = head.all("cookie").map(|v| pieces(v, b';')).sum();
+        let mut fields = Vec::with_capacity(head.headers.len() + cookies + query);
+        for &(name, value) in &head.headers {
+            let name_at = locate(name);
+            let value_at = locate(value);
+            if name.eq_ignore_ascii_case("cookie") {
+                let at = |part: &str| {
+                    let start = value_at.start + offset(value.as_bytes(), part);
+                    start..start + part.len()
+                };
+                for pair in value.split(';') {
+                    let pair = pair.trim();
+                    if pair.is_empty() {
+                        continue;
+                    }
+                    let (k, v) = pair.split_once('=').unwrap_or((pair, &pair[pair.len()..]));
+                    fields.push(Field::new(FieldKind::Cookie, at(k.trim()), at(v.trim())));
+                }
+            }
+            fields.push(Field::new(FieldKind::Header, name_at, value_at));
+        }
+        let form = head
+            .all("content-type")
+            .last()
+            .map(|ct| ct.starts_with("application/x-www-form-urlencoded"))
+            // No declared type: treat a POSTed body as a form, the
+            // common simple-client behavior.
+            .unwrap_or(head.method == Method::Post);
+        HeadIndex {
+            method: head.method,
+            target,
+            form,
+            fields,
+        }
+    }
+
+    /// The request over `bytes`, the buffer the head was indexed in, with
+    /// the body, if one was sent, behind the head's `head_len` bytes.
+    pub(crate) fn finish_in(self, bytes: Vec<u8>, head_len: usize) -> Request {
+        // The head is UTF-8 (`parse_head` checked every line), so only a
+        // body can be taken lossily, as `build_request` takes it.
+        let text = String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+        let body = (text.len() > head_len).then_some(head_len..text.len());
+        self.finish(text, body)
+    }
+
+    /// The request over `text`, which holds the located head and, at
+    /// `body`, the body.
+    fn finish(mut self, mut text: String, body: Option<Range<usize>>) -> Request {
+        let target = self.target.clone();
+        let (path, query) = match text[target.clone()].find('?') {
+            Some(q) => (
+                target.start..target.start + q,
+                Some(target.start + q + 1..target.end),
+            ),
+            None => (target.clone(), None),
+        };
+        let path = decoded(&mut text, path, false);
+        if let Some(query) = query {
+            index_form(&mut text, query, &mut self.fields);
+        }
+        if let Some(body) = body.clone().filter(|_| self.form) {
+            index_form(&mut text, body, &mut self.fields);
+        }
+        Request::from_wire(self.method, text, path, target, body, self.fields)
+    }
 }
 
 /// Builds the application-level [`Request`] from a validated head and
-/// optional body, attaching taint to **every** network-derived value
-/// through [`untrusted`], the tainter in-process requests share:
+/// optional body. Every network-derived value is tainted through
+/// [`untrusted`](resin_web::request::untrusted), the tainter in-process
+/// requests share, when a handler first reads it:
 ///
 /// | field            | source tag     |
 /// |------------------|----------------|
@@ -339,51 +478,33 @@ fn form_pairs(s: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
 ///
 /// The routing key ([`Request::path`]) is the decoded path *component*
 /// only — the query never reaches route matching.
+///
+/// This copies the head's text and the body once, into the one buffer a
+/// [`Request`] owns. [`serve_connection`](crate::serve_connection) copies
+/// nothing: it indexes the head in the buffer it read it into, reads the
+/// body behind it, and moves that buffer into the request.
 pub fn build_request(head: &Head<'_>, body: Option<&[u8]>) -> Request {
-    let (path_part, query) = match head.target.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (head.target, None),
-    };
-    let mut req = match head.method {
-        Method::Get => Request::get(percent_decode(path_part, false)),
-        Method::Post => Request::post(percent_decode(path_part, false)),
-    };
-    req = req.with_raw_path(untrusted(head.target, "http_path"));
-    if let Some(q) = query {
-        for (k, v) in form_pairs(q) {
-            req = req.with_param(k, v);
-        }
-    }
-    for &(name, value) in &head.headers {
-        req = req.with_header(name, value);
-        if name.eq_ignore_ascii_case("cookie") {
-            for pair in value.split(';') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-                req = req.with_cookie(k.trim(), v.trim());
-            }
-        }
-    }
-    if let Some(body) = body {
-        let text = String::from_utf8_lossy(body);
-        let is_form = head
-            .all("content-type")
-            .last()
-            .map(|ct| ct.starts_with("application/x-www-form-urlencoded"))
-            // No declared type: treat a POSTed body as a form, the
-            // common simple-client behavior.
-            .unwrap_or(head.method == Method::Post);
-        if is_form {
-            for (k, v) in form_pairs(&text) {
-                req = req.with_param(k, v);
-            }
-        }
-        req = req.with_body(text);
-    }
-    req
+    // Validation alone is far quicker than a lossy copy's scan.
+    let body = body.map(|b| match std::str::from_utf8(b) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(b),
+    });
+    let body_len = body.as_deref().map_or(0, str::len);
+    let head_len: usize = head.headers.iter().map(|(n, v)| n.len() + v.len()).sum();
+    // Room for a decoded path, query and form body too: percent-decoding
+    // never lengthens a value.
+    let mut text = String::with_capacity(head_len + 2 * (head.target.len() + body_len));
+    let index = HeadIndex::new(head, |s| {
+        let start = text.len();
+        text.push_str(s);
+        start..text.len()
+    });
+    let body = body.map(|b| {
+        let start = text.len();
+        text.push_str(&b);
+        start..text.len()
+    });
+    index.finish(text, body)
 }
 
 #[cfg(test)]
@@ -559,6 +680,18 @@ mod tests {
         assert_eq!(percent_decode("a+b", false), "a+b");
         assert_eq!(percent_decode("bad%2", false), "bad%2");
         assert_eq!(percent_decode("bad%zz", false), "bad%zz");
+        assert_eq!(percent_decode("%+a%+", true), "\n% ");
+        assert_eq!(percent_decode("a%C3%A9%FF", false), "a\u{e9}\u{fffd}");
+    }
+
+    #[test]
+    fn an_escape_reads_as_from_str_radix_reads_it() {
+        for h in (0..=u16::MAX).map(u16::to_be_bytes) {
+            let want = std::str::from_utf8(&h)
+                .ok()
+                .and_then(|s| u8::from_str_radix(s, 16).ok());
+            assert_eq!(unhex(&h), want, "{h:?}");
+        }
     }
 
     #[test]

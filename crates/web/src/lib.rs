@@ -63,7 +63,7 @@ pub mod whois;
 
 pub use email::{Mailer, SentEmail};
 pub use html::{check_html_markers, check_html_structure, html_escape};
-pub use request::{Method, Request, Upload};
+pub use request::{Method, Request};
 pub use response::Response;
 pub use server::{serve_request, ServedPage, WebApp};
 pub use session::{
