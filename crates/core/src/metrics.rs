@@ -26,9 +26,10 @@ use crate::sync::mlock;
 /// each one's scope and unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Crossings that reused the materialized `this` or an earlier allow.
+    /// Crossings that reused an earlier allow, or executed on the field
+    /// snapshot their class plan last executed on this thread.
     CheckCacheHits,
-    /// Crossings that built `this` afresh.
+    /// Crossings that executed on another snapshot.
     CheckCacheMisses,
     /// Crossings that reused an earlier allow instead of executing.
     VerdictsReused,

@@ -1,41 +1,36 @@
 //! Script-policy gate crossings: running a class's `export_check`
 //! against a channel context, every time data it guards crosses a gate.
 //!
-//! A crossing should cost what the policy's bytecode costs, so everything
-//! that does not depend on the crossing is resolved once and kept:
+//! A policy's fields are frozen once, when its
+//! [`ScriptPolicy`](crate::ScriptPolicy) is made: `this` is that
+//! read-only [`Frozen`] instance, read where it lies, and so is the
+//! `$context` map. A store into either fails closed as a violation naming
+//! it, so no crossing can change what another reads, and a verdict is a
+//! function of the class, the snapshot and the context's content. What
+//! does not depend on the crossing is resolved once and kept:
 //!
-//! * a `ClassPlan` per class declaration — the certificate (below),
-//!   `export_check`'s chunk and the chunk of every other method, each
-//!   compiled once, on first use. Registering a policy class lints it, and
-//!   the linter ([`crate::analysis`]) reads these chunks, so a registered
-//!   class's crossings run the very code that was linted and certified.
-//!   A [`ScriptPolicy`](crate::ScriptPolicy)
-//!   resolves its plan once (one look in the process-wide table) and holds
-//!   it, so a crossing, and every `this.m()` inside it, takes no lock;
+//! * a `ClassPlan` per class declaration: each method's chunk, compiled
+//!   once, on first use — the chunks the linter ([`crate::analysis`]) read
+//!   when the class was registered. A policy resolves its plan once and
+//!   holds it, so a crossing, and every `this.m()` inside it, takes no
+//!   lock;
 //! * the VM's buffers, per thread. A crossing runs on them with its plan
 //!   and no script host: no global, function or other class exists, and a
 //!   host builtin (output, mail, files, gates, `import`) or a definition
 //!   fails closed as a violation naming it, so no check crosses a gate;
-//! * for a class a small bytecode checker certifies pure
-//!   (`ClassPlan::certify`, the only eligibility rule), per thread: one
-//!   materialized `this` per class declaration, revalidated by the identity
-//!   of the policy's field snapshot (equality only when the pointers
-//!   differ); the `$context` map of the last context seen; and the allows
-//!   of the current context — a crossing whose (plan, field-snapshot
+//! * per thread, the `$context` map of the last context seen, and the
+//!   allows of the current context — a crossing whose (plan, snapshot
 //!   identity, context stamp) already allowed is not executed again. A
 //!   deny is always executed again.
 //!
 //! [`set_check_cache`]`(false)` is the from-scratch path — the same
 //! evaluator over fresh buffers and a fresh plan that no table holds and
-//! no counter sees, a fresh `this`, a fresh context map, no verdict
-//! reused — and debug builds run it after every served
-//! crossing of a certified class and after every reused verdict, and panic
-//! when the two verdicts differ or when a cached `this` is no longer
-//! exactly its snapshot.
+//! no counter sees, a fresh context map, no verdict reused — and debug
+//! builds run it after every served crossing and after every reused
+//! verdict, and panic when the two verdicts differ.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -43,21 +38,17 @@ use resin_core::metrics::{self, Counter};
 use resin_core::{Context, CtxValue, PolicyViolation, Reason};
 
 use crate::ast::ClassDecl;
-use crate::chunk::{Chunk, Op};
-use crate::interp::{thrown, Flow, LangError, Reach, R};
-use crate::value::{Obj, PValue, Value};
+use crate::chunk::Chunk;
+use crate::interp::{thrown, Flow, LangError, R};
+use crate::value::{Entry, Frozen, Value};
 use crate::vm::Bufs;
-
-/// A policy's field snapshot, as [`ScriptPolicy`](crate::ScriptPolicy)
-/// shares it with the check caches.
-pub(crate) type Fields = BTreeMap<String, PValue>;
 
 // ---- the per-class plan ----
 
 /// What a crossing needs from a class declaration, resolved once.
 #[derive(Debug)]
 pub(crate) struct ClassPlan {
-    /// Key of this plan's `this` slot in each thread's table.
+    /// Key of this plan in each thread's tables.
     id: u64,
     class: Arc<ClassDecl>,
     /// Index of `export_check` among the class's methods.
@@ -65,9 +56,6 @@ pub(crate) struct ClassPlan {
     /// One chunk per method, parallel to `class.methods`, compiled on
     /// first use.
     chunks: Vec<OnceLock<Arc<Chunk>>>,
-    /// [`ClassPlan::certify`]'s verdict: the crossing may reuse `this`,
-    /// the context map and an earlier allow.
-    pub(crate) certified: bool,
     /// Whether compiling a chunk counts as
     /// [`Counter::PolicyChunksCompiled`] (not for a from-scratch
     /// crossing's plan).
@@ -75,81 +63,17 @@ pub(crate) struct ClassPlan {
 }
 
 impl ClassPlan {
-    /// The plan of `class`; `counted` and certified, unless it is for one
-    /// from-scratch crossing.
+    /// The plan of `class`; `counted` unless it is for one from-scratch
+    /// crossing.
     fn new(class: &Arc<ClassDecl>, counted: bool) -> ClassPlan {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let mut plan = ClassPlan {
+        ClassPlan {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             class: class.clone(),
             export_check: class.methods.iter().position(|m| m.name == "export_check"),
             chunks: class.methods.iter().map(|_| OnceLock::new()).collect(),
-            certified: false,
             counted,
-        };
-        plan.certified = counted && plan.certify();
-        plan
-    }
-
-    /// The certificate: a run of `export_check` is pure, so its verdict is
-    /// a function of the class, the field snapshot and the context's
-    /// content, and the cached `this` and context map may serve it.
-    ///
-    /// No instruction of `export_check`, or of a method it reaches by a
-    /// resolved `this.m()`, is a `SetProp`, `SetIndex`, `push`/`pop`,
-    /// `Assign` (it may fall back to a global), global, `Call`, `New`,
-    /// `Define` or a builtin that does more than compute. A crossing runs
-    /// without a script host, so no global, function or other class
-    /// exists, and an unbound local fails the same way every time. The
-    /// only object reachable is `this` (fields and context
-    /// hold none). With no store the run cannot change `this`, the context
-    /// map or a container inside either, nor build a cycle; with no store,
-    /// global or definition it cannot keep a reference to either after it
-    /// returns — `[this]`, or a returned or thrown `this`, lives in its
-    /// registers only.
-    fn certify(&self) -> bool {
-        let Some(entry) = self.export_check else {
-            return false;
-        };
-        let mut seen = vec![false; self.chunks.len()];
-        seen[entry] = true;
-        let mut todo = vec![entry];
-        while let Some(method) = todo.pop() {
-            let Ok(chunk) = self.chunk(method) else {
-                return false;
-            };
-            for op in &chunk.code {
-                match *op {
-                    Op::Move { .. }
-                    | Op::MakeArray { .. }
-                    | Op::Not { .. }
-                    | Op::Neg { .. }
-                    | Op::Add { .. }
-                    | Op::Sub { .. }
-                    | Op::Mul { .. }
-                    | Op::Div { .. }
-                    | Op::Mod { .. }
-                    | Op::Cmp { .. }
-                    | Op::CmpJump { .. }
-                    | Op::Jump(_)
-                    | Op::JumpIf { .. }
-                    | Op::GetProp { .. }
-                    | Op::Index { .. }
-                    | Op::Return { .. }
-                    | Op::Throw { .. } => {}
-                    Op::CallBuiltin { id, .. } if id.reach() == Reach::Computes => {}
-                    Op::Method { index, .. } if index != Op::UNRESOLVED => {
-                        let index = index as usize;
-                        if !std::mem::replace(&mut seen[index], true) {
-                            todo.push(index);
-                        }
-                    }
-                    // Anything else, an instruction added later included.
-                    _ => return false,
-                }
-            }
         }
-        true
     }
 
     /// The class this plan was resolved for.
@@ -191,35 +115,29 @@ fn plan_table() -> MutexGuard<'static, HashMap<usize, Arc<ClassPlan>>> {
 /// the entry lives.
 pub(crate) fn plan_for(class: &Arc<ClassDecl>) -> Arc<ClassPlan> {
     let key = Arc::as_ptr(class) as usize;
-    if let Some(plan) = plan_table().get(&key) {
+    let mut plans = plan_table();
+    if let Some(plan) = plans.get(&key) {
         return plan.clone();
     }
-    // The certificate, which compiles, runs outside the lock.
-    let plan = Arc::new(ClassPlan::new(class, true));
-    let mut plans = plan_table();
     if plans.len() >= PLAN_TABLE_CAP {
         plans.clear();
     }
-    plans.entry(key).or_insert(plan).clone()
+    let plan = Arc::new(ClassPlan::new(class, true));
+    plans.insert(key, plan.clone());
+    plan
 }
 
 // ---- per-thread state ----
 
-/// A materialized `this` and the snapshot it was built from.
-struct ThisSlot {
-    snap: Arc<Fields>,
-    obj: Rc<RefCell<Obj>>,
-}
+/// Entries a thread's `LAST_CROSSED` table keeps before it is cleared.
+const LAST_CROSSED_CAP: usize = 256;
 
-/// `this` slots a thread keeps before its table is cleared.
-const THIS_SLOT_CAP: usize = 256;
-
-/// The crossings of certified plans that allowed under one context stamp.
+/// The crossings that allowed under one context stamp.
 struct Allowed {
     stamp: u64,
-    /// `(plan id, field snapshot)`; the held clone keeps the snapshot's
-    /// address from being reused while the entry lives.
-    entries: Vec<(u64, Arc<Fields>)>,
+    /// `(plan id, snapshot)`; the held clone keeps the snapshot's address
+    /// from being reused while the entry lives.
+    entries: Vec<(u64, Arc<Frozen>)>,
 }
 
 /// Allows a thread keeps for one context before it starts over.
@@ -231,12 +149,15 @@ thread_local! {
         stamp: 0,
         entries: Vec::with_capacity(ALLOWED_CAP),
     });
-    /// One slot per class plan. Each pins its class (through the object),
-    /// which is why the table is bounded.
-    static THIS_SLOTS: RefCell<HashMap<u64, ThisSlot>> = RefCell::new(HashMap::new());
+    /// Per class plan, the snapshot this thread last executed a crossing
+    /// of. Its one job is [`check_cache_stats`]'s count: a crossing of
+    /// that same snapshot (the same allocation, or equal content) is a
+    /// hit. Each entry pins its class (through the snapshot), which is why
+    /// the table is bounded.
+    static LAST_CROSSED: RefCell<HashMap<u64, Arc<Frozen>>> = RefCell::new(HashMap::new());
     /// Single-slot `$context` map cache keyed by the context's content
-    /// stamp (equal stamps guarantee equal content). Only certified checks
-    /// consult or fill it, so the cached map is never mutated.
+    /// stamp (equal stamps guarantee equal content). The map is frozen, so
+    /// no check can change what the next one reads.
     static CTX_MAP: RefCell<Option<(u64, Value)>> = const { RefCell::new(None) };
     /// The crossings' VM buffers. A crossing takes them and puts them
     /// back, so a panic loses them.
@@ -245,21 +166,21 @@ thread_local! {
 }
 
 /// Disables (or re-enables) this thread's policy-check caches — the cached
-/// `this`, the cached context map, the reused allows, and the check plan
-/// and VM buffers a crossing would otherwise share with others. For tests
-/// that need the from-scratch crossing as a baseline; production callers
-/// leave the caches on.
+/// context map, the reused allows, and the check plan and VM buffers a
+/// crossing would otherwise share with others. For tests that need the
+/// from-scratch crossing as a baseline; production callers leave the
+/// caches on.
 pub fn set_check_cache(enabled: bool) {
     CHECK_CACHE_ENABLED.with(|c| c.set(enabled));
 }
 
 /// This thread's policy-check cache counts `(hits, misses)`, the
 /// [`Counter::CheckCacheHits`] and [`Counter::CheckCacheMisses`] of
-/// [`metrics::thread`]: a hit means a crossing reused the materialized
-/// `this`, or did not execute at all because it reused an allow of the
-/// same snapshot under the same context ([`Counter::VerdictsReused`]); a
-/// miss means it rebuilt `this` (first crossing, uncertified class, or
-/// changed fields).
+/// [`metrics::thread`]: a hit means a crossing did not execute at all
+/// because it reused an allow of the same snapshot under the same context
+/// ([`Counter::VerdictsReused`]), or executed on the snapshot its class
+/// plan last executed on this thread; a miss means it executed on another
+/// (first crossing, changed fields, or the caches off).
 pub fn check_cache_stats() -> (u64, u64) {
     (
         metrics::thread(Counter::CheckCacheHits),
@@ -267,89 +188,44 @@ pub fn check_cache_stats() -> (u64, u64) {
     )
 }
 
-pub(crate) fn materialize(class: &Arc<ClassDecl>, fields: &Fields) -> Rc<RefCell<Obj>> {
-    Rc::new(RefCell::new(Obj {
-        class: class.clone(),
-        fields: fields
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect(),
-    }))
+/// Counts an executed crossing of `this` as a hit or a miss, and makes
+/// `this` the plan's last crossed snapshot.
+fn count_executed(plan: &ClassPlan, this: &Arc<Frozen>) {
+    let last = LAST_CROSSED.with(|table| {
+        let mut table = table.borrow_mut();
+        if table.len() >= LAST_CROSSED_CAP && !table.contains_key(&plan.id) {
+            table.clear();
+        }
+        table.insert(plan.id, this.clone())
+    });
+    let hit = last.is_some_and(|last| Arc::ptr_eq(&last, this) || last == *this);
+    metrics::inc(match hit {
+        true => Counter::CheckCacheHits,
+        false => Counter::CheckCacheMisses,
+    });
 }
 
-/// Rebuilds a cached `this` from a new snapshot — in place, keeping the
-/// keys and whatever buffers nothing else shares, when this slot holds the
-/// only reference (a certified run keeps none) and the snapshot has the
-/// keys of the last one (a certified run adds none); anew otherwise.
-fn rematerialize(obj: &mut Rc<RefCell<Obj>>, class: &Arc<ClassDecl>, fields: &Fields) {
-    match Rc::get_mut(obj).map(RefCell::get_mut) {
-        Some(this) if this.fields.keys().eq(fields.keys()) => {
-            for (slot, v) in this.fields.values_mut().zip(fields.values()) {
-                v.store_into(slot);
-            }
-        }
-        _ => *obj = materialize(class, fields),
-    }
-}
-
-/// The `this` of a crossing: the class's cached object when the check is
-/// certified and the snapshot is the one it was built from.
-fn this_for_check(plan: &ClassPlan, fields: &Arc<Fields>) -> Value {
-    if !plan.certified {
-        metrics::inc(Counter::CheckCacheMisses);
-        return Value::Object(materialize(&plan.class, fields));
-    }
-    THIS_SLOTS.with(|slots| {
-        let mut slots = slots.borrow_mut();
-        if let Some(slot) = slots.get_mut(&plan.id) {
-            if Arc::ptr_eq(&slot.snap, fields) || slot.snap == *fields {
-                metrics::inc(Counter::CheckCacheHits);
-            } else {
-                metrics::inc(Counter::CheckCacheMisses);
-                rematerialize(&mut slot.obj, &plan.class, fields);
-                slot.snap = fields.clone();
-            }
-            return Value::Object(slot.obj.clone());
-        }
-        metrics::inc(Counter::CheckCacheMisses);
-        if slots.len() >= THIS_SLOT_CAP {
-            slots.clear();
-        }
-        let obj = materialize(&plan.class, fields);
-        let slot = ThisSlot {
-            snap: fields.clone(),
-            obj: obj.clone(),
-        };
-        slots.insert(plan.id, slot);
-        Value::Object(obj)
-    })
-}
-
-/// Converts a channel context into the script-visible hash table that
+/// Converts a channel context into the frozen map that
 /// `export_check(context)` receives: its entries, and `type` from its kind.
 pub(crate) fn context_to_map(context: &Context) -> Value {
-    let channel_type = ("type".to_string(), Value::str(context.channel_type()));
+    let channel_type = ("type".to_string(), Entry::str(context.channel_type()));
     let map = context
         .iter()
         .map(|(k, v)| {
-            let val = match v {
-                CtxValue::Str(s) => Value::str(s.clone()),
-                CtxValue::Int(i) => Value::int(*i),
-                CtxValue::Bool(b) => Value::Bool(*b),
+            let entry = match v {
+                CtxValue::Str(s) => Entry::str(s.as_str()),
+                CtxValue::Int(i) => Entry::Int(*i),
+                CtxValue::Bool(b) => Entry::Bool(*b),
             };
-            (k.to_string(), val)
+            (k.to_string(), entry)
         })
         .chain([channel_type])
         .collect();
-    Value::Map(Rc::new(RefCell::new(map)))
+    Value::Frozen(Arc::new(Frozen::Map(map)))
 }
 
-/// The `$context` argument map, served from the stamp-keyed cache when
-/// the check is certified.
-fn context_map_for_check(context: &Context, certified: bool) -> Value {
-    if !certified {
-        return context_to_map(context);
-    }
+/// The `$context` argument map, served from the stamp-keyed cache.
+fn context_map(context: &Context) -> Value {
     CTX_MAP.with(|slot| {
         let mut slot = slot.borrow_mut();
         match &*slot {
@@ -365,25 +241,25 @@ fn context_map_for_check(context: &Context, certified: bool) -> Value {
 
 /// True when this snapshot of the plan's class already allowed under the
 /// context stamped `stamp`.
-fn allowed_before(plan: &ClassPlan, fields: &Arc<Fields>, stamp: u64) -> bool {
+fn allowed_before(plan: &ClassPlan, this: &Arc<Frozen>, stamp: u64) -> bool {
     ALLOWED.with(|allowed| {
         let allowed = allowed.borrow();
         allowed.stamp == stamp
             && allowed
                 .entries
                 .iter()
-                .any(|(id, snap)| *id == plan.id && Arc::ptr_eq(snap, fields))
+                .any(|(id, snap)| *id == plan.id && Arc::ptr_eq(snap, this))
     })
 }
 
-fn remember_allowed(plan: &ClassPlan, fields: &Arc<Fields>, stamp: u64) {
+fn remember_allowed(plan: &ClassPlan, this: &Arc<Frozen>, stamp: u64) {
     ALLOWED.with(|allowed| {
         let mut allowed = allowed.borrow_mut();
         if allowed.stamp != stamp || allowed.entries.len() >= ALLOWED_CAP {
             allowed.stamp = stamp;
             allowed.entries.clear();
         }
-        allowed.entries.push((plan.id, fields.clone()));
+        allowed.entries.push((plan.id, this.clone()));
     })
 }
 
@@ -398,12 +274,12 @@ pub(crate) fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViol
     Err(PolicyViolation::new(class_name.to_owned(), reason))
 }
 
-/// One crossing: runs the plan's `export_check` over `fields` against the
-/// channel context — the bridge that lets Rust-side filters invoke
-/// script-defined assertion code.
+/// One crossing: runs the plan's `export_check` on the frozen instance
+/// `this` against the channel context — the bridge that lets Rust-side
+/// filters invoke script-defined assertion code.
 pub(crate) fn cross(
     plan: &ClassPlan,
-    fields: &Arc<Fields>,
+    this: &Arc<Frozen>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
     if plan.export_check.is_none() {
@@ -412,30 +288,25 @@ pub(crate) fn cross(
     if !CHECK_CACHE_ENABLED.with(|c| c.get()) {
         metrics::inc(Counter::CheckCacheMisses);
         metrics::inc(Counter::ScriptCrossings);
-        return from_scratch(&plan.class, fields, context);
+        return from_scratch(&plan.class, this, context);
     }
     let stamp = context.cache_stamp();
-    if allowed_before(plan, fields, stamp) {
+    if allowed_before(plan, this, stamp) {
         metrics::inc(Counter::CheckCacheHits);
         metrics::inc(Counter::VerdictsReused);
         #[cfg(debug_assertions)]
-        oracle::compare(&plan.class, fields, context, &Ok(()));
+        compare_from_scratch(&plan.class, this, context, &Ok(()));
         return Ok(());
     }
-    let this = this_for_check(plan, fields);
+    count_executed(plan, this);
     metrics::inc(Counter::ScriptCrossings);
     let mut bufs = BUFS.take();
-    let served = execute(plan, &mut bufs, this, || {
-        context_map_for_check(context, plan.certified)
-    });
+    let served = execute(plan, &mut bufs, this, || context_map(context));
     BUFS.set(bufs);
     #[cfg(debug_assertions)]
-    if plan.certified {
-        oracle::compare(&plan.class, fields, context, &served);
-        oracle::this_matches_its_snapshot(plan, fields);
-    }
-    if served.is_ok() && plan.certified {
-        remember_allowed(plan, fields, stamp);
+    compare_from_scratch(&plan.class, this, context, &served);
+    if served.is_ok() {
+        remember_allowed(plan, this, stamp);
     }
     served
 }
@@ -445,25 +316,24 @@ pub(crate) fn cross(
 fn execute(
     plan: &ClassPlan,
     bufs: &mut Bufs,
-    this: Value,
+    this: &Arc<Frozen>,
     arg: impl FnOnce() -> Value,
 ) -> Result<(), PolicyViolation> {
     let method = plan.export_check.expect("the plan found export_check");
     let arg = (!plan.class.methods[method].params.is_empty()).then(arg);
-    let flow = crate::vm::cross(plan, bufs, method, arg, this);
+    let flow = crate::vm::cross(plan, bufs, method, arg, Value::Frozen(this.clone()));
     verdict(flow, &plan.class.name)
 }
 
-/// A crossing that shares nothing with any other: fresh buffers, a fresh
-/// plan that compiles what it calls, a fresh `this`, a fresh context map.
-/// Touches no counter.
+/// A crossing that shares nothing with any other but the frozen instance:
+/// fresh buffers, a fresh plan that compiles what it calls, a fresh
+/// context map. Touches no counter.
 fn from_scratch(
     class: &Arc<ClassDecl>,
-    fields: &Fields,
+    this: &Arc<Frozen>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
     let plan = ClassPlan::new(class, false);
-    let this = Value::Object(materialize(class, fields));
     execute(&plan, &mut Bufs::default(), this, || {
         context_to_map(context)
     })
@@ -472,73 +342,28 @@ fn from_scratch(
 /// The cache-transparency oracle of debug builds: a crossing the caches
 /// served runs again from scratch, and the verdicts must agree.
 #[cfg(debug_assertions)]
-mod oracle {
-    use super::*;
-
-    pub(super) fn compare(
-        class: &Arc<ClassDecl>,
-        fields: &Fields,
-        context: &Context,
-        served: &Result<(), PolicyViolation>,
-    ) {
-        let scratch = from_scratch(class, fields, context);
-        assert!(
-            scratch == *served,
-            "the check caches changed the verdict of policy class `{}`: \
-             served {served:?}, from scratch {scratch:?}",
-            class.name
-        );
-    }
-
-    /// After a served crossing of a certified class, the `this` the next
-    /// crossing will reuse must still be exactly the snapshot: the same
-    /// fields, each converting back to the snapshot's value.
-    pub(super) fn this_matches_its_snapshot(plan: &ClassPlan, fields: &Fields) {
-        THIS_SLOTS.with(|slots| {
-            let slots = slots.borrow();
-            let Some(slot) = slots.get(&plan.id) else {
-                return;
-            };
-            let this = slot.obj.borrow();
-            let differs = |name: &&String| match (this.fields.get(*name), fields.get(*name)) {
-                (Some(value), Some(snap)) => !converts_to(value, snap),
-                _ => true,
-            };
-            if let Some(name) = this.fields.keys().chain(fields.keys()).find(differs) {
-                panic!(
-                    "the check caches left field `{name}` of policy class `{}` at {:?}, \
-                     its snapshot holds {:?}",
-                    plan.class.name,
-                    this.fields.get(name),
-                    fields.get(name)
-                );
-            }
-        })
-    }
-
-    /// `PValue::from_value(value) == Some(snap)`, without building the
-    /// conversion (a warm crossing allocates nothing, oracle or not).
-    pub(super) fn converts_to(value: &Value, snap: &PValue) -> bool {
-        match (value, snap) {
-            (Value::Null, PValue::Null) => true,
-            (Value::Bool(a), PValue::Bool(b)) => a == b,
-            (Value::Int(a, _), PValue::Int(b)) => a == b,
-            (Value::Str(a), PValue::Str(b)) => a.as_str() == b,
-            (Value::Array(a), PValue::List(b)) => {
-                let a = a.borrow();
-                a.len() == b.len() && a.iter().zip(b).all(|(a, b)| converts_to(a, b))
-            }
-            _ => false,
-        }
-    }
+fn compare_from_scratch(
+    class: &Arc<ClassDecl>,
+    this: &Arc<Frozen>,
+    context: &Context,
+    served: &Result<(), PolicyViolation>,
+) {
+    let scratch = from_scratch(class, this, context);
+    assert!(
+        scratch == *served,
+        "the check caches changed the verdict of policy class `{}`: \
+         served {served:?}, from scratch {scratch:?}",
+        class.name
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::StmtKind;
-    use crate::interp::Builtin;
+    use crate::interp::{Builtin, Reach};
     use crate::parser::parse_program;
+    use crate::value::PValue;
     use crate::ScriptPolicy;
     use resin_core::{GateKind, Policy};
 
@@ -738,7 +563,6 @@ mod tests {
                 }
             }"#,
         );
-        assert!(!plan_for(&reent).certified);
         let of = |depth: i64, channel: &str| {
             policy(
                 &reent,
@@ -817,7 +641,6 @@ mod tests {
     #[test]
     fn each_instance_is_judged_by_its_own_fields() {
         let quota = class(QUOTA);
-        assert!(plan_for(&quota).certified);
         let of = |w: [i64; 2], limit: i64, name: &str| {
             policy(
                 &quota,
@@ -835,18 +658,17 @@ mod tests {
         for i in [1, 3, 4] {
             assert!(seen[i].as_ref().unwrap_err().ends_with("over tight"));
         }
-        // Alternating instances rebuild `this` every time they execute; the
-        // same one twice in a row reuses it. `roomy` executes once under
-        // this context (a miss) and then reuses its allow twice (two hits
-        // that leave `this` alone), so `tight`'s denies miss once and then
-        // find the slot holding `tight` twice.
+        // Alternating instances miss every time they execute; the same one
+        // twice in a row hits. `roomy` executes once under this context (a
+        // miss) and then reuses its allow twice (two hits that leave the
+        // last crossed snapshot alone), so `tight`'s denies miss once and
+        // then find it is `tight` twice.
         let (h0, m0) = check_cache_stats();
         verdicts(&[&roomy, &tight, &roomy, &roomy, &tight, &tight], &http());
         let (h1, m1) = check_cache_stats();
         assert_eq!((h1 - h0, m1 - m0), (4, 2));
         // Equal fields in a separately allocated map are the same snapshot.
         let twin = of([5, 6], 10, "tight");
-        assert!(!std::ptr::eq(twin.fields(), tight.fields()));
         let seen = verdicts(&[&tight, &twin, &tight], &http());
         assert!(seen.iter().all(|v| v.is_err()));
         let (h2, m2) = check_cache_stats();
@@ -855,9 +677,8 @@ mod tests {
 
     #[test]
     fn a_rebuilt_this_is_the_new_snapshot_whatever_its_shape() {
-        // The in-place rebuild keeps buffers; lists that grow and shrink,
-        // fields that appear, vanish and change type must all come out as
-        // a fresh `this` would.
+        // Lists that grow and shrink, fields that appear, vanish and change
+        // type: each crossing's `this` is its own policy's snapshot.
         let shape = class(
             r#"class Shape {
                 fn export_check(context) {
@@ -865,7 +686,6 @@ mod tests {
                 }
             }"#,
         );
-        assert!(plan_for(&shape).certified);
         let list = |items: &[&str]| {
             PValue::List(items.iter().map(|s| PValue::Str(s.to_string())).collect())
         };
@@ -907,13 +727,13 @@ mod tests {
             policy(&decl, &[("n", PValue::Int(1))])
                 .export_check(&http())
                 .unwrap();
-            assert!(THIS_SLOTS.with(|s| s.borrow().len()) <= THIS_SLOT_CAP);
+            assert!(LAST_CROSSED.with(|s| s.borrow().len()) <= LAST_CROSSED_CAP);
         }
         assert!(plan_table().len() <= PLAN_TABLE_CAP);
         assert_eq!(
             Arc::strong_count(&first),
             1,
-            "evicted with its plan and its `this`"
+            "evicted with its plan and its snapshot"
         );
     }
 
@@ -952,10 +772,6 @@ mod tests {
         }"#,
     ];
 
-    fn certified(src: &str) -> bool {
-        plan_for(&class(src)).certified
-    }
-
     fn verdicts_reused() -> u64 {
         metrics::thread(Counter::VerdictsReused)
     }
@@ -971,14 +787,8 @@ mod tests {
         (h1 - h0 + m1 - m0 - reused, reused)
     }
 
-    /// The builtins the certificate counts pure.
-    const COMPUTES: [&str; 13] = [
-        "len", "substr", "upper", "lower", "trim", "contains", "replace", "split", "join", "str",
-        "int", "typeof", "keys",
-    ];
-
-    /// The others: they reach the host, or change a container or a label.
-    const REACHES_OUT: [&str; 20] = [
+    /// Every builtin, by name.
+    const BUILTINS: [&str; 33] = [
         "echo",
         "http_context",
         "set_email_preview",
@@ -987,9 +797,22 @@ mod tests {
         "policy_add",
         "policy_remove",
         "policy_get",
+        "len",
+        "substr",
+        "upper",
+        "lower",
+        "trim",
+        "contains",
+        "replace",
+        "split",
+        "join",
+        "str",
+        "int",
+        "typeof",
         "push",
         "pop",
         "map",
+        "keys",
         "mkdir",
         "file_write",
         "file_append",
@@ -1001,10 +824,16 @@ mod tests {
         "assert",
     ];
 
+    /// What a crossing gets for a store into its policy's fields or its
+    /// context.
+    fn store_refused(what: &str) -> String {
+        refusal(&format!("a store into {what}"))
+    }
+
     #[test]
     fn a_crossing_refuses_exactly_the_host_builtins() {
         let ctx = http();
-        for name in COMPUTES.iter().chain(&REACHES_OUT) {
+        for name in BUILTINS {
             let id = Builtin::from_name(name).expect("a builtin");
             let src = format!("class Calls {{ fn export_check(c) {{ {name}(); }} }}");
             let seen = served_and_scratch(&[&policy(&class(&src), &[])], &ctx);
@@ -1016,98 +845,193 @@ mod tests {
     }
 
     #[test]
-    fn read_only_classes_are_certified() {
-        for src in PAGE_CLASSES.iter().chain(&[OWNER, QUOTA]) {
-            assert!(certified(src), "{src}");
-        }
-        // Every builtin that only computes, wherever it sits.
-        for name in COMPUTES {
-            let reach = Builtin::from_name(name).map(Builtin::reach);
-            assert_eq!(reach, Some(Reach::Computes), "{name}");
+    fn every_class_reuses_its_allow() {
+        // A crossing cannot change what the next one reads, so an allow is
+        // reused whatever the class's code could do: the page's classes,
+        // every builtin (on a branch not taken), `this` rendered, boxed and
+        // thrown, and stores into containers of the run's own.
+        let mut ctx = http();
+        ctx.set_str("user", "reader7");
+        let mut classes: Vec<(String, Vec<(&str, PValue)>)> = PAGE_CLASSES
+            .iter()
+            .map(|src| {
+                let users = PValue::List(vec![PValue::Str("reader7".into())]);
+                let weights = PValue::List(vec![PValue::Int(1); 4]);
+                let fields = vec![
+                    ("users", users),
+                    ("weights", weights),
+                    ("tag", PValue::Int(0)),
+                ];
+                (src.to_string(), fields)
+            })
+            .collect();
+        let mode = || vec![("mode", PValue::Int(0))];
+        for name in BUILTINS {
             let src = format!(
-                "class Computes {{ fn export_check(c) {{ if (this.mode == 1) {{ {name}(); }} }} }}"
+                "class Calls {{ fn export_check(c) {{ if (this.mode == 1) {{ {name}(); }} }} }}"
             );
-            assert!(certified(&src), "{name}");
+            classes.push((src, mode()));
         }
-        // `this` rendered, boxed and thrown: it escapes no pure run.
-        assert!(certified(
-            "class C { fn export_check(c) { let s = str(this); if ([this][0].n > 0) { throw this; } } }"
-        ));
-        // A field's list read through a local; a store in a method the
-        // check never reaches.
-        assert!(certified(
-            "class C { fn export_check(context) { let w = this.weights; if (w[0] + w[1] > this.limit) { throw 1; } } }"
-        ));
-        assert!(certified(
-            "class C { fn init(n) { this.n = n; } fn export_check(c) { return this.n; } }"
-        ));
+        for body in [
+            "let s = str(this); if ([this][0].mode > 0) { throw this; }",
+            "let t = this; let m = [t.mode]; m[0] = 1; if (t.mode != 0) { throw 1; }",
+            "let a = map(); a[\"k\"] = this; push(keys(a), 2); y = 3;",
+            "return new C();",
+            "let s = policy_add(\"x\", this); if (policy_get(s)[0] != \"C\") { throw 1; }",
+        ] {
+            let src = format!("class C {{ fn export_check(c) {{ {body} }} }}");
+            classes.push((src, mode()));
+        }
+        for (src, fields) in &classes {
+            let p = policy(&class(src), fields);
+            assert_eq!(executed_and_reused(&p, &ctx, 3), (1, 2), "{src}");
+            assert_eq!(p.export_check(&ctx), Ok(()), "{src}");
+        }
     }
 
     #[test]
     fn a_class_that_may_reach_outside_its_run_executes_every_time() {
-        // Each reaches out only on a branch the crossings below never take.
+        // Each reaches past its run only when `this.mode` is 1. Then the
+        // store or the host builtin fails closed, and a deny executes
+        // every time; otherwise its allow is reused.
         let guarded = |body: &str| {
-            format!("class Refused {{ fn export_check(c) {{ if (this.mode == 1) {{ {body} }} }} }}")
+            format!("class Reaches {{ fn export_check(c) {{ if (this.mode == 1) {{ {body} }} }} }}")
         };
-        let mut refused = vec![
-            (WITNESS.to_string(), "new, a script function, a global"),
-            (
-                guarded(r#"import("/g.rsl"); return g;"#),
-                "a global read via import",
-            ),
-            (guarded("y = 1;"), "an assignment that may reach a global"),
-            (guarded("this.f = 1;"), "a field store"),
-            (guarded("let a = [1]; a[0] = 2;"), "an index store"),
-            (guarded("return new Refused();"), "new"),
-            (guarded("this.missing();"), "an unresolved method"),
-            (guarded("fn f() { return 1; }"), "a function definition"),
-            (
-                guarded("class Inner { fn m() { return 1; } }"),
-                "a class definition",
-            ),
+        let mut reaching = vec![
+            (guarded("this.f = 1;"), store_refused("field `f`")),
             (
                 guarded("this.n = this.n + 1; if (this.n > 1) { throw 1; }"),
-                "a read-back counter",
+                store_refused("field `n`"),
             ),
             (
                 guarded("let w = this.weights; w[0] = 9;"),
-                "a store through a local holding a field's list",
+                store_refused("a frozen array"),
             ),
             (
                 guarded(r#"let w = [0]; if (c["deep"]) { w = this.weights; } w[0] = 1;"#),
-                "a store through a local that holds a field's list on one path",
+                store_refused("a frozen array"),
             ),
             (
                 guarded("let again = [this.grid[0]][0]; push(again, 1);"),
-                "a push into a container taken out of a list",
+                store_refused("a frozen array by `push`"),
             ),
-            (guarded(r#"c["seen"] = true;"#), "a context store"),
             (
-                "class Refused { fn bump() { push(this.log, 1); } \
+                guarded("pop(this.weights);"),
+                store_refused("a frozen array by `pop`"),
+            ),
+            (
+                guarded(r#"c["seen"] = true;"#),
+                store_refused("a frozen map"),
+            ),
+            (
+                "class Reaches { fn bump() { push(this.grid, 1); } \
                  fn export_check(c) { if (this.mode == 1) { this.bump(); } } }"
                     .to_string(),
-                "a push in a helper",
+                store_refused("a frozen array by `push`"),
             ),
             (
-                "class Refused { fn fill(xs) { xs[0] = 1; } \
-                 fn export_check(c) { if (this.mode == 1) { this.fill([0]); } } }"
-                    .to_string(),
-                "a helper storing into its parameter",
+                guarded("fn f() { return 1; }"),
+                refusal("function definition `f`"),
+            ),
+            (
+                guarded("class Inner { fn m() { return 1; } }"),
+                refusal("class definition `Inner`"),
             ),
         ];
-        for name in REACHES_OUT {
-            let reach = Builtin::from_name(name).map(Builtin::reach);
-            assert!(matches!(reach, Some(Reach::Host | Reach::Values)), "{name}");
-            refused.push((guarded(&format!("{name}();")), "a builtin that reaches out"));
+        for name in BUILTINS {
+            if Builtin::from_name(name).map(Builtin::reach) == Some(Reach::Host) {
+                let builtin = refusal(&format!("builtin `{name}`"));
+                reaching.push((guarded(&format!("{name}();")), builtin));
+            }
         }
-        let ctx = http();
-        for (src, why) in &refused {
+        let mut ctx = http();
+        ctx.set("deep", true);
+        let fields = |mode| {
+            let list = |items: Vec<PValue>| PValue::List(items);
+            vec![
+                ("mode", PValue::Int(mode)),
+                ("n", PValue::Int(0)),
+                ("weights", list(vec![PValue::Int(1), PValue::Int(2)])),
+                ("grid", list(vec![list(vec![PValue::Int(1)])])),
+            ]
+        };
+        for (src, refused) in &reaching {
             let decl = class(src);
-            assert!(!plan_for(&decl).certified, "{why}: {src}");
-            let p = policy(&decl, &[("mode", PValue::Int(0))]);
-            assert_eq!(p.export_check(&ctx), Ok(()), "{why}: {src}");
-            assert_eq!(executed_and_reused(&p, &ctx, 3), (3, 0), "{why}: {src}");
+            let reaches = policy(&decl, &fields(1));
+            let seen = served_and_scratch(&[&reaches], &ctx);
+            let e = seen[0].as_ref().unwrap_err();
+            assert!(e.ends_with(refused.as_str()), "{src}: {e}");
+            assert_eq!(executed_and_reused(&reaches, &ctx, 3), (3, 0), "{src}");
+            let stays = policy(&decl, &fields(0));
+            assert_eq!(executed_and_reused(&stays, &ctx, 3), (1, 2), "{src}");
         }
+    }
+
+    #[test]
+    fn a_label_change_inside_a_check_leaves_the_snapshot_alone() {
+        // `policy_add` and `policy_remove` change a copy of a field's
+        // string: the next crossing reads the field unlabelled.
+        let relabels = class(
+            r#"class Relabels {
+                fn export_check(c) {
+                    if (len(policy_get(this.name)) > 0) { throw "labelled"; }
+                    if (len(policy_get(this.names[0])) > 0) { throw "labelled item"; }
+                    let a = policy_add(this.name, "UntrustedData");
+                    let b = policy_remove(policy_add(this.names[0], "UntrustedData"), "UntrustedData");
+                    let d = policy_add(this.names[0], "HtmlSanitized");
+                    if (len(policy_get(a)) != 1 || len(policy_get(d)) != 1) { throw "unlabelled"; }
+                    if (this.name != "alice" || this.names[0] != "bob") { throw "changed"; }
+                }
+            }"#,
+        );
+        let p = policy(
+            &relabels,
+            &[
+                ("name", PValue::Str("alice".into())),
+                ("names", PValue::List(vec![PValue::Str("bob".into())])),
+            ],
+        );
+        for user in ["a", "b", "c"] {
+            // (A new context each time, so each crossing executes.)
+            let mut ctx = http();
+            ctx.set_str("user", user);
+            assert_eq!(served_and_scratch(&[&p, &p], &ctx), [Ok(()), Ok(())]);
+        }
+        assert_eq!(
+            p.serialize_fields(),
+            [
+                ("name".to_string(), "s:alice".to_string()),
+                ("names".to_string(), "l:s:bob".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn one_policy_crossed_from_two_threads_at_once_gets_the_from_scratch_verdicts() {
+        let owner = class(OWNER);
+        let p = policy(&owner, &[("owner", PValue::Str("alice".into()))]);
+        let users = ["alice", "mallory", "alice", "bob"];
+        let crossings = || -> Vec<Result<(), String>> {
+            (0..200)
+                .map(|i| {
+                    let mut ctx = http();
+                    ctx.set_str("user", users[i % users.len()]);
+                    let served = p.export_check(&ctx).map_err(|e| e.to_string());
+                    set_check_cache(false);
+                    let scratch = p.export_check(&ctx).map_err(|e| e.to_string());
+                    set_check_cache(true);
+                    assert_eq!(served, scratch, "crossing {i}");
+                    served
+                })
+                .collect()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(crossings);
+            let b = s.spawn(crossings);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a.iter().filter(|v| v.is_ok()).count(), 100);
     }
 
     #[test]
@@ -1160,50 +1084,6 @@ mod tests {
                 assert!(a.entries.len() <= ALLOWED_CAP);
                 assert_eq!(a.entries.capacity(), capacity, "allocated once");
             });
-        }
-    }
-
-    /// A wrong eligibility verdict the verdict oracle cannot see — the
-    /// check allows whatever its `this` holds — is caught by comparing the
-    /// cached `this` with its snapshot.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "field `log` of policy class `Logger`")]
-    fn a_wrongly_eligible_class_is_caught_by_its_snapshot() {
-        let logger = class(r#"class Logger { fn export_check(context) { push(this.log, 1); } }"#);
-        let mut plan = ClassPlan::new(&logger, true);
-        assert!(!plan.certified);
-        plan.certified = true;
-        let fields = Fields::from([("log".to_string(), PValue::List(Vec::new()))]);
-        let _ = cross(&plan, &Arc::new(fields), &http());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn the_snapshot_comparison_is_the_conversion() {
-        let list = |items: Vec<Value>| Value::new_array(items);
-        let untrusted: resin_core::PolicyRef = Arc::new(resin_core::UntrustedData::new());
-        let values = [
-            Value::Null,
-            Value::Bool(true),
-            Value::int(3),
-            Value::Int(3, resin_core::Label::of(&untrusted)),
-            Value::str("3"),
-            list(vec![]),
-            list(vec![Value::int(1), Value::str("x")]),
-            list(vec![list(vec![Value::int(1)])]),
-            list(vec![Value::new_map()]),
-            Value::new_map(),
-        ];
-        let snaps: Vec<PValue> = values.iter().filter_map(PValue::from_value).collect();
-        for value in &values {
-            for snap in &snaps {
-                assert_eq!(
-                    oracle::converts_to(value, snap),
-                    PValue::from_value(value).as_ref() == Some(snap),
-                    "{value:?} against {snap:?}"
-                );
-            }
         }
     }
 }

@@ -29,16 +29,16 @@ use std::sync::{Arc, Mutex};
 
 use resin_core::sync::mlock;
 use resin_core::{
-    merge_sets, register_policy_class, AuthenticData, CodeApproval, Context, EmptyPolicy,
-    FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, PolicyViolation, Reason,
-    SqlSanitized, TaintedString, Thrown, Tracking, UntrustedData,
+    merge_many, merge_sets, register_policy_class, AuthenticData, CodeApproval, Context,
+    EmptyPolicy, FlowError, Gate, GateKind, HtmlSanitized, Label, PolicyRef, PolicyViolation,
+    Reason, SqlSanitized, TaintedString, Thrown, Tracking, UntrustedData,
 };
 use resin_vfs::Vfs;
 
 use crate::ast::{BinOp, ClassDecl, FnDecl, Stmt};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
-use crate::value::{PValue, ScriptPolicy, Value};
+use crate::value::{Entry, Frozen, PValue, ScriptPolicy, Value};
 
 /// A runtime error (including policy violations surfacing in script).
 #[derive(Debug, Clone, PartialEq)]
@@ -113,7 +113,7 @@ pub(crate) const MAX_CALL_DEPTH: usize = 64;
 
 /// Declares [`Builtin`] and its one table: each builtin's name, through
 /// which the compiler resolves a call once, and its [`Reach`], which the
-/// certificate and the refusal inside a gate crossing both read.
+/// refusal inside a gate crossing reads.
 macro_rules! builtins {
     ($($variant:ident = $name:literal: $reach:ident,)*) => {
         /// A builtin function, by id.
@@ -155,13 +155,8 @@ pub(crate) enum Reach {
     /// The script host: output, mail, files, the gates, the current user,
     /// code import. A gate crossing has no host and refuses it.
     Host,
-    /// Its arguments alone, but it changes a container, builds a label or
-    /// a container, or (`assert`) fails the run: the certificate does not
-    /// count it pure.
+    /// Its arguments alone (a store into a frozen one fails closed).
     Values,
-    /// Its arguments alone: the result is a function of them, and it
-    /// changes nothing.
-    Computes,
 }
 
 builtins! {
@@ -173,22 +168,22 @@ builtins! {
     PolicyAdd = "policy_add": Values,
     PolicyRemove = "policy_remove": Values,
     PolicyGet = "policy_get": Values,
-    Len = "len": Computes,
-    Substr = "substr": Computes,
-    Upper = "upper": Computes,
-    Lower = "lower": Computes,
-    Trim = "trim": Computes,
-    Contains = "contains": Computes,
-    Replace = "replace": Computes,
-    Split = "split": Computes,
-    Join = "join": Computes,
-    Str = "str": Computes,
-    Int = "int": Computes,
-    Typeof = "typeof": Computes,
+    Len = "len": Values,
+    Substr = "substr": Values,
+    Upper = "upper": Values,
+    Lower = "lower": Values,
+    Trim = "trim": Values,
+    Contains = "contains": Values,
+    Replace = "replace": Values,
+    Split = "split": Values,
+    Join = "join": Values,
+    Str = "str": Values,
+    Int = "int": Values,
+    Typeof = "typeof": Values,
     Push = "push": Values,
     Pop = "pop": Values,
     Map = "map": Values,
-    Keys = "keys": Computes,
+    Keys = "keys": Values,
     Mkdir = "mkdir": Host,
     FileWrite = "file_write": Host,
     FileAppend = "file_append": Host,
@@ -432,32 +427,36 @@ impl Interp {
                 m.borrow_mut().insert(k.as_str().to_string(), v);
                 Ok(())
             }
-            _ => Err(rt(format!(
-                "cannot index {} with {}",
-                a.type_name(),
-                i.type_name()
-            ))),
+            (Value::Frozen(_), _) => {
+                Err(refused(format!("a store into a frozen {}", a.type_name())))
+            }
+            _ => Err(cannot_index(a, i)),
         }
     }
 
     /// `a[i]` (array by int, map by string, string by int).
     pub(crate) fn index_value(a: &Value, i: &Value) -> R<Value> {
+        let out_of_range = || rt("array index out of range");
         match (a, i) {
             (Value::Array(a), Value::Int(n, _)) => {
                 let a = a.borrow();
-                a.get(*n as usize)
-                    .cloned()
-                    .ok_or_else(|| rt("array index out of range"))
+                a.get(*n as usize).cloned().ok_or_else(out_of_range)
             }
             (Value::Map(m), Value::Str(k)) => {
                 Ok(m.borrow().get(k.as_str()).cloned().unwrap_or(Value::Null))
             }
             (Value::Str(s), Value::Int(n, _)) => Interp::str_slice(s, *n as usize, 1),
-            _ => Err(rt(format!(
-                "cannot index {} with {}",
-                a.type_name(),
-                i.type_name()
-            ))),
+            (Value::Frozen(f), _) => match (&**f, i) {
+                (Frozen::List(items), Value::Int(n, _)) => {
+                    let item = items.get(*n as usize);
+                    item.map(Entry::to_value).ok_or_else(out_of_range)
+                }
+                (Frozen::Map(m), Value::Str(k)) => {
+                    Ok(m.get(k.as_str()).map_or(Value::Null, Entry::to_value))
+                }
+                _ => Err(cannot_index(a, i)),
+            },
+            _ => Err(cannot_index(a, i)),
         }
     }
 
@@ -476,20 +475,26 @@ impl Interp {
 
     /// `obj.field` read.
     pub(crate) fn prop_value(o: &Value, field: &str) -> R<Value> {
-        let Value::Object(o) = o else {
-            return Err(rt(format!("cannot read field of {}", o.type_name())));
+        let v = match o {
+            Value::Object(o) => o.borrow().fields.get(field).cloned(),
+            Value::Frozen(f) if matches!(**f, Frozen::Object(..)) => {
+                f.field(field).map(Entry::to_value)
+            }
+            _ => return Err(rt(format!("cannot read field of {}", o.type_name()))),
         };
-        let v = o.borrow().fields.get(field).cloned();
         v.ok_or_else(|| rt(format!("no field `{field}`")))
     }
 
     /// `obj.field = v` write.
     pub(crate) fn prop_assign(o: &Value, field: &str, v: Value) -> R<()> {
-        let Value::Object(o) = o else {
-            return Err(rt(format!("cannot set field on {}", o.type_name())));
-        };
-        o.borrow_mut().fields.insert(field.to_string(), v);
-        Ok(())
+        match o {
+            Value::Object(o) => {
+                o.borrow_mut().fields.insert(field.to_string(), v);
+                Ok(())
+            }
+            Value::Frozen(_) => Err(refused(format!("a store into field `{field}`"))),
+            _ => Err(rt(format!("cannot set field on {}", o.type_name()))),
+        }
     }
 
     /// Unary minus (`-i64::MIN` is an error, like `/` and `%` overflow).
@@ -790,6 +795,26 @@ fn want_str<'a>(v: &'a Value, what: &str) -> R<&'a TaintedString> {
     }
 }
 
+/// The array `push` or `pop` changes; a frozen one fails closed.
+fn want_array<'a>(v: &'a Value, what: &str) -> R<&'a std::cell::RefCell<Vec<Value>>> {
+    match v {
+        Value::Array(a) => Ok(a),
+        Value::Frozen(_) => Err(refused(format!(
+            "a store into a frozen {} by `{what}`",
+            v.type_name()
+        ))),
+        _ => Err(rt(format!("{what}: expected array"))),
+    }
+}
+
+fn cannot_index(a: &Value, i: &Value) -> Flow {
+    rt(format!(
+        "cannot index {} with {}",
+        a.type_name(),
+        i.type_name()
+    ))
+}
+
 fn want_int(v: &Value, what: &str) -> R<i64> {
     match v {
         Value::Int(n, _) => Ok(*n),
@@ -868,12 +893,26 @@ fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value
         // ---- strings ----
         Builtin::Len => {
             arity(id, args, 1)?;
-            match &args[0] {
-                Value::Str(s) => Ok(Value::int(s.len() as i64)),
-                Value::Array(a) => Ok(Value::int(a.borrow().len() as i64)),
-                Value::Map(m) => Ok(Value::int(m.borrow().len() as i64)),
-                other => Err(rt(format!("len: unsupported {}", other.type_name()))),
-            }
+            let n = match &args[0] {
+                // A string's length keeps its policies, merged as `int(s)`
+                // merges them (§3.4.2).
+                Value::Str(s) => {
+                    let label = match tracking {
+                        Tracking::On => merge_many(s.spans().map(|(_, l)| l)).map_err(flow_err)?,
+                        Tracking::Off => Label::EMPTY,
+                    };
+                    return Ok(Value::Int(s.len() as i64, label));
+                }
+                Value::Array(a) => a.borrow().len(),
+                Value::Map(m) => m.borrow().len(),
+                Value::Frozen(f) => match &**f {
+                    Frozen::List(items) => items.len(),
+                    Frozen::Map(entries) => entries.len(),
+                    Frozen::Object(..) => return Err(rt("len: unsupported object")),
+                },
+                other => return Err(rt(format!("len: unsupported {}", other.type_name()))),
+            };
+            Ok(Value::int(n as i64))
         }
         Builtin::Substr => {
             arity(id, args, 3)?;
@@ -924,10 +963,16 @@ fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value
         Builtin::Join => {
             arity(id, args, 2)?;
             let sep = want_str(&args[0], name)?;
-            let Value::Array(a) = &args[1] else {
-                return Err(rt("join: expected array"));
+            let parts: Vec<TaintedString> = match &args[1] {
+                Value::Array(a) => a.borrow().iter().map(Value::to_tainted).collect(),
+                Value::Frozen(f) => match &**f {
+                    Frozen::List(items) => {
+                        items.iter().map(|e| e.to_value().to_tainted()).collect()
+                    }
+                    _ => return Err(rt("join: expected array")),
+                },
+                _ => return Err(rt("join: expected array")),
             };
-            let parts: Vec<TaintedString> = a.borrow().iter().map(|v| v.to_tainted()).collect();
             Ok(Value::from(TaintedString::join(sep.as_str(), parts.iter())))
         }
         Builtin::Str => {
@@ -962,17 +1007,13 @@ fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value
         // ---- arrays & maps ----
         Builtin::Push => {
             arity(id, args, 2)?;
-            let Value::Array(a) = &args[0] else {
-                return Err(rt("push: expected array"));
-            };
+            let a = want_array(&args[0], name)?;
             a.borrow_mut().push(args[1].clone());
             Ok(Value::Null)
         }
         Builtin::Pop => {
             arity(id, args, 1)?;
-            let Value::Array(a) = &args[0] else {
-                return Err(rt("pop: expected array"));
-            };
+            let a = want_array(&args[0], name)?;
             let v = a.borrow_mut().pop();
             Ok(v.unwrap_or(Value::Null))
         }
@@ -982,12 +1023,15 @@ fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value
         }
         Builtin::Keys => {
             arity(id, args, 1)?;
-            let Value::Map(m) = &args[0] else {
-                return Err(rt("keys: expected map"));
+            let keys = match &args[0] {
+                Value::Map(m) => m.borrow().keys().map(|k| Value::str(k.clone())).collect(),
+                Value::Frozen(f) => match &**f {
+                    Frozen::Map(m) => m.keys().map(|k| Value::str(k.clone())).collect(),
+                    _ => return Err(rt("keys: expected map")),
+                },
+                _ => return Err(rt("keys: expected map")),
             };
-            Ok(Value::new_array(
-                m.borrow().keys().map(|k| Value::str(k.clone())).collect(),
-            ))
+            Ok(Value::new_array(keys))
         }
         Builtin::Assert => {
             arity(id, args, 1)?;
@@ -1030,6 +1074,13 @@ fn policy_from_value(v: &Value) -> R<PolicyRef> {
                 Some(o.class.clone()),
             )))
         }
+        Value::Frozen(f) => match &**f {
+            Frozen::Object(class, _) => Ok(Arc::new(ScriptPolicy::frozen(
+                class.name.clone(),
+                f.clone(),
+            ))),
+            _ => Err(rt(format!("not a policy: {}", v.type_name()))),
+        },
         other => Err(rt(format!("not a policy: {}", other.type_name()))),
     }
 }
@@ -1080,6 +1131,7 @@ mod tests {
     use super::*;
     use crate::ast::StmtKind;
     use crate::check::{check_cache_stats, set_check_cache};
+    use resin_core::metrics::{self, Counter};
     use resin_core::{Context, PasswordPolicy, Policy, PolicyViolation};
 
     /// One crossing of `class`'s `export_check` over a snapshot of `fields`.
@@ -1184,6 +1236,31 @@ mod tests {
             panic!()
         };
         assert_eq!(a.borrow().len(), 1);
+    }
+
+    #[test]
+    fn len_keeps_its_strings_policies() {
+        // A string's length is as secret as the string, as `int(s)` is; a
+        // container's length is not labelled.
+        let src = r#"class Secret { fn export_check(c) { throw "never exported"; } }
+               let pw = policy_add("s3cret", new Secret());
+               let names = policy_get(len(pw));
+               let listed = policy_get(len([pw]));"#;
+        let mut i = Interp::new();
+        i.run(src).unwrap();
+        let count = |i: &Interp, name: &str| match i.global(name) {
+            Some(Value::Array(a)) => a.borrow().len(),
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!((count(&i, "names"), count(&i, "listed")), (1, 0));
+        assert!(i.run("echo(str(len(pw)));").unwrap_err().violation);
+        assert_eq!(i.http_output(), "");
+        // The unmodified interpreter drops it.
+        let mut off = Interp::with_tracking(Tracking::Off);
+        off.run(src).unwrap();
+        assert_eq!(count(&off, "names"), 0);
+        off.run("echo(str(len(pw)));").unwrap();
+        assert_eq!(off.http_output(), "6");
     }
 
     #[test]
@@ -1615,8 +1692,8 @@ mod tests {
             eval_policy_method(&class, &fields, &ctx).unwrap();
         }
         let (h1, m1) = check_cache_stats();
-        assert_eq!(m1 - m0, 1, "this materialized once");
-        assert_eq!(h1 - h0, 3, "then reused on every crossing");
+        assert_eq!(m1 - m0, 1, "the snapshot's first crossing");
+        assert_eq!(h1 - h0, 3, "then the same snapshot on every crossing");
         // Changed fields invalidate the snapshot; the verdict follows the
         // new values, never the cached ones.
         fields.insert("limit".to_string(), PValue::Int(0));
@@ -1626,28 +1703,43 @@ mod tests {
         assert_eq!((h2 - h1, m2 - m1), (0, 1));
     }
 
-    #[test]
-    fn mutating_check_is_rebuilt_every_crossing() {
-        // `this.n = this.n + 1` writes a field: the certificate refuses
-        // the class, so every crossing sees the pristine snapshot and the
-        // policy never observes its own prior runs.
-        let class = policy_class(
-            r#"class Once {
-                fn export_check(context) {
-                    this.n = this.n + 1;
-                    if (this.n > 1) { throw "ran twice"; }
-                }
-            }"#,
-        );
-        let mut fields = BTreeMap::new();
-        fields.insert("n".to_string(), PValue::Int(0));
-        let ctx = Context::new(GateKind::Http);
-        let (h0, _) = check_cache_stats();
-        for _ in 0..3 {
-            eval_policy_method(&class, &fields, &ctx).unwrap();
+    /// A check that counts its own runs, attached to `"x"`.
+    const ONCE: &str = r#"class Once {
+        fn init() { this.n = 0; }
+        fn export_check(c) {
+            this.n = this.n + 1;
+            if (this.n > 1) { throw "twice"; }
         }
-        let (h1, _) = check_cache_stats();
-        assert_eq!(h1 - h0, 0, "mutating checks never hit the cache");
+    }
+    let x = policy_add("x", new Once());"#;
+
+    #[test]
+    fn a_stateful_check_fails_closed() {
+        // `this` is the policy's frozen snapshot: the store is refused, so
+        // no crossing passes, and none sees another's run.
+        let refused = "a store into field `n` is refused inside a policy check";
+        let mut i = Interp::new();
+        i.run(ONCE).unwrap();
+        for _ in 0..3 {
+            let err = i.run("echo(x);").unwrap_err();
+            assert!(err.violation, "{err}");
+            assert!(err.message.contains(refused), "{err}");
+        }
+        assert_eq!(i.http_output(), "");
+        // The same through a bare gate.
+        let Some(Value::Str(x)) = i.global("x") else {
+            panic!("x is a string")
+        };
+        let mut gate = Gate::new(GateKind::Http);
+        for _ in 0..3 {
+            let err = gate.write(TaintedString::clone(&x)).unwrap_err();
+            let reason = err.as_violation().map(|v| &v.reason);
+            assert!(
+                matches!(reason, Some(Reason::ScriptError(m)) if m.ends_with(refused)),
+                "{err}"
+            );
+        }
+        assert_eq!(gate.output_text(), "");
     }
 
     #[test]
@@ -1758,45 +1850,10 @@ mod tests {
     }
 
     #[test]
-    fn read_only_analysis_walks_reachable_methods() {
-        // A helper that pushes into a list reached through `this` refuses
-        // the class even though export_check itself is clean, as does an
-        // index store through a local alias: no crossing reuses `this`.
-        // An unreachable mutating method refuses nothing.
-        let ctx = Context::new(GateKind::Http);
-        let log = BTreeMap::from([("log".to_string(), PValue::List(vec![PValue::Int(0)]))]);
-        let n = BTreeMap::from([("n".to_string(), PValue::Int(1))]);
-        for (src, fields, hits) in [
-            (
-                "class Sneaky { fn bump() { push(this.log, 1); } fn export_check(c) { this.bump(); } }",
-                &log,
-                0,
-            ),
-            (
-                "class Alias { fn export_check(c) { let w = this.log; w[0] = 9; } }",
-                &log,
-                0,
-            ),
-            (
-                "class Clean { fn init(n) { this.n = n; } fn export_check(c) { return this.n; } }",
-                &n,
-                2,
-            ),
-        ] {
-            let class = policy_class(src);
-            let (h0, _) = check_cache_stats();
-            for _ in 0..3 {
-                eval_policy_method(&class, fields, &ctx).unwrap();
-            }
-            assert_eq!(check_cache_stats().0 - h0, hits, "{src}");
-        }
-    }
-
-    #[test]
     fn a_scratch_field_writer_executes_every_crossing_verdict_unchanged() {
-        // Writes an audit field no method reads. The certificate refuses
-        // any field store, so every crossing executes on a fresh `this`,
-        // and the write never feeds back into the snapshot or the verdict.
+        // Writes an audit field no method reads. `this` is frozen, so the
+        // store is refused: every crossing is the same deny, a deny is
+        // never reused, and the write never feeds back into the snapshot.
         let class = policy_class(
             r#"class Audited {
                 fn export_check(context) {
@@ -1811,12 +1868,14 @@ mod tests {
         fields.insert("b".to_string(), PValue::Int(4));
         fields.insert("limit".to_string(), PValue::Int(10));
         let ctx = Context::new(GateKind::Http);
-        let (h0, m0) = check_cache_stats();
+        let reused = || metrics::thread(Counter::VerdictsReused);
+        let (crossed, r0) = (metrics::thread(Counter::ScriptCrossings), reused());
         for _ in 0..4 {
-            eval_policy_method(&class, &fields, &ctx).unwrap();
+            let err = eval_policy_method(&class, &fields, &ctx).unwrap_err();
+            assert!(err.to_string().contains("a store into field `last_sum`"));
         }
-        let (h1, m1) = check_cache_stats();
-        assert_eq!((h1 - h0, m1 - m0), (0, 4), "every crossing executes anew");
+        let crossed = metrics::thread(Counter::ScriptCrossings) - crossed;
+        assert_eq!((crossed, reused() - r0), (4, 0), "every crossing executes");
         fields.insert("limit".to_string(), PValue::Int(5));
         let served = eval_policy_method(&class, &fields, &ctx).unwrap_err();
         set_check_cache(false);
@@ -1863,8 +1922,9 @@ mod tests {
         fields.insert("n".to_string(), PValue::Int(0));
         let ctx = Context::new(GateKind::Http);
         for i in 0..3 {
-            eval_policy_method(&class, &fields, &ctx)
-                .unwrap_or_else(|e| panic!("crossing {i} observed prior run: {e}"));
+            let err = eval_policy_method(&class, &fields, &ctx).unwrap_err();
+            let refused = "a store into field `n` is refused inside a policy check";
+            assert!(err.to_string().ends_with(refused), "crossing {i}: {err}");
         }
     }
 }

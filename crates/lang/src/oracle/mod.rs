@@ -19,12 +19,12 @@ use std::sync::Arc;
 use resin_core::{Context, PolicyViolation, Tracking};
 
 use crate::ast::{BinOp, ClassDecl, Expr, FnDecl, Stmt, StmtKind, Target};
-use crate::check::{context_to_map, materialize, verdict};
+use crate::check::{context_to_map, verdict};
 use crate::interp::{
     finish, refused, rt, run_builtin, Builtin, Flow, Interp, LangError, MAX_CALL_DEPTH, R,
 };
 use crate::parser::parse_program;
-use crate::value::{Obj, PValue, Value};
+use crate::value::{Frozen, Obj, PValue, Value};
 
 mod analysis_differential;
 mod cfg;
@@ -47,14 +47,16 @@ pub(crate) fn run(interp: &mut Interp, src: &str) -> Result<Value, LangError> {
 }
 
 /// One crossing of `class`'s `export_check` on the tree-walker, sharing
-/// nothing with any other: no host, a fresh `this`, a fresh context map.
+/// nothing with any other: no host, `this` frozen from `fields`, a fresh
+/// context map.
 pub(crate) fn cross(
     class: &Arc<ClassDecl>,
     fields: &BTreeMap<String, PValue>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
     let method = class.method("export_check").expect("a policy class");
-    let this = Value::Object(materialize(class, fields));
+    let this = Frozen::instance(Some(class.clone()), fields.clone());
+    let this = Value::Frozen(Arc::new(this));
     let args = if method.params.is_empty() {
         Vec::new()
     } else {
@@ -282,10 +284,9 @@ impl<'a> Tree<'a> {
             Expr::MethodCall { recv, method, args } => {
                 let r = self.eval(recv)?;
                 let argv = self.eval_all(args)?;
-                let Value::Object(o) = &r else {
+                let Some(decl) = r.with_class(Arc::clone) else {
                     return Err(rt(format!("cannot call method on {}", r.type_name())));
                 };
-                let decl = o.borrow().class.clone();
                 let m = decl
                     .method(method)
                     .ok_or_else(|| rt(format!("no method `{method}` on `{}`", decl.name)))?;

@@ -19,7 +19,9 @@
 //! the atomic count) bumps a count, and the operations that change a string
 //! in place (`policy_add`, `policy_remove`) copy it first only when it is
 //! shared. `Array`, `Map` and `Object` are `Rc<RefCell<..>>` with reference
-//! semantics, as before.
+//! semantics, as before. `Frozen` is an `Arc` of a read-only value that
+//! threads share — a script policy's instance, a list in its fields, a
+//! check's `$context` — and a store into one fails closed.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
@@ -29,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 use resin_core::{Context, Label, PolicyViolation, TaintedString};
 
-use crate::ast::{ClassDecl, FnDecl};
+use crate::ast::ClassDecl;
 use crate::check::ClassPlan;
 
 /// An RSL runtime value.
@@ -50,6 +52,8 @@ pub enum Value {
     Map(Rc<RefCell<BTreeMap<String, Value>>>),
     /// Class instance (reference semantics).
     Object(Rc<RefCell<Obj>>),
+    /// A read-only object, array or map (see [`Frozen`]).
+    Frozen(Arc<Frozen>),
 }
 
 const _: () = assert!(std::mem::size_of::<Value>() <= 16);
@@ -57,6 +61,78 @@ const _: () = assert!(std::mem::size_of::<Value>() <= 16);
 impl From<TaintedString> for Value {
     fn from(s: TaintedString) -> Value {
         Value::Str(Arc::new(s))
+    }
+}
+
+/// A read-only value that threads share: a script policy's instance (its
+/// class and fields, frozen once by [`ScriptPolicy::new`]), a list inside
+/// it, or the `$context` map a check receives. A check reads it where it
+/// lies; a store into it — a field, an element, `push`, `pop` — fails
+/// closed, so no crossing can change what another reads.
+#[derive(Debug, PartialEq)]
+pub enum Frozen {
+    /// An array.
+    List(Vec<Entry>),
+    /// A string-keyed map.
+    Map(BTreeMap<String, Entry>),
+    /// A policy object: its class and its fields.
+    Object(Arc<ClassDecl>, BTreeMap<String, Entry>),
+}
+
+/// What a [`Frozen`] value holds. Reading one out is an int copy or an
+/// `Arc` bump.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Entry {
+    /// `null`.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// Integer (unlabelled).
+    Int(i64),
+    /// String (unlabelled).
+    Str(Arc<TaintedString>),
+    /// A frozen array.
+    List(Arc<Frozen>),
+}
+
+impl Frozen {
+    /// A policy instance: its fields under its class, or a map of them
+    /// when it has none.
+    pub(crate) fn instance(
+        class: Option<Arc<ClassDecl>>,
+        fields: BTreeMap<String, PValue>,
+    ) -> Frozen {
+        let fields = fields.into_iter().map(|(k, v)| (k, v.freeze())).collect();
+        match class {
+            Some(class) => Frozen::Object(class, fields),
+            None => Frozen::Map(fields),
+        }
+    }
+
+    /// An object's field.
+    pub(crate) fn field(&self, name: &str) -> Option<&Entry> {
+        match self {
+            Frozen::Object(_, fields) => fields.get(name),
+            _ => None,
+        }
+    }
+}
+
+impl Entry {
+    /// A string entry.
+    pub(crate) fn str(s: impl Into<String>) -> Entry {
+        Entry::Str(Arc::new(TaintedString::from(s.into())))
+    }
+
+    /// The runtime value.
+    pub(crate) fn to_value(&self) -> Value {
+        match self {
+            Entry::Null => Value::Null,
+            Entry::Bool(b) => Value::Bool(*b),
+            Entry::Int(n) => Value::int(*n),
+            Entry::Str(s) => Value::Str(s.clone()),
+            Entry::List(l) => Value::Frozen(l.clone()),
+        }
     }
 }
 
@@ -89,6 +165,18 @@ impl Value {
         Value::Map(Rc::new(RefCell::new(BTreeMap::new())))
     }
 
+    /// `f` of the class of an object, frozen or not.
+    pub(crate) fn with_class<T>(&self, f: impl FnOnce(&Arc<ClassDecl>) -> T) -> Option<T> {
+        match self {
+            Value::Object(o) => Some(f(&o.borrow().class)),
+            Value::Frozen(frozen) => match &**frozen {
+                Frozen::Object(class, _) => Some(f(class)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// PHP-style truthiness.
     pub fn truthy(&self) -> bool {
         match self {
@@ -99,6 +187,11 @@ impl Value {
             Value::Array(a) => !a.borrow().is_empty(),
             Value::Map(m) => !m.borrow().is_empty(),
             Value::Object(_) => true,
+            Value::Frozen(f) => match &**f {
+                Frozen::List(items) => !items.is_empty(),
+                Frozen::Map(entries) => !entries.is_empty(),
+                Frozen::Object(..) => true,
+            },
         }
     }
 
@@ -112,6 +205,11 @@ impl Value {
             Value::Array(_) => "array",
             Value::Map(_) => "map",
             Value::Object(_) => "object",
+            Value::Frozen(f) => match **f {
+                Frozen::List(_) => "array",
+                Frozen::Map(_) => "map",
+                Frozen::Object(..) => "object",
+            },
         }
     }
 
@@ -126,6 +224,7 @@ impl Value {
             (Value::Array(a), Value::Array(b)) => Rc::ptr_eq(a, b),
             (Value::Map(a), Value::Map(b)) => Rc::ptr_eq(a, b),
             (Value::Object(a), Value::Object(b)) => Rc::ptr_eq(a, b),
+            (Value::Frozen(a), Value::Frozen(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -144,8 +243,12 @@ impl Value {
                 s
             }
             Value::Str(s) => TaintedString::clone(s),
-            Value::Array(_) | Value::Map(_) => render_containers(self),
             Value::Object(o) => TaintedString::from(format!("<{}>", o.borrow().class.name)),
+            Value::Frozen(f) => match &**f {
+                Frozen::Object(class, _) => TaintedString::from(format!("<{}>", class.name)),
+                _ => render_containers(self),
+            },
+            Value::Array(_) | Value::Map(_) => render_containers(self),
         }
     }
 }
@@ -165,6 +268,11 @@ impl Open {
         match v {
             Value::Array(a) => Some((Rc::as_ptr(a) as usize, '[', ']')),
             Value::Map(m) => Some((Rc::as_ptr(m) as usize, '{', '}')),
+            Value::Frozen(f) => match &**f {
+                Frozen::List(_) => Some((Arc::as_ptr(f) as usize, '[', ']')),
+                Frozen::Map(_) => Some((Arc::as_ptr(f) as usize, '{', '}')),
+                Frozen::Object(..) => None,
+            },
             _ => None,
         }
     }
@@ -177,6 +285,14 @@ impl Open {
                 .iter()
                 .map(|(k, v)| (Some(k.clone()), v.clone()))
                 .collect(),
+            Value::Frozen(f) => match &**f {
+                Frozen::List(items) => items.iter().map(|e| (None, e.to_value())).collect(),
+                Frozen::Map(entries) => entries
+                    .iter()
+                    .map(|(k, e)| (Some(k.clone()), e.to_value()))
+                    .collect(),
+                Frozen::Object(..) => Vec::new(),
+            },
             _ => Vec::new(),
         }
     }
@@ -244,8 +360,8 @@ impl fmt::Debug for Value {
 /// A persistable scalar snapshot of a script value (policy fields).
 ///
 /// Policy objects persist as *class name + data fields* (§3.4.1), so a
-/// script policy's fields are snapshotted into this `Send + Sync` form
-/// when the policy is attached to data.
+/// script policy's fields are snapshotted into this form when the policy
+/// is attached to data, and frozen from it once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PValue {
     /// `null`.
@@ -278,55 +394,31 @@ impl PValue {
                     path.pop();
                     PValue::List(items?)
                 }
+                Value::Frozen(f) => match &**f {
+                    Frozen::List(items) => {
+                        let items = items.iter().map(|e| on(&e.to_value(), path));
+                        PValue::List(items.collect::<Option<_>>()?)
+                    }
+                    _ => return None,
+                },
                 Value::Array(_) | Value::Map(_) | Value::Object(_) => return None,
             })
         }
         on(v, &mut Vec::new())
     }
 
-    /// Rebuilds a runtime value.
-    pub fn to_value(&self) -> Value {
+    /// The frozen entry.
+    fn freeze(self) -> Entry {
         match self {
-            PValue::Null => Value::Null,
-            PValue::Bool(b) => Value::Bool(*b),
-            PValue::Int(n) => Value::int(*n),
-            PValue::Str(s) => Value::str(s.clone()),
-            PValue::List(items) => Value::new_array(items.iter().map(PValue::to_value).collect()),
-        }
-    }
-
-    /// Overwrites `slot` with this snapshot's value, reusing what `slot`
-    /// already owns alone: a list's buffer, a string's text. The result is
-    /// indistinguishable from [`PValue::to_value`].
-    pub(crate) fn store_into(&self, slot: &mut Value) {
-        match (self, &mut *slot) {
-            (PValue::Str(s), Value::Str(text)) => {
-                if let Some(text) = Arc::get_mut(text) {
-                    text.truncate(0);
-                    text.push_str(s);
-                    return;
-                }
+            PValue::Null => Entry::Null,
+            PValue::Bool(b) => Entry::Bool(b),
+            PValue::Int(n) => Entry::Int(n),
+            PValue::Str(s) => Entry::str(s),
+            PValue::List(items) => {
+                let items = items.into_iter().map(PValue::freeze).collect();
+                Entry::List(Arc::new(Frozen::List(items)))
             }
-            (PValue::List(items), Value::Array(array)) => {
-                if let Some(array) = Rc::get_mut(array) {
-                    let array = array.get_mut();
-                    array.truncate(items.len());
-                    for (item, v) in items.iter().zip(array.iter_mut()) {
-                        match item {
-                            // What lists mostly hold, without the call
-                            // (this function recurses, so it is not inlined).
-                            PValue::Int(n) => *v = Value::int(*n),
-                            _ => item.store_into(v),
-                        }
-                    }
-                    let kept = array.len();
-                    array.extend(items[kept..].iter().map(PValue::to_value));
-                    return;
-                }
-            }
-            _ => {}
         }
-        *slot = self.to_value();
     }
 
     /// Compact text encoding for persistence.
@@ -385,16 +477,16 @@ impl PValue {
 /// policy objects in the same language that the rest of the application is
 /// written in").
 ///
-/// Carries the class name, a scalar snapshot of the instance's fields, and
+/// Carries the class name and the instance, frozen once: its fields under
 /// the class declaration. When a Rust-side filter invokes `export_check`,
-/// [`crate::check`] runs the method with `this` bound to the fields and
-/// `context` bound to the channel context.
+/// [`crate::check`] runs the method with `this` bound to that frozen
+/// instance, read in place, and `context` bound to the channel context.
 #[derive(Debug)]
 pub struct ScriptPolicy {
     class_name: String,
-    /// Shared so the check caches can recognise this snapshot by identity.
-    fields: Arc<BTreeMap<String, PValue>>,
-    class: Option<Arc<ClassDecl>>,
+    /// The frozen instance (a map of the fields when there is no class);
+    /// shared so the check caches can recognise it by identity.
+    this: Arc<Frozen>,
     /// The class's check plan, resolved by the first crossing.
     plan: OnceLock<Arc<ClassPlan>>,
 }
@@ -408,27 +500,16 @@ impl ScriptPolicy {
         fields: BTreeMap<String, PValue>,
         class: Option<Arc<ClassDecl>>,
     ) -> Self {
+        ScriptPolicy::frozen(class_name, Arc::new(Frozen::instance(class, fields)))
+    }
+
+    /// The policy of an instance frozen already.
+    pub(crate) fn frozen(class_name: String, this: Arc<Frozen>) -> Self {
         ScriptPolicy {
             class_name,
-            fields: Arc::new(fields),
-            class,
+            this,
             plan: OnceLock::new(),
         }
-    }
-
-    /// The snapshotted fields.
-    pub fn fields(&self) -> &BTreeMap<String, PValue> {
-        &self.fields
-    }
-
-    /// The captured class declaration, if any.
-    pub fn class(&self) -> Option<&Arc<ClassDecl>> {
-        self.class.as_ref()
-    }
-
-    /// The captured `export_check` method, if the class defined one.
-    pub fn method(&self) -> Option<&Arc<FnDecl>> {
-        self.class.as_ref().and_then(|c| c.method("export_check"))
     }
 }
 
@@ -438,18 +519,22 @@ impl resin_core::Policy for ScriptPolicy {
     }
 
     fn export_check(&self, context: &Context) -> Result<(), PolicyViolation> {
-        let Some(class) = &self.class else {
+        let Frozen::Object(class, _) = &*self.this else {
             return Ok(());
         };
         let plan = self.plan.get_or_init(|| crate::check::plan_for(class));
-        crate::check::cross(plan, &self.fields, context)
+        crate::check::cross(plan, &self.this, context)
     }
 
     fn serialize_fields(&self) -> Vec<(String, String)> {
-        self.fields
-            .iter()
-            .map(|(k, v)| (k.clone(), v.encode()))
-            .collect()
+        let (Frozen::Object(_, fields) | Frozen::Map(fields)) = &*self.this else {
+            unreachable!("an instance freezes to an object or a map");
+        };
+        let encode = |v: &Entry| {
+            let snapshot = PValue::from_value(&v.to_value());
+            snapshot.expect("a field freezes from a snapshot").encode()
+        };
+        fields.iter().map(|(k, v)| (k.clone(), encode(v))).collect()
     }
 
     /// A script policy's behaviour lives in the captured class AST, not in
@@ -459,7 +544,10 @@ impl resin_core::Policy for ScriptPolicy {
     /// the interner keeps the policy — and hence the `Arc` — alive for the
     /// process lifetime, so the address is never reused.
     fn intern_discriminator(&self) -> u64 {
-        self.class.as_ref().map_or(0, |c| Arc::as_ptr(c) as u64)
+        match &*self.this {
+            Frozen::Object(class, _) => Arc::as_ptr(class) as u64,
+            _ => 0,
+        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

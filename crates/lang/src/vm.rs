@@ -30,7 +30,7 @@ use crate::check::ClassPlan;
 use crate::chunk::{Chunk, Const, Op, Src};
 use crate::compiler::chunk_for;
 use crate::interp::{refused, rt, run_builtin, Builtin, Flow, Interp, MAX_CALL_DEPTH, R};
-use crate::value::{Obj, Value};
+use crate::value::{Entry, Frozen, Obj, Value};
 
 /// Total backward jumps one VM run may take before it fails with `loop
 /// iteration limit exceeded` (a budget for the whole run, not per loop).
@@ -296,6 +296,25 @@ fn set_int(slot: &mut Slot, n: i64, label: Label) {
     }
 }
 
+/// The `n`-th element of an array, frozen or not, when it is an int.
+#[inline(always)]
+fn int_element(v: &Value, n: usize) -> Option<(i64, Label)> {
+    match v {
+        Value::Frozen(f) => match &**f {
+            Frozen::List(items) => match items.get(n)? {
+                &Entry::Int(x) => Some((x, Label::EMPTY)),
+                _ => None,
+            },
+            _ => None,
+        },
+        Value::Array(items) => match items.borrow().get(n)? {
+            &Value::Int(x, label) => Some((x, label)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// A copy of a value read in place (a slot, an element, a field), taken
 /// so that the borrow it was read under can end before the destination —
 /// possibly the same slot — is written. An int is copied by its fields,
@@ -485,17 +504,15 @@ impl<'a> Regs<'a> {
     #[inline(never)]
     fn method(&mut self, name: u16, index: u16, w: u16) -> R<Arc<Chunk>> {
         let name = self.name(name);
-        match self.frame[w as usize]
+        let recv = self.frame[w as usize]
             .as_ref()
-            .expect("a temporary is bound")
-        {
-            Value::Object(o) => {
-                let class = &o.borrow().class;
-                method_chunk(self.host.as_deref_mut(), self.plan, class, name, index)?
-                    .ok_or_else(|| rt(format!("no method `{name}` on `{}`", class.name)))
-            }
-            recv => Err(rt(format!("cannot call method on {}", recv.type_name()))),
-        }
+            .expect("a temporary is bound");
+        let (host, plan) = (self.host.as_deref_mut(), self.plan);
+        let chunk = recv.with_class(|class| {
+            method_chunk(host, plan, class, name, index)?
+                .ok_or_else(|| rt(format!("no method `{name}` on `{}`", class.name)))
+        });
+        chunk.unwrap_or_else(|| Err(rt(format!("cannot call method on {}", recv.type_name()))))
     }
 
     /// A new instance of class `names[class]` — one the host defined, or
@@ -522,12 +539,14 @@ impl<'a> Regs<'a> {
         let name = self.name(name);
         // A field copied out from where the object lies.
         if let Ok(slot) = obj.decode() {
-            if let Some(Value::Object(o)) = &self.frame[slot] {
-                let field = o.borrow().fields.get(name).map(Copied::of);
-                if let Some(v) = field {
-                    v.store(&mut self.frame[dst as usize]);
-                    return Ok(());
-                }
+            let field = match &self.frame[slot] {
+                Some(Value::Frozen(f)) => f.field(name).map(|e| Copied::Other(e.to_value())),
+                Some(Value::Object(o)) => o.borrow().fields.get(name).map(Copied::of),
+                _ => None,
+            };
+            if let Some(v) = field {
+                v.store(&mut self.frame[dst as usize]);
+                return Ok(());
             }
         }
         let v = Interp::prop_value(&self.read(obj)?, name)?;
@@ -543,17 +562,31 @@ impl<'a> Regs<'a> {
 
     #[inline(never)]
     fn index(&mut self, dst: u16, a: Src, i: Src) -> R<()> {
-        // A map entry copied out from where the map lies.
+        // An element, or a frozen map's entry, copied out from where its
+        // container lies (a missing key reads as `null`).
         if let Ok(slot) = a.decode() {
-            if let Some(Value::Map(entries)) = &self.frame[slot] {
-                if let Some(key) = str_of(self.frame, &self.chunk.consts, i) {
-                    let v = entries.borrow().get(key).map(Copied::of);
-                    match v {
-                        Some(v) => v.store(&mut self.frame[dst as usize]),
-                        None => self.frame[dst as usize] = Some(Value::Null),
-                    }
-                    return Ok(());
+            let consts = &self.chunk.consts;
+            let (n, key) = (
+                int_of::<false>(self.frame, consts, i),
+                str_of(self.frame, consts, i),
+            );
+            let copied = match (&self.frame[slot], n, key) {
+                (Some(Value::Array(items)), Some(n), _) => {
+                    items.borrow().get(n as usize).map(Copied::of)
                 }
+                (Some(Value::Frozen(f)), n, key) => match (&**f, n, key) {
+                    (Frozen::List(items), Some(n), _) => items.get(n as usize).map(Entry::to_value),
+                    (Frozen::Map(entries), _, Some(key)) => {
+                        Some(entries.get(key).map_or(Value::Null, Entry::to_value))
+                    }
+                    _ => None,
+                }
+                .map(Copied::Other),
+                _ => None,
+            };
+            if let Some(v) = copied {
+                v.store(&mut self.frame[dst as usize]);
+                return Ok(());
             }
         }
         let v = Interp::index_value(&self.read(a)?, &self.read(i)?)?;
@@ -808,18 +841,18 @@ impl<'a> Vm<'a> {
                     Op::GetProp { dst, obj, name } => tri!(regs.get_prop(dst, obj, name)),
                     Op::SetProp { obj, name, val } => tri!(regs.set_prop(obj, name, val)),
                     Op::Index { dst, a, i } => {
-                        // An array element copied out from where the array
-                        // lies; subscript labels are ignored, exactly as
-                        // in `index_value`.
-                        if let Ok(Some(Value::Array(items))) =
-                            a.decode().map(|slot| &regs.frame[slot])
-                        {
-                            if let Some(n) = int_of::<false>(regs.frame, consts, i) {
-                                let item = items.borrow().get(n as usize).map(Copied::of);
-                                if let Some(v) = item {
-                                    v.store(&mut regs.frame[dst as usize]);
-                                    continue;
-                                }
+                        // An int element copied out from where its array
+                        // lies; subscript labels are ignored, exactly as in
+                        // `index_value`. Any other element is copied out of
+                        // line (`Regs::index`): a bigger arm here slowed
+                        // every instruction of a policy's loop.
+                        if let (Ok(Some(v)), Some(n)) = (
+                            a.decode().map(|slot| &regs.frame[slot]),
+                            int_of::<false>(regs.frame, consts, i),
+                        ) {
+                            if let Some((x, label)) = int_element(v, n as usize) {
+                                set_int(&mut regs.frame[dst as usize], x, label);
+                                continue;
                             }
                         }
                         tri!(regs.index(dst, a, i));

@@ -278,13 +278,11 @@ fn header_line(line: &str) -> Result<(&str, &str), HttpError> {
     Ok((name, value.trim()))
 }
 
-/// The byte an escape's two characters spell, read as
-/// `u8::from_str_radix(h, 16)` reads them: two hex digits, or a `+` sign
-/// and one.
+/// The byte an escape's two characters spell when both are ASCII hex
+/// digits.
 fn unhex(h: &[u8]) -> Option<u8> {
     let digit = |c: u8| char::from(c).to_digit(16).map(|d| d as u8);
     match *h {
-        [b'+', lo] => digit(lo),
         [hi, lo] => Some(digit(hi)? << 4 | digit(lo)?),
         _ => None,
     }
@@ -680,18 +678,30 @@ mod tests {
         assert_eq!(percent_decode("a+b", false), "a+b");
         assert_eq!(percent_decode("bad%2", false), "bad%2");
         assert_eq!(percent_decode("bad%zz", false), "bad%zz");
-        assert_eq!(percent_decode("%+a%+", true), "\n% ");
+        assert_eq!(percent_decode("%+a%+", true), "% a% ");
         assert_eq!(percent_decode("a%C3%A9%FF", false), "a\u{e9}\u{fffd}");
     }
 
     #[test]
     fn an_escape_reads_as_from_str_radix_reads_it() {
+        // Two ASCII hex digits, and nothing else: no sign, no other digit.
         for h in (0..=u16::MAX).map(u16::to_be_bytes) {
             let want = std::str::from_utf8(&h)
                 .ok()
+                .filter(|_| h.iter().all(u8::is_ascii_hexdigit))
                 .and_then(|s| u8::from_str_radix(s, 16).ok());
             assert_eq!(unhex(&h), want, "{h:?}");
         }
+    }
+
+    #[test]
+    fn a_signed_escape_passes_through_verbatim() {
+        // `u8::from_str_radix` reads `+a` as 10: a newline, were `%+a` an
+        // escape.
+        assert_eq!(percent_decode("%+a", false), "%+a");
+        assert_eq!(percent_decode("%-a%+0", false), "%-a%+0");
+        let req = build_request(&head_of("GET /?q=%+a HTTP/1.1\r\n\r\n"), None);
+        assert_eq!(req.param("q").unwrap().as_str(), "% a");
     }
 
     #[test]

@@ -198,7 +198,10 @@ fn percent_decode(raw: &str, form: bool) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
+                // Two ASCII hex digits: `from_str_radix` alone would take
+                // a sign too.
                 let hex = bytes.get(i + 1..i + 3);
+                let hex = hex.filter(|h| h.iter().all(u8::is_ascii_hexdigit));
                 match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
                     Some(b) => {
                         out.push(b);
