@@ -1850,6 +1850,53 @@ mod tests {
     }
 
     #[test]
+    fn read_only_analysis_walks_reachable_methods() {
+        // A helper that pushes into a list reached through `this` is
+        // refused even though export_check itself is clean, as is an index
+        // store through a local alias: each crossing executes and fails
+        // closed. An unreachable mutating method refuses nothing, so the
+        // clean policy's allow is reused.
+        let ctx = Context::new(GateKind::Http);
+        let log = BTreeMap::from([("log".to_string(), PValue::List(vec![PValue::Int(0)]))]);
+        let n = BTreeMap::from([("n".to_string(), PValue::Int(1))]);
+        let reused = || metrics::thread(Counter::VerdictsReused);
+        for (src, fields, refused) in [
+            (
+                "class Sneaky { fn bump() { push(this.log, 1); } fn export_check(c) { this.bump(); } }",
+                &log,
+                Some("a store into a frozen array by `push`"),
+            ),
+            (
+                "class Alias { fn export_check(c) { let w = this.log; w[0] = 9; } }",
+                &log,
+                Some("a store into a frozen array"),
+            ),
+            (
+                "class Clean { fn init(n) { this.n = n; } fn export_check(c) { return this.n; } }",
+                &n,
+                None,
+            ),
+        ] {
+            let class = policy_class(src);
+            let policy = ScriptPolicy::new(class.name.clone(), fields.clone(), Some(class));
+            let (crossed, r0) = (metrics::thread(Counter::ScriptCrossings), reused());
+            for _ in 0..3 {
+                let verdict = policy.export_check(&ctx);
+                match refused {
+                    Some(what) => {
+                        let err = verdict.unwrap_err().to_string();
+                        assert!(err.contains(what), "{src}: {err}");
+                    }
+                    None => verdict.unwrap(),
+                }
+            }
+            let crossed = metrics::thread(Counter::ScriptCrossings) - crossed;
+            let expected = if refused.is_some() { (3, 0) } else { (1, 2) };
+            assert_eq!((crossed, reused() - r0), expected, "{src}");
+        }
+    }
+
+    #[test]
     fn a_scratch_field_writer_executes_every_crossing_verdict_unchanged() {
         // Writes an audit field no method reads. `this` is frozen, so the
         // store is refused: every crossing is the same deny, a deny is
