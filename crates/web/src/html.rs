@@ -19,24 +19,21 @@ use resin_core::{
     HtmlSanitized, Label, PolicyViolation, Reason, Result, TaintedString, TextTail, UntrustedData,
 };
 
-/// A page, as 4K aliasing sees it: an x86 core stalls a load that
-/// follows a store to an address with the same low 12 bits. On a Xeon
-/// (2 vCPUs) the escape loop ran about 1.7× slower when the page offsets
-/// it wrote crossed those of the table entries it read, which turned on
-/// where the linker and the allocator happened to put the two.
-const PAGE: usize = 4096;
+/// Input bytes the kernel escapes into its block at a time. Each turn
+/// costs a call, a tail of up to fifteen bytes through the table loop, a
+/// `from_utf8` and a copy: at 256 bytes a turn a 1 KiB escape ran about
+/// 12 % slower, and forum bodies of 64 B to 4 KiB about 25 % slower; at
+/// 4 KiB a turn, no faster than at 1 KiB.
+const BLOCK_BYTES: usize = 1024;
 
-/// The half page the kernel writes its output into: the upper one. The
-/// tables fill the lower half, each page-aligned and 2 KiB, so a store to
-/// the window never aliases a table load.
-const WINDOW: usize = PAGE / 2;
+/// The kernel's output block: eight bytes per input byte. A byte's
+/// output is at most seven, and its entry's store writes eight.
+const BLOCK_LEN: usize = 8 * BLOCK_BYTES;
 
-/// Input bytes the kernel escapes per block: eight bytes of window each.
-const BLOCK_BYTES: usize = WINDOW / 8;
-
-/// The kernel's output block: a page and a window, so that a window at
-/// any page offset fits in it.
-const BLOCK_LEN: usize = PAGE + WINDOW;
+/// The bytes at or above its `below` bound a table may replace, at
+/// most: the SSE2 body compares each block of sixteen with this many, one
+/// byte at a time. HTML replaces five; JSON four, and repeats one.
+const EQUAL: usize = 5;
 
 thread_local! {
     /// The one buffer the kernel keeps, sized at a thread's first escape
@@ -45,6 +42,10 @@ thread_local! {
     /// offset, and `hotcrp_page` and `rsl_page`, which never escape, read
     /// about 3 % slower than with the block here.
     static BLOCK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+
+    /// The entries the SSE2 body has read on this thread.
+    #[cfg(test)]
+    static ENTRY_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// What an encoder does to each byte, as one table derived once from its
@@ -53,11 +54,20 @@ thread_local! {
 /// that output's length in the top one. Only ASCII bytes may be replaced,
 /// so a character is either copied whole or is one ASCII byte, and the
 /// escape of text that is whole characters is valid UTF-8.
-#[repr(C, align(4096))]
+///
+/// Beside the table, the same set of replaced bytes as a test a block of
+/// sixteen can take at once: every byte below `below` (unsigned), and
+/// the `equal` bytes. [`EscapeTable::new`] derives it from the same
+/// function and asserts that the two agree on every byte.
 pub(crate) struct EscapeTable {
     entries: [u64; 256],
+    equal: [u8; EQUAL],
+    below: u8,
     #[cfg(test)]
     replacement: fn(u8) -> Option<&'static str>,
+    /// Escape by the table loop alone, as a target without SSE2 does.
+    #[cfg(test)]
+    portable: bool,
 }
 
 impl EscapeTable {
@@ -78,11 +88,36 @@ impl EscapeTable {
                 .expect("a replacement is at most seven bytes");
             entries[usize::from(b)] = u64::from_le_bytes(entry);
         }
-        EscapeTable {
+        // The replaced bytes from 0 up make the bound; the rest are
+        // compared one by one.
+        let below = (0..=u8::MAX)
+            .take_while(|&b| replacement(b).is_some())
+            .count();
+        let below = u8::try_from(below).expect("only ASCII bytes are replaced");
+        let equal: Vec<u8> = (below..=u8::MAX)
+            .filter(|&b| replacement(b).is_some())
+            .collect();
+        let n = equal.len();
+        assert!((1..=EQUAL).contains(&n), "{n} bytes to compare");
+        let table = EscapeTable {
             entries,
+            equal: std::array::from_fn(|i| equal[i.min(n - 1)]),
+            below,
             #[cfg(test)]
             replacement,
+            #[cfg(test)]
+            portable: false,
+        };
+        // The block test for one byte, as each lane of the SSE2 body
+        // computes it.
+        for b in 0..=u8::MAX {
+            assert_eq!(
+                b < table.below || table.equal.contains(&b),
+                replacement(b).is_some(),
+                "the block test and the table disagree on {b:#04x}"
+            );
         }
+        table
     }
 
     /// True when the table replaces `b`.
@@ -91,32 +126,141 @@ impl EscapeTable {
         (self.replacement)(b).is_some()
     }
 
-    /// Appends `text` escaped, a block of at most [`BLOCK_BYTES`] input
-    /// bytes at a time, each ending on a character boundary. Per byte the
-    /// kernel loads the byte's entry, stores all eight of its bytes at the
-    /// output offset, and moves the offset by the length: no branch on
-    /// the byte. The next entry's store covers the length byte. A block's
+    /// Appends `text` escaped, at most [`BLOCK_BYTES`] input bytes at a
+    /// time, each turn ending on a character boundary, through
+    /// [`EscapeTable::escape_block`] into the per-thread block. A turn's
     /// output is valid UTF-8 (see [`EscapeTable`]), which `from_utf8`
     /// confirms before it is appended.
     fn escape_into(&self, out: &mut TextTail<'_>, text: &str) {
         BLOCK.with_borrow_mut(|block| {
             block.resize(BLOCK_LEN, 0);
-            // The window starts where the address is WINDOW past a page.
-            let skew = WINDOW.wrapping_sub(block.as_ptr().addr()) % PAGE;
-            let window = &mut block[skew..skew + WINDOW];
             let mut rest = text;
             while !rest.is_empty() {
                 let (input, tail) = rest.split_at(rest.floor_char_boundary(BLOCK_BYTES));
-                let mut len = 0usize;
-                for &b in input.as_bytes() {
-                    let entry = self.entries[usize::from(b)];
-                    window[len..len + 8].copy_from_slice(&entry.to_le_bytes());
-                    len += (entry >> 56) as usize;
-                }
-                out.push_str(std::str::from_utf8(&window[..len]).expect("escaped text is UTF-8"));
+                let len = self.escape_block(input.as_bytes(), block);
+                out.push_str(std::str::from_utf8(&block[..len]).expect("escaped text is UTF-8"));
                 rest = tail;
             }
         });
+    }
+
+    /// The table loop: writes `input` escaped at the start of `out` and
+    /// returns the output's length. Per byte it loads the byte's entry,
+    /// stores all eight of its bytes at the output offset, and moves the
+    /// offset by the length: no branch on the byte. The next entry's store
+    /// covers the length byte.
+    fn escape_table(&self, input: &[u8], out: &mut [u8]) -> usize {
+        let mut len = 0usize;
+        for &b in input {
+            let entry = self.entries[usize::from(b)];
+            out[len..len + 8].copy_from_slice(&entry.to_le_bytes());
+            len += (entry >> 56) as usize;
+        }
+        len
+    }
+
+    /// Writes `input` escaped at the start of `out`, which holds eight
+    /// bytes per input byte, and returns the output's length.
+    ///
+    /// The SSE2 body: sixty-four input bytes a step, four blocks of
+    /// sixteen each loaded once and tested in one go against the table's
+    /// replaced bytes, into one mask (the last blocks go one a step). Each
+    /// replaced byte the mask holds writes the clean run before it, with
+    /// one fixed-size 64-byte copy when the run fits and a copy of its
+    /// length when not, and then its entry. So a clean block costs its
+    /// test and its share of a copy, and the table is read only at a
+    /// replaced byte. The last fifteen
+    /// bytes or fewer go through the table loop. SSE2 is part of the
+    /// x86_64 baseline, so this is a property of the target and not a
+    /// switch, as for `LIKE`'s filter. The only code in the crate allowed
+    /// `unsafe`: its call into the `#[target_feature]` code, and its load,
+    /// whose bound each loop condition proves. Its copies are slices.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[allow(unsafe_code)]
+    fn escape_block(&self, input: &[u8], out: &mut [u8]) -> usize {
+        #[cfg(test)]
+        if self.portable {
+            return self.escape_table(input, out);
+        }
+        use std::arch::x86_64::{
+            __m128i, _mm_andnot_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8,
+            _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi8,
+        };
+        #[target_feature(enable = "sse2")]
+        fn body(table: &EscapeTable, input: &[u8], out: &mut [u8]) -> usize {
+            let splat = |b: u8| _mm_set1_epi8(b as i8);
+            let (below, ones) = (splat(table.below), splat(u8::MAX));
+            let equal = table.equal.map(splat);
+            // Bit `k` is set when byte `k` is replaced: below the bound
+            // (the unsigned max of the two is the bound, not the byte), or
+            // equal to one of the table's bytes.
+            let replaced = |bytes: __m128i| {
+                let at_least = _mm_cmpeq_epi8(_mm_max_epu8(bytes, below), bytes);
+                let hits = equal
+                    .iter()
+                    .fold(_mm_andnot_si128(at_least, ones), |hits, &e| {
+                        _mm_or_si128(hits, _mm_cmpeq_epi8(bytes, e))
+                    });
+                _mm_movemask_epi8(hits) as u32
+            };
+            let load = |at: usize| {
+                debug_assert!(at + 16 <= input.len(), "load at {at} of {}", input.len());
+                // SAFETY: `at + 16 <= input.len()`: each caller's loop
+                // condition.
+                unsafe { _mm_loadu_si128(input.as_ptr().add(at).cast::<__m128i>()) }
+            };
+            let n = input.len();
+            // `src` is the first input byte not yet written, `len` the
+            // output's length so far.
+            let (mut src, mut len, mut at) = (0usize, 0usize, 0usize);
+            while at + 16 <= n {
+                // Bit `k` of `hits` is set when byte `at + k` is replaced:
+                // sixteen bytes a step at the end, sixty-four before it.
+                let (mut hits, step) = if at + 64 <= n {
+                    let bits = |k: usize| u64::from(replaced(load(at + k)));
+                    (
+                        bits(0) | bits(16) << 16 | bits(32) << 32 | bits(48) << 48,
+                        64,
+                    )
+                } else {
+                    (u64::from(replaced(load(at))), 16)
+                };
+                // Each replaced byte: the clean run before it, then its
+                // entry.
+                while hits != 0 {
+                    let p = at + hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let run = p - src;
+                    if run <= 64 && src + 64 <= n {
+                        // One fixed-size copy, four stores.
+                        out[len..len + 64].copy_from_slice(&input[src..src + 64]);
+                    } else {
+                        out[len..len + run].copy_from_slice(&input[src..p]);
+                    }
+                    len += run;
+                    let entry = table.entries[usize::from(input[p])];
+                    #[cfg(test)]
+                    ENTRY_READS.set(ENTRY_READS.get() + 1);
+                    out[len..len + 8].copy_from_slice(&entry.to_le_bytes());
+                    len += (entry >> 56) as usize;
+                    src = p + 1;
+                }
+                at += step;
+            }
+            let run = at - src;
+            out[len..len + run].copy_from_slice(&input[src..at]);
+            len += run;
+            len + table.escape_table(&input[at..], &mut out[len..])
+        }
+        // SAFETY: `body` requires SSE2, and this call is compiled only for
+        // targets that have it: see the `cfg` above.
+        unsafe { body(self, input, out) }
+    }
+
+    /// The body on a target without SSE2: the table loop alone.
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+    fn escape_block(&self, input: &[u8], out: &mut [u8]) -> usize {
+        self.escape_table(input, out)
     }
 }
 
@@ -454,15 +598,36 @@ mod tests {
         }
     }
 
-    /// Both escapers against the oracles: text against the slice-and-push
+    /// `table`'s escaper with the table loop as its whole body, as a target
+    /// without SSE2 escapes.
+    fn portable(table: &EscapeTable) -> EscapeTable {
+        EscapeTable {
+            portable: true,
+            ..EscapeTable::new(table.replacement)
+        }
+    }
+
+    static PORTABLE_HTML: LazyLock<EscapeTable> = LazyLock::new(|| portable(&HTML_ESCAPES));
+    static PORTABLE_JSON: LazyLock<EscapeTable> =
+        LazyLock::new(|| portable(&crate::json::JSON_ESCAPES));
+
+    /// Both escapers, each by the body this target runs and by the
+    /// portable one, against the oracles: text against the slice-and-push
     /// one, labels against the byte-wise one.
     fn agrees_with_the_oracles(input: &TaintedString) {
         let marker = Label::of(&(Arc::new(HtmlSanitized::new()) as PolicyRef));
+        let json = &*crate::json::JSON_ESCAPES;
         for (got, table, marker) in [
             (html_escape(input), &*HTML_ESCAPES, marker),
             (
-                crate::json::escape_tainted(input),
-                &*crate::json::JSON_ESCAPES,
+                escape_bytes(input, &PORTABLE_HTML, marker),
+                &HTML_ESCAPES,
+                marker,
+            ),
+            (crate::json::escape_tainted(input), json, Label::EMPTY),
+            (
+                escape_bytes(input, &PORTABLE_JSON, Label::EMPTY),
+                json,
                 Label::EMPTY,
             ),
         ] {
@@ -472,6 +637,136 @@ mod tests {
             );
             let want = escape_bytewise(input, table.replacement, marker);
             assert!(got.taint_eq(&want), "{input:?}: {got:?} != {want:?}");
+        }
+    }
+
+    #[test]
+    fn every_byte_in_every_lane_agrees_with_the_oracles() {
+        let lanes = 16;
+        // First the bodies on raw bytes, so every byte value is seen, those
+        // no UTF-8 text holds too: at each lane of a block with blocks
+        // either side, and at each offset of a tail shorter than a block.
+        for table in [&*HTML_ESCAPES, &*crate::json::JSON_ESCAPES] {
+            let by_table = |input: &[u8]| {
+                let mut out = vec![0; 8 * input.len()];
+                let len = table.escape_table(input, &mut out);
+                out.truncate(len);
+                out
+            };
+            let check = |input: &[u8]| {
+                let mut out = vec![0; BLOCK_LEN];
+                let len = table.escape_block(input, &mut out);
+                assert_eq!(&out[..len], &by_table(input)[..], "{input:?}");
+            };
+            for b in 0..=u8::MAX {
+                for lane in 0..lanes {
+                    let mut text = vec![b'x'; 3 * lanes];
+                    text[lanes + lane] = b;
+                    let reads = ENTRY_READS.get();
+                    check(&text);
+                    // The SSE2 body reads the table at a replaced byte
+                    // and nowhere else.
+                    if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
+                        let read = ENTRY_READS.get() - reads;
+                        assert_eq!(read, usize::from(table.replaces(b)), "{b:#04x}");
+                    }
+                }
+                for len in 1..lanes {
+                    for at in 0..len {
+                        let mut text = vec![b'x'; len];
+                        text[at] = b;
+                        check(&text);
+                    }
+                }
+                // Before and after a replaced one, a clean run of every
+                // length up to two steps of sixty-four.
+                if table.replaces(b) {
+                    for run in 0..=130 {
+                        for tail in [0, 1, 15, 16, 17, 63, 64, 65] {
+                            let mut text = vec![b'x'; run + 1 + tail];
+                            text[run] = b;
+                            check(&text);
+                        }
+                    }
+                }
+                // The table agrees with the replacement byte by byte.
+                let rep = (table.replacement)(b).map_or(vec![b], |r| r.as_bytes().to_vec());
+                assert_eq!(by_table(&[b]), rep, "{b:#04x}");
+            }
+        }
+
+        // Then every byte a character can hold, through both escapers,
+        // both bodies, and the oracles: in each lane of a block that has a
+        // block before it, and at each offset of a text under a block.
+        let mut byte_chars: Vec<Option<(char, usize)>> = vec![None; 256];
+        let starts = (0..0x800).chain([0x800]).chain((1..16).map(|n| n << 12));
+        let starts = starts.chain([0x1_0000, 0x4_0000, 0x8_0000, 0xc_0000, 0x10_0000]);
+        for c in starts.filter_map(char::from_u32) {
+            let mut buf = [0; 4];
+            for (at, &b) in c.encode_utf8(&mut buf).as_bytes().iter().enumerate() {
+                byte_chars[usize::from(b)].get_or_insert((c, at));
+            }
+        }
+        let missing: Vec<usize> = (0..256).filter(|&b| byte_chars[b].is_none()).collect();
+        assert_eq!(
+            missing,
+            [0xc0, 0xc1, 0xf5, 0xf6, 0xf7, 0xf8, 0xf9, 0xfa, 0xfb, 0xfc, 0xfd, 0xfe, 0xff]
+        );
+        let around = |before: usize, c: char, len: usize| {
+            let mut text = "x".repeat(before);
+            text.push(c);
+            text + &"x".repeat(len - before - c.len_utf8())
+        };
+        for &(c, at) in byte_chars.iter().flatten() {
+            for lane in 0..lanes {
+                agrees_with_the_oracles(&untrusted(&around(lanes + lane - at, c, 3 * lanes)));
+            }
+            for len in c.len_utf8()..lanes {
+                for before in 0..=len - c.len_utf8() {
+                    agrees_with_the_oracles(&TaintedString::from(around(before, c, len).as_str()));
+                }
+            }
+        }
+
+        // A clean run of every length around a step of sixty-four before a
+        // metacharacter.
+        for run in 60..=70 {
+            agrees_with_the_oracles(&untrusted(&("x".repeat(run) + "<" + &"y".repeat(70))));
+            agrees_with_the_oracles(&untrusted(&("x".repeat(run) + "<")));
+        }
+
+        // Two metacharacters in one block, in every pair of lanes (adjacent
+        // ones among them), and each lane's metacharacter as the last byte
+        // before a tail.
+        let metas = ['<', '&', '"', '\\', '\n', '>', '\'', '\u{1}'];
+        for i in 0..lanes {
+            for j in i + 1..lanes {
+                let mut text: Vec<char> = "x".repeat(3 * lanes).chars().collect();
+                text[lanes + i] = metas[(i + j) % metas.len()];
+                text[lanes + j] = metas[j % metas.len()];
+                let text: String = text.into_iter().collect();
+                agrees_with_the_oracles(&untrusted(&text));
+                agrees_with_the_oracles(&untrusted(&text[..lanes + j + 1]));
+            }
+        }
+
+        // A multi-byte character straddling a block edge, after a
+        // metacharacter at each lane before it and the edge of the kernel's
+        // input block.
+        for c in ["é", "✓", "😀"] {
+            for into in 1..c.len() {
+                for meta in 0..lanes {
+                    let mut text = "x".repeat(2 * lanes - into);
+                    text.replace_range(lanes + meta - into..lanes + meta - into + 1, "<");
+                    text.push_str(c);
+                    text.push_str(&"x".repeat(lanes));
+                    agrees_with_the_oracles(&untrusted(&text));
+                }
+                let text = "x".repeat(BLOCK_BYTES - into) + c + &"x<".repeat(lanes);
+                agrees_with_the_oracles(&untrusted(&text));
+                let text = "<".repeat(BLOCK_BYTES - into) + c + &"<x".repeat(lanes);
+                agrees_with_the_oracles(&untrusted(&text));
+            }
         }
     }
 

@@ -48,7 +48,8 @@
 //! assert!(mailer.sent()[0].body.contains("s3cret"));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod email;
 pub mod html;
