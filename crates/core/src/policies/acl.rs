@@ -6,6 +6,7 @@ use std::fmt;
 use crate::context::Context;
 use crate::error::{PolicyViolation, Reason};
 use crate::policy::Policy;
+use crate::serialize::{escape_into, unescape};
 
 /// A right an ACL can grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,38 +118,28 @@ impl Acl {
             if i > 0 {
                 out.push(',');
             }
-            for c in p.chars() {
-                match c {
-                    '%' => out.push_str("%25"),
-                    ':' => out.push_str("%3A"),
-                    ',' => out.push_str("%2C"),
-                    c => out.push(c),
-                }
-            }
+            escape_into(&mut out, p, b"%:,");
             out.push(':');
             out.extend(rights.iter().map(|r| r.code()));
         }
         out
     }
 
-    /// Parses the serialized form produced by [`Acl::encode`]. A
-    /// malformed entry, right code or `%XX` escape yields `None`, which
-    /// fails the revive of the policy carrying the ACL closed.
+    /// Parses what [`Acl::encode`] writes, and only that: a malformed
+    /// entry, right code or `%XX` escape, and a text that reads as some
+    /// ACL but is not how `encode` writes it (`%41` for `A`, `%3a`), yield
+    /// `None`, which fails the revive of the policy carrying the ACL
+    /// closed.
     pub fn decode(s: &str) -> Option<Acl> {
         let mut acl = Acl::new();
-        if s.is_empty() {
-            return Some(acl);
-        }
-        for entry in s.split(',') {
-            let (p, codes) = entry.split_once(':')?;
-            let mut rights = Vec::new();
-            for c in codes.chars() {
-                rights.push(Right::from_code(c)?);
+        if !s.is_empty() {
+            for entry in s.split(',') {
+                let (p, codes) = entry.split_once(':')?;
+                let rights = codes.chars().map(Right::from_code).collect::<Option<_>>()?;
+                acl.entries.push((unescape(p).ok()?, rights));
             }
-            acl.entries
-                .push((crate::serialize::unescape(p).ok()?, rights));
         }
-        Some(acl)
+        Some(acl).filter(|acl| acl.encode() == s)
     }
 }
 
@@ -238,6 +229,19 @@ mod tests {
         assert_eq!(Acl::decode("").unwrap(), Acl::new());
         assert!(Acl::decode("bad").is_none());
         assert!(Acl::decode("x:q").is_none());
+    }
+
+    #[test]
+    fn an_acl_reads_back_only_as_it_encodes() {
+        // `%41` names `A`, which `encode` writes as itself, and it writes
+        // hex in upper case: neither text is how any ACL encodes.
+        for text in ["alice:rw,%41b:r", "a%3ab:r", "a%:r", ",", "a:r,"] {
+            assert_eq!(Acl::decode(text), None, "{text}");
+        }
+        let hostile = Acl::new().grant("m:r,%x", &[Right::Admin, Right::Read]);
+        for a in [acl(), hostile, Acl::new(), Acl::new().grant("", &[])] {
+            assert_eq!(Acl::decode(&a.encode()), Some(a.clone()));
+        }
     }
 
     #[test]

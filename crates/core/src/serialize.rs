@@ -288,10 +288,11 @@ const STOCK_POLICIES: &[Stock<PolicyRef>] = &[
 
 // ---- escaping ----
 
-/// Appends `s` to `out` with every byte of `meta` written `%XX`. Every
-/// metacharacter is ASCII, so the stretches between them are copied as
-/// they are, whatever they hold.
-fn escape_into(out: &mut String, s: &str, meta: &[u8]) {
+/// Appends `s` to `out` with every byte of `meta` written `%XX` (upper
+/// case hex): the one `%XX` escaper of every wire text — objects, policy
+/// texts, `Acl` and `PValue`. Every metacharacter is ASCII, so the
+/// stretches between them are copied as they are, whatever they hold.
+pub fn escape_into(out: &mut String, s: &str, meta: &[u8]) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut copied = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -306,9 +307,10 @@ fn escape_into(out: &mut String, s: &str, meta: &[u8]) {
     out.push_str(&s[copied..]);
 }
 
-/// `s` with every `%XX` read back as the byte it names ([`escape_into`]'s
-/// inverse, and `Acl::decode`'s for principals).
-pub(crate) fn unescape(s: &str) -> Result<String, SerializeError> {
+/// `s` with every `%XX` read back as the byte it names: [`escape_into`]'s
+/// inverse. It reads any hex case and any escaped byte, so a decoder that
+/// must be canonical checks that its value escapes back to its text.
+pub fn unescape(s: &str) -> Result<String, SerializeError> {
     if !s.contains('%') {
         return Ok(s.to_string());
     }
@@ -571,25 +573,35 @@ pub fn read_spans<'a>(
         .map(read_span))
 }
 
-/// One span of a spans blob: its range and the table indexes it names.
+/// One span of a spans blob: its range and the table indexes it names,
+/// each a decimal as the writer writes it.
 fn read_span(span: &str) -> Result<(Range<u64>, impl Iterator<Item = usize> + '_), SerializeError> {
     let malformed = || SerializeError::Malformed(format!("bad span `{span}`"));
     let (range, indexes) = span.split_once('|').ok_or_else(malformed)?;
     // Two one-byte splits: a `".."` pattern is a substring search.
     let (a, b) = range.split_once('.').ok_or_else(malformed)?;
     let b = b.strip_prefix('.').ok_or_else(malformed)?;
-    let (Ok(start), Ok(end)) = (a.parse::<u64>(), b.parse::<u64>()) else {
+    let (Some(start), Some(end)) = (decimal::<u64>(a), decimal::<u64>(b)) else {
         return Err(malformed());
     };
-    let mut indexes = indexes.split(',').filter(|i| !i.is_empty());
-    let bad = |i: &str| i.parse::<usize>().is_err();
-    if start > end || indexes.clone().next().is_none() || indexes.clone().any(bad) {
+    let mut indexes = indexes.split(',');
+    if start > end || indexes.clone().any(|i| decimal::<usize>(i).is_none()) {
         return Err(malformed());
     }
     Ok((
         start..end,
-        std::iter::from_fn(move || indexes.next()?.parse().ok()),
+        std::iter::from_fn(move || decimal(indexes.next()?)),
     ))
+}
+
+/// `s` read as a number if it is one as `{}` writes it: digits only, and
+/// no leading zero but in `0` itself.
+fn decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
+    match s.as_bytes() {
+        [b'0'] => s.parse().ok(),
+        [b'1'..=b'9', rest @ ..] if rest.iter().all(u8::is_ascii_digit) => s.parse().ok(),
+        _ => None,
+    }
 }
 
 /// The one writer of `#table#spans` blobs. Spans go in as they are met,
@@ -976,6 +988,29 @@ mod tests {
     }
 
     #[test]
+    fn a_spans_blob_number_has_one_spelling() {
+        // A sign, a leading zero or an empty index reads as the number the
+        // writer writes another way: the blob is not the writer's.
+        for bad in [
+            "00..5|0", "0..05|0", "+0..5|0", "0..5|00", "0..5|+0", "0..5|0,", "0..5|,0",
+        ] {
+            let blob = format!("#UntrustedData{{}}#{bad}");
+            for got in [
+                deserialize_spans("hello", &blob),
+                oracle::deserialize_spans("hello", &blob),
+            ] {
+                assert!(
+                    matches!(got, Err(SerializeError::Malformed(_))),
+                    "{blob}: {got:?}"
+                );
+            }
+        }
+        // The writer's own: `0`, and an index again inside one span.
+        let t = deserialize_spans("hello", "#UntrustedData{}#0..5|0,0").unwrap();
+        assert!(t.label_at(0).has::<UntrustedData>());
+    }
+
+    #[test]
     fn a_span_that_splits_a_character_is_an_error() {
         // `é` is two bytes: a span from or to the middle of it would panic
         // the first `slice` that cut there.
@@ -1210,18 +1245,22 @@ mod tests {
             let (a, b) = range
                 .split_once("..")
                 .ok_or_else(|| SerializeError::Malformed(format!("bad range `{range}`")))?;
-            let start: usize = a
-                .parse()
-                .map_err(|_| SerializeError::Malformed(format!("bad start `{a}`")))?;
-            let end: usize = b
-                .parse()
-                .map_err(|_| SerializeError::Malformed(format!("bad end `{b}`")))?;
+            let start: usize = canonical(a)?;
+            let end: usize = canonical(b)?;
             if start > end {
                 return Err(SerializeError::Malformed(format!(
                     "reversed range `{range}`"
                 )));
             }
             Ok((start, end))
+        }
+
+        /// `s` as a number, if printing the number gives `s` back.
+        fn canonical<T: std::str::FromStr + ToString>(s: &str) -> Result<T, SerializeError> {
+            s.parse::<T>()
+                .ok()
+                .filter(|n| n.to_string() == s)
+                .ok_or_else(|| SerializeError::Malformed(format!("bad number `{s}`")))
         }
 
         fn names_no_policy(span: &str) -> SerializeError {
@@ -1327,10 +1366,8 @@ mod tests {
                     .ok_or_else(|| SerializeError::Malformed(format!("bad span `{part}`")))?;
                 let (start, end) = parse_range(range)?;
                 let mut label = Label::EMPTY;
-                for idx in idxs.split(',').filter(|s| !s.is_empty()) {
-                    let i: usize = idx
-                        .parse()
-                        .map_err(|_| SerializeError::Malformed(format!("bad index `{idx}`")))?;
+                for idx in idxs.split(',') {
+                    let i: usize = canonical(idx)?;
                     let l = labels.get(i).ok_or_else(|| {
                         SerializeError::Malformed(format!("index `{i}` outside the policy table"))
                     })?;

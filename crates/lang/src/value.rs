@@ -29,6 +29,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
+use resin_core::serialize::{escape_into, unescape};
 use resin_core::{Context, Label, PolicyViolation, TaintedString};
 
 use crate::ast::ClassDecl;
@@ -429,14 +430,15 @@ impl PValue {
             PValue::Int(n) => format!("i:{n}"),
             PValue::Str(s) => format!("s:{s}"),
             PValue::List(items) => {
-                let inner: Vec<String> = items
-                    .iter()
-                    .map(|i| {
-                        // Nested separators are escaped with %1C.
-                        i.encode().replace('%', "%25").replace('\u{1c}', "%1C")
-                    })
-                    .collect();
-                format!("l:{}", inner.join("\u{1c}"))
+                // An item's `%` and separator are escaped (`%25`, `%1C`).
+                let mut out = String::from("l:");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push('\u{1c}');
+                    }
+                    escape_into(&mut out, &item.encode(), b"%\x1c");
+                }
+                out
             }
         }
     }
@@ -463,7 +465,7 @@ impl PValue {
                 } else {
                     PValue::List(
                         body.split('\u{1c}')
-                            .map(|p| PValue::read(&p.replace("%1C", "\u{1c}").replace("%25", "%")))
+                            .map(|p| PValue::read(&unescape(p).ok()?))
                             .collect::<Option<Vec<_>>>()?,
                     )
                 }

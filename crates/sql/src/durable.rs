@@ -1,4 +1,4 @@
-//! The SQL engine's on-disk codecs: checkpoint part images and the
+//! The SQL engine's on-disk layouts: checkpoint part images and the
 //! statement WAL. `ResinDb` hands both to a [`resin_store::Store`], which
 //! decides what each checkpoint rewrites.
 //!
@@ -11,6 +11,13 @@
 //! table with a million identically-labeled cells persists each distinct
 //! policy body once (the durable twin of `Label` interning).
 //!
+//! Column definitions, cells and the WAL batch are each one `wire!`
+//! declaration (`resin_store::io`), read and written from that one
+//! layout; a table's rows, whose cells take their form from their
+//! column, are the one loop written here. A cell stored in another form
+//! than its column's (refs outside a policy column, text inside one), a
+//! table named twice and a byte after a WAL batch are refused.
+//!
 //! The WAL logs each mutating statement *post-guard, pre-rewrite*: the
 //! exact query text `prepare_query` produced, together with the serialized
 //! byte-range policies of that text. Recovery revives the tainted query
@@ -18,12 +25,16 @@
 //! regain byte-identical policy columns without the WAL knowing anything
 //! about rewriting.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
+use std::mem::discriminant;
 
 use resin_core::serialize::is_spans_blob;
 use resin_core::{deserialize_spans, serialize_spans, TaintedString};
-use resin_store::{HashWriter, Part, SnapshotReader, SnapshotWriter, StoreError};
+use resin_store::io::{read_all, Codec, Seq, Wire};
+use resin_store::snapshot::{LabelBlob, SpansBlob};
+use resin_store::{wire, HashWriter, Part, SnapshotReader, SnapshotWriter, StoreError};
 
 use crate::ast::{ColumnDef, ColumnType};
 use crate::engine::Table;
@@ -38,12 +49,57 @@ impl From<StoreError> for SqlError {
     }
 }
 
-// Cell tags in the snapshot body.
-const CELL_NULL: u8 = 0;
-const CELL_INT: u8 = 1;
-const CELL_TEXT: u8 = 2;
-const CELL_SPANS: u8 = 3;
-const CELL_LABEL: u8 = 4;
+wire! { ColumnType: u8 { Integer {} = 0, Text {} = 1 } }
+wire! { ColumnDef { name, ty } }
+
+/// A cell as an image holds it: a policy column's non-empty blob as refs
+/// into the image's policy table, every other value as it is.
+enum Cell<'a> {
+    Null,
+    Int(i64),
+    Text(Cow<'a, str>),
+    Spans(Cow<'a, str>),
+    Label(Cow<'a, str>),
+}
+
+wire! {
+    Cell<'a>: u8 {
+        Null {} = 0,
+        Int(v) = 1,
+        Text(s) = 2,
+        Spans(s as SpansBlob) = 3,
+        Label(s as LabelBlob) = 4,
+    }
+}
+
+impl<'a> Cell<'a> {
+    /// How `v` is stored in a policy column (`policy`) or another one.
+    fn of(v: &'a Value, policy: bool) -> Cell<'a> {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Int(i) => Cell::Int(*i),
+            Value::Text(s) if policy && is_spans_blob(s) => Cell::Spans(s.into()),
+            Value::Text(s) if policy && !s.is_empty() => Cell::Label(s.into()),
+            Value::Text(s) => Cell::Text(s.into()),
+        }
+    }
+
+    /// The value, if [`Cell::of`] stores it as `self` in such a column.
+    fn value(self, policy: bool) -> Result<Value> {
+        let form = discriminant(&self);
+        let v = match self {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Text(s) | Cell::Spans(s) | Cell::Label(s) => Value::Text(s.into_owned()),
+        };
+        if discriminant(&Cell::of(&v, policy)) != form {
+            return Err(SqlError::Storage(
+                "a cell stored in another form than its column's".into(),
+            ));
+        }
+        Ok(v)
+    }
+}
 
 /// Name of the synthetic table that persists index definitions inside a
 /// snapshot image. Lives in the reserved `__rp_` namespace (which
@@ -92,8 +148,15 @@ fn index_meta_table(tables: &[(&str, &Table)]) -> Option<Table> {
     })
 }
 
-/// Encodes `tables` as one snapshot image into `out`.
-pub(crate) fn encode_tables<'a>(
+/// Which of `columns` are policy columns.
+fn policy_columns(columns: &[ColumnDef]) -> Vec<bool> {
+    let policy = |c: &ColumnDef| c.name.starts_with(POLICY_COL_PREFIX);
+    columns.iter().map(policy).collect()
+}
+
+/// Encodes `tables` as one snapshot image into `out`: the table count,
+/// then each table's name, columns, row count and cells, row by row.
+fn encode_tables<'a>(
     out: &mut HashWriter<dyn Write + '_>,
     tables: impl IntoIterator<Item = (&'a str, &'a Table)>,
 ) -> Result<()> {
@@ -102,60 +165,21 @@ pub(crate) fn encode_tables<'a>(
     if let Some(meta) = meta.as_ref() {
         tables.push((INDEX_META_TABLE, meta));
     }
-    SnapshotWriter::write(out, |w| {
-        w.put_u32(tables.len() as u32)?;
+    Ok(SnapshotWriter::write(out, |w| {
+        (tables.len() as u32).put(w)?;
         for &(name, t) in &tables {
-            encode_table(w, name, t)?;
-        }
-        Ok(())
-    })
-}
-
-fn encode_table(w: &mut SnapshotWriter<'_>, name: &str, t: &Table) -> Result<()> {
-    w.put_str(name)?;
-    w.put_u32(t.columns.len() as u32)?;
-    let mut is_policy_col = Vec::with_capacity(t.columns.len());
-    for c in &t.columns {
-        w.put_str(&c.name)?;
-        w.put_u8(match c.ty {
-            ColumnType::Integer => 0,
-            ColumnType::Text => 1,
-        })?;
-        is_policy_col.push(c.name.starts_with(POLICY_COL_PREFIX));
-    }
-    w.put_u64(t.rows.len() as u64)?;
-    for row in &t.rows {
-        for (i, v) in row.iter().enumerate() {
-            encode_cell(w, v, is_policy_col[i])?;
-        }
-    }
-    Ok(())
-}
-
-fn encode_cell(w: &mut SnapshotWriter<'_>, v: &Value, policy_col: bool) -> Result<()> {
-    match v {
-        Value::Null => w.put_u8(CELL_NULL)?,
-        Value::Int(i) => {
-            w.put_u8(CELL_INT)?;
-            w.put_i64(*i)?;
-        }
-        Value::Text(s) if policy_col && !s.is_empty() => {
-            if is_spans_blob(s) {
-                let refs = w.intern_spans_blob(s)?;
-                w.put_u8(CELL_SPANS)?;
-                w.put_span_refs(&refs)?;
-            } else {
-                let idxs = w.intern_label_blob(s)?;
-                w.put_u8(CELL_LABEL)?;
-                w.put_label_refs(&idxs)?;
+            name.put(w)?;
+            Seq::<u32>::put(&t.columns, w)?;
+            (t.rows.len() as u64).put(w)?;
+            let policy = policy_columns(&t.columns);
+            for row in &t.rows {
+                for (v, &p) in row.iter().zip(&policy) {
+                    Cell::of(v, p).put(w)?;
+                }
             }
         }
-        Value::Text(s) => {
-            w.put_u8(CELL_TEXT)?;
-            w.put_str(s)?;
-        }
-    }
-    Ok(())
+        Ok::<_, StoreError>(())
+    })?)
 }
 
 /// Encodes one table as a self-contained checkpoint part image: the
@@ -201,47 +225,35 @@ pub(crate) fn decode_parts(parts: Vec<Part>) -> Result<BTreeMap<String, Table>> 
 }
 
 /// Decodes a snapshot image back into the table catalog.
-pub(crate) fn decode_tables(image: impl Read) -> Result<BTreeMap<String, Table>> {
+fn decode_tables(image: impl Read) -> Result<BTreeMap<String, Table>> {
     SnapshotReader::read(image, decode_catalog)
 }
 
 fn decode_catalog(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, Table>> {
     let mut out = BTreeMap::new();
-    let n_tables = r.u32()?;
-    for _ in 0..n_tables {
-        let name = r.str()?;
-        // Counts are read before the image's checksum is, so none of them
-        // sizes an allocation unbounded.
-        let n_cols = r.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols.min(1024));
-        for _ in 0..n_cols {
-            let col_name = r.str()?;
-            let ty = match r.u8()? {
-                0 => ColumnType::Integer,
-                1 => ColumnType::Text,
-                other => {
-                    return Err(SqlError::Storage(format!("unknown column type {other}")));
-                }
-            };
-            columns.push(ColumnDef { name: col_name, ty });
+    for _ in 0..u32::get(r)? {
+        let name = String::get(r)?;
+        let columns: Vec<ColumnDef> = Seq::<u32>::get(r)?;
+        let policy = policy_columns(&columns);
+        // The row count is read before the image's checksum is, so it
+        // sizes no allocation unbounded; and a row reads at least one cell.
+        let n_rows = u64::get(r)?;
+        if columns.is_empty() && n_rows > 0 {
+            return Err(SqlError::Storage(format!("{n_rows} rows of no column")));
         }
-        let n_rows = r.u64()? as usize;
-        let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
+        let mut rows = Vec::with_capacity(n_rows.min(1 << 20) as usize);
         for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(n_cols.min(1024));
-            for _ in 0..n_cols {
-                row.push(decode_cell(r)?);
-            }
-            rows.push(row);
+            let row = policy.iter().map(|&p| Cell::get(r)?.value(p));
+            rows.push(row.collect::<Result<_>>()?);
         }
-        out.insert(
-            name,
-            Table {
-                columns,
-                rows,
-                indexes: Vec::new(),
-            },
-        );
+        let table = Table {
+            columns,
+            rows,
+            indexes: Vec::new(),
+        };
+        if out.insert(name, table).is_some() {
+            return Err(SqlError::Storage("an image names a table twice".into()));
+        }
     }
     if let Some(meta) = out.remove(INDEX_META_TABLE) {
         apply_index_meta(&mut out, meta)?;
@@ -269,49 +281,39 @@ fn apply_index_meta(tables: &mut BTreeMap<String, Table>, meta: Table) -> Result
     Ok(())
 }
 
-fn decode_cell(r: &mut SnapshotReader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        CELL_NULL => Value::Null,
-        CELL_INT => Value::Int(r.i64()?),
-        CELL_TEXT => Value::Text(r.str()?),
-        CELL_SPANS => {
-            let refs = r.span_refs()?;
-            Value::Text(r.spans_blob(&refs)?)
-        }
-        CELL_LABEL => {
-            let idxs = r.label_refs()?;
-            Value::Text(r.label_blob(&idxs)?)
-        }
-        other => return Err(SqlError::Storage(format!("unknown cell tag {other}"))),
-    })
+/// One logged statement: its text and its spans blob.
+struct Logged<'a> {
+    text: Cow<'a, str>,
+    spans: Cow<'a, str>,
 }
 
+wire! { Logged<'a> { text, spans } }
+
 /// Encodes a batch of post-guard statements (text + byte-range policies
-/// each) as **one** WAL payload. A transaction commits its buffered
-/// statements as a single record, so the whole commit is durable
-/// atomically: one fsync, and a crash mid-commit can never persist a
-/// prefix of the transaction.
+/// each) as **one** WAL payload: their count, then each. A transaction
+/// commits its buffered statements as a single record, so the whole
+/// commit is durable atomically: one fsync, and a crash mid-commit can
+/// never persist a prefix of the transaction.
 pub(crate) fn encode_wal_batch(stmts: &[TaintedString]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + stmts.iter().map(|s| s.len() + 32).sum::<usize>());
-    resin_store::io::put_u32(&mut buf, stmts.len() as u32);
-    for sql in stmts {
-        resin_store::io::put_str(&mut buf, sql.as_str());
-        resin_store::io::put_str(&mut buf, &serialize_spans(sql));
-    }
+    let logged: Vec<Logged> = stmts
+        .iter()
+        .map(|sql| Logged {
+            text: sql.as_str().into(),
+            spans: serialize_spans(sql).into(),
+        })
+        .collect();
+    Seq::<u32>::put(&logged, &mut buf).expect("a Vec takes every byte");
     buf
 }
 
 /// Decodes a WAL payload back into the tainted statements it logged.
 pub(crate) fn decode_wal_batch(payload: &[u8]) -> Result<Vec<TaintedString>> {
-    let mut c = resin_store::io::Cursor::new(payload);
-    let n = c.u32().map_err(SqlError::from)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let text = c.str().map_err(SqlError::from)?;
-        let spans = c.str().map_err(SqlError::from)?;
-        out.push(deserialize_spans(&text, &spans)?);
-    }
-    Ok(out)
+    let logged: Vec<Logged> = read_all(payload, Seq::<u32>::get)?;
+    logged
+        .iter()
+        .map(|l| Ok(deserialize_spans(&l.text, &l.spans)?))
+        .collect()
 }
 
 #[cfg(test)]
@@ -596,5 +598,108 @@ mod tests {
         assert_eq!(back[0].as_str(), q.as_str());
         assert!(back[1].taint_eq(&plain));
         assert!(decode_wal_batch(&payload[..5]).is_err(), "truncated batch");
+    }
+
+    #[test]
+    fn a_wal_batch_is_every_byte_of_its_payload() {
+        let mut payload = encode_wal_batch(&[TaintedString::from("DELETE FROM t")]);
+        assert_eq!(decode_wal_batch(&payload).unwrap().len(), 1);
+        payload.push(0);
+        assert!(
+            decode_wal_batch(&payload).is_err(),
+            "a byte after the batch"
+        );
+    }
+
+    #[test]
+    fn a_wal_batch_decodes_only_what_it_encodes() {
+        // The layout is canonical; each statement then revives through
+        // `deserialize_spans`, which must not panic on what it accepts.
+        use crate::mutants::{canonical, Rng};
+        use resin_core::UntrustedData;
+        use std::sync::Arc;
+        let mut rng = Rng::new(10);
+        let canons: Vec<Vec<u8>> = (0..32)
+            .map(|_| {
+                let stmts: Vec<TaintedString> = (0..rng.below(3))
+                    .map(|i| {
+                        let mut q = TaintedString::from("INSERT INTO t VALUES ('");
+                        let v = ["x'y", "é", "%2C"][rng.below(3)];
+                        q.push_tainted(&TaintedString::with_policy(
+                            v,
+                            Arc::new(UntrustedData::new()),
+                        ));
+                        q.push_str(if i % 2 == 0 { "')" } else { "', 7)" });
+                        q
+                    })
+                    .collect();
+                encode_wal_batch(&stmts)
+            })
+            .collect();
+        let layout = |b: &[u8]| {
+            let _ = decode_wal_batch(b);
+            read_all(b, Seq::<u32>::get).ok()
+        };
+        let encode = |logged: &Vec<Logged>| {
+            let mut out = Vec::new();
+            Seq::<u32>::put(logged, &mut out).unwrap();
+            out
+        };
+        canonical(&canons, layout, encode);
+    }
+
+    /// A one-table catalog of `rows` random rows over a policy column,
+    /// indexed when `rows` is odd.
+    fn random_table(rng: &mut crate::mutants::Rng, rows: usize) -> Table {
+        use crate::ast::IndexKind;
+        let col = |name: &str, ty| ColumnDef {
+            name: name.into(),
+            ty,
+        };
+        let blobs = [
+            "",
+            "UntrustedData{}",
+            "#UntrustedData{}#0..1|0",
+            "#PasswordPolicy{email=a@b},UntrustedData{}#0..1|0;1..2|1,0",
+        ];
+        let mut table = Table {
+            columns: vec![
+                col("id", ColumnType::Integer),
+                col("name", ColumnType::Text),
+                col("__rp_name", ColumnType::Text),
+            ],
+            rows: (0..rows)
+                .map(|i| {
+                    vec![
+                        [Value::Null, Value::Int(i as i64 - 2)][rng.below(2)].clone(),
+                        Value::Text(["ab", "é#", ""][rng.below(3)].into()),
+                        Value::Text(blobs[rng.below(blobs.len())].into()),
+                    ]
+                })
+                .collect(),
+            indexes: Vec::new(),
+        };
+        if rows % 2 == 1 {
+            table
+                .create_index("ix_id", "id", IndexKind::Hash, false)
+                .unwrap();
+        }
+        table
+    }
+
+    #[test]
+    fn a_part_image_reads_back_as_itself_once_re_encoded() {
+        use crate::mutants::{resealed, wider, Rng};
+        let image = |(name, table): &(String, Table)| {
+            let mut out = HashWriter::new(Vec::new());
+            encode_table_part(&mut out, name, table).unwrap();
+            out.finish().unwrap()
+        };
+        let mut rng = Rng::new(11);
+        let canons: Vec<Vec<u8>> = (0..32)
+            .map(|i| image(&(format!("t{}", i % 3), random_table(&mut rng, i % 4))))
+            .collect();
+        let decode = |b: &[u8]| decode_table_part(b).ok().map(|part| image(&part));
+        wider(&canons, resealed, decode, Vec::clone);
     }
 }

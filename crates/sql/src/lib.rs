@@ -55,6 +55,9 @@ pub mod error;
 pub mod index;
 mod like;
 #[cfg(test)]
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
+#[cfg(test)]
 mod oracle;
 pub mod parser;
 pub mod plan;

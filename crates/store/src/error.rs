@@ -11,12 +11,10 @@ pub enum StoreError {
     /// records this is the expected shape of a torn tail and is tolerated
     /// by recovery; everywhere else it is corruption.
     Truncated {
-        /// Byte offset of the failed read.
-        at: usize,
         /// Bytes the read needed.
-        needed: usize,
+        needed: u64,
         /// Bytes actually available.
-        have: usize,
+        have: u64,
     },
     /// The data is structurally invalid (bad magic, checksum mismatch,
     /// out-of-range index, non-UTF-8 text).
@@ -37,8 +35,8 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "io error: {e}"),
-            StoreError::Truncated { at, needed, have } => {
-                write!(f, "truncated at byte {at}: needed {needed}, have {have}")
+            StoreError::Truncated { needed, have } => {
+                write!(f, "truncated: needed {needed} bytes, have {have}")
             }
             StoreError::Corrupt(m) => write!(f, "corrupt store data: {m}"),
             StoreError::Version { found, supported } => {

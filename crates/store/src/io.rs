@@ -1,17 +1,34 @@
-//! Binary encoding primitives shared by the snapshot and WAL formats.
+//! The binary wire kit, and the chunked writer checkpoint parts move
+//! through.
 //!
-//! Everything is little-endian and length-prefixed; there are no varints
-//! and no alignment requirements, so a decoder can always tell a truncated
-//! buffer from a corrupt one. Integrity is an FNV-1a 64-bit checksum —
-//! cheap, dependency-free, and strong enough to detect the torn or
-//! partially-written records that crash recovery must tolerate.
+//! Every binary format kept on disk — the manifest, snapshot headers and
+//! the SQL and vfs image bodies, the SQL WAL batch and the vfs `FsOp` — is
+//! declared once here and read and written from that one declaration. A
+//! [`Sink`] takes bytes and a [`Source`] gives them (a `Vec` or a slice, a
+//! [`HashWriter`], a snapshot body). A [`Wire`] value has one layout:
+//! little-endian fixed-width integers, a `bool` of 0 or 1, an `Option` as
+//! that `bool` and its value, a `u64`-length-prefixed string. A [`Codec`]
+//! gives a type another one, such as a [`Seq`] or [`Map`] whose count
+//! width is chosen where it is used, and [`wire!`](crate::wire) declares a
+//! struct's fields or a tagged enum's variants once for both directions.
 //!
-//! Checkpoint parts move through [`HashWriter`]: every byte of a part goes
-//! to its file, its replica copy, or the verifying pass of a recovery in
+//! A decoder takes only what its encoder writes: an unknown tag, a flag
+//! other than 0 or 1, a map key not above the one before it, or a byte
+//! left after a whole payload ([`read_all`]) is refused. There are no
+//! varints and no alignment, so a short read is always
+//! [`StoreError::Truncated`], and no count or length read off the wire
+//! sizes an allocation before its items arrive.
+//!
+//! Integrity is an FNV-1a 64-bit checksum, strong enough to detect the
+//! torn or partially-written records crash recovery must tolerate. Every
+//! byte of a checkpoint part moves through [`HashWriter`] in
 //! [`CHUNK`]-sized writes, hashed once per chunk, so no part is ever held
 //! whole in memory.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 
 use crate::error::{Result, StoreError};
 
@@ -28,7 +45,7 @@ pub fn checksum(data: &[u8]) -> u64 {
 
 /// Continues an FNV-1a 64-bit hash whose state is `h` over `data`: the
 /// hash of a stream is the hash of its pieces, fed in order.
-pub fn checksum_from(mut h: u64, data: &[u8]) -> u64 {
+pub(crate) fn checksum_from(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -112,19 +129,6 @@ impl<W: Write + ?Sized> HashWriter<W> {
         }
     }
 
-    /// Appends `bytes`; the fast path of a snapshot encoder's every field.
-    #[inline]
-    pub fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let end = self.filled + bytes.len();
-        if end <= CHUNK {
-            self.chunk[self.filled..end].copy_from_slice(bytes);
-            self.filled = end;
-            Ok(())
-        } else {
-            self.write_all(bytes)
-        }
-    }
-
     fn flush_chunk(&mut self) -> io::Result<()> {
         if self.filled == 0 {
             return Ok(());
@@ -155,104 +159,351 @@ impl<W: Write + ?Sized> Write for HashWriter<W> {
     }
 }
 
-/// Appends a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
+// ---- the wire kit ----
 
-/// Appends a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+/// Where an encoder's bytes go: a `Vec`, a [`HashWriter`] or a snapshot
+/// body, which alone has a policy table to [`intern`](Sink::intern) in.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn emit(&mut self, bytes: &[u8]) -> Result<()>;
 
-/// Appends a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `i64`.
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked reading cursor over an encoded buffer.
-///
-/// Every read distinguishes "buffer too short" from "well-formed": short
-/// reads surface as [`StoreError::Truncated`], which the WAL replayer
-/// treats as the torn tail of an interrupted append.
-#[derive(Debug, Clone, Copy)]
-pub struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// A cursor at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+    /// The table index of policy text `body`, entered on first sight.
+    fn intern(&mut self, body: &str) -> Result<u32> {
+        Err(StoreError::Corrupt(format!("no policy table for `{body}`")))
     }
+}
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+/// Where a decoder's bytes come from: a byte slice, consumed from its
+/// front, or a snapshot body, which alone has a policy table. A read past
+/// the end is [`StoreError::Truncated`].
+pub trait Source {
+    /// Fills `out` with the next bytes.
+    fn fill(&mut self, out: &mut [u8]) -> Result<()>;
+
+    /// Appends the next `n` bytes to `out`, which grows by what arrives,
+    /// never by the unread `n`.
+    fn gather(&mut self, n: u64, out: &mut Vec<u8>) -> Result<()>;
+
+    /// The policy text at table index `idx`.
+    fn policy(&self, idx: u32) -> Result<&str> {
+        Err(StoreError::Corrupt(format!("no policy table for {idx}")))
     }
+}
 
-    /// Current byte offset.
-    pub fn position(&self) -> usize {
-        self.pos
+impl Sink for Vec<u8> {
+    fn emit(&mut self, bytes: &[u8]) -> Result<()> {
+        self.extend_from_slice(bytes);
+        Ok(())
     }
+}
 
-    /// True when every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(StoreError::Truncated {
-                at: self.pos,
-                needed: n,
-                have: self.remaining(),
-            });
+/// The fast path of a snapshot encoder's every field.
+impl<W: Write + ?Sized> Sink for HashWriter<W> {
+    #[inline]
+    fn emit(&mut self, bytes: &[u8]) -> Result<()> {
+        match self.filled + bytes.len() {
+            end if end <= CHUNK => {
+                self.chunk[self.filled..end].copy_from_slice(bytes);
+                self.filled = end;
+            }
+            _ => self.write_all(bytes)?,
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        Ok(())
+    }
+}
+
+/// The first `n` bytes of `src`, which moves past them.
+fn take<'a>(src: &mut &'a [u8], n: u64) -> Result<&'a [u8]> {
+    let have = src.len() as u64;
+    if have < n {
+        return Err(StoreError::Truncated { needed: n, have });
+    }
+    let (head, rest) = src.split_at(n as usize);
+    *src = rest;
+    Ok(head)
+}
+
+impl Source for &[u8] {
+    fn fill(&mut self, out: &mut [u8]) -> Result<()> {
+        out.copy_from_slice(take(self, out.len() as u64)?);
+        Ok(())
     }
 
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+    fn gather(&mut self, n: u64, out: &mut Vec<u8>) -> Result<()> {
+        out.extend_from_slice(take(self, n)?);
+        Ok(())
+    }
+}
+
+/// Decodes a whole payload with `get`, which must take every byte of it.
+pub fn read_all<'a, T>(
+    mut bytes: &'a [u8],
+    get: impl FnOnce(&mut &'a [u8]) -> Result<T>,
+) -> Result<T> {
+    let v = get(&mut bytes)?;
+    match bytes.len() {
+        0 => Ok(v),
+        n => Err(StoreError::Corrupt(format!(
+            "{n} bytes after the last field"
+        ))),
+    }
+}
+
+/// A value with one binary layout: [`get`](Wire::get) reads back exactly
+/// what [`put`](Wire::put) writes, and refuses every other byte string.
+pub trait Wire {
+    /// Writes the value.
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()>;
+
+    /// Reads a value.
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self>
+    where
+        Self: Sized;
+}
+
+macro_rules! fixed_width {
+    ($($t:ty),*) => {$(
+        /// Fixed width, little-endian.
+        impl Wire for $t {
+            fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+                out.emit(&self.to_le_bytes())
+            }
+
+            fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self> {
+                Ok(<$t>::from_le_bytes(Wire::get(src)?))
+            }
+        }
+    )*};
+}
+fixed_width!(u8, u32, u64, i64);
+
+/// The bytes themselves (a magic number).
+impl<const N: usize> Wire for [u8; N] {
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+        out.emit(self)
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self> {
+        let mut b = [0; N];
+        src.fill(&mut b).map(|()| b)
+    }
+}
+
+/// One byte, exactly 0 or 1.
+impl Wire for bool {
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+        u8::from(*self).put(out)
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self> {
+        match u8::get(src)? {
+            tag @ (0 | 1) => Ok(tag == 1),
+            tag => Err(StoreError::Corrupt(format!("flag byte {tag}"))),
+        }
+    }
+}
+
+/// A `bool`, then the value when there is one.
+impl<T: Wire> Wire for Option<T> {
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+        self.is_some().put(out)?;
+        self.as_ref().map_or(Ok(()), |v| v.put(out))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self> {
+        bool::get(src)?.then(|| T::get(src)).transpose()
+    }
+}
+
+/// A `u64` byte length, then the UTF-8 bytes.
+impl Wire for str {
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+        (self.len() as u64).put(out)?;
+        out.emit(self.as_bytes())
+    }
+}
+
+impl Wire for String {
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+        self.as_str().put(out)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u64()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StoreError::Corrupt("non-UTF-8 string".into()))
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self> {
+        let (len, mut bytes) = (u64::get(src)?, Vec::new());
+        src.gather(len, &mut bytes)?;
+        String::from_utf8(bytes).map_err(|_| StoreError::Corrupt("non-UTF-8 string".into()))
     }
+}
+
+impl Wire for Cow<'_, str> {
+    fn put<S: Sink + ?Sized>(&self, out: &mut S) -> Result<()> {
+        (**self).put(out)
+    }
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Self> {
+        String::get(src).map(Cow::Owned)
+    }
+}
+
+/// A layout for a `T` other than `T`'s own: a count width, a path's
+/// form, policy refs. A [`wire!`](crate::wire) field names one with `as`.
+pub trait Codec<T> {
+    /// Writes `v`.
+    fn put<S: Sink + ?Sized>(v: &T, out: &mut S) -> Result<()>;
+
+    /// Reads a value.
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<T>;
+}
+
+/// The width of an item count: `u32` or `u64`.
+pub trait Count: Wire + TryFrom<usize> + Into<u64> {}
+impl Count for u32 {}
+impl Count for u64 {}
+
+fn put_count<N: Count, S: Sink + ?Sized>(n: usize, out: &mut S) -> Result<()> {
+    let n = N::try_from(n).map_err(|_| StoreError::Corrupt(format!("{n} items overflow")))?;
+    n.put(out)
+}
+
+/// A sequence: its item count as an `N`, then the items.
+#[derive(Debug)]
+pub struct Seq<N>(PhantomData<N>);
+
+impl<N: Count, T: Wire> Codec<Vec<T>> for Seq<N> {
+    fn put<S: Sink + ?Sized>(v: &Vec<T>, out: &mut S) -> Result<()> {
+        put_count::<N, S>(v.len(), out)?;
+        v.iter().try_for_each(|x| x.put(out))
+    }
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<Vec<T>> {
+        let n: u64 = N::get(src)?.into();
+        // An unread count reserves room for 1024 items at most.
+        let mut v = Vec::with_capacity(n.min(1024) as usize);
+        for _ in 0..n {
+            v.push(T::get(src)?);
+        }
+        Ok(v)
+    }
+}
+
+/// A map from names: its entry count as an `N`, then each key and its
+/// value, keys strictly increasing (a `BTreeMap`'s order), so a repeated
+/// or reordered key is refused.
+#[derive(Debug)]
+pub struct Map<N>(PhantomData<N>);
+
+impl<N: Count> Map<N> {
+    /// Writes `m`, each value with `value`.
+    pub fn put_with<V, S: Sink + ?Sized>(
+        m: &BTreeMap<String, V>,
+        out: &mut S,
+        mut value: impl FnMut(&str, &V, &mut S) -> Result<()>,
+    ) -> Result<()> {
+        put_count::<N, S>(m.len(), out)?;
+        m.iter().try_for_each(|(k, v)| {
+            k.put(out)?;
+            value(k, v, out)
+        })
+    }
+
+    /// Reads a map, each value with `value`.
+    pub fn get_with<V, R: Source + ?Sized>(
+        src: &mut R,
+        mut value: impl FnMut(&str, &mut R) -> Result<V>,
+    ) -> Result<BTreeMap<String, V>> {
+        let mut m = BTreeMap::new();
+        for _ in 0..N::get(src)?.into() {
+            let k = String::get(src)?;
+            if m.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(StoreError::Corrupt(format!("map key `{k}` out of order")));
+            }
+            let v = value(&k, src)?;
+            m.insert(k, v);
+        }
+        Ok(m)
+    }
+}
+
+impl<N: Count, V: Wire> Codec<BTreeMap<String, V>> for Map<N> {
+    fn put<S: Sink + ?Sized>(m: &BTreeMap<String, V>, out: &mut S) -> Result<()> {
+        Self::put_with(m, out, |_, v, out| v.put(out))
+    }
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<BTreeMap<String, V>> {
+        Self::get_with(src, |_, src| V::get(src))
+    }
+}
+
+/// Declares the binary layout of a struct, or of an enum tagged by a
+/// `u8`, once, and implements [`Wire`](crate::io::Wire) both ways from it.
+///
+/// A struct is its fields in the order listed, each through its own
+/// `Wire` or, written `field as C`, through [`Codec`](crate::io::Codec)
+/// `C`; every field must be listed. An enum is its variant's tag, then
+/// that variant's fields; a variant is `Name { fields }` (`Name {}` for a
+/// unit one) or `Name(bindings)`, and a tag no variant has is refused.
+///
+/// ```text
+/// wire! { ManifestEntry { name, file, len, sum } }
+/// wire! { Cell<'a>: u8 { Null {} = 0, Int(v) = 1, Spans(s as SpansBlob) = 3 } }
+/// ```
+#[macro_export]
+macro_rules! wire {
+    ($ty:ident $(<$lt:lifetime>)? { $($f:ident $(as $c:ty)?),* $(,)? }) => {
+        impl$(<$lt>)? $crate::io::Wire for $ty$(<$lt>)? {
+            fn put<S: $crate::io::Sink + ?Sized>(&self, out: &mut S) -> $crate::Result<()> {
+                $($crate::wire!(@put out, &self.$f $(, $c)?);)*
+                Ok(())
+            }
+
+            fn get<R: $crate::io::Source + ?Sized>(src: &mut R) -> $crate::Result<Self> {
+                Ok($ty { $($f: $crate::wire!(@get src $(, $c)?)),* })
+            }
+        }
+    };
+    ($ty:ident $(<$lt:lifetime>)?: u8 { $($v:ident $body:tt = $tag:literal),* $(,)? }) => {
+        impl$(<$lt>)? $crate::io::Wire for $ty$(<$lt>)? {
+            fn put<S: $crate::io::Sink + ?Sized>(&self, out: &mut S) -> $crate::Result<()> {
+                match self {
+                    $($crate::wire!(@pat $ty $v $body) => {
+                        $crate::io::Wire::put(&($tag as u8), out)?;
+                        $crate::wire!(@put_all out $body);
+                    })*
+                }
+                Ok(())
+            }
+
+            fn get<R: $crate::io::Source + ?Sized>(src: &mut R) -> $crate::Result<Self> {
+                Ok(match <u8 as $crate::io::Wire>::get(src)? {
+                    $($tag => $crate::wire!(@new src $ty $v $body),)*
+                    tag => {
+                        return Err($crate::StoreError::Corrupt(format!(
+                            "unknown {} tag {tag}",
+                            stringify!($ty)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    (@pat $ty:ident $v:ident { $($f:ident $(as $c:ty)?),* }) => { $ty::$v { $($f),* } };
+    (@pat $ty:ident $v:ident ( $($f:ident $(as $c:ty)?),* )) => { $ty::$v ( $($f),* ) };
+    (@put_all $out:ident { $($f:ident $(as $c:ty)?),* }) => {
+        $($crate::wire!(@put $out, $f $(, $c)?);)*
+    };
+    (@put_all $out:ident ( $($f:ident $(as $c:ty)?),* )) => {
+        $($crate::wire!(@put $out, $f $(, $c)?);)*
+    };
+    (@new $src:ident $ty:ident $v:ident { $($f:ident $(as $c:ty)?),* }) => {
+        $ty::$v { $($f: $crate::wire!(@get $src $(, $c)?)),* }
+    };
+    (@new $src:ident $ty:ident $v:ident ( $($f:ident $(as $c:ty)?),* )) => {
+        $ty::$v ( $($crate::wire!(@get $src $(, $c)?)),* )
+    };
+    (@put $out:ident, $v:expr) => { $crate::io::Wire::put($v, $out)? };
+    (@put $out:ident, $v:expr, $c:ty) => { <$c as $crate::io::Codec<_>>::put($v, $out)? };
+    (@get $src:ident) => { $crate::io::Wire::get($src)? };
+    (@get $src:ident, $c:ty) => { <$c as $crate::io::Codec<_>>::get($src)? };
 }
 
 #[cfg(test)]
@@ -262,30 +513,49 @@ mod tests {
     #[test]
     fn roundtrip_all_primitives() {
         let mut buf = Vec::new();
-        put_u8(&mut buf, 7);
-        put_u32(&mut buf, 0xdead_beef);
-        put_u64(&mut buf, u64::MAX - 1);
-        put_i64(&mut buf, -42);
-        put_str(&mut buf, "héllo");
-        let mut c = Cursor::new(&buf);
-        assert_eq!(c.u8().unwrap(), 7);
-        assert_eq!(c.u32().unwrap(), 0xdead_beef);
-        assert_eq!(c.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(c.i64().unwrap(), -42);
-        assert_eq!(c.str().unwrap(), "héllo");
+        7u8.put(&mut buf).unwrap();
+        0xdead_beefu32.put(&mut buf).unwrap();
+        (u64::MAX - 1).put(&mut buf).unwrap();
+        (-42i64).put(&mut buf).unwrap();
+        "héllo".put(&mut buf).unwrap();
+        Some(true).put(&mut buf).unwrap();
+        let mut c = &buf[..];
+        assert_eq!(u8::get(&mut c).unwrap(), 7);
+        assert_eq!(u32::get(&mut c).unwrap(), 0xdead_beef);
+        assert_eq!(u64::get(&mut c).unwrap(), u64::MAX - 1);
+        assert_eq!(i64::get(&mut c).unwrap(), -42);
+        assert_eq!(String::get(&mut c).unwrap(), "héllo");
+        assert_eq!(Option::<bool>::get(&mut c).unwrap(), Some(true));
         assert!(c.is_empty());
     }
 
     #[test]
     fn short_reads_are_truncation_errors() {
         let mut buf = Vec::new();
-        put_u64(&mut buf, 100); // claims a 100-byte string...
+        100u64.put(&mut buf).unwrap(); // claims a 100-byte string...
         buf.extend_from_slice(b"short"); // ...but delivers 5 bytes
-        let mut c = Cursor::new(&buf);
-        assert!(matches!(c.str(), Err(StoreError::Truncated { .. })));
         assert!(matches!(
-            Cursor::new(&[1, 2]).u32(),
+            String::get(&mut &buf[..]),
+            Err(StoreError::Truncated {
+                needed: 100,
+                have: 5
+            })
+        ));
+        assert!(matches!(
+            u32::get(&mut &[1u8, 2][..]),
             Err(StoreError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn a_whole_payload_takes_every_byte() {
+        let mut buf = Vec::new();
+        7u32.put(&mut buf).unwrap();
+        assert_eq!(read_all(&buf, u32::get).unwrap(), 7);
+        buf.push(0);
+        assert!(matches!(
+            read_all(&buf, u32::get),
+            Err(StoreError::Corrupt(_))
         ));
     }
 
@@ -295,7 +565,7 @@ mod tests {
         // byte in order, and the running sum is the checksum of the whole.
         let data: Vec<u8> = (0..3 * CHUNK + 17).map(|i| (i * 31 % 251) as u8).collect();
         let mut w = HashWriter::new(Vec::new());
-        w.put(&data[..5]).unwrap();
+        w.emit(&data[..5]).unwrap();
         w.write_all(&data[5..CHUNK + 3]).unwrap();
         assert_eq!(w.len(), CHUNK as u64 + 3);
         assert_eq!(w.sum().unwrap(), checksum(&data[..CHUNK + 3]));

@@ -44,6 +44,9 @@
 
 pub mod error;
 pub mod io;
+#[cfg(test)]
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
 pub mod replica;
 pub mod segment;
 pub mod snapshot;
@@ -53,5 +56,5 @@ pub mod wal;
 pub use error::{Result, StoreError};
 pub use io::HashWriter;
 pub use replica::{checkpoint_base_seq, read_checkpoint, ship, tail_records, ShipReport, Tailed};
-pub use snapshot::{SnapshotReader, SnapshotWriter, SpanRef, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotReader, SnapshotWriter, SpanRef};
 pub use store::{Part, Parts, Recovered, Recovery, Store, StoreStats};

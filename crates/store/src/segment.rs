@@ -27,15 +27,12 @@ pub fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(segment_file_name(index))
 }
 
-/// Parses a segment index out of a file name; `None` for anything that is
-/// not an all-digit `wal.NNNNNN` name (so `wal.bin` and `wal.lock` are
-/// never mistaken for segments).
+/// Parses a segment index out of a file name; `None` for any name
+/// [`segment_file_name`] does not write (so `wal.bin`, `wal.lock` and
+/// `wal.42` are never mistaken for segments).
 pub fn parse_segment_index(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix(SEGMENT_PREFIX)?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+    let index = name.strip_prefix(SEGMENT_PREFIX)?.parse().ok()?;
+    (segment_file_name(index) == name).then_some(index)
 }
 
 /// Lists the segments present in `dir`, sorted by index.
@@ -67,6 +64,13 @@ mod tests {
         assert_eq!(parse_segment_index("wal.lock"), None);
         assert_eq!(parse_segment_index("wal."), None);
         assert_eq!(parse_segment_index("snapshot.bin"), None);
+    }
+
+    #[test]
+    fn a_segment_name_has_one_spelling() {
+        for other in ["wal.42", "wal.0000042", "wal.+00042", "wal.00004x"] {
+            assert_eq!(parse_segment_index(other), None, "{other}");
+        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! A snapshot is the durable twin of the in-memory label interning
 //! (§3.4.1): the **policy table** — every distinct serialized policy body
 //! — is written exactly once in the header, and the client body refers to
-//! policies by `u32` index. A database with a million password cells under
-//! one `PasswordPolicy` persists one policy body and a million 4-byte
-//! refs, not a million copies of the body.
+//! policies by `u32` index, so a million password cells under one
+//! `PasswordPolicy` persist one policy body and a million 4-byte refs.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -18,40 +17,39 @@
 //! checksum u64           (FNV-1a over everything above)
 //! ```
 //!
-//! An image is streamed both ways, never held whole. [`SnapshotWriter::write`]
-//! runs the client's encoder twice: a sizing pass interns every policy
-//! body and counts the body bytes, then a writing pass emits header,
-//! policy table, body and checksum into a [`HashWriter`] — so the table
-//! still comes first while only the table and one 64 KiB chunk are in
-//! memory. The passes must agree: a policy the sizing pass did not intern,
-//! or a body of another length, fails the write as [`StoreError::Corrupt`].
-//! [`SnapshotReader::read`] decodes any `io::Read` through a 64 KiB window,
-//! hashing each window once, and checks the end of every image — the body
-//! consumed exactly, then the checksum, then nothing after it.
+//! A client declares its body with the wire kit (`crate::io`):
+//! [`SnapshotWriter`] is the body's [`Sink`] and [`SnapshotReader`] its
+//! [`Source`], both holding the policy table, so a [`SpanRef`] list or a
+//! [`SpansBlob`] or [`LabelBlob`] field is stored as refs into it. An image
+//! streams both ways, never whole: [`SnapshotWriter::write`] runs the
+//! encoder twice, a sizing pass that interns the table and counts the
+//! body, then a writing pass into a [`HashWriter`] (the passes must agree,
+//! or the write fails as [`StoreError::Corrupt`]); [`SnapshotReader::read`]
+//! decodes through a 64 KiB window and checks the body consumed exactly,
+//! then the checksum, then nothing after it.
 //!
-//! The storage layer never *deserializes* policies: bodies are opaque
-//! strings in the textual wire format. The blobs that name them move
-//! through `resin_core::serialize`'s one reader and writer of the format
-//! ([`read_spans`], [`SpansWriter`], [`read_texts`], [`write_texts`]),
-//! texts in and texts out, so nothing here knows the grammar. Policy
-//! classes therefore do not need to be registered to checkpoint or
-//! recover a store — exactly the paper's property that persisted policies
-//! outlive (and never load) the code that produced them.
+//! Policy bodies are opaque: blobs move through `resin_core::serialize`'s
+//! one reader and writer of the format ([`read_spans`], [`SpansWriter`],
+//! [`read_texts`], [`write_texts`]), texts in and texts out, so no policy
+//! class need be registered to checkpoint or recover a store — persisted
+//! policies outlive the code that produced them. The table is kept as
+//! written: a blob comes back with its own table in order of first use.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 
 use resin_core::serialize::{read_spans, read_texts, write_texts, SpansWriter, WIRE_VERSION};
 use resin_core::SerializeError;
 
 use crate::error::{Result, StoreError};
-use crate::io::{checksum_from, HashWriter, CHUNK, FNV_OFFSET};
+use crate::io::{checksum_from, Codec, HashWriter, Seq, Sink, Source, Wire, CHUNK, FNV_OFFSET};
+use crate::wire;
 
 /// Magic bytes opening every snapshot image.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"RSNP";
+const SNAPSHOT_MAGIC: &[u8; 4] = b"RSNP";
 
 /// Version of the snapshot container format.
-pub const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 1;
 
 /// One byte range of a persisted datum and the policy-table indexes of the
 /// policies attached to it.
@@ -65,9 +63,11 @@ pub struct SpanRef {
     pub policies: Vec<u32>,
 }
 
+wire! { SpanRef { start, end, policies as Seq<u32> } }
+
 /// Encodes a snapshot image: interns policy bodies into the shared table
-/// while the client encodes its body through the `put_*` methods. The
-/// client sees it only inside [`SnapshotWriter::write`], once per pass.
+/// while the client encodes its body into it as a [`Sink`]. The client
+/// sees it only inside [`SnapshotWriter::write`], once per pass.
 pub struct SnapshotWriter<'a> {
     policies: Vec<String>,
     index: HashMap<String, u32>,
@@ -75,16 +75,6 @@ pub struct SnapshotWriter<'a> {
     out: Option<&'a mut HashWriter<dyn Write + 'a>>,
     /// Body bytes counted (sizing pass) or written (writing pass).
     body: u64,
-}
-
-impl std::fmt::Debug for SnapshotWriter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotWriter")
-            .field("policies", &self.policies.len())
-            .field("writing", &self.out.is_some())
-            .field("body", &self.body)
-            .finish()
-    }
 }
 
 impl<'a> SnapshotWriter<'a> {
@@ -106,7 +96,11 @@ impl<'a> SnapshotWriter<'a> {
         };
         encode(&mut w)?;
         let sized = w.body;
-        header(out, &w.policies, sized)?;
+        SNAPSHOT_MAGIC.put(out)?;
+        SNAPSHOT_VERSION.put(out)?;
+        WIRE_VERSION.put(out)?;
+        Seq::<u32>::put(&w.policies, out)?;
+        sized.put(out)?;
         w.out = Some(out);
         w.body = 0;
         encode(&mut w)?;
@@ -119,14 +113,24 @@ impl<'a> SnapshotWriter<'a> {
         }
         let out = w.out.take().expect("the writing pass holds the sink");
         let sum = out.sum().map_err(StoreError::from)?;
-        out.put(&sum.to_le_bytes()).map_err(StoreError::from)?;
+        sum.put(out)?;
         Ok(())
     }
+}
 
-    /// Interns one serialized policy body, returning its table index. In
-    /// the writing pass the table is sealed: a body the sizing pass did
+impl Sink for SnapshotWriter<'_> {
+    #[inline]
+    fn emit(&mut self, bytes: &[u8]) -> Result<()> {
+        self.body += bytes.len() as u64;
+        match &mut self.out {
+            Some(out) => out.emit(bytes),
+            None => Ok(()),
+        }
+    }
+
+    /// In the writing pass the table is sealed: a body the sizing pass did
     /// not meet is an error.
-    pub fn intern(&mut self, body: &str) -> Result<u32> {
+    fn intern(&mut self, body: &str) -> Result<u32> {
         if let Some(&i) = self.index.get(body) {
             return Ok(i);
         }
@@ -140,149 +144,132 @@ impl<'a> SnapshotWriter<'a> {
         self.index.insert(body.to_string(), i);
         Ok(i)
     }
-
-    /// Interns the policies of a spans blob (`#table#spans`, the output
-    /// of `serialize_spans`) into the shared table, returning per-span
-    /// refs.
-    pub fn intern_spans_blob(&mut self, blob: &str) -> Result<Vec<SpanRef>> {
-        let mut texts = Vec::new();
-        let spans = read_spans(blob, &mut |text| texts.push(text)).map_err(corrupt)?;
-        // Local (per-blob) table index → shared table index.
-        let local: Vec<u32> = texts
-            .into_iter()
-            .map(|text| self.intern(text))
-            .collect::<Result<_>>()?;
-        let outside = |i| StoreError::Corrupt(format!("index `{i}` outside the blob policy table"));
-        spans
-            .map(|span| {
-                let (range, indexes) = span.map_err(corrupt)?;
-                let policies = indexes
-                    .map(|i| local.get(i).copied().ok_or_else(|| outside(i)))
-                    .collect::<Result<_>>()?;
-                Ok(SpanRef {
-                    start: range.start,
-                    end: range.end,
-                    policies,
-                })
-            })
-            .collect()
-    }
-
-    /// Interns the policies of a whole-datum label blob (comma-joined
-    /// policy bodies, the output of `serialize_label`), returning their
-    /// shared table indexes.
-    pub fn intern_label_blob(&mut self, blob: &str) -> Result<Vec<u32>> {
-        read_texts(blob).map(|text| self.intern(text)).collect()
-    }
-
-    // ---- body encoding ----
-
-    #[inline]
-    fn emit(&mut self, bytes: &[u8]) -> Result<()> {
-        self.body += bytes.len() as u64;
-        match &mut self.out {
-            Some(out) => Ok(out.put(bytes)?),
-            None => Ok(()),
-        }
-    }
-
-    /// Appends a `u8` to the body.
-    pub fn put_u8(&mut self, v: u8) -> Result<()> {
-        self.emit(&[v])
-    }
-
-    /// Appends a `u32` to the body.
-    pub fn put_u32(&mut self, v: u32) -> Result<()> {
-        self.emit(&v.to_le_bytes())
-    }
-
-    /// Appends a `u64` to the body.
-    pub fn put_u64(&mut self, v: u64) -> Result<()> {
-        self.emit(&v.to_le_bytes())
-    }
-
-    /// Appends an `i64` to the body.
-    pub fn put_i64(&mut self, v: i64) -> Result<()> {
-        self.emit(&v.to_le_bytes())
-    }
-
-    /// Appends a length-prefixed string to the body.
-    pub fn put_str(&mut self, s: &str) -> Result<()> {
-        self.put_u64(s.len() as u64)?;
-        self.emit(s.as_bytes())
-    }
-
-    /// Appends span refs (count + per-span start/end/policy indexes).
-    pub fn put_span_refs(&mut self, refs: &[SpanRef]) -> Result<()> {
-        self.put_u32(refs.len() as u32)?;
-        for r in refs {
-            self.put_u64(r.start)?;
-            self.put_u64(r.end)?;
-            self.put_label_refs(&r.policies)?;
-        }
-        Ok(())
-    }
-
-    /// Appends label refs (count + policy indexes).
-    pub fn put_label_refs(&mut self, idxs: &[u32]) -> Result<()> {
-        self.put_u32(idxs.len() as u32)?;
-        for &i in idxs {
-            self.put_u32(i)?;
-        }
-        Ok(())
-    }
-}
-
-/// Writes the image header: magic, versions, the policy table and the
-/// body length.
-fn header(out: &mut HashWriter<dyn Write + '_>, policies: &[String], body: u64) -> Result<()> {
-    out.put(SNAPSHOT_MAGIC)?;
-    out.put(&SNAPSHOT_VERSION.to_le_bytes())?;
-    out.put(&WIRE_VERSION.to_le_bytes())?;
-    out.put(&(policies.len() as u32).to_le_bytes())?;
-    for p in policies {
-        out.put(&(p.len() as u64).to_le_bytes())?;
-        out.put(p.as_bytes())?;
-    }
-    out.put(&body.to_le_bytes())?;
-    Ok(())
 }
 
 fn corrupt(e: SerializeError) -> StoreError {
     StoreError::Corrupt(e.to_string())
 }
 
-/// Decodes a snapshot image from a stream: validates the header, exposes
-/// the policy table, and walks the client body through a 64 KiB window.
-/// The client sees it only inside [`SnapshotReader::read`].
+/// Interns the policies of a spans blob (`#table#spans`, the output of
+/// `serialize_spans`) into `out`'s policy table, returning per-span refs.
+pub fn intern_spans<S: Sink + ?Sized>(out: &mut S, blob: &str) -> Result<Vec<SpanRef>> {
+    let mut texts = Vec::new();
+    let spans = read_spans(blob, &mut |text| texts.push(text)).map_err(corrupt)?;
+    // Local (per-blob) table index → shared table index.
+    let local: Vec<u32> = texts
+        .into_iter()
+        .map(|text| out.intern(text))
+        .collect::<Result<_>>()?;
+    let outside = |i| StoreError::Corrupt(format!("index `{i}` outside the blob policy table"));
+    spans
+        .map(|span| {
+            let (range, indexes) = span.map_err(corrupt)?;
+            let policies = indexes
+                .map(|i| local.get(i).copied().ok_or_else(|| outside(i)))
+                .collect::<Result<_>>()?;
+            Ok(SpanRef {
+                start: range.start,
+                end: range.end,
+                policies,
+            })
+        })
+        .collect()
+}
+
+/// Regenerates a `#table#spans` blob from span refs — the inverse of
+/// [`intern_spans`] up to the blob's table order, which comes back in
+/// order of first use (the revived taint is identical). A ref no blob
+/// interns to (reversed, or naming no policy) is refused.
+pub fn spans_blob<R: Source + ?Sized>(src: &R, refs: &[SpanRef]) -> Result<String> {
+    let mut local: Vec<&str> = Vec::new();
+    let mut map: HashMap<u32, usize> = HashMap::new();
+    let mut out = SpansWriter::default();
+    let mut idxs = Vec::new();
+    for r in refs {
+        if r.start > r.end || r.policies.is_empty() {
+            return Err(StoreError::Corrupt(format!("span ref {r:?}")));
+        }
+        idxs.clear();
+        for &p in &r.policies {
+            let body = src.policy(p)?;
+            idxs.push(*map.entry(p).or_insert_with(|| {
+                local.push(body);
+                local.len() - 1
+            }));
+        }
+        out.span(r.start..r.end, idxs.iter().copied());
+    }
+    let blob = out.finish(&local);
+    let mut texts = Vec::new();
+    drop(read_spans(&blob, &mut |text| texts.push(text)).map_err(corrupt)?);
+    same_texts(texts.into_iter(), &local)?;
+    Ok(blob)
+}
+
+/// Refuses a regenerated blob whose list does not split back into the
+/// `texts` it joined: table entries whose own commas or braces would make
+/// the blob name other policies once it is stored again.
+fn same_texts<'t>(split: impl Iterator<Item = &'t str>, texts: &[&str]) -> Result<()> {
+    match split.eq(texts.iter().copied()) {
+        true => Ok(()),
+        false => Err(StoreError::Corrupt(format!(
+            "policy texts {texts:?} do not list apart"
+        ))),
+    }
+}
+
+/// A spans blob field, kept in the image as [`SpanRef`]s.
+#[derive(Debug)]
+pub struct SpansBlob;
+
+impl<T: AsRef<str> + From<String>> Codec<T> for SpansBlob {
+    fn put<S: Sink + ?Sized>(v: &T, out: &mut S) -> Result<()> {
+        let refs = intern_spans(out, v.as_ref())?;
+        Seq::<u32>::put(&refs, out)
+    }
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<T> {
+        let refs: Vec<SpanRef> = Seq::<u32>::get(src)?;
+        spans_blob(src, &refs).map(T::from)
+    }
+}
+
+/// A whole-datum label blob field (comma-joined policy bodies, the output
+/// of `serialize_label`), kept in the image as policy table indexes.
+#[derive(Debug)]
+pub struct LabelBlob;
+
+impl<T: AsRef<str> + From<String>> Codec<T> for LabelBlob {
+    fn put<S: Sink + ?Sized>(v: &T, out: &mut S) -> Result<()> {
+        let idxs: Vec<u32> = read_texts(v.as_ref())
+            .map(|text| out.intern(text))
+            .collect::<Result<_>>()?;
+        Seq::<u32>::put(&idxs, out)
+    }
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> Result<T> {
+        let idxs: Vec<u32> = Seq::<u32>::get(src)?;
+        let bodies = idxs.iter().map(|&i| src.policy(i));
+        let bodies = bodies.collect::<Result<Vec<_>>>()?;
+        let blob = write_texts(&bodies);
+        same_texts(read_texts(&blob), &bodies)?;
+        Ok(blob.into())
+    }
+}
+
+/// Decodes a snapshot image from a stream: validates the header, holds
+/// the policy table, and gives the client body through a 64 KiB window as
+/// a [`Source`], hashing each byte as the body takes it. The client sees
+/// it only inside [`SnapshotReader::read`].
 pub struct SnapshotReader<'a> {
     policies: Vec<String>,
-    input: &'a mut dyn Read,
-    window: Box<[u8]>,
-    /// Bytes of `window` read from `input`.
-    filled: usize,
-    /// Next unread byte of `window`.
-    pos: usize,
-    /// `window[..hashed]` is already in `hash`.
-    hashed: usize,
-    /// FNV-1a state over the image up to `window[hashed]`.
+    input: BufReader<&'a mut dyn Read>,
+    /// FNV-1a state over the image up to the next unread byte.
     hash: u64,
-    /// Stream offset of `window[0]`.
-    offset: u64,
     /// Bytes the decoder may still read: the unread body once the header
     /// is parsed.
     left: u64,
     body_len: u64,
-}
-
-impl std::fmt::Debug for SnapshotReader<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotReader")
-            .field("policies", &self.policies.len())
-            .field("at", &self.at())
-            .field("left", &self.left)
-            .finish()
-    }
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -315,13 +302,8 @@ impl<'a> SnapshotReader<'a> {
     fn open(input: &'a mut dyn Read) -> Result<Self> {
         let mut r = SnapshotReader {
             policies: Vec::new(),
-            input,
-            window: vec![0; CHUNK].into_boxed_slice(),
-            filled: 0,
-            pos: 0,
-            hashed: 0,
+            input: BufReader::with_capacity(CHUNK, input),
             hash: FNV_OFFSET,
-            offset: 0,
             left: u64::MAX,
             body_len: 0,
         };
@@ -329,37 +311,19 @@ impl<'a> SnapshotReader<'a> {
             StoreError::Truncated { .. } => StoreError::Corrupt("snapshot too short".into()),
             e => e,
         };
-        if &r.fixed::<4>().map_err(short)? != SNAPSHOT_MAGIC {
+        if &<[u8; 4]>::get(&mut r).map_err(short)? != SNAPSHOT_MAGIC {
             return Err(StoreError::Corrupt("bad snapshot magic".into()));
         }
-        let version = r.u32().map_err(short)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(StoreError::Version {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
+        for supported in [SNAPSHOT_VERSION, WIRE_VERSION] {
+            let found = u32::get(&mut r).map_err(short)?;
+            if found != supported {
+                return Err(StoreError::Version { found, supported });
+            }
         }
-        let wire = r.u32().map_err(short)?;
-        if wire > WIRE_VERSION {
-            return Err(StoreError::Version {
-                found: wire,
-                supported: WIRE_VERSION,
-            });
-        }
-        let count = r.u32().map_err(short)? as usize;
-        r.policies = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let p = r.str().map_err(short)?;
-            r.policies.push(p);
-        }
-        r.body_len = r.u64().map_err(short)?;
+        r.policies = Seq::<u32>::get(&mut r).map_err(short)?;
+        r.body_len = u64::get(&mut r).map_err(short)?;
         r.left = r.body_len;
         Ok(r)
-    }
-
-    /// Stream offset of the next unread byte.
-    fn at(&self) -> u64 {
-        self.offset + self.pos as u64
     }
 
     /// Claims `n` more bytes of the body for the decoder.
@@ -367,52 +331,41 @@ impl<'a> SnapshotReader<'a> {
     fn claim(&mut self, n: u64) -> Result<()> {
         if self.left < n {
             return Err(StoreError::Truncated {
-                at: self.at() as usize,
-                needed: n as usize,
-                have: self.left as usize,
+                needed: n,
+                have: self.left,
             });
         }
         self.left -= n;
         Ok(())
     }
 
-    /// Hashes what was read, moves what was not to the window's start,
-    /// and reads until at least `need` bytes are unread.
-    fn refill(&mut self, need: usize) -> Result<()> {
-        self.hash = checksum_from(self.hash, &self.window[self.hashed..self.pos]);
-        self.window.copy_within(self.pos..self.filled, 0);
-        self.offset += self.pos as u64;
-        self.filled -= self.pos;
-        self.pos = 0;
-        self.hashed = 0;
-        while self.filled < need {
-            match self.input.read(&mut self.window[self.filled..]) {
-                Ok(0) => {
-                    return Err(StoreError::Truncated {
-                        at: self.at() as usize,
-                        needed: need,
-                        have: self.filled,
-                    })
-                }
-                Ok(n) => self.filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+    /// Hands the next `n` bytes of the image to `take`, a window's worth
+    /// at most at a time, hashing each on its way.
+    #[inline]
+    fn stream(&mut self, mut n: u64, mut take: impl FnMut(&[u8])) -> Result<()> {
+        while n > 0 {
+            let window = match self.input.fill_buf() {
+                Ok([]) => return Err(StoreError::Truncated { needed: n, have: 0 }),
+                Ok(window) => window,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
-            }
+            };
+            let k = window.len().min(usize::try_from(n).unwrap_or(usize::MAX));
+            self.hash = checksum_from(self.hash, &window[..k]);
+            take(&window[..k]);
+            self.input.consume(k);
+            n -= k as u64;
         }
         Ok(())
     }
 
-    #[inline]
-    fn fixed<const N: usize>(&mut self) -> Result<[u8; N]> {
-        self.claim(N as u64)?;
-        if self.filled - self.pos < N {
-            self.refill(N)?;
-        }
-        let out = self.window[self.pos..self.pos + N]
-            .try_into()
-            .expect("length N");
-        self.pos += N;
-        Ok(out)
+    /// Fills `out` from the image.
+    fn read_exact(&mut self, out: &mut [u8]) -> Result<()> {
+        let mut at = 0;
+        self.stream(out.len() as u64, |b| {
+            out[at..at + b.len()].copy_from_slice(b);
+            at += b.len();
+        })
     }
 
     /// Reads past whatever of the body the decoder left, then the
@@ -425,40 +378,19 @@ impl<'a> SnapshotReader<'a> {
                 "snapshot body of {body_len} bytes does not match its image"
             ))
         };
-        let unread = self.left;
-        let mut skip = unread;
-        while skip > 0 {
-            if self.pos == self.filled {
-                self.refill(1).map_err(|_| short())?;
-            }
-            let k = ((self.filled - self.pos) as u64).min(skip);
-            self.pos += k as usize;
-            skip -= k;
-        }
-        self.left = 0;
-        self.hash = checksum_from(self.hash, &self.window[self.hashed..self.pos]);
-        self.hashed = self.pos;
+        let unread = std::mem::take(&mut self.left);
+        self.stream(unread, |_| {}).map_err(|_| short())?;
         let sum = self.hash;
-        if self.filled - self.pos < 8 {
-            self.refill(8).map_err(|_| short())?;
-        }
-        let stored = u64::from_le_bytes(
-            self.window[self.pos..self.pos + 8]
-                .try_into()
-                .expect("len 8"),
-        );
-        self.pos += 8;
-        self.hashed = self.pos;
-        let mut more = [0u8; 1];
-        let trailing = self.filled > self.pos
-            || loop {
-                match self.input.read(&mut more) {
-                    Ok(n) => break n > 0,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e.into()),
-                }
-            };
-        if sum != stored {
+        let mut stored = [0; 8];
+        self.read_exact(&mut stored).map_err(|_| short())?;
+        let trailing = loop {
+            match self.input.fill_buf() {
+                Ok(rest) => break !rest.is_empty(),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        };
+        if u64::from_le_bytes(stored) != sum {
             return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
         }
         if trailing {
@@ -466,112 +398,28 @@ impl<'a> SnapshotReader<'a> {
         }
         Ok(unread)
     }
+}
 
-    /// The policy body at `idx`.
-    pub fn policy(&self, idx: u32) -> Result<&str> {
+impl Source for SnapshotReader<'_> {
+    #[inline]
+    fn fill(&mut self, out: &mut [u8]) -> Result<()> {
+        self.claim(out.len() as u64)?;
+        self.read_exact(out)
+    }
+
+    /// A string longer than the window is gathered window by window,
+    /// never trusting its length prefix for an allocation.
+    fn gather(&mut self, n: u64, out: &mut Vec<u8>) -> Result<()> {
+        self.claim(n)?;
+        out.reserve(n.min(CHUNK as u64) as usize);
+        self.stream(n, |b| out.extend_from_slice(b))
+    }
+
+    fn policy(&self, idx: u32) -> Result<&str> {
         self.policies
             .get(idx as usize)
             .map(|s| s.as_str())
             .ok_or_else(|| StoreError::Corrupt(format!("policy index {idx} out of range")))
-    }
-
-    /// Regenerates an interned `#table#spans` blob from span refs — the
-    /// inverse of [`SnapshotWriter::intern_spans_blob`] up to local table
-    /// ordering (the revived taint is identical).
-    pub fn spans_blob(&self, refs: &[SpanRef]) -> Result<String> {
-        let mut local: Vec<&str> = Vec::new();
-        let mut map: HashMap<u32, usize> = HashMap::new();
-        let mut out = SpansWriter::default();
-        let mut idxs = Vec::new();
-        for r in refs {
-            idxs.clear();
-            for &p in &r.policies {
-                let body = self.policy(p)?;
-                idxs.push(*map.entry(p).or_insert_with(|| {
-                    local.push(body);
-                    local.len() - 1
-                }));
-            }
-            out.span(r.start..r.end, idxs.iter().copied());
-        }
-        Ok(out.finish(&local))
-    }
-
-    /// Regenerates a whole-datum label blob from policy indexes.
-    pub fn label_blob(&self, idxs: &[u32]) -> Result<String> {
-        let bodies = idxs.iter().map(|&i| self.policy(i));
-        Ok(write_texts(bodies.collect::<Result<Vec<_>>>()?))
-    }
-
-    // ---- body decoding ----
-
-    /// Reads a `u8` from the body.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.fixed::<1>()?[0])
-    }
-
-    /// Reads a `u32` from the body.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.fixed()?))
-    }
-
-    /// Reads a `u64` from the body.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.fixed()?))
-    }
-
-    /// Reads an `i64` from the body.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.fixed()?))
-    }
-
-    /// Reads a length-prefixed string from the body. A string longer than
-    /// the window is gathered window by window, never trusting its length
-    /// prefix for an allocation.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u64()?;
-        self.claim(len)?;
-        let mut left = usize::try_from(len)
-            .map_err(|_| StoreError::Corrupt(format!("string of {len} bytes")))?;
-        let mut bytes = Vec::with_capacity(left.min(CHUNK));
-        loop {
-            let k = (self.filled - self.pos).min(left);
-            bytes.extend_from_slice(&self.window[self.pos..self.pos + k]);
-            self.pos += k;
-            left -= k;
-            if left == 0 {
-                break;
-            }
-            self.refill(1)?;
-        }
-        String::from_utf8(bytes).map_err(|_| StoreError::Corrupt("non-UTF-8 string".into()))
-    }
-
-    /// Reads span refs written by [`SnapshotWriter::put_span_refs`].
-    pub fn span_refs(&mut self) -> Result<Vec<SpanRef>> {
-        let count = self.u32()? as usize;
-        let mut refs = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let start = self.u64()?;
-            let end = self.u64()?;
-            let policies = self.label_refs()?;
-            refs.push(SpanRef {
-                start,
-                end,
-                policies,
-            });
-        }
-        Ok(refs)
-    }
-
-    /// Reads label refs written by [`SnapshotWriter::put_label_refs`].
-    pub fn label_refs(&mut self) -> Result<Vec<u32>> {
-        let count = self.u32()? as usize;
-        let mut idxs = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            idxs.push(self.u32()?);
-        }
-        Ok(idxs)
     }
 }
 
@@ -607,21 +455,22 @@ mod tests {
             let b = w.intern("UntrustedData{}")?;
             let a2 = w.intern("PasswordPolicy{email=u@x}")?;
             assert_eq!(a, a2, "bodies dedup into one table entry");
-            w.put_str("hello")?;
-            w.put_i64(-5)?;
-            w.put_span_refs(&[SpanRef {
+            "hello".put(w)?;
+            (-5i64).put(w)?;
+            let refs = vec![SpanRef {
                 start: 0,
                 end: 5,
                 policies: vec![a, b],
-            }])
+            }];
+            Seq::<u32>::put(&refs, w)
         })
         .unwrap();
 
         SnapshotReader::read(&bytes[..], |r| {
             assert_eq!(r.policy(0)?, "PasswordPolicy{email=u@x}");
-            assert_eq!(r.str()?, "hello");
-            assert_eq!(r.i64()?, -5);
-            let refs = r.span_refs()?;
+            assert_eq!(String::get(r)?, "hello");
+            assert_eq!(i64::get(r)?, -5);
+            let refs: Vec<SpanRef> = Seq::<u32>::get(r)?;
             assert_eq!(refs.len(), 1);
             assert_eq!(refs[0].policies, vec![0, 1]);
             Ok::<_, StoreError>(())
@@ -635,15 +484,15 @@ mod tests {
         let blob = "#UntrustedData{},PasswordPolicy{email=a@b;allow_chair=true}#0..2|0;4..9|0,1";
         let mut refs = Vec::new();
         let bytes = image(|w| {
-            refs = w.intern_spans_blob(blob)?;
+            refs = intern_spans(w, blob)?;
             assert_eq!(refs.len(), 2);
-            w.put_span_refs(&refs)
+            Seq::<u32>::put(&refs, w)
         })
         .unwrap();
         SnapshotReader::read(&bytes[..], |r| {
-            let back = r.span_refs()?;
+            let back: Vec<SpanRef> = Seq::<u32>::get(r)?;
             assert_eq!(back, refs);
-            assert_eq!(r.spans_blob(&back)?, blob, "byte-identical here");
+            assert_eq!(spans_blob(r, &back)?, blob, "byte-identical here");
             Ok::<_, StoreError>(())
         })
         .unwrap();
@@ -652,25 +501,17 @@ mod tests {
     #[test]
     fn label_blob_roundtrips() {
         let blob = "UntrustedData{source=q},SqlSanitized{}";
-        let bytes = image(|w| {
-            let idxs = w.intern_label_blob(blob)?;
-            assert_eq!(idxs.len(), 2);
-            assert!(w.intern_label_blob("")?.is_empty());
-            w.put_label_refs(&idxs)
-        })
-        .unwrap();
-        let back = SnapshotReader::read(&bytes[..], |r| {
-            let idxs = r.label_refs()?;
-            r.label_blob(&idxs)
-        })
-        .unwrap();
+        let bytes = image(|w| LabelBlob::put(&blob.to_string(), w)).unwrap();
+        let back: String = SnapshotReader::read(&bytes[..], |r| LabelBlob::get(r)).unwrap();
         assert_eq!(back, blob);
+        let idxs: Vec<u32> = SnapshotReader::read(&bytes[..], |r| Seq::<u32>::get(r)).unwrap();
+        assert_eq!(idxs, [0, 1]);
     }
 
     #[test]
     fn corrupt_images_are_rejected() {
-        let read_str = |bytes: &[u8]| SnapshotReader::read(bytes, |r| r.str());
-        let mut bytes = image(|w| w.put_str("data")).unwrap();
+        let read_str = |bytes: &[u8]| SnapshotReader::read(bytes, |r| String::get(r));
+        let mut bytes = image(|w| "data".put(w)).unwrap();
         assert_eq!(read_str(&bytes).unwrap(), "data");
         // Flip any one byte past the magic and versions: the checksum (or
         // the image's own framing) catches it, whatever the decoder made
@@ -690,11 +531,11 @@ mod tests {
     #[test]
     fn malformed_blobs_are_corrupt_errors() {
         image(|w| {
-            assert!(w.intern_spans_blob("no-hash").is_err());
-            assert!(w.intern_spans_blob("#onlyone").is_err());
-            assert!(w.intern_spans_blob("#T{}#nospan").is_err());
-            assert!(w.intern_spans_blob("#T{}#0..1|9").is_err(), "bad local idx");
-            assert!(w.intern_spans_blob("#T{}#a..1|0").is_err(), "bad range");
+            assert!(intern_spans(w, "no-hash").is_err());
+            assert!(intern_spans(w, "#onlyone").is_err());
+            assert!(intern_spans(w, "#T{}#nospan").is_err());
+            assert!(intern_spans(w, "#T{}#0..1|9").is_err(), "bad local idx");
+            assert!(intern_spans(w, "#T{}#a..1|0").is_err(), "bad range");
             Ok(())
         })
         .unwrap();
@@ -712,11 +553,11 @@ mod tests {
         let bytes = image(|w| {
             let p = w.intern("UntrustedData{}")?;
             for i in 0..5000u32 {
-                w.put_u32(i)?;
-                w.put_label_refs(&[p])?;
+                i.put(w)?;
+                Seq::<u32>::put(&vec![p], w)?;
             }
-            w.put_str(&long)?;
-            w.put_u8(7)
+            long.put(w)?;
+            7u8.put(w)
         })
         .unwrap();
         let mut layout = Vec::new();
@@ -735,11 +576,12 @@ mod tests {
 
         let back = SnapshotReader::read(Trickle(&bytes), |r| {
             for i in 0..5000u32 {
-                assert_eq!(r.u32()?, i);
-                assert_eq!(r.label_refs()?, vec![0]);
+                assert_eq!(u32::get(r)?, i);
+                let refs: Vec<u32> = Seq::<u32>::get(r)?;
+                assert_eq!(refs, [0]);
             }
-            let s = r.str()?;
-            assert_eq!(r.u8()?, 7);
+            let s = String::get(r)?;
+            assert_eq!(u8::get(r)?, 7);
             Ok::<_, StoreError>(s)
         })
         .unwrap();
@@ -754,14 +596,14 @@ mod tests {
         let mut pass = 0;
         let longer = image(|w| {
             pass += 1;
-            w.put_str(if pass == 1 { "one" } else { "three" })
+            (if pass == 1 { "one" } else { "three" }).put(w)
         });
         assert!(matches!(longer, Err(StoreError::Corrupt(_))), "{longer:?}");
         let mut pass = 0;
         let new_policy = image(|w| {
             pass += 1;
             let p = w.intern(if pass == 1 { "A{}" } else { "B{}" })?;
-            w.put_u32(p)
+            p.put(w)
         });
         assert!(
             matches!(new_policy, Err(StoreError::Corrupt(_))),
@@ -769,8 +611,8 @@ mod tests {
         );
         // A writer that is not at its start cannot frame an image.
         let mut out = HashWriter::new(Vec::new());
-        out.put(b"x").unwrap();
-        let err = SnapshotWriter::write(&mut out, |w| w.put_u8(1));
+        out.emit(b"x").unwrap();
+        let err = SnapshotWriter::write(&mut out, |w| 1u8.put(w));
         assert!(matches!(err, Err(StoreError::Corrupt(_))));
     }
 
@@ -778,14 +620,14 @@ mod tests {
     fn undecoded_body_and_trailing_bytes_are_refused() {
         // One more body byte than the decoder reads, with the body length
         // and checksum made to match: refused as undecoded, not ignored.
-        let bytes = image(|w| w.put_u32(9)).unwrap();
+        let bytes = image(|w| 9u32.put(w)).unwrap();
         let body_len_at = 16;
         let mut longer = bytes[..bytes.len() - 8].to_vec();
         longer[body_len_at..body_len_at + 8].copy_from_slice(&5u64.to_le_bytes());
         longer.push(0);
         let sum = checksum(&longer);
         longer.extend_from_slice(&sum.to_le_bytes());
-        let decode = |r: &mut SnapshotReader<'_>| r.u32();
+        let decode = |r: &mut SnapshotReader<'_>| u32::get(r);
         assert_eq!(SnapshotReader::read(&bytes[..], decode).unwrap(), 9);
         let err = SnapshotReader::read(&longer[..], decode).unwrap_err();
         assert!(

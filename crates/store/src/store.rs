@@ -85,9 +85,10 @@ use std::time::Instant;
 use resin_core::sync::mlock;
 
 use crate::error::{Result, StoreError};
-use crate::io::{checksum, put_str, put_u32, put_u64, Cursor, HashWriter};
+use crate::io::{checksum, read_all, HashWriter, Seq, Wire};
 use crate::segment::{list_segments, segment_path};
 use crate::wal::{encode_record, scan, Record};
+use crate::wire;
 
 pub(crate) const MANIFEST_FILE: &str = "manifest.bin";
 const LOCK_FILE: &str = "wal.lock";
@@ -420,11 +421,6 @@ impl Store {
         self.recovery
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The sequence number of the most recent append (0 if none yet).
     #[cfg(test)]
     fn seq(&self) -> u64 {
@@ -639,19 +635,15 @@ impl Store {
         let mut guard = mlock(&self.wal);
         let wal = &mut *guard;
         let base_seq = wal.seq;
-
-        write_atomic(
-            &self.dir,
-            MANIFEST_FILE,
-            &encode_manifest(base_seq, &entries),
-        )?;
+        let next = Manifest { base_seq, entries };
+        write_atomic(&self.dir, MANIFEST_FILE, &encode_manifest(&next)?)?;
         // Make the rename itself durable before discarding the WAL: if it
         // cannot be, the checkpoint fails with every segment still there.
         sync_dir(&self.dir)?;
 
         // The new manifest is the truth: drop superseded/orphan part
         // files and every covered segment.
-        *manifest = entries;
+        *manifest = next.entries;
         remove_orphan_parts(&self.dir, manifest);
 
         if wal.len > 0 {
@@ -673,60 +665,47 @@ impl Store {
     }
 }
 
-fn encode_manifest(base_seq: u64, entries: &[ManifestEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MANIFEST_MAGIC);
-    put_u32(&mut out, MANIFEST_VERSION);
-    put_u64(&mut out, base_seq);
-    put_u32(&mut out, entries.len() as u32);
-    for e in entries {
-        put_str(&mut out, &e.name);
-        put_str(&mut out, &e.file);
-        put_u64(&mut out, e.len);
-        put_u64(&mut out, e.sum);
-    }
-    let sum = checksum(&out);
-    put_u64(&mut out, sum);
-    out
+wire! { ManifestEntry { name, file, len, sum } }
+
+/// A manifest's payload: the sequence number it covers and its entries.
+struct Manifest {
+    base_seq: u64,
+    entries: Vec<ManifestEntry>,
+}
+
+wire! { Manifest { base_seq, entries as Seq<u32> } }
+
+/// The manifest: its magic and version, then its payload, then the
+/// checksum of all of that.
+fn encode_manifest(manifest: &Manifest) -> Result<Vec<u8>> {
+    let mut out = MANIFEST_MAGIC.to_vec();
+    MANIFEST_VERSION.put(&mut out)?;
+    manifest.put(&mut out)?;
+    checksum(&out).put(&mut out)?;
+    Ok(out)
 }
 
 pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<(u64, Vec<ManifestEntry>)> {
-    if bytes.len() < 8 {
+    let Some((body, trailer)) = bytes.split_last_chunk::<8>() else {
         return Err(StoreError::Corrupt("manifest too short".into()));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("len 8"));
-    if checksum(body) != stored {
+    };
+    if checksum(body) != u64::from_le_bytes(*trailer) {
         return Err(StoreError::Corrupt("manifest checksum mismatch".into()));
     }
-    let mut c = Cursor::new(body);
-    let magic = [c.u8()?, c.u8()?, c.u8()?, c.u8()?];
-    if &magic != MANIFEST_MAGIC {
-        return Err(StoreError::Corrupt("bad manifest magic".into()));
-    }
-    let version = c.u32()?;
-    if version != MANIFEST_VERSION {
-        return Err(StoreError::Version {
-            found: version,
-            supported: MANIFEST_VERSION,
-        });
-    }
-    let base_seq = c.u64()?;
-    let count = c.u32()?;
-    let mut entries = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let name = c.str()?;
-        let file = c.str()?;
-        let len = c.u64()?;
-        let sum = c.u64()?;
-        entries.push(ManifestEntry {
-            name,
-            file,
-            len,
-            sum,
-        });
-    }
-    Ok((base_seq, entries))
+    read_all(body, |c| {
+        if &<[u8; 4]>::get(c)? != MANIFEST_MAGIC {
+            return Err(StoreError::Corrupt("bad manifest magic".into()));
+        }
+        let version = u32::get(c)?;
+        if version != MANIFEST_VERSION {
+            return Err(StoreError::Version {
+                found: version,
+                supported: MANIFEST_VERSION,
+            });
+        }
+        let m = Manifest::get(c)?;
+        Ok((m.base_seq, m.entries))
+    })
 }
 
 /// Creates `path` and fills it through a [`HashWriter`], then fsyncs it,
@@ -848,6 +827,30 @@ mod tests {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("resin-store-test-{}-{tag}-{n}", std::process::id()))
+    }
+
+    #[test]
+    fn a_manifest_is_every_byte_of_its_body() {
+        let entry = ManifestEntry {
+            name: "tbl.t".into(),
+            file: "part.000001.bin".into(),
+            len: 9,
+            sum: 7,
+        };
+        let manifest = Manifest {
+            base_seq: 3,
+            entries: vec![entry],
+        };
+        let bytes = encode_manifest(&manifest).unwrap();
+        let (base_seq, entries) = decode_manifest(&bytes).unwrap();
+        assert_eq!((base_seq, entries.len()), (3, 1));
+        // One more byte before the checksum, the checksum made to match.
+        let mut longer = bytes[..bytes.len() - 8].to_vec();
+        longer.push(0);
+        let sum = checksum(&longer);
+        longer.extend_from_slice(&sum.to_le_bytes());
+        let err = decode_manifest(&longer).unwrap_err();
+        assert!(err.to_string().contains("after the last field"), "{err}");
     }
 
     fn segment_count(dir: &Path) -> usize {
@@ -1252,7 +1255,7 @@ mod tests {
         let diverged = s.checkpoint_parts([("b".to_string(), |out: &mut HashWriter<File>| {
             crate::SnapshotWriter::write(out, |w| {
                 pass += 1;
-                w.put_str(&"x".repeat(pass * 40_000))
+                "x".repeat(pass * 40_000).put(w)
             })
         })]);
         assert!(
@@ -1461,5 +1464,30 @@ mod tests {
         assert_eq!(after.parts, 1);
         assert!(after.last_checkpoint_micros > 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_manifest_decodes_only_what_it_encodes() {
+        use crate::mutants::{canonical_over, resealed, Rng};
+        let mut rng = Rng::new(9);
+        let canons: Vec<Vec<u8>> = (0..32)
+            .map(|base_seq| {
+                let entries = (0..rng.below(3))
+                    .map(|k| ManifestEntry {
+                        name: format!("tbl.t{k}"),
+                        file: format!("part.{:06}.bin", rng.below(99)),
+                        len: rng.below(1 << 20) as u64,
+                        sum: rng.below(usize::MAX) as u64,
+                    })
+                    .collect();
+                encode_manifest(&Manifest { base_seq, entries }).unwrap()
+            })
+            .collect();
+        let encode = |(base_seq, entries): &(u64, Vec<ManifestEntry>)| {
+            let (base_seq, entries) = (*base_seq, entries.clone());
+            encode_manifest(&Manifest { base_seq, entries }).unwrap()
+        };
+        let accepted = canonical_over(&canons, resealed, |b| decode_manifest(b).ok(), encode);
+        assert!(accepted > 0, "a mutant inside a name still reads");
     }
 }

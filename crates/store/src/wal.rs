@@ -17,7 +17,7 @@
 //! the tear so the opener can truncate the file before appending again.
 
 use crate::error::Result;
-use crate::io::{checksum, put_u32, put_u64};
+use crate::io::{checksum, checksum_from, Wire};
 
 /// Frame header size: len (4) + seq (8) + checksum (8).
 pub const RECORD_HEADER: usize = 20;
@@ -31,15 +31,21 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
+/// The checksum a frame carries: FNV-1a over its seq's bytes, then its
+/// payload.
+fn frame_sum(seq: u64, payload: &[u8]) -> u64 {
+    checksum_from(checksum(&seq.to_le_bytes()), payload)
+}
+
 /// Encodes one record frame.
 pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(RECORD_HEADER + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u64(&mut frame, seq);
-    let mut sum_input = Vec::with_capacity(8 + payload.len());
-    put_u64(&mut sum_input, seq);
-    sum_input.extend_from_slice(payload);
-    put_u64(&mut frame, checksum(&sum_input));
+    let header = |frame: &mut Vec<u8>| -> Result<()> {
+        (payload.len() as u32).put(frame)?;
+        seq.put(frame)?;
+        frame_sum(seq, payload).put(frame)
+    };
+    header(&mut frame).expect("a Vec takes every byte");
     frame.extend_from_slice(payload);
     frame
 }
@@ -72,17 +78,17 @@ pub fn scan(bytes: &[u8]) -> Result<Scan> {
         if remaining < RECORD_HEADER {
             break; // torn mid-header
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4")) as usize;
-        let seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("len 8"));
-        let stored = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().expect("len 8"));
+        let mut head = &bytes[pos..pos + RECORD_HEADER];
+        let (len, seq, stored) = (
+            u32::get(&mut head)? as usize,
+            u64::get(&mut head)?,
+            u64::get(&mut head)?,
+        );
         if remaining - RECORD_HEADER < len {
             break; // torn mid-payload
         }
         let payload = &bytes[pos + RECORD_HEADER..pos + RECORD_HEADER + len];
-        let mut sum_input = Vec::with_capacity(8 + len);
-        put_u64(&mut sum_input, seq);
-        sum_input.extend_from_slice(payload);
-        if checksum(&sum_input) != stored {
+        if frame_sum(seq, payload) != stored {
             break; // torn or corrupted frame
         }
         records.push(Record {

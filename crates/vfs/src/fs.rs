@@ -30,7 +30,11 @@ use resin_core::{
     deserialize_spans, serialize_spans, Context, FlowError, FnFilter, Gate, GateKind,
     TaintedString, Tracking,
 };
-use resin_store::{HashWriter, Recovery, SnapshotReader, SnapshotWriter, Store};
+use resin_store::io::{Codec, Map, Seq, Sink, Source, Wire};
+use resin_store::snapshot::{intern_spans, spans_blob};
+use resin_store::{
+    wire, HashWriter, Recovery, SnapshotReader, SnapshotWriter, SpanRef, Store, StoreError,
+};
 
 use crate::error::{Result, VfsError};
 use crate::op::FsOp;
@@ -673,98 +677,56 @@ impl Vfs {
     }
 }
 
-// ---- tree image codec ----
+// ---- tree image layout ----
 
-// Node tags in the image body.
-const NODE_FILE: u8 = 0;
-const NODE_DIR: u8 = 1;
-// Xattr value encodings: raw string, or span refs into the image's
-// shared policy table (used for `user.resin.policy`, so a thousand files
-// under one ACL persist the policy body once).
-const XATTR_RAW: u8 = 0;
-const XATTR_SPANS: u8 = 1;
-
-fn encode_xattrs(xattrs: &BTreeMap<String, String>, w: &mut SnapshotWriter<'_>) -> Result<()> {
-    w.put_u32(xattrs.len() as u32)?;
-    for (k, v) in xattrs {
-        w.put_str(k)?;
-        if k == XATTR_POLICY && is_spans_blob(v) {
-            if let Ok(refs) = w.intern_spans_blob(v) {
-                w.put_u8(XATTR_SPANS)?;
-                w.put_span_refs(&refs)?;
-                continue;
-            }
-        }
-        w.put_u8(XATTR_RAW)?;
-        w.put_str(v)?;
-    }
-    Ok(())
+/// An xattr value in the image: raw, or span refs into the image's shared
+/// policy table. Only `user.resin.policy` is interned, so a thousand files
+/// under one ACL persist the policy body once.
+enum XattrValue<'a> {
+    Raw(Cow<'a, str>),
+    Spans(Vec<SpanRef>),
 }
 
-fn decode_xattrs(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, String>> {
-    let n = r.u32().map_err(VfsError::from)?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.str().map_err(VfsError::from)?;
-        let value = match r.u8().map_err(VfsError::from)? {
-            XATTR_RAW => r.str().map_err(VfsError::from)?,
-            XATTR_SPANS => {
-                let refs = r.span_refs().map_err(VfsError::from)?;
-                r.spans_blob(&refs).map_err(VfsError::from)?
+wire! { XattrValue<'a>: u8 { Raw(v) = 0, Spans(refs as Seq<u32>) = 1 } }
+
+/// A node's xattrs: a map whose policy xattr is stored as refs whenever
+/// it is a spans blob that interns.
+struct Xattrs;
+
+impl Codec<BTreeMap<String, String>> for Xattrs {
+    fn put<S: Sink + ?Sized>(
+        xattrs: &BTreeMap<String, String>,
+        out: &mut S,
+    ) -> resin_store::Result<()> {
+        Map::<u32>::put_with(xattrs, out, |k, v, out| {
+            let interned = k == XATTR_POLICY && is_spans_blob(v);
+            match interned.then(|| intern_spans(out, v).ok()).flatten() {
+                Some(refs) => XattrValue::Spans(refs),
+                None => XattrValue::Raw(Cow::Borrowed(v)),
             }
-            other => return Err(VfsError::Storage(format!("unknown xattr tag {other}"))),
-        };
-        out.insert(key, value);
+            .put(out)
+        })
     }
-    Ok(out)
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> resin_store::Result<BTreeMap<String, String>> {
+        Map::<u32>::get_with(src, |k, src| match XattrValue::get(src)? {
+            XattrValue::Raw(v) => Ok(v.into_owned()),
+            XattrValue::Spans(refs) if k == XATTR_POLICY => spans_blob(src, &refs),
+            XattrValue::Spans(_) => Err(StoreError::Corrupt(format!("span refs in xattr `{k}`"))),
+        })
+    }
 }
 
-fn encode_dir(dir: &DirNode, w: &mut SnapshotWriter<'_>) -> Result<()> {
-    encode_xattrs(&dir.xattrs, w)?;
-    w.put_u32(dir.children.len() as u32)?;
-    for (name, node) in &dir.children {
-        w.put_str(name)?;
-        match node {
-            Node::File(f) => {
-                w.put_u8(NODE_FILE)?;
-                w.put_str(&f.content)?;
-                encode_xattrs(&f.xattrs, w)?;
-            }
-            Node::Dir(d) => {
-                w.put_u8(NODE_DIR)?;
-                encode_dir(d, w)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn decode_dir(r: &mut SnapshotReader<'_>) -> Result<DirNode> {
-    let xattrs = decode_xattrs(r)?;
-    let n = r.u32().map_err(VfsError::from)?;
-    let mut children = BTreeMap::new();
-    for _ in 0..n {
-        let name = r.str().map_err(VfsError::from)?;
-        let node = match r.u8().map_err(VfsError::from)? {
-            NODE_FILE => {
-                let content = r.str().map_err(VfsError::from)?;
-                let xattrs = decode_xattrs(r)?;
-                Node::File(FileNode { content, xattrs })
-            }
-            NODE_DIR => Node::Dir(decode_dir(r)?),
-            other => return Err(VfsError::Storage(format!("unknown node tag {other}"))),
-        };
-        children.insert(name, node);
-    }
-    Ok(DirNode { children, xattrs })
-}
+wire! { FileNode { content, xattrs as Xattrs } }
+wire! { DirNode { xattrs as Xattrs, children as Map<u32> } }
+wire! { Node: u8 { File(f) = 0, Dir(d) = 1 } }
 
 fn encode_tree(out: &mut HashWriter<dyn Write + '_>, root: &DirNode) -> Result<()> {
-    SnapshotWriter::write(out, |w| encode_dir(root, w))
+    Ok(SnapshotWriter::write(out, |w| root.put(w))?)
 }
 
 fn decode_tree(image: impl Read) -> Result<DirNode> {
-    SnapshotReader::read(image, decode_dir)
+    Ok(SnapshotReader::read(image, |r| DirNode::get(r))?)
 }
 
 #[cfg(test)]
@@ -1511,5 +1473,32 @@ mod tests {
             assert_eq!(tree_image(&disk.root), tree_image(&mem.root), "seed {seed}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_tree_image_reads_back_as_itself_once_re_encoded() {
+        use crate::mutants::{resealed, wider, Rng};
+        let mut rng = Rng::new(12);
+        let canons: Vec<Vec<u8>> = (0..32)
+            .map(|_| {
+                let mut fs = Vfs::new();
+                for i in 0..rng.below(4) {
+                    let dir = ["/a", "/a/b", "/c"][rng.below(3)];
+                    fs.mkdir_p(dir, &anon()).unwrap();
+                    let mut data = TaintedString::from("secret");
+                    if rng.below(2) == 0 {
+                        data.add_policy_range(1..4, Arc::new(PasswordPolicy::new("u@x")));
+                    }
+                    fs.write_file(&format!("{dir}/f{i}"), &data, &anon())
+                        .unwrap();
+                    if rng.below(3) == 0 {
+                        fs.set_xattr(dir, "user.note", "#not-a-blob").unwrap();
+                    }
+                }
+                tree_image(&fs.root)
+            })
+            .collect();
+        let decode = |b: &[u8]| decode_tree(b).ok().map(|t| tree_image(&t));
+        wider(&canons, resealed, decode, Vec::clone);
     }
 }

@@ -37,6 +37,9 @@
 
 pub mod error;
 pub mod fs;
+#[cfg(test)]
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
 pub mod op;
 pub mod path;
 pub mod pfilter;

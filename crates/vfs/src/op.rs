@@ -1,4 +1,4 @@
-//! The vfs's mutations: [`FsOp`] and its write-ahead-log codec.
+//! The vfs's mutations: [`FsOp`] and its write-ahead-log layout.
 //!
 //! The tree in [`crate::Vfs`] is the working state, and an `FsOp` is the
 //! only way it changes. Every mutating file operation builds one after its
@@ -8,12 +8,18 @@
 //! each op logged after it through that same function, even from a torn
 //! WAL tail.
 //!
+//! The log's layout is one `wire!` declaration (`resin_store::io`): a tag
+//! byte per variant, then its fields in order, each path as its absolute
+//! string. Decoding reads back only what encoding writes: a path not in
+//! normal form (`/a/./b`, `/a/`), a policy flag other than 0 or 1, and a
+//! byte after the op are refused.
+//!
 //! Ops are logged **post-guard**: persistent filters and dir-op checks
 //! ran before the op was built, so recovery re-applies raw state changes
 //! without re-running (or needing the code of) any filter.
 
-use resin_store::io::{put_str, put_u8, Cursor};
-use resin_store::StoreError;
+use resin_store::io::{read_all, Codec, Sink, Source, Wire};
+use resin_store::{wire, StoreError};
 
 use crate::error::{Result, VfsError};
 use crate::path::{normalize, to_absolute};
@@ -77,108 +83,46 @@ pub enum FsOp {
     },
 }
 
-const OP_MKDIR: u8 = 0;
-const OP_WRITE: u8 = 1;
-const OP_UNLINK: u8 = 2;
-const OP_RENAME: u8 = 3;
-const OP_SET_XATTR: u8 = 4;
-const OP_REMOVE_XATTR: u8 = 5;
-
-fn put_path(buf: &mut Vec<u8>, path: &[String]) {
-    put_str(buf, &to_absolute(path));
+wire! {
+    FsOp: u8 {
+        Mkdir { path as AbsPath } = 0,
+        Write { path as AbsPath, content, policy } = 1,
+        Unlink { path as AbsPath } = 2,
+        Rename { from as AbsPath, to as AbsPath } = 3,
+        SetXattr { path as AbsPath, key, value } = 4,
+        RemoveXattr { path as AbsPath, key } = 5,
+    }
 }
 
-fn path(c: &mut Cursor) -> Result<Vec<String>> {
-    normalize(&c.str().map_err(VfsError::from)?)
-}
+/// A path's components as the log holds them: the absolute path, in the
+/// normal form [`to_absolute`] writes.
+struct AbsPath;
 
-fn string(c: &mut Cursor) -> Result<String> {
-    c.str().map_err(VfsError::from)
+impl Codec<Vec<String>> for AbsPath {
+    fn put<S: Sink + ?Sized>(path: &Vec<String>, out: &mut S) -> resin_store::Result<()> {
+        to_absolute(path).put(out)
+    }
+
+    fn get<R: Source + ?Sized>(src: &mut R) -> resin_store::Result<Vec<String>> {
+        let text = String::get(src)?;
+        match normalize(&text) {
+            Ok(path) if to_absolute(&path) == text => Ok(path),
+            _ => Err(StoreError::Corrupt(format!("logged path `{text}`"))),
+        }
+    }
 }
 
 impl FsOp {
     /// Encodes the op as a WAL payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
-        match self {
-            FsOp::Mkdir { path } => {
-                put_u8(&mut buf, OP_MKDIR);
-                put_path(&mut buf, path);
-            }
-            FsOp::Write {
-                path,
-                content,
-                policy,
-            } => {
-                put_u8(&mut buf, OP_WRITE);
-                put_path(&mut buf, path);
-                put_str(&mut buf, content);
-                match policy {
-                    Some(p) => {
-                        put_u8(&mut buf, 1);
-                        put_str(&mut buf, p);
-                    }
-                    None => put_u8(&mut buf, 0),
-                }
-            }
-            FsOp::Unlink { path } => {
-                put_u8(&mut buf, OP_UNLINK);
-                put_path(&mut buf, path);
-            }
-            FsOp::Rename { from, to } => {
-                put_u8(&mut buf, OP_RENAME);
-                put_path(&mut buf, from);
-                put_path(&mut buf, to);
-            }
-            FsOp::SetXattr { path, key, value } => {
-                put_u8(&mut buf, OP_SET_XATTR);
-                put_path(&mut buf, path);
-                put_str(&mut buf, key);
-                put_str(&mut buf, value);
-            }
-            FsOp::RemoveXattr { path, key } => {
-                put_u8(&mut buf, OP_REMOVE_XATTR);
-                put_path(&mut buf, path);
-                put_str(&mut buf, key);
-            }
-        }
+        self.put(&mut buf).expect("a Vec takes every byte");
         buf
     }
 
-    /// Decodes a WAL payload.
+    /// Decodes a WAL payload: one op, and every byte of it.
     pub fn decode(payload: &[u8]) -> Result<FsOp> {
-        let mut c = Cursor::new(payload);
-        let op = match c.u8().map_err(VfsError::from)? {
-            OP_MKDIR => FsOp::Mkdir {
-                path: path(&mut c)?,
-            },
-            OP_WRITE => FsOp::Write {
-                path: path(&mut c)?,
-                content: string(&mut c)?,
-                policy: match c.u8().map_err(VfsError::from)? {
-                    0 => None,
-                    _ => Some(string(&mut c)?),
-                },
-            },
-            OP_UNLINK => FsOp::Unlink {
-                path: path(&mut c)?,
-            },
-            OP_RENAME => FsOp::Rename {
-                from: path(&mut c)?,
-                to: path(&mut c)?,
-            },
-            OP_SET_XATTR => FsOp::SetXattr {
-                path: path(&mut c)?,
-                key: string(&mut c)?,
-                value: string(&mut c)?,
-            },
-            OP_REMOVE_XATTR => FsOp::RemoveXattr {
-                path: path(&mut c)?,
-                key: string(&mut c)?,
-            },
-            other => return Err(VfsError::Storage(format!("unknown fs op tag {other}"))),
-        };
-        Ok(op)
+        Ok(read_all(payload, FsOp::get)?)
     }
 }
 
@@ -229,12 +173,55 @@ mod tests {
     #[test]
     fn the_log_holds_absolute_paths() {
         let op = FsOp::Unlink { path: p("/a/b") };
-        let mut want = vec![OP_UNLINK];
-        put_str(&mut want, "/a/b");
-        assert_eq!(op.encode(), want);
+        assert_eq!(op.encode(), unlink("/a/b"));
         // A logged path that escapes the root is corrupt, not a path.
-        let mut bad = vec![OP_UNLINK];
-        put_str(&mut bad, "/../x");
-        assert!(matches!(FsOp::decode(&bad), Err(VfsError::InvalidPath(_))));
+        assert!(matches!(
+            FsOp::decode(&unlink("/../x")),
+            Err(VfsError::Storage(_))
+        ));
+    }
+
+    /// An unlink op whose logged path is `path`, whatever its form.
+    fn unlink(path: &str) -> Vec<u8> {
+        let mut bytes = vec![2];
+        path.put(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn a_logged_path_is_in_normal_form() {
+        // Each names a path the log writes another way (`/a/b`, `/a`, `/`).
+        for bad in ["/a/./b", "/a/", "a", "//a", "/a/../a", ""] {
+            assert!(FsOp::decode(&unlink(bad)).is_err(), "{bad}");
+        }
+        assert_eq!(
+            FsOp::decode(&unlink("/")).unwrap(),
+            FsOp::Unlink { path: p("/") }
+        );
+    }
+
+    #[test]
+    fn a_logged_policy_flag_is_0_or_1() {
+        let policy = "#UntrustedData{}#0..1|0";
+        let op = FsOp::Write {
+            path: p("/f"),
+            content: "x".into(),
+            policy: Some(policy.into()),
+        };
+        let mut bytes = op.encode();
+        assert_eq!(FsOp::decode(&bytes).unwrap(), op);
+        // The flag comes right before the policy's length and bytes.
+        let flag = bytes.len() - 8 - policy.len() - 1;
+        assert_eq!(bytes[flag], 1);
+        bytes[flag] = 2;
+        assert!(FsOp::decode(&bytes).is_err(), "a flag of 2");
+    }
+
+    #[test]
+    fn a_logged_op_is_every_byte_of_its_payload() {
+        let mut bytes = FsOp::Mkdir { path: p("/a") }.encode();
+        assert!(FsOp::decode(&bytes).is_ok());
+        bytes.push(0);
+        assert!(FsOp::decode(&bytes).is_err(), "a byte after the op");
     }
 }

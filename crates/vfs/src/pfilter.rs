@@ -288,4 +288,24 @@ mod tests {
         let f = revive_filter("DenyAllTestFilter{}").unwrap();
         assert!(f.check_write(&ctx("root")).is_err());
     }
+
+    #[test]
+    fn a_filter_text_revives_only_as_it_is_stored() {
+        use crate::mutants::{canonical, Rng};
+        use resin_core::{Acl, Right};
+        let mut rng = Rng::new(13);
+        let canons: Vec<Vec<u8>> = (0..32)
+            .map(|_| {
+                let mut acl = Acl::new();
+                for _ in 0..rng.below(3) {
+                    let who = ["alice", "m:r,x", "100%", "*", "a;b=c"][rng.below(5)];
+                    acl.add(who, &[Right::Write, Right::Read][..rng.below(3)]);
+                }
+                let filter: PersistentFilterRef = Arc::new(AclWriteFilter::new(acl));
+                filter_text(&filter).unwrap().into_bytes()
+            })
+            .collect();
+        let revive = |b: &[u8]| revive_filter(std::str::from_utf8(b).ok()?).ok();
+        canonical(&canons, revive, |f| filter_text(f).unwrap().into_bytes());
+    }
 }

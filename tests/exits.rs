@@ -24,7 +24,10 @@
 //! `#![forbid(unsafe_code)]` is not an `unsafe`.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+#[path = "support/source.rs"]
+mod source;
 
 /// The raw-exit patterns.
 const EXITS: [&str; 9] = [
@@ -65,76 +68,12 @@ fn holds(line: &str, pat: &str) -> bool {
     })
 }
 
-/// The lines of `src` outside its `#[cfg(test)]` modules and comments.
-fn non_test_lines(src: &str) -> Vec<&str> {
-    let lines: Vec<&str> = src.lines().collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let line = lines[i];
-        let trimmed = line.trim_start();
-        if trimmed == "#[cfg(test)]" {
-            // Past any further attributes to the item the cfg covers.
-            let mut j = i + 1;
-            while j < lines.len() && lines[j].trim_start().starts_with("#[") {
-                j += 1;
-            }
-            let item = lines.get(j).map_or("", |l| l.trim());
-            let is_mod = item.starts_with("mod ") || item.starts_with("pub mod ");
-            if is_mod && item.ends_with('{') {
-                // The module ends at the first `}` at its own indent.
-                let close = format!("{}}}", &line[..line.len() - trimmed.len()]);
-                i = (j + 1..lines.len())
-                    .find(|&k| lines[k] == close)
-                    .map_or(lines.len(), |k| k + 1);
-                continue;
-            }
-        }
-        if !trimmed.starts_with("//") {
-            out.push(line);
-        }
-        i += 1;
-    }
-    out
-}
-
-fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            rs_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// Scans the workspace under `root` for `patterns`, skipping paths
 /// holding any of `excludes`.
 fn census(root: &Path, excludes: &[String], patterns: &[&str]) -> Census {
-    let mut dirs = vec![root.join("src")];
-    for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
-        dirs.push(entry.path().join("src"));
-    }
-    let mut files = Vec::new();
-    for dir in &dirs {
-        rs_files(dir, &mut files);
-    }
     let mut out = Census::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap()
-            .to_string_lossy()
-            .replace('\\', "/");
-        if excludes.iter().any(|x| rel.contains(x.as_str())) {
-            continue;
-        }
-        let src = std::fs::read_to_string(&path).unwrap();
-        for line in non_test_lines(&src) {
+    for (rel, src) in source::files(root, excludes) {
+        for line in source::non_test_lines(&src) {
             for &pat in patterns {
                 if holds(line, pat) {
                     *out.entry((rel.clone(), pat.to_string())).or_default() += 1;
@@ -237,7 +176,7 @@ mod tests {
     fn t() { unsafe { g() } }
 }
 ";
-    let lines = non_test_lines(src);
+    let lines = source::non_test_lines(src);
     let count = |pat| lines.iter().filter(|l| holds(l, pat)).count();
     assert_eq!(count("std::fs"), 1);
     assert_eq!(count("std::net"), 0, "comment and test module skipped");
