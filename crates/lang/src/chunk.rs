@@ -366,4 +366,15 @@ mod tests {
         // The dispatch loop reads ops by value; keep them register-sized.
         assert!(std::mem::size_of::<Op>() <= 8);
     }
+
+    #[test]
+    fn an_operand_decodes_to_the_one_src_that_names_it() {
+        for bits in 0..=u16::MAX {
+            let back = match Src(bits).decode() {
+                Ok(slot) => Src::slot(slot as u16),
+                Err(k) => Src::konst(k as u16),
+            };
+            assert_eq!(back, Src(bits));
+        }
+    }
 }

@@ -1231,4 +1231,36 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn a_string_literal_decodes_only_as_it_is_quoted() {
+        // A literal's text has one quoting, `push_quoted`'s; its labels
+        // are wider (a `''` takes the union of its two bytes' labels).
+        use crate::mutants::{canonical, Rng};
+        let quoted = |s: &str| {
+            let (src, mut out) = (TaintedString::from(s), TaintedString::from(""));
+            push_quoted(&mut out, &src, 0..src.len());
+            out.as_str().as_bytes().to_vec()
+        };
+        let decode = |b: &[u8]| {
+            let q = std::str::from_utf8(b).ok()?;
+            match lex(q).ok()?.as_slice() {
+                [t] if matches!(t.tok, Tok::Str(_)) && t.span == (0..q.len()) => {
+                    let text = decode_literal(&TaintedString::from(q), &t.span);
+                    Some(text.as_str().to_string())
+                }
+                _ => None,
+            }
+        };
+        let mut rng = Rng::new(14);
+        let canons: Vec<Vec<u8>> = (0..32)
+            .map(|_| {
+                let chars = ['a', '\'', 'é', '%', ' ', '0'];
+                let s: String = (0..rng.below(8)).map(|_| chars[rng.below(6)]).collect();
+                quoted(&s)
+            })
+            .collect();
+        let accepted = canonical(&canons, decode, |s| quoted(s));
+        assert!(accepted > 0, "a mutant inside a literal still decodes");
+    }
 }
