@@ -496,6 +496,23 @@ impl<'a, const N: usize> TopLevel<'a, N> {
     }
 }
 
+/// True if `text` comes back whole from any list or spans table it is
+/// written into: not empty, with no `,` or `#` at brace depth zero, and
+/// its braces closed by its end, so [`read_texts`] and [`read_spans`]
+/// split it out as it went in (the list scanner's rule, once per text).
+pub fn is_whole_text(text: &str) -> bool {
+    let mut depth = 0usize;
+    for b in text.bytes() {
+        match b {
+            b'{' => depth += 1,
+            b'}' => depth = depth.saturating_sub(1),
+            b',' | b'#' if depth == 0 => return false,
+            _ => {}
+        }
+    }
+    depth == 0 && !text.is_empty()
+}
+
 /// The policy texts of a comma-joined list: a label blob, or the table of
 /// a spans blob. The empty list holds none.
 pub fn read_texts(list: &str) -> impl Iterator<Item = &str> {
@@ -1008,6 +1025,22 @@ mod tests {
         // The writer's own: `0`, and an index again inside one span.
         let t = deserialize_spans("hello", "#UntrustedData{}#0..5|0,0").unwrap();
         assert!(t.label_at(0).has::<UntrustedData>());
+    }
+
+    #[test]
+    fn a_whole_text_comes_back_whole_from_any_table() {
+        let texts = ["A{}", "A{b=,#}", "}A", "", "A,B{}", "A#", "A{", "A{}}{"];
+        for text in texts {
+            // Alone, and after and before another text.
+            let whole = [vec![text], vec!["B{}", text], vec![text, "B{}"]]
+                .iter()
+                .all(|table| {
+                    let mut back = Vec::new();
+                    let blob = format!("#{}#0..1|0", write_texts(table));
+                    read_spans(&blob, &mut |t| back.push(t)).is_ok() && back == *table
+                });
+            assert_eq!(is_whole_text(text), whole, "{text:?}");
+        }
     }
 
     #[test]

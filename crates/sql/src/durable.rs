@@ -243,8 +243,12 @@ fn decode_catalog(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, Table>>
         }
         let mut rows = Vec::with_capacity(n_rows.min(1 << 20) as usize);
         for _ in 0..n_rows {
-            let row = policy.iter().map(|&p| Cell::get(r)?.value(p));
-            rows.push(row.collect::<Result<_>>()?);
+            // Sized to its columns, as a `collect` through `Result` is not.
+            let mut row = Vec::with_capacity(policy.len());
+            for &p in &policy {
+                row.push(Cell::get(r)?.value(p)?);
+            }
+            rows.push(row);
         }
         let table = Table {
             columns,
@@ -296,14 +300,16 @@ wire! { Logged<'a> { text, spans } }
 /// never persist a prefix of the transaction.
 pub(crate) fn encode_wal_batch(stmts: &[TaintedString]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + stmts.iter().map(|s| s.len() + 32).sum::<usize>());
-    let logged: Vec<Logged> = stmts
-        .iter()
-        .map(|sql| Logged {
+    (stmts.len() as u32)
+        .put(&mut buf)
+        .expect("a Vec takes every byte");
+    for sql in stmts {
+        let logged = Logged {
             text: sql.as_str().into(),
             spans: serialize_spans(sql).into(),
-        })
-        .collect();
-    Seq::<u32>::put(&logged, &mut buf).expect("a Vec takes every byte");
+        };
+        logged.put(&mut buf).expect("a Vec takes every byte");
+    }
     buf
 }
 

@@ -34,11 +34,16 @@
 //! class need be registered to checkpoint or recover a store — persisted
 //! policies outlive the code that produced them. The table is kept as
 //! written: a blob comes back with its own table in order of first use.
+//! It holds only texts that come back whole from any blob
+//! ([`is_whole_text`]): the writer refuses to intern another, and the
+//! reader to open an image holding one.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 
-use resin_core::serialize::{read_spans, read_texts, write_texts, SpansWriter, WIRE_VERSION};
+use resin_core::serialize::{
+    is_whole_text, read_spans, read_texts, write_texts, SpansWriter, WIRE_VERSION,
+};
 use resin_core::SerializeError;
 
 use crate::error::{Result, StoreError};
@@ -129,11 +134,12 @@ impl Sink for SnapshotWriter<'_> {
     }
 
     /// In the writing pass the table is sealed: a body the sizing pass did
-    /// not meet is an error.
+    /// not meet is an error. A text that is not whole is refused.
     fn intern(&mut self, body: &str) -> Result<u32> {
         if let Some(&i) = self.index.get(body) {
             return Ok(i);
         }
+        whole(body)?;
         if self.out.is_some() {
             return Err(StoreError::Corrupt(format!(
                 "policy `{body}` met only by the writing pass"
@@ -199,21 +205,18 @@ pub fn spans_blob<R: Source + ?Sized>(src: &R, refs: &[SpanRef]) -> Result<Strin
         }
         out.span(r.start..r.end, idxs.iter().copied());
     }
-    let blob = out.finish(&local);
-    let mut texts = Vec::new();
-    drop(read_spans(&blob, &mut |text| texts.push(text)).map_err(corrupt)?);
-    same_texts(texts.into_iter(), &local)?;
-    Ok(blob)
+    Ok(out.finish(&local))
 }
 
-/// Refuses a regenerated blob whose list does not split back into the
-/// `texts` it joined: table entries whose own commas or braces would make
-/// the blob name other policies once it is stored again.
-fn same_texts<'t>(split: impl Iterator<Item = &'t str>, texts: &[&str]) -> Result<()> {
-    match split.eq(texts.iter().copied()) {
-        true => Ok(()),
+/// Refuses a policy text that would not come back whole from the blobs
+/// regenerated with it: one naming only `""` reads back as the empty
+/// table, and one whose own commas or braces split or swallow its
+/// neighbours names other policies once stored again.
+fn whole(text: &str) -> Result<&str> {
+    match is_whole_text(text) {
+        true => Ok(text),
         false => Err(StoreError::Corrupt(format!(
-            "policy texts {texts:?} do not list apart"
+            "policy text `{text}` does not list apart"
         ))),
     }
 }
@@ -251,9 +254,7 @@ impl<T: AsRef<str> + From<String>> Codec<T> for LabelBlob {
         let idxs: Vec<u32> = Seq::<u32>::get(src)?;
         let bodies = idxs.iter().map(|&i| src.policy(i));
         let bodies = bodies.collect::<Result<Vec<_>>>()?;
-        let blob = write_texts(&bodies);
-        same_texts(read_texts(&blob), &bodies)?;
-        Ok(blob.into())
+        Ok(write_texts(bodies).into())
     }
 }
 
@@ -314,13 +315,19 @@ impl<'a> SnapshotReader<'a> {
         if &<[u8; 4]>::get(&mut r).map_err(short)? != SNAPSHOT_MAGIC {
             return Err(StoreError::Corrupt("bad snapshot magic".into()));
         }
-        for supported in [SNAPSHOT_VERSION, WIRE_VERSION] {
-            let found = u32::get(&mut r).map_err(short)?;
-            if found != supported {
-                return Err(StoreError::Version { found, supported });
-            }
+        let found = u32::get(&mut r).map_err(short)?;
+        if found != SNAPSHOT_VERSION {
+            let supported = SNAPSHOT_VERSION;
+            return Err(StoreError::Version { found, supported });
+        }
+        // Bodies of an older wire version still read.
+        let found = u32::get(&mut r).map_err(short)?;
+        if found > WIRE_VERSION {
+            let supported = WIRE_VERSION;
+            return Err(StoreError::Version { found, supported });
         }
         r.policies = Seq::<u32>::get(&mut r).map_err(short)?;
+        r.policies.iter().try_for_each(|p| whole(p).map(drop))?;
         r.body_len = u64::get(&mut r).map_err(short)?;
         r.left = r.body_len;
         Ok(r)
@@ -329,13 +336,10 @@ impl<'a> SnapshotReader<'a> {
     /// Claims `n` more bytes of the body for the decoder.
     #[inline]
     fn claim(&mut self, n: u64) -> Result<()> {
-        if self.left < n {
-            return Err(StoreError::Truncated {
-                needed: n,
-                have: self.left,
-            });
-        }
-        self.left -= n;
+        let have = self.left;
+        self.left = have
+            .checked_sub(n)
+            .ok_or(StoreError::Truncated { needed: n, have })?;
         Ok(())
     }
 
@@ -359,15 +363,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(())
     }
 
-    /// Fills `out` from the image.
-    fn read_exact(&mut self, out: &mut [u8]) -> Result<()> {
-        let mut at = 0;
-        self.stream(out.len() as u64, |b| {
-            out[at..at + b.len()].copy_from_slice(b);
-            at += b.len();
-        })
-    }
-
     /// Reads past whatever of the body the decoder left, then the
     /// trailer, checking the checksum and the end of the stream. Returns
     /// how many body bytes the decoder left unread.
@@ -381,16 +376,10 @@ impl<'a> SnapshotReader<'a> {
         let unread = std::mem::take(&mut self.left);
         self.stream(unread, |_| {}).map_err(|_| short())?;
         let sum = self.hash;
-        let mut stored = [0; 8];
-        self.read_exact(&mut stored).map_err(|_| short())?;
-        let trailing = loop {
-            match self.input.fill_buf() {
-                Ok(rest) => break !rest.is_empty(),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        };
-        if u64::from_le_bytes(stored) != sum {
+        self.left = 8;
+        let stored = u64::get(self).map_err(|_| short())?;
+        let trailing = (&mut self.input).bytes().next().transpose()?.is_some();
+        if stored != sum {
             return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
         }
         if trailing {
@@ -404,7 +393,22 @@ impl Source for SnapshotReader<'_> {
     #[inline]
     fn fill(&mut self, out: &mut [u8]) -> Result<()> {
         self.claim(out.len() as u64)?;
-        self.read_exact(out)
+        // A field the window already holds is one copy.
+        match self.input.buffer().get(..out.len()) {
+            Some(held) => {
+                out.copy_from_slice(held);
+                self.hash = checksum_from(self.hash, held);
+                self.input.consume(out.len());
+                Ok(())
+            }
+            None => {
+                let mut at = 0;
+                self.stream(out.len() as u64, |b| {
+                    out[at..at + b.len()].copy_from_slice(b);
+                    at += b.len();
+                })
+            }
+        }
     }
 
     /// A string longer than the window is gathered window by window,
@@ -496,6 +500,50 @@ mod tests {
             Ok::<_, StoreError>(())
         })
         .unwrap();
+    }
+
+    #[test]
+    fn a_spans_blob_the_writer_interns_reads_back() {
+        // The reader must take every blob the writer stores as refs: a
+        // table naming only the empty text would come back as `##`, the
+        // empty table, and refuse to open. Mutated blobs probe the rest.
+        let write_read = |blob: &str| -> Result<Option<String>> {
+            let bytes = match image(|w| SpansBlob::put(&blob.to_string(), w)) {
+                Ok(bytes) => bytes,
+                Err(_) => return Ok(None),
+            };
+            SnapshotReader::read(&bytes[..], |r| SpansBlob::get(r)).map(Some)
+        };
+        for blob in ["#,A{}#0..1|0", "#,A{}#0..1|1", "#A{},#0..1|1"] {
+            assert!(write_read(blob).unwrap().is_none(), "{blob}");
+        }
+        let canon = "#UntrustedData{},PasswordPolicy{email=a@b}#0..2|0;4..9|0,1";
+        let mut stored = 0;
+        for seed in 0..32 {
+            for m in crate::mutants::mutants(canon.as_bytes(), seed) {
+                let Ok(blob) = std::str::from_utf8(&m) else {
+                    continue;
+                };
+                if let Some(back) = write_read(blob).unwrap() {
+                    stored += 1;
+                    assert_eq!(write_read(&back).unwrap(), Some(back.clone()), "{blob}");
+                }
+            }
+        }
+        assert!(stored > 0, "some mutants are blobs the writer takes");
+        // The table itself: the writer interns no text that is not whole,
+        // and the reader opens no image whose table holds one.
+        assert!(image(|w| w.intern("A{},B{}").map(drop)).is_err());
+        let bytes = image(|w| w.intern("A{};B{}").map(drop)).unwrap();
+        let mut crafted = bytes[..bytes.len() - 8].to_vec();
+        let at = crafted.iter().position(|&b| b == b';').unwrap();
+        crafted[at] = b',';
+        let sum = checksum(&crafted);
+        crafted.extend_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            SnapshotReader::read(&crafted[..], |_| Ok::<_, StoreError>(())),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -640,6 +688,23 @@ mod tests {
         assert!(matches!(
             SnapshotReader::read(&trailing[..], decode),
             Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn an_older_wire_version_reads_and_a_newer_one_does_not() {
+        let bytes = image(|w| 9u32.put(w)).unwrap();
+        let with_wire = |wire: u32| {
+            let mut image = bytes[..bytes.len() - 8].to_vec();
+            image[8..12].copy_from_slice(&wire.to_le_bytes());
+            let sum = checksum(&image);
+            image.extend_from_slice(&sum.to_le_bytes());
+            SnapshotReader::read(&image[..], |r| u32::get(r))
+        };
+        assert_eq!(with_wire(WIRE_VERSION - 1).unwrap(), 9);
+        assert!(matches!(
+            with_wire(WIRE_VERSION + 1),
+            Err(StoreError::Version { .. })
         ));
     }
 }

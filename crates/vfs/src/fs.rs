@@ -1237,6 +1237,28 @@ mod tests {
     }
 
     #[test]
+    fn a_policy_xattr_the_image_cannot_intern_survives_checkpoint_and_reopen() {
+        // A policy xattr set by hand is any text. One naming only the
+        // empty policy text does not intern as span refs, so the image
+        // keeps it raw and it reads back byte for byte.
+        let dir = disk_dir("empty-text-xattr");
+        let blob = "#,A{}#0..1|0";
+        {
+            let mut fs = Vfs::open_disk(&dir).unwrap();
+            fs.write_file("/f", &TaintedString::from("x"), &anon())
+                .unwrap();
+            fs.set_xattr("/f", XATTR_POLICY, blob).unwrap();
+            fs.checkpoint().unwrap();
+        }
+        let fs = Vfs::open_disk(&dir).unwrap();
+        assert_eq!(
+            fs.get_xattr("/f", XATTR_POLICY).unwrap().as_deref(),
+            Some(blob)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn failed_durable_write_never_bricks_reopen() {
         // A write that errors (target is a directory / parent missing)
         // must leave no WAL record: its replay would otherwise fail every
