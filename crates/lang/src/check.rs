@@ -3,7 +3,7 @@
 //!
 //! A policy's fields are frozen once, when its
 //! [`ScriptPolicy`](crate::ScriptPolicy) is made: `this` is that
-//! read-only [`Frozen`] instance, read where it lies, and so is the
+//! read-only [`Instance`], read where it lies, and so is the [`Frozen`]
 //! `$context` map. A store into either fails closed as a violation naming
 //! it, so no crossing can change what another reads, and a verdict is a
 //! function of the class, the snapshot and the context's content. What
@@ -40,7 +40,7 @@ use resin_core::{Context, CtxValue, PolicyViolation, Reason};
 use crate::ast::ClassDecl;
 use crate::chunk::Chunk;
 use crate::interp::{thrown, Flow, LangError, R};
-use crate::value::{Entry, Frozen, Value};
+use crate::value::{Entry, Frozen, Instance, Value};
 use crate::vm::Bufs;
 
 // ---- the per-class plan ----
@@ -137,7 +137,7 @@ struct Allowed {
     stamp: u64,
     /// `(plan id, snapshot)`; the held clone keeps the snapshot's address
     /// from being reused while the entry lives.
-    entries: Vec<(u64, Arc<Frozen>)>,
+    entries: Vec<(u64, Arc<Instance>)>,
 }
 
 /// Allows a thread keeps for one context before it starts over.
@@ -154,7 +154,7 @@ thread_local! {
     /// that same snapshot (the same allocation, or equal content) is a
     /// hit. Each entry pins its class (through the snapshot), which is why
     /// the table is bounded.
-    static LAST_CROSSED: RefCell<HashMap<u64, Arc<Frozen>>> = RefCell::new(HashMap::new());
+    static LAST_CROSSED: RefCell<HashMap<u64, Arc<Instance>>> = RefCell::new(HashMap::new());
     /// Single-slot `$context` map cache keyed by the context's content
     /// stamp (equal stamps guarantee equal content). The map is frozen, so
     /// no check can change what the next one reads.
@@ -190,7 +190,7 @@ pub fn check_cache_stats() -> (u64, u64) {
 
 /// Counts an executed crossing of `this` as a hit or a miss, and makes
 /// `this` the plan's last crossed snapshot.
-fn count_executed(plan: &ClassPlan, this: &Arc<Frozen>) {
+fn count_executed(plan: &ClassPlan, this: &Arc<Instance>) {
     let last = LAST_CROSSED.with(|table| {
         let mut table = table.borrow_mut();
         if table.len() >= LAST_CROSSED_CAP && !table.contains_key(&plan.id) {
@@ -241,7 +241,7 @@ fn context_map(context: &Context) -> Value {
 
 /// True when this snapshot of the plan's class already allowed under the
 /// context stamped `stamp`.
-fn allowed_before(plan: &ClassPlan, this: &Arc<Frozen>, stamp: u64) -> bool {
+fn allowed_before(plan: &ClassPlan, this: &Arc<Instance>, stamp: u64) -> bool {
     ALLOWED.with(|allowed| {
         let allowed = allowed.borrow();
         allowed.stamp == stamp
@@ -252,7 +252,7 @@ fn allowed_before(plan: &ClassPlan, this: &Arc<Frozen>, stamp: u64) -> bool {
     })
 }
 
-fn remember_allowed(plan: &ClassPlan, this: &Arc<Frozen>, stamp: u64) {
+fn remember_allowed(plan: &ClassPlan, this: &Arc<Instance>, stamp: u64) {
     ALLOWED.with(|allowed| {
         let mut allowed = allowed.borrow_mut();
         if allowed.stamp != stamp || allowed.entries.len() >= ALLOWED_CAP {
@@ -279,7 +279,7 @@ pub(crate) fn verdict(flow: R<Value>, class_name: &str) -> Result<(), PolicyViol
 /// filters invoke script-defined assertion code.
 pub(crate) fn cross(
     plan: &ClassPlan,
-    this: &Arc<Frozen>,
+    this: &Arc<Instance>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
     if plan.export_check.is_none() {
@@ -316,12 +316,12 @@ pub(crate) fn cross(
 fn execute(
     plan: &ClassPlan,
     bufs: &mut Bufs,
-    this: &Arc<Frozen>,
+    this: &Arc<Instance>,
     arg: impl FnOnce() -> Value,
 ) -> Result<(), PolicyViolation> {
     let method = plan.export_check.expect("the plan found export_check");
     let arg = (!plan.class.methods[method].params.is_empty()).then(arg);
-    let flow = crate::vm::cross(plan, bufs, method, arg, Value::Frozen(this.clone()));
+    let flow = crate::vm::cross(plan, bufs, method, arg, Value::Instance(this.clone()));
     verdict(flow, &plan.class.name)
 }
 
@@ -330,7 +330,7 @@ fn execute(
 /// context map. Touches no counter.
 fn from_scratch(
     class: &Arc<ClassDecl>,
-    this: &Arc<Frozen>,
+    this: &Arc<Instance>,
     context: &Context,
 ) -> Result<(), PolicyViolation> {
     let plan = ClassPlan::new(class, false);
@@ -344,7 +344,7 @@ fn from_scratch(
 #[cfg(debug_assertions)]
 fn compare_from_scratch(
     class: &Arc<ClassDecl>,
-    this: &Arc<Frozen>,
+    this: &Arc<Instance>,
     context: &Context,
     served: &Result<(), PolicyViolation>,
 ) {

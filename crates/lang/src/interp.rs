@@ -38,7 +38,7 @@ use resin_vfs::Vfs;
 use crate::ast::{BinOp, ClassDecl, FnDecl, Stmt};
 use crate::chunk::Chunk;
 use crate::parser::parse_program;
-use crate::value::{Entry, Frozen, PValue, ScriptPolicy, Value};
+use crate::value::{Entry, Frozen, Key, ScriptPolicy, Value};
 
 /// A runtime error (including policy violations surfacing in script).
 #[derive(Debug, Clone, PartialEq)]
@@ -385,21 +385,18 @@ impl Interp {
         }
         self.classes.insert(decl.name.clone(), decl.clone());
         if new {
-            let class_name = decl.name.clone();
             let class = decl.clone();
-            register_policy_class(class_name.clone(), move |fields| {
-                let mut decoded = BTreeMap::new();
-                for (k, v) in fields {
-                    let pv =
-                        PValue::decode(v).ok_or_else(|| resin_core::SerializeError::BadField {
-                            class: class_name.clone(),
-                            field: k.clone(),
-                            reason: "undecodable field".into(),
-                        })?;
-                    decoded.insert(k.clone(), pv);
-                }
-                let policy = ScriptPolicy::new(class_name.clone(), decoded, Some(class.clone()));
-                Ok(Arc::new(policy) as PolicyRef)
+            register_policy_class(decl.name.clone(), move |fields| {
+                let field = |(k, v): (&String, &String)| {
+                    let bad = || resin_core::SerializeError::BadField {
+                        class: class.name.clone(),
+                        field: k.clone(),
+                        reason: "undecodable field".into(),
+                    };
+                    Ok((k.clone(), Entry::decode(v).ok_or_else(bad)?))
+                };
+                let fields = fields.iter().map(field).collect::<Result<_, _>>()?;
+                Ok(Arc::new(ScriptPolicy::of(class.clone(), fields)) as PolicyRef)
             });
             // Recorded once registered: a panic in between leaves the map
             // naming an older version, and an equal declaration registers
@@ -424,10 +421,15 @@ impl Interp {
                 Ok(())
             }
             (Value::Map(m), Value::Str(k)) => {
-                m.borrow_mut().insert(k.as_str().to_string(), v);
+                let mut m = m.borrow_mut();
+                let key = match m.remove_entry(k.as_str()) {
+                    Some((old, _)) => old.union(k),
+                    None => Key(k.clone()),
+                };
+                m.insert(key, v);
                 Ok(())
             }
-            (Value::Frozen(_), _) => {
+            (Value::Frozen(_) | Value::Instance(_), _) => {
                 Err(refused(format!("a store into a frozen {}", a.type_name())))
             }
             _ => Err(cannot_index(a, i)),
@@ -477,9 +479,7 @@ impl Interp {
     pub(crate) fn prop_value(o: &Value, field: &str) -> R<Value> {
         let v = match o {
             Value::Object(o) => o.borrow().fields.get(field).cloned(),
-            Value::Frozen(f) if matches!(**f, Frozen::Object(..)) => {
-                f.field(field).map(Entry::to_value)
-            }
+            Value::Instance(i) => i.fields.get(field).map(Entry::to_value),
             _ => return Err(rt(format!("cannot read field of {}", o.type_name()))),
         };
         v.ok_or_else(|| rt(format!("no field `{field}`")))
@@ -492,7 +492,9 @@ impl Interp {
                 o.borrow_mut().fields.insert(field.to_string(), v);
                 Ok(())
             }
-            Value::Frozen(_) => Err(refused(format!("a store into field `{field}`"))),
+            Value::Frozen(_) | Value::Instance(_) => {
+                Err(refused(format!("a store into field `{field}`")))
+            }
             _ => Err(rt(format!("cannot set field on {}", o.type_name()))),
         }
     }
@@ -799,7 +801,7 @@ fn want_str<'a>(v: &'a Value, what: &str) -> R<&'a TaintedString> {
 fn want_array<'a>(v: &'a Value, what: &str) -> R<&'a std::cell::RefCell<Vec<Value>>> {
     match v {
         Value::Array(a) => Ok(a),
-        Value::Frozen(_) => Err(refused(format!(
+        Value::Frozen(_) | Value::Instance(_) => Err(refused(format!(
             "a store into a frozen {} by `{what}`",
             v.type_name()
         ))),
@@ -908,7 +910,6 @@ fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value
                 Value::Frozen(f) => match &**f {
                     Frozen::List(items) => items.len(),
                     Frozen::Map(entries) => entries.len(),
-                    Frozen::Object(..) => return Err(rt("len: unsupported object")),
                 },
                 other => return Err(rt(format!("len: unsupported {}", other.type_name()))),
             };
@@ -1024,7 +1025,7 @@ fn value_builtin(id: Builtin, args: &mut [Value], tracking: Tracking) -> R<Value
         Builtin::Keys => {
             arity(id, args, 1)?;
             let keys = match &args[0] {
-                Value::Map(m) => m.borrow().keys().map(|k| Value::str(k.clone())).collect(),
+                Value::Map(m) => m.borrow().keys().map(|k| Value::Str(k.0.clone())).collect(),
                 Value::Frozen(f) => match &**f {
                     Frozen::Map(m) => m.keys().map(|k| Value::str(k.clone())).collect(),
                     _ => return Err(rt("keys: expected map")),
@@ -1064,23 +1065,13 @@ fn policy_from_value(v: &Value) -> R<PolicyRef> {
             let o = o.borrow();
             let mut fields = BTreeMap::new();
             for (k, fv) in &o.fields {
-                let pv = PValue::from_value(fv)
+                let entry = Entry::freeze(fv)
                     .ok_or_else(|| rt(format!("policy field `{k}` is not a persistable scalar")))?;
-                fields.insert(k.clone(), pv);
+                fields.insert(k.clone(), entry);
             }
-            Ok(Arc::new(ScriptPolicy::new(
-                o.class.name.clone(),
-                fields,
-                Some(o.class.clone()),
-            )))
+            Ok(Arc::new(ScriptPolicy::of(o.class.clone(), fields)))
         }
-        Value::Frozen(f) => match &**f {
-            Frozen::Object(class, _) => Ok(Arc::new(ScriptPolicy::frozen(
-                class.name.clone(),
-                f.clone(),
-            ))),
-            _ => Err(rt(format!("not a policy: {}", v.type_name()))),
-        },
+        Value::Instance(i) => Ok(Arc::new(ScriptPolicy::frozen(i.clone()))),
         other => Err(rt(format!("not a policy: {}", other.type_name()))),
     }
 }
@@ -1131,6 +1122,7 @@ mod tests {
     use super::*;
     use crate::ast::StmtKind;
     use crate::check::{check_cache_stats, set_check_cache};
+    use crate::value::PValue;
     use resin_core::metrics::{self, Counter};
     use resin_core::{Context, PasswordPolicy, Policy, PolicyViolation};
 
@@ -1448,6 +1440,72 @@ mod tests {
         // (`a[1] = 0` breaks the cycle, which would never be freed.)
         i.run(r#"a[1] = 0; echo(t);"#).unwrap_err();
         assert_eq!(i.http_output(), "");
+    }
+
+    /// `f`'s panic message, or `None` when it returned.
+    fn panic_of(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        err.downcast_ref::<String>().cloned()
+    }
+
+    #[test]
+    fn a_script_policy_is_made_only_of_its_named_class() {
+        let class = run("class Named { fn export_check(c) { } }")
+            .classes
+            .get("Named")
+            .unwrap()
+            .clone();
+        let (fields, refused) = (BTreeMap::new, "a script policy of its named class");
+        let named = panic_of(|| drop(ScriptPolicy::new("Named".into(), fields(), None)));
+        assert!(named.unwrap().contains(refused));
+        let other = Some(class.clone());
+        let misnamed = panic_of(|| drop(ScriptPolicy::new("Other".into(), fields(), other)));
+        assert!(misnamed.unwrap().contains(refused));
+        assert!(
+            panic_of(|| drop(ScriptPolicy::new("Named".into(), fields(), Some(class)))).is_none()
+        );
+    }
+
+    #[test]
+    fn a_revived_policy_is_the_one_new_freezes() {
+        let i = run("class FieldShapes { fn export_check(c) { } }");
+        let class = i.classes.get("FieldShapes").unwrap().clone();
+        let fields = BTreeMap::from([
+            ("a".to_string(), PValue::Null),
+            ("b".to_string(), PValue::Bool(false)),
+            ("i".to_string(), PValue::Int(i64::MIN)),
+            ("s".to_string(), PValue::Str("{;=%\u{1c}é}".into())),
+            (
+                "l".to_string(),
+                PValue::List(vec![PValue::List(vec![]), PValue::Str("%".into())]),
+            ),
+        ]);
+        let built = Arc::new(ScriptPolicy::new(class.name.clone(), fields, Some(class)));
+        let text = resin_core::serialize_policy(&(built.clone() as PolicyRef));
+        let revived = resin_core::deserialize_policy(&text).unwrap();
+        assert_eq!(resin_core::serialize_policy(&revived), text);
+        let revived = revived.as_any().downcast_ref::<ScriptPolicy>().unwrap();
+        assert!(
+            !Arc::ptr_eq(&revived.this, &built.this),
+            "decoded, not found"
+        );
+        assert_eq!(*revived.this, *built.this);
+    }
+
+    #[test]
+    fn a_policy_of_an_object_and_of_its_frozen_this_name_one_class() {
+        let twin = "class Twin { fn init(n) { this.n = [n]; } fn export_check(c) { } }";
+        let i = run(&format!("{twin} let t = new Twin(1);"));
+        let of_object = policy_from_value(i.globals.get("t").unwrap()).ok().unwrap();
+        let frozen = of_object.as_any().downcast_ref::<ScriptPolicy>().unwrap();
+        let of_this = policy_from_value(&Value::Instance(frozen.this.clone()));
+        let of_this = of_this.ok().unwrap();
+        assert_eq!((of_object.name(), of_this.name()), ("Twin", "Twin"));
+        assert_eq!(
+            of_object.intern_discriminator(),
+            of_this.intern_discriminator()
+        );
+        assert_eq!(of_object.serialize_fields(), of_this.serialize_fields());
     }
 
     #[test]

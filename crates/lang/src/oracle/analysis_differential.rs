@@ -108,9 +108,10 @@ fn assert_cache_transparent(src: &str) -> (bool, Vec<String>) {
     set_check_cache(false);
     let uncached_vm = crossings(&class, &fields, 4);
     set_check_cache(true);
-    // The oracle evaluates `export_check` on a fresh `this` every time.
+    // The oracle evaluates `export_check` on the policy's own `this`.
+    let policy = ScriptPolicy::new(class.name.clone(), fields.clone(), Some(class.clone()));
     let oracle: Vec<String> = (0..4)
-        .map(|_| verdict(super::cross(&class, &fields, &ctx())))
+        .map(|_| verdict(super::cross(&policy, &ctx())))
         .collect();
 
     assert_eq!(

@@ -83,11 +83,11 @@ fn assert_value_eq(a: &Value, b: &Value, path: &str) {
         }
         (Value::Map(x), Value::Map(y)) => {
             let (x, y) = (x.borrow(), y.borrow());
-            let xk: Vec<&String> = x.keys().collect();
-            let yk: Vec<&String> = y.keys().collect();
-            assert_eq!(xk, yk, "{path}: map keys");
-            for (k, xe) in x.iter() {
-                assert_value_eq(xe, &y[k], &format!("{path}[{k:?}]"));
+            assert_eq!(x.len(), y.len(), "{path}: map length");
+            for ((xk, xe), (yk, ye)) in x.iter().zip(y.iter()) {
+                let key = Value::Str(xk.0.clone());
+                assert_value_eq(&key, &Value::Str(yk.0.clone()), &format!("{path}: key"));
+                assert_value_eq(xe, ye, &format!("{path}[{:?}]", xk.0.as_str()));
             }
         }
         (Value::Object(x), Value::Object(y)) => {

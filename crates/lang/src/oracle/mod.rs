@@ -24,7 +24,7 @@ use crate::interp::{
     finish, refused, rt, run_builtin, Builtin, Flow, Interp, LangError, MAX_CALL_DEPTH, R,
 };
 use crate::parser::parse_program;
-use crate::value::{Frozen, Obj, PValue, Value};
+use crate::value::{Obj, ScriptPolicy, Value};
 
 mod analysis_differential;
 mod cfg;
@@ -46,17 +46,13 @@ pub(crate) fn run(interp: &mut Interp, src: &str) -> Result<Value, LangError> {
     }
 }
 
-/// One crossing of `class`'s `export_check` on the tree-walker, sharing
-/// nothing with any other: no host, `this` frozen from `fields`, a fresh
-/// context map.
-pub(crate) fn cross(
-    class: &Arc<ClassDecl>,
-    fields: &BTreeMap<String, PValue>,
-    context: &Context,
-) -> Result<(), PolicyViolation> {
+/// One crossing of `policy`'s `export_check` on the tree-walker, sharing
+/// nothing with any other but the policy's frozen instance: no host, a
+/// fresh context map.
+pub(crate) fn cross(policy: &ScriptPolicy, context: &Context) -> Result<(), PolicyViolation> {
+    let class = &policy.this.class;
     let method = class.method("export_check").expect("a policy class");
-    let this = Frozen::instance(Some(class.clone()), fields.clone());
-    let this = Value::Frozen(Arc::new(this));
+    let this = Value::Instance(policy.this.clone());
     let args = if method.params.is_empty() {
         Vec::new()
     } else {

@@ -19,11 +19,22 @@
 //! the atomic count) bumps a count, and the operations that change a string
 //! in place (`policy_add`, `policy_remove`) copy it first only when it is
 //! shared. `Array`, `Map` and `Object` are `Rc<RefCell<..>>` with reference
-//! semantics, as before. `Frozen` is an `Arc` of a read-only value that
-//! threads share — a script policy's instance, a list in its fields, a
-//! check's `$context` — and a store into one fails closed.
+//! semantics, as before; a map's [`Key`] shares its string's `Arc`, labels
+//! and all. `Frozen` and `Instance` are `Arc`s of read-only values that
+//! threads share — a list in a script policy's fields or a check's
+//! `$context`, and the policy's instance — and a store into one fails
+//! closed.
+//!
+//! # Policy fields
+//!
+//! A script policy's fields take one form from its `new` to rest and back:
+//! [`Entry`]. A script's `policy_add(x, new P(..))` freezes each field
+//! value into one (`Entry::freeze`), a stored text decodes into one
+//! ([`Entry::decode`]), and the policy's `serialize_fields` writes each
+//! with [`Entry::encode`]; every check reads them where they lie.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
@@ -50,11 +61,13 @@ pub enum Value {
     /// Mutable array (reference semantics).
     Array(Rc<RefCell<Vec<Value>>>),
     /// Mutable string-keyed map (reference semantics).
-    Map(Rc<RefCell<BTreeMap<String, Value>>>),
+    Map(Rc<RefCell<BTreeMap<Key, Value>>>),
     /// Class instance (reference semantics).
     Object(Rc<RefCell<Obj>>),
-    /// A read-only object, array or map (see [`Frozen`]).
+    /// A read-only array or map (see [`Frozen`]).
     Frozen(Arc<Frozen>),
+    /// A script policy's instance (see [`Instance`]).
+    Instance(Arc<Instance>),
 }
 
 const _: () = assert!(std::mem::size_of::<Value>() <= 16);
@@ -65,23 +78,73 @@ impl From<TaintedString> for Value {
     }
 }
 
-/// A read-only value that threads share: a script policy's instance (its
-/// class and fields, frozen once by [`ScriptPolicy::new`]), a list inside
-/// it, or the `$context` map a check receives. A check reads it where it
-/// lies; a store into it — a field, an element, `push`, `pop` — fails
-/// closed, so no crossing can change what another reads.
+/// A map key: its text finds and orders it, and its labels travel with
+/// it into `keys()` and `str(map)`.
+#[derive(Debug, Clone)]
+pub struct Key(pub(crate) Arc<TaintedString>);
+
+impl Key {
+    /// The key stored under this one's text: `new`'s text and labels, and
+    /// this key's labels unioned in byte by byte.
+    pub(crate) fn union(self, new: &Arc<TaintedString>) -> Key {
+        let mut key = new.clone();
+        for (range, label) in self.0.spans() {
+            Arc::make_mut(&mut key).add_label_range(range, label);
+        }
+        Key(key)
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.0.as_str() == other.0.as_str()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        self.0.as_str().cmp(other.0.as_str())
+    }
+}
+
+impl std::borrow::Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        self.0.as_str()
+    }
+}
+
+/// A read-only container that threads share: a list in a script policy's
+/// fields, or the `$context` map a check receives. A check reads it where
+/// it lies; a store into it — an element, `push`, `pop` — fails closed,
+/// so no crossing can change what another reads.
 #[derive(Debug, PartialEq)]
 pub enum Frozen {
     /// An array.
     List(Vec<Entry>),
     /// A string-keyed map.
     Map(BTreeMap<String, Entry>),
-    /// A policy object: its class and its fields.
-    Object(Arc<ClassDecl>, BTreeMap<String, Entry>),
 }
 
-/// What a [`Frozen`] value holds. Reading one out is an int copy or an
-/// `Arc` bump.
+/// A script policy's instance: its class and its fields, frozen once when
+/// its [`ScriptPolicy`] is made. A check reads it where it lies, and a
+/// store into a field fails closed, as one into a [`Frozen`] does.
+#[derive(Debug, PartialEq)]
+pub struct Instance {
+    pub(crate) class: Arc<ClassDecl>,
+    pub(crate) fields: BTreeMap<String, Entry>,
+}
+
+/// A policy field, and what a [`Frozen`] value holds: the one form a
+/// field takes from a script's `new` to rest and back (see the module's
+/// notes). Reading one out is an int copy or an `Arc` bump.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Entry {
     /// `null`.
@@ -94,29 +157,6 @@ pub enum Entry {
     Str(Arc<TaintedString>),
     /// A frozen array.
     List(Arc<Frozen>),
-}
-
-impl Frozen {
-    /// A policy instance: its fields under its class, or a map of them
-    /// when it has none.
-    pub(crate) fn instance(
-        class: Option<Arc<ClassDecl>>,
-        fields: BTreeMap<String, PValue>,
-    ) -> Frozen {
-        let fields = fields.into_iter().map(|(k, v)| (k, v.freeze())).collect();
-        match class {
-            Some(class) => Frozen::Object(class, fields),
-            None => Frozen::Map(fields),
-        }
-    }
-
-    /// An object's field.
-    pub(crate) fn field(&self, name: &str) -> Option<&Entry> {
-        match self {
-            Frozen::Object(_, fields) => fields.get(name),
-            _ => None,
-        }
-    }
 }
 
 impl Entry {
@@ -134,6 +174,82 @@ impl Entry {
             Entry::Str(s) => Value::Str(s.clone()),
             Entry::List(l) => Value::Frozen(l.clone()),
         }
+    }
+
+    /// Freezes a script value as a policy field. A map, an object and a
+    /// list met again inside itself have no field form (fields persist
+    /// flat, §3.4.1), and a string's labels are not kept (ROADMAP item 23).
+    pub(crate) fn freeze(v: &Value) -> Option<Entry> {
+        // `path` holds the arrays being frozen, outermost first.
+        fn on(v: &Value, path: &mut Vec<*const RefCell<Vec<Value>>>) -> Option<Entry> {
+            Some(match v {
+                Value::Null => Entry::Null,
+                Value::Bool(b) => Entry::Bool(*b),
+                Value::Int(n, _) => Entry::Int(*n),
+                Value::Str(s) => Entry::str(s.as_str().to_string()),
+                Value::Array(a) if !path.contains(&Rc::as_ptr(a)) => {
+                    path.push(Rc::as_ptr(a));
+                    let items: Option<_> = a.borrow().iter().map(|v| on(v, path)).collect();
+                    path.pop();
+                    Entry::List(Arc::new(Frozen::List(items?)))
+                }
+                Value::Frozen(f) if matches!(**f, Frozen::List(_)) => Entry::List(f.clone()),
+                _ => return None,
+            })
+        }
+        on(v, &mut Vec::new())
+    }
+
+    /// The field's stored text: `n:`, `b:true`, `i:-42`, `s:` and the
+    /// text, or `l:` and the items' texts joined by `\x1c`, an item's `%`
+    /// and separator escaped (`%25`, `%1C`).
+    pub fn encode(&self) -> String {
+        match self {
+            Entry::Null => "n:".to_string(),
+            Entry::Bool(b) => format!("b:{b}"),
+            Entry::Int(n) => format!("i:{n}"),
+            Entry::Str(s) => format!("s:{}", s.as_str()),
+            Entry::List(list) => {
+                let Frozen::List(items) = &**list else {
+                    unreachable!("an entry's list is an array");
+                };
+                let mut out = String::from("l:");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push('\u{1c}');
+                    }
+                    escape_into(&mut out, &item.encode(), b"%\x1c");
+                }
+                out
+            }
+        }
+    }
+
+    /// Decodes [`Entry::encode`] output, and only that: a text that reads
+    /// as some field but is not what `encode` writes for it (`b:TRUE`,
+    /// `i:05`, a stray `%XX` in a list item) is `None`.
+    pub fn decode(s: &str) -> Option<Entry> {
+        Self::read(s).filter(|v| v.encode() == s)
+    }
+
+    /// Reads a text in `encode`'s shape without checking that it is the
+    /// canonical one; [`Entry::decode`] checks the whole field once.
+    fn read(s: &str) -> Option<Entry> {
+        let (tag, body) = s.split_once(':')?;
+        Some(match tag {
+            "n" => Entry::Null,
+            "b" => Entry::Bool(body == "true"),
+            "i" => Entry::Int(body.parse().ok()?),
+            "s" => Entry::str(body),
+            "l" if body.is_empty() => Entry::List(Arc::new(Frozen::List(Vec::new()))),
+            "l" => {
+                let items = body
+                    .split('\u{1c}')
+                    .map(|p| Entry::read(&unescape(p).ok()?));
+                Entry::List(Arc::new(Frozen::List(items.collect::<Option<_>>()?)))
+            }
+            _ => return None,
+        })
     }
 }
 
@@ -170,10 +286,7 @@ impl Value {
     pub(crate) fn with_class<T>(&self, f: impl FnOnce(&Arc<ClassDecl>) -> T) -> Option<T> {
         match self {
             Value::Object(o) => Some(f(&o.borrow().class)),
-            Value::Frozen(frozen) => match &**frozen {
-                Frozen::Object(class, _) => Some(f(class)),
-                _ => None,
-            },
+            Value::Instance(i) => Some(f(&i.class)),
             _ => None,
         }
     }
@@ -187,11 +300,10 @@ impl Value {
             Value::Str(s) => !s.is_empty(),
             Value::Array(a) => !a.borrow().is_empty(),
             Value::Map(m) => !m.borrow().is_empty(),
-            Value::Object(_) => true,
+            Value::Object(_) | Value::Instance(_) => true,
             Value::Frozen(f) => match &**f {
                 Frozen::List(items) => !items.is_empty(),
                 Frozen::Map(entries) => !entries.is_empty(),
-                Frozen::Object(..) => true,
             },
         }
     }
@@ -205,11 +317,10 @@ impl Value {
             Value::Str(_) => "string",
             Value::Array(_) => "array",
             Value::Map(_) => "map",
-            Value::Object(_) => "object",
+            Value::Object(_) | Value::Instance(_) => "object",
             Value::Frozen(f) => match **f {
                 Frozen::List(_) => "array",
                 Frozen::Map(_) => "map",
-                Frozen::Object(..) => "object",
             },
         }
     }
@@ -226,6 +337,7 @@ impl Value {
             (Value::Map(a), Value::Map(b)) => Rc::ptr_eq(a, b),
             (Value::Object(a), Value::Object(b)) => Rc::ptr_eq(a, b),
             (Value::Frozen(a), Value::Frozen(b)) => Arc::ptr_eq(a, b),
+            (Value::Instance(a), Value::Instance(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -245,21 +357,18 @@ impl Value {
             }
             Value::Str(s) => TaintedString::clone(s),
             Value::Object(o) => TaintedString::from(format!("<{}>", o.borrow().class.name)),
-            Value::Frozen(f) => match &**f {
-                Frozen::Object(class, _) => TaintedString::from(format!("<{}>", class.name)),
-                _ => render_containers(self),
-            },
-            Value::Array(_) | Value::Map(_) => render_containers(self),
+            Value::Instance(i) => TaintedString::from(format!("<{}>", i.class.name)),
+            Value::Array(_) | Value::Map(_) | Value::Frozen(_) => render_containers(self),
         }
     }
 }
 
 /// A container being rendered: its address, its closing bracket, and the
-/// entries (a map's with their keys) it has left.
+/// entries (a map's with their keys, labels and all) it has left.
 struct Open {
     addr: usize,
     close: char,
-    rest: std::vec::IntoIter<(Option<String>, Value)>,
+    rest: std::vec::IntoIter<(Option<TaintedString>, Value)>,
     first: bool,
 }
 
@@ -272,27 +381,25 @@ impl Open {
             Value::Frozen(f) => match &**f {
                 Frozen::List(_) => Some((Arc::as_ptr(f) as usize, '[', ']')),
                 Frozen::Map(_) => Some((Arc::as_ptr(f) as usize, '{', '}')),
-                Frozen::Object(..) => None,
             },
             _ => None,
         }
     }
 
-    fn entries(v: &Value) -> Vec<(Option<String>, Value)> {
+    fn entries(v: &Value) -> Vec<(Option<TaintedString>, Value)> {
         match v {
             Value::Array(a) => a.borrow().iter().map(|v| (None, v.clone())).collect(),
             Value::Map(m) => m
                 .borrow()
                 .iter()
-                .map(|(k, v)| (Some(k.clone()), v.clone()))
+                .map(|(k, v)| (Some(TaintedString::clone(&k.0)), v.clone()))
                 .collect(),
             Value::Frozen(f) => match &**f {
                 Frozen::List(items) => items.iter().map(|e| (None, e.to_value())).collect(),
                 Frozen::Map(entries) => entries
                     .iter()
-                    .map(|(k, e)| (Some(k.clone()), e.to_value()))
+                    .map(|(k, e)| (Some(TaintedString::from(k.as_str())), e.to_value()))
                     .collect(),
-                Frozen::Object(..) => Vec::new(),
             },
             _ => Vec::new(),
         }
@@ -336,7 +443,7 @@ fn render_containers(root: &Value) -> TaintedString {
                     out.push_str(", ");
                 }
                 if let Some(key) = key {
-                    out.push_str(&key);
+                    out.push_tainted(&key);
                     out.push_str(": ");
                 }
                 next = Some(v);
@@ -358,11 +465,9 @@ impl fmt::Debug for Value {
 
 // ---- script-defined policies ----
 
-/// A persistable scalar snapshot of a script value (policy fields).
-///
-/// Policy objects persist as *class name + data fields* (§3.4.1), so a
-/// script policy's fields are snapshotted into this form when the policy
-/// is attached to data, and frozen from it once.
+/// A policy's fields as a caller outside the crate spells them for
+/// [`ScriptPolicy::new`]: the five shapes of an [`Entry`], with plain
+/// strings and lists.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PValue {
     /// `null`.
@@ -371,44 +476,14 @@ pub enum PValue {
     Bool(bool),
     /// Integer.
     Int(i64),
-    /// String (text only; field policies are not persisted).
+    /// String.
     Str(String),
-    /// List of scalars.
+    /// List.
     List(Vec<PValue>),
 }
 
 impl PValue {
-    /// Snapshots a runtime value; containers of scalars are supported,
-    /// nested objects are not (matching the flat-fields persistence model),
-    /// and neither is a list met again inside itself.
-    pub fn from_value(v: &Value) -> Option<PValue> {
-        // `path` holds the lists being converted, outermost first.
-        fn on(v: &Value, path: &mut Vec<*const RefCell<Vec<Value>>>) -> Option<PValue> {
-            Some(match v {
-                Value::Null => PValue::Null,
-                Value::Bool(b) => PValue::Bool(*b),
-                Value::Int(n, _) => PValue::Int(*n),
-                Value::Str(s) => PValue::Str(s.as_str().to_string()),
-                Value::Array(a) if !path.contains(&Rc::as_ptr(a)) => {
-                    path.push(Rc::as_ptr(a));
-                    let items: Option<_> = a.borrow().iter().map(|v| on(v, path)).collect();
-                    path.pop();
-                    PValue::List(items?)
-                }
-                Value::Frozen(f) => match &**f {
-                    Frozen::List(items) => {
-                        let items = items.iter().map(|e| on(&e.to_value(), path));
-                        PValue::List(items.collect::<Option<_>>()?)
-                    }
-                    _ => return None,
-                },
-                Value::Array(_) | Value::Map(_) | Value::Object(_) => return None,
-            })
-        }
-        on(v, &mut Vec::new())
-    }
-
-    /// The frozen entry.
+    /// The field's one form.
     fn freeze(self) -> Entry {
         match self {
             PValue::Null => Entry::Null,
@@ -421,94 +496,52 @@ impl PValue {
             }
         }
     }
-
-    /// Compact text encoding for persistence.
-    pub fn encode(&self) -> String {
-        match self {
-            PValue::Null => "n:".to_string(),
-            PValue::Bool(b) => format!("b:{b}"),
-            PValue::Int(n) => format!("i:{n}"),
-            PValue::Str(s) => format!("s:{s}"),
-            PValue::List(items) => {
-                // An item's `%` and separator are escaped (`%25`, `%1C`).
-                let mut out = String::from("l:");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push('\u{1c}');
-                    }
-                    escape_into(&mut out, &item.encode(), b"%\x1c");
-                }
-                out
-            }
-        }
-    }
-
-    /// Decodes [`PValue::encode`] output, and only that: a text that
-    /// reads as some value but is not what `encode` writes for it
-    /// (`b:TRUE`, `i:05`, a stray `%XX` in a list item) is `None`.
-    pub fn decode(s: &str) -> Option<PValue> {
-        Self::read(s).filter(|v| v.encode() == s)
-    }
-
-    /// Reads a text in `encode`'s shape without checking that it is the
-    /// canonical one; [`PValue::decode`] checks the whole value once.
-    fn read(s: &str) -> Option<PValue> {
-        let (tag, body) = s.split_once(':')?;
-        Some(match tag {
-            "n" => PValue::Null,
-            "b" => PValue::Bool(body == "true"),
-            "i" => PValue::Int(body.parse().ok()?),
-            "s" => PValue::Str(body.to_string()),
-            "l" => {
-                if body.is_empty() {
-                    PValue::List(Vec::new())
-                } else {
-                    PValue::List(
-                        body.split('\u{1c}')
-                            .map(|p| PValue::read(&unescape(p).ok()?))
-                            .collect::<Option<Vec<_>>>()?,
-                    )
-                }
-            }
-            _ => return None,
-        })
-    }
 }
 
 /// A policy object defined by script code (§3.3 — "programmers write
 /// policy objects in the same language that the rest of the application is
 /// written in").
 ///
-/// Carries the class name and the instance, frozen once: its fields under
-/// the class declaration. When a Rust-side filter invokes `export_check`,
-/// [`crate::check`] runs the method with `this` bound to that frozen
-/// instance, read in place, and `context` bound to the channel context.
+/// It is its frozen [`Instance`] — the class declaration and the fields —
+/// plus the class's check plan. Its name and its intern discriminator are
+/// its class's. When a Rust-side filter invokes `export_check`,
+/// [`crate::check`] runs the method with `this` bound to that instance,
+/// read in place, and `context` bound to the channel context.
 #[derive(Debug)]
 pub struct ScriptPolicy {
-    class_name: String,
-    /// The frozen instance (a map of the fields when there is no class);
-    /// shared so the check caches can recognise it by identity.
-    this: Arc<Frozen>,
+    /// Shared so the check caches can recognise it by identity.
+    pub(crate) this: Arc<Instance>,
     /// The class's check plan, resolved by the first crossing.
     plan: OnceLock<Arc<ClassPlan>>,
 }
 
 impl ScriptPolicy {
-    /// Builds a script policy from an instance snapshot. The whole class
+    /// Builds a script policy of `class` over `fields`. The whole class
     /// declaration is captured so `export_check` can call the class's
     /// other methods (the paper's point about reusing application code).
+    ///
+    /// # Panics
+    ///
+    /// When `class` is `None` or is not named `class_name`: a script
+    /// policy is an object of its class.
     pub fn new(
         class_name: String,
         fields: BTreeMap<String, PValue>,
         class: Option<Arc<ClassDecl>>,
     ) -> Self {
-        ScriptPolicy::frozen(class_name, Arc::new(Frozen::instance(class, fields)))
+        let class = class.filter(|c| c.name == class_name);
+        let fields = fields.into_iter().map(|(k, v)| (k, v.freeze())).collect();
+        ScriptPolicy::of(class.expect("a script policy of its named class"), fields)
     }
 
-    /// The policy of an instance frozen already.
-    pub(crate) fn frozen(class_name: String, this: Arc<Frozen>) -> Self {
+    /// The policy of `class` over fields frozen already.
+    pub(crate) fn of(class: Arc<ClassDecl>, fields: BTreeMap<String, Entry>) -> Self {
+        ScriptPolicy::frozen(Arc::new(Instance { class, fields }))
+    }
+
+    /// The policy of an instance frozen already (a check's `this`).
+    pub(crate) fn frozen(this: Arc<Instance>) -> Self {
         ScriptPolicy {
-            class_name,
             this,
             plan: OnceLock::new(),
         }
@@ -517,26 +550,19 @@ impl ScriptPolicy {
 
 impl resin_core::Policy for ScriptPolicy {
     fn name(&self) -> &str {
-        &self.class_name
+        &self.this.class.name
     }
 
     fn export_check(&self, context: &Context) -> Result<(), PolicyViolation> {
-        let Frozen::Object(class, _) = &*self.this else {
-            return Ok(());
-        };
-        let plan = self.plan.get_or_init(|| crate::check::plan_for(class));
+        let plan = self
+            .plan
+            .get_or_init(|| crate::check::plan_for(&self.this.class));
         crate::check::cross(plan, &self.this, context)
     }
 
     fn serialize_fields(&self) -> Vec<(String, String)> {
-        let (Frozen::Object(_, fields) | Frozen::Map(fields)) = &*self.this else {
-            unreachable!("an instance freezes to an object or a map");
-        };
-        let encode = |v: &Entry| {
-            let snapshot = PValue::from_value(&v.to_value());
-            snapshot.expect("a field freezes from a snapshot").encode()
-        };
-        fields.iter().map(|(k, v)| (k.clone(), encode(v))).collect()
+        let fields = self.this.fields.iter();
+        fields.map(|(k, v)| (k.clone(), v.encode())).collect()
     }
 
     /// A script policy's behaviour lives in the captured class AST, not in
@@ -546,10 +572,7 @@ impl resin_core::Policy for ScriptPolicy {
     /// the interner keeps the policy — and hence the `Arc` — alive for the
     /// process lifetime, so the address is never reused.
     fn intern_discriminator(&self) -> u64 {
-        match &*self.this {
-            Frozen::Object(class, _) => Arc::as_ptr(class) as u64,
-            _ => 0,
-        }
+        Arc::as_ptr(&self.this.class) as u64
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -605,9 +628,10 @@ mod tests {
         let Value::Map(entries) = &m else {
             unreachable!()
         };
-        entries.borrow_mut().insert("n".into(), Value::int(2));
-        entries.borrow_mut().insert("self".into(), m.clone());
-        entries.borrow_mut().insert("list".into(), a.clone());
+        let key = |k: &str| Key(Arc::new(TaintedString::from(k)));
+        entries.borrow_mut().insert(key("n"), Value::int(2));
+        entries.borrow_mut().insert(key("self"), m.clone());
+        entries.borrow_mut().insert(key("list"), a.clone());
         assert_eq!(
             m.to_tainted().as_str(),
             "{list: [1, [...]], n: 2, self: {...}}"
@@ -621,52 +645,50 @@ mod tests {
         entries.borrow_mut().clear();
     }
 
+    fn list(items: Vec<Entry>) -> Entry {
+        Entry::List(Arc::new(Frozen::List(items)))
+    }
+
     #[test]
-    fn pvalue_roundtrip() {
+    fn entry_roundtrip() {
         let cases = vec![
-            PValue::Null,
-            PValue::Bool(true),
-            PValue::Int(-42),
-            PValue::Str("a:b,c;d".into()),
-            PValue::List(vec![PValue::Int(1), PValue::Str("x".into())]),
-            PValue::List(vec![]),
+            Entry::Null,
+            Entry::Bool(true),
+            Entry::Int(-42),
+            Entry::str("a:b,c;d"),
+            list(vec![Entry::Int(1), Entry::str("x")]),
+            list(vec![]),
         ];
         for c in cases {
-            assert_eq!(PValue::decode(&c.encode()), Some(c));
+            assert_eq!(Entry::decode(&c.encode()), Some(c));
         }
-        assert!(PValue::decode("junk").is_none());
-        assert!(PValue::decode("z:1").is_none());
+        assert!(Entry::decode("junk").is_none());
+        assert!(Entry::decode("z:1").is_none());
         // Texts that read as a value but are not what `encode` writes
         // for it fail closed instead of reviving as something else.
         for loose in [
             "b:TRUE", "b:", "b:yes", "n:x", "i:+5", "i:05", "i:-0", "l:s:a%41", "l:b:TRUE",
         ] {
-            assert!(PValue::decode(loose).is_none(), "{loose}");
+            assert!(Entry::decode(loose).is_none(), "{loose}");
         }
     }
 
     #[test]
-    fn pvalue_snapshot_limits() {
-        assert!(PValue::from_value(&Value::new_map()).is_none());
+    fn a_field_freezes_only_flat_values() {
+        assert!(Entry::freeze(&Value::new_map()).is_none());
         let arr = Value::new_array(vec![Value::int(1)]);
-        assert_eq!(
-            PValue::from_value(&arr),
-            Some(PValue::List(vec![PValue::Int(1)]))
-        );
+        let one = list(vec![Entry::Int(1)]);
+        assert_eq!(Entry::freeze(&arr), Some(one.clone()));
         // One list twice side by side is not a cycle; a list inside
-        // itself has no snapshot.
+        // itself has no field form.
         let twice = Value::new_array(vec![arr.clone(), arr.clone()]);
-        let one = PValue::List(vec![PValue::Int(1)]);
-        assert_eq!(
-            PValue::from_value(&twice),
-            Some(PValue::List(vec![one.clone(), one]))
-        );
+        assert_eq!(Entry::freeze(&twice), Some(list(vec![one.clone(), one])));
         let Value::Array(items) = &arr else {
             unreachable!()
         };
         items.borrow_mut().push(Value::new_array(vec![arr.clone()]));
-        assert_eq!(PValue::from_value(&arr), None);
-        assert_eq!(PValue::from_value(&twice), None);
+        assert_eq!(Entry::freeze(&arr), None);
+        assert_eq!(Entry::freeze(&twice), None);
         items.borrow_mut().clear();
     }
 }

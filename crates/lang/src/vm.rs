@@ -540,7 +540,7 @@ impl<'a> Regs<'a> {
         // A field copied out from where the object lies.
         if let Ok(slot) = obj.decode() {
             let field = match &self.frame[slot] {
-                Some(Value::Frozen(f)) => f.field(name).map(|e| Copied::Other(e.to_value())),
+                Some(Value::Instance(i)) => i.fields.get(name).map(|e| Copied::Other(e.to_value())),
                 Some(Value::Object(o)) => o.borrow().fields.get(name).map(Copied::of),
                 _ => None,
             };

@@ -19,7 +19,7 @@
 //! `wider` one accepts reads back as itself once re-encoded. The pairs
 //! whose decoder is private (the manifest, the SQL image and WAL batch,
 //! the vfs tree, a persistent filter) run the same property in their own
-//! crate's unit tests. Each pair takes 32 seeds (64 for `PValue` and
+//! crate's unit tests. Each pair takes 32 seeds (64 for a policy field and
 //! `FsOp`), each seed one canonical encoding and 48 mutants of it; this
 //! file runs in under a second in a debug build (0.15 s on a 2-vCPU host).
 
@@ -33,7 +33,7 @@ use resin::core::prelude::*;
 use resin::core::serialize::{
     read_object, read_spans, read_texts, write_object, write_texts, SpansWriter,
 };
-use resin::lang::value::PValue;
+use resin::lang::value::{Entry, Frozen, PValue};
 use resin::store::io::{read_all, Map, Seq, Wire};
 use resin::store::segment::{parse_segment_index, segment_file_name};
 use resin::store::wal::{encode_record, scan, Record};
@@ -359,27 +359,69 @@ fn an_acl_decodes_only_what_it_encodes() {
     );
 }
 
-fn pvalue(rng: &mut Rng, depth: usize) -> PValue {
+fn entry(rng: &mut Rng, depth: usize) -> Entry {
     match rng.below(if depth > 0 { 5 } else { 4 }) {
-        0 => PValue::Null,
-        1 => PValue::Bool(rng.below(2) == 0),
-        2 => PValue::Int(number(rng) as i64),
-        3 => PValue::Str(text(rng, 8)),
-        _ => PValue::List((0..rng.below(4)).map(|_| pvalue(rng, depth - 1)).collect()),
+        0 => Entry::Null,
+        1 => Entry::Bool(rng.below(2) == 0),
+        2 => Entry::Int(number(rng) as i64),
+        3 => Entry::Str(Arc::new(TaintedString::from(text(rng, 8)))),
+        _ => {
+            let items = (0..rng.below(4)).map(|_| entry(rng, depth - 1)).collect();
+            Entry::List(Arc::new(Frozen::List(items)))
+        }
     }
 }
 
 #[test]
-fn a_pvalue_decodes_only_what_it_encodes() {
+fn a_policy_field_decodes_only_what_it_encodes() {
     let mut rng = Rng::new(3);
     let canons: Vec<Vec<u8>> = (0..64)
-        .map(|_| pvalue(&mut rng, 2).encode().into_bytes())
+        .map(|_| entry(&mut rng, 2).encode().into_bytes())
         .collect();
     canonical(
         &canons,
-        |b| PValue::decode(utf8(b)?),
+        |b| Entry::decode(utf8(b)?),
         |v| v.encode().into_bytes(),
     );
+}
+
+/// A script policy's stored text, pinned byte for byte for each field
+/// shape: no fixture holds one, so this is what says the field grammar
+/// (`n:`, `b:`, `i:`, `s:`, `l:` with `%XX` and `\x1c`) has not moved.
+#[test]
+fn a_script_policy_writes_each_field_shape_byte_for_byte() {
+    let class = resin::lang::parse_program("class Golden { fn export_check(c) { } }")
+        .unwrap()
+        .into_iter()
+        .find_map(|stmt| match stmt.kind {
+            resin::lang::ast::StmtKind::ClassDef(class) => Some(class),
+            _ => None,
+        })
+        .unwrap();
+    let nested = PValue::List(vec![
+        PValue::Str("a%b".into()),
+        PValue::List(vec![PValue::Str("c\x1cd".into()), PValue::Int(-1)]),
+        PValue::List(vec![]),
+    ]);
+    let fields = BTreeMap::from([
+        ("a_null".to_string(), PValue::Null),
+        ("b_true".to_string(), PValue::Bool(true)),
+        ("c_false".to_string(), PValue::Bool(false)),
+        ("d_zero".to_string(), PValue::Int(0)),
+        ("e_negative".to_string(), PValue::Int(-42)),
+        ("f_min".to_string(), PValue::Int(i64::MIN)),
+        ("g_text".to_string(), PValue::Str("{x} ;=:,%#é".into())),
+        ("h_empty".to_string(), PValue::List(vec![])),
+        ("i_nested".to_string(), nested),
+    ]);
+    let policy = resin::lang::ScriptPolicy::new(class.name.clone(), fields, Some(class));
+    let text = resin::core::serialize::serialize_policy(&(Arc::new(policy) as PolicyRef));
+    let golden = concat!(
+        "Golden{a_null=n:;b_true=b:true;c_false=b:false;d_zero=i:0;e_negative=i:-42;",
+        "f_min=i:-9223372036854775808;g_text=s:%7Bx%7D %3B%3D:%2C%25%23é;h_empty=l:;",
+        "i_nested=l:s:a%2525b\u{1c}l:s:c%25251Cd%251Ci:-1\u{1c}l:}",
+    );
+    assert_eq!(text, golden);
 }
 
 /// The text the spans blobs of these tests lie over.

@@ -219,3 +219,46 @@ fn an_uncaught_throw_of_a_secret_quotes_nothing() {
     assert_quotes_nothing(&format!("{err} {err:?}"));
     assert!(err.message.starts_with("uncaught exception: "), "{err}");
 }
+
+/// A script that stores `SECRET`, under a policy that refuses every
+/// export, as a key of the map `m`, then runs `then`.
+fn a_secret_key(then: &str) -> String {
+    format!(
+        "class Secret {{ fn export_check(c) {{ throw \"no\"; }} }}
+         let pw = policy_add(\"{SECRET}\", new Secret());
+         let m = map(); m[pw] = 1; {then}"
+    )
+}
+
+/// After `more`, `shown` leaves the script as a value and crosses a bare
+/// HTTP gate, and leaves through the script host's `echo`: both are
+/// refused, quoting nothing, and the host writes nothing.
+fn assert_a_secret_key_is_refused(more: &str, shown: &str) {
+    let value = Interp::new().run(&a_secret_key(&format!("{more} {shown};")));
+    let out = Gate::new(GateKind::Http).write(value.unwrap().to_tainted());
+    assert_eq!(denial(&out.unwrap_err()).policy, "Secret");
+    let mut host = Interp::new();
+    let err = host.run(&a_secret_key(&format!("{more} echo({shown});")));
+    let err = err.unwrap_err();
+    assert!(err.violation, "{err}");
+    assert_quotes_nothing(&format!("{err} {err:?}"));
+    assert_eq!(host.http_output(), "");
+}
+
+#[test]
+fn a_map_key_keeps_its_policy_through_keys() {
+    assert_a_secret_key_is_refused("", "keys(m)[0]");
+}
+
+#[test]
+fn a_map_key_keeps_its_policy_through_str() {
+    assert_a_secret_key_is_refused("", "str(m)");
+}
+
+#[test]
+fn a_map_key_stored_again_keeps_its_policy() {
+    // The same text stored again, unlabelled, keeps the first key's label.
+    let again = format!("m[\"{SECRET}\"] = 2;");
+    assert_a_secret_key_is_refused(&again, "keys(m)[0]");
+    assert_a_secret_key_is_refused(&again, "str(m)");
+}
