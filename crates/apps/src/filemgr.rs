@@ -18,20 +18,20 @@ use resin_vfs::pfilter::{AclWriteFilter, PersistentFilterRef};
 use resin_vfs::{Vfs, VfsError};
 
 /// Lines of the write-access assertion (File Thingie flavour).
-pub const THINGIE_ASSERTION_LOC: usize = 19;
+pub(crate) const THINGIE_ASSERTION_LOC: usize = 19;
 /// Lines of the write-access assertion (PHP Navigator flavour).
-pub const NAVIGATOR_ASSERTION_LOC: usize = 17;
+pub(crate) const NAVIGATOR_ASSERTION_LOC: usize = 17;
 
 /// A web file manager with per-user home directories.
-pub struct FileManager {
+pub(crate) struct FileManager {
     /// The manager's filesystem.
-    pub vfs: Vfs,
+    pub(crate) vfs: Vfs,
     resin: bool,
 }
 
 impl FileManager {
     /// Creates the file area. `resin` installs the write filters.
-    pub fn new(resin: bool) -> Self {
+    pub(crate) fn new(resin: bool) -> Self {
         let vfs = Vfs::with_mode(if resin { Tracking::On } else { Tracking::Off });
         let mut fm = FileManager { vfs, resin };
         fm.vfs
@@ -49,7 +49,7 @@ impl FileManager {
     }
 
     /// Provisions a user's home directory.
-    pub fn add_user(&mut self, user: &str) {
+    pub(crate) fn add_user(&mut self, user: &str) {
         let home = format!("/files/{user}");
         self.vfs
             .mkdir_p(&home, &Vfs::user_ctx("admin"))
@@ -68,20 +68,26 @@ impl FileManager {
     /// Saves an upload. `filename` is user input; the application
     /// concatenates it onto the home path **without validation** — the
     /// traversal bug.
-    pub fn upload(&mut self, user: &str, filename: &str, content: &str) -> Result<(), VfsError> {
+    pub(crate) fn upload(
+        &mut self,
+        user: &str,
+        filename: &str,
+        content: &str,
+    ) -> Result<(), VfsError> {
         let target = join(&Self::home_of(user), filename); // BUG: no check.
         self.vfs
             .write_file(&target, &TaintedString::from(content), &Vfs::user_ctx(user))
     }
 
     /// Deletes a file, same naive path handling.
-    pub fn delete(&mut self, user: &str, filename: &str) -> Result<(), VfsError> {
+    pub(crate) fn delete(&mut self, user: &str, filename: &str) -> Result<(), VfsError> {
         let target = join(&Self::home_of(user), filename); // BUG: no check.
         self.vfs.unlink(&target, &Vfs::user_ctx(user))
     }
 
     /// Reads back one of the user's files (same naive joining).
-    pub fn read(&self, user: &str, filename: &str) -> Result<String, VfsError> {
+    #[cfg(test)]
+    pub(crate) fn read(&self, user: &str, filename: &str) -> Result<String, VfsError> {
         let target = join(&Self::home_of(user), filename);
         Ok(self
             .vfs

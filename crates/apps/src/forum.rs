@@ -20,9 +20,9 @@ use resin_core::{Acl, PagePolicy, Right, TaintedString};
 use resin_web::{check_html_markers, html_escape, Response, WhoisServer};
 
 /// Lines of the forum read-access assertion.
-pub const ACCESS_ASSERTION_LOC: usize = 23;
+pub(crate) const ACCESS_ASSERTION_LOC: usize = 23;
 /// Lines of the XSS assertion.
-pub const XSS_ASSERTION_LOC: usize = 22;
+pub(crate) const XSS_ASSERTION_LOC: usize = 22;
 
 /// A forum message.
 struct Message {
@@ -102,7 +102,8 @@ impl Forum {
 
     /// Renders a message — the *correct* path with phpBB's permission
     /// check and sanitization.
-    pub fn view_message(
+    #[cfg(test)]
+    pub(crate) fn view_message(
         &self,
         id: u64,
         viewer: &str,
@@ -123,7 +124,7 @@ impl Forum {
 
     /// The *vulnerable* XSS path: echoes the message body without
     /// sanitizing (a plugin forgot the escaping call).
-    pub fn view_message_unsanitized(
+    pub(crate) fn view_message_unsanitized(
         &self,
         id: u64,
         viewer: &str,
@@ -171,7 +172,7 @@ impl Forum {
 
     /// The reply-quotation bug (§6.3): builds a reply template quoting the
     /// original message **without checking read permission** on it.
-    pub fn reply_template(
+    pub(crate) fn reply_template(
         &self,
         id: u64,
         replier: &str,
@@ -191,7 +192,7 @@ impl Forum {
 
     /// A plugin-style search endpoint that returns message bodies with no
     /// permission checks (third-party plugin bug class from §6.2).
-    pub fn plugin_search(
+    pub(crate) fn plugin_search(
         &self,
         needle: &str,
         response: &mut Response,
@@ -209,7 +210,7 @@ impl Forum {
 
     /// The known CVE-style export endpoint: dumps a message by id with no
     /// permission check at all.
-    pub fn export_message(
+    pub(crate) fn export_message(
         &self,
         id: u64,
         response: &mut Response,
@@ -222,7 +223,7 @@ impl Forum {
 
     /// A plugin "recent posts" widget that lists the newest messages from
     /// *every* forum, ignoring per-forum permissions.
-    pub fn plugin_recent_posts(
+    pub(crate) fn plugin_recent_posts(
         &self,
         response: &mut Response,
     ) -> Result<(), resin_core::FlowError> {
@@ -237,7 +238,7 @@ impl Forum {
 
     /// A user-profile signature renderer that forgot to sanitize (second
     /// known XSS path).
-    pub fn show_signature(
+    pub(crate) fn show_signature(
         &self,
         signature: &TaintedString,
         response: &mut Response,
@@ -250,7 +251,7 @@ impl Forum {
 
     /// Search-result highlighting that splices the raw needle back into
     /// the page (third known XSS path).
-    pub fn search_highlight(
+    pub(crate) fn search_highlight(
         &self,
         needle: &TaintedString,
         response: &mut Response,

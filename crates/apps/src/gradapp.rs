@@ -11,11 +11,11 @@
 //! as `UntrustedData`; the sanitizer attaches `SqlSanitized`; the SQL
 //! filter rejects queries containing unsanitized untrusted bytes.
 
-use resin_core::{Label, SqlSanitized, TaintedString};
+use resin_core::TaintedString;
 use resin_sql::{GuardMode, ResinDb, SqlError, TaintedResult, Tracking};
 
 /// Lines of the SQL-injection assertion.
-pub const ASSERTION_LOC: usize = 9;
+pub(crate) const ASSERTION_LOC: usize = 9;
 
 /// The admissions application.
 pub struct GradApp {
@@ -47,21 +47,6 @@ impl GradApp {
         GradApp { db }
     }
 
-    /// The sanitizer: escapes quotes and attaches the evidence marker.
-    fn sanitize(input: &TaintedString) -> TaintedString {
-        let mut out = input.replace_str("'", "''");
-        out.add_label(Label::of_static("", SqlSanitized::new));
-        out
-    }
-
-    /// A *correct* public path: looks an applicant up by name, sanitized.
-    pub fn public_status(&mut self, name: &TaintedString) -> Result<TaintedResult, SqlError> {
-        let mut q = TaintedString::from("SELECT name, decision FROM applicants WHERE name = '");
-        q.push_tainted(&Self::sanitize(name));
-        q.push_str("'");
-        self.db.query(&q)
-    }
-
     /// Internal-UI path #1 (vulnerable): filter by decision, raw.
     pub fn committee_filter_by_decision(
         &mut self,
@@ -74,7 +59,10 @@ impl GradApp {
     }
 
     /// Internal-UI path #2 (vulnerable): free-form name search, raw.
-    pub fn committee_search(&mut self, needle: &TaintedString) -> Result<TaintedResult, SqlError> {
+    pub(crate) fn committee_search(
+        &mut self,
+        needle: &TaintedString,
+    ) -> Result<TaintedResult, SqlError> {
         let mut q = TaintedString::from("SELECT name, gre FROM applicants WHERE name LIKE '");
         q.push_tainted(needle); // BUG: no sanitize.
         q.push_str("%'");
@@ -82,7 +70,7 @@ impl GradApp {
     }
 
     /// Internal-UI path #3 (vulnerable): update a decision, raw.
-    pub fn committee_set_decision(
+    pub(crate) fn committee_set_decision(
         &mut self,
         id: &TaintedString,
         decision: &TaintedString,
@@ -103,8 +91,25 @@ impl GradApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resin_core::UntrustedData;
+    use resin_core::{Label, SqlSanitized, UntrustedData};
     use std::sync::Arc;
+
+    impl GradApp {
+        /// The sanitizer: escapes quotes and attaches the evidence marker.
+        fn sanitize(input: &TaintedString) -> TaintedString {
+            let mut out = input.replace_str("'", "''");
+            out.add_label(Label::of_static("", SqlSanitized::new));
+            out
+        }
+
+        /// A *correct* public path: looks an applicant up by name, sanitized.
+        fn public_status(&mut self, name: &TaintedString) -> Result<TaintedResult, SqlError> {
+            let mut q = TaintedString::from("SELECT name, decision FROM applicants WHERE name = '");
+            q.push_tainted(&Self::sanitize(name));
+            q.push_str("'");
+            self.db.query(&q)
+        }
+    }
 
     fn input(s: &str) -> TaintedString {
         TaintedString::with_policy(s, Arc::new(UntrustedData::from_source("http_param")))

@@ -21,11 +21,11 @@ use resin_sql::{ResinDb, SqlError, Tracking};
 use resin_web::{Mailer, Response};
 
 /// Lines of the password assertion (policy definition + attach points).
-pub const PASSWORD_ASSERTION_LOC: usize = 23;
+pub(crate) const PASSWORD_ASSERTION_LOC: usize = 23;
 /// Lines of the paper access assertion.
-pub const PAPER_ASSERTION_LOC: usize = 30;
+pub(crate) const PAPER_ASSERTION_LOC: usize = 30;
 /// Lines of the author-list access assertion.
-pub const AUTHOR_ASSERTION_LOC: usize = 32;
+pub(crate) const AUTHOR_ASSERTION_LOC: usize = 32;
 
 /// The HotCRP application.
 pub struct HotCrp {
@@ -229,7 +229,7 @@ impl HotCrp {
 
     /// The *vulnerable* JSON export path: a third-party-plugin-style dump
     /// of paper metadata with **no access checks at all**.
-    pub fn export_paper_json(
+    pub(crate) fn export_paper_json(
         &mut self,
         paper: i64,
         response: &mut Response,
@@ -254,7 +254,8 @@ impl HotCrp {
 
     /// The *vulnerable* review listing: shows a paper's reviews without
     /// checking that the viewer is on the PC.
-    pub fn list_reviews(
+    #[cfg(test)]
+    pub(crate) fn list_reviews(
         &mut self,
         paper: i64,
         response: &mut Response,

@@ -19,22 +19,22 @@ use resin_vfs::{Vfs, VfsError};
 use resin_web::{serve_static_aware, serve_static_naive, Response};
 
 /// Lines of the password assertion.
-pub const ASSERTION_LOC: usize = 6;
+pub(crate) const ASSERTION_LOC: usize = 6;
 
 /// Path of the world-readable password file (inside the web root).
-pub const PASSWORD_FILE: &str = "/htdocs/login/users.txt";
+pub(crate) const PASSWORD_FILE: &str = "/htdocs/login/users.txt";
 
 /// The login library plus the web root it is installed into.
-pub struct LoginLib {
+pub(crate) struct LoginLib {
     /// The site's filesystem (web root at `/htdocs`).
-    pub vfs: Vfs,
+    pub(crate) vfs: Vfs,
     resin: bool,
 }
 
 impl LoginLib {
     /// Installs the library. `resin` enables the password assertion and
     /// makes the static file server RESIN-aware.
-    pub fn new(resin: bool) -> Self {
+    pub(crate) fn new(resin: bool) -> Self {
         let vfs = Vfs::with_mode(if resin { Tracking::On } else { Tracking::Off });
         let mut lib = LoginLib { vfs, resin };
         lib.vfs
@@ -47,7 +47,12 @@ impl LoginLib {
     }
 
     /// Registers a user: appends `user:password` to the plain-text file.
-    pub fn register(&mut self, user: &str, email: &str, password: &str) -> Result<(), VfsError> {
+    pub(crate) fn register(
+        &mut self,
+        user: &str,
+        email: &str,
+        password: &str,
+    ) -> Result<(), VfsError> {
         let mut line = TaintedString::from(format!("{user}:"));
         let mut pw = TaintedString::from(password);
         if self.resin {
@@ -61,7 +66,8 @@ impl LoginLib {
 
     /// Verifies a login (the library's intended use — reads the file
     /// *inside* the runtime, so no boundary is crossed).
-    pub fn check_login(&self, user: &str, password: &str) -> Result<bool, VfsError> {
+    #[cfg(test)]
+    pub(crate) fn check_login(&self, user: &str, password: &str) -> Result<bool, VfsError> {
         let data = self.vfs.read_file(PASSWORD_FILE, &Vfs::anonymous_ctx())?;
         let needle = format!("{user}:{password}");
         Ok(data.lines().iter().any(|l| l.as_str() == needle))
@@ -69,7 +75,7 @@ impl LoginLib {
 
     /// The exploit: an HTTP GET for the password file, served by the web
     /// server. `aware` selects the RESIN-aware server vs a stock one.
-    pub fn fetch_password_file(
+    pub(crate) fn fetch_password_file(
         &self,
         response: &mut Response,
         aware: bool,

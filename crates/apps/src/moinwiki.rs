@@ -24,9 +24,9 @@ use resin_vfs::{Vfs, VfsError};
 use resin_web::Response;
 
 /// Lines of the read-ACL assertion (Figure 5 is 8 lines of Python).
-pub const READ_ASSERTION_LOC: usize = 8;
+pub(crate) const READ_ASSERTION_LOC: usize = 8;
 /// Lines of the write-ACL assertion.
-pub const WRITE_ASSERTION_LOC: usize = 15;
+pub(crate) const WRITE_ASSERTION_LOC: usize = 15;
 
 /// The wiki application.
 pub struct MoinWiki {
@@ -108,7 +108,12 @@ impl MoinWiki {
     /// Saves a new version of a page (Figure 5's `update_body`): with
     /// RESIN the body gets a [`PagePolicy`] carrying the page's ACL right
     /// before it flows into the file system.
-    pub fn update_body(&mut self, name: &str, body: &str, ctx: &Context) -> Result<(), VfsError> {
+    pub(crate) fn update_body(
+        &mut self,
+        name: &str,
+        body: &str,
+        ctx: &Context,
+    ) -> Result<(), VfsError> {
         let mut text = TaintedString::from(body);
         if self.resin {
             text.add_policy(Arc::new(PagePolicy::new(self.page_acl(name))));

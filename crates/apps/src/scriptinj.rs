@@ -19,10 +19,11 @@ use resin_core::Tracking;
 use resin_lang::{Interp, LangError};
 
 /// Lines of the script-injection assertion (one assertion, five apps).
-pub const ASSERTION_LOC: usize = 12;
+pub(crate) const ASSERTION_LOC: usize = 12;
 
 /// The five vulnerable applications of the paper's Table 4 "many" row.
-pub const VULNERABLE_APPS: [&str; 5] = [
+#[cfg(test)]
+pub(crate) const VULNERABLE_APPS: [&str; 5] = [
     "phpBB attachment mod (CVE-2004-1404)",
     "Kwalbum (CVE-2008-5677)",
     "AWStats Totals (CVE-2008-3922)",
@@ -91,7 +92,7 @@ impl ScriptHost {
     }
 
     /// The theme-include vulnerability: loads a user-chosen theme path.
-    pub fn load_theme(&mut self, theme_path: &str) -> Result<(), LangError> {
+    pub(crate) fn load_theme(&mut self, theme_path: &str) -> Result<(), LangError> {
         let r = self
             .interp
             .run(&format!(r#"import("{theme_path}");"#))
@@ -115,7 +116,7 @@ impl ScriptHost {
     }
 
     /// True if adversary code has run (it sets the `owned` global).
-    pub fn compromised(&mut self) -> bool {
+    pub(crate) fn compromised(&mut self) -> bool {
         self.interp
             .run("file_exists(\"/tmp_owned_marker\");")
             .ok()
@@ -125,7 +126,7 @@ impl ScriptHost {
 }
 
 /// The adversary's payload: drops a marker proving code execution.
-pub const PAYLOAD: &str = r#"file_write("/tmp_owned_marker", "owned");"#;
+pub(crate) const PAYLOAD: &str = r#"file_write("/tmp_owned_marker", "owned");"#;
 
 #[cfg(test)]
 mod tests {

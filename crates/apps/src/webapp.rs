@@ -10,7 +10,7 @@
 //!   injection guard rides the sql gate) and whose logins live in a
 //!   shared [`SessionStore`]. Every serving thread sees the same state;
 //!   every request gets its own `Response`/`Context`.
-//! * [`WikiApp`]: the MoinMoin core behind an `RwLock` — concurrent
+//! * `WikiApp` (built by tests only): the MoinMoin core behind an `RwLock` — concurrent
 //!   readers render pages in parallel, editors serialize on the lock,
 //!   and the VFS read/write ACL assertions fire exactly as they do
 //!   single-threaded.
@@ -21,14 +21,12 @@
 //! concurrently.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use resin_core::{FlowError, TaintedString};
 use resin_sql::{Follower, GuardMode, Prepared, Recovery, ResinDb, Tracking};
 use resin_web::server::WebApp;
 use resin_web::{check_html_markers, html_escape, Request, Response, SessionStore};
-
-use crate::moinwiki::MoinWiki;
 
 /// Surfaces a torn-log recovery on stderr instead of recovering
 /// silently: the store is consistent, but acknowledged writes from the
@@ -163,7 +161,7 @@ impl ForumApp {
         // Only a genuinely fresh store runs (and WAL-logs) the CREATE —
         // an unconditional IF NOT EXISTS would append one no-op record
         // per restart until a checkpoint.
-        if !db.raw().table_names().iter().any(|n| n == "posts") {
+        if !db.table_names().iter().any(|n| n == "posts") {
             db.query_str("CREATE TABLE posts (id INTEGER PRIMARY KEY, body TEXT)")?;
         }
         Self::assemble(db, sessions)
@@ -191,7 +189,8 @@ impl ForumApp {
     }
 
     /// True when this forum serves from a shipped replica (reads only).
-    pub fn is_replica(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_replica(&self) -> bool {
         self.replica.is_some()
     }
 
@@ -206,7 +205,8 @@ impl ForumApp {
 
     /// The replica's applied-watermark (highest shipped WAL sequence
     /// replayed); `None` on a primary.
-    pub fn replica_applied_seq(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn replica_applied_seq(&self) -> Option<u64> {
         self.replica
             .as_ref()
             .map(|f| resin_core::sync::mlock(f).applied_seq())
@@ -222,7 +222,7 @@ impl ForumApp {
 
     /// The forum's store counters when it is durable; `None` in-memory
     /// or on a replica (whose progress is
-    /// [`replica_applied_seq`](Self::replica_applied_seq)).
+    /// `replica_applied_seq`).
     pub fn store_stats(&self) -> Option<resin_sql::StoreStats> {
         self.db.store().map(|store| store.stats())
     }
@@ -374,118 +374,96 @@ impl WebApp for ForumApp {
     }
 }
 
-/// The wiki, shared across workers behind one `RwLock`.
-///
-/// Routes: `/login` (param `user`), `/view` + `/raw` (param `page`),
-/// `/edit` (params `page`, `body`, cookie `sid`). `/raw` is the wired-in
-/// ACL-bypass endpoint; the persistent `PagePolicy` blocks it.
-pub struct WikiApp {
-    wiki: RwLock<MoinWiki>,
-    sessions: Arc<SessionStore>,
-}
-
-impl WikiApp {
-    /// Wraps a prepared wiki for serving.
-    pub fn new(wiki: MoinWiki, sessions: Arc<SessionStore>) -> Self {
-        WikiApp {
-            wiki: RwLock::new(wiki),
-            sessions,
-        }
-    }
-
-    /// Opens (creating if needed) a durable wiki rooted at `dir` for
-    /// serving: page ACL policies and persistent write filters survive
-    /// the process boundary, so `/raw` bypasses and vandalism keep
-    /// failing closed after a restart.
-    pub fn open(
-        dir: impl AsRef<std::path::Path>,
-        sessions: Arc<SessionStore>,
-    ) -> Result<Self, resin_vfs::VfsError> {
-        // MoinWiki::open logs the warning; `recovery` keeps it queryable.
-        Ok(WikiApp::new(MoinWiki::open(dir)?, sessions))
-    }
-
-    /// How [`open`](WikiApp::open) found the wiki's log (`Clean` in
-    /// memory).
-    pub fn recovery(&self) -> Recovery {
-        self.read().vfs.recovery()
-    }
-
-    /// Folds the wiki's op log into a fresh snapshot under the read lock:
-    /// pages keep rendering while it runs, and edits wait for it.
-    pub fn checkpoint(&self) -> Result<(), resin_vfs::VfsError> {
-        self.read().checkpoint()
-    }
-
-    // A panicking request is answered 500 by the dispatcher and must not
-    // wedge the wiki for everyone else; the VFS state is consistent at
-    // every panic point (writes go file-at-a-time through the gates), so
-    // the poison-recovering accessors apply.
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, MoinWiki> {
-        resin_core::sync::rlock(&self.wiki)
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, MoinWiki> {
-        resin_core::sync::wlock(&self.wiki)
-    }
-}
-
-/// Maps VFS errors onto flow errors for the dispatcher's outcome slot.
-fn vfs_flow_error(e: resin_vfs::VfsError) -> FlowError {
-    match e {
-        resin_vfs::VfsError::Policy(flow) => flow,
-        other => FlowError::runtime(other.to_string()),
-    }
-}
-
-impl WebApp for WikiApp {
-    fn handle(&self, req: &Request, resp: &mut Response) -> Result<(), FlowError> {
-        match req.path() {
-            "/login" => login_route(&self.sessions, req, resp),
-            "/view" => {
-                let Some(user) = authenticate(&self.sessions, req, resp)? else {
-                    return Ok(());
-                };
-                let page = req.param_or_empty("page");
-                self.read()
-                    .view_page(page.as_str(), resp, &user)
-                    .map_err(vfs_flow_error)
-            }
-            "/raw" => {
-                // BUG (wired in): no application ACL check; only the
-                // persistent PagePolicy stands.
-                let Some(user) = authenticate(&self.sessions, req, resp)? else {
-                    return Ok(());
-                };
-                let page = req.param_or_empty("page");
-                self.read()
-                    .view_page_raw(page.as_str(), resp, &user)
-                    .map_err(vfs_flow_error)
-            }
-            "/edit" => {
-                let Some(user) = authenticate(&self.sessions, req, resp)? else {
-                    return Ok(());
-                };
-                let page = req.param_or_empty("page");
-                let body = req.param_or_empty("body");
-                self.write()
-                    .edit_page(page.as_str(), body.as_str(), &user)
-                    .map_err(vfs_flow_error)?;
-                resp.echo_str("saved")
-            }
-            _ => {
-                resp.set_status(404);
-                resp.echo_str("no such route")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::moinwiki::MoinWiki;
     use resin_core::{Acl, Right};
     use resin_web::serve_request;
+    use std::sync::RwLock;
+
+    /// The wiki, shared across workers behind one `RwLock`.
+    ///
+    /// Routes: `/login` (param `user`), `/view` + `/raw` (param `page`),
+    /// `/edit` (params `page`, `body`, cookie `sid`). `/raw` is the wired-in
+    /// ACL-bypass endpoint; the persistent `PagePolicy` blocks it.
+    struct WikiApp {
+        wiki: RwLock<MoinWiki>,
+        sessions: Arc<SessionStore>,
+    }
+
+    impl WikiApp {
+        /// Wraps a prepared wiki for serving.
+        fn new(wiki: MoinWiki, sessions: Arc<SessionStore>) -> Self {
+            WikiApp {
+                wiki: RwLock::new(wiki),
+                sessions,
+            }
+        }
+
+        // A panicking request is answered 500 by the dispatcher and must not
+        // wedge the wiki for everyone else; the VFS state is consistent at
+        // every panic point (writes go file-at-a-time through the gates), so
+        // the poison-recovering accessors apply.
+        fn read(&self) -> std::sync::RwLockReadGuard<'_, MoinWiki> {
+            resin_core::sync::rlock(&self.wiki)
+        }
+
+        fn write(&self) -> std::sync::RwLockWriteGuard<'_, MoinWiki> {
+            resin_core::sync::wlock(&self.wiki)
+        }
+    }
+
+    /// Maps VFS errors onto flow errors for the dispatcher's outcome slot.
+    fn vfs_flow_error(e: resin_vfs::VfsError) -> FlowError {
+        match e {
+            resin_vfs::VfsError::Policy(flow) => flow,
+            other => FlowError::runtime(other.to_string()),
+        }
+    }
+
+    impl WebApp for WikiApp {
+        fn handle(&self, req: &Request, resp: &mut Response) -> Result<(), FlowError> {
+            match req.path() {
+                "/login" => login_route(&self.sessions, req, resp),
+                "/view" => {
+                    let Some(user) = authenticate(&self.sessions, req, resp)? else {
+                        return Ok(());
+                    };
+                    let page = req.param_or_empty("page");
+                    self.read()
+                        .view_page(page.as_str(), resp, &user)
+                        .map_err(vfs_flow_error)
+                }
+                "/raw" => {
+                    // BUG (wired in): no application ACL check; only the
+                    // persistent PagePolicy stands.
+                    let Some(user) = authenticate(&self.sessions, req, resp)? else {
+                        return Ok(());
+                    };
+                    let page = req.param_or_empty("page");
+                    self.read()
+                        .view_page_raw(page.as_str(), resp, &user)
+                        .map_err(vfs_flow_error)
+                }
+                "/edit" => {
+                    let Some(user) = authenticate(&self.sessions, req, resp)? else {
+                        return Ok(());
+                    };
+                    let page = req.param_or_empty("page");
+                    let body = req.param_or_empty("body");
+                    self.write()
+                        .edit_page(page.as_str(), body.as_str(), &user)
+                        .map_err(vfs_flow_error)?;
+                    resp.echo_str("saved")
+                }
+                _ => {
+                    resp.set_status(404);
+                    resp.echo_str("no such route")
+                }
+            }
+        }
+    }
 
     fn forum_app() -> (ForumApp, Arc<SessionStore>) {
         let sessions = Arc::new(SessionStore::new());

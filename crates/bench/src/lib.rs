@@ -6,6 +6,8 @@
 //! workload covers. End-to-end and per-layer numbers come from `resin-e2e`
 //! (see `BENCHMARK.json`), not from here.
 
+#![warn(unreachable_pub)]
+
 pub mod survey;
 pub mod table5;
 

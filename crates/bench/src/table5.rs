@@ -180,7 +180,6 @@ pub struct SqlBench {
     /// The database under test.
     pub db: ResinDb,
     insert_query: TaintedString,
-    delete_toggle: bool,
 }
 
 /// Prepares a 10-column table with 100 seeded rows.
@@ -197,11 +196,7 @@ pub fn sql_bench(config: Config) -> SqlBench {
         let q = build_insert(config, i);
         db.query(&q).expect("seed");
     }
-    SqlBench {
-        db,
-        insert_query,
-        delete_toggle: false,
-    }
+    SqlBench { db, insert_query }
 }
 
 fn build_insert(config: Config, id: i64) -> TaintedString {
@@ -245,21 +240,6 @@ impl SqlBench {
         self.db.query(&q).expect("insert");
     }
 
-    /// One "SQL DELETE". Alternates with an insert so the table does not
-    /// drain; only the DELETE half should be counted — use
-    /// [`SqlBench::delete_cycle`] and halve, or measure the pair.
-    pub fn delete_cycle(&mut self) {
-        if self.delete_toggle {
-            self.db
-                .query_str("DELETE FROM bench WHERE id = 0")
-                .expect("delete");
-        } else {
-            let q = build_insert_plain(0);
-            self.db.query_str(&q).expect("refill");
-        }
-        self.delete_toggle = !self.delete_toggle;
-    }
-
     /// One DELETE of a non-matching predicate (measures scan + no rewrite;
     /// stable per-op cost without refills).
     pub fn delete_miss_once(&mut self) {
@@ -267,11 +247,6 @@ impl SqlBench {
             .query_str("DELETE FROM bench WHERE id = -1")
             .expect("delete");
     }
-}
-
-fn build_insert_plain(id: i64) -> String {
-    let cells: Vec<String> = (0..10).map(|c| format!("'value-{id}-{c}'")).collect();
-    format!("INSERT INTO bench VALUES ({id}, {})", cells.join(", "))
 }
 
 #[cfg(test)]
@@ -306,8 +281,6 @@ mod tests {
             b.select_six_once();
             b.insert_once();
             b.delete_miss_once();
-            b.delete_cycle();
-            b.delete_cycle();
         }
     }
 
@@ -317,13 +290,7 @@ mod tests {
         // difference instead: policy columns exist only under tracking.
         let off = sql_bench(Config::Unmodified);
         let on = sql_bench(Config::ResinNoPolicy);
-        assert_eq!(
-            off.db.raw().snapshot_table("bench").unwrap().columns.len(),
-            11
-        );
-        assert_eq!(
-            on.db.raw().snapshot_table("bench").unwrap().columns.len(),
-            22
-        );
+        assert_eq!(off.db.snapshot_table("bench").unwrap().columns.len(), 11);
+        assert_eq!(on.db.snapshot_table("bench").unwrap().columns.len(), 22);
     }
 }

@@ -57,7 +57,7 @@ impl CtxValue {
     }
 
     /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             CtxValue::Bool(b) => Some(*b),
             _ => None,

@@ -84,7 +84,8 @@ impl GateKind {
     }
 
     /// The seven paper-defined I/O surfaces (everything but `Custom`).
-    pub const IO_SURFACES: [GateKind; 7] = [
+    #[cfg(test)]
+    pub(crate) const IO_SURFACES: [GateKind; 7] = [
         GateKind::Http,
         GateKind::Email,
         GateKind::Socket,

@@ -169,7 +169,7 @@ impl Label {
     }
 
     /// The label for one already-interned policy id.
-    pub fn from_id(id: PolicyId) -> Label {
+    pub(crate) fn from_id(id: PolicyId) -> Label {
         LabelTable::global().intern_ids(vec![id])
     }
 
@@ -287,7 +287,7 @@ impl Label {
     }
 
     /// The label with every policy of concrete type `T` removed.
-    pub fn without_type<T: Policy>(self) -> Label {
+    pub(crate) fn without_type<T: Policy>(self) -> Label {
         self.retain(|p| p.as_any().downcast_ref::<T>().is_none())
     }
 }

@@ -50,6 +50,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod context;
 pub mod error;

@@ -30,7 +30,7 @@ impl Right {
     }
 
     /// Parses a single-letter code.
-    pub fn from_code(c: char) -> Option<Right> {
+    pub(crate) fn from_code(c: char) -> Option<Right> {
         match c {
             'r' => Some(Right::Read),
             'w' => Some(Right::Write),

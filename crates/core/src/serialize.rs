@@ -1302,7 +1302,7 @@ mod tests {
 
         /// The splitter the codecs used, one `char` at a time into a
         /// vector; `split_serialized` runs the byte scanner.
-        pub fn split_top_level(s: &str, sep: char) -> Vec<&str> {
+        pub(crate) fn split_top_level(s: &str, sep: char) -> Vec<&str> {
             let mut out = Vec::new();
             let mut depth = 0usize;
             let mut start = 0usize;
@@ -1321,7 +1321,7 @@ mod tests {
             out
         }
 
-        pub fn serialize_label(label: Label) -> String {
+        pub(crate) fn serialize_label(label: Label) -> String {
             if label.is_empty() {
                 return String::new();
             }
@@ -1333,7 +1333,7 @@ mod tests {
                 .join(",")
         }
 
-        pub fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
+        pub(crate) fn deserialize_label(s: &str) -> Result<Label, SerializeError> {
             if s.is_empty() {
                 return Ok(Label::EMPTY);
             }
@@ -1344,7 +1344,7 @@ mod tests {
             Ok(Label::from_policies(policies.iter()))
         }
 
-        pub fn serialize_spans(data: &TaintedString) -> String {
+        pub(crate) fn serialize_spans(data: &TaintedString) -> String {
             if data.is_untainted() {
                 return String::new();
             }
@@ -1370,7 +1370,10 @@ mod tests {
             format!("#{}#{}", table.join(","), spans.join(";"))
         }
 
-        pub fn deserialize_spans(text: &str, spans: &str) -> Result<TaintedString, SerializeError> {
+        pub(crate) fn deserialize_spans(
+            text: &str,
+            spans: &str,
+        ) -> Result<TaintedString, SerializeError> {
             let mut out = TaintedString::from(text);
             if spans.is_empty() {
                 return Ok(out);

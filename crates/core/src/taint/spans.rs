@@ -205,29 +205,30 @@ pub(crate) struct SpanMap {
 
 impl SpanMap {
     /// The empty map (no byte carries a policy).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         SpanMap {
             spans: SpanVec::new(),
         }
     }
 
     /// True when no byte carries a policy.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
 
     /// Number of distinct spans (after normalization).
-    pub fn span_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn span_count(&self) -> usize {
         self.spans.len()
     }
 
     /// Iterates `(range, label)` pairs in byte order.
-    pub fn iter(&self) -> impl Iterator<Item = (Range<usize>, Label)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Range<usize>, Label)> + '_ {
         self.spans.iter().map(|s| (s.range(), s.label))
     }
 
     /// The label covering byte `idx` ([`Label::EMPTY`] if uncovered).
-    pub fn at(&self, idx: usize) -> Label {
+    pub(crate) fn at(&self, idx: usize) -> Label {
         let i = self.spans.partition_point(|s| s.end <= idx);
         match self.spans.get(i) {
             Some(s) if s.start <= idx => s.label,
@@ -241,7 +242,7 @@ impl SpanMap {
     /// Runs of spans repeating one label (common in sliced maps, where gaps
     /// keep equal-labeled spans from coalescing) cost one handle compare
     /// each: the running union only advances when the label changes.
-    pub fn union_all(&self) -> Label {
+    pub(crate) fn union_all(&self) -> Label {
         let mut out = Label::EMPTY;
         let mut prev = Label::EMPTY;
         for s in self.spans.iter() {
@@ -289,7 +290,7 @@ impl SpanMap {
     /// Cost: O(log n) to locate the range plus O(k) over the k spans
     /// intersecting it — spans outside the range are never visited, and the
     /// map is never re-sorted.
-    pub fn edit<F>(&mut self, range: Range<usize>, f: F)
+    pub(crate) fn edit<F>(&mut self, range: Range<usize>, f: F)
     where
         F: Fn(Label) -> Label,
     {
@@ -338,13 +339,13 @@ impl SpanMap {
     }
 
     /// Adds `policy` to every byte in `range`.
-    pub fn add_policy(&mut self, range: Range<usize>, policy: PolicyRef) {
+    pub(crate) fn add_policy(&mut self, range: Range<usize>, policy: PolicyRef) {
         let label = Label::of(&policy);
         self.add_label(range, label);
     }
 
     /// Unions `label` into every byte in `range`.
-    pub fn add_label(&mut self, range: Range<usize>, label: Label) {
+    pub(crate) fn add_label(&mut self, range: Range<usize>, label: Label) {
         if label.is_empty() {
             return;
         }
@@ -357,7 +358,7 @@ impl SpanMap {
     }
 
     /// Removes any policy equal to `policy` from every byte in `range`.
-    pub fn remove_policy(&mut self, range: Range<usize>, policy: &PolicyRef) {
+    pub(crate) fn remove_policy(&mut self, range: Range<usize>, policy: &PolicyRef) {
         if self.spans.is_empty() || range.start >= range.end {
             return; // nothing to remove — don't intern for a no-op
         }
@@ -366,7 +367,7 @@ impl SpanMap {
     }
 
     /// Removes every policy of type `T` from every byte in `range`.
-    pub fn remove_type<T: Policy>(&mut self, range: Range<usize>) {
+    pub(crate) fn remove_type<T: Policy>(&mut self, range: Range<usize>) {
         if self.spans.is_empty() {
             return;
         }
@@ -377,7 +378,7 @@ impl SpanMap {
     ///
     /// A slice of a normalized map is normalized (clipping moves no interior
     /// boundary), so no renormalization pass runs.
-    pub fn slice(&self, range: Range<usize>) -> SpanMap {
+    pub(crate) fn slice(&self, range: Range<usize>) -> SpanMap {
         let mut out = SpanMap::new();
         out.append_range(self, range, 0);
         out
@@ -390,7 +391,7 @@ impl SpanMap {
     /// with one coalesce check at the seam. (An `offset` that interleaves
     /// the two maps — not reachable from string concatenation — falls back
     /// to a general merge.)
-    pub fn append(&mut self, other: &SpanMap, offset: usize) {
+    pub(crate) fn append(&mut self, other: &SpanMap, offset: usize) {
         let Some(first) = other.spans.first() else {
             return;
         };
@@ -454,7 +455,7 @@ impl SpanMap {
 
     /// True if every byte in `0..len` has a label satisfying `pred`.
     /// Vacuously true when `len == 0`.
-    pub fn all_bytes<F>(&self, len: usize, pred: F) -> bool
+    pub(crate) fn all_bytes<F>(&self, len: usize, pred: F) -> bool
     where
         F: Fn(Label) -> bool,
     {
@@ -484,7 +485,7 @@ impl SpanMap {
     }
 
     /// True if any byte in `0..len` has a label satisfying `pred`.
-    pub fn any_byte<F>(&self, len: usize, pred: F) -> bool
+    pub(crate) fn any_byte<F>(&self, len: usize, pred: F) -> bool
     where
         F: Fn(Label) -> bool,
     {
@@ -492,7 +493,7 @@ impl SpanMap {
     }
 
     /// Byte ranges (clipped to `0..len`) whose label satisfies `pred`.
-    pub fn ranges_where<F>(&self, len: usize, pred: F) -> Vec<Range<usize>>
+    pub(crate) fn ranges_where<F>(&self, len: usize, pred: F) -> Vec<Range<usize>>
     where
         F: Fn(Label) -> bool,
     {
@@ -506,7 +507,7 @@ impl SpanMap {
 
     /// Clamps all spans to `0..len` (used after truncation). O(log n):
     /// drops the spans past `len` and clips the one straddling it.
-    pub fn clamp(&mut self, len: usize) {
+    pub(crate) fn clamp(&mut self, len: usize) {
         let hi = self.spans.partition_point(|s| s.start < len);
         self.spans.truncate(hi);
         if let Some(last) = self.spans.last_mut() {

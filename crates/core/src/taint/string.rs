@@ -177,7 +177,7 @@ impl TaintedString {
     }
 
     /// Removes all policies of type `T` from every byte.
-    pub fn remove_policy_type<T: Policy>(&mut self) {
+    pub(crate) fn remove_policy_type<T: Policy>(&mut self) {
         let len = self.len();
         self.spans.remove_type::<T>(0..len);
     }
@@ -197,11 +197,6 @@ impl TaintedString {
     /// Iterates `(byte_range, label)` spans in order.
     pub fn spans(&self) -> impl Iterator<Item = (Range<usize>, Label)> + '_ {
         self.spans.iter()
-    }
-
-    /// Number of distinct policy spans.
-    pub fn span_count(&self) -> usize {
-        self.spans.span_count()
     }
 
     /// True if any byte carries a policy of type `T`.
@@ -809,7 +804,7 @@ mod tests {
         let mut s = TaintedString::new();
         s.push_tainted(&untrusted("ab"));
         s.push_tainted(&untrusted("cd"));
-        assert_eq!(s.span_count(), 1, "seam coalesced");
+        assert_eq!(s.spans().count(), 1, "seam coalesced");
         assert!(s.all_bytes_have::<UntrustedData>());
     }
 

@@ -48,7 +48,8 @@ impl<T> Tainted<T> {
     }
 
     /// Consumes the wrapper, dropping policies (explicit declassify).
-    pub fn into_value(self) -> T {
+    #[cfg(test)]
+    pub(crate) fn into_value(self) -> T {
         self.value
     }
 
@@ -89,7 +90,7 @@ impl<T> Tainted<T> {
     /// Combines two tainted values with `f`, merging their labels.
     ///
     /// Fails if any policy's `merge` method vetoes the combination.
-    pub fn combine<U, V, F>(&self, other: &Tainted<U>, f: F) -> Result<Tainted<V>>
+    pub(crate) fn combine<U, V, F>(&self, other: &Tainted<U>, f: F) -> Result<Tainted<V>>
     where
         F: FnOnce(&T, &U) -> V,
     {
@@ -108,12 +109,14 @@ impl Tainted<i64> {
     }
 
     /// Tainted subtraction (merges policies).
-    pub fn try_sub(&self, other: &Tainted<i64>) -> Result<Tainted<i64>> {
+    #[cfg(test)]
+    pub(crate) fn try_sub(&self, other: &Tainted<i64>) -> Result<Tainted<i64>> {
         self.combine(other, |a, b| a.wrapping_sub(*b))
     }
 
     /// Tainted multiplication (merges policies).
-    pub fn try_mul(&self, other: &Tainted<i64>) -> Result<Tainted<i64>> {
+    #[cfg(test)]
+    pub(crate) fn try_mul(&self, other: &Tainted<i64>) -> Result<Tainted<i64>> {
         self.combine(other, |a, b| a.wrapping_mul(*b))
     }
 }

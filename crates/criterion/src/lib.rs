@@ -17,6 +17,8 @@
 //!
 //! [criterion.rs]: https://github.com/bheisler/criterion.rs
 
+#![warn(unreachable_pub)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -47,13 +49,15 @@ impl Criterion {
     }
 
     /// Target total measurement time per benchmark.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
+    #[cfg(test)]
+    fn measurement_time(mut self, d: Duration) -> Self {
         self.measurement_time = d;
         self
     }
 
     /// Target warm-up time per benchmark.
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
+    #[cfg(test)]
+    fn warm_up_time(mut self, d: Duration) -> Self {
         self.warm_up_time = d;
         self
     }
@@ -147,12 +151,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Overrides the measurement time for this group.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.criterion.measurement_time = d;
-        self
-    }
-
     /// Runs one benchmark in the group.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
@@ -160,23 +158,6 @@ impl BenchmarkGroup<'_> {
     {
         let id = id.into();
         let report = run_bench(self.criterion, f);
-        print_report(&format!("{}/{}", self.name, id), &report, self.throughput);
-        self
-    }
-
-    /// Runs one benchmark with an input value.
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        I: ?Sized,
-        F: FnMut(&mut Bencher, &I),
-    {
-        let id = id.into();
-        let report = run_bench(self.criterion, |b| f(b, input));
         print_report(&format!("{}/{}", self.name, id), &report, self.throughput);
         self
     }

@@ -10,7 +10,7 @@
 //!
 //! # Frame layout
 //!
-//! A frame is a window of [`Chunk::slot_count`] slots: slot 0 is `this`
+//! A frame is a window of `Chunk::slot_count` slots: slot 0 is `this`
 //! (unbound outside a method), slots `1..=arity` the parameters, then the
 //! other named locals, then the temporaries the compiler allocated
 //! stack-wise. Only a named slot may be read while unbound (it falls back
@@ -303,7 +303,7 @@ impl Chunk {
 
     /// Number of slots the chunk's frame needs: `this`, parameters, named
     /// locals and temporaries.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots
     }
 
@@ -313,12 +313,12 @@ impl Chunk {
     }
 
     /// Number of arguments the compiled function takes.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.arity
     }
 
     /// Source line of the instruction at `ip`, if recorded.
-    pub fn line_of(&self, ip: usize) -> Option<u32> {
+    pub(crate) fn line_of(&self, ip: usize) -> Option<u32> {
         let ip = ip as u32;
         match self.lines.partition_point(|&(start, _)| start <= ip) {
             0 => None,

@@ -2,7 +2,7 @@
 //!
 //! [`Interp`] holds what a script can see — globals, functions, classes,
 //! the VFS, the HTTP gate — and runs code on the register VM
-//! ([`crate::compiler`] → [`crate::vm`]). The operation helpers and the
+//! (`compiler` → [`crate::vm`]). The operation helpers and the
 //! builtins below are the one definition of what each operation does; the
 //! VM's general paths call them, and so does the test-only differential
 //! oracle, which walks the AST instead of compiling it.
@@ -1855,9 +1855,16 @@ mod tests {
         }
         let says_type =
             policy_class(r#"class SaysType { fn export_check(c) { throw c["type"]; } }"#);
-        let kinds = GateKind::IO_SURFACES
-            .into_iter()
-            .chain([GateKind::Custom("audit")]);
+        let kinds = [
+            GateKind::Http,
+            GateKind::Email,
+            GateKind::Socket,
+            GateKind::Pipe,
+            GateKind::File,
+            GateKind::Sql,
+            GateKind::CodeImport,
+            GateKind::Custom("audit"),
+        ];
         for kind in kinds {
             let name = kind.type_name();
             let mut gate = Gate::new(kind.clone());

@@ -8,7 +8,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier.
     Ident(String),
     /// Integer literal.
@@ -35,7 +35,7 @@ impl fmt::Display for Tok {
 
 /// A token with its source position (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token.
     pub tok: Tok,
     /// 1-based source line.
@@ -46,7 +46,7 @@ pub struct Token {
 
 /// A lexical error.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// 1-based source line.
     pub line: u32,
     /// 1-based byte column.
@@ -71,7 +71,7 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenizes RSL source.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -39,7 +39,7 @@
 //! ```
 
 //! Since the checks run on every gate crossing, RSL code runs on a
-//! bytecode pipeline (lexer → AST → [`compiler`] → [`chunk::Chunk`] →
+//! bytecode pipeline (lexer → AST → `compiler` → [`chunk::Chunk`] →
 //! [`vm`]), and [`check`] is what a crossing runs through: a policy
 //! class's methods compile once per class declaration into its check plan,
 //! a crossing runs on an evaluator of its own — that plan, the VM's
@@ -49,14 +49,15 @@
 //! tree-walking oracle that exists only in test builds.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 pub mod ast;
 pub mod check;
 pub mod chunk;
-pub mod compiler;
+mod compiler;
 pub mod interp;
-pub mod lexer;
+mod lexer;
 pub mod parser;
 pub mod value;
 pub mod vm;

@@ -15,11 +15,11 @@ use crate::ast::{Expr, Stmt, StmtKind};
 use crate::compiler::const_truth;
 
 /// A block index into [`Cfg::blocks`].
-pub type BlockId = usize;
+pub(crate) type BlockId = usize;
 
 /// How a basic block ends.
 #[derive(Debug)]
-pub enum Term<'a> {
+pub(crate) enum Term<'a> {
     /// Unconditional edge.
     Jump(BlockId),
     /// Two-way conditional edge.
@@ -46,24 +46,24 @@ pub enum Term<'a> {
 
 /// A straight-line run of statements plus its terminator.
 #[derive(Debug)]
-pub struct Block<'a> {
+pub(crate) struct Block<'a> {
     /// Non-branching statements, in execution order.
-    pub stmts: Vec<&'a Stmt>,
+    pub(crate) stmts: Vec<&'a Stmt>,
     /// How control leaves the block.
-    pub term: Term<'a>,
+    pub(crate) term: Term<'a>,
 }
 
 /// A control-flow graph over borrowed AST statements. Block 0 is the
 /// entry; edges are encoded in each block's [`Term`].
 #[derive(Debug)]
-pub struct Cfg<'a> {
+pub(crate) struct Cfg<'a> {
     /// All blocks; indices are [`BlockId`]s.
-    pub blocks: Vec<Block<'a>>,
+    pub(crate) blocks: Vec<Block<'a>>,
 }
 
 impl<'a> Cfg<'a> {
     /// Lowers a statement list (a method or function body) into blocks.
-    pub fn build(body: &'a [Stmt]) -> Cfg<'a> {
+    pub(crate) fn build(body: &'a [Stmt]) -> Cfg<'a> {
         let mut b = Builder { blocks: Vec::new() };
         let entry = b.new_block();
         debug_assert_eq!(entry, 0);
@@ -75,7 +75,7 @@ impl<'a> Cfg<'a> {
     /// Successor block ids of `id`, honoring statically-known branch
     /// conditions: a constant-true guard contributes only its then edge,
     /// a constant-false guard only its else edge.
-    pub fn succs(&self, id: BlockId) -> Vec<BlockId> {
+    pub(crate) fn succs(&self, id: BlockId) -> Vec<BlockId> {
         match &self.blocks[id].term {
             Term::Jump(t) => vec![*t],
             Term::Branch {
@@ -94,12 +94,12 @@ impl<'a> Cfg<'a> {
 
     /// Blocks reachable from the entry through [`Cfg::succs`] (so blocks
     /// behind constant-false guards count as unreachable).
-    pub fn reachable(&self) -> Vec<bool> {
+    pub(crate) fn reachable(&self) -> Vec<bool> {
         self.reachable_from(0)
     }
 
     /// Blocks reachable from `start`.
-    pub fn reachable_from(&self, start: BlockId) -> Vec<bool> {
+    pub(crate) fn reachable_from(&self, start: BlockId) -> Vec<bool> {
         let mut seen = vec![false; self.blocks.len()];
         let mut stack = vec![start];
         while let Some(id) = stack.pop() {

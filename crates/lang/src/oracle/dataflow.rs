@@ -13,7 +13,7 @@ use crate::ast::Stmt;
 use super::cfg::Cfg;
 
 /// A forward dataflow analysis over one method body.
-pub trait Analysis<'a> {
+pub(crate) trait Analysis<'a> {
     /// The per-program-point fact. Joins must be monotone and the
     /// lattice of facts finite-height, or the fixpoint won't terminate.
     type Fact: Clone + PartialEq;
@@ -30,7 +30,10 @@ pub trait Analysis<'a> {
 
 /// Runs `analysis` forward to a fixpoint; returns each block's entry
 /// fact, `None` for blocks unreachable from the entry.
-pub fn forward<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, analysis: &mut A) -> Vec<Option<A::Fact>> {
+pub(crate) fn forward<'a, A: Analysis<'a>>(
+    cfg: &Cfg<'a>,
+    analysis: &mut A,
+) -> Vec<Option<A::Fact>> {
     let mut facts: Vec<Option<A::Fact>> = vec![None; cfg.blocks.len()];
     facts[0] = Some(analysis.entry_fact());
     let mut work = vec![0usize];
@@ -59,9 +62,9 @@ pub fn forward<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, analysis: &mut A) -> Vec<Opti
 /// path reaching a point (join = intersection). Used by the linter to
 /// find reads of never-written variables, which the policy mini-evaluator
 /// turns into runtime errors (its global scope is empty).
-pub struct DefiniteAssignment {
+pub(crate) struct DefiniteAssignment {
     /// Names assigned at entry (the method's parameters).
-    pub params: Vec<String>,
+    pub(crate) params: Vec<String>,
 }
 
 impl<'a> Analysis<'a> for DefiniteAssignment {

@@ -273,12 +273,12 @@ impl Value {
     }
 
     /// Fresh empty array.
-    pub fn new_array(items: Vec<Value>) -> Value {
+    pub(crate) fn new_array(items: Vec<Value>) -> Value {
         Value::Array(Rc::new(RefCell::new(items)))
     }
 
     /// Fresh empty map.
-    pub fn new_map() -> Value {
+    pub(crate) fn new_map() -> Value {
         Value::Map(Rc::new(RefCell::new(BTreeMap::new())))
     }
 
@@ -327,7 +327,7 @@ impl Value {
 
     /// Equality: value equality for scalars (ignoring policies, like PHP),
     /// reference equality for containers.
-    pub fn loose_eq(&self, other: &Value) -> bool {
+    pub(crate) fn loose_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,

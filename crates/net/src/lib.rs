@@ -19,9 +19,10 @@
 //! requests are served in order from the connection buffer.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod conn;
+mod conn;
 pub mod http;
 
 pub use conn::{serve_connection, ConnStats, Limits};

@@ -12,6 +12,8 @@
 //!
 //! [proptest]: https://github.com/proptest-rs/proptest
 
+#![warn(unreachable_pub)]
+
 use std::ops::Range;
 
 /// Deterministic xorshift64* PRNG.

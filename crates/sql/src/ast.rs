@@ -145,7 +145,7 @@ pub enum Expr {
 
 impl Expr {
     /// If the expression is a plain literal, returns it.
-    pub fn as_literal(&self) -> Option<&Literal> {
+    pub(crate) fn as_literal(&self) -> Option<&Literal> {
         match self {
             Expr::Lit(l) => Some(l),
             _ => None,

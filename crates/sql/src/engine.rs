@@ -48,7 +48,7 @@ fn next_stamp() -> u64 {
 
 impl Table {
     /// Index of a column by name.
-    pub fn col_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn col_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 
@@ -103,7 +103,7 @@ pub(crate) fn check_table_name(name: &str) -> Result<()> {
 
 /// The result of executing a statement.
 #[derive(Debug, Clone, Default)]
-pub struct QueryResult {
+pub(crate) struct QueryResult {
     /// Result column names (empty for non-SELECT statements).
     pub columns: Vec<String>,
     /// Result rows (empty for non-SELECT statements).
@@ -152,13 +152,14 @@ pub(crate) type Log<'a> = &'a mut dyn FnMut(&str) -> Result<()>;
 // every other request — the poison-recovering accessors of
 // `resin_core::sync` apply.
 #[derive(Debug, Default)]
-pub struct Database {
+pub(crate) struct Database {
     catalog: RwLock<BTreeMap<String, TableShard>>,
 }
 
 impl Database {
     /// An empty database.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Database::default()
     }
 
@@ -170,12 +171,12 @@ impl Database {
     }
 
     /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
+    pub(crate) fn table_names(&self) -> Vec<String> {
         rlock(&self.catalog).keys().cloned().collect()
     }
 
     /// A point-in-time copy of one table, if it exists.
-    pub fn snapshot_table(&self, name: &str) -> Option<Table> {
+    pub(crate) fn snapshot_table(&self, name: &str) -> Option<Table> {
         self.copy_table(name).map(|(_, t)| t)
     }
 
@@ -268,7 +269,8 @@ impl Database {
 
     /// Executes one parsed statement; `params[i]` is the value of the
     /// `i`-th `?` placeholder in text order.
-    pub fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
+    #[cfg(test)]
+    pub(crate) fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
         self.run(stmt, params, &mut |_| Ok(()))
     }
 
@@ -398,8 +400,9 @@ impl Database {
         f(&t, &rows)
     }
 
-    /// Parses and executes a query string (tests and diagnostics).
-    pub fn execute_str(&self, sql: &str) -> Result<QueryResult> {
+    /// Parses and executes a query string.
+    #[cfg(test)]
+    pub(crate) fn execute_str(&self, sql: &str) -> Result<QueryResult> {
         let stmt = crate::parser::parse_str(sql)?;
         self.execute(&stmt, &[])
     }
@@ -408,7 +411,7 @@ impl Database {
     /// `EXPLAIN` (e.g. `probe-eq(users via pk_users [BTREE], 1 key)`)
     /// for tests and diagnostics. Non-SELECT statements report
     /// `(not a select)`.
-    pub fn explain(&self, sql: &str) -> Result<String> {
+    pub(crate) fn explain(&self, sql: &str) -> Result<String> {
         let stmt = crate::parser::parse_str(sql)?;
         let Statement::Select(sel) = stmt else {
             return Ok("(not a select)".to_string());

@@ -1,7 +1,7 @@
 //! # resin-sql — a SQL engine with RESIN persistent policies
 //!
 //! The database substrate for the RESIN reproduction: a from-scratch
-//! in-memory SQL engine ([`engine::Database`], one lock per table) behind
+//! in-memory SQL engine (`engine::Database`, one lock per table) behind
 //! the one RESIN SQL filter every query crosses ([`ResinDb`]), which
 //!
 //! * rewrites `CREATE TABLE` to add a shadow **policy column** per data
@@ -46,11 +46,12 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod ast;
-pub mod durable;
-pub mod engine;
+mod durable;
+mod engine;
 pub mod error;
 pub mod index;
 mod like;
@@ -63,23 +64,21 @@ pub mod parser;
 pub mod plan;
 mod predicate;
 pub mod replica;
-pub mod rewrite;
+mod rewrite;
 pub mod shard;
 pub mod token;
 pub mod txn;
 pub mod value;
 
 pub use ast::{IndexKind, Statement};
-pub use engine::{Database, QueryResult, Table};
+pub use engine::Table;
 pub use error::{Result, SqlError};
 pub use index::Index;
 pub use replica::Follower;
 pub use resin_core::Tracking;
 pub use resin_store::segment;
 pub use resin_store::{ship, Recovery, ShipReport, StoreStats};
-pub use rewrite::{
-    BindValue, GuardMode, Prepared, SqlGuardFilter, TCell, TaintedResult, POLICY_COL_PREFIX,
-};
+pub use rewrite::{BindValue, GuardMode, Prepared, TCell, TaintedResult};
 pub use shard::ResinDb;
 pub use txn::{IntegrityCheck, Transaction};
 pub use value::Value;

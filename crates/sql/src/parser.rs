@@ -20,7 +20,7 @@ pub fn parse(tokens: &[Token]) -> Result<Statement> {
 }
 
 /// Parses a query string directly (lex + parse).
-pub fn parse_str(src: &str) -> Result<Statement> {
+pub(crate) fn parse_str(src: &str) -> Result<Statement> {
     parse(&crate::token::lex(src)?)
 }
 

@@ -13,8 +13,8 @@
 //!
 //! Consistency model: a follower is *eventually consistent* with the
 //! primary — [`applied_seq`](Follower::applied_seq) is the watermark of
-//! the last WAL record applied, and [`lag`](Follower::lag) against the
-//! primary's current sequence number quantifies staleness. Reads are
+//! the last WAL record applied, and its distance from the primary's
+//! current sequence number quantifies staleness. Reads are
 //! always *self-consistent* (a complete prefix of the primary's WAL
 //! order), never torn: [`catch_up`](Follower::catch_up) stops at a
 //! partially shipped frame and resumes once the next ship completes it.
@@ -124,7 +124,8 @@ impl Follower {
 
     /// Records this replica is behind a primary whose current sequence
     /// number is `primary_seq` (the primary's `StoreStats::seq`).
-    pub fn lag(&self, primary_seq: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lag(&self, primary_seq: u64) -> u64 {
         primary_seq.saturating_sub(self.applied_seq)
     }
 

@@ -44,7 +44,7 @@ use crate::token::{lex, lex_tainted, push_quoted, sanitize_query, unquote, Tok, 
 use crate::value::Value;
 
 /// Prefix of shadow policy columns.
-pub const POLICY_COL_PREFIX: &str = "__rp_";
+pub(crate) const POLICY_COL_PREFIX: &str = "__rp_";
 
 /// Which SQL-injection assertion guards the query channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,7 +98,8 @@ impl TCell {
     }
 
     /// True when NULL.
-    pub fn is_null(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, TCell::Null)
     }
 
@@ -194,19 +195,14 @@ impl TaintedResult {
 /// the lex message (the structured `SqlError::Lex` position is only
 /// available from the engine's own parse step).
 #[derive(Debug, Clone, Copy)]
-pub struct SqlGuardFilter {
+pub(crate) struct SqlGuardFilter {
     mode: GuardMode,
 }
 
 impl SqlGuardFilter {
     /// A guard filter enforcing `mode`.
-    pub fn new(mode: GuardMode) -> Self {
+    pub(crate) fn new(mode: GuardMode) -> Self {
         SqlGuardFilter { mode }
-    }
-
-    /// The enforced guard mode.
-    pub fn mode(&self) -> GuardMode {
-        self.mode
     }
 }
 

@@ -6,8 +6,8 @@
 //! [`ResinDb`] is that front:
 //!
 //! * it is a `Clone` handle (an `Arc`) over the lock-sharded
-//!   [`Database`] and its methods take `&self`: hand one to every worker;
-//! * every query runs the rewrite + guard pipeline of [`crate::rewrite`]
+//!   `Database` and its methods take `&self`: hand one to every worker;
+//! * every query runs the rewrite + guard pipeline of `crate::rewrite`
 //!   (policy columns, injection guards, the sql gate);
 //! * opened on a directory ([`ResinDb::open`]) it logs every mutating
 //!   statement write-ahead into a shared [`resin_store::Store`] (one
@@ -28,7 +28,7 @@ use resin_store::{HashWriter, Recovery, Store};
 use crate::durable::{
     decode_parts, decode_wal_batch, encode_table_part, encode_wal_batch, table_part_name,
 };
-use crate::engine::Database;
+use crate::engine::{Database, Table};
 use crate::error::{Result, SqlError};
 use crate::rewrite::{
     prepare_query, render_bound_sql, run_prepared, GuardMode, Prepared, TCell, TaintedResult,
@@ -80,6 +80,15 @@ struct Shared {
 /// t.join().unwrap();
 /// let r = db.query_str("SELECT body FROM posts").unwrap();
 /// assert_eq!(r.rows.len(), 1);
+/// ```
+///
+/// Every statement crosses the filter: the engine under it is not
+/// reachable from outside the crate, so nothing can run a statement past
+/// the guard, policy revival or the WAL.
+///
+/// ```compile_fail,E0624
+/// let db = resin_sql::ResinDb::new();
+/// db.raw().table_names();
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResinDb {
@@ -284,12 +293,31 @@ impl ResinDb {
         self.tracking
     }
 
-    /// The underlying engine (for tests and diagnostics). A statement run
-    /// through it bypasses the injection guard, policy revival and the
-    /// WAL: it reads and writes policy columns as plain text, and its
-    /// writes are neither logged nor marked for the next checkpoint.
-    pub fn raw(&self) -> &Database {
+    /// The underlying engine. A statement run through it bypasses the
+    /// injection guard, policy revival and the WAL: it reads and writes
+    /// policy columns as plain text, and its writes are neither logged nor
+    /// marked for the next checkpoint. Crate-private for that reason: from
+    /// outside, only the read-only views below reach the stored tables.
+    pub(crate) fn raw(&self) -> &Database {
         &self.shared.db
+    }
+
+    /// The names of the stored tables.
+    pub fn table_names(&self) -> Vec<String> {
+        self.shared.db.table_names()
+    }
+
+    /// A copy of one table as stored: its policy columns as the text they
+    /// hold, and no policy revived.
+    pub fn snapshot_table(&self, name: &str) -> Option<Table> {
+        self.shared.db.snapshot_table(name)
+    }
+
+    /// The access path the planner picks for a `SELECT`, as a one-line
+    /// `EXPLAIN` (e.g. `probe-eq(users via pk_users [BTREE], 1 key)`);
+    /// `(not a select)` for another statement.
+    pub fn explain(&self, sql: &str) -> Result<String> {
+        self.shared.db.explain(sql)
     }
 
     /// Executes a (possibly tainted) query through the RESIN SQL filter.
@@ -366,7 +394,8 @@ impl ResinDb {
 mod tests {
     use super::*;
     use crate::value::Value;
-    use resin_core::UntrustedData;
+    use resin_core::metrics::{self, Counter};
+    use resin_core::{register_policy_class, FlowError, PolicyRef, SerializeError, UntrustedData};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -1074,5 +1103,189 @@ mod tests {
         let r = db.query_str("SELECT * FROM posts").unwrap();
         assert_eq!(r.columns, vec!["id", "body"]);
         assert!(db.query_str("SELECT __rp_body FROM posts").is_err());
+    }
+
+    /// Concurrent readers and writers on *other* tables must neither block
+    /// nor corrupt a transaction's rollback: the transaction's table is
+    /// restored exactly, the concurrent writes all survive.
+    #[test]
+    fn shared_db_rollback_survives_concurrent_traffic() {
+        const THREADS: usize = 8;
+        let db = ResinDb::new();
+        db.query_str("CREATE TABLE accounts (id INTEGER, balance INTEGER)")
+            .unwrap();
+        db.query_str("INSERT INTO accounts VALUES (1, 100), (2, 250)")
+            .unwrap();
+        db.query_str("CREATE TABLE audit (entry TEXT)").unwrap();
+
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
+        let writers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let db = db.clone();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for i in 0..50 {
+                        db.query_str(&format!("INSERT INTO audit VALUES ('w{t}-{i}')"))
+                            .unwrap();
+                        let r = db
+                            .query_str("SELECT balance FROM accounts WHERE id = 1")
+                            .unwrap();
+                        assert_eq!(r.rows.len(), 1, "reader always sees the row");
+                    }
+                })
+            })
+            .collect();
+
+        barrier.wait();
+        // A transaction on `accounts` races all that `audit` traffic, then
+        // fails its integrity check: only `accounts` must roll back.
+        let mut txn = db.begin();
+        txn.add_check(Box::new(|db: &ResinDb| {
+            let r = db.query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")?;
+            if r.rows[0][0].as_int().map(|v| *v.value()) == Some(0) {
+                Ok(())
+            } else {
+                Err(PolicyViolation::new("NoOverdraft", Reason::Refused("negative balance")).into())
+            }
+        }));
+        txn.query_str("UPDATE accounts SET balance = -500 WHERE id = 1")
+            .unwrap();
+        assert_eq!(txn.snapshotted_tables(), vec!["accounts"]);
+        assert!(txn.commit().is_err(), "overdraft check fires");
+
+        for w in writers {
+            w.join().unwrap();
+        }
+
+        let r = db
+            .query_str("SELECT balance FROM accounts ORDER BY id")
+            .unwrap();
+        assert_eq!(r.rows[0][0].as_int().unwrap().value(), &100, "rolled back");
+        assert_eq!(r.rows[1][0].as_int().unwrap().value(), &250);
+        let r = db.query_str("SELECT COUNT(*) FROM audit").unwrap();
+        assert_eq!(
+            r.rows[0][0].as_int().unwrap().value(),
+            &(THREADS as i64 * 50),
+            "concurrent writes to the other table all survive the rollback"
+        );
+    }
+
+    #[test]
+    fn sql_policy_column_tampering_fails_select() {
+        // An attacker (or bug) that writes junk into a policy column cannot
+        // make the filter silently ignore it: the SELECT that revives the
+        // cell fails closed. The public API hides policy columns, so the junk
+        // goes in through the engine under the filter.
+        let db = ResinDb::new();
+        db.query_str("CREATE TABLE t (v TEXT)").unwrap();
+        let mut q = TaintedString::from("INSERT INTO t VALUES ('");
+        q.push_tainted(&TaintedString::with_policy(
+            "pw",
+            Arc::new(UntrustedData::new()),
+        ));
+        q.push_str("')");
+        db.query(&q).unwrap();
+        let r = db.query_str("SELECT v FROM t").unwrap();
+        assert!(r
+            .cell(0, "v")
+            .unwrap()
+            .as_text()
+            .unwrap()
+            .has_policy::<UntrustedData>());
+        // Not a blob at all, a spans blob whose span names an index outside
+        // its policy table, and one whose span lies wholly past the text:
+        // clipped to it, that span was empty and its policy dropped, so the
+        // SELECT returned the value untainted. So did a table entry that no
+        // span names: a table with no spans, and one whose only span names
+        // the other entry.
+        for blob in [
+            "corrupt{",
+            "#UntrustedData{}#0..1|7",
+            "#PasswordPolicy{email=u@x}#2..9|0",
+            "#PasswordPolicy{email=u@x}#",
+            "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|1",
+        ] {
+            db.raw()
+                .execute_str(&format!("UPDATE t SET __rp_v = '{blob}'"))
+                .unwrap();
+            match db.query_str("SELECT v FROM t") {
+                Err(SqlError::Policy(FlowError::Serialize(_))) => {}
+                Err(e) => panic!("{blob}: wrong error: {e}"),
+                Ok(r) => panic!("{blob}: tampered cell returned: {:?}", r.cell(0, "v")),
+            }
+        }
+    }
+
+    /// What a `WireNoSuchClass` text revives to once the class exists.
+    #[derive(Debug)]
+    struct Revived;
+
+    impl resin_core::Policy for Revived {
+        fn name(&self) -> &str {
+            "WireNoSuchClass"
+        }
+
+        fn serialize_fields(&self) -> Vec<(String, String)> {
+            Vec::new()
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A policy text that fails to decode is decoded again on every read,
+    /// and revives once its class exists: a failure is never indexed.
+    #[test]
+    fn a_failed_decode_is_not_indexed() {
+        let db = ResinDb::new();
+        db.query_str("CREATE TABLE t (a TEXT)").unwrap();
+        // Straight into the engine: a cell whose policy class nobody
+        // registered, and one whose class refuses to revive (what a script
+        // policy's deserializer does when the linter rejects its class).
+        db.raw()
+            .execute_str(
+                "INSERT INTO t (a, __rp_a) VALUES \
+                 ('x', '#WireNoSuchClass{owner=eve}#0..1|0'), \
+                 ('y', '#WireRejectedClass{owner=eve}#0..1|0')",
+            )
+            .unwrap();
+        static REJECTIONS: AtomicUsize = AtomicUsize::new(0);
+        register_policy_class("WireRejectedClass", |_| {
+            REJECTIONS.fetch_add(1, Ordering::SeqCst);
+            Err(SerializeError::BadField {
+                class: "WireRejectedClass".into(),
+                field: "<lint>".into(),
+                reason: "export_check can return without deciding".into(),
+            })
+        });
+        let decodes = || metrics::thread(Counter::PolicyDecodes);
+        let before = decodes();
+        let read = |q: &str| match db.query_str(q) {
+            Err(SqlError::Policy(FlowError::Serialize(e))) => e,
+            other => panic!("expected a serialize error, got {other:?}"),
+        };
+        for _ in 0..2 {
+            assert_eq!(
+                read("SELECT a FROM t WHERE a = 'x'"),
+                SerializeError::UnknownClass("WireNoSuchClass".into())
+            );
+            assert!(matches!(
+                read("SELECT a FROM t WHERE a = 'y'"),
+                SerializeError::BadField { field, .. } if field == "<lint>"
+            ));
+        }
+        assert_eq!(REJECTIONS.load(Ordering::SeqCst), 2, "asked both times");
+        assert_eq!(decodes() - before, 4, "each read decodes again");
+
+        // Nor is the failure remembered: once the class exists, the same
+        // stored text revives.
+        register_policy_class("WireNoSuchClass", |_| Ok(Arc::new(Revived) as PolicyRef));
+        let r = db.query_str("SELECT a FROM t WHERE a = 'x'").unwrap();
+        let TCell::Text(cell) = &r.rows[0][0] else {
+            panic!("text cell")
+        };
+        assert!(cell.label().has_named("WireNoSuchClass"));
     }
 }

@@ -54,7 +54,7 @@ pub struct Token {
 impl Token {
     /// True for tokens that are query *structure* (keywords, identifiers,
     /// operators, punctuation) as opposed to data (literals).
-    pub fn is_structure(&self) -> bool {
+    pub(crate) fn is_structure(&self) -> bool {
         !matches!(self.tok, Tok::Num(_) | Tok::Str(_))
     }
 }
@@ -75,7 +75,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
 ///
 /// With `tolerant` set, quote characters carrying `UntrustedData` are
 /// treated as literal content rather than delimiters.
-pub fn lex_tainted(query: &TaintedString, tolerant: bool) -> Result<Vec<Token>> {
+pub(crate) fn lex_tainted(query: &TaintedString, tolerant: bool) -> Result<Vec<Token>> {
     if tolerant {
         lex_inner(query.as_str(), Some(query))
     } else {
@@ -306,7 +306,7 @@ pub(crate) fn push_quoted(out: &mut TaintedString, src: &TaintedString, range: R
 /// string-literal content is re-escaped (quotes doubled), so untrusted
 /// quotes can no longer change the query structure. Taint is preserved
 /// byte-for-byte for the copied content.
-pub fn sanitize_query(query: &TaintedString, tokens: &[Token]) -> TaintedString {
+pub(crate) fn sanitize_query(query: &TaintedString, tokens: &[Token]) -> TaintedString {
     let mut out = TaintedString::with_capacity(query.len() + tokens.len());
     for (idx, t) in tokens.iter().enumerate() {
         if idx > 0 {

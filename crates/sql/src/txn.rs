@@ -116,7 +116,8 @@ impl<'c> Transaction<'c> {
 
     /// Table names copied so far (sorted). Untouched tables never appear
     /// here — that is the copy-on-write guarantee.
-    pub fn snapshotted_tables(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn snapshotted_tables(&self) -> Vec<&str> {
         self.copied.keys().map(String::as_str).collect()
     }
 

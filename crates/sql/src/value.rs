@@ -19,7 +19,7 @@ pub enum Value {
 
 impl Value {
     /// True when the value is NULL.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -88,7 +88,7 @@ impl fmt::Display for Value {
 /// its room. (The recursive matcher this replaced was exponential in the
 /// number of `%`s.) A statement whose pattern is a literal or a bound
 /// parameter compiles it once per execution rather than once per row.
-pub fn like_match(text: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(text: &str, pattern: &str) -> bool {
     LikePattern::compile(pattern).matches(text)
 }
 

@@ -225,7 +225,7 @@ fn probe_and_scan_agree_on_values_and_labels() {
         populate(&mut rng, &p, &[&indexed, &scanned]);
         for q in 0..8 {
             let sql = rand_query(&mut rng);
-            if let Ok(plan) = indexed.raw().explain(&sql) {
+            if let Ok(plan) = indexed.explain(&sql) {
                 if plan.contains("probe") {
                     probes_planned += 1;
                 }
@@ -259,10 +259,7 @@ fn index_probe_cannot_launder_taint_past_a_checking_gate() {
         .unwrap();
 
     // Prove the lookup is really an index probe, not a scan.
-    let plan = db
-        .raw()
-        .explain("SELECT pw FROM secrets WHERE id = 1")
-        .unwrap();
+    let plan = db.explain("SELECT pw FROM secrets WHERE id = 1").unwrap();
     assert!(plan.contains("probe"), "expected an index probe: {plan}");
 
     let sel = db.prepare("SELECT pw FROM secrets WHERE id = ?").unwrap();

@@ -22,7 +22,7 @@
 //! Integrity is an FNV-1a 64-bit checksum, strong enough to detect the
 //! torn or partially-written records crash recovery must tolerate. Every
 //! byte of a checkpoint part moves through [`HashWriter`] in
-//! [`CHUNK`]-sized writes, hashed once per chunk, so no part is ever held
+//! `CHUNK`-sized writes, hashed once per chunk, so no part is ever held
 //! whole in memory.
 
 use std::borrow::Cow;
@@ -33,7 +33,7 @@ use std::marker::PhantomData;
 use crate::error::{Result, StoreError};
 
 /// The window every checkpoint part is written, copied and read through.
-pub const CHUNK: usize = 64 * 1024;
+pub(crate) const CHUNK: usize = 64 * 1024;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -53,7 +53,7 @@ pub(crate) fn checksum_from(mut h: u64, data: &[u8]) -> u64 {
     h
 }
 
-/// A writer that hands `W` its bytes in [`CHUNK`]-sized writes, counting
+/// A writer that hands `W` its bytes in `CHUNK`-sized writes, counting
 /// them and hashing each chunk once on its way out. [`sum`](Self::sum) is
 /// [`checksum`] of everything written so far.
 ///
@@ -111,7 +111,7 @@ impl<W: Write + ?Sized> HashWriter<W> {
 
     /// Copies `from` to its end through the chunk itself, returning the
     /// bytes copied.
-    pub fn copy_from(&mut self, from: &mut dyn Read) -> io::Result<u64> {
+    pub(crate) fn copy_from(&mut self, from: &mut dyn Read) -> io::Result<u64> {
         let mut copied = 0u64;
         loop {
             if self.filled == CHUNK {

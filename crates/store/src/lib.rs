@@ -41,6 +41,7 @@
 //! Both recover by replaying the WAL onto the last complete checkpoint.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod error;
 pub mod io;

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use crate::error::Result;
 
 /// File-name prefix shared by every segment (`wal.NNNNNN`).
-pub const SEGMENT_PREFIX: &str = "wal.";
+pub(crate) const SEGMENT_PREFIX: &str = "wal.";
 
 /// The file name of segment `index` (indexes start at 1).
 pub fn segment_file_name(index: u64) -> String {

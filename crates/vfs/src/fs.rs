@@ -669,7 +669,8 @@ impl Vfs {
     }
 
     /// Removes all persistent filters from a node.
-    pub fn clear_filters(&mut self, path: &str) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn clear_filters(&mut self, path: &str) -> Result<()> {
         self.commit(FsOp::RemoveXattr {
             path: normalize(path)?,
             key: XATTR_FILTER.to_string(),

@@ -34,6 +34,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod error;
 pub mod fs;

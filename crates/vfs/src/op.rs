@@ -33,7 +33,7 @@ impl From<StoreError> for VfsError {
 /// One mutation of the tree, as committed and logged to the WAL.
 ///
 /// Paths are the normalized components of an absolute path (`[]` is the
-/// root, as [`normalize`] returns it); the log holds each as its absolute
+/// root, as `normalize` returns it); the log holds each as its absolute
 /// string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsOp {

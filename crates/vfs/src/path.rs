@@ -15,7 +15,7 @@ use crate::error::{Result, VfsError};
 /// root is an [`VfsError::InvalidPath`] (like hitting the real filesystem
 /// root... except real filesystems clamp; we reject so tests can observe
 /// over-traversal distinctly).
-pub fn normalize(path: &str) -> Result<Vec<String>> {
+pub(crate) fn normalize(path: &str) -> Result<Vec<String>> {
     let mut out: Vec<String> = Vec::new();
     for comp in path.split('/') {
         match comp {
@@ -44,7 +44,7 @@ pub fn join(base: &str, name: &str) -> String {
 }
 
 /// Renders normalized components back into an absolute path.
-pub fn to_absolute(components: &[String]) -> String {
+pub(crate) fn to_absolute(components: &[String]) -> String {
     if components.is_empty() {
         "/".to_string()
     } else {
@@ -55,7 +55,7 @@ pub fn to_absolute(components: &[String]) -> String {
 /// The parent path and final component of a normalized path.
 ///
 /// Returns `None` for the root.
-pub fn split_parent(components: &[String]) -> Option<(&[String], &str)> {
+pub(crate) fn split_parent(components: &[String]) -> Option<(&[String], &str)> {
     let (last, parent) = components.split_last()?;
     Some((parent, last.as_str()))
 }

@@ -18,7 +18,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use resin_core::serialize::{acl_field, write_object, ClassRegistry, FieldMap};
+use resin_core::serialize::{acl_field, write_object, ClassRegistry};
 use resin_core::{
     Acl, Context, Filter, FlowError, GateKind, PolicyViolation, Right, SerializeError,
     TaintedString,
@@ -64,7 +64,8 @@ pub type PersistentFilterRef = Arc<dyn PersistentFilter>;
 // ---- registry ----
 
 /// Fields of a serialized filter.
-pub type FilterFields = FieldMap;
+#[cfg(test)]
+pub(crate) type FilterFields = resin_core::serialize::FieldMap;
 
 /// The persistent-filter classes stored filters revive through.
 static FILTER_CLASSES: ClassRegistry<PersistentFilterRef> =
@@ -74,7 +75,8 @@ static FILTER_CLASSES: ClassRegistry<PersistentFilterRef> =
     })]);
 
 /// Registers a persistent-filter class for deserialization.
-pub fn register_filter_class(
+#[cfg(test)]
+pub(crate) fn register_filter_class(
     name: impl Into<String>,
     factory: impl Fn(&FilterFields) -> Result<PersistentFilterRef, SerializeError>
         + Send
@@ -127,13 +129,13 @@ pub(crate) fn revive_filter(text: &str) -> Result<PersistentFilterRef> {
 /// `check_write`, data flowing *out* runs `check_read`, with the gate's
 /// context (user, path, ...) passed through — the same interposition every
 /// other I/O surface gets.
-pub struct GateMount {
+pub(crate) struct GateMount {
     filter: PersistentFilterRef,
 }
 
 impl GateMount {
     /// Mounts `filter`.
-    pub fn new(filter: PersistentFilterRef) -> Self {
+    pub(crate) fn new(filter: PersistentFilterRef) -> Self {
         GateMount { filter }
     }
 }

@@ -870,7 +870,7 @@ mod tests {
             1 << 20,
         );
         let escaped = html_escape(&untrusted(&body));
-        assert_eq!(escaped.span_count(), 1);
+        assert_eq!(escaped.spans().count(), 1);
         assert_eq!(BLOCK.with_borrow(Vec::capacity), BLOCK_LEN);
         let text = escaped.into_plain();
         assert!(text.len() > body.len());
@@ -899,11 +899,11 @@ mod tests {
         assert_eq!(k, 48);
         let mut old = escape_sliced(&body, HTML_ESCAPES.replacement);
         old.add_policy(Arc::new(HtmlSanitized::new()));
-        assert_eq!(old.span_count(), 2 * k + 1);
+        assert_eq!(old.spans().count(), 2 * k + 1);
         let escaped = html_escape(&body);
         assert_eq!(escaped.as_str(), old.as_str());
-        assert_eq!(escaped.span_count(), 1);
-        assert_eq!(crate::json::escape_tainted(&body).span_count(), 1);
+        assert_eq!(escaped.spans().count(), 1);
+        assert_eq!(crate::json::escape_tainted(&body).spans().count(), 1);
     }
 
     #[test]

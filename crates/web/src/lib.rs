@@ -12,7 +12,7 @@
 //!   preview mode (§2).
 //! * [`html`] — sanitizers that attach [`resin_core::HtmlSanitized`], and
 //!   both XSS guard strategies of §5.3.
-//! * [`session`], [`whois`], [`static_files`], [`splitting`], [`json`] —
+//! * `session`, [`whois`], `static_files`, [`splitting`], `json` —
 //!   sessions, the phpBB whois attack path (§6.3), RESIN-aware static file
 //!   serving (§3.4.1), HTTP response splitting (§5.4), and JSON structure
 //!   protection (§5.4).
@@ -49,27 +49,26 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod email;
 pub mod html;
-pub mod json;
+mod json;
 pub mod request;
 pub mod response;
 pub mod server;
-pub mod session;
+mod session;
 pub mod splitting;
-pub mod static_files;
+mod static_files;
 pub mod whois;
 
 pub use email::{Mailer, SentEmail};
 pub use html::{check_html_markers, check_html_structure, html_escape};
+pub use json::{check_json_structure, encode_object};
 pub use request::{Method, Request};
 pub use response::Response;
 pub use server::{serve_request, ServedPage, WebApp};
-pub use session::{
-    EntropySource, ManualClock, SeededSource, SessionClock, SessionStore, SidSource, SystemClock,
-    DEFAULT_SESSION_TTL, SWEEP_INTERVAL,
-};
+pub use session::{SeededSource, SessionStore, SidSource};
 pub use static_files::{serve_static_aware, serve_static_naive};
 pub use whois::WhoisServer;

@@ -108,7 +108,7 @@ impl Response {
     ///
     /// Returns the error from `f` (after applying the fallback) so callers
     /// can distinguish the two outcomes.
-    pub fn buffered<F, G>(&mut self, f: F, fallback: G) -> Result<(), FlowError>
+    pub(crate) fn buffered<F, G>(&mut self, f: F, fallback: G) -> Result<(), FlowError>
     where
         F: FnOnce(&mut Response) -> Result<()>,
         G: FnOnce(&mut Response) -> Result<()>,
@@ -124,7 +124,7 @@ impl Response {
         }
     }
 
-    /// Like [`Response::buffered`], but swallows the error after the
+    /// Like `Response::buffered`, but swallows the error after the
     /// fallback ran — the common "catch the exception, show alternate
     /// output, keep rendering" pattern of §5.5.
     pub fn buffered_or<F>(&mut self, f: F, fallback_text: &str) -> Result<()>

@@ -49,7 +49,7 @@ pub trait SidSource: Send + Sync {
 /// The default source: OS entropy from `/dev/urandom`, falling back to
 /// hasher-seed mixing on platforms without it.
 #[derive(Debug, Default)]
-pub struct EntropySource;
+pub(crate) struct EntropySource;
 
 impl EntropySource {
     fn os_entropy() -> Option<u128> {
@@ -126,15 +126,15 @@ impl SidSource for SeededSource {
 /// A monotonic-enough clock for session expiry, in whole seconds.
 ///
 /// Injectable like [`SidSource`]: the default reads the system clock;
-/// tests drive a [`ManualClock`] so expiry is deterministic.
-pub trait SessionClock: Send + Sync {
+/// tests drive a hand-advanced clock so expiry is deterministic.
+pub(crate) trait SessionClock: Send + Sync {
     /// Seconds since some fixed epoch.
     fn now(&self) -> u64;
 }
 
 /// The default clock: seconds since the Unix epoch.
 #[derive(Debug, Default)]
-pub struct SystemClock;
+pub(crate) struct SystemClock;
 
 impl SessionClock for SystemClock {
     fn now(&self) -> u64 {
@@ -145,37 +145,11 @@ impl SessionClock for SystemClock {
     }
 }
 
-/// A hand-advanced clock for tests.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock starting at `now` seconds.
-    pub fn new(now: u64) -> Self {
-        ManualClock {
-            now: AtomicU64::new(now),
-        }
-    }
-
-    /// Moves the clock forward by `secs`.
-    pub fn advance(&self, secs: u64) {
-        self.now.fetch_add(secs, Ordering::Relaxed);
-    }
-}
-
-impl SessionClock for ManualClock {
-    fn now(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
-
 /// Default session lifetime: 24 hours.
-pub const DEFAULT_SESSION_TTL: u64 = 24 * 60 * 60;
+pub(crate) const DEFAULT_SESSION_TTL: u64 = 24 * 60 * 60;
 
 /// One bounded expiry sweep runs per this many cookie resolves.
-pub const SWEEP_INTERVAL: u64 = 64;
+pub(crate) const SWEEP_INTERVAL: u64 = 64;
 
 /// How many map entries one opportunistic sweep examines at most.
 const SWEEP_BATCH: usize = 128;
@@ -215,8 +189,8 @@ impl Default for SessionStore {
 }
 
 impl SessionStore {
-    /// An empty store backed by [`EntropySource`], the system clock, and
-    /// the [default TTL](DEFAULT_SESSION_TTL).
+    /// An empty store backed by `EntropySource`, the system clock, and
+    /// the default TTL (`DEFAULT_SESSION_TTL`).
     pub fn new() -> Self {
         SessionStore::with_source(Box::new(EntropySource))
     }
@@ -228,7 +202,11 @@ impl SessionStore {
     }
 
     /// Full control over sid source, clock, and TTL (seconds).
-    pub fn with_config(source: Box<dyn SidSource>, clock: Box<dyn SessionClock>, ttl: u64) -> Self {
+    pub(crate) fn with_config(
+        source: Box<dyn SidSource>,
+        clock: Box<dyn SessionClock>,
+        ttl: u64,
+    ) -> Self {
         SessionStore {
             sessions: RwLock::new(BTreeMap::new()),
             source,
@@ -237,11 +215,6 @@ impl SessionStore {
             resolves: AtomicU64::new(0),
             sweep_cursor: Mutex::new(String::new()),
         }
-    }
-
-    /// The configured session TTL in seconds.
-    pub fn ttl(&self) -> u64 {
-        self.ttl
     }
 
     // The map is always internally consistent (every write is one insert or
@@ -406,6 +379,32 @@ mod tests {
             ttl,
         );
         (store, clock)
+    }
+
+    /// A hand-advanced clock for tests.
+    #[derive(Debug, Default)]
+    struct ManualClock {
+        now: AtomicU64,
+    }
+
+    impl ManualClock {
+        /// A clock starting at `now` seconds.
+        fn new(now: u64) -> Self {
+            ManualClock {
+                now: AtomicU64::new(now),
+            }
+        }
+
+        /// Moves the clock forward by `secs`.
+        fn advance(&self, secs: u64) {
+            self.now.fetch_add(secs, Ordering::Relaxed);
+        }
+    }
+
+    impl SessionClock for ManualClock {
+        fn now(&self) -> u64 {
+            self.now.load(Ordering::Relaxed)
+        }
     }
 
     /// Adapter: share one [`ManualClock`] between test and store.

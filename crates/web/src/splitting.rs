@@ -32,7 +32,7 @@ fn delimiter_len(bytes: &[u8]) -> Option<usize> {
 ///
 /// A sequence counts as user-supplied when any of its bytes carries
 /// [`UntrustedData`].
-pub fn check_header_splitting(value: &TaintedString) -> Result<()> {
+pub(crate) fn check_header_splitting(value: &TaintedString) -> Result<()> {
     let bytes = value.as_str().as_bytes();
     // Resolve the untrusted ranges once instead of per byte.
     let untrusted = value.ranges_with::<UntrustedData>();

@@ -26,6 +26,8 @@
 //! interned [`Label`](resin_core::Label) handle for its policy set. See
 //! `README.md` for a tour of the API and the crate map.
 
+#![warn(unreachable_pub)]
+
 pub use resin_apps as apps;
 pub use resin_core as core;
 pub use resin_lang as lang;

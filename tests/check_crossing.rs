@@ -8,7 +8,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use resin::apps::scriptinj::ScriptHost;
+use resin::apps::ScriptHost;
 use resin::core::{Context, FlowError, GateKind, Policy, PolicyViolation, Runtime, TaintedString};
 use resin::lang::ast::StmtKind;
 use resin::lang::{parse_program, PValue, ScriptPolicy};

@@ -113,71 +113,6 @@ fn labels_ship_across_threads() {
     assert_eq!(got, 2);
 }
 
-/// Concurrent readers and writers on *other* tables must neither block
-/// nor corrupt a transaction's rollback: the transaction's table is
-/// restored exactly, the concurrent writes all survive.
-#[test]
-fn shared_db_rollback_survives_concurrent_traffic() {
-    let db = ResinDb::new();
-    db.query_str("CREATE TABLE accounts (id INTEGER, balance INTEGER)")
-        .unwrap();
-    db.query_str("INSERT INTO accounts VALUES (1, 100), (2, 250)")
-        .unwrap();
-    db.query_str("CREATE TABLE audit (entry TEXT)").unwrap();
-
-    let barrier = Arc::new(Barrier::new(THREADS + 1));
-    let writers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let db = db.clone();
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                barrier.wait();
-                for i in 0..50 {
-                    db.query_str(&format!("INSERT INTO audit VALUES ('w{t}-{i}')"))
-                        .unwrap();
-                    let r = db
-                        .query_str("SELECT balance FROM accounts WHERE id = 1")
-                        .unwrap();
-                    assert_eq!(r.rows.len(), 1, "reader always sees the row");
-                }
-            })
-        })
-        .collect();
-
-    barrier.wait();
-    // A transaction on `accounts` races all that `audit` traffic, then
-    // fails its integrity check: only `accounts` must roll back.
-    let mut txn = db.begin();
-    txn.add_check(Box::new(|db: &ResinDb| {
-        let r = db.query_str("SELECT COUNT(*) FROM accounts WHERE balance < 0")?;
-        if r.rows[0][0].as_int().map(|v| *v.value()) == Some(0) {
-            Ok(())
-        } else {
-            Err(PolicyViolation::new("NoOverdraft", Reason::Refused("negative balance")).into())
-        }
-    }));
-    txn.query_str("UPDATE accounts SET balance = -500 WHERE id = 1")
-        .unwrap();
-    assert_eq!(txn.snapshotted_tables(), vec!["accounts"]);
-    assert!(txn.commit().is_err(), "overdraft check fires");
-
-    for w in writers {
-        w.join().unwrap();
-    }
-
-    let r = db
-        .query_str("SELECT balance FROM accounts ORDER BY id")
-        .unwrap();
-    assert_eq!(r.rows[0][0].as_int().unwrap().value(), &100, "rolled back");
-    assert_eq!(r.rows[1][0].as_int().unwrap().value(), &250);
-    let r = db.query_str("SELECT COUNT(*) FROM audit").unwrap();
-    assert_eq!(
-        r.rows[0][0].as_int().unwrap().value(),
-        &(THREADS as i64 * 50),
-        "concurrent writes to the other table all survive the rollback"
-    );
-}
-
 /// Readers of one table proceed while another table is being written:
 /// per-table sharding means cross-table traffic cannot lose updates, and
 /// same-table writers serialize without corruption.

@@ -19,7 +19,7 @@ use resin::lang::{parse_program, Interp, ScriptPolicy};
 use resin::sql::{GuardMode, ResinDb, SqlError, Tracking};
 use resin::vfs::pfilter::{AclWriteFilter, PersistentFilterRef};
 use resin::vfs::{Vfs, VfsError};
-use resin::web::json::check_json_structure;
+use resin::web::check_json_structure;
 use resin::web::request::untrusted;
 use resin::web::{check_html_markers, check_html_structure, Response};
 

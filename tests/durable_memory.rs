@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use resin::apps::webapp::ForumApp;
+use resin::apps::ForumApp;
 use resin::core::{TaintedString, UntrustedData};
 use resin::web::SessionStore;
 

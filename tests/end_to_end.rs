@@ -147,7 +147,7 @@ fn json_guard_composes_with_request_inputs() {
     let req = Request::post("/api").with_param("name", "x\",\"admin\":true");
     let mut fields = BTreeMap::new();
     fields.insert("name".to_string(), req.param("name").unwrap().clone());
-    let json = resin::web::json::encode_object(&fields);
-    assert!(resin::web::json::check_json_structure(&json).is_ok());
+    let json = resin::web::encode_object(&fields);
+    assert!(resin::web::check_json_structure(&json).is_ok());
     assert!(!json.as_str().contains("\"admin\":true"), "escaped");
 }

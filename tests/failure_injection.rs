@@ -70,52 +70,6 @@ fn an_out_of_range_span_fails_read_closed() {
 }
 
 #[test]
-fn sql_policy_column_tampering_fails_select() {
-    // An attacker (or bug) that writes junk into a policy column cannot
-    // make the filter silently ignore it: the SELECT that revives the
-    // cell fails closed. The public API hides policy columns, so the junk
-    // goes in through the engine under the filter.
-    let db = resin::sql::ResinDb::new();
-    db.query_str("CREATE TABLE t (v TEXT)").unwrap();
-    let mut q = TaintedString::from("INSERT INTO t VALUES ('");
-    q.push_tainted(&TaintedString::with_policy(
-        "pw",
-        Arc::new(UntrustedData::new()),
-    ));
-    q.push_str("')");
-    db.query(&q).unwrap();
-    let r = db.query_str("SELECT v FROM t").unwrap();
-    assert!(r
-        .cell(0, "v")
-        .unwrap()
-        .as_text()
-        .unwrap()
-        .has_policy::<UntrustedData>());
-    // Not a blob at all, a spans blob whose span names an index outside
-    // its policy table, and one whose span lies wholly past the text:
-    // clipped to it, that span was empty and its policy dropped, so the
-    // SELECT returned the value untainted. So did a table entry that no
-    // span names: a table with no spans, and one whose only span names
-    // the other entry.
-    for blob in [
-        "corrupt{",
-        "#UntrustedData{}#0..1|7",
-        "#PasswordPolicy{email=u@x}#2..9|0",
-        "#PasswordPolicy{email=u@x}#",
-        "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|1",
-    ] {
-        db.raw()
-            .execute_str(&format!("UPDATE t SET __rp_v = '{blob}'"))
-            .unwrap();
-        match db.query_str("SELECT v FROM t") {
-            Err(resin::sql::SqlError::Policy(FlowError::Serialize(_))) => {}
-            Err(e) => panic!("{blob}: wrong error: {e}"),
-            Ok(r) => panic!("{blob}: tampered cell returned: {:?}", r.cell(0, "v")),
-        }
-    }
-}
-
-#[test]
 fn policy_violation_does_not_poison_gate() {
     // After a blocked write, the gate keeps working for clean data.
     let mut ch = Runtime::global().open(GateKind::Http);

@@ -123,8 +123,8 @@ fn workload(db: &ResinDb) {
 /// a `SELECT *` revives it, one cell per line.
 fn dump(db: &ResinDb) -> String {
     let mut out = String::new();
-    for name in db.raw().table_names() {
-        let t = db.raw().snapshot_table(&name).unwrap();
+    for name in db.table_names() {
+        let t = db.snapshot_table(&name).unwrap();
         let cols: Vec<&str> = t.columns.iter().map(|c| c.name.as_str()).collect();
         writeln!(out, "table {name} columns {cols:?}").unwrap();
         for ix in t.indexes() {

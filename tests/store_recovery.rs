@@ -343,7 +343,7 @@ fn shared_db_recovers_and_txn_rollback_never_replays() {
 
 // ---- restart-survival attacks: wiki / vfs ----
 
-use resin::apps::moinwiki::MoinWiki;
+use resin::apps::MoinWiki;
 
 fn seeded_wiki(dir: &PathBuf) -> MoinWiki {
     let mut w = MoinWiki::open(dir).unwrap();
@@ -433,7 +433,7 @@ fn wiki_acl_attacks_fail_closed_after_checkpoint_and_torn_tail() {
 
 // ---- restart-survival attacks: the served forum ----
 
-use resin::apps::webapp::ForumApp;
+use resin::apps::ForumApp;
 use resin::web::server::WebApp;
 use resin::web::{Request, SessionStore};
 

@@ -8,19 +8,19 @@
 #![allow(dead_code)]
 
 /// Mutants made of each canonical encoding.
-pub const MUTANTS: usize = 48;
+pub(crate) const MUTANTS: usize = 48;
 
 /// A deterministic xorshift64* generator.
-pub struct Rng(u64);
+pub(crate) struct Rng(u64);
 
 impl Rng {
     /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
     }
 
     /// A value below `n` (`n` > 0).
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         self.0 ^= self.0 >> 12;
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
@@ -35,7 +35,7 @@ const BYTES: &[u8] = b"\x00\x01\x02\x05\xff0119+-,.|#%{}:;=/\x1c";
 /// One mutant of `canon`: a byte inserted, deleted or flipped, a digit
 /// padded with a leading `0`, a stretch duplicated, two stretches
 /// swapped, or the tail cut off.
-pub fn mutate(canon: &[u8], rng: &mut Rng) -> Vec<u8> {
+pub(crate) fn mutate(canon: &[u8], rng: &mut Rng) -> Vec<u8> {
     let mut m = canon.to_vec();
     let len = m.len();
     let at = rng.below(len + 1);
@@ -75,7 +75,7 @@ pub fn mutate(canon: &[u8], rng: &mut Rng) -> Vec<u8> {
 }
 
 /// The mutants of `canon` seeded with `seed`.
-pub fn mutants(canon: &[u8], seed: u64) -> Vec<Vec<u8>> {
+pub(crate) fn mutants(canon: &[u8], seed: u64) -> Vec<Vec<u8>> {
     let mut rng = Rng::new(seed);
     (0..MUTANTS).map(|_| mutate(canon, &mut rng)).collect()
 }
@@ -83,7 +83,7 @@ pub fn mutants(canon: &[u8], seed: u64) -> Vec<Vec<u8>> {
 /// The property of a canonical decoder over `canons` and their mutants:
 /// whatever `decode` accepts, `encode` writes back byte for byte. A
 /// canonical encoding must decode. Returns how many mutants decoded.
-pub fn canonical<T>(
+pub(crate) fn canonical<T>(
     canons: &[Vec<u8>],
     decode: impl Fn(&[u8]) -> Option<T>,
     encode: impl Fn(&T) -> Vec<u8>,
@@ -92,7 +92,7 @@ pub fn canonical<T>(
 }
 
 /// [`canonical`] over the mutants `make` makes of each encoding.
-pub fn canonical_over<T>(
+pub(crate) fn canonical_over<T>(
     canons: &[Vec<u8>],
     make: impl Fn(&[u8], u64) -> Vec<Vec<u8>>,
     decode: impl Fn(&[u8]) -> Option<T>,
@@ -114,7 +114,7 @@ pub fn canonical_over<T>(
 
 /// The property of a decoder the census marks "wider": it never panics,
 /// and what it accepts encodes to a text it reads back as the same value.
-pub fn wider<T: PartialEq + std::fmt::Debug>(
+pub(crate) fn wider<T: PartialEq + std::fmt::Debug>(
     canons: &[Vec<u8>],
     make: impl Fn(&[u8], u64) -> Vec<Vec<u8>>,
     decode: impl Fn(&[u8]) -> Option<T>,
@@ -137,7 +137,7 @@ pub fn wider<T: PartialEq + std::fmt::Debug>(
 /// each mutates everything before the trailing FNV-1a checksum, then
 /// carries the checksum of what it made, so only the decoder can refuse
 /// it.
-pub fn resealed(image: &[u8], seed: u64) -> Vec<Vec<u8>> {
+pub(crate) fn resealed(image: &[u8], seed: u64) -> Vec<Vec<u8>> {
     let payload = &image[..image.len() - 8];
     let mut out = mutants(payload, seed);
     for m in &mut out {

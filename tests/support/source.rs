@@ -51,28 +51,39 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every `.rs` file of the source under `root`, skipping paths holding any
-/// of `excludes`: each path relative to `root`, with its text.
-pub fn files(root: &Path, excludes: &[String]) -> Vec<(String, String)> {
-    let mut dirs = vec![root.join("src")];
-    for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
-        dirs.push(entry.path().join("src"));
-    }
+/// Every `.rs` file under `root/dir`, sorted: each path relative to
+/// `root`, with its text.
+pub fn tree(root: &Path, dir: &str) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    for dir in &dirs {
-        rs_files(dir, &mut files);
-    }
+    rs_files(&root.join(dir), &mut files);
     files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap()
-            .to_string_lossy()
-            .replace('\\', "/");
-        if !excludes.iter().any(|x| rel.contains(x.as_str())) {
-            out.push((rel, std::fs::read_to_string(&path).unwrap()));
-        }
+    files
+        .into_iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/");
+            let text = std::fs::read_to_string(&path).unwrap();
+            (rel, text)
+        })
+        .collect()
+}
+
+/// Every `.rs` file of the source under `root` (`src/` and each
+/// `crates/*/src/`), skipping paths holding any of `excludes`: each path
+/// relative to `root`, with its text.
+pub fn files(root: &Path, excludes: &[String]) -> Vec<(String, String)> {
+    let mut dirs = vec!["src".to_string()];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap().flatten() {
+        dirs.push(format!(
+            "crates/{}/src",
+            entry.file_name().to_string_lossy()
+        ));
     }
+    let mut out: Vec<_> = dirs.iter().flat_map(|dir| tree(root, dir)).collect();
+    out.sort();
+    out.retain(|(rel, _)| !excludes.iter().any(|x| rel.contains(x.as_str())));
     out
 }

@@ -12,10 +12,9 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use resin::core::metrics::{self, Counter};
 use resin::core::prelude::*;
-use resin::core::{register_policy_class, LabelTable, SerializeError};
-use resin::sql::{ResinDb, SqlError, TCell};
+use resin::core::{register_policy_class, LabelTable};
+use resin::sql::ResinDb;
 use resin::web::Response;
 
 fn turn() -> MutexGuard<'static, ()> {
@@ -280,58 +279,4 @@ fn readers_racing_squatters_never_read_another_policy() {
         });
     });
     own_cells(&db);
-}
-
-#[test]
-fn a_failed_decode_is_not_indexed() {
-    let _turn = turn();
-    let db = ResinDb::new();
-    db.query_str("CREATE TABLE t (a TEXT)").unwrap();
-    // Straight into the engine: a cell whose policy class nobody
-    // registered, and one whose class refuses to revive (what a script
-    // policy's deserializer does when the linter rejects its class).
-    db.raw()
-        .execute_str(
-            "INSERT INTO t (a, __rp_a) VALUES \
-             ('x', '#WireNoSuchClass{owner=eve}#0..1|0'), \
-             ('y', '#WireRejectedClass{owner=eve}#0..1|0')",
-        )
-        .unwrap();
-    static REJECTIONS: AtomicUsize = AtomicUsize::new(0);
-    register_policy_class("WireRejectedClass", |_| {
-        REJECTIONS.fetch_add(1, Ordering::SeqCst);
-        Err(SerializeError::BadField {
-            class: "WireRejectedClass".into(),
-            field: "<lint>".into(),
-            reason: "export_check can return without deciding".into(),
-        })
-    });
-    let decodes = || metrics::total(Counter::PolicyDecodes);
-    let before = decodes();
-    let read = |q: &str| match db.query_str(q) {
-        Err(SqlError::Policy(FlowError::Serialize(e))) => e,
-        other => panic!("expected a serialize error, got {other:?}"),
-    };
-    for _ in 0..2 {
-        assert_eq!(
-            read("SELECT a FROM t WHERE a = 'x'"),
-            SerializeError::UnknownClass("WireNoSuchClass".into())
-        );
-        assert!(matches!(
-            read("SELECT a FROM t WHERE a = 'y'"),
-            SerializeError::BadField { field, .. } if field == "<lint>"
-        ));
-    }
-    assert_eq!(REJECTIONS.load(Ordering::SeqCst), 2, "asked both times");
-    assert_eq!(decodes() - before, 4, "each read decodes again");
-
-    // Nor is the failure remembered: once the class exists, the same
-    // stored text revives.
-    static RUNS: AtomicUsize = AtomicUsize::new(0);
-    register_counted("WireNoSuchClass", 1, &RUNS);
-    let r = db.query_str("SELECT a FROM t WHERE a = 'x'").unwrap();
-    let TCell::Text(cell) = &r.rows[0][0] else {
-        panic!("text cell")
-    };
-    assert!(cell.label().has_named("WireNoSuchClass"));
 }
