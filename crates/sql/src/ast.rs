@@ -2,7 +2,7 @@
 //!
 //! Literals record their byte span in the original query text so the RESIN
 //! filter can recover each value's policies from the tainted query string
-//! when rewriting INSERT/UPDATE statements (§3.4.1).
+//! when an INSERT/UPDATE stores them (§3.4.1).
 
 use std::ops::Range;
 

@@ -4,26 +4,32 @@
 //!
 //! A checkpoint holds one part per table (`tbl.<name>`), each a snapshot
 //! image of that table alone, streamed straight from the table into its
-//! part file and back (never whole in memory). Data cells are stored
-//! verbatim;
-//! **policy-column** cells (the `__rp_` shadow blobs) are not stored as
-//! strings but re-encoded as refs into the image's shared policy table — a
-//! table with a million identically-labeled cells persists each distinct
-//! policy body once (the durable twin of `Label` interning).
+//! part file and back (never whole in memory).
+//!
+//! This module owns the **shadow-column layout** of Figure 4 (§3.4.1).
+//! The engine's schema holds data columns only; a tracked table's row
+//! keeps each value's policy text after its values. An image stores such a
+//! table with one `__rp_<c>` `Text` shadow column per data column `c`,
+//! after the data columns, and its rows as they are. The decoder splits
+//! the shadows off again, and refuses a `__rp_` column that is not the
+//! exact shadow of the data column at its position. Data cells are stored
+//! verbatim; shadow cells (the policy texts) are not stored as strings but
+//! re-encoded as refs into the image's shared policy table — a table with
+//! a million identically-labeled cells persists each distinct policy body
+//! once (the durable twin of `Label` interning).
 //!
 //! Column definitions, cells and the WAL batch are each one `wire!`
 //! declaration (`resin_store::io`), read and written from that one
 //! layout; a table's rows, whose cells take their form from their
 //! column, are the one loop written here. A cell stored in another form
-//! than its column's (refs outside a policy column, text inside one), a
+//! than its column's (refs outside a shadow column, text inside one), a
 //! table named twice and a byte after a WAL batch are refused.
 //!
-//! The WAL logs each mutating statement *post-guard, pre-rewrite*: the
-//! exact query text `prepare_query` produced, together with the serialized
-//! byte-range policies of that text. Recovery revives the tainted query
-//! and runs it back through the same rewrite pipeline, so replayed cells
-//! regain byte-identical policy columns without the WAL knowing anything
-//! about rewriting.
+//! The WAL logs each mutating statement *post-guard*: the exact query text
+//! `prepare_query` produced, together with the serialized byte-range
+//! policies of that text. Recovery revives the tainted query and runs it
+//! back through the same front, so replayed cells regain byte-identical
+//! policy texts without the WAL holding any.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -40,7 +46,6 @@ use crate::ast::{ColumnDef, ColumnType};
 use crate::engine::Table;
 use crate::error::{Result, SqlError};
 use crate::index::{kind_from_name, kind_name};
-use crate::rewrite::POLICY_COL_PREFIX;
 use crate::value::Value;
 
 impl From<StoreError> for SqlError {
@@ -49,11 +54,15 @@ impl From<StoreError> for SqlError {
     }
 }
 
+/// Prefix of the reserved namespace: each shadow column is named
+/// `__rp_<data column>`, and the index catalog is a `__rp_` table.
+pub(crate) const POLICY_COL_PREFIX: &str = "__rp_";
+
 wire! { ColumnType: u8 { Integer {} = 0, Text {} = 1 } }
 wire! { ColumnDef { name, ty } }
 
-/// A cell as an image holds it: a policy column's non-empty blob as refs
-/// into the image's policy table, every other value as it is.
+/// A cell as an image holds it: a shadow column's non-empty policy text as
+/// refs into the image's policy table, every other value as it is.
 enum Cell<'a> {
     Null,
     Int(i64),
@@ -73,7 +82,7 @@ wire! {
 }
 
 impl<'a> Cell<'a> {
-    /// How `v` is stored in a policy column (`policy`) or another one.
+    /// How `v` is stored in a shadow column (`policy`) or another one.
     fn of(v: &'a Value, policy: bool) -> Cell<'a> {
         match v {
             Value::Null => Cell::Null,
@@ -144,14 +153,53 @@ fn index_meta_table(tables: &[(&str, &Table)]) -> Option<Table> {
     Some(Table {
         columns: vec![col("tbl"), col("name"), col("col"), col("kind")],
         rows,
-        indexes: Vec::new(),
+        ..Table::default()
     })
 }
 
-/// Which of `columns` are policy columns.
-fn policy_columns(columns: &[ColumnDef]) -> Vec<bool> {
-    let policy = |c: &ColumnDef| c.name.starts_with(POLICY_COL_PREFIX);
-    columns.iter().map(policy).collect()
+/// `t`'s columns as an image stores them: a tracked table's data columns,
+/// then the `Text` shadow of each, which holds the policy texts its rows
+/// keep after their values.
+fn stored_columns(t: &Table) -> Vec<ColumnDef> {
+    let shadows = t.columns.iter().filter(|_| t.tracked).map(|c| ColumnDef {
+        name: format!("{POLICY_COL_PREFIX}{}", c.name),
+        ty: ColumnType::Text,
+    });
+    t.columns.iter().cloned().chain(shadows).collect()
+}
+
+/// `t` as a checkpoint stores it: its shadows are columns like the others.
+pub(crate) fn at_rest(t: Table) -> Table {
+    Table {
+        columns: stored_columns(&t),
+        tracked: false,
+        ..t
+    }
+}
+
+/// The empty table an image's column list describes. It is tracked if a
+/// column is in the reserved namespace, and then the list must be what
+/// [`stored_columns`] writes for the columns before that one.
+fn stored_table(mut columns: Vec<ColumnDef>) -> Result<Table> {
+    let reserved = |c: &ColumnDef| c.name.starts_with(POLICY_COL_PREFIX);
+    let Some(n) = columns.iter().position(reserved) else {
+        return Ok(Table {
+            columns,
+            ..Table::default()
+        });
+    };
+    let shadows = columns.split_off(n);
+    let table = Table {
+        columns,
+        tracked: true,
+        ..Table::default()
+    };
+    if stored_columns(&table)[n..] != shadows[..] {
+        return Err(SqlError::Storage(
+            "a `__rp_` column that is not the shadow of the data column at its place".into(),
+        ));
+    }
+    Ok(table)
 }
 
 /// Encodes `tables` as one snapshot image into `out`: the table count,
@@ -169,12 +217,13 @@ fn encode_tables<'a>(
         (tables.len() as u32).put(w)?;
         for &(name, t) in &tables {
             name.put(w)?;
-            Seq::<u32>::put(&t.columns, w)?;
+            Seq::<u32>::put(&stored_columns(t), w)?;
             (t.rows.len() as u64).put(w)?;
-            let policy = policy_columns(&t.columns);
+            // A tracked row's cells past its values are policy texts.
+            let n = t.columns.len();
             for row in &t.rows {
-                for (v, &p) in row.iter().zip(&policy) {
-                    Cell::of(v, p).put(w)?;
+                for (i, v) in row.iter().enumerate() {
+                    Cell::of(v, i >= n).put(w)?;
                 }
             }
         }
@@ -233,28 +282,24 @@ fn decode_catalog(r: &mut SnapshotReader<'_>) -> Result<BTreeMap<String, Table>>
     let mut out = BTreeMap::new();
     for _ in 0..u32::get(r)? {
         let name = String::get(r)?;
-        let columns: Vec<ColumnDef> = Seq::<u32>::get(r)?;
-        let policy = policy_columns(&columns);
+        let table = stored_table(Seq::<u32>::get(r)?)?;
+        let (n, width) = (table.columns.len(), table.width());
         // The row count is read before the image's checksum is, so it
         // sizes no allocation unbounded; and a row reads at least one cell.
         let n_rows = u64::get(r)?;
-        if columns.is_empty() && n_rows > 0 {
+        if width == 0 && n_rows > 0 {
             return Err(SqlError::Storage(format!("{n_rows} rows of no column")));
         }
         let mut rows = Vec::with_capacity(n_rows.min(1 << 20) as usize);
         for _ in 0..n_rows {
-            // Sized to its columns, as a `collect` through `Result` is not.
-            let mut row = Vec::with_capacity(policy.len());
-            for &p in &policy {
-                row.push(Cell::get(r)?.value(p)?);
+            // Sized to its cells, as a `collect` through `Result` is not.
+            let mut row = Vec::with_capacity(width);
+            for i in 0..width {
+                row.push(Cell::get(r)?.value(i >= n)?);
             }
             rows.push(row);
         }
-        let table = Table {
-            columns,
-            rows,
-            indexes: Vec::new(),
-        };
+        let table = Table { rows, ..table };
         if out.insert(name, table).is_some() {
             return Err(SqlError::Storage("an image names a table twice".into()));
         }
@@ -379,14 +424,6 @@ mod tests {
                         name: "n".into(),
                         ty: ColumnType::Integer,
                     },
-                    ColumnDef {
-                        name: "__rp_name".into(),
-                        ty: ColumnType::Text,
-                    },
-                    ColumnDef {
-                        name: "__rp_n".into(),
-                        ty: ColumnType::Text,
-                    },
                 ],
                 rows: vec![
                     vec![
@@ -402,6 +439,7 @@ mod tests {
                         Value::Null,
                     ],
                 ],
+                tracked: true,
                 indexes: Vec::new(),
             },
         );
@@ -409,6 +447,7 @@ mod tests {
         let back = decode_tables(&image[..]).unwrap();
         assert_eq!(back.len(), 1);
         let t = &back["users"];
+        assert!(t.tracked);
         assert_eq!(t.columns, tables["users"].columns);
         assert_eq!(t.rows, tables["users"].rows);
     }
@@ -419,25 +458,92 @@ mod tests {
         tables.insert(
             "t".to_string(),
             Table {
-                columns: vec![
-                    ColumnDef {
-                        name: "b".into(),
-                        ty: ColumnType::Text,
-                    },
-                    ColumnDef {
-                        name: "__rp_b".into(),
-                        ty: ColumnType::Text,
-                    },
-                ],
+                columns: vec![ColumnDef {
+                    name: "b".into(),
+                    ty: ColumnType::Text,
+                }],
                 rows: vec![vec![
                     Value::Text("hello".into()),
                     Value::Text("#UntrustedData{}#0..5|0".into()),
                 ]],
+                tracked: true,
                 indexes: Vec::new(),
             },
         );
         let image = image_of(&tables);
         (tables, image)
+    }
+
+    #[test]
+    fn a_reserved_column_is_the_exact_shadow_of_its_data_column_or_refused() {
+        // An untracked table's column list is written as it stands, so it
+        // can hold what no tracked table's does. Rows are empty: only the
+        // column list decides.
+        let col = |name: &str, ty| ColumnDef {
+            name: name.into(),
+            ty,
+        };
+        let (int, text) = (ColumnType::Integer, ColumnType::Text);
+        let decode = |columns: Vec<ColumnDef>| {
+            let mut tables = BTreeMap::new();
+            let table = Table {
+                columns,
+                ..Table::default()
+            };
+            tables.insert("t".to_string(), table);
+            decode_tables(&image_of(&tables)[..]).map(|mut back| back.remove("t").unwrap())
+        };
+        let t = decode(vec![
+            col("a", int),
+            col("b", text),
+            col("__rp_a", text),
+            col("__rp_b", text),
+        ])
+        .unwrap();
+        assert!(t.tracked);
+        assert_eq!(t.columns, vec![col("a", int), col("b", text)]);
+        for (what, columns) in [
+            (
+                "missing",
+                vec![col("a", int), col("b", text), col("__rp_a", text)],
+            ),
+            (
+                "first missing",
+                vec![col("a", int), col("b", text), col("__rp_b", text)],
+            ),
+            (
+                "reordered",
+                vec![
+                    col("a", int),
+                    col("b", text),
+                    col("__rp_b", text),
+                    col("__rp_a", text),
+                ],
+            ),
+            (
+                "extra",
+                vec![col("a", int), col("__rp_a", text), col("__rp_b", text)],
+            ),
+            (
+                "twice",
+                vec![col("a", int), col("__rp_a", text), col("__rp_a", text)],
+            ),
+            (
+                "after",
+                vec![col("a", int), col("__rp_a", text), col("b", text)],
+            ),
+            ("not text", vec![col("a", int), col("__rp_a", int)]),
+            (
+                "of a shadow",
+                vec![col("__rp_a", text), col("__rp___rp_a", text)],
+            ),
+            ("alone", vec![col("__rp_a", text)]),
+        ] {
+            match decode(columns) {
+                Err(SqlError::Storage(m)) if m.contains("not the shadow") => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -480,7 +586,11 @@ mod tests {
         let name_at = at + 8 + 4;
         let cols_at = name_at + 8 + u64_at(name_at) as usize;
         let n_cols = u32::from_le_bytes(image[cols_at..cols_at + 4].try_into().unwrap());
-        assert_eq!(n_cols as usize, tables["t"].columns.len());
+        assert_eq!(
+            n_cols as usize,
+            tables["t"].width(),
+            "data and shadow columns"
+        );
         let mut damaged = image.clone();
         damaged[cols_at + 3] ^= 0xf0;
         assert!(decode_tables(&damaged[..]).is_err());
@@ -510,19 +620,14 @@ mod tests {
             "#PasswordPolicy{email=averylonguser@example-corp-accounts.com;allow_chair=true}#0..5|0";
         let make = |rows: usize| {
             let table = Table {
-                columns: vec![
-                    ColumnDef {
-                        name: "b".into(),
-                        ty: ColumnType::Text,
-                    },
-                    ColumnDef {
-                        name: "__rp_b".into(),
-                        ty: ColumnType::Text,
-                    },
-                ],
+                columns: vec![ColumnDef {
+                    name: "b".into(),
+                    ty: ColumnType::Text,
+                }],
                 rows: (0..rows)
                     .map(|_| vec![Value::Text("hello".into()), Value::Text(blob.into())])
                     .collect(),
+                tracked: true,
                 indexes: Vec::new(),
             };
             let mut m = BTreeMap::new();
@@ -547,20 +652,15 @@ mod tests {
     fn index_definitions_survive_snapshot_roundtrip() {
         use crate::ast::IndexKind;
         let mut table = Table {
-            columns: vec![
-                ColumnDef {
-                    name: "id".into(),
-                    ty: ColumnType::Integer,
-                },
-                ColumnDef {
-                    name: "__rp_id".into(),
-                    ty: ColumnType::Text,
-                },
-            ],
+            columns: vec![ColumnDef {
+                name: "id".into(),
+                ty: ColumnType::Integer,
+            }],
             rows: vec![
                 vec![Value::Int(2), Value::Text(String::new())],
                 vec![Value::Int(1), Value::Text(String::new())],
             ],
+            tracked: true,
             indexes: Vec::new(),
         };
         table
@@ -654,8 +754,8 @@ mod tests {
         canonical(&canons, layout, encode);
     }
 
-    /// A one-table catalog of `rows` random rows over a policy column,
-    /// indexed when `rows` is odd.
+    /// A one-table tracked catalog of `rows` random rows, indexed when
+    /// `rows` is odd.
     fn random_table(rng: &mut crate::mutants::Rng, rows: usize) -> Table {
         use crate::ast::IndexKind;
         let col = |name: &str, ty| ColumnDef {
@@ -672,17 +772,18 @@ mod tests {
             columns: vec![
                 col("id", ColumnType::Integer),
                 col("name", ColumnType::Text),
-                col("__rp_name", ColumnType::Text),
             ],
             rows: (0..rows)
                 .map(|i| {
                     vec![
                         [Value::Null, Value::Int(i as i64 - 2)][rng.below(2)].clone(),
                         Value::Text(["ab", "é#", ""][rng.below(3)].into()),
+                        [Value::Null, Value::Text(blobs[1].into())][rng.below(2)].clone(),
                         Value::Text(blobs[rng.below(blobs.len())].into()),
                     ]
                 })
                 .collect(),
+            tracked: true,
             indexes: Vec::new(),
         };
         if rows % 2 == 1 {

@@ -1,10 +1,12 @@
 //! The storage and execution engine.
 //!
 //! A straightforward in-memory engine: tables are vectors of rows, queries
-//! scan or probe an index. It is deliberately policy-oblivious — the RESIN
-//! integration (policy columns, injection guards) lives in
-//! [`crate::rewrite`], exactly as the paper layers its SQL filter over an
-//! unmodified database.
+//! scan or probe an index. Its schema holds data columns only. A tracked
+//! table's row keeps each value's policy text after the values: the front
+//! (`crate::rewrite`) hands the texts over with each write and revives
+//! them on read, and nothing the engine decides looks at them. So no
+//! statement can name a policy text. Figure 4's shadow policy columns are
+//! their at-rest layout (`crate::durable`).
 //!
 //! [`Database`] is built for many worker threads sharing one database (§6
 //! runs the applications inside live web servers): a catalog `RwLock` maps
@@ -21,6 +23,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 use resin_core::sync::{rlock, wlock};
 
 use crate::ast::{ColumnDef, Expr, IndexKind, Projection, SelectStmt, Statement};
+use crate::durable::{at_rest, POLICY_COL_PREFIX};
 use crate::error::{Result, SqlError};
 use crate::index::Index;
 use crate::plan::{self, Access};
@@ -30,10 +33,14 @@ use crate::value::Value;
 /// A table: schema, row storage, and secondary indexes.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
-    /// Column definitions in declaration order.
+    /// Column definitions in declaration order: the data columns.
     pub columns: Vec<ColumnDef>,
-    /// Row-major storage.
+    /// Row-major storage. A tracked table's row holds its values, then each
+    /// value's policy text: `Text` (`""` when untainted), or NULL for a
+    /// column its `INSERT` omitted.
     pub rows: Vec<Vec<Value>>,
+    /// Whether the table was created, or stored, tracked.
+    pub(crate) tracked: bool,
     /// Secondary indexes (see [`crate::index`]). Kept inside the table so
     /// a transaction's private copy carries the indexes it maintains.
     pub(crate) indexes: Vec<Index>,
@@ -50,6 +57,11 @@ impl Table {
     /// Index of a column by name.
     pub(crate) fn col_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
+    }
+
+    /// The cells in each row: the values, and a tracked table's texts.
+    pub(crate) fn width(&self) -> usize {
+        self.columns.len() * if self.tracked { 2 } else { 1 }
     }
 
     /// The table's secondary indexes, in creation order.
@@ -89,16 +101,17 @@ impl Table {
     }
 }
 
-/// Rejects table names in the reserved `__rp_` namespace (policy columns
-/// and the durable index catalog live there).
-pub(crate) fn check_table_name(name: &str) -> Result<()> {
-    if name.starts_with(crate::rewrite::POLICY_COL_PREFIX) {
-        return Err(SqlError::schema(format!(
-            "table name `{name}` uses the reserved `{}` prefix",
-            crate::rewrite::POLICY_COL_PREFIX
-        )));
+/// Rejects table and column names in the reserved `__rp_` namespace: a
+/// checkpoint stores policy texts in `__rp_` columns, and its index
+/// catalog in a `__rp_` table.
+fn check_names(table: &str, columns: &[ColumnDef]) -> Result<()> {
+    let mut names = std::iter::once(table).chain(columns.iter().map(|c| c.name.as_str()));
+    match names.find(|name| name.starts_with(POLICY_COL_PREFIX)) {
+        Some(name) => Err(SqlError::schema(format!(
+            "name `{name}` uses the reserved `{POLICY_COL_PREFIX}` prefix"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The result of executing a statement.
@@ -154,13 +167,18 @@ pub(crate) type Log<'a> = &'a mut dyn FnMut(&str) -> Result<()>;
 #[derive(Debug, Default)]
 pub(crate) struct Database {
     catalog: RwLock<BTreeMap<String, TableShard>>,
+    /// Whether its front tracks policies: its tables are created tracked,
+    /// and a statement on a table stored in the other mode is refused.
+    pub(crate) tracked: bool,
 }
 
 impl Database {
-    /// An empty database.
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        Database::default()
+    /// An empty database whose tables are `tracked` or not.
+    pub(crate) fn new(tracked: bool) -> Self {
+        Database {
+            tracked,
+            ..Database::default()
+        }
     }
 
     fn resolve<'a>(
@@ -170,14 +188,26 @@ impl Database {
         catalog.get(name).ok_or_else(|| no_such_table(name))
     }
 
+    /// Refuses a statement on the table `t`, called `name`, stored in the
+    /// other tracking mode than this database's. It is refused before it
+    /// is logged: it changes nothing, and would replay otherwise.
+    fn check_mode(&self, name: &str, t: &Table) -> Result<()> {
+        if t.tracked != self.tracked {
+            let mode = if t.tracked { "tracked" } else { "untracked" };
+            return Err(SqlError::schema(format!("table `{name}` is {mode}")));
+        }
+        Ok(())
+    }
+
     /// Names of all tables.
     pub(crate) fn table_names(&self) -> Vec<String> {
         rlock(&self.catalog).keys().cloned().collect()
     }
 
-    /// A point-in-time copy of one table, if it exists.
+    /// A point-in-time copy of one table as a checkpoint stores it, if it
+    /// exists: a tracked table's policy texts in their shadow columns.
     pub(crate) fn snapshot_table(&self, name: &str) -> Option<Table> {
-        self.copy_table(name).map(|(_, t)| t)
+        self.copy_table(name).map(|(_, t)| at_rest(t))
     }
 
     /// A point-in-time copy of one table with its write stamp.
@@ -193,6 +223,7 @@ impl Database {
     pub(crate) fn view(&self) -> Database {
         Database {
             catalog: RwLock::new(rlock(&self.catalog).clone()),
+            tracked: self.tracked,
         }
     }
 
@@ -271,14 +302,22 @@ impl Database {
     /// `i`-th `?` placeholder in text order.
     #[cfg(test)]
     pub(crate) fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
-        self.run(stmt, params, &mut |_| Ok(()))
+        self.run(stmt, params, Vec::new(), &mut |_| Ok(()))
     }
 
-    /// [`execute`](Database::execute) with a [`Log`] step for a write.
+    /// [`execute`](Database::execute) with a [`Log`] step for a write and,
+    /// for a tracked table, the policy text of each value it writes (an
+    /// `INSERT`'s, row by row, or each `UPDATE` assignment's).
     /// `CREATE`/`DROP TABLE` log and run under the catalog write lock,
     /// which row work holds shared ([`write_table`](Database::write_table)):
     /// a write racing a `DROP TABLE` lands before it or finds no table.
-    pub(crate) fn run(&self, stmt: &Statement, params: &[Value], log: Log) -> Result<QueryResult> {
+    pub(crate) fn run(
+        &self,
+        stmt: &Statement,
+        params: &[Value],
+        texts: Vec<Value>,
+        log: Log,
+    ) -> Result<QueryResult> {
         let affected = |n: usize| QueryResult {
             affected: n,
             ..QueryResult::default()
@@ -291,6 +330,9 @@ impl Database {
                 primary_key,
             } => {
                 let mut catalog = wlock(&self.catalog);
+                if let Some(shard) = catalog.get(name) {
+                    self.check_mode(name, &rlock(&shard.table))?;
+                }
                 log(name)?;
                 if catalog.contains_key(name) {
                     // Existence wins over column validation: IF NOT EXISTS
@@ -301,8 +343,8 @@ impl Database {
                     }
                     return Err(SqlError::schema(format!("table `{name}` already exists")));
                 }
-                check_table_name(name)?;
-                let mut table = new_table(columns)?;
+                check_names(name, columns)?;
+                let mut table = new_table(columns, self.tracked)?;
                 if let Some(pk) = primary_key {
                     table.create_index(&format!("pk_{name}"), pk, IndexKind::Ordered, false)?;
                 }
@@ -311,6 +353,9 @@ impl Database {
             }
             Statement::DropTable { name } => {
                 let mut catalog = wlock(&self.catalog);
+                if let Some(shard) = catalog.get(name) {
+                    self.check_mode(name, &rlock(&shard.table))?;
+                }
                 log(name)?;
                 catalog.remove(name).ok_or_else(|| no_such_table(name))?;
                 Ok(QueryResult::default())
@@ -335,7 +380,7 @@ impl Database {
                 rows,
             } => self
                 .write_table(table, log, |t| {
-                    table_insert(t, table, columns.as_deref(), rows, params)
+                    table_insert(t, table, columns.as_deref(), rows, params, texts)
                 })
                 .map(affected),
             Statement::Select(sel) => {
@@ -347,7 +392,7 @@ impl Database {
                 where_clause,
             } => self
                 .write_table(table, log, |t| {
-                    table_update(t, assignments, where_clause.as_ref(), params)
+                    table_update(t, assignments, where_clause.as_ref(), params, texts)
                 })
                 .map(affected),
             Statement::Delete {
@@ -365,7 +410,7 @@ impl Database {
     /// the table's write lock, `log` runs, then a fresh stamp, then `f`.
     /// A missing table is logged under the catalog read lock, which orders
     /// it against `CREATE TABLE`.
-    pub(crate) fn write_table<R>(
+    fn write_table<R>(
         &self,
         name: &str,
         log: Log<'_>,
@@ -377,6 +422,7 @@ impl Database {
             return Err(no_such_table(name));
         };
         let mut t = wlock(&shard.table);
+        self.check_mode(name, &t)?;
         log(name)?;
         shard.stamp.store(next_stamp(), Relaxed);
         f(&mut t)
@@ -386,8 +432,8 @@ impl Database {
     /// BY, LIMIT — and hands `f` the table and the matching rows,
     /// *borrowed*, under the table's read lock. The projection is `f`'s
     /// business: [`execute`](Database::execute) clones the projected
-    /// cells into a [`QueryResult`]; the policy-column rewrite revives
-    /// each cell straight from the stored row and copies no blob.
+    /// cells into a [`QueryResult`]; a tracked front revives each cell
+    /// straight from the stored row and copies no policy text.
     pub(crate) fn select_rows<R>(
         &self,
         sel: &SelectStmt,
@@ -396,6 +442,7 @@ impl Database {
     ) -> Result<R> {
         let catalog = rlock(&self.catalog);
         let t = rlock(&Self::resolve(&catalog, &sel.table)?.table);
+        self.check_mode(&sel.table, &t)?;
         let rows = matching_rows(&t, sel, params)?;
         f(&t, &rows)
     }
@@ -425,7 +472,7 @@ impl Database {
 // ---- per-table operations ----
 
 /// Validates `columns` and builds an empty [`Table`].
-pub(crate) fn new_table(columns: &[ColumnDef]) -> Result<Table> {
+fn new_table(columns: &[ColumnDef], tracked: bool) -> Result<Table> {
     let mut seen = std::collections::BTreeSet::new();
     for c in columns {
         if !seen.insert(&c.name) {
@@ -434,18 +481,21 @@ pub(crate) fn new_table(columns: &[ColumnDef]) -> Result<Table> {
     }
     Ok(Table {
         columns: columns.to_vec(),
+        tracked,
         ..Table::default()
     })
 }
 
-/// Inserts `rows` into `t` (`name` is for error messages only), returning
-/// the number of rows added. All rows are validated before any is stored.
-pub(crate) fn table_insert(
+/// Inserts `rows` into `t` (`name` is for error messages only), a tracked
+/// table with `texts` beside the values, returning the number of rows
+/// added. All rows are validated before any is stored.
+fn table_insert(
     t: &mut Table,
     name: &str,
     columns: Option<&[String]>,
     rows: &[Vec<Expr>],
     params: &[Value],
+    texts: Vec<Value>,
 ) -> Result<usize> {
     // Map provided positions to storage positions.
     let positions: Vec<usize> = match columns {
@@ -458,7 +508,8 @@ pub(crate) fn table_insert(
             })
             .collect::<Result<_>>()?,
     };
-    let width = t.columns.len();
+    let (n, width) = (t.columns.len(), t.width());
+    let mut texts = texts.into_iter();
     let mut staged = Vec::with_capacity(rows.len());
     for row in rows {
         if row.len() != positions.len() {
@@ -471,6 +522,9 @@ pub(crate) fn table_insert(
         let mut storage = vec![Value::Null; width];
         for (expr, &pos) in row.iter().zip(&positions) {
             storage[pos] = eval_const(expr, params)?;
+            if t.tracked {
+                storage[n + pos] = texts.next().expect("the front's text per value");
+            }
         }
         staged.push(storage);
     }
@@ -613,24 +667,29 @@ pub(crate) fn project(t: &Table, sel: &SelectStmt, matched: &[&Vec<Value>]) -> R
     }
 }
 
-/// Applies an UPDATE to one table, returning the affected-row count.
-/// Matching rows are found via the planner (probe or scan); indexes on
-/// assigned columns are maintained in place.
-pub(crate) fn table_update(
+/// Applies an UPDATE to one table, a tracked one with `texts` beside the
+/// assigned values, returning the affected-row count. Matching rows are
+/// found via the planner (probe or scan); indexes on assigned columns are
+/// maintained in place.
+fn table_update(
     t: &mut Table,
     assignments: &[(String, Expr)],
     where_clause: Option<&Expr>,
     params: &[Value],
+    texts: Vec<Value>,
 ) -> Result<usize> {
-    let idxs: Vec<(usize, Value)> = assignments
-        .iter()
-        .map(|(c, e)| {
-            let i = t
-                .col_index(c)
-                .ok_or_else(|| SqlError::schema(format!("no column `{c}`")))?;
-            Ok((i, eval_const(e, params)?))
-        })
-        .collect::<Result<_>>()?;
+    let n = t.columns.len();
+    let mut texts = texts.into_iter();
+    let mut idxs: Vec<(usize, Value)> = Vec::with_capacity(assignments.len() * 2);
+    for (c, e) in assignments {
+        let i = t
+            .col_index(c)
+            .ok_or_else(|| SqlError::schema(format!("no column `{c}`")))?;
+        idxs.push((i, eval_const(e, params)?));
+        if t.tracked {
+            idxs.push((n + i, texts.next().expect("the front's text per value")));
+        }
+    }
     let hits = plan::matching_row_ids(t, where_clause, params)?;
     let affected = hits.len();
     let Table { rows, indexes, .. } = t;
@@ -691,11 +750,27 @@ fn eval_const(expr: &Expr, params: &[Value]) -> Result<Value> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// Overwrites the policy text kept beside `column`'s value in row `row`
+    /// of the tracked table `table`: what a tampered or foreign store holds.
+    pub(crate) fn set_policy_text(
+        db: &Database,
+        table: &str,
+        row: usize,
+        column: &str,
+        text: &str,
+    ) {
+        let catalog = rlock(&db.catalog);
+        let mut t = wlock(&catalog[table].table);
+        assert!(t.tracked, "`{table}` keeps no policy texts");
+        let at = t.columns.len() + t.col_index(column).expect("a data column");
+        t.rows[row][at] = Value::Text(text.into());
+    }
+
     fn db_with_users() -> Database {
-        let db = Database::new();
+        let db = Database::default();
         db.execute_str("CREATE TABLE users (id INTEGER, name TEXT, age INTEGER)")
             .unwrap();
         db.execute_str(
@@ -841,7 +916,7 @@ mod tests {
 
     #[test]
     fn multi_insert_affected_count() {
-        let db = Database::new();
+        let db = Database::default();
         db.execute_str("CREATE TABLE t (a INTEGER)").unwrap();
         let r = db
             .execute_str("INSERT INTO t VALUES (1), (2), (3)")
@@ -870,7 +945,7 @@ mod tests {
 
     #[test]
     fn primary_key_auto_creates_ordered_index() {
-        let db = Database::new();
+        let db = Database::default();
         db.execute_str("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
             .unwrap();
         let t = db.snapshot_table("t").unwrap();
@@ -962,7 +1037,7 @@ mod tests {
 
     #[test]
     fn reserved_table_namespace_rejected() {
-        let db = Database::new();
+        let db = Database::default();
         assert!(db.execute_str("CREATE TABLE __rp_x (a INTEGER)").is_err());
     }
 

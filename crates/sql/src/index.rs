@@ -4,7 +4,7 @@
 //! `Table::rows`). It stores no cell payloads and no labels: a probe
 //! yields candidate row ids, and the executor re-materializes each row
 //! from `t.rows`, where every cell still carries its exact [`Label`]
-//! (via the `__rp_` policy columns managed by `crate::rewrite`).
+//! (as the policy text a tracked row keeps beside each value).
 //! Structurally, therefore, an index probe can never launder a policy —
 //! the exported cells are the very same cells a full scan would export,
 //! bit-identical in value and per-byte labels (§3.4 closed-under-storage

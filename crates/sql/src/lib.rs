@@ -4,9 +4,9 @@
 //! in-memory SQL engine (`engine::Database`, one lock per table) behind
 //! the one RESIN SQL filter every query crosses ([`ResinDb`]), which
 //!
-//! * rewrites `CREATE TABLE` to add a shadow **policy column** per data
-//!   column, stores each cell's serialized policies on write, and revives
-//!   them on read (§3.4.1, Figure 4);
+//! * stores each cell's serialized policies beside its value on write, and
+//!   revives them on read (§3.4.1, Figure 4); a checkpoint keeps them in
+//!   Figure 4's shadow **policy columns**, which no statement can name;
 //! * enforces the SQL-injection data flow assertion on the query channel in
 //!   any of the paper's three formulations (§5.3): sanitizer-marker
 //!   checking, structure-taint checking, and the tolerant-tokenizer

@@ -1,9 +1,9 @@
 //! A minimal access-path planner.
 //!
-//! Runs **post-guard / post-rewrite**: by the time a statement reaches
-//! the planner it has already passed the injection guard and had its
-//! policy columns attached, so planning is pure engine-side work on
-//! trusted structure. The planner decomposes the `WHERE` clause into
+//! Runs **post-guard**: by the time a statement reaches the planner it
+//! has already passed the injection guard, and no clause can name a
+//! policy text, so planning is pure engine-side work on trusted
+//! structure. The planner decomposes the `WHERE` clause into
 //! AND-conjuncts, matches each against the table's secondary indexes,
 //! and picks one of three access paths:
 //!
@@ -429,7 +429,7 @@ mod tests {
     }
 
     fn db() -> Database {
-        let db = Database::new();
+        let db = Database::default();
         db.execute_str("CREATE TABLE users (id INTEGER, name TEXT, age INTEGER)")
             .unwrap();
         db.execute_str(

@@ -288,7 +288,7 @@ mod tests {
     /// Every cell kind in every column the clauses below look at: NULLs,
     /// an int stored in a text column, text that reads as an int.
     fn db() -> Database {
-        let db = Database::new();
+        let db = Database::default();
         db.execute_str("CREATE TABLE t (id INTEGER, name TEXT, n INTEGER, s TEXT)")
             .unwrap();
         db.execute_str(
@@ -301,7 +301,7 @@ mod tests {
 
     /// A deep copy: statements run against it leave `db` as it was.
     fn copy_of(db: &Database) -> Database {
-        let copy = Database::new();
+        let copy = Database::default();
         copy.reset_tables(
             db.table_names()
                 .into_iter()

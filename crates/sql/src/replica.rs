@@ -4,12 +4,12 @@
 //! [`resin_store::ship`]) into a replica directory; a `Follower` opens
 //! that directory **read-only** — no store lock, no mutation — decodes
 //! the last shipped checkpoint into an in-memory [`ResinDb`], and
-//! replays the shipped WAL tail through the *identical*
-//! rewrite-and-replay pipeline the primary's own crash recovery uses.
-//! Replica reads therefore revive byte- and label-identical cells: a
-//! policy can no more be laundered through a replica than through the
-//! primary, because the replica runs the same policy-column rewriting
-//! and its gates enforce the same `export_check`s.
+//! replays the shipped WAL tail through the *identical* replay pipeline
+//! the primary's own crash recovery uses. Replica reads therefore revive
+//! byte- and label-identical cells: a policy can no more be laundered
+//! through a replica than through the primary, because the replica
+//! stores the same policy text beside each value and its gates enforce
+//! the same `export_check`s.
 //!
 //! Consistency model: a follower is *eventually consistent* with the
 //! primary — [`applied_seq`](Follower::applied_seq) is the watermark of

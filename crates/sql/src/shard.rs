@@ -7,8 +7,8 @@
 //!
 //! * it is a `Clone` handle (an `Arc`) over the lock-sharded
 //!   `Database` and its methods take `&self`: hand one to every worker;
-//! * every query runs the rewrite + guard pipeline of `crate::rewrite`
-//!   (policy columns, injection guards, the sql gate);
+//! * every query runs the guard pipeline of `crate::rewrite` (the sql
+//!   gate, injection guards, and each value's stored policy text);
 //! * opened on a directory ([`ResinDb::open`]) it logs every mutating
 //!   statement write-ahead into a shared [`resin_store::Store`] (one
 //!   checkpoint part per table, plus the WAL), under the lock that orders
@@ -51,9 +51,9 @@ struct Shared {
 /// A database wrapped by the RESIN SQL filter: clone a handle per worker
 /// thread.
 ///
-/// Each handle carries its own [`Tracking`]/[`GuardMode`] settings (so a
-/// trusted maintenance path can run unguarded while request handlers keep
-/// the injection guard), while all handles share the same storage.
+/// Each handle carries its own [`GuardMode`] (so a trusted maintenance
+/// path can run unguarded while request handlers keep the injection
+/// guard), while all handles share the same storage and [`Tracking`] mode.
 ///
 /// By default the database is in-memory only. [`ResinDb::open`] attaches
 /// a durable [`resin_store::Store`] underneath: every mutating statement
@@ -90,11 +90,16 @@ struct Shared {
 /// let db = resin_sql::ResinDb::new();
 /// db.raw().table_names();
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ResinDb {
     shared: Arc<Shared>,
-    tracking: Tracking,
     guard: GuardMode,
+}
+
+impl Default for ResinDb {
+    fn default() -> Self {
+        ResinDb::with_modes(Tracking::On, GuardMode::Off)
+    }
 }
 
 impl ResinDb {
@@ -105,10 +110,13 @@ impl ResinDb {
 
     /// A database with explicit tracking and guard settings.
     pub fn with_modes(tracking: Tracking, guard: GuardMode) -> Self {
+        let shared = Shared {
+            db: Database::new(tracking == Tracking::On),
+            ..Shared::default()
+        };
         ResinDb {
-            tracking,
+            shared: Arc::new(shared),
             guard,
-            ..ResinDb::default()
         }
     }
 
@@ -162,7 +170,7 @@ impl ResinDb {
 
     /// Replays one logged statement (crash recovery, and read replicas
     /// applying shipped WAL records). The logged text is post-guard, so
-    /// replay skips the gate and re-runs the same rewrite. On a durable
+    /// replay skips the gate and runs the same front again. On a durable
     /// database the statement's table is dirty from here on: the
     /// checkpoint does not hold its effect yet.
     pub(crate) fn replay(&self, sql: &TaintedString) -> Result<()> {
@@ -172,7 +180,7 @@ impl ResinDb {
             self.mark_tables_dirty([name]);
             Ok(())
         };
-        run_prepared(&self.shared.db, sql, &stmt, self.tracking, &[], &mut log)?;
+        run_prepared(&self.shared.db, sql, &stmt, &[], &mut log)?;
         Ok(())
     }
 
@@ -288,16 +296,11 @@ impl ResinDb {
         self.guard
     }
 
-    /// The tracking mode of this handle.
-    pub(crate) fn tracking(&self) -> Tracking {
-        self.tracking
-    }
-
     /// The underlying engine. A statement run through it bypasses the
-    /// injection guard, policy revival and the WAL: it reads and writes
-    /// policy columns as plain text, and its writes are neither logged nor
-    /// marked for the next checkpoint. Crate-private for that reason: from
-    /// outside, only the read-only views below reach the stored tables.
+    /// injection guard, policy revival and the WAL: its writes are neither
+    /// logged nor marked for the next checkpoint. Crate-private for that
+    /// reason: from outside, only the read-only views below reach the
+    /// stored tables.
     pub(crate) fn raw(&self) -> &Database {
         &self.shared.db
     }
@@ -307,8 +310,8 @@ impl ResinDb {
         self.shared.db.table_names()
     }
 
-    /// A copy of one table as stored: its policy columns as the text they
-    /// hold, and no policy revived.
+    /// A copy of one table as a checkpoint stores it: a tracked table's
+    /// policy texts in its shadow policy columns, and no policy revived.
     pub fn snapshot_table(&self, name: &str) -> Option<Table> {
         self.shared.db.snapshot_table(name)
     }
@@ -333,7 +336,7 @@ impl ResinDb {
     pub fn query(&self, sql: &TaintedString) -> Result<TaintedResult> {
         let (sql, stmt, _) = prepare_query(Cow::Borrowed(sql), self.guard)?;
         let mut log = self.log_step(|| Cow::Borrowed(&*sql));
-        run_prepared(&self.shared.db, &sql, &stmt, self.tracking, &[], &mut log)
+        run_prepared(&self.shared.db, &sql, &stmt, &[], &mut log)
     }
 
     /// Executes an untainted query string.
@@ -377,7 +380,6 @@ impl ResinDb {
             &self.shared.db,
             &prepared.text,
             &prepared.stmt,
-            self.tracking,
             &values,
             &mut log,
         )
@@ -393,6 +395,7 @@ impl ResinDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::set_policy_text;
     use crate::value::Value;
     use resin_core::metrics::{self, Counter};
     use resin_core::{register_policy_class, FlowError, PolicyRef, SerializeError, UntrustedData};
@@ -1105,6 +1108,112 @@ mod tests {
         assert!(db.query_str("SELECT __rp_body FROM posts").is_err());
     }
 
+    #[test]
+    fn no_statement_can_name_a_policy_text() {
+        // Every clause that names a column, naming the `__rp_` column a
+        // checkpoint stores `v`'s policy texts in. The table is not empty:
+        // an unknown column in a WHERE fails when a row reaches it.
+        let reads = [
+            "SELECT __rp_v FROM t",
+            "SELECT v FROM t WHERE __rp_v LIKE '%'",
+            "SELECT v FROM t ORDER BY __rp_v",
+        ];
+        let writes = [
+            "UPDATE t SET __rp_v = ''",
+            "UPDATE t SET v = 'y' WHERE __rp_v LIKE '%'",
+            "INSERT INTO t (v, __rp_v) VALUES ('z', '')",
+            "CREATE INDEX ix ON t (__rp_v)",
+        ];
+        let refused = |q: &str, r: Result<TaintedResult>| match r {
+            Err(SqlError::Schema(m)) if m.starts_with("no column `__rp_v`") => {}
+            other => panic!("{q}: {other:?}"),
+        };
+        // Each way a statement runs: as text, prepared, in a transaction.
+        let refuse_all = |db: &ResinDb| {
+            for q in reads.iter().chain(&writes) {
+                refused(q, db.query_str(q));
+                refused(q, db.prepare(q).and_then(|p| db.exec_prepared(&p, vec![])));
+                let mut txn = db.begin();
+                refused(q, txn.query_str(q));
+                txn.rollback();
+            }
+        };
+        let stored = |db: &ResinDb| {
+            let r = db.query_str("SELECT v FROM t").unwrap();
+            assert_eq!(r.rows.len(), 1);
+            let v = r.cell(0, "v").unwrap().as_text().unwrap();
+            assert_eq!(v.as_str(), "pw");
+            assert!(v.all_bytes_have::<UntrustedData>());
+        };
+        let dir = disk_dir("reserved");
+        {
+            let db = ResinDb::open(&dir).unwrap();
+            db.set_wal_sync(false);
+            db.query_str("CREATE TABLE t (v TEXT)").unwrap();
+            let mut q = TaintedString::from("INSERT INTO t VALUES ('");
+            q.push_tainted(&untrusted("pw"));
+            q.push_str("')");
+            db.query(&q).unwrap();
+            let seq = stats(&db).seq;
+            refuse_all(&db);
+            // A refused write still reaches the log, once as text and once
+            // prepared; a transaction's is never committed.
+            assert_eq!(stats(&db).seq, seq + 2 * writes.len() as u64);
+            stored(&db);
+        }
+        // Replayed, each is the same refusal.
+        let db = ResinDb::open(&dir).unwrap();
+        stored(&db);
+        refuse_all(&db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_table_refuses_a_front_of_the_other_tracking_mode() {
+        // A table stored tracked, reopened by an untracked front: every
+        // statement on it is refused before it is logged, so the store
+        // reopens tracked as it was.
+        let dir = disk_dir("modes");
+        {
+            let db = ResinDb::open(&dir).unwrap();
+            db.query_str("CREATE TABLE t (v TEXT)").unwrap();
+            db.query(&TaintedString::with_policy(
+                "INSERT INTO t VALUES ('pw')",
+                Arc::new(UntrustedData::new()),
+            ))
+            .unwrap();
+            db.checkpoint().unwrap();
+        }
+        {
+            let db = ResinDb::open_with_modes(&dir, Tracking::Off, GuardMode::Off).unwrap();
+            let seq = stats(&db).seq;
+            for q in [
+                "SELECT v FROM t",
+                "SELECT COUNT(*) FROM t",
+                "INSERT INTO t VALUES ('x')",
+                "UPDATE t SET v = 'x'",
+                "DELETE FROM t",
+                "CREATE INDEX ix ON t (v)",
+                "CREATE TABLE IF NOT EXISTS t (v TEXT)",
+                "DROP TABLE t",
+            ] {
+                match db.query_str(q) {
+                    Err(SqlError::Schema(m)) if m.contains("is tracked") => {}
+                    other => panic!("{q}: {other:?}"),
+                }
+            }
+            assert_eq!(stats(&db).seq, seq, "nothing logged");
+        }
+        let db = ResinDb::open(&dir).unwrap();
+        let r = db.query_str("SELECT v FROM t").unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert!(r.rows[0][0]
+            .as_text()
+            .unwrap()
+            .has_policy::<UntrustedData>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Concurrent readers and writers on *other* tables must neither block
     /// nor corrupt a transaction's rollback: the transaction's table is
     /// restored exactly, the concurrent writes all survive.
@@ -1173,10 +1282,10 @@ mod tests {
 
     #[test]
     fn sql_policy_column_tampering_fails_select() {
-        // An attacker (or bug) that writes junk into a policy column cannot
-        // make the filter silently ignore it: the SELECT that revives the
-        // cell fails closed. The public API hides policy columns, so the junk
-        // goes in through the engine under the filter.
+        // An attacker (or bug) that writes junk into a stored policy text
+        // cannot make the filter silently ignore it: the SELECT that revives
+        // the cell fails closed. No statement can name a policy text, so
+        // the junk goes in through the engine under the filter.
         let db = ResinDb::new();
         db.query_str("CREATE TABLE t (v TEXT)").unwrap();
         let mut q = TaintedString::from("INSERT INTO t VALUES ('");
@@ -1206,9 +1315,7 @@ mod tests {
             "#PasswordPolicy{email=u@x}#",
             "#PasswordPolicy{email=u@x},UntrustedData{}#0..2|1",
         ] {
-            db.raw()
-                .execute_str(&format!("UPDATE t SET __rp_v = '{blob}'"))
-                .unwrap();
+            set_policy_text(db.raw(), "t", 0, "v", blob);
             match db.query_str("SELECT v FROM t") {
                 Err(SqlError::Policy(FlowError::Serialize(_))) => {}
                 Err(e) => panic!("{blob}: wrong error: {e}"),
@@ -1241,16 +1348,18 @@ mod tests {
     fn a_failed_decode_is_not_indexed() {
         let db = ResinDb::new();
         db.query_str("CREATE TABLE t (a TEXT)").unwrap();
+        db.query_str("INSERT INTO t VALUES ('x'), ('y')").unwrap();
         // Straight into the engine: a cell whose policy class nobody
         // registered, and one whose class refuses to revive (what a script
         // policy's deserializer does when the linter rejects its class).
-        db.raw()
-            .execute_str(
-                "INSERT INTO t (a, __rp_a) VALUES \
-                 ('x', '#WireNoSuchClass{owner=eve}#0..1|0'), \
-                 ('y', '#WireRejectedClass{owner=eve}#0..1|0')",
-            )
-            .unwrap();
+        set_policy_text(db.raw(), "t", 0, "a", "#WireNoSuchClass{owner=eve}#0..1|0");
+        set_policy_text(
+            db.raw(),
+            "t",
+            1,
+            "a",
+            "#WireRejectedClass{owner=eve}#0..1|0",
+        );
         static REJECTIONS: AtomicUsize = AtomicUsize::new(0);
         register_policy_class("WireRejectedClass", |_| {
             REJECTIONS.fetch_add(1, Ordering::SeqCst);

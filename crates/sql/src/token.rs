@@ -3,7 +3,7 @@
 //! Tokens record their byte range in the source query so the RESIN SQL
 //! filter can check the *taint of the query's structure* (the
 //! SQL-injection assertion, §5.3) and extract per-literal policies for the
-//! policy-column rewrite (§3.4.1).
+//! policy text each written value is stored with (§3.4.1).
 //!
 //! The lexer has two modes:
 //!

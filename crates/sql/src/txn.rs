@@ -121,8 +121,8 @@ impl<'c> Transaction<'c> {
         self.copied.keys().map(String::as_str).collect()
     }
 
-    /// Executes a query inside the transaction (all RESIN rewriting and
-    /// guards apply as usual).
+    /// Executes a query inside the transaction (the RESIN guard and
+    /// policy storage apply as usual).
     ///
     /// The write target comes from the statement as prepared — parsed
     /// *after* any guard rewriting, i.e. exactly what executes — so a
@@ -139,7 +139,7 @@ impl<'c> Transaction<'c> {
             }
         }
         let db = self.view.as_ref().unwrap_or(&self.db);
-        let res = run_prepared(db.raw(), &sql, &stmt, db.tracking(), &[], &mut |_| Ok(()))?;
+        let res = run_prepared(db.raw(), &sql, &stmt, &[], &mut |_| Ok(()))?;
         if writes && self.db.store().is_some() {
             // Buffered, not logged: the WAL only sees statements whose
             // transaction committed, so a rollback recovers as a rollback.
